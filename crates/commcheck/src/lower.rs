@@ -1,240 +1,107 @@
-//! Lower a compiled SPMD program into its communication [`Skeleton`] —
-//! the same event order `spmd-rt::exec::run_region` drives the MPI
-//! library in (§3's protocol), reduced to what can block:
-//!
-//! ```text
-//! [crash]                                  (rank-level fault draw)
-//! barrier                                  (slaves released)
-//! [bcast]                                  (shared scalars in)
-//! scatter  PUTs (push) / GETs (pull)       -- protocol per transfer
-//! fence
-//! [reduce | barrier,barrier]               (reduction combine)
-//! collect  PUTs (slaves -> master)
-//! fence
-//! barrier
-//! ```
-//!
-//! Two things make this more than a copy of rmacheck's lowering:
+//! Lower a compiled SPMD program into its communication [`Skeleton`]:
+//! a projection of the one §3 walk ([`spmd_rt::protocol`], where the
+//! protocol listing lives) onto what can block. It adds two things:
 //!
 //! * every PUT is resolved through the [`TransportPolicy`] into its
 //!   actual protocol — an eager transfer pins a registered pool slot
 //!   until the origin's next fence, a rendezvous transfer does not —
 //!   because pool pressure is what turns a legal plan into a deadlock;
-//! * the deterministic rank-crash draw of the fault schedule is
-//!   replayed exactly (same site, same `(rank, region-serial)` key, same
-//!   salt as `exec.rs`), so the skeleton predicts the *scheduled* crash
-//!   set, not a probabilistic abstraction of it. A crashed rank emits
-//!   [`Op::Crash`] and nothing else: the crash unwinds before the
-//!   region's entry barrier, and dead ranks never rejoin.
+//! * the deterministic rank-crash draw of the fault schedule is made at
+//!   the walk's crash point with the runtime's own key, so the skeleton
+//!   predicts the *scheduled* crash set, not a probabilistic
+//!   abstraction of it. A crashed rank emits [`Op::Crash`] and nothing
+//!   else: dead ranks never rejoin.
 //!
 //! Master-only sequential sections lower to nothing: they run strictly
 //! between regions with no communication epoch open.
 
 use mpi2::{Protocol, TransportPolicy, ELEM_BYTES};
-use spmd_rt::ir::{Block, ParRegion, SpmdProgram};
-use vpce_faults::{site, FaultInjector, FaultSpec};
+use spmd_rt::ir::{ParRegion, SpmdProgram};
+use spmd_rt::protocol::{self, Step};
+use vpce_faults::{FaultInjector, FaultSpec};
 
-use crate::skeleton::{Op, Skeleton, SyncKind};
+use crate::skeleton::{Op, Skeleton};
 
 /// Lower `prog` into the per-rank skeleton under `policy`'s protocol
 /// switchover and `faults`' deterministic crash schedule.
 pub fn lower(prog: &SpmdProgram, policy: &TransportPolicy, faults: &FaultSpec) -> Skeleton {
-    let n = prog.nprocs;
-    let mut sk = Skeleton::new(prog.name.clone(), n);
+    let mut sk = Skeleton::new(prog.name.clone(), prog.nprocs);
     sk.pool_slots = policy.slots;
     let inj = FaultInjector::new(faults.clone());
-    let mut live = vec![true; n];
-    let mut region_serial: u64 = 0;
-    for block in &prog.blocks {
-        let region = match block {
-            Block::MasterSeq(_) => continue,
-            Block::Parallel(r) => r,
-        };
-        lower_region(&mut sk, region, policy, &inj, &mut live, region_serial);
-        region_serial += 1;
+    for rank in 0..prog.nprocs {
+        for (serial, _, region) in prog.numbered_regions() {
+            if !lower_region(&mut sk, region, policy, &inj, rank, serial) {
+                break;
+            }
+        }
     }
     sk
 }
 
-/// Resolve one PUT of `count` elements through the protocol switchover.
-fn put_op(policy: &TransportPolicy, to: usize, count: u64) -> Op {
-    let bytes = count as usize * ELEM_BYTES;
-    match policy.choose(bytes) {
-        Protocol::Eager => Op::EagerPut { to, bytes },
-        Protocol::Rendezvous => Op::RdvzPut { to, bytes },
-    }
-}
-
+/// Append `rank`'s acts for one region; `false` when the rank crashed
+/// in it.
 fn lower_region(
     sk: &mut Skeleton,
     region: &ParRegion,
     policy: &TransportPolicy,
     inj: &FaultInjector,
-    live: &mut [bool],
-    region_serial: u64,
-) {
+    rank: usize,
+    serial: u64,
+) -> bool {
     let line = region.line;
-    let spec = inj.spec();
-    // Replay the rank-level crash draws exactly as run_region does:
-    // keyed (rank, region serial), drawn before the entry barrier.
-    for (r, alive) in live.iter_mut().enumerate() {
-        if !*alive {
-            continue;
-        }
-        let fault_key = ((r as u64) << 32) ^ region_serial;
-        if inj.hits(spec.rank_crash, site::RANK_CRASH, fault_key, 0) {
-            sk.push(r, Op::Crash, line, "crash");
-            *alive = false;
-        }
-    }
-
-    // Entry barrier: slaves join the computation.
-    sk.sync_all(SyncKind::Barrier, line, live);
-
-    // Shared scalars travel master -> everyone.
-    if !region.scalars_in.is_empty() {
-        sk.sync_all(SyncKind::Bcast, line, live);
-    }
-
-    // Scatter epoch. Push: the master PUTs every slave's regions (its
-    // own included — a local move, but it consumes a slot like any
-    // other eager transfer). Pull: each slave GETs from the master.
-    if region.pull_scatter {
-        for (r, ops) in region.scatter.per_rank.iter().enumerate().skip(1) {
-            if !live[r] {
+    for step in protocol::steps(region, rank) {
+        let (op, site) = match step {
+            Step::CrashPoint => {
+                if inj.crash_hits(protocol::crash_key(rank, serial)) {
+                    sk.push(rank, Op::Crash, line, "crash");
+                    return false;
+                }
                 continue;
             }
-            for op in ops {
+            Step::Sync(kind) => (Op::Sync(kind), "sync"),
+            Step::Rma { site, op, target, get } => {
                 let bytes = op.transfer.count as usize * ELEM_BYTES;
-                sk.push(r, Op::Get { from: 0, bytes }, line, "scatter");
+                let op = match (get, policy.choose(bytes)) {
+                    (true, _) => Op::Get { from: target, bytes },
+                    (false, Protocol::Eager) => Op::EagerPut { to: target, bytes },
+                    (false, Protocol::Rendezvous) => Op::RdvzPut { to: target, bytes },
+                };
+                (op, site.as_str())
             }
-        }
-    } else if live[0] {
-        for (r, ops) in region.scatter.per_rank.iter().enumerate() {
-            for op in ops {
-                sk.push(0, put_op(policy, r, op.transfer.count), line, "scatter");
-            }
-        }
+            // Local work and the lock/accumulate critical sections
+            // (serialised by the exclusive lock) never block.
+            Step::Compute
+            | Step::LockSeed
+            | Step::LockAccumulate
+            | Step::LockCombine
+            | Step::End(_) => continue,
+        };
+        sk.push(rank, op, line, site);
     }
-    sk.sync_all(SyncKind::Fence, line, live);
-
-    // Reduction combine: the collective tree, or two barriers
-    // bracketing the lock/accumulate critical sections.
-    if !region.reductions.is_empty() {
-        if region.lock_reductions {
-            sk.sync_all(SyncKind::Barrier, line, live);
-            sk.sync_all(SyncKind::Barrier, line, live);
-        } else {
-            for _ in &region.reductions {
-                sk.sync_all(SyncKind::Reduce, line, live);
-            }
-        }
-    }
-
-    // Collect: slaves PUT write-first/read-write regions back to the
-    // master; closed by the second fence, then the exit barrier.
-    for (r, ops) in region.collect.per_rank.iter().enumerate().skip(1) {
-        if !live[r] {
-            continue;
-        }
-        for op in ops {
-            sk.push(r, put_op(policy, 0, op.transfer.count), line, "collect");
-        }
-    }
-    sk.sync_all(SyncKind::Fence, line, live);
-    sk.sync_all(SyncKind::Barrier, line, live);
+    true
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::skeleton::Act;
     use cluster_sim::ClusterConfig;
     use lmad::RegionTransfer;
-    use spmd_rt::ir::{Block, CommOp, CommPlan, ParRegion, Schedule, SpmdProgram};
+    use spmd_rt::ir::{Block, CommOp};
 
-    fn comm(per_rank: Vec<Vec<CommOp>>) -> CommPlan {
-        CommPlan {
-            per_rank,
-            granularity: None,
-        }
-    }
-
-    fn op(array: usize, offset: i64, count: u64) -> CommOp {
-        CommOp {
-            array,
-            transfer: RegionTransfer {
-                offset,
-                stride: 1,
-                count,
-            },
-        }
-    }
-
-    fn region(n: usize) -> ParRegion {
-        ParRegion {
-            var: 0,
-            lo: 1,
-            step: 1,
-            trips: 8,
-            sched: Schedule::Block,
-            body: Vec::new(),
-            scatter: comm(vec![Vec::new(); n]),
-            collect: comm(vec![Vec::new(); n]),
-            pull_scatter: false,
-            lock_reductions: false,
-            scalars_in: Vec::new(),
-            private_scalars: Vec::new(),
-            reductions: Vec::new(),
-            line: 7,
-        }
-    }
-
-    fn program(n: usize, blocks: Vec<Block>) -> SpmdProgram {
-        SpmdProgram {
+    fn lower_one(region: ParRegion, faults: &FaultSpec) -> Skeleton {
+        let prog = SpmdProgram {
             name: "t".into(),
-            nprocs: n,
+            nprocs: 2,
             arrays: vec![("A".into(), 64)],
             scalars: Vec::new(),
-            blocks,
+            blocks: vec![Block::Parallel(region)],
             sequential: Vec::new(),
-        }
+        };
+        lower(&prog, &policy(), faults)
     }
 
     fn policy() -> TransportPolicy {
         TransportPolicy::from_config(&ClusterConfig::paper_n(2))
-    }
-
-    fn syncs(acts: &[Act]) -> Vec<SyncKind> {
-        acts.iter()
-            .filter_map(|a| match a.op {
-                Op::Sync(k) => Some(k),
-                _ => None,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sync_sequence_matches_the_runtime_protocol() {
-        let mut r = region(2);
-        r.scalars_in = vec![0];
-        r.reductions.push(spmd_rt::ir::Reduction {
-            scalar: 0,
-            op: spmd_rt::ir::RedOp::Sum,
-            identity: 0.0,
-        });
-        let prog = program(2, vec![Block::Parallel(r)]);
-        let sk = lower(&prog, &policy(), &FaultSpec::off());
-        let expect = vec![
-            SyncKind::Barrier,
-            SyncKind::Bcast,
-            SyncKind::Fence,
-            SyncKind::Reduce,
-            SyncKind::Fence,
-            SyncKind::Barrier,
-        ];
-        assert_eq!(syncs(&sk.ranks[0]), expect);
-        assert_eq!(syncs(&sk.ranks[1]), expect);
     }
 
     #[test]
@@ -242,11 +109,14 @@ mod tests {
         let p = policy();
         let small = p.eager_max_bytes / ELEM_BYTES; // fits eager
         let large = p.eager_max_bytes / ELEM_BYTES + 1; // forced rendezvous
-        let mut r = region(2);
-        r.scatter.per_rank[1].push(op(0, 0, small as u64));
-        r.collect.per_rank[1].push(op(0, 0, large as u64));
-        let prog = program(2, vec![Block::Parallel(r)]);
-        let sk = lower(&prog, &policy(), &FaultSpec::off());
+        let op = |count: usize| CommOp {
+            array: 0,
+            transfer: RegionTransfer { offset: 0, stride: 1, count: count as u64 },
+        };
+        let mut r = ParRegion::blank(2, 7);
+        r.scatter.per_rank[1].push(op(small));
+        r.collect.per_rank[1].push(op(large));
+        let sk = lower_one(r, &FaultSpec::off());
         assert!(sk.ranks[0]
             .iter()
             .any(|a| matches!(a.op, Op::EagerPut { to: 1, .. }) && a.site == "scatter"));
@@ -257,30 +127,15 @@ mod tests {
     }
 
     #[test]
-    fn pull_scatter_lowers_to_gets_which_never_block() {
-        let mut r = region(2);
-        r.pull_scatter = true;
-        r.scatter.per_rank[1].push(op(0, 0, 4));
-        let prog = program(2, vec![Block::Parallel(r)]);
-        let sk = lower(&prog, &policy(), &FaultSpec::off());
-        assert!(sk.ranks[1]
-            .iter()
-            .any(|a| matches!(a.op, Op::Get { from: 0, .. })));
-        // The master issued no scatter transfer.
-        assert!(sk.ranks[0].iter().all(|a| matches!(a.op, Op::Sync(_))));
-    }
-
-    #[test]
     fn certain_crash_replays_the_runtime_draw() {
         // rank_crash = 1.0: every rank draws a crash in region 0, the
         // same draw spmd-rt::exec makes. All ranks emit Crash and
         // nothing else.
-        let prog = program(2, vec![Block::Parallel(region(2))]);
         let spec = FaultSpec {
             rank_crash: 1.0,
             ..FaultSpec::off()
         };
-        let sk = lower(&prog, &policy(), &spec);
+        let sk = lower_one(ParRegion::blank(2, 7), &spec);
         for r in 0..2 {
             assert_eq!(sk.ranks[r].len(), 1, "rank {r}");
             assert!(matches!(sk.ranks[r][0].op, Op::Crash));
@@ -290,8 +145,7 @@ mod tests {
 
     #[test]
     fn crash_free_schedule_emits_no_crash_acts() {
-        let prog = program(2, vec![Block::Parallel(region(2))]);
-        let sk = lower(&prog, &policy(), &FaultSpec::off());
+        let sk = lower_one(ParRegion::blank(2, 7), &FaultSpec::off());
         assert!(sk
             .ranks
             .iter()

@@ -11,26 +11,7 @@
 
 /// A global synchronization operation. All live ranks must arrive at
 /// the same kind for it to complete.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum SyncKind {
-    /// `MPI_WIN_FENCE` across all windows — also drains every rank's
-    /// registered eager pool.
-    Fence,
-    Barrier,
-    Bcast,
-    Reduce,
-}
-
-impl SyncKind {
-    pub fn name(self) -> &'static str {
-        match self {
-            SyncKind::Fence => "fence",
-            SyncKind::Barrier => "barrier",
-            SyncKind::Bcast => "bcast",
-            SyncKind::Reduce => "reduce",
-        }
-    }
-}
+pub use spmd_rt::protocol::SyncKind;
 
 /// One skeleton operation, as seen by the executing rank.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -75,7 +56,7 @@ impl Op {
     /// and their JSON/golden forms).
     pub fn describe(&self) -> String {
         match self {
-            Op::Sync(k) => k.name().to_string(),
+            Op::Sync(k) => k.as_str().to_string(),
             Op::EagerPut { to, bytes } => format!("eager-put -> {to} ({bytes} B)"),
             Op::RdvzPut { to, bytes } => format!("rdvz-put -> {to} ({bytes} B)"),
             Op::Get { from, bytes } => format!("get <- {from} ({bytes} B)"),

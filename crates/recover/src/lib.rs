@@ -47,9 +47,10 @@ use std::collections::BTreeSet;
 
 use cluster_sim::{ClusterConfig, FailoverMap};
 use mpi2::{quiesce_cost, replica_put_cost, TransportPolicy, ELEM_BYTES};
-use spmd_rt::{try_execute_suppressed, Block, ExecMode, RunReport, SpmdProgram};
+use spmd_rt::protocol::crash_key;
+use spmd_rt::{try_execute_suppressed, ExecMode, RunReport, SpmdProgram};
 use vpce_diag::{DiagCode, Severity};
-use vpce_faults::{site, FaultInjector, FaultSpec, VpceError};
+use vpce_faults::{FaultInjector, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Tracer};
 
 /// Stable diagnostic codes of the recovery driver.
@@ -247,14 +248,7 @@ pub fn predict_crash_groups(
     let mut groups = Vec::new();
     for s in 0..regions {
         let ranks: Vec<usize> = (0..nprocs)
-            .filter(|&r| {
-                inj.hits(
-                    faults.rank_crash,
-                    site::RANK_CRASH,
-                    ((r as u64) << 32) ^ s as u64,
-                    0,
-                )
-            })
+            .filter(|&r| inj.crash_hits(crash_key(r, s as u64)))
             .collect();
         if !ranks.is_empty() {
             groups.push(CrashGroup { serial: s, ranks });
@@ -285,13 +279,7 @@ pub fn run_recovering(
     let n = prog.nprocs;
     // Block indices of the parallel regions, in program order; region
     // serial s executes at block pblocks[s].
-    let pblocks: Vec<usize> = prog
-        .blocks
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| matches!(b, Block::Parallel(_)))
-        .map(|(i, _)| i)
-        .collect();
+    let pblocks: Vec<usize> = prog.numbered_regions().map(|(_, block, _)| block).collect();
     let regions = pblocks.len();
 
     let groups = predict_crash_groups(&faults, n, regions);
@@ -352,7 +340,7 @@ pub fn run_recovering(
             let (from, to) = fm.remap(r).expect("spares checked above");
             moves.push((r, from, to));
             ledger.respawned += 1;
-            suppressed.insert(((r as u64) << 32) ^ s as u64);
+            suppressed.insert(crash_key(r, s as u64));
         }
         absorbed.push((s, ckpt, moves));
     }
@@ -427,7 +415,8 @@ mod tests {
     use lmad::RegionTransfer;
     use spmd_rt::ir::BinOp;
     use spmd_rt::{
-        execute, try_execute, CommOp, CommPlan, Expr, Instr, IntrinsicOp, ParRegion, Schedule,
+        execute, try_execute, Block, CommOp, CommPlan, Expr, Instr, IntrinsicOp, ParRegion,
+        Schedule,
     };
 
     /// Hand-built program with `regions` identical parallel regions:

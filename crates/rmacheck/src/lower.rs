@@ -1,18 +1,9 @@
 //! Lower a compiled SPMD program plus its communication plan into an
-//! [`RmaTrace`] — mirroring, event for event, the order in which
-//! `spmd-rt::exec::run_region` drives the MPI library (§3's protocol):
-//!
-//! ```text
-//! barrier                                  (slaves released)
-//! [bcast]                                  (shared scalars in)
-//! scatter  PUTs (push) / GETs (pull)       -- scatter epoch
-//! fence
-//! compute  local loads/stores              -- collect epoch opens
-//! [reduce | barrier,barrier]               (reduction combine)
-//! collect  PUTs (slaves -> master)
-//! fence                                    -- collect epoch closes
-//! barrier
-//! ```
+//! [`RmaTrace`]: a projection of the one §3 walk
+//! ([`spmd_rt::protocol`], where the protocol listing lives) that keeps
+//! the synchronisations and one-sided transfers and adds, at the
+//! compute step, the backend's per-rank footprints — the local
+//! loads/stores that share the collect epoch with incoming PUTs.
 //!
 //! Master-only sequential sections emit no events: they run strictly
 //! between regions (barrier-ordered) with no epoch open, so they can
@@ -21,15 +12,11 @@
 //! ([`crate::stale`]).
 
 use lmad::Lmad;
-use polaris_be::PlanReport;
-use spmd_rt::ir::{Block, ParRegion, SpmdProgram};
+use polaris_be::{PlanReport, RegionPlanInfo};
+use spmd_rt::ir::{ParRegion, SpmdProgram};
+use spmd_rt::protocol::{self, Phase, Step};
 
-use crate::trace::{AccessKind, Op, RmaTrace, Site, SyncKind};
-
-/// The memory region one wire transfer covers.
-fn transfer_lmad(t: &lmad::RegionTransfer) -> Lmad {
-    Lmad::strided(t.offset, t.stride as i64, t.count)
-}
+use crate::trace::{AccessKind, Event, Op, RmaTrace, Site};
 
 /// Build the per-rank event streams for `prog`. `report` supplies the
 /// compute-phase footprints (local accesses that share the collect
@@ -37,192 +24,82 @@ fn transfer_lmad(t: &lmad::RegionTransfer) -> Lmad {
 /// accesses are simply absent from the trace (communication events
 /// are still complete).
 pub fn lower(prog: &SpmdProgram, report: &PlanReport) -> RmaTrace {
-    let n = prog.nprocs;
     let win_names = prog.arrays.iter().map(|(name, _)| name.clone()).collect();
-    let mut trace = RmaTrace::new(n, win_names);
-    let mut region_idx = 0usize;
-    for block in &prog.blocks {
-        let region = match block {
-            Block::MasterSeq(_) => continue,
-            Block::Parallel(r) => r,
-        };
-        let info = report.regions.get(region_idx);
-        region_idx += 1;
-        lower_region(&mut trace, region, info, n);
+    let mut trace = RmaTrace::new(prog.nprocs, win_names);
+    for (serial, _, region) in prog.numbered_regions() {
+        let info = report.regions.get(serial as usize);
+        for (rank, events) in trace.ranks.iter_mut().enumerate() {
+            lower_region(events, region, info, rank);
+        }
     }
     trace
 }
 
 fn lower_region(
-    trace: &mut RmaTrace,
+    events: &mut Vec<Event>,
     region: &ParRegion,
-    info: Option<&polaris_be::RegionPlanInfo>,
-    n: usize,
+    info: Option<&RegionPlanInfo>,
+    rank: usize,
 ) {
     let line = region.line;
-    // Entry barrier: slaves join the computation.
-    trace.sync_all(SyncKind::Barrier);
-
-    // Shared scalars travel master -> everyone.
-    if !region.scalars_in.is_empty() {
-        trace.sync_all(SyncKind::Bcast);
-    }
-
-    // Scatter epoch. Push: the master PUTs every slave's regions.
-    // Pull: each slave GETs its own regions from the master.
-    if region.pull_scatter {
-        for (r, ops) in region.scatter.per_rank.iter().enumerate().skip(1) {
-            for op in ops {
-                trace.op(
-                    r,
-                    Op {
-                        win: op.array,
-                        target: 0,
-                        kind: AccessKind::Get,
-                        region: transfer_lmad(&op.transfer),
-                        line,
-                        site: Site::Scatter,
-                    },
-                );
-            }
-        }
-    } else {
-        for (r, ops) in region.scatter.per_rank.iter().enumerate() {
-            for op in ops {
-                trace.op(
-                    0,
-                    Op {
-                        win: op.array,
-                        target: r,
-                        kind: AccessKind::Put,
-                        region: transfer_lmad(&op.transfer),
-                        line,
-                        site: Site::Scatter,
-                    },
-                );
-            }
-        }
-    }
-    trace.sync_all(SyncKind::Fence);
-
-    // Compute phase: every rank's local loads/stores hit its own
-    // shard while the collect epoch is open (the interpreter holds
-    // the window locks). These can collide with incoming collect
-    // PUTs on the master's shard.
-    if let Some(info) = info {
-        for r in 0..n {
-            for (a, lm) in info.rank_writes.get(r).into_iter().flatten() {
-                trace.op(
-                    r,
-                    Op {
-                        win: *a,
-                        target: r,
-                        kind: AccessKind::LocalWrite,
-                        region: lm.clone(),
-                        line,
-                        site: Site::Compute,
-                    },
-                );
-            }
-            for (a, lm) in info.rank_reads.get(r).into_iter().flatten() {
-                trace.op(
-                    r,
-                    Op {
-                        win: *a,
-                        target: r,
-                        kind: AccessKind::LocalRead,
-                        region: lm.clone(),
-                        line,
-                        site: Site::Compute,
-                    },
-                );
-            }
-        }
-    }
-
-    // Reduction combine: the collective tree, or two barriers
-    // bracketing the lock/accumulate critical sections (passive-target
-    // epochs, serialised by the exclusive lock — not traced).
-    if !region.reductions.is_empty() {
-        if region.lock_reductions {
-            trace.sync_all(SyncKind::Barrier);
-            trace.sync_all(SyncKind::Barrier);
-        } else {
-            for _ in &region.reductions {
-                trace.sync_all(SyncKind::Reduce);
-            }
-        }
-    }
-
-    // Collect: slaves PUT write-first/read-write regions back to the
-    // master; closed by the second fence, then the exit barrier.
-    for (r, ops) in region.collect.per_rank.iter().enumerate().skip(1) {
-        for op in ops {
-            trace.op(
-                r,
-                Op {
+    for step in protocol::steps(region, rank) {
+        match step {
+            Step::Sync(kind) => events.push(Event::Sync(kind)),
+            Step::Rma { site, op, target, get } => {
+                let t = &op.transfer;
+                events.push(Event::Rma(Op {
                     win: op.array,
-                    target: 0,
-                    kind: AccessKind::Put,
-                    region: transfer_lmad(&op.transfer),
+                    target,
+                    kind: if get { AccessKind::Get } else { AccessKind::Put },
+                    region: Lmad::strided(t.offset, t.stride as i64, t.count),
                     line,
-                    site: Site::Collect,
-                },
-            );
+                    site: if site == Phase::Scatter { Site::Scatter } else { Site::Collect },
+                }))
+            }
+            // Every rank's local loads/stores hit its own shard while
+            // the collect epoch is open (the interpreter holds the
+            // window locks). These can collide with incoming collect
+            // PUTs on the master's shard.
+            Step::Compute => {
+                let Some(info) = info else { continue };
+                for (accesses, kind) in [
+                    (&info.rank_writes, AccessKind::LocalWrite),
+                    (&info.rank_reads, AccessKind::LocalRead),
+                ] {
+                    for (win, lm) in accesses.get(rank).into_iter().flatten() {
+                        events.push(Event::Rma(Op {
+                            win: *win,
+                            target: rank,
+                            kind,
+                            region: lm.clone(),
+                            line,
+                            site: Site::Compute,
+                        }));
+                    }
+                }
+            }
+            // A crashed rank is a liveness matter (commcheck's); the
+            // lock/accumulate critical sections are passive-target
+            // epochs serialised by the exclusive lock — not traced.
+            Step::CrashPoint
+            | Step::LockSeed
+            | Step::LockAccumulate
+            | Step::LockCombine
+            | Step::End(_) => {}
         }
     }
-    trace.sync_all(SyncKind::Fence);
-    trace.sync_all(SyncKind::Barrier);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::Event;
-    use lmad::RegionTransfer;
-    use spmd_rt::ir::{CommOp, CommPlan, Schedule};
+    use crate::trace::SyncKind;
+    use spmd_rt::ir::Block;
 
-    fn comm(per_rank: Vec<Vec<CommOp>>) -> CommPlan {
-        CommPlan {
-            per_rank,
-            granularity: None,
-        }
-    }
-
-    fn op(array: usize, offset: i64, count: u64) -> CommOp {
-        CommOp {
-            array,
-            transfer: RegionTransfer {
-                offset,
-                stride: 1,
-                count,
-            },
-        }
-    }
-
-    fn region(n: usize) -> ParRegion {
-        ParRegion {
-            var: 0,
-            lo: 1,
-            step: 1,
-            trips: 8,
-            sched: Schedule::Block,
-            body: Vec::new(),
-            scatter: comm(vec![Vec::new(); n]),
-            collect: comm(vec![Vec::new(); n]),
-            pull_scatter: false,
-            lock_reductions: false,
-            scalars_in: Vec::new(),
-            private_scalars: Vec::new(),
-            reductions: Vec::new(),
-            line: 7,
-        }
-    }
-
-    fn program(n: usize, blocks: Vec<Block>) -> SpmdProgram {
+    fn program(blocks: Vec<Block>) -> SpmdProgram {
         SpmdProgram {
             name: "t".into(),
-            nprocs: n,
+            nprocs: 2,
             arrays: vec![("A".into(), 16)],
             scalars: Vec::new(),
             blocks,
@@ -230,71 +107,11 @@ mod tests {
         }
     }
 
-    fn syncs(evs: &[Event]) -> Vec<SyncKind> {
-        evs.iter()
-            .filter_map(|e| match e {
-                Event::Sync(k) => Some(*k),
-                Event::Rma(_) => None,
-            })
-            .collect()
-    }
-
-    #[test]
-    fn push_scatter_emits_master_puts_in_scatter_epoch() {
-        let mut r = region(2);
-        r.scatter.per_rank[1].push(op(0, 8, 8));
-        r.collect.per_rank[1].push(op(0, 8, 8));
-        let prog = program(2, vec![Block::Parallel(r)]);
-        let trace = lower(&prog, &PlanReport::default());
-        // Master stream: barrier, scatter PUT, fence, fence, barrier.
-        let m = &trace.ranks[0];
-        assert!(matches!(
-            &m[1],
-            Event::Rma(Op { kind: AccessKind::Put, target: 1, site: Site::Scatter, .. })
-        ));
-        // Slave stream: barrier, fence, collect PUT, fence, barrier.
-        let s = &trace.ranks[1];
-        assert!(matches!(
-            &s[2],
-            Event::Rma(Op { kind: AccessKind::Put, target: 0, site: Site::Collect, line: 7, .. })
-        ));
-        // Sync sequences agree across ranks.
-        assert_eq!(syncs(m), syncs(s));
-        assert_eq!(
-            syncs(m),
-            vec![
-                SyncKind::Barrier,
-                SyncKind::Fence,
-                SyncKind::Fence,
-                SyncKind::Barrier
-            ]
-        );
-    }
-
-    #[test]
-    fn pull_scatter_emits_slave_gets() {
-        let mut r = region(2);
-        r.pull_scatter = true;
-        r.scatter.per_rank[1].push(op(0, 0, 4));
-        let prog = program(2, vec![Block::Parallel(r)]);
-        let trace = lower(&prog, &PlanReport::default());
-        let s = &trace.ranks[1];
-        assert!(matches!(
-            &s[1],
-            Event::Rma(Op { kind: AccessKind::Get, target: 0, .. })
-        ));
-        // Master issued no scatter ops.
-        assert!(trace.ranks[0]
-            .iter()
-            .all(|e| matches!(e, Event::Sync(_))));
-    }
-
     #[test]
     fn compute_footprints_land_in_collect_epoch() {
-        let r = region(2);
-        let prog = program(2, vec![Block::Parallel(r)]);
+        let prog = program(vec![Block::Parallel(ParRegion::blank(2, 7))]);
         let mut report = PlanReport::default();
-        report.regions.push(polaris_be::RegionPlanInfo {
+        report.regions.push(RegionPlanInfo {
             rank_writes: vec![
                 vec![(0, Lmad::contiguous(0, 8))],
                 vec![(0, Lmad::contiguous(8, 8))],
@@ -315,53 +132,8 @@ mod tests {
     }
 
     #[test]
-    fn reductions_and_scalars_shape_the_sync_sequence() {
-        let mut r = region(2);
-        r.scalars_in = vec![0];
-        r.reductions.push(spmd_rt::ir::Reduction {
-            scalar: 0,
-            op: spmd_rt::ir::RedOp::Sum,
-            identity: 0.0,
-        });
-        let prog = program(2, vec![Block::Parallel(r)]);
-        let trace = lower(&prog, &PlanReport::default());
-        assert_eq!(
-            syncs(&trace.ranks[0]),
-            vec![
-                SyncKind::Barrier,
-                SyncKind::Bcast,
-                SyncKind::Fence,
-                SyncKind::Reduce,
-                SyncKind::Fence,
-                SyncKind::Barrier
-            ]
-        );
-        // Lock reductions: barriers instead of the collective.
-        let mut r2 = region(2);
-        r2.lock_reductions = true;
-        r2.reductions.push(spmd_rt::ir::Reduction {
-            scalar: 0,
-            op: spmd_rt::ir::RedOp::Sum,
-            identity: 0.0,
-        });
-        let prog2 = program(2, vec![Block::Parallel(r2)]);
-        let trace2 = lower(&prog2, &PlanReport::default());
-        assert_eq!(
-            syncs(&trace2.ranks[0]),
-            vec![
-                SyncKind::Barrier,
-                SyncKind::Fence,
-                SyncKind::Barrier,
-                SyncKind::Barrier,
-                SyncKind::Fence,
-                SyncKind::Barrier
-            ]
-        );
-    }
-
-    #[test]
     fn master_seq_blocks_emit_nothing() {
-        let prog = program(2, vec![Block::MasterSeq(Vec::new())]);
+        let prog = program(vec![Block::MasterSeq(Vec::new())]);
         let trace = lower(&prog, &PlanReport::default());
         assert!(trace.ranks.iter().all(Vec::is_empty));
     }

@@ -61,28 +61,7 @@ pub struct Op {
 }
 
 /// Synchronisation flavours that must agree across ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SyncKind {
-    /// `MPI_WIN_FENCE` over all windows — the only event that closes
-    /// an access epoch.
-    Fence,
-    Barrier,
-    /// A value-carrying collective (broadcast of shared scalars).
-    Bcast,
-    /// A reduction tree combine.
-    Reduce,
-}
-
-impl SyncKind {
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SyncKind::Fence => "fence",
-            SyncKind::Barrier => "barrier",
-            SyncKind::Bcast => "bcast",
-            SyncKind::Reduce => "reduce",
-        }
-    }
-}
+pub use spmd_rt::protocol::SyncKind;
 
 /// One event in a rank's program-order stream.
 #[derive(Debug, Clone, PartialEq, Eq)]

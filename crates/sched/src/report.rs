@@ -407,23 +407,10 @@ pub fn json_opt(v: Option<f64>) -> String {
     v.map(json_num).unwrap_or_else(|| "null".into())
 }
 
-/// A string as a JSON string literal (quotes included).
+/// A string as a JSON string literal (quotes included), escaped the
+/// way every other report in the workspace is.
 pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
+    format!("\"{}\"", vpce_diag::json_escape(s))
 }
 
 #[cfg(test)]
@@ -504,6 +491,15 @@ mod tests {
         assert!(a.contains("\"we\\\"ird\""), "{a}");
         assert!(a.contains("\"error_kind\": \"rank-crash\""), "{a}");
         assert!(a.contains("\"policy\": \"backfill\""), "{a}");
+    }
+
+    #[test]
+    fn json_str_is_the_shared_escaper_in_quotes() {
+        // `\r` and `\t` take the two-character form every vpce-diag
+        // report uses; other control characters the `\u00XX` form.
+        let raw = "a\"b\\c\nd\re\tf\u{1}";
+        assert_eq!(json_str(raw), r#""a\"b\\c\nd\re\tf\u0001""#);
+        assert_eq!(json_str(raw), format!("\"{}\"", vpce_diag::json_escape(raw)));
     }
 
     #[test]

@@ -129,9 +129,8 @@ pub trait Storage {
     fn read_all(&mut self) -> Result<Vec<u8>, ServeError>;
     /// Drop everything past `len` (recovery truncates torn tails).
     fn truncate(&mut self, len: u64) -> Result<(), ServeError>;
-    fn len(&mut self) -> Result<u64, ServeError> {
-        Ok(self.read_all()?.len() as u64)
-    }
+    /// Bytes stored, without reading them.
+    fn len(&mut self) -> Result<u64, ServeError>;
     fn is_empty(&mut self) -> Result<bool, ServeError> {
         Ok(self.len()? == 0)
     }
@@ -172,6 +171,9 @@ impl Storage for MemStorage {
     fn truncate(&mut self, len: u64) -> Result<(), ServeError> {
         self.bytes.truncate(len as usize);
         Ok(())
+    }
+    fn len(&mut self) -> Result<u64, ServeError> {
+        Ok(self.bytes.len() as u64)
     }
 }
 
@@ -215,6 +217,12 @@ impl Storage for FileStorage {
         self.file
             .set_len(len)
             .map_err(|e| ServeError::new(ServeCode::JournalCorrupt, format!("truncate: {e}")))
+    }
+    fn len(&mut self) -> Result<u64, ServeError> {
+        self.file
+            .metadata()
+            .map(|m| m.len())
+            .map_err(|e| ServeError::new(ServeCode::JournalCorrupt, format!("len: {e}")))
     }
 }
 
@@ -265,6 +273,9 @@ impl<S: Storage> Storage for KillStorage<S> {
     fn truncate(&mut self, len: u64) -> Result<(), ServeError> {
         self.written = self.written.min(len);
         self.inner.truncate(len)
+    }
+    fn len(&mut self) -> Result<u64, ServeError> {
+        self.inner.len()
     }
 }
 
@@ -406,6 +417,35 @@ mod tests {
         s.bytes[4] ^= 0xFF; // damage the first record, second stays valid
         let e = Journal::load(&mut s).map(|_| ()).unwrap_err();
         assert_eq!(e.code, ServeCode::JournalCorrupt);
+    }
+
+    #[test]
+    fn len_agrees_with_read_all() {
+        fn agrees(s: &mut dyn Storage, want: u64) {
+            assert_eq!(s.len().unwrap(), want);
+            assert_eq!(s.read_all().unwrap().len() as u64, want);
+        }
+        let path = std::env::temp_dir().join(format!("vpce-journal-len-{}", std::process::id()));
+        let path = path.to_str().unwrap();
+        let _ = std::fs::remove_file(path);
+        let mut file = FileStorage::open(path).unwrap();
+        let mut mem = MemStorage::default();
+        let rec = encode(0, Kind::Input, "nodes=4");
+        let torn = &rec.as_bytes()[..rec.len() / 2];
+        for s in [&mut file as &mut dyn Storage, &mut mem] {
+            agrees(s, 0);
+            s.append(rec.as_bytes()).unwrap();
+            s.append(torn).unwrap();
+            agrees(s, (rec.len() + torn.len()) as u64);
+            // Recovery truncates the torn tail; a wrapper sees the same.
+            let (_, loaded) = Journal::load(s).unwrap();
+            assert_eq!(loaded.torn_bytes, torn.len() as u64);
+            agrees(s, rec.len() as u64);
+            agrees(&mut KillStorage::new(s, None).unwrap(), rec.len() as u64);
+        }
+        drop(file);
+        agrees(&mut FileStorage::open(path).unwrap(), rec.len() as u64);
+        std::fs::remove_file(path).unwrap();
     }
 
     #[test]

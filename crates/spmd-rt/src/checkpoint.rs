@@ -23,10 +23,10 @@
 //! So a checkpoint is literally *a run of the prefix program*
 //! ([`checkpoint_at`]), and a restart is *a run of the remaining
 //! blocks with the master pre-seeded* ([`resume`], via
-//! [`try_execute_resumed`]). Rank-level fault draws are keyed by
-//! `(rank, region_serial)`; the resumed run starts its serial counter
-//! at [`Snapshot::region_serial_base`] so crash/slowdown draws land on
-//! the same regions as in the uninterrupted execution.
+//! [`try_execute_suppressed`]). Rank-level fault draws are keyed by
+//! `(rank, region serial)` and the serial is a region's position in the
+//! whole program ([`SpmdProgram::numbered_regions`]), so crash/slowdown
+//! draws land on the same regions as in the uninterrupted execution.
 //!
 //! What is and is not bit-exact:
 //!
@@ -46,8 +46,8 @@ use mpi2::Elem;
 use vpce_faults::{FaultSpec, VpceError};
 use vpce_trace::Tracer;
 
-use crate::exec::{try_execute, try_execute_resumed, ExecMode, RunReport};
-use crate::ir::{Block, SpmdProgram};
+use crate::exec::{try_execute, try_execute_suppressed, ExecMode, RunReport};
+use crate::ir::SpmdProgram;
 use crate::value::Value;
 
 /// Master state at a top-level block boundary. Everything needed to
@@ -57,9 +57,6 @@ use crate::value::Value;
 pub struct Snapshot {
     /// Number of top-level blocks already executed.
     pub boundary: usize,
-    /// Number of *parallel* blocks among the executed prefix — the
-    /// region serial the resumed run must start fault draws at.
-    pub region_serial_base: u64,
     /// Virtual seconds the prefix took (rank-max). Equals the
     /// uninterrupted run's `boundaries[boundary - 1]` bit for bit.
     pub elapsed: f64,
@@ -80,15 +77,6 @@ impl Snapshot {
             .map(|a| (a.len() * std::mem::size_of::<Elem>()) as u64)
             .sum()
     }
-}
-
-/// Number of parallel blocks among the first `k` blocks — the region
-/// serial base for a boundary-`k` snapshot.
-pub fn parallel_blocks_before(prog: &SpmdProgram, k: usize) -> u64 {
-    prog.blocks[..k]
-        .iter()
-        .filter(|b| matches!(b, Block::Parallel(_)))
-        .count() as u64
 }
 
 /// The prefix program: the first `k` blocks of `prog` (the sequential
@@ -121,7 +109,6 @@ pub fn checkpoint_at(
     let rep = try_execute(&prefix_program(prog, k), cluster, mode, faults)?;
     Ok(Snapshot {
         boundary: k,
-        region_serial_base: parallel_blocks_before(prog, k),
         elapsed: rep.elapsed,
         arrays: rep.arrays,
         scalars: rep.scalars,
@@ -139,7 +126,8 @@ pub fn resume(
     faults: FaultSpec,
     snap: &Snapshot,
 ) -> Result<RunReport, VpceError> {
-    try_execute_resumed(prog, cluster, mode, Tracer::disabled(), faults, Some(snap))
+    let no_mask = std::collections::BTreeSet::new();
+    try_execute_suppressed(prog, cluster, mode, Tracer::disabled(), faults, Some(snap), &no_mask)
 }
 
 #[cfg(test)]
@@ -258,7 +246,6 @@ mod tests {
         for k in 1..prog.blocks.len() {
             let snap =
                 checkpoint_at(&prog, &cluster, ExecMode::Full, FaultSpec::off(), k).unwrap();
-            assert_eq!(snap.region_serial_base, parallel_blocks_before(&prog, k));
             let res = resume(&prog, &cluster, ExecMode::Full, FaultSpec::off(), &snap).unwrap();
             assert_eq!(res.arrays, full.arrays, "boundary {k}");
             assert_eq!(res.scalars, full.scalars, "boundary {k}");

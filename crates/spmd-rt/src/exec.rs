@@ -1,7 +1,7 @@
 //! The SPMD interpreter: runs a compiled [`SpmdProgram`] on the
 //! simulated cluster (and sequentially, for the reference baseline).
 
-use std::collections::HashMap;
+use std::collections::{BTreeSet, HashMap};
 
 use cluster_sim::{ClusterConfig, CpuModel, OpCounts};
 use mpi2::{AccumulateOp, Elem, Mpi, RankStats, Universe, WindowRef};
@@ -12,6 +12,7 @@ use vpce_trace::{EventKind, Lane, TraceReport, Tracer};
 
 use crate::cost::instr_ops_shallow;
 use crate::ir::*;
+use crate::protocol::{self, Step, SyncKind};
 use crate::value::Value;
 
 /// Multiplicative compute overhead of SPMD-generated code relative to
@@ -115,42 +116,25 @@ pub fn try_execute_traced(
     tracer: Tracer,
     faults: FaultSpec,
 ) -> Result<RunReport, VpceError> {
-    try_execute_resumed(prog, cluster, mode, tracer, faults, None)
+    try_execute_suppressed(prog, cluster, mode, tracer, faults, None, &BTreeSet::new())
 }
 
-/// [`try_execute_traced`] continuing from a fence-boundary snapshot:
-/// the first `snapshot.boundary` blocks are skipped, the master's
-/// windows and scalars are seeded from the snapshot before any rank
-/// communicates, and the region serial counter starts at the
-/// snapshot's base so rank-level fault draws line up with the
-/// uninterrupted run. With `resume: None` this *is*
-/// `try_execute_traced`.
-pub fn try_execute_resumed(
-    prog: &SpmdProgram,
-    cluster: &ClusterConfig,
-    mode: ExecMode,
-    tracer: Tracer,
-    faults: FaultSpec,
-    resume: Option<&crate::checkpoint::Snapshot>,
-) -> Result<RunReport, VpceError> {
-    try_execute_suppressed(
-        prog,
-        cluster,
-        mode,
-        tracer,
-        faults,
-        resume,
-        &std::collections::BTreeSet::new(),
-    )
-}
-
-/// [`try_execute_resumed`] with a crash-suppression mask: the
-/// `RANK_CRASH` draws at the given `(rank << 32) ^ region_serial` keys
-/// are elided, every other fault draw is untouched (draws are pure
-/// hashes, so masking one shifts none). This is the execution
-/// primitive of in-run rollback recovery: the recovery driver predicts
-/// which crashes it can absorb, masks exactly those, and runs once.
-#[allow(clippy::too_many_arguments)]
+/// The full-arity entry point: [`try_execute_traced`], optionally
+/// continuing from a fence-boundary snapshot and with a
+/// crash-suppression mask.
+///
+/// With `resume`, the first `snapshot.boundary` blocks are skipped and
+/// the master's windows and scalars are seeded from the snapshot before
+/// any rank communicates; parallel regions keep their whole-program
+/// serial numbers, so rank-level fault draws line up with the
+/// uninterrupted run.
+///
+/// The `RANK_CRASH` draws at the [`protocol::crash_key`]s in
+/// `suppressed_crashes` are elided, every other fault draw is untouched
+/// (draws are pure hashes, so masking one shifts none). This is the
+/// execution primitive of in-run rollback recovery: the recovery driver
+/// predicts which crashes it can absorb, masks exactly those, and runs
+/// once.
 pub fn try_execute_suppressed(
     prog: &SpmdProgram,
     cluster: &ClusterConfig,
@@ -158,7 +142,7 @@ pub fn try_execute_suppressed(
     tracer: Tracer,
     faults: FaultSpec,
     resume: Option<&crate::checkpoint::Snapshot>,
-    suppressed_crashes: &std::collections::BTreeSet<u64>,
+    suppressed_crashes: &BTreeSet<u64>,
 ) -> Result<RunReport, VpceError> {
     if prog.nprocs != cluster.num_nodes() {
         return Err(VpceError::SizeMismatch {
@@ -261,7 +245,6 @@ fn run_rank(
     resume: Option<&crate::checkpoint::Snapshot>,
 ) -> (Vec<Vec<Elem>>, Vec<Value>, Vec<f64>) {
     let rank = mpi.rank();
-    let nprocs = mpi.size();
     let t_init = mpi.now();
     // One window per array, full-size on every rank ("all data
     // declared are intrinsically private", §3).
@@ -308,11 +291,10 @@ fn run_rank(
         interp.scalars = snap.scalars.clone();
     }
 
-    // Serial number of the parallel region being entered — the
-    // deterministic key for rank-level fault draws. A resumed run
-    // starts at the snapshot's base so draws line up with the
-    // uninterrupted execution.
-    let mut region_serial: u64 = resume.map_or(0, |s| s.region_serial_base);
+    // The parallel regions still to run, under their whole-program
+    // serial numbers — the deterministic key for rank-level fault
+    // draws, which a resumed run must share with the uninterrupted one.
+    let mut todo = prog.numbered_regions().filter(|&(_, block, _)| block >= skip);
     let mut boundaries = Vec::new();
     for block in &prog.blocks[skip..] {
         match block {
@@ -320,31 +302,19 @@ fn run_rank(
                 if rank == 0 {
                     let t_serial = mpi.now();
                     let mut guards = lock_all(&wins);
-                    match mode {
-                        ExecMode::Full => interp.run_on(instrs, &mut guards),
-                        // Sequential sections are cheap scalar set-up;
-                        // execute them numerically in both modes so
-                        // integer control state stays meaningful.
-                        ExecMode::Analytic => interp.run_on(instrs, &mut guards),
-                    }
+                    // Sequential sections are cheap scalar set-up;
+                    // execute them numerically in both modes so
+                    // integer control state stays meaningful.
+                    interp.run_on(instrs, &mut guards);
                     drop(guards);
                     flush_cycles(&mut interp, mpi);
                     phase(mpi, t_serial, || "serial".to_string());
                 }
             }
-            Block::Parallel(region) => {
-                run_region(
-                    prog,
-                    region,
-                    mpi,
-                    &wins,
-                    red_win.as_ref(),
-                    &mut interp,
-                    rank,
-                    nprocs,
-                    region_serial,
-                );
-                region_serial += 1;
+            Block::Parallel(_) => {
+                let (serial, _, region) =
+                    todo.next().expect("one numbered region per parallel block");
+                run_region(prog, region, mpi, &wins, red_win.as_ref(), &mut interp, serial);
             }
         }
         if rank == 0 {
@@ -375,8 +345,8 @@ fn flush_cycles(interp: &mut Interp, mpi: &mut Mpi) {
     }
 }
 
-/// Execute one parallel region: the §3 protocol.
-#[allow(clippy::too_many_arguments)]
+/// Execute one parallel region: interpret the §3 walk
+/// ([`protocol::steps`]) against the MPI library.
 fn run_region(
     prog: &SpmdProgram,
     region: &ParRegion,
@@ -384,203 +354,151 @@ fn run_region(
     wins: &[WindowRef],
     red_win: Option<&WindowRef>,
     interp: &mut Interp,
-    rank: usize,
-    nprocs: usize,
     region_serial: u64,
 ) {
     let line = region.line;
-    // Rank-level fault draws, keyed (rank, region serial) so the
-    // outcome is a pure function of the schedule, not of thread
-    // interleaving. A crash unwinds before the join barrier; peers
-    // then observe poisoned collectives and the universe reports the
-    // crash as the root cause.
-    let fault_key = ((rank as u64) << 32) ^ region_serial;
-    let (crash, slow_factor) = {
-        let inj = mpi.fault_injector();
-        let spec = inj.spec();
-        (
-            inj.crash_hits(fault_key),
-            if inj.hits(spec.rank_slow, site::RANK_SLOW, fault_key, 0) {
-                spec.slow_factor
-            } else {
-                1.0
-            },
-        )
-    };
-    if crash {
-        raise(VpceError::RankCrash {
-            rank,
-            region: format!("L{line}"),
-        });
-    }
-    let t_join = mpi.now();
-    // Barrier: slaves are released to join the computation.
-    mpi.barrier();
-
-    // Shared scalars travel master -> everyone (values as f64; the
-    // slot type restores integers).
-    if !region.scalars_in.is_empty() {
-        let payload = (rank == 0).then(|| {
-            region
-                .scalars_in
-                .iter()
-                .map(|&s| interp.scalars[s].as_real())
-                .collect::<Vec<f64>>()
-        });
-        let vals = mpi.bcast(0, payload);
-        for (&slot, &v) in region.scalars_in.iter().zip(&vals) {
-            interp.scalars[slot] = if prog.scalars[slot].1 {
-                Value::I(v as i64)
-            } else {
-                Value::R(v)
-            };
-        }
-    }
-
-    phase(mpi, t_join, || format!("join@L{line}"));
-    let t_scatter = mpi.now();
-
-    // Data scattering, completed by a fence. Push mode: the master
-    // PUTs every slave's regions (its host pays all setup costs,
-    // serially). Pull mode: each slave GETs its own regions from the
-    // master (setup costs paid in parallel) — one-sided communication
-    // makes the initiator a free choice (§2.2).
-    if region.pull_scatter {
-        if rank != 0 {
-            for op in &region.scatter.per_rank[rank] {
-                get_transfer(mpi, &wins[op.array], 0, &op.transfer);
-            }
-        }
-    } else if rank == 0 {
-        for (r, ops) in region.scatter.per_rank.iter().enumerate() {
-            for op in ops {
-                put_transfer(mpi, &wins[op.array], r, &op.transfer);
-            }
-        }
-    }
-    mpi.fence_all();
-    phase(mpi, t_scatter, || format!("scatter@L{line}"));
-    let t_compute = mpi.now();
-
-    // Reductions: save master's running value, seed local accumulator.
-    let saved: Vec<f64> = region
-        .reductions
-        .iter()
-        .map(|r| interp.scalars[r.scalar].as_real())
-        .collect();
-    for red in &region.reductions {
-        interp.scalars[red.scalar] = Value::R(red.identity);
-    }
-
-    // Partitioned execution of this rank's iterations.
-    let (start, every, count) = region.sched.assignment(region.trips, rank, nprocs);
-    if count > 0 {
-        let before = interp.cycles;
-        let mut guards = lock_all(wins);
-        match interp.mode {
-            ExecMode::Full => {
-                interp.run_iterations(region, start, every, count, &mut guards);
-            }
-            ExecMode::Analytic => {
-                interp.charge_region_body(region, start, every, count);
-            }
-        }
-        drop(guards);
-        // SPMD addressing overhead on the region's compute; an
-        // injected rank slowdown stretches the same interval (timing
-        // only — numeric results are untouched).
-        interp.cycles = before + (interp.cycles - before) * SPMD_OVERHEAD * slow_factor;
-    }
-    flush_cycles(interp, mpi);
-    phase(mpi, t_compute, || format!("compute@L{line}"));
-    let t_reduce = mpi.now();
-
-    // Reduction combine: everyone contributes its partial — through
-    // the collective tree, or through §3's lock/accumulate critical
-    // sections when the backend chose `lock_reductions`.
-    if !region.reductions.is_empty() {
-        let partials: Vec<f64> = region
-            .reductions
-            .iter()
-            .map(|r| interp.scalars[r.scalar].as_real())
-            .collect();
-        if region.lock_reductions {
-            let red_win = red_win.expect("reduction window created at startup");
-            // Master seeds the accumulator slots with identities.
-            if rank == 0 {
-                let mut m = red_win.lock();
-                for (i, red) in region.reductions.iter().enumerate() {
-                    m[i] = red.identity;
+    let (rank, nprocs) = (mpi.rank(), mpi.size());
+    let red_win = || red_win.expect("reduction window created at startup");
+    let mut slow_factor = 1.0;
+    // The master's running reduction values going in, and this rank's
+    // partials coming out of the compute phase.
+    let (mut saved, mut partials) = (Vec::new(), Vec::new());
+    let mut tree_reds = region.reductions.iter().enumerate();
+    let mut t_phase = mpi.now();
+    for step in protocol::steps(region, rank) {
+        match step {
+            // Rank-level fault draws, keyed (rank, region serial) so
+            // the outcome is a pure function of the schedule, not of
+            // thread interleaving. A crash unwinds before the join
+            // barrier; peers then observe poisoned collectives and the
+            // universe reports the crash as the root cause.
+            Step::CrashPoint => {
+                let key = protocol::crash_key(rank, region_serial);
+                let inj = mpi.fault_injector();
+                let spec = inj.spec();
+                if inj.hits(spec.rank_slow, site::RANK_SLOW, key, 0) {
+                    slow_factor = spec.slow_factor;
+                }
+                if inj.crash_hits(key) {
+                    raise(VpceError::RankCrash {
+                        rank,
+                        region: format!("L{line}"),
+                    });
                 }
             }
-            mpi.barrier();
-            for (i, red) in region.reductions.iter().enumerate() {
-                mpi.win_lock(red_win, 0);
-                mpi.accumulate_now(red_win, 0, i, vec![partials[i]], red.op.into());
-                mpi.win_unlock(red_win, 0);
-            }
-            mpi.barrier();
-            if rank == 0 {
-                let m = red_win.snapshot();
-                for (i, red) in region.reductions.iter().enumerate() {
-                    interp.scalars[red.scalar] = Value::R(combine(red.op, saved[i], m[i]));
+            Step::Sync(SyncKind::Barrier) => mpi.barrier(),
+            Step::Sync(SyncKind::Fence) => mpi.fence_all(),
+            // Shared scalars travel master -> everyone (values as f64;
+            // the slot type restores integers).
+            Step::Sync(SyncKind::Bcast) => {
+                let payload = (rank == 0).then(|| {
+                    region
+                        .scalars_in
+                        .iter()
+                        .map(|&s| interp.scalars[s].as_real())
+                        .collect::<Vec<f64>>()
+                });
+                let vals = mpi.bcast(0, payload);
+                for (&slot, &v) in region.scalars_in.iter().zip(&vals) {
+                    interp.scalars[slot] = if prog.scalars[slot].1 {
+                        Value::I(v as i64)
+                    } else {
+                        Value::R(v)
+                    };
                 }
             }
-        } else {
-            for (i, red) in region.reductions.iter().enumerate() {
-                let reduced = mpi.reduce(0, vec![partials[i]], red.op.into());
-                if let Some(v) = reduced {
+            // Tree combine: everyone contributes its partial, one
+            // collective per reduction.
+            Step::Sync(SyncKind::Reduce) => {
+                let (i, red) = tree_reds.next().expect("one reduce step per reduction");
+                if let Some(v) = mpi.reduce(0, vec![partials[i]], red.op.into()) {
                     interp.scalars[red.scalar] = Value::R(combine(red.op, saved[i], v[0]));
                 }
             }
+            Step::Rma { op, target, get, .. } => {
+                transfer(mpi, &wins[op.array], target, &op.transfer, get)
+            }
+            Step::Compute => {
+                // Reductions: save master's running value, seed local
+                // accumulator.
+                saved = reduction_values(region, interp);
+                for red in &region.reductions {
+                    interp.scalars[red.scalar] = Value::R(red.identity);
+                }
+                // Partitioned execution of this rank's iterations.
+                let (start, every, count) = region.sched.assignment(region.trips, rank, nprocs);
+                if count > 0 {
+                    let before = interp.cycles;
+                    let mut guards = lock_all(wins);
+                    match interp.mode {
+                        ExecMode::Full => {
+                            interp.run_iterations(region, start, every, count, &mut guards);
+                        }
+                        ExecMode::Analytic => {
+                            interp.charge_region_body(region, start, every, count);
+                        }
+                    }
+                    drop(guards);
+                    // SPMD addressing overhead on the region's compute;
+                    // an injected rank slowdown stretches the same
+                    // interval (timing only — numeric results are
+                    // untouched).
+                    interp.cycles =
+                        before + (interp.cycles - before) * SPMD_OVERHEAD * slow_factor;
+                }
+                flush_cycles(interp, mpi);
+                partials = reduction_values(region, interp);
+            }
+            Step::LockSeed => {
+                if rank == 0 {
+                    let mut m = red_win().lock();
+                    for (i, red) in region.reductions.iter().enumerate() {
+                        m[i] = red.identity;
+                    }
+                }
+            }
+            Step::LockAccumulate => {
+                for (i, red) in region.reductions.iter().enumerate() {
+                    mpi.win_lock(red_win(), 0);
+                    mpi.accumulate_now(red_win(), 0, i, vec![partials[i]], red.op.into());
+                    mpi.win_unlock(red_win(), 0);
+                }
+            }
+            Step::LockCombine => {
+                if rank == 0 {
+                    let m = red_win().snapshot();
+                    for (i, red) in region.reductions.iter().enumerate() {
+                        interp.scalars[red.scalar] = Value::R(combine(red.op, saved[i], m[i]));
+                    }
+                }
+            }
+            Step::End(ph) => {
+                phase(mpi, t_phase, || format!("{}@L{line}", ph.as_str()));
+                t_phase = mpi.now();
+            }
         }
     }
-
-    if !region.reductions.is_empty() {
-        phase(mpi, t_reduce, || format!("reduce@L{line}"));
-    }
-    let t_collect = mpi.now();
-
-    // Data collecting (slaves put WriteFirst/ReadWrite regions back to
-    // the master), completed by a fence; final barrier closes the
-    // region.
-    if rank != 0 {
-        for op in &region.collect.per_rank[rank] {
-            put_transfer(mpi, &wins[op.array], 0, &op.transfer);
-        }
-    }
-    mpi.fence_all();
-    mpi.barrier();
-    phase(mpi, t_collect, || format!("collect@L{line}"));
 }
 
-fn get_transfer(mpi: &mut Mpi, win: &WindowRef, target: usize, t: &lmad::RegionTransfer) {
-    debug_assert!(t.offset >= 0, "transfers are in-bounds by construction");
-    if t.is_contiguous() {
-        mpi.get(win, target, t.offset as usize, t.count as usize);
-    } else {
-        mpi.get_strided(
-            win,
-            target,
-            t.offset as usize,
-            t.stride as usize,
-            t.count as usize,
-        );
-    }
+/// The current values of the region's reduction scalars.
+fn reduction_values(region: &ParRegion, interp: &Interp) -> Vec<f64> {
+    region
+        .reductions
+        .iter()
+        .map(|r| interp.scalars[r.scalar].as_real())
+        .collect()
 }
 
-fn put_transfer(mpi: &mut Mpi, win: &WindowRef, target: usize, t: &lmad::RegionTransfer) {
+/// Issue one planned transfer — a GET from `target` or a PUT to it —
+/// on the contiguous (DMA) or the strided (programmed-I/O) path.
+fn transfer(mpi: &mut Mpi, win: &WindowRef, target: usize, t: &lmad::RegionTransfer, get: bool) {
     debug_assert!(t.offset >= 0, "transfers are in-bounds by construction");
-    if t.is_contiguous() {
-        mpi.put_region(win, target, t.offset as usize, t.count as usize);
-    } else {
-        mpi.put_region_strided(
-            win,
-            target,
-            t.offset as usize,
-            t.stride as usize,
-            t.count as usize,
-        );
+    let (offset, stride, count) = (t.offset as usize, t.stride as usize, t.count as usize);
+    match (get, t.is_contiguous()) {
+        (true, true) => mpi.get(win, target, offset, count),
+        (true, false) => mpi.get_strided(win, target, offset, stride, count),
+        (false, true) => mpi.put_region(win, target, offset, count),
+        (false, false) => mpi.put_region_strided(win, target, offset, stride, count),
     }
 }
 

@@ -210,6 +210,31 @@ pub struct ParRegion {
     pub line: usize,
 }
 
+impl ParRegion {
+    /// An eight-trip region over `nprocs` ranks with an empty body and
+    /// nothing to scatter, broadcast, reduce or collect — the blank that
+    /// hand-built programs fill in with struct-update syntax.
+    pub fn blank(nprocs: usize, line: usize) -> ParRegion {
+        let no_comm = || CommPlan { per_rank: vec![Vec::new(); nprocs], granularity: None };
+        ParRegion {
+            var: 0,
+            lo: 1,
+            step: 1,
+            trips: 8,
+            sched: Schedule::Block,
+            body: Vec::new(),
+            scatter: no_comm(),
+            collect: no_comm(),
+            pull_scatter: false,
+            lock_reductions: false,
+            scalars_in: Vec::new(),
+            private_scalars: Vec::new(),
+            reductions: Vec::new(),
+            line,
+        }
+    }
+}
+
 /// A top-level block of the SPMD program.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Block {
@@ -238,10 +263,23 @@ pub struct SpmdProgram {
 impl SpmdProgram {
     /// All parallel regions, in program order.
     pub fn regions(&self) -> impl Iterator<Item = &ParRegion> {
-        self.blocks.iter().filter_map(|b| match b {
-            Block::Parallel(p) => Some(p),
-            _ => None,
-        })
+        self.numbered_regions().map(|(_, _, region)| region)
+    }
+
+    /// Every parallel region as `(serial, block index, region)`. The
+    /// serial counts parallel blocks from the top of the program: it
+    /// keys the rank-level fault draws ([`crate::protocol::crash_key`])
+    /// and indexes the backend's per-region plan report.
+    pub fn numbered_regions(&self) -> impl Iterator<Item = (u64, usize, &ParRegion)> {
+        self.blocks
+            .iter()
+            .enumerate()
+            .filter_map(|(block, b)| match b {
+                Block::Parallel(region) => Some((block, region)),
+                Block::MasterSeq(_) => None,
+            })
+            .enumerate()
+            .map(|(serial, (block, region))| (serial as u64, block, region))
     }
 
     /// Aggregate message/volume statistics of all plans (reports).

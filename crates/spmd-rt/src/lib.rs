@@ -34,12 +34,13 @@ pub mod checkpoint;
 pub mod cost;
 pub mod exec;
 pub mod ir;
+pub mod protocol;
 pub mod value;
 
 pub use checkpoint::Snapshot;
 pub use exec::{
-    execute, execute_sequential, execute_traced, try_execute, try_execute_resumed,
-    try_execute_suppressed, try_execute_traced, ExecMode, RunReport, SeqReport,
+    execute, execute_sequential, execute_traced, try_execute, try_execute_suppressed,
+    try_execute_traced, ExecMode, RunReport, SeqReport,
 };
 pub use vpce_faults::{FaultSpec, VpceError};
 pub use ir::{
