@@ -793,7 +793,10 @@ fn checked_machine(v: &str) -> Result<String, String> {
     }
 }
 
-fn parse_time(v: &str) -> Result<f64, String> {
+/// A virtual time as the line grammars accept it (`arrive=`,
+/// `deadline=`, `mean-gap=`, the service's `cancel at=`): finite and
+/// non-negative, so `NaN`, `inf` and `-1` never reach the event loop.
+pub fn parse_time(v: &str) -> Result<f64, String> {
     let t: f64 = v.parse().map_err(|_| format!("bad time `{v}`"))?;
     if !t.is_finite() || t < 0.0 {
         return Err(format!("time `{v}` must be finite and non-negative"));

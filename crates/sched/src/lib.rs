@@ -20,14 +20,22 @@
 //! * [`NodeMap`] — the machine as a grid of allocatable node cells:
 //!   rectangular partitions are carved first-fit (row-major anchors,
 //!   transposed orientation as a fallback), crashed nodes are drained.
-//! * [`Scheduler`] — the event loop: priority-ordered FCFS with
+//! * [`Scheduler`] — the one incremental event loop (`submit`,
+//!   `cancel_at`, `step`, `drain`, `take_ops`, `report`) behind both
+//!   front doors, [`run_batch`] and `vpce-serve`'s daemon:
+//!   priority-ordered FCFS with per-tenant fair share and quotas
+//!   (charged at vacate, for the span actually held) and
 //!   *conservative backfill* (a blocked wide job gets a reservation;
 //!   smaller jobs may slide past only if they provably finish before
 //!   the reservation or avoid its rectangle — so backfill never
 //!   starves the head of the queue), admission control with typed
 //!   [`vpce_faults::VpceError::AdmissionRejected`] errors, node drain
-//!   on rank crashes, and bounded requeue with per-attempt re-seeded
-//!   fault schedules.
+//!   (or probation) on rank crashes, bounded requeue with per-attempt
+//!   re-seeded fault schedules, timed cancels, and — the one bit the
+//!   callers differ in — preemption by checkpoint/restart.
+//! * [`Runner`] — memoises the pure attempt outcomes the loop decides
+//!   on (compile + dry run, attempts, snapshots, resumes) and hands
+//!   them out as shared handles.
 //! * [`BatchReport`] — per-job and aggregate results (throughput,
 //!   p50/p99 queue wait and makespan, utilization, requeues) in human
 //!   and stable-JSON form, plus a whole-cluster Chrome timeline.
@@ -44,6 +52,7 @@ pub mod job;
 pub mod partition;
 pub mod report;
 pub mod run;
+pub mod runner;
 pub mod sched;
 
 pub use job::{
@@ -53,7 +62,8 @@ pub use job::{
 pub use partition::{NodeMap, Partition};
 pub use report::{AttemptLog, BatchReport, JobRecord, JobStatus};
 pub use run::AttemptOutcome;
-pub use sched::{run_batch, BatchOptions, Scheduler, SourceLoader};
+pub use runner::Runner;
+pub use sched::{run_batch, BatchOptions, JobView, Scheduler, SourceLoader};
 // Jobfile `recover=` values and their ledgers, for downstream crates
 // (vpce-serve) that handle attempt outcomes without a direct
 // dependency on the recovery crate.

@@ -112,7 +112,7 @@ pub struct BatchReport {
     pub horizon: f64,
     /// Busy node-seconds / (usable node-seconds over the horizon).
     pub utilization: f64,
-    /// Node-seconds charged per tenant at placement, ascending by
+    /// Node-seconds charged per tenant at vacate, ascending by
     /// name. Only rendered when some job claimed a real tenant.
     pub tenant_usage: Vec<(String, f64)>,
     /// Whole-cluster Chrome timeline (one lane per machine node); the

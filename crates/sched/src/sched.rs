@@ -1,35 +1,61 @@
-//! The gang scheduler's deterministic event loop.
+//! The gang scheduler: one deterministic, incremental event loop that
+//! both front doors drive — `vpcec --batch` ([`run_batch`]: submit
+//! everything, drain, report) and `vpced` (`vpce-serve`: the same
+//! calls, journalled).
 //!
-//! Virtual time advances from event to event: job arrivals and
-//! partition completions. At every event the scheduler runs one
-//! placement pass over the priority-ordered queue:
+//! State changes enter only through [`Scheduler::submit`],
+//! [`Scheduler::cancel_at`] and [`Scheduler::step`] (advance virtual
+//! time one event: vacates, then cancels, then arrivals, then one
+//! placement pass). All three are pure given the runner's memoised
+//! outcomes, so the same input sequence reconstructs the same state
+//! bit for bit — the property the service's journal recovery rests on.
+//! Every externally visible decision is also emitted as a *derived op*
+//! string (timestamps as exact `f64` bit patterns) for
+//! [`Scheduler::take_ops`]; the service journals and cross-checks
+//! them, batch ignores them.
+//!
+//! The placement pass over the queue — ordered by priority, then
+//! fair-share ratio, then arrival, then submission:
 //!
 //! * **FCFS** — the head of the queue is placed first-fit; while it
 //!   cannot be placed, nothing behind it may start.
 //! * **Conservative backfill** — a blocked head gets a *reservation*:
 //!   the earliest future time (simulating the frees of the running
-//!   jobs, in completion order) at which its rectangle fits, and where.
-//!   A later job may slide past the head only if it fits right now and
-//!   either provably completes before the reservation time or its
-//!   rectangle is disjoint from the reserved one. Either way the
-//!   reservation is never delayed, so a wide job cannot starve.
+//!   jobs, in vacate order) at which its rectangle fits within its
+//!   tenant's quota, and where. A later job may slide past the head
+//!   only if it fits right now and either provably completes before
+//!   the reservation time or its rectangle is disjoint from the
+//!   reserved one. Either way the reservation is never delayed, so a
+//!   wide job cannot starve.
+//! * **Preemption by checkpoint/restart** (the one caller-dependent
+//!   bit; the service sets it, batch does not) — when the head is
+//!   space-blocked and outranks a running job, the victim is ordered
+//!   off its partition at its *next fence boundary*: the runner
+//!   snapshots the universe there, the partition frees, and the victim
+//!   re-queues holding its boundary index. Placed again it resumes
+//!   from the snapshot, and because checkpoint-by-prefix is exact its
+//!   final arrays are byte-identical to an uninterrupted run.
 //!
 //! Attempt outcomes are *pure functions* of (program, partition shape,
-//! fault schedule, attempt number) — the scheduler computes them at
-//! decision time, uses the resulting makespan for backfill arithmetic,
-//! and replays nothing. A fault-failed attempt still occupies its
-//! partition for the fault-free makespan (the "heartbeat deadline" at
-//! which the failure is detected), then the job is requeued with a
-//! re-seeded schedule or declared failed once its retry budget is
-//! spent. A rank crash additionally *drains* the machine node that
-//! hosted the crashed rank: queued jobs route around it, and queued
-//! jobs whose rectangle can no longer fit anywhere fail with a typed
-//! `AdmissionInfeasible`.
+//! fault schedule, attempt number) — the scheduler asks the runner for
+//! them at decision time, uses the resulting makespan for backfill
+//! arithmetic, and replays nothing. A fault-failed attempt still
+//! occupies its partition for the fault-free makespan (the "heartbeat
+//! deadline" at which the failure is detected), then the job is
+//! requeued with a re-seeded schedule or declared failed once its
+//! retry budget is spent. A rank crash additionally *drains* the
+//! machine node that hosted the crashed rank (for good, or on
+//! probation): queued jobs route around it, and queued jobs whose
+//! rectangle can no longer fit anywhere fail with a typed
+//! `AdmissionInfeasible`. A tenant is charged `cells × (vacate −
+//! start)` when a run leaves the machine — the one rule that stays
+//! right under preemption without refunds.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
-use spmd_rt::{ExecMode, RunReport, VpceError};
+use spmd_rt::{ExecMode, VpceError};
 use vbus_sim::Mesh;
 use vpce_machine::MachineSpec;
 use vpce_trace::{EventKind, Lane, Tracer};
@@ -38,6 +64,7 @@ use crate::job::{BatchSpec, JobSpec, Policy, TenantSpec};
 use crate::partition::{NodeMap, Partition};
 use crate::report::{AttemptLog, BatchReport, JobRecord, JobStatus};
 use crate::run::{self, AttemptOutcome, Prepared};
+use crate::runner::Runner;
 
 pub use crate::run::SourceLoader;
 
@@ -72,57 +99,97 @@ impl Default for BatchOptions {
     }
 }
 
-/// Parse-level resolution + admission + the event loop, in one call.
-/// `Err` is usage-level (empty batch, storm name collision); every
-/// per-job failure is a typed record inside the report instead.
+/// The batch front door: resolve the headers, submit every
+/// materialised job, drain, report. `Err` is usage-level (empty batch,
+/// storm name collision); every per-job failure is a typed record
+/// inside the report instead.
 pub fn run_batch(
     spec: &BatchSpec,
     opts: &BatchOptions,
     loader: &SourceLoader,
 ) -> Result<BatchReport, String> {
-    let nodes = spec.nodes.unwrap_or(opts.nodes);
-    let policy = spec.policy.unwrap_or(opts.policy);
     let seed = opts.seed.or(spec.seed).unwrap_or(0);
     let machine = match &spec.machine {
         // Header names are screened at parse time (`VPCE312`), so the
         // built-in lookup cannot miss here.
-        Some(name) => Some(MachineSpec::builtin(name).ok_or_else(|| {
-            format!("jobfile names unknown machine `{name}`")
-        })?),
+        Some(name) => Some(
+            MachineSpec::builtin(name)
+                .ok_or_else(|| format!("jobfile names unknown machine `{name}`"))?,
+        ),
         None => opts.machine.clone(),
     };
     let jobs = spec.materialize(seed).map_err(|e| e.to_string())?;
     if jobs.is_empty() {
         return Err("jobfile submits no jobs".into());
     }
-    let mut sched = Scheduler::new_on(jobs, nodes, policy, seed, opts.mode, loader, machine.as_ref())?
-        .with_tenants(spec.tenants.clone())
-        .with_probation(spec.probation.or(opts.probation));
-    Ok(sched.run())
+    let runner = Runner::with_loader(opts.mode, loader).with_machine(machine);
+    let mut sched = Scheduler::new(&runner, false);
+    sched.set_nodes(spec.nodes.unwrap_or(opts.nodes))?;
+    sched.set_policy(spec.policy.unwrap_or(opts.policy));
+    sched.set_seed(seed);
+    sched.set_probation(spec.probation.or(opts.probation));
+    for t in &spec.tenants {
+        sched.declare_tenant(t.clone());
+    }
+    for job in jobs {
+        sched.submit(job)?;
+    }
+    sched.drain();
+    Ok(sched.report())
+}
+
+/// Exact, order-independent rendering of a virtual timestamp for
+/// derived ops: the raw `f64` bit pattern.
+fn tbits(t: f64) -> String {
+    format!("{:016x}", t.to_bits())
+}
+
+/// The whole-cluster timeline: one lane per machine node.
+fn node_lanes(nodes: usize) -> Tracer {
+    let tracer = Tracer::enabled();
+    for n in 0..nodes {
+        tracer.register_lane(Lane::Rank(n), format!("node {n}"));
+    }
+    tracer
+}
+
+/// An ordered stop: the run vacates its partition at `t` (the job's
+/// next fence boundary), either to resume later (preemption) or for
+/// good (cancel).
+#[derive(Debug, Clone, Copy)]
+struct Stop {
+    t: f64,
+    /// Global block boundary (blocks completed since program start).
+    boundary: usize,
+    cancel: bool,
 }
 
 /// Per-job scheduler state.
 struct JobState {
     spec: JobSpec,
     /// Admission outcome: compiled + dry-run, or the typed rejection.
-    prepared: Result<Prepared, VpceError>,
+    prepared: Result<Rc<Prepared>, VpceError>,
     status: Option<JobStatus>,
-    /// Attempts executed (or in flight).
+    /// Attempts executed (or in flight); a resumed remainder is part
+    /// of the attempt it was preempted from.
     attempts: u32,
+    preemptions: u32,
     queue_wait: f64,
     enqueued_at: f64,
     first_start: Option<f64>,
     end: Option<f64>,
-    /// Final placement (last attempt's partition).
+    /// Final placement (last run's partition).
     placed: Option<Partition>,
     error: Option<(String, String)>,
-    /// Outcome of the *next* attempt, computed lazily at decision time
-    /// (it is a pure function of the job and attempt number).
-    next_outcome: Option<Result<AttemptOutcome, VpceError>>,
-    final_report: Option<RunReport>,
-    /// Rollback-recovery ledger of the finishing attempt, when the job
-    /// armed `recover=` (the recovery-time charge in its breakdown).
-    final_recovery: Option<vpce_recover::RecoveryLedger>,
+    /// Set while the job holds a checkpoint to resume from.
+    resume_boundary: Option<usize>,
+    /// A cancel landed before the job could finish.
+    cancelled: bool,
+    arrived: bool,
+    /// Outcome of the finishing run: the report the record is built
+    /// from and, when the job armed `recover=`, the rollback ledger
+    /// (the recovery-time charge in its breakdown).
+    finished: Option<Rc<AttemptOutcome>>,
 }
 
 impl JobState {
@@ -132,168 +199,313 @@ impl JobState {
             .map(|p| p.shape)
             .unwrap_or_else(|_| cluster_sim::partition_shape(self.spec.ranks.max(1)))
     }
+
+    fn cancelled_error(&self) -> (String, String) {
+        ("cancelled".into(), format!("job `{}` cancelled by client", self.spec.name))
+    }
+
+    fn infeasible_error(&self, have: usize) -> (String, String) {
+        let e = VpceError::AdmissionInfeasible {
+            job: self.spec.name.clone(),
+            need: self.spec.ranks,
+            have,
+        };
+        (e.kind().into(), e.to_string())
+    }
 }
 
-/// A partition currently executing an attempt.
+/// A partition currently executing a run (a fresh attempt or a
+/// resumed remainder).
 struct Running {
     job: usize,
     part: Partition,
     start: f64,
     end: f64,
     attempt: u32,
-    outcome: Result<AttemptOutcome, VpceError>,
+    outcome: Result<Rc<AttemptOutcome>, VpceError>,
+    /// Boundary this run resumed from (0 = fresh start).
+    resumed_from: usize,
+    stop: Option<Stop>,
 }
 
-/// The batch scheduler. Constructed over a materialized job list;
-/// [`Scheduler::run`] plays the whole batch and returns the report.
-pub struct Scheduler {
-    jobs: Vec<JobState>,
-    map: NodeMap,
+impl Running {
+    /// The moment this run leaves the machine (ordered stop or natural
+    /// end).
+    fn vacate_t(&self) -> f64 {
+        self.stop.map_or(self.end, |s| s.t)
+    }
+
+    /// The next fence boundary strictly after `t`, as `(absolute time,
+    /// global boundary index)`. The final boundary is the program's
+    /// end — stopping there is meaningless, so it is excluded. `None`
+    /// for doomed (`Err`) outcomes, which carry no boundary times.
+    fn next_boundary(&self, t: f64) -> Option<(f64, usize)> {
+        let bounds = &self.outcome.as_ref().ok()?.report.boundaries;
+        let inner = &bounds[..bounds.len().saturating_sub(1)];
+        inner
+            .iter()
+            .enumerate()
+            .map(|(i, b)| (self.start + b, self.resumed_from + i + 1))
+            .find(|&(abs, _)| abs > t)
+    }
+
+    /// Timeline label of the run's phase span.
+    fn label(&self, name: &str) -> String {
+        match (self.attempt, self.resumed_from) {
+            (0, 0) => name.to_string(),
+            (a, 0) => format!("{name} (retry {a})"),
+            (0, b) => format!("{name} (resumed@{b})"),
+            (a, b) => format!("{name} (retry {a}, resumed@{b})"),
+        }
+    }
+}
+
+/// A queued job's next run as the runner computed it: the outcome and
+/// how long it will hold its partition.
+struct NextRun {
+    outcome: Result<Rc<AttemptOutcome>, VpceError>,
+    dur: f64,
+}
+
+/// What [`Scheduler::job`] shows of one submitted job.
+#[derive(Debug, Clone, Copy)]
+pub struct JobView<'a> {
+    /// `pending` (not yet arrived), `queued`, `running`, or the
+    /// terminal [`JobStatus`] name.
+    pub state: &'static str,
+    pub tenant: &'a str,
+    pub attempts: u32,
+    pub preemptions: u32,
+}
+
+/// The gang scheduler. See the module docs.
+pub struct Scheduler<'r> {
+    runner: &'r Runner<'r>,
+    /// The one caller-dependent bit: the service preempts (and marks
+    /// submissions, preemptions and checkpoints on the timeline);
+    /// batch does neither.
+    preemptive: bool,
     nodes: usize,
     policy: Policy,
     seed: u64,
-    mode: ExecMode,
-    now: f64,
-    /// Indices not yet arrived, ascending `(arrival, idx)`.
+    /// Probation length for crashed nodes, in clean intervals
+    /// (successful completions). `None` = permanent drain.
+    probation: Option<u32>,
+    map: NodeMap,
+    /// Declared fair-share tenants by name (jobs naming an undeclared
+    /// tenant get share 1, no quota).
+    tenants: BTreeMap<String, TenantSpec>,
+    /// Node-seconds charged per tenant at vacate time — the fair-share
+    /// ledger the queue order normalises by share.
+    usage: BTreeMap<String, f64>,
+    jobs: Vec<JobState>,
+    by_name: BTreeMap<String, usize>,
+    /// Indices submitted but not yet arrived, ascending (arrival, idx).
     arrivals: Vec<usize>,
     /// Indices queued and waiting for a partition.
     queue: Vec<usize>,
     running: Vec<Running>,
+    /// Pending timed cancels, ascending (t, submission order).
+    cancels: Vec<(f64, usize)>,
+    now: f64,
+    started: bool,
     peak_concurrent: usize,
     busy_cell_s: f64,
-    /// Declared fair-share tenants by name (jobs naming an undeclared
-    /// tenant get share 1, no quota).
-    tenants: BTreeMap<String, TenantSpec>,
-    /// Node-seconds charged per tenant at placement time — the
-    /// fair-share ledger the queue order normalises by share.
-    usage: BTreeMap<String, f64>,
     tracer: Tracer,
-    /// Every attempt interval + placement, for audits and the
-    /// no-overlap safety property.
+    /// Every run interval + placement, for audits and the no-overlap
+    /// safety property.
     attempts: Vec<AttemptLog>,
-    /// Probation length for crashed nodes, in clean intervals
-    /// (successful attempt completions). `None` = permanent drain.
-    probation: Option<u32>,
+    ops: Vec<String>,
 }
 
-impl Scheduler {
-    /// Admit `jobs` onto an `nodes`-PC machine. Every job is compiled
-    /// and dry-run here (rejections become records, not errors); the
-    /// loader resolves `src=` paths.
-    pub fn new(
-        jobs: Vec<JobSpec>,
-        nodes: usize,
-        policy: Policy,
-        seed: u64,
-        mode: ExecMode,
-        loader: &SourceLoader,
-    ) -> Result<Scheduler, String> {
-        Scheduler::new_on(jobs, nodes, policy, seed, mode, loader, None)
+impl<'r> Scheduler<'r> {
+    /// An idle 16-node backfill machine with seed 0; the setters below
+    /// reconfigure it before the first submission.
+    pub fn new(runner: &'r Runner<'r>, preemptive: bool) -> Self {
+        let nodes = 16;
+        Scheduler {
+            runner,
+            preemptive,
+            nodes,
+            policy: Policy::Backfill,
+            seed: 0,
+            probation: None,
+            map: NodeMap::new(Mesh::near_square(nodes), nodes),
+            tenants: BTreeMap::new(),
+            usage: BTreeMap::new(),
+            jobs: Vec::new(),
+            by_name: BTreeMap::new(),
+            arrivals: Vec::new(),
+            queue: Vec::new(),
+            running: Vec::new(),
+            cancels: Vec::new(),
+            now: 0.0,
+            started: false,
+            peak_concurrent: 0,
+            busy_cell_s: 0.0,
+            tracer: node_lanes(nodes),
+            attempts: Vec::new(),
+            ops: Vec::new(),
+        }
     }
 
-    /// [`Scheduler::new`] with a batch-level default machine
-    /// description; jobs with their own `machine=` field override it.
-    pub fn new_on(
-        jobs: Vec<JobSpec>,
-        nodes: usize,
-        policy: Policy,
-        seed: u64,
-        mode: ExecMode,
-        loader: &SourceLoader,
-        machine: Option<&MachineSpec>,
-    ) -> Result<Scheduler, String> {
+    /// Resize the machine. Refused once anything was submitted or a
+    /// step was taken: placements already refer to the old mesh.
+    pub fn set_nodes(&mut self, nodes: usize) -> Result<(), String> {
         if nodes == 0 {
             return Err("batch needs at least one node".into());
         }
-        let mesh = Mesh::near_square(nodes);
-        let map = NodeMap::new(mesh, nodes);
-        let tracer = Tracer::enabled();
-        for n in 0..nodes {
-            tracer.register_lane(Lane::Rank(n), format!("node {n}"));
+        if self.started || !self.jobs.is_empty() {
+            return Err("nodes= must precede the first submission".into());
         }
-        let states: Vec<JobState> = jobs
-            .into_iter()
-            .map(|spec| {
-                let prepared = admit(&spec, nodes, &map, loader, mode, machine);
-                JobState {
-                    spec,
-                    prepared,
-                    status: None,
-                    attempts: 0,
-                    queue_wait: 0.0,
-                    enqueued_at: 0.0,
-                    first_start: None,
-                    end: None,
-                    placed: None,
-                    error: None,
-                    next_outcome: None,
-                    final_report: None,
-                    final_recovery: None,
-                }
-            })
-            .collect();
-        let mut arrivals: Vec<usize> = (0..states.len()).collect();
-        arrivals.sort_by(|&a, &b| {
-            states[a]
-                .spec
-                .arrival
-                .total_cmp(&states[b].spec.arrival)
-                .then(a.cmp(&b))
+        self.nodes = nodes;
+        self.map = NodeMap::new(Mesh::near_square(nodes), nodes);
+        self.tracer = node_lanes(nodes);
+        Ok(())
+    }
+
+    pub fn set_policy(&mut self, policy: Policy) {
+        self.policy = policy;
+    }
+
+    /// The batch seed the report carries (storms are expanded under it
+    /// by the caller).
+    pub fn set_seed(&mut self, seed: u64) {
+        self.seed = seed;
+    }
+
+    pub fn seed(&self) -> u64 {
+        self.seed
+    }
+
+    /// Put crashed nodes on probation for `intervals` clean
+    /// completions instead of draining them for good. `None` (the
+    /// default) keeps permanent drains.
+    pub fn set_probation(&mut self, intervals: Option<u32>) {
+        self.probation = intervals;
+    }
+
+    /// Declare a fair-share tenant. Jobs are screened against the
+    /// quotas declared *before* their submission.
+    pub fn declare_tenant(&mut self, tenant: TenantSpec) {
+        self.tenants.insert(tenant.name.clone(), tenant);
+    }
+
+    /// True until the first submission.
+    pub fn is_empty(&self) -> bool {
+        self.jobs.is_empty()
+    }
+
+    /// Submit one job: admission happens now (pure, memoised), so a
+    /// rejection is visible to [`Scheduler::job`] immediately; the job
+    /// enters the queue when virtual time reaches its arrival. `Err`
+    /// only for a name already taken.
+    pub fn submit(&mut self, spec: JobSpec) -> Result<(), String> {
+        if self.by_name.contains_key(&spec.name) {
+            return Err(format!("job `{}` already submitted", spec.name));
+        }
+        let prepared = self.admit(&spec);
+        let idx = self.jobs.len();
+        self.by_name.insert(spec.name.clone(), idx);
+        // The new index is the largest, so it goes after every equal
+        // arrival: ascending (arrival, idx) order is kept.
+        let at = self
+            .arrivals
+            .partition_point(|&i| self.jobs[i].spec.arrival.total_cmp(&spec.arrival).is_le());
+        self.arrivals.insert(at, idx);
+        self.jobs.push(JobState {
+            spec,
+            prepared,
+            status: None,
+            attempts: 0,
+            preemptions: 0,
+            queue_wait: 0.0,
+            enqueued_at: 0.0,
+            first_start: None,
+            end: None,
+            placed: None,
+            error: None,
+            resume_boundary: None,
+            cancelled: false,
+            arrived: false,
+            finished: None,
         });
-        Ok(Scheduler {
-            jobs: states,
-            map,
-            nodes,
-            policy,
-            seed,
-            mode,
-            now: 0.0,
-            arrivals,
-            queue: Vec::new(),
-            running: Vec::new(),
-            peak_concurrent: 0,
-            busy_cell_s: 0.0,
-            tenants: BTreeMap::new(),
-            usage: BTreeMap::new(),
-            tracer,
-            attempts: Vec::new(),
-            probation: None,
+        Ok(())
+    }
+
+    /// Admission: screen the request against the pristine machine
+    /// before paying for anything, then compile + dry run, then the
+    /// tenant's quota — a job whose partition needs more cells than
+    /// its quota can never start, so it is refused here instead of
+    /// deadlocking the queue. Depends on the inputs only (never on
+    /// drains or load), so replaying the inputs replays the verdicts.
+    fn admit(&self, spec: &JobSpec) -> Result<Rc<Prepared>, VpceError> {
+        let reject =
+            |reason: String| VpceError::AdmissionRejected { job: spec.name.clone(), reason };
+        if spec.ranks == 0 {
+            return Err(reject("requests zero ranks".into()));
+        }
+        if spec.ranks > self.nodes {
+            return Err(VpceError::AdmissionInfeasible {
+                job: spec.name.clone(),
+                need: spec.ranks,
+                have: self.nodes,
+            });
+        }
+        let effective = run::resolve_machine(spec, self.runner.machine())?;
+        let shape = run::job_footprint(effective.as_ref(), spec.ranks);
+        if NodeMap::new(self.map.mesh(), self.nodes).find_fit(shape).is_none() {
+            return Err(reject(format!(
+                "partition {}x{} does not fit the {}-node machine",
+                shape.cols, shape.rows, self.nodes
+            )));
+        }
+        let prepared = self.runner.prepare(spec)?;
+        let cells = prepared.shape.cols * prepared.shape.rows;
+        match self.quota(&spec.tenant) {
+            Some(q) if cells > q => Err(reject(format!(
+                "partition of {cells} cells exceeds tenant `{}` quota {q}",
+                spec.tenant
+            ))),
+            _ => Ok(prepared),
+        }
+    }
+
+    /// Order `job` cancelled at virtual time `t` (finite, not before
+    /// 0 — callers validate what they parse): queued jobs leave the
+    /// queue, running ones stop at their next fence boundary, settled
+    /// ones are a no-op. `Err` for a name never submitted.
+    pub fn cancel_at(&mut self, job: &str, t: f64) -> Result<(), String> {
+        let &idx = self.by_name.get(job).ok_or_else(|| format!("no job `{job}`"))?;
+        let at = self.cancels.partition_point(|c| c.0.total_cmp(&t).then(c.1.cmp(&idx)).is_le());
+        self.cancels.insert(at, (t, idx));
+        Ok(())
+    }
+
+    /// Derived ops emitted since the last take.
+    pub fn take_ops(&mut self) -> Vec<String> {
+        std::mem::take(&mut self.ops)
+    }
+
+    /// Where `name` stands right now (`None`: never submitted).
+    pub fn job(&self, name: &str) -> Option<JobView<'_>> {
+        let &idx = self.by_name.get(name)?;
+        let j = &self.jobs[idx];
+        let state = match j.status {
+            Some(s) => s.name(),
+            None if self.running.iter().any(|r| r.job == idx) => "running",
+            None if j.arrived => "queued",
+            None => "pending",
+        };
+        Some(JobView {
+            state,
+            tenant: &j.spec.tenant,
+            attempts: j.attempts,
+            preemptions: j.preemptions,
         })
     }
 
-    /// Put crashed nodes on probation for `intervals` clean attempt
-    /// completions instead of draining them for good. `None` (the
-    /// default) keeps permanent drains.
-    pub fn with_probation(mut self, intervals: Option<u32>) -> Self {
-        self.probation = intervals;
-        self
-    }
-
-    /// Declare fair-share tenants (the jobfile's `tenant` lines).
-    /// Re-checks admission: a job whose partition needs more cells
-    /// than its tenant's quota can never start, so it is rejected here
-    /// instead of deadlocking the queue.
-    pub fn with_tenants(mut self, tenants: Vec<TenantSpec>) -> Self {
-        for t in tenants {
-            self.tenants.insert(t.name.clone(), t);
-        }
-        for job in &mut self.jobs {
-            let Ok(p) = &job.prepared else { continue };
-            let cells = p.shape.cols * p.shape.rows;
-            if let Some(q) = self.tenants.get(&job.spec.tenant).and_then(|t| t.quota) {
-                if cells > q {
-                    job.prepared = Err(VpceError::AdmissionRejected {
-                        job: job.spec.name.clone(),
-                        reason: format!(
-                            "partition of {cells} cells exceeds tenant `{}` quota {q}",
-                            job.spec.tenant
-                        ),
-                    });
-                }
-            }
-        }
-        self
-    }
+    // ----- fair-share / quota helpers -----
 
     /// Fair-share weight of `tenant` (1 when undeclared).
     fn share(&self, tenant: &str) -> f64 {
@@ -330,83 +542,188 @@ impl Scheduler {
         self.usage.get(tenant).copied().unwrap_or(0.0) / self.share(tenant)
     }
 
-    /// Play the batch to completion.
-    pub fn run(&mut self) -> BatchReport {
-        loop {
-            self.complete_due();
-            self.arrive_due();
-            self.schedule_pass();
-            // With no future events and an idle machine, anything
-            // still queued can never start — fail it typed rather
-            // than spin.
-            if self.running.is_empty() && self.arrivals.is_empty() && !self.queue.is_empty() {
-                self.fail_stuck_queue();
-            }
-            // Advance to the next event: the earlier of the next
-            // arrival and the next completion (exact virtual-time
-            // comparison — every time here was computed once and is
-            // reused, never re-derived).
-            let next_arrival = self
-                .arrivals
-                .first()
-                .map(|&i| self.jobs[i].spec.arrival);
-            let next_end = self
-                .running
-                .iter()
-                .map(|r| r.end)
-                .min_by(f64::total_cmp);
-            let t = match (next_arrival, next_end) {
-                (Some(a), Some(e)) => a.min(e),
-                (Some(a), None) => a,
-                (None, Some(e)) => e,
-                (None, None) => break,
-            };
-            self.now = self.now.max(t);
+    /// Queue order: priority descending, then fair-share ratio
+    /// ascending (the under-served tenant goes first), then arrival,
+    /// then submission order. With a single tenant every queued job
+    /// carries the same ratio, so the order degenerates to the classic
+    /// priority/arrival one.
+    fn sort_queue(&mut self) {
+        let mut keyed: Vec<(Reverse<i64>, f64, f64, usize)> = self
+            .queue
+            .iter()
+            .map(|&i| {
+                let j = &self.jobs[i];
+                (Reverse(j.spec.priority), self.fair_ratio(&j.spec.tenant), j.spec.arrival, i)
+            })
+            .collect();
+        keyed.sort_by(|a, b| {
+            a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.total_cmp(&b.2)).then(a.3.cmp(&b.3))
+        });
+        self.queue = keyed.into_iter().map(|k| k.3).collect();
+    }
+
+    // ----- the event loop -----
+
+    /// Process everything due at the current virtual time, run one
+    /// placement pass, then advance to the next event. Returns `false`
+    /// when no event remains: everything submitted has settled.
+    /// Emitted ops accumulate for [`Scheduler::take_ops`].
+    pub fn step(&mut self) -> bool {
+        self.started = true;
+        // Vacates first (they free capacity), then cancels, then
+        // arrivals — all at times <= now, in deterministic order.
+        self.complete_due();
+        self.cancel_due();
+        self.arrive_due();
+        self.schedule_pass();
+        // With no future events and an idle machine, anything still
+        // queued can never start — fail it typed rather than spin.
+        if self.running.is_empty()
+            && self.arrivals.is_empty()
+            && self.cancels.is_empty()
+            && !self.queue.is_empty()
+        {
+            self.fail_stuck_queue();
         }
-        self.build_report()
+        // Exact virtual-time comparison: every time here was computed
+        // once and is reused, never re-derived.
+        let next_event = self
+            .running
+            .iter()
+            .map(Running::vacate_t)
+            .chain(self.cancels.first().map(|c| c.0))
+            .chain(self.arrivals.first().map(|&i| self.jobs[i].spec.arrival))
+            .min_by(f64::total_cmp);
+        match next_event {
+            Some(t) => {
+                self.now = self.now.max(t);
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Run to completion.
+    pub fn drain(&mut self) {
+        while self.step() {}
     }
 
     fn complete_due(&mut self) {
-        // Deterministic completion order: (end, submission index).
-        self.running
-            .sort_by(|a, b| a.end.total_cmp(&b.end).then(a.job.cmp(&b.job)));
-        while let Some(r) = self.running.first() {
-            if r.end > self.now {
-                break;
-            }
-            let r = self.running.remove(0);
+        loop {
+            // Deterministic completion order: (vacate time, job idx).
+            let due = self
+                .running
+                .iter()
+                .enumerate()
+                .filter(|(_, r)| r.vacate_t() <= self.now)
+                .min_by(|(_, a), (_, b)| {
+                    a.vacate_t().total_cmp(&b.vacate_t()).then(a.job.cmp(&b.job))
+                })
+                .map(|(i, _)| i);
+            let Some(i) = due else { break };
+            let r = self.running.remove(i);
             self.map.free(&r.part);
+            let t_end = r.vacate_t();
+            let job = &mut self.jobs[r.job];
+            job.placed = Some(r.part.clone());
+            // The one charging rule: cells x the span actually held.
+            let cell_s = r.part.nodes.len() as f64 * (t_end - r.start);
+            self.busy_cell_s += cell_s;
+            *self.usage.entry(job.spec.tenant.clone()).or_insert(0.0) += cell_s;
+            let label = r.label(&job.spec.name);
+            for &node in &r.part.nodes {
+                self.tracer.push(
+                    Lane::Rank(node),
+                    r.start,
+                    t_end,
+                    EventKind::Phase { name: label.clone() },
+                );
+            }
             self.attempts.push(AttemptLog {
-                job: self.jobs[r.job].spec.name.clone(),
+                job: job.spec.name.clone(),
                 attempt: r.attempt,
                 start: r.start,
-                end: r.end,
+                end: t_end,
                 partition: r.part.clone(),
-                ok: r.outcome.is_ok(),
+                ok: r.stop.is_some() || r.outcome.is_ok(),
             });
-            self.settle_attempt(r);
+            match r.stop {
+                Some(stop) => self.settle_stop(r, stop),
+                None => self.settle_end(r),
+            }
         }
     }
 
-    fn settle_attempt(&mut self, r: Running) {
+    /// A run reached an ordered stop: checkpoint + requeue (preempt)
+    /// or final cancel.
+    fn settle_stop(&mut self, r: Running, stop: Stop) {
+        let t = stop.t;
         let job = &mut self.jobs[r.job];
-        job.placed = Some(r.part.clone());
+        let name = job.spec.name.clone();
+        if stop.cancel {
+            job.status = Some(JobStatus::Failed);
+            job.end = Some(t);
+            job.error = Some(job.cancelled_error());
+            self.ops.push(format!("cancel {name} t={} boundary={}", tbits(t), stop.boundary));
+            return;
+        }
+        // Preemption: snapshot at the boundary (memoised + pure), then
+        // requeue holding the boundary index.
+        let prepared = job.prepared.as_ref().expect("ran, so admitted");
+        let bytes = self
+            .runner
+            .checkpoint(&job.spec, prepared, r.attempt, stop.boundary)
+            .map_or(0, |s| s.payload_bytes());
+        job.preemptions += 1;
+        job.resume_boundary = Some(stop.boundary);
+        job.enqueued_at = t;
+        self.queue.push(r.job);
+        let node0 = r.part.nodes.first().copied().unwrap_or(0);
+        self.tracer.push(
+            Lane::Rank(node0),
+            t,
+            t,
+            EventKind::Checkpoint { job: name.clone(), boundary: stop.boundary },
+        );
+        self.ops.push(format!(
+            "checkpoint {name} boundary={} t={} bytes={bytes}",
+            stop.boundary,
+            tbits(t)
+        ));
+    }
+
+    /// A run finished naturally (success, or heartbeat-detected
+    /// failure).
+    fn settle_end(&mut self, r: Running) {
+        let job = &mut self.jobs[r.job];
+        let name = job.spec.name.clone();
         match r.outcome {
             Ok(out) => {
                 job.status = Some(JobStatus::Done);
                 job.end = Some(r.end);
-                job.final_report = Some(out.report);
-                job.final_recovery = out.recovery;
+                // Audit record for absorbed crashes, ahead of the
+                // completion op: recovery decisions replay (and
+                // cross-check) like every other derived op.
+                if let Some(l) = out.recovery.as_ref().filter(|l| l.absorbed()) {
+                    self.ops.push(format!(
+                        "recover {name} t={} rollbacks={} respawned={} replay={}",
+                        tbits(r.end),
+                        l.rollbacks,
+                        l.respawned,
+                        l.replay_regions
+                    ));
+                }
+                job.finished = Some(out);
+                self.ops.push(format!("complete {name} t={} status=done", tbits(r.end)));
                 // A clean completion is one clean interval: tick every
                 // probationary node (completions settle in
                 // deterministic (end, job) order, so reintegration
-                // times are a pure function of the batch).
+                // times are a pure function of the inputs).
                 self.map.tick_probation();
             }
             Err(e) => {
                 // A crashed rank takes its machine node down with it —
-                // for good, or on probation when the batch enables
-                // reintegration.
+                // for good, or on probation.
                 if let VpceError::RankCrash { rank, .. } = &e {
                     if let Some(&node) = r.part.nodes.get(*rank) {
                         match self.probation {
@@ -415,28 +732,27 @@ impl Scheduler {
                         }
                     }
                 }
-                let job = &mut self.jobs[r.job];
-                let retryable = e.is_injected() && r.attempt < job.spec.retries;
-                let feasible = self.map.feasible(
-                    job.prepared.as_ref().map(|p| p.shape).expect("ran, so admitted"),
-                );
-                if retryable && feasible {
+                let retryable = e.is_injected() && r.attempt < job.spec.retries && !job.cancelled;
+                if retryable && self.map.feasible(job.shape()) {
                     job.enqueued_at = r.end;
-                    job.next_outcome = None;
+                    job.resume_boundary = None;
                     self.queue.push(r.job);
-                } else if retryable {
-                    job.status = Some(JobStatus::Failed);
-                    job.end = Some(r.end);
-                    let inf = VpceError::AdmissionInfeasible {
-                        job: job.spec.name.clone(),
-                        need: job.spec.ranks,
-                        have: self.map.usable_nodes(),
-                    };
-                    job.error = Some((inf.kind().into(), inf.to_string()));
+                    self.ops.push(format!(
+                        "requeue {name} attempt={} t={}",
+                        r.attempt + 1,
+                        tbits(r.end)
+                    ));
                 } else {
                     job.status = Some(JobStatus::Failed);
                     job.end = Some(r.end);
-                    job.error = Some((e.kind().into(), e.to_string()));
+                    job.error = Some(if job.cancelled {
+                        job.cancelled_error()
+                    } else if retryable {
+                        job.infeasible_error(self.map.usable_nodes())
+                    } else {
+                        (e.kind().into(), e.to_string())
+                    });
+                    self.ops.push(format!("complete {name} t={} status=failed", tbits(r.end)));
                 }
                 // Drains may strand other queued jobs; fail them now
                 // with the same typed error rather than at loop exit.
@@ -445,102 +761,158 @@ impl Scheduler {
         }
     }
 
-    fn sweep_infeasible_queue(&mut self) {
-        let mut kept = Vec::with_capacity(self.queue.len());
-        for &idx in &self.queue {
-            let shape = self.jobs[idx].shape();
-            if self.map.feasible(shape) {
-                kept.push(idx);
-                continue;
+    fn cancel_due(&mut self) {
+        while let Some(&(t, idx)) = self.cancels.first() {
+            if t > self.now {
+                break;
             }
+            self.cancels.remove(0);
+            self.do_cancel(idx, t);
+        }
+    }
+
+    fn do_cancel(&mut self, idx: usize, t: f64) {
+        let name = self.jobs[idx].spec.name.clone();
+        if self.jobs[idx].status.is_some() {
+            // Already settled — a deterministic no-op.
+            self.ops.push(format!("cancel {name} t={} noop", tbits(t)));
+            return;
+        }
+        self.jobs[idx].cancelled = true;
+        if let Some(qpos) = self.queue.iter().position(|&i| i == idx) {
+            self.queue.remove(qpos);
             let job = &mut self.jobs[idx];
             job.status = Some(JobStatus::Failed);
-            job.end = Some(self.now);
-            job.queue_wait += self.now - job.enqueued_at;
-            let e = VpceError::AdmissionInfeasible {
-                job: job.spec.name.clone(),
-                need: job.spec.ranks,
-                have: self.map.usable_nodes(),
-            };
-            job.error = Some((e.kind().into(), e.to_string()));
+            job.end = Some(t);
+            job.queue_wait += t - job.enqueued_at;
+            job.error = Some(job.cancelled_error());
+            self.ops.push(format!("cancel {name} t={} queued", tbits(t)));
+            return;
         }
-        self.queue = kept;
+        if let Some(r) = self.running.iter_mut().find(|r| r.job == idx) {
+            if r.stop.is_some() {
+                self.ops.push(format!("cancel {name} t={} pending", tbits(t)));
+            } else if let Some((bt, boundary)) = r.next_boundary(t) {
+                r.stop = Some(Stop { t: bt, boundary, cancel: true });
+                self.ops.push(format!(
+                    "cancel {name} t={} boundary={boundary} vacate={}",
+                    tbits(t),
+                    tbits(bt)
+                ));
+            } else {
+                // No future boundary (doomed attempt or last block):
+                // let it run out; the cancelled flag blocks requeue.
+                self.ops.push(format!("cancel {name} t={} deferred", tbits(t)));
+            }
+            return;
+        }
+        // Not yet arrived: it will settle as cancelled at arrival.
+        self.ops.push(format!("cancel {name} t={} early", tbits(t)));
     }
 
     fn arrive_due(&mut self) {
         while let Some(&idx) = self.arrivals.first() {
-            if self.jobs[idx].spec.arrival > self.now {
+            let job = &mut self.jobs[idx];
+            let t = job.spec.arrival;
+            if t > self.now {
                 break;
             }
             self.arrivals.remove(0);
-            let feasible_shape = self.jobs[idx].shape();
-            match &self.jobs[idx].prepared {
-                Err(e) => {
-                    let err = (e.kind().to_string(), e.to_string());
-                    let job = &mut self.jobs[idx];
-                    job.status = Some(JobStatus::Rejected);
-                    job.end = None;
-                    job.error = Some(err);
-                }
-                Ok(_) if !self.map.feasible(feasible_shape) => {
-                    let job = &mut self.jobs[idx];
-                    let e = VpceError::AdmissionInfeasible {
-                        job: job.spec.name.clone(),
-                        need: job.spec.ranks,
-                        have: self.map.usable_nodes(),
-                    };
-                    job.status = Some(JobStatus::Rejected);
-                    job.error = Some((e.kind().into(), e.to_string()));
-                }
-                Ok(_) => {
-                    let job = &mut self.jobs[idx];
-                    job.enqueued_at = self.now;
-                    self.queue.push(idx);
-                }
+            job.arrived = true;
+            let name = job.spec.name.clone();
+            if self.preemptive {
+                self.tracer.push(Lane::Rank(0), t, t, EventKind::Submit { job: name.clone() });
+            }
+            let verdict = if job.cancelled {
+                job.status = Some(JobStatus::Failed);
+                job.end = Some(t);
+                job.error = Some(job.cancelled_error());
+                "cancelled".to_string()
+            } else if let Err(e) = &job.prepared {
+                job.status = Some(JobStatus::Rejected);
+                job.error = Some((e.kind().into(), e.to_string()));
+                format!("reject {}", e.kind())
+            } else if !self.map.feasible(job.shape()) {
+                job.status = Some(JobStatus::Rejected);
+                let err = job.infeasible_error(self.map.usable_nodes());
+                let verdict = format!("reject {}", err.0);
+                job.error = Some(err);
+                verdict
+            } else {
+                job.enqueued_at = self.now;
+                self.queue.push(idx);
+                "ok".to_string()
+            };
+            self.ops.push(format!("admit {name} t={} {verdict}", tbits(t)));
+        }
+    }
+
+    /// Fail job `idx` (already off the queue) at the current time with
+    /// `error` as its typed record.
+    fn fail_queued(&mut self, idx: usize, error: (String, String)) {
+        let job = &mut self.jobs[idx];
+        job.status = Some(JobStatus::Failed);
+        job.end = Some(self.now);
+        job.queue_wait += self.now - job.enqueued_at;
+        job.error = Some(error);
+        self.ops.push(format!("complete {} t={} status=failed", job.spec.name, tbits(self.now)));
+    }
+
+    fn sweep_infeasible_queue(&mut self) {
+        let queue = std::mem::take(&mut self.queue);
+        for idx in queue {
+            if self.map.feasible(self.jobs[idx].shape()) {
+                self.queue.push(idx);
+            } else {
+                let err = self.jobs[idx].infeasible_error(self.map.usable_nodes());
+                self.fail_queued(idx, err);
             }
         }
     }
 
-    /// Queue order: priority descending, then fair-share ratio
-    /// ascending (usage normalised by share — the under-served tenant
-    /// goes first), then arrival, then submission order. With a single
-    /// tenant every queued job carries the same ratio, so the order
-    /// degenerates to the classic priority/arrival one.
-    fn sort_queue(&mut self) {
-        let mut keyed: Vec<(Reverse<i64>, f64, f64, usize)> = self
-            .queue
-            .iter()
-            .map(|&i| {
-                let j = &self.jobs[i];
-                (
-                    Reverse(j.spec.priority),
-                    self.fair_ratio(&j.spec.tenant),
-                    j.spec.arrival,
-                    i,
-                )
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(a.1.total_cmp(&b.1))
-                .then(a.2.total_cmp(&b.2))
-                .then(a.3.cmp(&b.3))
-        });
-        self.queue = keyed.into_iter().map(|k| k.3).collect();
+    /// Outcome of the next run of `idx` — a fresh attempt or a resumed
+    /// remainder, memoised in the runner (a hit is a shared handle) —
+    /// and how long it holds its partition.
+    fn next_run(&self, idx: usize) -> NextRun {
+        let job = &self.jobs[idx];
+        let prepared = job.prepared.as_ref().expect("queued jobs are admitted");
+        let outcome = match job.resume_boundary {
+            Some(b) => self.runner.resume(&job.spec, prepared, job.attempts, b),
+            None => self.runner.run(&job.spec, prepared, job.attempts),
+        };
+        let dur = match &outcome {
+            // A recovered attempt holds its partition for the clean
+            // makespan plus the recovery-time charge.
+            Ok(out) => out.duration(),
+            // Heartbeat model: a fault is detected when the job blows
+            // its fault-free deadline, so the partition is held that
+            // long either way.
+            Err(_) => prepared.clean_elapsed,
+        };
+        NextRun { outcome, dur }
     }
 
     fn schedule_pass(&mut self) {
         loop {
             self.sort_queue();
-            let Some(&head) = self.queue.first() else { return };
+            let Some(&head) = self.queue.first() else {
+                return;
+            };
             let head_shape = self.jobs[head].shape();
             let head_tenant = self.jobs[head].spec.tenant.clone();
             let head_cells = head_shape.cols * head_shape.rows;
             if self.quota_allows(&head_tenant, head_cells) {
-                if let Some((x, y, s)) = self.map.find_fit(head_shape) {
-                    self.start(head, x, y, s);
+                if let Some(fit) = self.map.find_fit(head_shape) {
+                    let run = self.next_run(head);
                     self.queue.remove(0);
+                    self.place(head, fit, run);
                     continue;
+                }
+                // Space-blocked: a strictly lower-priority running job
+                // can be preempted at its next fence boundary; the
+                // head then waits for the vacate event.
+                if self.preemptive && self.order_preemption(head) {
+                    return;
                 }
             }
             if self.policy == Policy::Fcfs {
@@ -549,63 +921,89 @@ impl Scheduler {
             // Head is blocked (by space or by its tenant's quota):
             // compute its reservation, then let smaller jobs slide
             // past if they provably cannot delay it.
-            let Some((t_res, rect)) = self.reservation(head_shape, &head_tenant, head_cells)
-            else {
+            let Some((t_res, rect)) = self.reservation(head_shape, &head_tenant, head_cells) else {
                 // Machine cannot host the head even empty (a drain
-                // landed since admission) — sweep will fail it.
+                // landed since admission) — the sweep fails it.
                 self.sweep_infeasible_queue();
+                if self.queue.contains(&head) {
+                    return; // the head survived the sweep: nothing to do now
+                }
                 continue;
             };
             let head_quota = self.quota(&head_tenant);
-            let mut started = false;
-            for qi in 1..self.queue.len() {
+            let slide = (1..self.queue.len()).find_map(|qi| {
                 let idx = self.queue[qi];
                 let shape = self.jobs[idx].shape();
-                let tenant = self.jobs[idx].spec.tenant.clone();
-                if !self.quota_allows(&tenant, shape.cols * shape.rows) {
-                    continue;
+                let tenant = &self.jobs[idx].spec.tenant;
+                if !self.quota_allows(tenant, shape.cols * shape.rows) {
+                    return None;
                 }
-                let Some((x, y, s)) = self.map.find_fit(shape) else { continue };
-                let cand = Partition {
-                    x,
-                    y,
-                    shape: s,
-                    nodes: Vec::new(),
-                };
-                let dur = self.attempt_duration(idx);
-                let fits_in_time = self.now + dur <= t_res;
+                let (x, y, s) = self.map.find_fit(shape)?;
+                let cand = Partition { x, y, shape: s, nodes: Vec::new() };
+                let run = self.next_run(idx);
+                let fits_in_time = self.now + run.dur <= t_res;
                 // A same-tenant slide that outlives the reservation
                 // would hold quota the head may need at `t_res`, so it
                 // must finish in time when the head's tenant is
                 // quota-capped.
-                let avoids_rect = !cand.overlaps(&rect)
-                    && (tenant != head_tenant || head_quota.is_none());
-                if fits_in_time || avoids_rect {
-                    self.start(idx, x, y, s);
-                    self.queue.remove(qi);
-                    started = true;
-                    break;
-                }
-            }
-            if !started {
-                return;
-            }
+                let avoids_rect =
+                    !cand.overlaps(&rect) && (*tenant != head_tenant || head_quota.is_none());
+                (fits_in_time || avoids_rect).then_some((qi, (x, y, s), run))
+            });
+            let Some((qi, fit, run)) = slide else { return };
+            let idx = self.queue.remove(qi);
+            self.place(idx, fit, run);
         }
     }
 
-    /// The head-of-queue reservation: simulate the running partitions
-    /// freeing in completion order (quota included) and return the
-    /// first time a `shape` partition both fits and is within
-    /// `tenant`'s quota, plus where. `None` if it cannot fit even on
-    /// the drained empty machine.
-    fn reservation(&self, shape: Mesh, tenant: &str, cells: usize) -> Option<(f64, Partition)> {
-        let mut ghost = self.map.clone();
-        let mut ends: Vec<(f64, usize)> = self
+    /// Order the best preemption for `head`, if one exists: the victim
+    /// is the running job with the lowest priority (strictly below the
+    /// head's), breaking ties toward the latest start then the highest
+    /// index. Returns true when an order was placed.
+    fn order_preemption(&mut self, head: usize) -> bool {
+        let head_prio = self.jobs[head].spec.priority;
+        let victim = self
             .running
             .iter()
             .enumerate()
-            .map(|(i, r)| (r.end, i))
-            .collect();
+            .filter(|(_, r)| r.stop.is_none() && self.jobs[r.job].spec.priority < head_prio)
+            .filter_map(|(i, r)| r.next_boundary(self.now).map(|b| (i, r, b)))
+            .min_by(|(_, a, _), (_, b, _)| {
+                let pa = self.jobs[a.job].spec.priority;
+                let pb = self.jobs[b.job].spec.priority;
+                pa.cmp(&pb).then(b.start.total_cmp(&a.start)).then(b.job.cmp(&a.job))
+            })
+            .map(|(i, _, b)| (i, b));
+        let Some((i, (bt, boundary))) = victim else {
+            return false;
+        };
+        let r = &mut self.running[i];
+        r.stop = Some(Stop { t: bt, boundary, cancel: false });
+        let name = self.jobs[r.job].spec.name.clone();
+        let node0 = r.part.nodes.first().copied().unwrap_or(0);
+        self.tracer.push(
+            Lane::Rank(node0),
+            self.now,
+            self.now,
+            EventKind::Preempt { job: name.clone() },
+        );
+        self.ops.push(format!(
+            "preempt {name} t={} boundary={boundary} vacate={}",
+            tbits(self.now),
+            tbits(bt)
+        ));
+        true
+    }
+
+    /// The head-of-queue reservation: simulate the running partitions
+    /// freeing in vacate order (quota included) and return the first
+    /// time a `shape` partition both fits and is within `tenant`'s
+    /// quota, plus where. `None` if it cannot fit even on the drained
+    /// empty machine.
+    fn reservation(&self, shape: Mesh, tenant: &str, cells: usize) -> Option<(f64, Partition)> {
+        let mut ghost = self.map.clone();
+        let mut ends: Vec<(f64, usize)> =
+            self.running.iter().enumerate().map(|(i, r)| (r.vacate_t(), i)).collect();
         ends.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let quota = self.quota(tenant);
         let mut held = self.held_cells(tenant);
@@ -618,70 +1016,48 @@ impl Scheduler {
                 continue;
             }
             if let Some((x, y, s)) = ghost.find_fit(shape) {
-                return Some((
-                    end,
-                    Partition { x, y, shape: s, nodes: Vec::new() },
-                ));
+                return Some((end, Partition { x, y, shape: s, nodes: Vec::new() }));
             }
         }
         None
     }
 
-    /// Makespan of the job's next attempt — computing it forces the
-    /// (pure, cached) attempt outcome.
-    fn attempt_duration(&mut self, idx: usize) -> f64 {
-        let job = &mut self.jobs[idx];
-        let prepared = job.prepared.as_ref().expect("queued jobs are admitted");
-        if job.next_outcome.is_none() {
-            job.next_outcome = Some(run::run_attempt(
-                &job.spec, prepared, self.mode, job.attempts,
-            ));
-        }
-        match job.next_outcome.as_ref().expect("just computed") {
-            // A recovered attempt holds its partition for the clean
-            // makespan plus the recovery-time charge.
-            Ok(out) => out.duration(),
-            // Heartbeat model: a fault is detected when the job blows
-            // its fault-free deadline, so the partition is held that
-            // long either way.
-            Err(_) => prepared.clean_elapsed,
-        }
-    }
-
-    fn start(&mut self, idx: usize, x: usize, y: usize, shape: Mesh) {
-        let dur = self.attempt_duration(idx);
+    /// Start `idx` (already off the queue) on the placement `find_fit`
+    /// returned, for the run [`Scheduler::next_run`] computed.
+    fn place(&mut self, idx: usize, (x, y, shape): (usize, usize, Mesh), run: NextRun) {
         let part = self.map.alloc(x, y, shape);
-        let job_tenant = self.jobs[idx].spec.tenant.clone();
         let job = &mut self.jobs[idx];
-        let outcome = job.next_outcome.take().expect("attempt_duration computed it");
         job.queue_wait += self.now - job.enqueued_at;
         job.first_start.get_or_insert(self.now);
-        let attempt = job.attempts;
-        job.attempts += 1;
-        let end = self.now + dur;
-        let label = if attempt == 0 {
-            job.spec.name.clone()
+        let resumed_from = job.resume_boundary.unwrap_or(0);
+        let next = job.attempts;
+        // A resumed remainder continues the attempt it was preempted
+        // from; only a fresh start opens a new one.
+        let attempt = if resumed_from == 0 {
+            job.attempts += 1;
+            next
         } else {
-            format!("{} (retry {attempt})", job.spec.name)
+            next.saturating_sub(1)
         };
-        for &node in &part.nodes {
-            self.tracer.push(
-                Lane::Rank(node),
-                self.now,
-                end,
-                EventKind::Phase { name: label.clone() },
-            );
-        }
-        let cell_s = part.nodes.len() as f64 * dur;
-        self.busy_cell_s += cell_s;
-        *self.usage.entry(job_tenant).or_insert(0.0) += cell_s;
+        self.ops.push(format!(
+            "place {} attempt={next} t={} part={},{},{}x{} resume={}",
+            job.spec.name,
+            tbits(self.now),
+            part.x,
+            part.y,
+            part.shape.cols,
+            part.shape.rows,
+            resumed_from,
+        ));
         self.running.push(Running {
             job: idx,
             part,
             start: self.now,
-            end,
+            end: self.now + run.dur,
             attempt,
-            outcome,
+            outcome: run.outcome,
+            resumed_from,
+            stop: None,
         });
         self.peak_concurrent = self.peak_concurrent.max(self.running.len());
     }
@@ -693,58 +1069,39 @@ impl Scheduler {
         // FCFS queue whose *head* was the stranded job.
         self.sweep_infeasible_queue();
         self.schedule_pass();
-        if self.running.is_empty() && !self.queue.is_empty() {
-            debug_assert!(false, "feasible job stuck on an idle machine");
-            let stuck: Vec<usize> = self.queue.drain(..).collect();
-            for idx in stuck {
-                let job = &mut self.jobs[idx];
-                job.status = Some(JobStatus::Failed);
-                job.end = Some(self.now);
+        if self.running.is_empty() {
+            debug_assert!(self.queue.is_empty(), "feasible job stuck on an idle machine");
+            for idx in std::mem::take(&mut self.queue) {
                 let e = VpceError::Internal {
-                    msg: format!("job '{}' stuck on an idle machine", job.spec.name),
+                    msg: format!("job '{}' stuck on an idle machine", self.jobs[idx].spec.name),
                 };
-                job.error = Some((e.kind().into(), e.to_string()));
+                self.fail_queued(idx, (e.kind().into(), e.to_string()));
             }
         }
     }
 
-    fn build_report(&mut self) -> BatchReport {
-        let horizon = self
-            .jobs
-            .iter()
-            .filter_map(|j| j.end)
-            .max_by(f64::total_cmp)
-            .unwrap_or(0.0);
+    /// The report of everything settled so far (call after
+    /// [`Scheduler::drain`]); takes the attempt log with it.
+    pub fn report(&mut self) -> BatchReport {
+        let horizon = self.jobs.iter().filter_map(|j| j.end).max_by(f64::total_cmp).unwrap_or(0.0);
+        let full = self.runner.mode() == ExecMode::Full;
         let records: Vec<JobRecord> = self
             .jobs
             .iter()
             .map(|j| {
-                let status = j.status.unwrap_or(JobStatus::Failed);
                 let makespan = j.end.map(|e| e - j.spec.arrival);
-                let identical = match (&j.final_report, &j.prepared, self.mode) {
-                    (Some(rep), Ok(p), ExecMode::Full) => Some(rep.arrays == p.clean_arrays),
-                    _ => None,
-                };
-                let recovery_s =
-                    j.final_recovery.as_ref().map_or(0.0, |l| l.recovery_total());
-                let breakdown = j.final_report.as_ref().and_then(|rep| {
-                    rep.trace.as_ref().map(|t| {
-                        t.critical
-                            .breakdown
-                            .with_recovery(recovery_s)
-                            .with_queue_wait(j.queue_wait)
-                    })
-                });
+                let report = j.finished.as_ref().map(|out| &out.report);
+                let recovery_s = j
+                    .finished
+                    .as_ref()
+                    .and_then(|out| out.recovery.as_ref())
+                    .map_or(0.0, |l| l.recovery_total());
                 JobRecord {
                     name: j.spec.name.clone(),
                     tenant: j.spec.tenant.clone(),
                     ranks: j.spec.ranks,
-                    shape: j
-                        .placed
-                        .as_ref()
-                        .map(|p| p.shape)
-                        .unwrap_or_else(|| j.shape()),
-                    status,
+                    shape: j.placed.as_ref().map_or_else(|| j.shape(), |p| p.shape),
+                    status: j.status.unwrap_or(JobStatus::Failed),
                     arrival: j.spec.arrival,
                     start: j.first_start,
                     end: j.end,
@@ -752,24 +1109,26 @@ impl Scheduler {
                     nodes: j.placed.as_ref().map(|p| p.nodes.clone()).unwrap_or_default(),
                     attempts: j.attempts,
                     requeues: j.attempts.saturating_sub(1),
-                    preemptions: 0,
-                    identical,
+                    preemptions: j.preemptions,
+                    identical: match (report, &j.prepared) {
+                        (Some(rep), Ok(p)) if full => Some(rep.arrays == p.clean_arrays),
+                        _ => None,
+                    },
                     error: j.error.clone(),
                     missed_deadline: match (j.spec.deadline, makespan) {
                         (Some(d), Some(m)) => m > d,
                         _ => false,
                     },
-                    breakdown,
-                    net_messages: j.final_report.as_ref().map(|r| r.net.p2p_messages).unwrap_or(0),
-                    net_bytes: j.final_report.as_ref().map(|r| r.net.p2p_bytes).unwrap_or(0),
+                    breakdown: report.and_then(|rep| rep.trace.as_ref()).map(|t| {
+                        t.critical.breakdown.with_recovery(recovery_s).with_queue_wait(j.queue_wait)
+                    }),
+                    net_messages: report.map_or(0, |r| r.net.p2p_messages),
+                    net_bytes: report.map_or(0, |r| r.net.p2p_bytes),
                 }
             })
             .collect();
-        let utilization = if horizon > 0.0 {
-            self.busy_cell_s / (self.nodes as f64 * horizon)
-        } else {
-            0.0
-        };
+        let utilization =
+            if horizon > 0.0 { self.busy_cell_s / (self.nodes as f64 * horizon) } else { 0.0 };
         BatchReport {
             nodes: self.nodes,
             mesh: self.map.mesh(),
@@ -780,51 +1139,11 @@ impl Scheduler {
             drained: self.map.drained(),
             horizon,
             utilization,
-            tenant_usage: self
-                .usage
-                .iter()
-                .map(|(t, u)| (t.clone(), *u))
-                .collect(),
+            tenant_usage: self.usage.iter().map(|(t, u)| (t.clone(), *u)).collect(),
             trace_json: self.tracer.to_chrome_json(),
             attempts: std::mem::take(&mut self.attempts),
         }
     }
-}
-
-/// Admission: machine-shape feasibility, then compile + dry run.
-fn admit(
-    spec: &JobSpec,
-    nodes: usize,
-    map: &NodeMap,
-    loader: &SourceLoader,
-    mode: ExecMode,
-    machine: Option<&MachineSpec>,
-) -> Result<Prepared, VpceError> {
-    if spec.ranks == 0 {
-        return Err(VpceError::AdmissionRejected {
-            job: spec.name.clone(),
-            reason: "requests zero ranks".into(),
-        });
-    }
-    if spec.ranks > nodes {
-        return Err(VpceError::AdmissionInfeasible {
-            job: spec.name.clone(),
-            need: spec.ranks,
-            have: nodes,
-        });
-    }
-    let effective = run::resolve_machine(spec, machine)?;
-    let shape = run::job_footprint(effective.as_ref(), spec.ranks);
-    if !map.feasible(shape) {
-        return Err(VpceError::AdmissionRejected {
-            job: spec.name.clone(),
-            reason: format!(
-                "partition {}x{} does not fit the {}-node machine",
-                shape.cols, shape.rows, nodes
-            ),
-        });
-    }
-    run::prepare_on(spec, loader, mode, machine)
 }
 
 #[cfg(test)]
@@ -843,17 +1162,54 @@ mod tests {
         j
     }
 
-    fn batch(jobs: Vec<JobSpec>, nodes: usize, policy: Policy) -> (BatchReport, Vec<AttemptLog>) {
-        let mut s =
-            Scheduler::new(jobs, nodes, policy, 1, ExecMode::Full, &no_loader()).unwrap();
-        let rep = s.run();
-        let attempts = rep.attempts.clone();
-        (rep, attempts)
+    fn crashy(name: &str, ranks: usize, faults: &str, retries: u32) -> JobSpec {
+        let mut j = mm(name, ranks);
+        j.faults = FaultSpec::parse(faults).unwrap();
+        j.retries = retries;
+        j
+    }
+
+    fn tenant(name: &str, quota: Option<usize>) -> TenantSpec {
+        TenantSpec { name: name.into(), share: 1.0, quota }
+    }
+
+    /// The machine both front doors configure, one knob per argument.
+    fn machine<'r>(
+        runner: &'r Runner<'r>,
+        nodes: usize,
+        policy: Policy,
+        preemptive: bool,
+    ) -> Scheduler<'r> {
+        let mut s = Scheduler::new(runner, preemptive);
+        s.set_nodes(nodes).unwrap();
+        s.set_policy(policy);
+        s.set_seed(1);
+        s
+    }
+
+    /// Submit everything, drain, report — with the derived ops.
+    fn play(mut s: Scheduler<'_>, jobs: Vec<JobSpec>) -> (BatchReport, Vec<String>) {
+        for job in jobs {
+            s.submit(job).unwrap();
+        }
+        s.drain();
+        let ops = s.take_ops();
+        (s.report(), ops)
+    }
+
+    /// The batch front door's machine: never preempts.
+    fn batch(jobs: Vec<JobSpec>, nodes: usize, policy: Policy) -> BatchReport {
+        let runner = Runner::new(ExecMode::Full);
+        play(machine(&runner, nodes, policy, false), jobs).0
+    }
+
+    fn record<'a>(rep: &'a BatchReport, name: &str) -> &'a JobRecord {
+        rep.records.iter().find(|r| r.name == name).unwrap()
     }
 
     #[test]
     fn serial_batch_completes_in_arrival_order() {
-        let (rep, _) = batch(vec![mm("a", 2), mm("b", 2)], 2, Policy::Fcfs);
+        let rep = batch(vec![mm("a", 2), mm("b", 2)], 2, Policy::Fcfs);
         assert_eq!(rep.done(), 2);
         let a = &rep.records[0];
         let b = &rep.records[1];
@@ -867,26 +1223,17 @@ mod tests {
 
     #[test]
     fn independent_jobs_gang_schedule_concurrently() {
-        let (rep, attempts) = batch(
-            (0..8).map(|i| mm(&format!("j{i}"), 2)).collect(),
-            16,
-            Policy::Backfill,
-        );
+        let rep = batch((0..8).map(|i| mm(&format!("j{i}"), 2)).collect(), 16, Policy::Backfill);
         assert_eq!(rep.done(), 8);
         assert_eq!(rep.peak_concurrent, 8, "eight 2x1 partitions tile a 4x4 mesh");
         for r in &rep.records {
             assert_eq!(r.queue_wait, 0.0, "{}", r.name);
         }
         // Safety: no two time-overlapping attempts share a node.
-        for (i, a) in attempts.iter().enumerate() {
-            for b in &attempts[i + 1..] {
+        for (i, a) in rep.attempts.iter().enumerate() {
+            for b in &rep.attempts[i + 1..] {
                 if a.start < b.end && b.start < a.end {
-                    assert!(
-                        !a.partition.overlaps(&b.partition),
-                        "{} and {} overlap",
-                        a.job,
-                        b.job
-                    );
+                    assert!(!a.partition.overlaps(&b.partition), "{} and {} overlap", a.job, b.job);
                 }
             }
         }
@@ -901,29 +1248,32 @@ mod tests {
         wide.arrival = 1e-6;
         let mut late = mm("late", 2);
         late.arrival = 2e-6;
-        let (rep, _) = batch(vec![mm("first", 2), wide, late], 4, Policy::Backfill);
-        assert_eq!(rep.done(), 3, "{:?}", rep.records.iter().map(|r| (&r.name, r.status.name())).collect::<Vec<_>>());
-        let wide_rec = rep.records.iter().find(|r| r.name == "wide").unwrap();
-        assert_eq!(wide_rec.status, JobStatus::Done);
+        let rep = batch(vec![mm("first", 2), wide, late], 4, Policy::Backfill);
+        assert_eq!(
+            rep.done(),
+            3,
+            "{:?}",
+            rep.records.iter().map(|r| (&r.name, r.status.name())).collect::<Vec<_>>()
+        );
+        assert_eq!(record(&rep, "wide").status, JobStatus::Done);
     }
 
     #[test]
     fn oversized_and_broken_jobs_are_rejected_not_run() {
         let broken = JobSpec::new("syn", JobSource::Inline("PROGRAM T\nX = \nEND\n".into()), 1);
-        let (rep, attempts) = batch(vec![mm("huge", 32), broken, mm("ok", 2)], 16, Policy::Backfill);
+        let rep = batch(vec![mm("huge", 32), broken, mm("ok", 2)], 16, Policy::Backfill);
         assert_eq!(rep.rejected(), 2);
         assert_eq!(rep.done(), 1);
         assert_eq!(rep.exit_code(), 4, "admission failure dominates");
-        assert!(attempts.iter().all(|a| a.job == "ok"));
-        let huge = rep.records.iter().find(|r| r.name == "huge").unwrap();
-        assert_eq!(huge.error.as_ref().unwrap().0, "admission-infeasible");
+        assert!(rep.attempts.iter().all(|a| a.job == "ok"));
+        assert_eq!(record(&rep, "huge").error.as_ref().unwrap().0, "admission-infeasible");
     }
 
     #[test]
     fn same_seed_same_report_bytes() {
         let jobs = || (0..4).map(|i| mm(&format!("j{i}"), 2)).collect::<Vec<_>>();
-        let (a, _) = batch(jobs(), 4, Policy::Backfill);
-        let (b, _) = batch(jobs(), 4, Policy::Backfill);
+        let a = batch(jobs(), 4, Policy::Backfill);
+        let b = batch(jobs(), 4, Policy::Backfill);
         assert_eq!(a.to_json(), b.to_json());
         assert_eq!(a.render_human(), b.render_human());
         assert_eq!(a.trace_json, b.trace_json, "cluster timeline is deterministic too");
@@ -936,11 +1286,9 @@ mod tests {
         // later attempt survives; determinism makes the scan stable.
         let mut found = false;
         for seed in 0..64u64 {
-            let mut risky = mm("risky", 2);
-            risky.faults = FaultSpec::parse(&format!("crashy,seed={seed}")).unwrap();
-            risky.retries = 4;
-            let (rep, _) = batch(vec![risky, mm("bystander", 2)], 16, Policy::Backfill);
-            let r = rep.records.iter().find(|r| r.name == "risky").unwrap();
+            let risky = crashy("risky", 2, &format!("crashy,seed={seed}"), 4);
+            let rep = batch(vec![risky, mm("bystander", 2)], 16, Policy::Backfill);
+            let r = record(&rep, "risky");
             if r.status == JobStatus::Done && r.requeues > 0 {
                 assert_eq!(r.identical, Some(true), "healed run must match the dry run");
                 assert!(!rep.drained.is_empty(), "the crashed rank's node is drained");
@@ -969,24 +1317,19 @@ mod tests {
         // clean completions tick by.
         let mut found = false;
         for seed in 0..64u64 {
-            let mk = || {
-                let mut risky = mm("risky", 2);
-                risky.faults = FaultSpec::parse(&format!("crashy,seed={seed}")).unwrap();
-                risky.retries = 4;
-                vec![risky, mm("bystander", 2)]
-            };
-            let (permanent, _) = batch(mk(), 16, Policy::Backfill);
-            let r = permanent.records.iter().find(|r| r.name == "risky").unwrap();
+            let mk =
+                || vec![crashy("risky", 2, &format!("crashy,seed={seed}"), 4), mm("bystander", 2)];
+            let permanent = batch(mk(), 16, Policy::Backfill);
+            let r = record(&permanent, "risky");
             if !(r.status == JobStatus::Done && r.requeues > 0) {
                 continue;
             }
             assert!(!permanent.drained.is_empty(), "permanent drain persists");
-            let mut s =
-                Scheduler::new(mk(), 16, Policy::Backfill, 1, ExecMode::Full, &no_loader())
-                    .unwrap()
-                    .with_probation(Some(1));
-            let rep = s.run();
-            let r = rep.records.iter().find(|r| r.name == "risky").unwrap();
+            let runner = Runner::new(ExecMode::Full);
+            let mut s = machine(&runner, 16, Policy::Backfill, false);
+            s.set_probation(Some(1));
+            let (rep, _) = play(s, mk());
+            let r = record(&rep, "risky");
             assert_eq!(r.status, JobStatus::Done);
             assert_eq!(r.identical, Some(true), "healing never changes results");
             assert!(
@@ -1004,21 +1347,23 @@ mod tests {
     fn recover_armed_jobs_absorb_crashes_without_requeue_or_drain() {
         // The same crash schedule that forces a requeue (and drains a
         // node) without `recover=` completes in-run with it: one
-        // attempt, no drain, byte-identical arrays, and the rollback
-        // charge surfaces in the breakdown's recovery component.
+        // attempt, no drain, byte-identical arrays, the rollback
+        // charge in the breakdown's recovery component, and an audit
+        // op ahead of the completion for the service to journal.
         let mut found = false;
         for seed in 0..64u64 {
-            let mut risky = mm("risky", 4);
-            risky.faults = FaultSpec::parse(&format!("crash=0.5,seed={seed}")).unwrap();
-            risky.retries = 0;
-            let plain = risky.clone();
-            let (plain_rep, _) = batch(vec![plain], 16, Policy::Backfill);
+            let mut risky = crashy("risky", 4, &format!("crash=0.5,seed={seed}"), 0);
+            let plain_rep = batch(vec![risky.clone()], 16, Policy::Backfill);
             if plain_rep.records[0].status != JobStatus::Failed {
                 continue; // this seed never crashes; scan on
             }
             risky.recover = Some(vpce_recover::RecoverSpec::default());
-            let (rep, attempts) = batch(vec![risky, mm("bystander", 2)], 16, Policy::Backfill);
-            let r = rep.records.iter().find(|r| r.name == "risky").unwrap();
+            let runner = Runner::new(ExecMode::Full);
+            let (rep, ops) = play(
+                machine(&runner, 16, Policy::Backfill, false),
+                vec![risky, mm("bystander", 2)],
+            );
+            let r = record(&rep, "risky");
             if r.status != JobStatus::Done {
                 continue; // unsurvivable schedule (buddies all died)
             }
@@ -1029,10 +1374,14 @@ mod tests {
             let b = r.breakdown.as_ref().expect("done jobs carry a breakdown");
             assert!(b.recovery > 0.0, "rollback charge lands in the recovery slice");
             assert!(
-                attempts.iter().all(|a| a.ok),
+                rep.attempts.iter().all(|a| a.ok),
                 "no failed attempt is ever logged with recovery armed"
             );
             assert_eq!(rep.exit_code(), 0);
+            let audit = ops.iter().position(|o| o.starts_with("recover risky"));
+            let done = ops.iter().position(|o| o.starts_with("complete risky"));
+            assert!(audit.is_some_and(|a| ops[a].contains("rollbacks=")), "{ops:?}");
+            assert!(audit < done, "the audit op precedes the completion: {ops:?}");
             found = true;
             break;
         }
@@ -1041,32 +1390,30 @@ mod tests {
 
     #[test]
     fn exhausted_retries_fail_typed() {
-        let mut doomed = mm("doomed", 2);
         // crash=1.0 kills every attempt.
-        doomed.faults = FaultSpec::parse("crashy,crash=1.0,seed=3").unwrap();
-        doomed.retries = 1;
-        let (rep, attempts) = batch(vec![doomed], 16, Policy::Backfill);
+        let doomed = crashy("doomed", 2, "crashy,crash=1.0,seed=3", 1);
+        let rep = batch(vec![doomed], 16, Policy::Backfill);
         let r = &rep.records[0];
         assert_eq!(r.status, JobStatus::Failed);
         assert_eq!(r.attempts, 2, "initial + one requeue");
         assert_eq!(r.error.as_ref().unwrap().0, "rank-crash");
         assert_eq!(rep.exit_code(), 3);
-        assert_eq!(attempts.len(), 2);
+        assert_eq!(rep.attempts.len(), 2);
     }
 
     #[test]
     fn tenant_quota_caps_concurrency() {
-        let mk = |name: &str| {
-            let mut j = mm(name, 2);
-            j.tenant = "acme".into();
-            j
-        };
-        let jobs = (0..4).map(|i| mk(&format!("a{i}"))).collect();
-        let tenants = vec![TenantSpec { name: "acme".into(), share: 1.0, quota: Some(4) }];
-        let mut s = Scheduler::new(jobs, 16, Policy::Backfill, 1, ExecMode::Full, &no_loader())
-            .unwrap()
-            .with_tenants(tenants);
-        let rep = s.run();
+        let jobs = (0..4)
+            .map(|i| {
+                let mut j = mm(&format!("a{i}"), 2);
+                j.tenant = "acme".into();
+                j
+            })
+            .collect();
+        let runner = Runner::new(ExecMode::Full);
+        let mut s = machine(&runner, 16, Policy::Backfill, false);
+        s.declare_tenant(tenant("acme", Some(4)));
+        let (rep, _) = play(s, jobs);
         assert_eq!(rep.done(), 4);
         assert_eq!(
             rep.peak_concurrent, 2,
@@ -1081,11 +1428,10 @@ mod tests {
     fn job_wider_than_its_quota_is_rejected_typed() {
         let mut j = mm("big", 4);
         j.tenant = "tiny".into();
-        let tenants = vec![TenantSpec { name: "tiny".into(), share: 1.0, quota: Some(2) }];
-        let mut s = Scheduler::new(vec![j], 16, Policy::Backfill, 1, ExecMode::Full, &no_loader())
-            .unwrap()
-            .with_tenants(tenants);
-        let rep = s.run();
+        let runner = Runner::new(ExecMode::Full);
+        let mut s = machine(&runner, 16, Policy::Backfill, false);
+        s.declare_tenant(tenant("tiny", Some(2)));
+        let (rep, _) = play(s, vec![j]);
         assert_eq!(rep.rejected(), 1);
         let r = &rep.records[0];
         assert!(
@@ -1098,21 +1444,67 @@ mod tests {
     #[test]
     fn fair_share_interleaves_tenants_at_equal_priority() {
         // One 2-node machine serialises everything. Submission order
-        // is a0, a1, b0; once a0 is charged to tenant a, tenant b's
-        // ratio is lower, so b0 jumps ahead of a1.
+        // is a0, a1, b0; once a0 has run and is charged to tenant a,
+        // tenant b's ratio is lower, so b0 jumps ahead of a1.
         let mk = |name: &str, tenant: &str| {
             let mut j = mm(name, 2);
             j.tenant = tenant.into();
             j
         };
-        let jobs = vec![mk("a0", "a"), mk("a1", "a"), mk("b0", "b")];
-        let mut s =
-            Scheduler::new(jobs, 2, Policy::Fcfs, 1, ExecMode::Full, &no_loader()).unwrap();
-        let rep = s.run();
+        let rep = batch(vec![mk("a0", "a"), mk("a1", "a"), mk("b0", "b")], 2, Policy::Fcfs);
         assert_eq!(rep.done(), 3);
         let order: Vec<&str> = rep.attempts.iter().map(|a| a.job.as_str()).collect();
         assert_eq!(order, vec!["a0", "b0", "a1"], "fair-share rotates tenants");
         assert_eq!(rep.tenant_usage.len(), 2);
+        // Charged at vacate for the span actually held: the ledger
+        // sums exactly the logged attempt intervals.
+        for (t, usage) in &rep.tenant_usage {
+            let held: f64 = rep
+                .attempts
+                .iter()
+                .filter(|a| a.job.starts_with(t.as_str()))
+                .map(|a| a.partition.nodes.len() as f64 * (a.end - a.start))
+                .sum();
+            assert_eq!(*usage, held, "tenant {t}");
+        }
+    }
+
+    #[test]
+    fn priority_preempts_at_a_boundary_and_resumes_byte_identically() {
+        // The low job owns the whole 2-node machine; the high job
+        // arrives mid-run and, on a preemptive machine, bumps it.
+        let jobs = || {
+            let mut low = mm("low", 2);
+            low.params[0].1 = 16;
+            let mut high = mm("high", 2);
+            high.priority = 5;
+            high.arrival = 2e-5;
+            vec![low, high]
+        };
+        let runner = Runner::new(ExecMode::Full);
+        let (rep, ops) = play(machine(&runner, 2, Policy::Backfill, true), jobs());
+        let (low, high) = (record(&rep, "low"), record(&rep, "high"));
+        assert_eq!(low.status, JobStatus::Done);
+        assert_eq!(high.status, JobStatus::Done);
+        assert_eq!(low.preemptions, 1, "low was bumped exactly once");
+        assert_eq!(high.preemptions, 0);
+        assert_eq!(
+            low.identical,
+            Some(true),
+            "preempt+resume reproduced the uninterrupted arrays byte-for-byte"
+        );
+        assert!(high.end.unwrap() < low.end.unwrap(), "high finished first");
+        assert!(ops.iter().any(|o| o.starts_with("preempt low")), "{ops:?}");
+        assert!(ops.iter().any(|o| o.starts_with("checkpoint low")), "{ops:?}");
+        assert!(rep.trace_json.contains("\"checkpoint low@"), "{}", &rep.trace_json[..200]);
+        // The one caller-dependent bit: the batch machine never
+        // preempts and marks nothing but phase spans on its timeline.
+        let (rep, ops) = play(machine(&runner, 2, Policy::Backfill, false), jobs());
+        let (low, high) = (record(&rep, "low"), record(&rep, "high"));
+        assert_eq!((low.preemptions, low.status), (0, JobStatus::Done));
+        assert!(low.end.unwrap() <= high.start.unwrap(), "high waited for low");
+        assert!(!ops.iter().any(|o| o.starts_with("preempt")), "{ops:?}");
+        assert!(!rep.trace_json.contains("submit "), "{}", rep.trace_json);
     }
 
     #[test]
@@ -1130,5 +1522,8 @@ mod tests {
         assert_eq!(rep.seed, 2, "--sched-seed wins over the jobfile");
         let empty = BatchSpec::parse("nodes=4\n").unwrap();
         assert!(run_batch(&empty, &BatchOptions::default(), &no_loader()).is_err());
+        let none = BatchOptions { nodes: 0, ..Default::default() };
+        let headless = BatchSpec::parse("job name=a workload=mm ranks=1 param:N=8\n").unwrap();
+        assert!(run_batch(&headless, &none, &no_loader()).is_err(), "a machine has a node");
     }
 }

@@ -1,16 +1,18 @@
-//! The daemon shell: a [`ServeState`] whose every transition is made
-//! durable in a [`Journal`] before the next one happens.
+//! The daemon shell: the gang scheduler (`vpce_sched::Scheduler`, built
+//! preemptive), fed through the line protocol of [`crate::state`], with
+//! every transition made durable in a [`Journal`] before the next one
+//! happens.
 //!
 //! The protocol is event sourcing with an audit trail:
 //!
-//! * **Inputs are the truth.** `submit` applies a command to the state
-//!   machine and then journals it as an `I` record. A command is
+//! * **Inputs are the truth.** `submit` applies a command to the
+//!   scheduler and then journals it as an `I` record. A command is
 //!   *durable* once its record is on storage; a crash between apply
 //!   and append simply loses the command (the client never got an
 //!   acknowledgement) — restart rebuilds exactly the acknowledged
 //!   state.
 //! * **Derived ops are audited.** While draining, every scheduling
-//!   decision the state machine emits is appended as a `D` record.
+//!   decision the scheduler emits is appended as a `D` record.
 //!   These are redundant (recomputable from the inputs) — which is the
 //!   point: on recovery the daemon re-derives the op stream and
 //!   cross-checks it against the journaled prefix. Any mismatch means
@@ -20,17 +22,16 @@
 //!   carrying CRCs of the final report JSON and trace; a later replay
 //!   must reproduce both bit for bit.
 
-use vpce_sched::BatchReport;
+use vpce_sched::{BatchReport, Runner, Scheduler};
 
 use crate::codes::{ServeCode, ServeError};
 use crate::journal::{Journal, Kind, Storage};
-use crate::runner::Runner;
-use crate::state::ServeState;
+use crate::state;
 
 /// What [`Daemon::open`] found in the journal.
 #[derive(Debug, Clone, Default)]
 pub struct Recovery {
-    /// Durable input commands replayed into the state machine.
+    /// Durable input commands replayed into the scheduler.
     pub inputs: usize,
     /// Derived ops awaiting cross-check during the next drain.
     pub derived: usize,
@@ -42,12 +43,14 @@ pub struct Recovery {
     pub finished: bool,
 }
 
-/// The persistent job service: state machine + journal + memoised
+/// The persistent job service: scheduler + journal + memoised
 /// runner. One `Daemon` is one incarnation of the `vpced` process;
 /// the journal is what survives between incarnations.
 pub struct Daemon<'r, 's> {
     journal: Journal<'s>,
-    state: ServeState<'r>,
+    sched: Scheduler<'r>,
+    /// Session-level `machine=` header (see [`state::apply`]).
+    machine: Option<String>,
     /// `I` payloads already durable (replayed on open + appended live).
     inputs: Vec<String>,
     /// `D` payloads from the journal, to be cross-checked in order.
@@ -64,10 +67,11 @@ impl<'r, 's> Daemon<'r, 's> {
     /// journal, replay the durable inputs, mark the recovery.
     pub fn open(
         storage: &'s mut dyn Storage,
-        runner: &'r Runner,
+        runner: &'r Runner<'r>,
     ) -> Result<(Self, Recovery), ServeError> {
         let (mut journal, loaded) = Journal::load(storage)?;
-        let mut state = ServeState::new(runner);
+        let mut sched = Scheduler::new(runner, true);
+        let mut machine = None;
         let mut inputs = Vec::new();
         let mut journaled_ops = Vec::new();
         let mut finish_seal = None;
@@ -75,7 +79,7 @@ impl<'r, 's> Daemon<'r, 's> {
         for rec in &loaded.records {
             match rec.kind {
                 Kind::Input => {
-                    state.apply(&rec.payload).map_err(|e| {
+                    state::apply(&mut sched, &mut machine, &rec.payload).map_err(|e| {
                         ServeError::new(
                             ServeCode::ReplayDivergence,
                             format!(
@@ -110,7 +114,8 @@ impl<'r, 's> Daemon<'r, 's> {
         Ok((
             Daemon {
                 journal,
-                state,
+                sched,
+                machine,
                 inputs,
                 journaled_ops,
                 ops_matched: 0,
@@ -135,7 +140,7 @@ impl<'r, 's> Daemon<'r, 's> {
         if line.is_empty() || line.starts_with('#') {
             return Ok(());
         }
-        self.state.apply(line)?;
+        state::apply(&mut self.sched, &mut self.machine, line)?;
         self.journal.append(Kind::Input, line)?;
         self.inputs.push(line.to_string());
         Ok(())
@@ -143,7 +148,7 @@ impl<'r, 's> Daemon<'r, 's> {
 
     /// One-line job status (client `status` verb). Pure read.
     pub fn status(&self, name: &str) -> Result<String, ServeError> {
-        self.state.status_line(name)
+        state::status_line(&self.sched, name)
     }
 
     fn journal_op(&mut self, op: String) -> Result<(), ServeError> {
@@ -171,8 +176,8 @@ impl<'r, 's> Daemon<'r, 's> {
     /// batch with the report CRCs. Idempotent across restarts.
     pub fn drain(&mut self) -> Result<(), ServeError> {
         loop {
-            let more = self.state.step();
-            for op in self.state.take_ops() {
+            let more = self.sched.step();
+            for op in self.sched.take_ops() {
                 self.journal_op(op)?;
             }
             if !more {
@@ -189,7 +194,7 @@ impl<'r, 's> Daemon<'r, 's> {
                 ),
             ));
         }
-        let report = self.state.report();
+        let report = self.sched.report();
         let json = report.to_json();
         let seal = format!(
             "report={:08x} trace={:08x}",

@@ -11,10 +11,13 @@
 //!   signature of dying mid-append — is detected and truncated
 //!   (`VPCE301`); damage anywhere earlier refuses recovery
 //!   (`VPCE302`).
-//! * **A replayable state machine** ([`state`]): fair-share + quota
-//!   gang scheduling with *preemption by checkpoint/restart* — a
-//!   preempted job is snapshotted at its next fence boundary
-//!   (`spmd_rt::checkpoint`) and later resumes byte-identically.
+//! * **Replayable inputs** ([`state`]): the line protocol — jobfile
+//!   grammar plus the timed `cancel` verb — that drives the *same*
+//!   `vpce_sched::Scheduler` the batch front door drives, built with
+//!   its one caller-dependent bit set: *preemption by
+//!   checkpoint/restart* (a preempted job is snapshotted at its next
+//!   fence boundary and later resumes byte-identically). No
+//!   scheduling lives in this crate.
 //! * **A daemon shell** ([`daemon`]): replays the journal on start,
 //!   cross-checks re-derived decisions against the recorded ones
 //!   (`VPCE303` on divergence), then continues serving.
@@ -29,13 +32,13 @@
 pub mod codes;
 pub mod daemon;
 pub mod journal;
-pub mod runner;
 pub mod session;
 pub mod state;
 
 pub use codes::{ServeCode, ServeError};
 pub use daemon::{Daemon, Recovery};
 pub use journal::{crc32, FileStorage, Journal, Kind, KillStorage, MemStorage, Storage, KILLED};
-pub use runner::Runner;
 pub use session::{baseline, kill_matrix, run_session, script_lines, MatrixSummary, SessionResult};
-pub use state::ServeState;
+// The memoising runner lives with the scheduler it feeds; one runner
+// is shared across a session's daemon incarnations.
+pub use vpce_sched::Runner;

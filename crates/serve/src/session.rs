@@ -14,7 +14,7 @@
 use crate::codes::ServeError;
 use crate::daemon::Daemon;
 use crate::journal::{KillStorage, MemStorage, Storage, KILLED};
-use crate::runner::Runner;
+use vpce_sched::Runner;
 
 /// What a completed session produced.
 #[derive(Debug, Clone)]

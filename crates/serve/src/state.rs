@@ -1,1215 +1,229 @@
-//! The daemon's deterministic state machine.
+//! The service's replayable inputs.
 //!
-//! `ServeState` is a gang scheduler in the `vpce-sched` mould —
-//! priority-ordered queue, conservative placement, fair-share and
-//! quotas per tenant, bounded requeue — extended with the two things a
-//! *persistent service* needs:
-//!
-//! * **Replayable inputs.** State changes enter only through
-//!   [`ServeState::apply`] (canonical jobfile lines + timed `cancel`
-//!   verbs) and [`ServeState::step`] (advance virtual time one event).
-//!   Both are pure given the runner's memoised outcomes, so replaying
-//!   the same input sequence reconstructs the same state bit for bit —
-//!   the property the journal's recovery path rests on.
-//! * **Preemption by checkpoint/restart.** When the queue head
-//!   outranks a running job, the victim is ordered off its partition
-//!   at its *next fence boundary*: the runner snapshots the universe
-//!   there (`spmd_rt::checkpoint`), the partition frees, and the
-//!   victim re-queues holding its boundary index. When placed again it
-//!   resumes from the snapshot — and because checkpoint-by-prefix is
-//!   exact, its final arrays are byte-identical to an uninterrupted
-//!   run.
-//!
-//! Every externally visible decision is emitted as a *derived op*
-//! string (timestamps rendered as exact `f64` bit patterns), which the
-//! daemon journals and recovery cross-checks.
+//! `vpced` drives the one gang scheduler (`vpce_sched::Scheduler`,
+//! built preemptive) and adds no scheduling of its own. What is the
+//! service's own is how state *enters*: [`apply`] takes the canonical
+//! lines the journal's `I` records carry — jobfile grammar (`job`,
+//! `storm`, `tenant`, `nodes=`, `policy=`, `seed=`, `machine=`) plus
+//! the timed verb `cancel name=<job> at=<t>` — checks the
+//! header-ordering rules, and turns each into scheduler calls. Every
+//! refusal is typed and a refused line is never journalled, so
+//! replaying the accepted ones reconstructs the same scheduler bit
+//! for bit.
 
-use std::cmp::Reverse;
-use std::collections::BTreeMap;
-
-use spmd_rt::{RunReport, VpceError};
-use vbus_sim::Mesh;
-use vpce_sched::report::{AttemptLog, BatchReport, JobRecord, JobStatus};
-use vpce_sched::run::AttemptOutcome;
-use vpce_sched::{BatchSpec, JobSpec, NodeMap, Partition, Policy, RecoveryLedger, TenantSpec};
-use vpce_trace::{EventKind, Lane, Tracer};
+use vpce_sched::job::parse_time;
+use vpce_sched::{BatchSpec, Scheduler};
 
 use crate::codes::{ServeCode, ServeError};
-use crate::runner::Runner;
 
-/// Exact, order-independent rendering of a virtual timestamp for
-/// derived ops: the raw `f64` bit pattern.
-fn tbits(t: f64) -> String {
-    format!("{:016x}", t.to_bits())
+fn bad(detail: impl Into<String>) -> ServeError {
+    ServeError::new(ServeCode::BadCommand, detail.into())
 }
 
-/// An ordered stop: the run vacates its partition at `t` (the job's
-/// next fence boundary), either to resume later (preemption) or for
-/// good (cancel).
-#[derive(Debug, Clone, Copy)]
-struct Stop {
-    t: f64,
-    /// Global block boundary (blocks completed since program start).
-    boundary: usize,
-    cancel: bool,
-}
-
-struct SJob {
-    spec: JobSpec,
-    prepared: Result<vpce_sched::run::Prepared, VpceError>,
-    status: Option<JobStatus>,
-    attempts: u32,
-    preemptions: u32,
-    queue_wait: f64,
-    enqueued_at: f64,
-    first_start: Option<f64>,
-    end: Option<f64>,
-    placed: Option<Partition>,
-    error: Option<(String, String)>,
-    /// Set while the job holds a checkpoint to resume from.
-    resume_boundary: Option<usize>,
-    /// A cancel landed before the job could finish.
-    cancelled: bool,
-    final_report: Option<RunReport>,
-    /// Rollback-recovery ledger of the finishing attempt (jobs with
-    /// `recover=` armed).
-    final_recovery: Option<RecoveryLedger>,
-    arrived: bool,
-}
-
-impl SJob {
-    fn shape(&self) -> Mesh {
-        self.prepared
-            .as_ref()
-            .map(|p| p.shape)
-            .unwrap_or_else(|_| cluster_sim::partition_shape(self.spec.ranks.max(1)))
+/// Apply one canonical input line to `sched`. `machine` is the
+/// session-level `machine=` header (a built-in description name): it
+/// is stamped onto every submitted job that carries none of its own,
+/// so a job's record — the runner's cache key — names the machine it
+/// runs on and replay needs no state beyond the lines themselves.
+pub fn apply(
+    sched: &mut Scheduler<'_>,
+    machine: &mut Option<String>,
+    line: &str,
+) -> Result<(), ServeError> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(());
     }
-}
-
-struct SRun {
-    job: usize,
-    part: Partition,
-    start: f64,
-    end: f64,
-    attempt: u32,
-    outcome: Result<AttemptOutcome, VpceError>,
-    /// Boundary this run resumed from (0 = fresh start).
-    resumed_from: usize,
-    stop: Option<Stop>,
-}
-
-impl SRun {
-    /// The moment this run leaves the machine (ordered stop or natural
-    /// end).
-    fn vacate_t(&self) -> f64 {
-        self.stop.map_or(self.end, |s| s.t)
+    if let Some(rest) = line.strip_prefix("cancel ") {
+        return apply_cancel(sched, rest);
     }
-}
-
-/// The daemon's scheduler state. See module docs.
-pub struct ServeState<'r> {
-    runner: &'r Runner,
-    pub nodes: usize,
-    pub policy: Policy,
-    pub seed: u64,
-    /// Session-level `machine=` header (a built-in description name).
-    /// Stamped onto every submitted job that carries none of its own,
-    /// so the journalled records — and the runner's cache keys — stay
-    /// self-contained under replay.
-    pub machine: Option<String>,
-    map: NodeMap,
-    tenants: BTreeMap<String, TenantSpec>,
-    usage: BTreeMap<String, f64>,
-    jobs: Vec<SJob>,
-    by_name: BTreeMap<String, usize>,
-    /// Indices submitted but not yet arrived, ascending (arrival, idx).
-    arrivals: Vec<usize>,
-    queue: Vec<usize>,
-    running: Vec<SRun>,
-    /// Pending timed cancels, ascending (t, submission order).
-    cancels: Vec<(f64, usize)>,
-    now: f64,
-    started: bool,
-    peak_concurrent: usize,
-    busy_cell_s: f64,
-    tracer: Tracer,
-    attempts: Vec<AttemptLog>,
-    ops: Vec<String>,
-}
-
-impl<'r> ServeState<'r> {
-    pub fn new(runner: &'r Runner) -> Self {
-        let mut s = ServeState {
-            runner,
-            nodes: 0,
-            policy: Policy::Backfill,
-            seed: 0,
-            machine: None,
-            map: NodeMap::new(Mesh::near_square(1), 1),
-            tenants: BTreeMap::new(),
-            usage: BTreeMap::new(),
-            jobs: Vec::new(),
-            by_name: BTreeMap::new(),
-            arrivals: Vec::new(),
-            queue: Vec::new(),
-            running: Vec::new(),
-            cancels: Vec::new(),
-            now: 0.0,
-            started: false,
-            peak_concurrent: 0,
-            busy_cell_s: 0.0,
-            tracer: Tracer::enabled(),
-            attempts: Vec::new(),
-            ops: Vec::new(),
-        };
-        s.set_nodes(16);
-        s
+    let spec = BatchSpec::parse(line).map_err(|e| bad(e.to_string()))?;
+    if let Some(n) = spec.nodes {
+        sched.set_nodes(n).map_err(bad)?;
     }
-
-    fn set_nodes(&mut self, nodes: usize) {
-        self.nodes = nodes;
-        let mesh = Mesh::near_square(nodes);
-        self.map = NodeMap::new(mesh, nodes);
-        self.tracer = Tracer::enabled();
-        for n in 0..nodes {
-            self.tracer.register_lane(Lane::Rank(n), format!("node {n}"));
-        }
+    if let Some(p) = spec.policy {
+        sched.set_policy(p);
     }
-
-    /// Derived ops emitted since the last take (the daemon journals
-    /// them).
-    pub fn take_ops(&mut self) -> Vec<String> {
-        std::mem::take(&mut self.ops)
+    if let Some(s) = spec.seed {
+        if !sched.is_empty() {
+            return Err(bad("seed= must precede the first submission"));
+        }
+        sched.set_seed(s);
     }
-
-    fn bad(code: ServeCode, detail: String) -> ServeError {
-        ServeError::new(code, detail)
-    }
-
-    /// Apply one canonical input line. Lines are exactly what the
-    /// journal's `I` records carry: jobfile grammar (`job`, `storm`,
-    /// `tenant`, `nodes=`, `policy=`, `seed=`) plus the timed verb
-    /// `cancel name=<job> at=<t>`.
-    pub fn apply(&mut self, line: &str) -> Result<(), ServeError> {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return Ok(());
-        }
-        if let Some(rest) = line.strip_prefix("cancel ") {
-            return self.apply_cancel(rest);
-        }
-        let spec = BatchSpec::parse(line)
-            .map_err(|e| Self::bad(ServeCode::BadCommand, e.to_string()))?;
-        if let Some(n) = spec.nodes {
-            if self.started || !self.jobs.is_empty() {
-                return Err(Self::bad(
-                    ServeCode::BadCommand,
-                    "nodes= must precede the first submission".into(),
-                ));
-            }
-            self.set_nodes(n);
-        }
-        if let Some(p) = spec.policy {
-            self.policy = p;
-        }
-        if let Some(s) = spec.seed {
-            if !self.jobs.is_empty() {
-                return Err(Self::bad(
-                    ServeCode::BadCommand,
-                    "seed= must precede the first submission".into(),
-                ));
-            }
-            self.seed = s;
-        }
-        if spec.probation.is_some() {
-            return Err(Self::bad(
-                ServeCode::BadCommand,
-                "probation= is a batch-scheduler knob; vpced drains crashed nodes for good".into(),
-            ));
-        }
-        if let Some(m) = spec.machine {
-            if !self.jobs.is_empty() {
-                return Err(Self::bad(
-                    ServeCode::BadCommand,
-                    "machine= must precede the first submission".into(),
-                ));
-            }
-            self.machine = Some(m);
-        }
-        for t in spec.tenants {
-            self.tenants.insert(t.name.clone(), t);
-        }
-        for job in spec.jobs {
-            self.submit(job)?;
-        }
-        for storm in spec.storms {
-            for job in storm.expand(self.seed) {
-                self.submit(job)?;
-            }
-        }
-        Ok(())
-    }
-
-    fn apply_cancel(&mut self, args: &str) -> Result<(), ServeError> {
-        let mut name = None;
-        let mut at = None;
-        for tok in args.split_whitespace() {
-            match tok.split_once('=') {
-                Some(("name", v)) => name = Some(v.to_string()),
-                Some(("at", v)) => {
-                    at = Some(v.parse::<f64>().map_err(|_| {
-                        Self::bad(ServeCode::BadCommand, format!("bad cancel time `{v}`"))
-                    })?)
-                }
-                _ => {
-                    return Err(Self::bad(
-                        ServeCode::BadCommand,
-                        format!("cancel takes name=<job> at=<t>, got `{tok}`"),
-                    ))
-                }
-            }
-        }
-        let name = name
-            .ok_or_else(|| Self::bad(ServeCode::BadCommand, "cancel needs name=".into()))?;
-        let at = at.ok_or_else(|| Self::bad(ServeCode::BadCommand, "cancel needs at=".into()))?;
-        let &idx = self
-            .by_name
-            .get(&name)
-            .ok_or_else(|| Self::bad(ServeCode::UnknownJob, format!("no job `{name}`")))?;
-        self.cancels.push((at, idx));
-        self.cancels
-            .sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        Ok(())
-    }
-
-    fn submit(&mut self, mut spec: JobSpec) -> Result<(), ServeError> {
-        if self.by_name.contains_key(&spec.name) {
-            return Err(Self::bad(
-                ServeCode::DuplicateSubmit,
-                format!("job `{}` already submitted", spec.name),
-            ));
-        }
-        // Stamp the session machine onto the job before its record is
-        // journalled, so replay needs no out-of-band header state.
-        if let Some(m) = &self.machine {
-            spec.machine.get_or_insert_with(|| m.clone());
-        }
-        // Admission happens now (pure, memoised), so a rejection is
-        // visible to `status` immediately; quota-impossible jobs are
-        // refused typed rather than queued forever.
-        let mut prepared = self.runner.prepare(&spec);
-        if let Ok(p) = &prepared {
-            let cells = p.shape.cols * p.shape.rows;
-            if cells > self.nodes {
-                prepared = Err(VpceError::AdmissionInfeasible {
-                    job: spec.name.clone(),
-                    need: spec.ranks,
-                    have: self.nodes,
-                });
-            } else if let Some(q) = self.tenants.get(&spec.tenant).and_then(|t| t.quota) {
-                if cells > q {
-                    prepared = Err(VpceError::AdmissionRejected {
-                        job: spec.name.clone(),
-                        reason: format!(
-                            "partition of {cells} cells exceeds tenant `{}` quota {q}",
-                            spec.tenant
-                        ),
-                    });
-                }
-            }
-        }
-        let idx = self.jobs.len();
-        self.by_name.insert(spec.name.clone(), idx);
-        let arrival = spec.arrival;
-        self.jobs.push(SJob {
-            spec,
-            prepared,
-            status: None,
-            attempts: 0,
-            preemptions: 0,
-            queue_wait: 0.0,
-            enqueued_at: 0.0,
-            first_start: None,
-            end: None,
-            placed: None,
-            error: None,
-            resume_boundary: None,
-            cancelled: false,
-            final_report: None,
-            final_recovery: None,
-            arrived: false,
-        });
-        self.arrivals.push(idx);
-        let jobs = &self.jobs;
-        self.arrivals.sort_by(|&a, &b| {
-            jobs[a]
-                .spec
-                .arrival
-                .total_cmp(&jobs[b].spec.arrival)
-                .then(a.cmp(&b))
-        });
-        let _ = arrival;
-        Ok(())
-    }
-
-    // ----- fair-share / quota helpers (the policy documented in
-    // DESIGN.md §15) -----
-
-    fn share(&self, tenant: &str) -> f64 {
-        self.tenants.get(tenant).map_or(1.0, |t| t.share)
-    }
-
-    fn quota(&self, tenant: &str) -> Option<usize> {
-        self.tenants.get(tenant).and_then(|t| t.quota)
-    }
-
-    fn held_cells(&self, tenant: &str) -> usize {
-        self.running
-            .iter()
-            .filter(|r| self.jobs[r.job].spec.tenant == tenant)
-            .map(|r| r.part.nodes.len())
-            .sum()
-    }
-
-    fn quota_allows(&self, tenant: &str, cells: usize) -> bool {
-        match self.quota(tenant) {
-            Some(q) => self.held_cells(tenant) + cells <= q,
-            None => true,
-        }
-    }
-
-    fn fair_ratio(&self, tenant: &str) -> f64 {
-        self.usage.get(tenant).copied().unwrap_or(0.0) / self.share(tenant)
-    }
-
-    fn sort_queue(&mut self) {
-        let mut keyed: Vec<(Reverse<i64>, f64, f64, usize)> = self
-            .queue
-            .iter()
-            .map(|&i| {
-                let j = &self.jobs[i];
-                (
-                    Reverse(j.spec.priority),
-                    self.fair_ratio(&j.spec.tenant),
-                    j.spec.arrival,
-                    i,
-                )
-            })
-            .collect();
-        keyed.sort_by(|a, b| {
-            a.0.cmp(&b.0)
-                .then(a.1.total_cmp(&b.1))
-                .then(a.2.total_cmp(&b.2))
-                .then(a.3.cmp(&b.3))
-        });
-        self.queue = keyed.into_iter().map(|k| k.3).collect();
-    }
-
-    // ----- the event loop -----
-
-    /// True when no event remains: everything submitted has settled.
-    pub fn idle(&self) -> bool {
-        self.arrivals.is_empty()
-            && self.queue.is_empty()
-            && self.running.is_empty()
-            && self.cancels.is_empty()
-    }
-
-    /// Advance to the next event and process it. Returns `false` when
-    /// idle. Emitted ops accumulate for [`ServeState::take_ops`].
-    pub fn step(&mut self) -> bool {
-        self.started = true;
-        self.process_due();
-        self.schedule_pass();
-        if self.running.is_empty()
-            && self.arrivals.is_empty()
-            && self.cancels.is_empty()
-            && !self.queue.is_empty()
-        {
-            self.fail_stuck_queue();
-        }
-        let next_arrival = self.arrivals.first().map(|&i| self.jobs[i].spec.arrival);
-        let next_event = self
-            .running
-            .iter()
-            .map(SRun::vacate_t)
-            .chain(self.cancels.first().map(|c| c.0))
-            .chain(next_arrival)
-            .min_by(f64::total_cmp);
-        match next_event {
-            Some(t) => {
-                self.now = self.now.max(t);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Run to completion.
-    pub fn drain(&mut self) {
-        while self.step() {}
-        // One final settle at the last event time.
-        self.process_due();
-        self.schedule_pass();
-    }
-
-    fn process_due(&mut self) {
-        // Vacates/completions first (frees capacity), then cancels,
-        // then arrivals — all at times <= now, in deterministic order.
-        self.complete_due();
-        self.cancel_due();
-        self.arrive_due();
-    }
-
-    fn complete_due(&mut self) {
-        loop {
-            // Deterministic completion order: (vacate time, job idx).
-            let due = self
-                .running
-                .iter()
-                .enumerate()
-                .filter(|(_, r)| r.vacate_t() <= self.now)
-                .min_by(|(_, a), (_, b)| {
-                    a.vacate_t().total_cmp(&b.vacate_t()).then(a.job.cmp(&b.job))
-                })
-                .map(|(i, _)| i);
-            let Some(i) = due else { break };
-            let r = self.running.remove(i);
-            self.map.free(&r.part);
-            let t_end = r.vacate_t();
-            let cells = r.part.nodes.len() as f64;
-            let span = t_end - r.start;
-            self.busy_cell_s += cells * span;
-            let tenant = self.jobs[r.job].spec.tenant.clone();
-            *self.usage.entry(tenant).or_insert(0.0) += cells * span;
-            let label = run_label(&self.jobs[r.job].spec.name, r.attempt, r.resumed_from);
-            for &node in &r.part.nodes {
-                self.tracer.push(
-                    Lane::Rank(node),
-                    r.start,
-                    t_end,
-                    EventKind::Phase { name: label.clone() },
-                );
-            }
-            self.attempts.push(AttemptLog {
-                job: self.jobs[r.job].spec.name.clone(),
-                attempt: r.attempt,
-                start: r.start,
-                end: t_end,
-                partition: r.part.clone(),
-                ok: match &r.stop {
-                    Some(_) => true,
-                    None => r.outcome.is_ok(),
-                },
-            });
-            match r.stop {
-                Some(stop) => self.settle_stop(r, stop),
-                None => self.settle_end(r),
-            }
-        }
-    }
-
-    /// A run reached an ordered stop: checkpoint + requeue (preempt)
-    /// or final cancel.
-    fn settle_stop(&mut self, r: SRun, stop: Stop) {
-        let t = stop.t;
-        let node0 = r.part.nodes.first().copied().unwrap_or(0);
-        let job = &mut self.jobs[r.job];
-        job.placed = Some(r.part.clone());
-        if stop.cancel {
-            job.status = Some(JobStatus::Failed);
-            job.end = Some(t);
-            job.error = Some(("cancelled".into(), format!("job `{}` cancelled by client", job.spec.name)));
-            self.ops
-                .push(format!("cancel {} t={} boundary={}", job.spec.name, tbits(t), stop.boundary));
-            return;
-        }
-        // Preemption: snapshot at the boundary (memoised + pure), then
-        // requeue holding the boundary index.
-        let name = job.spec.name.clone();
-        let spec = job.spec.clone();
-        let attempt = r.attempt;
-        let prepared = job.prepared.as_ref().expect("ran, so admitted").clone();
-        let bytes = self
-            .runner
-            .checkpoint(&spec, &prepared, attempt, stop.boundary)
-            .map(|s| s.payload_bytes())
-            .unwrap_or(0);
-        let job = &mut self.jobs[r.job];
-        job.preemptions += 1;
-        job.resume_boundary = Some(stop.boundary);
-        job.enqueued_at = t;
-        self.queue.push(r.job);
-        self.tracer.push(
-            Lane::Rank(node0),
-            t,
-            t,
-            EventKind::Checkpoint { job: name.clone(), boundary: stop.boundary },
-        );
-        self.ops.push(format!(
-            "checkpoint {name} boundary={} t={} bytes={bytes}",
-            stop.boundary,
-            tbits(t)
+    if spec.probation.is_some() {
+        return Err(bad(
+            "probation= is a batch-scheduler knob; vpced drains crashed nodes for good",
         ));
     }
-
-    /// A run finished naturally (success, or heartbeat-detected
-    /// failure).
-    fn settle_end(&mut self, r: SRun) {
-        let job = &mut self.jobs[r.job];
-        job.placed = Some(r.part.clone());
-        let name = job.spec.name.clone();
-        match r.outcome {
-            Ok(out) => {
-                job.status = Some(JobStatus::Done);
-                job.end = Some(r.end);
-                // Audit record for absorbed crashes, journaled before
-                // the completion op: recovery decisions replay (and
-                // cross-check) like every other derived op.
-                let recover_op = out.recovery.as_ref().filter(|l| l.absorbed()).map(|l| {
-                    format!(
-                        "recover {name} t={} rollbacks={} respawned={} replay={}",
-                        tbits(r.end),
-                        l.rollbacks,
-                        l.respawned,
-                        l.replay_regions
-                    )
-                });
-                job.final_report = Some(out.report);
-                job.final_recovery = out.recovery;
-                self.ops.extend(recover_op);
-                self.ops
-                    .push(format!("complete {name} t={} status=done", tbits(r.end)));
-            }
-            Err(e) => {
-                if let VpceError::RankCrash { rank, .. } = &e {
-                    if let Some(&node) = r.part.nodes.get(*rank) {
-                        self.map.drain(node);
-                    }
-                }
-                let job = &mut self.jobs[r.job];
-                let retryable =
-                    e.is_injected() && r.attempt < job.spec.retries && !job.cancelled;
-                let feasible = self
-                    .map
-                    .feasible(job.prepared.as_ref().map(|p| p.shape).expect("ran, so admitted"));
-                if retryable && feasible {
-                    job.enqueued_at = r.end;
-                    job.resume_boundary = None;
-                    self.queue.push(r.job);
-                    self.ops.push(format!(
-                        "requeue {name} attempt={} t={}",
-                        r.attempt + 1,
-                        tbits(r.end)
-                    ));
-                } else {
-                    job.status = Some(JobStatus::Failed);
-                    job.end = Some(r.end);
-                    let (kind, msg) = if job.cancelled {
-                        ("cancelled".into(), format!("job `{name}` cancelled by client"))
-                    } else if retryable {
-                        let inf = VpceError::AdmissionInfeasible {
-                            job: name.clone(),
-                            need: job.spec.ranks,
-                            have: self.map.usable_nodes(),
-                        };
-                        (inf.kind().into(), inf.to_string())
-                    } else {
-                        (e.kind().into(), e.to_string())
-                    };
-                    job.error = Some((kind, msg));
-                    self.ops
-                        .push(format!("complete {name} t={} status=failed", tbits(r.end)));
-                }
-                self.sweep_infeasible_queue();
-            }
+    if let Some(m) = spec.machine {
+        if !sched.is_empty() {
+            return Err(bad("machine= must precede the first submission"));
         }
+        *machine = Some(m);
     }
-
-    fn cancel_due(&mut self) {
-        while let Some(&(t, idx)) = self.cancels.first() {
-            if t > self.now {
-                break;
-            }
-            self.cancels.remove(0);
-            self.do_cancel(idx, t);
+    for t in spec.tenants {
+        sched.declare_tenant(t);
+    }
+    let seed = sched.seed();
+    let storms = spec.storms.iter().flat_map(|storm| storm.expand(seed));
+    for mut job in spec.jobs.into_iter().chain(storms) {
+        if let Some(m) = machine {
+            job.machine.get_or_insert_with(|| m.clone());
         }
+        sched.submit(job).map_err(|e| ServeError::new(ServeCode::DuplicateSubmit, e))?;
     }
-
-    fn do_cancel(&mut self, idx: usize, t: f64) {
-        let name = self.jobs[idx].spec.name.clone();
-        if self.jobs[idx].status.is_some() {
-            // Already settled — a deterministic no-op.
-            self.ops.push(format!("cancel {name} t={} noop", tbits(t)));
-            return;
-        }
-        self.jobs[idx].cancelled = true;
-        if let Some(qpos) = self.queue.iter().position(|&i| i == idx) {
-            self.queue.remove(qpos);
-            let job = &mut self.jobs[idx];
-            job.status = Some(JobStatus::Failed);
-            job.end = Some(t);
-            job.queue_wait += t - job.enqueued_at;
-            job.error = Some(("cancelled".into(), format!("job `{name}` cancelled by client")));
-            self.ops.push(format!("cancel {name} t={} queued", tbits(t)));
-            return;
-        }
-        if let Some(r) = self.running.iter_mut().find(|r| r.job == idx) {
-            if r.stop.is_some() {
-                self.ops.push(format!("cancel {name} t={} pending", tbits(t)));
-                return;
-            }
-            if let Some((bt, boundary)) = next_boundary(r, t) {
-                r.stop = Some(Stop { t: bt, boundary, cancel: true });
-                self.ops.push(format!(
-                    "cancel {name} t={} boundary={boundary} vacate={}",
-                    tbits(t),
-                    tbits(bt)
-                ));
-            } else {
-                // No future boundary (doomed attempt or last block):
-                // let it run out; the cancelled flag blocks requeue.
-                self.ops.push(format!("cancel {name} t={} deferred", tbits(t)));
-            }
-            return;
-        }
-        // Not yet arrived: it will settle as cancelled at arrival.
-        self.ops.push(format!("cancel {name} t={} early", tbits(t)));
-    }
-
-    fn arrive_due(&mut self) {
-        while let Some(&idx) = self.arrivals.first() {
-            if self.jobs[idx].spec.arrival > self.now {
-                break;
-            }
-            self.arrivals.remove(0);
-            let name = self.jobs[idx].spec.name.clone();
-            let t = self.jobs[idx].spec.arrival;
-            self.jobs[idx].arrived = true;
-            self.tracer
-                .push(Lane::Rank(0), t, t, EventKind::Submit { job: name.clone() });
-            if self.jobs[idx].cancelled {
-                let job = &mut self.jobs[idx];
-                job.status = Some(JobStatus::Failed);
-                job.end = Some(t);
-                job.error =
-                    Some(("cancelled".into(), format!("job `{name}` cancelled by client")));
-                self.ops
-                    .push(format!("admit {name} t={} cancelled", tbits(t)));
-                continue;
-            }
-            let shape = self.jobs[idx].shape();
-            match &self.jobs[idx].prepared {
-                Err(e) => {
-                    let err = (e.kind().to_string(), e.to_string());
-                    let kind = err.0.clone();
-                    let job = &mut self.jobs[idx];
-                    job.status = Some(JobStatus::Rejected);
-                    job.error = Some(err);
-                    self.ops
-                        .push(format!("admit {name} t={} reject {kind}", tbits(t)));
-                }
-                Ok(_) if !self.map.feasible(shape) => {
-                    let job = &mut self.jobs[idx];
-                    let e = VpceError::AdmissionInfeasible {
-                        job: name.clone(),
-                        need: job.spec.ranks,
-                        have: self.map.usable_nodes(),
-                    };
-                    job.status = Some(JobStatus::Rejected);
-                    job.error = Some((e.kind().into(), e.to_string()));
-                    self.ops.push(format!(
-                        "admit {name} t={} reject admission-infeasible",
-                        tbits(t)
-                    ));
-                }
-                Ok(_) => {
-                    let job = &mut self.jobs[idx];
-                    job.enqueued_at = self.now;
-                    self.queue.push(idx);
-                    self.ops.push(format!("admit {name} t={} ok", tbits(t)));
-                }
-            }
-        }
-    }
-
-    fn sweep_infeasible_queue(&mut self) {
-        let mut kept = Vec::with_capacity(self.queue.len());
-        for &idx in &self.queue {
-            if self.map.feasible(self.jobs[idx].shape()) {
-                kept.push(idx);
-                continue;
-            }
-            let job = &mut self.jobs[idx];
-            job.status = Some(JobStatus::Failed);
-            job.end = Some(self.now);
-            job.queue_wait += self.now - job.enqueued_at;
-            let e = VpceError::AdmissionInfeasible {
-                job: job.spec.name.clone(),
-                need: job.spec.ranks,
-                have: self.map.usable_nodes(),
-            };
-            job.error = Some((e.kind().into(), e.to_string()));
-            self.ops.push(format!(
-                "complete {} t={} status=failed",
-                job.spec.name,
-                tbits(self.now)
-            ));
-        }
-        self.queue = kept;
-    }
-
-    /// Outcome (and thus duration) of the next attempt of `idx` —
-    /// fresh or resumed, memoised in the runner.
-    fn attempt_outcome(&self, idx: usize) -> Result<AttemptOutcome, VpceError> {
-        let job = &self.jobs[idx];
-        let prepared = job.prepared.as_ref().expect("queued jobs are admitted");
-        match job.resume_boundary {
-            // A resumed remainder replays the recovered (fault-free)
-            // timeline; its recovery charge was paid pre-preemption.
-            Some(b) => self
-                .runner
-                .resume(&job.spec, prepared, job.attempts, b)
-                .map(|report| AttemptOutcome { report, recovery: None }),
-            None => self.runner.run(&job.spec, prepared, job.attempts),
-        }
-    }
-
-    fn attempt_duration(&self, idx: usize, outcome: &Result<AttemptOutcome, VpceError>) -> f64 {
-        match outcome {
-            Ok(out) => out.duration(),
-            // Heartbeat model: a faulted attempt holds its partition
-            // for the fault-free makespan before the failure is
-            // detected.
-            Err(_) => {
-                self.jobs[idx]
-                    .prepared
-                    .as_ref()
-                    .expect("queued jobs are admitted")
-                    .clean_elapsed
-            }
-        }
-    }
-
-    fn schedule_pass(&mut self) {
-        loop {
-            self.sort_queue();
-            let Some(&head) = self.queue.first() else { return };
-            let head_shape = self.jobs[head].shape();
-            let head_tenant = self.jobs[head].spec.tenant.clone();
-            let head_cells = head_shape.cols * head_shape.rows;
-            if self.quota_allows(&head_tenant, head_cells) {
-                if let Some((x, y, s)) = self.map.find_fit(head_shape) {
-                    self.place(head, x, y, s);
-                    self.queue.remove(0);
-                    continue;
-                }
-                // Space-blocked: a strictly lower-priority running job
-                // can be preempted at its next fence boundary.
-                if self.order_preemption(head) {
-                    return;
-                }
-            }
-            if self.policy == Policy::Fcfs {
-                return;
-            }
-            let Some((t_res, rect)) = self.reservation(head_shape, &head_tenant, head_cells)
-            else {
-                self.sweep_infeasible_queue();
-                if self.queue.contains(&head) {
-                    return; // head survived the sweep; nothing to do now
-                }
-                continue;
-            };
-            let head_quota = self.quota(&head_tenant);
-            let mut started = false;
-            for qi in 1..self.queue.len() {
-                let idx = self.queue[qi];
-                let shape = self.jobs[idx].shape();
-                let tenant = self.jobs[idx].spec.tenant.clone();
-                if !self.quota_allows(&tenant, shape.cols * shape.rows) {
-                    continue;
-                }
-                let Some((x, y, s)) = self.map.find_fit(shape) else { continue };
-                let cand = Partition { x, y, shape: s, nodes: Vec::new() };
-                let outcome = self.attempt_outcome(idx);
-                let dur = self.attempt_duration(idx, &outcome);
-                let fits_in_time = self.now + dur <= t_res;
-                let avoids_rect =
-                    !cand.overlaps(&rect) && (tenant != head_tenant || head_quota.is_none());
-                if fits_in_time || avoids_rect {
-                    self.place(idx, x, y, s);
-                    self.queue.remove(qi);
-                    started = true;
-                    break;
-                }
-            }
-            if !started {
-                return;
-            }
-        }
-    }
-
-    /// Order the best preemption for `head`, if one exists: the victim
-    /// is the running job with the lowest priority (strictly below the
-    /// head's), breaking ties toward the latest start then the highest
-    /// index. Returns true when an order was placed (the head then
-    /// waits for the vacate event).
-    fn order_preemption(&mut self, head: usize) -> bool {
-        let head_prio = self.jobs[head].spec.priority;
-        let victim = self
-            .running
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                r.stop.is_none()
-                    && r.outcome.is_ok()
-                    && self.jobs[r.job].spec.priority < head_prio
-                    && next_boundary(r, self.now).is_some()
-            })
-            .min_by(|(_, a), (_, b)| {
-                let pa = self.jobs[a.job].spec.priority;
-                let pb = self.jobs[b.job].spec.priority;
-                pa.cmp(&pb)
-                    .then(b.start.total_cmp(&a.start))
-                    .then(b.job.cmp(&a.job))
-            })
-            .map(|(i, _)| i);
-        let Some(i) = victim else { return false };
-        let (bt, boundary) = next_boundary(&self.running[i], self.now).expect("filtered");
-        let r = &mut self.running[i];
-        r.stop = Some(Stop { t: bt, boundary, cancel: false });
-        let name = self.jobs[r.job].spec.name.clone();
-        let node0 = r.part.nodes.first().copied().unwrap_or(0);
-        self.tracer
-            .push(Lane::Rank(node0), self.now, self.now, EventKind::Preempt { job: name.clone() });
-        self.ops.push(format!(
-            "preempt {name} t={} boundary={boundary} vacate={}",
-            tbits(self.now),
-            tbits(bt)
-        ));
-        true
-    }
-
-    fn reservation(&self, shape: Mesh, tenant: &str, cells: usize) -> Option<(f64, Partition)> {
-        let mut ghost = self.map.clone();
-        let mut ends: Vec<(f64, usize)> = self
-            .running
-            .iter()
-            .enumerate()
-            .map(|(i, r)| (r.vacate_t(), i))
-            .collect();
-        ends.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
-        let quota = self.quota(tenant);
-        let mut held = self.held_cells(tenant);
-        for (end, i) in ends {
-            ghost.free(&self.running[i].part);
-            if self.jobs[self.running[i].job].spec.tenant == tenant {
-                held = held.saturating_sub(self.running[i].part.nodes.len());
-            }
-            if quota.is_some_and(|q| held + cells > q) {
-                continue;
-            }
-            if let Some((x, y, s)) = ghost.find_fit(shape) {
-                return Some((end, Partition { x, y, shape: s, nodes: Vec::new() }));
-            }
-        }
-        None
-    }
-
-    fn place(&mut self, idx: usize, x: usize, y: usize, shape: Mesh) {
-        let outcome = self.attempt_outcome(idx);
-        let dur = self.attempt_duration(idx, &outcome);
-        let part = self.map.alloc(x, y, shape);
-        let job = &mut self.jobs[idx];
-        job.queue_wait += self.now - job.enqueued_at;
-        job.first_start.get_or_insert(self.now);
-        let attempt = job.attempts;
-        let resumed_from = job.resume_boundary.unwrap_or(0);
-        if job.resume_boundary.is_none() {
-            job.attempts += 1;
-        }
-        let end = self.now + dur;
-        self.ops.push(format!(
-            "place {} attempt={} t={} part={},{},{}x{} resume={}",
-            job.spec.name,
-            attempt,
-            tbits(self.now),
-            part.x,
-            part.y,
-            part.shape.cols,
-            part.shape.rows,
-            resumed_from,
-        ));
-        self.running.push(SRun {
-            job: idx,
-            part,
-            start: self.now,
-            end,
-            attempt: if resumed_from == 0 { attempt } else { attempt.saturating_sub(1) },
-            outcome,
-            resumed_from,
-            stop: None,
-        });
-        self.peak_concurrent = self.peak_concurrent.max(self.running.len());
-    }
-
-    fn fail_stuck_queue(&mut self) {
-        self.sweep_infeasible_queue();
-        self.schedule_pass();
-        if self.running.is_empty() && !self.queue.is_empty() {
-            let stuck: Vec<usize> = self.queue.drain(..).collect();
-            for idx in stuck {
-                let job = &mut self.jobs[idx];
-                job.status = Some(JobStatus::Failed);
-                job.end = Some(self.now);
-                let e = VpceError::Internal {
-                    msg: format!("job '{}' stuck on an idle machine", job.spec.name),
-                };
-                job.error = Some((e.kind().into(), e.to_string()));
-                self.ops.push(format!(
-                    "complete {} t={} status=failed",
-                    job.spec.name,
-                    tbits(self.now)
-                ));
-            }
-        }
-    }
-
-    /// One-line status for a job (client `status` verb).
-    pub fn status_line(&self, name: &str) -> Result<String, ServeError> {
-        let &idx = self
-            .by_name
-            .get(name)
-            .ok_or_else(|| Self::bad(ServeCode::UnknownJob, format!("no job `{name}`")))?;
-        let j = &self.jobs[idx];
-        let state = match j.status {
-            Some(s) => s.name().to_string(),
-            None if self.running.iter().any(|r| r.job == idx) => "running".into(),
-            None if j.arrived => "queued".into(),
-            None => "pending".into(),
-        };
-        Ok(format!(
-            "{name} {state} tenant={} attempts={} preemptions={}",
-            j.spec.tenant, j.attempts, j.preemptions
-        ))
-    }
-
-    /// The final report, in exactly the batch scheduler's shape (and
-    /// JSON), so serve goldens diff with the same tooling.
-    pub fn report(&mut self) -> BatchReport {
-        let horizon = self
-            .jobs
-            .iter()
-            .filter_map(|j| j.end)
-            .max_by(f64::total_cmp)
-            .unwrap_or(0.0);
-        let records: Vec<JobRecord> = self
-            .jobs
-            .iter()
-            .map(|j| {
-                let status = j.status.unwrap_or(JobStatus::Failed);
-                let makespan = j.end.map(|e| e - j.spec.arrival);
-                let identical = match (&j.final_report, &j.prepared, self.runner.mode()) {
-                    (Some(rep), Ok(p), spmd_rt::ExecMode::Full) => {
-                        Some(rep.arrays == p.clean_arrays)
-                    }
-                    _ => None,
-                };
-                let recovery_s =
-                    j.final_recovery.as_ref().map_or(0.0, |l| l.recovery_total());
-                let breakdown = j.final_report.as_ref().and_then(|rep| {
-                    rep.trace.as_ref().map(|t| {
-                        t.critical
-                            .breakdown
-                            .with_recovery(recovery_s)
-                            .with_queue_wait(j.queue_wait)
-                    })
-                });
-                JobRecord {
-                    name: j.spec.name.clone(),
-                    tenant: j.spec.tenant.clone(),
-                    ranks: j.spec.ranks,
-                    shape: j.placed.as_ref().map(|p| p.shape).unwrap_or_else(|| j.shape()),
-                    status,
-                    arrival: j.spec.arrival,
-                    start: j.first_start,
-                    end: j.end,
-                    queue_wait: j.queue_wait,
-                    nodes: j.placed.as_ref().map(|p| p.nodes.clone()).unwrap_or_default(),
-                    attempts: j.attempts,
-                    requeues: j.attempts.saturating_sub(1),
-                    preemptions: j.preemptions,
-                    identical,
-                    error: j.error.clone(),
-                    missed_deadline: match (j.spec.deadline, makespan) {
-                        (Some(d), Some(m)) => m > d,
-                        _ => false,
-                    },
-                    breakdown,
-                    net_messages: j
-                        .final_report
-                        .as_ref()
-                        .map(|r| r.net.p2p_messages)
-                        .unwrap_or(0),
-                    net_bytes: j.final_report.as_ref().map(|r| r.net.p2p_bytes).unwrap_or(0),
-                }
-            })
-            .collect();
-        let utilization = if horizon > 0.0 {
-            self.busy_cell_s / (self.nodes as f64 * horizon)
-        } else {
-            0.0
-        };
-        BatchReport {
-            nodes: self.nodes,
-            mesh: self.map.mesh(),
-            policy: self.policy,
-            seed: self.seed,
-            records,
-            peak_concurrent: self.peak_concurrent,
-            drained: self.map.drained(),
-            horizon,
-            utilization,
-            tenant_usage: self.usage.iter().map(|(t, u)| (t.clone(), *u)).collect(),
-            trace_json: self.tracer.to_chrome_json(),
-            attempts: std::mem::take(&mut self.attempts),
-        }
-    }
+    Ok(())
 }
 
-/// A run's next fence boundary strictly after `t`, as `(absolute time,
-/// global boundary index)`. The final boundary is the program's end —
-/// stopping there is meaningless, so it is excluded. `None` for doomed
-/// (Err) outcomes, which carry no boundary times.
-fn next_boundary(r: &SRun, t: f64) -> Option<(f64, usize)> {
-    let rep = &r.outcome.as_ref().ok()?.report;
-    for (i, b) in rep.boundaries.iter().enumerate() {
-        if i + 1 == rep.boundaries.len() {
-            break; // last boundary == program end
-        }
-        let abs = r.start + b;
-        if abs > t {
-            return Some((abs, r.resumed_from + i + 1));
+/// `cancel name=<job> at=<t>`: `t` goes through the jobfile's own time
+/// validator (finite, non-negative), so a hostile `at=NaN` is refused
+/// here instead of firing at the first step.
+fn apply_cancel(sched: &mut Scheduler<'_>, args: &str) -> Result<(), ServeError> {
+    let mut name = None;
+    let mut at = None;
+    for tok in args.split_whitespace() {
+        match tok.split_once('=') {
+            Some(("name", v)) => name = Some(v),
+            Some(("at", v)) => {
+                at = Some(parse_time(v).map_err(|e| bad(format!("bad cancel time: {e}")))?)
+            }
+            _ => return Err(bad(format!("cancel takes name=<job> at=<t>, got `{tok}`"))),
         }
     }
-    None
+    let name = name.ok_or_else(|| bad("cancel needs name="))?;
+    let at = at.ok_or_else(|| bad("cancel needs at="))?;
+    sched.cancel_at(name, at).map_err(|e| ServeError::new(ServeCode::UnknownJob, e))
 }
 
-fn run_label(name: &str, attempt: u32, resumed_from: usize) -> String {
-    match (attempt, resumed_from) {
-        (0, 0) => name.to_string(),
-        (a, 0) => format!("{name} (retry {a})"),
-        (0, b) => format!("{name} (resumed@{b})"),
-        (a, b) => format!("{name} (retry {a}, resumed@{b})"),
-    }
+/// One-line status for a job (client `status` verb).
+pub fn status_line(sched: &Scheduler<'_>, name: &str) -> Result<String, ServeError> {
+    let j = sched
+        .job(name)
+        .ok_or_else(|| ServeError::new(ServeCode::UnknownJob, format!("no job `{name}`")))?;
+    Ok(format!(
+        "{name} {} tenant={} attempts={} preemptions={}",
+        j.state, j.tenant, j.attempts, j.preemptions
+    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use spmd_rt::ExecMode;
+    use vpce_sched::{JobStatus, Runner};
 
-    fn state(r: &Runner) -> ServeState<'_> {
-        let mut s = ServeState::new(r);
-        s.apply("nodes=4").unwrap();
-        s
+    /// What a daemon holds besides its journal: the preemptive
+    /// scheduler and the session's `machine=` header.
+    struct Served<'r> {
+        sched: Scheduler<'r>,
+        machine: Option<String>,
+    }
+
+    impl<'r> Served<'r> {
+        fn new(r: &'r Runner<'r>, nodes: usize) -> Self {
+            let mut s = Served { sched: Scheduler::new(r, true), machine: None };
+            s.apply(&format!("nodes={nodes}")).unwrap();
+            s
+        }
+
+        fn apply(&mut self, line: &str) -> Result<(), ServeError> {
+            apply(&mut self.sched, &mut self.machine, line)
+        }
     }
 
     #[test]
     fn submit_drain_report_roundtrip() {
         let r = Runner::new(ExecMode::Full);
-        let mut s = state(&r);
+        let mut s = Served::new(&r, 4);
         s.apply("job name=a workload=mm ranks=2 param:N=8").unwrap();
         s.apply("job name=b workload=mm ranks=2 param:N=8 arrive=1e-4").unwrap();
-        s.drain();
-        let rep = s.report();
+        assert_eq!(
+            status_line(&s.sched, "b").unwrap(),
+            "b pending tenant=- attempts=0 preemptions=0"
+        );
+        s.sched.drain();
+        let rep = s.sched.report();
         assert_eq!(rep.done(), 2);
         assert_eq!(rep.exit_code(), 0);
         assert!(rep.records.iter().all(|j| j.identical == Some(true)));
-        let ops = s.take_ops();
+        let ops = s.sched.take_ops();
         assert!(ops.iter().any(|o| o.starts_with("admit a")), "{ops:?}");
         assert!(ops.iter().any(|o| o.starts_with("place b")), "{ops:?}");
         assert!(ops.iter().any(|o| o.starts_with("complete b")), "{ops:?}");
+        assert_eq!(status_line(&s.sched, "b").unwrap(), "b done tenant=- attempts=1 preemptions=0");
     }
 
     #[test]
     fn duplicate_and_unknown_names_are_typed() {
         let r = Runner::new(ExecMode::Full);
-        let mut s = state(&r);
+        let mut s = Served::new(&r, 4);
         s.apply("job name=a workload=mm ranks=2 param:N=8").unwrap();
         let e = s.apply("job name=a workload=mm ranks=2 param:N=8").unwrap_err();
         assert_eq!(e.code, ServeCode::DuplicateSubmit);
         let e = s.apply("cancel name=ghost at=0").unwrap_err();
         assert_eq!(e.code, ServeCode::UnknownJob);
+        assert_eq!(status_line(&s.sched, "ghost").unwrap_err().code, ServeCode::UnknownJob);
         let e = s.apply("launch name=a").unwrap_err();
         assert_eq!(e.code, ServeCode::BadCommand);
         let e = s.apply("probation=2").unwrap_err();
         assert_eq!(e.code, ServeCode::BadCommand, "probation= is batch-only");
+        let e = s.apply("nodes=8").unwrap_err();
+        assert_eq!(e.code, ServeCode::BadCommand, "nodes= after a submission");
+        let r2 = Runner::new(ExecMode::Full);
+        let e = Served::new(&r2, 4).apply("nodes=0").unwrap_err();
+        assert_eq!(e.code, ServeCode::BadCommand, "an empty machine is refused, not a panic");
+    }
+
+    #[test]
+    fn cancel_times_go_through_the_jobfile_validator() {
+        let r = Runner::new(ExecMode::Full);
+        let mut s = Served::new(&r, 2);
+        s.apply("job name=a workload=mm ranks=2 param:N=8").unwrap();
+        for hostile in ["NaN", "nan", "inf", "-inf", "+infinity", "-1", "-0.5", "soon", ""] {
+            let e = s.apply(&format!("cancel name=a at={hostile}")).unwrap_err();
+            assert_eq!(e.code, ServeCode::BadCommand, "at={hostile}");
+            assert!(e.detail.contains("bad cancel time"), "at={hostile}: {e}");
+        }
+        // Nothing above was queued: `a` runs to completion until a
+        // well-formed cancel lands.
+        s.apply("cancel name=a at=1e-9").unwrap();
+        s.sched.drain();
+        let rep = s.sched.report();
+        assert_eq!(rep.records[0].error.as_ref().unwrap().0, "cancelled");
+        let ops = s.sched.take_ops();
+        assert_eq!(ops.iter().filter(|o| o.starts_with("cancel a")).count(), 2, "{ops:?}");
     }
 
     #[test]
     fn machine_header_stamps_jobs_and_orders_like_nodes() {
         let r = Runner::new(ExecMode::Full);
-        let mut s = state(&r);
-        s.apply("machine=torus").unwrap();
-        s.apply("job name=a workload=mm ranks=2 param:N=8").unwrap();
-        // The stamp lands in the job's canonical record, so the
-        // journal (and the runner's cache key) is self-contained.
-        assert!(s.jobs[0].spec.to_record().contains(" machine=torus"));
+        let mut s = Served::new(&r, 16);
+        s.apply("machine=hypercube").unwrap();
+        // The header is stamped onto jobs that name no machine — a
+        // 3-rank job cannot lower through a hypercube — and a job's
+        // own machine= beats it.
+        s.apply("job name=a workload=mm ranks=3 param:N=8").unwrap();
+        s.apply("job name=b workload=mm ranks=3 param:N=8 machine=torus").unwrap();
         // Header after a submission is refused, like nodes=/seed=.
         let e = s.apply("machine=crossbar").unwrap_err();
         assert_eq!(e.code, ServeCode::BadCommand);
-        s.drain();
-        assert_eq!(s.report().exit_code(), 0);
-        // A job's own machine= beats the session header.
-        let r2 = Runner::new(ExecMode::Full);
-        let mut s2 = state(&r2);
-        s2.apply("machine=torus").unwrap();
-        s2.apply("job name=b workload=mm ranks=2 param:N=8 machine=fattree").unwrap();
-        assert!(s2.jobs[0].spec.to_record().contains(" machine=fattree"));
-    }
-
-    #[test]
-    fn priority_preempts_at_a_boundary_and_resumes_byte_identically() {
-        let r = Runner::new(ExecMode::Full);
-        let mut s = ServeState::new(&r);
-        s.apply("nodes=2").unwrap();
-        // The low job owns the whole 2-node machine; the high job
-        // arrives mid-run and must preempt it.
-        s.apply("job name=low workload=mm ranks=2 param:N=16").unwrap();
-        s.apply("job name=high workload=mm ranks=2 param:N=8 prio=5 arrive=2e-5").unwrap();
-        s.drain();
-        let rep = s.report();
-        let low = rep.records.iter().find(|j| j.name == "low").unwrap();
-        let high = rep.records.iter().find(|j| j.name == "high").unwrap();
-        assert_eq!(low.status, JobStatus::Done);
-        assert_eq!(high.status, JobStatus::Done);
-        assert_eq!(low.preemptions, 1, "low was bumped exactly once");
-        assert_eq!(high.preemptions, 0);
-        assert_eq!(
-            low.identical,
-            Some(true),
-            "preempt+resume reproduced the uninterrupted arrays byte-for-byte"
-        );
-        assert!(high.end.unwrap() < low.end.unwrap(), "high finished first");
-        let ops = s.take_ops();
-        assert!(ops.iter().any(|o| o.starts_with("preempt low")), "{ops:?}");
-        assert!(ops.iter().any(|o| o.starts_with("checkpoint low")), "{ops:?}");
-        assert!(rep.trace_json.contains("\"checkpoint low@"), "{}", &rep.trace_json[..200]);
+        s.sched.drain();
+        let rep = s.sched.report();
+        assert_eq!(rep.records[0].status, JobStatus::Rejected);
+        assert!(rep.records[0].error.as_ref().unwrap().1.contains("hypercube"));
+        assert_eq!(rep.records[1].status, JobStatus::Done, "{:?}", rep.records[1].error);
     }
 
     #[test]
     fn cancel_hits_queued_and_running_jobs() {
         let r = Runner::new(ExecMode::Full);
-        let mut s = ServeState::new(&r);
-        s.apply("nodes=2").unwrap();
+        let mut s = Served::new(&r, 2);
         s.apply("job name=a workload=mm ranks=2 param:N=16").unwrap();
         s.apply("job name=b workload=mm ranks=2 param:N=8 arrive=1e-5").unwrap();
         s.apply("cancel name=b at=2e-5").unwrap(); // still queued behind a
         s.apply("cancel name=a at=3e-5").unwrap(); // running
-        s.drain();
-        let rep = s.report();
+        s.sched.drain();
+        let rep = s.sched.report();
         for name in ["a", "b"] {
             let j = rep.records.iter().find(|j| j.name == name).unwrap();
             assert_eq!(j.status, JobStatus::Failed, "{name}");
@@ -1217,55 +231,6 @@ mod tests {
         }
         let a = rep.records.iter().find(|j| j.name == "a").unwrap();
         assert!(a.end.unwrap() >= 3e-5, "a ran until its stop boundary");
-    }
-
-    #[test]
-    fn recover_armed_jobs_absorb_crashes_and_journal_an_audit_record() {
-        // Probe for a seed whose crash schedule kills the plain
-        // attempt but is absorbed with recovery armed (both pure, so
-        // the scan is stable), then drive the daemon state machine.
-        let loader = |p: &str| -> Result<String, String> { Err(format!("no loader `{p}`")) };
-        let mut probe =
-            JobSpec::new("risky", vpce_sched::JobSource::Workload("mm".into()), 4);
-        probe.params.push(("N".into(), 8));
-        let prep = vpce_sched::run::prepare(&probe, &loader, ExecMode::Full).unwrap();
-        let mut seed_found = None;
-        for seed in 0..64u64 {
-            probe.recover = None;
-            probe.faults =
-                vpce_faults::FaultSpec::parse(&format!("crash=0.5,seed={seed}")).unwrap();
-            if vpce_sched::run::run_attempt(&probe, &prep, ExecMode::Full, 0).is_ok() {
-                continue;
-            }
-            probe.recover = Some(vpce_sched::RecoverSpec::default());
-            if vpce_sched::run::run_attempt(&probe, &prep, ExecMode::Full, 0).is_ok() {
-                seed_found = Some(seed);
-                break;
-            }
-        }
-        let seed = seed_found.expect("no absorbable crashing seed in 0..64");
-        let r = Runner::new(ExecMode::Full);
-        let mut s = ServeState::new(&r);
-        s.apply("nodes=4").unwrap();
-        s.apply(&format!(
-            "job name=risky workload=mm ranks=4 retries=0 \
-             faults=crash=0.5,seed={seed} recover=on param:N=8"
-        ))
-        .unwrap();
-        s.drain();
-        let rep = s.report();
-        let j = rep.records.iter().find(|j| j.name == "risky").unwrap();
-        assert_eq!(j.status, JobStatus::Done, "{:?}", j.error);
-        assert_eq!(j.identical, Some(true), "recovered arrays match the dry run");
-        assert_eq!(j.requeues, 0, "absorbed in-run, never requeued");
-        assert!(
-            j.breakdown.as_ref().unwrap().recovery > 0.0,
-            "rollback charge lands in the recovery slice"
-        );
-        let ops = s.take_ops();
-        let audit = ops.iter().find(|o| o.starts_with("recover risky"));
-        assert!(audit.is_some_and(|o| o.contains("rollbacks=")), "{ops:?}");
-        assert!(ops.iter().any(|o| o.starts_with("complete risky")), "{ops:?}");
     }
 
     #[test]
@@ -1280,13 +245,13 @@ mod tests {
         ];
         let r = Runner::new(ExecMode::Full);
         let run = || {
-            let mut s = ServeState::new(&r);
+            let mut s = Served::new(&r, 16);
             for line in inputs {
                 s.apply(line).unwrap();
             }
-            s.drain();
-            let ops = s.take_ops();
-            let rep = s.report();
+            s.sched.drain();
+            let ops = s.sched.take_ops();
+            let rep = s.sched.report();
             (ops, rep.to_json(), rep.trace_json)
         };
         let (ops1, json1, trace1) = run();
