@@ -255,8 +255,12 @@ impl Lmad {
 
     /// True when the (normalised) access is one contiguous run.
     pub fn is_contiguous(&self) -> bool {
-        let n = self.normalized();
-        n.dims.is_empty() || (n.dims.len() == 1 && n.dims[0].stride == 1)
+        self.normalized().is_contiguous_normalized()
+    }
+
+    /// [`Lmad::is_contiguous`] for a descriptor already in normal form.
+    pub(crate) fn is_contiguous_normalized(&self) -> bool {
+        self.dims.is_empty() || (self.dims.len() == 1 && self.dims[0].stride == 1)
     }
 
     /// Enumerate every touched offset (with multiplicity), smallest
@@ -287,8 +291,21 @@ impl Lmad {
     /// dims (exact when dims are non-aliasing, conservative `true`
     /// otherwise).
     pub fn contains(&self, offset: i64) -> bool {
-        let n = self.normalized();
-        let (lo, hi) = n.extent();
+        // The extent does not depend on the normal form (test
+        // `extent_is_normalisation_invariant`), so reject on it before
+        // paying for one.
+        let (lo, hi) = self.extent();
+        if offset < lo || offset > hi {
+            return false;
+        }
+        self.normalized().contains_normalized(offset)
+    }
+
+    /// [`Lmad::contains`] for a descriptor already in normal form
+    /// (sorted positive strides) — what [`crate::CoverIndex`] calls on
+    /// the members it normalised once.
+    pub(crate) fn contains_normalized(&self, offset: i64) -> bool {
+        let (lo, hi) = self.extent();
         if offset < lo || offset > hi {
             return false;
         }
@@ -318,7 +335,7 @@ impl Lmad {
                 }
             }
         }
-        rec(&n.dims, offset as i128 - n.base as i128)
+        rec(&self.dims, offset as i128 - self.base as i128)
     }
 
     /// Conservative overlap: do the bounding extents intersect?
@@ -366,13 +383,15 @@ impl Lmad {
     ///    the exact digit decomposition of [`Lmad::contains`];
     /// 4. both sides enumerable — sorted-merge scan.
     pub fn overlaps_exact(&self, other: &Lmad, limit: u64) -> Option<bool> {
-        let a = self.normalized();
-        let b = other.normalized();
-        let (alo, ahi) = a.extent();
-        let (blo, bhi) = b.extent();
+        // Step 1 on the raw descriptors: the extent is the same before
+        // and after normalisation, and most pairs end here.
+        let (alo, ahi) = self.extent();
+        let (blo, bhi) = other.extent();
         if ahi < blo || bhi < alo {
             return Some(false);
         }
+        let a = self.normalized();
+        let b = other.normalized();
         if a.dims.len() <= 1 && b.dims.len() <= 1 {
             let (s1, c1) = a
                 .dims
@@ -805,6 +824,71 @@ mod tests {
         assert!(huge.may_overlap(&huge), "self-overlap stays true");
         let far = Lmad::contiguous(i64::MIN, 100);
         assert!(!huge.may_overlap(&far));
+    }
+
+    /// What lets `contains` and `overlaps_exact` reject on the raw
+    /// extent *before* normalising: flipping negative strides into the
+    /// base, dropping degenerate dimensions, sorting and coalescing
+    /// leave the extent where it was — for every descriptor whose
+    /// spans and ends fit `i64`, i.e. every descriptor an array can
+    /// hold, so the reorder preserves every answer there. A descriptor
+    /// reaching outside the offset space saturates differently in the
+    /// two forms; for those only panic-freedom is pinned.
+    #[test]
+    fn extent_is_normalisation_invariant() {
+        use vpce_testkit::prelude::*;
+        let stride = weighted(vec![
+            (4, i64_in(-40, 40)),
+            (1, just(0)),
+            (1, i64_in(-(1 << 40), 1 << 40)),
+            (1, elem_of(vec![i64::MIN + 1, -(1 << 62), 1 << 62, i64::MAX])),
+        ]);
+        let count = weighted(vec![
+            (4, u64_in(1, 12)),
+            (1, just(1)),
+            (1, u64_in(1, 1 << 24)),
+            (1, elem_of(vec![1 << 40, u64::MAX >> 1, u64::MAX])),
+        ]);
+        let base = weighted(vec![
+            (4, i64_in(-1000, 1000)),
+            (1, i64_in(i64::MIN, i64::MIN + 4096)),
+            (1, i64_in(i64::MAX - 4096, i64::MAX)),
+        ]);
+        let dim = zip2(stride, count).map(|(s, c)| Dim::new(s, c));
+        // Coalescible pairs (outer stride = inner stride × inner count)
+        // so the merge path is exercised, not just the sort.
+        let nest = zip3(i64_in(1, 6), u64_in(2, 6), u64_in(2, 6)).map(|(s, c1, c2)| {
+            vec![Dim::new(s * c1 as i64, c2), Dim::new(s, c1)]
+        });
+        let dims = weighted(vec![(3, vec_of(dim, 0, 4)), (1, nest)]);
+        let g = zip2(base, dims);
+        Check::new("lmad::extent_is_normalisation_invariant")
+            .cases(1024)
+            .run(&g, |(base, dims)| {
+                let l = Lmad::new(*base, dims.clone());
+                // The extent in exact arithmetic.
+                let (mut lo, mut hi) = (*base as i128, *base as i128);
+                let mut exact = true;
+                for d in dims {
+                    let span = d.stride as i128 * (d.count as i128 - 1);
+                    exact &= i64::try_from(span).is_ok();
+                    if span >= 0 {
+                        hi += span;
+                    } else {
+                        lo += span;
+                    }
+                }
+                exact &= i64::try_from(lo).is_ok() && i64::try_from(hi).is_ok();
+                let (elo, ehi) = l.extent();
+                if exact {
+                    prop_assert_eq!((elo as i128, ehi as i128), (lo, hi));
+                    prop_assert_eq!(l.normalized().extent(), (elo, ehi));
+                } else {
+                    let (nlo, nhi) = l.normalized().extent();
+                    prop_assert!(elo <= ehi && nlo <= nhi);
+                }
+                Ok(())
+            });
     }
 
     #[test]

@@ -27,7 +27,10 @@
 //! * access classification (`ReadOnly` / `WriteFirst` / `ReadWrite`)
 //!   and **summary sets** per program section (§4.2);
 //! * the **splitted LMADs** of §5.4 (`A_offsets` × `A_mapping`) and the
-//!   fine / middle / coarse transfer plans of §5.6.
+//!   fine / middle / coarse transfer plans of §5.6;
+//! * the **footprint join** ([`sweep`]): an interval sweep that hands
+//!   the exact tests only the pairs whose bounding intervals meet, and
+//!   a cover index for "is this region inside the union of those?".
 //!
 //! Strides, spans and offsets are concrete `i64` element counts: the
 //! front-end substitutes `PARAMETER` constants before analysis, exactly
@@ -38,8 +41,10 @@
 
 mod descriptor;
 mod summary;
+pub mod sweep;
 mod transfer;
 
 pub use descriptor::{Dim, Lmad, SplitLmad};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
+pub use sweep::CoverIndex;
 pub use transfer::{any_overlap, Granularity, RegionTransfer, TransferPlan};

@@ -1,0 +1,430 @@
+//! The footprint join: which pairs of footprints can possibly meet,
+//! and which members of a list can possibly hold an offset — answered
+//! by sorting bounding intervals instead of visiting every pair.
+//!
+//! Every consumer of the algebra asks one of two questions about a
+//! *list* of footprints: "which pairs overlap?" (the §5.6 safety
+//! check, the static and the dynamic epoch-conflict scans) or "is this
+//! region inside the union of those?" (AVPG elision, coverage proofs).
+//! Both reject on the bounding interval before any exact reasoning —
+//! [`Lmad::overlaps`] and [`Lmad::contains`] answer `false` outright
+//! when the intervals are disjoint — so the exact tests only ever
+//! matter for interval-overlapping candidates. This module finds the
+//! candidates in `O(n log n + k)` and leaves every decision to the
+//! same exact tests as before: it **prunes, it never decides**.
+
+use crate::descriptor::Lmad;
+
+/// Sweep the `members` (indices into whatever `extent` describes) in
+/// order of their low ends, calling `hit(i, j)` with `i < j` for every
+/// pair whose closed intervals intersect, until it returns `true`.
+/// Returns whether it did. An interval with `lo > hi` is empty and
+/// meets nothing. Visit order is the sweep's, not lexicographic.
+fn sweep<T: Ord + Copy>(
+    members: &mut [usize],
+    extent: impl Fn(usize) -> (T, T),
+    mut hit: impl FnMut(usize, usize) -> bool,
+) -> bool {
+    members.sort_unstable_by_key(|&i| extent(i).0);
+    // Members seen so far whose interval reaches the sweep line. Each
+    // survivor of the `retain` starts at or before `lo` and ends at or
+    // after it, so it is a reported pair: the work is O(out + pairs).
+    let mut active: Vec<usize> = Vec::new();
+    for &k in members.iter() {
+        let (lo, hi) = extent(k);
+        if lo > hi {
+            continue;
+        }
+        active.retain(|&a| extent(a).1 >= lo);
+        for &a in &active {
+            if hit(a.min(k), a.max(k)) {
+                return true;
+            }
+        }
+        active.push(k);
+    }
+    false
+}
+
+/// Does `hit(i, j)` hold for some index pair `i < j` whose closed
+/// bounding intervals intersect? Stops at the first pair that does;
+/// pairs with disjoint intervals are never offered. Intervals with
+/// `lo > hi` are empty.
+pub fn any_overlapping_pair<T: Ord + Copy>(
+    intervals: &[(T, T)],
+    hit: impl FnMut(usize, usize) -> bool,
+) -> bool {
+    let mut members: Vec<usize> = (0..intervals.len()).collect();
+    sweep(&mut members, |i| intervals[i], hit)
+}
+
+/// Every index pair `i < j` whose closed intervals intersect, in
+/// lexicographic order. `O(n log n + k log k)` for `k` reported pairs.
+pub fn overlapping_pairs<T: Ord + Copy>(intervals: &[(T, T)]) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    any_overlapping_pair(intervals, |i, j| {
+        pairs.push((i, j));
+        false
+    });
+    pairs.sort_unstable();
+    pairs
+}
+
+/// [`overlapping_pairs`] within buckets: every index pair `i < j` with
+/// *equal keys* and intersecting intervals, in lexicographic order over
+/// the whole list — so a caller that replays the pairs visits them in
+/// exactly the order its old `for i { for j in i+1.. }` loop did.
+pub fn overlapping_pairs_by_key<K: Ord + Copy, T: Ord + Copy>(
+    items: &[(K, (T, T))],
+) -> Vec<(usize, usize)> {
+    let mut pairs = Vec::new();
+    if items.len() < 2 {
+        return pairs;
+    }
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_unstable_by_key(|&i| items[i].0);
+    for bucket in order.chunk_by_mut(|&a, &b| items[a].0 == items[b].0) {
+        if bucket.len() >= 2 {
+            sweep(bucket, |i| items[i].1, |i, j| {
+                pairs.push((i, j));
+                false
+            });
+        }
+    }
+    pairs.sort_unstable();
+    pairs
+}
+
+/// One member of a [`CoverIndex`]: its raw bounding interval and its
+/// normal form, computed once.
+#[derive(Debug, Clone)]
+struct Member {
+    lo: i64,
+    hi: i64,
+    norm: Lmad,
+}
+
+/// "Is every element of `needed` inside the union of these regions?" —
+/// the coverage proof behind AVPG scatter elision, approximate-collect
+/// coherence and the VPCE006 staleness pass — over a list that is
+/// normalised and sorted **once**, not once per queried offset.
+///
+/// Members are kept sorted by low end with a running maximum of high
+/// ends, so the members that can hold an offset (or a whole interval)
+/// are found by one binary search and a backward walk that stops as
+/// soon as nothing earlier reaches far enough.
+#[derive(Debug, Clone, Default)]
+pub struct CoverIndex {
+    /// Sorted by `lo`.
+    members: Vec<Member>,
+    /// `max_hi[i]` = the largest `hi` among `members[..=i]`.
+    max_hi: Vec<i64>,
+}
+
+impl CoverIndex {
+    /// Index `have` (normalising each member once).
+    pub fn new<'a>(have: impl IntoIterator<Item = &'a Lmad>) -> Self {
+        let mut members: Vec<Member> = have.into_iter().map(Member::of).collect();
+        members.sort_by_key(|m| m.lo);
+        let mut idx = CoverIndex {
+            members,
+            max_hi: Vec::new(),
+        };
+        idx.rebuild_max_hi(0);
+        idx
+    }
+
+    /// Add one more region to the union.
+    pub fn push(&mut self, region: &Lmad) {
+        let m = Member::of(region);
+        let at = self.members.partition_point(|x| x.lo <= m.lo);
+        self.members.insert(at, m);
+        self.rebuild_max_hi(at);
+    }
+
+    fn rebuild_max_hi(&mut self, from: usize) {
+        self.max_hi.truncate(from);
+        let mut running = self.max_hi.last().copied().unwrap_or(i64::MIN);
+        for m in &self.members[from..] {
+            running = running.max(m.hi);
+            self.max_hi.push(running);
+        }
+    }
+
+    /// The members whose bounding interval contains `[lo, hi]`.
+    fn spanning(&self, lo: i64, hi: i64) -> impl Iterator<Item = &Member> {
+        let end = self.members.partition_point(|m| m.lo <= lo);
+        (0..end)
+            .rev()
+            .take_while(move |&i| self.max_hi[i] >= hi)
+            .map(|i| &self.members[i])
+            .filter(move |m| m.hi >= hi)
+    }
+
+    /// Is every element of `needed` provably inside the union of the
+    /// indexed regions? A ladder, cheapest first, each rung sufficient:
+    ///
+    /// 1. some member has `needed`'s normal form;
+    /// 2. some single member contains all of it (by enumeration up to
+    ///    4096 elements, else "contiguous member spans the extent");
+    /// 3. every one of its elements — enumerated up to `limit`, the
+    ///    caller's proof budget — is in *some* member.
+    ///
+    /// Answers `false` when the proof would need more than `limit`
+    /// elements: coverage is only ever claimed when it is proved.
+    pub fn covered(&self, needed: &Lmad, limit: u64) -> bool {
+        if self.members.is_empty() {
+            return false;
+        }
+        let (lo, hi) = needed.extent();
+        let n = needed.normalized();
+        if self.spanning(lo, hi).any(|m| m.norm == n) {
+            return true;
+        }
+        const SINGLE_MEMBER_LIMIT: u64 = 4096;
+        let small = needed.offsets(SINGLE_MEMBER_LIMIT);
+        let inside_one = self.spanning(lo, hi).any(|m| match &small {
+            Some(offs) => offs.iter().all(|&o| m.norm.contains_normalized(o)),
+            // A contiguous member spanning the extent holds everything
+            // in it (`spanning` established the span).
+            None => m.norm.is_contiguous_normalized(),
+        });
+        if inside_one {
+            return true;
+        }
+        let all = match small {
+            Some(offs) if limit >= SINGLE_MEMBER_LIMIT => Some(offs),
+            _ => needed.offsets(limit),
+        };
+        all.is_some_and(|offs| {
+            offs.iter()
+                .all(|&o| self.spanning(o, o).any(|m| m.norm.contains_normalized(o)))
+        })
+    }
+}
+
+impl Member {
+    fn of(region: &Lmad) -> Member {
+        let (lo, hi) = region.extent();
+        Member {
+            lo,
+            hi,
+            norm: region.normalized(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::descriptor::Dim;
+    use vpce_testkit::prelude::*;
+
+    /// The all-pairs interval test the sweep replaces.
+    fn all_pairs<T: Ord + Copy>(iv: &[(T, T)]) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (i, a) in iv.iter().enumerate() {
+            for (j, b) in iv.iter().enumerate().skip(i + 1) {
+                if a.0 <= a.1 && b.0 <= b.1 && a.0 <= b.1 && b.0 <= a.1 {
+                    out.push((i, j));
+                }
+            }
+        }
+        out
+    }
+
+    /// The `covered` ladder as `polaris-be` and `rmacheck` each carried
+    /// it (they differed only in `limit`).
+    fn ladder_oracle(needed: &Lmad, have: &[Lmad], limit: u64) -> bool {
+        if have.is_empty() {
+            return false;
+        }
+        let n = needed.normalized();
+        if have.iter().any(|h| h.normalized() == n) {
+            return true;
+        }
+        if have.iter().any(|h| h.contains_all(needed, 4096)) {
+            return true;
+        }
+        match needed.offsets(limit) {
+            Some(offs) => offs.iter().all(|&o| have.iter().any(|h| h.contains(o))),
+            None => false,
+        }
+    }
+
+    #[test]
+    fn pairs_of_a_small_set() {
+        //            0        1       2        3 (empty)  4
+        let iv = [(0, 4), (4, 6), (10, 12), (3, 2), (-5, 20)];
+        assert_eq!(overlapping_pairs(&iv), vec![(0, 1), (0, 4), (1, 4), (2, 4)]);
+        assert!(overlapping_pairs::<i64>(&[]).is_empty());
+        assert!(overlapping_pairs(&[(1, 1)]).is_empty());
+    }
+
+    #[test]
+    fn any_pair_stops_early_and_skips_disjoint_pairs() {
+        let iv = [(0, 1), (2, 3), (4, 5), (5, 9)];
+        let mut offered = Vec::new();
+        assert!(!any_overlapping_pair(&iv, |i, j| {
+            offered.push((i, j));
+            false
+        }));
+        assert_eq!(offered, vec![(2, 3)]);
+        let all_meet = [(0, 9); 50];
+        let mut calls = 0;
+        assert!(any_overlapping_pair(&all_meet, |_, _| {
+            calls += 1;
+            true
+        }));
+        assert_eq!(calls, 1);
+    }
+
+    #[test]
+    fn keyed_join_keeps_buckets_apart_and_global_order() {
+        let items = [
+            (1u8, (0, 9)),
+            (0, (0, 9)),
+            (1, (5, 6)),
+            (0, (9, 9)),
+            (1, (6, 7)),
+            (2, (0, 9)),
+        ];
+        assert_eq!(
+            overlapping_pairs_by_key(&items),
+            vec![(0, 2), (0, 4), (1, 3), (2, 4)]
+        );
+    }
+
+    /// (a) of the oracle suite: the sweep ≡ the all-pairs interval
+    /// test, on interval sets with duplicates, nesting, touching ends
+    /// (`hi == lo`), empties and ends at the `i64` limits.
+    #[test]
+    fn sweep_matches_all_pairs_on_random_intervals() {
+        let end = weighted(vec![
+            (6, i64_in(-12, 12)),
+            (1, elem_of(vec![i64::MIN, i64::MIN + 1, i64::MAX - 1, i64::MAX])),
+            (1, i64_in(i64::MIN, i64::MAX)),
+        ]);
+        let g = vec_of(zip3(end.clone(), end, u64_in(0, 2)), 0, 40);
+        Check::new("lmad::sweep_matches_all_pairs_on_random_intervals")
+            .cases(512)
+            .run(&g, |raw| {
+                // Mostly well-formed (lo <= hi), a few left as drawn.
+                let iv: Vec<(i64, i64)> = raw
+                    .iter()
+                    .map(|&(a, b, keep)| if keep == 0 { (a, b) } else { (a.min(b), a.max(b)) })
+                    .collect();
+                let want = all_pairs(&iv);
+                prop_assert_eq!(&overlapping_pairs(&iv), &want);
+                let mut seen = Vec::new();
+                any_overlapping_pair(&iv, |i, j| {
+                    seen.push((i, j));
+                    false
+                });
+                seen.sort_unstable();
+                prop_assert_eq!(&seen, &want);
+                // Keyed: the same join per bucket, one global order.
+                let keyed: Vec<(u64, (i64, i64))> =
+                    raw.iter().zip(&iv).map(|(r, &e)| (r.2, e)).collect();
+                let want_keyed: Vec<(usize, usize)> = want
+                    .iter()
+                    .copied()
+                    .filter(|&(i, j)| keyed[i].0 == keyed[j].0)
+                    .collect();
+                prop_assert_eq!(&overlapping_pairs_by_key(&keyed), &want_keyed);
+                Ok(())
+            });
+    }
+
+    fn small_lmad() -> Gen<Lmad> {
+        let dim = weighted(vec![
+            (6, zip2(i64_in(1, 9), u64_in(2, 6))),
+            (1, zip2(i64_in(-6, -1), u64_in(2, 5))),
+            (1, zip2(i64_in(-3, 3), u64_in(1, 1))),
+            (1, zip2(just(0), u64_in(1, 4))),
+        ])
+        .map(|(s, c)| Dim::new(s, c));
+        zip2(i64_in(-20, 60), vec_of(dim, 0, 3)).map(|(b, d)| Lmad::new(b, d))
+    }
+
+    /// (b) of the oracle suite: the cover index ≡ the old ladder, at
+    /// both proof budgets the workspace uses (the planner's 2²¹, the
+    /// staleness pass's 2¹⁶) and at budgets small enough to trip, with
+    /// members pushed after construction.
+    #[test]
+    fn cover_index_matches_the_old_ladder() {
+        let limit = elem_of(vec![1u64 << 21, 1 << 16, 4096, 64, 8]);
+        let g = zip4(
+            vec_of(small_lmad(), 0, 8),
+            vec_of(small_lmad(), 0, 3),
+            vec_of(small_lmad(), 1, 6),
+            limit,
+        );
+        Check::new("lmad::cover_index_matches_the_old_ladder")
+            .cases(512)
+            .run(&g, |(have, pushed, needed, limit)| {
+                let mut all = have.clone();
+                let mut idx = CoverIndex::new(have);
+                for p in pushed {
+                    idx.push(p);
+                    all.push(p.clone());
+                }
+                for n in needed {
+                    prop_assert_eq!(
+                        idx.covered(n, *limit),
+                        ladder_oracle(n, &all, *limit),
+                        "needed {} have {:?}",
+                        n,
+                        all
+                    );
+                }
+                // Every member is covered by the union it belongs to.
+                for h in &all {
+                    prop_assert!(idx.covered(h, *limit));
+                }
+                Ok(())
+            });
+    }
+
+    /// The same equivalence on the shapes the planner produces: long
+    /// contiguous runs (beyond the 4096-element single-member
+    /// enumeration, so the "contiguous member spans the extent" rung
+    /// decides), column pieces, and their unions.
+    #[test]
+    fn cover_index_matches_the_old_ladder_on_long_runs() {
+        let run = zip2(i64_in(0, 40_000), u64_in(1, 30_000)).map(|(b, c)| Lmad::contiguous(b, c));
+        let comb = zip3(i64_in(0, 20_000), i64_in(2, 5), u64_in(2, 9_000))
+            .map(|(b, s, c)| Lmad::strided(b, s, c));
+        let piece = zip4(i64_in(0, 2_000), u64_in(1, 40), i64_in(50, 400), u64_in(1, 120))
+            .map(|(b, w, ld, cols)| Lmad::new(b, vec![Dim::new(1, w), Dim::new(ld, cols)]));
+        let any = weighted(vec![(3, run), (1, comb), (2, piece)]);
+        let g = zip3(
+            vec_of(any.clone(), 0, 6),
+            vec_of(any, 1, 4),
+            elem_of(vec![1u64 << 21, 1 << 16]),
+        );
+        Check::new("lmad::cover_index_matches_the_old_ladder_on_long_runs")
+            .cases(192)
+            .run(&g, |(have, needed, limit)| {
+                let idx = CoverIndex::new(have);
+                for n in needed {
+                    prop_assert_eq!(idx.covered(n, *limit), ladder_oracle(n, have, *limit));
+                }
+                Ok(())
+            });
+    }
+
+    #[test]
+    fn cover_index_edges() {
+        // Rung 1 decides at any size; the empty union covers nothing.
+        let huge = Lmad::strided(3, 7, 1 << 40);
+        assert!(CoverIndex::new([&huge]).covered(&huge, 8));
+        assert!(!CoverIndex::default().covered(&Lmad::scalar(0), 1 << 16));
+        // A proof over budget is not a proof.
+        let mut halves = CoverIndex::new([&Lmad::contiguous(0, 50)]);
+        assert!(!halves.covered(&Lmad::contiguous(0, 100), 100));
+        halves.push(&Lmad::contiguous(50, 50));
+        assert!(halves.covered(&Lmad::contiguous(0, 100), 100));
+        assert!(!halves.covered(&Lmad::contiguous(0, 100), 99));
+    }
+}

@@ -15,6 +15,7 @@
 //!   `δp/αp + 1`-independent *one* per (array, slave) pair.
 
 use crate::descriptor::Lmad;
+use crate::sweep;
 
 /// The three §5.6 communication granularities.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -164,14 +165,8 @@ impl TransferPlan {
 ///
 /// Takes each slave's *approximate* (bounding) collected region.
 pub fn any_overlap(regions: &[Lmad]) -> bool {
-    for (i, a) in regions.iter().enumerate() {
-        for b in &regions[i + 1..] {
-            if a.overlaps(b) {
-                return true;
-            }
-        }
-    }
-    false
+    let extents: Vec<(i64, i64)> = regions.iter().map(Lmad::extent).collect();
+    sweep::any_overlapping_pair(&extents, |i, j| regions[i].overlaps(&regions[j]))
 }
 
 #[cfg(test)]

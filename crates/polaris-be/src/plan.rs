@@ -5,14 +5,14 @@
 
 use std::collections::HashMap;
 
-use lmad::{ArrayId, Granularity, Lmad, SummarySet, TransferPlan};
+use lmad::{sweep, ArrayId, CoverIndex, Granularity, Lmad, SummarySet, TransferPlan};
 use polaris_fe::analysis::{ParallelLoop, Region, SeqRegion};
 use polaris_fe::analysis::{AnalyzedProgram, ReductionOp};
 use spmd_rt::ir::{CommOp, CommPlan, ParRegion, RedOp, Reduction, Schedule};
 
 use crate::{translate, BackendOptions};
 
-/// Enumeration budget for coverage checks, elements.
+/// Enumeration budget for coverage proofs and element counts.
 const COVER_LIMIT: u64 = 1 << 21;
 /// Message-count guard for transfer lowering.
 const PLAN_LIMIT: u64 = 1 << 20;
@@ -389,10 +389,11 @@ impl<'a> Planner<'a> {
             // Scatter: elide regions the slave already holds fresh
             // (delayed communication across Propagate nodes, §5.2).
             let fresh = self.fresh[r].get(&a).cloned().unwrap_or_default();
+            let fresh_cover = self.opts.use_avpg.then(|| CoverIndex::new(&fresh));
             let mut planned_scatter: Vec<CommOp> = Vec::new();
             let mut scattered_lmads: Vec<Lmad> = Vec::new();
             for lm in &scatter_regions {
-                if self.opts.use_avpg && covered(lm, &fresh) {
+                if fresh_cover.as_ref().is_some_and(|held| held.covered(lm, COVER_LIMIT)) {
                     self.report.elisions.scatters_elided += 1;
                     self.report.elisions.elided_elems += lm.distinct_elements(COVER_LIMIT);
                     scattered_lmads.push(lm.clone()); // still held fresh
@@ -411,18 +412,17 @@ impl<'a> Planner<'a> {
             // region must hold only elements this rank wrote or
             // mirrors. Anything else must be scattered first.
             if collect_g != Granularity::Fine {
-                let mut sources = collect_exact.clone();
-                sources.extend(scattered_lmads.iter().cloned());
-                sources.extend(fresh.iter().cloned());
+                let mut sources =
+                    CoverIndex::new(collect_exact.iter().chain(&scattered_lmads).chain(&fresh));
                 for op in &planned_collect {
                     let needed = transfer_lmad(&op.transfer);
-                    if !covered(&needed, &sources) {
+                    if !sources.covered(&needed, COVER_LIMIT) {
                         // Scatter the approximate region itself.
                         planned_scatter.push(CommOp {
                             array: a.0,
                             transfer: op.transfer,
                         });
-                        sources.push(needed);
+                        sources.push(&needed);
                         info.coverage_scatters += 1;
                     }
                 }
@@ -460,7 +460,8 @@ impl<'a> Planner<'a> {
                             writes.push(e.lmad.clone());
                         }
                     }
-                    if covered(&Lmad::contiguous(0, len as u64), &writes) {
+                    let whole = Lmad::contiguous(0, len as u64);
+                    if CoverIndex::new(&writes).covered(&whole, COVER_LIMIT) {
                         return true;
                     }
                 }
@@ -511,44 +512,27 @@ fn transfer_lmad(t: &lmad::RegionTransfer) -> Lmad {
 
 /// Do two *different* ranks' region lists intersect anywhere?
 fn cross_rank_overlap(per_rank: &[Vec<Lmad>]) -> bool {
-    for (r, rs) in per_rank.iter().enumerate() {
-        for ss in per_rank.iter().skip(r + 1) {
-            for x in rs {
-                for y in ss {
-                    if x.overlaps(y) {
-                        return true;
-                    }
-                }
-            }
-        }
-    }
-    false
-}
-
-/// Is every element of `needed` inside the union of `have`?
-fn covered(needed: &Lmad, have: &[Lmad]) -> bool {
-    if have.is_empty() {
-        return false;
-    }
-    // Exact-match fast path (the common AVPG case: the same region
-    // scattered again).
-    let n = needed.normalized();
-    if have.iter().any(|h| h.normalized() == n) {
-        return true;
-    }
-    if have.iter().any(|h| h.contains_all(needed, 4096)) {
-        return true;
-    }
-    match needed.offsets(COVER_LIMIT) {
-        Some(offs) => offs.iter().all(|&o| have.iter().any(|h| h.contains(o))),
-        None => false,
-    }
+    let regions: Vec<(usize, &Lmad)> = per_rank
+        .iter()
+        .enumerate()
+        .flat_map(|(r, rs)| rs.iter().map(move |lm| (r, lm)))
+        .collect();
+    let extents: Vec<(i64, i64)> = regions.iter().map(|(_, lm)| lm.extent()).collect();
+    sweep::any_overlapping_pair(&extents, |i, j| {
+        let ((ri, x), (rj, y)) = (regions[i], regions[j]);
+        ri != rj && x.overlaps(y)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use lmad::Dim;
+
+    /// The planner's coverage question, at the planner's budget.
+    fn covered(needed: &Lmad, have: &[Lmad]) -> bool {
+        CoverIndex::new(have).covered(needed, COVER_LIMIT)
+    }
 
     #[test]
     fn covered_by_union_of_interleaved_writes() {

@@ -59,8 +59,7 @@ impl Default for LintOptions {
 /// Run the full static check over a compiled program.
 pub fn lint(prog: &SpmdProgram, report: &PlanReport, opts: &LintOptions) -> LintReport {
     let mut out = diag::new_report(prog.name.clone());
-    let trace = lower::lower(prog, report);
-    check::check_trace(&trace, &mut out);
+    check::check_trace(&lower::lower(prog, report), &mut out);
     stale::check_elisions(prog, report, opts, &mut out);
     out.sort();
     out

@@ -18,14 +18,15 @@
 //! elision in unanalysable corners but never greenlights an unsound
 //! one.
 
-use lmad::Lmad;
+use lmad::{CoverIndex, Lmad};
 use polaris_be::{PlanReport, PlanStep, RegionPlanInfo};
 use spmd_rt::ir::{ParRegion, SpmdProgram};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::LintOptions;
 
-/// Enumeration budget for coverage proofs, elements.
+/// Enumeration budget for coverage proofs, elements: staleness is
+/// cleared only when [`CoverIndex::covered`] proves coverage within it.
 const COVER_LIMIT: u64 = 1 << 16;
 
 /// One stale region of the master copy: where it is, and which loop's
@@ -35,26 +36,6 @@ struct StaleRegion {
     region: Lmad,
     rank: usize,
     line: usize,
-}
-
-/// Is every element of `needed` provably inside the union of `have`?
-/// (Bounded: answers `false` when the proof would need to enumerate
-/// more than [`COVER_LIMIT`] elements.)
-fn covered(needed: &Lmad, have: &[Lmad]) -> bool {
-    if have.is_empty() {
-        return false;
-    }
-    let n = needed.normalized();
-    if have.iter().any(|h| h.normalized() == n) {
-        return true;
-    }
-    if have.iter().any(|h| h.contains_all(needed, 4096)) {
-        return true;
-    }
-    match needed.offsets(COVER_LIMIT) {
-        Some(offs) => offs.iter().all(|&o| have.iter().any(|h| h.contains(o))),
-        None => false,
-    }
 }
 
 /// Regions of array `a` that reach the master copy in this parallel
@@ -95,11 +76,12 @@ fn uncollected_writes(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> Ve
                 Lmad::strided(op.transfer.offset, op.transfer.stride as i64, op.transfer.count)
             })
             .collect();
+        let collected = CoverIndex::new(&collected);
         for (arr, lm) in writes {
             if *arr != a {
                 continue;
             }
-            if !covered(lm, &collected) {
+            if !collected.covered(lm, COVER_LIMIT) {
                 stale.push(StaleRegion {
                     region: lm.clone(),
                     rank: r,
@@ -206,9 +188,9 @@ pub fn check_elisions(
                 written_arrays.sort_unstable();
                 written_arrays.dedup();
                 for a in written_arrays {
-                    let updates = master_updates(region, info, a);
+                    let updates = CoverIndex::new(&master_updates(region, info, a));
                     if let Some(regions) = stale.get_mut(a) {
-                        regions.retain(|s| !covered(&s.region, &updates));
+                        regions.retain(|s| !updates.covered(&s.region, COVER_LIMIT));
                         regions.extend(uncollected_writes(region, info, a));
                     }
                 }
