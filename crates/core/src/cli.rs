@@ -671,12 +671,17 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
         )
         .map(|rep| (rep, None)),
     };
-    let (parallel, recovery) = match executed {
-        Ok(pair) => pair,
+    let executed = executed.and_then(|(parallel, recovery)| {
+        let sequential =
+            spmd_rt::try_execute_sequential(&compiled.program, &cluster.node.cpu, args.mode)?;
+        Ok((parallel, recovery, sequential))
+    });
+    let (parallel, recovery, sequential) = match executed {
+        Ok(all) => all,
         Err(e) => {
-            // Unsurvivable fault (or a program/cluster mismatch): a
-            // one-line typed diagnosis and a distinct exit code, never
-            // a panic.
+            // Unsurvivable fault, a program/cluster mismatch or an
+            // error the program itself raises: a one-line typed
+            // diagnosis and a distinct exit code, never a panic.
             let _ = writeln!(out, "error: {e}");
             let outcome = Outcome::from_error(&e);
             return Ok(RunOutput {
@@ -690,8 +695,6 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
             });
         }
     };
-    let sequential =
-        spmd_rt::execute_sequential(&compiled.program, &cluster.node.cpu, args.mode);
 
     let _ = writeln!(
         out,

@@ -2,7 +2,7 @@
 //! charge virtual CPU time in `Full` mode and to price whole loop
 //! nests analytically.
 
-use cluster_sim::OpCounts;
+use cluster_sim::{CpuModel, OpCounts};
 
 use crate::ir::{BinOp, Expr, Instr, IntrinsicOp};
 
@@ -118,9 +118,47 @@ pub fn instr_ops_shallow(i: &Instr, int_scalars: &[bool]) -> OpCounts {
     ops
 }
 
+/// Loop bookkeeping per executed trip (the P-II table's `cyc_loop`).
+pub(crate) const TRIP_CYCLES: f64 = 2.0;
+
+/// Cycles [`instr_ops_shallow`] of `i` cost on the P-II table. The
+/// interpreter always charges this table — the conversion to seconds
+/// uses the cluster's CPU clock — so `Full`, `Analytic` and the
+/// sequential baseline agree on any machine.
+pub(crate) fn instr_cycles(i: &Instr, int_scalars: &[bool]) -> f64 {
+    CpuModel::pentium_ii_300().cycles(&instr_ops_shallow(i, int_scalars))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// What closed-form charging rests on (`crate::lowered`): every
+    /// amount the interpreter ever adds to its cycle counter is a whole
+    /// number of half cycles, so every partial sum is one too. Below
+    /// 2⁵² all of those are exactly representable f64s; adding exactly
+    /// representable values whose sum is exactly representable is
+    /// exact, hence associative and commutative — a block may charge its
+    /// statements' sum at once, a loop `trips × (2 + body)`, and the
+    /// total is bit-identical to charging statement by statement. A
+    /// table entry of, say, 1.3 cycles would break this silently.
+    #[test]
+    fn cycle_table_entries_are_half_integers() {
+        let cpu = CpuModel::pentium_ii_300();
+        assert_eq!(TRIP_CYCLES, cpu.cyc_loop);
+        for cycles in [
+            cpu.cyc_fadd,
+            cpu.cyc_fmul,
+            cpu.cyc_fdiv,
+            cpu.cyc_transcendental,
+            cpu.cyc_load,
+            cpu.cyc_store,
+            cpu.cyc_int,
+            cpu.cyc_loop,
+        ] {
+            assert_eq!((cycles * 2.0).fract(), 0.0, "{cycles} is not a multiple of 0.5");
+        }
+    }
 
     fn load(array: usize) -> Expr {
         Expr::Load {

@@ -1,17 +1,18 @@
 //! The SPMD interpreter: runs a compiled [`SpmdProgram`] on the
 //! simulated cluster (and sequentially, for the reference baseline).
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
-use cluster_sim::{ClusterConfig, CpuModel, OpCounts};
+use cluster_sim::{ClusterConfig, CpuModel};
 use mpi2::{AccumulateOp, Elem, Mpi, RankStats, Universe, WindowRef};
 use mpi2::sync::ArcMutexGuard;
 use vbus_sim::NetStats;
-use vpce_faults::{raise, site, FaultSpec, VpceError};
+use vpce_faults::{raise, site, take_raised, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Lane, TraceReport, Tracer};
 
-use crate::cost::instr_ops_shallow;
 use crate::ir::*;
+use crate::lowered::{self, Code, LoopBody, State};
 use crate::protocol::{self, Step, SyncKind};
 use crate::value::Value;
 
@@ -154,7 +155,10 @@ pub fn try_execute_suppressed(
         .with_tracer(tracer)
         .with_faults(faults)
         .with_crash_suppression(suppressed_crashes.clone());
-    let out = uni.try_run(|mpi| run_rank(prog, mpi, mode, resume))?;
+    // Lowered once, before any rank starts; every rank thread walks
+    // the same form by reference.
+    let code = lowered::lower_program(prog);
+    let out = uni.try_run(|mpi| run_rank(prog, &code, mpi, mode, resume))?;
     let (arrays, scalars, boundaries) = out.results[0].clone();
     Ok(RunReport {
         elapsed: out.elapsed(),
@@ -171,35 +175,49 @@ pub fn try_execute_suppressed(
 
 /// Execute the program's sequential form on one node (the Table-1
 /// baseline: no MPI environment, no windows, no synchronization).
+///
+/// # Panics
+/// Panics with the error's text where [`try_execute_sequential`]
+/// returns one.
 pub fn execute_sequential(prog: &SpmdProgram, cpu: &CpuModel, mode: ExecMode) -> SeqReport {
-    let mut interp = Interp {
-        scalars: init_scalars(prog),
-        mem: prog.arrays.iter().map(|(_, len)| vec![0.0; *len]).collect(),
-        cycles: 0.0,
-        cost_cache: HashMap::new(),
-        int_scalars: int_table(prog),
-        mode,
-    };
+    try_execute_sequential(prog, cpu, mode).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`execute_sequential`]: a typed [`VpceError`] when the
+/// program raises one (a type violation, a division by zero, a loop
+/// `Analytic` cannot price).
+pub fn try_execute_sequential(
+    prog: &SpmdProgram,
+    cpu: &CpuModel,
+    mode: ExecMode,
+) -> Result<SeqReport, VpceError> {
+    // The error travels as a typed panic payload, as it does out of a
+    // rank thread; anything else that unwinds is a bug and goes on.
+    match catch_unwind(AssertUnwindSafe(|| run_sequential(prog, mode))) {
+        Ok((cycles, arrays, scalars)) => {
+            Ok(SeqReport { elapsed: cycles / cpu.clock_hz, arrays, scalars })
+        }
+        Err(payload) => Err(take_raised(payload).unwrap_or_else(|other| resume_unwind(other))),
+    }
+}
+
+/// The sequential form executed from zeroed state: (cycles, arrays,
+/// scalars).
+pub(crate) fn run_sequential(
+    prog: &SpmdProgram,
+    mode: ExecMode,
+) -> (f64, Vec<Vec<Elem>>, Vec<Value>) {
+    let code = lowered::lower(&prog.sequential, &prog.scalars);
+    let mut st = State::new(&prog.scalars);
+    let mut mem: Vec<Vec<Elem>> = prog.arrays.iter().map(|(_, len)| vec![0.0; *len]).collect();
     match mode {
-        ExecMode::Full => interp.run(&prog.sequential),
-        ExecMode::Analytic => interp.charge_analytic(&prog.sequential),
+        ExecMode::Full => {
+            let mut views: Vec<&mut [Elem]> = mem.iter_mut().map(Vec::as_mut_slice).collect();
+            st.run(&code, &mut views);
+        }
+        ExecMode::Analytic => st.cycles += st.price(&code),
     }
-    SeqReport {
-        elapsed: interp.cycles / cpu.clock_hz,
-        arrays: interp.mem,
-        scalars: interp.scalars,
-    }
-}
-
-fn int_table(prog: &SpmdProgram) -> Vec<bool> {
-    prog.scalars.iter().map(|(_, is_int)| *is_int).collect()
-}
-
-fn init_scalars(prog: &SpmdProgram) -> Vec<Value> {
-    prog.scalars
-        .iter()
-        .map(|(_, is_int)| if *is_int { Value::I(0) } else { Value::R(0.0) })
-        .collect()
+    (st.cycles, mem, st.values())
 }
 
 impl From<RedOp> for AccumulateOp {
@@ -240,6 +258,7 @@ fn phase(mpi: &Mpi, t0: f64, name: impl FnOnce() -> String) {
 /// scalars plus the block-boundary times (empty on slave ranks).
 fn run_rank(
     prog: &SpmdProgram,
+    code: &[Code],
     mpi: &mut Mpi,
     mode: ExecMode,
     resume: Option<&crate::checkpoint::Snapshot>,
@@ -262,14 +281,7 @@ fn run_rank(
         .unwrap_or(0);
     let red_win: Option<WindowRef> = (max_reds > 0).then(|| mpi.win_create(max_reds));
     phase(mpi, t_init, || "init".to_string());
-    let mut interp = Interp {
-        scalars: init_scalars(prog),
-        mem: Vec::new(), // unused on the MPI path; windows hold memory
-        cycles: 0.0,
-        cost_cache: HashMap::new(),
-        int_scalars: int_table(prog),
-        mode,
-    };
+    let mut st = State::new(&prog.scalars);
 
     // Resuming: master state (windows + scalars) is authoritative at
     // every block boundary — each parallel region ends collect → fence
@@ -288,7 +300,7 @@ fn run_rank(
         for (win, data) in wins.iter().zip(&snap.arrays) {
             win.fill_from(data);
         }
-        interp.scalars = snap.scalars.clone();
+        st.load_values(&snap.scalars);
     }
 
     // The parallel regions still to run, under their whole-program
@@ -296,25 +308,25 @@ fn run_rank(
     // draws, which a resumed run must share with the uninterrupted one.
     let mut todo = prog.numbered_regions().filter(|&(_, block, _)| block >= skip);
     let mut boundaries = Vec::new();
-    for block in &prog.blocks[skip..] {
+    for block in &code[skip..] {
         match block {
-            Block::MasterSeq(instrs) => {
+            Code::MasterSeq(block) => {
                 if rank == 0 {
                     let t_serial = mpi.now();
                     let mut guards = lock_all(&wins);
                     // Sequential sections are cheap scalar set-up;
                     // execute them numerically in both modes so
                     // integer control state stays meaningful.
-                    interp.run_on(instrs, &mut guards);
+                    st.run(block, &mut views(&mut guards));
                     drop(guards);
-                    flush_cycles(&mut interp, mpi);
+                    flush_cycles(&mut st, mpi);
                     phase(mpi, t_serial, || "serial".to_string());
                 }
             }
-            Block::Parallel(_) => {
+            Code::Parallel(body) => {
                 let (serial, _, region) =
                     todo.next().expect("one numbered region per parallel block");
-                run_region(prog, region, mpi, &wins, red_win.as_ref(), &mut interp, serial);
+                run_region(region, body, mode, mpi, &wins, red_win.as_ref(), &mut st, serial);
             }
         }
         if rank == 0 {
@@ -328,7 +340,7 @@ fn run_rank(
     } else {
         Vec::new()
     };
-    (arrays, interp.scalars.clone(), boundaries)
+    (arrays, st.values(), boundaries)
 }
 
 type Guard = ArcMutexGuard<Vec<Elem>>;
@@ -337,23 +349,29 @@ fn lock_all(wins: &[WindowRef]) -> Vec<Guard> {
     wins.iter().map(WindowRef::lock_arc).collect()
 }
 
-fn flush_cycles(interp: &mut Interp, mpi: &mut Mpi) {
-    if interp.cycles > 0.0 {
-        let secs = interp.cycles / mpi.cpu().clock_hz;
+/// One slice per program array, in array order.
+fn views(guards: &mut [Guard]) -> Vec<&mut [Elem]> {
+    guards.iter_mut().map(|g| g.as_mut_slice()).collect()
+}
+
+fn flush_cycles(st: &mut State, mpi: &mut Mpi) {
+    if st.cycles > 0.0 {
+        let secs = st.cycles / mpi.cpu().clock_hz;
         mpi.advance(secs);
-        interp.cycles = 0.0;
+        st.cycles = 0.0;
     }
 }
 
 /// Execute one parallel region: interpret the §3 walk
 /// ([`protocol::steps`]) against the MPI library.
 fn run_region(
-    prog: &SpmdProgram,
     region: &ParRegion,
+    body: &LoopBody,
+    mode: ExecMode,
     mpi: &mut Mpi,
     wins: &[WindowRef],
     red_win: Option<&WindowRef>,
-    interp: &mut Interp,
+    st: &mut State,
     region_serial: u64,
 ) {
     let line = region.line;
@@ -389,22 +407,14 @@ fn run_region(
             Step::Sync(SyncKind::Barrier) => mpi.barrier(),
             Step::Sync(SyncKind::Fence) => mpi.fence_all(),
             // Shared scalars travel master -> everyone (values as f64;
-            // the slot type restores integers).
+            // the typed store restores integers).
             Step::Sync(SyncKind::Bcast) => {
                 let payload = (rank == 0).then(|| {
-                    region
-                        .scalars_in
-                        .iter()
-                        .map(|&s| interp.scalars[s].as_real())
-                        .collect::<Vec<f64>>()
+                    region.scalars_in.iter().map(|&s| st.real_of(s)).collect::<Vec<f64>>()
                 });
                 let vals = mpi.bcast(0, payload);
                 for (&slot, &v) in region.scalars_in.iter().zip(&vals) {
-                    interp.scalars[slot] = if prog.scalars[slot].1 {
-                        Value::I(v as i64)
-                    } else {
-                        Value::R(v)
-                    };
+                    st.store_real(slot, v);
                 }
             }
             // Tree combine: everyone contributes its partial, one
@@ -412,7 +422,7 @@ fn run_region(
             Step::Sync(SyncKind::Reduce) => {
                 let (i, red) = tree_reds.next().expect("one reduce step per reduction");
                 if let Some(v) = mpi.reduce(0, vec![partials[i]], red.op.into()) {
-                    interp.scalars[red.scalar] = Value::R(combine(red.op, saved[i], v[0]));
+                    st.store_real(red.scalar, combine(red.op, saved[i], v[0]));
                 }
             }
             Step::Rma { op, target, get, .. } => {
@@ -421,33 +431,31 @@ fn run_region(
             Step::Compute => {
                 // Reductions: save master's running value, seed local
                 // accumulator.
-                saved = reduction_values(region, interp);
+                saved = reduction_values(region, st);
                 for red in &region.reductions {
-                    interp.scalars[red.scalar] = Value::R(red.identity);
+                    st.store_real(red.scalar, red.identity);
                 }
                 // Partitioned execution of this rank's iterations.
                 let (start, every, count) = region.sched.assignment(region.trips, rank, nprocs);
                 if count > 0 {
-                    let before = interp.cycles;
-                    let mut guards = lock_all(wins);
-                    match interp.mode {
+                    let before = st.cycles;
+                    let first = region.lo.wrapping_add((start as i64).wrapping_mul(region.step));
+                    let step = (every as i64).wrapping_mul(region.step);
+                    match mode {
                         ExecMode::Full => {
-                            interp.run_iterations(region, start, every, count, &mut guards);
+                            let mut guards = lock_all(wins);
+                            st.run_trips(body, first, step, count, &mut views(&mut guards));
                         }
-                        ExecMode::Analytic => {
-                            interp.charge_region_body(region, start, every, count);
-                        }
+                        ExecMode::Analytic => st.cycles += st.price_trips(body, first, step, count),
                     }
-                    drop(guards);
                     // SPMD addressing overhead on the region's compute;
                     // an injected rank slowdown stretches the same
                     // interval (timing only — numeric results are
                     // untouched).
-                    interp.cycles =
-                        before + (interp.cycles - before) * SPMD_OVERHEAD * slow_factor;
+                    st.cycles = before + (st.cycles - before) * SPMD_OVERHEAD * slow_factor;
                 }
-                flush_cycles(interp, mpi);
-                partials = reduction_values(region, interp);
+                flush_cycles(st, mpi);
+                partials = reduction_values(region, st);
             }
             Step::LockSeed => {
                 if rank == 0 {
@@ -468,7 +476,7 @@ fn run_region(
                 if rank == 0 {
                     let m = red_win().snapshot();
                     for (i, red) in region.reductions.iter().enumerate() {
-                        interp.scalars[red.scalar] = Value::R(combine(red.op, saved[i], m[i]));
+                        st.store_real(red.scalar, combine(red.op, saved[i], m[i]));
                     }
                 }
             }
@@ -481,12 +489,8 @@ fn run_region(
 }
 
 /// The current values of the region's reduction scalars.
-fn reduction_values(region: &ParRegion, interp: &Interp) -> Vec<f64> {
-    region
-        .reductions
-        .iter()
-        .map(|r| interp.scalars[r.scalar].as_real())
-        .collect()
+fn reduction_values(region: &ParRegion, st: &State) -> Vec<f64> {
+    region.reductions.iter().map(|r| st.real_of(r.scalar)).collect()
 }
 
 /// Issue one planned transfer — a GET from `target` or a PUT to it —
@@ -500,318 +504,6 @@ fn transfer(mpi: &mut Mpi, win: &WindowRef, target: usize, t: &lmad::RegionTrans
         (false, true) => mpi.put_region(win, target, offset, count),
         (false, false) => mpi.put_region_strided(win, target, offset, stride, count),
     }
-}
-
-/// The statement interpreter. `mem` is used on the sequential path;
-/// the MPI path passes window guards explicitly.
-struct Interp {
-    scalars: Vec<Value>,
-    mem: Vec<Vec<Elem>>,
-    /// Accumulated un-flushed compute cycles.
-    cycles: f64,
-    /// Cached per-instruction shallow cycle costs, keyed by address.
-    cost_cache: HashMap<usize, f64>,
-    /// INTEGER-ness per scalar slot (cost model input).
-    int_scalars: Vec<bool>,
-    mode: ExecMode,
-}
-
-/// P-II cycle table used to price OpCounts. The actual conversion to
-/// seconds uses the cluster's CPU model clock; the *table* must match
-/// the one in `cluster-sim` so Full and Analytic agree.
-fn ops_cycles(ops: &OpCounts) -> f64 {
-    CpuModel::pentium_ii_300().cycles(ops)
-}
-
-impl Interp {
-    fn shallow_cost(&mut self, i: &Instr) -> f64 {
-        let key = i as *const Instr as usize;
-        if let Some(&c) = self.cost_cache.get(&key) {
-            return c;
-        }
-        let c = ops_cycles(&instr_ops_shallow(i, &self.int_scalars));
-        self.cost_cache.insert(key, c);
-        c
-    }
-
-    /// Run instructions against `self.mem` (sequential path).
-    fn run(&mut self, instrs: &[Instr]) {
-        // Move the memory out to satisfy the borrow checker, run, put
-        // it back.
-        let mut mem = std::mem::take(&mut self.mem);
-        {
-            let mut guards: Vec<&mut Vec<Elem>> = mem.iter_mut().collect();
-            self.run_generic(instrs, &mut guards);
-        }
-        self.mem = mem;
-    }
-
-    /// Run instructions against window guards (MPI path).
-    fn run_on(&mut self, instrs: &[Instr], guards: &mut [Guard]) {
-        let mut views: Vec<&mut Vec<Elem>> = guards.iter_mut().map(|g| &mut **g).collect();
-        self.run_generic(instrs, &mut views);
-    }
-
-    /// Run this rank's iterations of a parallel region (views built
-    /// once, not per iteration).
-    fn run_iterations(
-        &mut self,
-        region: &ParRegion,
-        start: u64,
-        every: u64,
-        count: u64,
-        guards: &mut [Guard],
-    ) {
-        let mut views: Vec<&mut Vec<Elem>> = guards.iter_mut().map(|g| &mut **g).collect();
-        for k in 0..count {
-            let t = start + k * every;
-            self.scalars[region.var] = Value::I(region.lo + t as i64 * region.step);
-            self.cycles += 2.0; // outer loop bookkeeping
-            self.run_generic(&region.body, &mut views);
-        }
-    }
-
-    fn run_generic(&mut self, instrs: &[Instr], mem: &mut [&mut Vec<Elem>]) {
-        for i in instrs {
-            self.cycles += self.shallow_cost(i);
-            match i {
-                Instr::StoreArray {
-                    array,
-                    index,
-                    value,
-                } => {
-                    let idx = self.eval(index, mem).as_int();
-                    let v = self.eval(value, mem).as_real();
-                    let m = &mut *mem[*array];
-                    assert!(
-                        (idx as usize) < m.len(),
-                        "store out of bounds: array {} index {idx} len {}",
-                        array,
-                        m.len()
-                    );
-                    m[idx as usize] = v;
-                }
-                Instr::StoreScalar { slot, value } => {
-                    self.scalars[*slot] = self.eval(value, mem);
-                }
-                Instr::Loop {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                } => {
-                    let lo = self.eval(lo, mem).as_int();
-                    let hi = self.eval(hi, mem).as_int();
-                    let step = *step;
-                    let mut v = lo;
-                    while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
-                        self.scalars[*var] = Value::I(v);
-                        self.cycles += 2.0; // loop bookkeeping
-                        self.run_generic(body, mem);
-                        v += step;
-                    }
-                }
-                Instr::If {
-                    cond,
-                    then_body,
-                    else_body,
-                } => {
-                    if self.eval(cond, mem).is_true() {
-                        self.run_generic(then_body, mem);
-                    } else {
-                        self.run_generic(else_body, mem);
-                    }
-                }
-            }
-        }
-    }
-
-    fn eval(&self, e: &Expr, mem: &[&mut Vec<Elem>]) -> Value {
-        match e {
-            Expr::IConst(v) => Value::I(*v),
-            Expr::RConst(v) => Value::R(*v),
-            Expr::Scalar(slot) => self.scalars[*slot],
-            Expr::Load { array, index } => {
-                let idx = self.eval(index, mem).as_int();
-                let m = &*mem[*array];
-                assert!(
-                    (idx as usize) < m.len(),
-                    "load out of bounds: array {} index {idx} len {}",
-                    array,
-                    m.len()
-                );
-                Value::R(m[idx as usize])
-            }
-            Expr::Neg(a) => self.eval(a, mem).neg(),
-            Expr::Not(a) => self.eval(a, mem).not(),
-            Expr::Bin(op, a, b) => {
-                let x = self.eval(a, mem);
-                let y = self.eval(b, mem);
-                match op {
-                    BinOp::Add => x.add(y),
-                    BinOp::Sub => x.sub(y),
-                    BinOp::Mul => x.mul(y),
-                    BinOp::Div => x.div(y),
-                    BinOp::Pow => x.pow(y),
-                    BinOp::Lt => x.lt(y),
-                    BinOp::Le => x.le(y),
-                    BinOp::Gt => x.gt(y),
-                    BinOp::Ge => x.ge(y),
-                    BinOp::Eq => x.eq_v(y),
-                    BinOp::Ne => x.ne_v(y),
-                    BinOp::And => x.and(y),
-                    BinOp::Or => x.or(y),
-                }
-            }
-            Expr::Intr(op, args) => {
-                let a0 = self.eval(&args[0], mem);
-                match op {
-                    IntrinsicOp::Sqrt => Value::R(a0.as_real().sqrt()),
-                    IntrinsicOp::Abs => match a0 {
-                        Value::I(v) => Value::I(v.abs()),
-                        Value::R(v) => Value::R(v.abs()),
-                    },
-                    IntrinsicOp::Sin => Value::R(a0.as_real().sin()),
-                    IntrinsicOp::Cos => Value::R(a0.as_real().cos()),
-                    IntrinsicOp::Exp => Value::R(a0.as_real().exp()),
-                    IntrinsicOp::ToReal => Value::R(a0.as_real()),
-                    IntrinsicOp::ToInt => Value::I(a0.as_real().trunc() as i64),
-                    IntrinsicOp::Mod => {
-                        let a1 = self.eval(&args[1], mem);
-                        match (a0, a1) {
-                            (Value::I(x), Value::I(y)) => Value::I(x % y),
-                            (x, y) => Value::R(x.as_real() % y.as_real()),
-                        }
-                    }
-                    IntrinsicOp::Min => {
-                        let a1 = self.eval(&args[1], mem);
-                        match (a0, a1) {
-                            (Value::I(x), Value::I(y)) => Value::I(x.min(y)),
-                            (x, y) => Value::R(x.as_real().min(y.as_real())),
-                        }
-                    }
-                    IntrinsicOp::Max => {
-                        let a1 = self.eval(&args[1], mem);
-                        match (a0, a1) {
-                            (Value::I(x), Value::I(y)) => Value::I(x.max(y)),
-                            (x, y) => Value::R(x.as_real().max(y.as_real())),
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    // ---------------- analytic costing ----------------
-
-    /// Charge the cost of this rank's share of a region body without
-    /// executing numerics.
-    fn charge_region_body(&mut self, region: &ParRegion, start: u64, every: u64, count: u64) {
-        // If no inner bound depends on the parallel index, one
-        // iteration prices them all.
-        if !body_mentions_scalar(&region.body, region.var) {
-            self.scalars[region.var] = Value::I(region.lo + start as i64 * region.step);
-            let per = self.analytic_cost(&region.body);
-            self.cycles += (per + 2.0) * count as f64;
-        } else {
-            for k in 0..count {
-                let t = start + k * every;
-                self.scalars[region.var] = Value::I(region.lo + t as i64 * region.step);
-                let per = self.analytic_cost(&region.body);
-                self.cycles += per + 2.0;
-            }
-        }
-    }
-
-    /// Charge a whole statement list analytically (sequential
-    /// baseline).
-    fn charge_analytic(&mut self, instrs: &[Instr]) {
-        let c = self.analytic_cost(instrs);
-        self.cycles += c;
-    }
-
-    /// Cycle cost of executing `instrs` once, evaluating loop bounds
-    /// through the current integer scalar state but skipping all
-    /// numeric work. Conditionals are priced as condition + THEN
-    /// branch (a documented approximation; the evaluated benchmarks
-    /// have no data-dependent branches in hot regions).
-    fn analytic_cost(&mut self, instrs: &[Instr]) -> f64 {
-        let mut total = 0.0;
-        for i in instrs {
-            total += self.shallow_cost(i);
-            match i {
-                Instr::StoreArray { .. } | Instr::StoreScalar { .. } => {}
-                Instr::Loop {
-                    var,
-                    lo,
-                    hi,
-                    step,
-                    body,
-                } => {
-                    let lo = self.eval(lo, &[]).as_int();
-                    let hi = self.eval(hi, &[]).as_int();
-                    let trips = ((hi - lo + step) / step).max(0) as u64;
-                    if trips == 0 {
-                        continue;
-                    }
-                    if !body_mentions_scalar(body, *var) {
-                        self.scalars[*var] = Value::I(lo);
-                        let per = self.analytic_cost(body);
-                        total += (per + 2.0) * trips as f64;
-                    } else {
-                        let mut v = lo;
-                        for _ in 0..trips {
-                            self.scalars[*var] = Value::I(v);
-                            total += self.analytic_cost(body) + 2.0;
-                            v += step;
-                        }
-                    }
-                }
-                Instr::If {
-                    then_body,
-                    else_body,
-                    ..
-                } => {
-                    let t = self.analytic_cost(then_body);
-                    let e = self.analytic_cost(else_body);
-                    total += t.max(e);
-                }
-            }
-        }
-        total
-    }
-}
-
-/// Does any expression in the body mention scalar `var` outside of
-/// plain stores (i.e. in loop bounds or conditions that shape cost)?
-fn body_mentions_scalar(instrs: &[Instr], var: usize) -> bool {
-    fn expr_mentions(e: &Expr, var: usize) -> bool {
-        match e {
-            Expr::Scalar(s) => *s == var,
-            Expr::IConst(_) | Expr::RConst(_) => false,
-            Expr::Load { index, .. } => expr_mentions(index, var),
-            Expr::Neg(a) | Expr::Not(a) => expr_mentions(a, var),
-            Expr::Bin(_, a, b) => expr_mentions(a, var) || expr_mentions(b, var),
-            Expr::Intr(_, args) => args.iter().any(|a| expr_mentions(a, var)),
-        }
-    }
-    instrs.iter().any(|i| match i {
-        Instr::Loop { lo, hi, body, .. } => {
-            expr_mentions(lo, var) || expr_mentions(hi, var) || body_mentions_scalar(body, var)
-        }
-        Instr::If {
-            cond,
-            then_body,
-            else_body,
-        } => {
-            expr_mentions(cond, var)
-                || body_mentions_scalar(then_body, var)
-                || body_mentions_scalar(else_body, var)
-        }
-        // Store costs are var-independent (shallow cost is static).
-        _ => false,
-    })
 }
 
 #[cfg(test)]
@@ -952,12 +644,7 @@ pub(crate) mod tests {
         let cluster = ClusterConfig::paper_4node();
         let full = execute(&prog, &cluster, ExecMode::Full);
         let ana = execute(&prog, &cluster, ExecMode::Analytic);
-        assert!(
-            (full.elapsed - ana.elapsed).abs() / full.elapsed < 1e-9,
-            "full {} vs analytic {}",
-            full.elapsed,
-            ana.elapsed
-        );
+        assert_eq!(full.elapsed, ana.elapsed);
         assert_eq!(full.net.p2p_messages, ana.net.p2p_messages);
         assert_eq!(full.net.p2p_bytes, ana.net.p2p_bytes);
     }
@@ -968,7 +655,7 @@ pub(crate) mod tests {
         let cpu = CpuModel::pentium_ii_300();
         let f = execute_sequential(&prog, &cpu, ExecMode::Full);
         let a = execute_sequential(&prog, &cpu, ExecMode::Analytic);
-        assert!((f.elapsed - a.elapsed).abs() / f.elapsed.max(1e-30) < 1e-9);
+        assert_eq!(f.elapsed, a.elapsed);
     }
 
     #[test]

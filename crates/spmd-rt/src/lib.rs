@@ -22,6 +22,12 @@
 //!   Used for the paper-scale (1024x1024) timing runs where full
 //!   interpretation is needlessly slow. See `DESIGN.md` §2.
 //!
+//! Both modes, and the sequential baseline, walk one executable form:
+//! [`lowered`] turns each statement list of the tree IR ([`ir`]) into
+//! statically typed, pre-resolved, priced-once code, once per
+//! execution. The tree IR remains the compiler's output and the cost
+//! model's input.
+//!
 //! Master copies of all program data live on rank 0 (the paper: "the
 //! master initially holds all program data objects"). Every rank's
 //! copy of every array is full-size, so a region occupies the same
@@ -34,13 +40,16 @@ pub mod checkpoint;
 pub mod cost;
 pub mod exec;
 pub mod ir;
+pub mod lowered;
+#[cfg(test)]
+mod oracle;
 pub mod protocol;
 pub mod value;
 
 pub use checkpoint::Snapshot;
 pub use exec::{
     execute, execute_sequential, execute_traced, try_execute, try_execute_suppressed,
-    try_execute_traced, ExecMode, RunReport, SeqReport,
+    try_execute_sequential, try_execute_traced, ExecMode, RunReport, SeqReport,
 };
 pub use vpce_faults::{FaultSpec, VpceError};
 pub use ir::{

@@ -1,0 +1,1023 @@
+//! The executable form of a statement list: statically typed,
+//! pre-resolved, priced once.
+//!
+//! The tree IR ([`crate::ir`]) is what the compiler emits and what the
+//! cost model reads. It is not what runs. [`lower`] turns a statement
+//! list into this form once per execution, and the two walks below —
+//! [`State::run`] (`Full`) and [`State::price`] (`Analytic`) — are the
+//! only code that executes or prices loop bodies, for rank threads and
+//! for the sequential baseline alike.
+//!
+//! **Declared type is the runtime type.** A scalar slot holds the type
+//! it was declared with (`SpmdProgram::scalars[slot].1`), always:
+//! every store into a slot converts to the slot's type (F77
+//! assignment: `INTEGER ← REAL` truncates toward zero, `REAL ←
+//! INTEGER` converts), on every rank. So an expression's type is known
+//! when it is lowered: expressions split into [`IExpr`] and [`RExpr`],
+//! the scalars live in an `i64` bank and an `f64` bank, and the
+//! conversions the tree walker discovered through a `Value` tag on
+//! every node are explicit nodes ([`IExpr::Exact`], [`IExpr::Trunc`],
+//! [`RExpr::FromInt`]) placed here. [`Value`] survives at the API
+//! boundary only.
+//!
+//! **Affine folding is exact.** INTEGER `+`, `-`, unary `-` and `*` all
+//! wrap, and wrapping arithmetic is the ring ℤ/2⁶⁴: any rearrangement
+//! of a polynomial over it has the same value. A tree built from those
+//! operators over INTEGER scalars and constants in which every product
+//! has a constant factor therefore folds into one [`Affine`] node
+//! `c0 + Σ kᵢ·scalar[sᵢ]`. Affine nodes cannot raise, so no error moves.
+//!
+//! **Block-summed costs are exact.** Each [`Block`] carries the sum of
+//! its statements' shallow costs ([`instr_cycles`]: the tree's
+//! operation counts priced by the P-II table) and a loop charges `trips × (2 + body)` on
+//! entry. Every entry of that table is a multiple of half a cycle
+//! (pinned by `cost::tests::cycle_table_entries_are_half_integers`), so
+//! every partial sum, in any order, is a half-integer far below 2⁵² —
+//! exactly representable — and f64 addition over such values is
+//! associative. The total is bit-identical to charging statement by
+//! statement.
+
+use mpi2::Elem;
+use vpce_faults::{raise, VpceError};
+
+use crate::cost::{instr_cycles, TRIP_CYCLES};
+use crate::ir::{self, BinOp, Expr, Instr, IntrinsicOp};
+use crate::value::{exact_int, Value};
+
+/// `c0 + Σ k·ints[slot]`, wrapping. No terms: a constant; one term
+/// with `k = 1`, `c0 = 0`: a plain scalar read.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Affine {
+    pub c0: i64,
+    /// `(k, slot)`; every slot is INTEGER, no `k` is zero, no slot
+    /// repeats.
+    pub terms: Vec<(i64, usize)>,
+}
+
+impl Affine {
+    #[inline]
+    fn value(&self, ints: &[i64]) -> i64 {
+        self.terms.iter().fold(self.c0, |acc, &(k, s)| {
+            acc.wrapping_add(k.wrapping_mul(ints[s]))
+        })
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IUn {
+    Neg,
+    Abs,
+    /// `.NOT.`: 1 when the operand is zero.
+    Not,
+}
+
+/// INTEGER × INTEGER → INTEGER. `And`/`Or` read their operands as
+/// truth values (non-zero) and evaluate both.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum IBin {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Pow,
+    Mod,
+    Min,
+    Max,
+    And,
+    Or,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Cmp {
+    Lt,
+    Le,
+    Gt,
+    Ge,
+    Eq,
+    Ne,
+}
+
+/// An INTEGER-valued expression.
+#[derive(Debug, Clone, PartialEq)]
+pub enum IExpr {
+    Affine(Affine),
+    Un(IUn, Box<IExpr>),
+    Bin(IBin, Box<IExpr>, Box<IExpr>),
+    /// Relational operators compare as REAL (both operand types) and
+    /// yield 0 or 1.
+    Cmp(Cmp, Box<RExpr>, Box<RExpr>),
+    /// REAL used where INTEGER is required (subscript, loop bound):
+    /// exact for an integral value, `TypeViolation` otherwise.
+    Exact(Box<RExpr>),
+    /// REAL → INTEGER truncation toward zero: `INT()`, and the store of
+    /// a REAL value into an INTEGER slot.
+    Trunc(Box<RExpr>),
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RUn {
+    Neg,
+    Abs,
+    Sqrt,
+    Sin,
+    Cos,
+    Exp,
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RBin {
+    Add,
+    Sub,
+    Mul,
+    Div,
+    Pow,
+    Mod,
+    Min,
+    Max,
+}
+
+/// A REAL-valued expression.
+#[derive(Debug, Clone, PartialEq)]
+pub enum RExpr {
+    Const(f64),
+    /// A REAL scalar slot.
+    Scalar(usize),
+    Load {
+        array: usize,
+        index: Box<IExpr>,
+    },
+    Un(RUn, Box<RExpr>),
+    Bin(RBin, Box<RExpr>, Box<RExpr>),
+    /// INTEGER → REAL conversion (`REAL()`, mixed-mode promotion, the
+    /// store of an INTEGER value into a REAL slot).
+    FromInt(Box<IExpr>),
+}
+
+/// A statement list and the cycles one pass over it costs, nested
+/// bodies excluded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Block {
+    pub cost: f64,
+    pub stmts: Vec<Stmt>,
+}
+
+/// What a counted loop repeats; the iteration set comes from outside
+/// (a `Loop` statement's bounds, or a rank's share of a parallel
+/// region).
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoopBody {
+    pub var: usize,
+    pub block: Block,
+    /// A nested loop bound or condition reads `var`, so trips of this
+    /// loop may cost differently and `Analytic` must price each one.
+    pub shape_reads_var: bool,
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Stmt {
+    StoreArray {
+        array: usize,
+        index: IExpr,
+        value: RExpr,
+    },
+    StoreInt {
+        slot: usize,
+        value: IExpr,
+    },
+    StoreReal {
+        slot: usize,
+        value: RExpr,
+    },
+    Loop {
+        lo: IExpr,
+        hi: IExpr,
+        step: i64,
+        /// A bound loads from an array: `Analytic`, which executes no
+        /// numerics, cannot know the trip count.
+        bounds_read_memory: bool,
+        body: LoopBody,
+    },
+    /// `cond` is a truth value: non-zero takes `then_body`.
+    If {
+        cond: IExpr,
+        then_body: Block,
+        else_body: Block,
+    },
+}
+
+/// One top-level block of an SPMD program, lowered.
+pub(crate) enum Code {
+    MasterSeq(Block),
+    Parallel(LoopBody),
+}
+
+/// Lower every block of `prog` (not its sequential form: a parallel
+/// execution never runs it).
+pub(crate) fn lower_program(prog: &ir::SpmdProgram) -> Vec<Code> {
+    let lowerer = Lowerer::new(&prog.scalars);
+    prog.blocks
+        .iter()
+        .map(|b| match b {
+            ir::Block::MasterSeq(instrs) => Code::MasterSeq(lowerer.block(instrs)),
+            ir::Block::Parallel(r) => Code::Parallel(lowerer.loop_body(r.var, &r.body)),
+        })
+        .collect()
+}
+
+/// Lower a statement list against the program's scalar table
+/// (`(name, is_integer)` per slot).
+pub fn lower(instrs: &[Instr], scalars: &[(String, bool)]) -> Block {
+    Lowerer::new(scalars).block(instrs)
+}
+
+/// A lowered expression of either type.
+enum Typed {
+    I(IExpr),
+    R(RExpr),
+}
+
+impl Typed {
+    /// Fortran implicit conversion (`Value::as_real`).
+    fn real(self) -> RExpr {
+        match self {
+            Typed::I(e) => RExpr::FromInt(Box::new(e)),
+            Typed::R(e) => e,
+        }
+    }
+
+    /// Integer position (`Value::as_int`).
+    fn exact(self) -> IExpr {
+        match self {
+            Typed::I(e) => e,
+            Typed::R(e) => IExpr::Exact(Box::new(e)),
+        }
+    }
+
+    /// Truth position: INTEGER non-zero, REAL `!= 0.0`.
+    fn truth(self) -> IExpr {
+        match self {
+            Typed::I(e) => e,
+            Typed::R(e) => IExpr::Cmp(Cmp::Ne, Box::new(e), Box::new(RExpr::Const(0.0))),
+        }
+    }
+}
+
+fn constant(c0: i64) -> Affine {
+    Affine {
+        c0,
+        terms: Vec::new(),
+    }
+}
+
+/// `a + kb·b`, terms merged per slot.
+fn combine(mut a: Affine, b: Affine, kb: i64) -> IExpr {
+    a.c0 = a.c0.wrapping_add(kb.wrapping_mul(b.c0));
+    for (k, slot) in b.terms {
+        let k = kb.wrapping_mul(k);
+        match a.terms.iter_mut().find(|t| t.1 == slot) {
+            Some(t) => t.0 = t.0.wrapping_add(k),
+            None => a.terms.push((k, slot)),
+        }
+    }
+    a.terms.retain(|t| t.0 != 0);
+    IExpr::Affine(a)
+}
+
+fn ibin(op: IBin, a: IExpr, b: IExpr) -> IExpr {
+    match (op, a, b) {
+        (IBin::Add, IExpr::Affine(a), IExpr::Affine(b)) => combine(a, b, 1),
+        (IBin::Sub, IExpr::Affine(a), IExpr::Affine(b)) => combine(a, b, -1),
+        (IBin::Mul, IExpr::Affine(a), IExpr::Affine(b)) if b.terms.is_empty() => {
+            combine(constant(0), a, b.c0)
+        }
+        (IBin::Mul, IExpr::Affine(a), IExpr::Affine(b)) if a.terms.is_empty() => {
+            combine(constant(0), b, a.c0)
+        }
+        (op, a, b) => IExpr::Bin(op, Box::new(a), Box::new(b)),
+    }
+}
+
+/// A binary operator on like types stays INTEGER; mixed operands
+/// promote to REAL.
+fn promote(i: IBin, r: RBin, a: Typed, b: Typed) -> Typed {
+    match (a, b) {
+        (Typed::I(a), Typed::I(b)) => Typed::I(ibin(i, a, b)),
+        (a, b) => Typed::R(RExpr::Bin(r, Box::new(a.real()), Box::new(b.real()))),
+    }
+}
+
+struct Lowerer {
+    /// INTEGER-ness per scalar slot.
+    int_scalars: Vec<bool>,
+}
+
+impl Lowerer {
+    fn new(scalars: &[(String, bool)]) -> Lowerer {
+        Lowerer {
+            int_scalars: scalars.iter().map(|s| s.1).collect(),
+        }
+    }
+
+    fn block(&self, instrs: &[Instr]) -> Block {
+        Block {
+            cost: instrs
+                .iter()
+                .map(|i| instr_cycles(i, &self.int_scalars))
+                .sum(),
+            stmts: instrs.iter().map(|i| self.stmt(i)).collect(),
+        }
+    }
+
+    fn loop_body(&self, var: usize, body: &[Instr]) -> LoopBody {
+        LoopBody {
+            var,
+            block: self.block(body),
+            shape_reads_var: shape_reads(body, var),
+        }
+    }
+
+    fn stmt(&self, i: &Instr) -> Stmt {
+        match i {
+            Instr::StoreArray {
+                array,
+                index,
+                value,
+            } => Stmt::StoreArray {
+                array: *array,
+                index: self.expr(index).exact(),
+                value: self.expr(value).real(),
+            },
+            Instr::StoreScalar { slot, value } => match (self.int_scalars[*slot], self.expr(value))
+            {
+                (true, Typed::I(value)) => Stmt::StoreInt { slot: *slot, value },
+                (true, Typed::R(v)) => Stmt::StoreInt {
+                    slot: *slot,
+                    value: IExpr::Trunc(Box::new(v)),
+                },
+                (false, v) => Stmt::StoreReal {
+                    slot: *slot,
+                    value: v.real(),
+                },
+            },
+            Instr::Loop {
+                var,
+                lo,
+                hi,
+                step,
+                body,
+            } => Stmt::Loop {
+                lo: self.expr(lo).exact(),
+                hi: self.expr(hi).exact(),
+                step: *step,
+                bounds_read_memory: reads_memory(lo) || reads_memory(hi),
+                body: self.loop_body(*var, body),
+            },
+            Instr::If {
+                cond,
+                then_body,
+                else_body,
+            } => Stmt::If {
+                cond: self.expr(cond).truth(),
+                then_body: self.block(then_body),
+                else_body: self.block(else_body),
+            },
+        }
+    }
+
+    /// The static type of each node is the tag the tree walker would
+    /// have computed at run time, given that scalar slots hold their
+    /// declared type. (`cost::is_int` is a pricing heuristic and
+    /// disagrees on `ABS`/`MIN`/`MAX`/`MOD`/logicals; costs keep using
+    /// it, semantics use this.)
+    fn expr(&self, e: &Expr) -> Typed {
+        match e {
+            Expr::IConst(v) => Typed::I(IExpr::Affine(constant(*v))),
+            Expr::RConst(v) => Typed::R(RExpr::Const(*v)),
+            Expr::Scalar(slot) if self.int_scalars[*slot] => Typed::I(IExpr::Affine(Affine {
+                c0: 0,
+                terms: vec![(1, *slot)],
+            })),
+            Expr::Scalar(slot) => Typed::R(RExpr::Scalar(*slot)),
+            Expr::Load { array, index } => Typed::R(RExpr::Load {
+                array: *array,
+                index: Box::new(self.expr(index).exact()),
+            }),
+            Expr::Neg(a) => match self.expr(a) {
+                Typed::I(IExpr::Affine(a)) => Typed::I(combine(constant(0), a, -1)),
+                Typed::I(a) => Typed::I(IExpr::Un(IUn::Neg, Box::new(a))),
+                Typed::R(a) => Typed::R(RExpr::Un(RUn::Neg, Box::new(a))),
+            },
+            Expr::Not(a) => Typed::I(IExpr::Un(IUn::Not, Box::new(self.expr(a).truth()))),
+            Expr::Bin(op, a, b) => {
+                let (a, b) = (self.expr(a), self.expr(b));
+                let cmp = |op, a: Typed, b: Typed| {
+                    Typed::I(IExpr::Cmp(op, Box::new(a.real()), Box::new(b.real())))
+                };
+                match op {
+                    BinOp::Add => promote(IBin::Add, RBin::Add, a, b),
+                    BinOp::Sub => promote(IBin::Sub, RBin::Sub, a, b),
+                    BinOp::Mul => promote(IBin::Mul, RBin::Mul, a, b),
+                    BinOp::Div => promote(IBin::Div, RBin::Div, a, b),
+                    BinOp::Pow => promote(IBin::Pow, RBin::Pow, a, b),
+                    BinOp::And => Typed::I(ibin(IBin::And, a.truth(), b.truth())),
+                    BinOp::Or => Typed::I(ibin(IBin::Or, a.truth(), b.truth())),
+                    BinOp::Lt => cmp(Cmp::Lt, a, b),
+                    BinOp::Le => cmp(Cmp::Le, a, b),
+                    BinOp::Gt => cmp(Cmp::Gt, a, b),
+                    BinOp::Ge => cmp(Cmp::Ge, a, b),
+                    BinOp::Eq => cmp(Cmp::Eq, a, b),
+                    BinOp::Ne => cmp(Cmp::Ne, a, b),
+                }
+            }
+            Expr::Intr(op, args) => {
+                let a0 = self.expr(&args[0]);
+                let real = |f, a: Typed| Typed::R(RExpr::Un(f, Box::new(a.real())));
+                match op {
+                    IntrinsicOp::Sqrt => real(RUn::Sqrt, a0),
+                    IntrinsicOp::Sin => real(RUn::Sin, a0),
+                    IntrinsicOp::Cos => real(RUn::Cos, a0),
+                    IntrinsicOp::Exp => real(RUn::Exp, a0),
+                    IntrinsicOp::Abs => match a0 {
+                        Typed::I(a) => Typed::I(IExpr::Un(IUn::Abs, Box::new(a))),
+                        Typed::R(a) => Typed::R(RExpr::Un(RUn::Abs, Box::new(a))),
+                    },
+                    IntrinsicOp::ToReal => Typed::R(a0.real()),
+                    IntrinsicOp::ToInt => Typed::I(IExpr::Trunc(Box::new(a0.real()))),
+                    IntrinsicOp::Mod => promote(IBin::Mod, RBin::Mod, a0, self.expr(&args[1])),
+                    IntrinsicOp::Min => promote(IBin::Min, RBin::Min, a0, self.expr(&args[1])),
+                    IntrinsicOp::Max => promote(IBin::Max, RBin::Max, a0, self.expr(&args[1])),
+                }
+            }
+        }
+    }
+}
+
+fn reads_memory(e: &Expr) -> bool {
+    match e {
+        Expr::Load { .. } => true,
+        Expr::IConst(_) | Expr::RConst(_) | Expr::Scalar(_) => false,
+        Expr::Neg(a) | Expr::Not(a) => reads_memory(a),
+        Expr::Bin(_, a, b) => reads_memory(a) || reads_memory(b),
+        Expr::Intr(_, args) => args.iter().any(reads_memory),
+    }
+}
+
+/// Does scalar `var` shape the cost of `instrs` — is it read by a
+/// nested loop bound or a condition? (Store costs are static.)
+fn shape_reads(instrs: &[Instr], var: usize) -> bool {
+    fn mentions(e: &Expr, var: usize) -> bool {
+        match e {
+            Expr::Scalar(s) => *s == var,
+            Expr::IConst(_) | Expr::RConst(_) => false,
+            Expr::Load { index, .. } => mentions(index, var),
+            Expr::Neg(a) | Expr::Not(a) => mentions(a, var),
+            Expr::Bin(_, a, b) => mentions(a, var) || mentions(b, var),
+            Expr::Intr(_, args) => args.iter().any(|a| mentions(a, var)),
+        }
+    }
+    instrs.iter().any(|i| match i {
+        Instr::Loop { lo, hi, body, .. } => {
+            mentions(lo, var) || mentions(hi, var) || shape_reads(body, var)
+        }
+        Instr::If {
+            cond,
+            then_body,
+            else_body,
+        } => mentions(cond, var) || shape_reads(then_body, var) || shape_reads(else_body, var),
+        Instr::StoreArray { .. } | Instr::StoreScalar { .. } => false,
+    })
+}
+
+/// F77 iteration count of `DO v = lo, hi, step`, fixed on entry. A zero
+/// step runs no trip.
+fn trips(lo: i64, hi: i64, step: i64) -> u64 {
+    if step == 0 {
+        return 0;
+    }
+    let (lo, hi, step) = (lo as i128, hi as i128, step as i128);
+    ((hi - lo + step) / step).clamp(0, u64::MAX as i128) as u64
+}
+
+#[cold]
+#[inline(never)]
+fn out_of_bounds(what: &str, array: usize, idx: i64, len: usize) -> ! {
+    panic!("{what} out of bounds: array {array} index {idx} len {len}")
+}
+
+fn division_by_zero() -> ! {
+    raise(VpceError::TypeViolation {
+        msg: "integer division by zero".into(),
+    })
+}
+
+/// Fortran INTEGER `**`. A negative exponent is the truncated
+/// reciprocal: 0 unless the base is ±1 (or 0, which divides by zero).
+fn ipow(a: i64, b: i64) -> i64 {
+    match (a, b) {
+        (_, 0..=i64::MAX) => a.wrapping_pow(b.min(62) as u32),
+        (1, _) => 1,
+        (-1, _) => 1 - 2 * (b & 1),
+        (0, _) => division_by_zero(),
+        _ => 0,
+    }
+}
+
+/// One executor's scalar banks and un-flushed compute cycles. Both
+/// banks are indexed by slot; a slot lives in the bank of its declared
+/// type and its entry in the other bank is never read.
+pub(crate) struct State<'p> {
+    scalars: &'p [(String, bool)],
+    ints: Vec<i64>,
+    reals: Vec<f64>,
+    pub cycles: f64,
+}
+
+impl<'p> State<'p> {
+    /// All scalars zero.
+    pub fn new(scalars: &'p [(String, bool)]) -> State<'p> {
+        State {
+            scalars,
+            ints: vec![0; scalars.len()],
+            reals: vec![0.0; scalars.len()],
+            cycles: 0.0,
+        }
+    }
+
+    /// The typed store: `v` converted to the slot's declared type.
+    pub fn store_real(&mut self, slot: usize, v: f64) {
+        if self.scalars[slot].1 {
+            self.ints[slot] = v as i64;
+        } else {
+            self.reals[slot] = v;
+        }
+    }
+
+    fn store_int(&mut self, slot: usize, v: i64) {
+        if self.scalars[slot].1 {
+            self.ints[slot] = v;
+        } else {
+            self.reals[slot] = v as f64;
+        }
+    }
+
+    /// Numeric view of a slot (`Value::as_real`).
+    pub fn real_of(&self, slot: usize) -> f64 {
+        if self.scalars[slot].1 {
+            self.ints[slot] as f64
+        } else {
+            self.reals[slot]
+        }
+    }
+
+    /// Every slot as a tagged [`Value`] (the API boundary).
+    pub fn values(&self) -> Vec<Value> {
+        (0..self.scalars.len())
+            .map(|s| {
+                if self.scalars[s].1 {
+                    Value::I(self.ints[s])
+                } else {
+                    Value::R(self.reals[s])
+                }
+            })
+            .collect()
+    }
+
+    /// Seed every slot from tagged values, through the typed store.
+    pub fn load_values(&mut self, values: &[Value]) {
+        for (slot, v) in values.iter().enumerate() {
+            match *v {
+                Value::I(v) => self.store_int(slot, v),
+                Value::R(v) => self.store_real(slot, v),
+            }
+        }
+    }
+
+    /// `Full`: execute `block` once against `mem` (one slice per
+    /// program array).
+    pub fn run(&mut self, block: &Block, mem: &mut [&mut [Elem]]) {
+        self.cycles += block.cost;
+        self.exec(&block.stmts, mem);
+    }
+
+    /// `Full`: execute `n` trips of a loop, `var = first, first + step,
+    /// …`. Charges all trips' bookkeeping and shallow body cost on
+    /// entry.
+    pub fn run_trips(
+        &mut self,
+        l: &LoopBody,
+        first: i64,
+        step: i64,
+        n: u64,
+        mem: &mut [&mut [Elem]],
+    ) {
+        self.cycles += n as f64 * (TRIP_CYCLES + l.block.cost);
+        let mut v = first;
+        for _ in 0..n {
+            self.store_int(l.var, v);
+            self.exec(&l.block.stmts, mem);
+            v = v.wrapping_add(step);
+        }
+    }
+
+    fn exec(&mut self, stmts: &[Stmt], mem: &mut [&mut [Elem]]) {
+        for s in stmts {
+            match s {
+                Stmt::StoreArray {
+                    array,
+                    index,
+                    value,
+                } => {
+                    let idx = self.index(index, mem);
+                    let v = self.real(value, mem);
+                    let m = &mut *mem[*array];
+                    match m.get_mut(idx as usize) {
+                        Some(elem) => *elem = v,
+                        None => out_of_bounds("store", *array, idx, m.len()),
+                    }
+                }
+                Stmt::StoreInt { slot, value } => self.ints[*slot] = self.int(value, mem),
+                Stmt::StoreReal { slot, value } => self.reals[*slot] = self.real(value, mem),
+                Stmt::Loop {
+                    lo, hi, step, body, ..
+                } => {
+                    let lo = self.int(lo, mem);
+                    let hi = self.int(hi, mem);
+                    self.run_trips(body, lo, *step, trips(lo, hi, *step), mem);
+                }
+                Stmt::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    if self.int(cond, mem) != 0 {
+                        self.run(then_body, mem);
+                    } else {
+                        self.run(else_body, mem);
+                    }
+                }
+            }
+        }
+    }
+
+    /// `Analytic`: cycle cost of executing `block` once, evaluating
+    /// loop bounds through the current scalar state but skipping all
+    /// numeric work. Conditionals are priced as condition + the dearer
+    /// branch (a documented approximation; the evaluated benchmarks
+    /// have no data-dependent branches in hot regions).
+    pub fn price(&mut self, block: &Block) -> f64 {
+        let mut total = block.cost;
+        for s in &block.stmts {
+            match s {
+                Stmt::StoreArray { .. } | Stmt::StoreInt { .. } | Stmt::StoreReal { .. } => {}
+                Stmt::Loop {
+                    lo,
+                    hi,
+                    step,
+                    bounds_read_memory,
+                    body,
+                } => {
+                    if *bounds_read_memory {
+                        raise(VpceError::InvalidArgument {
+                            msg: format!(
+                                "analytic mode cannot price loop DO {}: a bound reads array \
+                                 memory, which only full execution computes",
+                                self.scalars[body.var].0
+                            ),
+                        });
+                    }
+                    let lo = self.int(lo, &[]);
+                    let hi = self.int(hi, &[]);
+                    total += self.price_trips(body, lo, *step, trips(lo, hi, *step));
+                }
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    let t = self.price(then_body);
+                    let e = self.price(else_body);
+                    total += t.max(e);
+                }
+            }
+        }
+        total
+    }
+
+    /// `Analytic`: cost of `n` trips of a loop. When nothing inside is
+    /// shaped by the loop variable, one trip prices them all.
+    pub fn price_trips(&mut self, l: &LoopBody, first: i64, step: i64, n: u64) -> f64 {
+        if n == 0 {
+            return 0.0;
+        }
+        if !l.shape_reads_var {
+            self.store_int(l.var, first);
+            return (self.price(&l.block) + TRIP_CYCLES) * n as f64;
+        }
+        let mut total = 0.0;
+        let mut v = first;
+        for _ in 0..n {
+            self.store_int(l.var, v);
+            total += self.price(&l.block) + TRIP_CYCLES;
+            v = v.wrapping_add(step);
+        }
+        total
+    }
+
+    /// A subscript. Nearly always one affine node: evaluating it here,
+    /// not through a call into [`Self::int`], is a third of MM's time.
+    #[inline(always)]
+    fn index(&self, e: &IExpr, mem: &[&mut [Elem]]) -> i64 {
+        match e {
+            IExpr::Affine(a) => a.value(&self.ints),
+            e => self.int(e, mem),
+        }
+    }
+
+    fn int(&self, e: &IExpr, mem: &[&mut [Elem]]) -> i64 {
+        match e {
+            IExpr::Affine(a) => a.value(&self.ints),
+            IExpr::Un(op, a) => {
+                let a = self.int(a, mem);
+                match op {
+                    IUn::Neg => a.wrapping_neg(),
+                    IUn::Abs => a.wrapping_abs(),
+                    IUn::Not => (a == 0) as i64,
+                }
+            }
+            IExpr::Bin(op, a, b) => {
+                let (a, b) = (self.int(a, mem), self.int(b, mem));
+                match op {
+                    IBin::Add => a.wrapping_add(b),
+                    IBin::Sub => a.wrapping_sub(b),
+                    IBin::Mul => a.wrapping_mul(b),
+                    IBin::Div if b == 0 => division_by_zero(),
+                    IBin::Div => a.wrapping_div(b),
+                    IBin::Mod if b == 0 => division_by_zero(),
+                    IBin::Mod => a.wrapping_rem(b),
+                    IBin::Pow => ipow(a, b),
+                    IBin::Min => a.min(b),
+                    IBin::Max => a.max(b),
+                    IBin::And => (a != 0 && b != 0) as i64,
+                    IBin::Or => (a != 0 || b != 0) as i64,
+                }
+            }
+            IExpr::Cmp(op, a, b) => {
+                let (a, b) = (self.real(a, mem), self.real(b, mem));
+                (match op {
+                    Cmp::Lt => a < b,
+                    Cmp::Le => a <= b,
+                    Cmp::Gt => a > b,
+                    Cmp::Ge => a >= b,
+                    Cmp::Eq => a == b,
+                    Cmp::Ne => a != b,
+                }) as i64
+            }
+            IExpr::Exact(a) => exact_int(self.real(a, mem)),
+            IExpr::Trunc(a) => self.real(a, mem) as i64,
+        }
+    }
+
+    fn real(&self, e: &RExpr, mem: &[&mut [Elem]]) -> f64 {
+        match e {
+            RExpr::Const(v) => *v,
+            RExpr::Scalar(slot) => self.reals[*slot],
+            RExpr::Load { array, index } => {
+                let idx = self.index(index, mem);
+                let m = &*mem[*array];
+                match m.get(idx as usize) {
+                    Some(v) => *v,
+                    None => out_of_bounds("load", *array, idx, m.len()),
+                }
+            }
+            RExpr::Un(op, a) => {
+                let a = self.real(a, mem);
+                match op {
+                    RUn::Neg => -a,
+                    RUn::Abs => a.abs(),
+                    RUn::Sqrt => a.sqrt(),
+                    RUn::Sin => a.sin(),
+                    RUn::Cos => a.cos(),
+                    RUn::Exp => a.exp(),
+                }
+            }
+            RExpr::Bin(op, a, b) => {
+                let (a, b) = (self.real(a, mem), self.real(b, mem));
+                match op {
+                    RBin::Add => a + b,
+                    RBin::Sub => a - b,
+                    RBin::Mul => a * b,
+                    RBin::Div => a / b,
+                    RBin::Pow => a.powf(b),
+                    RBin::Mod => a % b,
+                    RBin::Min => a.min(b),
+                    RBin::Max => a.max(b),
+                }
+            }
+            RExpr::FromInt(a) => self.int(a, mem) as f64,
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::exec::{run_sequential, try_execute, ExecMode};
+    use crate::ir::{Block as IrBlock, ParRegion, SpmdProgram};
+    use cluster_sim::ClusterConfig;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use vpce_faults::FaultSpec;
+
+    fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+        Expr::Bin(op, Box::new(a), Box::new(b))
+    }
+
+    /// INTEGER M, REAL X, and array A(4); `body` as the sequential form.
+    fn prog(body: Vec<Instr>) -> SpmdProgram {
+        SpmdProgram {
+            name: "T".into(),
+            nprocs: 1,
+            arrays: vec![("A".into(), 4)],
+            scalars: vec![("M".into(), true), ("X".into(), false), ("K".into(), true)],
+            blocks: Vec::new(),
+            sequential: body,
+        }
+    }
+
+    /// `M = e`, executed: the value, or the typed error it raised.
+    fn int_value(e: Expr) -> Result<i64, VpceError> {
+        let p = prog(vec![Instr::StoreScalar { slot: 0, value: e }]);
+        match catch_unwind(AssertUnwindSafe(|| run_sequential(&p, ExecMode::Full))) {
+            Ok((_, _, scalars)) => Ok(scalars[0].as_int()),
+            Err(payload) => Err(vpce_faults::take_raised(payload).expect("a typed error")),
+        }
+    }
+
+    #[test]
+    fn integer_edge_cases_wrap_or_raise_typed() {
+        const MIN: i64 = i64::MIN;
+        let c = Expr::IConst;
+        let intr = |op, a, b| Expr::Intr(op, vec![c(a), c(b)]);
+        let div_by_zero = Err(VpceError::TypeViolation {
+            msg: "integer division by zero".into(),
+        });
+        let table = [
+            (Expr::Neg(Box::new(c(MIN))), Ok(MIN)),
+            (intr(IntrinsicOp::Abs, MIN, 0), Ok(MIN)),
+            (bin(BinOp::Div, c(MIN), c(-1)), Ok(MIN)),
+            (intr(IntrinsicOp::Mod, MIN, -1), Ok(0)),
+            (bin(BinOp::Pow, c(MIN), c(2)), Ok(0)),
+            (bin(BinOp::Pow, c(3), c(62)), Ok(3i64.wrapping_pow(62))),
+            (bin(BinOp::Pow, c(0), c(0)), Ok(1)),
+            (bin(BinOp::Pow, c(2), c(-1)), Ok(0)),
+            (bin(BinOp::Pow, c(MIN), c(-1)), Ok(0)),
+            (bin(BinOp::Pow, c(-1), c(-1)), Ok(-1)),
+            (bin(BinOp::Pow, c(-1), c(MIN)), Ok(1)),
+            (bin(BinOp::Pow, c(0), c(-1)), div_by_zero.clone()),
+            (intr(IntrinsicOp::Mod, MIN, 0), div_by_zero.clone()),
+            (intr(IntrinsicOp::Mod, -1, 0), div_by_zero.clone()),
+            (intr(IntrinsicOp::Mod, 0, 0), div_by_zero.clone()),
+            (bin(BinOp::Div, c(MIN), c(0)), div_by_zero.clone()),
+            (bin(BinOp::Div, c(-1), c(0)), div_by_zero.clone()),
+            (bin(BinOp::Div, c(0), c(0)), div_by_zero),
+        ];
+        for (e, want) in table {
+            assert_eq!(int_value(e.clone()), want, "{e:?}");
+        }
+    }
+
+    #[test]
+    fn loop_counter_wraps_past_the_last_trip_without_running_it() {
+        let count = |lo, hi, step| {
+            let p = prog(vec![Instr::Loop {
+                var: 2,
+                lo: Expr::IConst(lo),
+                hi: Expr::IConst(hi),
+                step,
+                body: vec![Instr::StoreScalar {
+                    slot: 0,
+                    value: bin(BinOp::Add, Expr::Scalar(0), Expr::IConst(1)),
+                }],
+            }]);
+            let (_, _, scalars) = run_sequential(&p, ExecMode::Full);
+            (scalars[0].as_int(), scalars[2].as_int())
+        };
+        assert_eq!(count(i64::MAX - 1, i64::MAX, 1), (2, i64::MAX));
+        assert_eq!(count(i64::MIN + 1, i64::MIN, -1), (2, i64::MIN));
+        assert_eq!(count(i64::MIN, i64::MAX, i64::MAX), (3, i64::MAX - 1));
+        assert_eq!(count(1, 0, 1), (0, 0));
+        assert_eq!(count(1, 5, 0), (0, 0));
+    }
+
+    #[test]
+    fn stores_convert_to_the_declared_type() {
+        // INTEGER M = 7.9 truncates; REAL X = 1 converts, so X / 2 is a
+        // REAL division.
+        let p = prog(vec![
+            Instr::StoreScalar {
+                slot: 0,
+                value: Expr::RConst(-7.9),
+            },
+            Instr::StoreScalar {
+                slot: 1,
+                value: Expr::IConst(1),
+            },
+            Instr::StoreScalar {
+                slot: 1,
+                value: bin(BinOp::Div, Expr::Scalar(1), Expr::IConst(2)),
+            },
+        ]);
+        let (_, _, scalars) = run_sequential(&p, ExecMode::Full);
+        assert_eq!(scalars[..2], [Value::I(-7), Value::R(0.5)]);
+    }
+
+    #[test]
+    fn subscripts_fold_to_one_affine_node() {
+        // (M - 1) + (K - 1) * 4, as `polaris_be::translate::linearize`
+        // emits it, and -(M - K) * 3 + M.
+        let (m, k) = (Expr::Scalar(0), Expr::Scalar(2));
+        let linear = bin(
+            BinOp::Add,
+            bin(BinOp::Sub, m.clone(), Expr::IConst(1)),
+            bin(
+                BinOp::Mul,
+                bin(BinOp::Sub, k.clone(), Expr::IConst(1)),
+                Expr::IConst(4),
+            ),
+        );
+        let scalars = prog(Vec::new()).scalars;
+        let index_of = |e: Expr| {
+            let block = lower(
+                &[Instr::StoreArray {
+                    array: 0,
+                    index: e,
+                    value: Expr::RConst(0.0),
+                }],
+                &scalars,
+            );
+            match &block.stmts[0] {
+                Stmt::StoreArray { index, .. } => index.clone(),
+                other => panic!("{other:?}"),
+            }
+        };
+        assert_eq!(
+            index_of(linear),
+            IExpr::Affine(Affine {
+                c0: -5,
+                terms: vec![(1, 0), (4, 2)]
+            })
+        );
+        let cancels = bin(
+            BinOp::Add,
+            bin(
+                BinOp::Mul,
+                Expr::Neg(Box::new(bin(BinOp::Sub, m.clone(), k))),
+                Expr::IConst(3),
+            ),
+            bin(BinOp::Mul, m.clone(), Expr::IConst(3)),
+        );
+        assert_eq!(
+            index_of(cancels),
+            IExpr::Affine(Affine {
+                c0: 0,
+                terms: vec![(3, 2)]
+            })
+        );
+        // A product of scalars and a REAL operand do not fold.
+        assert!(matches!(
+            index_of(bin(BinOp::Mul, m.clone(), m.clone())),
+            IExpr::Bin(IBin::Mul, ..)
+        ));
+        assert!(matches!(
+            index_of(bin(BinOp::Add, m, Expr::Scalar(1))),
+            IExpr::Exact(_)
+        ));
+    }
+
+    #[test]
+    fn analytic_refuses_a_loop_bound_that_reads_memory() {
+        // DO K = 1, A(M) inside a parallel region.
+        let body = vec![Instr::Loop {
+            var: 2,
+            lo: Expr::IConst(1),
+            hi: Expr::Load {
+                array: 0,
+                index: Box::new(Expr::IConst(0)),
+            },
+            step: 1,
+            body: Vec::new(),
+        }];
+        let mut p = prog(Vec::new());
+        p.blocks = vec![IrBlock::Parallel(ParRegion {
+            body,
+            ..ParRegion::blank(1, 7)
+        })];
+        let cluster = ClusterConfig::paper_n(1);
+        assert!(try_execute(&p, &cluster, ExecMode::Full, FaultSpec::off()).is_ok());
+        match try_execute(&p, &cluster, ExecMode::Analytic, FaultSpec::off()) {
+            Err(VpceError::InvalidArgument { msg }) => {
+                assert!(msg.contains("DO K") && !msg.contains('\n'), "{msg}")
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+}

@@ -1,0 +1,502 @@
+//! The retained tree walker — the differential oracle for
+//! [`crate::lowered`], compiled for tests only.
+//!
+//! This is the interpreter the lowered form replaced: it walks the tree
+//! IR, prices every executed statement with [`instr_cycles`] as it
+//! goes, and carries a [`Value`] tag through every node. Against the
+//! parent commit's walker it differs only where the specification
+//! moved: stores convert to the slot's declared type, `MOD` by zero and
+//! `0 ** negative` raise, INTEGER `**` stays INTEGER, and the remaining
+//! INTEGER operators wrap. `tests/differential_proptest.rs` and
+//! `tests/workload_differential.rs` compare the executor with itself
+//! (parallel vs sequential) and cannot see a slip both sides share;
+//! the properties below can.
+
+use mpi2::Elem;
+use vpce_faults::{raise, VpceError};
+
+use crate::cost::{instr_cycles, TRIP_CYCLES};
+use crate::ir::*;
+use crate::value::Value;
+
+pub(crate) struct Oracle {
+    /// INTEGER-ness per scalar slot.
+    int_scalars: Vec<bool>,
+    pub scalars: Vec<Value>,
+    pub cycles: f64,
+}
+
+impl Oracle {
+    /// All scalars zero.
+    pub fn new(types: &[(String, bool)]) -> Oracle {
+        let int_scalars: Vec<bool> = types.iter().map(|t| t.1).collect();
+        let scalars = int_scalars
+            .iter()
+            .map(|&int| if int { Value::I(0) } else { Value::R(0.0) })
+            .collect();
+        Oracle {
+            int_scalars,
+            scalars,
+            cycles: 0.0,
+        }
+    }
+
+    /// The typed store (F77 assignment conversion).
+    fn store(&mut self, slot: usize, v: Value) {
+        self.scalars[slot] = match (self.int_scalars[slot], v) {
+            (true, Value::R(v)) => Value::I(v as i64),
+            (false, Value::I(v)) => Value::R(v as f64),
+            (_, v) => v,
+        };
+    }
+
+    pub fn run_generic(&mut self, instrs: &[Instr], mem: &mut [Vec<Elem>]) {
+        for i in instrs {
+            self.cycles += instr_cycles(i, &self.int_scalars);
+            match i {
+                Instr::StoreArray {
+                    array,
+                    index,
+                    value,
+                } => {
+                    let idx = self.eval(index, mem).as_int();
+                    let v = self.eval(value, mem).as_real();
+                    let m = &mut mem[*array];
+                    assert!(
+                        (idx as usize) < m.len(),
+                        "store out of bounds: array {} index {idx} len {}",
+                        array,
+                        m.len()
+                    );
+                    m[idx as usize] = v;
+                }
+                Instr::StoreScalar { slot, value } => {
+                    let v = self.eval(value, mem);
+                    self.store(*slot, v);
+                }
+                Instr::Loop {
+                    var,
+                    lo,
+                    hi,
+                    step,
+                    body,
+                } => {
+                    let lo = self.eval(lo, mem).as_int();
+                    let hi = self.eval(hi, mem).as_int();
+                    let step = *step;
+                    let mut v = lo;
+                    while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
+                        self.store(*var, Value::I(v));
+                        self.cycles += TRIP_CYCLES;
+                        self.run_generic(body, mem);
+                        v = v.wrapping_add(step);
+                    }
+                }
+                Instr::If {
+                    cond,
+                    then_body,
+                    else_body,
+                } => {
+                    if self.eval(cond, mem).is_true() {
+                        self.run_generic(then_body, mem);
+                    } else {
+                        self.run_generic(else_body, mem);
+                    }
+                }
+            }
+        }
+    }
+
+    fn eval(&self, e: &Expr, mem: &[Vec<Elem>]) -> Value {
+        match e {
+            Expr::IConst(v) => Value::I(*v),
+            Expr::RConst(v) => Value::R(*v),
+            Expr::Scalar(slot) => self.scalars[*slot],
+            Expr::Load { array, index } => {
+                let idx = self.eval(index, mem).as_int();
+                let m = &mem[*array];
+                assert!(
+                    (idx as usize) < m.len(),
+                    "load out of bounds: array {} index {idx} len {}",
+                    array,
+                    m.len()
+                );
+                Value::R(m[idx as usize])
+            }
+            Expr::Neg(a) => self.eval(a, mem).neg(),
+            Expr::Not(a) => self.eval(a, mem).not(),
+            Expr::Bin(op, a, b) => {
+                let x = self.eval(a, mem);
+                let y = self.eval(b, mem);
+                match op {
+                    BinOp::Add => x.add(y),
+                    BinOp::Sub => x.sub(y),
+                    BinOp::Mul => x.mul(y),
+                    BinOp::Div => x.div(y),
+                    BinOp::Pow => x.pow(y),
+                    BinOp::Lt => x.lt(y),
+                    BinOp::Le => x.le(y),
+                    BinOp::Gt => x.gt(y),
+                    BinOp::Ge => x.ge(y),
+                    BinOp::Eq => x.eq_v(y),
+                    BinOp::Ne => x.ne_v(y),
+                    BinOp::And => x.and(y),
+                    BinOp::Or => x.or(y),
+                }
+            }
+            Expr::Intr(op, args) => {
+                let a0 = self.eval(&args[0], mem);
+                match op {
+                    IntrinsicOp::Sqrt => Value::R(a0.as_real().sqrt()),
+                    IntrinsicOp::Abs => match a0 {
+                        Value::I(v) => Value::I(v.wrapping_abs()),
+                        Value::R(v) => Value::R(v.abs()),
+                    },
+                    IntrinsicOp::Sin => Value::R(a0.as_real().sin()),
+                    IntrinsicOp::Cos => Value::R(a0.as_real().cos()),
+                    IntrinsicOp::Exp => Value::R(a0.as_real().exp()),
+                    IntrinsicOp::ToReal => Value::R(a0.as_real()),
+                    IntrinsicOp::ToInt => Value::I(a0.as_real().trunc() as i64),
+                    IntrinsicOp::Mod => {
+                        let a1 = self.eval(&args[1], mem);
+                        match (a0, a1) {
+                            (Value::I(_), Value::I(0)) => raise(VpceError::TypeViolation {
+                                msg: "integer division by zero".into(),
+                            }),
+                            (Value::I(x), Value::I(y)) => Value::I(x.wrapping_rem(y)),
+                            (x, y) => Value::R(x.as_real() % y.as_real()),
+                        }
+                    }
+                    IntrinsicOp::Min => {
+                        let a1 = self.eval(&args[1], mem);
+                        match (a0, a1) {
+                            (Value::I(x), Value::I(y)) => Value::I(x.min(y)),
+                            (x, y) => Value::R(x.as_real().min(y.as_real())),
+                        }
+                    }
+                    IntrinsicOp::Max => {
+                        let a1 = self.eval(&args[1], mem);
+                        match (a0, a1) {
+                            (Value::I(x), Value::I(y)) => Value::I(x.max(y)),
+                            (x, y) => Value::R(x.as_real().max(y.as_real())),
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    use vpce_testkit::prelude::*;
+
+    use super::*;
+    use crate::exec::{run_sequential, ExecMode};
+
+    // Scalar slots of every generated program: three INTEGER loop
+    // variables, one INTEGER and two REAL temporaries.
+    const SCALARS: [(&str, bool); 6] = [
+        ("I", true),
+        ("J", true),
+        ("K", true),
+        ("M", true),
+        ("X", false),
+        ("Y", false),
+    ];
+    const ARRAY_LEN: usize = 9;
+
+    fn program(body: Vec<Instr>) -> SpmdProgram {
+        // A holds halves (a loaded subscript is fractional half the
+        // time), B holds integers (a loaded subscript converts).
+        let fill = |array, scale| Instr::Loop {
+            var: 0,
+            lo: Expr::IConst(0),
+            hi: Expr::IConst(ARRAY_LEN as i64 - 1),
+            step: 1,
+            body: vec![Instr::StoreArray {
+                array,
+                index: Expr::Scalar(0),
+                value: bin(BinOp::Mul, Expr::Scalar(0), Expr::RConst(scale)),
+            }],
+        };
+        let mut sequential = vec![fill(0, 0.5), fill(1, 1.0)];
+        sequential.extend(body);
+        SpmdProgram {
+            name: "ORACLE".into(),
+            nprocs: 1,
+            arrays: vec![("A".into(), ARRAY_LEN), ("B".into(), ARRAY_LEN)],
+            scalars: SCALARS.iter().map(|(n, i)| (n.to_string(), *i)).collect(),
+            blocks: Vec::new(),
+            sequential,
+        }
+    }
+
+    fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+        Expr::Bin(op, Box::new(a), Box::new(b))
+    }
+
+    const BIN_OPS: [BinOp; 13] = [
+        BinOp::Add,
+        BinOp::Sub,
+        BinOp::Mul,
+        BinOp::Div,
+        BinOp::Pow,
+        BinOp::Lt,
+        BinOp::Le,
+        BinOp::Gt,
+        BinOp::Ge,
+        BinOp::Eq,
+        BinOp::Ne,
+        BinOp::And,
+        BinOp::Or,
+    ];
+    const INTRINSICS: [IntrinsicOp; 10] = [
+        IntrinsicOp::Sqrt,
+        IntrinsicOp::Abs,
+        IntrinsicOp::Mod,
+        IntrinsicOp::Min,
+        IntrinsicOp::Max,
+        IntrinsicOp::Sin,
+        IntrinsicOp::Cos,
+        IntrinsicOp::Exp,
+        IntrinsicOp::ToReal,
+        IntrinsicOp::ToInt,
+    ];
+    const EDGE_INTS: [i64; 6] = [i64::MIN, i64::MAX, -1, 0, 1, 62];
+
+    fn pick<T: Copy>(src: &mut Source, items: &[T]) -> T {
+        items[src.next_below(items.len() as u64) as usize]
+    }
+
+    /// An in-range subscript that folds to one affine node.
+    fn affine_index(src: &mut Source) -> Expr {
+        // MAX(0, MIN(2*v + 1, len-1)): the inner part folds, the clamp
+        // keeps it in range whatever `v` holds.
+        let v = Expr::Scalar(src.next_below(4) as usize);
+        let inner = bin(
+            BinOp::Add,
+            bin(BinOp::Mul, v, Expr::IConst(2)),
+            Expr::IConst(1),
+        );
+        Expr::Intr(
+            IntrinsicOp::Max,
+            vec![
+                Expr::IConst(0),
+                Expr::Intr(
+                    IntrinsicOp::Min,
+                    vec![inner, Expr::IConst(ARRAY_LEN as i64 - 1)],
+                ),
+            ],
+        )
+    }
+
+    fn expr(src: &mut Source, depth: u32) -> Expr {
+        let leaf = depth == 0 || src.next_below(3) == 0;
+        if leaf {
+            return match src.next_below(8) {
+                0 | 1 => Expr::IConst(src.next_below(9) as i64 - 3),
+                2 => Expr::IConst(pick(src, &EDGE_INTS)),
+                // Quarters: fractional half the time.
+                3 => Expr::RConst((src.next_below(33) as f64 - 16.0) / 4.0),
+                _ => Expr::Scalar(src.next_below(SCALARS.len() as u64) as usize),
+            };
+        }
+        match src.next_below(10) {
+            0 => Expr::Neg(Box::new(expr(src, depth - 1))),
+            1 => Expr::Not(Box::new(expr(src, depth - 1))),
+            2 => Expr::Load {
+                array: src.next_below(2) as usize,
+                index: Box::new(affine_index(src)),
+            },
+            // Subscripts that do not fold (products of scalars, loaded
+            // indices) and may be out of range or fractional.
+            3 => Expr::Load {
+                array: src.next_below(2) as usize,
+                index: Box::new(expr(src, depth - 1)),
+            },
+            4 | 5 => Expr::Intr(
+                pick(src, &INTRINSICS),
+                vec![expr(src, depth - 1), expr(src, depth - 1)],
+            ),
+            _ => bin(
+                pick(src, &BIN_OPS),
+                expr(src, depth - 1),
+                expr(src, depth - 1),
+            ),
+        }
+    }
+
+    /// A loop bound: any expression, clamped to `-2..=6` so every loop
+    /// is short whatever it computes.
+    fn bound(src: &mut Source) -> Expr {
+        Expr::Intr(
+            IntrinsicOp::Max,
+            vec![
+                Expr::IConst(-2),
+                Expr::Intr(IntrinsicOp::Min, vec![expr(src, 1), Expr::IConst(6)]),
+            ],
+        )
+    }
+
+    fn stmts(src: &mut Source, depth: u32, branches: bool) -> Vec<Instr> {
+        let n = 1 + src.next_below(3);
+        (0..n)
+            .map(|_| match src.next_below(if depth == 0 { 5 } else { 8 }) {
+                0 | 1 => Instr::StoreArray {
+                    array: src.next_below(2) as usize,
+                    index: affine_index(src),
+                    value: expr(src, 2),
+                },
+                2 => Instr::StoreArray {
+                    array: src.next_below(2) as usize,
+                    index: expr(src, 1),
+                    value: expr(src, 2),
+                },
+                // Loop variables are assignable too: the trip sequence
+                // is fixed on entry either way.
+                3 | 4 => Instr::StoreScalar {
+                    slot: src.next_below(SCALARS.len() as u64) as usize,
+                    value: expr(src, 2),
+                },
+                5 if branches => Instr::If {
+                    cond: expr(src, 2),
+                    then_body: stmts(src, depth - 1, branches),
+                    else_body: if src.next_below(2) == 0 {
+                        Vec::new()
+                    } else {
+                        stmts(src, depth - 1, branches)
+                    },
+                },
+                _ => Instr::Loop {
+                    var: src.next_below(3) as usize,
+                    lo: bound(src),
+                    hi: bound(src),
+                    step: pick(src, &[-2, -1, 1, 1, 2, 3]),
+                    body: stmts(src, depth - 1, branches),
+                },
+            })
+            .collect()
+    }
+
+    /// What one execution produced: state and cycles down to the bit,
+    /// or the error that stopped it.
+    #[derive(Debug, PartialEq)]
+    enum Outcome {
+        Done {
+            arrays: Vec<Vec<u64>>,
+            scalars: Vec<(bool, u64)>,
+            cycles: u64,
+        },
+        Raised(VpceError),
+        Panicked(String),
+    }
+
+    fn outcome(run: impl FnOnce() -> (f64, Vec<Vec<Elem>>, Vec<Value>)) -> Outcome {
+        match catch_unwind(AssertUnwindSafe(run)) {
+            Ok((cycles, arrays, scalars)) => Outcome::Done {
+                arrays: arrays
+                    .iter()
+                    .map(|a| a.iter().map(|v| v.to_bits()).collect())
+                    .collect(),
+                scalars: scalars
+                    .iter()
+                    .map(|v| match v {
+                        Value::I(v) => (true, *v as u64),
+                        Value::R(v) => (false, v.to_bits()),
+                    })
+                    .collect(),
+                cycles: cycles.to_bits(),
+            },
+            Err(payload) => match vpce_faults::take_raised(payload) {
+                Ok(e) => Outcome::Raised(e),
+                Err(payload) => Outcome::Panicked(
+                    payload
+                        .downcast_ref::<String>()
+                        .cloned()
+                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                        .unwrap_or_default(),
+                ),
+            },
+        }
+    }
+
+    fn oracle_run(prog: &SpmdProgram) -> (f64, Vec<Vec<Elem>>, Vec<Value>) {
+        let mut mem: Vec<Vec<Elem>> = prog.arrays.iter().map(|(_, n)| vec![0.0; *n]).collect();
+        let mut o = Oracle::new(&prog.scalars);
+        o.run_generic(&prog.sequential, &mut mem);
+        (o.cycles, mem, o.scalars)
+    }
+
+    #[test]
+    fn lowered_form_agrees_with_the_tree_walker() {
+        Check::new("spmd_rt::lowered_form_agrees_with_the_tree_walker")
+            .cases(1500)
+            .run(&Gen::new(|src| program(stmts(src, 3, true))), |prog| {
+                let lowered = outcome(|| run_sequential(prog, ExecMode::Full));
+                let oracle = outcome(|| oracle_run(prog));
+                prop_assert_eq!(lowered, oracle);
+                Ok(())
+            });
+    }
+
+    /// No `If`, no subscript or bound that can raise, no loop bound that
+    /// depends on a stored scalar: everything `Analytic` prices exactly.
+    fn branch_free(src: &mut Source, depth: u32, enclosing: &[usize]) -> Vec<Instr> {
+        let n = 1 + src.next_below(3);
+        (0..n)
+            .map(|_| {
+                if depth > 0 && src.next_below(2) == 0 {
+                    let free: Vec<usize> = (0..3).filter(|v| !enclosing.contains(v)).collect();
+                    let var = pick(src, &free);
+                    // Rectangular or triangular (bound reads an
+                    // enclosing loop variable).
+                    let limit = |src: &mut Source| match enclosing {
+                        [.., outer] if src.next_below(2) == 0 => Expr::Scalar(*outer),
+                        _ => Expr::IConst(src.next_below(7) as i64 - 1),
+                    };
+                    let inner: Vec<usize> = enclosing.iter().copied().chain([var]).collect();
+                    Instr::Loop {
+                        var,
+                        lo: limit(src),
+                        hi: limit(src),
+                        step: pick(src, &[-2, -1, 1, 1, 2]),
+                        body: branch_free(src, depth - 1, &inner),
+                    }
+                } else if src.next_below(4) == 0 {
+                    Instr::StoreScalar {
+                        slot: 3 + src.next_below(3) as usize,
+                        value: bin(BinOp::Add, Expr::Scalar(4), Expr::RConst(0.25)),
+                    }
+                } else {
+                    Instr::StoreArray {
+                        array: src.next_below(2) as usize,
+                        index: affine_index(src),
+                        value: bin(
+                            BinOp::Mul,
+                            Expr::Load {
+                                array: 0,
+                                index: Box::new(affine_index(src)),
+                            },
+                            Expr::Intr(IntrinsicOp::Cos, vec![Expr::Scalar(5)]),
+                        ),
+                    }
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn analytic_cycles_equal_full_cycles_on_branch_free_programs() {
+        Check::new("spmd_rt::analytic_cycles_equal_full_cycles_on_branch_free_programs")
+            .cases(500)
+            .run(&Gen::new(|src| program(branch_free(src, 3, &[]))), |prog| {
+                let (full, ..) = run_sequential(prog, ExecMode::Full);
+                let (analytic, ..) = run_sequential(prog, ExecMode::Analytic);
+                prop_assert_eq!(full.to_bits(), analytic.to_bits());
+                Ok(())
+            });
+    }
+}

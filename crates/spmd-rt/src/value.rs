@@ -1,34 +1,45 @@
-//! Runtime scalar values: Fortran INTEGER/REAL semantics.
+//! Runtime scalar values at the API boundary: Fortran INTEGER/REAL.
+//!
+//! Execution is statically typed ([`crate::lowered`]); a tagged
+//! [`Value`] exists where scalars leave or enter the runtime — run
+//! reports, snapshots — and in the `#[cfg(test)]` tree-walking oracle,
+//! which is also the only user of the tagged arithmetic below.
 
 use vpce_faults::{raise, VpceError};
 
-/// A runtime scalar. Arithmetic follows Fortran: INTEGER÷INTEGER
-//  truncates, mixed operands promote to REAL.
+/// A scalar slot's value, tagged with its declared type.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Value {
     I(i64),
     R(f64),
 }
 
-#[allow(clippy::should_implement_trait)] // Fortran semantics, deliberately not std ops
+/// A REAL used where an INTEGER is required (subscript, loop bound).
+///
+/// INTEGER *arrays* are stored in the same f64 windows as REAL ones,
+/// so an integral-valued REAL (e.g. `IDX(I)` read back from an integer
+/// array) converts exactly.
+///
+/// # Panics
+/// Raises [`VpceError::TypeViolation`] on a fractional REAL — the
+/// translator only emits integer-valued expressions in integer
+/// positions, so this indicates a compiler bug, not a user error.
+pub(crate) fn exact_int(v: f64) -> i64 {
+    if v.fract() == 0.0 && v.abs() < 2f64.powi(53) {
+        v as i64
+    } else {
+        raise(VpceError::TypeViolation {
+            msg: format!("REAL value {v} used where INTEGER required"),
+        })
+    }
+}
+
 impl Value {
-    /// Integer view (required for subscripts and loop bounds).
-    ///
-    /// INTEGER *arrays* are stored in the same f64 windows as REAL
-    /// ones, so an integral-valued REAL (e.g. `IDX(I)` read back from
-    /// an integer array) converts exactly.
-    ///
-    /// # Panics
-    /// Raises [`VpceError::TypeViolation`] on a fractional REAL — the
-    /// translator only emits integer-valued expressions in integer
-    /// positions, so this indicates a compiler bug, not a user error.
+    /// Integer view; see [`exact_int`] for a REAL.
     pub fn as_int(self) -> i64 {
         match self {
             Value::I(v) => v,
-            Value::R(v) if v.fract() == 0.0 && v.abs() < 2f64.powi(53) => v as i64,
-            Value::R(v) => raise(VpceError::TypeViolation {
-                msg: format!("REAL value {v} used where INTEGER required"),
-            }),
+            Value::R(v) => exact_int(v),
         }
     }
 
@@ -39,7 +50,14 @@ impl Value {
             Value::R(v) => v,
         }
     }
+}
 
+/// Tagged arithmetic, Fortran semantics: INTEGER÷INTEGER truncates,
+/// mixed operands promote to REAL. The oracle's half of the
+/// differential test against the lowered form.
+#[cfg(test)]
+#[allow(clippy::should_implement_trait)] // Fortran semantics, deliberately not std ops
+impl Value {
     /// Truth view (relational results are stored as I(0)/I(1)).
     pub fn is_true(self) -> bool {
         match self {
@@ -82,23 +100,33 @@ impl Value {
                         msg: "integer division by zero".into(),
                     });
                 }
-                Value::I(a / b)
+                Value::I(a.wrapping_div(b))
             }
             _ => Value::R(self.as_real() / o.as_real()),
         }
     }
 
-    /// Fortran `**`.
+    /// Fortran `**`. INTEGER ** INTEGER stays INTEGER: a negative
+    /// exponent is the truncated reciprocal.
     pub fn pow(self, o: Value) -> Value {
         match (self, o) {
-            (Value::I(a), Value::I(b)) if b >= 0 => Value::I(a.pow(b.min(62) as u32)),
+            (Value::I(a), Value::I(b)) if b >= 0 => Value::I(a.wrapping_pow(b.min(62) as u32)),
+            (Value::I(0), Value::I(_)) => raise(VpceError::TypeViolation {
+                msg: "integer division by zero".into(),
+            }),
+            (Value::I(a), Value::I(b)) => Value::I(match a {
+                1 => 1,
+                -1 if b % 2 == 0 => 1,
+                -1 => -1,
+                _ => 0,
+            }),
             _ => Value::R(self.as_real().powf(o.as_real())),
         }
     }
 
     pub fn neg(self) -> Value {
         match self {
-            Value::I(v) => Value::I(-v),
+            Value::I(v) => Value::I(v.wrapping_neg()),
             Value::R(v) => Value::R(-v),
         }
     }

@@ -1,6 +1,7 @@
 //! End-to-end tests of the `vpcec` binary itself: stdin-fed jobfiles
 //! (`--batch -`), the `--serve` daemon with a durable `--journal`, and
-//! the `--kill-after` crash drill. Everything below runs the real
+//! the `--kill-after` crash drill, and the exit discipline of errors a
+//! program raises while it runs. Everything below runs the real
 //! executable via `CARGO_BIN_EXE_vpcec`.
 
 use std::io::Write as _;
@@ -115,4 +116,85 @@ fn usage_error_exits_1_and_mentions_serve() {
     assert_eq!(out.status.code(), Some(1));
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
     assert!(err.contains("--serve"), "{err}");
+}
+
+/// Run `source` through the binary; an error the program raises must be
+/// one typed line on stdout, exit 3, and no panic text anywhere.
+fn run_source(name: &str, source: &str, flags: &[&str]) -> (Option<i32>, String) {
+    let file = Scratch::new(name);
+    std::fs::write(&file.0, source).unwrap();
+    let mut args = vec![file.str(), "--nodes", "4"];
+    args.extend_from_slice(flags);
+    let out = vpcec(&args, None);
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(!err.contains("panicked") && !err.contains("backtrace"), "{err}");
+    (out.status.code(), stdout(&out))
+}
+
+#[test]
+fn mixed_type_scalar_assignment_is_identical_to_sequential() {
+    const MIXED: &str = "
+      PROGRAM T
+      PARAMETER (N = 64)
+      REAL A(N), B(N), X
+      INTEGER I, K
+      X = 1
+      K = 7.9
+      DO I = 1, N
+        B(I) = REAL(I)
+      ENDDO
+      DO I = 1, N
+        A(I) = B(I) * X / 2 + K
+      ENDDO
+      END
+";
+    let (code, text) = run_source("mixed.f", MIXED, &[]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("identical to sequential execution: true"), "{text}");
+}
+
+#[test]
+fn analytic_refuses_an_array_valued_loop_bound_with_exit_3() {
+    const BOUND: &str = "
+      PROGRAM T
+      PARAMETER (N = 16)
+      REAL A(N), NB(N)
+      INTEGER I, K
+      DO I = 1, N
+        NB(I) = REAL(MOD(I, 3) + 1)
+      ENDDO
+      DO I = 1, N
+        A(I) = 0.0
+        DO K = 1, NB(I)
+          A(I) = A(I) + REAL(K)
+        ENDDO
+      ENDDO
+      END
+";
+    let (code, text) = run_source("bound.f", BOUND, &["--analytic"]);
+    assert_eq!(code, Some(3), "{text}");
+    assert_eq!(text.lines().count(), 1, "{text}");
+    assert!(text.starts_with("error: ") && text.contains("DO K"), "{text}");
+    // Full execution computes the bound and runs.
+    let (code, text) = run_source("bound_full.f", BOUND, &[]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("identical to sequential execution: true"), "{text}");
+}
+
+#[test]
+fn mod_by_zero_is_a_typed_error_with_exit_3() {
+    const MOD_ZERO: &str = "
+      PROGRAM T
+      PARAMETER (N = 16)
+      REAL A(N)
+      INTEGER I, Z
+      Z = 0
+      DO I = 1, N
+        A(I) = REAL(MOD(I, Z))
+      ENDDO
+      END
+";
+    let (code, text) = run_source("modz.f", MOD_ZERO, &[]);
+    assert_eq!(code, Some(3), "{text}");
+    assert_eq!(text, "error: integer division by zero\n");
 }
