@@ -326,62 +326,24 @@ impl NicModel {
         seq: u64,
     ) -> Result<HostCostBreakdown, VpceError> {
         let mut out = self.host_breakdown_proto(kind, proto, batched, cpu);
-        if !inj.enabled() {
+        let Some(plane) = NicFaults::arm(inj, rank, seq, &mut out) else {
             return Ok(out);
-        }
+        };
         let spec = inj.spec();
-        let key = ((rank as u64) << 32) ^ seq;
-        if inj.hits(spec.nic_stall, site::NIC_STALL, key, 0) {
-            out.retry_s += spec.nic_stall_s;
-            out.stalls += 1;
-        }
+        let (dma, pio) = ((spec.dma_err, site::DMA_ERR), (spec.pio_err, site::PIO_ERR));
+        let backoff = |attempt| inj.backoff_delay(attempt);
         match (proto, kind) {
+            // The slot holds the staged payload across attempts:
+            // recovery is a doorbell re-post, never a re-copy.
             (Protocol::Eager, _) => {
-                // The slot holds the staged payload across attempts:
-                // recovery is a doorbell re-post, never a re-copy.
-                let mut attempt: u32 = 1;
-                while inj.hits(spec.dma_err, site::DMA_ERR, key, attempt as u64) {
-                    if attempt >= spec.max_retries.saturating_add(1) {
-                        return Err(VpceError::NicFailure {
-                            rank,
-                            what: "eager doorbell",
-                            attempts: attempt,
-                        });
-                    }
-                    out.retry_s += self.post_s + inj.backoff_delay(attempt);
-                    out.retries += 1;
-                    attempt += 1;
-                }
+                plane.retry(&mut out, dma, 0, "eager doorbell", |a| self.post_s + backoff(a))?
             }
             (Protocol::Rendezvous, TransferKind::Contiguous { .. }) => {
-                let mut attempt: u32 = 1;
-                while inj.hits(spec.dma_err, site::DMA_ERR, key, attempt as u64) {
-                    if attempt >= spec.max_retries.saturating_add(1) {
-                        return Err(VpceError::NicFailure {
-                            rank,
-                            what: "DMA descriptor",
-                            attempts: attempt,
-                        });
-                    }
-                    out.retry_s += self.dma_setup_s + inj.backoff_delay(attempt);
-                    out.retries += 1;
-                    attempt += 1;
-                }
+                plane.retry(&mut out, dma, 0, "DMA descriptor", |a| self.dma_setup_s + backoff(a))?
             }
             (Protocol::Rendezvous, TransferKind::Strided { .. }) => {
-                let mut attempt: u32 = 1;
-                while inj.hits(spec.pio_err, site::PIO_ERR, key, attempt as u64) {
-                    if attempt >= spec.max_retries.saturating_add(1) {
-                        return Err(VpceError::NicFailure {
-                            rank,
-                            what: "PIO copy",
-                            attempts: attempt,
-                        });
-                    }
-                    out.retry_s += out.pio_copy_s;
-                    out.retries += 1;
-                    attempt += 1;
-                }
+                let copy_s = out.pio_copy_s;
+                plane.retry(&mut out, pio, 0, "PIO copy", |_| copy_s)?
             }
         }
         Ok(out)
@@ -403,55 +365,85 @@ impl NicModel {
         seq: u64,
     ) -> Result<HostCostBreakdown, VpceError> {
         let mut out = self.host_breakdown(kind, cpu);
-        if !inj.enabled() {
+        let Some(plane) = NicFaults::arm(inj, rank, seq, &mut out) else {
             return Ok(out);
-        }
+        };
         let spec = inj.spec();
-        let key = ((rank as u64) << 32) ^ seq;
-        if inj.hits(spec.nic_stall, site::NIC_STALL, key, 0) {
-            out.retry_s += spec.nic_stall_s;
-            out.stalls += 1;
-        }
+        let (dma, pio) = ((spec.dma_err, site::DMA_ERR), (spec.pio_err, site::PIO_ERR));
         match kind {
             TransferKind::Contiguous { .. } => {
                 // Each chunk programs its own descriptor; a rejected
                 // descriptor is re-programmed after a short backoff.
+                let redo_s = |a| self.dma_setup_s + inj.backoff_delay(a);
                 for chunk in 0..out.chunks as u64 {
-                    let mut attempt: u32 = 1;
-                    while inj.hits(spec.dma_err, site::DMA_ERR, key, (chunk << 8) | attempt as u64)
-                    {
-                        if attempt >= spec.max_retries.saturating_add(1) {
-                            return Err(VpceError::NicFailure {
-                                rank,
-                                what: "DMA descriptor",
-                                attempts: attempt,
-                            });
-                        }
-                        out.retry_s += self.dma_setup_s + inj.backoff_delay(attempt);
-                        out.retries += 1;
-                        attempt += 1;
-                    }
+                    plane.retry(&mut out, dma, chunk << 8, "DMA descriptor", redo_s)?;
                 }
             }
             TransferKind::Strided { .. } => {
                 // A corrupted element batch is detected at the end of
                 // the copy and the whole copy redone.
-                let mut attempt: u32 = 1;
-                while inj.hits(spec.pio_err, site::PIO_ERR, key, attempt as u64) {
-                    if attempt >= spec.max_retries.saturating_add(1) {
-                        return Err(VpceError::NicFailure {
-                            rank,
-                            what: "PIO copy",
-                            attempts: attempt,
-                        });
-                    }
-                    out.retry_s += out.pio_copy_s;
-                    out.retries += 1;
-                    attempt += 1;
-                }
+                let copy_s = out.pio_copy_s;
+                plane.retry(&mut out, pio, 0, "PIO copy", |_| copy_s)?;
             }
         }
         Ok(out)
+    }
+}
+
+/// One transfer's view of the armed NIC fault plane: the injector and
+/// the `(rank, seq)` key every draw for this transfer hashes on.
+struct NicFaults<'a> {
+    inj: &'a FaultInjector,
+    rank: usize,
+    key: u64,
+}
+
+impl<'a> NicFaults<'a> {
+    /// `None` when injection is off; otherwise draws the shared-queue
+    /// stall for this transfer into `out`.
+    fn arm(
+        inj: &'a FaultInjector,
+        rank: usize,
+        seq: u64,
+        out: &mut HostCostBreakdown,
+    ) -> Option<Self> {
+        if !inj.enabled() {
+            return None;
+        }
+        let key = ((rank as u64) << 32) ^ seq;
+        if inj.hits(inj.spec().nic_stall, site::NIC_STALL, key, 0) {
+            out.retry_s += inj.spec().nic_stall_s;
+            out.stalls += 1;
+        }
+        Some(NicFaults { inj, rank, key })
+    }
+
+    /// The one bounded-retry loop: redo the host operation `what`
+    /// while the draw at `(site, key, salt | attempt)` keeps failing
+    /// it, booking `redo_s(attempt)` per redo into `out`, until the
+    /// spec's retry budget is spent — then the typed failure.
+    fn retry(
+        &self,
+        out: &mut HostCostBreakdown,
+        (rate, fault_site): (f64, u64),
+        salt: u64,
+        what: &'static str,
+        redo_s: impl Fn(u32) -> f64,
+    ) -> Result<(), VpceError> {
+        let mut attempt: u32 = 1;
+        while self.inj.hits(rate, fault_site, self.key, salt | attempt as u64) {
+            if attempt >= self.inj.spec().max_retries.saturating_add(1) {
+                return Err(VpceError::NicFailure {
+                    rank: self.rank,
+                    what,
+                    attempts: attempt,
+                });
+            }
+            out.retry_s += redo_s(attempt);
+            out.retries += 1;
+            attempt += 1;
+        }
+        Ok(())
     }
 }
 

@@ -3,6 +3,7 @@
 //! CLI dependency) and pure — [`run`] maps arguments to output text,
 //! so the whole driver is unit-testable.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use lmad::Granularity;
@@ -12,7 +13,7 @@ use vpce_recover::RecoverSpec;
 use vpce_sched::{BatchOptions, BatchSpec, SourceLoader};
 use vpce_trace::Tracer;
 
-use crate::{BackendOptions, ClusterConfig, FrontError};
+use crate::{BackendOptions, FrontError};
 
 /// Parsed command line.
 #[derive(Debug, Clone)]
@@ -541,27 +542,35 @@ pub fn run_machine_dump(args: &CliArgs) -> RunOutput {
 /// Execute the request against already-loaded source text. Returns the
 /// full report the binary prints.
 pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
-    let cluster = match &args.machine_spec {
-        Some(m) => match m.lower(args.nodes) {
-            Ok(c) => c,
-            Err(e) => {
-                // A shape the description cannot host at this node
-                // count (e.g. a 6-node hypercube) is a usage error,
-                // not a compile error.
-                let outcome = Outcome::UsageError;
-                return Ok(RunOutput {
-                    text: format!("error: machine `{}`: {e}\n", m.name),
-                    exit: outcome.exit_code(),
-                    outcome,
-                    lint_json: None,
-                    verify_json: None,
-                    trace_json: None,
-                    batch_json: None,
-                });
-            }
-        },
-        None if args.prototype => ClusterConfig::prototype_n(args.nodes),
-        None => ClusterConfig::paper_n(args.nodes),
+    // One lowering for every machine: the built-in presets are machine
+    // descriptions too (their lowering is field-identical to
+    // `ClusterConfig::{paper_n, prototype_n}`), so a node count they
+    // cannot host is the same VPCE505 as for `--machine`.
+    let machine = match &args.machine_spec {
+        Some(m) => Cow::Borrowed(m),
+        None => {
+            let preset = if args.prototype { "prototype" } else { "paper" };
+            let spec = MachineSpec::builtin(preset);
+            Cow::Owned(spec.expect("the paper and prototype presets are built in"))
+        }
+    };
+    let cluster = match machine.lower(args.nodes) {
+        Ok(c) => c,
+        Err(e) => {
+            // A shape the description cannot host at this node count
+            // (e.g. a 6-node hypercube, or no node at all) is a usage
+            // error, not a compile error.
+            let outcome = Outcome::UsageError;
+            return Ok(RunOutput {
+                text: format!("error: machine `{}`: {e}\n", machine.name),
+                exit: outcome.exit_code(),
+                outcome,
+                lint_json: None,
+                verify_json: None,
+                trace_json: None,
+                batch_json: None,
+            });
+        }
     };
     let params: Vec<(&str, i64)> = args.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
 

@@ -24,7 +24,7 @@
 
 use lmad::sweep;
 
-use crate::rma::{AccumulateOp, PendingRma, RmaKind};
+use crate::rma::{AccumulateOp, PendingRma, RmaDir};
 
 /// The element footprint of one side of an RMA operation on one
 /// window shard: `{off + i*stride : 0 <= i < count}` with
@@ -167,37 +167,14 @@ fn push_effects(op: &PendingRma, eff: &mut Vec<Effect>) {
         role,
         set,
     };
-    match &op.kind {
-        RmaKind::PutContig { off, src } => {
-            eff.push(mk(op.target, Role::Write, AccessSet::new(*off, 1, src.len())));
-        }
-        RmaKind::PutStrided { off, stride, src } => {
-            eff.push(mk(
-                op.target,
-                Role::Write,
-                AccessSet::new(*off, *stride, src.len()),
-            ));
-        }
-        RmaKind::AccContig { off, src, op: a } => {
-            eff.push(mk(
-                op.target,
-                Role::Acc(*a),
-                AccessSet::new(*off, 1, src.len()),
-            ));
-        }
-        RmaKind::GetContig { off, count } => {
-            if op.origin == op.target {
-                return; // symmetric layout: self-get is the identity
-            }
-            let set = AccessSet::new(*off, 1, *count);
-            eff.push(mk(op.target, Role::Read, set));
-            eff.push(mk(op.origin, Role::Write, set));
-        }
-        RmaKind::GetStrided { off, stride, count } => {
-            if op.origin == op.target {
-                return;
-            }
-            let set = AccessSet::new(*off, *stride, *count);
+    let k = &op.kind;
+    let set = AccessSet::new(k.off, k.stride, k.count);
+    match k.dir {
+        RmaDir::Put => eff.push(mk(op.target, Role::Write, set)),
+        RmaDir::Acc(a) => eff.push(mk(op.target, Role::Acc(a), set)),
+        // Symmetric layout: a self-get is the identity.
+        RmaDir::Get if op.origin == op.target => {}
+        RmaDir::Get => {
             eff.push(mk(op.target, Role::Read, set));
             eff.push(mk(op.origin, Role::Write, set));
         }
@@ -277,11 +254,22 @@ fn conflict(a: &Effect, b: &Effect) -> Option<ConflictRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rma::PutSrc;
+    use crate::rma::{RmaKind, RmaSrc};
     use crate::window::WinId;
     use cluster_sim::Protocol;
 
-    fn pending(origin: usize, target: usize, kind: RmaKind) -> PendingRma {
+    /// A pending `dir` op from `origin` on `target`'s shard of window
+    /// 0, touching `off + i*stride`, `i < count`.
+    fn pending(
+        origin: usize,
+        target: usize,
+        dir: RmaDir,
+        (off, stride, count): (usize, usize, usize),
+    ) -> PendingRma {
+        let src = match dir {
+            RmaDir::Get => RmaSrc::Shard,
+            _ => RmaSrc::Pinned(vec![0.0; count]),
+        };
         PendingRma {
             seq: 0,
             origin,
@@ -289,7 +277,13 @@ mod tests {
             win: WinId(0),
             issue: 0.0,
             proto: Protocol::Eager,
-            kind,
+            kind: RmaKind {
+                dir,
+                off,
+                stride,
+                count,
+                src,
+            },
         }
     }
 
@@ -327,17 +321,16 @@ mod tests {
                 let ops: Vec<PendingRma> = batch
                     .iter()
                     .map(|&((origin, target, win), shape, (off, stride, count), acc)| {
-                        let src = PutSrc::Pinned(vec![0.0; count]);
-                        let kind = match shape {
-                            0 | 1 => RmaKind::PutContig { off, src },
-                            2 => RmaKind::PutStrided { off, stride, src },
-                            3 => RmaKind::GetContig { off, count },
-                            4 => RmaKind::GetStrided { off, stride, count },
-                            _ => RmaKind::AccContig { off, src, op: acc },
+                        let (dir, stride) = match shape {
+                            0 | 1 => (RmaDir::Put, 1),
+                            2 => (RmaDir::Put, stride),
+                            3 => (RmaDir::Get, 1),
+                            4 => (RmaDir::Get, stride),
+                            _ => (RmaDir::Acc(acc), 1),
                         };
                         PendingRma {
                             win: WinId(win),
-                            ..pending(origin, target, kind)
+                            ..pending(origin, target, dir, (off, stride, count))
                         }
                     })
                     .collect();
@@ -358,8 +351,7 @@ mod tests {
         for piece in 0..pieces {
             for slave in 0..slaves {
                 let off = (piece * slaves + slave) * len;
-                let src = PutSrc::Pinned(vec![0.0; len]);
-                ops.push(pending(slave + 1, 0, RmaKind::PutContig { off, src }));
+                ops.push(pending(slave + 1, 0, RmaDir::Put, (off, 1, len)));
             }
         }
         let mut eff = Vec::new();
@@ -391,8 +383,8 @@ mod tests {
     #[test]
     fn disjoint_puts_are_clean() {
         let ops = vec![
-            pending(1, 0, RmaKind::PutContig { off: 0, src: PutSrc::Pinned(vec![0.0; 4]) }),
-            pending(2, 0, RmaKind::PutContig { off: 4, src: PutSrc::Pinned(vec![0.0; 4]) }),
+            pending(1, 0, RmaDir::Put, (0, 1, 4)),
+            pending(2, 0, RmaDir::Put, (4, 1, 4)),
         ];
         assert!(scan_epoch(&ops).is_empty());
     }
@@ -400,8 +392,8 @@ mod tests {
     #[test]
     fn overlapping_puts_from_two_origins_flagged() {
         let ops = vec![
-            pending(1, 0, RmaKind::PutContig { off: 0, src: PutSrc::Pinned(vec![0.0; 4]) }),
-            pending(2, 0, RmaKind::PutContig { off: 3, src: PutSrc::Pinned(vec![0.0; 4]) }),
+            pending(1, 0, RmaDir::Put, (0, 1, 4)),
+            pending(2, 0, RmaDir::Put, (3, 1, 4)),
         ];
         let c = scan_epoch(&ops);
         assert_eq!(c.len(), 1);
@@ -413,8 +405,8 @@ mod tests {
     #[test]
     fn put_vs_get_read_flagged() {
         let ops = vec![
-            pending(1, 0, RmaKind::PutContig { off: 2, src: PutSrc::Pinned(vec![0.0; 2]) }),
-            pending(2, 0, RmaKind::GetContig { off: 3, count: 4 }),
+            pending(1, 0, RmaDir::Put, (2, 1, 2)),
+            pending(2, 0, RmaDir::Get, (3, 1, 4)),
         ];
         let c = scan_epoch(&ops);
         assert_eq!(c.len(), 1);
@@ -426,8 +418,8 @@ mod tests {
         // Rank 2 gets [0,4) from rank 0 (writing its own shard), while
         // rank 1 puts into rank 2's shard at the same offsets.
         let ops = vec![
-            pending(2, 0, RmaKind::GetContig { off: 0, count: 4 }),
-            pending(1, 2, RmaKind::PutContig { off: 2, src: PutSrc::Pinned(vec![0.0; 2]) }),
+            pending(2, 0, RmaDir::Get, (0, 1, 4)),
+            pending(1, 2, RmaDir::Put, (2, 1, 2)),
         ];
         let c = scan_epoch(&ops);
         assert_eq!(c.len(), 1);
@@ -438,7 +430,7 @@ mod tests {
     #[test]
     fn accumulates_same_op_commute_mixed_ops_flagged() {
         let acc = |origin, op| {
-            pending(origin, 0, RmaKind::AccContig { off: 0, src: PutSrc::Pinned(vec![1.0; 3]), op })
+            pending(origin, 0, RmaDir::Acc(op), (0, 1, 3))
         };
         assert!(scan_epoch(&[acc(1, AccumulateOp::Sum), acc(2, AccumulateOp::Sum)]).is_empty());
         let c = scan_epoch(&[acc(1, AccumulateOp::Sum), acc(2, AccumulateOp::Max)]);
@@ -449,8 +441,8 @@ mod tests {
     #[test]
     fn self_get_is_inert() {
         let ops = vec![
-            pending(1, 1, RmaKind::GetContig { off: 0, count: 8 }),
-            pending(2, 1, RmaKind::PutContig { off: 0, src: PutSrc::Pinned(vec![0.0; 8]) }),
+            pending(1, 1, RmaDir::Get, (0, 1, 8)),
+            pending(2, 1, RmaDir::Put, (0, 1, 8)),
         ];
         assert!(scan_epoch(&ops).is_empty());
     }
@@ -458,16 +450,8 @@ mod tests {
     #[test]
     fn interleaved_strided_puts_are_clean() {
         let ops = vec![
-            pending(
-                1,
-                0,
-                RmaKind::PutStrided { off: 0, stride: 2, src: PutSrc::Pinned(vec![0.0; 8]) },
-            ),
-            pending(
-                2,
-                0,
-                RmaKind::PutStrided { off: 1, stride: 2, src: PutSrc::Pinned(vec![0.0; 8]) },
-            ),
+            pending(1, 0, RmaDir::Put, (0, 2, 8)),
+            pending(2, 0, RmaDir::Put, (1, 2, 8)),
         ];
         assert!(scan_epoch(&ops).is_empty());
     }

@@ -7,11 +7,19 @@
 //! * **memory windows** ([`Mpi::win_create`]) — "a portion of the
 //!   private memory of a local process that can be accessed by remote
 //!   processes without intervention of the local process" (§5.1);
-//! * **contiguous `MPI_PUT`/`MPI_GET`** ([`Mpi::put`], [`Mpi::get`]) —
-//!   DMA path, the host pays only descriptor setup;
-//! * **strided `MPI_PUT`/`MPI_GET`** ([`Mpi::put_strided`],
-//!   [`Mpi::get_strided`]) — programmed-I/O path, the host copies
-//!   element by element into the driver buffer;
+//! * **`MPI_PUT`/`MPI_GET`/`MPI_ACCUMULATE`** — one operation family
+//!   over a constant-stride region, carried from issue to apply on one
+//!   descriptor `{ dir, off, stride, count, src }` (a contiguous
+//!   transfer is `stride == 1`; `src` says where the payload waits — an
+//!   eager slot, a pinned caller buffer, or the *sending* side's own
+//!   shard, the origin's for PUT and the target's for GET). The paper's
+//!   DMA-vs-PIO fork is a host **cost** decision fixed by the entry
+//!   point: the contiguous calls ([`Mpi::put`], [`Mpi::put_region`],
+//!   [`Mpi::get`], [`Mpi::accumulate`]) price as DMA — the host pays
+//!   only descriptor setup — and the strided calls
+//!   ([`Mpi::put_strided`], [`Mpi::put_region_strided`],
+//!   [`Mpi::get_strided`]) as programmed I/O — the host copies element
+//!   by element into the driver buffer;
 //! * **`MPI_WIN_FENCE`** ([`Mpi::win_fence`], [`Mpi::fence_all`]) —
 //!   closes the access epoch: "fences guarantee that all outstanding
 //!   writes to remote memory have been completed" (§3);

@@ -19,9 +19,9 @@ use std::sync::Arc;
 use cluster_sim::TransferKind;
 use crate::sync::{Condvar, Mutex};
 use vpce_faults::{raise, VpceError};
-use vpce_trace::{CallInfo, CallOp, DataPath, Dominator, EventKind, Lane, SetupParts};
+use vpce_trace::{CallInfo, CallOp, Dominator, EventKind, Lane};
 
-use crate::universe::Mpi;
+use crate::universe::{transfer_info, Mpi};
 use crate::waitgraph::{BlockReason, WaitGraph};
 use crate::Elem;
 
@@ -140,23 +140,15 @@ impl Mpi {
         }
         let bytes = data.len() * crate::ELEM_BYTES;
         let t0 = self.now();
-        let b = self.host_breakdown_checked(TransferKind::Contiguous { bytes });
+        let kind = TransferKind::Contiguous { bytes };
+        let b = self.host_breakdown_checked(kind, None);
         *self.clock_mut() += b.total();
         self.stats_mut().comm_host += b.total();
         self.stats_mut().bytes_sent += bytes as u64;
         let ready = self.now();
         let rank = self.rank();
         if self.tracer().is_enabled() {
-            let mut info = CallInfo::new(CallOp::Send);
-            info.bytes = bytes as u64;
-            info.path = DataPath::Dma;
-            info.parts = Some(SetupParts {
-                queue_s: b.queue_s,
-                dma_s: b.dma_setup_s,
-                pio_s: b.pio_copy_s,
-                copy_s: b.copy_s,
-                chunks: b.chunks as u64,
-            });
+            let info = transfer_info(CallOp::Send, kind, &b);
             self.tracer()
                 .push(Lane::Rank(rank), t0, ready, EventKind::Call(info));
         }

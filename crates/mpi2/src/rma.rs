@@ -1,22 +1,40 @@
-//! One-sided operations: the pending-op buffer and its application at
-//! the fence.
+//! One-sided operations: one descriptor from issue to apply.
 //!
-//! Inside an access epoch, PUT/GET/ACCUMULATE calls only (a) charge the
-//! origin CPU the host-side initiation cost and (b) append a
-//! [`PendingRma`] record. The closing fence drains the buffer in
-//! deterministic order, schedules every wire transfer on the link
-//! simulator, and materialises the memory effects — the MPI-2 rule that
-//! RMA results become visible only when the epoch closes.
+//! The paper's MPI-2 library (§2.2) has a single one-sided operation
+//! family — PUT, GET, ACCUMULATE over a constant-stride region — and
+//! this module carries it on a single descriptor, [`RmaKind`]
+//! `{ dir, off, stride, count, src }`. Stride is data, not a variant:
+//! a contiguous transfer is simply `stride == 1`. The one fork the
+//! paper does describe — "contiguous transfers using DMA and strided
+//! transfers using programmed I/O" — is a host **cost** decision fixed
+//! by the entry point the caller chose ([`Mpi::put`] prices as DMA,
+//! [`Mpi::put_strided`] as PIO, whatever the stride), not a property
+//! of the descriptor.
 //!
-//! Since the eager/rendezvous transport rework, a pending PUT no longer
-//! always owns a heap copy of its payload: [`PutSrc`] records *where*
-//! the bytes live — a registered eager slot (staged at issue time), a
-//! caller-pinned buffer, or the origin's own window shard (zero-copy
-//! rendezvous, read at apply time under the symmetric layout).
+//! Inside an access epoch every active-target call goes through
+//! [`Mpi::issue`]: check bounds, stage the payload, charge the origin
+//! CPU the host-side initiation cost, and append a [`PendingRma`]. The
+//! closing fence drains the buffer in deterministic order, schedules
+//! every wire transfer on the link simulator, and materialises the
+//! memory effects through [`apply_memory`] — the MPI-2 rule that RMA
+//! results become visible only when the epoch closes. Passive-target
+//! (`*_now`) calls build the same descriptor and apply it immediately.
+//!
+//! A pending payload does not always own a heap copy of its data:
+//! [`RmaSrc`] records *where* it lives — a registered eager slot
+//! (staged at issue time), a caller-pinned buffer, or the **sending
+//! side's own window shard** (zero-copy, read at apply time under the
+//! symmetric layout). The sending side is the origin for PUT and the
+//! target for GET, so a GET is always `RmaSrc::Shard`.
 
-use cluster_sim::Protocol;
+use cluster_sim::{HostCostBreakdown, Protocol, TransferKind};
+use vpce_faults::{raise, VpceError};
+use vpce_trace::{CallOp, Dominator, EventKind, Lane};
 
-use crate::window::WinId;
+use crate::pool::BufferPool;
+use crate::sync::Mutex;
+use crate::universe::{transfer_info, Mpi};
+use crate::window::{WinId, WindowRef, WindowTable};
 use crate::Elem;
 
 /// Reduction operator for `MPI_ACCUMULATE`.
@@ -40,134 +58,80 @@ impl AccumulateOp {
     }
 }
 
-/// Where a pending PUT/ACCUMULATE payload lives until the fence.
+/// Which way the data flows, and how it lands.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum RmaDir {
+    /// Origin → target, overwriting.
+    Put,
+    /// Target → origin, overwriting.
+    Get,
+    /// Origin → target, combined into the target with the operator.
+    Acc(AccumulateOp),
+}
+
+/// Where a pending payload lives until it is applied.
 #[derive(Debug, Clone)]
-pub(crate) enum PutSrc {
-    /// Staged in slot `slot` of the origin rank's registered pool
-    /// (eager protocol). The slot stays pinned — retransmits replay
-    /// out of it — until the fence releases it.
-    Slot { slot: usize, len: usize },
-    /// Pinned in a caller-provided buffer (`put(data)` hands ownership
-    /// over); rendezvous DMAs it without any further copy.
+pub(crate) enum RmaSrc {
+    /// Staged densely in this slot of the origin rank's registered
+    /// pool (eager protocol). The slot stays pinned — retransmits
+    /// replay out of it — until the fence releases it.
+    Slot(usize),
+    /// Pinned densely in a caller-provided buffer (`put(data)` hands
+    /// ownership over); rendezvous DMAs it without any further copy.
     Pinned(Vec<Elem>),
-    /// Zero-copy rendezvous from the origin's own window shard: the
-    /// symmetric layout means the bytes sit at the same offsets the
-    /// operation targets, so the fence reads them straight from the
-    /// (registered) shard. Valid for race-free programs only — the
-    /// MPI-2 rule that a local buffer handed to PUT must not change
-    /// before the epoch closes.
-    Shard { len: usize },
+    /// Zero-copy from the *sending* side's own window shard — the
+    /// origin's for PUT, the target's for GET: the symmetric layout
+    /// means the elements sit at the same offsets the operation
+    /// touches on the other side. Valid for race-free programs only —
+    /// the MPI-2 rule that a local buffer handed to PUT must not
+    /// change before the epoch closes. Never paired with
+    /// [`RmaDir::Acc`]: accumulate payloads are caller buffers.
+    Shard,
 }
 
-impl PutSrc {
-    /// Payload length, elements.
-    pub fn len(&self) -> usize {
-        match self {
-            PutSrc::Slot { len, .. } => *len,
-            PutSrc::Pinned(data) => data.len(),
-            PutSrc::Shard { len } => *len,
-        }
-    }
-}
-
-/// The payload-specific part of a pending one-sided operation.
+/// The descriptor of a one-sided operation: elements
+/// `off + i*stride`, `i < count`, of the target shard.
 ///
 /// Offsets are in elements. Layouts are symmetric: the scatter/collect
 /// scheme keeps every rank's copy of an array at full size, so a region
 /// lives at the same offsets on both sides (see `spmd-rt`).
 #[derive(Debug, Clone)]
-pub(crate) enum RmaKind {
-    /// Contiguous PUT: write the payload at `off` in the target shard.
-    PutContig { off: usize, src: PutSrc },
-    /// Strided PUT: write payload element `i` at `off + i*stride`.
-    PutStrided {
-        off: usize,
-        stride: usize,
-        src: PutSrc,
-    },
-    /// Contiguous GET: read `count` elements at `off` from the target
-    /// shard into the origin shard at the same offset.
-    GetContig { off: usize, count: usize },
-    /// Strided GET: read elements `off + i*stride` from the target into
-    /// the same locations of the origin shard.
-    GetStrided {
-        off: usize,
-        stride: usize,
-        count: usize,
-    },
-    /// Accumulate: combine the payload into the target at `off` with
-    /// `op`.
-    AccContig {
-        off: usize,
-        src: PutSrc,
-        op: AccumulateOp,
-    },
+pub(crate) struct RmaKind {
+    pub dir: RmaDir,
+    pub off: usize,
+    /// Positive; 1 = contiguous.
+    pub stride: usize,
+    pub count: usize,
+    pub src: RmaSrc,
 }
 
 impl RmaKind {
     /// Payload bytes crossing the wire (protocol headers excluded).
     pub fn wire_bytes(&self) -> usize {
-        let elems = match self {
-            RmaKind::PutContig { src, .. } => src.len(),
-            RmaKind::PutStrided { src, .. } => src.len(),
-            RmaKind::GetContig { count, .. } => *count,
-            RmaKind::GetStrided { count, .. } => *count,
-            RmaKind::AccContig { src, .. } => src.len(),
-        };
-        elems * crate::ELEM_BYTES
+        self.count * crate::ELEM_BYTES
     }
 
-    /// True for GET-family operations (data flows target → origin).
+    /// True when data flows target → origin.
     pub fn is_get(&self) -> bool {
-        matches!(self, RmaKind::GetContig { .. } | RmaKind::GetStrided { .. })
+        self.dir == RmaDir::Get
     }
 
     /// The registered eager slot holding this payload, if any — the
     /// fence releases it once the wire transfer has drained.
     pub fn eager_slot(&self) -> Option<usize> {
-        match self {
-            RmaKind::PutContig {
-                src: PutSrc::Slot { slot, .. },
-                ..
-            }
-            | RmaKind::PutStrided {
-                src: PutSrc::Slot { slot, .. },
-                ..
-            }
-            | RmaKind::AccContig {
-                src: PutSrc::Slot { slot, .. },
-                ..
-            } => Some(*slot),
+        match self.src {
+            RmaSrc::Slot(slot) => Some(slot),
             _ => None,
         }
     }
+}
 
-    /// First element index touched on the target shard.
-    pub fn target_offset(&self) -> usize {
-        match *self {
-            RmaKind::PutContig { off, .. }
-            | RmaKind::PutStrided { off, .. }
-            | RmaKind::GetContig { off, .. }
-            | RmaKind::GetStrided { off, .. }
-            | RmaKind::AccContig { off, .. } => off,
-        }
-    }
-
-    /// Highest element index touched on the target shard.
-    pub fn target_extent(&self) -> usize {
-        match *self {
-            RmaKind::PutContig { off, ref src } => off + src.len(),
-            RmaKind::PutStrided {
-                off,
-                stride,
-                ref src,
-            } => off + stride * src.len().saturating_sub(1) + 1,
-            RmaKind::GetContig { off, count } => off + count,
-            RmaKind::GetStrided { off, stride, count } => {
-                off + stride * count.saturating_sub(1) + 1
-            }
-            RmaKind::AccContig { off, ref src, .. } => off + src.len(),
-        }
+/// One past the highest element of `{off + i*stride : i < count}`;
+/// `None` when that does not fit a `usize` (which no shard can hold).
+fn extent(off: usize, stride: usize, count: usize) -> Option<usize> {
+    match count.checked_sub(1) {
+        None => Some(off),
+        Some(last) => stride.checked_mul(last)?.checked_add(1)?.checked_add(off),
     }
 }
 
@@ -189,6 +153,16 @@ pub(crate) struct PendingRma {
 }
 
 impl PendingRma {
+    /// `(sending, receiving)` rank of the payload: origin → target,
+    /// reversed for a GET.
+    pub fn flow(&self) -> (usize, usize) {
+        if self.kind.is_get() {
+            (self.target, self.origin)
+        } else {
+            (self.origin, self.target)
+        }
+    }
+
     /// The deterministic scheduling order: issue time, then origin,
     /// then per-origin sequence.
     pub fn sort_key(&self) -> (u64, usize, u64) {
@@ -205,9 +179,474 @@ pub(crate) fn f64_order_key(x: f64) -> u64 {
     x.to_bits()
 }
 
+impl Mpi {
+    /// Reject an operation whose footprint leaves a shard it touches —
+    /// the target's always, and this rank's own when the operation
+    /// reads or writes it (`own_shard`; ranks may create windows of
+    /// different lengths). Runs before any staging or host charge.
+    fn check_bounds(
+        &self,
+        win: WinId,
+        target: usize,
+        (off, stride, count): (usize, usize, usize),
+        own_shard: bool,
+    ) {
+        if target >= self.size {
+            raise(VpceError::RankOutOfRange {
+                what: "target",
+                rank: target,
+                size: self.size,
+            });
+        }
+        let end = extent(off, stride, count);
+        let table = self.shared.table.lock();
+        for rank in std::iter::once(target).chain(own_shard.then_some(self.rank)) {
+            let size = table.shard(win, rank).len;
+            if end.is_none_or(|e| e > size) {
+                raise(VpceError::RmaBounds {
+                    target: rank,
+                    offset: off,
+                    len: end.map_or(usize::MAX, |e| e - off),
+                    size,
+                });
+            }
+        }
+    }
+
+    /// Retire the open descriptor ring: one doorbell event covering
+    /// every descriptor that batched onto it.
+    pub(crate) fn flush_ring(&mut self) {
+        if let Some((_, n)) = self.ring.take() {
+            if self.shared.tracer.is_enabled() {
+                self.shared.tracer.push(
+                    Lane::Rank(self.rank),
+                    self.clock,
+                    self.clock,
+                    EventKind::Doorbell {
+                        rank: self.rank,
+                        descs: n as u64,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Protocol-aware host charge for one active-target transfer:
+    /// descriptor-ring batching (consecutive same-window descriptors
+    /// share a doorbell), the eager/rendezvous cost split, and the NIC
+    /// fault plane (eager retries replay from the registered slot).
+    fn charge_host_proto(
+        &mut self,
+        kind: TransferKind,
+        proto: Protocol,
+        win: WinId,
+    ) -> HostCostBreakdown {
+        let depth = self.shared.policy.ring_depth.max(1);
+        let batched = matches!(self.ring, Some((w, n)) if w == win && n < depth);
+        if batched {
+            if let Some((_, n)) = self.ring.as_mut() {
+                *n += 1;
+                self.stats.ring_batch_max = self.stats.ring_batch_max.max(*n as u64);
+            }
+            self.stats.ring_batched += 1;
+        } else {
+            self.flush_ring();
+            self.ring = Some((win, 1));
+            self.stats.doorbells += 1;
+            self.stats.ring_batch_max = self.stats.ring_batch_max.max(1);
+        }
+        let b = self.host_breakdown_checked(kind, Some((proto, batched)));
+        self.clock += b.total();
+        self.stats.comm_host += b.total();
+        let wire = kind.wire_bytes() as u64;
+        match kind {
+            TransferKind::Contiguous { .. } => self.stats.rma_contiguous += 1,
+            TransferKind::Strided { elems, .. } => {
+                self.stats.rma_strided += 1;
+                // Only rendezvous gathers element-by-element over PIO;
+                // an eager strided payload rides the staging memcpy.
+                if proto == Protocol::Rendezvous {
+                    self.stats.pio_elems += elems as u64;
+                }
+            }
+        }
+        match proto {
+            Protocol::Eager => {
+                self.stats.eager_ops += 1;
+                self.stats.eager_bytes += wire;
+                self.stats.eager_copy_s += b.copy_s;
+            }
+            Protocol::Rendezvous => {
+                self.stats.rdvz_ops += 1;
+                self.stats.rdvz_bytes += wire;
+            }
+        }
+        b
+    }
+
+    /// Stage an origin-side payload: pick the protocol for its size,
+    /// gather it densely into a registered slot when it goes eager
+    /// (stalling in virtual time if the pool is drained but a pin is
+    /// scheduled to expire), or pin it in place for rendezvous. `data`
+    /// is the caller's buffer; without one the payload is elements
+    /// `off + i*stride` of this rank's own shard, staged without
+    /// allocating.
+    fn stage(
+        &mut self,
+        win: &WindowRef,
+        (off, stride, count): (usize, usize, usize),
+        data: Option<Vec<Elem>>,
+    ) -> (Protocol, RmaSrc) {
+        if self.shared.policy.choose(count * crate::ELEM_BYTES) == Protocol::Eager {
+            let mut pool = self.shared.pools[self.rank].lock();
+            if let Some((slot, wait)) = pool.acquire(self.clock) {
+                if wait > 0.0 {
+                    self.stats.pool_waits += 1;
+                    self.stats.pool_wait_s += wait;
+                    self.stats.comm_wait += wait;
+                    if self.shared.tracer.is_enabled() {
+                        self.shared.tracer.push(
+                            Lane::Rank(self.rank),
+                            self.clock,
+                            self.clock + wait,
+                            EventKind::PoolWait { rank: self.rank },
+                        );
+                    }
+                    self.clock += wait;
+                }
+                self.stats.pool_hwm = self.stats.pool_hwm.max(pool.hwm() as u64);
+                let dst = &mut pool.slot_mut(slot)[..count];
+                match &data {
+                    Some(d) => dst.copy_from_slice(d),
+                    None if stride == 1 => dst.copy_from_slice(&win.lock()[off..off + count]),
+                    None => {
+                        let m = win.lock();
+                        for (i, d) in dst.iter_mut().enumerate() {
+                            *d = m[off + i * stride];
+                        }
+                    }
+                }
+                return (Protocol::Eager, RmaSrc::Slot(slot));
+            }
+            // Pool exhausted with nothing scheduled to free (every slot
+            // held by this same epoch): fall back to rendezvous.
+            self.stats.eager_fallbacks += 1;
+        }
+        (Protocol::Rendezvous, data.map_or(RmaSrc::Shard, RmaSrc::Pinned))
+    }
+
+    /// The one active-target issue path behind every PUT/GET/ACCUMULATE
+    /// entry point: bounds, staging, the protocol-aware host charge,
+    /// the call trace, and the pending record the closing fence
+    /// completes. `pio` is the entry point's NIC path (§2.2: strided
+    /// calls use programmed I/O); `data` is the caller's buffer, or
+    /// `None` when the operation moves this rank's own shard region.
+    fn issue(
+        &mut self,
+        dir: RmaDir,
+        win: &WindowRef,
+        target: usize,
+        shape: (usize, usize, usize),
+        pio: bool,
+        data: Option<Vec<Elem>>,
+    ) {
+        let (off, stride, count) = shape;
+        if stride < 1 {
+            raise(VpceError::InvalidArgument {
+                msg: "stride must be positive".into(),
+            });
+        }
+        self.check_bounds(win.id(), target, shape, data.is_none());
+        let bytes = count * crate::ELEM_BYTES;
+        let kind = if pio {
+            TransferKind::Strided {
+                elems: count,
+                elem_bytes: crate::ELEM_BYTES,
+            }
+        } else {
+            TransferKind::Contiguous { bytes }
+        };
+        let t0 = self.clock;
+        let (proto, src) = if dir == RmaDir::Get {
+            self.stats.bytes_got += bytes as u64;
+            // The payload is the target's shard: nothing to stage here.
+            (self.shared.policy.choose(bytes), RmaSrc::Shard)
+        } else {
+            self.stats.bytes_put += bytes as u64;
+            self.stage(win, shape, data)
+        };
+        let b = self.charge_host_proto(kind, proto, win.id());
+        if self.shared.tracer.is_enabled() {
+            let lane = Lane::Rank(self.rank);
+            let call = match dir {
+                RmaDir::Put => CallOp::Put,
+                RmaDir::Get => CallOp::Get,
+                RmaDir::Acc(_) => CallOp::Accumulate,
+            };
+            let info = transfer_info(call, kind, &b);
+            self.shared
+                .tracer
+                .push(lane, t0, self.clock, EventKind::Call(info));
+            if let RmaSrc::Slot(slot) = src {
+                self.shared.tracer.push(
+                    lane,
+                    self.clock - b.copy_s,
+                    self.clock,
+                    EventKind::EagerCopy {
+                        rank: self.rank,
+                        bytes: bytes as u64,
+                        slot: slot as u64,
+                    },
+                );
+            }
+        }
+        let op = PendingRma {
+            seq: self.seq,
+            origin: self.rank,
+            target,
+            win: win.id(),
+            issue: self.clock,
+            proto,
+            kind: RmaKind {
+                dir,
+                off,
+                stride,
+                count,
+                src,
+            },
+        };
+        self.seq += 1;
+        self.shared.pending.lock().push(op);
+    }
+
+    /// Contiguous `MPI_PUT`: write `data` at element offset `off` of
+    /// `target`'s shard. Small payloads go eager (staged into a
+    /// registered slot, completion piggybacked); large ones go
+    /// rendezvous (zero-copy DMA at the closing fence).
+    pub fn put(&mut self, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
+        let shape = (off, 1, data.len());
+        self.issue(RmaDir::Put, win, target, shape, false, Some(data));
+    }
+
+    /// Strided `MPI_PUT`: write `data[i]` to `off + i*stride` of the
+    /// target shard. Under rendezvous this is the programmed-I/O path —
+    /// the host gathers element by element (§2.2); a small strided
+    /// payload rides the eager staging memcpy instead.
+    pub fn put_strided(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        stride: usize,
+        data: Vec<Elem>,
+    ) {
+        let shape = (off, stride, data.len());
+        self.issue(RmaDir::Put, win, target, shape, true, Some(data));
+    }
+
+    /// Contiguous PUT of a region of *this rank's own shard* to the
+    /// same offsets of `target`'s shard — the symmetric-layout transfer
+    /// the data-scattering/collecting scheme uses. Allocation-free:
+    /// eager stages straight from the shard into a registered slot,
+    /// rendezvous DMAs from the shard itself at the fence.
+    pub fn put_region(&mut self, win: &WindowRef, target: usize, off: usize, count: usize) {
+        self.issue(RmaDir::Put, win, target, (off, 1, count), false, None);
+    }
+
+    /// Strided PUT of a region of this rank's own shard (elements
+    /// `off + i*stride`, `i < count`) to the same locations on
+    /// `target`. Allocation-free, like [`Mpi::put_region`].
+    pub fn put_region_strided(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        stride: usize,
+        count: usize,
+    ) {
+        self.issue(RmaDir::Put, win, target, (off, stride, count), true, None);
+    }
+
+    /// Contiguous `MPI_GET`: fetch `count` elements at `off` from
+    /// `target`'s shard into the same offsets of this rank's shard.
+    /// Completes at the closing fence.
+    pub fn get(&mut self, win: &WindowRef, target: usize, off: usize, count: usize) {
+        self.issue(RmaDir::Get, win, target, (off, 1, count), false, None);
+    }
+
+    /// Strided `MPI_GET`: fetch elements `off + i*stride` from the
+    /// target into the same locations locally. PIO path.
+    pub fn get_strided(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        stride: usize,
+        count: usize,
+    ) {
+        self.issue(RmaDir::Get, win, target, (off, stride, count), true, None);
+    }
+
+    /// `MPI_ACCUMULATE` (contiguous): combine `data` into the target
+    /// shard at `off` with `op`, at the closing fence, in deterministic
+    /// order.
+    pub fn accumulate(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        data: Vec<Elem>,
+        op: AccumulateOp,
+    ) {
+        let shape = (off, 1, data.len());
+        self.issue(RmaDir::Acc(op), win, target, shape, false, Some(data));
+    }
+
+    /// The one passive-target path: inside a lock epoch the transfer is
+    /// scheduled and applied now, and the origin blocks until it
+    /// completes. Priced on the legacy chunked host model — passive
+    /// transfers bypass the eager pool and the descriptor ring.
+    fn rma_now(&mut self, dir: RmaDir, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
+        let call = match dir {
+            RmaDir::Acc(_) => CallOp::AccumulateNow,
+            _ => CallOp::PutNow,
+        };
+        if !self.held.contains_key(&(win.id().0, target)) {
+            raise(VpceError::LockState {
+                msg: format!("{} outside a lock epoch", call.name()),
+            });
+        }
+        self.check_bounds(win.id(), target, (off, 1, data.len()), false);
+        let bytes = data.len() * crate::ELEM_BYTES;
+        let kind = TransferKind::Contiguous { bytes };
+        let entry = self.clock;
+        self.stats.bytes_put += bytes as u64;
+        let b = self.host_breakdown_checked(kind, None);
+        self.clock += b.total();
+        self.stats.comm_host += b.total();
+        self.stats.rma_contiguous += 1;
+        let wire = {
+            let mut net = self.shared.net.lock();
+            net.try_p2p(self.rank, target, bytes, self.clock)
+                .unwrap_or_else(|e| raise(e))
+        };
+        let op = PendingRma {
+            seq: self.seq,
+            origin: self.rank,
+            target,
+            win: win.id(),
+            issue: self.clock,
+            // Completes synchronously, so it schedules as rendezvous.
+            proto: Protocol::Rendezvous,
+            kind: RmaKind {
+                dir,
+                off,
+                stride: 1,
+                count: data.len(),
+                src: RmaSrc::Pinned(data),
+            },
+        };
+        self.seq += 1;
+        apply_memory(&self.shared.table.lock(), &self.shared.pools, &op);
+        self.stats.comm_wait += wire.end - self.clock;
+        self.clock = wire.end;
+        if self.shared.tracer.is_enabled() {
+            let mut info = transfer_info(call, kind, &b);
+            info.dom = Some(Dominator {
+                rank: self.rank,
+                t: entry,
+            });
+            info.net = Some((wire.start, wire.end));
+            info.recovery_s = wire.recovery;
+            self.shared
+                .tracer
+                .push(Lane::Rank(self.rank), entry, wire.end, EventKind::Call(info));
+        }
+    }
+
+    /// Immediate contiguous PUT inside a lock epoch: the transfer is
+    /// scheduled and applied now, and the origin blocks until it
+    /// completes.
+    pub fn put_now(&mut self, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
+        self.rma_now(RmaDir::Put, win, target, off, data);
+    }
+
+    /// Immediate accumulate inside a lock epoch (the §3 "global
+    /// operations using shared variables, such as reduction
+    /// operations").
+    pub fn accumulate_now(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        data: Vec<Elem>,
+        op: AccumulateOp,
+    ) {
+        self.rma_now(RmaDir::Acc(op), win, target, off, data);
+    }
+}
+
+/// Land `k.count` payload elements, element `i` read from
+/// `data[i * data_stride]`, onto `off + i*stride` of `dst` —
+/// overwriting, or combining under [`RmaDir::Acc`].
+fn land(dst: &mut [Elem], k: &RmaKind, data: &[Elem], data_stride: usize) {
+    let payload = data.iter().step_by(data_stride).take(k.count).enumerate();
+    match (k.dir, k.stride) {
+        (RmaDir::Acc(op), _) => {
+            for (i, v) in payload {
+                let d = &mut dst[k.off + i * k.stride];
+                *d = op.apply(*d, *v);
+            }
+        }
+        // A dense payload, or a stride-1 shard region: one memcpy.
+        (_, 1) => dst[k.off..k.off + k.count].copy_from_slice(&data[..k.count]),
+        _ => {
+            for (i, v) in payload {
+                dst[k.off + i * k.stride] = *v;
+            }
+        }
+    }
+}
+
+/// Materialise the memory effect of one RMA operation: the payload is
+/// read from wherever its [`RmaSrc`] pinned it and landed on the
+/// receiving side's shard — the target's, or the origin's for a GET.
+pub(crate) fn apply_memory(table: &WindowTable, pools: &[Mutex<BufferPool>], op: &PendingRma) {
+    let k = &op.kind;
+    let (from, to) = op.flow();
+    let dst = &table.shard(op.win, to).mem;
+    // Lock ordering everywhere: pools before shard memory, the sending
+    // shard before the receiving one.
+    match &k.src {
+        RmaSrc::Slot(slot) => {
+            let pool = pools[op.origin].lock();
+            land(&mut dst.lock(), k, pool.slot_data(*slot, k.count), 1);
+        }
+        RmaSrc::Pinned(data) => land(&mut dst.lock(), k, data, 1),
+        RmaSrc::Shard => {
+            debug_assert!(!matches!(k.dir, RmaDir::Acc(_)), "accumulate payloads are buffers");
+            if from == to {
+                return; // symmetric layout: a self-put or self-get is the identity
+            }
+            let src = table.shard(op.win, from).mem.lock();
+            land(&mut dst.lock(), k, &src[k.off..], k.stride);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn kind(dir: RmaDir, stride: usize, count: usize, src: RmaSrc) -> RmaKind {
+        RmaKind {
+            dir,
+            off: 0,
+            stride,
+            count,
+            src,
+        }
+    }
 
     #[test]
     fn accumulate_ops() {
@@ -219,65 +658,33 @@ mod tests {
 
     #[test]
     fn wire_bytes_per_kind() {
-        assert_eq!(
-            RmaKind::PutContig {
-                off: 0,
-                src: PutSrc::Pinned(vec![0.0; 4])
-            }
-            .wire_bytes(),
-            32
-        );
-        assert_eq!(
-            RmaKind::PutContig {
-                off: 0,
-                src: PutSrc::Slot { slot: 2, len: 4 }
-            }
-            .wire_bytes(),
-            32
-        );
-        assert_eq!(
-            RmaKind::PutContig {
-                off: 0,
-                src: PutSrc::Shard { len: 4 }
-            }
-            .wire_bytes(),
-            32
-        );
-        assert_eq!(
-            RmaKind::GetStrided {
-                off: 0,
-                stride: 3,
-                count: 5
-            }
-            .wire_bytes(),
-            40
-        );
+        for src in [
+            RmaSrc::Pinned(vec![0.0; 4]),
+            RmaSrc::Slot(2),
+            RmaSrc::Shard,
+        ] {
+            assert_eq!(kind(RmaDir::Put, 1, 4, src).wire_bytes(), 32);
+        }
+        assert_eq!(kind(RmaDir::Get, 3, 5, RmaSrc::Shard).wire_bytes(), 40);
     }
 
     #[test]
     fn target_extent_strided() {
-        let k = RmaKind::PutStrided {
-            off: 10,
-            stride: 4,
-            src: PutSrc::Shard { len: 3 },
-        };
         // Elements at 10, 14, 18 -> extent 19.
-        assert_eq!(k.target_extent(), 19);
+        assert_eq!(extent(10, 4, 3), Some(19));
+        assert_eq!(extent(10, 1, 3), Some(13));
+        // An empty operation touches nothing past its offset.
+        assert_eq!(extent(10, 4, 0), Some(10));
+        // Footprints that wrap a usize are out of every shard's range.
+        assert_eq!(extent(usize::MAX - 1, 1, 3), None);
+        assert_eq!(extent(1, usize::MAX / 2 + 1, 3), None);
     }
 
     #[test]
     fn eager_slot_is_surfaced_for_release() {
-        let k = RmaKind::PutContig {
-            off: 0,
-            src: PutSrc::Slot { slot: 7, len: 2 },
-        };
-        assert_eq!(k.eager_slot(), Some(7));
-        let k = RmaKind::PutContig {
-            off: 0,
-            src: PutSrc::Shard { len: 2 },
-        };
-        assert_eq!(k.eager_slot(), None);
-        assert_eq!(RmaKind::GetContig { off: 0, count: 1 }.eager_slot(), None);
+        assert_eq!(kind(RmaDir::Put, 1, 2, RmaSrc::Slot(7)).eager_slot(), Some(7));
+        assert_eq!(kind(RmaDir::Put, 1, 2, RmaSrc::Shard).eager_slot(), None);
+        assert_eq!(kind(RmaDir::Get, 1, 1, RmaSrc::Shard).eager_slot(), None);
     }
 
     #[test]
@@ -297,7 +704,7 @@ mod tests {
             win: WinId(0),
             issue: 1.0,
             proto: Protocol::Eager,
-            kind: RmaKind::GetContig { off: 0, count: 1 },
+            kind: kind(RmaDir::Get, 1, 1, RmaSrc::Shard),
         };
         assert!(mk(0, 5).sort_key() < mk(1, 0).sort_key());
         assert!(mk(1, 0).sort_key() < mk(1, 1).sort_key());

@@ -10,18 +10,19 @@ use cluster_sim::{
 use crate::sync::{ArcMutexGuard, Mutex};
 use vbus_sim::{NetSim, NetStats};
 use vpce_faults::{raise, take_raised, FaultInjector, FaultSpec, VpceError};
-use vpce_trace::{CallInfo, CallOp, DataPath, Dominator, EventKind, Lane, SetupParts, TraceReport, Tracer};
+use vpce_trace::{
+    CallInfo, CallOp, DataPath, Dominator, EventKind, Lane, SetupParts, TraceReport, Tracer,
+};
 
 use crate::collective::Collective;
 use crate::conflict::{self, ConflictRecord};
 use crate::p2p::Mailboxes;
 use crate::pool::{BufferPool, PoolSnapshot};
-use crate::rma::{AccumulateOp, PendingRma, PutSrc, RmaKind};
+use crate::rma::{apply_memory, PendingRma};
 use crate::stats::RankStats;
 use crate::transport::{TransportPolicy, CTRL_BYTES, HDR_BYTES};
 use crate::waitgraph::{WaitGraph, DEFAULT_STALL_CHECK};
 use crate::window::{WinId, WindowRef, WindowTable};
-use crate::Elem;
 
 /// State shared by every rank of a universe.
 pub(crate) struct Shared {
@@ -401,41 +402,41 @@ struct FenceTrace {
     recovery: f64,
 }
 
-/// Where a PUT-family payload comes from at staging time.
-enum StageSrc<'a> {
-    /// Caller-provided buffer (ownership handed over).
-    User(Vec<Elem>),
-    /// `count` contiguous elements of this rank's own shard at `off`.
-    RegionContig {
-        win: &'a WindowRef,
-        off: usize,
-        count: usize,
-    },
-    /// Elements `off + i*stride`, `i < count`, of this rank's shard.
-    RegionStrided {
-        win: &'a WindowRef,
-        off: usize,
-        stride: usize,
-        count: usize,
-    },
+/// The call-span payload of a transfer-initiating call: wire bytes,
+/// NIC path and the host-cost split of its setup.
+pub(crate) fn transfer_info(op: CallOp, kind: TransferKind, b: &HostCostBreakdown) -> CallInfo {
+    let mut info = CallInfo::new(op);
+    info.bytes = kind.wire_bytes() as u64;
+    info.path = match kind {
+        TransferKind::Contiguous { .. } => DataPath::Dma,
+        TransferKind::Strided { .. } => DataPath::Pio,
+    };
+    info.parts = Some(SetupParts {
+        queue_s: b.queue_s,
+        dma_s: b.dma_setup_s,
+        pio_s: b.pio_copy_s,
+        copy_s: b.copy_s,
+        chunks: b.chunks as u64,
+    });
+    info
 }
 
 /// Handle to one MPI process. Obtained only inside [`Universe::run`].
 pub struct Mpi {
-    rank: usize,
-    size: usize,
-    clock: f64,
-    seq: u64,
+    pub(crate) rank: usize,
+    pub(crate) size: usize,
+    pub(crate) clock: f64,
+    pub(crate) seq: u64,
     /// Serial number of host-side NIC operations on this rank — the
     /// deterministic key fault draws for DMA/PIO retries hash on.
     nic_seq: u64,
     /// Open descriptor ring, `(window, descriptors)`: consecutive
     /// same-window one-sided ops ride one doorbell until the ring
     /// fills or the epoch closes.
-    ring: Option<(WinId, usize)>,
-    stats: RankStats,
-    shared: Arc<Shared>,
-    held: HashMap<(usize, usize), EpochGuard>,
+    pub(crate) ring: Option<(WinId, usize)>,
+    pub(crate) stats: RankStats,
+    pub(crate) shared: Arc<Shared>,
+    pub(crate) held: HashMap<(usize, usize), EpochGuard>,
 }
 
 impl Mpi {
@@ -544,151 +545,42 @@ impl Mpi {
     }
 
     // ------------------------------------------------------------------
-    // One-sided operations (active target: buffered until the fence)
+    // Host-side NIC charge (shared by two-sided sends and one-sided ops)
     // ------------------------------------------------------------------
-
-    fn check_bounds(&self, win: WinId, target: usize, kind: &RmaKind) {
-        if target >= self.size {
-            raise(VpceError::RankOutOfRange {
-                what: "target",
-                rank: target,
-                size: self.size,
-            });
-        }
-        let table = self.shared.table.lock();
-        let len = table.shard(win, target).len;
-        let extent = kind.target_extent();
-        if extent > len {
-            let off = kind.target_offset();
-            raise(VpceError::RmaBounds {
-                target,
-                offset: off,
-                len: extent - off,
-                size: len,
-            });
-        }
-    }
 
     /// Host-side cost of initiating one transfer, with the NIC fault
     /// plane applied: DMA/PIO retries and queue stalls are drawn
-    /// deterministically from this rank's operation serial. An
-    /// exhausted retry budget raises [`VpceError::NicFailure`].
-    pub(crate) fn host_breakdown_checked(&mut self, kind: TransferKind) -> HostCostBreakdown {
-        let seq = self.nic_seq;
-        self.nic_seq += 1;
-        let b = self
-            .shared
-            .cfg
-            .node
-            .nic
-            .host_breakdown_faulty(kind, self.cpu(), &self.shared.faults, self.rank, seq)
-            .unwrap_or_else(|e| raise(e));
-        if b.retries > 0 || b.stalls > 0 {
-            self.stats.nic_retries += b.retries;
-            self.stats.nic_stalls += b.stalls;
-            self.stats.nic_retry_s += b.retry_s;
-            if self.shared.tracer.is_enabled() {
-                let what = match kind {
-                    TransferKind::Contiguous { .. } => "DMA descriptor",
-                    TransferKind::Strided { .. } => "PIO copy",
-                };
-                self.shared.tracer.push(
-                    Lane::Rank(self.rank),
-                    self.clock,
-                    self.clock + b.retry_s,
-                    EventKind::NicRetry {
-                        rank: self.rank,
-                        what,
-                        attempts: (b.retries + b.stalls) as u32,
-                    },
-                );
-            }
-        }
-        b
-    }
-
-    fn charge_host(&mut self, kind: TransferKind) -> HostCostBreakdown {
-        let b = self.host_breakdown_checked(kind);
-        self.clock += b.total();
-        self.stats.comm_host += b.total();
-        match kind {
-            TransferKind::Contiguous { .. } => self.stats.rma_contiguous += 1,
-            TransferKind::Strided { elems, .. } => {
-                self.stats.rma_strided += 1;
-                self.stats.pio_elems += elems as u64;
-            }
-        }
-        b
-    }
-
-    /// Retire the open descriptor ring: one doorbell event covering
-    /// every descriptor that batched onto it.
-    fn flush_ring(&mut self) {
-        if let Some((_, n)) = self.ring.take() {
-            if self.shared.tracer.is_enabled() {
-                self.shared.tracer.push(
-                    Lane::Rank(self.rank),
-                    self.clock,
-                    self.clock,
-                    EventKind::Doorbell {
-                        rank: self.rank,
-                        descs: n as u64,
-                    },
-                );
-            }
-        }
-    }
-
-    /// Protocol-aware host charge for one active-target transfer:
-    /// descriptor-ring batching (consecutive same-window descriptors
-    /// share a doorbell), the eager/rendezvous cost split, and the NIC
-    /// fault plane (eager retries replay from the registered slot).
-    fn charge_host_proto(
+    /// deterministically from this rank's operation serial, booked in
+    /// the ledger and traced. `proto` selects the cost model: `None` is
+    /// the legacy chunked driver path (two-sided sends, passive-target
+    /// RMA); `Some((protocol, batched))` is the protocol-aware
+    /// active-target path, `batched` when the descriptor rides an open
+    /// ring. An exhausted retry budget raises
+    /// [`VpceError::NicFailure`].
+    pub(crate) fn host_breakdown_checked(
         &mut self,
         kind: TransferKind,
-        proto: Protocol,
-        win: WinId,
+        proto: Option<(Protocol, bool)>,
     ) -> HostCostBreakdown {
-        let depth = self.shared.policy.ring_depth.max(1);
-        let batched = matches!(self.ring, Some((w, n)) if w == win && n < depth);
-        if batched {
-            if let Some((_, n)) = self.ring.as_mut() {
-                *n += 1;
-                self.stats.ring_batch_max = self.stats.ring_batch_max.max(*n as u64);
-            }
-            self.stats.ring_batched += 1;
-        } else {
-            self.flush_ring();
-            self.ring = Some((win, 1));
-            self.stats.doorbells += 1;
-            self.stats.ring_batch_max = self.stats.ring_batch_max.max(1);
-        }
         let seq = self.nic_seq;
         self.nic_seq += 1;
-        let b = self
-            .shared
-            .cfg
-            .node
-            .nic
-            .host_breakdown_proto_faulty(
-                kind,
-                proto,
-                batched,
-                self.cpu(),
-                &self.shared.faults,
-                self.rank,
-                seq,
-            )
-            .unwrap_or_else(|e| raise(e));
+        let (nic, cpu, inj) = (self.nic(), self.cpu(), &self.shared.faults);
+        let b = match proto {
+            None => nic.host_breakdown_faulty(kind, cpu, inj, self.rank, seq),
+            Some((proto, batched)) => {
+                nic.host_breakdown_proto_faulty(kind, proto, batched, cpu, inj, self.rank, seq)
+            }
+        }
+        .unwrap_or_else(|e| raise(e));
         if b.retries > 0 || b.stalls > 0 {
             self.stats.nic_retries += b.retries;
             self.stats.nic_stalls += b.stalls;
             self.stats.nic_retry_s += b.retry_s;
             if self.shared.tracer.is_enabled() {
                 let what = match (proto, kind) {
-                    (Protocol::Eager, _) => "eager doorbell",
-                    (Protocol::Rendezvous, TransferKind::Contiguous { .. }) => "DMA descriptor",
-                    (Protocol::Rendezvous, TransferKind::Strided { .. }) => "PIO copy",
+                    (Some((Protocol::Eager, _)), _) => "eager doorbell",
+                    (_, TransferKind::Contiguous { .. }) => "DMA descriptor",
+                    (_, TransferKind::Strided { .. }) => "PIO copy",
                 };
                 self.shared.tracer.push(
                     Lane::Rank(self.rank),
@@ -702,145 +594,12 @@ impl Mpi {
                 );
             }
         }
-        self.clock += b.total();
-        self.stats.comm_host += b.total();
-        let wire = kind.wire_bytes() as u64;
-        match kind {
-            TransferKind::Contiguous { .. } => self.stats.rma_contiguous += 1,
-            TransferKind::Strided { elems, .. } => {
-                self.stats.rma_strided += 1;
-                // Only rendezvous gathers element-by-element over PIO;
-                // an eager strided payload rides the staging memcpy.
-                if proto == Protocol::Rendezvous {
-                    self.stats.pio_elems += elems as u64;
-                }
-            }
-        }
-        match proto {
-            Protocol::Eager => {
-                self.stats.eager_ops += 1;
-                self.stats.eager_bytes += wire;
-                self.stats.eager_copy_s += b.copy_s;
-            }
-            Protocol::Rendezvous => {
-                self.stats.rdvz_ops += 1;
-                self.stats.rdvz_bytes += wire;
-            }
-        }
         b
-    }
-
-    /// Stage a PUT-family payload: pick the protocol for its size,
-    /// copy into a registered slot when it goes eager (stalling in
-    /// virtual time if the pool is drained but a pin is scheduled to
-    /// expire), or pin it in place for rendezvous. Allocation-free for
-    /// region sources.
-    fn stage(&mut self, src: StageSrc<'_>) -> (Protocol, PutSrc) {
-        let elems = match &src {
-            StageSrc::User(d) => d.len(),
-            StageSrc::RegionContig { count, .. } => *count,
-            StageSrc::RegionStrided { count, .. } => *count,
-        };
-        let bytes = elems * crate::ELEM_BYTES;
-        if self.shared.policy.choose(bytes) == Protocol::Eager {
-            let mut pool = self.shared.pools[self.rank].lock();
-            if let Some((slot, wait)) = pool.acquire(self.clock) {
-                if wait > 0.0 {
-                    self.stats.pool_waits += 1;
-                    self.stats.pool_wait_s += wait;
-                    self.stats.comm_wait += wait;
-                    if self.shared.tracer.is_enabled() {
-                        self.shared.tracer.push(
-                            Lane::Rank(self.rank),
-                            self.clock,
-                            self.clock + wait,
-                            EventKind::PoolWait { rank: self.rank },
-                        );
-                    }
-                    self.clock += wait;
-                }
-                self.stats.pool_hwm = self.stats.pool_hwm.max(pool.hwm() as u64);
-                let dst = pool.slot_mut(slot);
-                match &src {
-                    StageSrc::User(d) => dst[..elems].copy_from_slice(d),
-                    StageSrc::RegionContig { win, off, count } => {
-                        let m = win.lock();
-                        dst[..*count].copy_from_slice(&m[*off..*off + *count]);
-                    }
-                    StageSrc::RegionStrided {
-                        win,
-                        off,
-                        stride,
-                        count,
-                    } => {
-                        let m = win.lock();
-                        for (i, d) in dst[..*count].iter_mut().enumerate() {
-                            *d = m[off + i * stride];
-                        }
-                    }
-                }
-                return (Protocol::Eager, PutSrc::Slot { slot, len: elems });
-            }
-            // Pool exhausted with nothing scheduled to free (every slot
-            // held by this same epoch): fall back to rendezvous.
-            self.stats.eager_fallbacks += 1;
-        }
-        let src = match src {
-            StageSrc::User(d) => PutSrc::Pinned(d),
-            StageSrc::RegionContig { count, .. } | StageSrc::RegionStrided { count, .. } => {
-                PutSrc::Shard { len: count }
-            }
-        };
-        (Protocol::Rendezvous, src)
-    }
-
-    /// Emit the eager staging-copy span ending at the current clock.
-    fn trace_eager_copy(&self, proto: Protocol, src: &PutSrc, b: &HostCostBreakdown) {
-        if proto != Protocol::Eager || !self.shared.tracer.is_enabled() {
-            return;
-        }
-        if let PutSrc::Slot { slot, len } = src {
-            self.shared.tracer.push(
-                Lane::Rank(self.rank),
-                self.clock - b.copy_s,
-                self.clock,
-                EventKind::EagerCopy {
-                    rank: self.rank,
-                    bytes: (len * crate::ELEM_BYTES) as u64,
-                    slot: *slot as u64,
-                },
-            );
-        }
     }
 
     /// The trace sink of this universe (the no-op tracer by default).
     pub fn tracer(&self) -> &Tracer {
         &self.shared.tracer
-    }
-
-    /// Emit the span of a transfer-initiating call (the host-side
-    /// setup of a PUT/GET/SEND): `t0` is the clock before
-    /// [`Mpi::charge_host`], the span ends at the current clock.
-    fn trace_transfer(&self, op: CallOp, kind: TransferKind, t0: f64, b: &HostCostBreakdown) {
-        if !self.shared.tracer.is_enabled() {
-            return;
-        }
-        let mut info = CallInfo::new(op);
-        info.bytes = kind.wire_bytes() as u64;
-        info.path = match kind {
-            TransferKind::Contiguous { .. } => DataPath::Dma,
-            TransferKind::Strided { .. } => DataPath::Pio,
-        };
-        info.parts = Some(SetupParts {
-            queue_s: b.queue_s,
-            dma_s: b.dma_setup_s,
-            pio_s: b.pio_copy_s,
-            copy_s: b.copy_s,
-            chunks: b.chunks as u64,
-        });
-        self.shared
-            .tracer
-            .push(Lane::Rank(self.rank), t0, self.clock, EventKind::Call(info));
     }
 
     /// Emit a blocking call span `[t0, t1]` with its dependency edge:
@@ -870,182 +629,6 @@ impl Mpi {
         self.shared
             .tracer
             .push(Lane::Rank(self.rank), t0, t1, EventKind::Call(info));
-    }
-
-    fn push_pending(&mut self, target: usize, win: WinId, proto: Protocol, kind: RmaKind) {
-        self.check_bounds(win, target, &kind);
-        let op = PendingRma {
-            seq: self.seq,
-            origin: self.rank,
-            target,
-            win,
-            issue: self.clock,
-            proto,
-            kind,
-        };
-        self.seq += 1;
-        self.shared.pending.lock().push(op);
-    }
-
-    /// Contiguous `MPI_PUT`: write `data` at element offset `off` of
-    /// `target`'s shard. Small payloads go eager (staged into a
-    /// registered slot, completion piggybacked); large ones go
-    /// rendezvous (zero-copy DMA at the closing fence).
-    pub fn put(&mut self, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
-        let bytes = data.len() * crate::ELEM_BYTES;
-        let kind = TransferKind::Contiguous { bytes };
-        self.stats.bytes_put += bytes as u64;
-        let t0 = self.clock;
-        let (proto, src) = self.stage(StageSrc::User(data));
-        let b = self.charge_host_proto(kind, proto, win.id());
-        self.trace_transfer(CallOp::Put, kind, t0, &b);
-        self.trace_eager_copy(proto, &src, &b);
-        self.push_pending(target, win.id(), proto, RmaKind::PutContig { off, src });
-    }
-
-    /// Strided `MPI_PUT`: write `data[i]` to `off + i*stride` of the
-    /// target shard. Under rendezvous this is the programmed-I/O path —
-    /// the host gathers element by element (§2.2); a small strided
-    /// payload rides the eager staging memcpy instead.
-    pub fn put_strided(
-        &mut self,
-        win: &WindowRef,
-        target: usize,
-        off: usize,
-        stride: usize,
-        data: Vec<Elem>,
-    ) {
-        if stride < 1 {
-            raise(VpceError::InvalidArgument {
-                msg: "stride must be positive".into(),
-            });
-        }
-        let elems = data.len();
-        let kind = TransferKind::Strided {
-            elems,
-            elem_bytes: crate::ELEM_BYTES,
-        };
-        self.stats.bytes_put += (elems * crate::ELEM_BYTES) as u64;
-        let t0 = self.clock;
-        let (proto, src) = self.stage(StageSrc::User(data));
-        let b = self.charge_host_proto(kind, proto, win.id());
-        self.trace_transfer(CallOp::Put, kind, t0, &b);
-        self.trace_eager_copy(proto, &src, &b);
-        self.push_pending(target, win.id(), proto, RmaKind::PutStrided { off, stride, src });
-    }
-
-    /// Contiguous PUT of a region of *this rank's own shard* to the
-    /// same offsets of `target`'s shard — the symmetric-layout transfer
-    /// the data-scattering/collecting scheme uses. Allocation-free:
-    /// eager stages straight from the shard into a registered slot,
-    /// rendezvous DMAs from the shard itself at the fence.
-    pub fn put_region(&mut self, win: &WindowRef, target: usize, off: usize, count: usize) {
-        let bytes = count * crate::ELEM_BYTES;
-        let kind = TransferKind::Contiguous { bytes };
-        self.stats.bytes_put += bytes as u64;
-        let t0 = self.clock;
-        let (proto, src) = self.stage(StageSrc::RegionContig { win, off, count });
-        let b = self.charge_host_proto(kind, proto, win.id());
-        self.trace_transfer(CallOp::Put, kind, t0, &b);
-        self.trace_eager_copy(proto, &src, &b);
-        self.push_pending(target, win.id(), proto, RmaKind::PutContig { off, src });
-    }
-
-    /// Strided PUT of a region of this rank's own shard (elements
-    /// `off + i*stride`, `i < count`) to the same locations on
-    /// `target`. Allocation-free, like [`Mpi::put_region`].
-    pub fn put_region_strided(
-        &mut self,
-        win: &WindowRef,
-        target: usize,
-        off: usize,
-        stride: usize,
-        count: usize,
-    ) {
-        if stride < 1 {
-            raise(VpceError::InvalidArgument {
-                msg: "stride must be positive".into(),
-            });
-        }
-        let kind = TransferKind::Strided {
-            elems: count,
-            elem_bytes: crate::ELEM_BYTES,
-        };
-        self.stats.bytes_put += (count * crate::ELEM_BYTES) as u64;
-        let t0 = self.clock;
-        let (proto, src) = self.stage(StageSrc::RegionStrided {
-            win,
-            off,
-            stride,
-            count,
-        });
-        let b = self.charge_host_proto(kind, proto, win.id());
-        self.trace_transfer(CallOp::Put, kind, t0, &b);
-        self.trace_eager_copy(proto, &src, &b);
-        self.push_pending(target, win.id(), proto, RmaKind::PutStrided { off, stride, src });
-    }
-
-    /// Contiguous `MPI_GET`: fetch `count` elements at `off` from
-    /// `target`'s shard into the same offsets of this rank's shard.
-    /// Completes at the closing fence.
-    pub fn get(&mut self, win: &WindowRef, target: usize, off: usize, count: usize) {
-        let bytes = count * crate::ELEM_BYTES;
-        let kind = TransferKind::Contiguous { bytes };
-        self.stats.bytes_got += bytes as u64;
-        let t0 = self.clock;
-        let proto = self.shared.policy.choose(bytes);
-        let b = self.charge_host_proto(kind, proto, win.id());
-        self.trace_transfer(CallOp::Get, kind, t0, &b);
-        self.push_pending(target, win.id(), proto, RmaKind::GetContig { off, count });
-    }
-
-    /// Strided `MPI_GET`: fetch elements `off + i*stride` from the
-    /// target into the same locations locally. PIO path.
-    pub fn get_strided(
-        &mut self,
-        win: &WindowRef,
-        target: usize,
-        off: usize,
-        stride: usize,
-        count: usize,
-    ) {
-        if stride < 1 {
-            raise(VpceError::InvalidArgument {
-                msg: "stride must be positive".into(),
-            });
-        }
-        let kind = TransferKind::Strided {
-            elems: count,
-            elem_bytes: crate::ELEM_BYTES,
-        };
-        self.stats.bytes_got += (count * crate::ELEM_BYTES) as u64;
-        let t0 = self.clock;
-        let proto = self.shared.policy.choose(count * crate::ELEM_BYTES);
-        let b = self.charge_host_proto(kind, proto, win.id());
-        self.trace_transfer(CallOp::Get, kind, t0, &b);
-        self.push_pending(target, win.id(), proto, RmaKind::GetStrided { off, stride, count });
-    }
-
-    /// `MPI_ACCUMULATE` (contiguous): combine `data` into the target
-    /// shard at `off` with `op`, at the closing fence, in deterministic
-    /// order.
-    pub fn accumulate(
-        &mut self,
-        win: &WindowRef,
-        target: usize,
-        off: usize,
-        data: Vec<Elem>,
-        op: AccumulateOp,
-    ) {
-        let bytes = data.len() * crate::ELEM_BYTES;
-        let kind = TransferKind::Contiguous { bytes };
-        self.stats.bytes_put += bytes as u64;
-        let t0 = self.clock;
-        let (proto, src) = self.stage(StageSrc::User(data));
-        let b = self.charge_host_proto(kind, proto, win.id());
-        self.trace_transfer(CallOp::Accumulate, kind, t0, &b);
-        self.trace_eager_copy(proto, &src, &b);
-        self.push_pending(target, win.id(), proto, RmaKind::AccContig { off, src, op });
     }
 
     // ------------------------------------------------------------------
@@ -1120,88 +703,7 @@ impl Mpi {
                 recovery: 0.0,
             };
             for op in &ops {
-                // Wire legs per (direction, protocol). Eager data
-                // carries a piggybacked completion header; rendezvous
-                // pays an RTS/CTS control round trip before the
-                // zero-copy data leg. GET data flows target->origin.
-                let note_rdvz = |net: &mut NetSim, rts_start: f64, cts_end: f64| {
-                    if op.origin != op.target {
-                        net.note_handshake(2 * CTRL_BYTES as u64);
-                        if shared.tracer.is_enabled() {
-                            shared.tracer.push(
-                                Lane::Rank(op.origin),
-                                rts_start,
-                                cts_end,
-                                EventKind::RendezvousHandshake {
-                                    origin: op.origin,
-                                    target: op.target,
-                                    bytes: op.kind.wire_bytes() as u64,
-                                },
-                            );
-                        }
-                    }
-                };
-                let (start, end, rec) = match (op.kind.is_get(), op.proto) {
-                    (false, Protocol::Eager) => {
-                        let t = net
-                            .try_p2p(
-                                op.origin,
-                                op.target,
-                                op.kind.wire_bytes() + HDR_BYTES,
-                                op.issue,
-                            )
-                            .unwrap_or_else(|e| raise(e));
-                        (t.start, t.end, t.recovery)
-                    }
-                    (false, Protocol::Rendezvous) => {
-                        let rts = net
-                            .try_p2p(op.origin, op.target, CTRL_BYTES, op.issue)
-                            .unwrap_or_else(|e| raise(e));
-                        let cts = net
-                            .try_p2p(op.target, op.origin, CTRL_BYTES, rts.end)
-                            .unwrap_or_else(|e| raise(e));
-                        let data = net
-                            .try_p2p(op.origin, op.target, op.kind.wire_bytes(), cts.end)
-                            .unwrap_or_else(|e| raise(e));
-                        note_rdvz(&mut net, rts.start, cts.end);
-                        (
-                            rts.start,
-                            data.end,
-                            rts.recovery + cts.recovery + data.recovery,
-                        )
-                    }
-                    (true, Protocol::Eager) => {
-                        let req = net
-                            .try_p2p(op.origin, op.target, CTRL_BYTES, op.issue)
-                            .unwrap_or_else(|e| raise(e));
-                        let data = net
-                            .try_p2p(
-                                op.target,
-                                op.origin,
-                                op.kind.wire_bytes() + HDR_BYTES,
-                                req.end,
-                            )
-                            .unwrap_or_else(|e| raise(e));
-                        (req.start, data.end, req.recovery + data.recovery)
-                    }
-                    (true, Protocol::Rendezvous) => {
-                        let req = net
-                            .try_p2p(op.origin, op.target, CTRL_BYTES, op.issue)
-                            .unwrap_or_else(|e| raise(e));
-                        let cts = net
-                            .try_p2p(op.target, op.origin, CTRL_BYTES, req.end)
-                            .unwrap_or_else(|e| raise(e));
-                        let data = net
-                            .try_p2p(op.target, op.origin, op.kind.wire_bytes(), cts.end)
-                            .unwrap_or_else(|e| raise(e));
-                        note_rdvz(&mut net, req.start, cts.end);
-                        (
-                            req.start,
-                            data.end,
-                            req.recovery + cts.recovery + data.recovery,
-                        )
-                    }
-                };
+                let (start, end, rec) = schedule_wire_legs(&shared, &mut net, op);
                 if end > latest {
                     // The fence's exit is now determined by this
                     // transfer: remember its issue point as the
@@ -1303,136 +805,6 @@ impl Mpi {
         self.trace_blocking(CallOp::WinUnlock, self.clock, self.clock, 0, None, None);
     }
 
-    /// Immediate contiguous PUT inside a lock epoch: the transfer is
-    /// scheduled and applied now, and the origin blocks until it
-    /// completes.
-    pub fn put_now(&mut self, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
-        if !self.held.contains_key(&(win.id().0, target)) {
-            raise(VpceError::LockState {
-                msg: "put_now outside a lock epoch".into(),
-            });
-        }
-        let bytes = data.len() * crate::ELEM_BYTES;
-        let entry = self.clock;
-        self.stats.bytes_put += bytes as u64;
-        let breakdown = self.charge_host(TransferKind::Contiguous { bytes });
-        let kind = RmaKind::PutContig {
-            off,
-            src: PutSrc::Pinned(data),
-        };
-        self.check_bounds(win.id(), target, &kind);
-        let wire = {
-            let mut net = self.shared.net.lock();
-            net.try_p2p(self.rank, target, kind.wire_bytes(), self.clock)
-                .unwrap_or_else(|e| raise(e))
-        };
-        let end = wire.end;
-        let op = PendingRma {
-            seq: self.seq,
-            origin: self.rank,
-            target,
-            win: win.id(),
-            issue: self.clock,
-            // Passive-target transfers complete synchronously; they
-            // bypass the eager pool, so they schedule as rendezvous.
-            proto: Protocol::Rendezvous,
-            kind,
-        };
-        self.seq += 1;
-        apply_memory(&self.shared.table.lock(), &self.shared.pools, &op);
-        self.stats.comm_wait += end - self.clock;
-        self.clock = end;
-        if self.shared.tracer.is_enabled() {
-            let mut info = CallInfo::new(CallOp::PutNow);
-            info.bytes = bytes as u64;
-            info.path = DataPath::Dma;
-            info.parts = Some(SetupParts {
-                queue_s: breakdown.queue_s,
-                dma_s: breakdown.dma_setup_s,
-                pio_s: breakdown.pio_copy_s,
-                copy_s: breakdown.copy_s,
-                chunks: breakdown.chunks as u64,
-            });
-            info.dom = Some(Dominator {
-                rank: self.rank,
-                t: entry,
-            });
-            info.net = Some((wire.start, wire.end));
-            info.recovery_s = wire.recovery;
-            self.shared
-                .tracer
-                .push(Lane::Rank(self.rank), entry, end, EventKind::Call(info));
-        }
-    }
-
-    /// Immediate accumulate inside a lock epoch (the §3 "global
-    /// operations using shared variables, such as reduction
-    /// operations").
-    pub fn accumulate_now(
-        &mut self,
-        win: &WindowRef,
-        target: usize,
-        off: usize,
-        data: Vec<Elem>,
-        op: AccumulateOp,
-    ) {
-        if !self.held.contains_key(&(win.id().0, target)) {
-            raise(VpceError::LockState {
-                msg: "accumulate_now outside a lock epoch".into(),
-            });
-        }
-        let bytes = data.len() * crate::ELEM_BYTES;
-        let entry = self.clock;
-        self.stats.bytes_put += bytes as u64;
-        let breakdown = self.charge_host(TransferKind::Contiguous { bytes });
-        let kind = RmaKind::AccContig {
-            off,
-            src: PutSrc::Pinned(data),
-            op,
-        };
-        self.check_bounds(win.id(), target, &kind);
-        let wire = {
-            let mut net = self.shared.net.lock();
-            net.try_p2p(self.rank, target, kind.wire_bytes(), self.clock)
-                .unwrap_or_else(|e| raise(e))
-        };
-        let end = wire.end;
-        let pend = PendingRma {
-            seq: self.seq,
-            origin: self.rank,
-            target,
-            win: win.id(),
-            issue: self.clock,
-            proto: Protocol::Rendezvous,
-            kind,
-        };
-        self.seq += 1;
-        apply_memory(&self.shared.table.lock(), &self.shared.pools, &pend);
-        self.stats.comm_wait += end - self.clock;
-        self.clock = end;
-        if self.shared.tracer.is_enabled() {
-            let mut info = CallInfo::new(CallOp::AccumulateNow);
-            info.bytes = bytes as u64;
-            info.path = DataPath::Dma;
-            info.parts = Some(SetupParts {
-                queue_s: breakdown.queue_s,
-                dma_s: breakdown.dma_setup_s,
-                pio_s: breakdown.pio_copy_s,
-                copy_s: breakdown.copy_s,
-                chunks: breakdown.chunks as u64,
-            });
-            info.dom = Some(Dominator {
-                rank: self.rank,
-                t: entry,
-            });
-            info.net = Some((wire.start, wire.end));
-            info.recovery_s = wire.recovery;
-            self.shared
-                .tracer
-                .push(Lane::Rank(self.rank), entry, end, EventKind::Call(info));
-        }
-    }
-
     // ------------------------------------------------------------------
     // Synchronization
     // ------------------------------------------------------------------
@@ -1475,131 +847,55 @@ impl Mpi {
     }
 }
 
-/// Materialise the memory effect of one RMA operation. Payloads are
-/// read from wherever their [`PutSrc`] pinned them: a registered eager
-/// slot, a caller-pinned buffer, or (zero-copy rendezvous) the origin's
-/// own shard.
-fn apply_memory(table: &WindowTable, pools: &[Mutex<BufferPool>], op: &PendingRma) {
-    let tgt_shard = table.shard(op.win, op.target);
-    // Lock ordering everywhere: pools before shard memory.
-    let slot_guard = op.kind.eager_slot().map(|_| pools[op.origin].lock());
-    match &op.kind {
-        RmaKind::PutContig { off, src } => {
-            let len = src.len();
-            match src {
-                PutSrc::Slot { slot, .. } => {
-                    let pool = slot_guard.as_ref().expect("slot pool locked");
-                    let data = pool.slot_data(*slot, len);
-                    tgt_shard.mem.lock()[*off..off + len].copy_from_slice(data);
-                }
-                PutSrc::Pinned(data) => {
-                    tgt_shard.mem.lock()[*off..off + len].copy_from_slice(data);
-                }
-                PutSrc::Shard { .. } => {
-                    if op.origin == op.target {
-                        return; // symmetric layout: self-put is the identity
-                    }
-                    let org = table.shard(op.win, op.origin);
-                    let src_mem = org.mem.lock();
-                    tgt_shard.mem.lock()[*off..off + len]
-                        .copy_from_slice(&src_mem[*off..off + len]);
-                }
-            }
-        }
-        RmaKind::PutStrided { off, stride, src } => {
-            let len = src.len();
-            match src {
-                PutSrc::Slot { slot, .. } => {
-                    let pool = slot_guard.as_ref().expect("slot pool locked");
-                    let data = pool.slot_data(*slot, len);
-                    let mut m = tgt_shard.mem.lock();
-                    for (i, v) in data.iter().enumerate() {
-                        m[off + i * stride] = *v;
-                    }
-                }
-                PutSrc::Pinned(data) => {
-                    let mut m = tgt_shard.mem.lock();
-                    for (i, v) in data.iter().enumerate() {
-                        m[off + i * stride] = *v;
-                    }
-                }
-                PutSrc::Shard { .. } => {
-                    if op.origin == op.target {
-                        return;
-                    }
-                    let org = table.shard(op.win, op.origin);
-                    let src_mem = org.mem.lock();
-                    let mut m = tgt_shard.mem.lock();
-                    for i in 0..len {
-                        let idx = off + i * stride;
-                        m[idx] = src_mem[idx];
-                    }
-                }
-            }
-        }
-        RmaKind::AccContig { off, src, op: a } => {
-            let len = src.len();
-            match src {
-                PutSrc::Slot { slot, .. } => {
-                    let pool = slot_guard.as_ref().expect("slot pool locked");
-                    let data = pool.slot_data(*slot, len);
-                    let mut m = tgt_shard.mem.lock();
-                    for (i, v) in data.iter().enumerate() {
-                        m[off + i] = a.apply(m[off + i], *v);
-                    }
-                }
-                PutSrc::Pinned(data) => {
-                    let mut m = tgt_shard.mem.lock();
-                    for (i, v) in data.iter().enumerate() {
-                        m[off + i] = a.apply(m[off + i], *v);
-                    }
-                }
-                PutSrc::Shard { .. } => {
-                    // Never staged today (accumulate payloads are user
-                    // buffers), but keep the semantics total: combine
-                    // the origin-shard region into the target.
-                    if op.origin == op.target {
-                        let mut m = tgt_shard.mem.lock();
-                        for i in 0..len {
-                            m[off + i] = a.apply(m[off + i], m[off + i]);
-                        }
-                        return;
-                    }
-                    let org = table.shard(op.win, op.origin);
-                    let src_mem = org.mem.lock();
-                    let mut m = tgt_shard.mem.lock();
-                    for i in 0..len {
-                        m[off + i] = a.apply(m[off + i], src_mem[off + i]);
-                    }
-                }
-            }
-        }
-        RmaKind::GetContig { off, count } => {
-            if op.origin == op.target {
-                return; // symmetric layout: self-get is the identity
-            }
-            let src = tgt_shard.mem.lock();
-            let org = table.shard(op.win, op.origin);
-            org.mem.lock()[*off..off + count].copy_from_slice(&src[*off..off + count]);
-        }
-        RmaKind::GetStrided { off, stride, count } => {
-            if op.origin == op.target {
-                return;
-            }
-            let src = tgt_shard.mem.lock();
-            let org = table.shard(op.win, op.origin);
-            let mut dst = org.mem.lock();
-            for i in 0..*count {
-                let idx = off + i * stride;
-                dst[idx] = src[idx];
-            }
+/// Schedule the wire legs of one buffered operation on the link
+/// simulator; returns `(start, end, recovery)` of the whole exchange.
+///
+/// Control legs first, origin → target then back: a GET always opens
+/// with a request, a rendezvous PUT with an RTS, and rendezvous of
+/// either direction waits for the CTS that pins the receive side. Then
+/// one data leg from the sending side to the receiving one — eager data
+/// carries a piggybacked completion header, rendezvous data is the
+/// zero-copy payload alone.
+fn schedule_wire_legs(shared: &Shared, net: &mut NetSim, op: &PendingRma) -> (f64, f64, f64) {
+    let mut p2p = |from, to, bytes, at| {
+        net.try_p2p(from, to, bytes, at)
+            .unwrap_or_else(|e| raise(e))
+    };
+    let rdvz = op.proto == Protocol::Rendezvous;
+    let (from, to) = op.flow();
+    let (mut start, mut at, mut rec) = (None, op.issue, 0.0);
+    if op.kind.is_get() || rdvz {
+        let req = p2p(op.origin, op.target, CTRL_BYTES, at);
+        (start, at, rec) = (Some(req.start), req.end, rec + req.recovery);
+    }
+    if rdvz {
+        let cts = p2p(op.target, op.origin, CTRL_BYTES, at);
+        (at, rec) = (cts.end, rec + cts.recovery);
+    }
+    let header = if rdvz { 0 } else { HDR_BYTES };
+    let data = p2p(from, to, op.kind.wire_bytes() + header, at);
+    if rdvz && op.origin != op.target {
+        net.note_handshake(2 * CTRL_BYTES as u64);
+        if shared.tracer.is_enabled() {
+            shared.tracer.push(
+                Lane::Rank(op.origin),
+                start.expect("rendezvous opens with a control leg"),
+                at,
+                EventKind::RendezvousHandshake {
+                    origin: op.origin,
+                    target: op.target,
+                    bytes: op.kind.wire_bytes() as u64,
+                },
+            );
         }
     }
+    (start.unwrap_or(data.start), data.end, rec + data.recovery)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{AccumulateOp, Elem};
     use cluster_sim::ClusterConfig;
 
     fn uni(n: usize) -> Universe {

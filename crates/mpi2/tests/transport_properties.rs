@@ -9,18 +9,20 @@
 //! protocol choices, counters and network statistics.
 //!
 //! Conflict-freedom by construction: origin `r` only ever touches
-//! elements of stripe `r` (`[r*SEG, (r+1)*SEG)`) — its PUTs write that
-//! stripe on the target, its GETs read that stripe into its own shard
-//! — so every memory cell is totally ordered by one origin's program
-//! order and the serial oracle is exact. Within an epoch each program
-//! issues all PUTs before any GET: a PUT captures its source buffer at
+//! elements of stripe `r` (`[r*SEG, (r+1)*SEG)`) — its PUTs and
+//! ACCUMULATEs write that stripe on the target, its GETs read that
+//! stripe into its own shard — so every memory cell is totally ordered
+//! by one origin's program order and the serial oracle is exact. A
+//! scenario accumulates with one operator throughout. Within an epoch
+//! each program issues its own-shard PUTs first, then the caller-buffer
+//! PUTs and ACCUMULATEs, then the GETs: a PUT captures its source at
 //! issue time (the MPI-2 rule that a local buffer handed to PUT must
 //! not change before the epoch closes), so a PUT sourced from a region
-//! a pending same-epoch GET will overwrite is an erroneous program the
-//! oracle cannot model.
+//! that a pending same-epoch GET — or a buffer PUT to self — will
+//! overwrite is an erroneous program the oracle cannot model.
 
 use cluster_sim::ClusterConfig;
-use mpi2::{Universe, ELEM_BYTES};
+use mpi2::{AccumulateOp, Universe, ELEM_BYTES};
 use vpce_testkit::prelude::*;
 
 const RANKS: usize = 3;
@@ -28,6 +30,15 @@ const RANKS: usize = 3;
 /// eager/rendezvous threshold of the paper machine.
 const SEG: usize = 1024;
 const WIN: usize = RANKS * SEG;
+
+/// Where an origin-side payload comes from.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Src {
+    /// The origin's own shard, at the offsets the op targets.
+    Region,
+    /// A caller buffer handed to `put` / `put_strided` / `accumulate`.
+    UserBuffer,
+}
 
 /// One one-sided transfer confined to the origin's stripe.
 #[derive(Debug, Clone)]
@@ -39,6 +50,32 @@ struct Op {
     stride: usize,
     len: usize,
     get: bool,
+    /// Ignored by GETs, whose payload is the target's shard.
+    src: Src,
+    /// `Some` = `accumulate` (contiguous, caller buffer), else a PUT.
+    acc: Option<AccumulateOp>,
+}
+
+impl Op {
+    /// Issue order inside the epoch (see module docs).
+    fn phase(&self) -> usize {
+        match (self.get, self.src) {
+            (false, Src::Region) => 0,
+            (false, Src::UserBuffer) => 1,
+            (true, _) => 2,
+        }
+    }
+
+    /// The caller buffer of op `k` of rank `r`'s program: distinct from
+    /// every fill value, both signs so `Max`/`Min` pick either side.
+    fn payload(&self, r: usize, k: usize) -> Vec<f64> {
+        (0..self.len)
+            .map(|i| {
+                let v = ((r * 8 + k) * SEG + i + 1) as f64 + 0.5;
+                if i % 2 == 0 { v } else { -v }
+            })
+            .collect()
+    }
 }
 
 /// Per-origin programs, `progs[r]` = the ops rank `r` issues in order.
@@ -52,23 +89,45 @@ fn arb_scenario() -> Gen<Scenario> {
         usize_in(0, RANKS - 1),
         zip2(usize_in(0, 64), usize_in(1, 3)),
         usize_in(1, SEG),
-        bool_any(),
-    )
-    .map(|(target, (off, stride), len, get)| {
-        // Clamp the footprint to the stripe: off + (len-1)*stride + 1 <= SEG.
-        let len = len.min((SEG - off).div_ceil(stride)).max(1);
-        Op {
-            target,
-            off,
-            stride,
-            len,
-            get,
-        }
-    });
-    vec_of(vec_of(op, 0, 5), RANKS, RANKS).map(|mut progs| {
-        // PUTs before GETs inside the epoch (see module docs).
+        usize_in(0, 3),
+    );
+    let acc_op = elem_of(vec![
+        AccumulateOp::Sum,
+        AccumulateOp::Prod,
+        AccumulateOp::Max,
+        AccumulateOp::Min,
+    ]);
+    zip2(acc_op, vec_of(vec_of(op, 0, 5), RANKS, RANKS)).map(|(acc_op, progs)| {
+        let mut progs: Vec<Vec<Op>> = progs
+            .into_iter()
+            .map(|prog| {
+                prog.into_iter()
+                    .map(|(target, (off, stride), len, kind)| {
+                        let (get, src, acc) = match kind {
+                            0 => (false, Src::Region, None),
+                            1 => (false, Src::UserBuffer, None),
+                            2 => (true, Src::Region, None),
+                            _ => (false, Src::UserBuffer, Some(acc_op)),
+                        };
+                        let stride = if acc.is_some() { 1 } else { stride };
+                        // Clamp the footprint to the stripe:
+                        // off + (len-1)*stride + 1 <= SEG.
+                        let len = len.min((SEG - off).div_ceil(stride)).max(1);
+                        Op {
+                            target,
+                            off,
+                            stride,
+                            len,
+                            get,
+                            src,
+                            acc,
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
         for prog in &mut progs {
-            prog.sort_by_key(|op| op.get);
+            prog.sort_by_key(Op::phase);
         }
         Scenario { progs }
     })
@@ -86,15 +145,20 @@ fn oracle(sc: &Scenario) -> Vec<Vec<f64>> {
     let mut shards: Vec<Vec<f64>> = (0..RANKS).map(fill).collect();
     for (r, prog) in sc.progs.iter().enumerate() {
         let base = r * SEG;
-        for op in prog {
-            for i in 0..op.len {
+        for (k, op) in prog.iter().enumerate() {
+            let buf = op.payload(r, k);
+            for (i, &b) in buf.iter().enumerate() {
                 let idx = base + op.off + i * op.stride;
                 if op.get {
                     let v = shards[op.target][idx];
                     shards[r][idx] = v;
                 } else {
-                    let v = shards[r][idx];
-                    shards[op.target][idx] = v;
+                    let v = match op.src {
+                        Src::Region => shards[r][idx],
+                        Src::UserBuffer => b,
+                    };
+                    let cell = &mut shards[op.target][idx];
+                    *cell = op.acc.map_or(v, |a| a.apply(*cell, v));
                 }
             }
         }
@@ -111,13 +175,22 @@ fn run(sc: &Scenario) -> (Vec<Vec<f64>>, String) {
         let w = mpi.win_create(WIN);
         w.fill_from(&fill(mpi.rank()));
         mpi.barrier();
-        for op in &sc.progs[mpi.rank()] {
-            let off = mpi.rank() * SEG + op.off;
-            match (op.get, op.stride) {
-                (false, 1) => mpi.put_region(&w, op.target, off, op.len),
-                (false, s) => mpi.put_region_strided(&w, op.target, off, s, op.len),
-                (true, 1) => mpi.get(&w, op.target, off, op.len),
-                (true, s) => mpi.get_strided(&w, op.target, off, s, op.len),
+        let r = mpi.rank();
+        for (k, op) in sc.progs[r].iter().enumerate() {
+            let off = r * SEG + op.off;
+            let buf = || op.payload(r, k);
+            match (op.get, op.src, op.acc, op.stride) {
+                (true, _, _, 1) => mpi.get(&w, op.target, off, op.len),
+                (true, _, _, s) => mpi.get_strided(&w, op.target, off, s, op.len),
+                (false, _, Some(a), _) => mpi.accumulate(&w, op.target, off, buf(), a),
+                (false, Src::Region, None, 1) => mpi.put_region(&w, op.target, off, op.len),
+                (false, Src::Region, None, s) => {
+                    mpi.put_region_strided(&w, op.target, off, s, op.len)
+                }
+                (false, Src::UserBuffer, None, 1) => mpi.put(&w, op.target, off, buf()),
+                (false, Src::UserBuffer, None, s) => {
+                    mpi.put_strided(&w, op.target, off, s, buf())
+                }
             }
         }
         mpi.fence_all();

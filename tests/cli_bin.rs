@@ -198,3 +198,27 @@ fn mod_by_zero_is_a_typed_error_with_exit_3() {
     assert_eq!(code, Some(3), "{text}");
     assert_eq!(text, "error: integer division by zero\n");
 }
+
+#[test]
+fn zero_nodes_is_the_vpce505_usage_line_on_the_builtin_machines() {
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    let torus = vpcec(&[mm, "--nodes", "0", "--machine", "torus3d"], None);
+    for (flags, machine) in [
+        (&[][..], "paper"),
+        (&["--lint"][..], "paper"),
+        (&["--grain", "fine"][..], "paper"),
+        (&["--prototype"][..], "prototype"),
+    ] {
+        let mut args = vec![mm, "--nodes", "0"];
+        args.extend_from_slice(flags);
+        let out = vpcec(&args, None);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert!(!err.contains("panicked") && !err.contains("backtrace"), "{err}");
+        assert_eq!(
+            stdout(&out),
+            format!("error: machine `{machine}`: VPCE505: a machine holds at least one node\n"),
+            "{flags:?}"
+        );
+        assert_eq!(out.status.code(), torus.status.code(), "same exit as --machine");
+    }
+}
