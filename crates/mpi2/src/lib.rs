@@ -6,7 +6,10 @@
 //!
 //! * **memory windows** ([`Mpi::win_create`]) — "a portion of the
 //!   private memory of a local process that can be accessed by remote
-//!   processes without intervention of the local process" (§5.1);
+//!   processes without intervention of the local process" (§5.1) — or
+//!   its length-only form ([`Mpi::win_create_length_only`]): the same
+//!   declared length, checks, costs and wire traffic with no storage,
+//!   for runs that simulate the communication without the data;
 //! * **`MPI_PUT`/`MPI_GET`/`MPI_ACCUMULATE`** — one operation family
 //!   over a constant-stride region, carried from issue to apply on one
 //!   descriptor `{ dir, off, stride, count, src }` (a contiguous

@@ -26,6 +26,15 @@
 //! side's own window shard** (zero-copy, read at apply time under the
 //! symmetric layout). The sending side is the origin for PUT and the
 //! target for GET, so a GET is always `RmaSrc::Shard`.
+//!
+//! Whether it holds data at all is a separate question with one answer
+//! (`WindowTable::moves_values`): **an operation moves values iff both
+//! the origin's and the target's shard of its window are backed.**
+//! With a length-only shard (see [`crate::window`]) on either side the
+//! descriptor, the protocol, the registered slot, the wire legs and
+//! every fault draw are unchanged and the two copies — the staging
+//! copy in [`Mpi::stage`], the landing in [`apply_memory`] — are
+//! skipped: what a transfer costs never depended on its bytes.
 
 use cluster_sim::{HostCostBreakdown, Protocol, TransferKind};
 use vpce_faults::{raise, VpceError};
@@ -290,14 +299,19 @@ impl Mpi {
     /// scheduled to expire), or pin it in place for rendezvous. `data`
     /// is the caller's buffer; without one the payload is elements
     /// `off + i*stride` of this rank's own shard, staged without
-    /// allocating.
+    /// allocating. An operation that moves no values acquires, pins
+    /// and releases its slot all the same; only the copy is skipped.
     fn stage(
         &mut self,
         win: &WindowRef,
+        target: usize,
         (off, stride, count): (usize, usize, usize),
         data: Option<Vec<Elem>>,
     ) -> (Protocol, RmaSrc) {
         if self.shared.policy.choose(count * crate::ELEM_BYTES) == Protocol::Eager {
+            // Asked before the pool is locked: the table guard is gone
+            // by the end of the statement.
+            let moves = self.shared.table.lock().moves_values(win.id(), self.rank, target);
             let mut pool = self.shared.pools[self.rank].lock();
             if let Some((slot, wait)) = pool.acquire(self.clock) {
                 if wait > 0.0 {
@@ -317,6 +331,7 @@ impl Mpi {
                 self.stats.pool_hwm = self.stats.pool_hwm.max(pool.hwm() as u64);
                 let dst = &mut pool.slot_mut(slot)[..count];
                 match &data {
+                    _ if !moves => {}
                     Some(d) => dst.copy_from_slice(d),
                     None if stride == 1 => dst.copy_from_slice(&win.lock()[off..off + count]),
                     None => {
@@ -373,7 +388,7 @@ impl Mpi {
             (self.shared.policy.choose(bytes), RmaSrc::Shard)
         } else {
             self.stats.bytes_put += bytes as u64;
-            self.stage(win, shape, data)
+            self.stage(win, target, shape, data)
         };
         let b = self.charge_host_proto(kind, proto, win.id());
         if self.shared.tracer.is_enabled() {
@@ -611,9 +626,13 @@ fn land(dst: &mut [Elem], k: &RmaKind, data: &[Elem], data_stride: usize) {
 /// Materialise the memory effect of one RMA operation: the payload is
 /// read from wherever its [`RmaSrc`] pinned it and landed on the
 /// receiving side's shard — the target's, or the origin's for a GET.
+/// Nothing lands unless both sides' shards are backed.
 pub(crate) fn apply_memory(table: &WindowTable, pools: &[Mutex<BufferPool>], op: &PendingRma) {
     let k = &op.kind;
     let (from, to) = op.flow();
+    if !table.moves_values(op.win, from, to) {
+        return;
+    }
     let dst = &table.shard(op.win, to).mem;
     // Lock ordering everywhere: pools before shard memory, the sending
     // shard before the receiving one.

@@ -510,10 +510,24 @@ impl Mpi {
     /// rank (ranks may pass different lengths). Returns the handle to
     /// this rank's shard.
     pub fn win_create(&mut self, len: usize) -> WindowRef {
+        self.win_create_form(len, true)
+    }
+
+    /// [`win_create`](Mpi::win_create) in its length-only form: this
+    /// rank's shard declares `len` elements and stores none. The same
+    /// collective at the same cost — ranks may mix the two calls — and
+    /// every one-sided operation on the window is checked, priced,
+    /// scheduled and traced as on a backed one; values move only
+    /// between two backed shards.
+    pub fn win_create_length_only(&mut self, len: usize) -> WindowRef {
+        self.win_create_form(len, false)
+    }
+
+    fn win_create_form(&mut self, len: usize, backed: bool) -> WindowRef {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
-        let (win, exit, dom) = self.shared.coll.run(self.rank, (len, self.clock), |ins| {
-            let lens: Vec<usize> = ins.iter().map(|(l, _)| *l).collect();
+        let (win, exit, dom) = self.shared.coll.run(self.rank, ((len, backed), self.clock), |ins| {
+            let forms: Vec<(usize, bool)> = ins.iter().map(|(f, _)| *f).collect();
             let mut maxc = 0.0f64;
             let mut slowest = 0usize;
             for (r, &(_, c)) in ins.iter().enumerate() {
@@ -522,9 +536,9 @@ impl Mpi {
                     slowest = r;
                 }
             }
-            let id = shared.table.lock().create(&lens);
+            let id = shared.table.lock().create(&forms);
             let exit = maxc + shared.barrier_cost();
-            vec![(id, exit, (slowest, maxc)); lens.len()]
+            vec![(id, exit, (slowest, maxc)); forms.len()]
         });
         self.stats.sync_wait += exit - entry;
         self.clock = exit;
@@ -534,14 +548,7 @@ impl Mpi {
 
     /// Handle to this rank's shard of an existing window.
     pub fn win_ref(&self, win: WinId) -> WindowRef {
-        let table = self.shared.table.lock();
-        let shard = table.shard(win, self.rank);
-        WindowRef {
-            win,
-            rank: self.rank,
-            mem: Arc::clone(&shard.mem),
-            len: shard.len,
-        }
+        self.shared.table.lock().window_ref(win, self.rank)
     }
 
     // ------------------------------------------------------------------

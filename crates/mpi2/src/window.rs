@@ -8,6 +8,16 @@
 //! §5.1: "we create a memory window … which is a portion of the private
 //! memory of a local process that can be accessed by remote processes
 //! without intervention of the local process."
+//!
+//! A shard comes in two forms. A **backed** shard owns `len` zeroed
+//! elements. A **length-only** shard (`Mpi::win_create_length_only`)
+//! has the same declared `len` — so bounds checks, the conflict ledger,
+//! pricing, protocol choice and every wire leg are those of a backed
+//! shard — and no storage: it is what a run that simulates the traffic
+//! without computing on the data creates. The one rule, asked through
+//! [`WindowTable::moves_values`]: a one-sided operation moves values
+//! iff both the origin's and the target's shard are backed. Ranks may
+//! mix forms in one collective, as they may pass different lengths.
 
 use std::sync::Arc;
 
@@ -21,8 +31,11 @@ pub struct WinId(pub usize);
 
 /// One rank's slice of a window.
 pub(crate) struct WindowShard {
+    /// `len` elements, or none at all on a length-only shard.
     pub mem: Arc<Mutex<Vec<Elem>>>,
     pub len: usize,
+    /// Whether storage stands behind the declared length.
+    backed: bool,
     /// Passive-target lock state: virtual time at which the previous
     /// lock epoch on this shard released. Held (via `lock_arc`) for the
     /// duration of a lock/unlock epoch.
@@ -41,14 +54,16 @@ pub(crate) struct WindowTable {
 }
 
 impl WindowTable {
-    /// Register a window whose shard on rank `r` holds `lens[r]`
-    /// elements (zero-initialised).
-    pub fn create(&mut self, lens: &[usize]) -> WinId {
-        let shards = lens
+    /// Register a window from one `(len, backed)` per rank: rank `r`'s
+    /// shard declares `len` elements and, when backed, holds them
+    /// zero-initialised.
+    pub fn create(&mut self, forms: &[(usize, bool)]) -> WinId {
+        let shards = forms
             .iter()
-            .map(|&len| WindowShard {
-                mem: Arc::new(Mutex::new(vec![0.0; len])),
+            .map(|&(len, backed)| WindowShard {
+                mem: Arc::new(Mutex::new(if backed { vec![0.0; len] } else { Vec::new() })),
                 len,
+                backed,
                 last_release: Arc::new(Mutex::new(0.0)),
             })
             .collect();
@@ -58,6 +73,26 @@ impl WindowTable {
 
     pub fn shard(&self, win: WinId, rank: usize) -> &WindowShard {
         &self.windows[win.0].shards[rank]
+    }
+
+    /// The owner's handle to rank `rank`'s shard.
+    pub fn window_ref(&self, win: WinId, rank: usize) -> WindowRef {
+        let shard = self.shard(win, rank);
+        WindowRef {
+            win,
+            rank,
+            mem: Arc::clone(&shard.mem),
+            len: shard.len,
+            backed: shard.backed,
+        }
+    }
+
+    /// Whether a one-sided operation between ranks `a` and `b` on
+    /// `win` moves values: both shards must be backed. Otherwise it is
+    /// checked, priced, scheduled and traced all the same, and copies
+    /// nothing.
+    pub fn moves_values(&self, win: WinId, a: usize, b: usize) -> bool {
+        self.shard(win, a).backed && self.shard(win, b).backed
     }
 
     #[allow(dead_code)] // exercised by unit tests; kept for diagnostics
@@ -74,10 +109,11 @@ impl WindowTable {
 /// owner touches the shard, so the lock is uncontended.
 #[derive(Clone)]
 pub struct WindowRef {
-    pub(crate) win: WinId,
-    pub(crate) rank: usize,
-    pub(crate) mem: Arc<Mutex<Vec<Elem>>>,
-    pub(crate) len: usize,
+    win: WinId,
+    rank: usize,
+    mem: Arc<Mutex<Vec<Elem>>>,
+    len: usize,
+    backed: bool,
 }
 
 impl WindowRef {
@@ -101,7 +137,9 @@ impl WindowRef {
         self.len == 0
     }
 
-    /// Lock the shard for direct access by the owner.
+    /// Lock the shard for direct access by the owner. A length-only
+    /// shard declares [`len`](Self::len) elements and stores none: its
+    /// vector is empty.
     pub fn lock(&self) -> MutexGuard<'_, Vec<Elem>> {
         self.mem.lock()
     }
@@ -114,20 +152,29 @@ impl WindowRef {
         Mutex::lock_arc(&self.mem)
     }
 
-    /// Copy the whole shard out (convenience for tests and result
-    /// extraction).
+    /// Copy the whole shard out (convenience for tests). Empty for a
+    /// length-only shard.
     pub fn snapshot(&self) -> Vec<Elem> {
         self.mem.lock().clone()
     }
 
+    /// Move the contents out without copying them — result extraction
+    /// from a dead window: the caller guarantees no operation touches
+    /// this shard again. Empty for a length-only shard.
+    pub fn take(&self) -> Vec<Elem> {
+        std::mem::take(&mut self.mem.lock())
+    }
+
     /// Overwrite the shard contents (convenience for initialisation).
+    /// A length-only shard checks the length and keeps nothing.
     ///
     /// # Panics
     /// Panics if `data` does not match the shard length.
     pub fn fill_from(&self, data: &[Elem]) {
-        let mut m = self.mem.lock();
-        assert_eq!(data.len(), m.len(), "fill_from length mismatch");
-        m.copy_from_slice(data);
+        assert_eq!(data.len(), self.len, "fill_from length mismatch");
+        if self.backed {
+            self.mem.lock().copy_from_slice(data);
+        }
     }
 }
 
@@ -138,8 +185,8 @@ mod tests {
     #[test]
     fn create_assigns_dense_ids() {
         let mut t = WindowTable::default();
-        let a = t.create(&[4, 4]);
-        let b = t.create(&[0, 8]);
+        let a = t.create(&[(4, true), (4, true)]);
+        let b = t.create(&[(0, true), (8, true)]);
         assert_eq!(a, WinId(0));
         assert_eq!(b, WinId(1));
         assert_eq!(t.num_windows(), 2);
@@ -150,21 +197,52 @@ mod tests {
     #[test]
     fn shards_zero_initialised() {
         let mut t = WindowTable::default();
-        let w = t.create(&[3]);
+        let w = t.create(&[(3, true)]);
         assert_eq!(&*t.shard(w, 0).mem.lock(), &[0.0, 0.0, 0.0]);
+    }
+
+    #[test]
+    fn length_only_shard_keeps_its_length_and_no_storage() {
+        let mut t = WindowTable::default();
+        let w = t.create(&[(4, true), (1 << 40, false)]);
+        assert_eq!(t.shard(w, 1).len, 1 << 40);
+        assert_eq!(t.shard(w, 1).mem.lock().capacity(), 0);
+        assert!(t.moves_values(w, 0, 0));
+        assert!(!t.moves_values(w, 0, 1) && !t.moves_values(w, 1, 0));
+        let r = t.window_ref(w, 1);
+        assert_eq!(r.len(), 1 << 40);
+        assert!(!r.is_empty() && r.lock().is_empty());
+        assert!(r.snapshot().is_empty() && r.take().is_empty());
+    }
+
+    #[test]
+    fn length_only_fill_from_checks_length_and_keeps_nothing() {
+        let mut t = WindowTable::default();
+        let w = t.create(&[(2, false)]);
+        let r = t.window_ref(w, 0);
+        r.fill_from(&[1.0, 2.0]);
+        assert!(r.lock().is_empty());
+        let short = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| r.fill_from(&[1.0])));
+        assert!(short.is_err(), "length is checked in both forms");
+    }
+
+    #[test]
+    fn take_moves_the_contents_out() {
+        let mut t = WindowTable::default();
+        let w = t.create(&[(2, true)]);
+        let r = t.window_ref(w, 0);
+        r.fill_from(&[1.5, 2.5]);
+        let ptr = r.lock().as_ptr();
+        let out = r.take();
+        assert_eq!(out, vec![1.5, 2.5]);
+        assert_eq!(out.as_ptr(), ptr, "moved, not copied");
     }
 
     #[test]
     fn window_ref_roundtrip() {
         let mut t = WindowTable::default();
-        let w = t.create(&[2, 2]);
-        let shard = t.shard(w, 1);
-        let r = WindowRef {
-            win: w,
-            rank: 1,
-            mem: Arc::clone(&shard.mem),
-            len: shard.len,
-        };
+        let w = t.create(&[(2, true), (2, true)]);
+        let r = t.window_ref(w, 1);
         r.fill_from(&[1.5, 2.5]);
         assert_eq!(r.snapshot(), vec![1.5, 2.5]);
         assert_eq!(r.len(), 2);
@@ -175,14 +253,7 @@ mod tests {
     #[should_panic(expected = "length mismatch")]
     fn fill_from_checks_length() {
         let mut t = WindowTable::default();
-        let w = t.create(&[2]);
-        let shard = t.shard(w, 0);
-        let r = WindowRef {
-            win: w,
-            rank: 0,
-            mem: Arc::clone(&shard.mem),
-            len: 2,
-        };
-        r.fill_from(&[1.0]);
+        let w = t.create(&[(2, true)]);
+        t.window_ref(w, 0).fill_from(&[1.0]);
     }
 }

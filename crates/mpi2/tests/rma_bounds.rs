@@ -2,7 +2,8 @@
 //! target's, or the origin's own for region PUTs and GETs — is a typed
 //! [`VpceError::RmaBounds`] raised at issue time, before any staging
 //! copy, and never a slice-index or arithmetic-overflow panic in the
-//! issuing rank or the fence leader.
+//! issuing rank or the fence leader. Bounds bind the *declared* length:
+//! every case runs on backed and on length-only windows alike.
 
 use cluster_sim::ClusterConfig;
 use mpi2::{AccumulateOp, Mpi, Universe, VpceError, WindowRef};
@@ -13,11 +14,18 @@ type Call = fn(&mut Mpi, &WindowRef);
 const HUGE: usize = usize::MAX / 2 + 1;
 
 /// Rank 0 issues `call` against rank 1 on a window with `lens[r]`
-/// elements on rank `r`, then everyone fences.
-fn issue(lens: [usize; 2], call: Call) -> Result<(), VpceError> {
+/// elements on rank `r` — declared only, never allocated, when
+/// `length_only` — then everyone fences.
+fn issue(lens: [usize; 2], length_only: bool, call: Call) -> Result<(), VpceError> {
     Universe::new(ClusterConfig::paper_n(2))
         .try_run(move |mpi| {
-            let w = mpi.win_create(lens[mpi.rank()]);
+            let len = lens[mpi.rank()];
+            let w = if length_only {
+                mpi.win_create_length_only(len)
+            } else {
+                mpi.win_create(len)
+            };
+            assert_eq!((w.len(), w.lock().capacity()), (len, if length_only { 0 } else { len }));
             if mpi.rank() == 0 {
                 call(mpi, &w);
             }
@@ -55,14 +63,20 @@ fn out_of_range_and_overflowing_footprints_are_typed_errors() {
         ([4, 16], |m, w| m.get(w, 1, 2, 3), (0, 2, 3, 4)),
     ];
     for (case, (lens, call, (target, offset, len, size))) in table.into_iter().enumerate() {
-        match issue(lens, call) {
-            Err(VpceError::RmaBounds {
-                target: t,
-                offset: o,
-                len: l,
-                size: s,
-            }) => assert_eq!((t, o, l, s), (target, offset, len, size), "case {case}"),
-            other => panic!("case {case}: expected RmaBounds, got {other:?}"),
+        for length_only in [false, true] {
+            match issue(lens, length_only, call) {
+                Err(VpceError::RmaBounds {
+                    target: t,
+                    offset: o,
+                    len: l,
+                    size: s,
+                }) => assert_eq!(
+                    (t, o, l, s),
+                    (target, offset, len, size),
+                    "case {case}, length-only {length_only}"
+                ),
+                other => panic!("case {case}, length-only {length_only}: expected RmaBounds, got {other:?}"),
+            }
         }
     }
 }
@@ -79,6 +93,9 @@ fn footprints_ending_exactly_at_the_shard_end_are_accepted() {
     ];
     for (case, call) in table.into_iter().enumerate() {
         let lens = if case == 3 { [4, 16] } else { [16, 16] };
-        issue(lens, call).unwrap_or_else(|e| panic!("case {case}: {e}"));
+        for length_only in [false, true] {
+            issue(lens, length_only, call)
+                .unwrap_or_else(|e| panic!("case {case}, length-only {length_only}: {e}"));
+        }
     }
 }

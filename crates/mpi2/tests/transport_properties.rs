@@ -6,7 +6,8 @@
 //! transfer, (b) leak-free on the registered pools (high-water mark
 //! bounded by capacity, free list full after the run quiesces), and
 //! (c) fully deterministic: the same scenario replayed gives identical
-//! protocol choices, counters and network statistics.
+//! protocol choices, counters and network statistics — and so does a
+//! replay on length-only windows, which move no values.
 //!
 //! Conflict-freedom by construction: origin `r` only ever touches
 //! elements of stripe `r` (`[r*SEG, (r+1)*SEG)`) — its PUTs and
@@ -22,7 +23,7 @@
 //! overwrite is an erroneous program the oracle cannot model.
 
 use cluster_sim::ClusterConfig;
-use mpi2::{AccumulateOp, Universe, ELEM_BYTES};
+use mpi2::{AccumulateOp, RunOutcome, Universe, ELEM_BYTES};
 use vpce_testkit::prelude::*;
 
 const RANKS: usize = 3;
@@ -166,13 +167,26 @@ fn oracle(sc: &Scenario) -> Vec<Vec<f64>> {
     shards
 }
 
-/// Run the scenario on the simulated cluster; returns (shards, outcome
-/// fingerprint: per-rank protocol/pool counters + net stats).
-fn run(sc: &Scenario) -> (Vec<Vec<f64>>, String) {
+/// Everything of an outcome but the values: clocks, per-rank ledgers,
+/// net stats, conflict ledger, pool accounting.
+fn fingerprint<R>(out: &RunOutcome<R>) -> String {
+    format!(
+        "clocks={:?} ranks={:?} net={:?} conflicts={:?} pool={:?}",
+        out.clocks, out.rank_stats, out.net, out.rma_conflicts, out.pool,
+    )
+}
+
+/// Run the scenario on the simulated cluster — on length-only windows
+/// when asked; returns (shards, outcome [`fingerprint`]).
+fn run(sc: &Scenario, length_only: bool) -> (Vec<Vec<f64>>, String) {
     let sc = sc.clone();
     let uni = Universe::new(ClusterConfig::paper_n(RANKS));
     let out = uni.run(move |mpi| {
-        let w = mpi.win_create(WIN);
+        let w = if length_only {
+            mpi.win_create_length_only(WIN)
+        } else {
+            mpi.win_create(WIN)
+        };
         w.fill_from(&fill(mpi.rank()));
         mpi.barrier();
         let r = mpi.rank();
@@ -196,26 +210,7 @@ fn run(sc: &Scenario) -> (Vec<Vec<f64>>, String) {
         mpi.fence_all();
         w.snapshot()
     });
-    let fp = format!(
-        "proto={:?} net={:?} pool={:?}",
-        out.rank_stats
-            .iter()
-            .map(|s| (
-                s.eager_ops,
-                s.eager_bytes,
-                s.rdvz_ops,
-                s.rdvz_bytes,
-                s.eager_fallbacks,
-                s.pool_waits,
-                s.pool_hwm,
-                s.doorbells,
-                s.ring_batched,
-                s.ring_batch_max,
-            ))
-            .collect::<Vec<_>>(),
-        out.net,
-        out.pool,
-    );
+    let fp = fingerprint(&out);
     // Pool hygiene holds on every run, not just sampled ones.
     let policy = Universe::new(ClusterConfig::paper_n(RANKS)).transport_policy();
     for (r, p) in out.pool.iter().enumerate() {
@@ -237,7 +232,7 @@ fn transfers_match_copy_oracle_across_threshold() {
     Check::new("mpi2::transfers_match_copy_oracle_across_threshold")
         .cases(24)
         .run(&arb_scenario(), |sc| {
-            let (shards, _) = run(sc);
+            let (shards, _) = run(sc, false);
             let want = oracle(sc);
             for r in 0..RANKS {
                 prop_assert_eq!(&shards[r], &want[r], "rank {} shard diverged", r);
@@ -251,12 +246,87 @@ fn same_scenario_replays_identical_choices_and_netstats() {
     Check::new("mpi2::same_scenario_replays_identical_choices_and_netstats")
         .cases(12)
         .run(&arb_scenario(), |sc| {
-            let (shards_a, fp_a) = run(sc);
-            let (shards_b, fp_b) = run(sc);
+            let (shards_a, fp_a) = run(sc, false);
+            let (shards_b, fp_b) = run(sc, false);
             prop_assert_eq!(&shards_a, &shards_b, "memory must be run-invariant");
             prop_assert_eq!(&fp_a, &fp_b, "protocol choices / net stats diverged");
+            // Sizes, not payloads: the same program on windows without
+            // storage costs exactly the same and holds no values.
+            let (shards_c, fp_c) = run(sc, true);
+            prop_assert!(shards_c.iter().all(Vec::is_empty), "length-only shards store nothing");
+            prop_assert_eq!(&fp_a, &fp_c, "length-only windows changed what the transfers cost");
             Ok(())
         });
+}
+
+#[test]
+fn mixed_window_forms_cost_the_same_and_leave_backed_shards_untouched() {
+    // Rank 0 backed, the others length-only when `mixed` — the shape an
+    // analytic run has. Both protocols, both directions, all three
+    // operation kinds, one deliberate same-epoch conflict (ranks 1 and
+    // 2 PUT rank 0's element 2048), then passive-target epochs with a
+    // length-only shard on either end.
+    let run = |mixed: bool| {
+        let tracer = vpce_trace::Tracer::enabled();
+        let uni = Universe::new(ClusterConfig::paper_n(RANKS)).with_tracer(tracer.clone());
+        let out = uni.run(move |mpi| {
+            let r = mpi.rank();
+            let w = if mixed && r != 0 {
+                mpi.win_create_length_only(WIN)
+            } else {
+                mpi.win_create(WIN)
+            };
+            w.fill_from(&fill(r));
+            mpi.barrier();
+            match r {
+                0 => {
+                    mpi.put_region(&w, 1, 0, 8);
+                    mpi.put_region(&w, 2, SEG, SEG);
+                    mpi.put_strided(&w, 1, 100, 3, vec![2.0; 5]);
+                    mpi.accumulate(&w, 2, 120, vec![1.0; 4], AccumulateOp::Sum);
+                    mpi.get(&w, 1, 16, 8);
+                    mpi.get_strided(&w, 2, 40, 2, 8);
+                }
+                1 => {
+                    mpi.put_region(&w, 0, 2 * SEG, 8);
+                    mpi.put(&w, 0, 200, vec![3.0; 800]);
+                    mpi.accumulate(&w, 0, 1004, vec![1e9; 4], AccumulateOp::Max);
+                    mpi.get_strided(&w, 0, 8, 2, 4);
+                }
+                _ => {
+                    mpi.put_region_strided(&w, 0, 2 * SEG, 4, 8);
+                    mpi.get(&w, 0, 2100, 900);
+                }
+            }
+            mpi.fence_all();
+            // One rank at a time: lock order is otherwise OS-scheduled.
+            if r == 0 {
+                mpi.win_lock(&w, 1);
+                mpi.put_now(&w, 1, 4, vec![9.0; 4]);
+                mpi.accumulate_now(&w, 1, 4, vec![1.0; 4], AccumulateOp::Sum);
+                mpi.win_unlock(&w, 1);
+            }
+            mpi.barrier();
+            if r == 1 {
+                mpi.win_lock(&w, 0);
+                mpi.accumulate_now(&w, 0, 0, vec![5.0; 2], AccumulateOp::Prod);
+                mpi.win_unlock(&w, 0);
+            }
+            mpi.barrier();
+            w.snapshot()
+        });
+        assert_eq!(out.rma_conflicts.len(), 1, "the planted conflict is recorded in both forms");
+        let total = out.total_stats();
+        assert!(total.eager_ops > 0 && total.rdvz_ops > 0, "both protocols exercised");
+        (fingerprint(&out), out.results, tracer.to_chrome_json())
+    };
+    let (fp_backed, backed, trace_backed) = run(false);
+    let (fp_mixed, mixed, trace_mixed) = run(true);
+    assert_ne!(backed[0], fill(0), "between backed shards the program does move values");
+    assert_eq!(mixed[0], fill(0), "no value reaches or leaves a backed shard across a length-only one");
+    assert!(mixed[1].is_empty() && mixed[2].is_empty());
+    assert_eq!(fp_backed, fp_mixed, "clocks, ledgers, conflicts or pools differ");
+    assert_eq!(trace_backed, trace_mixed, "trace events differ");
 }
 
 #[test]

@@ -348,12 +348,23 @@ mod tests {
     #[test]
     fn preemption_hooks_resume_byte_identically() {
         let job = mm_job("mm0", 2);
-        let p = prepare(&job, &no_loader(), ExecMode::Full).unwrap();
-        let full = run_attempt(&job, &p, ExecMode::Full, 0).unwrap();
-        let snap = checkpoint_attempt(&job, &p, ExecMode::Full, 0, 1).unwrap();
-        let rep = resume_attempt(&job, &p, ExecMode::Full, 0, &snap).unwrap();
-        assert_eq!(rep.arrays, full.report.arrays, "preempt+resume equals uninterrupted");
-        assert_eq!(rep.scalars, full.report.scalars);
+        let resumed = [ExecMode::Full, ExecMode::Analytic].map(|mode| {
+            let p = prepare(&job, &no_loader(), mode).unwrap();
+            let full = run_attempt(&job, &p, mode, 0).unwrap();
+            let snap = checkpoint_attempt(&job, &p, mode, 0, 1).unwrap();
+            assert_eq!(snap.elapsed, full.report.boundaries[0], "{mode:?}");
+            let rep = resume_attempt(&job, &p, mode, 0, &snap).unwrap();
+            assert_eq!(rep.arrays, full.report.arrays, "{mode:?}: preempt+resume equals uninterrupted");
+            assert_eq!(rep.scalars, full.report.scalars, "{mode:?}");
+            rep
+        });
+        // An analytic slave's windows are length-only; restoring into
+        // them costs, and the remainder runs, exactly as in `Full`.
+        let [full, ana] = resumed;
+        assert_eq!(full.elapsed, ana.elapsed);
+        assert_eq!(full.boundaries, ana.boundaries);
+        assert_eq!(full.rank_stats, ana.rank_stats);
+        assert_eq!(full.net, ana.net);
     }
 
     #[test]

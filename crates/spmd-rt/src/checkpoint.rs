@@ -133,7 +133,7 @@ pub fn resume(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::tests::axpy_prog;
+    use crate::exec::tests::{assert_same_virtual_run, axpy_prog};
     use crate::exec::ExecMode;
     use crate::ir::*;
     use lmad::RegionTransfer;
@@ -242,22 +242,30 @@ mod tests {
     fn resume_from_every_boundary_reproduces_final_state() {
         let prog = two_region_prog(4);
         let cluster = ClusterConfig::paper_4node();
-        let full = try_execute(&prog, &cluster, ExecMode::Full, FaultSpec::off()).unwrap();
         for k in 1..prog.blocks.len() {
-            let snap =
-                checkpoint_at(&prog, &cluster, ExecMode::Full, FaultSpec::off(), k).unwrap();
-            let res = resume(&prog, &cluster, ExecMode::Full, FaultSpec::off(), &snap).unwrap();
-            assert_eq!(res.arrays, full.arrays, "boundary {k}");
-            assert_eq!(res.scalars, full.scalars, "boundary {k}");
-            // Remainder + prefix covers the run: the overshoot is the
-            // resumed universe's re-initialization (win_create et al.)
-            // — the natural restore overhead — never a shortfall.
-            let sum = snap.elapsed + res.elapsed;
-            assert!(
-                sum >= full.elapsed * (1.0 - 1e-12) && sum - full.elapsed < 1e-3,
-                "boundary {k}: {sum} vs {}",
-                full.elapsed
-            );
+            let resumed = [ExecMode::Full, ExecMode::Analytic].map(|mode| {
+                let full = try_execute(&prog, &cluster, mode, FaultSpec::off()).unwrap();
+                let snap = checkpoint_at(&prog, &cluster, mode, FaultSpec::off(), k).unwrap();
+                assert_eq!(snap.elapsed.to_bits(), full.boundaries[k - 1].to_bits(), "{mode:?} {k}");
+                let res = resume(&prog, &cluster, mode, FaultSpec::off(), &snap).unwrap();
+                assert_eq!(res.arrays, full.arrays, "{mode:?} boundary {k}");
+                assert_eq!(res.scalars, full.scalars, "{mode:?} boundary {k}");
+                // Remainder + prefix covers the run: the overshoot is the
+                // resumed universe's re-initialization (win_create et al.)
+                // — the natural restore overhead — never a shortfall.
+                let sum = snap.elapsed + res.elapsed;
+                assert!(
+                    sum >= full.elapsed * (1.0 - 1e-12) && sum - full.elapsed < 1e-3,
+                    "{mode:?} boundary {k}: {sum} vs {}",
+                    full.elapsed
+                );
+                res
+            });
+            // Seeding an analytic slave's length-only windows stores
+            // nothing; the remainder costs exactly what it costs in
+            // `Full`.
+            let [full, ana] = resumed;
+            assert_same_virtual_run(&full, &ana, &format!("boundary {k}"));
         }
     }
 

@@ -16,11 +16,16 @@
 //!   ([`execute_sequential`]). Used by all correctness tests.
 //! * [`ExecMode::Analytic`] — loop bodies inside compute regions are
 //!   *not* executed; their cycle cost is charged from iteration counts
-//!   and per-iteration operation counts. All communication still moves
-//!   real (if numerically meaningless) bytes through the simulated
-//!   network, so communication times are identical to `Full` mode.
-//!   Used for the paper-scale (1024x1024) timing runs where full
-//!   interpretation is needlessly slow. See `DESIGN.md` §2.
+//!   and per-iteration operation counts. Communication carries sizes,
+//!   not payloads: the slaves' windows are length-only
+//!   (`mpi2::Mpi::win_create_length_only`), so every transfer is
+//!   bounds-checked, priced, scheduled on the simulated network and
+//!   traced exactly as in `Full` mode — communication times are
+//!   identical — and no byte is allocated, zeroed or copied for it.
+//!   Only the master, whose sequential sections execute numerically
+//!   in both modes, keeps storage. Used for the paper-scale
+//!   (1024x1024) timing runs where full interpretation is needlessly
+//!   slow. See `DESIGN.md` §2.
 //!
 //! Both modes, and the sequential baseline, walk one executable form:
 //! [`lowered`] turns each statement list of the tree IR ([`ir`]) into
@@ -30,9 +35,9 @@
 //!
 //! Master copies of all program data live on rank 0 (the paper: "the
 //! master initially holds all program data objects"). Every rank's
-//! copy of every array is full-size, so a region occupies the same
-//! element offsets on master and slaves and scatter/collect transfers
-//! are offset-preserving (`mpi2::Mpi::put_region` et al.).
+//! copy of every array is declared full-size, so a region occupies the
+//! same element offsets on master and slaves and scatter/collect
+//! transfers are offset-preserving (`mpi2::Mpi::put_region` et al.).
 
 #![forbid(unsafe_code)]
 

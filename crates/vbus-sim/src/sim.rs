@@ -16,6 +16,8 @@
 //! `(ready, src, seq)` before submission, so the whole stack is
 //! bit-reproducible.
 
+use std::collections::HashMap;
+
 use crate::link::LinkRate;
 use crate::stats::{LinkStats, NetStats};
 use crate::topology::{Mesh, NodeId, Topology};
@@ -170,9 +172,11 @@ pub struct NetSim {
     tracer: Tracer,
     /// Deterministic fault oracle (all-zero spec by default).
     injector: FaultInjector,
-    /// Per-(src,dst) packet attempt counters: the deterministic keys
-    /// the fault draws hash, independent of cross-pair interleaving.
-    pair_seq: Vec<u64>,
+    /// Per-(src,dst) packet attempt counters, keyed `src·n + dst`: the
+    /// deterministic keys the fault draws hash, independent of
+    /// cross-pair interleaving. Holds only the pairs that have talked
+    /// (master↔slave traffic is `O(n)` of the `n²` possible).
+    pair_seq: HashMap<u64, u64>,
     /// Bus-acquisition attempt counter (bus calls are leader-ordered).
     bus_seq: u64,
 }
@@ -181,7 +185,6 @@ impl NetSim {
     /// Build a simulator for the given configuration.
     pub fn new(cfg: NetConfig) -> Self {
         let n_links = cfg.topology.num_links();
-        let n = cfg.topology.num_nodes();
         NetSim {
             cfg,
             link_busy: vec![0.0; n_links],
@@ -189,7 +192,7 @@ impl NetSim {
             stats: NetStats::default(),
             tracer: Tracer::disabled(),
             injector: FaultInjector::new(FaultSpec::off()),
-            pair_seq: vec![0; n * n],
+            pair_seq: HashMap::new(),
             bus_seq: 0,
         }
     }
@@ -254,7 +257,7 @@ impl NetSim {
         self.link_busy.fill(0.0);
         self.per_link.fill(LinkStats::default());
         self.stats = NetStats::default();
-        self.pair_seq.fill(0);
+        self.pair_seq.clear();
         self.bus_seq = 0;
     }
 
@@ -308,8 +311,9 @@ impl NetSim {
         let mut first_start: Option<Time> = None;
         let mut attempt: u32 = 1;
         loop {
-            let seq = self.pair_seq[src * n + dst];
-            self.pair_seq[src * n + dst] += 1;
+            let next = self.pair_seq.entry(pair_key).or_default();
+            let seq = *next;
+            *next += 1;
             let start = path
                 .iter()
                 .map(|&l| self.link_busy[l])
@@ -725,6 +729,25 @@ mod tests {
         assert_eq!(s.quiescent_after(0.0), 0.0);
         let t = s.p2p(0, 3, 16, 0.0);
         assert_eq!(t.waited, 0.0);
+    }
+
+    #[test]
+    fn pair_counters_hold_only_the_pairs_that_talk() {
+        // 100 000 nodes: an n × n counter table would be 80 GB.
+        let n = 100_000;
+        let mut s = NetSim::new(NetConfig::vbus_skwp(n));
+        for _ in 0..3 {
+            s.p2p(0, n - 1, 64, 0.0);
+        }
+        s.p2p(n - 1, 0, 64, 0.0);
+        let seq = |s: &NetSim, src: usize, dst: usize| s.pair_seq.get(&((src * n + dst) as u64)).copied();
+        assert_eq!(seq(&s, 0, n - 1), Some(3));
+        assert_eq!(seq(&s, n - 1, 0), Some(1));
+        assert_eq!(s.pair_seq.len(), 2);
+        s.reset();
+        assert!(s.pair_seq.is_empty(), "reset restarts the counters");
+        s.p2p(0, n - 1, 64, 0.0);
+        assert_eq!(seq(&s, 0, n - 1), Some(1));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! utilization numbers that back that comparison in our benches.
 
 /// Aggregate counters for one simulation run.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NetStats {
     /// Point-to-point messages scheduled.
     pub p2p_messages: u64,

@@ -3,8 +3,10 @@
 //! reproduce its native Rust reference exactly — at every granularity,
 //! both schedules, and several cluster sizes.
 
+use spmd_rt::FaultSpec;
 use vpce::{
     compile, run_experiment, BackendOptions, ClusterConfig, ExecMode, Granularity, Schedule,
+    Tracer,
 };
 use vpce_workloads::{cfft, max_abs_diff, mm, swim};
 
@@ -35,6 +37,24 @@ fn run(
     )
     .expect("pipeline failed")
 }
+
+/// Dot product with dyadic values: exact under any accumulation order.
+const DOT: &str = r"
+      PROGRAM DOT
+      PARAMETER (N = 64)
+      REAL A(N), B(N)
+      REAL S
+      INTEGER I
+      DO I = 1, N
+        A(I) = REAL(I) / 4.0
+        B(I) = 2.0
+      ENDDO
+      S = 0.0
+      DO I = 1, N
+        S = S + A(I) * B(I)
+      ENDDO
+      END
+";
 
 // ---------------------------------------------------------------- MM
 
@@ -211,26 +231,87 @@ fn swim_avpg_off_still_correct() {
 
 // ------------------------------------------------------ cross checks
 
+/// One traced run: the report, or the typed error's text, and the
+/// Chrome-trace bytes.
+fn traced(
+    prog: &vpce::SpmdProgram,
+    cluster: &ClusterConfig,
+    mode: ExecMode,
+    faults: &FaultSpec,
+) -> (Result<vpce::RunReport, String>, String) {
+    let tracer = Tracer::enabled();
+    let rep = spmd_rt::try_execute_traced(prog, cluster, mode, tracer.clone(), faults.clone());
+    (rep.map_err(|e| e.to_string()), tracer.to_chrome_json())
+}
+
 #[test]
 fn analytic_and_full_mode_agree_on_time_and_traffic() {
+    // The two modes differ in what they compute and in what they
+    // store — `Analytic` slaves have length-only windows — and in
+    // nothing else: every virtual time, every per-rank and network
+    // counter, the conflict ledger and the trace, event for event.
+    // Exactly: both modes charge the same half-integer cycle counts
+    // (see `spmd_rt::lowered`), and these workloads have no branch for
+    // `Analytic` to approximate. Pull scatters make length-only shards
+    // GET sources; the heavy schedule retransmits eager payloads out
+    // of slots nothing was staged into.
+    let cluster = ClusterConfig::paper_n(4);
+    let mut retransmits = 0;
     for (src, params) in [
         (mm::SOURCE, vec![("N", 24i64)]),
         (cfft::SOURCE, vec![("M", 6)]),
         (swim::SOURCE, vec![("N", 16)]),
     ] {
-        let cluster = ClusterConfig::paper_n(4);
-        let opts = BackendOptions::new(4).granularity(Granularity::Coarse);
-        let compiled = compile(src, &params, &opts).unwrap();
-        let full = vpce::execute(&compiled.program, &cluster, ExecMode::Full);
-        let ana = vpce::execute(&compiled.program, &cluster, ExecMode::Analytic);
-        // Exactly: both modes charge the same half-integer cycle
-        // counts (see `spmd_rt::lowered`), and these workloads have no
-        // branch for `Analytic` to approximate.
-        assert_eq!(full.elapsed, ana.elapsed);
-        assert_eq!(full.net.p2p_bytes, ana.net.p2p_bytes);
-        assert_eq!(full.net.p2p_messages, ana.net.p2p_messages);
-        assert_eq!(full.comm_time, ana.comm_time);
+        for g in Granularity::ALL {
+            for pull in [false, true] {
+                let opts = BackendOptions::new(4).granularity(g).pull(pull);
+                let prog = compile(src, &params, &opts).unwrap().program;
+                for faults in [FaultSpec::off(), FaultSpec { seed: 7, ..FaultSpec::heavy() }] {
+                    let row = format!("{} {g:?} pull={pull} faults={}", prog.name, !faults.is_off());
+                    let (full, full_trace) = traced(&prog, &cluster, ExecMode::Full, &faults);
+                    let (ana, ana_trace) = traced(&prog, &cluster, ExecMode::Analytic, &faults);
+                    assert_eq!(full_trace, ana_trace, "{row}: trace bytes");
+                    match (full, ana) {
+                        (Ok(full), Ok(ana)) => {
+                            assert_eq!(full.elapsed, ana.elapsed, "{row}");
+                            assert_eq!(full.comm_time, ana.comm_time, "{row}");
+                            assert_eq!(full.boundaries, ana.boundaries, "{row}");
+                            assert_eq!(full.rank_stats, ana.rank_stats, "{row}");
+                            assert_eq!(full.net, ana.net, "{row}");
+                            assert_eq!(full.rma_conflicts, ana.rma_conflicts, "{row}");
+                            let lens = |r: &vpce::RunReport| r.arrays.iter().map(Vec::len).collect::<Vec<_>>();
+                            assert_eq!(lens(&full), lens(&ana), "{row}: array lengths");
+                            retransmits += ana.net.retransmits;
+                        }
+                        (full, ana) => assert_eq!(full.err(), ana.err(), "{row}: same typed failure"),
+                    }
+                }
+            }
+        }
     }
+    assert!(retransmits > 0, "the heavy rows must exercise retransmission");
+}
+
+#[test]
+fn lock_reductions_run_in_analytic_mode_with_the_same_traffic() {
+    // The accumulator window stays backed on every rank, so the §3
+    // lock bracket runs unchanged. Passive-target epochs are granted in
+    // OS-scheduling order (see `Mpi::win_lock`), so what is compared is
+    // what that order cannot move: the traffic.
+    let cluster = ClusterConfig::paper_n(4);
+    let prog = compile(DOT, &[], &BackendOptions::new(4).lock_reductions(true)).unwrap().program;
+    let full = vpce::execute(&prog, &cluster, ExecMode::Full);
+    let ana = vpce::execute(&prog, &cluster, ExecMode::Analytic);
+    let traffic = |r: &vpce::RunReport| {
+        let per_rank: Vec<_> = r
+            .rank_stats
+            .iter()
+            .map(|s| (s.bytes_put, s.bytes_got, s.rma_contiguous, s.rma_strided, s.fences, s.barriers))
+            .collect();
+        (per_rank, r.net.p2p_messages, r.net.p2p_bytes, r.net.broadcasts, r.boundaries.len())
+    };
+    assert_eq!(traffic(&full), traffic(&ana));
+    assert!(full.rank_stats[1].bytes_put > 0, "slaves accumulate under the lock");
 }
 
 #[test]
@@ -346,22 +427,6 @@ fn lock_based_reductions_compute_the_same_sum() {
     // global operations using shared variables, such as reduction
     // operations, are performed." Dot product with dyadic values is
     // exact under any accumulation order.
-    const DOT: &str = r"
-      PROGRAM DOT
-      PARAMETER (N = 64)
-      REAL A(N), B(N)
-      REAL S
-      INTEGER I
-      DO I = 1, N
-        A(I) = REAL(I) / 4.0
-        B(I) = 2.0
-      ENDDO
-      S = 0.0
-      DO I = 1, N
-        S = S + A(I) * B(I)
-      ENDDO
-      END
-";
     let cluster = ClusterConfig::paper_n(4);
     let s_value = |lock: bool| {
         let exp = run_experiment(
