@@ -25,8 +25,6 @@
 //! blocking from the dynamic side, which keeps the one-directional
 //! property sound.
 
-use std::time::Duration;
-
 use cluster_sim::ClusterConfig;
 use commcheck::skeleton::{Op, Skeleton, SyncKind};
 use commcheck::{verify_skeleton, VerifyOptions, VerifyReport};
@@ -34,11 +32,6 @@ use mpi2::{AccumulateOp, Universe, VpceError};
 use vpce_diag::DiagCode;
 use vpce_faults::raise;
 use vpce_testkit::prelude::*;
-
-/// Short stall-check interval: the pinned deadlock cases should be
-/// detected quickly, and the detector has no false positives at any
-/// interval.
-const FAST: Duration = Duration::from_millis(5);
 
 fn rts_tag(hs: usize) -> i32 {
     1000 + 2 * hs as i32
@@ -51,7 +44,7 @@ fn cts_tag(hs: usize) -> i32 {
 /// Execute the skeleton for real on the mpi2 runtime with the dynamic
 /// deadlock detector armed.
 fn run_dynamic(sk: &Skeleton) -> Result<(), VpceError> {
-    let uni = Universe::new(ClusterConfig::paper_n(sk.nranks)).with_stall_check(FAST);
+    let uni = Universe::new(ClusterConfig::paper_n(sk.nranks));
     let sk = sk.clone();
     uni.try_run(move |mpi| {
         let r = mpi.rank();

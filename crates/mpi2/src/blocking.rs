@@ -1,0 +1,496 @@
+//! The one place a rank can block.
+//!
+//! §2.2 gives a rank three ways to wait — a fence / barrier /
+//! collective, a two-sided receive, and `MPI_WIN_LOCK` — and all three
+//! sleep in [`Blocking::wait`], on one condition variable, under the
+//! one mutex that guards everything a rank can wait *for*: the leader
+//! rendezvous every collective is built on, the `(src, dst, tag)`
+//! message queues, and the passive-target lock epochs, which are plain
+//! data (`holder`, `last_release`) rather than an OS lock held across
+//! calls.
+//!
+//! ## The rendezvous
+//!
+//! All ranks arrive with an input value, the *last* arriver runs a
+//! leader closure over the full input vector (scheduling network
+//! transfers, moving memory), and every rank leaves with its slot of
+//! the leader's output vector. The leader runs under the lock while
+//! every peer waits for it, only once all inputs are present, and
+//! processes them in rank order — the outcome is independent of OS
+//! scheduling.
+//!
+//! ## Deadlock detection: exact, and without a timer
+//!
+//! Each rank is `Running`, `Waiting(reason)` or `Done`, and a waiting
+//! rank's wake condition ([`State::ready`]) is read from the real
+//! state, under its lock. The universe is stalled when the run has not
+//! failed, no rank is `Running`, some rank is `Waiting`, and every
+//! waiter's condition is false.
+//!
+//! Only a `Running` rank can change guarded state (post a message,
+//! complete a generation, release a lock), so that conjunction can only
+//! *become* true at the two transitions that take a rank out of
+//! `Running`: it starts to wait, or it finishes. The rule is evaluated
+//! there and nowhere else, by the rank making the transition, which
+//! raises [`VpceError::DeadlockStall`] itself.
+//!
+//! There are no false positives: every wake source updates the state
+//! under the lock *before* the waking rank can leave `Running`, so a
+//! notified-but-unscheduled waiter still reads `Waiting` with a true
+//! condition and vetoes the report. And none are missed: once the
+//! conjunction holds nothing can change the state again, and the rank
+//! whose transition completed it was looking.
+//!
+//! ## Failure
+//!
+//! A rank that raises sets the one `failed` flag ([`Blocking::fail`])
+//! and wakes everybody; a waiter whose condition is still false leaves
+//! with [`VpceError::PeerFailure`], and stall reports are suppressed —
+//! the run is already ending with its root cause.
+
+use std::any::Any;
+use std::collections::{HashMap, VecDeque};
+use std::sync::{Condvar, MutexGuard};
+
+use vpce_faults::{raise, VpceError};
+
+use crate::sync::{wait, Mutex};
+use crate::Elem;
+
+pub(crate) struct Message {
+    pub data: Vec<Elem>,
+    /// Sender virtual time at which the payload had left the host.
+    pub ready: f64,
+}
+
+type Slot = Option<Box<dyn Any + Send>>;
+
+/// What a waiting rank waits for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Reason {
+    /// In `MPI_RECV`, for a message from `src` with `tag`.
+    Recv { src: usize, tag: i32 },
+    /// In a collective, for generation `gen` to complete.
+    Collective { gen: u64 },
+    /// In `MPI_WIN_LOCK`, for `target`'s shard of `win` to be released.
+    Lock { win: usize, target: usize },
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Status {
+    Running,
+    Waiting(Reason),
+    Done,
+}
+
+/// Passive-target lock state of one shard.
+#[derive(Default)]
+struct Epoch {
+    holder: Option<usize>,
+    /// Virtual time at which the previous epoch on this shard closed.
+    last_release: f64,
+}
+
+struct State {
+    status: Vec<Status>,
+    /// A rank died: waiters leave instead of sleeping on.
+    failed: bool,
+    generation: u64,
+    arrived: usize,
+    inputs: Vec<Slot>,
+    outputs: Vec<Slot>,
+    /// Mailboxes keyed by `(src, dst, tag)`.
+    queues: HashMap<(usize, usize, i32), VecDeque<Message>>,
+    /// Lock epochs keyed by `(window, target)`.
+    epochs: HashMap<(usize, usize), Epoch>,
+}
+
+impl State {
+    fn holder(&self, win: usize, target: usize) -> Option<usize> {
+        self.epochs.get(&(win, target)).and_then(|e| e.holder)
+    }
+
+    /// Whether `rank`, waiting for `reason`, can proceed.
+    fn ready(&self, rank: usize, reason: Reason) -> bool {
+        match reason {
+            Reason::Recv { src, tag } => {
+                self.queues.get(&(src, rank, tag)).is_some_and(|q| !q.is_empty())
+            }
+            Reason::Collective { gen } => self.generation != gen,
+            Reason::Lock { win, target } => self.holder(win, target).is_none(),
+        }
+    }
+
+    /// The rendered wait-for graph when the universe is stalled (see
+    /// the module docs), `None` otherwise.
+    fn stalled(&self) -> Option<String> {
+        if self.failed {
+            return None;
+        }
+        let mut waiting = false;
+        for (rank, st) in self.status.iter().enumerate() {
+            match *st {
+                Status::Running => return None,
+                Status::Done => {}
+                Status::Waiting(reason) if self.ready(rank, reason) => return None,
+                Status::Waiting(_) => waiting = true,
+            }
+        }
+        waiting.then(|| self.render())
+    }
+
+    fn render(&self) -> String {
+        let mut out = String::from("wait-for graph at stall:\n");
+        for (rank, st) in self.status.iter().enumerate() {
+            let what = match *st {
+                Status::Running => "running".to_string(),
+                Status::Done => "finished".to_string(),
+                Status::Waiting(Reason::Recv { src, tag }) => {
+                    format!("blocked in recv(src={src}, tag={tag}) - no matching message posted")
+                }
+                Status::Waiting(Reason::Collective { gen }) => {
+                    format!("blocked in collective (generation {gen}) - peers never arrive")
+                }
+                Status::Waiting(Reason::Lock { win, target }) => {
+                    let h = self.holder(win, target).expect("an unready lock waiter has a holder");
+                    format!("blocked in win_lock(win={win}, target={target}) - held by rank {h}")
+                }
+            };
+            out.push_str(&format!("  rank {rank}: {what}\n"));
+        }
+        out
+    }
+}
+
+/// Everything the `n` ranks of one running universe can wait on.
+pub(crate) struct Blocking {
+    state: Mutex<State>,
+    cv: Condvar,
+}
+
+impl Blocking {
+    pub fn new(n: usize) -> Self {
+        assert!(n > 0);
+        Blocking {
+            state: Mutex::new(State {
+                status: vec![Status::Running; n],
+                failed: false,
+                generation: 0,
+                arrived: 0,
+                inputs: (0..n).map(|_| None).collect(),
+                outputs: (0..n).map(|_| None).collect(),
+                queues: HashMap::new(),
+                epochs: HashMap::new(),
+            }),
+            cv: Condvar::new(),
+        }
+    }
+
+    /// Sleep as `rank` until `reason` is ready. Raises `DeadlockStall`
+    /// if starting to wait stalls the universe, `PeerFailure` if a rank
+    /// dies before the condition comes true.
+    fn wait<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, State>,
+        rank: usize,
+        reason: Reason,
+    ) -> MutexGuard<'a, State> {
+        while !st.ready(rank, reason) {
+            if st.failed {
+                let site = match reason {
+                    Reason::Recv { .. } => "recv",
+                    Reason::Collective { .. } => "collective",
+                    Reason::Lock { .. } => "win_lock",
+                };
+                raise(VpceError::PeerFailure {
+                    msg: format!("{site} poisoned: a peer rank panicked"),
+                });
+            }
+            if st.status[rank] == Status::Running {
+                st.status[rank] = Status::Waiting(reason);
+                if let Some(graph) = st.stalled() {
+                    raise(VpceError::DeadlockStall { graph });
+                }
+            }
+            st = wait(&self.cv, st);
+        }
+        st.status[rank] = Status::Running;
+        st
+    }
+
+    /// `rank`'s SPMD closure returned: it will never wait again, and it
+    /// will never wake anyone either.
+    pub fn finish(&self, rank: usize) {
+        let mut st = self.state.lock();
+        if st.epochs.values().any(|e| e.holder == Some(rank)) {
+            raise(VpceError::LockState {
+                msg: format!("rank {rank} finished holding window locks"),
+            });
+        }
+        st.status[rank] = Status::Done;
+        if let Some(graph) = st.stalled() {
+            raise(VpceError::DeadlockStall { graph });
+        }
+    }
+
+    /// A rank died: wake every waiter, which then leaves with
+    /// `PeerFailure` instead of sleeping forever.
+    pub fn fail(&self) {
+        self.state.lock().failed = true;
+        self.cv.notify_all();
+    }
+
+    /// Enter the rendezvous as `rank` with `input`. When the last rank
+    /// arrives, its `leader` closure maps the full input vector to one
+    /// output per rank; every rank returns its own output.
+    ///
+    /// All ranks must pass behaviourally identical leaders (the code is
+    /// SPMD, so they do).
+    pub fn run<T, R, F>(&self, rank: usize, input: T, leader: F) -> R
+    where
+        T: Send + 'static,
+        R: Send + 'static,
+        F: FnOnce(Vec<T>) -> Vec<R>,
+    {
+        let mut st = self.state.lock();
+        debug_assert!(st.inputs[rank].is_none(), "rank {rank} re-entered");
+        st.inputs[rank] = Some(Box::new(input));
+        st.arrived += 1;
+        let n = st.status.len();
+        if st.arrived == n {
+            // Leader: drain inputs in rank order, produce outputs.
+            let inputs: Vec<T> = st
+                .inputs
+                .iter_mut()
+                .map(|s| *s.take().unwrap().downcast::<T>().expect("input type"))
+                .collect();
+            let outputs = leader(inputs);
+            if outputs.len() != n {
+                raise(VpceError::Internal {
+                    msg: format!("leader must emit one output per rank: {} != {n}", outputs.len()),
+                });
+            }
+            for (slot, out) in st.outputs.iter_mut().zip(outputs) {
+                *slot = Some(Box::new(out));
+            }
+            st.arrived = 0;
+            st.generation = st.generation.wrapping_add(1);
+            self.cv.notify_all();
+        } else {
+            let gen = st.generation;
+            st = self.wait(st, rank, Reason::Collective { gen });
+        }
+        *st.outputs[rank]
+            .take()
+            .expect("output present")
+            .downcast::<R>()
+            .expect("output type")
+    }
+
+    /// Enqueue a message (eager send: the sender does not wait).
+    pub fn post(&self, src: usize, dst: usize, tag: i32, msg: Message) {
+        self.state.lock().queues.entry((src, dst, tag)).or_default().push_back(msg);
+        self.cv.notify_all();
+    }
+
+    /// Dequeue the oldest `(src, dst, tag)` message, waiting for one.
+    pub fn take(&self, src: usize, dst: usize, tag: i32) -> Message {
+        let mut st = self.wait(self.state.lock(), dst, Reason::Recv { src, tag });
+        st.queues
+            .get_mut(&(src, dst, tag))
+            .and_then(VecDeque::pop_front)
+            .expect("a ready receive has a queued message")
+    }
+
+    /// Open `rank`'s exclusive epoch on `target`'s shard of `win`,
+    /// waiting for the current holder to release it; which of several
+    /// waiters is granted next is OS order. Returns the virtual time
+    /// the previous epoch closed at.
+    pub fn lock(&self, rank: usize, win: usize, target: usize) -> f64 {
+        let st = self.state.lock();
+        if st.holder(win, target) == Some(rank) {
+            raise(VpceError::LockState {
+                msg: "window already locked by this rank".into(),
+            });
+        }
+        let mut st = self.wait(st, rank, Reason::Lock { win, target });
+        let epoch = st.epochs.entry((win, target)).or_default();
+        epoch.holder = Some(rank);
+        epoch.last_release
+    }
+
+    /// Close the epoch at virtual time `now`.
+    pub fn unlock(&self, rank: usize, win: usize, target: usize, now: f64) {
+        let mut st = self.state.lock();
+        match st.epochs.get_mut(&(win, target)) {
+            Some(epoch) if epoch.holder == Some(rank) => {
+                *epoch = Epoch { holder: None, last_release: now };
+            }
+            _ => raise(VpceError::LockState {
+                msg: "unlock without lock".into(),
+            }),
+        }
+        drop(st);
+        self.cv.notify_all();
+    }
+
+    /// Whether `rank` is inside a lock epoch on `target`'s shard.
+    pub fn holds(&self, rank: usize, win: usize, target: usize) -> bool {
+        self.state.lock().holder(win, target) == Some(rank)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::Arc;
+
+    fn msg() -> Message {
+        Message { data: vec![1.0], ready: 0.0 }
+    }
+
+    /// Put `rank` in `status` without sleeping a thread on it.
+    fn set(b: &Blocking, rank: usize, status: Status) {
+        b.state.lock().status[rank] = status;
+    }
+
+    fn stalled(b: &Blocking) -> Option<String> {
+        b.state.lock().stalled()
+    }
+
+    #[test]
+    fn running_rank_vetoes_stall() {
+        let b = Blocking::new(2);
+        set(&b, 0, Status::Waiting(Reason::Recv { src: 1, tag: 0 }));
+        assert!(stalled(&b).is_none(), "rank 1 still running");
+    }
+
+    #[test]
+    fn satisfied_condition_vetoes_stall() {
+        let b = Blocking::new(2);
+        b.post(1, 0, 7, msg());
+        let waiting = Status::Waiting(Reason::Recv { src: 1, tag: 7 });
+        set(&b, 0, waiting);
+        set(&b, 1, Status::Done);
+        assert!(stalled(&b).is_none(), "message is available");
+        b.take(1, 0, 7);
+        set(&b, 0, waiting);
+        assert!(stalled(&b).is_some(), "now genuinely stuck");
+    }
+
+    #[test]
+    fn done_plus_blocked_is_a_stall() {
+        let b = Blocking::new(2);
+        set(&b, 0, Status::Done);
+        set(&b, 1, Status::Waiting(Reason::Recv { src: 0, tag: 3 }));
+        let g = stalled(&b).expect("stalled");
+        assert!(g.contains("rank 0: finished"), "{g}");
+        assert!(g.contains("rank 1: blocked in recv(src=0, tag=3)"), "{g}");
+    }
+
+    #[test]
+    fn collective_generation_advance_vetoes_stall() {
+        let b = Blocking::new(2);
+        set(&b, 0, Status::Waiting(Reason::Collective { gen: 0 }));
+        set(&b, 1, Status::Done);
+        assert!(stalled(&b).is_some(), "generation 0 never completes");
+        b.state.lock().generation = 1;
+        assert!(stalled(&b).is_none(), "rank 0 was woken, not scheduled yet");
+    }
+
+    #[test]
+    fn released_lock_vetoes_stall_and_a_held_one_names_its_holder() {
+        let b = Blocking::new(2);
+        assert_eq!(b.lock(1, 4, 0), 0.0, "a fresh shard was never released");
+        assert!(b.holds(1, 4, 0) && !b.holds(0, 4, 0));
+        set(&b, 0, Status::Waiting(Reason::Lock { win: 4, target: 0 }));
+        set(&b, 1, Status::Waiting(Reason::Collective { gen: 0 }));
+        let g = stalled(&b).expect("holder waits in a collective");
+        assert!(g.contains("rank 0: blocked in win_lock(win=4, target=0) - held by rank 1"), "{g}");
+        set(&b, 1, Status::Running);
+        b.unlock(1, 4, 0, 2.5);
+        set(&b, 1, Status::Done);
+        assert!(stalled(&b).is_none(), "rank 0 was woken, not scheduled yet");
+        assert_eq!(b.lock(0, 4, 0), 2.5, "the grant carries the release time");
+    }
+
+    #[test]
+    fn failure_suppresses_stall_reports() {
+        let b = Blocking::new(1);
+        set(&b, 0, Status::Waiting(Reason::Recv { src: 0, tag: 0 }));
+        assert!(stalled(&b).is_some());
+        b.fail();
+        assert!(stalled(&b).is_none());
+    }
+
+    #[test]
+    fn all_done_is_not_a_stall() {
+        let b = Blocking::new(2);
+        b.finish(0);
+        b.finish(1);
+        assert!(stalled(&b).is_none());
+    }
+
+    #[test]
+    fn sums_inputs_for_everyone() {
+        let c = Arc::new(Blocking::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|r| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    c.run(r, r as u64 + 1, |xs| {
+                        let total: u64 = xs.iter().sum();
+                        vec![total; 4]
+                    })
+                })
+            })
+            .collect();
+        for h in handles {
+            assert_eq!(h.join().unwrap(), 10);
+        }
+    }
+
+    #[test]
+    fn per_rank_outputs_routed_correctly() {
+        let c = Arc::new(Blocking::new(3));
+        let handles: Vec<_> = (0..3)
+            .map(|r| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || c.run(r, r, |xs| xs.iter().map(|x| x * 10).collect()))
+            })
+            .collect();
+        let outs: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
+        assert_eq!(outs, vec![0, 10, 20]);
+    }
+
+    #[test]
+    fn reusable_across_generations() {
+        let c = Arc::new(Blocking::new(2));
+        let handles: Vec<_> = (0..2)
+            .map(|r| {
+                let c = Arc::clone(&c);
+                std::thread::spawn(move || {
+                    let mut acc = 0u64;
+                    for round in 0..100u64 {
+                        acc = c.run(r, (acc + round) % 1_000_003, |xs| {
+                            vec![(xs[0] + xs[1]) % 1_000_003; 2]
+                        });
+                    }
+                    acc
+                })
+            })
+            .collect();
+        let a = handles
+            .into_iter()
+            .map(|h| h.join().unwrap())
+            .collect::<Vec<_>>();
+        assert_eq!(a[0], a[1]);
+    }
+
+    #[test]
+    fn single_participant_runs_leader_inline() {
+        let c = Blocking::new(1);
+        let out = c.run(0, 7, |xs| vec![xs[0] * 2]);
+        assert_eq!(out, 14);
+    }
+}

@@ -71,7 +71,7 @@ impl Mpi {
         let shared = Arc::clone(self.shared());
         let (payload, exit, dep): (Arc<Vec<Elem>>, f64, CollDep) =
             self.shared()
-                .coll
+                .blocking
                 .run(rank, (self.now(), data), move |ins| {
                     let n = ins.len();
                     let clocks: Vec<f64> = ins.iter().map(|(c, _)| *c).collect();
@@ -183,7 +183,7 @@ impl Mpi {
         let shared = Arc::clone(self.shared());
         let (result, exit, dep): (Option<Vec<Elem>>, f64, CollDep) =
             self.shared()
-                .coll
+                .blocking
                 .run(rank, (self.now(), value), move |ins| {
                     let n = ins.len();
                     let clocks: Vec<f64> = ins.iter().map(|(c, _)| *c).collect();
@@ -272,7 +272,7 @@ impl Mpi {
         let shared = Arc::clone(self.shared());
         let (result, exit, dep): (Option<Vec<Vec<Elem>>>, f64, CollDep) =
             self.shared()
-                .coll
+                .blocking
                 .run(rank, (self.now(), value), move |ins| {
                     let n = ins.len();
                     let clocks: Vec<f64> = ins.iter().map(|(c, _)| *c).collect();
@@ -367,7 +367,7 @@ impl Mpi {
         let shared = Arc::clone(self.shared());
         let (mine, exit, dep): (Vec<Elem>, f64, CollDep) =
             self.shared()
-                .coll
+                .blocking
                 .run(rank, (self.now(), chunks), move |ins| {
                     let n = ins.len();
                     let clocks: Vec<f64> = ins.iter().map(|(c, _)| *c).collect();

@@ -39,6 +39,20 @@
 //! the [`cluster_sim`] NIC model (host side) and the [`vbus_sim`] link
 //! scheduler (wire side). Wall-clock never influences any result.
 //!
+//! ## Blocking
+//!
+//! A rank can wait in three ways — a fence / barrier / collective, a
+//! two-sided receive, `MPI_WIN_LOCK` — and all three sleep in one
+//! place: the private `blocking` module, one mutex, one condition
+//! variable and one `failed` flag over the leader rendezvous, the
+//! message queues and the lock epochs. Because a waiter's wake
+//! condition is read from that state under its lock, the stall rule is
+//! exact and needs no timer: a run that can make no progress ends in a
+//! typed [`VpceError::DeadlockStall`] whose graph names who waits for
+//! what, a rank that raises takes its peers out with
+//! [`VpceError::PeerFailure`], and lock misuse is
+//! [`VpceError::LockState`] — never a hang.
+//!
 //! ## Determinism
 //!
 //! One-sided operations issued inside an access epoch are *buffered*
@@ -49,16 +63,17 @@
 //! thread scheduling. Passive-target lock/unlock epochs are the one
 //! exception (documented on [`Mpi::win_lock`]).
 
-mod collective;
+#![forbid(unsafe_code)]
+
+mod blocking;
 pub mod conflict;
 mod p2p;
 mod pool;
-pub mod sync;
 mod rma;
 mod stats;
+mod sync;
 mod transport;
 mod universe;
-pub mod waitgraph;
 mod window;
 
 pub mod coll;

@@ -13,118 +13,13 @@
 //! wire transfer. Matching is by exact `(source, tag)`;
 //! `MPI_ANY_SOURCE` is not modeled.
 
-use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
-
 use cluster_sim::TransferKind;
-use crate::sync::{Condvar, Mutex};
 use vpce_faults::{raise, VpceError};
 use vpce_trace::{CallInfo, CallOp, Dominator, EventKind, Lane};
 
+use crate::blocking::Message;
 use crate::universe::{transfer_info, Mpi};
-use crate::waitgraph::{BlockReason, WaitGraph};
 use crate::Elem;
-
-pub(crate) struct Message {
-    pub data: Vec<Elem>,
-    /// Sender virtual time at which the payload had left the host.
-    pub ready: f64,
-}
-
-/// Mailboxes keyed by `(src, dst, tag)`.
-pub(crate) struct Mailboxes {
-    boxes: Mutex<Boxes>,
-    cv: Condvar,
-    /// Stall detector, mirrored message counts and all. `None` only in
-    /// standalone unit-test construction; the universe always wires
-    /// one in.
-    wg: Option<Arc<WaitGraph>>,
-}
-
-#[derive(Default)]
-struct Boxes {
-    queues: HashMap<(usize, usize, i32), VecDeque<Message>>,
-    poisoned: bool,
-}
-
-impl Mailboxes {
-    pub fn new(_n: usize) -> Self {
-        Mailboxes {
-            boxes: Mutex::new(Boxes::default()),
-            cv: Condvar::new(),
-            wg: None,
-        }
-    }
-
-    pub fn with_waitgraph(n: usize, wg: Arc<WaitGraph>) -> Self {
-        let mut m = Mailboxes::new(n);
-        m.wg = Some(wg);
-        m
-    }
-
-    /// Wake all blocked receivers because a peer rank died.
-    pub fn poison(&self) {
-        self.boxes.lock().poisoned = true;
-        self.cv.notify_all();
-    }
-
-    pub fn post(&self, src: usize, dst: usize, tag: i32, msg: Message) {
-        let mut boxes = self.boxes.lock();
-        boxes
-            .queues
-            .entry((src, dst, tag))
-            .or_default()
-            .push_back(msg);
-        // Mirror while still holding the mailbox lock (see the
-        // waitgraph module's no-false-positive argument).
-        if let Some(wg) = &self.wg {
-            wg.note_post(src, dst, tag);
-        }
-        drop(boxes);
-        self.cv.notify_all();
-    }
-
-    pub fn take(&self, src: usize, dst: usize, tag: i32) -> Message {
-        let mut boxes = self.boxes.lock();
-        let mut registered = false;
-        loop {
-            if let Some(q) = boxes.queues.get_mut(&(src, dst, tag)) {
-                if let Some(msg) = q.pop_front() {
-                    if let Some(wg) = &self.wg {
-                        wg.note_take(src, dst, tag);
-                        if registered {
-                            wg.unblock(dst);
-                        }
-                    }
-                    return msg;
-                }
-            }
-            if boxes.poisoned {
-                if let (Some(wg), true) = (&self.wg, registered) {
-                    wg.unblock(dst);
-                }
-                raise(VpceError::PeerFailure {
-                    msg: "recv poisoned: a peer rank panicked".into(),
-                });
-            }
-            match &self.wg {
-                None => self.cv.wait(&mut boxes),
-                Some(wg) => {
-                    if !registered {
-                        wg.block(dst, BlockReason::Recv { src, tag });
-                        registered = true;
-                    }
-                    let timed_out = self.cv.wait_timeout(&mut boxes, wg.check_interval());
-                    if timed_out {
-                        if let Some(graph) = wg.check_stall() {
-                            raise(VpceError::DeadlockStall { graph });
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
 
 impl Mpi {
     /// `MPI_SEND` (eager): transmit `data` to `dst` with `tag`. The
@@ -152,7 +47,7 @@ impl Mpi {
             self.tracer()
                 .push(Lane::Rank(rank), t0, ready, EventKind::Call(info));
         }
-        self.shared().mail.post(rank, dst, tag, Message { data, ready });
+        self.shared().blocking.post(rank, dst, tag, Message { data, ready });
     }
 
     /// `MPI_SENDRECV`: the classic deadlock-free exchange — post the
@@ -182,7 +77,7 @@ impl Mpi {
         }
         let entry = self.now();
         let rank = self.rank();
-        let msg = self.shared().mail.take(src, rank, tag);
+        let msg = self.shared().blocking.take(src, rank, tag);
         let bytes = msg.data.len() * crate::ELEM_BYTES;
         let wire = {
             let shared = std::sync::Arc::clone(self.shared());

@@ -526,7 +526,7 @@ impl Mpi {
             RmaDir::Acc(_) => CallOp::AccumulateNow,
             _ => CallOp::PutNow,
         };
-        if !self.held.contains_key(&(win.id().0, target)) {
+        if !self.shared.blocking.holds(self.rank, win.id().0, target) {
             raise(VpceError::LockState {
                 msg: format!("{} outside a lock epoch", call.name()),
             });

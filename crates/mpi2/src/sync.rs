@@ -1,182 +1,39 @@
-//! Poison-transparent synchronization primitives over `std::sync`.
+//! Poison-transparent locking over `std::sync`.
 //!
-//! The simulator previously used `parking_lot`; these wrappers keep
-//! its call-site API (`mutex.lock()` with no `Result`, parking_lot
-//! style `Condvar::wait_while(&mut guard, ..)`, and an owned
-//! [`ArcMutexGuard`]) while depending only on the standard library.
-//!
-//! Poisoning is deliberately ignored: when a rank thread panics, the
-//! universe poisons the collectives/mailboxes so peers panic *at their
-//! next synchronization point* with a meaningful message, and the
+//! Poisoning is deliberately ignored: when a rank thread raises, the
+//! universe sets the one `failed` flag of [`crate::blocking`] so peers
+//! leave *at their next blocking call* with a meaningful error, and the
 //! original payload is re-raised on join. A second, uninformative
 //! `PoisonError` panic on an unrelated lock would only obscure that.
 
-use std::mem::ManuallyDrop;
-use std::ops::{Deref, DerefMut};
-use std::sync::{Arc, PoisonError};
+use std::sync::{Condvar, MutexGuard, PoisonError};
 
-/// A mutex whose `lock` never fails (poison-transparent).
+/// A mutex whose `lock` never fails.
 #[derive(Debug, Default)]
-pub struct Mutex<T: ?Sized> {
-    inner: std::sync::Mutex<T>,
-}
-
-/// Guard of a [`Mutex`]. Wraps the std guard in an `Option` so a
-/// paired [`Condvar`] can temporarily take ownership during a wait.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T: ?Sized> {
-    inner: Option<std::sync::MutexGuard<'a, T>>,
-}
+pub(crate) struct Mutex<T>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
-    /// A new unlocked mutex holding `value`.
     pub fn new(value: T) -> Self {
-        Mutex {
-            inner: std::sync::Mutex::new(value),
-        }
+        Mutex(std::sync::Mutex::new(value))
     }
 
     /// Acquire the lock, ignoring poisoning.
     pub fn lock(&self) -> MutexGuard<'_, T> {
-        MutexGuard {
-            inner: Some(self.inner.lock().unwrap_or_else(PoisonError::into_inner)),
-        }
-    }
-
-    /// Acquire an owned guard through an `Arc`, storable across call
-    /// frames (what parking_lot's `arc_lock` feature provided).
-    pub fn lock_arc(this: &Arc<Mutex<T>>) -> ArcMutexGuard<T> {
-        ArcMutexGuard::lock(Arc::clone(this))
+        self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }
 
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present")
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present")
-    }
-}
-
-/// A condition variable with parking_lot-style `wait_while` (takes the
-/// guard by `&mut` instead of by value). Poison-transparent.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: std::sync::Condvar,
-}
-
-impl Condvar {
-    /// A new condition variable.
-    pub fn new() -> Self {
-        Condvar {
-            inner: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Wake all waiters.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    /// Block until notified (spurious wakeups possible — call in a
-    /// loop), releasing the guarded mutex during the wait.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present");
-        guard.inner = Some(
-            self.inner
-                .wait(inner)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-    }
-
-    /// Block until notified or `dur` elapses (spurious wakeups
-    /// possible — call in a loop). Returns `true` when the wait timed
-    /// out rather than being notified.
-    pub fn wait_timeout<T>(&self, guard: &mut MutexGuard<'_, T>, dur: std::time::Duration) -> bool {
-        let inner = guard.inner.take().expect("guard present");
-        let (inner, timeout) = self
-            .inner
-            .wait_timeout(inner, dur)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-        timeout.timed_out()
-    }
-
-    /// Block while `cond` holds, releasing the guarded mutex during
-    /// the wait and reacquiring it before returning.
-    pub fn wait_while<T, F>(&self, guard: &mut MutexGuard<'_, T>, cond: F)
-    where
-        F: FnMut(&mut T) -> bool,
-    {
-        let inner = guard.inner.take().expect("guard present");
-        guard.inner = Some(
-            self.inner
-                .wait_while(inner, cond)
-                .unwrap_or_else(PoisonError::into_inner),
-        );
-    }
-}
-
-/// An owned mutex guard keeping its `Arc<Mutex<T>>` alive: the
-/// std-only replacement for `parking_lot::ArcMutexGuard`.
-pub struct ArcMutexGuard<T: 'static> {
-    /// Dropped (explicitly, in `Drop`) before `arc`, releasing the
-    /// lock while the mutex is still alive.
-    guard: ManuallyDrop<std::sync::MutexGuard<'static, T>>,
-    arc: Arc<Mutex<T>>,
-}
-
-impl<T: 'static> ArcMutexGuard<T> {
-    /// Lock `arc`'s mutex and keep both the guard and the Arc.
-    pub fn lock(arc: Arc<Mutex<T>>) -> Self {
-        let guard = arc.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        // SAFETY: we extend the guard's borrow of the mutex to
-        // 'static. The mutex lives on the heap owned by `arc`, which
-        // this struct holds for its whole lifetime; the heap slot of
-        // an Arc never moves; and `Drop` releases the guard before
-        // `arc` is released. No safe API exposes the 'static lifetime.
-        let guard: std::sync::MutexGuard<'static, T> = unsafe {
-            std::mem::transmute::<std::sync::MutexGuard<'_, T>, std::sync::MutexGuard<'static, T>>(
-                guard,
-            )
-        };
-        ArcMutexGuard {
-            guard: ManuallyDrop::new(guard),
-            arc,
-        }
-    }
-}
-
-impl<T: 'static> Drop for ArcMutexGuard<T> {
-    fn drop(&mut self) {
-        // SAFETY: dropped exactly once, here, before `self.arc`.
-        unsafe { ManuallyDrop::drop(&mut self.guard) };
-        let _ = &self.arc;
-    }
-}
-
-impl<T: 'static> Deref for ArcMutexGuard<T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        &self.guard
-    }
-}
-
-impl<T: 'static> DerefMut for ArcMutexGuard<T> {
-    fn deref_mut(&mut self) -> &mut T {
-        &mut self.guard
-    }
+/// Block on `cv` until notified (spurious wakeups possible — call in a
+/// loop), releasing the guarded mutex meanwhile. Ignores poisoning.
+pub(crate) fn wait<'a, T>(cv: &Condvar, guard: MutexGuard<'a, T>) -> MutexGuard<'a, T> {
+    cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Arc;
 
     #[test]
     fn mutex_and_condvar_coordinate_threads() {
@@ -189,31 +46,15 @@ mod tests {
                 let mut g = m.lock();
                 *g += 1;
                 cv.notify_all();
-                cv.wait_while(&mut g, |v| *v < 4);
+                while *g < 4 {
+                    g = wait(cv, g);
+                }
                 *g
             }));
         }
         for h in handles {
             assert_eq!(h.join().unwrap(), 4);
         }
-    }
-
-    #[test]
-    fn arc_guard_holds_lock_until_drop() {
-        let m = Arc::new(Mutex::new(vec![1, 2, 3]));
-        let mut g = Mutex::lock_arc(&m);
-        g.push(4);
-        assert_eq!(&*g, &[1, 2, 3, 4]);
-        drop(g);
-        assert_eq!(&*m.lock(), &[1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn arc_guard_keeps_mutex_alive_after_arc_drop() {
-        let m = Arc::new(Mutex::new(String::from("alive")));
-        let g = Mutex::lock_arc(&m);
-        drop(m); // guard's own Arc must keep the allocation alive
-        assert_eq!(&*g, "alive");
     }
 
     #[test]

@@ -1,27 +1,25 @@
 //! The MPI universe: rank threads, virtual clocks, and the `Mpi`
 //! process handle.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use cluster_sim::{
     ClusterConfig, CpuModel, HostCostBreakdown, NicModel, OpCounts, Protocol, TransferKind,
 };
-use crate::sync::{ArcMutexGuard, Mutex};
+use crate::sync::Mutex;
 use vbus_sim::{NetSim, NetStats};
 use vpce_faults::{raise, take_raised, FaultInjector, FaultSpec, VpceError};
 use vpce_trace::{
     CallInfo, CallOp, DataPath, Dominator, EventKind, Lane, SetupParts, TraceReport, Tracer,
 };
 
-use crate::collective::Collective;
+use crate::blocking::Blocking;
 use crate::conflict::{self, ConflictRecord};
-use crate::p2p::Mailboxes;
 use crate::pool::{BufferPool, PoolSnapshot};
 use crate::rma::{apply_memory, PendingRma};
 use crate::stats::RankStats;
 use crate::transport::{TransportPolicy, CTRL_BYTES, HDR_BYTES};
-use crate::waitgraph::{WaitGraph, DEFAULT_STALL_CHECK};
 use crate::window::{WinId, WindowRef, WindowTable};
 
 /// State shared by every rank of a universe.
@@ -30,8 +28,9 @@ pub(crate) struct Shared {
     pub net: Mutex<NetSim>,
     pub table: Mutex<WindowTable>,
     pub pending: Mutex<Vec<PendingRma>>,
-    pub coll: Collective,
-    pub mail: Mailboxes,
+    /// Everything a rank can wait on — collectives, receives, window
+    /// locks — and the stall detector over them.
+    pub blocking: Blocking,
     /// Dynamic epoch-conflict ledger: undefined-outcome RMA pairs
     /// detected at closing fences (see [`crate::conflict`]).
     pub conflicts: Mutex<Vec<ConflictRecord>>,
@@ -48,9 +47,6 @@ pub(crate) struct Shared {
     pub pools: Vec<Mutex<BufferPool>>,
     /// The resolved eager/rendezvous switchover policy of this run.
     pub policy: TransportPolicy,
-    /// Dynamic wait-for-graph stall detector shared by every blocking
-    /// site of this run.
-    pub wg: Arc<WaitGraph>,
 }
 
 impl Shared {
@@ -129,7 +125,6 @@ pub struct Universe {
     faults: FaultSpec,
     suppressed_crashes: BTreeSet<u64>,
     transport: Option<TransportPolicy>,
-    stall_check: std::time::Duration,
 }
 
 impl Universe {
@@ -141,17 +136,7 @@ impl Universe {
             faults: FaultSpec::off(),
             suppressed_crashes: BTreeSet::new(),
             transport: None,
-            stall_check: DEFAULT_STALL_CHECK,
         }
-    }
-
-    /// Tune how often blocked ranks run the wait-for-graph stall
-    /// check. Purely a detection-latency knob — correctness never
-    /// depends on it (the detector has no false positives at any
-    /// interval). Tests that provoke deadlocks on purpose shorten it.
-    pub fn with_stall_check(mut self, interval: std::time::Duration) -> Self {
-        self.stall_check = interval;
-        self
     }
 
     /// Override the eager/rendezvous transport policy (the default is
@@ -263,21 +248,18 @@ impl Universe {
         let pools = (0..n)
             .map(|_| Mutex::new(BufferPool::new(policy.slots, slot_elems)))
             .collect();
-        let wg = WaitGraph::new(n, self.stall_check);
         let shared = Arc::new(Shared {
             cfg: self.cfg.clone(),
             net: Mutex::new(net),
             table: Mutex::new(WindowTable::default()),
             pending: Mutex::new(Vec::new()),
-            coll: Collective::with_waitgraph(n, Arc::clone(&wg)),
-            mail: Mailboxes::with_waitgraph(n, Arc::clone(&wg)),
+            blocking: Blocking::new(n),
             conflicts: Mutex::new(Vec::new()),
             tracer: self.tracer.clone(),
             faults: FaultInjector::new(self.faults.clone())
                 .with_suppressed_crashes(self.suppressed_crashes.clone()),
             pools,
             policy,
-            wg,
         });
         let mut results: Vec<Option<(R, f64, RankStats)>> = (0..n).map(|_| None).collect();
         let mut typed: Vec<VpceError> = Vec::new();
@@ -297,35 +279,19 @@ impl Universe {
                             ring: None,
                             stats: RankStats::default(),
                             shared: Arc::clone(&shared),
-                            held: HashMap::new(),
                         };
                         let r = f(&mut mpi);
-                        if !mpi.held.is_empty() {
-                            raise(VpceError::LockState {
-                                msg: format!("rank {rank} finished holding window locks"),
-                            });
-                        }
+                        // This rank will never wake anyone again: peers
+                        // left waiting on it are deadlocked.
+                        shared.blocking.finish(rank);
                         (r, mpi.clock, mpi.stats)
                     });
-                    match std::panic::catch_unwind(body) {
-                        Ok(out) => {
-                            // This rank will never wake anyone again:
-                            // let the stall detector treat peers
-                            // blocked on it as deadlocked.
-                            shared.wg.done(rank);
-                            out
-                        }
-                        Err(payload) => {
-                            // Unblock peers stuck in collectives or
-                            // receives, then re-raise. Poison the
-                            // stall detector first so no peer races a
-                            // DeadlockStall report against the wake.
-                            shared.wg.poison();
-                            shared.coll.poison();
-                            shared.mail.poison();
-                            std::panic::resume_unwind(payload);
-                        }
-                    }
+                    std::panic::catch_unwind(body).unwrap_or_else(|payload| {
+                        // Wake peers waiting in collectives, receives
+                        // or window locks, then re-raise.
+                        shared.blocking.fail();
+                        std::panic::resume_unwind(payload)
+                    })
                 }));
             }
             for (rank, h) in handles.into_iter().enumerate() {
@@ -335,14 +301,14 @@ impl Universe {
                         Ok(err) => typed.push(err),
                         // Not a typed error: a genuine bug. Re-raise
                         // with the original payload (peers were
-                        // poisoned awake).
+                        // woken by the failure).
                         Err(payload) => std::panic::resume_unwind(payload),
                     },
                 }
             }
         });
         if !typed.is_empty() {
-            // Prefer the root cause over the secondary poison
+            // Prefer the root cause over the secondary `PeerFailure`
             // wake-ups it triggered on peer ranks.
             let best = typed
                 .iter()
@@ -381,9 +347,6 @@ impl Universe {
         })
     }
 }
-
-/// Guard of a passive-target lock epoch.
-type EpochGuard = ArcMutexGuard<f64>;
 
 /// Trace provenance a fence's leader closure hands back to every
 /// rank: what the exit time was waiting on.
@@ -436,7 +399,6 @@ pub struct Mpi {
     pub(crate) ring: Option<(WinId, usize)>,
     pub(crate) stats: RankStats,
     pub(crate) shared: Arc<Shared>,
-    pub(crate) held: HashMap<(usize, usize), EpochGuard>,
 }
 
 impl Mpi {
@@ -526,7 +488,7 @@ impl Mpi {
     fn win_create_form(&mut self, len: usize, backed: bool) -> WindowRef {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
-        let (win, exit, dom) = self.shared.coll.run(self.rank, ((len, backed), self.clock), |ins| {
+        let (win, exit, dom) = self.shared.blocking.run(self.rank, ((len, backed), self.clock), |ins| {
             let forms: Vec<(usize, bool)> = ins.iter().map(|(f, _)| *f).collect();
             let mut maxc = 0.0f64;
             let mut slowest = 0usize;
@@ -662,7 +624,7 @@ impl Mpi {
         self.flush_ring();
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
-        let (exit, ft): (f64, FenceTrace) = self.shared.coll.run(self.rank, self.clock, move |clocks| {
+        let (exit, ft): (f64, FenceTrace) = self.shared.blocking.run(self.rank, self.clock, move |clocks| {
             let n = clocks.len();
             let mut ops: Vec<PendingRma> = {
                 let mut pend = shared.pending.lock();
@@ -762,6 +724,13 @@ impl Mpi {
     /// `target`'s shard. Inside the epoch use [`Mpi::put_now`] /
     /// [`Mpi::accumulate_now`]; close with [`Mpi::win_unlock`].
     ///
+    /// Misuse is a typed error, never a hang: locking a shard this rank
+    /// already holds raises [`VpceError::LockState`] (as does unlocking
+    /// one it does not hold, or finishing inside an epoch), and a lock
+    /// that can never be granted — its holder waits in a collective, or
+    /// two ranks each want what the other holds — ends the run in
+    /// [`VpceError::DeadlockStall`], whose graph names the holder.
+    ///
     /// Note on determinism: competing lock acquisitions are ordered by
     /// OS scheduling, so *virtual timing* may vary across runs when
     /// several ranks contend; memory results of commutative updates do
@@ -777,38 +746,23 @@ impl Mpi {
             });
         }
         let entry = self.clock;
-        let release = {
-            let table = self.shared.table.lock();
-            Arc::clone(&table.shard(win.id(), target).last_release)
-        };
-        let guard = Mutex::lock_arc(&release);
+        let last_release = self.shared.blocking.lock(self.rank, win.id().0, target);
         // Acquiring the lock is a small round trip to the target.
         let link = self.shared.cfg.net.link;
         let rtt = 2.0
             * (link.per_hop_s * self.shared.cfg.net.topology.hops(self.rank, target) as f64
                 + link.transfer_time(32))
             + self.nic().post_s;
-        self.clock = self.clock.max(*guard) + rtt;
+        self.clock = self.clock.max(last_release) + rtt;
         // No dominator: passive-target contention order is decided by
         // OS scheduling, so the edge would not be reproducible.
         self.trace_blocking(CallOp::WinLock, entry, self.clock, 0, None, None);
-        let prev = self.held.insert((win.id().0, target), guard);
-        if prev.is_some() {
-            raise(VpceError::LockState {
-                msg: "window already locked by this rank".into(),
-            });
-        }
     }
 
     /// `MPI_WIN_UNLOCK`: close the passive epoch opened by
     /// [`Mpi::win_lock`].
     pub fn win_unlock(&mut self, win: &WindowRef, target: usize) {
-        let Some(mut guard) = self.held.remove(&(win.id().0, target)) else {
-            raise(VpceError::LockState {
-                msg: "unlock without lock".into(),
-            });
-        };
-        *guard = self.clock;
+        self.shared.blocking.unlock(self.rank, win.id().0, target, self.clock);
         self.trace_blocking(CallOp::WinUnlock, self.clock, self.clock, 0, None, None);
     }
 
@@ -821,7 +775,7 @@ impl Mpi {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
         let (exit, dom): (f64, (usize, f64)) =
-            self.shared.coll.run(self.rank, self.clock, move |clocks| {
+            self.shared.blocking.run(self.rank, self.clock, move |clocks| {
                 let n = clocks.len();
                 let mut maxc = 0.0f64;
                 let mut slowest = 0usize;

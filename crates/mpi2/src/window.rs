@@ -19,10 +19,9 @@
 //! iff both the origin's and the target's shard are backed. Ranks may
 //! mix forms in one collective, as they may pass different lengths.
 
-use std::sync::Arc;
+use std::sync::{Arc, MutexGuard};
 
-use crate::sync::{ArcMutexGuard, Mutex, MutexGuard};
-
+use crate::sync::Mutex;
 use crate::Elem;
 
 /// Identifier of a window, dense from zero in creation order.
@@ -36,10 +35,6 @@ pub(crate) struct WindowShard {
     pub len: usize,
     /// Whether storage stands behind the declared length.
     backed: bool,
-    /// Passive-target lock state: virtual time at which the previous
-    /// lock epoch on this shard released. Held (via `lock_arc`) for the
-    /// duration of a lock/unlock epoch.
-    pub last_release: Arc<Mutex<f64>>,
 }
 
 /// A window: one shard per rank.
@@ -64,7 +59,6 @@ impl WindowTable {
                 mem: Arc::new(Mutex::new(if backed { vec![0.0; len] } else { Vec::new() })),
                 len,
                 backed,
-                last_release: Arc::new(Mutex::new(0.0)),
             })
             .collect();
         self.windows.push(Window { shards });
@@ -93,11 +87,6 @@ impl WindowTable {
     /// nothing.
     pub fn moves_values(&self, win: WinId, a: usize, b: usize) -> bool {
         self.shard(win, a).backed && self.shard(win, b).backed
-    }
-
-    #[allow(dead_code)] // exercised by unit tests; kept for diagnostics
-    pub fn num_windows(&self) -> usize {
-        self.windows.len()
     }
 }
 
@@ -139,17 +128,12 @@ impl WindowRef {
 
     /// Lock the shard for direct access by the owner. A length-only
     /// shard declares [`len`](Self::len) elements and stores none: its
-    /// vector is empty.
+    /// vector is empty. The interpreter holds one guard per array for
+    /// the duration of a compute region; it MUST be dropped before any
+    /// fence or collective (the fence leader locks shards to apply
+    /// transfers).
     pub fn lock(&self) -> MutexGuard<'_, Vec<Elem>> {
         self.mem.lock()
-    }
-
-    /// Owned lock guard (storable across call frames). The interpreter
-    /// acquires one per array for the duration of a compute region;
-    /// it MUST be dropped before any fence or collective (the fence
-    /// leader locks shards to apply transfers).
-    pub fn lock_arc(&self) -> ArcMutexGuard<Vec<Elem>> {
-        Mutex::lock_arc(&self.mem)
     }
 
     /// Copy the whole shard out (convenience for tests). Empty for a
@@ -189,7 +173,7 @@ mod tests {
         let b = t.create(&[(0, true), (8, true)]);
         assert_eq!(a, WinId(0));
         assert_eq!(b, WinId(1));
-        assert_eq!(t.num_windows(), 2);
+        assert_eq!(t.windows.len(), 2);
         assert_eq!(t.shard(b, 0).len, 0);
         assert_eq!(t.shard(b, 1).len, 8);
     }

@@ -1,21 +1,42 @@
-//! The dynamic wait-for-graph detector: programs that would hang
-//! forever must instead end in a typed [`VpceError::DeadlockStall`]
-//! (or the crash that caused the orphaning), and programs that merely
-//! *look* slow must never be flagged.
+//! The dynamic deadlock detector: programs that would hang forever
+//! must instead end in a typed [`VpceError::DeadlockStall`] (or the
+//! crash or misuse that caused the orphaning), and programs that merely
+//! *look* slow must never be flagged. Detection is exact and has no
+//! timer to tune; the programs that used to hang outright run under a
+//! wall-clock watchdog so a regression fails instead of hanging CI.
 
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use cluster_sim::{ClusterConfig, Protocol};
-use mpi2::{TransportPolicy, Universe, VpceError};
+use mpi2::{Mpi, TransportPolicy, Universe, VpceError};
 use vpce_faults::{raise, FaultSpec};
-
-/// Short stall-check interval: these tests provoke deadlocks on
-/// purpose and should detect them quickly. The detector has no false
-/// positives at any interval, so this is safe to shrink.
-const FAST: Duration = Duration::from_millis(5);
+use vpce_testkit::prelude::*;
 
 fn uni(n: usize) -> Universe {
-    Universe::new(ClusterConfig::paper_n(n)).with_stall_check(FAST)
+    Universe::new(ClusterConfig::paper_n(n))
+}
+
+/// How long a program that must *end* may take before it counts as
+/// hung. Every program here finishes in milliseconds.
+const WATCHDOG: Duration = Duration::from_secs(20);
+
+/// Run `body` on `n` ranks from a helper thread and hand back the run's
+/// verdict; panics if the run is still going when the watchdog expires
+/// or dies of an untyped panic.
+fn run_within_watchdog(
+    n: usize,
+    body: impl Fn(&mut Mpi) + Send + Sync + 'static,
+) -> Result<(), VpceError> {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(uni(n).try_run(body).map(|_| ()));
+    });
+    match rx.recv_timeout(WATCHDOG) {
+        Ok(verdict) => verdict,
+        Err(RecvTimeoutError::Timeout) => panic!("still running after {WATCHDOG:?}: a hang"),
+        Err(RecvTimeoutError::Disconnected) => panic!("the run died of an untyped panic"),
+    }
 }
 
 #[test]
@@ -108,12 +129,12 @@ fn crash_mid_rendezvous_orphans_the_peer_with_a_typed_error() {
 
 #[test]
 fn slow_but_progressing_runs_are_never_flagged() {
-    // Many short stall-check timeouts fire while the sender dawdles in
-    // (wall-clock) compute; none may produce a false positive.
+    // The receiver sleeps for real while the sender dawdles in
+    // (wall-clock) compute; a slow peer is not a stalled one.
     let out = uni(2).run(|mpi| {
         if mpi.rank() == 0 {
             for _ in 0..4 {
-                std::thread::sleep(4 * FAST);
+                std::thread::sleep(Duration::from_millis(20));
                 mpi.send(1, 0, vec![1.0]);
             }
             0.0
@@ -137,7 +158,6 @@ fn eager_retransmit_under_saturated_pool_never_double_acquires() {
     for seed in 0..8u64 {
         let uni = Universe::new(ClusterConfig::paper_n(2))
             .with_transport(policy.clone())
-            .with_stall_check(FAST)
             .with_faults(FaultSpec {
                 seed,
                 link_drop: 0.25,
@@ -169,4 +189,185 @@ fn eager_retransmit_under_saturated_pool_never_double_acquires() {
         assert_eq!(p.leaked, 0, "seed {seed}: slot leaked across retransmits");
         assert_eq!(p.hwm, slots, "seed {seed}: high-water must cap at capacity");
     }
+}
+
+// ---------------------------------------------------------------------------
+// Passive-target locks: three programs that used to hang outright
+// ---------------------------------------------------------------------------
+
+#[test]
+fn relocking_a_held_shard_is_a_typed_lock_state_error() {
+    let err = run_within_watchdog(2, |mpi| {
+        let w = mpi.win_create(4);
+        if mpi.rank() == 0 {
+            mpi.win_lock(&w, 1);
+            mpi.win_lock(&w, 1);
+        }
+    })
+    .unwrap_err();
+    assert!(matches!(err, VpceError::LockState { .. }), "got {err:?}");
+    assert!(err.to_string().contains("already locked by this rank"), "{err}");
+}
+
+#[test]
+fn lock_held_across_a_barrier_a_peer_needs_is_a_typed_stall() {
+    // Rank 0 enters the barrier inside its epoch; rank 1 wants the same
+    // shard before it can reach the barrier. The send/recv pair orders
+    // the two lock calls.
+    let err = run_within_watchdog(2, |mpi| {
+        let w = mpi.win_create(4);
+        if mpi.rank() == 0 {
+            mpi.win_lock(&w, 1);
+            mpi.send(1, 0, vec![0.0]);
+            mpi.barrier();
+            mpi.win_unlock(&w, 1);
+        } else {
+            mpi.recv(0, 0);
+            mpi.win_lock(&w, 1);
+            mpi.win_unlock(&w, 1);
+            mpi.barrier();
+        }
+    })
+    .unwrap_err();
+    match err {
+        VpceError::DeadlockStall { graph } => {
+            assert!(graph.contains("rank 0: blocked in collective"), "{graph}");
+            let lock = "rank 1: blocked in win_lock(win=0, target=1) - held by rank 0";
+            assert!(graph.contains(lock), "{graph}");
+        }
+        other => panic!("expected DeadlockStall, got {other:?}"),
+    }
+}
+
+#[test]
+fn ab_ba_lock_cycle_is_a_typed_stall() {
+    // Each rank takes its own shard's lock, then (after the exchange
+    // that makes sure both hold one) wants the other's.
+    let err = run_within_watchdog(2, |mpi| {
+        let w = mpi.win_create(4);
+        let (me, peer) = (mpi.rank(), 1 - mpi.rank());
+        mpi.win_lock(&w, me);
+        mpi.sendrecv(peer, 0, vec![0.0], peer, 0);
+        mpi.win_lock(&w, peer);
+        mpi.win_unlock(&w, peer);
+        mpi.win_unlock(&w, me);
+    })
+    .unwrap_err();
+    match err {
+        VpceError::DeadlockStall { graph } => {
+            assert!(graph.contains("win_lock(win=0, target=1) - held by rank 1"), "{graph}");
+            assert!(graph.contains("win_lock(win=0, target=0) - held by rank 0"), "{graph}");
+        }
+        other => panic!("expected DeadlockStall, got {other:?}"),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// No script hangs
+// ---------------------------------------------------------------------------
+
+#[derive(Debug, Clone, PartialEq)]
+enum Op {
+    Barrier,
+    Send { to: usize, tag: i32 },
+    Recv { from: usize, tag: i32 },
+    Lock { target: usize },
+    Unlock { target: usize },
+    PutNow { target: usize },
+    /// Return from the SPMD closure here, whatever is still open.
+    Finish,
+}
+
+/// One op list per rank, 2–4 ranks, every rank index in range. Built
+/// from moves that keep most scripts *nearly* right — a barrier on
+/// every rank, a matched send/recv pair, a whole lock epoch — plus
+/// stray single ops that unbalance them: all the ways to block, matched
+/// or not, and every lock misuse.
+fn script_gen() -> Gen<Vec<Vec<Op>>> {
+    usize_in(2, 4).flat_map(|n| {
+        let rank = usize_in(0, n - 1);
+        let tag = i64_in(0, 1).map(|t| t as i32);
+        let stray = one_of(vec![
+            just(Op::Barrier),
+            zip2(rank.clone(), tag.clone()).map(|(to, tag)| Op::Send { to, tag }),
+            zip2(rank.clone(), tag.clone()).map(|(from, tag)| Op::Recv { from, tag }),
+            rank.clone().map(|target| Op::Lock { target }),
+            rank.clone().map(|target| Op::Unlock { target }),
+            rank.clone().map(|target| Op::PutNow { target }),
+            just(Op::Finish),
+        ]);
+        let step: Gen<Vec<(usize, Op)>> = weighted(vec![
+            (3, just((0..n).map(|r| (r, Op::Barrier)).collect())),
+            (
+                3,
+                zip3(rank.clone(), rank.clone(), tag).map(|(from, to, tag)| {
+                    vec![(from, Op::Send { to, tag }), (to, Op::Recv { from, tag })]
+                }),
+            ),
+            (
+                3,
+                zip2(rank.clone(), rank.clone()).map(|(r, target)| {
+                    vec![
+                        (r, Op::Lock { target }),
+                        (r, Op::PutNow { target }),
+                        (r, Op::Unlock { target }),
+                    ]
+                }),
+            ),
+            (4, zip2(rank, stray).map(|placed| vec![placed])),
+        ]);
+        vec_of(step, 0, 8).map(move |steps| {
+            let mut ranks = vec![Vec::new(); n];
+            for (r, op) in steps.into_iter().flatten() {
+                ranks[r].push(op);
+            }
+            ranks
+        })
+    })
+}
+
+/// The verdict kind of one execution: `ok`, or the typed error's kind.
+fn execute(script: &[Vec<Op>]) -> &'static str {
+    let ranks = script.to_vec();
+    let verdict = run_within_watchdog(script.len(), move |mpi| {
+        let w = mpi.win_create(4);
+        for op in &ranks[mpi.rank()] {
+            match *op {
+                Op::Barrier => mpi.barrier(),
+                Op::Send { to, tag } => mpi.send(to, tag, vec![1.0]),
+                Op::Recv { from, tag } => drop(mpi.recv(from, tag)),
+                Op::Lock { target } => mpi.win_lock(&w, target),
+                Op::Unlock { target } => mpi.win_unlock(&w, target),
+                Op::PutNow { target } => mpi.put_now(&w, target, 0, vec![2.0]),
+                Op::Finish => return,
+            }
+        }
+    });
+    verdict.map_or_else(|e| e.kind(), |()| "ok")
+}
+
+/// Whether two ranks ask for the same shard. Which of them is granted
+/// first is OS order (documented on `Mpi::win_lock`), so such a
+/// script's verdict may legitimately differ between executions — every
+/// one of them typed.
+fn contended(script: &[Vec<Op>]) -> bool {
+    let wants = |ops: &[Op], target| ops.contains(&Op::Lock { target });
+    (0..script.len()).any(|t| script.iter().filter(|ops| wants(ops, t)).count() > 1)
+}
+
+#[test]
+fn random_blocking_scripts_always_end_in_a_typed_verdict() {
+    Check::new("mpi2::random_blocking_scripts_always_end_in_a_typed_verdict")
+        .cases(320)
+        .run(&script_gen(), |script| {
+            let first = execute(script);
+            let known = ["ok", "lock-state", "deadlock-stall"];
+            prop_assert!(known.contains(&first), "unexpected verdict `{first}`");
+            let second = execute(script);
+            prop_assert!(known.contains(&second), "unexpected verdict `{second}`");
+            if !contended(script) {
+                prop_assert_eq!(first, second);
+            }
+            Ok(())
+        });
 }

@@ -260,6 +260,30 @@ impl JobSpec {
         s
     }
 
+    /// The canonical record of exactly the fields a compile or an
+    /// attempt outcome depends on: the job's record with the fields
+    /// that only say who asks, when and how urgently — name, tenant,
+    /// priority, arrival, deadline, retries — left out. Two jobs with
+    /// equal keys are the same piece of work and [`crate::Runner`]
+    /// executes it once. A field added to the record later is part of
+    /// the key unless it is named here as scheduling-only.
+    pub fn work_key(&self) -> String {
+        let work = JobSpec {
+            tenant: DEFAULT_TENANT.to_string(),
+            priority: 0,
+            arrival: 0.0,
+            deadline: None,
+            retries: 2,
+            ..self.clone()
+        };
+        work.record_fields(true)
+    }
+
+    /// The job with nothing armed against it: what admission dry-runs.
+    pub(crate) fn fault_free(&self) -> JobSpec {
+        JobSpec { faults: FaultSpec::off(), recover: None, ..self.clone() }
+    }
+
     /// The non-name fields of the record, canonically ordered.
     fn record_fields(&self, with_arrival: bool) -> String {
         let mut s = String::new();

@@ -1,13 +1,17 @@
-//! Per-job preparation and execution.
+//! Per-job compilation and execution.
 //!
-//! Admission compiles the job once (front-end + backend at the chosen
-//! granularity) and dry-runs it fault-free on its private partition.
-//! The dry run serves three masters: it validates the program (a job
-//! that cannot finish cleanly is rejected up front, not discovered
-//! mid-batch), it yields the *baseline makespan* the backfill
-//! reservation arithmetic and the failure heartbeat both need, and it
-//! pins the reference arrays each faulty attempt must reproduce
-//! byte-identically.
+//! Admission compiles the job once ([`compile`]: front-end + backend at
+//! the chosen granularity) and dry-runs it fault-free on its private
+//! partition. The dry run is not a second way to execute a program: it
+//! is [`run_attempt`], attempt 0, of the job's fault- and recover-free
+//! copy ([`crate::Runner::prepare`] composes the two), and its one
+//! shared outcome ([`Prepared::clean`]) serves three masters. It
+//! validates the program (a job that cannot finish cleanly is rejected
+//! up front, not discovered mid-batch), its makespan is the *baseline*
+//! the backfill reservation arithmetic and the failure heartbeat both
+//! need, and its arrays are the reference each faulty attempt must
+//! reproduce byte-identically. For a job that arms no faults it also
+//! *is* attempt 0.
 //!
 //! Every attempt runs in its own [`cluster_sim::ClusterConfig`] /
 //! `mpi2::Universe`: windows, `NetStats`, `RankStats` and trace
@@ -16,6 +20,8 @@
 //! (`seed + k·GOLDEN` for attempt `k`), so a crash is not replayed
 //! verbatim yet the whole batch stays a pure function of the jobfile
 //! and batch seed.
+
+use std::rc::Rc;
 
 use cluster_sim::{partition_shape, ClusterConfig};
 use lmad::Granularity;
@@ -36,10 +42,10 @@ const SEED_STRIDE: u64 = 0x9E37_79B9_7F4A_7C15;
 /// relative to the jobfile's directory; tests inject closures.
 pub type SourceLoader<'a> = dyn Fn(&str) -> Result<String, String> + 'a;
 
-/// A job that passed admission: compiled program, partition shape and
-/// fault-free baseline.
+/// A compiled job: the program and the partition every attempt of it
+/// executes on.
 #[derive(Debug, Clone)]
-pub struct Prepared {
+pub struct Plan {
     pub program: SpmdProgram,
     /// Partition rectangle the job's ranks occupy (on switch-based
     /// fabrics: the accounting footprint the node map charges).
@@ -48,14 +54,19 @@ pub struct Prepared {
     /// through; `None` is the hard-coded paper machine.
     pub machine: Option<MachineSpec>,
     pub granularity: Granularity,
-    /// Fault-free virtual makespan (the scheduling-time estimate, the
-    /// backfill bound and the failure heartbeat).
-    pub clean_elapsed: f64,
-    /// Fault-free master arrays — the byte-identity reference.
-    pub clean_arrays: Vec<Vec<mpi2::Elem>>,
 }
 
-fn reject(job: &JobSpec, reason: String) -> VpceError {
+/// A job that passed admission: its plan and its fault-free baseline.
+#[derive(Debug, Clone)]
+pub struct Prepared {
+    pub plan: Plan,
+    /// The fault-free run. Its `report.elapsed` is the scheduling-time
+    /// estimate, the backfill bound and the failure heartbeat; its
+    /// `report.arrays` are the byte-identity reference.
+    pub clean: Rc<AttemptOutcome>,
+}
+
+pub(crate) fn reject(job: &JobSpec, reason: String) -> VpceError {
     VpceError::AdmissionRejected { job: job.name.clone(), reason }
 }
 
@@ -121,22 +132,16 @@ pub fn job_footprint(machine: Option<&MachineSpec>, ranks: usize) -> Mesh {
     }
 }
 
-/// Admission-time compile + fault-free dry run. Any failure here is a
-/// typed [`VpceError::AdmissionRejected`] — the job never enters the
-/// queue.
-pub fn prepare(job: &JobSpec, loader: &SourceLoader, mode: ExecMode) -> Result<Prepared, VpceError> {
-    prepare_on(job, loader, mode, None)
-}
-
-/// [`prepare`] with a batch-level default machine description (the
-/// CLI's `--machine` / the jobfile's `machine=` header); the job's own
-/// `machine=` field wins.
-pub fn prepare_on(
+/// Admission-time compile. `default_machine` is the batch-level
+/// machine description (the CLI's `--machine` / the jobfile's
+/// `machine=` header); the job's own `machine=` field wins. Any failure
+/// here is a typed [`VpceError::AdmissionRejected`] — the job never
+/// enters the queue.
+pub fn compile(
     job: &JobSpec,
     loader: &SourceLoader,
-    mode: ExecMode,
     default_machine: Option<&MachineSpec>,
-) -> Result<Prepared, VpceError> {
+) -> Result<Plan, VpceError> {
     let machine = resolve_machine(job, default_machine)?;
     let source = resolve_source(job, loader)?;
     let params: Vec<(&str, i64)> = job.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
@@ -148,18 +153,8 @@ pub fn prepare_on(
     });
     let compiled = polaris_be::compile_backend(&analyzed, &base.granularity(granularity));
     let shape = job_footprint(machine.as_ref(), job.ranks);
-    let cluster = try_partition_cluster(machine.as_ref(), shape, job.ranks)
-        .map_err(|e| reject(job, e))?;
-    let clean = spmd_rt::try_execute(&compiled.program, &cluster, mode, FaultSpec::off())
-        .map_err(|e| reject(job, format!("fault-free dry run: {e}")))?;
-    Ok(Prepared {
-        program: compiled.program,
-        shape,
-        machine,
-        granularity,
-        clean_elapsed: clean.elapsed,
-        clean_arrays: clean.arrays,
-    })
+    try_partition_cluster(machine.as_ref(), shape, job.ranks).map_err(|e| reject(job, e))?;
+    Ok(Plan { program: compiled.program, shape, machine, granularity })
 }
 
 /// The private cluster an attempt executes on: paper-model PCs on the
@@ -186,10 +181,10 @@ pub fn try_partition_cluster(
     }
 }
 
-/// The attempt-time cluster of a prepared job. Infallible: `prepare`
+/// The attempt-time cluster of a compiled job. Infallible: `compile`
 /// already lowered the identical inputs once.
-fn prepared_cluster(prepared: &Prepared, ranks: usize) -> ClusterConfig {
-    try_partition_cluster(prepared.machine.as_ref(), prepared.shape, ranks)
+fn plan_cluster(plan: &Plan, ranks: usize) -> ClusterConfig {
+    try_partition_cluster(plan.machine.as_ref(), plan.shape, ranks)
         .expect("machine lowering was validated at admission")
 }
 
@@ -220,7 +215,7 @@ impl AttemptOutcome {
     }
 }
 
-/// Execute attempt `attempt` of a prepared job, traced, on a fresh
+/// Execute attempt `attempt` of a compiled job, traced, on a fresh
 /// private cluster. The outcome is a pure function of
 /// `(program, shape, faults, recover, attempt)` — the scheduler may
 /// call this at decision time and trust the result never changes.
@@ -231,19 +226,19 @@ impl AttemptOutcome {
 /// the ledger carries the recovery-time charge.
 pub fn run_attempt(
     job: &JobSpec,
-    prepared: &Prepared,
+    plan: &Plan,
     mode: ExecMode,
     attempt: u32,
 ) -> Result<AttemptOutcome, VpceError> {
-    let cluster = prepared_cluster(prepared, job.ranks);
+    let cluster = plan_cluster(plan, job.ranks);
     let faults = attempt_faults(&job.faults, attempt);
     match &job.recover {
         Some(spec) => {
-            vpce_recover::run_recovering(&prepared.program, &cluster, mode, Tracer::enabled(), faults, spec)
+            vpce_recover::run_recovering(&plan.program, &cluster, mode, Tracer::enabled(), faults, spec)
                 .map(|(report, ledger)| AttemptOutcome { report, recovery: Some(ledger) })
         }
         None => {
-            spmd_rt::try_execute_traced(&prepared.program, &cluster, mode, Tracer::enabled(), faults)
+            spmd_rt::try_execute_traced(&plan.program, &cluster, mode, Tracer::enabled(), faults)
                 .map(|report| AttemptOutcome { report, recovery: None })
         }
     }
@@ -263,21 +258,21 @@ fn preempt_faults(job: &JobSpec, attempt: u32) -> FaultSpec {
     }
 }
 
-/// Checkpoint attempt `attempt` of a prepared job at top-level block
+/// Checkpoint attempt `attempt` of a compiled job at top-level block
 /// boundary `boundary` (1-based; see `spmd_rt::checkpoint`). The
 /// snapshot is a pure function of `(program, shape, faults, attempt,
 /// boundary)`, so `vpce-serve` can preempt a "running" job at decision
 /// time and later resume it byte-identically.
 pub fn checkpoint_attempt(
     job: &JobSpec,
-    prepared: &Prepared,
+    plan: &Plan,
     mode: ExecMode,
     attempt: u32,
     boundary: usize,
 ) -> Result<spmd_rt::Snapshot, VpceError> {
-    let cluster = prepared_cluster(prepared, job.ranks);
+    let cluster = plan_cluster(plan, job.ranks);
     let faults = preempt_faults(job, attempt);
-    spmd_rt::checkpoint::checkpoint_at(&prepared.program, &cluster, mode, faults, boundary)
+    spmd_rt::checkpoint::checkpoint_at(&plan.program, &cluster, mode, faults, boundary)
 }
 
 /// Resume a checkpointed attempt on a fresh private cluster (possibly
@@ -286,23 +281,37 @@ pub fn checkpoint_attempt(
 /// uninterrupted run's byte for byte.
 pub fn resume_attempt(
     job: &JobSpec,
-    prepared: &Prepared,
+    plan: &Plan,
     mode: ExecMode,
     attempt: u32,
     snap: &spmd_rt::Snapshot,
 ) -> Result<RunReport, VpceError> {
-    let cluster = prepared_cluster(prepared, job.ranks);
+    let cluster = plan_cluster(plan, job.ranks);
     let faults = preempt_faults(job, attempt);
-    spmd_rt::checkpoint::resume(&prepared.program, &cluster, mode, faults, snap)
+    spmd_rt::checkpoint::resume(&plan.program, &cluster, mode, faults, snap)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::JobSpec;
+    use crate::Runner;
 
-    fn no_loader() -> impl Fn(&str) -> Result<String, String> {
-        |p: &str| Err(format!("no loader for `{p}` in tests"))
+    fn no_loader(p: &str) -> Result<String, String> {
+        Err(format!("no loader for `{p}` in tests"))
+    }
+
+    /// Admission as the scheduler performs it: compile + dry run.
+    fn prepare_on(
+        job: &JobSpec,
+        mode: ExecMode,
+        machine: Option<&MachineSpec>,
+    ) -> Result<Rc<Prepared>, VpceError> {
+        Runner::with_loader(mode, &no_loader).with_machine(machine.cloned()).prepare(job)
+    }
+
+    fn prepare(job: &JobSpec, mode: ExecMode) -> Result<Rc<Prepared>, VpceError> {
+        prepare_on(job, mode, None)
     }
 
     fn mm_job(name: &str, ranks: usize) -> JobSpec {
@@ -314,33 +323,33 @@ mod tests {
     #[test]
     fn prepare_compiles_and_pins_the_clean_baseline() {
         let job = mm_job("mm0", 2);
-        let p = prepare(&job, &no_loader(), ExecMode::Full).unwrap();
-        assert!(p.clean_elapsed > 0.0);
-        assert!(!p.clean_arrays.is_empty());
-        assert_eq!(p.shape.num_nodes(), 2);
+        let p = prepare(&job, ExecMode::Full).unwrap();
+        assert!(p.clean.report.elapsed > 0.0);
+        assert!(!p.clean.report.arrays.is_empty());
+        assert_eq!(p.plan.shape.num_nodes(), 2);
         // The attempt path reproduces the dry run exactly when faults
         // are off.
-        let out = run_attempt(&job, &p, ExecMode::Full, 0).unwrap();
-        assert_eq!(out.report.elapsed, p.clean_elapsed);
-        assert_eq!(out.report.arrays, p.clean_arrays);
+        let out = run_attempt(&job, &p.plan, ExecMode::Full, 0).unwrap();
+        assert_eq!(out.report.elapsed, p.clean.report.elapsed);
+        assert_eq!(out.report.arrays, p.clean.report.arrays);
         assert!(out.report.trace.is_some(), "attempts always trace");
         assert!(out.recovery.is_none(), "no ledger without recover=");
-        assert_eq!(out.duration(), p.clean_elapsed);
+        assert_eq!(out.duration(), p.clean.report.elapsed);
     }
 
     #[test]
     fn bad_jobs_are_rejected_with_typed_errors() {
         let job = JobSpec::new("w", JobSource::Workload("nope".into()), 2);
-        let e = prepare(&job, &no_loader(), ExecMode::Full).unwrap_err();
+        let e = prepare(&job, ExecMode::Full).unwrap_err();
         assert_eq!(e.exit_code(), 4);
         assert!(e.to_string().contains("unknown workload"), "{e}");
 
         let job = JobSpec::new("p", JobSource::Path("x.f".into()), 2);
-        let e = prepare(&job, &no_loader(), ExecMode::Full).unwrap_err();
+        let e = prepare(&job, ExecMode::Full).unwrap_err();
         assert!(e.to_string().contains("no loader"), "{e}");
 
         let job = JobSpec::new("syn", JobSource::Inline("PROGRAM T\nX = \nEND\n".into()), 2);
-        let e = prepare(&job, &no_loader(), ExecMode::Full).unwrap_err();
+        let e = prepare(&job, ExecMode::Full).unwrap_err();
         assert_eq!(e.kind(), "admission-rejected");
         assert!(e.to_string().contains("front-end"), "{e}");
     }
@@ -349,11 +358,11 @@ mod tests {
     fn preemption_hooks_resume_byte_identically() {
         let job = mm_job("mm0", 2);
         let resumed = [ExecMode::Full, ExecMode::Analytic].map(|mode| {
-            let p = prepare(&job, &no_loader(), mode).unwrap();
-            let full = run_attempt(&job, &p, mode, 0).unwrap();
-            let snap = checkpoint_attempt(&job, &p, mode, 0, 1).unwrap();
+            let p = prepare(&job, mode).unwrap();
+            let full = run_attempt(&job, &p.plan, mode, 0).unwrap();
+            let snap = checkpoint_attempt(&job, &p.plan, mode, 0, 1).unwrap();
             assert_eq!(snap.elapsed, full.report.boundaries[0], "{mode:?}");
-            let rep = resume_attempt(&job, &p, mode, 0, &snap).unwrap();
+            let rep = resume_attempt(&job, &p.plan, mode, 0, &snap).unwrap();
             assert_eq!(rep.arrays, full.report.arrays, "{mode:?}: preempt+resume equals uninterrupted");
             assert_eq!(rep.scalars, full.report.scalars, "{mode:?}");
             rep
@@ -371,7 +380,7 @@ mod tests {
     fn recover_armed_attempts_absorb_crashes_and_charge_recovery_time() {
         let mut job = mm_job("mm0", 4);
         job.recover = Some(vpce_recover::RecoverSpec::default());
-        let p = prepare(&job, &no_loader(), ExecMode::Full).unwrap();
+        let p = prepare(&job, ExecMode::Full).unwrap();
         // Find a seed whose crash schedule kills the plain attempt.
         // Crash-only (no transport noise), so the recovered report is
         // byte-identical to the fault-free baseline.
@@ -379,28 +388,28 @@ mod tests {
         for seed in 0..64u64 {
             job.recover = None;
             job.faults = FaultSpec::parse(&format!("crash=0.5,seed={seed}")).unwrap();
-            if run_attempt(&job, &p, ExecMode::Full, 0).is_ok() {
+            if run_attempt(&job, &p.plan, ExecMode::Full, 0).is_ok() {
                 continue;
             }
             job.recover = Some(vpce_recover::RecoverSpec::default());
             // Not every crash schedule is survivable (a rank and all
             // its buddies may die together); scan on until one is.
-            let Ok(out) = run_attempt(&job, &p, ExecMode::Full, 0) else { continue };
-            assert_eq!(out.report.arrays, p.clean_arrays, "byte-identical to fault-free");
-            assert_eq!(out.report.elapsed, p.clean_elapsed);
+            let Ok(out) = run_attempt(&job, &p.plan, ExecMode::Full, 0) else { continue };
+            assert_eq!(out.report.arrays, p.clean.report.arrays, "byte-identical to fault-free");
+            assert_eq!(out.report.elapsed, p.clean.report.elapsed);
             let ledger = out.recovery.as_ref().expect("recover= attaches a ledger");
             assert!(ledger.absorbed(), "the crash was rolled back");
             assert!(ledger.recovery_total() > 0.0);
-            assert_eq!(out.duration(), p.clean_elapsed + ledger.recovery_total());
+            assert_eq!(out.duration(), p.clean.report.elapsed + ledger.recovery_total());
             hit = true;
             break;
         }
         assert!(hit, "no crashing seed in 0..64");
         // Preemption hooks replay the *fault-free* schedule for
         // recovery-armed jobs: resume equals the clean remainder.
-        let snap = checkpoint_attempt(&job, &p, ExecMode::Full, 0, 1).unwrap();
-        let rep = resume_attempt(&job, &p, ExecMode::Full, 0, &snap).unwrap();
-        assert_eq!(rep.arrays, p.clean_arrays);
+        let snap = checkpoint_attempt(&job, &p.plan, ExecMode::Full, 0, 1).unwrap();
+        let rep = resume_attempt(&job, &p.plan, ExecMode::Full, 0, &snap).unwrap();
+        assert_eq!(rep.arrays, p.clean.report.arrays);
     }
 
     #[test]
@@ -418,14 +427,14 @@ mod tests {
     #[test]
     fn paper_machine_prepares_byte_identically_to_no_machine() {
         let job = mm_job("mm0", 4);
-        let bare = prepare(&job, &no_loader(), ExecMode::Full).unwrap();
+        let bare = prepare(&job, ExecMode::Full).unwrap();
         let paper = MachineSpec::default();
-        let with = prepare_on(&job, &no_loader(), ExecMode::Full, Some(&paper)).unwrap();
-        assert_eq!(with.shape, bare.shape);
-        assert_eq!(with.clean_elapsed.to_bits(), bare.clean_elapsed.to_bits());
-        assert_eq!(with.clean_arrays, bare.clean_arrays);
-        let a = run_attempt(&job, &bare, ExecMode::Full, 0).unwrap();
-        let b = run_attempt(&job, &with, ExecMode::Full, 0).unwrap();
+        let with = prepare_on(&job, ExecMode::Full, Some(&paper)).unwrap();
+        assert_eq!(with.plan.shape, bare.plan.shape);
+        assert_eq!(with.clean.report.elapsed.to_bits(), bare.clean.report.elapsed.to_bits());
+        assert_eq!(with.clean.report.arrays, bare.clean.report.arrays);
+        let a = run_attempt(&job, &bare.plan, ExecMode::Full, 0).unwrap();
+        let b = run_attempt(&job, &with.plan, ExecMode::Full, 0).unwrap();
         assert_eq!(a.report.elapsed.to_bits(), b.report.elapsed.to_bits());
         assert_eq!(a.report.arrays, b.report.arrays);
     }
@@ -436,18 +445,18 @@ mod tests {
         job.machine = Some("fast-ethernet".into());
         // The job's own machine wins over the batch default.
         let default = MachineSpec::default();
-        let p = prepare_on(&job, &no_loader(), ExecMode::Full, Some(&default)).unwrap();
-        assert_eq!(p.machine.as_ref().map(|m| m.name.as_str()), Some("fast-ethernet"));
-        let bare = prepare(&mm_job("mm0", 2), &no_loader(), ExecMode::Full).unwrap();
+        let p = prepare_on(&job, ExecMode::Full, Some(&default)).unwrap();
+        assert_eq!(p.plan.machine.as_ref().map(|m| m.name.as_str()), Some("fast-ethernet"));
+        let bare = prepare(&mm_job("mm0", 2), ExecMode::Full).unwrap();
         assert_ne!(
-            p.clean_elapsed.to_bits(),
-            bare.clean_elapsed.to_bits(),
+            p.clean.report.elapsed.to_bits(),
+            bare.clean.report.elapsed.to_bits(),
             "a shared-medium NIC must time differently from the V-Bus"
         );
-        assert_eq!(p.clean_arrays, bare.clean_arrays, "results stay numerics-identical");
+        assert_eq!(p.clean.report.arrays, bare.clean.report.arrays, "results stay numerics-identical");
 
         job.machine = Some("pdp11".into());
-        let e = prepare_on(&job, &no_loader(), ExecMode::Full, None).unwrap_err();
+        let e = prepare_on(&job, ExecMode::Full, None).unwrap_err();
         assert_eq!(e.exit_code(), 4, "{e}");
         assert!(e.to_string().contains("unknown machine"), "{e}");
     }
@@ -458,7 +467,7 @@ mod tests {
         // sub-cube — the lowering failure surfaces at admission.
         let mut job = mm_job("mm0", 6);
         job.machine = Some("hypercube".into());
-        let e = prepare_on(&job, &no_loader(), ExecMode::Full, None).unwrap_err();
+        let e = prepare_on(&job, ExecMode::Full, None).unwrap_err();
         assert_eq!(e.exit_code(), 4, "{e}");
         assert!(e.to_string().contains("hypercube"), "{e}");
     }
@@ -468,9 +477,9 @@ mod tests {
         for name in ["torus", "torus3d", "crossbar", "fattree"] {
             let mut job = mm_job("mm0", 4);
             job.machine = Some(name.to_string());
-            let p = prepare_on(&job, &no_loader(), ExecMode::Full, None).unwrap();
-            let out = run_attempt(&job, &p, ExecMode::Full, 0).unwrap();
-            assert_eq!(out.report.arrays, p.clean_arrays, "{name}");
+            let p = prepare_on(&job, ExecMode::Full, None).unwrap();
+            let out = run_attempt(&job, &p.plan, ExecMode::Full, 0).unwrap();
+            assert_eq!(out.report.arrays, p.clean.report.arrays, "{name}");
             assert!(out.report.elapsed > 0.0, "{name}");
         }
     }

@@ -1,14 +1,21 @@
 //! Memoising execution layer under the scheduler.
 //!
 //! Every scheduling decision rests on attempt outcomes that are *pure
-//! functions* of `(job record, attempt)` (and, for preemption, the
-//! boundary index) — see [`crate::run`]. The runner memoises them, so
-//! the scheduler may ask for the same outcome at every placement pass
-//! and a kill/restart matrix that replays the same batch hundreds of
-//! times pays for each compile and each simulated run exactly once.
-//! Caching is invisible to results by construction: keys are the jobs'
-//! canonical record strings, which pin every field an outcome depends
-//! on. Hits hand out shared handles, never copies of the arrays.
+//! functions* of `(work, attempt)` (and, for preemption, the boundary
+//! index) — see [`crate::run`]. The runner memoises them, so the
+//! scheduler may ask for the same outcome at every placement pass, a
+//! kill/restart matrix that replays the same batch hundreds of times
+//! pays for each compile and each simulated run exactly once, and so
+//! does a storm that submits one program under many names. Caching is
+//! invisible to results by construction: the key is
+//! [`JobSpec::work_key`], the outcome's whole input — every field an
+//! outcome depends on and none that only says who asks, when and how
+//! urgently. Hits hand out shared handles, never copies of the arrays.
+//!
+//! There is one way to execute a job. The admission dry run is attempt
+//! 0 of the job's fault- and recover-free copy, through the same
+//! [`Runner::run`] table as every other attempt — so a job that arms
+//! no faults finds its attempt 0 already there.
 
 use std::cell::RefCell;
 use std::collections::HashMap;
@@ -18,7 +25,7 @@ use spmd_rt::{ExecMode, Snapshot, VpceError};
 use vpce_machine::MachineSpec;
 
 use crate::job::JobSpec;
-use crate::run::{self, AttemptOutcome, Prepared, SourceLoader};
+use crate::run::{self, AttemptOutcome, Plan, Prepared, SourceLoader};
 
 type Key = (String, u32);
 type CkptKey = (String, u32, usize);
@@ -41,7 +48,7 @@ pub struct Runner<'l> {
     /// records) override it.
     machine: Option<MachineSpec>,
     /// Resolves `src=` paths; fixed for the runner's life, so the
-    /// record string stays a complete cache key.
+    /// work key stays a complete cache key.
     loader: &'l SourceLoader<'l>,
     prepared: Memo<String, Prepared>,
     runs: Memo<Key, AttemptOutcome>,
@@ -100,24 +107,28 @@ impl<'l> Runner<'l> {
         self.machine.as_ref()
     }
 
-    /// Compile + fault-free dry run (admission).
+    /// Compile + fault-free dry run (admission). A refusal names the
+    /// job that asked, whichever copy of the work was refused first.
     pub fn prepare(&self, spec: &JobSpec) -> Result<Rc<Prepared>, VpceError> {
-        memoised(&self.prepared, spec.to_record(), || {
-            run::prepare_on(spec, self.loader, self.mode, self.machine.as_ref())
+        memoised(&self.prepared, spec.work_key(), || {
+            let plan = run::compile(spec, self.loader, self.machine.as_ref())?;
+            let clean = self
+                .run(&spec.fault_free(), &plan, 0)
+                .map_err(|e| run::reject(spec, format!("fault-free dry run: {e}")))?;
+            Ok(Prepared { plan, clean })
+        })
+        .map_err(|e| match e {
+            VpceError::AdmissionRejected { reason, .. } => run::reject(spec, reason),
+            other => other,
         })
     }
 
     /// Outcome of attempt `attempt` (traced, on a fresh private
     /// cluster). With `recover=` armed the outcome carries the
     /// rollback-recovery ledger alongside the report.
-    pub fn run(
-        &self,
-        spec: &JobSpec,
-        prepared: &Prepared,
-        attempt: u32,
-    ) -> Result<Rc<AttemptOutcome>, VpceError> {
-        memoised(&self.runs, (spec.to_record(), attempt), || {
-            run::run_attempt(spec, prepared, self.mode, attempt)
+    pub fn run(&self, spec: &JobSpec, plan: &Plan, attempt: u32) -> Result<Rc<AttemptOutcome>, VpceError> {
+        memoised(&self.runs, (spec.work_key(), attempt), || {
+            run::run_attempt(spec, plan, self.mode, attempt)
         })
     }
 
@@ -126,12 +137,12 @@ impl<'l> Runner<'l> {
     pub fn checkpoint(
         &self,
         spec: &JobSpec,
-        prepared: &Prepared,
+        plan: &Plan,
         attempt: u32,
         boundary: usize,
     ) -> Result<Rc<Snapshot>, VpceError> {
-        memoised(&self.snaps, (spec.to_record(), attempt, boundary), || {
-            run::checkpoint_attempt(spec, prepared, self.mode, attempt, boundary)
+        memoised(&self.snaps, (spec.work_key(), attempt, boundary), || {
+            run::checkpoint_attempt(spec, plan, self.mode, attempt, boundary)
         })
     }
 
@@ -142,13 +153,13 @@ impl<'l> Runner<'l> {
     pub fn resume(
         &self,
         spec: &JobSpec,
-        prepared: &Prepared,
+        plan: &Plan,
         attempt: u32,
         boundary: usize,
     ) -> Result<Rc<AttemptOutcome>, VpceError> {
-        memoised(&self.resumes, (spec.to_record(), attempt, boundary), || {
-            let snap = self.checkpoint(spec, prepared, attempt, boundary)?;
-            run::resume_attempt(spec, prepared, self.mode, attempt, &snap)
+        memoised(&self.resumes, (spec.work_key(), attempt, boundary), || {
+            let snap = self.checkpoint(spec, plan, attempt, boundary)?;
+            run::resume_attempt(spec, plan, self.mode, attempt, &snap)
                 .map(|report| AttemptOutcome { report, recovery: None })
         })
     }
@@ -170,15 +181,15 @@ mod tests {
         let r = Runner::new(ExecMode::Full);
         let job = mm("a");
         let p = r.prepare(&job).unwrap();
-        let one = r.run(&job, &p, 0).unwrap();
-        let two = r.run(&job, &p, 0).unwrap();
+        let one = r.run(&job, &p.plan, 0).unwrap();
+        let two = r.run(&job, &p.plan, 0).unwrap();
         assert!(Rc::ptr_eq(&one, &two), "a hit shares the outcome, it does not copy it");
         assert_eq!(one.report.arrays, two.report.arrays);
         assert_eq!(one.report.elapsed, two.report.elapsed);
-        let fresh = run::run_attempt(&job, &p, ExecMode::Full, 0).unwrap();
+        let fresh = run::run_attempt(&job, &p.plan, ExecMode::Full, 0).unwrap();
         assert_eq!(one.report.arrays, fresh.report.arrays);
         // A preempt+resume through the cache is byte-identical too.
-        let resumed = r.resume(&job, &p, 0, 1).unwrap();
+        let resumed = r.resume(&job, &p.plan, 0, 1).unwrap();
         assert_eq!(resumed.report.arrays, fresh.report.arrays);
     }
 
@@ -190,8 +201,84 @@ mod tests {
         b.params[0].1 = 12; // different N — different program
         let pa = r.prepare(&a).unwrap();
         let pb = r.prepare(&b).unwrap();
-        let ra = r.run(&a, &pa, 0).unwrap();
-        let rb = r.run(&b, &pb, 0).unwrap();
+        let ra = r.run(&a, &pa.plan, 0).unwrap();
+        let rb = r.run(&b, &pb.plan, 0).unwrap();
         assert_ne!(ra.report.elapsed, rb.report.elapsed, "different N, different makespan");
+    }
+
+    #[test]
+    fn copies_differing_only_in_who_asks_share_one_piece_of_work() {
+        let r = Runner::new(ExecMode::Full);
+        let a = mm("a");
+        let mut b = mm("b");
+        b.tenant = "physics".into();
+        b.priority = 5;
+        b.arrival = 3.0;
+        b.deadline = Some(9.0);
+        b.retries = 0;
+        let (pa, pb) = (r.prepare(&a).unwrap(), r.prepare(&b).unwrap());
+        assert!(Rc::ptr_eq(&pa, &pb), "one compile, one dry run");
+        for attempt in 0..2 {
+            let (ra, rb) = (r.run(&a, &pa.plan, attempt).unwrap(), r.run(&b, &pb.plan, attempt).unwrap());
+            assert!(Rc::ptr_eq(&ra, &rb), "attempt {attempt} executed once");
+        }
+        let (sa, sb) = (r.resume(&a, &pa.plan, 0, 1).unwrap(), r.resume(&b, &pb.plan, 0, 1).unwrap());
+        assert!(Rc::ptr_eq(&sa, &sb), "and so is a preempted remainder");
+    }
+
+    #[test]
+    fn a_fault_free_jobs_first_attempt_is_its_admission_baseline() {
+        let r = Runner::new(ExecMode::Full);
+        let job = mm("a");
+        let p = r.prepare(&job).unwrap();
+        assert!(Rc::ptr_eq(&r.run(&job, &p.plan, 0).unwrap(), &p.clean), "the dry run was attempt 0");
+        assert!(!Rc::ptr_eq(&r.run(&job, &p.plan, 1).unwrap(), &p.clean));
+        // A job that arms faults shares the dry run, not the attempt.
+        let mut noisy = mm("n");
+        noisy.faults = vpce_faults::FaultSpec::parse("light,seed=3").unwrap();
+        let pn = r.prepare(&noisy).unwrap();
+        assert!(Rc::ptr_eq(&pn.clean, &p.clean), "same fault-free copy");
+        assert!(!Rc::ptr_eq(&r.run(&noisy, &pn.plan, 0).unwrap(), &pn.clean));
+    }
+
+    #[test]
+    fn copies_differing_in_any_work_field_do_not_share() {
+        let r = Runner::new(ExecMode::Full);
+        let base = mm("a");
+        let p = r.prepare(&base).unwrap();
+        let out = r.run(&base, &p.plan, 0).unwrap();
+        let variants: [(&str, fn(&mut JobSpec)); 7] = [
+            ("source", |j| j.source = JobSource::Inline(vpce_workloads::mm::WORKLOAD.source.into())),
+            ("ranks", |j| j.ranks = 4),
+            ("params", |j| j.params[0].1 = 12),
+            ("grain", |j| j.granularity = Some(lmad::Granularity::Fine)),
+            ("faults", |j| j.faults = vpce_faults::FaultSpec::parse("light,seed=3").unwrap()),
+            ("recover", |j| j.recover = Some(vpce_recover::RecoverSpec::default())),
+            ("machine", |j| j.machine = Some("torus".into())),
+        ];
+        for (field, change) in variants {
+            let mut other = mm("a");
+            change(&mut other);
+            assert_ne!(other.work_key(), base.work_key(), "{field}");
+            let po = r.prepare(&other).unwrap();
+            assert!(!Rc::ptr_eq(&po, &p), "{field}: its own admission");
+            assert!(!Rc::ptr_eq(&r.run(&other, &po.plan, 0).unwrap(), &out), "{field}: its own attempt");
+        }
+    }
+
+    #[test]
+    fn a_rejected_copys_error_names_its_own_job() {
+        let r = Runner::new(ExecMode::Full);
+        for name in ["first", "second"] {
+            let job = JobSpec::new(name, JobSource::Workload("nope".into()), 2);
+            match r.prepare(&job).unwrap_err() {
+                VpceError::AdmissionRejected { job, reason } => {
+                    assert_eq!(job, name);
+                    assert!(reason.contains("unknown workload"), "{reason}");
+                }
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(r.prepared.borrow().len(), 1, "refused once, answered twice");
     }
 }

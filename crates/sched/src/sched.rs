@@ -196,7 +196,7 @@ impl JobState {
     fn shape(&self) -> Mesh {
         self.prepared
             .as_ref()
-            .map(|p| p.shape)
+            .map(|p| p.plan.shape)
             .unwrap_or_else(|_| cluster_sim::partition_shape(self.spec.ranks.max(1)))
     }
 
@@ -461,7 +461,7 @@ impl<'r> Scheduler<'r> {
             )));
         }
         let prepared = self.runner.prepare(spec)?;
-        let cells = prepared.shape.cols * prepared.shape.rows;
+        let cells = prepared.plan.shape.cols * prepared.plan.shape.rows;
         match self.quota(&spec.tenant) {
             Some(q) if cells > q => Err(reject(format!(
                 "partition of {cells} cells exceeds tenant `{}` quota {q}",
@@ -672,7 +672,7 @@ impl<'r> Scheduler<'r> {
         let prepared = job.prepared.as_ref().expect("ran, so admitted");
         let bytes = self
             .runner
-            .checkpoint(&job.spec, prepared, r.attempt, stop.boundary)
+            .checkpoint(&job.spec, &prepared.plan, r.attempt, stop.boundary)
             .map_or(0, |s| s.payload_bytes());
         job.preemptions += 1;
         job.resume_boundary = Some(stop.boundary);
@@ -877,8 +877,8 @@ impl<'r> Scheduler<'r> {
         let job = &self.jobs[idx];
         let prepared = job.prepared.as_ref().expect("queued jobs are admitted");
         let outcome = match job.resume_boundary {
-            Some(b) => self.runner.resume(&job.spec, prepared, job.attempts, b),
-            None => self.runner.run(&job.spec, prepared, job.attempts),
+            Some(b) => self.runner.resume(&job.spec, &prepared.plan, job.attempts, b),
+            None => self.runner.run(&job.spec, &prepared.plan, job.attempts),
         };
         let dur = match &outcome {
             // A recovered attempt holds its partition for the clean
@@ -887,7 +887,7 @@ impl<'r> Scheduler<'r> {
             // Heartbeat model: a fault is detected when the job blows
             // its fault-free deadline, so the partition is held that
             // long either way.
-            Err(_) => prepared.clean_elapsed,
+            Err(_) => prepared.clean.report.elapsed,
         };
         NextRun { outcome, dur }
     }
@@ -1111,7 +1111,7 @@ impl<'r> Scheduler<'r> {
                     requeues: j.attempts.saturating_sub(1),
                     preemptions: j.preemptions,
                     identical: match (report, &j.prepared) {
-                        (Some(rep), Ok(p)) if full => Some(rep.arrays == p.clean_arrays),
+                        (Some(rep), Ok(p)) if full => Some(rep.arrays == p.clean.report.arrays),
                         _ => None,
                     },
                     error: j.error.clone(),

@@ -6,7 +6,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use cluster_sim::{ClusterConfig, CpuModel};
 use mpi2::{AccumulateOp, Elem, Mpi, RankStats, Universe, WindowRef};
-use mpi2::sync::ArcMutexGuard;
 use vbus_sim::NetStats;
 use vpce_faults::{raise, site, take_raised, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Lane, TraceReport, Tracer};
@@ -359,14 +358,14 @@ fn run_rank(
     (arrays, st.values(), boundaries)
 }
 
-type Guard = ArcMutexGuard<Vec<Elem>>;
+type Guard<'a> = std::sync::MutexGuard<'a, Vec<Elem>>;
 
-fn lock_all(wins: &[WindowRef]) -> Vec<Guard> {
-    wins.iter().map(WindowRef::lock_arc).collect()
+fn lock_all(wins: &[WindowRef]) -> Vec<Guard<'_>> {
+    wins.iter().map(WindowRef::lock).collect()
 }
 
 /// One slice per program array, in array order.
-fn views(guards: &mut [Guard]) -> Vec<&mut [Elem]> {
+fn views<'g>(guards: &'g mut [Guard<'_>]) -> Vec<&'g mut [Elem]> {
     guards.iter_mut().map(|g| g.as_mut_slice()).collect()
 }
 
@@ -404,8 +403,9 @@ fn run_region(
             // Rank-level fault draws, keyed (rank, region serial) so
             // the outcome is a pure function of the schedule, not of
             // thread interleaving. A crash unwinds before the join
-            // barrier; peers then observe poisoned collectives and the
-            // universe reports the crash as the root cause.
+            // barrier; peers then leave their collectives with
+            // `PeerFailure` and the universe reports the crash as the
+            // root cause.
             Step::CrashPoint => {
                 let key = protocol::crash_key(rank, region_serial);
                 let inj = mpi.fault_injector();
