@@ -576,34 +576,33 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
 
     let mut out = String::new();
 
-    // Granularity: explicit, or the simulation-backed advisor.
-    let granularity = match args.granularity {
-        Some(g) => g,
+    let analyzed = polaris_fe::compile(source, &params)?;
+
+    // Granularity: explicit, or the simulation-backed advisor — which
+    // hands back the winner's plan and analytic run with its verdict.
+    let (granularity, advised) = match args.granularity {
+        Some(g) => (g, None),
         None => {
-            let base = base_opts(args);
-            let (winner, measured) =
-                crate::advise_granularity(source, &params, &cluster, &base)?;
+            let advice = crate::advise_by_simulation(&analyzed, &cluster, &base_opts(args));
             if args.advise {
                 let _ = writeln!(out, "granularity advisor:");
-                for (g, t) in &measured {
+                for (g, t) in &advice.measured {
                     let _ = writeln!(out, "  {:>6}: {:.3} ms comm", g.name(), t * 1e3);
                 }
-                let _ = writeln!(out, "  picked: {}", winner.name());
+                let _ = writeln!(out, "  picked: {}", advice.winner.name());
             }
-            winner
+            (advice.winner, Some((advice.compiled, advice.report)))
         }
     };
 
-    let mut opts = base_opts(args).granularity(granularity);
-    if let Some(s) = args.schedule {
-        opts = opts.schedule(s);
-    }
-
-    let analyzed = polaris_fe::compile(source, &params)?;
+    let opts = base_opts(args).granularity(granularity);
     if args.show_report {
         out.push_str(&crate::report::describe_frontend(&analyzed));
     }
-    let compiled = polaris_be::compile_backend(&analyzed, &opts);
+    let (compiled, advised_run) = match advised {
+        Some((compiled, run)) => (compiled, Some(run)),
+        None => (polaris_be::compile_backend(&analyzed, &opts), None),
+    };
     if args.show_report {
         out.push_str(&crate::report::describe_backend(&compiled));
     }
@@ -658,11 +657,20 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
     } else {
         Tracer::disabled()
     };
+    // The advisor's run of the winner is this run when this run is the
+    // same pure function: analytic, fault-free, untraced, unrecovered.
+    let advised_run = advised_run.filter(|_| {
+        args.mode == ExecMode::Analytic
+            && args.faults.is_off()
+            && !tracing
+            && args.recover.is_none()
+    });
     // `--recover` swaps in the rollback-recovery driver: the same
     // execution (report and trace byte-identical to the crash-free
     // run) plus a side ledger of checkpoints/rollbacks/respawns.
-    let executed = match &args.recover {
-        Some(spec) => vpce_recover::run_recovering(
+    let executed = match (advised_run, &args.recover) {
+        (Some(rep), _) => Ok((rep, None)),
+        (None, Some(spec)) => vpce_recover::run_recovering(
             &compiled.program,
             &cluster,
             args.mode,
@@ -671,7 +679,7 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
             spec,
         )
         .map(|(rep, ledger)| (rep, Some(ledger))),
-        None => spmd_rt::try_execute_traced(
+        (None, None) => spmd_rt::try_execute_traced(
             &compiled.program,
             &cluster,
             args.mode,
@@ -1020,6 +1028,34 @@ mod tests {
         let out = run(SRC, &args).unwrap();
         assert!(out.text.contains("granularity advisor:"), "{}", out.text);
         assert!(out.text.contains("picked:"), "{}", out.text);
+    }
+
+    /// The advisor hands its winner's plan and analytic run to the
+    /// final report instead of planning and simulating them again: the
+    /// output must be the `--grain <picked>` run's, advisor block
+    /// aside — with and without the conditions under which the
+    /// advisor's run is reused.
+    #[test]
+    fn advised_run_equals_the_picked_grain_run() {
+        let saxpy = include_str!("../../../examples/fortran/saxpy.f");
+        for (source, size) in [(vpce_workloads::mm::SOURCE, "N=48"), (saxpy, "N=96")] {
+            for extra in ["--analytic", "--analytic --trace-summary", ""] {
+                let flags = format!("x.f --nodes 4 --param {size} --report {extra}");
+                let advised = run(source, &parse_args(&argv(&format!("{flags} --advise"))).unwrap())
+                    .unwrap();
+                let (block, tail) = advised
+                    .text
+                    .split_once("  picked: ")
+                    .unwrap_or_else(|| panic!("no advisor block: {}", advised.text));
+                assert!(block.starts_with("granularity advisor:\n"), "{}", advised.text);
+                let (grain, rest) = tail.split_once('\n').expect("the picked line ends");
+                let picked =
+                    run(source, &parse_args(&argv(&format!("{flags} --grain {grain}"))).unwrap())
+                        .unwrap();
+                assert_eq!(rest, picked.text, "{flags}");
+                assert_eq!(advised.exit, picked.exit);
+            }
+        }
     }
 
     #[test]

@@ -82,33 +82,65 @@ pub fn compile(
     Ok(polaris_be::compile_backend(&analyzed, opts))
 }
 
-/// Pick the cheapest §5.6 granularity by *simulating* all three
-/// (the precise counterpart of the static
-/// [`polaris_be::advise`] estimator). Returns the winner and the
-/// simulated communication time per granularity in
-/// [`Granularity::ALL`] order.
+/// What the simulation-backed advisor found — and what it built on the
+/// way, so that a caller who goes on to run the winner need not plan
+/// and simulate it a second time.
+#[derive(Debug)]
+pub struct SimulatedAdvice {
+    /// The granularity with the least simulated communication time
+    /// (the first such in [`Granularity::ALL`] order).
+    pub winner: Granularity,
+    /// Simulated communication time per granularity, in
+    /// [`Granularity::ALL`] order.
+    pub measured: Vec<(Granularity, f64)>,
+    /// The winner's lowered program.
+    pub compiled: CompiledProgram,
+    /// The winner's run: `ExecMode::Analytic`, no faults, no tracer —
+    /// a pure function of program and cluster, so it *is* the report
+    /// of any later run under the same three conditions.
+    pub report: RunReport,
+}
+
+/// Pick the cheapest §5.6 granularity for an analysed program by
+/// *simulating* all three (the precise counterpart of the static
+/// [`polaris_be::advise`] estimator).
+pub fn advise_by_simulation(
+    analyzed: &polaris_fe::analysis::AnalyzedProgram,
+    cluster: &ClusterConfig,
+    base: &BackendOptions,
+) -> SimulatedAdvice {
+    let mut measured = Vec::with_capacity(3);
+    let mut best: Option<(Granularity, CompiledProgram, RunReport)> = None;
+    for g in Granularity::ALL {
+        let opts = base.clone().granularity(g);
+        let compiled = polaris_be::compile_backend(analyzed, &opts);
+        let rep = spmd_rt::execute(&compiled.program, cluster, ExecMode::Analytic);
+        measured.push((g, rep.comm_time));
+        // Strictly cheaper only: ties keep the earlier granularity.
+        if best.as_ref().is_none_or(|(_, _, b)| rep.comm_time.total_cmp(&b.comm_time).is_lt()) {
+            best = Some((g, compiled, rep));
+        }
+    }
+    let (winner, compiled, report) = best.expect("three candidates");
+    SimulatedAdvice {
+        winner,
+        measured,
+        compiled,
+        report,
+    }
+}
+
+/// [`advise_by_simulation`] from source: the winner and the simulated
+/// communication time per granularity in [`Granularity::ALL`] order.
 pub fn advise_granularity(
     source: &str,
     params: &[(&str, i64)],
     cluster: &ClusterConfig,
     base: &BackendOptions,
 ) -> Result<(Granularity, Vec<(Granularity, f64)>), FrontError> {
-    let mut measured = Vec::with_capacity(3);
-    for g in Granularity::ALL {
-        let opts = BackendOptions {
-            granularity: g,
-            ..base.clone()
-        };
-        let compiled = compile(source, params, &opts)?;
-        let rep = spmd_rt::execute(&compiled.program, cluster, ExecMode::Analytic);
-        measured.push((g, rep.comm_time));
-    }
-    let winner = measured
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|&(g, _)| g)
-        .expect("three candidates");
-    Ok((winner, measured))
+    let analyzed = polaris_fe::compile(source, params)?;
+    let advice = advise_by_simulation(&analyzed, cluster, base);
+    Ok((advice.winner, advice.measured))
 }
 
 /// A complete experiment: the compiled program plus its parallel and

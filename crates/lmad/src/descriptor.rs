@@ -1,4 +1,5 @@
-//! The LMAD itself: dimensions, simplification, enumeration, overlap.
+//! The LMAD itself: dimensions, simplification, enumeration, overlap
+//! (decided by the run algebra in `crate::runs`).
 
 use std::fmt;
 
@@ -142,7 +143,7 @@ impl Lmad {
     /// distinct element and [`Lmad::contains`] is exact.
     ///
     /// Callers must pass a normalised LMAD (sorted positive strides).
-    fn is_non_aliasing(&self) -> bool {
+    pub(crate) fn is_non_aliasing(&self) -> bool {
         let mut inner_span: i64 = 0;
         for d in &self.dims {
             if d.stride <= inner_span {
@@ -286,10 +287,10 @@ impl Lmad {
         Some(out)
     }
 
-    /// Exact containment of one element offset, via enumeration when
-    /// feasible, else digit-decomposition over the normalised sorted
-    /// dims (exact when dims are non-aliasing, conservative `true`
-    /// otherwise).
+    /// Exact containment of one element offset, by digit decomposition
+    /// over the normalised sorted dims ([`Lmad::run_end`]): one
+    /// candidate digit per dimension when the dims do not alias, a
+    /// backtracking search over the feasible digits when they do.
     pub fn contains(&self, offset: i64) -> bool {
         // The extent does not depend on the normal form (test
         // `extent_is_normalisation_invariant`), so reject on it before
@@ -298,44 +299,7 @@ impl Lmad {
         if offset < lo || offset > hi {
             return false;
         }
-        self.normalized().contains_normalized(offset)
-    }
-
-    /// [`Lmad::contains`] for a descriptor already in normal form
-    /// (sorted positive strides) — what [`crate::CoverIndex`] calls on
-    /// the members it normalised once.
-    pub(crate) fn contains_normalized(&self, offset: i64) -> bool {
-        let (lo, hi) = self.extent();
-        if offset < lo || offset > hi {
-            return false;
-        }
-        // Greedy digit decomposition from the largest stride down
-        // (i128 internally so adversarially large strides/counts
-        // cannot overflow the intermediate arithmetic).
-        fn rec(dims: &[Dim], rem: i128) -> bool {
-            if rem < 0 {
-                return false;
-            }
-            match dims.split_last() {
-                None => rem == 0,
-                Some((d, rest)) => {
-                    // Only digits leaving a remainder inside the inner
-                    // dims' span are feasible (usually ≤ 2 candidates).
-                    let inner_span: i128 =
-                        rest.iter().map(|x| x.span() as i128).sum();
-                    let s = d.stride as i128; // > 0 after normalisation
-                    let hi = (rem / s).min(d.count as i128 - 1);
-                    let lo = ((rem - inner_span).max(0) + s - 1) / s;
-                    for i in lo..=hi {
-                        if rec(rest, rem - i * s) {
-                            return true;
-                        }
-                    }
-                    false
-                }
-            }
-        }
-        rec(&self.dims, offset as i128 - self.base as i128)
+        self.normalized().run_end(offset).is_some()
     }
 
     /// Conservative overlap: do the bounding extents intersect?
@@ -370,18 +334,27 @@ impl Lmad {
         true
     }
 
-    /// Exact overlap decision; `None` only when undecidable within
-    /// `limit` enumerated accesses. A `Some(_)` answer is *exact* —
+    /// Exact overlap decision; `None` only when undecidable within a
+    /// budget of `limit` accesses. A `Some(_)` answer is *exact* —
     /// never an approximation in either direction.
     ///
     /// Decision ladder, cheapest first:
     /// 1. disjoint bounding extents — exact `false`;
     /// 2. both sides (normalised) at most one dimension — closed-form
     ///    arithmetic-progression intersection, exact at any size;
-    /// 3. one side enumerable within `limit` and the other
-    ///    non-aliasing — membership test of each enumerated offset via
-    ///    the exact digit decomposition of [`Lmad::contains`];
-    /// 4. both sides enumerable — sorted-merge scan.
+    /// 3. one side within `limit` accesses and the other non-aliasing —
+    ///    walk the runs of the first ([`Lmad::runs`]) and ask the
+    ///    second for its first element at or after each run's start
+    ///    ([`Lmad::next_at_or_after`], `O(dims)`): they meet iff it
+    ///    falls inside the run. With both sides eligible either way,
+    ///    the side with fewer runs is walked;
+    /// 4. both sides within `limit` and both aliasing — no closed form:
+    ///    enumerate both and merge-scan, the one enumeration left.
+    ///
+    /// `limit` is a budget on *accesses*, kept from when rungs 3–4
+    /// enumerated them: a side is "within `limit`" exactly when
+    /// [`Lmad::offsets`]`(limit)` would list it, so the answer is
+    /// `None` on exactly the inputs it always was.
     pub fn overlaps_exact(&self, other: &Lmad, limit: u64) -> Option<bool> {
         // Step 1 on the raw descriptors: the extent is the same before
         // and after normalisation, and most pairs end here.
@@ -405,8 +378,22 @@ impl Lmad {
                 progressions_intersect(a.base, s1, c1, b.base, s2, c2),
             );
         }
-        match (a.offsets(limit), b.offsets(limit)) {
-            (Some(ao), Some(bo)) => {
+        let meets = |walked: &Lmad, probed: &Lmad| {
+            walked
+                .runs()
+                .any(|(first, last)| probed.next_at_or_after(first).is_some_and(|o| o <= last))
+        };
+        let (a_listable, b_listable) = (a.enumerable(limit), b.enumerable(limit));
+        let a_walks = a_listable && b.is_non_aliasing();
+        let b_walks = b_listable && a.is_non_aliasing();
+        match (a_walks, b_walks) {
+            (true, true) if b.num_runs() < a.num_runs() => Some(meets(&b, &a)),
+            (true, _) => Some(meets(&a, &b)),
+            (false, true) => Some(meets(&b, &a)),
+            (false, false) if !(a_listable && b_listable) => None,
+            // Both listable and neither walkable: both sides alias.
+            (false, false) => {
+                let (ao, bo) = (a.offsets(limit)?, b.offsets(limit)?);
                 let (mut i, mut j) = (0, 0);
                 while i < ao.len() && j < bo.len() {
                     match ao[i].cmp(&bo[j]) {
@@ -417,13 +404,6 @@ impl Lmad {
                 }
                 Some(false)
             }
-            (Some(ao), None) if b.is_non_aliasing() => {
-                Some(ao.iter().any(|&o| b.contains(o)))
-            }
-            (None, Some(bo)) if a.is_non_aliasing() => {
-                Some(bo.iter().any(|&o| a.contains(o)))
-            }
-            _ => None,
         }
     }
 
@@ -443,23 +423,23 @@ impl Lmad {
         }
     }
 
-    /// True when every offset of `other` is an offset of `self`
-    /// (exact via enumeration; conservative `false` when too large).
+    /// True when every offset of `other` is an offset of `self`: exact
+    /// when `other` is within `limit` accesses (each of its runs is
+    /// walked through `self`'s, stopping at the first offset `self`
+    /// lacks); conservative `false` when it is larger, unless `self`
+    /// is one contiguous run holding `other`'s extent.
     pub fn contains_all(&self, other: &Lmad, limit: u64) -> bool {
-        match other.offsets(limit) {
-            Some(offs) => offs.iter().all(|&o| self.contains(o)),
-            None => {
-                // Cheap sufficient condition: self is contiguous and
-                // other's extent is inside it.
-                let n = self.normalized();
-                if n.is_contiguous() {
-                    let (lo, hi) = n.extent();
-                    let (olo, ohi) = other.extent();
-                    lo <= olo && ohi <= hi
-                } else {
-                    false
-                }
-            }
+        let n = self.normalized();
+        let (olo, ohi) = other.extent();
+        if other.enumerable(limit) {
+            // Nothing outside `self`'s bounding interval is in it.
+            let (lo, hi) = self.extent();
+            lo <= olo && ohi <= hi && other.normalized().covered_by(|o| n.run_end(o))
+        } else {
+            // Cheap sufficient condition: self is one contiguous run
+            // and other's extent is inside it.
+            let (lo, hi) = n.extent();
+            n.is_contiguous_normalized() && lo <= olo && ohi <= hi
         }
     }
 
@@ -560,7 +540,7 @@ fn ext_gcd(a: i128, b: i128) -> (i128, i128, i128) {
 /// Exact at any size — this is what lets [`Lmad::overlaps_exact`]
 /// decide same- or mixed-stride descriptor pairs far beyond the
 /// enumeration limit.
-fn progressions_intersect(o1: i64, s1: i64, c1: u64, o2: i64, s2: i64, c2: u64) -> bool {
+pub(crate) fn progressions_intersect(o1: i64, s1: i64, c1: u64, o2: i64, s2: i64, c2: u64) -> bool {
     debug_assert!(s1 > 0 && s2 > 0, "normalised strides are positive");
     let (s1, s2) = (s1 as i128, s2 as i128);
     let d = o2 as i128 - o1 as i128;

@@ -30,7 +30,11 @@
 //!   fine / middle / coarse transfer plans of §5.6;
 //! * the **footprint join** ([`sweep`]): an interval sweep that hands
 //!   the exact tests only the pairs whose bounding intervals meet, and
-//!   a cover index for "is this region inside the union of those?".
+//!   a cover index for "is this region inside the union of those?";
+//! * the **run algebra** (`runs`) that decides what the join lets
+//!   through: a normalised descriptor is its stride-1 runs, and
+//!   overlap, containment and coverage are answered by walking runs
+//!   and decomposing offsets in `O(dims)` — never by listing elements.
 //!
 //! Strides, spans and offsets are concrete `i64` element counts: the
 //! front-end substitutes `PARAMETER` constants before analysis, exactly
@@ -40,6 +44,9 @@
 #![forbid(unsafe_code)]
 
 mod descriptor;
+#[cfg(test)]
+mod oracle;
+mod runs;
 mod summary;
 pub mod sweep;
 mod transfer;

@@ -11,7 +11,9 @@
 //! when the intervals are disjoint — so the exact tests only ever
 //! matter for interval-overlapping candidates. This module finds the
 //! candidates in `O(n log n + k)` and leaves every decision to the
-//! same exact tests as before: it **prunes, it never decides**.
+//! exact tests: it **prunes, it never decides**. What decides is the
+//! run algebra (`crate::runs`) — a walk over stride-1 runs, not over
+//! elements — so neither half of a footprint question enumerates.
 
 use crate::descriptor::Lmad;
 
@@ -107,7 +109,7 @@ struct Member {
 /// "Is every element of `needed` inside the union of these regions?" —
 /// the coverage proof behind AVPG scatter elision, approximate-collect
 /// coherence and the VPCE006 staleness pass — over a list that is
-/// normalised and sorted **once**, not once per queried offset.
+/// normalised and sorted **once**, not once per question.
 ///
 /// Members are kept sorted by low end with a running maximum of high
 /// ends, so the members that can hold an offset (or a whole interval)
@@ -161,17 +163,34 @@ impl CoverIndex {
             .filter(move |m| m.hi >= hi)
     }
 
+    /// The furthest any member's run holding `o` reaches, `None` when
+    /// no member holds `o`: [`Lmad::run_end`] of the union. A run ends
+    /// with its member's bounding interval (they part only when the
+    /// region leaves `i64` and its normal form saturates).
+    fn run_end(&self, o: i64) -> Option<i64> {
+        self.spanning(o, o).filter_map(|m| Some(m.norm.run_end(o)?.min(m.hi))).max()
+    }
+
     /// Is every element of `needed` provably inside the union of the
     /// indexed regions? A ladder, cheapest first, each rung sufficient:
     ///
     /// 1. some member has `needed`'s normal form;
-    /// 2. some single member contains all of it (by enumeration up to
-    ///    4096 elements, else "contiguous member spans the extent");
-    /// 3. every one of its elements — enumerated up to `limit`, the
-    ///    caller's proof budget — is in *some* member.
+    /// 2. some single member contains all of it (run by run when it
+    ///    has at most 4096 accesses, else "contiguous member spans the
+    ///    extent");
+    /// 3. every one of its runs is inside the union of the members.
     ///
-    /// Answers `false` when the proof would need more than `limit`
-    /// elements: coverage is only ever claimed when it is proved.
+    /// Rungs 2–3 walk `needed`'s runs and carry a cursor through each
+    /// on the members' [`Lmad::run_end`]s ([`Lmad::covered_by`]): whole
+    /// runs are skipped in one step and the walk stops at the first
+    /// uncovered element, so a failing proof costs what it takes to
+    /// find the hole, not the size of `needed`.
+    ///
+    /// `limit` is the caller's proof budget in *accesses of `needed`*
+    /// — what an element-by-element proof would have enumerated — and
+    /// it is kept to the letter: beyond it (or past `i64`) the answer
+    /// is `false` however cheap the walk would be, so coverage is
+    /// claimed on exactly the inputs it always was.
     pub fn covered(&self, needed: &Lmad, limit: u64) -> bool {
         if self.members.is_empty() {
             return false;
@@ -182,24 +201,48 @@ impl CoverIndex {
             return true;
         }
         const SINGLE_MEMBER_LIMIT: u64 = 4096;
-        let small = needed.offsets(SINGLE_MEMBER_LIMIT);
+        let small = needed.enumerable(SINGLE_MEMBER_LIMIT);
+        let inside_one = self.spanning(lo, hi).any(|m| {
+            if small {
+                n.covered_by(|o| m.norm.run_end(o))
+            } else {
+                // A contiguous member spanning the extent holds
+                // everything in it (`spanning` established the span).
+                m.norm.is_contiguous_normalized()
+            }
+        });
+        inside_one || (needed.enumerable(limit) && n.covered_by(|o| self.run_end(o)))
+    }
+}
+
+#[cfg(test)]
+impl CoverIndex {
+    /// [`CoverIndex::covered`] as it enumerated — `needed`'s offsets
+    /// into a list, each probed against the members — kept as the
+    /// reference the run walk is held to (`crate::oracle`).
+    pub(crate) fn covered_enumerating(&self, needed: &Lmad, limit: u64) -> bool {
+        if self.members.is_empty() {
+            return false;
+        }
+        let (lo, hi) = needed.extent();
+        let n = needed.normalized();
+        if self.spanning(lo, hi).any(|m| m.norm == n) {
+            return true;
+        }
+        let holds = |m: &Member, o: i64| m.norm.run_end(o).is_some();
+        let small = needed.offsets(4096);
         let inside_one = self.spanning(lo, hi).any(|m| match &small {
-            Some(offs) => offs.iter().all(|&o| m.norm.contains_normalized(o)),
-            // A contiguous member spanning the extent holds everything
-            // in it (`spanning` established the span).
+            Some(offs) => offs.iter().all(|&o| holds(m, o)),
             None => m.norm.is_contiguous_normalized(),
         });
         if inside_one {
             return true;
         }
         let all = match small {
-            Some(offs) if limit >= SINGLE_MEMBER_LIMIT => Some(offs),
+            Some(offs) if limit >= 4096 => Some(offs),
             _ => needed.offsets(limit),
         };
-        all.is_some_and(|offs| {
-            offs.iter()
-                .all(|&o| self.spanning(o, o).any(|m| m.norm.contains_normalized(o)))
-        })
+        all.is_some_and(|offs| offs.iter().all(|&o| self.spanning(o, o).any(|m| holds(m, o))))
     }
 }
 
@@ -218,6 +261,7 @@ impl Member {
 mod tests {
     use super::*;
     use crate::descriptor::Dim;
+    use crate::oracle::ladder_oracle;
     use vpce_testkit::prelude::*;
 
     /// The all-pairs interval test the sweep replaces.
@@ -231,25 +275,6 @@ mod tests {
             }
         }
         out
-    }
-
-    /// The `covered` ladder as `polaris-be` and `rmacheck` each carried
-    /// it (they differed only in `limit`).
-    fn ladder_oracle(needed: &Lmad, have: &[Lmad], limit: u64) -> bool {
-        if have.is_empty() {
-            return false;
-        }
-        let n = needed.normalized();
-        if have.iter().any(|h| h.normalized() == n) {
-            return true;
-        }
-        if have.iter().any(|h| h.contains_all(needed, 4096)) {
-            return true;
-        }
-        match needed.offsets(limit) {
-            Some(offs) => offs.iter().all(|&o| have.iter().any(|h| h.contains(o))),
-            None => false,
-        }
     }
 
     #[test]
@@ -387,9 +412,9 @@ mod tests {
     }
 
     /// The same equivalence on the shapes the planner produces: long
-    /// contiguous runs (beyond the 4096-element single-member
-    /// enumeration, so the "contiguous member spans the extent" rung
-    /// decides), column pieces, and their unions.
+    /// contiguous runs (beyond the 4096-access single-member budget,
+    /// so the "contiguous member spans the extent" rung decides),
+    /// column pieces, and their unions.
     #[test]
     fn cover_index_matches_the_old_ladder_on_long_runs() {
         let run = zip2(i64_in(0, 40_000), u64_in(1, 30_000)).map(|(b, c)| Lmad::contiguous(b, c));

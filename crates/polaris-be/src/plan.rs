@@ -12,7 +12,8 @@ use spmd_rt::ir::{CommOp, CommPlan, ParRegion, RedOp, Reduction, Schedule};
 
 use crate::{translate, BackendOptions};
 
-/// Enumeration budget for coverage proofs and element counts.
+/// Budget for coverage proofs (accesses of the region to cover) and
+/// for counting the elements of an aliasing region.
 const COVER_LIMIT: u64 = 1 << 21;
 /// Message-count guard for transfer lowering.
 const PLAN_LIMIT: u64 = 1 << 20;
@@ -304,6 +305,17 @@ impl<'a> Planner<'a> {
     ) {
         let p = self.opts.nprocs;
 
+        // Each rank's exact collect regions. Duplicate footprints
+        // (several references touching the same region) must not
+        // become duplicate transfers: the repeat would double the wire
+        // traffic and race against itself inside the collect epoch —
+        // and in the §5.6 list below it would only add same-rank pairs
+        // the check drops.
+        let collect_exact: Vec<Vec<Lmad>> = rank_summaries
+            .iter()
+            .map(|s| dedup_regions(s.collect_regions(a).into_iter().cloned()))
+            .collect();
+
         // ---- collection granularity: §5.6 overlap safety check ----
         // Build each rank's would-be collected regions at granularity
         // `g` (rank 0's are its exact writes — they reach the master
@@ -314,16 +326,14 @@ impl<'a> Planner<'a> {
         // deliberately-racy ablation for the RMA checker).
         if g != Granularity::Fine && !self.opts.unsafe_approx_collect {
             let mut approx: Vec<Vec<Lmad>> = Vec::with_capacity(p);
-            for (r, summary) in rank_summaries.iter().enumerate() {
-                let regions = summary.collect_regions(a);
+            for (r, regions) in collect_exact.iter().enumerate() {
                 if r == 0 {
-                    approx.push(regions.into_iter().cloned().collect());
+                    approx.push(regions.clone());
                 } else {
-                    let regions: Vec<Lmad> = regions.into_iter().cloned().collect();
-                    let regions = if g == Granularity::Coarse {
-                        merge_bounding(&regions).into_iter().collect()
+                    let regions: Vec<Lmad> = if g == Granularity::Coarse {
+                        merge_bounding(regions).into_iter().collect()
                     } else {
-                        regions
+                        regions.clone()
                     };
                     let mut lowered = Vec::new();
                     for lm in &regions {
@@ -343,19 +353,14 @@ impl<'a> Planner<'a> {
         // ---- per-rank plans ----
         for r in 1..p {
             let summary = &rank_summaries[r];
-            // Duplicate footprints (several references touching the
-            // same region) must not become duplicate transfers: the
-            // repeat would double the wire traffic and race against
-            // itself inside the collect epoch.
-            let collect_exact: Vec<Lmad> =
-                dedup_regions(summary.collect_regions(a).into_iter().cloned());
+            let collect_exact = &collect_exact[r];
             let scatter_exact: Vec<Lmad> =
                 dedup_regions(summary.scatter_regions(a).into_iter().cloned());
             // Figure 9(d): at coarse grain "one big approximate
             // region … is transfered to each remote processor" — all
             // of a rank's regions merge into a single bounding run.
             let collect_regions: Vec<Lmad> = if collect_g == Granularity::Coarse {
-                merge_bounding(&collect_exact).into_iter().collect()
+                merge_bounding(collect_exact).into_iter().collect()
             } else {
                 collect_exact.clone()
             };

@@ -15,8 +15,9 @@
 //!    only the rest are classified — in the same order.
 //!
 //! Footprint intersection uses [`lmad::Lmad::overlaps`], which is
-//! exact whenever the closed-form/enumeration paths apply and falls
-//! back to a conservative interval test otherwise — so this pass
+//! exact whenever the closed forms apply (progression intersection,
+//! the run walk within its budget) and falls back to a conservative
+//! interval test otherwise — so this pass
 //! **over-approximates**: it may flag a conflict that cannot happen,
 //! but never stays green on a real one. That direction is what the
 //! differential suite against the `mpi2` dynamic ledger relies on.

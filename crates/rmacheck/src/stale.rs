@@ -13,8 +13,8 @@
 //! VPCE006 diagnostic.
 //!
 //! Soundness direction matches the rest of the lint: staleness is
-//! only *cleared* when coverage is proved (exact region algebra with
-//! a bounded enumeration fallback), so the pass may flag a sound
+//! only *cleared* when coverage is proved (exact region algebra
+//! within a bounded proof budget), so the pass may flag a sound
 //! elision in unanalysable corners but never greenlights an unsound
 //! one.
 
@@ -25,8 +25,9 @@ use spmd_rt::ir::{ParRegion, SpmdProgram};
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::LintOptions;
 
-/// Enumeration budget for coverage proofs, elements: staleness is
-/// cleared only when [`CoverIndex::covered`] proves coverage within it.
+/// Budget for coverage proofs, in accesses of the region to cover:
+/// staleness is cleared only when [`CoverIndex::covered`] proves
+/// coverage within it.
 const COVER_LIMIT: u64 = 1 << 16;
 
 /// One stale region of the master copy: where it is, and which loop's

@@ -82,3 +82,32 @@ fn racy_fixture_is_clean_with_safety_check_active() {
     let out = run(&source, &parse_args(&argv).unwrap()).unwrap();
     assert_eq!(out.exit, 0, "{}", out.text);
 }
+
+/// `examples/fortran/swim.f` is `vpce_workloads::swim::SOURCE` under a
+/// two-line header comment — the benchmark's `swim_lint` workload as a
+/// file a shell can name — and lints to the same report: 0 errors, 73
+/// VPCE101 warnings. (The constant opens with one blank line; it is
+/// padded by one more so both texts number their lines alike.)
+#[test]
+fn swim_file_is_the_workload_constant() {
+    let file =
+        std::fs::read_to_string(repo_path("examples/fortran/swim.f")).expect("fixture exists");
+    let constant = vpce_workloads::swim::SOURCE;
+    let lines: Vec<&str> = file.lines().collect();
+    let (header, body) = lines.split_at(2);
+    assert!(header.iter().all(|l| l.starts_with("C ")), "{header:?}");
+    assert_eq!(body, constant.lines().skip(1).collect::<Vec<_>>());
+
+    let argv: Vec<String> = "swim.f --nodes 16 --param N=400 --grain fine --lint"
+        .split_whitespace()
+        .map(String::from)
+        .collect();
+    let args = parse_args(&argv).unwrap();
+    let of_file = run(&file, &args).unwrap();
+    let of_constant = run(&format!("\n{constant}"), &args).unwrap();
+    assert_eq!(of_file.exit, 1, "{}", of_file.text);
+    assert_eq!(of_file.text.matches("warning[VPCE101]").count(), 73);
+    assert!(of_file.text.ends_with("lint: SWIM: 0 error(s), 73 warning(s)\n"), "{}", of_file.text);
+    assert_eq!(of_file.text, of_constant.text);
+    assert_eq!(of_file.exit, of_constant.exit);
+}

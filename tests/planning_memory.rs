@@ -1,0 +1,59 @@
+//! Deterministic work gate for planning and linting: what
+//! `polaris_be::compile_backend` + `rmacheck::lint` request from the
+//! allocator grows with the *plan*, not with the arrays it talks about.
+//!
+//! Own test binary on purpose: it installs the counting allocator as
+//! the process-wide `#[global_allocator]`.
+//!
+//! A plan for MM on 16 ranks is `O(N · ranks)` transfers, so the bytes
+//! requested while planning and checking it at size N are
+//! `f = a + b·N + c·N²` with `c` = 0 — unless some proof lists a
+//! region's *elements*: an `N²/ranks`-element band enumerated once per
+//! rank or per partner is an `N²` term. The second difference over N,
+//! 2N, 4N cancels `a` and `b` and leaves `6·c·N²`. While the §5.6
+//! check, the coverage proofs and the epoch-conflict scan answered
+//! through `Lmad::offsets`, `c` read ≈ 10 000 B at fine grain and
+//! ≈ 30 000 B at middle grain; deciding by runs (`lmad`'s run algebra)
+//! it is a rounding error of `Vec` growth. The gate is a count, not a
+//! stopwatch: it cannot flake and it cannot pass while any proof
+//! enumerates the larger side of a pair.
+
+use vpce::{compile_backend, compile_frontend, lint, BackendOptions, Granularity, LintOptions};
+use vpce_testkit::alloc::CountingAlloc;
+use vpce_workloads::mm;
+
+#[global_allocator]
+static ALLOC: CountingAlloc = CountingAlloc::new();
+
+const RANKS: usize = 16;
+
+/// Bytes requested from the allocator while planning MM at size `n`
+/// and grain `g` and linting the plan.
+fn planning_bytes(n: i64, g: Granularity) -> i64 {
+    let analyzed = compile_frontend(mm::SOURCE, &[("N", n)]).unwrap();
+    let opts = BackendOptions::new(RANKS).granularity(g);
+    let before = ALLOC.allocated_bytes();
+    let compiled = compile_backend(&analyzed, &opts);
+    let report = lint(&compiled.program, &compiled.report, &LintOptions::default());
+    let during = ALLOC.allocated_bytes() - before;
+    assert!(report.is_clean(), "{}", report.render_human());
+    during as i64
+}
+
+/// One test, both grains in sequence: the counter is process-wide.
+#[test]
+fn planning_and_lint_cost_nothing_in_n_squared() {
+    let n = 64;
+    for g in [Granularity::Fine, Granularity::Middle] {
+        let [f1, f2, f4] = [n, 2 * n, 4 * n].map(|n| planning_bytes(n, g));
+        let c = ((f4 - f2) - 2 * (f2 - f1)) as f64 / (6 * n * n) as f64;
+        assert!(
+            c <= 256.0,
+            "{} grain: bytes requested at N = {n}, {}, {}: {f1}, {f2}, {f4}; \
+             their N² coefficient is {c:.0} B (gate: 256)",
+            g.name(),
+            2 * n,
+            4 * n,
+        );
+    }
+}
