@@ -53,5 +53,5 @@ mod transfer;
 
 pub use descriptor::{Dim, Lmad, SplitLmad};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
-pub use sweep::CoverIndex;
+pub use sweep::{CoverIndex, COVER_LIMIT};
 pub use transfer::{any_overlap, Granularity, RegionTransfer, TransferPlan};

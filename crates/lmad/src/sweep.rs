@@ -106,6 +106,13 @@ struct Member {
     norm: Lmad,
 }
 
+/// The budget every coverage proof of the pipeline runs under, in
+/// accesses of the region to cover. One constant: `vpce-rmacheck`
+/// re-proves the elisions `polaris-be` planned, and a checker with a
+/// smaller budget than the planner reports each proof it cannot afford
+/// as a stale master copy (`VPCE006`) that is not there.
+pub const COVER_LIMIT: u64 = 1 << 21;
+
 /// "Is every element of `needed` inside the union of these regions?" —
 /// the coverage proof behind AVPG scatter elision, approximate-collect
 /// coherence and the VPCE006 staleness pass — over a list that is

@@ -5,16 +5,15 @@
 
 use std::collections::HashMap;
 
-use lmad::{sweep, ArrayId, CoverIndex, Granularity, Lmad, SummarySet, TransferPlan};
+use lmad::{
+    sweep, ArrayId, CoverIndex, Granularity, Lmad, SummarySet, TransferPlan, COVER_LIMIT,
+};
 use polaris_fe::analysis::{ParallelLoop, Region, SeqRegion};
 use polaris_fe::analysis::{AnalyzedProgram, ReductionOp};
 use spmd_rt::ir::{CommOp, CommPlan, ParRegion, RedOp, Reduction, Schedule};
 
 use crate::{translate, BackendOptions};
 
-/// Budget for coverage proofs (accesses of the region to cover) and
-/// for counting the elements of an aliasing region.
-const COVER_LIMIT: u64 = 1 << 21;
 /// Message-count guard for transfer lowering.
 const PLAN_LIMIT: u64 = 1 << 20;
 

@@ -18,17 +18,12 @@
 //! elision in unanalysable corners but never greenlights an unsound
 //! one.
 
-use lmad::{CoverIndex, Lmad};
+use lmad::{CoverIndex, Lmad, COVER_LIMIT};
 use polaris_be::{PlanReport, PlanStep, RegionPlanInfo};
 use spmd_rt::ir::{ParRegion, SpmdProgram};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::LintOptions;
-
-/// Budget for coverage proofs, in accesses of the region to cover:
-/// staleness is cleared only when [`CoverIndex::covered`] proves
-/// coverage within it.
-const COVER_LIMIT: u64 = 1 << 16;
 
 /// One stale region of the master copy: where it is, and which loop's
 /// elided collect caused it.

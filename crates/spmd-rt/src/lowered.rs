@@ -36,6 +36,25 @@
 //! exactly representable — and f64 addition over such values is
 //! associative. The total is bit-identical to charging statement by
 //! statement.
+//!
+//! **Innermost loops run as streams.** A loop body of array and
+//! REAL-scalar stores whose subscripts are all [`Affine`] nodes over an
+//! INTEGER loop variable cannot raise, and each subscript is linear in
+//! the variable — an LMAD walk: a base fixed on loop entry and a
+//! constant stride per trip. Such a body gets a [`Stream`]: every
+//! affine node is a [`Cursor`]; every maximal subtree that reads
+//! nothing the body stores — so that no trip can change what another
+//! trip's evaluation of it sees — is hoisted and evaluated a strip of
+//! `STRIP` trips at a time, one gather per load and one lane-wise loop
+//! per operator; the rest runs per trip, in statement order, over those
+//! strips. The sole statement `X[c] = X[c] ⊕ strip`, `c` invariant, is
+//! folded in trip order — `((X[c] ⊕ t₀) ⊕ t₁) ⊕ …`, the association
+//! the per-trip walk has, hence its bits. `State::run_trips` proves
+//! every subscript cursor's first and last index in range on entry
+//! (linear, so every index between is too) and otherwise leaves the
+//! entry to the per-trip walk, which reports the first bad access as it
+//! always did. Costs are charged on entry either way; `Analytic` never
+//! sees a stream.
 
 use mpi2::Elem;
 use vpce_faults::{raise, VpceError};
@@ -171,6 +190,87 @@ pub struct LoopBody {
     /// A nested loop bound or condition reads `var`, so trips of this
     /// loop may cost differently and `Analytic` must price each one.
     pub shape_reads_var: bool,
+    /// The strip-at-a-time form of `block`, when it has one.
+    pub stream: Option<Stream>,
+}
+
+/// Trips a stream evaluates per strip: wide enough that an operator's
+/// dispatch is noise against its lanes, narrow enough that a rank's
+/// buffers (one per hoisted subtree, one more on the stack per level of
+/// the subtree being evaluated) stay a few KB.
+pub(crate) const STRIP: usize = 64;
+
+/// One affine node of a stream body, as a walk: its value at the first
+/// trip is computed on loop entry, every later trip adds
+/// `k_var · step`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Cursor {
+    pub affine: Affine,
+    /// Coefficient of the loop variable in `affine`; 0 for a
+    /// loop-invariant node.
+    pub k_var: i64,
+    /// The array it subscripts. `None` for a `REAL()` conversion, whose
+    /// value is unconstrained.
+    pub array: Option<usize>,
+}
+
+/// A subtree evaluated for a whole strip of trips at once. It reads no
+/// array and no REAL slot the body stores, so no trip of this loop can
+/// change what any other trip's evaluation of it sees.
+#[derive(Debug, Clone, PartialEq)]
+pub enum SExpr {
+    Const(f64),
+    Scalar(usize),
+    Load { array: usize, cursor: usize },
+    FromInt(usize),
+    Un(RUn, Box<SExpr>),
+    Bin(RBin, Box<SExpr>, Box<SExpr>),
+}
+
+/// What is left to evaluate trip by trip, in statement order: reads of
+/// what the body itself stores, over strip buffers as leaves.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TExpr {
+    /// The current lane of `Stream::hoisted[i]`'s buffer.
+    Strip(usize),
+    Scalar(usize),
+    Load {
+        array: usize,
+        cursor: usize,
+    },
+    Un(RUn, Box<TExpr>),
+    Bin(RBin, Box<TExpr>, Box<TExpr>),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Place {
+    Elem { array: usize, cursor: usize },
+    Real(usize),
+}
+
+#[derive(Debug, Clone, PartialEq)]
+pub enum Residual {
+    /// The body is the one statement `X[c] = X[c] ⊕ strip` with `c`
+    /// loop-invariant: an in-order fold of the strip into `X[c]`.
+    Fold {
+        array: usize,
+        cursor: usize,
+        op: RBin,
+        strip: usize,
+    },
+    Trips(Vec<(Place, TExpr)>),
+}
+
+/// A loop body of array and REAL-scalar stores whose every subscript
+/// (and `REAL()` operand) is affine over an INTEGER loop variable:
+/// nothing in it can raise, and once every cursor's first and last
+/// index are proven in range nothing in it can panic.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Stream {
+    pub cursors: Vec<Cursor>,
+    /// The maximal subtrees the body cannot affect.
+    pub hoisted: Vec<SExpr>,
+    pub residual: Residual,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -329,9 +429,13 @@ impl Lowerer {
     }
 
     fn loop_body(&self, var: usize, body: &[Instr]) -> LoopBody {
+        let block = self.block(body);
         LoopBody {
             var,
-            block: self.block(body),
+            stream: self.int_scalars[var]
+                .then(|| StreamBuilder::build(var, &block.stmts))
+                .flatten(),
+            block,
             shape_reads_var: shape_reads(body, var),
         }
     }
@@ -452,6 +556,148 @@ impl Lowerer {
     }
 }
 
+/// A stream subtree while it is being built: still free of the body's
+/// own effects, or already bound to them (its free parts cut out).
+enum Built {
+    Free(SExpr),
+    Bound(TExpr),
+}
+
+struct StreamBuilder {
+    var: usize,
+    /// Arrays and REAL slots the body stores.
+    arrays: Vec<usize>,
+    slots: Vec<usize>,
+    cursors: Vec<Cursor>,
+    hoisted: Vec<SExpr>,
+}
+
+impl StreamBuilder {
+    /// The stream form of a loop body over INTEGER `var`, if it has one.
+    fn build(var: usize, stmts: &[Stmt]) -> Option<Stream> {
+        let mut b = StreamBuilder {
+            var,
+            arrays: Vec::new(),
+            slots: Vec::new(),
+            cursors: Vec::new(),
+            hoisted: Vec::new(),
+        };
+        for s in stmts {
+            match s {
+                Stmt::StoreArray { array, .. } => b.arrays.push(*array),
+                Stmt::StoreReal { slot, .. } => b.slots.push(*slot),
+                Stmt::StoreInt { .. } | Stmt::Loop { .. } | Stmt::If { .. } => return None,
+            }
+        }
+        let mut trips = Vec::new();
+        for s in stmts {
+            let (place, value) = match s {
+                Stmt::StoreArray {
+                    array,
+                    index,
+                    value,
+                } => {
+                    let cursor = b.cursor(index, Some(*array))?;
+                    let array = *array;
+                    (Place::Elem { array, cursor }, value)
+                }
+                Stmt::StoreReal { slot, value } => (Place::Real(*slot), value),
+                _ => unreachable!("rejected above"),
+            };
+            let value = b.expr(value)?;
+            trips.push((place, b.cut(value)));
+        }
+        let residual = b.fold(&trips).unwrap_or(Residual::Trips(trips));
+        Some(Stream {
+            cursors: b.cursors,
+            hoisted: b.hoisted,
+            residual,
+        })
+    }
+
+    fn cursor(&mut self, e: &IExpr, array: Option<usize>) -> Option<usize> {
+        let IExpr::Affine(affine) = e else {
+            return None;
+        };
+        let k_var = affine
+            .terms
+            .iter()
+            .find(|t| t.1 == self.var)
+            .map_or(0, |t| t.0);
+        self.cursors.push(Cursor {
+            affine: affine.clone(),
+            k_var,
+            array,
+        });
+        Some(self.cursors.len() - 1)
+    }
+
+    fn expr(&mut self, e: &RExpr) -> Option<Built> {
+        Some(match e {
+            RExpr::Const(v) => Built::Free(SExpr::Const(*v)),
+            RExpr::Scalar(slot) if self.slots.contains(slot) => Built::Bound(TExpr::Scalar(*slot)),
+            RExpr::Scalar(slot) => Built::Free(SExpr::Scalar(*slot)),
+            RExpr::Load { array, index } => {
+                let (array, cursor) = (*array, self.cursor(index, Some(*array))?);
+                if self.arrays.contains(&array) {
+                    Built::Bound(TExpr::Load { array, cursor })
+                } else {
+                    Built::Free(SExpr::Load { array, cursor })
+                }
+            }
+            RExpr::FromInt(a) => Built::Free(SExpr::FromInt(self.cursor(a, None)?)),
+            RExpr::Un(op, a) => match self.expr(a)? {
+                Built::Free(a) => Built::Free(SExpr::Un(*op, Box::new(a))),
+                Built::Bound(a) => Built::Bound(TExpr::Un(*op, Box::new(a))),
+            },
+            RExpr::Bin(op, a, b) => match (self.expr(a)?, self.expr(b)?) {
+                (Built::Free(a), Built::Free(b)) => {
+                    Built::Free(SExpr::Bin(*op, Box::new(a), Box::new(b)))
+                }
+                (a, b) => Built::Bound(TExpr::Bin(
+                    *op,
+                    Box::new(self.cut(a)),
+                    Box::new(self.cut(b)),
+                )),
+            },
+        })
+    }
+
+    /// A free subtree under a bound parent is maximal: hoist it.
+    fn cut(&mut self, e: Built) -> TExpr {
+        match e {
+            Built::Free(e) => {
+                self.hoisted.push(e);
+                TExpr::Strip(self.hoisted.len() - 1)
+            }
+            Built::Bound(e) => e,
+        }
+    }
+
+    fn fold(&self, trips: &[(Place, TExpr)]) -> Option<Residual> {
+        let [(Place::Elem { array, cursor }, TExpr::Bin(op, x, t))] = trips else {
+            return None;
+        };
+        let (
+            TExpr::Load {
+                array: xa,
+                cursor: xc,
+            },
+            TExpr::Strip(strip),
+        ) = (&**x, &**t)
+        else {
+            return None;
+        };
+        let (store, load) = (&self.cursors[*cursor], &self.cursors[*xc]);
+        (xa == array && load.affine == store.affine && store.k_var == 0).then_some(Residual::Fold {
+            array: *array,
+            cursor: *cursor,
+            op: *op,
+            strip: *strip,
+        })
+    }
+}
+
 fn reads_memory(e: &Expr) -> bool {
     match e {
         Expr::Load { .. } => true,
@@ -522,6 +768,56 @@ fn ipow(a: i64, b: i64) -> i64 {
     }
 }
 
+/// The REAL operator tables, written once. `$body` is expanded in the
+/// arm of the selected operator with `$f` bound to its function, so a
+/// per-trip walk applies it once and a strip applies it across its
+/// lanes — one dispatch either way.
+macro_rules! bind {
+    ($f:ident = $g:expr, $body:expr) => {{
+        let $f = $g;
+        $body
+    }};
+}
+
+macro_rules! with_run {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            RUn::Neg => bind!($f = |a: f64| -a, $body),
+            RUn::Abs => bind!($f = f64::abs, $body),
+            RUn::Sqrt => bind!($f = f64::sqrt, $body),
+            RUn::Sin => bind!($f = f64::sin, $body),
+            RUn::Cos => bind!($f = f64::cos, $body),
+            RUn::Exp => bind!($f = f64::exp, $body),
+        }
+    };
+}
+
+macro_rules! with_rbin {
+    ($op:expr, $f:ident => $body:expr) => {
+        match $op {
+            RBin::Add => bind!($f = |a: f64, b: f64| a + b, $body),
+            RBin::Sub => bind!($f = |a: f64, b: f64| a - b, $body),
+            RBin::Mul => bind!($f = |a: f64, b: f64| a * b, $body),
+            RBin::Div => bind!($f = |a: f64, b: f64| a / b, $body),
+            RBin::Pow => bind!($f = f64::powf, $body),
+            RBin::Mod => bind!($f = |a: f64, b: f64| a % b, $body),
+            RBin::Min => bind!($f = f64::min, $body),
+            RBin::Max => bind!($f = f64::max, $body),
+        }
+    };
+}
+
+/// A cursor on loop entry: its value at the first trip and what each
+/// trip adds.
+type Walk = (i64, i64);
+
+/// Value of a cursor at trip `t`. Wrapping, like the affine node it
+/// stands for; a subscript cursor proven in range never wraps.
+#[inline(always)]
+fn at((start, delta): Walk, t: u64) -> i64 {
+    start.wrapping_add(delta.wrapping_mul(t as i64))
+}
+
 /// One executor's scalar banks and un-flushed compute cycles. Both
 /// banks are indexed by slot; a slot lives in the bank of its declared
 /// type and its entry in the other bank is never read.
@@ -530,6 +826,18 @@ pub(crate) struct State<'p> {
     ints: Vec<i64>,
     reals: Vec<f64>,
     pub cycles: f64,
+    /// Stream scratch, reused across loop entries: the walks of the
+    /// running stream's cursors and one `STRIP`-wide buffer per hoisted
+    /// subtree.
+    walks: Vec<Walk>,
+    strips: Vec<f64>,
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Loop entries this thread ran as a stream (the oracle property
+    /// checks that its programs reach that path).
+    pub(crate) static STREAMED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl<'p> State<'p> {
@@ -540,6 +848,8 @@ impl<'p> State<'p> {
             ints: vec![0; scalars.len()],
             reals: vec![0.0; scalars.len()],
             cycles: 0.0,
+            walks: Vec::new(),
+            strips: Vec::new(),
         }
     }
 
@@ -611,11 +921,152 @@ impl<'p> State<'p> {
         mem: &mut [&mut [Elem]],
     ) {
         self.cycles += n as f64 * (TRIP_CYCLES + l.block.cost);
+        if let Some(s) = &l.stream {
+            if n > 0 && self.run_stream(s, l.var, first, step, n, mem) {
+                return;
+            }
+        }
         let mut v = first;
         for _ in 0..n {
             self.store_int(l.var, v);
             self.exec(&l.block.stmts, mem);
             v = v.wrapping_add(step);
+        }
+    }
+
+    /// Run `n >= 1` trips of a stream body, provided every subscript
+    /// cursor's first and last index are in range — a cursor is linear,
+    /// so every index between them is. `false`, with nothing executed:
+    /// some access is out of range (or too far to tell), and the
+    /// per-trip walk will find the first one and name it.
+    fn run_stream(
+        &mut self,
+        s: &Stream,
+        var: usize,
+        first: i64,
+        step: i64,
+        n: u64,
+        mem: &mut [&mut [Elem]],
+    ) -> bool {
+        self.ints[var] = first;
+        let mut walks = std::mem::take(&mut self.walks);
+        walks.clear();
+        walks.extend(
+            s.cursors
+                .iter()
+                .map(|c| (c.affine.value(&self.ints), c.k_var.wrapping_mul(step))),
+        );
+        let in_range = s.cursors.iter().zip(&walks).all(|(c, &(start, delta))| {
+            let Some(array) = c.array else { return true };
+            let len = mem[array].len() as i128;
+            let last = (delta as i128)
+                .checked_mul(n as i128 - 1)
+                .map(|d| d + start as i128);
+            (0..len).contains(&(start as i128)) && last.is_some_and(|l| (0..len).contains(&l))
+        });
+        if in_range {
+            let mut strips = std::mem::take(&mut self.strips);
+            if strips.len() < s.hoisted.len() * STRIP {
+                strips.resize(s.hoisted.len() * STRIP, 0.0);
+            }
+            let mut t0 = 0;
+            while t0 < n {
+                let w = (n - t0).min(STRIP as u64) as usize;
+                for (h, buf) in s.hoisted.iter().zip(strips.chunks_exact_mut(STRIP)) {
+                    self.strip(h, &walks, t0, mem, &mut buf[..w]);
+                }
+                match &s.residual {
+                    Residual::Fold {
+                        array,
+                        cursor,
+                        op,
+                        strip,
+                    } => {
+                        let x = &mut mem[*array][walks[*cursor].0 as usize];
+                        let t = &strips[strip * STRIP..][..w];
+                        *x = with_rbin!(op, f => t.iter().fold(*x, |acc, &t| f(acc, t)));
+                    }
+                    Residual::Trips(stmts) => {
+                        for lane in 0..w {
+                            let t = t0 + lane as u64;
+                            for (place, value) in stmts {
+                                let v = self.trip(value, &walks, t, &strips[lane..], mem);
+                                match place {
+                                    Place::Elem { array, cursor } => {
+                                        mem[*array][at(walks[*cursor], t) as usize] = v
+                                    }
+                                    Place::Real(slot) => self.reals[*slot] = v,
+                                }
+                            }
+                        }
+                    }
+                }
+                t0 += w as u64;
+            }
+            self.ints[var] = at((first, step), n - 1);
+            self.strips = strips;
+            #[cfg(test)]
+            STREAMED.set(STREAMED.get() + 1);
+        }
+        self.walks = walks;
+        in_range
+    }
+
+    /// A hoisted subtree over the `out.len()` trips from `t0`, one lane
+    /// each.
+    fn strip(&self, e: &SExpr, walks: &[Walk], t0: u64, mem: &[&mut [Elem]], out: &mut [f64]) {
+        match e {
+            SExpr::Const(v) => out.fill(*v),
+            SExpr::Scalar(slot) => out.fill(self.reals[*slot]),
+            SExpr::Load { array, cursor } => {
+                let (m, delta) = (&*mem[*array], walks[*cursor].1);
+                let mut idx = at(walks[*cursor], t0);
+                if delta == 1 {
+                    out.copy_from_slice(&m[idx as usize..][..out.len()]);
+                } else {
+                    for o in out {
+                        *o = m[idx as usize];
+                        idx = idx.wrapping_add(delta);
+                    }
+                }
+            }
+            SExpr::FromInt(cursor) => {
+                for (lane, o) in out.iter_mut().enumerate() {
+                    *o = at(walks[*cursor], t0 + lane as u64) as f64;
+                }
+            }
+            SExpr::Un(op, a) => {
+                self.strip(a, walks, t0, mem, out);
+                with_run!(op, f => out.iter_mut().for_each(|o| *o = f(*o)));
+            }
+            SExpr::Bin(op, a, b) => {
+                self.strip(a, walks, t0, mem, out);
+                let mut rhs = [0.0; STRIP];
+                let rhs = &mut rhs[..out.len()];
+                self.strip(b, walks, t0, mem, rhs);
+                with_rbin!(op, f => out.iter_mut().zip(rhs).for_each(|(o, b)| *o = f(*o, *b)));
+            }
+        }
+    }
+
+    /// The residual of one statement at trip `t`; `lane[i * STRIP]` is
+    /// this trip's lane of hoisted subtree `i`.
+    fn trip(&self, e: &TExpr, walks: &[Walk], t: u64, lane: &[f64], mem: &[&mut [Elem]]) -> f64 {
+        match e {
+            TExpr::Strip(i) => lane[i * STRIP],
+            TExpr::Scalar(slot) => self.reals[*slot],
+            TExpr::Load { array, cursor } => mem[*array][at(walks[*cursor], t) as usize],
+            TExpr::Un(op, a) => {
+                let a = self.trip(a, walks, t, lane, mem);
+                with_run!(op, f => f(a))
+            }
+            TExpr::Bin(op, a, b) => {
+                let (a, b) = (
+                    self.trip(a, walks, t, lane, mem),
+                    self.trip(b, walks, t, lane, mem),
+                );
+                with_rbin!(op, f => f(a, b))
+            }
         }
     }
 
@@ -791,27 +1242,11 @@ impl<'p> State<'p> {
             }
             RExpr::Un(op, a) => {
                 let a = self.real(a, mem);
-                match op {
-                    RUn::Neg => -a,
-                    RUn::Abs => a.abs(),
-                    RUn::Sqrt => a.sqrt(),
-                    RUn::Sin => a.sin(),
-                    RUn::Cos => a.cos(),
-                    RUn::Exp => a.exp(),
-                }
+                with_run!(op, f => f(a))
             }
             RExpr::Bin(op, a, b) => {
                 let (a, b) = (self.real(a, mem), self.real(b, mem));
-                match op {
-                    RBin::Add => a + b,
-                    RBin::Sub => a - b,
-                    RBin::Mul => a * b,
-                    RBin::Div => a / b,
-                    RBin::Pow => a.powf(b),
-                    RBin::Mod => a % b,
-                    RBin::Min => a.min(b),
-                    RBin::Max => a.max(b),
-                }
+                with_rbin!(op, f => f(a, b))
             }
             RExpr::FromInt(a) => self.int(a, mem) as f64,
         }
@@ -887,25 +1322,66 @@ mod tests {
 
     #[test]
     fn loop_counter_wraps_past_the_last_trip_without_running_it() {
-        let count = |lo, hi, step| {
+        // Counting in INTEGER M is the per-trip walk; counting in REAL
+        // X is a stream.
+        let count = |slot, lo, hi, step| {
             let p = prog(vec![Instr::Loop {
                 var: 2,
                 lo: Expr::IConst(lo),
                 hi: Expr::IConst(hi),
                 step,
                 body: vec![Instr::StoreScalar {
-                    slot: 0,
-                    value: bin(BinOp::Add, Expr::Scalar(0), Expr::IConst(1)),
+                    slot,
+                    value: bin(BinOp::Add, Expr::Scalar(slot), Expr::IConst(1)),
                 }],
             }]);
+            let before = STREAMED.get();
             let (_, _, scalars) = run_sequential(&p, ExecMode::Full);
-            (scalars[0].as_int(), scalars[2].as_int())
+            let trips = scalars[slot].as_real() as i64;
+            assert_eq!(STREAMED.get() - before, (slot == 1 && trips > 0) as u64);
+            (trips, scalars[2].as_int())
         };
-        assert_eq!(count(i64::MAX - 1, i64::MAX, 1), (2, i64::MAX));
-        assert_eq!(count(i64::MIN + 1, i64::MIN, -1), (2, i64::MIN));
-        assert_eq!(count(i64::MIN, i64::MAX, i64::MAX), (3, i64::MAX - 1));
-        assert_eq!(count(1, 0, 1), (0, 0));
-        assert_eq!(count(1, 5, 0), (0, 0));
+        for slot in [0, 1] {
+            assert_eq!(count(slot, i64::MAX - 1, i64::MAX, 1), (2, i64::MAX));
+            assert_eq!(count(slot, i64::MIN + 1, i64::MIN, -1), (2, i64::MIN));
+            assert_eq!(count(slot, i64::MIN, i64::MAX, i64::MAX), (3, i64::MAX - 1));
+            assert_eq!(count(slot, 1, 0, 1), (0, 0));
+            assert_eq!(count(slot, 1, 5, 0), (0, 0));
+        }
+    }
+
+    #[test]
+    fn a_stream_loop_names_the_first_access_out_of_range() {
+        // DO K = lo, hi: A(K) = A(K + shift), or = 1.0, on A(4). The
+        // stream cannot prove its cursors in range, so the walk runs
+        // and reports.
+        let message = |lo, hi, step, shift: Option<i64>| {
+            let p = prog(vec![Instr::Loop {
+                var: 2,
+                lo: Expr::IConst(lo),
+                hi: Expr::IConst(hi),
+                step,
+                body: vec![Instr::StoreArray {
+                    array: 0,
+                    index: Expr::Scalar(2),
+                    value: shift.map_or(Expr::RConst(1.0), |shift| Expr::Load {
+                        array: 0,
+                        index: Box::new(bin(BinOp::Add, Expr::Scalar(2), Expr::IConst(shift))),
+                    }),
+                }],
+            }]);
+            let before = STREAMED.get();
+            let payload = catch_unwind(AssertUnwindSafe(|| run_sequential(&p, ExecMode::Full)));
+            assert_eq!(STREAMED.get(), before);
+            *payload.unwrap_err().downcast::<String>().unwrap()
+        };
+        let oob = |what, idx| format!("{what} out of bounds: array 0 index {idx} len 4");
+        assert_eq!(message(0, 4, 1, None), oob("store", 4));
+        assert_eq!(message(3, -1, -1, None), oob("store", -1));
+        assert_eq!(message(0, 4, 1, Some(0)), oob("load", 4));
+        assert_eq!(message(0, 3, 1, Some(1)), oob("load", 4));
+        assert_eq!(message(0, 3, 1, Some(-1)), oob("load", -1));
+        assert_eq!(message(2, 2, 1, Some(i64::MAX)), oob("load", i64::MIN + 1));
     }
 
     #[test]

@@ -189,12 +189,14 @@ impl Oracle {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     use vpce_testkit::prelude::*;
 
     use super::*;
     use crate::exec::{run_sequential, ExecMode};
+    use crate::lowered::{STREAMED, STRIP};
 
     // Scalar slots of every generated program: three INTEGER loop
     // variables, one INTEGER and two REAL temporaries.
@@ -207,14 +209,20 @@ mod tests {
         ("Y", false),
     ];
     const ARRAY_LEN: usize = 9;
+    /// Most trips a generated stream loop runs: two strips and a bit.
+    const LONG_TRIPS: u64 = 2 * STRIP as u64 + 3;
+    /// Length of C, which the stream loops subscript: room for
+    /// `LONG_TRIPS` trips at their widest stride, `2 · 3`.
+    const LONG_LEN: usize = 6 * LONG_TRIPS as usize;
 
     fn program(body: Vec<Instr>) -> SpmdProgram {
         // A holds halves (a loaded subscript is fractional half the
-        // time), B holds integers (a loaded subscript converts).
-        let fill = |array, scale| Instr::Loop {
+        // time), B holds integers (a loaded subscript converts), C
+        // quarters.
+        let fill = |array, len: usize, scale| Instr::Loop {
             var: 0,
             lo: Expr::IConst(0),
-            hi: Expr::IConst(ARRAY_LEN as i64 - 1),
+            hi: Expr::IConst(len as i64 - 1),
             step: 1,
             body: vec![Instr::StoreArray {
                 array,
@@ -222,12 +230,20 @@ mod tests {
                 value: bin(BinOp::Mul, Expr::Scalar(0), Expr::RConst(scale)),
             }],
         };
-        let mut sequential = vec![fill(0, 0.5), fill(1, 1.0)];
+        let mut sequential = vec![
+            fill(0, ARRAY_LEN, 0.5),
+            fill(1, ARRAY_LEN, 1.0),
+            fill(2, LONG_LEN, 0.25),
+        ];
         sequential.extend(body);
         SpmdProgram {
             name: "ORACLE".into(),
             nprocs: 1,
-            arrays: vec![("A".into(), ARRAY_LEN), ("B".into(), ARRAY_LEN)],
+            arrays: vec![
+                ("A".into(), ARRAY_LEN),
+                ("B".into(), ARRAY_LEN),
+                ("C".into(), LONG_LEN),
+            ],
             scalars: SCALARS.iter().map(|(n, i)| (n.to_string(), *i)).collect(),
             blocks: Vec::new(),
             sequential,
@@ -341,10 +357,129 @@ mod tests {
         )
     }
 
+    /// A loop the lowered form runs as a stream: 1–3 stores whose
+    /// subscripts are bare affine nodes — in range, or one element
+    /// outside at either end — over 0 to `LONG_TRIPS` trips.
+    fn stream_loop(src: &mut Source) -> Instr {
+        let var = src.next_below(3) as usize;
+        let step = pick(src, &[-2, -1, 1, 2, 3]);
+        let n = match src.next_below(3) {
+            0 => src.next_below(4),
+            1 => STRIP as u64 - 2 + src.next_below(5),
+            _ => src.next_below(LONG_TRIPS + 1),
+        } as i64;
+        let lo = src.next_below(7) as i64 - 3;
+        let hi = lo + step * (n - 1);
+
+        // `k·var + b·other + c` into an array of `len` elements; `c`
+        // puts the lowest index of the `n` trips at -1 ..= slack + 1,
+        // so both ends are sometimes one element out. `other` holds
+        // whatever the program left there.
+        let subscript = |src: &mut Source, len: usize, k: i64| {
+            let (first, last) = (k * lo, k * hi);
+            let slack = (len as i64 - 1 - (last - first).abs()).max(0) as u64;
+            let c = src.next_below(slack + 3) as i64 - 1 - first.min(last);
+            let other = (var + 1 + src.next_below(3) as usize) % 4;
+            let b = pick(src, &[0, 0, 0, 1, -1]);
+            let term = |k, slot| bin(BinOp::Mul, Expr::IConst(k), Expr::Scalar(slot));
+            bin(
+                BinOp::Add,
+                bin(BinOp::Add, term(k, var), term(b, other)),
+                Expr::IConst(c),
+            )
+        };
+        // Mostly C at a coefficient of -2..=2 on the loop variable;
+        // sometimes an invariant element of A or B.
+        let element = |src: &mut Source| match src.next_below(4) {
+            0 => (src.next_below(2) as usize, subscript(src, ARRAY_LEN, 0)),
+            _ => {
+                let k = src.next_below(5) as i64 - 2;
+                (2, subscript(src, LONG_LEN, k))
+            }
+        };
+        fn value(
+            src: &mut Source,
+            depth: u32,
+            element: &impl Fn(&mut Source) -> (usize, Expr),
+        ) -> Expr {
+            if depth == 0 || src.next_below(3) == 0 {
+                return match src.next_below(5) {
+                    0 => Expr::RConst((src.next_below(33) as f64 - 16.0) / 4.0),
+                    1 => Expr::Scalar(4 + src.next_below(2) as usize),
+                    2 => Expr::Intr(IntrinsicOp::ToReal, vec![element(src).1]),
+                    _ => {
+                        let (array, index) = element(src);
+                        Expr::Load {
+                            array,
+                            index: Box::new(index),
+                        }
+                    }
+                };
+            }
+            let (a, b) = (
+                value(src, depth - 1, element),
+                value(src, depth - 1, element),
+            );
+            match src.next_below(4) {
+                0 => Expr::Neg(Box::new(a)),
+                1 => Expr::Intr(pick(src, &INTRINSICS[..8]), vec![a, b]),
+                _ => bin(pick(src, &BIN_OPS[..5]), a, b),
+            }
+        }
+
+        let body = (0..1 + src.next_below(3))
+            .map(|_| {
+                let t = value(src, 2, &element);
+                let op = pick(src, &BIN_OPS[..4]);
+                match src.next_below(4) {
+                    // Y = Y ⊕ t: a REAL slot the body stores and reads.
+                    0 => {
+                        let slot = 4 + src.next_below(2) as usize;
+                        Instr::StoreScalar {
+                            slot,
+                            value: bin(op, Expr::Scalar(slot), t),
+                        }
+                    }
+                    // X[c] = X[c] ⊕ t, `c` invariant: alone in the
+                    // body (and `t` not reading X), the fold.
+                    1 => {
+                        let (array, index) = (2, subscript(src, LONG_LEN, 0));
+                        let x = Expr::Load {
+                            array,
+                            index: Box::new(index.clone()),
+                        };
+                        Instr::StoreArray {
+                            array,
+                            index,
+                            value: bin(op, x, t),
+                        }
+                    }
+                    // `t` loads C at its own subscripts: the array the
+                    // body stores, at a shifted one.
+                    _ => {
+                        let (array, index) = element(src);
+                        Instr::StoreArray {
+                            array,
+                            index,
+                            value: t,
+                        }
+                    }
+                }
+            })
+            .collect();
+        Instr::Loop {
+            var,
+            lo: Expr::IConst(lo),
+            hi: Expr::IConst(hi),
+            step,
+            body,
+        }
+    }
+
     fn stmts(src: &mut Source, depth: u32, branches: bool) -> Vec<Instr> {
         let n = 1 + src.next_below(3);
         (0..n)
-            .map(|_| match src.next_below(if depth == 0 { 5 } else { 8 }) {
+            .map(|_| match src.next_below(if depth == 0 { 7 } else { 10 }) {
                 0 | 1 => Instr::StoreArray {
                     array: src.next_below(2) as usize,
                     index: affine_index(src),
@@ -361,7 +496,8 @@ mod tests {
                     slot: src.next_below(SCALARS.len() as u64) as usize,
                     value: expr(src, 2),
                 },
-                5 if branches => Instr::If {
+                5 | 6 => stream_loop(src),
+                7 if branches => Instr::If {
                     cond: expr(src, 2),
                     then_body: stmts(src, depth - 1, branches),
                     else_body: if src.next_below(2) == 0 {
@@ -432,14 +568,32 @@ mod tests {
 
     #[test]
     fn lowered_form_agrees_with_the_tree_walker() {
+        // One stream loop up front, where nothing has raised yet.
+        let programs = Gen::new(|src| {
+            let mut body = vec![stream_loop(src)];
+            body.extend(stmts(src, 3, true));
+            program(body)
+        });
+        let (cases, streamed) = (Cell::new(0u32), Cell::new(0u32));
         Check::new("spmd_rt::lowered_form_agrees_with_the_tree_walker")
             .cases(1500)
-            .run(&Gen::new(|src| program(stmts(src, 3, true))), |prog| {
+            .run(&programs, |prog| {
+                let before = STREAMED.get();
                 let lowered = outcome(|| run_sequential(prog, ExecMode::Full));
+                cases.set(cases.get() + 1);
+                // The three fills of `program` always stream.
+                streamed.set(streamed.get() + (STREAMED.get() - before > 3) as u32);
                 let oracle = outcome(|| oracle_run(prog));
                 prop_assert_eq!(lowered, oracle);
                 Ok(())
             });
+        // The comparison is only worth its name if the stream path ran.
+        assert!(
+            streamed.get() * 2 >= cases.get(),
+            "{} of {} cases ran a generated loop as a stream",
+            streamed.get(),
+            cases.get()
+        );
     }
 
     /// No `If`, no subscript or bound that can raise, no loop bound that

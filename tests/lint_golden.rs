@@ -69,18 +69,36 @@ fn racy_fixture_is_flagged_with_stable_code() {
     );
 }
 
+/// Lint a fixture without a golden: exit code and human report.
+fn lint(argv: &str) -> (i32, String) {
+    let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();
+    let source = std::fs::read_to_string(repo_path(&format!("examples/fortran/{}", argv[0])))
+        .expect("fixture exists");
+    let out = run(&source, &parse_args(&argv).unwrap()).unwrap();
+    (out.exit, out.text)
+}
+
 #[test]
 fn racy_fixture_is_clean_with_safety_check_active() {
     // Without --unsafe-collect the 5.6 overlap check forces fine-grain
     // collection and the very same program lints clean.
-    let source =
-        std::fs::read_to_string(repo_path("examples/fortran/racy.f")).expect("fixture exists");
-    let argv: Vec<String> = "racy.f --lint --grain coarse --schedule cyclic"
-        .split_whitespace()
-        .map(String::from)
-        .collect();
-    let out = run(&source, &parse_args(&argv).unwrap()).unwrap();
-    assert_eq!(out.exit, 0, "{}", out.text);
+    let (exit, text) = lint("racy.f --lint --grain coarse --schedule cyclic");
+    assert_eq!(exit, 0, "{text}");
+}
+
+/// The checker re-proves the planner's elisions under the planner's
+/// budget (`lmad::COVER_LIMIT`). With a smaller one of its own it
+/// called every slave band past 2¹⁶ elements stale: 15 false VPCE006
+/// on Table 1's machine and size, 5 on two nodes at N = 512.
+#[test]
+fn mm_is_clean_where_a_band_passes_two_to_the_sixteenth() {
+    for argv in [
+        "mm.f --nodes 4 --param N=1024 --grain fine --lint",
+        "mm.f --nodes 2 --param N=512 --lint",
+    ] {
+        let (exit, text) = lint(argv);
+        assert_eq!(exit, 0, "{argv}\n{text}");
+    }
 }
 
 /// `examples/fortran/swim.f` is `vpce_workloads::swim::SOURCE` under a

@@ -581,7 +581,7 @@ fn mixed_type_scalar_assignments_agree_on_every_rank() {
 
 #[test]
 fn mm_inner_statement_lowers_to_its_minimal_shape() {
-    use spmd_rt::lowered::{lower, IExpr, RBin, RExpr, Stmt};
+    use spmd_rt::lowered::{lower, IExpr, RBin, RExpr, Residual, SExpr, Stmt};
 
     // C(I,J) = C(I,J) + A(I,K) * B(K,J): one store, three loads, four
     // subscripts folded to one affine node each, one multiply, one add —
@@ -594,9 +594,10 @@ fn mm_inner_statement_lowers_to_its_minimal_shape() {
     while let Some(Stmt::Loop { body, .. }) = stmts.iter().rfind(|s| matches!(s, Stmt::Loop { .. }))
     {
         stmts = &body.block.stmts;
-        innermost = Some(stmts);
+        innermost = Some(body);
     }
-    let [Stmt::StoreArray { index, value, .. }] = &innermost.expect("MM has loops")[..] else {
+    let innermost = innermost.expect("MM has loops");
+    let [Stmt::StoreArray { index, value, .. }] = &innermost.block.stmts[..] else {
         panic!("innermost body is one array store: {innermost:?}");
     };
 
@@ -606,4 +607,85 @@ fn mm_inner_statement_lowers_to_its_minimal_shape() {
     let RExpr::Bin(RBin::Add, c, product) = value else { panic!("{value:?}") };
     let RExpr::Bin(RBin::Mul, a, b) = &**product else { panic!("{product:?}") };
     assert!(load(c) && load(a) && load(b), "{value:?}");
+
+    // As a stream: those four subscripts are four cursors — C's two
+    // loop-invariant, A(I,K) striding a column per trip, B(K,J) an
+    // element — the product is the one hoisted subtree, and what is
+    // left of the statement is the fold of its strip into C(I,J).
+    let stream = innermost.stream.as_ref().expect("MM's inner loop is a stream");
+    let n = 16;
+    let strides: Vec<i64> = stream.cursors.iter().map(|c| c.k_var).collect();
+    assert_eq!(strides, [0, 0, n, 1], "{:?}", stream.cursors);
+    let [SExpr::Bin(RBin::Mul, a, b)] = &stream.hoisted[..] else {
+        panic!("{:?}", stream.hoisted)
+    };
+    assert!(
+        matches!((&**a, &**b), (SExpr::Load { cursor: 2, .. }, SExpr::Load { cursor: 3, .. })),
+        "{:?}",
+        stream.hoisted
+    );
+    assert!(
+        matches!(
+            stream.residual,
+            Residual::Fold { cursor: 0, op: RBin::Add, strip: 0, .. }
+        ),
+        "{:?}",
+        stream.residual
+    );
+}
+
+/// Every innermost loop of the evaluated workloads runs as a stream;
+/// a body that stops qualifying (a subscript that no longer folds, a
+/// conversion left in integer position) is a per-trip tree walk on a
+/// hot loop and fails here by name.
+#[test]
+fn every_innermost_workload_loop_has_a_stream_form() {
+    use spmd_rt::lowered::{lower, Block, Stmt};
+    use vpce_workloads::{irregular, swim_full};
+
+    /// `(loop variable, has a stream)` per innermost loop, in program
+    /// order.
+    fn innermost(block: &Block, scalars: &[(String, bool)], out: &mut Vec<(String, bool)>) {
+        for s in &block.stmts {
+            match s {
+                Stmt::Loop { body, .. } => {
+                    let before = out.len();
+                    innermost(&body.block, scalars, out);
+                    if out.len() == before {
+                        out.push((scalars[body.var].0.clone(), body.stream.is_some()));
+                    }
+                }
+                Stmt::If {
+                    then_body,
+                    else_body,
+                    ..
+                } => {
+                    innermost(then_body, scalars, out);
+                    innermost(else_body, scalars, out);
+                }
+                _ => {}
+            }
+        }
+    }
+    let loops = |source: &str| {
+        let program = compile(source, &[], &BackendOptions::new(4)).unwrap().program;
+        let mut out = Vec::new();
+        innermost(&lower(&program.sequential, &program.scalars), &program.scalars, &mut out);
+        out
+    };
+    let all = |var: &str, n: usize| vec![(var.to_string(), true); n];
+
+    assert_eq!(loops(mm::SOURCE), [all("J", 1), all("K", 1)].concat());
+    assert_eq!(loops(swim::SOURCE), all("I", 4));
+    assert_eq!(loops(swim_full::SOURCE), all("I", 4));
+    assert_eq!(loops(cfft::SOURCE), all("I", 1));
+    // The two exceptions, both in `irregular` (lines of `SOURCE`):
+    //   line 9, `IDX(I) = MOD(I * 7, N) + 1` — INTEGER `MOD` can raise
+    //     (division by zero), so its trips must run one at a time;
+    //   line 12, `B(I) = A(IDX(I)) * 2.0` — the gather: a subscript
+    //     loaded from memory is not affine in anything.
+    assert_eq!(
+        loops(irregular::SOURCE),
+        [("I".to_string(), false), ("I".to_string(), false)]
+    );
 }

@@ -19,7 +19,7 @@ use vpce::{
     compile, BackendOptions, ClusterConfig, ExecMode, Granularity, Schedule, Tracer,
 };
 use vpce_testkit::prelude::*;
-use vpce_workloads::{max_abs_diff, mm, swim};
+use vpce_workloads::{cfft, idx2, irregular, max_abs_diff, mm, swim, swim_full};
 
 /// A randomly drawn execution configuration.
 #[derive(Debug, Clone)]
@@ -57,11 +57,20 @@ fn arb_config(n_lo: usize, n_hi: usize) -> Gen<Config> {
 type NamedArrays = Vec<(String, Vec<f64>)>;
 
 fn run_both(source: &str, cfg: &Config) -> Result<(NamedArrays, spmd_rt::RunReport), PropError> {
+    run_both_sized(source, "N", cfg)
+}
+
+/// [`run_both`] for a workload whose size parameter is `param`.
+fn run_both_sized(
+    source: &str,
+    param: &str,
+    cfg: &Config,
+) -> Result<(NamedArrays, spmd_rt::RunReport), PropError> {
     let mut opts = BackendOptions::new(cfg.nprocs).granularity(cfg.g);
     if cfg.cyclic {
         opts = opts.schedule(Schedule::Cyclic);
     }
-    let compiled = compile(source, &[("N", cfg.n as i64)], &opts)
+    let compiled = compile(source, &[(param, cfg.n as i64)], &opts)
         .map_err(|e| PropError::fail(format!("compile failed under {cfg:?}: {e}")))?;
     let cluster = ClusterConfig::paper_n(cfg.nprocs);
     let par = spmd_rt::execute(&compiled.program, &cluster, ExecMode::Full);
@@ -101,6 +110,123 @@ fn mm_differential_over_random_configs() {
             prop_assert!(diff < 1e-12, "{:?}: max diff {} vs reference", cfg, diff);
             Ok(())
         });
+}
+
+/// The interpreter runs an innermost loop a strip of 64 trips at a time
+/// (`spmd_rt::lowered`), hoisting what the body cannot affect and
+/// folding `C(I,J) = C(I,J) + …` in order. None of that may move a bit:
+/// at inner trip counts below, at, just past and at twice-and-a-bit the
+/// strip width, block and cyclic, every array of every workload equals
+/// its native reference *exactly* — a reference that knows nothing of
+/// strips, so a slip the parallel and sequential runs share still
+/// shows.
+#[test]
+fn workloads_equal_their_references_on_both_sides_of_the_strip_width() {
+    let cfg = |n, nprocs, g, cyclic| Config {
+        n,
+        nprocs,
+        g,
+        cyclic,
+    };
+    use Granularity::{Coarse, Fine, Middle};
+    let same = |arrays: &NamedArrays, name: &str, want: &[f64], cfg: &Config| {
+        assert!(named(arrays, name) == want, "{name} differs from its reference under {cfg:?}");
+    };
+
+    for c in [
+        cfg(63, 3, Coarse, false),
+        cfg(64, 4, Fine, true),
+        cfg(65, 2, Middle, false),
+        cfg(130, 4, Coarse, true),
+    ] {
+        let (arrays, _) = run_both(mm::SOURCE, &c).unwrap();
+        let (a, b, want) = mm::reference(c.n);
+        same(&arrays, "A", &a, &c);
+        same(&arrays, "B", &b, &c);
+        same(&arrays, "C", &want, &c);
+
+        // DO K = N, 1, -1: the cursors walk backwards and the fold
+        // takes its terms in that order.
+        let reversed = mm::SOURCE.replace("DO K = 1, N", "DO K = N, 1, -1");
+        assert_ne!(reversed, mm::SOURCE);
+        let (arrays, _) = run_both(&reversed, &c).unwrap();
+        let mut want = vec![0.0; c.n * c.n];
+        for i in 1..=c.n {
+            for j in 1..=c.n {
+                want[idx2(i, j, c.n)] = (1..=c.n)
+                    .rev()
+                    .fold(0.0, |s, k| s + a[idx2(i, k, c.n)] * b[idx2(k, j, c.n)]);
+            }
+        }
+        same(&arrays, "C", &want, &c);
+    }
+
+    for c in [
+        cfg(40, 4, Middle, false),
+        cfg(66, 3, Coarse, true),
+        cfg(67, 4, Fine, false),
+        cfg(132, 2, Coarse, true),
+    ] {
+        let (arrays, _) = run_both(swim::SOURCE, &c).unwrap();
+        let r = swim::reference(c.n);
+        for (name, want) in [
+            ("U", &r.u),
+            ("V", &r.v),
+            ("P", &r.p),
+            ("CU", &r.cu),
+            ("CV", &r.cv),
+            ("Z", &r.z),
+            ("H", &r.h),
+            ("UNEW", &r.unew),
+            ("VNEW", &r.vnew),
+            ("PNEW", &r.pnew),
+        ] {
+            same(&arrays, name, want, &c);
+        }
+
+        let (arrays, _) = run_both(swim_full::SOURCE, &c).unwrap();
+        let r = swim_full::reference(c.n);
+        for (name, want) in [
+            ("U", &r.u),
+            ("V", &r.v),
+            ("P", &r.p),
+            ("UOLD", &r.uold),
+            ("VOLD", &r.vold),
+            ("POLD", &r.pold),
+            ("UNEW", &r.unew),
+            ("VNEW", &r.vnew),
+            ("PNEW", &r.pnew),
+            ("CU", &r.cu),
+            ("CV", &r.cv),
+            ("Z", &r.z),
+            ("H", &r.h),
+        ] {
+            same(&arrays, name, want, &c);
+        }
+    }
+
+    // CFFT's one loop is the parallel one: a rank's share of 2^M trips.
+    for c in [
+        cfg(5, 1, Coarse, false),
+        cfg(7, 1, Fine, false),
+        cfg(8, 3, Middle, true),
+        cfg(9, 4, Fine, false),
+    ] {
+        let (arrays, _) = run_both_sized(cfft::SOURCE, "M", &c).unwrap();
+        let (w, winv) = cfft::reference(c.n as u32);
+        same(&arrays, "W", &w, &c);
+        same(&arrays, "WINV", &winv, &c);
+    }
+
+    // No stream here (an INTEGER `MOD`, a gathered subscript): the
+    // per-trip walk next to the streams must be as it was.
+    for c in [cfg(63, 2, Fine, false), cfg(200, 4, Coarse, true)] {
+        let (arrays, _) = run_both(irregular::SOURCE, &c).unwrap();
+        let (a, idx, b) = irregular::reference(c.n);
+        same(&arrays, "A", &a, &c);
+        same(&arrays, "IDX", &idx.iter().map(|&v| v as f64).collect::<Vec<_>>(), &c);
+        same(&arrays, "B", &b, &c);
+    }
 }
 
 /// Across a deterministic spread of granularities and problem sizes,
