@@ -1,7 +1,7 @@
 //! Run the chaos matrix: the paper workloads under seeded fault
 //! schedules on 4 nodes, printing the self-healing counters and, with
-//! `--json PATH`, writing the fault-counter JSON the CI `chaos` job
-//! uploads as an artifact. Exits nonzero if any survived run diverged
+//! `--json PATH`, writing the fault-counter JSON committed as
+//! `BENCH_chaos.json`. Exits nonzero if any survived run diverged
 //! from its fault-free results — the one outcome the fault plane must
 //! never produce.
 
@@ -9,31 +9,10 @@ use cluster_sim::ClusterConfig;
 use vpce_bench::chaos;
 
 fn main() {
-    let mut json_path = None;
-    let mut seeds = 5u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--seeds" => {
-                seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds needs a number")
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (accepted: --json PATH, --seeds N)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (json_path, [seeds]) = vpce_bench::sweep_args([("--seeds", chaos::SEEDS)]);
     let cells = chaos::sweep(&ClusterConfig::paper_4node(), seeds);
     chaos::print_sweep("nominal card, 4 nodes", &cells);
-    if let Some(path) = json_path {
-        let doc = format!("{{\n  \"cells\": {}\n}}\n", chaos::to_json(&cells));
-        std::fs::write(&path, doc).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &chaos::json_doc(&cells));
     let diverged: Vec<_> = cells.iter().filter(|c| c.survived && !c.identical).collect();
     let survived = cells.iter().filter(|c| c.survived).count();
     let typed_errors = cells.len() - survived;

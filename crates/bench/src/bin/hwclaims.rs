@@ -1,6 +1,6 @@
 //! Regenerate the hardware claims C1-C4 (DESIGN.md section 4).
 
-use vpce_bench::{fmt_secs, hwclaims};
+use vpce_bench::{fmt_secs, hwclaims, machine};
 
 fn main() {
     println!("== C1: link signalling modes (SKWP vs conventional, paper: ~4x) ==");
@@ -65,6 +65,9 @@ fn main() {
         );
     }
 
-    println!("\n== C5: machines x workloads (the declarative zoo, 8 nodes) ==");
-    vpce_bench::machine::print(&vpce_bench::machine::sweep(vpce_bench::machine::MACHINES, 8));
+    println!(
+        "\n== C5: machines x workloads (the declarative zoo, {} nodes) ==",
+        machine::NODES
+    );
+    machine::print(&machine::sweep(machine::MACHINES, machine::NODES));
 }

@@ -1,38 +1,18 @@
 //! Run the machines × workloads sweep: every built-in machine
 //! description (the paper baseline, its link ablations, and the
 //! non-mesh topology zoo) executes every example workload end to end.
-//! With `--json PATH` writes the JSON artifact the CI `machine` job
-//! uploads (`BENCH_machine.json`). Exits nonzero if any cell's
+//! With `--json PATH` writes the JSON committed as
+//! `BENCH_machine.json`. Exits nonzero if any cell's
 //! numerics diverged from sequential execution or the zoo lost its
 //! non-mesh coverage — fabric choice must never change results.
 
 use vpce_bench::machine;
 
 fn main() {
-    let mut json_path = None;
-    let mut nodes = 8usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--nodes" => {
-                nodes = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--nodes needs a number")
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (accepted: --json PATH, --nodes N)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let points = machine::sweep(machine::MACHINES, nodes);
+    let (json_path, [nodes]) = vpce_bench::sweep_args([("--nodes", machine::NODES as u64)]);
+    let points = machine::sweep(machine::MACHINES, nodes as usize);
     machine::print(&points);
-    if let Some(path) = json_path {
-        std::fs::write(&path, machine::to_json(&points)).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &machine::json_doc(&points));
     if !machine::healthy(&points) {
         eprintln!("FAIL: a sweep cell diverged from sequential numerics or the zoo lost coverage");
         std::process::exit(1);

@@ -1,37 +1,17 @@
 //! Run the rollback-recovery benchmark: checkpoint premium on a
 //! crash-free run, time-to-recover and replay amplification across
 //! seeded crash schedules, per workload. With `--json PATH` writes the
-//! JSON artifact the CI `recovery` job uploads (`BENCH_recovery.json`).
+//! JSON committed as `BENCH_recovery.json`.
 //! Exits nonzero if any recovered run diverged from the crash-free
 //! baseline or a workload absorbed no crashes at all.
 
 use vpce_bench::recover;
 
 fn main() {
-    let mut json_path = None;
-    let mut seeds = 32u64;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--seeds" => {
-                seeds = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seeds needs a number")
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (accepted: --json PATH, --seeds N)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (json_path, [seeds]) = vpce_bench::sweep_args([("--seeds", recover::SEEDS)]);
     let bench = recover::run(seeds);
     recover::print(&bench);
-    if let Some(path) = json_path {
-        std::fs::write(&path, recover::to_json(&bench)).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &recover::json_doc(&bench));
     if !recover::healthy(&bench) {
         eprintln!("FAIL: recovery sweep unhealthy: {bench:?}");
         std::process::exit(1);

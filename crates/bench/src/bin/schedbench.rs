@@ -1,45 +1,21 @@
 //! Run the scheduler sweep: seeded traffic storms over machine size ×
 //! arrival rate × policy (fcfs vs backfill), printing the throughput
-//! grid and, with `--json PATH`, writing the JSON artifact the CI
-//! `sched` job uploads. Exits nonzero if any fault-free storm fails
+//! grid and, with `--json PATH`, writing the JSON committed as
+//! `BENCH_sched.json`. Exits nonzero if any fault-free storm fails
 //! to complete every job — the liveness outcome the gang scheduler
 //! must never produce.
 
 use vpce_bench::sched;
 
 fn main() {
-    let mut json_path = None;
-    let mut seed = 1u64;
-    let mut per_storm = 6usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--seed" => {
-                seed = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--seed needs a number")
-            }
-            "--jobs" => {
-                per_storm = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a number")
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (accepted: --json PATH, --seed N, --jobs N)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (json_path, [seed, per_storm]) = vpce_bench::sweep_args([
+        ("--seed", sched::SEED),
+        ("--jobs", sched::JOBS_PER_STORM as u64),
+    ]);
+    let per_storm = per_storm as usize;
     let cells = sched::sweep(seed, per_storm);
     sched::print_sweep(&format!("seed {seed}, {per_storm} jobs per storm"), &cells);
-    if let Some(path) = json_path {
-        let doc = format!("{{\n  \"cells\": {}\n}}\n", sched::to_json(&cells));
-        std::fs::write(&path, doc).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &sched::json_doc(&cells));
     let incomplete: Vec<_> = cells.iter().filter(|c| c.done != c.jobs).collect();
     println!(
         "\n{} cells: {} completed every job, {} incomplete",

@@ -1,46 +1,20 @@
-//! Run the `vpced` service benchmark: sustained submission ingest,
-//! time-to-recovery from a sealed journal, and the seeded kill/restart
-//! matrix. With `--json PATH` writes the JSON artifact the CI `serve`
-//! job uploads (`BENCH_serve.json`). Exits nonzero if any kill point
-//! failed to fire or any recovered run diverged from the baseline —
-//! the crash-safety outcome the daemon must never produce.
+//! Run the `vpced` service benchmark: submission ingest, recovery
+//! from a sealed journal, and the seeded kill/restart matrix. With
+//! `--json PATH` writes the JSON committed as `BENCH_serve.json`.
+//! Exits nonzero if any kill point failed to fire or any recovered run
+//! diverged from the baseline — the crash-safety outcome the daemon
+//! must never produce.
 
 use vpce_bench::serve;
 
 fn main() {
-    let mut json_path = None;
-    let mut jobs = 24usize;
-    let mut points = 64usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--jobs" => {
-                jobs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--jobs needs a number")
-            }
-            "--points" => {
-                points = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--points needs a number")
-            }
-            other => {
-                eprintln!(
-                    "unknown argument `{other}` (accepted: --json PATH, --jobs N, --points N)"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    let bench = serve::run(jobs, points);
+    let (json_path, [jobs, points]) = vpce_bench::sweep_args([
+        ("--jobs", serve::JOBS as u64),
+        ("--points", serve::KILL_POINTS as u64),
+    ]);
+    let bench = serve::run(jobs as usize, points as usize);
     serve::print(&bench);
-    if let Some(path) = json_path {
-        std::fs::write(&path, serve::to_json(&bench)).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &serve::json_doc(&bench));
     if !serve::healthy(&bench) {
         eprintln!(
             "FAIL: kill matrix unhealthy ({} divergent, {} restarts over {} points)",

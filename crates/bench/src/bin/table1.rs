@@ -1,36 +1,18 @@
 //! Regenerate Table 1: MM speedups for 256^2/512^2/1024^2 on 1/2/4
 //! nodes, on the nominal card and on the calibrated prototype.
-//! `--json PATH` additionally writes both sweeps as JSON (the CI
-//! benchmark artifact).
+//! `--json PATH` additionally writes both sweeps as JSON — the
+//! committed `BENCH_table1.json`.
 
 use cluster_sim::ClusterConfig;
 use vpce_bench::table1;
 
 fn main() {
-    let mut json_path = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            other => {
-                eprintln!("unknown argument `{other}` (only --json PATH is accepted)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (json_path, []) = vpce_bench::sweep_args([]);
     let nominal = table1::sweep(ClusterConfig::paper_n);
     table1::print_sweep("nominal card: 50 MB/s SKWP links", &nominal);
     let proto = table1::sweep(ClusterConfig::prototype_n);
     table1::print_sweep("calibrated prototype: ~6 MB/s achieved", &proto);
-    if let Some(path) = json_path {
-        let doc = format!(
-            "{{\n  \"nominal\": {},\n  \"prototype\": {}\n}}\n",
-            table1::to_json(&nominal),
-            table1::to_json(&proto)
-        );
-        std::fs::write(&path, doc).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &table1::json_doc(&nominal, &proto));
     println!("\npaper Table 1 for reference:");
     println!("{:>10} {:>8} {:>8} {:>8}", "size", "1 node", "2 nodes", "4 nodes");
     for (i, &size) in table1::SIZES.iter().enumerate() {

@@ -1,30 +1,16 @@
 //! Regenerate Table 2: communication time at fine/middle/coarse for
 //! MM(1024), SWIM(512, ITMAX=1) and CFFT2INIT(M=11) on 4 nodes.
-//! `--json PATH` additionally writes the grid as JSON (the CI
-//! benchmark artifact).
+//! `--json PATH` additionally writes the grid as JSON — the committed
+//! `BENCH_table2.json`.
 
 use cluster_sim::ClusterConfig;
 use vpce_bench::table2;
 
 fn main() {
-    let mut json_path = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            other => {
-                eprintln!("unknown argument `{other}` (only --json PATH is accepted)");
-                std::process::exit(2);
-            }
-        }
-    }
+    let (json_path, []) = vpce_bench::sweep_args([]);
     let cells = table2::sweep(&ClusterConfig::paper_4node());
     table2::print_sweep("nominal card, 4 nodes", &cells);
-    if let Some(path) = json_path {
-        let doc = format!("{{\n  \"cells\": {}\n}}\n", table2::to_json(&cells));
-        std::fs::write(&path, doc).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &table2::json_doc(&cells));
     println!("\npaper Table 2 for reference (seconds; * = not reported):");
     println!("{:>18} {:>10} {:>10} {:>10}", "workload", "fine", "middle", "coarse");
     for row in table2::PAPER {

@@ -1,8 +1,8 @@
 //! Run the transport sweep: a neighbour ring of one-sided PUTs over
 //! message size × protocol mode (auto / forced-eager /
 //! forced-rendezvous) × registered pool size, printing the crossover
-//! grid and, with `--json PATH`, writing the artifact the CI
-//! `transport` job uploads (`BENCH_transport.json` at the repo root).
+//! grid and, with `--json PATH`, writing the JSON committed as
+//! `BENCH_transport.json`.
 //! Exits nonzero if the policy's auto mode ever loses to *both* forced
 //! modes at the same size — the one outcome a cost-model threshold
 //! must never produce.
@@ -11,31 +11,10 @@ use cluster_sim::ClusterConfig;
 use vpce_bench::transport;
 
 fn main() {
-    let mut json_path = None;
-    let mut epochs = 4usize;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--json" => json_path = Some(args.next().expect("--json needs a path")),
-            "--epochs" => {
-                epochs = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--epochs needs a number")
-            }
-            other => {
-                eprintln!("unknown argument `{other}` (accepted: --json PATH, --epochs N)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let cells = transport::sweep(&ClusterConfig::paper_n(4), epochs);
+    let (json_path, [epochs]) = vpce_bench::sweep_args([("--epochs", transport::EPOCHS as u64)]);
+    let cells = transport::sweep(&ClusterConfig::paper_n(4), epochs as usize);
     transport::print_sweep("nominal card, 4-rank ring", &cells);
-    if let Some(path) = json_path {
-        let doc = format!("{{\n  \"cells\": {}\n}}\n", transport::to_json(&cells));
-        std::fs::write(&path, doc).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
+    vpce_bench::write_json(json_path, &transport::json_doc(&cells));
     let mut regressions = 0;
     for bytes in transport::SWEEP_BYTES {
         for slots in transport::POOL_SIZES {

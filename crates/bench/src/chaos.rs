@@ -5,8 +5,8 @@
 //! headline invariant: survivable schedules leave workload results
 //! byte-identical to the fault-free run.
 //!
-//! The `chaos` binary prints the grid and exports it as the CI
-//! fault-counter JSON artifact.
+//! The `chaos` binary prints the grid; its `--json` document is the
+//! committed `BENCH_chaos.json`.
 
 use cluster_sim::ClusterConfig;
 use lmad::Granularity;
@@ -56,6 +56,9 @@ fn schedules() -> Vec<(&'static str, FaultSpec)> {
         ("crashy", FaultSpec::crashy()),
     ]
 }
+
+/// Seeds per (workload, schedule) pair in the committed matrix.
+pub const SEEDS: u64 = 5;
 
 /// Run the full matrix on `cluster` with `seeds` seeds per
 /// (workload, schedule) pair.
@@ -146,9 +149,13 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
     }
 }
 
-/// Render the matrix as a JSON array for the CI fault-counter
-/// artifact.
-pub fn to_json(cells: &[Cell]) -> String {
+/// The committed `BENCH_chaos.json` (at [`SEEDS`] seeds).
+pub fn json_doc(cells: &[Cell]) -> String {
+    crate::cells_doc(&to_json(cells))
+}
+
+/// Render the matrix as a JSON array.
+fn to_json(cells: &[Cell]) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|c| {

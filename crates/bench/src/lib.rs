@@ -32,9 +32,15 @@
 //!   seeded crash schedules, with byte-identity cross-checked on every
 //!   absorbed schedule.
 //!
-//! Each module computes plain data structures; the `table1`, `table2`,
-//! `hwclaims`, `ablation` and `chaos` binaries print them as the
-//! paper-style rows recorded in `EXPERIMENTS.md`.
+//! Each module computes plain data structures; the binaries print them
+//! as the paper-style rows recorded in `EXPERIMENTS.md`.
+//!
+//! Every number a sweep exports is **virtual time or a count** — a pure
+//! function of the source tree. The eight sweeps with a `json_doc`
+//! commit it as `BENCH_*.json` at the repository root, held
+//! byte-for-byte by `tests/bench_golden.rs`; a binary's `--json PATH`
+//! writes the same document. Nothing here reads the host's clock: host
+//! time has one ruler, `perfbench/`.
 
 #![forbid(unsafe_code)]
 
@@ -57,6 +63,48 @@ pub fn json_num(v: f64) -> String {
     let s = format!("{v}");
     debug_assert!(!s.contains(['e', 'E']), "exponent in JSON number: {s}");
     s
+}
+
+/// The sweep binaries' whole command line: `--json PATH` plus the
+/// numeric options named in `numeric` (with their defaults). Returns
+/// the path and the values in `numeric`'s order; anything else is a
+/// usage error (exit 2).
+pub fn sweep_args<const N: usize>(numeric: [(&str, u64); N]) -> (Option<String>, [u64; N]) {
+    let mut json_path = None;
+    let mut values = numeric.map(|(_, default)| default);
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
+        let slot = numeric.iter().position(|(name, _)| *name == a);
+        match (a.as_str(), slot) {
+            ("--json", _) => json_path = Some(args.next().expect("--json needs a path")),
+            (_, Some(i)) => {
+                values[i] = args
+                    .next()
+                    .and_then(|v| v.parse().ok())
+                    .unwrap_or_else(|| panic!("{a} needs a number"))
+            }
+            _ => {
+                let names: String = numeric.iter().map(|(n, _)| format!(", {n} N")).collect();
+                eprintln!("unknown argument `{a}` (accepted: --json PATH{names})");
+                std::process::exit(2);
+            }
+        }
+    }
+    (json_path, values)
+}
+
+/// What `--json PATH` does with a sweep's `json_doc`.
+pub fn write_json(path: Option<String>, doc: &str) {
+    if let Some(path) = path {
+        std::fs::write(&path, doc).expect("write --json output");
+        eprintln!("wrote {path}");
+    }
+}
+
+/// The `{"cells": [...]}` document most sweeps commit as their
+/// `BENCH_*.json`, around a module's rendered row array.
+fn cells_doc(rows: &str) -> String {
+    format!("{{\n  \"cells\": {rows}\n}}\n")
 }
 
 /// Render a float with engineering-style precision for tables.

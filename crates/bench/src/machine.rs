@@ -4,9 +4,9 @@
 //! sequential execution, and the byte-identity invariant (numerics
 //! must never depend on the fabric).
 //!
-//! The `machinebench` binary prints the table and exports the CI
-//! `--json` artifact (`BENCH_machine.json`); the `hwclaims` binary
-//! prints the same sweep as its final section.
+//! The `machinebench` binary prints the table; its `--json` document
+//! is the committed `BENCH_machine.json`. The `hwclaims` binary prints
+//! the same sweep as its final section.
 
 use lmad::Granularity;
 use polaris_be::BackendOptions;
@@ -38,6 +38,9 @@ pub const MACHINES: &[&str] = &[
     "fattree",
     "hypercube",
 ];
+
+/// PCs per machine in the committed sweep.
+pub const NODES: usize = 8;
 
 const WORKLOADS: &[(&str, &str, i64)] = &[
     ("mm", vpce_workloads::mm::SOURCE, 32),
@@ -110,8 +113,8 @@ pub fn print(points: &[MachinePoint]) {
     }
 }
 
-/// Stable-JSON export for the CI artifact.
-pub fn to_json(points: &[MachinePoint]) -> String {
+/// The committed `BENCH_machine.json` (at [`NODES`] nodes).
+pub fn json_doc(points: &[MachinePoint]) -> String {
     let mut s = String::from("{\n  \"points\": [\n");
     for (i, p) in points.iter().enumerate() {
         s.push_str(&format!(
@@ -157,7 +160,7 @@ mod tests {
             comm("conventional", "mm"),
             comm("paper", "mm")
         );
-        let json = to_json(&points);
+        let json = json_doc(&points);
         assert!(json.contains("\"crossbar\""), "{json}");
         assert!(json.contains("\"fattree\""), "{json}");
         assert!(json.contains("\"torus3d\""), "{json}");

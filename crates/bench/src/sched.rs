@@ -3,10 +3,10 @@
 //! half-machine-wide low-priority job plus two narrow storms) to
 //! `vpce_sched::run_batch` and records the report's headline numbers:
 //! utilization, peak gang concurrency, queue-wait and makespan
-//! percentiles. The `schedbench` binary prints the grid and exports
-//! the CI `--json` artifact; the interesting comparison is fcfs vs
-//! backfill under heavy load, where backfill fills the holes in front
-//! of the wide job's reservation.
+//! percentiles. The `schedbench` binary prints the grid; its `--json`
+//! document is the committed `BENCH_sched.json`. The interesting
+//! comparison is fcfs vs backfill under heavy load, where backfill
+//! fills the holes in front of the wide job's reservation.
 
 use vpce_sched::{
     run_batch, BatchOptions, BatchReport, BatchSpec, JobSource, JobSpec, Policy, StormSpec,
@@ -101,6 +101,10 @@ fn cell(rep: &BatchReport, load: &'static str, mean_gap_s: f64) -> Cell {
     }
 }
 
+/// Batch seed and jobs per storm of the committed sweep.
+pub const SEED: u64 = 1;
+pub const JOBS_PER_STORM: usize = 6;
+
 /// Run the sweep: machine sizes × loads × policies, `per_storm` jobs
 /// per storm (two storms per cell, plus the wide job).
 pub fn sweep(seed: u64, per_storm: usize) -> Vec<Cell> {
@@ -144,8 +148,13 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
     }
 }
 
-/// Render the sweep as a JSON array for the CI artifact.
-pub fn to_json(cells: &[Cell]) -> String {
+/// The committed `BENCH_sched.json` (at [`SEED`], [`JOBS_PER_STORM`]).
+pub fn json_doc(cells: &[Cell]) -> String {
+    crate::cells_doc(&to_json(cells))
+}
+
+/// Render the sweep as a JSON array.
+fn to_json(cells: &[Cell]) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|c| {

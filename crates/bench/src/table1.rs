@@ -91,9 +91,18 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
     }
 }
 
+/// The committed `BENCH_table1.json`: both hardware variants' sweeps.
+pub fn json_doc(nominal: &[Cell], prototype: &[Cell]) -> String {
+    format!(
+        "{{\n  \"nominal\": {},\n  \"prototype\": {}\n}}\n",
+        to_json(nominal),
+        to_json(prototype)
+    )
+}
+
 /// Render a sweep as a JSON array (hand-rolled — the workspace has no
-/// serde) for the CI benchmark artifacts.
-pub fn to_json(cells: &[Cell]) -> String {
+/// serde).
+fn to_json(cells: &[Cell]) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|c| {

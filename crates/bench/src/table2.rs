@@ -185,9 +185,13 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
     }
 }
 
-/// Render the grid as a JSON array (hand-rolled) for the CI benchmark
-/// artifacts.
-pub fn to_json(cells: &[Cell]) -> String {
+/// The committed `BENCH_table2.json`.
+pub fn json_doc(cells: &[Cell]) -> String {
+    crate::cells_doc(&to_json(cells))
+}
+
+/// Render the grid as a JSON array (hand-rolled).
+fn to_json(cells: &[Cell]) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|c| {

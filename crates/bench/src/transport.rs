@@ -8,9 +8,8 @@
 //! pool sizes, so the cost of a starved pool (fallbacks, waits) is a
 //! row in the table rather than folklore.
 //!
-//! The `transportbench` binary prints the grid and, with `--json PATH`,
-//! writes the artifact the CI `transport` job uploads
-//! (`BENCH_transport.json` at the repo root).
+//! The `transportbench` binary prints the grid; its `--json` document
+//! is the committed `BENCH_transport.json`.
 
 use cluster_sim::{ClusterConfig, Protocol};
 use mpi2::{TransportPolicy, Universe, ELEM_BYTES};
@@ -127,6 +126,9 @@ fn run_cell(cfg: &ClusterConfig, mode: Mode, bytes: usize, slots: usize, epochs:
     }
 }
 
+/// Fence epochs per cell in the committed grid.
+pub const EPOCHS: usize = 4;
+
 /// The full grid: size × mode × pool, `epochs` fence epochs per cell.
 pub fn sweep(cluster: &ClusterConfig, epochs: usize) -> Vec<Cell> {
     let mut cells = Vec::new();
@@ -175,8 +177,13 @@ fn fmt_bytes(b: f64) -> String {
     }
 }
 
-/// Render the grid as a JSON array for the CI artifact.
-pub fn to_json(cells: &[Cell]) -> String {
+/// The committed `BENCH_transport.json` (at [`EPOCHS`] epochs).
+pub fn json_doc(cells: &[Cell]) -> String {
+    crate::cells_doc(&to_json(cells))
+}
+
+/// Render the grid as a JSON array.
+fn to_json(cells: &[Cell]) -> String {
     let rows: Vec<String> = cells
         .iter()
         .map(|c| {

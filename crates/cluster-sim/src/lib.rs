@@ -28,13 +28,11 @@
 #![forbid(unsafe_code)]
 
 pub mod cpu;
-pub mod memory;
 pub mod nic;
 
 use vbus_sim::NetConfig;
 
 pub use cpu::{CpuModel, OpCounts};
-pub use memory::MemoryTracker;
 pub use nic::{HostCostBreakdown, NicModel, Protocol, TransferKind};
 pub use vbus_sim::Mesh;
 

@@ -16,11 +16,37 @@ fn exit(outcome: Outcome) -> ExitCode {
     ExitCode::from(u8::try_from(outcome.exit_code()).unwrap_or(1))
 }
 
-fn write_or_die(path: &str, contents: &str, what: &str) -> Result<(), ExitCode> {
-    std::fs::write(path, contents).map_err(|e| {
-        eprintln!("error: cannot write {what} {path}: {e}");
-        exit(Outcome::IoError)
-    })
+/// The one way out of a mode that ran: print the report, write each
+/// side file the arguments asked for and the mode produced, and exit
+/// with the run's outcome.
+fn emit(args: &cli::CliArgs, out: cli::RunOutput) -> ExitCode {
+    print!("{}", out.text);
+    // `--batch` and `--serve` trace the whole machine, not one run.
+    let whole_machine = args.batch.is_some() || args.serve.is_some();
+    let trace = if whole_machine {
+        "cluster timeline"
+    } else {
+        "trace"
+    };
+    let side_files = [
+        (&args.lint_json, &out.lint_json, "lint JSON"),
+        (&args.verify_json, &out.verify_json, "verify JSON"),
+        (&args.batch_json, &out.batch_json, "batch report"),
+        (&args.trace, &out.trace_json, trace),
+    ];
+    for (path, contents, what) in side_files {
+        let (Some(path), Some(contents)) = (path, contents) else {
+            continue;
+        };
+        if let Err(e) = std::fs::write(path, contents) {
+            eprintln!("error: cannot write {what} {path}: {e}");
+            return exit(Outcome::IoError);
+        }
+    }
+    if let (Some(path), Some(_)) = (&args.trace, &out.trace_json) {
+        eprintln!("{trace} written to {path} (load in ui.perfetto.dev)");
+    }
+    exit(out.outcome)
 }
 
 fn main() -> ExitCode {
@@ -64,9 +90,7 @@ fn main() -> ExitCode {
         }
     }
     if args.machine_dump {
-        let out = cli::run_machine_dump(&args);
-        print!("{}", out.text);
-        return exit(out.outcome);
+        return emit(&args, cli::run_machine_dump(&args));
     }
 
     if let Some(script_path) = args.serve.clone() {
@@ -84,26 +108,7 @@ fn main() -> ExitCode {
         }
     };
     match cli::run(&source, &args) {
-        Ok(out) => {
-            print!("{}", out.text);
-            if let (Some(path), Some(json)) = (&args.lint_json, &out.lint_json) {
-                if let Err(code) = write_or_die(path, json, "lint JSON") {
-                    return code;
-                }
-            }
-            if let (Some(path), Some(json)) = (&args.verify_json, &out.verify_json) {
-                if let Err(code) = write_or_die(path, json, "verify JSON") {
-                    return code;
-                }
-            }
-            if let (Some(path), Some(json)) = (&args.trace, &out.trace_json) {
-                if let Err(code) = write_or_die(path, json, "trace") {
-                    return code;
-                }
-                eprintln!("trace written to {path} (load in ui.perfetto.dev)");
-            }
-            exit(out.outcome)
-        }
+        Ok(out) => emit(&args, out),
         Err(e) => {
             eprintln!("compile error: {e}");
             exit(Outcome::UsageError)
@@ -147,20 +152,7 @@ fn run_serve(script_path: &str, args: &cli::CliArgs) -> ExitCode {
         },
         None => &mut mem,
     };
-    let out = cli::run_serve(&script, args, storage);
-    print!("{}", out.text);
-    if let (Some(path), Some(json)) = (&args.batch_json, &out.batch_json) {
-        if let Err(code) = write_or_die(path, json, "batch report") {
-            return code;
-        }
-    }
-    if let (Some(path), Some(json)) = (&args.trace, &out.trace_json) {
-        if let Err(code) = write_or_die(path, json, "cluster timeline") {
-            return code;
-        }
-        eprintln!("cluster timeline written to {path} (load in ui.perfetto.dev)");
-    }
-    exit(out.outcome)
+    emit(args, cli::run_serve(&script, args, storage))
 }
 
 fn run_batch(jobfile_path: &str, args: &cli::CliArgs) -> ExitCode {
@@ -180,21 +172,7 @@ fn run_batch(jobfile_path: &str, args: &cli::CliArgs) -> ExitCode {
         std::fs::read_to_string(&full).map_err(|e| e.to_string())
     };
     match cli::run_batch(&jobfile, args, &loader) {
-        Ok(out) => {
-            print!("{}", out.text);
-            if let (Some(path), Some(json)) = (&args.batch_json, &out.batch_json) {
-                if let Err(code) = write_or_die(path, json, "batch report") {
-                    return code;
-                }
-            }
-            if let (Some(path), Some(json)) = (&args.trace, &out.trace_json) {
-                if let Err(code) = write_or_die(path, json, "cluster timeline") {
-                    return code;
-                }
-                eprintln!("cluster timeline written to {path} (load in ui.perfetto.dev)");
-            }
-            exit(out.outcome)
-        }
+        Ok(out) => emit(args, out),
         Err(e) => {
             eprintln!("error: {e}");
             exit(Outcome::UsageError)

@@ -508,6 +508,22 @@ pub struct RunOutput {
     pub batch_json: Option<String>,
 }
 
+impl RunOutput {
+    /// An ending with no side file. The one place `exit` is derived
+    /// from `outcome`; a side file is added with struct-update syntax.
+    pub fn new(text: String, outcome: Outcome) -> Self {
+        RunOutput {
+            text,
+            exit: outcome.exit_code(),
+            outcome,
+            lint_json: None,
+            verify_json: None,
+            trace_json: None,
+            batch_json: None,
+        }
+    }
+}
+
 /// Resolve a `--machine` operand: a built-in description name, else a
 /// `.machine` file the loader reads (the loader also serves `include=`
 /// names inside the file, so tests can inject closures and the binary
@@ -528,15 +544,7 @@ pub fn load_machine(operand: &str, loader: &SourceLoader) -> Result<MachineSpec,
 /// back to the identical spec — the round trip CI lints against.
 pub fn run_machine_dump(args: &CliArgs) -> RunOutput {
     let spec = args.machine_spec.clone().unwrap_or_default();
-    RunOutput {
-        text: spec.dump(),
-        exit: Outcome::Success.exit_code(),
-        outcome: Outcome::Success,
-        lint_json: None,
-        verify_json: None,
-        trace_json: None,
-        batch_json: None,
-    }
+    RunOutput::new(spec.dump(), Outcome::Success)
 }
 
 /// Execute the request against already-loaded source text. Returns the
@@ -560,16 +568,10 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
             // A shape the description cannot host at this node count
             // (e.g. a 6-node hypercube, or no node at all) is a usage
             // error, not a compile error.
-            let outcome = Outcome::UsageError;
-            return Ok(RunOutput {
-                text: format!("error: machine `{}`: {e}\n", machine.name),
-                exit: outcome.exit_code(),
-                outcome,
-                lint_json: None,
-                verify_json: None,
-                trace_json: None,
-                batch_json: None,
-            });
+            return Ok(RunOutput::new(
+                format!("error: machine `{}`: {e}\n", machine.name),
+                Outcome::UsageError,
+            ));
         }
     };
     let params: Vec<(&str, i64)> = args.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
@@ -614,15 +616,9 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
         };
         let lint = rmacheck::lint(&compiled.program, &compiled.report, &lint_opts);
         out.push_str(&lint.render_human());
-        let outcome = Outcome::from_lint(lint.exit_code());
         return Ok(RunOutput {
-            text: out,
-            exit: outcome.exit_code(),
-            outcome,
             lint_json: args.lint_json.is_some().then(|| lint.to_json()),
-            verify_json: None,
-            trace_json: None,
-            batch_json: None,
+            ..RunOutput::new(out, Outcome::from_lint(lint.exit_code()))
         });
     }
 
@@ -637,15 +633,9 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
         };
         let rep = commcheck::verify(&compiled.program, &policy, &args.faults, &opts);
         out.push_str(&rep.render_human());
-        let outcome = Outcome::from_lint(rep.exit_code());
         return Ok(RunOutput {
-            text: out,
-            exit: outcome.exit_code(),
-            outcome,
-            lint_json: None,
             verify_json: args.verify_json.is_some().then(|| rep.to_json()),
-            trace_json: None,
-            batch_json: None,
+            ..RunOutput::new(out, Outcome::from_lint(rep.exit_code()))
         });
     }
 
@@ -700,16 +690,7 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
             // error the program itself raises: a one-line typed
             // diagnosis and a distinct exit code, never a panic.
             let _ = writeln!(out, "error: {e}");
-            let outcome = Outcome::from_error(&e);
-            return Ok(RunOutput {
-                text: out,
-                exit: outcome.exit_code(),
-                outcome,
-                lint_json: None,
-                verify_json: None,
-                trace_json: None,
-                batch_json: None,
-            });
+            return Ok(RunOutput::new(out, Outcome::from_error(&e)));
         }
     };
 
@@ -762,13 +743,8 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
         }
     }
     Ok(RunOutput {
-        text: out,
-        exit: 0,
-        outcome: Outcome::Success,
-        lint_json: None,
-        verify_json: None,
         trace_json: tracing.then(|| tracer.to_chrome_json()),
-        batch_json: None,
+        ..RunOutput::new(out, Outcome::Success)
     })
 }
 
@@ -798,15 +774,10 @@ pub fn run_batch(
         ..BatchOptions::default()
     };
     let report = vpce_sched::run_batch(&spec, &opts, loader)?;
-    let outcome = Outcome::from_batch(report.exit_code());
     Ok(RunOutput {
-        text: report.render_human(),
-        exit: outcome.exit_code(),
-        outcome,
-        lint_json: None,
-        verify_json: None,
         trace_json: args.trace.is_some().then(|| report.trace_json.clone()),
         batch_json: Some(report.to_json()),
+        ..RunOutput::new(report.render_human(), Outcome::from_batch(report.exit_code()))
     })
 }
 
@@ -865,15 +836,10 @@ pub fn run_serve(
     match body() {
         Ok((human, json, trace, report_exit)) => {
             out.push_str(&human);
-            let outcome = Outcome::from_batch(report_exit);
             RunOutput {
-                text: out,
-                exit: outcome.exit_code(),
-                outcome,
-                lint_json: None,
-                verify_json: None,
                 trace_json: args.trace.is_some().then_some(trace),
                 batch_json: Some(json),
+                ..RunOutput::new(out, Outcome::from_batch(report_exit))
             }
         }
         Err(e) => {
@@ -887,15 +853,7 @@ pub fn run_serve(
                 let _ = writeln!(out, "{e}");
                 Outcome::from_serve(e.code)
             };
-            RunOutput {
-                text: out,
-                exit: outcome.exit_code(),
-                outcome,
-                lint_json: None,
-                verify_json: None,
-                trace_json: None,
-                batch_json: None,
-            }
+            RunOutput::new(out, outcome)
         }
     }
 }

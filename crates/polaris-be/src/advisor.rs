@@ -25,7 +25,7 @@
 use lmad::Granularity;
 use polaris_fe::analysis::AnalyzedProgram;
 
-use crate::{compile_backend, BackendOptions};
+use crate::{compile_backend, BackendOptions, CompiledProgram};
 
 /// Cost parameters for the static estimate.
 #[derive(Debug, Clone, Copy)]
@@ -51,13 +51,19 @@ impl CostParams {
     }
 }
 
-/// The advice: predicted communication seconds per granularity plus
-/// the recommendation.
+/// The advice: predicted communication seconds per granularity, the
+/// recommendation, and the recommended plan itself — the estimator
+/// compiles all three to price them, so a caller who goes on to run
+/// the winner need not plan it again.
 #[derive(Debug, Clone)]
 pub struct GranularityAdvice {
     /// `(granularity, predicted seconds)` in `Granularity::ALL` order.
     pub predictions: Vec<(Granularity, f64)>,
+    /// The cheapest prediction (the first such in `Granularity::ALL`
+    /// order).
     pub recommended: Granularity,
+    /// The recommended granularity's compiled program.
+    pub compiled: CompiledProgram,
 }
 
 /// Statically estimate the communication cost of one compiled plan
@@ -134,22 +140,24 @@ pub fn advise(
     cost: &CostParams,
 ) -> GranularityAdvice {
     let mut predictions = Vec::with_capacity(3);
+    let mut best: Option<(Granularity, f64, CompiledProgram)> = None;
     for g in Granularity::ALL {
-        let opts = BackendOptions {
-            granularity: g,
-            ..base.clone()
-        };
-        let compiled = compile_backend(analyzed, &opts);
-        predictions.push((g, estimate_comm_cost(&compiled.program, cost)));
+        let compiled = compile_backend(analyzed, &base.clone().granularity(g));
+        let predicted = estimate_comm_cost(&compiled.program, cost);
+        predictions.push((g, predicted));
+        // Strictly cheaper only: ties keep the earlier granularity.
+        if best
+            .as_ref()
+            .is_none_or(|(_, b, _)| predicted.total_cmp(b).is_lt())
+        {
+            best = Some((g, predicted, compiled));
+        }
     }
-    let recommended = predictions
-        .iter()
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|&(g, _)| g)
-        .expect("three candidates");
+    let (recommended, _, compiled) = best.expect("three candidates");
     GranularityAdvice {
         predictions,
         recommended,
+        compiled,
     }
 }
 
@@ -186,6 +194,25 @@ mod tests {
         let a = advise_src(vpce_test_mm(), &[("N", 64)]);
         assert_eq!(a.predictions.len(), 3);
         assert!(a.predictions.iter().all(|&(_, c)| c > 0.0));
+    }
+
+    #[test]
+    fn advice_carries_the_recommended_plan_and_ties_keep_the_first_grain() {
+        let analyzed = polaris_fe::compile(vpce_test_mm(), &[("N", 16)]).unwrap();
+        for ranks in [1, 4] {
+            let base = BackendOptions::new(ranks);
+            let a = advise(&analyzed, &base, &CostParams::paper_card());
+            let again = compile_backend(&analyzed, &base.clone().granularity(a.recommended));
+            assert_eq!(a.compiled.program, again.program, "{ranks} ranks");
+            let costs = a.predictions.iter().map(|p| p.1);
+            let cheapest = costs.fold(f64::INFINITY, f64::min);
+            let first = a.predictions.iter().find(|p| p.1 == cheapest).unwrap().0;
+            assert_eq!(a.recommended, first, "{ranks} ranks: {:?}", a.predictions);
+        }
+        // One rank communicates nothing: a three-way tie at zero.
+        let one = advise(&analyzed, &BackendOptions::new(1), &CostParams::paper_card());
+        assert!(one.predictions.iter().all(|p| p.1 == 0.0), "{:?}", one.predictions);
+        assert_eq!(one.recommended, Granularity::ALL[0]);
     }
 
     fn vpce_test_mm() -> &'static str {

@@ -50,9 +50,9 @@ pub struct Plan {
     /// Partition rectangle the job's ranks occupy (on switch-based
     /// fabrics: the accounting footprint the node map charges).
     pub shape: Mesh,
-    /// Resolved machine description every attempt lowers its partition
-    /// through; `None` is the hard-coded paper machine.
-    pub machine: Option<MachineSpec>,
+    /// The job's machine lowered onto `shape` at admission — the
+    /// configuration of the fresh private cluster each attempt runs on.
+    pub cluster: ClusterConfig,
     pub granularity: Granularity,
 }
 
@@ -148,44 +148,38 @@ pub fn compile(
     let analyzed = polaris_fe::compile(&source, &params)
         .map_err(|e| reject(job, format!("front-end: {e}")))?;
     let base = BackendOptions::new(job.ranks);
-    let granularity = job.granularity.unwrap_or_else(|| {
-        advisor::advise(&analyzed, &base, &advisor::CostParams::paper_card()).recommended
-    });
-    let compiled = polaris_be::compile_backend(&analyzed, &base.granularity(granularity));
+    // The static advisor plans all three grains to price them and
+    // hands back the winner's plan.
+    let (granularity, compiled) = match job.granularity {
+        Some(g) => (g, polaris_be::compile_backend(&analyzed, &base.granularity(g))),
+        None => {
+            let advice = advisor::advise(&analyzed, &base, &advisor::CostParams::paper_card());
+            (advice.recommended, advice.compiled)
+        }
+    };
     let shape = job_footprint(machine.as_ref(), job.ranks);
-    try_partition_cluster(machine.as_ref(), shape, job.ranks).map_err(|e| reject(job, e))?;
-    Ok(Plan { program: compiled.program, shape, machine, granularity })
+    let cluster =
+        partition_cluster(machine.as_ref(), shape, job.ranks).map_err(|e| reject(job, e))?;
+    Ok(Plan { program: compiled.program, shape, cluster, granularity })
 }
 
-/// The private cluster an attempt executes on: paper-model PCs on the
-/// job's own partition mesh (phantom router cells included so awkward
-/// rank counts still route).
-pub fn partition_cluster(shape: Mesh, ranks: usize) -> ClusterConfig {
-    ClusterConfig::paper_partition(shape, ranks)
-}
-
-/// [`partition_cluster`] lowered through a machine description.
-/// `None` keeps the hard-coded paper partition; `Some` lowers the
-/// spec's fabric (a `VPCE505`-class failure — e.g. a non-power-of-two
-/// hypercube partition — surfaces as the error string).
-pub fn try_partition_cluster(
+/// The private cluster a job's attempts execute on. `None` is the
+/// hard-coded paper machine: paper-model PCs on the job's own partition
+/// mesh (phantom router cells included so awkward rank counts still
+/// route). `Some` lowers the spec's fabric (a `VPCE505`-class failure —
+/// e.g. a non-power-of-two hypercube partition — surfaces as the error
+/// string).
+fn partition_cluster(
     machine: Option<&MachineSpec>,
     shape: Mesh,
     ranks: usize,
 ) -> Result<ClusterConfig, String> {
     match machine {
-        None => Ok(partition_cluster(shape, ranks)),
+        None => Ok(ClusterConfig::paper_partition(shape, ranks)),
         Some(m) => m
             .lower_partition(shape, ranks)
             .map_err(|e| format!("machine `{}`: {e}", m.name)),
     }
-}
-
-/// The attempt-time cluster of a compiled job. Infallible: `compile`
-/// already lowered the identical inputs once.
-fn plan_cluster(plan: &Plan, ranks: usize) -> ClusterConfig {
-    try_partition_cluster(plan.machine.as_ref(), plan.shape, ranks)
-        .expect("machine lowering was validated at admission")
 }
 
 /// Fault seed for attempt `k` of a job (attempt 0 is the jobfile's own
@@ -230,15 +224,14 @@ pub fn run_attempt(
     mode: ExecMode,
     attempt: u32,
 ) -> Result<AttemptOutcome, VpceError> {
-    let cluster = plan_cluster(plan, job.ranks);
     let faults = attempt_faults(&job.faults, attempt);
     match &job.recover {
         Some(spec) => {
-            vpce_recover::run_recovering(&plan.program, &cluster, mode, Tracer::enabled(), faults, spec)
+            vpce_recover::run_recovering(&plan.program, &plan.cluster, mode, Tracer::enabled(), faults, spec)
                 .map(|(report, ledger)| AttemptOutcome { report, recovery: Some(ledger) })
         }
         None => {
-            spmd_rt::try_execute_traced(&plan.program, &cluster, mode, Tracer::enabled(), faults)
+            spmd_rt::try_execute_traced(&plan.program, &plan.cluster, mode, Tracer::enabled(), faults)
                 .map(|report| AttemptOutcome { report, recovery: None })
         }
     }
@@ -270,9 +263,8 @@ pub fn checkpoint_attempt(
     attempt: u32,
     boundary: usize,
 ) -> Result<spmd_rt::Snapshot, VpceError> {
-    let cluster = plan_cluster(plan, job.ranks);
     let faults = preempt_faults(job, attempt);
-    spmd_rt::checkpoint::checkpoint_at(&plan.program, &cluster, mode, faults, boundary)
+    spmd_rt::checkpoint::checkpoint_at(&plan.program, &plan.cluster, mode, faults, boundary)
 }
 
 /// Resume a checkpointed attempt on a fresh private cluster (possibly
@@ -286,9 +278,8 @@ pub fn resume_attempt(
     attempt: u32,
     snap: &spmd_rt::Snapshot,
 ) -> Result<RunReport, VpceError> {
-    let cluster = plan_cluster(plan, job.ranks);
     let faults = preempt_faults(job, attempt);
-    spmd_rt::checkpoint::resume(&plan.program, &cluster, mode, faults, snap)
+    spmd_rt::checkpoint::resume(&plan.program, &plan.cluster, mode, faults, snap)
 }
 
 #[cfg(test)]
@@ -446,7 +437,6 @@ mod tests {
         // The job's own machine wins over the batch default.
         let default = MachineSpec::default();
         let p = prepare_on(&job, ExecMode::Full, Some(&default)).unwrap();
-        assert_eq!(p.plan.machine.as_ref().map(|m| m.name.as_str()), Some("fast-ethernet"));
         let bare = prepare(&mm_job("mm0", 2), ExecMode::Full).unwrap();
         assert_ne!(
             p.clean.report.elapsed.to_bits(),

@@ -1,9 +1,10 @@
 //! # vpce-testkit — hermetic deterministic test harness
 //!
-//! The workspace's only testing/benchmarking infrastructure, with
-//! **zero external dependencies**, so `cargo build --offline` and
-//! `cargo test --offline` work against an empty registry forever.
-//! Three pieces:
+//! The workspace's only testing infrastructure, with **zero external
+//! dependencies**, so `cargo build --offline` and `cargo test
+//! --offline` work against an empty registry forever. It times
+//! nothing: host time is `perfbench`'s, virtual time is the committed
+//! `BENCH_*.json` (`crates/bench/tests/bench_golden.rs`). Three pieces:
 //!
 //! * [`rng`] — SplitMix64-seeded xoshiro256++, the deterministic PRNG
 //!   behind every random draw in the suites (replaces `rand`);
@@ -11,8 +12,8 @@
 //!   combinators over a recorded choice stream, automatic shrinking,
 //!   seed reporting (`VPCE_TESTKIT_SEED`), and regression-seed files
 //!   (replaces `proptest`);
-//! * [`bench`] — a warmup/median-of-N micro-benchmark timer with JSON
-//!   output behind a criterion-shaped API (replaces `criterion`).
+//! * [`alloc`] — a counting global allocator for the zero-allocation
+//!   and bytes-requested gates.
 //!
 //! ## Writing a property
 //!
@@ -32,7 +33,6 @@
 //! counterexample; `VPCE_TESTKIT_SEED=0x…` replays it exactly.
 
 pub mod alloc;
-pub mod bench;
 pub mod gen;
 pub mod prop;
 pub mod rng;

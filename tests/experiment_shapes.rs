@@ -3,7 +3,7 @@
 //! `table1`/`table2`/`hwclaims`/`ablation` binaries and are recorded
 //! in EXPERIMENTS.md).
 
-use cluster_sim::ClusterConfig;
+use cluster_sim::{partition_shape, ClusterConfig};
 use vpce::{compile, BackendOptions, ExecMode, Granularity, Schedule};
 use vpce_workloads::{cfft, mm, swim};
 
@@ -147,25 +147,41 @@ fn avpg_elision_changes_traffic_not_results() {
 #[test]
 fn static_advisor_agrees_with_simulation_on_paper_workloads() {
     // The §5.6 "profiling tools to guide the user": the static
-    // plan-based estimate must pick the same winner as the full
-    // simulation for the paper's workloads.
-    let cluster = ClusterConfig::paper_4node();
-    for (src, params) in [
-        (cfft::SOURCE, ("M", 11i64)),
-        (swim::SOURCE, ("N", 64)),
-    ] {
+    // plan-based estimate (the batch door's advisor) must pick the same
+    // winner as the full simulation (`vpcec`'s) — at the paper's sizes
+    // on its 4-node machine, and on every cell of perfbench's
+    // `job_storm` grid, each on the private partition `--batch` gives a
+    // job of that width. That agreement is what lets the pinned
+    // `job_storm` digest survive whichever advisor the batch door uses.
+    let mut cells = vec![
+        (cfft::SOURCE, ("M", 11i64), ClusterConfig::paper_4node()),
+        (swim::SOURCE, ("N", 64), ClusterConfig::paper_4node()),
+    ];
+    for ranks in [1usize, 2, 4] {
+        let partition = || ClusterConfig::paper_partition(partition_shape(ranks), ranks);
+        for n in [8i64, 16, 32] {
+            cells.push((mm::SOURCE, ("N", n), partition()));
+            cells.push((swim::SOURCE, ("N", n), partition()));
+        }
+        for m in [3i64, 4, 5] {
+            cells.push((cfft::SOURCE, ("M", m), partition()));
+        }
+    }
+    assert_eq!(cells.len(), 2 + 27);
+    for (src, params, cluster) in cells {
+        let ranks = cluster.num_nodes();
         let analyzed = polaris_fe::compile(src, &[params]).unwrap();
         let static_advice = vpce::advise(
             &analyzed,
-            &vpce::BackendOptions::new(4),
+            &vpce::BackendOptions::new(ranks),
             &vpce::CostParams::paper_card(),
         );
         let (simulated, measured) =
-            vpce::advise_granularity(src, &[params], &cluster, &BackendOptions::new(4))
+            vpce::advise_granularity(src, &[params], &cluster, &BackendOptions::new(ranks))
                 .unwrap();
         assert_eq!(
             static_advice.recommended, simulated,
-            "static {:?} vs simulated {measured:?}",
+            "{params:?} on {ranks} ranks: static {:?} vs simulated {measured:?}",
             static_advice.predictions
         );
     }
