@@ -2,12 +2,24 @@
 //!
 //! §2.2 gives a rank three ways to wait — a fence / barrier /
 //! collective, a two-sided receive, and `MPI_WIN_LOCK` — and all three
-//! sleep in [`Blocking::wait`], on one condition variable, under the
-//! one mutex that guards everything a rank can wait *for*: the leader
-//! rendezvous every collective is built on, the `(src, dst, tag)`
-//! message queues, and the passive-target lock epochs, which are plain
-//! data (`holder`, `last_release`) rather than an OS lock held across
-//! calls.
+//! stop in [`Blocking::wait`], under the one mutex that guards
+//! everything a rank can wait *for*: the leader rendezvous every
+//! collective is built on, the `(src, dst, tag)` message queues, and
+//! the passive-target lock epochs, which are plain data (`holder`,
+//! `last_release`) rather than an OS lock held across calls.
+//!
+//! ## Poll and park
+//!
+//! Waiting is split in two. The *poll* ([`Blocking::wait`] is a future
+//! over it) never sleeps: ready — go on; otherwise mark the rank
+//! `Waiting(reason)`, evaluate the stall rule, and yield. Between two
+//! polls a rank is data — a suspended future and one `Status` entry —
+//! so one OS thread can carry any number of them. The *park*
+//! ([`Blocking::park`]) is where a thread sleeps, on the one condition
+//! variable, until one of the ranks it carries can go on or the run
+//! has failed. No waker is involved: readiness is read from the state
+//! under its lock, by the stall rule and by the park alike, and every
+//! change that can make a rank ready already notifies the condvar.
 //!
 //! ## The rendezvous
 //!
@@ -36,8 +48,10 @@
 //!
 //! There are no false positives: every wake source updates the state
 //! under the lock *before* the waking rank can leave `Running`, so a
-//! notified-but-unscheduled waiter still reads `Waiting` with a true
-//! condition and vetoes the report. And none are missed: once the
+//! notified-but-unscheduled waiter — a sleeping thread, or a yielded
+//! rank its worker has not polled again yet — still reads `Waiting`
+//! with a true condition and vetoes the report; a rank that was never
+//! polled at all still reads `Running`. And none are missed: once the
 //! conjunction holds nothing can change the state again, and the rank
 //! whose transition completed it was looking.
 //!
@@ -50,7 +64,9 @@
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
+use std::future::poll_fn;
 use std::sync::{Condvar, MutexGuard};
+use std::task::Poll;
 
 use vpce_faults::{raise, VpceError};
 
@@ -121,15 +137,29 @@ impl State {
         }
     }
 
+    /// Whether polling `rank` again can get it anywhere.
+    fn runnable(&self, rank: usize) -> bool {
+        match self.status[rank] {
+            Status::Running => true,
+            Status::Waiting(reason) => self.ready(rank, reason),
+            Status::Done => false,
+        }
+    }
+
     /// The rendered wait-for graph when the universe is stalled (see
-    /// the module docs), `None` otherwise.
-    fn stalled(&self) -> Option<String> {
+    /// the module docs), `None` otherwise. `from` is the rank asking:
+    /// the scan starts behind it, where a veto is closest — the next
+    /// ranks of a worker's sweep are the ones that have not looked at
+    /// the new state yet — so a rendezvous of `n` ranks costs `n` short
+    /// scans, not `n²/2` steps.
+    fn stalled(&self, from: usize) -> Option<String> {
         if self.failed {
             return None;
         }
+        let n = self.status.len();
         let mut waiting = false;
-        for (rank, st) in self.status.iter().enumerate() {
-            match *st {
+        for rank in (from + 1..n).chain(0..=from) {
+            match self.status[rank] {
                 Status::Running => return None,
                 Status::Done => {}
                 Status::Waiting(reason) if self.ready(rank, reason) => return None,
@@ -186,36 +216,50 @@ impl Blocking {
         }
     }
 
-    /// Sleep as `rank` until `reason` is ready. Raises `DeadlockStall`
-    /// if starting to wait stalls the universe, `PeerFailure` if a rank
-    /// dies before the condition comes true.
-    fn wait<'a>(
-        &'a self,
-        mut st: MutexGuard<'a, State>,
-        rank: usize,
-        reason: Reason,
-    ) -> MutexGuard<'a, State> {
-        while !st.ready(rank, reason) {
-            if st.failed {
-                let site = match reason {
-                    Reason::Recv { .. } => "recv",
-                    Reason::Collective { .. } => "collective",
-                    Reason::Lock { .. } => "win_lock",
-                };
-                raise(VpceError::PeerFailure {
-                    msg: format!("{site} poisoned: a peer rank panicked"),
-                });
+    /// One look at `rank` waiting for `reason`: the guard when the
+    /// condition holds; otherwise the rank is marked waiting and the
+    /// caller yields. Raises `DeadlockStall` if starting to wait stalls
+    /// the universe, `PeerFailure` if a rank died and the condition is
+    /// still false.
+    fn poll(&self, rank: usize, reason: Reason) -> Poll<MutexGuard<'_, State>> {
+        let mut st = self.state.lock();
+        if st.ready(rank, reason) {
+            st.status[rank] = Status::Running;
+            return Poll::Ready(st);
+        }
+        if st.failed {
+            let site = match reason {
+                Reason::Recv { .. } => "recv",
+                Reason::Collective { .. } => "collective",
+                Reason::Lock { .. } => "win_lock",
+            };
+            raise(VpceError::PeerFailure {
+                msg: format!("{site} poisoned: a peer rank panicked"),
+            });
+        }
+        if st.status[rank] == Status::Running {
+            st.status[rank] = Status::Waiting(reason);
+            if let Some(graph) = st.stalled(rank) {
+                raise(VpceError::DeadlockStall { graph });
             }
-            if st.status[rank] == Status::Running {
-                st.status[rank] = Status::Waiting(reason);
-                if let Some(graph) = st.stalled() {
-                    raise(VpceError::DeadlockStall { graph });
-                }
-            }
+        }
+        Poll::Pending
+    }
+
+    /// Stop as `rank` until `reason` is ready; the guard it comes back
+    /// with is the one the condition was read under. No lock is held
+    /// while the rank is suspended.
+    async fn wait(&self, rank: usize, reason: Reason) -> MutexGuard<'_, State> {
+        poll_fn(|_| self.poll(rank, reason)).await
+    }
+
+    /// Sleep until one of `ranks` (the ranks this thread carries, all of
+    /// them pending) can be polled to some effect, or the run failed.
+    pub fn park(&self, ranks: &[usize]) {
+        let mut st = self.state.lock();
+        while !st.failed && !ranks.iter().any(|&r| st.runnable(r)) {
             st = wait(&self.cv, st);
         }
-        st.status[rank] = Status::Running;
-        st
     }
 
     /// `rank`'s SPMD closure returned: it will never wait again, and it
@@ -228,7 +272,7 @@ impl Blocking {
             });
         }
         st.status[rank] = Status::Done;
-        if let Some(graph) = st.stalled() {
+        if let Some(graph) = st.stalled(rank) {
             raise(VpceError::DeadlockStall { graph });
         }
     }
@@ -246,40 +290,44 @@ impl Blocking {
     ///
     /// All ranks must pass behaviourally identical leaders (the code is
     /// SPMD, so they do).
-    pub fn run<T, R, F>(&self, rank: usize, input: T, leader: F) -> R
+    pub async fn run<T, R, F>(&self, rank: usize, input: T, leader: F) -> R
     where
         T: Send + 'static,
         R: Send + 'static,
         F: FnOnce(Vec<T>) -> Vec<R>,
     {
-        let mut st = self.state.lock();
-        debug_assert!(st.inputs[rank].is_none(), "rank {rank} re-entered");
-        st.inputs[rank] = Some(Box::new(input));
-        st.arrived += 1;
-        let n = st.status.len();
-        if st.arrived == n {
-            // Leader: drain inputs in rank order, produce outputs.
-            let inputs: Vec<T> = st
-                .inputs
-                .iter_mut()
-                .map(|s| *s.take().unwrap().downcast::<T>().expect("input type"))
-                .collect();
-            let outputs = leader(inputs);
-            if outputs.len() != n {
-                raise(VpceError::Internal {
-                    msg: format!("leader must emit one output per rank: {} != {n}", outputs.len()),
-                });
+        // Arrive in the current generation; the last arriver completes
+        // it. Then everyone — the leader at once — leaves when it is
+        // complete.
+        let gen = {
+            let mut st = self.state.lock();
+            debug_assert!(st.inputs[rank].is_none(), "rank {rank} re-entered");
+            st.inputs[rank] = Some(Box::new(input));
+            st.arrived += 1;
+            let (n, gen) = (st.status.len(), st.generation);
+            if st.arrived == n {
+                // Leader: drain inputs in rank order, produce outputs.
+                let inputs: Vec<T> = st
+                    .inputs
+                    .iter_mut()
+                    .map(|s| *s.take().unwrap().downcast::<T>().expect("input type"))
+                    .collect();
+                let outputs = leader(inputs);
+                if outputs.len() != n {
+                    raise(VpceError::Internal {
+                        msg: format!("leader must emit one output per rank: {} != {n}", outputs.len()),
+                    });
+                }
+                for (slot, out) in st.outputs.iter_mut().zip(outputs) {
+                    *slot = Some(Box::new(out));
+                }
+                st.arrived = 0;
+                st.generation = gen.wrapping_add(1);
+                self.cv.notify_all();
             }
-            for (slot, out) in st.outputs.iter_mut().zip(outputs) {
-                *slot = Some(Box::new(out));
-            }
-            st.arrived = 0;
-            st.generation = st.generation.wrapping_add(1);
-            self.cv.notify_all();
-        } else {
-            let gen = st.generation;
-            st = self.wait(st, rank, Reason::Collective { gen });
-        }
+            gen
+        };
+        let mut st = self.wait(rank, Reason::Collective { gen }).await;
         *st.outputs[rank]
             .take()
             .expect("output present")
@@ -294,8 +342,8 @@ impl Blocking {
     }
 
     /// Dequeue the oldest `(src, dst, tag)` message, waiting for one.
-    pub fn take(&self, src: usize, dst: usize, tag: i32) -> Message {
-        let mut st = self.wait(self.state.lock(), dst, Reason::Recv { src, tag });
+    pub async fn take(&self, src: usize, dst: usize, tag: i32) -> Message {
+        let mut st = self.wait(dst, Reason::Recv { src, tag }).await;
         st.queues
             .get_mut(&(src, dst, tag))
             .and_then(VecDeque::pop_front)
@@ -304,16 +352,15 @@ impl Blocking {
 
     /// Open `rank`'s exclusive epoch on `target`'s shard of `win`,
     /// waiting for the current holder to release it; which of several
-    /// waiters is granted next is OS order. Returns the virtual time
+    /// waiters is granted next is scheduling order. Returns the virtual time
     /// the previous epoch closed at.
-    pub fn lock(&self, rank: usize, win: usize, target: usize) -> f64 {
-        let st = self.state.lock();
-        if st.holder(win, target) == Some(rank) {
+    pub async fn lock(&self, rank: usize, win: usize, target: usize) -> f64 {
+        if self.holds(rank, win, target) {
             raise(VpceError::LockState {
                 msg: "window already locked by this rank".into(),
             });
         }
-        let mut st = self.wait(st, rank, Reason::Lock { win, target });
+        let mut st = self.wait(rank, Reason::Lock { win, target }).await;
         let epoch = st.epochs.entry((win, target)).or_default();
         epoch.holder = Some(rank);
         epoch.last_release
@@ -343,7 +390,30 @@ impl Blocking {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
+    use std::future::Future;
+    use std::pin::Pin;
+    use std::task::{Context, Waker};
+
+    /// Poll `ranks` round-robin on this thread until every one is done:
+    /// the whole rendezvous on one OS thread.
+    fn drive<'a, T>(ranks: Vec<Pin<Box<dyn Future<Output = T> + 'a>>>) -> Vec<T> {
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut ranks: Vec<_> = ranks.into_iter().map(Some).collect();
+        let mut outs: Vec<Option<T>> = ranks.iter().map(|_| None).collect();
+        while outs.iter().any(Option::is_none) {
+            for (slot, out) in ranks.iter_mut().zip(&mut outs) {
+                if let Some(Poll::Ready(v)) = slot.as_mut().map(|f| f.as_mut().poll(&mut cx)) {
+                    (*slot, *out) = (None, Some(v));
+                }
+            }
+        }
+        outs.into_iter().flatten().collect()
+    }
+
+    /// The value of an operation that must not have to wait.
+    fn now<T>(op: impl Future<Output = T>) -> T {
+        drive(vec![Box::pin(op)]).pop().unwrap()
+    }
 
     fn msg() -> Message {
         Message { data: vec![1.0], ready: 0.0 }
@@ -355,7 +425,7 @@ mod tests {
     }
 
     fn stalled(b: &Blocking) -> Option<String> {
-        b.state.lock().stalled()
+        b.state.lock().stalled(0)
     }
 
     #[test]
@@ -373,7 +443,7 @@ mod tests {
         set(&b, 0, waiting);
         set(&b, 1, Status::Done);
         assert!(stalled(&b).is_none(), "message is available");
-        b.take(1, 0, 7);
+        now(b.take(1, 0, 7));
         set(&b, 0, waiting);
         assert!(stalled(&b).is_some(), "now genuinely stuck");
     }
@@ -401,7 +471,7 @@ mod tests {
     #[test]
     fn released_lock_vetoes_stall_and_a_held_one_names_its_holder() {
         let b = Blocking::new(2);
-        assert_eq!(b.lock(1, 4, 0), 0.0, "a fresh shard was never released");
+        assert_eq!(now(b.lock(1, 4, 0)), 0.0, "a fresh shard was never released");
         assert!(b.holds(1, 4, 0) && !b.holds(0, 4, 0));
         set(&b, 0, Status::Waiting(Reason::Lock { win: 4, target: 0 }));
         set(&b, 1, Status::Waiting(Reason::Collective { gen: 0 }));
@@ -411,7 +481,7 @@ mod tests {
         b.unlock(1, 4, 0, 2.5);
         set(&b, 1, Status::Done);
         assert!(stalled(&b).is_none(), "rank 0 was woken, not scheduled yet");
-        assert_eq!(b.lock(0, 4, 0), 2.5, "the grant carries the release time");
+        assert_eq!(now(b.lock(0, 4, 0)), 2.5, "the grant carries the release time");
     }
 
     #[test]
@@ -433,64 +503,60 @@ mod tests {
 
     #[test]
     fn sums_inputs_for_everyone() {
-        let c = Arc::new(Blocking::new(4));
-        let handles: Vec<_> = (0..4)
-            .map(|r| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    c.run(r, r as u64 + 1, |xs| {
-                        let total: u64 = xs.iter().sum();
-                        vec![total; 4]
-                    })
-                })
-            })
-            .collect();
-        for h in handles {
-            assert_eq!(h.join().unwrap(), 10);
-        }
+        let c = Blocking::new(4);
+        let ranks = (0..4).map(|r| {
+            Box::pin(c.run(r, r as u64 + 1, |xs| vec![xs.iter().sum::<u64>(); 4])) as Pin<Box<dyn Future<Output = u64>>>
+        });
+        assert_eq!(drive(ranks.collect()), vec![10; 4]);
     }
 
     #[test]
     fn per_rank_outputs_routed_correctly() {
-        let c = Arc::new(Blocking::new(3));
-        let handles: Vec<_> = (0..3)
-            .map(|r| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || c.run(r, r, |xs| xs.iter().map(|x| x * 10).collect()))
-            })
-            .collect();
-        let outs: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-        assert_eq!(outs, vec![0, 10, 20]);
+        let c = Blocking::new(3);
+        let ranks = (0..3).map(|r| {
+            Box::pin(c.run(r, r, |xs| xs.iter().map(|x| x * 10).collect())) as Pin<Box<dyn Future<Output = usize>>>
+        });
+        assert_eq!(drive(ranks.collect()), vec![0, 10, 20]);
     }
 
     #[test]
     fn reusable_across_generations() {
-        let c = Arc::new(Blocking::new(2));
-        let handles: Vec<_> = (0..2)
-            .map(|r| {
-                let c = Arc::clone(&c);
-                std::thread::spawn(move || {
-                    let mut acc = 0u64;
-                    for round in 0..100u64 {
-                        acc = c.run(r, (acc + round) % 1_000_003, |xs| {
-                            vec![(xs[0] + xs[1]) % 1_000_003; 2]
-                        });
-                    }
-                    acc
-                })
-            })
-            .collect();
-        let a = handles
-            .into_iter()
-            .map(|h| h.join().unwrap())
-            .collect::<Vec<_>>();
+        let c = Blocking::new(2);
+        let rank = |r: usize| {
+            let c = &c;
+            Box::pin(async move {
+                let mut acc = 0u64;
+                for round in 0..100u64 {
+                    let leader = |xs: Vec<u64>| vec![(xs[0] + xs[1]) % 1_000_003; 2];
+                    acc = c.run(r, (acc + round) % 1_000_003, leader).await;
+                }
+                acc
+            }) as Pin<Box<dyn Future<Output = u64> + '_>>
+        };
+        let a = drive(vec![rank(0), rank(1)]);
         assert_eq!(a[0], a[1]);
     }
 
     #[test]
     fn single_participant_runs_leader_inline() {
         let c = Blocking::new(1);
-        let out = c.run(0, 7, |xs| vec![xs[0] * 2]);
+        let out = now(c.run(0, 7, |xs| vec![xs[0] * 2]));
         assert_eq!(out, 14);
+    }
+
+    #[test]
+    fn a_pending_rank_is_parked_until_it_is_runnable_or_the_run_failed() {
+        let b = Blocking::new(2);
+        let mut cx = Context::from_waker(Waker::noop());
+        let mut recv = Box::pin(b.take(1, 0, 3));
+        assert!(recv.as_mut().poll(&mut cx).is_pending());
+        assert!(!b.state.lock().runnable(0), "nothing posted yet");
+        b.post(1, 0, 3, msg());
+        b.park(&[0]); // returns: the message is there
+        assert!(recv.as_mut().poll(&mut cx).is_ready());
+        let mut again = Box::pin(b.take(1, 0, 3));
+        assert!(again.as_mut().poll(&mut cx).is_pending());
+        b.fail();
+        b.park(&[0]); // returns: the run failed
     }
 }

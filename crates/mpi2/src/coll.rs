@@ -50,6 +50,11 @@ impl Mpi {
     /// freezing p2p traffic), otherwise a binomial tree of p2p
     /// messages.
     pub fn bcast(&mut self, root: usize, data: Option<Vec<Elem>>) -> Vec<Elem> {
+        self.block_on(async |m| m.bcast_async(root, data).await)
+    }
+
+    /// [`bcast`](Mpi::bcast) for a rank task.
+    pub async fn bcast_async(&mut self, root: usize, data: Option<Vec<Elem>>) -> Vec<Elem> {
         if root >= self.size() {
             raise(VpceError::RankOutOfRange {
                 what: "bcast root",
@@ -142,7 +147,8 @@ impl Mpi {
                             (Arc::clone(&payload), exit, dep)
                         })
                         .collect()
-                });
+                })
+                .await;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         let bytes = payload.len() * crate::ELEM_BYTES;
@@ -163,6 +169,16 @@ impl Mpi {
     /// `root` over a binomial fan-in tree. Only the root receives
     /// `Some(result)`.
     pub fn reduce(
+        &mut self,
+        root: usize,
+        value: Vec<Elem>,
+        op: AccumulateOp,
+    ) -> Option<Vec<Elem>> {
+        self.block_on(async |m| m.reduce_async(root, value, op).await)
+    }
+
+    /// [`reduce`](Mpi::reduce) for a rank task.
+    pub async fn reduce_async(
         &mut self,
         root: usize,
         value: Vec<Elem>,
@@ -241,7 +257,8 @@ impl Mpi {
                             }
                         })
                         .collect()
-                });
+                })
+                .await;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         self.trace_coll(CallOp::Reduce, t_enter, exit, bytes as u64, dep);
@@ -250,13 +267,23 @@ impl Mpi {
 
     /// `MPI_ALLREDUCE`: reduce to rank 0 then broadcast the result.
     pub fn allreduce(&mut self, value: Vec<Elem>, op: AccumulateOp) -> Vec<Elem> {
-        let reduced = self.reduce(0, value, op);
-        self.bcast(0, reduced)
+        self.block_on(async |m| m.allreduce_async(value, op).await)
+    }
+
+    /// [`allreduce`](Mpi::allreduce) for a rank task.
+    pub async fn allreduce_async(&mut self, value: Vec<Elem>, op: AccumulateOp) -> Vec<Elem> {
+        let reduced = self.reduce_async(0, value, op).await;
+        self.bcast_async(0, reduced).await
     }
 
     /// `MPI_GATHER`: every rank contributes a vector; the root receives
     /// them all, indexed by rank.
     pub fn gather(&mut self, root: usize, value: Vec<Elem>) -> Option<Vec<Vec<Elem>>> {
+        self.block_on(async |m| m.gather_async(root, value).await)
+    }
+
+    /// [`gather`](Mpi::gather) for a rank task.
+    pub async fn gather_async(&mut self, root: usize, value: Vec<Elem>) -> Option<Vec<Vec<Elem>>> {
         if root >= self.size() {
             raise(VpceError::RankOutOfRange {
                 what: "gather root",
@@ -305,7 +332,8 @@ impl Mpi {
                             }
                         })
                         .collect()
-                });
+                })
+                .await;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         self.trace_coll(CallOp::Gather, t_enter, exit, bytes as u64, dep);
@@ -316,9 +344,14 @@ impl Mpi {
     /// concatenation — every rank ends with all contributions indexed
     /// by rank.
     pub fn allgather(&mut self, value: Vec<Elem>) -> Vec<Vec<Elem>> {
+        self.block_on(async |m| m.allgather_async(value).await)
+    }
+
+    /// [`allgather`](Mpi::allgather) for a rank task.
+    pub async fn allgather_async(&mut self, value: Vec<Elem>) -> Vec<Vec<Elem>> {
         let n = self.size();
         let len = value.len();
-        let gathered = self.gather(0, value);
+        let gathered = self.gather_async(0, value).await;
         let flat = (self.rank() == 0).then(|| {
             gathered
                 .expect("root gathered")
@@ -326,7 +359,7 @@ impl Mpi {
                 .flatten()
                 .collect::<Vec<Elem>>()
         });
-        let flat = self.bcast(0, flat);
+        let flat = self.bcast_async(0, flat).await;
         flat.chunks(len.max(1))
             .map(<[Elem]>::to_vec)
             .take(n)
@@ -336,6 +369,11 @@ impl Mpi {
     /// `MPI_SCATTER`: the root supplies one vector per rank; every rank
     /// receives its own.
     pub fn scatter(&mut self, root: usize, chunks: Option<Vec<Vec<Elem>>>) -> Vec<Elem> {
+        self.block_on(async |m| m.scatter_async(root, chunks).await)
+    }
+
+    /// [`scatter`](Mpi::scatter) for a rank task.
+    pub async fn scatter_async(&mut self, root: usize, chunks: Option<Vec<Vec<Elem>>>) -> Vec<Elem> {
         if root >= self.size() {
             raise(VpceError::RankOutOfRange {
                 what: "scatter root",
@@ -398,7 +436,8 @@ impl Mpi {
                             }
                         })
                         .collect()
-                });
+                })
+                .await;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         let bytes = (mine.len() * crate::ELEM_BYTES) as u64;

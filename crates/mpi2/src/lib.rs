@@ -33,19 +33,43 @@
 //!
 //! ## Execution model
 //!
-//! Each MPI process is an OS thread carrying a **virtual clock**
-//! (seconds). Compute advances the clock locally
-//! ([`Mpi::compute`]/[`Mpi::advance`]); communication costs come from
-//! the [`cluster_sim`] NIC model (host side) and the [`vbus_sim`] link
-//! scheduler (wire side). Wall-clock never influences any result.
+//! Each MPI process carries a **virtual clock** (seconds). Compute
+//! advances the clock locally ([`Mpi::compute`]/[`Mpi::advance`]);
+//! communication costs come from the [`cluster_sim`] NIC model (host
+//! side) and the [`vbus_sim`] link scheduler (wire side). Wall-clock
+//! never influences any result.
+//!
+//! On the host a process is a *rank task*: a future that runs until it
+//! has to wait for its peers, yields, and is plain data until it can go
+//! on. One engine carries the tasks of a universe on worker threads,
+//! each rank on one worker for life, and has two entries:
+//!
+//! * [`Universe::try_run_tasks`] takes an `async` closure, which waits
+//!   through the `_async` operations ([`Mpi::barrier_async`],
+//!   [`Mpi::fence_all_async`], [`Mpi::recv_async`], …), and needs no
+//!   more threads than the host has cores — the calling thread is one
+//!   of them, so a one-rank universe spawns nothing. Compiled programs
+//!   (`spmd_rt::exec`) run this way: 16 384 ranks are 16 384 futures,
+//!   not 16 384 stacks.
+//! * [`Universe::run`] / [`Universe::try_run`] take a plain closure,
+//!   which cannot be suspended: a rank that waits inside
+//!   [`Mpi::barrier`] has to keep its thread, so this entry — and only
+//!   this one — still means one OS thread per rank. Its synchronous
+//!   operations are [`Mpi::block_on`] around the same `_async` bodies.
+//!
+//! Both produce the same bytes: every collective folds its inputs in
+//! rank order, whoever arrived last.
 //!
 //! ## Blocking
 //!
 //! A rank can wait in three ways — a fence / barrier / collective, a
-//! two-sided receive, `MPI_WIN_LOCK` — and all three sleep in one
+//! two-sided receive, `MPI_WIN_LOCK` — and all three stop in one
 //! place: the private `blocking` module, one mutex, one condition
 //! variable and one `failed` flag over the leader rendezvous, the
-//! message queues and the lock epochs. Because a waiter's wake
+//! message queues and the lock epochs. Waiting there is a *poll* that
+//! never sleeps (ready, or mark the rank waiting and yield) and a
+//! *park* in which a thread sleeps until one of its ranks can go on.
+//! Because a waiter's wake
 //! condition is read from that state under its lock, the stall rule is
 //! exact and needs no timer: a run that can make no progress ends in a
 //! typed [`VpceError::DeadlockStall`] whose graph names who waits for
@@ -59,14 +83,19 @@
 //! and scheduled at the closing fence, sorted by
 //! `(issue time, origin rank, sequence number)`. This is faithful to
 //! MPI-2 semantics — the target may not observe RMA results before the
-//! epoch closes — and makes every run bit-reproducible regardless of OS
-//! thread scheduling. Passive-target lock/unlock epochs are the one
-//! exception (documented on [`Mpi::win_lock`]).
+//! epoch closes — and makes every run bit-reproducible regardless of
+//! host scheduling and worker count. Passive-target lock/unlock epochs
+//! are the one exception among the operations compiled programs use
+//! (documented on [`Mpi::win_lock`]); two-sided receives and `put_now`
+//! book their links when they happen, so programs in which several
+//! ranks do either share that caveat.
 
 #![forbid(unsafe_code)]
 
 mod blocking;
 pub mod conflict;
+#[cfg(test)]
+mod engine_tests;
 mod p2p;
 mod pool;
 mod rma;

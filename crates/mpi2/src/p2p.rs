@@ -60,14 +60,31 @@ impl Mpi {
         src: usize,
         recv_tag: i32,
     ) -> Vec<Elem> {
+        self.block_on(async |m| m.sendrecv_async(dst, send_tag, data, src, recv_tag).await)
+    }
+
+    /// [`sendrecv`](Mpi::sendrecv) for a rank task.
+    pub async fn sendrecv_async(
+        &mut self,
+        dst: usize,
+        send_tag: i32,
+        data: Vec<Elem>,
+        src: usize,
+        recv_tag: i32,
+    ) -> Vec<Elem> {
         self.send(dst, send_tag, data);
-        self.recv(src, recv_tag)
+        self.recv_async(src, recv_tag).await
     }
 
     /// `MPI_RECV`: block until the matching message from `src` with
     /// `tag` arrives, schedule its wire transfer, and return the
     /// payload.
     pub fn recv(&mut self, src: usize, tag: i32) -> Vec<Elem> {
+        self.block_on(async |m| m.recv_async(src, tag).await)
+    }
+
+    /// [`recv`](Mpi::recv) for a rank task.
+    pub async fn recv_async(&mut self, src: usize, tag: i32) -> Vec<Elem> {
         if src >= self.size() {
             raise(VpceError::RankOutOfRange {
                 what: "recv source",
@@ -77,7 +94,7 @@ impl Mpi {
         }
         let entry = self.now();
         let rank = self.rank();
-        let msg = self.shared().blocking.take(src, rank, tag);
+        let msg = self.shared().blocking.take(src, rank, tag).await;
         let bytes = msg.data.len() * crate::ELEM_BYTES;
         let wire = {
             let shared = std::sync::Arc::clone(self.shared());

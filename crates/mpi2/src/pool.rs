@@ -7,8 +7,9 @@
 //! has drained the wire transfer *and* the piggy-backed ack window has
 //! passed. All bookkeeping is allocation-free after construction: the
 //! free list is a pre-sized LIFO, in-flight slots are tracked in a
-//! pre-sized vector, and the slot buffers themselves are allocated
-//! exactly once.
+//! pre-sized vector, and each slot buffer is allocated exactly once —
+//! at its first staging copy, so a rank that never sends eagerly (most
+//! of a 16 384-rank run) registers nothing.
 //!
 //! Pools are **per origin rank** on purpose: a shared cross-rank pool
 //! would hand out slots in OS-scheduling order and break virtual-time
@@ -19,7 +20,7 @@ use crate::Elem;
 
 /// One rank's registered slot arena.
 pub(crate) struct BufferPool {
-    /// Slot storage, each `slot_elems` long, allocated once.
+    /// Slot storage, each `slot_elems` long once first staged into.
     slots: Vec<Vec<Elem>>,
     /// Free slot indices, LIFO.
     free: Vec<usize>,
@@ -49,7 +50,7 @@ pub struct PoolSnapshot {
 impl BufferPool {
     pub fn new(slots: usize, slot_elems: usize) -> Self {
         BufferPool {
-            slots: (0..slots).map(|_| vec![0.0; slot_elems]).collect(),
+            slots: vec![Vec::new(); slots],
             free: (0..slots).rev().collect(),
             inflight: Vec::with_capacity(slots),
             hwm: 0,
@@ -116,7 +117,11 @@ impl BufferPool {
 
     /// Mutable access for the issue-time staging copy.
     pub fn slot_mut(&mut self, slot: usize) -> &mut [Elem] {
-        &mut self.slots[slot]
+        let buf = &mut self.slots[slot];
+        if buf.is_empty() {
+            buf.resize(self.slot_elems, 0.0);
+        }
+        buf
     }
 
     /// Slots currently out of the free list (held or pinned).

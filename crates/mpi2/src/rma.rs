@@ -329,15 +329,16 @@ impl Mpi {
                     self.clock += wait;
                 }
                 self.stats.pool_hwm = self.stats.pool_hwm.max(pool.hwm() as u64);
-                let dst = &mut pool.slot_mut(slot)[..count];
-                match &data {
-                    _ if !moves => {}
-                    Some(d) => dst.copy_from_slice(d),
-                    None if stride == 1 => dst.copy_from_slice(&win.lock()[off..off + count]),
-                    None => {
-                        let m = win.lock();
-                        for (i, d) in dst.iter_mut().enumerate() {
-                            *d = m[off + i * stride];
+                if moves {
+                    let dst = &mut pool.slot_mut(slot)[..count];
+                    match &data {
+                        Some(d) => dst.copy_from_slice(d),
+                        None if stride == 1 => dst.copy_from_slice(&win.lock()[off..off + count]),
+                        None => {
+                            let m = win.lock();
+                            for (i, d) in dst.iter_mut().enumerate() {
+                                *d = m[off + i * stride];
+                            }
                         }
                     }
                 }

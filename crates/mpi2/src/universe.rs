@@ -1,8 +1,15 @@
-//! The MPI universe: rank threads, virtual clocks, and the `Mpi`
-//! process handle.
+//! The MPI universe: rank tasks on worker threads, virtual clocks, and
+//! the `Mpi` process handle.
 
+use std::any::Any;
 use std::collections::BTreeSet;
+use std::future::Future;
+use std::ops::{AsyncFn, AsyncFnOnce};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::pin::pin;
 use std::sync::Arc;
+use std::task::{Context, Poll, Waker};
+use std::thread::available_parallelism;
 
 use cluster_sim::{
     ClusterConfig, CpuModel, HostCostBreakdown, NicModel, OpCounts, Protocol, TransferKind,
@@ -47,6 +54,10 @@ pub(crate) struct Shared {
     pub pools: Vec<Mutex<BufferPool>>,
     /// The resolved eager/rendezvous switchover policy of this run.
     pub policy: TransportPolicy,
+    /// OS threads carrying this run's ranks. With fewer than ranks, a
+    /// rank that slept inside a call would take its worker's other
+    /// ranks down with it: [`Mpi::block_on`] refuses instead.
+    pub workers: usize,
 }
 
 impl Shared {
@@ -208,9 +219,13 @@ impl Universe {
         &self.cfg
     }
 
-    /// Run `f` as an SPMD program: one OS thread per rank, each handed
-    /// its own [`Mpi`] handle. Returns when every rank's closure
-    /// returns.
+    /// Run `f` as an SPMD program, each rank handed its own [`Mpi`]
+    /// handle. Returns when every rank's closure returns.
+    ///
+    /// One OS thread per rank: a plain closure cannot be suspended, so
+    /// a rank that has to wait inside a call keeps its thread and
+    /// sleeps on it. [`Universe::try_run_tasks`] is the same engine
+    /// without that cost, for programs written as `async` closures.
     ///
     /// # Panics
     /// Panics with the error's Display text when the run fails — a
@@ -234,7 +249,44 @@ impl Universe {
         R: Send,
         F: Fn(&mut Mpi) -> R + Sync,
     {
+        self.run_on(self.size(), async |mpi: &mut Mpi| f(mpi))
+    }
+
+    /// Run `f` as an SPMD program of resumable rank tasks: a rank that
+    /// has to wait inside an `_async` call yields, and is data until it
+    /// can go on, so the run needs no more OS threads than the host has
+    /// cores — `min(size, available_parallelism())` workers, the
+    /// calling thread among them; a rank stays on the worker it started
+    /// on. Outcome and errors are those of [`Universe::try_run`], bit
+    /// for bit: every collective still folds its inputs in rank order.
+    ///
+    /// `f` must wait through the `_async` operations only. A
+    /// synchronous one that has to wait raises [`VpceError::Internal`]
+    /// when ranks share workers.
+    pub fn try_run_tasks<R, F>(&self, f: F) -> Result<RunOutcome<R>, VpceError>
+    where
+        R: Send,
+        F: AsyncFn(&mut Mpi) -> R + Sync,
+    {
+        // (Asked only when it matters: the answer is a dozen
+        // microseconds of affinity-mask and cgroup reads, twenty times
+        // the rest of a one-rank universe.)
+        let workers = match self.size() {
+            1 => 1,
+            n => n.min(available_parallelism().map_or(1, usize::from)),
+        };
+        self.run_on(workers, f)
+    }
+
+    /// The one engine behind both entries: the ranks' futures on
+    /// `workers` OS threads, rank `r` on worker `r % workers`.
+    pub(crate) fn run_on<R, F>(&self, workers: usize, f: F) -> Result<RunOutcome<R>, VpceError>
+    where
+        R: Send,
+        F: AsyncFn(&mut Mpi) -> R + Sync,
+    {
         let n = self.size();
+        let workers = workers.clamp(1, n);
         let mut net = NetSim::new(self.cfg.net.clone());
         net.set_faults(self.faults.clone());
         if self.tracer.is_enabled() {
@@ -260,53 +312,41 @@ impl Universe {
                 .with_suppressed_crashes(self.suppressed_crashes.clone()),
             pools,
             policy,
+            workers,
         });
-        let mut results: Vec<Option<(R, f64, RankStats)>> = (0..n).map(|_| None).collect();
+        // Worker 0 is the calling thread: one worker spawns nothing.
+        let mut by_worker: Vec<_> = std::thread::scope(|scope| {
+            let (shared, f) = (&shared, &f);
+            let spawned: Vec<_> = (1..workers)
+                .map(|w| scope.spawn(move || drive_ranks(shared, f, w)))
+                .collect();
+            let mut ends = vec![drive_ranks(shared, f, 0).into_iter()];
+            for h in spawned {
+                ends.push(h.join().expect("a worker catches its ranks' panics").into_iter());
+            }
+            ends
+        });
+        let mut results = Vec::with_capacity(n);
+        let mut clocks = Vec::with_capacity(n);
+        let mut rank_stats = Vec::with_capacity(n);
         let mut typed: Vec<VpceError> = Vec::new();
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(n);
-            for rank in 0..n {
-                let shared = Arc::clone(&shared);
-                let f = &f;
-                handles.push(scope.spawn(move || {
-                    let body = std::panic::AssertUnwindSafe(|| {
-                        let mut mpi = Mpi {
-                            rank,
-                            size: n,
-                            clock: 0.0,
-                            seq: 0,
-                            nic_seq: 0,
-                            ring: None,
-                            stats: RankStats::default(),
-                            shared: Arc::clone(&shared),
-                        };
-                        let r = f(&mut mpi);
-                        // This rank will never wake anyone again: peers
-                        // left waiting on it are deadlocked.
-                        shared.blocking.finish(rank);
-                        (r, mpi.clock, mpi.stats)
-                    });
-                    std::panic::catch_unwind(body).unwrap_or_else(|payload| {
-                        // Wake peers waiting in collectives, receives
-                        // or window locks, then re-raise.
-                        shared.blocking.fail();
-                        std::panic::resume_unwind(payload)
-                    })
-                }));
-            }
-            for (rank, h) in handles.into_iter().enumerate() {
-                match h.join() {
-                    Ok(out) => results[rank] = Some(out),
-                    Err(payload) => match take_raised(payload) {
-                        Ok(err) => typed.push(err),
-                        // Not a typed error: a genuine bug. Re-raise
-                        // with the original payload (peers were
-                        // woken by the failure).
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    },
+        // Rank order: worker `r % workers` carried rank `r`, after the
+        // smaller ranks of its share.
+        for rank in 0..n {
+            match by_worker[rank % workers].next().expect("one end per rank") {
+                Ok((r, c, s)) => {
+                    results.push(r);
+                    clocks.push(c);
+                    rank_stats.push(s);
                 }
+                Err(payload) => match take_raised(payload) {
+                    Ok(err) => typed.push(err),
+                    // Not a typed error: a genuine bug. Re-raise with
+                    // the original payload (every rank has ended).
+                    Err(payload) => resume_unwind(payload),
+                },
             }
-        });
+        }
         if !typed.is_empty() {
             // Prefer the root cause over the secondary `PeerFailure`
             // wake-ups it triggered on peer ranks.
@@ -315,15 +355,6 @@ impl Universe {
                 .position(|e| !matches!(e, VpceError::PeerFailure { .. }))
                 .unwrap_or(0);
             return Err(typed.swap_remove(best));
-        }
-        let mut out_results = Vec::with_capacity(n);
-        let mut clocks = Vec::with_capacity(n);
-        let mut rank_stats = Vec::with_capacity(n);
-        for r in results {
-            let (r, c, s) = r.expect("all ranks joined");
-            out_results.push(r);
-            clocks.push(c);
-            rank_stats.push(s);
         }
         let net = shared.net.lock().stats().clone();
         let rma_conflicts = std::mem::take(&mut *shared.conflicts.lock());
@@ -337,7 +368,7 @@ impl Universe {
             .is_enabled()
             .then(|| TraceReport::build(&self.tracer, &clocks));
         Ok(RunOutcome {
-            results: out_results,
+            results,
             clocks,
             rank_stats,
             net,
@@ -345,6 +376,70 @@ impl Universe {
             trace,
             pool,
         })
+    }
+}
+
+/// How one rank ended: its result, final clock and ledger, or the
+/// payload it unwound with.
+type RankEnd<R> = Result<(R, f64, RankStats), Box<dyn Any + Send>>;
+
+/// Worker `w` of `shared.workers`: carry ranks `w, w + workers, …` to
+/// their ends, in that order. Each sweep polls every rank still going
+/// once — a poll of a rank that cannot go on yet is one look at the
+/// guarded state — and the thread sleeps only when a whole sweep left
+/// all of them pending.
+fn drive_ranks<R, F>(shared: &Arc<Shared>, f: &F, w: usize) -> Vec<RankEnd<R>>
+where
+    F: AsyncFn(&mut Mpi) -> R,
+{
+    let (n, workers) = (shared.cfg.num_nodes(), shared.workers);
+    let mut live: Vec<usize> = (w..n).step_by(workers).collect();
+    let mut tasks: Vec<_> = live
+        .iter()
+        .map(|&rank| {
+            Some(Box::pin(async move {
+                let mut mpi = Mpi {
+                    rank,
+                    size: n,
+                    clock: 0.0,
+                    seq: 0,
+                    nic_seq: 0,
+                    ring: None,
+                    stats: RankStats::default(),
+                    shared: Arc::clone(shared),
+                };
+                let r = f(&mut mpi).await;
+                // This rank will never wake anyone again: peers left
+                // waiting on it are deadlocked.
+                shared.blocking.finish(rank);
+                (r, mpi.clock, mpi.stats)
+            }))
+        })
+        .collect();
+    let mut ends: Vec<Option<RankEnd<R>>> = tasks.iter().map(|_| None).collect();
+    let mut cx = Context::from_waker(Waker::noop());
+    loop {
+        live.retain(|&rank| {
+            let slot = rank / workers;
+            let task = tasks[slot].as_mut().expect("a live rank has a task");
+            ends[slot] = Some(match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
+                Ok(Poll::Pending) => return true,
+                Ok(Poll::Ready(end)) => Ok(end),
+                Err(payload) => {
+                    // Peers waiting in collectives, receives or window
+                    // locks leave at their next poll; this worker's
+                    // other ranks are still carried to their ends.
+                    shared.blocking.fail();
+                    Err(payload)
+                }
+            });
+            tasks[slot] = None;
+            false
+        });
+        if live.is_empty() {
+            return ends.into_iter().map(|e| e.expect("every rank ended")).collect();
+        }
+        shared.blocking.park(&live);
     }
 }
 
@@ -465,6 +560,39 @@ impl Mpi {
     }
 
     // ------------------------------------------------------------------
+    // Waiting
+    // ------------------------------------------------------------------
+
+    /// Carry `op` to its end on this rank's own thread: poll it, and
+    /// sleep while it is pending. Every synchronous operation that can
+    /// wait (`barrier`, `fence_all`, `recv`, …) is this around its
+    /// `_async` form, which holds the one body.
+    ///
+    /// Raises [`VpceError::Internal`] when `op` has to wait and this
+    /// rank shares its thread with others
+    /// ([`Universe::try_run_tasks`] on fewer workers than ranks):
+    /// sleeping here would stop ranks the wait may depend on.
+    pub fn block_on<T>(&mut self, op: impl AsyncFnOnce(&mut Mpi) -> T) -> T {
+        let (shared, rank) = (Arc::clone(&self.shared), self.rank);
+        let mut op = pin!(op(self));
+        let mut cx = Context::from_waker(Waker::noop());
+        loop {
+            if let Poll::Ready(out) = op.as_mut().poll(&mut cx) {
+                return out;
+            }
+            if shared.workers < shared.cfg.num_nodes() {
+                raise(VpceError::Internal {
+                    msg: format!(
+                        "rank {rank} has to wait inside a synchronous call, on a thread it shares \
+                         with other ranks: use the `_async` form inside `try_run_tasks`"
+                    ),
+                });
+            }
+            shared.blocking.park(&[rank]);
+        }
+    }
+
+    // ------------------------------------------------------------------
     // Windows
     // ------------------------------------------------------------------
 
@@ -472,7 +600,12 @@ impl Mpi {
     /// rank (ranks may pass different lengths). Returns the handle to
     /// this rank's shard.
     pub fn win_create(&mut self, len: usize) -> WindowRef {
-        self.win_create_form(len, true)
+        self.block_on(async |m| m.win_create_async(len).await)
+    }
+
+    /// [`win_create`](Mpi::win_create) for a rank task.
+    pub async fn win_create_async(&mut self, len: usize) -> WindowRef {
+        self.win_create_form(len, true).await
     }
 
     /// [`win_create`](Mpi::win_create) in its length-only form: this
@@ -482,10 +615,16 @@ impl Mpi {
     /// scheduled and traced as on a backed one; values move only
     /// between two backed shards.
     pub fn win_create_length_only(&mut self, len: usize) -> WindowRef {
-        self.win_create_form(len, false)
+        self.block_on(async |m| m.win_create_length_only_async(len).await)
     }
 
-    fn win_create_form(&mut self, len: usize, backed: bool) -> WindowRef {
+    /// [`win_create_length_only`](Mpi::win_create_length_only) for a
+    /// rank task.
+    pub async fn win_create_length_only_async(&mut self, len: usize) -> WindowRef {
+        self.win_create_form(len, false).await
+    }
+
+    async fn win_create_form(&mut self, len: usize, backed: bool) -> WindowRef {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
         let (win, exit, dom) = self.shared.blocking.run(self.rank, ((len, backed), self.clock), |ins| {
@@ -501,7 +640,7 @@ impl Mpi {
             let id = shared.table.lock().create(&forms);
             let exit = maxc + shared.barrier_cost();
             vec![(id, exit, (slowest, maxc)); forms.len()]
-        });
+        }).await;
         self.stats.sync_wait += exit - entry;
         self.clock = exit;
         self.trace_blocking(CallOp::WinCreate, entry, exit, 0, Some(dom), None);
@@ -608,17 +747,27 @@ impl Mpi {
     /// operation on it, schedules the wire transfers deterministically,
     /// and synchronizes all ranks.
     pub fn win_fence(&mut self, win: WinId) {
-        self.fence_filtered(Some(win));
+        self.block_on(async |m| m.win_fence_async(win).await)
+    }
+
+    /// [`win_fence`](Mpi::win_fence) for a rank task.
+    pub async fn win_fence_async(&mut self, win: WinId) {
+        self.fence_filtered(Some(win)).await
     }
 
     /// Fence over *all* windows — what the backend emits at parallel-
     /// region boundaries ("MPI_FENCE is also inserted at the same place
     /// to guarantee that all outstanding writes … are complete", §5.5).
     pub fn fence_all(&mut self) {
-        self.fence_filtered(None);
+        self.block_on(Mpi::fence_all_async)
     }
 
-    fn fence_filtered(&mut self, filter: Option<WinId>) {
+    /// [`fence_all`](Mpi::fence_all) for a rank task.
+    pub async fn fence_all_async(&mut self) {
+        self.fence_filtered(None).await
+    }
+
+    async fn fence_filtered(&mut self, filter: Option<WinId>) {
         // Closing the epoch retires the open descriptor ring: the next
         // epoch's first transfer pays its own doorbell.
         self.flush_ring();
@@ -694,7 +843,7 @@ impl Mpi {
             }
             let exit = latest + shared.cfg.node.nic.post_s;
             vec![(exit, ft); n]
-        });
+        }).await;
         self.stats.comm_wait += exit - entry;
         self.stats.fences += 1;
         self.clock = exit;
@@ -732,12 +881,17 @@ impl Mpi {
     /// [`VpceError::DeadlockStall`], whose graph names the holder.
     ///
     /// Note on determinism: competing lock acquisitions are ordered by
-    /// OS scheduling, so *virtual timing* may vary across runs when
+    /// host scheduling, so *virtual timing* may vary across runs when
     /// several ranks contend; memory results of commutative updates do
     /// not. The compiler backend avoids locks for this reason
     /// (reductions go through [`Mpi::accumulate`] + fence); locks exist
     /// for MPI-2 completeness and for the lock-based reduction variant.
     pub fn win_lock(&mut self, win: &WindowRef, target: usize) {
+        self.block_on(async |m| m.win_lock_async(win, target).await)
+    }
+
+    /// [`win_lock`](Mpi::win_lock) for a rank task.
+    pub async fn win_lock_async(&mut self, win: &WindowRef, target: usize) {
         if target >= self.size {
             raise(VpceError::RankOutOfRange {
                 what: "lock target",
@@ -746,7 +900,7 @@ impl Mpi {
             });
         }
         let entry = self.clock;
-        let last_release = self.shared.blocking.lock(self.rank, win.id().0, target);
+        let last_release = self.shared.blocking.lock(self.rank, win.id().0, target).await;
         // Acquiring the lock is a small round trip to the target.
         let link = self.shared.cfg.net.link;
         let rtt = 2.0
@@ -772,6 +926,11 @@ impl Mpi {
 
     /// `MPI_BARRIER`: all ranks leave at the same virtual time.
     pub fn barrier(&mut self) {
+        self.block_on(Mpi::barrier_async)
+    }
+
+    /// [`barrier`](Mpi::barrier) for a rank task.
+    pub async fn barrier_async(&mut self) {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
         let (exit, dom): (f64, (usize, f64)) =
@@ -787,7 +946,7 @@ impl Mpi {
                 }
                 let exit = maxc + shared.barrier_cost();
                 vec![(exit, (slowest, maxc)); n]
-            });
+            }).await;
         self.stats.sync_wait += exit - entry;
         self.stats.barriers += 1;
         self.clock = exit;

@@ -5,7 +5,6 @@
 //! timer to tune; the programs that used to hang outright run under a
 //! wall-clock watchdog so a regression fails instead of hanging CI.
 
-use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use cluster_sim::{ClusterConfig, Protocol};
@@ -13,13 +12,12 @@ use mpi2::{Mpi, TransportPolicy, Universe, VpceError};
 use vpce_faults::{raise, FaultSpec};
 use vpce_testkit::prelude::*;
 
+mod scripts;
+use scripts::{contended, script_gen, within_watchdog, Op};
+
 fn uni(n: usize) -> Universe {
     Universe::new(ClusterConfig::paper_n(n))
 }
-
-/// How long a program that must *end* may take before it counts as
-/// hung. Every program here finishes in milliseconds.
-const WATCHDOG: Duration = Duration::from_secs(20);
 
 /// Run `body` on `n` ranks from a helper thread and hand back the run's
 /// verdict; panics if the run is still going when the watchdog expires
@@ -28,15 +26,7 @@ fn run_within_watchdog(
     n: usize,
     body: impl Fn(&mut Mpi) + Send + Sync + 'static,
 ) -> Result<(), VpceError> {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let _ = tx.send(uni(n).try_run(body).map(|_| ()));
-    });
-    match rx.recv_timeout(WATCHDOG) {
-        Ok(verdict) => verdict,
-        Err(RecvTimeoutError::Timeout) => panic!("still running after {WATCHDOG:?}: a hang"),
-        Err(RecvTimeoutError::Disconnected) => panic!("the run died of an untyped panic"),
-    }
+    within_watchdog(move || uni(n).try_run(body).map(|_| ()))
 }
 
 #[test]
@@ -266,66 +256,6 @@ fn ab_ba_lock_cycle_is_a_typed_stall() {
 // No script hangs
 // ---------------------------------------------------------------------------
 
-#[derive(Debug, Clone, PartialEq)]
-enum Op {
-    Barrier,
-    Send { to: usize, tag: i32 },
-    Recv { from: usize, tag: i32 },
-    Lock { target: usize },
-    Unlock { target: usize },
-    PutNow { target: usize },
-    /// Return from the SPMD closure here, whatever is still open.
-    Finish,
-}
-
-/// One op list per rank, 2–4 ranks, every rank index in range. Built
-/// from moves that keep most scripts *nearly* right — a barrier on
-/// every rank, a matched send/recv pair, a whole lock epoch — plus
-/// stray single ops that unbalance them: all the ways to block, matched
-/// or not, and every lock misuse.
-fn script_gen() -> Gen<Vec<Vec<Op>>> {
-    usize_in(2, 4).flat_map(|n| {
-        let rank = usize_in(0, n - 1);
-        let tag = i64_in(0, 1).map(|t| t as i32);
-        let stray = one_of(vec![
-            just(Op::Barrier),
-            zip2(rank.clone(), tag.clone()).map(|(to, tag)| Op::Send { to, tag }),
-            zip2(rank.clone(), tag.clone()).map(|(from, tag)| Op::Recv { from, tag }),
-            rank.clone().map(|target| Op::Lock { target }),
-            rank.clone().map(|target| Op::Unlock { target }),
-            rank.clone().map(|target| Op::PutNow { target }),
-            just(Op::Finish),
-        ]);
-        let step: Gen<Vec<(usize, Op)>> = weighted(vec![
-            (3, just((0..n).map(|r| (r, Op::Barrier)).collect())),
-            (
-                3,
-                zip3(rank.clone(), rank.clone(), tag).map(|(from, to, tag)| {
-                    vec![(from, Op::Send { to, tag }), (to, Op::Recv { from, tag })]
-                }),
-            ),
-            (
-                3,
-                zip2(rank.clone(), rank.clone()).map(|(r, target)| {
-                    vec![
-                        (r, Op::Lock { target }),
-                        (r, Op::PutNow { target }),
-                        (r, Op::Unlock { target }),
-                    ]
-                }),
-            ),
-            (4, zip2(rank, stray).map(|placed| vec![placed])),
-        ]);
-        vec_of(step, 0, 8).map(move |steps| {
-            let mut ranks = vec![Vec::new(); n];
-            for (r, op) in steps.into_iter().flatten() {
-                ranks[r].push(op);
-            }
-            ranks
-        })
-    })
-}
-
 /// The verdict kind of one execution: `ok`, or the typed error's kind.
 fn execute(script: &[Vec<Op>]) -> &'static str {
     let ranks = script.to_vec();
@@ -344,15 +274,6 @@ fn execute(script: &[Vec<Op>]) -> &'static str {
         }
     });
     verdict.map_or_else(|e| e.kind(), |()| "ok")
-}
-
-/// Whether two ranks ask for the same shard. Which of them is granted
-/// first is OS order (documented on `Mpi::win_lock`), so such a
-/// script's verdict may legitimately differ between executions — every
-/// one of them typed.
-fn contended(script: &[Vec<Op>]) -> bool {
-    let wants = |ops: &[Op], target| ops.contains(&Op::Lock { target });
-    (0..script.len()).any(|t| script.iter().filter(|ops| wants(ops, t)).count() > 1)
 }
 
 #[test]

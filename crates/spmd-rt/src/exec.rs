@@ -2,10 +2,11 @@
 //! simulated cluster (and sequentially, for the reference baseline).
 
 use std::collections::BTreeSet;
+use std::ops::AsyncFn;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use cluster_sim::{ClusterConfig, CpuModel};
-use mpi2::{AccumulateOp, Elem, Mpi, RankStats, Universe, WindowRef};
+use mpi2::{AccumulateOp, Elem, Mpi, RankStats, RunOutcome, Universe, WindowRef};
 use vbus_sim::NetStats;
 use vpce_faults::{raise, site, take_raised, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Lane, TraceReport, Tracer};
@@ -159,22 +160,46 @@ pub fn try_execute_suppressed(
         .with_tracer(tracer)
         .with_faults(faults)
         .with_crash_suppression(suppressed_crashes.clone());
-    // Lowered once, before any rank starts; every rank thread walks
-    // the same form by reference.
+    let out = uni.try_run_tasks(rank_body(prog, mode, resume))?;
+    Ok(RunReport::from_outcome(out))
+}
+
+/// What one rank of a compiled program returns: rank 0's final arrays
+/// and scalars and its block-boundary times, empty on slave ranks.
+pub type RankOutput = (Vec<Vec<Elem>>, Vec<Value>, Vec<f64>);
+
+/// The compiled program as the body of one rank — what
+/// [`try_execute_suppressed`] hands to [`Universe::try_run_tasks`]. A
+/// rank task: it yields wherever it has to wait for its peers, so ranks
+/// share worker threads. (`Mpi::block_on` runs the same body on a
+/// thread of its own; the differential suite holds the two equal.)
+pub fn rank_body<'a>(
+    prog: &'a SpmdProgram,
+    mode: ExecMode,
+    resume: Option<&'a crate::checkpoint::Snapshot>,
+) -> impl AsyncFn(&mut Mpi) -> RankOutput + Sync + 'a {
+    // Lowered once, before any rank starts; every rank walks the same
+    // form by reference.
     let code = lowered::lower_program(prog);
-    let mut out = uni.try_run(|mpi| run_rank(prog, &code, mpi, mode, resume))?;
-    let (arrays, scalars, boundaries) = out.results.swap_remove(0);
-    Ok(RunReport {
-        elapsed: out.elapsed(),
-        comm_time: out.max_comm_time(),
-        rank_stats: out.rank_stats,
-        net: out.net,
-        arrays,
-        scalars,
-        boundaries,
-        rma_conflicts: out.rma_conflicts,
-        trace: out.trace,
-    })
+    async move |mpi: &mut Mpi| run_rank(prog, &code, mpi, mode, resume).await
+}
+
+impl RunReport {
+    /// The report of a universe that ran [`rank_body`] on every rank.
+    pub fn from_outcome(mut out: RunOutcome<RankOutput>) -> RunReport {
+        let (arrays, scalars, boundaries) = out.results.swap_remove(0);
+        RunReport {
+            elapsed: out.elapsed(),
+            comm_time: out.max_comm_time(),
+            rank_stats: out.rank_stats,
+            net: out.net,
+            arrays,
+            scalars,
+            boundaries,
+            rma_conflicts: out.rma_conflicts,
+            trace: out.trace,
+        }
+    }
 }
 
 /// Execute the program's sequential form on one node (the Table-1
@@ -260,13 +285,13 @@ fn phase(mpi: &Mpi, t0: f64, name: impl FnOnce() -> String) {
 /// Per-rank execution of the whole program (or, when resuming, of its
 /// remaining blocks). Returns rank-0's view of the final arrays and
 /// scalars plus the block-boundary times (empty on slave ranks).
-fn run_rank(
+async fn run_rank(
     prog: &SpmdProgram,
     code: &[Code],
     mpi: &mut Mpi,
     mode: ExecMode,
     resume: Option<&crate::checkpoint::Snapshot>,
-) -> (Vec<Vec<Elem>>, Vec<Value>, Vec<f64>) {
+) -> RankOutput {
     let rank = mpi.rank();
     let t_init = mpi.now();
     // One window per array, full-size on every rank ("all data
@@ -274,17 +299,14 @@ fn run_rank(
     // values are computed: every rank in `Full`, in `Analytic` the
     // master alone, whose sequential sections run numerically.
     let backed = mode == ExecMode::Full || rank == 0;
-    let wins: Vec<WindowRef> = prog
-        .arrays
-        .iter()
-        .map(|&(_, len)| {
-            if backed {
-                mpi.win_create(len)
-            } else {
-                mpi.win_create_length_only(len)
-            }
-        })
-        .collect();
+    let mut wins: Vec<WindowRef> = Vec::with_capacity(prog.arrays.len());
+    for &(_, len) in &prog.arrays {
+        wins.push(if backed {
+            mpi.win_create_async(len).await
+        } else {
+            mpi.win_create_length_only_async(len).await
+        });
+    }
     // Lock-based reductions need a shared accumulator window.
     let max_reds = prog
         .regions()
@@ -292,7 +314,10 @@ fn run_rank(
         .map(|r| r.reductions.len())
         .max()
         .unwrap_or(0);
-    let red_win: Option<WindowRef> = (max_reds > 0).then(|| mpi.win_create(max_reds));
+    let red_win: Option<WindowRef> = match max_reds {
+        0 => None,
+        len => Some(mpi.win_create_async(len).await),
+    };
     phase(mpi, t_init, || "init".to_string());
     let mut st = State::new(&prog.scalars);
 
@@ -339,7 +364,7 @@ fn run_rank(
             Code::Parallel(body) => {
                 let (serial, _, region) =
                     todo.next().expect("one numbered region per parallel block");
-                run_region(region, body, mode, mpi, &wins, red_win.as_ref(), &mut st, serial);
+                run_region(region, body, mode, mpi, &wins, red_win.as_ref(), &mut st, serial).await;
             }
         }
         if rank == 0 {
@@ -379,14 +404,14 @@ fn flush_cycles(st: &mut State, mpi: &mut Mpi) {
 
 /// Execute one parallel region: interpret the §3 walk
 /// ([`protocol::steps`]) against the MPI library.
-fn run_region(
+async fn run_region(
     region: &ParRegion,
     body: &LoopBody,
     mode: ExecMode,
     mpi: &mut Mpi,
     wins: &[WindowRef],
     red_win: Option<&WindowRef>,
-    st: &mut State,
+    st: &mut State<'_>,
     region_serial: u64,
 ) {
     let line = region.line;
@@ -420,15 +445,15 @@ fn run_region(
                     });
                 }
             }
-            Step::Sync(SyncKind::Barrier) => mpi.barrier(),
-            Step::Sync(SyncKind::Fence) => mpi.fence_all(),
+            Step::Sync(SyncKind::Barrier) => mpi.barrier_async().await,
+            Step::Sync(SyncKind::Fence) => mpi.fence_all_async().await,
             // Shared scalars travel master -> everyone (values as f64;
             // the typed store restores integers).
             Step::Sync(SyncKind::Bcast) => {
                 let payload = (rank == 0).then(|| {
                     region.scalars_in.iter().map(|&s| st.real_of(s)).collect::<Vec<f64>>()
                 });
-                let vals = mpi.bcast(0, payload);
+                let vals = mpi.bcast_async(0, payload).await;
                 for (&slot, &v) in region.scalars_in.iter().zip(&vals) {
                     st.store_real(slot, v);
                 }
@@ -437,7 +462,7 @@ fn run_region(
             // collective per reduction.
             Step::Sync(SyncKind::Reduce) => {
                 let (i, red) = tree_reds.next().expect("one reduce step per reduction");
-                if let Some(v) = mpi.reduce(0, vec![partials[i]], red.op.into()) {
+                if let Some(v) = mpi.reduce_async(0, vec![partials[i]], red.op.into()).await {
                     st.store_real(red.scalar, combine(red.op, saved[i], v[0]));
                 }
             }
@@ -483,7 +508,7 @@ fn run_region(
             }
             Step::LockAccumulate => {
                 for (i, red) in region.reductions.iter().enumerate() {
-                    mpi.win_lock(red_win(), 0);
+                    mpi.win_lock_async(red_win(), 0).await;
                     mpi.accumulate_now(red_win(), 0, i, vec![partials[i]], red.op.into());
                     mpi.win_unlock(red_win(), 0);
                 }

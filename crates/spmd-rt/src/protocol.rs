@@ -27,8 +27,9 @@
 //! [`SpmdProgram::numbered_regions`]: crate::ir::SpmdProgram::numbered_regions
 
 use std::iter::{once, repeat_n};
+use std::ops::Range;
 
-use crate::ir::{CommOp, ParRegion};
+use crate::ir::{CommOp, CommPlan, ParRegion};
 
 /// A global synchronisation: every live rank must arrive at the same
 /// kind for it to complete.
@@ -109,34 +110,34 @@ pub fn crash_key(rank: usize, serial: u64) -> u64 {
     ((rank as u64) << 32) ^ serial
 }
 
+/// The planned transfers of `ranks`, each with its rank.
+fn of(plan: &CommPlan, ranks: Range<usize>) -> impl Iterator<Item = (usize, &Vec<CommOp>)> {
+    plan.per_rank.iter().enumerate().skip(ranks.start).take(ranks.len())
+}
+
 /// `rank`'s walk through `region`. Borrows the plan: no transfer is
 /// copied, nothing is allocated.
 pub fn steps(region: &ParRegion, rank: usize) -> impl Iterator<Item = Step<'_>> {
     use Step::{Compute, CrashPoint, End, LockAccumulate, LockCombine, LockSeed, Sync};
     let master = rank == 0;
     let pull = region.pull_scatter;
+    // Whose planned transfers this rank issues, as a range of ranks: a
+    // slave its own, the master nobody's — or, pushing, everybody's.
+    // (A range, not a filter over all ranks: 16 384 slaves each looking
+    // for their one entry is a quadratic walk.)
+    let own = if master { 0..0 } else { rank..rank + 1 };
     // Push: the master PUTs every rank's regions (its host pays all
     // setup costs, serially). Pull: each slave GETs its own from the
     // master (setup paid in parallel) — one-sided communication makes
     // the initiator a free choice (§2.2).
-    let scatter = region
-        .scatter
-        .per_rank
-        .iter()
-        .enumerate()
-        .filter(move |&(r, _)| if pull { !master && r == rank } else { master })
-        .flat_map(move |(r, ops)| {
-            let target = if pull { 0 } else { r };
-            ops.iter()
-                .map(move |op| Step::Rma { site: Phase::Scatter, op, target, get: pull })
-        });
+    let pushed = if master { 0..usize::MAX } else { 0..0 };
+    let scatter = of(&region.scatter, if pull { own.clone() } else { pushed }).flat_map(move |(r, ops)| {
+        let target = if pull { 0 } else { r };
+        ops.iter()
+            .map(move |op| Step::Rma { site: Phase::Scatter, op, target, get: pull })
+    });
     // Slaves PUT their write-first/read-write regions back.
-    let collect = region
-        .collect
-        .per_rank
-        .iter()
-        .enumerate()
-        .filter(move |&(r, _)| !master && r == rank)
+    let collect = of(&region.collect, own)
         .flat_map(|(_, ops)| ops)
         .map(|op| Step::Rma { site: Phase::Collect, op, target: 0, get: false });
     let reds = region.reductions.len();

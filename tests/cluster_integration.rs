@@ -132,3 +132,22 @@ fn cluster_sizes_beyond_the_paper_scale() {
     assert!(t9 < t4, "9 nodes beat 4: {t9} vs {t4}");
     assert!(t16 < t9, "16 nodes beat 9: {t16} vs {t9}");
 }
+
+#[test]
+fn rank_count_is_not_a_thread_count() {
+    // 16 384 ranks were 16 384 OS threads, and the process died in
+    // `std` setting up the stack guard page of one of them (exit 134).
+    // Ranks are tasks on as many workers as the host has cores now, and
+    // an eager slot is registered when it is first staged into: the run
+    // is a fraction of a second and tens of megabytes. It may end in a
+    // typed refusal some day; it may never abort.
+    let mm_f = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_vpcec"))
+        .args([mm_f, "--nodes", "16384", "--param", "N=64", "--analytic", "--grain", "coarse"])
+        .output()
+        .expect("spawn vpcec");
+    let (text, err) = (String::from_utf8_lossy(&out.stdout), String::from_utf8_lossy(&out.stderr));
+    assert_eq!(out.status.code(), Some(0), "{text}{err}");
+    assert!(text.contains("16384 ranks") && text.contains("speedup"), "{text}");
+    assert!(!err.contains("panicked"), "{err}");
+}

@@ -229,6 +229,47 @@ fn workloads_equal_their_references_on_both_sides_of_the_strip_width() {
     }
 }
 
+/// One engine, two entries, same bytes. A compiled program runs as
+/// resumable rank tasks on at most as many threads as the host has
+/// cores (`Universe::try_run_tasks`, what every shipped command uses);
+/// the closure entry drives the *same* rank body with `Mpi::block_on`
+/// on a thread per rank. The two reports must be equal field for field
+/// — times, ledgers, network counters, arrays, scalars, boundaries,
+/// conflicts, trace analyses — and the Chrome traces byte for byte.
+#[test]
+fn task_entry_and_thread_entry_produce_the_same_report() {
+    use Granularity::{Coarse, Fine, Middle};
+    for (source, param, n) in [
+        (mm::SOURCE, "N", 24),
+        (swim::SOURCE, "N", 24),
+        (cfft::SOURCE, "M", 6),
+        (irregular::SOURCE, "N", 40),
+    ] {
+        for nprocs in [1, 2, 4, 16] {
+            for g in [Fine, Middle, Coarse] {
+                let opts = BackendOptions::new(nprocs).granularity(g);
+                let prog = compile(source, &[(param, n)], &opts).unwrap().program;
+                let cluster = ClusterConfig::paper_n(nprocs);
+                for mode in [ExecMode::Full, ExecMode::Analytic] {
+                    let what = format!("{} {param}={n} on {nprocs} ranks, {g:?}, {mode:?}", prog.name);
+                    let (on_tasks, on_threads) = (Tracer::enabled(), Tracer::enabled());
+                    let tasks = spmd_rt::try_execute_traced(&prog, &cluster, mode, on_tasks.clone(), FaultSpec::off())
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let body = spmd_rt::rank_body(&prog, mode, None);
+                    let threads = mpi2::Universe::new(cluster.clone())
+                        .with_tracer(on_threads.clone())
+                        .try_run(|mpi| mpi.block_on(&body))
+                        .map(spmd_rt::RunReport::from_outcome)
+                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    // `Debug` prints every field, floats to the bit.
+                    assert!(format!("{tasks:?}") == format!("{threads:?}"), "{what}: reports differ");
+                    assert!(on_tasks.to_chrome_json() == on_threads.to_chrome_json(), "{what}: traces differ");
+                }
+            }
+        }
+    }
+}
+
 /// Across a deterministic spread of granularities and problem sizes,
 /// the paper workloads must light up **both** transport protocols:
 /// fine-grain strips stage eager, coarse-grain block rows go
