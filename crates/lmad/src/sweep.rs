@@ -22,8 +22,11 @@ use crate::descriptor::Lmad;
 /// pair whose closed intervals intersect, until it returns `true`.
 /// Returns whether it did. An interval with `lo > hi` is empty and
 /// meets nothing. Visit order is the sweep's, not lexicographic.
+/// `active` is working memory: cleared here, its capacity the caller's
+/// to keep.
 fn sweep<T: Ord + Copy>(
     members: &mut [usize],
+    active: &mut Vec<usize>,
     extent: impl Fn(usize) -> (T, T),
     mut hit: impl FnMut(usize, usize) -> bool,
 ) -> bool {
@@ -31,14 +34,14 @@ fn sweep<T: Ord + Copy>(
     // Members seen so far whose interval reaches the sweep line. Each
     // survivor of the `retain` starts at or before `lo` and ends at or
     // after it, so it is a reported pair: the work is O(out + pairs).
-    let mut active: Vec<usize> = Vec::new();
+    active.clear();
     for &k in members.iter() {
         let (lo, hi) = extent(k);
         if lo > hi {
             continue;
         }
         active.retain(|&a| extent(a).1 >= lo);
-        for &a in &active {
+        for &a in active.iter() {
             if hit(a.min(k), a.max(k)) {
                 return true;
             }
@@ -57,7 +60,7 @@ pub fn any_overlapping_pair<T: Ord + Copy>(
     hit: impl FnMut(usize, usize) -> bool,
 ) -> bool {
     let mut members: Vec<usize> = (0..intervals.len()).collect();
-    sweep(&mut members, |i| intervals[i], hit)
+    sweep(&mut members, &mut Vec::new(), |i| intervals[i], hit)
 }
 
 /// Every index pair `i < j` whose closed intervals intersect, in
@@ -79,22 +82,52 @@ pub fn overlapping_pairs<T: Ord + Copy>(intervals: &[(T, T)]) -> Vec<(usize, usi
 pub fn overlapping_pairs_by_key<K: Ord + Copy, T: Ord + Copy>(
     items: &[(K, (T, T))],
 ) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    if items.len() < 2 {
-        return pairs;
-    }
-    let mut order: Vec<usize> = (0..items.len()).collect();
-    order.sort_unstable_by_key(|&i| items[i].0);
-    for bucket in order.chunk_by_mut(|&a, &b| items[a].0 == items[b].0) {
-        if bucket.len() >= 2 {
-            sweep(bucket, |i| items[i].1, |i, j| {
-                pairs.push((i, j));
-                false
-            });
+    let mut join = PairJoin::default();
+    join.pairs_by_key(items.len(), |i| items[i]);
+    join.pairs
+}
+
+/// The working memory of [`overlapping_pairs_by_key`], for a caller
+/// that joins batch after batch (every closing fence of a run does):
+/// the bucket order, the sweep line and the answer keep their capacity
+/// from one join to the next, so a join the size of an earlier one
+/// allocates nothing.
+#[derive(Debug, Default)]
+pub struct PairJoin {
+    order: Vec<usize>,
+    active: Vec<usize>,
+    pairs: Vec<(usize, usize)>,
+}
+
+impl PairJoin {
+    /// [`overlapping_pairs_by_key`] over items `0..n`, item `i` read as
+    /// `item(i) = (key, (lo, hi))` wherever the caller keeps it — no
+    /// list of footprints is built to ask. The answer is valid until
+    /// the next join.
+    pub fn pairs_by_key<K: Ord + Copy, T: Ord + Copy>(
+        &mut self,
+        n: usize,
+        item: impl Fn(usize) -> (K, (T, T)),
+    ) -> &[(usize, usize)] {
+        let PairJoin { order, active, pairs } = self;
+        pairs.clear();
+        if n < 2 {
+            return pairs;
         }
+        order.clear();
+        order.extend(0..n);
+        order.sort_unstable_by_key(|&i| item(i).0);
+        for bucket in order.chunk_by_mut(|&a, &b| item(a).0 == item(b).0) {
+            if bucket.len() >= 2 {
+                sweep(bucket, active, |i| item(i).1, |i, j| {
+                    pairs.push((i, j));
+                    false
+                });
+            }
+        }
+        pairs.sort_unstable();
+        pairs
     }
-    pairs.sort_unstable();
-    pairs
 }
 
 /// One member of a [`CoverIndex`]: its raw bounding interval and its
@@ -325,6 +358,21 @@ mod tests {
             overlapping_pairs_by_key(&items),
             vec![(0, 2), (0, 4), (1, 3), (2, 4)]
         );
+    }
+
+    #[test]
+    fn a_reused_join_answers_like_a_fresh_one() {
+        // A large join, then a smaller one over other buckets, then an
+        // empty one: nothing of an earlier answer survives into a later.
+        let wide: Vec<(u8, (i64, i64))> = (0..40).map(|i| (i % 3, (i as i64, i as i64 + 4))).collect();
+        let small = [(7u8, (0, 9)), (7, (5, 6)), (8, (5, 6))];
+        let mut join = PairJoin::default();
+        for items in [&wide[..], &small[..], &[][..], &wide[..]] {
+            assert_eq!(
+                join.pairs_by_key(items.len(), |i| items[i]),
+                overlapping_pairs_by_key(items)
+            );
+        }
     }
 
     /// (a) of the oracle suite: the sweep ≡ the all-pairs interval

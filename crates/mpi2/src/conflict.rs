@@ -7,7 +7,7 @@
 //! PUT-vs-GET on the same element, or mixed-operator ACCUMULATEs. The
 //! simulator happens to resolve them deterministically (sorted
 //! application order), which *hides* such bugs. This ledger records
-//! them instead: every closing fence scans the drained operation batch
+//! them instead: every closing fence scans the operations it completes
 //! — exactly one access epoch per window — for overlapping element
 //! footprints and appends a [`ConflictRecord`] per offending pair.
 //!
@@ -22,7 +22,7 @@
 //! `put_now`/`accumulate_now` apply immediately under an exclusive
 //! per-shard lock, which serialises them by construction.
 
-use lmad::sweep;
+use lmad::sweep::PairJoin;
 
 use crate::rma::{AccumulateOp, PendingRma, RmaDir};
 
@@ -156,9 +156,7 @@ enum Role {
     Acc(AccumulateOp),
 }
 
-/// Append the flattened shard effects of one op into `eff` — the
-/// caller owns the (reused) vector, so the scan allocates nothing per
-/// operation.
+/// Append the flattened shard effects of one op into `eff`.
 fn push_effects(op: &PendingRma, eff: &mut Vec<Effect>) {
     let mk = |shard, role, set| Effect {
         win: op.win.0,
@@ -202,18 +200,37 @@ struct Effect {
     set: AccessSet,
 }
 
-/// Scan one drained fence batch (= one access epoch per window) for
-/// undefined-outcome pairs. Operations arrive filtered to the fenced
-/// window(s); empty effect lists (self-gets) drop out naturally.
-pub(crate) fn scan_epoch(ops: &[PendingRma]) -> Vec<ConflictRecord> {
-    let mut eff: Vec<Effect> = Vec::with_capacity(ops.len());
+/// The working memory of [`scan_epoch`]: the flattened effects and the
+/// interval join over them. A universe keeps one beside the fence
+/// order, so a fence the size of an earlier one scans without
+/// allocating.
+#[derive(Default)]
+pub(crate) struct ScanScratch {
+    eff: Vec<Effect>,
+    join: PairJoin,
+}
+
+/// Scan one fence batch (= one access epoch per window) for
+/// undefined-outcome pairs, appending them to `found`. Operations
+/// arrive in the fence's order, filtered to the fenced window(s); empty
+/// effect lists (self-gets) drop out naturally.
+pub(crate) fn scan_epoch<'a>(
+    ops: impl ExactSizeIterator<Item = &'a PendingRma>,
+    scratch: &mut ScanScratch,
+    found: &mut Vec<ConflictRecord>,
+) {
+    let ScanScratch { eff, join } = scratch;
+    eff.clear();
+    // One effect per operation, a GET's second aside.
+    eff.reserve(ops.len());
     for op in ops {
-        push_effects(op, &mut eff);
+        push_effects(op, eff);
     }
-    candidate_pairs(&eff)
-        .into_iter()
-        .filter_map(|(i, j)| conflict(&eff[i], &eff[j]))
-        .collect()
+    found.extend(
+        candidate_pairs(eff, join)
+            .iter()
+            .filter_map(|&(i, j)| conflict(&eff[i], &eff[j])),
+    );
 }
 
 /// The pairs of one batch that can collide at all: same (window,
@@ -223,13 +240,12 @@ pub(crate) fn scan_epoch(ops: &[PendingRma]) -> Vec<ConflictRecord> {
 /// extent rejection that opens [`AccessSet::intersects`]), and returns
 /// the rest in the all-pairs loop's `(i, j)` order, so the ledger
 /// keeps its record order.
-fn candidate_pairs(eff: &[Effect]) -> Vec<(usize, usize)> {
-    // An empty set meets nothing: give it an empty interval.
-    let footprints: Vec<_> = eff
-        .iter()
-        .map(|e| ((e.win, e.shard), e.set.extent().unwrap_or((1, 0))))
-        .collect();
-    sweep::overlapping_pairs_by_key(&footprints)
+fn candidate_pairs<'j>(eff: &[Effect], join: &'j mut PairJoin) -> &'j [(usize, usize)] {
+    join.pairs_by_key(eff.len(), |i| {
+        let e = &eff[i];
+        // An empty set meets nothing: give it an empty interval.
+        ((e.win, e.shard), e.set.extent().unwrap_or((1, 0)))
+    })
 }
 
 /// The ledger record for one pair of effects, if they collide.
@@ -271,7 +287,6 @@ mod tests {
             _ => RmaSrc::Pinned(vec![0.0; count]),
         };
         PendingRma {
-            seq: 0,
             origin,
             target,
             win: WinId(0),
@@ -285,6 +300,13 @@ mod tests {
                 src,
             },
         }
+    }
+
+    /// [`scan_epoch`] with memory of its own.
+    fn scan_epoch(ops: &[PendingRma]) -> Vec<ConflictRecord> {
+        let mut found = Vec::new();
+        super::scan_epoch(ops.iter(), &mut ScanScratch::default(), &mut found);
+        found
     }
 
     /// The all-pairs scan the interval join replaced, kept as the
@@ -359,7 +381,7 @@ mod tests {
             push_effects(op, &mut eff);
         }
         assert_eq!(eff.len(), 19_200);
-        assert!(candidate_pairs(&eff).is_empty());
+        assert!(candidate_pairs(&eff, &mut PairJoin::default()).is_empty());
         assert!(scan_epoch(&ops).is_empty());
     }
 

@@ -79,6 +79,15 @@ impl Mpi {
     /// `MPI_RECV`: block until the matching message from `src` with
     /// `tag` arrives, schedule its wire transfer, and return the
     /// payload.
+    ///
+    /// Note on determinism: the transfer is booked on its links when
+    /// the receive matches — now, in host order — not by a fence. A
+    /// program in which two ranks receive (or [`Mpi::put_now`] /
+    /// [`Mpi::accumulate_now`]) over shared links therefore has
+    /// host-order-dependent *clocks*; payloads and every typed verdict
+    /// do not depend on it. Compiled programs do neither: their
+    /// transfers are buffered one-sided operations, booked by the
+    /// closing fence in `(issue time, origin, issue order)` order.
     pub fn recv(&mut self, src: usize, tag: i32) -> Vec<Elem> {
         self.block_on(async |m| m.recv_async(src, tag).await)
     }

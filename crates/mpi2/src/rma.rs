@@ -13,12 +13,13 @@
 //!
 //! Inside an access epoch every active-target call goes through
 //! [`Mpi::issue`]: check bounds, stage the payload, charge the origin
-//! CPU the host-side initiation cost, and append a [`PendingRma`]. The
-//! closing fence drains the buffer in deterministic order, schedules
-//! every wire transfer on the link simulator, and materialises the
-//! memory effects through [`apply_memory`] — the MPI-2 rule that RMA
-//! results become visible only when the epoch closes. Passive-target
-//! (`*_now`) calls build the same descriptor and apply it immediately.
+//! CPU the host-side initiation cost, and append a [`PendingRma`] to
+//! the rank's own queue, where it stays. The closing fence walks all
+//! queues in one deterministic order ([`FenceOrder`]), schedules every
+//! wire transfer on the link simulator, and materialises the memory
+//! effects through [`apply_memory`] — the MPI-2 rule that RMA results
+//! become visible only when the epoch closes. Passive-target (`*_now`)
+//! calls build the same descriptor and apply it immediately.
 //!
 //! A pending payload does not always own a heap copy of its data:
 //! [`RmaSrc`] records *where* it lives — a registered eager slot
@@ -147,9 +148,6 @@ fn extent(off: usize, stride: usize, count: usize) -> Option<usize> {
 /// A buffered one-sided operation awaiting the closing fence.
 #[derive(Debug, Clone)]
 pub(crate) struct PendingRma {
-    /// Per-origin issue sequence number (ties in the deterministic
-    /// sort).
-    pub seq: u64,
     pub origin: usize,
     pub target: usize,
     pub win: WinId,
@@ -172,13 +170,74 @@ impl PendingRma {
         }
     }
 
-    /// The deterministic scheduling order: issue time, then origin,
-    /// then per-origin sequence.
-    pub fn sort_key(&self) -> (u64, usize, u64) {
+    /// The deterministic scheduling order: issue time, then origin.
+    /// Operations one origin issued at one time keep their issue order
+    /// — their order in the origin's queue, see [`FenceOrder`].
+    pub fn sort_key(&self) -> (u64, usize) {
         // Total order on non-NaN f64 via bit tricks is overkill here:
         // issue times are products of deterministic arithmetic, so we
         // order by their bit pattern after a monotone map.
-        (f64_order_key(self.issue), self.origin, self.seq)
+        (f64_order_key(self.issue), self.origin)
+    }
+}
+
+/// The order a closing fence completes operations in — ascending
+/// [`PendingRma::sort_key`] over every rank's queue, an origin's ties
+/// in issue order — as a list of places, not of operations: one
+/// 16-byte `(issue, origin, index)` key per operation, the operation
+/// itself staying where it was issued.
+///
+/// The queue index is the per-origin issue number the order needs: a
+/// rank pushes in issue order and a queue only ever loses operations
+/// from its middle (`retain` at a filtered fence), so what is left is
+/// still in issue order. For the same reason every queue is a sorted
+/// run (a rank's clock never goes back), and an epoch issued by one
+/// origin — a scatter — is recognised as sorted in one pass. The key
+/// list keeps its capacity between fences.
+#[derive(Default)]
+pub(crate) struct FenceOrder {
+    /// `issue bits << 64 | origin << 32 | index`.
+    keys: Vec<u128>,
+}
+
+impl FenceOrder {
+    /// Order the operations of `queues` — rank `r`'s at index `r` —
+    /// that are on window `filter`, or all of them.
+    pub fn build(&mut self, queues: &[Vec<PendingRma>], filter: Option<WinId>) {
+        self.keys.clear();
+        // Asked for at once, so the first epoch is requested once, not
+        // doubling by doubling.
+        self.keys.reserve(queues.iter().map(Vec::len).sum());
+        for (rank, queue) in queues.iter().enumerate() {
+            debug_assert!(queue.iter().all(|op| op.origin == rank));
+            debug_assert!(queue.is_sorted_by_key(PendingRma::sort_key));
+            let origin = u32::try_from(rank).expect("ranks fit 32 bits");
+            assert!(u32::try_from(queue.len()).is_ok(), "a queue's indices fit 32 bits");
+            let admitted = queue
+                .iter()
+                .enumerate()
+                .filter(|(_, op)| filter.is_none_or(|win| op.win == win));
+            self.keys.extend(admitted.map(|(index, op)| {
+                u128::from(op.sort_key().0) << 64 | u128::from(origin) << 32 | index as u128
+            }));
+        }
+        self.keys.sort_unstable();
+    }
+
+    /// Operations ordered by the last [`build`](Self::build).
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The ordered operations, read where they are: `queues` is what
+    /// the order was built over.
+    pub fn iter<'q>(
+        &'q self,
+        queues: &'q [Vec<PendingRma>],
+    ) -> impl ExactSizeIterator<Item = &'q PendingRma> + 'q {
+        self.keys
+            .iter()
+            .map(|key| &queues[(key >> 32) as u32 as usize][*key as u32 as usize])
     }
 }
 
@@ -195,7 +254,7 @@ impl Mpi {
     /// different lengths). Runs before any staging or host charge.
     fn check_bounds(
         &self,
-        win: WinId,
+        win: &WindowRef,
         target: usize,
         (off, stride, count): (usize, usize, usize),
         own_shard: bool,
@@ -208,9 +267,8 @@ impl Mpi {
             });
         }
         let end = extent(off, stride, count);
-        let table = self.shared.table.lock();
         for rank in std::iter::once(target).chain(own_shard.then_some(self.rank)) {
-            let size = table.shard(win, rank).len;
+            let size = win.shard_len(rank);
             if end.is_none_or(|e| e > size) {
                 raise(VpceError::RmaBounds {
                     target: rank,
@@ -309,9 +367,7 @@ impl Mpi {
         data: Option<Vec<Elem>>,
     ) -> (Protocol, RmaSrc) {
         if self.shared.policy.choose(count * crate::ELEM_BYTES) == Protocol::Eager {
-            // Asked before the pool is locked: the table guard is gone
-            // by the end of the statement.
-            let moves = self.shared.table.lock().moves_values(win.id(), self.rank, target);
+            let moves = win.moves_values(self.rank, target);
             let mut pool = self.shared.pools[self.rank].lock();
             if let Some((slot, wait)) = pool.acquire(self.clock) {
                 if wait > 0.0 {
@@ -372,7 +428,7 @@ impl Mpi {
                 msg: "stride must be positive".into(),
             });
         }
-        self.check_bounds(win.id(), target, shape, data.is_none());
+        self.check_bounds(win, target, shape, data.is_none());
         let bytes = count * crate::ELEM_BYTES;
         let kind = if pio {
             TransferKind::Strided {
@@ -416,8 +472,7 @@ impl Mpi {
                 );
             }
         }
-        let op = PendingRma {
-            seq: self.seq,
+        self.queue.push(PendingRma {
             origin: self.rank,
             target,
             win: win.id(),
@@ -430,9 +485,7 @@ impl Mpi {
                 count,
                 src,
             },
-        };
-        self.seq += 1;
-        self.shared.pending.lock().push(op);
+        });
     }
 
     /// Contiguous `MPI_PUT`: write `data` at element offset `off` of
@@ -532,7 +585,7 @@ impl Mpi {
                 msg: format!("{} outside a lock epoch", call.name()),
             });
         }
-        self.check_bounds(win.id(), target, (off, 1, data.len()), false);
+        self.check_bounds(win, target, (off, 1, data.len()), false);
         let bytes = data.len() * crate::ELEM_BYTES;
         let kind = TransferKind::Contiguous { bytes };
         let entry = self.clock;
@@ -547,7 +600,6 @@ impl Mpi {
                 .unwrap_or_else(|e| raise(e))
         };
         let op = PendingRma {
-            seq: self.seq,
             origin: self.rank,
             target,
             win: win.id(),
@@ -562,7 +614,6 @@ impl Mpi {
                 src: RmaSrc::Pinned(data),
             },
         };
-        self.seq += 1;
         apply_memory(&self.shared.table.lock(), &self.shared.pools, &op);
         self.stats.comm_wait += wire.end - self.clock;
         self.clock = wire.end;
@@ -583,6 +634,15 @@ impl Mpi {
     /// Immediate contiguous PUT inside a lock epoch: the transfer is
     /// scheduled and applied now, and the origin blocks until it
     /// completes.
+    ///
+    /// Note on determinism: "now" is host order. The links are booked
+    /// when this call happens, not by a fence, so a program in which
+    /// two ranks do this (or [`Mpi::accumulate_now`], or
+    /// [`Mpi::recv`]) over shared links has host-order-dependent
+    /// *clocks*; memory results of the lock-serialised updates do not
+    /// depend on it. Compiled programs do neither: their transfers are
+    /// buffered ([`Mpi::put_region`] et al.) and booked by the closing
+    /// fence in `(issue time, origin, issue order)` order.
     pub fn put_now(&mut self, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
         self.rma_now(RmaDir::Put, win, target, off, data);
     }
@@ -590,6 +650,11 @@ impl Mpi {
     /// Immediate accumulate inside a lock epoch (the §3 "global
     /// operations using shared variables, such as reduction
     /// operations").
+    ///
+    /// Booked on its links when it happens, in host order, like
+    /// [`Mpi::put_now`] — see the note there: clocks of a program in
+    /// which two ranks do this depend on host order, sums do not. The
+    /// compiler backend reduces through [`Mpi::accumulate`] + fence.
     pub fn accumulate_now(
         &mut self,
         win: &WindowRef,
@@ -634,7 +699,7 @@ pub(crate) fn apply_memory(table: &WindowTable, pools: &[Mutex<BufferPool>], op:
     if !table.moves_values(op.win, from, to) {
         return;
     }
-    let dst = &table.shard(op.win, to).mem;
+    let dst = table.mem(op.win, to);
     // Lock ordering everywhere: pools before shard memory, the sending
     // shard before the receiving one.
     match &k.src {
@@ -648,7 +713,7 @@ pub(crate) fn apply_memory(table: &WindowTable, pools: &[Mutex<BufferPool>], op:
             if from == to {
                 return; // symmetric layout: a self-put or self-get is the identity
             }
-            let src = table.shard(op.win, from).mem.lock();
+            let src = table.mem(op.win, from).lock();
             land(&mut dst.lock(), k, &src[k.off..], k.stride);
         }
     }
@@ -715,18 +780,78 @@ mod tests {
         }
     }
 
-    #[test]
-    fn sort_key_breaks_ties_by_origin_then_seq() {
-        let mk = |origin, seq| PendingRma {
-            seq,
+    /// An op of `origin` on window `win`, issued at `issue`, its place
+    /// in program order written where a test can read it back (`off`).
+    fn issued(origin: usize, win: usize, issue: f64, nth: usize) -> PendingRma {
+        PendingRma {
             origin,
             target: 0,
-            win: WinId(0),
-            issue: 1.0,
+            win: WinId(win),
+            issue,
             proto: Protocol::Eager,
-            kind: kind(RmaDir::Get, 1, 1, RmaSrc::Shard),
-        };
-        assert!(mk(0, 5).sort_key() < mk(1, 0).sort_key());
-        assert!(mk(1, 0).sort_key() < mk(1, 1).sort_key());
+            kind: RmaKind { off: nth, ..kind(RmaDir::Get, 1, 1, RmaSrc::Shard) },
+        }
+    }
+
+    #[test]
+    fn fence_order_breaks_ties_by_origin_then_issue_order() {
+        let queues = vec![
+            vec![issued(0, 0, 1.0, 0), issued(0, 0, 1.0, 1), issued(0, 0, 2.0, 2)],
+            vec![issued(1, 0, 0.5, 0), issued(1, 0, 1.0, 1)],
+        ];
+        let mut order = FenceOrder::default();
+        order.build(&queues, None);
+        let seen: Vec<_> = order.iter(&queues).map(|op| (op.origin, op.kind.off)).collect();
+        assert_eq!(seen, [(1, 0), (0, 0), (0, 1), (1, 1), (0, 2)]);
+    }
+
+    /// The order is a property of the queues, not of how it is found:
+    /// it equals a stable sort by [`PendingRma::sort_key`] of the
+    /// queues laid end to end in rank order — on epochs where issue
+    /// times collide across and within origins (where a merge goes
+    /// wrong), with and without a window filter, one `FenceOrder`
+    /// reused from epoch to epoch.
+    #[test]
+    fn fence_order_is_the_stable_sort_of_the_concatenated_queues() {
+        use vpce_testkit::prelude::*;
+        // Per op: how far the origin's clock moved since its last op
+        // (mostly not at all), and its window.
+        let queue = vec_of(zip2(usize_in(0, 2), usize_in(0, 1)), 0, 12);
+        let epoch = zip2(vec_of(queue, 1, 6), usize_in(0, 2));
+        let order = std::cell::RefCell::new(FenceOrder::default());
+        Check::new("mpi2::fence_order_is_the_stable_sort_of_the_concatenated_queues")
+            .cases(1000)
+            .run(&epoch, |(ranks, filter)| {
+                let queues: Vec<Vec<PendingRma>> = ranks
+                    .iter()
+                    .enumerate()
+                    .map(|(origin, ops)| {
+                        let mut clock = 0;
+                        ops.iter()
+                            .enumerate()
+                            .map(|(nth, &(tick, win))| {
+                                clock += tick / 2; // 0, 0 or 1
+                                issued(origin, win, clock as f64, nth)
+                            })
+                            .collect()
+                    })
+                    .collect();
+                let filter = filter.checked_sub(1).map(WinId);
+                let mut want: Vec<&PendingRma> = queues
+                    .iter()
+                    .flatten()
+                    .filter(|op| filter.is_none_or(|w| op.win == w))
+                    .collect();
+                want.sort_by_key(|op| op.sort_key());
+                let mut order = order.borrow_mut();
+                order.build(&queues, filter);
+                prop_assert_eq!(order.len(), want.len());
+                let place = |op: &PendingRma| (op.origin, op.kind.off);
+                prop_assert_eq!(
+                    order.iter(&queues).map(place).collect::<Vec<_>>(),
+                    want.into_iter().map(place).collect::<Vec<_>>()
+                );
+                Ok(())
+            });
     }
 }

@@ -22,9 +22,9 @@ use vpce_trace::{
 };
 
 use crate::blocking::Blocking;
-use crate::conflict::{self, ConflictRecord};
+use crate::conflict::{scan_epoch, ConflictRecord, ScanScratch};
 use crate::pool::{BufferPool, PoolSnapshot};
-use crate::rma::{apply_memory, PendingRma};
+use crate::rma::{apply_memory, FenceOrder, PendingRma};
 use crate::stats::RankStats;
 use crate::transport::{TransportPolicy, CTRL_BYTES, HDR_BYTES};
 use crate::window::{WinId, WindowRef, WindowTable};
@@ -34,7 +34,10 @@ pub(crate) struct Shared {
     pub cfg: ClusterConfig,
     pub net: Mutex<NetSim>,
     pub table: Mutex<WindowTable>,
-    pub pending: Mutex<Vec<PendingRma>>,
+    /// What the fence leader keeps from one fence to the next. Pending
+    /// operations are not here: each waits in its origin's own queue
+    /// ([`Mpi::queue`]) and arrives with its rank.
+    pub fence: Mutex<FenceScratch>,
     /// Everything a rank can wait on — collectives, receives, window
     /// locks — and the stall detector over them.
     pub blocking: Blocking,
@@ -304,7 +307,7 @@ impl Universe {
             cfg: self.cfg.clone(),
             net: Mutex::new(net),
             table: Mutex::new(WindowTable::default()),
-            pending: Mutex::new(Vec::new()),
+            fence: Mutex::default(),
             blocking: Blocking::new(n),
             conflicts: Mutex::new(Vec::new()),
             tracer: self.tracer.clone(),
@@ -402,8 +405,8 @@ where
                     rank,
                     size: n,
                     clock: 0.0,
-                    seq: 0,
                     nic_seq: 0,
+                    queue: Vec::new(),
                     ring: None,
                     stats: RankStats::default(),
                     shared: Arc::clone(shared),
@@ -441,6 +444,17 @@ where
         }
         shared.blocking.park(&live);
     }
+}
+
+/// The fence leader's working memory. The leader is whichever rank
+/// arrives last, so it belongs to the universe, not to a rank: the
+/// order over all queues and the conflict scan's buffers, refilled at
+/// every fence and never shrunk — a fence the size of an earlier one
+/// allocates nothing per operation.
+#[derive(Default)]
+pub(crate) struct FenceScratch {
+    order: FenceOrder,
+    scan: ScanScratch,
 }
 
 /// Trace provenance a fence's leader closure hands back to every
@@ -484,10 +498,15 @@ pub struct Mpi {
     pub(crate) rank: usize,
     pub(crate) size: usize,
     pub(crate) clock: f64,
-    pub(crate) seq: u64,
     /// Serial number of host-side NIC operations on this rank — the
     /// deterministic key fault draws for DMA/PIO retries hash on.
     nic_seq: u64,
+    /// This rank's buffered one-sided operations, in issue order. An
+    /// operation stays here from issue until a closing fence has
+    /// applied it: the queue travels into the fence with its rank, the
+    /// leader reads every rank's in place, and it comes back emptied of
+    /// what the fence completed, capacity kept.
+    pub(crate) queue: Vec<PendingRma>,
     /// Open descriptor ring, `(window, descriptors)`: consecutive
     /// same-window one-sided ops ride one doorbell until the ring
     /// fills or the epoch closes.
@@ -773,34 +792,15 @@ impl Mpi {
         self.flush_ring();
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
-        let (exit, ft): (f64, FenceTrace) = self.shared.blocking.run(self.rank, self.clock, move |clocks| {
-            let n = clocks.len();
-            let mut ops: Vec<PendingRma> = {
-                let mut pend = shared.pending.lock();
-                match filter {
-                    None => pend.drain(..).collect(),
-                    Some(w) => {
-                        let mut kept = Vec::new();
-                        let mut drained = Vec::new();
-                        for op in pend.drain(..) {
-                            if op.win == w {
-                                drained.push(op);
-                            } else {
-                                kept.push(op);
-                            }
-                        }
-                        *pend = kept;
-                        drained
-                    }
-                }
-            };
-            ops.sort_by_key(PendingRma::sort_key);
-            // The drained batch is exactly one access epoch per fenced
-            // window: scan it for undefined-outcome pairs.
-            let found = conflict::scan_epoch(&ops);
-            if !found.is_empty() {
-                shared.conflicts.lock().extend(found);
-            }
+        let arrival = (self.clock, std::mem::take(&mut self.queue));
+        let (exit, ft, queue): (f64, FenceTrace, Vec<PendingRma>) = self.shared.blocking.run(self.rank, arrival, move |arrivals| {
+            let (clocks, queues): (Vec<f64>, Vec<Vec<PendingRma>>) = arrivals.into_iter().unzip();
+            let mut scratch = shared.fence.lock();
+            let FenceScratch { order, scan } = &mut *scratch;
+            order.build(&queues, filter);
+            // The ordered operations are exactly one access epoch per
+            // fenced window: scan them for undefined-outcome pairs.
+            scan_epoch(order.iter(&queues), scan, &mut shared.conflicts.lock());
             let mut net = shared.net.lock();
             let table = shared.table.lock();
             // Default dominator: the rendezvous join — the slowest
@@ -814,13 +814,13 @@ impl Mpi {
                 }
             }
             let mut ft = FenceTrace {
-                ops: ops.len() as u64,
+                ops: order.len() as u64,
                 dom_rank: slowest,
                 dom_t: latest,
                 net: None,
                 recovery: 0.0,
             };
-            for op in &ops {
+            for op in order.iter(&queues) {
                 let (start, end, rec) = schedule_wire_legs(&shared, &mut net, op);
                 if end > latest {
                     // The fence's exit is now determined by this
@@ -842,8 +842,21 @@ impl Mpi {
                 }
             }
             let exit = latest + shared.cfg.node.nic.post_s;
-            vec![(exit, ft); n]
+            // Every rank gets its queue back without what this fence
+            // completed: another window's operations stay where, and in
+            // the order, they were issued.
+            queues
+                .into_iter()
+                .map(|mut queue| {
+                    match filter {
+                        None => queue.clear(),
+                        Some(win) => queue.retain(|op| op.win != win),
+                    }
+                    (exit, ft, queue)
+                })
+                .collect()
         }).await;
+        self.queue = queue;
         self.stats.comm_wait += exit - entry;
         self.stats.fences += 1;
         self.clock = exit;
@@ -1213,24 +1226,60 @@ mod tests {
 
     #[test]
     fn fence_only_completes_target_window() {
-        let out = uni(2).run(|mpi| {
+        let tracer = Tracer::enabled();
+        let out = uni(2).with_tracer(tracer.clone()).run(|mpi| {
             let a = mpi.win_create(2);
             let b = mpi.win_create(2);
             if mpi.rank() == 0 {
-                a.fill_from(&[1., 1.]);
-                b.fill_from(&[2., 2.]);
-                mpi.put_region(&a, 1, 0, 2);
-                mpi.put_region(&b, 1, 0, 2);
+                mpi.put(&a, 1, 0, vec![1., 1.]);
+                // Two operations on `b` that the fence on `a` leaves
+                // behind; they race on element 1, so their order shows.
+                mpi.put(&b, 1, 0, vec![5., 5.]);
+                mpi.put(&b, 1, 1, vec![7.]);
             }
             mpi.win_fence(a.id());
-            let a_after = a.snapshot();
+            let after_first = (mpi.now(), a.snapshot(), b.snapshot());
             mpi.win_fence(b.id());
-            (a_after, b.snapshot())
+            (after_first, b.snapshot())
         });
-        // Window a's data arrived at its own fence...
-        assert_eq!(out.results[1].0, vec![1., 1.]);
-        // ...and b's at the second fence.
-        assert_eq!(out.results[1].1, vec![2., 2.]);
+        let ((first_exit, a_after, b_between), b_after) = out.results[1].clone();
+        // Window a's data arrived at its own fence, b's did not...
+        assert_eq!(a_after, vec![1., 1.]);
+        assert_eq!(b_between, vec![0., 0.]);
+        // ...but at the second fence, in issue order: the later PUT
+        // wrote element 1 last.
+        assert_eq!(b_after, vec![5., 7.]);
+        assert_eq!(out.rma_conflicts.len(), 1, "{:?}", out.rma_conflicts);
+        assert_eq!(out.rma_conflicts[0].win, 1);
+        // On the wire the three transfers 0 -> 1 were booked in issue
+        // order, each *ready* at the time it was issued — before the
+        // first fence returned for the two it left behind — not at the
+        // fence that completed it.
+        let events = tracer.events();
+        let issued: Vec<f64> = events
+            .iter()
+            .filter(|e| matches!(&e.kind, EventKind::Call(c) if c.op == CallOp::Put))
+            .map(|e| e.t1)
+            .collect();
+        // (`events` come sorted by lane, then in the order pushed.)
+        let booked: Vec<(f64, u64)> = events
+            .iter()
+            .filter_map(|e| match e.kind {
+                EventKind::LinkBusy { bytes, wait, .. } => Some((e.t0 - wait, bytes)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(issued.len(), 3);
+        assert_eq!(booked.len(), 3, "one link, one eager leg per PUT");
+        let payload = |elems: u64| elems * crate::ELEM_BYTES as u64 + HDR_BYTES as u64;
+        assert_eq!(
+            booked.iter().map(|b| b.1).collect::<Vec<_>>(),
+            [payload(2), payload(2), payload(1)]
+        );
+        for (put, &(ready, _)) in issued.iter().zip(&booked) {
+            assert!((ready - put).abs() < 1e-12, "booked ready at {ready}, issued at {put}");
+            assert!(ready < first_exit);
+        }
     }
 
     #[test]

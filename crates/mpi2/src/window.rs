@@ -28,18 +28,16 @@ use crate::Elem;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct WinId(pub usize);
 
-/// One rank's slice of a window.
-pub(crate) struct WindowShard {
-    /// `len` elements, or none at all on a length-only shard.
-    pub mem: Arc<Mutex<Vec<Elem>>>,
-    pub len: usize,
-    /// Whether storage stands behind the declared length.
-    backed: bool,
-}
-
 /// A window: one shard per rank.
 pub(crate) struct Window {
-    pub shards: Vec<WindowShard>,
+    /// `(len, backed)` of every rank's shard — the declared length, and
+    /// whether storage stands behind it. Fixed when the window is
+    /// created and shared with every [`WindowRef`] to it, so the issue
+    /// path reads a peer's form without asking the table.
+    forms: Arc<[(usize, bool)]>,
+    /// Every rank's storage: `len` elements, or none at all on a
+    /// length-only shard.
+    mems: Vec<Arc<Mutex<Vec<Elem>>>>,
 }
 
 /// The registry of all windows in a universe.
@@ -53,31 +51,27 @@ impl WindowTable {
     /// shard declares `len` elements and, when backed, holds them
     /// zero-initialised.
     pub fn create(&mut self, forms: &[(usize, bool)]) -> WinId {
-        let shards = forms
+        let mems = forms
             .iter()
-            .map(|&(len, backed)| WindowShard {
-                mem: Arc::new(Mutex::new(if backed { vec![0.0; len] } else { Vec::new() })),
-                len,
-                backed,
-            })
+            .map(|&(len, backed)| Arc::new(Mutex::new(if backed { vec![0.0; len] } else { Vec::new() })))
             .collect();
-        self.windows.push(Window { shards });
+        self.windows.push(Window { forms: forms.into(), mems });
         WinId(self.windows.len() - 1)
     }
 
-    pub fn shard(&self, win: WinId, rank: usize) -> &WindowShard {
-        &self.windows[win.0].shards[rank]
+    /// The storage of rank `rank`'s shard.
+    pub fn mem(&self, win: WinId, rank: usize) -> &Mutex<Vec<Elem>> {
+        &self.windows[win.0].mems[rank]
     }
 
     /// The owner's handle to rank `rank`'s shard.
     pub fn window_ref(&self, win: WinId, rank: usize) -> WindowRef {
-        let shard = self.shard(win, rank);
+        let window = &self.windows[win.0];
         WindowRef {
             win,
             rank,
-            mem: Arc::clone(&shard.mem),
-            len: shard.len,
-            backed: shard.backed,
+            mem: Arc::clone(&window.mems[rank]),
+            forms: Arc::clone(&window.forms),
         }
     }
 
@@ -86,7 +80,8 @@ impl WindowTable {
     /// checked, priced, scheduled and traced all the same, and copies
     /// nothing.
     pub fn moves_values(&self, win: WinId, a: usize, b: usize) -> bool {
-        self.shard(win, a).backed && self.shard(win, b).backed
+        let forms = &self.windows[win.0].forms;
+        forms[a].1 && forms[b].1
     }
 }
 
@@ -101,8 +96,8 @@ pub struct WindowRef {
     win: WinId,
     rank: usize,
     mem: Arc<Mutex<Vec<Elem>>>,
-    len: usize,
-    backed: bool,
+    /// `(len, backed)` of every rank's shard of this window.
+    forms: Arc<[(usize, bool)]>,
 }
 
 impl WindowRef {
@@ -118,12 +113,22 @@ impl WindowRef {
 
     /// Number of elements in this shard.
     pub fn len(&self) -> usize {
-        self.len
+        self.shard_len(self.rank)
     }
 
     /// True if the shard holds no elements.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
+    }
+
+    /// Declared length of `rank`'s shard of this window.
+    pub(crate) fn shard_len(&self, rank: usize) -> usize {
+        self.forms[rank].0
+    }
+
+    /// [`WindowTable::moves_values`] of this window, without the table.
+    pub(crate) fn moves_values(&self, a: usize, b: usize) -> bool {
+        self.forms[a].1 && self.forms[b].1
     }
 
     /// Lock the shard for direct access by the owner. A length-only
@@ -155,8 +160,8 @@ impl WindowRef {
     /// # Panics
     /// Panics if `data` does not match the shard length.
     pub fn fill_from(&self, data: &[Elem]) {
-        assert_eq!(data.len(), self.len, "fill_from length mismatch");
-        if self.backed {
+        assert_eq!(data.len(), self.len(), "fill_from length mismatch");
+        if self.forms[self.rank].1 {
             self.mem.lock().copy_from_slice(data);
         }
     }
@@ -174,26 +179,28 @@ mod tests {
         assert_eq!(a, WinId(0));
         assert_eq!(b, WinId(1));
         assert_eq!(t.windows.len(), 2);
-        assert_eq!(t.shard(b, 0).len, 0);
-        assert_eq!(t.shard(b, 1).len, 8);
+        assert_eq!(t.window_ref(b, 0).len(), 0);
+        assert_eq!(t.window_ref(b, 1).len(), 8);
+        // Every handle knows every rank's declared length.
+        assert_eq!(t.window_ref(b, 0).shard_len(1), 8);
     }
 
     #[test]
     fn shards_zero_initialised() {
         let mut t = WindowTable::default();
         let w = t.create(&[(3, true)]);
-        assert_eq!(&*t.shard(w, 0).mem.lock(), &[0.0, 0.0, 0.0]);
+        assert_eq!(&*t.mem(w, 0).lock(), &[0.0, 0.0, 0.0]);
     }
 
     #[test]
     fn length_only_shard_keeps_its_length_and_no_storage() {
         let mut t = WindowTable::default();
         let w = t.create(&[(4, true), (1 << 40, false)]);
-        assert_eq!(t.shard(w, 1).len, 1 << 40);
-        assert_eq!(t.shard(w, 1).mem.lock().capacity(), 0);
+        assert_eq!(t.mem(w, 1).lock().capacity(), 0);
         assert!(t.moves_values(w, 0, 0));
         assert!(!t.moves_values(w, 0, 1) && !t.moves_values(w, 1, 0));
         let r = t.window_ref(w, 1);
+        assert!(r.moves_values(0, 0) && !r.moves_values(0, 1) && !r.moves_values(1, 0));
         assert_eq!(r.len(), 1 << 40);
         assert!(!r.is_empty() && r.lock().is_empty());
         assert!(r.snapshot().is_empty() && r.take().is_empty());

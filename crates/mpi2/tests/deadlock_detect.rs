@@ -13,7 +13,7 @@ use vpce_faults::{raise, FaultSpec};
 use vpce_testkit::prelude::*;
 
 mod scripts;
-use scripts::{contended, script_gen, within_watchdog, Op};
+use scripts::{contended, epoch_script_gen, script_gen, within_watchdog, Op};
 
 fn uni(n: usize) -> Universe {
     Universe::new(ClusterConfig::paper_n(n))
@@ -260,15 +260,19 @@ fn ab_ba_lock_cycle_is_a_typed_stall() {
 fn execute(script: &[Vec<Op>]) -> &'static str {
     let ranks = script.to_vec();
     let verdict = run_within_watchdog(script.len(), move |mpi| {
-        let w = mpi.win_create(4);
+        let wins = [mpi.win_create(4), mpi.win_create(4)];
+        let w = &wins[0];
         for op in &ranks[mpi.rank()] {
             match *op {
                 Op::Barrier => mpi.barrier(),
                 Op::Send { to, tag } => mpi.send(to, tag, vec![1.0]),
                 Op::Recv { from, tag } => drop(mpi.recv(from, tag)),
-                Op::Lock { target } => mpi.win_lock(&w, target),
-                Op::Unlock { target } => mpi.win_unlock(&w, target),
-                Op::PutNow { target } => mpi.put_now(&w, target, 0, vec![2.0]),
+                Op::Lock { target } => mpi.win_lock(w, target),
+                Op::Unlock { target } => mpi.win_unlock(w, target),
+                Op::PutNow { target } => mpi.put_now(w, target, 0, vec![2.0]),
+                Op::Put { win, target } => mpi.put(&wins[win], target, 0, vec![3.0]),
+                Op::Fence { win: None } => mpi.fence_all(),
+                Op::Fence { win: Some(win) } => mpi.win_fence(wins[win].id()),
                 Op::Finish => return,
             }
         }
@@ -276,19 +280,38 @@ fn execute(script: &[Vec<Op>]) -> &'static str {
     verdict.map_or_else(|e| e.kind(), |()| "ok")
 }
 
+/// Every script of `scripts` ends — twice — in `ok` or a typed error,
+/// and in the same one unless ranks contend for a lock.
+fn always_a_typed_verdict(name: &str, cases: u32, scripts: Gen<Vec<Vec<Op>>>) {
+    Check::new(name).cases(cases).run(&scripts, |script| {
+        let first = execute(script);
+        let known = ["ok", "lock-state", "deadlock-stall"];
+        prop_assert!(known.contains(&first), "unexpected verdict `{first}`");
+        let second = execute(script);
+        prop_assert!(known.contains(&second), "unexpected verdict `{second}`");
+        if !contended(script) {
+            prop_assert_eq!(first, second);
+        }
+        Ok(())
+    });
+}
+
 #[test]
 fn random_blocking_scripts_always_end_in_a_typed_verdict() {
-    Check::new("mpi2::random_blocking_scripts_always_end_in_a_typed_verdict")
-        .cases(320)
-        .run(&script_gen(), |script| {
-            let first = execute(script);
-            let known = ["ok", "lock-state", "deadlock-stall"];
-            prop_assert!(known.contains(&first), "unexpected verdict `{first}`");
-            let second = execute(script);
-            prop_assert!(known.contains(&second), "unexpected verdict `{second}`");
-            if !contended(script) {
-                prop_assert_eq!(first, second);
-            }
-            Ok(())
-        });
+    always_a_typed_verdict(
+        "mpi2::random_blocking_scripts_always_end_in_a_typed_verdict",
+        320,
+        script_gen(),
+    );
+}
+
+/// The same with access epochs: operations left pending across a
+/// filtered fence, or by a rank that returns early, strand nobody.
+#[test]
+fn random_epoch_scripts_always_end_in_a_typed_verdict() {
+    always_a_typed_verdict(
+        "mpi2::random_epoch_scripts_always_end_in_a_typed_verdict",
+        160,
+        epoch_script_gen(),
+    );
 }

@@ -39,12 +39,12 @@ fn arb_puts() -> Gen<Vec<Put>> {
 
 /// The oracle: apply the puts to a model of all shards in the same
 /// deterministic order the fence uses (issue order here is the
-/// program order per origin; distinct (origin, seq) values make the
-/// last-writer unambiguous only per (origin); cross-origin conflicts
+/// program order per origin; an origin's queue keeps that order, so the
+/// last-writer is unambiguous only per (origin); cross-origin conflicts
 /// are resolved by the documented sort, which we reproduce).
 fn oracle(puts: &[Put]) -> Vec<Vec<f64>> {
     let mut shards = vec![vec![0.0f64; WIN]; RANKS];
-    // The fence sorts by (issue time, origin, seq). All puts here are
+    // The fence sorts by (issue time, origin, issue order). All puts here are
     // issued at distinct, strictly increasing per-origin times, but
     // origins run concurrently; the runtime tags each op with its
     // origin clock. To keep the oracle exact we only generate

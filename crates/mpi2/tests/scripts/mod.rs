@@ -46,6 +46,17 @@ pub enum Op {
     PutNow {
         target: usize,
     },
+    /// Buffered one-element PUT into `target`'s shard of window `win`
+    /// (0 or 1): pending until a fence that covers the window.
+    Put {
+        win: usize,
+        target: usize,
+    },
+    /// `fence_all`, or `win_fence` on one window — which leaves the
+    /// other window's pending operations where they are.
+    Fence {
+        win: Option<usize>,
+    },
     /// Return from the SPMD closure here, whatever is still open.
     Finish,
 }
@@ -56,20 +67,38 @@ pub enum Op {
 /// stray single ops that unbalance them: all the ways to block, matched
 /// or not, and every lock misuse.
 pub fn script_gen() -> Gen<Vec<Vec<Op>>> {
-    usize_in(2, 4).flat_map(|n| {
+    scripts(false)
+}
+
+/// [`script_gen`] with access epochs: buffered PUTs on two windows, and
+/// `fence_all` / `win_fence(0)` / `win_fence(1)` on every rank, in any
+/// order — so filtered and unfiltered fences interleave and a filtered
+/// one leaves the other window's operations pending across it. No stray
+/// barrier here: every rank's collectives are a prefix of one sequence,
+/// as MPI requires of a program (a stray receive, lock or early return
+/// still strands the peers at the next one).
+pub fn epoch_script_gen() -> Gen<Vec<Vec<Op>>> {
+    scripts(true)
+}
+
+fn scripts(epochs: bool) -> Gen<Vec<Vec<Op>>> {
+    usize_in(2, 4).flat_map(move |n| {
         let rank = usize_in(0, n - 1);
         let tag = i64_in(0, 1).map(|t| t as i32);
-        let stray = one_of(vec![
-            just(Op::Barrier),
+        let mut strays = vec![
             zip2(rank.clone(), tag.clone()).map(|(to, tag)| Op::Send { to, tag }),
             zip2(rank.clone(), tag.clone()).map(|(from, tag)| Op::Recv { from, tag }),
             rank.clone().map(|target| Op::Lock { target }),
             rank.clone().map(|target| Op::Unlock { target }),
             rank.clone().map(|target| Op::PutNow { target }),
             just(Op::Finish),
-        ]);
-        let step: Gen<Vec<(usize, Op)>> = weighted(vec![
-            (3, just((0..n).map(|r| (r, Op::Barrier)).collect())),
+        ];
+        if !epochs {
+            strays.insert(0, just(Op::Barrier));
+        }
+        let on_every_rank = move |op: Op| just((0..n).map(|r| (r, op.clone())).collect::<Vec<_>>());
+        let mut steps: Vec<(u32, Gen<Vec<(usize, Op)>>)> = vec![
+            (3, on_every_rank(Op::Barrier)),
             (
                 3,
                 zip3(rank.clone(), rank.clone(), tag).map(|(from, to, tag)| {
@@ -86,9 +115,18 @@ pub fn script_gen() -> Gen<Vec<Vec<Op>>> {
                     ]
                 }),
             ),
-            (4, zip2(rank, stray).map(|placed| vec![placed])),
-        ]);
-        vec_of(step, 0, 8).map(move |steps| {
+            (4, zip2(rank.clone(), one_of(strays)).map(|placed| vec![placed])),
+        ];
+        if epochs {
+            let win = usize_in(0, 1);
+            steps.push((
+                8,
+                zip3(rank.clone(), win.clone(), rank).map(|(r, win, target)| vec![(r, Op::Put { win, target })]),
+            ));
+            steps.push((3, on_every_rank(Op::Fence { win: None })));
+            steps.push((4, win.flat_map(move |w| on_every_rank(Op::Fence { win: Some(w) }))));
+        }
+        vec_of(weighted(steps), 0, if epochs { 14 } else { 8 }).map(move |steps| {
             let mut ranks = vec![Vec::new(); n];
             for (r, op) in steps.into_iter().flatten() {
                 ranks[r].push(op);

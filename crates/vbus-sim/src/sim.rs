@@ -17,10 +17,11 @@
 //! bit-reproducible.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::link::LinkRate;
 use crate::stats::{LinkStats, NetStats};
-use crate::topology::{Mesh, NodeId, Topology};
+use crate::topology::{LinkId, Mesh, NodeId, Topology};
 use crate::Time;
 use vpce_faults::{site, FaultInjector, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Lane, Tracer};
@@ -159,6 +160,30 @@ pub enum BusOutcome {
     Degraded { ready: Time, attempts: u32 },
 }
 
+/// The hasher of [`NetSim`]'s pair counters: one folded multiply of the
+/// `u64` key — both halves of the 128-bit product, so the low bits a
+/// table indexes by depend on every key bit (`src·n` with `n` a power
+/// of two has none of its own). The keys are rank pairs this simulator
+/// computes, never outside input: nothing to defend with SipHash, which
+/// cost more per message than the link bookkeeping it fed.
+#[derive(Debug, Clone, Copy, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("pair keys are hashed as one u64");
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        let wide = u128::from(key) * 0x9E37_79B9_7F4A_7C15_u128;
+        self.0 = wide as u64 ^ (wide >> 64) as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The network simulator. One instance models the whole interconnect.
 #[derive(Debug, Clone)]
 pub struct NetSim {
@@ -176,9 +201,14 @@ pub struct NetSim {
     /// deterministic keys the fault draws hash, independent of
     /// cross-pair interleaving. Holds only the pairs that have talked
     /// (master↔slave traffic is `O(n)` of the `n²` possible).
-    pair_seq: HashMap<u64, u64>,
+    pair_seq: HashMap<u64, u64, BuildHasherDefault<PairHasher>>,
     /// Bus-acquisition attempt counter (bus calls are leader-ordered).
     bus_seq: u64,
+    /// The route of the message being scheduled: one buffer, refilled
+    /// per message ([`Topology::route_into`]).
+    path: Vec<LinkId>,
+    /// Links whose trace lane has been named on the attached tracer.
+    lane_named: Vec<bool>,
 }
 
 impl NetSim {
@@ -192,8 +222,10 @@ impl NetSim {
             stats: NetStats::default(),
             tracer: Tracer::disabled(),
             injector: FaultInjector::new(FaultSpec::off()),
-            pair_seq: HashMap::new(),
+            pair_seq: HashMap::default(),
             bus_seq: 0,
+            path: Vec::new(),
+            lane_named: vec![false; n_links],
         }
     }
 
@@ -214,6 +246,7 @@ impl NetSim {
         if tracer.is_enabled() {
             tracer.register_lane(Lane::Bus, "virtual bus".to_string());
         }
+        self.lane_named.fill(false);
         self.tracer = tracer;
     }
 
@@ -259,6 +292,7 @@ impl NetSim {
         self.stats = NetStats::default();
         self.pair_seq.clear();
         self.bus_seq = 0;
+        self.lane_named.fill(false);
     }
 
     /// Schedule a point-to-point wormhole message of `bytes` payload,
@@ -301,11 +335,11 @@ impl NetSim {
                 recovery: 0.0,
             });
         }
-        let path = self.cfg.topology.route(src, dst);
-        let hops = path.len();
+        self.cfg.topology.route_into(src, dst, &mut self.path);
+        let hops = self.path.len();
         let head = self.cfg.link.per_hop_s * hops as f64;
         let body = self.cfg.link.transfer_time(bytes);
-        let spec = self.injector.spec().clone();
+        let spec = self.injector.spec();
         let pair_key = (src * n + dst) as u64;
         let mut attempt_ready = ready;
         let mut first_start: Option<Time> = None;
@@ -314,7 +348,8 @@ impl NetSim {
             let next = self.pair_seq.entry(pair_key).or_default();
             let seq = *next;
             *next += 1;
-            let start = path
+            let start = self
+                .path
                 .iter()
                 .map(|&l| self.link_busy[l])
                 .fold(attempt_ready, f64::max);
@@ -327,7 +362,7 @@ impl NetSim {
                 self.stats.link_stalls += 1;
                 self.stats.stall_time += spec.stall_s;
             }
-            for &l in &path {
+            for &l in &self.path {
                 let held = end - self.link_busy[l].max(start);
                 self.per_link[l].busy += held.max(0.0).min(end - start);
                 self.per_link[l].messages += 1;
@@ -337,9 +372,12 @@ impl NetSim {
             if self.tracer.is_enabled() {
                 // A wormhole holds its whole path for [start, end]: one
                 // occupancy span per traversed link — failed attempts
-                // occupy the wire exactly like successful ones.
-                for &l in &path {
-                    self.tracer.register_lane(Lane::Link(l), format!("link {l}"));
+                // occupy the wire exactly like successful ones. A lane
+                // is named the first time its link carries anything.
+                for &l in &self.path {
+                    if !std::mem::replace(&mut self.lane_named[l], true) {
+                        self.tracer.register_lane(Lane::Link(l), format!("link {l}"));
+                    }
                     self.tracer.push(
                         Lane::Link(l),
                         start,
@@ -397,7 +435,7 @@ impl NetSim {
             self.stats.backoff_time += backoff;
             if self.tracer.is_enabled() {
                 self.tracer.push(
-                    Lane::Link(path[0]),
+                    Lane::Link(self.path[0]),
                     start,
                     detect,
                     EventKind::Retransmit {
@@ -408,7 +446,7 @@ impl NetSim {
                     },
                 );
                 self.tracer.push(
-                    Lane::Link(path[0]),
+                    Lane::Link(self.path[0]),
                     detect,
                     detect + backoff,
                     EventKind::BackoffWait {
@@ -921,5 +959,55 @@ mod tests {
         let plain = sim4().p2p(0, 1, 256, 0.0);
         assert!((stalled.end - plain.end - spec.stall_s).abs() < 1e-12);
         assert_eq!(s.stats().link_stalls, 1);
+    }
+
+    #[test]
+    fn pair_hasher_spreads_the_keys_a_power_of_two_machine_makes() {
+        // Every slave -> master pair of a 256-rank machine is `src·256`:
+        // no low bit of its own. A table indexes by the low bits of the
+        // hash, its control bytes by the top seven: both must spread.
+        use std::collections::HashSet;
+        use std::hash::BuildHasher;
+        let build = BuildHasherDefault::<PairHasher>::default();
+        let hashes: Vec<u64> = (1..256u64).map(|src| build.hash_one(src * 256)).collect();
+        let low: HashSet<u64> = hashes.iter().map(|h| h & 0xff).collect();
+        let top: HashSet<u64> = hashes.iter().map(|h| h >> 57).collect();
+        assert!(low.len() > 128, "{} distinct low bytes of 255", low.len());
+        assert!(top.len() > 100, "{} distinct top-7 of 128", top.len());
+    }
+
+    #[test]
+    fn a_link_lane_is_named_once_and_again_after_reset() {
+        let tracer = Tracer::enabled();
+        let mut s = sim4();
+        s.set_tracer(tracer.clone());
+        for _ in 0..3 {
+            s.p2p(0, 3, 64, 0.0);
+        }
+        // Two links, three occupancy spans each, one label each (plus
+        // the bus lane's).
+        let lanes = tracer.lanes();
+        assert_eq!(lanes.len(), 3, "{lanes:?}");
+        assert!(s.lane_named.iter().filter(|&&named| named).count() == 2);
+        assert_eq!(tracer.events().len(), 6);
+        let before = tracer.to_chrome_json();
+        // A reset simulator names its lanes again — the same names.
+        s.reset();
+        assert!(s.lane_named.iter().all(|&named| !named));
+        s.p2p(0, 3, 64, 0.0);
+        assert_eq!(tracer.lanes(), lanes);
+        assert_ne!(tracer.to_chrome_json(), before, "the new spans are recorded");
+    }
+
+    #[test]
+    fn the_route_buffer_is_reused_from_leg_to_leg() {
+        let mut s = sim4();
+        s.p2p(0, 3, 64, 0.0);
+        let (ptr, cap) = (s.path.as_ptr(), s.path.capacity());
+        for (src, dst) in [(3, 0), (1, 2), (0, 1), (2, 2)] {
+            s.p2p(src, dst, 64, 0.0);
+        }
+        assert_eq!((s.path.as_ptr(), s.path.capacity()), (ptr, cap));
+        assert_eq!(s.path, s.config().topology.route(0, 1), "loopback books no route");
     }
 }

@@ -203,13 +203,25 @@ impl Topology {
     /// traversal order. Empty for `src == dst` (loopback never touches
     /// the wire).
     pub fn route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::new();
+        self.route_into(src, dst, &mut links);
+        links
+    }
+
+    /// [`route`](Self::route) into a buffer the caller keeps: `links`
+    /// is cleared and filled, so a caller that routes message after
+    /// message (the link simulator) allocates once, not per message.
+    pub fn route_into(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
+        links.clear();
+        if src == dst {
+            return;
+        }
         match self {
-            Topology::Mesh { mesh, .. } => mesh.xy_route(src, dst),
-            Topology::Torus { mesh, .. } => mesh.torus_route(src, dst),
+            Topology::Mesh { mesh, .. } => mesh.xy_route_into(src, dst, links),
+            Topology::Torus { mesh, .. } => mesh.torus_route_into(src, dst, links),
             Topology::Hypercube { dims, .. } => {
                 // E-cube: correct differing bits from the lowest
                 // dimension up; deadlock-free like XY on the mesh.
-                let mut links = Vec::new();
                 let mut cur = src;
                 for d in 0..*dims {
                     if (cur ^ dst) & (1 << d) != 0 {
@@ -217,42 +229,21 @@ impl Topology {
                         cur ^= 1 << d;
                     }
                 }
-                links
             }
-            Topology::SharedSegment { .. } => {
-                if src == dst {
-                    Vec::new()
-                } else {
-                    vec![0]
-                }
-            }
-            Topology::Torus3d { dims, .. } => t3_route(*dims, src, dst),
-            Topology::Crossbar { nodes } => {
-                if src == dst {
-                    Vec::new()
-                } else {
-                    // Uplink of the source port, downlink of the
-                    // destination port, through the non-blocking switch.
-                    vec![src, nodes + dst]
-                }
-            }
+            Topology::SharedSegment { .. } => links.push(0),
+            Topology::Torus3d { dims, .. } => t3_route_into(*dims, src, dst, links),
+            // Uplink of the source port, downlink of the destination
+            // port, through the non-blocking switch.
+            Topology::Crossbar { nodes } => links.extend([src, nodes + dst]),
             Topology::FatTree { pods, nodes } => {
-                if src == dst {
-                    return Vec::new();
-                }
                 let per_pod = nodes.div_ceil(*pods);
                 let (ps, pd) = (src / per_pod, dst / per_pod);
                 if ps == pd {
                     // Turn around at the pod's edge switch.
-                    vec![src, nodes + dst]
+                    links.extend([src, nodes + dst]);
                 } else {
                     // Up to the edge, up to the core, down the far pod.
-                    vec![
-                        src,
-                        2 * nodes + ps,
-                        2 * nodes + pods + pd,
-                        nodes + dst,
-                    ]
+                    links.extend([src, 2 * nodes + ps, 2 * nodes + pods + pd, nodes + dst]);
                 }
             }
         }
@@ -437,10 +428,9 @@ fn t3_distance(dims: (usize, usize, usize), a: usize, b: usize) -> usize {
 
 /// Dimension-ordered 3-D torus route: per dimension, walk the shorter
 /// way around the ring (ties break toward increasing coordinates).
-fn t3_route(dims: (usize, usize, usize), src: usize, dst: usize) -> Vec<usize> {
+fn t3_route_into(dims: (usize, usize, usize), src: usize, dst: usize, links: &mut Vec<usize>) {
     let (mut x, mut y, mut z) = t3_coords(dims, src);
     let (tx, ty, tz) = t3_coords(dims, dst);
-    let mut links = Vec::with_capacity(t3_distance(dims, src, dst));
     // X dimension.
     let fwd = (tx + dims.0 - x) % dims.0;
     let go_plus = fwd <= dims.0 - fwd;
@@ -480,7 +470,6 @@ fn t3_route(dims: (usize, usize, usize), src: usize, dst: usize) -> Vec<usize> {
             z = (z + dims.2 - 1) % dims.2;
         }
     }
-    links
 }
 
 /// Why [`Mesh::try_exact_factor`] could not consider any shape at all
@@ -627,9 +616,15 @@ impl Mesh {
     /// Directed links of the XY route from `src` to `dst`: X first
     /// (east/west), then Y (north/south).
     pub fn xy_route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::with_capacity(self.distance(src, dst));
+        self.xy_route_into(src, dst, &mut links);
+        links
+    }
+
+    /// [`xy_route`](Self::xy_route), appended to `links`.
+    fn xy_route_into(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
         let (sx, sy) = self.coords(src);
         let (dx, dy) = self.coords(dst);
-        let mut links = Vec::with_capacity(self.distance(src, dst));
         let mut x = sx;
         let y = sy;
         while x < dx {
@@ -649,7 +644,6 @@ impl Mesh {
             links.push(self.link(self.node_at(x, y), Dir::North));
             y -= 1;
         }
-        links
     }
 
     /// Wraparound (torus) distance: per dimension, the shorter way
@@ -666,9 +660,15 @@ impl Mesh {
     /// direction (ties break toward increasing coordinates), wrapping
     /// at the edges.
     pub fn torus_route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
+        let mut links = Vec::with_capacity(self.torus_distance(src, dst));
+        self.torus_route_into(src, dst, &mut links);
+        links
+    }
+
+    /// [`torus_route`](Self::torus_route), appended to `links`.
+    fn torus_route_into(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
         let (sx, sy) = self.coords(src);
         let (dx, dy) = self.coords(dst);
-        let mut links = Vec::with_capacity(self.torus_distance(src, dst));
         // X dimension.
         let mut x = sx;
         let fwd = (dx + self.cols - sx) % self.cols; // hops going east
@@ -697,7 +697,6 @@ impl Mesh {
                 y = (y + self.rows - 1) % self.rows;
             }
         }
-        links
     }
 
     /// The links of a virtual bus spanning every router: a boustrophedon

@@ -12,8 +12,10 @@
 //! state, the plan walk); `b·N` is the traffic, because on 16 ranks
 //! MM's plan issues ≈ 45·N one-sided operations at every grain (§5.6
 //! makes the coarse collect fall back to per-column pieces) and each
-//! costs a few hundred transient bytes of descriptors and routes. The
-//! second difference over N, 2N, 4N cancels `a` and `b` and leaves
+//! costs 262–281 requested bytes — its 96-byte descriptor in a queue
+//! that doubles as it grows, a 16-byte order key and a conflict-scan
+//! effect; no route, no copy of the epoch (`tests/fence_memory.rs`
+//! gates that figure at 300). The second difference over N, 2N, 4N cancels `a` and `b` and leaves
 //! `6·c·N²`. A per-rank full-size allocation coming back adds 16 to
 //! `c / 24`, an exit-path clone of the master's arrays 1 each.
 
