@@ -12,6 +12,7 @@ use cluster_sim::ClusterConfig;
 use lmad::Granularity;
 use polaris_be::BackendOptions;
 use spmd_rt::{ExecMode, FaultSpec};
+use vpce_diag::json::{self, Layout};
 use vpce_workloads::{mm, swim};
 
 /// One (workload, schedule, seed) cell of the chaos matrix.
@@ -151,36 +152,28 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
 
 /// The committed `BENCH_chaos.json` (at [`SEEDS`] seeds).
 pub fn json_doc(cells: &[Cell]) -> String {
-    crate::cells_doc(&to_json(cells))
-}
-
-/// Render the matrix as a JSON array.
-fn to_json(cells: &[Cell]) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"workload\": \"{}\", \"schedule\": \"{}\", \"seed\": {}, \"survived\": {}, \"identical\": {}, \"error\": \"{}\", \"elapsed\": {}, \"crc_failures\": {}, \"packets_dropped\": {}, \"link_stalls\": {}, \"retransmits\": {}, \"backoff_s\": {}, \"recovery_s\": {}, \"bus_degraded\": {}, \"nic_retries\": {}, \"nic_stalls\": {}}}",
-                c.workload,
-                c.schedule,
-                c.seed,
-                c.survived,
-                c.identical,
-                c.error,
-                crate::json_num(c.elapsed),
-                c.crc_failures,
-                c.packets_dropped,
-                c.link_stalls,
-                c.retransmits,
-                crate::json_num(c.backoff_s),
-                crate::json_num(c.recovery_s),
-                c.bus_degraded,
-                c.nic_retries,
-                c.nic_stalls
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
+    json::document(Layout::Block(2), |o| {
+        let mut rows = o.array("cells", Layout::Block(4));
+        for c in cells {
+            rows.object(Layout::Inline)
+                .str("workload", &c.workload)
+                .str("schedule", c.schedule)
+                .int("seed", c.seed)
+                .bool("survived", c.survived)
+                .bool("identical", c.identical)
+                .str("error", &c.error)
+                .num("elapsed", c.elapsed)
+                .int("crc_failures", c.crc_failures)
+                .int("packets_dropped", c.packets_dropped)
+                .int("link_stalls", c.link_stalls)
+                .int("retransmits", c.retransmits)
+                .num("backoff_s", c.backoff_s)
+                .num("recovery_s", c.recovery_s)
+                .int("bus_degraded", c.bus_degraded)
+                .int("nic_retries", c.nic_retries)
+                .int("nic_stalls", c.nic_stalls);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -214,8 +207,8 @@ mod tests {
     #[test]
     fn json_export_is_wellformed() {
         let cells = sweep(&ClusterConfig::paper_4node(), 1);
-        let json = to_json(&cells);
-        assert_eq!(json.matches('{').count(), cells.len());
+        let json = json_doc(&cells);
+        assert_eq!(json.matches('{').count(), cells.len() + 1);
         assert!(json.contains("\"retransmits\""), "{json}");
         assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
     }

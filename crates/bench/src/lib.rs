@@ -55,16 +55,6 @@ pub mod table1;
 pub mod table2;
 pub mod transport;
 
-/// Render a float as a JSON number. Rust's `Display` for `f64` never
-/// produces exponents, so the only invalid outputs to guard against
-/// are the non-finite values (which would mean a broken sweep anyway).
-pub fn json_num(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite value in benchmark output: {v}");
-    let s = format!("{v}");
-    debug_assert!(!s.contains(['e', 'E']), "exponent in JSON number: {s}");
-    s
-}
-
 /// The sweep binaries' whole command line: `--json PATH` plus the
 /// numeric options named in `numeric` (with their defaults). Returns
 /// the path and the values in `numeric`'s order; anything else is a
@@ -99,12 +89,6 @@ pub fn write_json(path: Option<String>, doc: &str) {
         std::fs::write(&path, doc).expect("write --json output");
         eprintln!("wrote {path}");
     }
-}
-
-/// The `{"cells": [...]}` document most sweeps commit as their
-/// `BENCH_*.json`, around a module's rendered row array.
-fn cells_doc(rows: &str) -> String {
-    format!("{{\n  \"cells\": {rows}\n}}\n")
 }
 
 /// Render a float with engineering-style precision for tables.

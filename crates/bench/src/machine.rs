@@ -11,6 +11,7 @@
 use lmad::Granularity;
 use polaris_be::BackendOptions;
 use spmd_rt::ExecMode;
+use vpce_diag::json::{self, Layout};
 use vpce_machine::MachineSpec;
 
 /// One cell of the sweep.
@@ -115,25 +116,20 @@ pub fn print(points: &[MachinePoint]) {
 
 /// The committed `BENCH_machine.json` (at [`NODES`] nodes).
 pub fn json_doc(points: &[MachinePoint]) -> String {
-    let mut s = String::from("{\n  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"machine\": \"{}\", \"topology\": \"{}\", \"workload\": \"{}\", \
-             \"nodes\": {}, \"elapsed_s\": {}, \"comm_s\": {}, \"speedup\": {}, \
-             \"identical\": {}}}{}\n",
-            p.machine,
-            p.topology,
-            p.workload,
-            p.nodes,
-            crate::json_num(p.elapsed_s),
-            crate::json_num(p.comm_s),
-            crate::json_num(p.speedup),
-            p.identical,
-            if i + 1 < points.len() { "," } else { "" }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    json::document(Layout::Block(2), |o| {
+        let mut rows = o.array("points", Layout::Block(4));
+        for p in points {
+            rows.object(Layout::Inline)
+                .str("machine", &p.machine)
+                .str("topology", &p.topology)
+                .str("workload", &p.workload)
+                .int("nodes", p.nodes)
+                .num("elapsed_s", p.elapsed_s)
+                .num("comm_s", p.comm_s)
+                .num("speedup", p.speedup)
+                .bool("identical", p.identical);
+        }
+    })
 }
 
 #[cfg(test)]

@@ -19,6 +19,7 @@
 
 use spmd_rt::{ExecMode, FaultSpec};
 use vpce::{compile, BackendOptions, ClusterConfig, Granularity, Tracer};
+use vpce_diag::json::{self, Layout};
 use vpce_recover::{run_recovering, RecoverSpec};
 use vpce_workloads::{mm, swim};
 
@@ -184,36 +185,24 @@ pub fn print(b: &RecoverBench) {
 
 /// The committed `BENCH_recovery.json` (at [`SEEDS`] seeds).
 pub fn json_doc(b: &RecoverBench) -> String {
-    let rows: Vec<String> = b
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\n      \"workload\": \"{}\",\n      \"crash_rate\": {},\n      \
-                 \"checkpoints\": {},\n      \"replicated_bytes\": {},\n      \
-                 \"baseline_s\": {},\n      \"ckpt_overhead_pct\": {},\n      \
-                 \"crashing\": {},\n      \"recovered\": {},\n      \
-                 \"unsurvivable\": {},\n      \"mean_time_to_recover_s\": {},\n      \
-                 \"replay_amplification\": {}\n    }}",
-                r.workload,
-                crate::json_num(r.crash_rate),
-                r.checkpoints,
-                r.replicated_bytes,
-                crate::json_num(r.baseline_s),
-                crate::json_num(r.ckpt_overhead_pct),
-                r.crashing,
-                r.recovered,
-                r.unsurvivable,
-                crate::json_num(r.mean_time_to_recover_s),
-                crate::json_num(r.replay_amplification),
-            )
-        })
-        .collect();
-    format!(
-        "{{\n  \"seeds\": {},\n  \"workloads\": [\n{}\n  ]\n}}\n",
-        b.seeds,
-        rows.join(",\n")
-    )
+    json::document(Layout::Block(2), |o| {
+        o.int("seeds", b.seeds);
+        let mut rows = o.array("workloads", Layout::Block(4));
+        for r in &b.rows {
+            rows.object(Layout::Block(6))
+                .str("workload", r.workload)
+                .num("crash_rate", r.crash_rate)
+                .int("checkpoints", r.checkpoints)
+                .int("replicated_bytes", r.replicated_bytes)
+                .num("baseline_s", r.baseline_s)
+                .num("ckpt_overhead_pct", r.ckpt_overhead_pct)
+                .int("crashing", r.crashing)
+                .int("recovered", r.recovered)
+                .int("unsurvivable", r.unsurvivable)
+                .num("mean_time_to_recover_s", r.mean_time_to_recover_s)
+                .num("replay_amplification", r.replay_amplification);
+        }
+    })
 }
 
 #[cfg(test)]

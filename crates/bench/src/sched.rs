@@ -8,6 +8,7 @@
 //! comparison is fcfs vs backfill under heavy load, where backfill
 //! fills the holes in front of the wide job's reservation.
 
+use vpce_diag::json::{self, Layout};
 use vpce_sched::{
     run_batch, BatchOptions, BatchReport, BatchSpec, JobSource, JobSpec, Policy, StormSpec,
 };
@@ -150,37 +151,29 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
 
 /// The committed `BENCH_sched.json` (at [`SEED`], [`JOBS_PER_STORM`]).
 pub fn json_doc(cells: &[Cell]) -> String {
-    crate::cells_doc(&to_json(cells))
-}
-
-/// Render the sweep as a JSON array.
-fn to_json(cells: &[Cell]) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"nodes\": {}, \"mesh\": \"{}\", \"load\": \"{}\", \"mean_gap_s\": {}, \"policy\": \"{}\", \"jobs\": {}, \"done\": {}, \"failed\": {}, \"rejected\": {}, \"peak_concurrent\": {}, \"utilization\": {}, \"horizon_s\": {}, \"throughput_jobs_per_s\": {}, \"queue_p50_s\": {}, \"queue_p99_s\": {}, \"makespan_p50_s\": {}, \"makespan_p99_s\": {}}}",
-                c.nodes,
-                c.mesh,
-                c.load,
-                crate::json_num(c.mean_gap_s),
-                c.policy,
-                c.jobs,
-                c.done,
-                c.failed,
-                c.rejected,
-                c.peak_concurrent,
-                crate::json_num(c.utilization),
-                crate::json_num(c.horizon_s),
-                crate::json_num(c.throughput_jobs_per_s),
-                crate::json_num(c.queue_p50_s),
-                crate::json_num(c.queue_p99_s),
-                crate::json_num(c.makespan_p50_s),
-                crate::json_num(c.makespan_p99_s)
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
+    json::document(Layout::Block(2), |o| {
+        let mut rows = o.array("cells", Layout::Block(4));
+        for c in cells {
+            rows.object(Layout::Inline)
+                .int("nodes", c.nodes)
+                .str("mesh", &c.mesh)
+                .str("load", c.load)
+                .num("mean_gap_s", c.mean_gap_s)
+                .str("policy", c.policy)
+                .int("jobs", c.jobs)
+                .int("done", c.done)
+                .int("failed", c.failed)
+                .int("rejected", c.rejected)
+                .int("peak_concurrent", c.peak_concurrent)
+                .num("utilization", c.utilization)
+                .num("horizon_s", c.horizon_s)
+                .num("throughput_jobs_per_s", c.throughput_jobs_per_s)
+                .num("queue_p50_s", c.queue_p50_s)
+                .num("queue_p99_s", c.queue_p99_s)
+                .num("makespan_p50_s", c.makespan_p50_s)
+                .num("makespan_p99_s", c.makespan_p99_s);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -198,7 +191,7 @@ mod tests {
             assert!(c.horizon_s > 0.0 && c.utilization > 0.0, "{c:?}");
         }
         let again = sweep(1, 4);
-        assert_eq!(to_json(&cells), to_json(&again), "sweep must be seed-deterministic");
+        assert_eq!(json_doc(&cells), json_doc(&again), "sweep must be seed-deterministic");
     }
 
     #[test]
@@ -217,8 +210,8 @@ mod tests {
     #[test]
     fn json_export_is_wellformed() {
         let cells = sweep(1, 2);
-        let json = to_json(&cells);
-        assert_eq!(json.matches('{').count(), cells.len());
+        let json = json_doc(&cells);
+        assert_eq!(json.matches('{').count(), cells.len() + 1);
         assert!(json.contains("\"queue_p99_s\""), "{json}");
         assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
     }

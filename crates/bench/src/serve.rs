@@ -19,6 +19,7 @@
 //! `serve.recover_s`).
 
 use spmd_rt::ExecMode;
+use vpce_diag::json::{self, Layout};
 use vpce_serve::{kill_matrix, Daemon, MemStorage, Runner};
 
 /// Submissions and kill points of the committed run.
@@ -113,11 +114,14 @@ pub fn print(b: &ServeBench) {
 
 /// The committed `BENCH_serve.json` (at [`JOBS`], [`KILL_POINTS`]).
 pub fn json_doc(b: &ServeBench) -> String {
-    format!(
-        "{{\n  \"jobs\": {},\n  \"inputs\": {},\n  \"journal_bytes\": {},\n  \
-         \"kill_points\": {},\n  \"kill_restarts\": {},\n  \"kill_divergent\": {}\n}}\n",
-        b.jobs, b.inputs, b.journal_bytes, b.kill_points, b.kill_restarts, b.kill_divergent,
-    )
+    json::document(Layout::Block(2), |o| {
+        o.int("jobs", b.jobs)
+            .int("inputs", b.inputs)
+            .int("journal_bytes", b.journal_bytes)
+            .int("kill_points", b.kill_points)
+            .int("kill_restarts", b.kill_restarts)
+            .int("kill_divergent", b.kill_divergent);
+    })
 }
 
 #[cfg(test)]

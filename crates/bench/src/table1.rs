@@ -11,6 +11,7 @@ use cluster_sim::ClusterConfig;
 use lmad::Granularity;
 use polaris_be::BackendOptions;
 use spmd_rt::ExecMode;
+use vpce_diag::json::{self, Array, Layout};
 use vpce_workloads::mm;
 
 /// The paper's Table 1 values, `paper[size][nodes]` with
@@ -93,31 +94,22 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
 
 /// The committed `BENCH_table1.json`: both hardware variants' sweeps.
 pub fn json_doc(nominal: &[Cell], prototype: &[Cell]) -> String {
-    format!(
-        "{{\n  \"nominal\": {},\n  \"prototype\": {}\n}}\n",
-        to_json(nominal),
-        to_json(prototype)
-    )
+    json::document(Layout::Block(2), |o| {
+        write_rows(&mut o.array("nominal", Layout::Block(4)), nominal);
+        write_rows(&mut o.array("prototype", Layout::Block(4)), prototype);
+    })
 }
 
-/// Render a sweep as a JSON array (hand-rolled — the workspace has no
-/// serde).
-fn to_json(cells: &[Cell]) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"size\": {}, \"nodes\": {}, \"seq_time\": {}, \"par_time\": {}, \"speedup\": {}, \"comm_time\": {}}}",
-                c.size,
-                c.nodes,
-                crate::json_num(c.seq_time),
-                crate::json_num(c.par_time),
-                crate::json_num(c.speedup),
-                crate::json_num(c.comm_time)
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
+fn write_rows(rows: &mut Array<'_>, cells: &[Cell]) {
+    for c in cells {
+        rows.object(Layout::Inline)
+            .int("size", c.size)
+            .int("nodes", c.nodes)
+            .num("seq_time", c.seq_time)
+            .num("par_time", c.par_time)
+            .num("speedup", c.speedup)
+            .num("comm_time", c.comm_time);
+    }
 }
 
 #[cfg(test)]
@@ -153,9 +145,9 @@ mod tests {
     #[test]
     fn json_export_is_wellformed() {
         let cells = small_sweep(ClusterConfig::paper_n, 64);
-        let json = to_json(&cells);
-        assert_eq!(json.matches('{').count(), cells.len());
-        assert_eq!(json.matches('}').count(), cells.len());
+        let json = json_doc(&cells, &[]);
+        assert_eq!(json.matches('{').count(), cells.len() + 1);
+        assert_eq!(json.matches('}').count(), cells.len() + 1);
         assert!(json.contains("\"speedup\": "));
         assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
     }

@@ -14,6 +14,7 @@ use cluster_sim::ClusterConfig;
 use lmad::Granularity;
 use polaris_be::BackendOptions;
 use spmd_rt::{ExecMode, Schedule};
+use vpce_diag::json::{self, Layout};
 use vpce_workloads::{cfft, mm, swim};
 
 /// The paper's Table 2 (seconds); `None` marks the entry the paper
@@ -187,28 +188,20 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
 
 /// The committed `BENCH_table2.json`.
 pub fn json_doc(cells: &[Cell]) -> String {
-    crate::cells_doc(&to_json(cells))
-}
-
-/// Render the grid as a JSON array (hand-rolled).
-fn to_json(cells: &[Cell]) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"workload\": \"{}\", \"granularity\": \"{}\", \"comm_time\": {}, \"messages\": {}, \"strided_messages\": {}, \"wire_bytes\": {}, \"redundancy\": {}, \"overlap_fallbacks\": {}}}",
-                c.workload,
-                c.granularity.name(),
-                crate::json_num(c.comm_time),
-                c.messages,
-                c.strided_messages,
-                c.wire_bytes,
-                crate::json_num(c.redundancy),
-                c.overlap_fallbacks
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
+    json::document(Layout::Block(2), |o| {
+        let mut rows = o.array("cells", Layout::Block(4));
+        for c in cells {
+            rows.object(Layout::Inline)
+                .str("workload", &c.workload)
+                .str("granularity", c.granularity.name())
+                .num("comm_time", c.comm_time)
+                .int("messages", c.messages)
+                .int("strided_messages", c.strided_messages)
+                .int("wire_bytes", c.wire_bytes)
+                .num("redundancy", c.redundancy)
+                .int("overlap_fallbacks", c.overlap_fallbacks);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -301,10 +294,10 @@ mod tests {
     #[test]
     fn json_export_is_wellformed() {
         let c = cell(cfft::SOURCE, ("M", 6), Granularity::Middle);
-        let json = to_json(std::slice::from_ref(&c));
+        let json = json_doc(std::slice::from_ref(&c));
         assert!(json.contains("\"workload\": \"t\""), "{json}");
         assert!(json.contains("\"granularity\": \"middle\""), "{json}");
-        assert_eq!(json.matches('{').count(), 1);
+        assert_eq!(json.matches('{').count(), 2);
         assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
     }
 

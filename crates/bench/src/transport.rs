@@ -13,6 +13,7 @@
 
 use cluster_sim::{ClusterConfig, Protocol};
 use mpi2::{TransportPolicy, Universe, ELEM_BYTES};
+use vpce_diag::json::{self, Layout};
 
 /// Ranks in the neighbour ring.
 const RANKS: usize = 4;
@@ -179,36 +180,28 @@ fn fmt_bytes(b: f64) -> String {
 
 /// The committed `BENCH_transport.json` (at [`EPOCHS`] epochs).
 pub fn json_doc(cells: &[Cell]) -> String {
-    crate::cells_doc(&to_json(cells))
-}
-
-/// Render the grid as a JSON array.
-fn to_json(cells: &[Cell]) -> String {
-    let rows: Vec<String> = cells
-        .iter()
-        .map(|c| {
-            format!(
-                "    {{\"bytes\": {}, \"mode\": \"{}\", \"pool_slots\": {}, \"elapsed_s\": {}, \"bandwidth_bps\": {}, \"eager_ops\": {}, \"rdvz_ops\": {}, \"eager_copy_s\": {}, \"eager_fallbacks\": {}, \"pool_waits\": {}, \"pool_wait_s\": {}, \"pool_hwm\": {}, \"doorbells\": {}, \"ring_batched\": {}, \"rdvz_handshakes\": {}, \"wire_bytes\": {}}}",
-                c.bytes,
-                c.mode,
-                c.slots,
-                crate::json_num(c.elapsed),
-                crate::json_num(c.bandwidth_bps),
-                c.eager_ops,
-                c.rdvz_ops,
-                crate::json_num(c.eager_copy_s),
-                c.eager_fallbacks,
-                c.pool_waits,
-                crate::json_num(c.pool_wait_s),
-                c.pool_hwm,
-                c.doorbells,
-                c.ring_batched,
-                c.rdvz_handshakes,
-                c.wire_bytes
-            )
-        })
-        .collect();
-    format!("[\n{}\n  ]", rows.join(",\n"))
+    json::document(Layout::Block(2), |o| {
+        let mut rows = o.array("cells", Layout::Block(4));
+        for c in cells {
+            rows.object(Layout::Inline)
+                .int("bytes", c.bytes)
+                .str("mode", c.mode)
+                .int("pool_slots", c.slots)
+                .num("elapsed_s", c.elapsed)
+                .num("bandwidth_bps", c.bandwidth_bps)
+                .int("eager_ops", c.eager_ops)
+                .int("rdvz_ops", c.rdvz_ops)
+                .num("eager_copy_s", c.eager_copy_s)
+                .int("eager_fallbacks", c.eager_fallbacks)
+                .int("pool_waits", c.pool_waits)
+                .num("pool_wait_s", c.pool_wait_s)
+                .int("pool_hwm", c.pool_hwm)
+                .int("doorbells", c.doorbells)
+                .int("ring_batched", c.ring_batched)
+                .int("rdvz_handshakes", c.rdvz_handshakes)
+                .int("wire_bytes", c.wire_bytes);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -268,8 +261,8 @@ mod tests {
     #[test]
     fn json_export_is_wellformed() {
         let cells = sweep(&ClusterConfig::paper_n(RANKS), 1);
-        let json = to_json(&cells);
-        assert_eq!(json.matches('{').count(), cells.len());
+        let json = json_doc(&cells);
+        assert_eq!(json.matches('{').count(), cells.len() + 1);
         assert!(json.contains("\"rdvz_handshakes\""), "{json}");
         assert!(!json.contains("inf") && !json.contains("NaN"), "{json}");
     }

@@ -40,7 +40,8 @@ use std::fmt::Write as _;
 
 use mpi2::TransportPolicy;
 use spmd_rt::ir::SpmdProgram;
-use vpce_diag::{json_escape, DiagCode, Diagnostic, Report, Severity};
+use vpce_diag::json::{Layout, Object};
+use vpce_diag::{DiagCode, Diagnostic, Report, Severity};
 use vpce_faults::FaultSpec;
 use vpce_trace::{CallInfo, CallOp, EventKind, Lane, Tracer};
 
@@ -174,58 +175,34 @@ impl Counterexample {
         out
     }
 
-    /// Stable JSON value (spliced into the report under
-    /// `"counterexample"`; indentation continues the report's 2-space
-    /// style).
-    pub fn to_json(&self) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "    \"nranks\": {},", self.nranks);
-        out.push_str("    \"steps\": [");
-        for (i, s) in self.steps.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// Write the counterexample's members into `o` (the report's
+    /// `"counterexample"` object).
+    fn write_json(&self, o: &mut Object<'_>) {
+        o.int("nranks", self.nranks);
+        {
+            let mut steps = o.array("steps", Layout::Block(6));
+            for s in &self.steps {
+                let mut j = steps.object(Layout::Inline);
+                match s.rank {
+                    Some(r) => j.int("rank", r),
+                    None => j.str("rank", "all"),
+                };
+                j.str("op", &s.act.op.describe())
+                    .int("line", s.act.line)
+                    .str("site", s.act.site);
             }
-            out.push_str("\n      {");
-            match s.rank {
-                Some(r) => {
-                    let _ = write!(out, "\"rank\": {r}, ");
-                }
-                None => out.push_str("\"rank\": \"all\", "),
-            }
-            let _ = write!(out, "\"op\": \"{}\", ", json_escape(&s.act.op.describe()));
-            let _ = write!(out, "\"line\": {}, ", s.act.line);
-            let _ = write!(out, "\"site\": \"{}\"", json_escape(s.act.site));
-            out.push('}');
         }
-        if !self.steps.is_empty() {
-            out.push_str("\n    ");
+        let mut blocked = o.array("blocked", Layout::Block(6));
+        for b in &self.blocked {
+            blocked
+                .object(Layout::Inline)
+                .int("rank", b.rank)
+                .str("op", &b.op.describe())
+                .int("line", b.line)
+                .str("site", b.site)
+                .opt("code", b.code.map(VerifyCode::as_str), Object::str)
+                .str("cause", &b.cause);
         }
-        out.push_str("],\n");
-        out.push_str("    \"blocked\": [");
-        for (i, b) in self.blocked.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n      {");
-            let _ = write!(out, "\"rank\": {}, ", b.rank);
-            let _ = write!(out, "\"op\": \"{}\", ", json_escape(&b.op.describe()));
-            let _ = write!(out, "\"line\": {}, ", b.line);
-            let _ = write!(out, "\"site\": \"{}\", ", json_escape(b.site));
-            match b.code {
-                Some(c) => {
-                    let _ = write!(out, "\"code\": \"{}\", ", c.as_str());
-                }
-                None => out.push_str("\"code\": null, "),
-            }
-            let _ = write!(out, "\"cause\": \"{}\"", json_escape(&b.cause));
-            out.push('}');
-        }
-        if !self.blocked.is_empty() {
-            out.push_str("\n    ");
-        }
-        out.push_str("]\n  }");
-        out
     }
 
     /// Render the interleaving as a `vpce-trace` timeline: one lane
@@ -342,18 +319,14 @@ impl VerifyReport {
     }
 
     pub fn to_json(&self) -> String {
-        let mut extras: Vec<(&str, String)> = Vec::new();
-        if let Some(cx) = &self.counterexample {
-            extras.push(("counterexample", cx.to_json()));
-        }
-        extras.push((
-            "explored",
-            format!(
-                "{{\"states\": {}, \"truncated\": {}}}",
-                self.states, self.truncated
-            ),
-        ));
-        self.report.to_json_with(&extras)
+        self.report.to_json_with(|o| {
+            if let Some(cx) = &self.counterexample {
+                cx.write_json(&mut o.object("counterexample", Layout::Block(4)));
+            }
+            o.object("explored", Layout::Inline)
+                .int("states", self.states)
+                .bool("truncated", self.truncated);
+        })
     }
 }
 

@@ -62,11 +62,17 @@
 //! Each checker owns its code *enum* (and therefore the
 //! 0xx/2xx/30x/31x namespace split); this crate owns everything the
 //! enums have in common: the [`DiagCode`] trait, the [`Diagnostic`]
-//! record, and the [`Report`] container with its two renderers.
+//! record, and the [`Report`] container with its two renderers. The
+//! JSON one is written through [`json`], the writer every other
+//! machine-readable document of the tool uses too.
 
 #![forbid(unsafe_code)]
 
+pub mod json;
+
 use std::fmt::Write as _;
+
+use json::{Layout, Object};
 
 /// How bad a finding is. Errors are undefined-outcome conflicts or
 /// guaranteed-stall interleavings; warnings are legal-but-suspect
@@ -222,11 +228,7 @@ impl<C: DiagCode> Report<C> {
             return out;
         }
         for d in &self.diags {
-            let sev = match d.severity() {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            };
-            let _ = write!(out, "{sev}[{}]", d.code.as_str());
+            let _ = write!(out, "{}[{}]", severity_name(d.severity()), d.code.as_str());
             if !d.win_name.is_empty() {
                 let _ = write!(out, " window {}", d.win_name);
             }
@@ -258,81 +260,50 @@ impl<C: DiagCode> Report<C> {
 
     /// Machine-readable JSON: stable key order, one canonical shape.
     pub fn to_json(&self) -> String {
-        self.to_json_with(&[])
+        self.to_json_with(|_| {})
     }
 
-    /// JSON rendering with extra top-level sections spliced between
-    /// `diagnostics` and `summary`. Each entry is `(key, raw JSON
-    /// value)`; with no extras the output is byte-identical to
-    /// [`Report::to_json`] (the shape the lint goldens pin).
-    pub fn to_json_with(&self, extras: &[(&str, String)]) -> String {
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"program\": \"{}\",", json_escape(&self.program));
-        out.push_str("  \"diagnostics\": [");
-        for (i, d) in self.diags.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// JSON rendering with extra top-level members, written by
+    /// `extras`, between `diagnostics` and `summary`; with none the
+    /// output is byte-identical to [`Report::to_json`] (the shape the
+    /// lint goldens pin).
+    pub fn to_json_with(&self, extras: impl FnOnce(&mut Object<'_>)) -> String {
+        json::document(Layout::Block(2), |o| {
+            o.str("program", &self.program);
+            {
+                let mut diags = o.array("diagnostics", Layout::Block(4));
+                for d in &self.diags {
+                    let mut j = diags.object(Layout::Inline);
+                    j.str("code", d.code.as_str())
+                        .str("severity", severity_name(d.severity()));
+                    if d.win != usize::MAX {
+                        j.int("win", d.win).str("window", &d.win_name);
+                    }
+                    if d.shard != usize::MAX {
+                        j.int("shard", d.shard);
+                    }
+                    if d.ranks.0 != usize::MAX {
+                        j.ints("ranks", [d.ranks.0, d.ranks.1]);
+                    }
+                    j.int("line", d.line)
+                        .str("site", &d.site)
+                        .str("detail", &d.detail);
+                }
             }
-            out.push_str("\n    {");
-            let _ = write!(out, "\"code\": \"{}\", ", d.code.as_str());
-            let sev = match d.severity() {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            };
-            let _ = write!(out, "\"severity\": \"{sev}\", ");
-            if d.win != usize::MAX {
-                let _ = write!(out, "\"win\": {}, ", d.win);
-                let _ = write!(out, "\"window\": \"{}\", ", json_escape(&d.win_name));
-            }
-            if d.shard != usize::MAX {
-                let _ = write!(out, "\"shard\": {}, ", d.shard);
-            }
-            if d.ranks.0 != usize::MAX {
-                let _ = write!(out, "\"ranks\": [{}, {}], ", d.ranks.0, d.ranks.1);
-            }
-            let _ = write!(out, "\"line\": {}, ", d.line);
-            let _ = write!(out, "\"site\": \"{}\", ", json_escape(&d.site));
-            let _ = write!(out, "\"detail\": \"{}\"", json_escape(&d.detail));
-            out.push('}');
-        }
-        if !self.diags.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n");
-        for (key, value) in extras {
-            let _ = writeln!(out, "  \"{}\": {},", json_escape(key), value);
-        }
-        let _ = writeln!(
-            out,
-            "  \"summary\": {{\"errors\": {}, \"warnings\": {}, \"exit\": {}}}",
-            self.errors(),
-            self.warnings(),
-            self.exit_code()
-        );
-        out.push('}');
-        out.push('\n');
-        out
+            extras(o);
+            o.object("summary", Layout::Inline)
+                .int("errors", self.errors())
+                .int("warnings", self.warnings())
+                .int("exit", self.exit_code());
+        })
     }
 }
 
-/// Minimal JSON string escaping (control chars, quotes, backslash).
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
+fn severity_name(s: Severity) -> &'static str {
+    match s {
+        Severity::Error => "error",
+        Severity::Warning => "warning",
     }
-    out
 }
 
 #[cfg(test)]
@@ -444,10 +415,12 @@ mod tests {
     fn extras_splice_between_diagnostics_and_summary() {
         let r = report();
         let plain = r.to_json();
-        let with = r.to_json_with(&[("counterexample", "{\"steps\": []}".into())]);
+        let with = r.to_json_with(|o| {
+            o.raw("counterexample", "{\"steps\": []}");
+        });
         assert_ne!(plain, with);
         assert!(with.contains("  \"counterexample\": {\"steps\": []},\n  \"summary\""));
         // No extras → byte-identical to the plain rendering.
-        assert_eq!(plain, r.to_json_with(&[]));
+        assert_eq!(plain, r.to_json_with(|_| {}));
     }
 }

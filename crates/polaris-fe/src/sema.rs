@@ -105,6 +105,22 @@ pub fn resolve(
         array_ids: HashMap::new(),
     };
     r.collect_decls(&unit.decls)?;
+    if let Some((name, _)) = overrides
+        .iter()
+        .find(|(n, _)| !r.params.contains_key(&n.to_ascii_uppercase()))
+    {
+        let mut declared: Vec<&str> = r.params.keys().map(String::as_str).collect();
+        declared.sort_unstable();
+        let declared = if declared.is_empty() {
+            "none".to_string()
+        } else {
+            declared.join(", ")
+        };
+        return Err(FrontError::new(
+            0,
+            format!("no PARAMETER `{name}` to override (declared PARAMETERs: {declared})"),
+        ));
+    }
     r.build_arrays()?;
     let body = r.body(unit.body)?;
     r.symbols.parameters = r.params.clone();
@@ -557,6 +573,21 @@ mod tests {
             &[("N", 16)],
         );
         assert_eq!(sy.arrays[0].len, 16);
+    }
+
+    #[test]
+    fn override_of_an_undeclared_parameter_is_an_error() {
+        let src = "PROGRAM T\nPARAMETER (N = 4, M = 2)\nREAL A(N)\nA(1) = 0\nEND\n";
+        let unit = || parse(&lex(src).unwrap()).unwrap();
+        for name in ["NN", ""] {
+            let err = resolve(unit(), &[("N", 8), (name, 32)]).unwrap_err();
+            assert!(err.message.contains(&format!("no PARAMETER `{name}`")), "{err}");
+            assert!(err.message.contains("declared PARAMETERs: M, N"), "{err}");
+        }
+        // Names match case-insensitively, as the CLI and jobfiles pass them.
+        assert!(resolve(unit(), &[("n", 8)]).is_ok());
+        let none = resolve(parse(&lex("PROGRAM T\nX = 1\nEND\n").unwrap()).unwrap(), &[("N", 8)]);
+        assert!(none.unwrap_err().message.contains("declared PARAMETERs: none"));
     }
 
     #[test]

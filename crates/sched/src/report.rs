@@ -1,14 +1,16 @@
 //! Batch results: per-job records and the aggregate report, in human
 //! and stable-JSON form.
 //!
-//! The JSON is hand-rolled with a fixed key order and a formatter that
-//! never emits exponents, so the same batch produces a byte-identical
-//! artifact on every run — the golden-file CI test and the determinism
-//! property both diff it literally.
+//! The JSON goes through the shared writer (`vpce_diag::json`) with a
+//! fixed key order and numbers that never use exponents, so the same
+//! batch produces a byte-identical artifact on every run — the
+//! golden-file CI test and the determinism property both diff it
+//! literally.
 
 use std::fmt::Write as _;
 
 use vbus_sim::Mesh;
+use vpce_diag::json::{self, Layout, Object};
 use vpce_trace::critical::Breakdown;
 
 use crate::job::Policy;
@@ -277,43 +279,44 @@ impl BatchReport {
     /// Stable JSON: fixed key order, no exponents, byte-identical for
     /// identical batches.
     pub fn to_json(&self) -> String {
-        let mut s = String::from("{\n");
-        let _ = writeln!(s, "  \"nodes\": {},", self.nodes);
-        let _ = writeln!(s, "  \"mesh\": \"{}x{}\",", self.mesh.cols, self.mesh.rows);
-        let _ = writeln!(s, "  \"policy\": \"{}\",", self.policy.name());
-        let _ = writeln!(s, "  \"seed\": {},", self.seed);
-        let _ = writeln!(s, "  \"submitted\": {},", self.records.len());
-        let _ = writeln!(s, "  \"done\": {},", self.done());
-        let _ = writeln!(s, "  \"failed\": {},", self.failed());
-        let _ = writeln!(s, "  \"rejected\": {},", self.rejected());
-        let _ = writeln!(s, "  \"requeues\": {},", self.requeues());
-        let _ = writeln!(s, "  \"peak_concurrent\": {},", self.peak_concurrent);
-        let drained: Vec<String> = self.drained.iter().map(|n| n.to_string()).collect();
-        let _ = writeln!(s, "  \"drained\": [{}],", drained.join(", "));
-        let _ = writeln!(s, "  \"horizon_s\": {},", json_num(self.horizon));
-        let _ = writeln!(s, "  \"throughput_jobs_per_s\": {},", json_num(self.throughput()));
-        let _ = writeln!(s, "  \"utilization\": {},", json_num(self.utilization));
-        let (qw50, qw99) = self.queue_wait_percentiles();
-        let (ms50, ms99) = self.makespan_percentiles();
-        let _ = writeln!(s, "  \"queue_wait_p50_s\": {},", json_num(qw50));
-        let _ = writeln!(s, "  \"queue_wait_p99_s\": {},", json_num(qw99));
-        let _ = writeln!(s, "  \"makespan_p50_s\": {},", json_num(ms50));
-        let _ = writeln!(s, "  \"makespan_p99_s\": {},", json_num(ms99));
-        if self.has_real_tenants() {
-            let parts: Vec<String> = self
-                .tenant_usage
-                .iter()
-                .map(|(t, u)| format!("{}: {}", json_str(t), json_num(*u)))
-                .collect();
-            let _ = writeln!(s, "  \"tenant_usage_node_s\": {{{}}},", parts.join(", "));
-        }
-        s.push_str("  \"jobs\": [\n");
-        for (i, r) in self.records.iter().enumerate() {
-            s.push_str(&job_json(r, "    "));
-            s.push_str(if i + 1 < self.records.len() { ",\n" } else { "\n" });
-        }
-        s.push_str("  ]\n}\n");
-        s
+        json::document(Layout::Block(2), |o| {
+            o.int("nodes", self.nodes)
+                .str("mesh", &format!("{}x{}", self.mesh.cols, self.mesh.rows))
+                .str("policy", self.policy.name())
+                .int("seed", self.seed)
+                .int("submitted", self.records.len())
+                .int("done", self.done())
+                .int("failed", self.failed())
+                .int("rejected", self.rejected())
+                .int("requeues", self.requeues())
+                .int("peak_concurrent", self.peak_concurrent)
+                .ints("drained", &self.drained)
+                .num("horizon_s", self.horizon)
+                .num("throughput_jobs_per_s", self.throughput())
+                .num("utilization", self.utilization);
+            let (qw50, qw99) = self.queue_wait_percentiles();
+            let (ms50, ms99) = self.makespan_percentiles();
+            o.num("queue_wait_p50_s", qw50)
+                .num("queue_wait_p99_s", qw99)
+                .num("makespan_p50_s", ms50)
+                .num("makespan_p99_s", ms99);
+            if self.has_real_tenants() {
+                let mut usage = o.object("tenant_usage_node_s", Layout::Inline);
+                for (t, u) in &self.tenant_usage {
+                    usage.num(t, *u);
+                }
+            }
+            if self.records.is_empty() {
+                // An empty batch (a serve script that submits nothing)
+                // has always closed its job list on a line of its own.
+                o.raw("jobs", "[\n  ]");
+                return;
+            }
+            let mut jobs = o.array("jobs", Layout::Block(4));
+            for r in &self.records {
+                write_job(&mut jobs.object(Layout::Block(6)), r);
+            }
+        })
     }
 
     /// True when any job claimed a tenant other than the implicit one.
@@ -324,64 +327,40 @@ impl BatchReport {
     }
 }
 
-/// One job record as stable JSON (fixed key order, `pad`-indented, no
-/// trailing newline). Public so `vpce-serve` renders its reports in
-/// the same shape the batch goldens diff.
-pub fn job_json(r: &JobRecord, pad: &str) -> String {
-    let mut s = format!("{pad}{{\n");
-    let p = format!("{pad}  ");
-    let _ = writeln!(s, "{p}\"name\": {},", json_str(&r.name));
-    let _ = writeln!(s, "{p}\"tenant\": {},", json_str(&r.tenant));
-    let _ = writeln!(s, "{p}\"ranks\": {},", r.ranks);
-    let _ = writeln!(s, "{p}\"shape\": \"{}x{}\",", r.shape.cols, r.shape.rows);
-    let _ = writeln!(s, "{p}\"status\": \"{}\",", r.status.name());
-    let _ = writeln!(s, "{p}\"arrival_s\": {},", json_num(r.arrival));
-    let _ = writeln!(s, "{p}\"start_s\": {},", json_opt(r.start));
-    let _ = writeln!(s, "{p}\"end_s\": {},", json_opt(r.end));
-    let _ = writeln!(s, "{p}\"queue_wait_s\": {},", json_num(r.queue_wait));
-    let _ = writeln!(s, "{p}\"makespan_s\": {},", json_opt(r.makespan()));
-    let nodes: Vec<String> = r.nodes.iter().map(|n| n.to_string()).collect();
-    let _ = writeln!(s, "{p}\"nodes\": [{}],", nodes.join(", "));
-    let _ = writeln!(s, "{p}\"attempts\": {},", r.attempts);
-    let _ = writeln!(s, "{p}\"requeues\": {},", r.requeues);
-    let _ = writeln!(s, "{p}\"preemptions\": {},", r.preemptions);
-    let ident = match r.identical {
-        Some(b) => b.to_string(),
-        None => "null".into(),
-    };
-    let _ = writeln!(s, "{p}\"identical\": {ident},");
-    let _ = writeln!(s, "{p}\"missed_deadline\": {},", r.missed_deadline);
+/// One job record's members, in the fixed order the batch goldens pin.
+fn write_job(o: &mut Object<'_>, r: &JobRecord) {
+    o.str("name", &r.name)
+        .str("tenant", &r.tenant)
+        .int("ranks", r.ranks)
+        .str("shape", &format!("{}x{}", r.shape.cols, r.shape.rows))
+        .str("status", r.status.name())
+        .num("arrival_s", r.arrival)
+        .opt("start_s", r.start, Object::num)
+        .opt("end_s", r.end, Object::num)
+        .num("queue_wait_s", r.queue_wait)
+        .opt("makespan_s", r.makespan(), Object::num)
+        .ints("nodes", &r.nodes)
+        .int("attempts", r.attempts)
+        .int("requeues", r.requeues)
+        .int("preemptions", r.preemptions)
+        .opt("identical", r.identical, Object::bool)
+        .bool("missed_deadline", r.missed_deadline);
     match &r.error {
-        Some((kind, msg)) => {
-            let _ = writeln!(s, "{p}\"error_kind\": {},", json_str(kind));
-            let _ = writeln!(s, "{p}\"error\": {},", json_str(msg));
-        }
-        None => {
-            let _ = writeln!(s, "{p}\"error_kind\": null,");
-            let _ = writeln!(s, "{p}\"error\": null,");
-        }
-    }
-    match &r.breakdown {
-        Some(b) => {
-            let _ = writeln!(
-                s,
-                "{p}\"breakdown\": {{\"queue\": {}, \"compute\": {}, \"setup\": {}, \"occupancy\": {}, \"wait\": {}, \"recovery\": {}}},",
-                json_num(b.queue),
-                json_num(b.compute),
-                json_num(b.setup),
-                json_num(b.occupancy),
-                json_num(b.wait),
-                json_num(b.recovery),
-            );
-        }
-        None => {
-            let _ = writeln!(s, "{p}\"breakdown\": null,");
-        }
-    }
-    let _ = writeln!(s, "{p}\"net_messages\": {},", r.net_messages);
-    let _ = writeln!(s, "{p}\"net_bytes\": {}", r.net_bytes);
-    let _ = write!(s, "{pad}}}");
-    s
+        Some((kind, msg)) => o.str("error_kind", kind).str("error", msg),
+        None => o.null("error_kind").null("error"),
+    };
+    o.opt("breakdown", r.breakdown.as_ref(), |o, key, b| {
+        o.object(key, Layout::Inline)
+            .num("queue", b.queue)
+            .num("compute", b.compute)
+            .num("setup", b.setup)
+            .num("occupancy", b.occupancy)
+            .num("wait", b.wait)
+            .num("recovery", b.recovery);
+        o
+    })
+    .int("net_messages", r.net_messages)
+    .int("net_bytes", r.net_bytes);
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice (0 if empty).
@@ -391,26 +370,6 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     }
     let rank = ((p / 100.0) * sorted.len() as f64).ceil() as usize;
     sorted[rank.clamp(1, sorted.len()) - 1]
-}
-
-/// A float as a JSON number. Rust's `Display` for `f64` never emits
-/// exponents; non-finite values mean a broken batch and assert.
-pub fn json_num(v: f64) -> String {
-    assert!(v.is_finite(), "non-finite value in batch report: {v}");
-    let s = format!("{v}");
-    debug_assert!(!s.contains(['e', 'E']), "exponent in JSON number: {s}");
-    s
-}
-
-/// An optional float as a JSON number or `null`.
-pub fn json_opt(v: Option<f64>) -> String {
-    v.map(json_num).unwrap_or_else(|| "null".into())
-}
-
-/// A string as a JSON string literal (quotes included), escaped the
-/// way every other report in the workspace is.
-pub fn json_str(s: &str) -> String {
-    format!("\"{}\"", vpce_diag::json_escape(s))
 }
 
 #[cfg(test)]
@@ -498,8 +457,11 @@ mod tests {
         // `\r` and `\t` take the two-character form every vpce-diag
         // report uses; other control characters the `\u00XX` form.
         let raw = "a\"b\\c\nd\re\tf\u{1}";
-        assert_eq!(json_str(raw), r#""a\"b\\c\nd\re\tf\u0001""#);
-        assert_eq!(json_str(raw), format!("\"{}\"", vpce_diag::json_escape(raw)));
+        let a = report(vec![record(raw, JobStatus::Done, 0.1, Some(0.5))]).to_json();
+        let mut lit = String::new();
+        json::string(&mut lit, raw);
+        assert_eq!(lit, r#""a\"b\\c\nd\re\tf\u0001""#);
+        assert!(a.contains(&format!("\"name\": {lit}")), "{a}");
     }
 
     #[test]

@@ -23,7 +23,7 @@
 
 use std::rc::Rc;
 
-use cluster_sim::{partition_shape, ClusterConfig};
+use cluster_sim::ClusterConfig;
 use lmad::Granularity;
 use polaris_be::{advisor, BackendOptions};
 use spmd_rt::{ExecMode, RunReport, SpmdProgram, VpceError};
@@ -96,17 +96,17 @@ fn resolve_source(job: &JobSpec, loader: &SourceLoader) -> Result<String, VpceEr
 }
 
 /// Resolve a job's effective machine description: its own `machine=`
-/// field (a built-in name), else the batch-level `default`, else
-/// `None` (the hard-coded paper machine). An unknown name is a typed
+/// field (a built-in name), else the batch-level `default`, else the
+/// paper machine ([`MachineSpec::default`]). An unknown name is a typed
 /// admission rejection — jobfile parsing already screens it, but specs
 /// built through the API arrive unchecked.
 pub fn resolve_machine(
     job: &JobSpec,
     default: Option<&MachineSpec>,
-) -> Result<Option<MachineSpec>, VpceError> {
+) -> Result<MachineSpec, VpceError> {
     match &job.machine {
-        None => Ok(default.cloned()),
-        Some(name) => MachineSpec::builtin(name).map(Some).ok_or_else(|| {
+        None => Ok(default.cloned().unwrap_or_default()),
+        Some(name) => MachineSpec::builtin(name).ok_or_else(|| {
             reject(
                 job,
                 format!(
@@ -123,13 +123,10 @@ pub fn resolve_machine(
 /// switch-based fabrics (crossbar, fat-tree, shared) there is no
 /// rectangular sub-shape, so a near-square accounting footprint stands
 /// in — the attempt's network is a private fabric instance either way.
-pub fn job_footprint(machine: Option<&MachineSpec>, ranks: usize) -> Mesh {
-    match machine {
-        Some(m) => m
-            .partition_footprint(ranks.max(1))
-            .expect("positive ranks always have a footprint"),
-        None => partition_shape(ranks.max(1)),
-    }
+pub fn job_footprint(machine: &MachineSpec, ranks: usize) -> Mesh {
+    machine
+        .partition_footprint(ranks.max(1))
+        .expect("positive ranks always have a footprint")
 }
 
 /// Admission-time compile. `default_machine` is the batch-level
@@ -157,29 +154,14 @@ pub fn compile(
             (advice.recommended, advice.compiled)
         }
     };
-    let shape = job_footprint(machine.as_ref(), job.ranks);
-    let cluster =
-        partition_cluster(machine.as_ref(), shape, job.ranks).map_err(|e| reject(job, e))?;
+    let shape = job_footprint(&machine, job.ranks);
+    // The private cluster every attempt executes on: the machine's
+    // fabric lowered onto the job's partition (a `VPCE505`-class
+    // failure — e.g. a non-power-of-two hypercube partition — rejects).
+    let cluster = machine
+        .lower_partition(shape, job.ranks)
+        .map_err(|e| reject(job, format!("machine `{}`: {e}", machine.name)))?;
     Ok(Plan { program: compiled.program, shape, cluster, granularity })
-}
-
-/// The private cluster a job's attempts execute on. `None` is the
-/// hard-coded paper machine: paper-model PCs on the job's own partition
-/// mesh (phantom router cells included so awkward rank counts still
-/// route). `Some` lowers the spec's fabric (a `VPCE505`-class failure —
-/// e.g. a non-power-of-two hypercube partition — surfaces as the error
-/// string).
-fn partition_cluster(
-    machine: Option<&MachineSpec>,
-    shape: Mesh,
-    ranks: usize,
-) -> Result<ClusterConfig, String> {
-    match machine {
-        None => Ok(ClusterConfig::paper_partition(shape, ranks)),
-        Some(m) => m
-            .lower_partition(shape, ranks)
-            .map_err(|e| format!("machine `{}`: {e}", m.name)),
-    }
 }
 
 /// Fault seed for attempt `k` of a job (attempt 0 is the jobfile's own
@@ -287,6 +269,7 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use crate::Runner;
+    use cluster_sim::partition_shape;
 
     fn no_loader(p: &str) -> Result<String, String> {
         Err(format!("no loader for `{p}` in tests"))
@@ -343,6 +326,14 @@ mod tests {
         let e = prepare(&job, ExecMode::Full).unwrap_err();
         assert_eq!(e.kind(), "admission-rejected");
         assert!(e.to_string().contains("front-end"), "{e}");
+
+        // An override naming no PARAMETER of the program is refused too.
+        let mut job = mm_job("nn", 2);
+        job.params.push(("NN".into(), 32));
+        let e = prepare(&job, ExecMode::Full).unwrap_err();
+        assert_eq!(e.exit_code(), 4);
+        assert!(e.to_string().contains("no PARAMETER `NN`"), "{e}");
+        assert!(e.to_string().contains("declared PARAMETERs: N"), "{e}");
     }
 
     #[test]
@@ -417,17 +408,27 @@ mod tests {
 
     #[test]
     fn paper_machine_prepares_byte_identically_to_no_machine() {
-        let job = mm_job("mm0", 4);
-        let bare = prepare(&job, ExecMode::Full).unwrap();
+        // Every rank count up to the paper's 4x4 mesh, the awkward ones
+        // (3, 5, 6, 7, ...) included: their partitions carry phantom
+        // router cells. The reference is the hard-coded paper partition.
         let paper = MachineSpec::default();
-        let with = prepare_on(&job, ExecMode::Full, Some(&paper)).unwrap();
-        assert_eq!(with.plan.shape, bare.plan.shape);
-        assert_eq!(with.clean.report.elapsed.to_bits(), bare.clean.report.elapsed.to_bits());
-        assert_eq!(with.clean.report.arrays, bare.clean.report.arrays);
-        let a = run_attempt(&job, &bare.plan, ExecMode::Full, 0).unwrap();
-        let b = run_attempt(&job, &with.plan, ExecMode::Full, 0).unwrap();
-        assert_eq!(a.report.elapsed.to_bits(), b.report.elapsed.to_bits());
-        assert_eq!(a.report.arrays, b.report.arrays);
+        for ranks in 1..=16 {
+            let job = mm_job("mm0", ranks);
+            let bare = prepare(&job, ExecMode::Full).unwrap();
+            let with = prepare_on(&job, ExecMode::Full, Some(&paper)).unwrap();
+            let shape = partition_shape(ranks);
+            let reference = format!("{:?}", ClusterConfig::paper_partition(shape, ranks));
+            for p in [&bare, &with] {
+                assert_eq!(p.plan.shape, shape, "ranks={ranks}");
+                assert_eq!(format!("{:?}", p.plan.cluster), reference, "ranks={ranks}");
+            }
+            assert_eq!(with.clean.report.elapsed.to_bits(), bare.clean.report.elapsed.to_bits());
+            assert_eq!(with.clean.report.arrays, bare.clean.report.arrays, "ranks={ranks}");
+            let a = run_attempt(&job, &bare.plan, ExecMode::Full, 0).unwrap();
+            let b = run_attempt(&job, &with.plan, ExecMode::Full, 0).unwrap();
+            assert_eq!(a.report.elapsed.to_bits(), b.report.elapsed.to_bits(), "ranks={ranks}");
+            assert_eq!(a.report.arrays, b.report.arrays, "ranks={ranks}");
+        }
     }
 
     #[test]

@@ -193,11 +193,13 @@ struct JobState {
 }
 
 impl JobState {
+    /// The admitted plan's partition; a rejected job reports the paper
+    /// machine's footprint for its rank count.
     fn shape(&self) -> Mesh {
-        self.prepared
-            .as_ref()
-            .map(|p| p.plan.shape)
-            .unwrap_or_else(|_| cluster_sim::partition_shape(self.spec.ranks.max(1)))
+        self.prepared.as_ref().map_or_else(
+            |_| run::job_footprint(&MachineSpec::default(), self.spec.ranks),
+            |p| p.plan.shape,
+        )
     }
 
     fn cancelled_error(&self) -> (String, String) {
@@ -453,7 +455,7 @@ impl<'r> Scheduler<'r> {
             });
         }
         let effective = run::resolve_machine(spec, self.runner.machine())?;
-        let shape = run::job_footprint(effective.as_ref(), spec.ranks);
+        let shape = run::job_footprint(&effective, spec.ranks);
         if NodeMap::new(self.map.mesh(), self.nodes).find_fit(shape).is_none() {
             return Err(reject(format!(
                 "partition {}x{} does not fit the {}-node machine",

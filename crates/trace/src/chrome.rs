@@ -13,16 +13,12 @@
 //!   (`tid` = link index), plus `tid 9999` for the virtual bus.
 //!
 //! Timestamps: the simulator's virtual clocks are in seconds; the
-//! trace-event format wants microseconds. Values are written with
-//! Rust's default `f64` `Display`, which is deterministic and never
-//! produces exponent notation — a requirement of the golden-trace
-//! tests, and valid JSON.
-//!
-//! The serializer is hand-rolled: the workspace builds offline against
-//! an empty registry, so no serde.
+//! trace-event format wants microseconds, written by the shared JSON
+//! writer (`vpce_diag::json`): records in its compact layout, one per
+//! line.
 
 use crate::event::{Event, EventKind, Lane};
-use std::fmt::Write as _;
+use vpce_diag::json::{self, Array, Layout, Object};
 
 const BUS_TID: u64 = 9999;
 const RANKS_PID: u64 = 1;
@@ -36,193 +32,117 @@ fn lane_pid_tid(lane: Lane) -> (u64, u64) {
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
+/// Seconds → microseconds.
+fn us(seconds: f64) -> f64 {
+    seconds * 1e6
 }
 
-/// Seconds → microseconds, rendered with `f64` `Display` (no exponent
-/// notation, deterministic digits).
-fn us(seconds: f64) -> String {
-    format!("{}", seconds * 1e6)
-}
-
-fn args_json(kind: &EventKind) -> String {
+fn write_args(a: &mut Object<'_>, kind: &EventKind) {
     match kind {
         EventKind::Call(c) => {
-            let mut s = format!(
-                "{{\"bytes\":{},\"path\":\"{}\"",
-                c.bytes,
-                c.path.name()
-            );
+            a.int("bytes", c.bytes).str("path", c.path.name());
             if let Some(p) = &c.parts {
-                let _ = write!(
-                    s,
-                    ",\"setup_queue_us\":{},\"setup_dma_us\":{},\"setup_pio_us\":{},\"setup_copy_us\":{},\"chunks\":{}",
-                    us(p.queue_s),
-                    us(p.dma_s),
-                    us(p.pio_s),
-                    us(p.copy_s),
-                    p.chunks
-                );
+                a.num("setup_queue_us", us(p.queue_s))
+                    .num("setup_dma_us", us(p.dma_s))
+                    .num("setup_pio_us", us(p.pio_s))
+                    .num("setup_copy_us", us(p.copy_s))
+                    .int("chunks", p.chunks);
             }
             if let Some(d) = &c.dom {
-                let _ = write!(s, ",\"waited_on_rank\":{},\"waited_on_us\":{}", d.rank, us(d.t));
+                a.int("waited_on_rank", d.rank).num("waited_on_us", us(d.t));
             }
-            if let Some((n0, n1)) = &c.net {
-                let _ = write!(s, ",\"wire_start_us\":{},\"wire_end_us\":{}", us(*n0), us(*n1));
+            if let Some((n0, n1)) = c.net {
+                a.num("wire_start_us", us(n0)).num("wire_end_us", us(n1));
             }
             if c.recovery_s > 0.0 {
-                let _ = write!(s, ",\"recovery_us\":{}", us(c.recovery_s));
+                a.num("recovery_us", us(c.recovery_s));
             }
-            s.push('}');
-            s
+            a
         }
-        EventKind::Phase { .. } => "{}".to_string(),
-        EventKind::LinkBusy {
-            src,
-            dst,
-            bytes,
-            wait,
-        } => format!(
-            "{{\"src\":{src},\"dst\":{dst},\"bytes\":{bytes},\"blocked_us\":{}}}",
-            us(*wait)
-        ),
-        EventKind::BusBroadcast { root, bytes, setup } => format!(
-            "{{\"root\":{root},\"bytes\":{bytes},\"setup_us\":{}}}",
-            us(*setup)
-        ),
-        EventKind::BusFreeze { links, pushback } => format!(
-            "{{\"frozen_links\":{links},\"pushback_us\":{}}}",
-            us(*pushback)
-        ),
-        EventKind::EpochClose { ops } => format!("{{\"completed_ops\":{ops}}}"),
-        EventKind::Retransmit {
-            src,
-            dst,
-            attempt,
-            bytes,
-        } => format!("{{\"src\":{src},\"dst\":{dst},\"attempt\":{attempt},\"bytes\":{bytes}}}"),
-        EventKind::BackoffWait { src, dst, delay } => format!(
-            "{{\"src\":{src},\"dst\":{dst},\"delay_us\":{}}}",
-            us(*delay)
-        ),
-        EventKind::BusDegraded { root, attempts } => {
-            format!("{{\"root\":{root},\"attempts\":{attempts}}}")
+        EventKind::Phase { .. } => a,
+        EventKind::LinkBusy { src, dst, bytes, wait } => {
+            a.int("src", src).int("dst", dst).int("bytes", bytes).num("blocked_us", us(*wait))
         }
-        EventKind::NicRetry {
-            rank,
-            what,
-            attempts,
-        } => format!("{{\"rank\":{rank},\"what\":\"{what}\",\"attempts\":{attempts}}}"),
+        EventKind::BusBroadcast { root, bytes, setup } => {
+            a.int("root", root).int("bytes", bytes).num("setup_us", us(*setup))
+        }
+        EventKind::BusFreeze { links, pushback } => {
+            a.int("frozen_links", links).num("pushback_us", us(*pushback))
+        }
+        EventKind::EpochClose { ops } => a.int("completed_ops", ops),
+        EventKind::Retransmit { src, dst, attempt, bytes } => {
+            a.int("src", src).int("dst", dst).int("attempt", attempt).int("bytes", bytes)
+        }
+        EventKind::BackoffWait { src, dst, delay } => {
+            a.int("src", src).int("dst", dst).num("delay_us", us(*delay))
+        }
+        EventKind::BusDegraded { root, attempts } => a.int("root", root).int("attempts", attempts),
+        EventKind::NicRetry { rank, what, attempts } => {
+            a.int("rank", rank).str("what", what).int("attempts", attempts)
+        }
         EventKind::EagerCopy { rank, bytes, slot } => {
-            format!("{{\"rank\":{rank},\"bytes\":{bytes},\"slot\":{slot}}}")
+            a.int("rank", rank).int("bytes", bytes).int("slot", slot)
         }
-        EventKind::RendezvousHandshake {
-            origin,
-            target,
-            bytes,
-        } => format!("{{\"origin\":{origin},\"target\":{target},\"bytes\":{bytes}}}"),
-        EventKind::PoolWait { rank } => format!("{{\"rank\":{rank}}}"),
-        EventKind::Doorbell { rank, descs } => {
-            format!("{{\"rank\":{rank},\"descs\":{descs}}}")
+        EventKind::RendezvousHandshake { origin, target, bytes } => {
+            a.int("origin", origin).int("target", target).int("bytes", bytes)
         }
-        EventKind::Submit { job } | EventKind::Preempt { job } => {
-            format!("{{\"job\":\"{}\"}}", json_escape(job))
-        }
-        EventKind::Checkpoint { job, boundary } => {
-            format!("{{\"job\":\"{}\",\"boundary\":{boundary}}}", json_escape(job))
-        }
-        EventKind::Recover { records } => format!("{{\"records\":{records}}}"),
+        EventKind::PoolWait { rank } => a.int("rank", rank),
+        EventKind::Doorbell { rank, descs } => a.int("rank", rank).int("descs", descs),
+        EventKind::Submit { job } | EventKind::Preempt { job } => a.str("job", job),
+        EventKind::Checkpoint { job, boundary } => a.str("job", job).int("boundary", boundary),
+        EventKind::Recover { records } => a.int("records", records),
         EventKind::RecoveryCheckpoint { region, bytes, buddies } => {
-            format!("{{\"region\":{region},\"bytes\":{bytes},\"buddies\":{buddies}}}")
+            a.int("region", region).int("bytes", bytes).int("buddies", buddies)
         }
-        EventKind::Rollback { region, ranks } => {
-            format!("{{\"region\":{region},\"ranks\":{ranks}}}")
-        }
+        EventKind::Rollback { region, ranks } => a.int("region", region).int("ranks", ranks),
         EventKind::Respawn { rank, from, to } => {
-            format!("{{\"rank\":{rank},\"from\":{from},\"to\":{to}}}")
+            a.int("rank", rank).int("from", from).int("to", to)
         }
-        EventKind::Replay { regions } => format!("{{\"regions\":{regions}}}"),
-    }
+        EventKind::Replay { regions } => a.int("regions", regions),
+    };
 }
 
-fn push_meta(out: &mut String, pid: u64, tid: Option<u64>, key: &str, name: &str) {
-    let _ = match tid {
-        Some(tid) => write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"tid\":{tid},\"name\":\"{key}\",\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(name)
-        ),
-        None => write!(
-            out,
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"{key}\",\"args\":{{\"name\":\"{}\"}}}}",
-            json_escape(name)
-        ),
-    };
+/// Append an `"M"` metadata record naming a process (`tid: None`) or
+/// thread.
+fn write_meta(records: &mut Array<'_>, pid: u64, tid: Option<u64>, key: &str, name: &str) {
+    let mut m = records.object(Layout::Compact);
+    m.str("ph", "M").int("pid", pid);
+    if let Some(tid) = tid {
+        m.int("tid", tid);
+    }
+    m.str("name", key);
+    m.object("args", Layout::Compact).str("name", name);
 }
 
 /// Serialize `events` (already in deterministic `(lane, seq)` order —
 /// see `Tracer::events`) plus lane labels into a Chrome trace-event
 /// JSON document.
 pub fn to_chrome_json(events: &[Event], lanes: &[(Lane, String)]) -> String {
-    let mut records: Vec<String> = Vec::with_capacity(events.len() + lanes.len() + 2);
-
-    let mut meta = String::new();
-    push_meta(&mut meta, RANKS_PID, None, "process_name", "ranks");
-    records.push(std::mem::take(&mut meta));
-    push_meta(&mut meta, NET_PID, None, "process_name", "interconnect");
-    records.push(std::mem::take(&mut meta));
-    for (lane, label) in lanes {
-        let (pid, tid) = lane_pid_tid(*lane);
-        push_meta(&mut meta, pid, Some(tid), "thread_name", label);
-        records.push(std::mem::take(&mut meta));
-    }
-
-    for ev in events {
-        let (pid, tid) = lane_pid_tid(ev.lane);
-        let name = json_escape(&ev.kind.name());
-        let cat = ev.kind.category();
-        let args = args_json(&ev.kind);
-        let rec = if ev.t1 > ev.t0 {
-            format!(
-                "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"dur\":{},\"name\":\"{name}\",\"cat\":\"{cat}\",\"args\":{args}}}",
-                us(ev.t0),
-                us(ev.dur())
-            )
-        } else {
-            format!(
-                "{{\"ph\":\"i\",\"pid\":{pid},\"tid\":{tid},\"ts\":{},\"s\":\"t\",\"name\":\"{name}\",\"cat\":\"{cat}\",\"args\":{args}}}",
-                us(ev.t0)
-            )
-        };
-        records.push(rec);
-    }
-
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, rec) in records.iter().enumerate() {
-        out.push_str(rec);
-        if i + 1 < records.len() {
-            out.push(',');
+    json::document(Layout::Compact, |doc| {
+        let mut records = doc.array("traceEvents", Layout::Block(0));
+        write_meta(&mut records, RANKS_PID, None, "process_name", "ranks");
+        write_meta(&mut records, NET_PID, None, "process_name", "interconnect");
+        for (lane, label) in lanes {
+            let (pid, tid) = lane_pid_tid(*lane);
+            write_meta(&mut records, pid, Some(tid), "thread_name", label);
         }
-        out.push('\n');
-    }
-    out.push_str("]}\n");
-    out
+        for ev in events {
+            let (pid, tid) = lane_pid_tid(ev.lane);
+            let span = ev.t1 > ev.t0;
+            let mut rec = records.object(Layout::Compact);
+            rec.str("ph", if span { "X" } else { "i" })
+                .int("pid", pid)
+                .int("tid", tid)
+                .num("ts", us(ev.t0));
+            if span {
+                rec.num("dur", us(ev.dur()));
+            } else {
+                rec.str("s", "t");
+            }
+            rec.str("name", &ev.kind.name()).str("cat", ev.kind.category());
+            write_args(&mut rec.object("args", Layout::Compact), &ev.kind);
+        }
+    })
 }
 
 #[cfg(test)]
@@ -242,16 +162,34 @@ mod tests {
 
     #[test]
     fn escape_handles_quotes_and_control() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
+        // Lane labels and string args go through the shared escaper.
+        let submit = ev(
+            Lane::Bus,
+            1.0,
+            1.0,
+            EventKind::Submit {
+                job: "\u{1}".into(),
+            },
+        );
+        let json = to_chrome_json(&[submit], &[(Lane::Rank(0), "a\"b\\c\nd".into())]);
+        assert!(json.contains("\"args\":{\"name\":\"a\\\"b\\\\c\\nd\"}"), "{json}");
+        assert!(json.contains("\"args\":{\"job\":\"\\u0001\"}"), "{json}");
     }
 
     #[test]
     fn microseconds_never_use_exponents() {
         // 1.5 ns in seconds — small enough that naive formatting of the
         // seconds value would be exponential; in µs it is 0.0015.
-        assert_eq!(us(1.5e-9), "0.0015");
-        assert_eq!(us(2.0), "2000000");
+        let at = ev(
+            Lane::Rank(0),
+            1.5e-9,
+            1.5e-9,
+            EventKind::EpochClose { ops: 1 },
+        );
+        let span = ev(Lane::Rank(0), 0.0, 2.0, EventKind::EpochClose { ops: 1 });
+        let json = to_chrome_json(&[at, span], &[]);
+        assert!(json.contains("\"ts\":0.0015,"), "{json}");
+        assert!(json.contains("\"dur\":2000000,"), "{json}");
     }
 
     #[test]

@@ -222,3 +222,28 @@ fn zero_nodes_is_the_vpce505_usage_line_on_the_builtin_machines() {
         assert_eq!(out.status.code(), torus.status.code(), "same exit as --machine");
     }
 }
+
+#[test]
+fn overriding_an_undeclared_parameter_names_the_declared_ones() {
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    for kv in ["NN=32", "=32"] {
+        let args = [mm, "--nodes", "4", "--param", kv, "--analytic", "--grain", "coarse"];
+        let out = vpcec(&args, None);
+        assert_eq!(out.status.code(), Some(1), "{kv}: {}", stdout(&out));
+        assert!(stdout(&out).is_empty(), "{kv}: nothing ran: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(err.lines().count(), 1, "{err}");
+        assert!(err.starts_with("compile error: "), "{err}");
+        assert!(err.contains("(declared PARAMETERs: N)"), "{err}");
+    }
+
+    // The jobfile door shares the check: the job is refused at admission.
+    let json = Scratch::new("nn.json");
+    let jobs = "nodes=4\njob name=a workload=mm ranks=2 param:NN=8\n";
+    let out = vpcec(&["--batch", "-", "--batch-json", json.str()], Some(jobs));
+    assert_eq!(out.status.code(), Some(4), "{}", stdout(&out));
+    let report = std::fs::read_to_string(&json.0).unwrap();
+    assert!(report.contains("\"error_kind\": \"admission-rejected\""), "{report}");
+    let line = report.lines().find(|l| l.contains("\"error\": ")).expect("an error line");
+    assert!(line.contains("no PARAMETER `NN`") && line.contains("(declared PARAMETERs: N)"), "{line}");
+}
