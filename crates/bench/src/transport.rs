@@ -12,7 +12,7 @@
 //! is the committed `BENCH_transport.json`.
 
 use cluster_sim::{ClusterConfig, Protocol};
-use mpi2::{TransportPolicy, Universe, ELEM_BYTES};
+use mpi2::{Mpi, TransportPolicy, Universe, ELEM_BYTES};
 use vpce_diag::json::{self, Layout};
 
 /// Ranks in the neighbour ring.
@@ -94,16 +94,19 @@ fn run_cell(cfg: &ClusterConfig, mode: Mode, bytes: usize, slots: usize, epochs:
     let elems = (bytes / ELEM_BYTES).max(1);
     let policy = policy_for(mode, cfg, bytes, slots);
     let uni = Universe::new(cfg.clone()).with_transport(policy);
-    let out = uni.run(move |mpi| {
-        let w = mpi.win_create(elems * PUTS_PER_EPOCH);
-        let next = (mpi.rank() + 1) % mpi.size();
-        for _ in 0..epochs {
-            for p in 0..PUTS_PER_EPOCH {
-                mpi.put_region(&w, next, p * elems, elems);
+    let out = uni
+        .try_run_tasks(async move |mpi: &mut Mpi| {
+            let w = mpi.win_create_async(elems * PUTS_PER_EPOCH).await?;
+            let next = (mpi.rank() + 1) % mpi.size();
+            for _ in 0..epochs {
+                for p in 0..PUTS_PER_EPOCH {
+                    mpi.put_region(&w, next, p * elems, elems)?;
+                }
+                mpi.fence_all_async().await?;
             }
-            mpi.fence_all();
-        }
-    });
+            Ok(())
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     let s = out.total_stats();
     let payload = (RANKS * PUTS_PER_EPOCH * epochs * elems * ELEM_BYTES) as f64;
     let elapsed = out.elapsed();

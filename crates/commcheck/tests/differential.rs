@@ -28,9 +28,8 @@
 use cluster_sim::ClusterConfig;
 use commcheck::skeleton::{Op, Skeleton, SyncKind};
 use commcheck::{verify_skeleton, VerifyOptions, VerifyReport};
-use mpi2::{AccumulateOp, Universe, VpceError};
+use mpi2::{AccumulateOp, Mpi, Universe, VpceError};
 use vpce_diag::DiagCode;
-use vpce_faults::raise;
 use vpce_testkit::prelude::*;
 
 fn rts_tag(hs: usize) -> i32 {
@@ -45,36 +44,37 @@ fn cts_tag(hs: usize) -> i32 {
 /// deadlock detector armed.
 fn run_dynamic(sk: &Skeleton) -> Result<(), VpceError> {
     let uni = Universe::new(ClusterConfig::paper_n(sk.nranks));
-    let sk = sk.clone();
-    uni.try_run(move |mpi| {
+    uni.try_run_tasks(async |mpi: &mut Mpi| {
         let r = mpi.rank();
         for act in &sk.ranks[r] {
-            match &act.op {
-                Op::Sync(SyncKind::Barrier) => mpi.barrier(),
-                Op::Sync(SyncKind::Fence) => mpi.fence_all(),
+            match act.op {
+                Op::Sync(SyncKind::Barrier) => mpi.barrier_async().await?,
+                Op::Sync(SyncKind::Fence) => mpi.fence_all_async().await?,
                 Op::Sync(SyncKind::Bcast) => {
                     let data = (r == 0).then(|| vec![1.0]);
-                    mpi.bcast(0, data);
+                    mpi.bcast_async(0, data).await?;
                 }
                 Op::Sync(SyncKind::Reduce) => {
-                    mpi.reduce(0, vec![1.0], AccumulateOp::Sum);
+                    mpi.reduce_async(0, vec![1.0], AccumulateOp::Sum).await?;
                 }
-                Op::Send { to, tag } => mpi.send(*to, *tag, vec![1.0]),
+                Op::Send { to, tag } => mpi.send(to, tag, vec![1.0])?,
                 Op::Recv { from, tag } => {
-                    mpi.recv(*from, *tag);
+                    mpi.recv_async(from, tag).await?;
                 }
                 Op::RdvzSend { to, hs } => {
-                    mpi.send(*to, rts_tag(*hs), vec![1.0]);
-                    mpi.recv(*to, cts_tag(*hs));
+                    mpi.send(to, rts_tag(hs), vec![1.0])?;
+                    mpi.recv_async(to, cts_tag(hs)).await?;
                 }
                 Op::RdvzRecv { from, hs } => {
-                    mpi.recv(*from, rts_tag(*hs));
-                    mpi.send(*from, cts_tag(*hs), vec![2.0]);
+                    mpi.recv_async(from, rts_tag(hs)).await?;
+                    mpi.send(from, cts_tag(hs), vec![2.0])?;
                 }
-                Op::Crash => raise(VpceError::RankCrash {
-                    rank: r,
-                    region: "differential".into(),
-                }),
+                Op::Crash => {
+                    return Err(VpceError::RankCrash {
+                        rank: r,
+                        region: "differential".into(),
+                    })
+                }
                 // No blocking dynamic counterpart (see module docs).
                 Op::EagerPut { .. }
                 | Op::RdvzPut { .. }
@@ -83,6 +83,7 @@ fn run_dynamic(sk: &Skeleton) -> Result<(), VpceError> {
                 | Op::Release { .. } => {}
             }
         }
+        Ok(())
     })
     .map(|_| ())
 }

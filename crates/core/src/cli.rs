@@ -687,7 +687,7 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
         Ok(all) => all,
         Err(e) => {
             // Unsurvivable fault, a program/cluster mismatch or an
-            // error the program itself raises: a one-line typed
+            // error the program itself fails with: a one-line typed
             // diagnosis and a distinct exit code, never a panic.
             let _ = writeln!(out, "error: {e}");
             return Ok(RunOutput::new(out, Outcome::from_error(&e)));

@@ -20,6 +20,7 @@
 //! | VPCE004 | error    | lint   | RMA op never closed by a fence |
 //! | VPCE005 | error    | lint   | ranks disagree on the sync sequence |
 //! | VPCE006 | error    | lint   | unsound AVPG elision (stale master copy) |
+//! | VPCE007 | error    | lint   | RMA op or compute footprint past its window's end |
 //! | VPCE101 | warning  | lint   | same-origin overlapping writes |
 //! | VPCE102 | warning  | lint   | same-origin redundant read/write overlap |
 //! | VPCE201 | error    | verify | deadlock: an interleaving reaches a global stall |

@@ -1,15 +1,15 @@
 //! The typed error hierarchy for the whole stack.
 //!
 //! Every non-test failure path in `mpi2` and `spmd-rt` funnels into
-//! [`VpceError`]. Inside a rank thread the error travels as a typed
-//! panic payload (see [`crate::raise`]) so it can cross the scoped
-//! thread join; `Universe::try_run` downcasts it back and returns a
-//! `Result`, so callers never see a raw panic for a modelled fault.
+//! [`VpceError`], returned as a `Result` from the point of detection:
+//! a rank's task ends in `Err`, the universe prefers the root cause
+//! over the `PeerFailure`s it woke, and `try_execute` hands it to the
+//! caller — no modelled fault ever unwinds.
 //!
 //! Display strings are part of the public contract: several phrases
 //! ("RMA past end of window", "compiled for", "INTEGER required",
 //! "collective poisoned") are pinned by tests and by the infallible
-//! wrappers that re-panic with the Display text.
+//! wrappers that panic with the Display text.
 
 use std::fmt;
 
@@ -65,6 +65,9 @@ pub enum VpceError {
     /// Interpreter-level type violation (REAL where INTEGER required,
     /// division by zero, ...).
     TypeViolation { msg: String },
+    /// An array `load` or `store` whose subscript, as a 0-based
+    /// element offset, lies outside the array's `len` elements.
+    SubscriptRange { access: &'static str, array: String, index: i64, len: usize },
     /// Caller handed the runtime an argument that cannot be honoured.
     InvalidArgument { msg: String },
     /// Batch admission control refused a job at submission (bad spec,
@@ -116,6 +119,7 @@ impl VpceError {
             VpceError::DeadlockStall { .. } => "deadlock-stall",
             VpceError::SizeMismatch { .. } => "size-mismatch",
             VpceError::TypeViolation { .. } => "type-violation",
+            VpceError::SubscriptRange { .. } => "subscript-range",
             VpceError::InvalidArgument { .. } => "invalid-argument",
             VpceError::AdmissionRejected { .. } => "admission-rejected",
             VpceError::AdmissionInfeasible { .. } => "admission-infeasible",
@@ -162,6 +166,10 @@ impl fmt::Display for VpceError {
                 "program compiled for {program} ranks, cluster has {cluster}"
             ),
             VpceError::TypeViolation { msg } => write!(f, "{msg}"),
+            VpceError::SubscriptRange { access, array, index, len } => write!(
+                f,
+                "{access} out of bounds: array {array} index {index} len {len}"
+            ),
             VpceError::InvalidArgument { msg } => write!(f, "{msg}"),
             VpceError::AdmissionRejected { job, reason } => {
                 write!(f, "admission rejected: job '{job}': {reason}")
@@ -176,6 +184,13 @@ impl fmt::Display for VpceError {
 }
 
 impl std::error::Error for VpceError {}
+
+/// `?` unboxes the one-word error of the interpreter's walk.
+impl From<Box<VpceError>> for VpceError {
+    fn from(e: Box<VpceError>) -> Self {
+        *e
+    }
+}
 
 #[cfg(test)]
 mod tests {

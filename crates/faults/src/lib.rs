@@ -1,27 +1,23 @@
 //! `vpce-faults`: the deterministic fault-injection plane and typed
 //! error hierarchy for the V-Bus cluster reproduction.
 //!
-//! Three pieces, used across the whole stack:
+//! Two pieces, used across the whole stack:
 //!
 //! * [`FaultSpec`] / [`FaultInjector`] — a seeded, virtual-time fault
 //!   schedule whose every decision is a pure hash of
 //!   `(seed, site, key, salt)`. No wall clock, no shared RNG state:
 //!   identical schedules reproduce identical faults regardless of OS
 //!   thread interleaving.
-//! * [`VpceError`] — the typed failure vocabulary replacing ad-hoc
-//!   `panic!`/`unwrap` on the runtime paths of `mpi2` and `spmd-rt`.
-//! * [`raise`] / [`take_raised`] — typed-panic plumbing that carries a
-//!   `VpceError` out of a rank thread so `Universe::try_run` can hand
-//!   the caller a clean `Result` instead of a process abort.
+//! * [`VpceError`] — the typed failure vocabulary of the runtime paths
+//!   of `mpi2` and `spmd-rt`, returned as a plain `Result` from where a
+//!   failure is detected up to the caller of a run.
 
 #![forbid(unsafe_code)]
 
 mod error;
-mod escalate;
 mod inject;
 mod spec;
 
 pub use error::VpceError;
-pub use escalate::{install_quiet_hook, raise, raised_ref, take_raised, Raised};
 pub use inject::{site, FaultInjector};
 pub use spec::{FaultParseError, FaultSpec, FaultSpecCode};

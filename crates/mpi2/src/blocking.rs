@@ -44,7 +44,7 @@
 //! *become* true at the two transitions that take a rank out of
 //! `Running`: it starts to wait, or it finishes. The rule is evaluated
 //! there and nowhere else, by the rank making the transition, which
-//! raises [`VpceError::DeadlockStall`] itself.
+//! ends in [`VpceError::DeadlockStall`] itself.
 //!
 //! There are no false positives: every wake source updates the state
 //! under the lock *before* the waking rank can leave `Running`, so a
@@ -57,10 +57,11 @@
 //!
 //! ## Failure
 //!
-//! A rank that raises sets the one `failed` flag ([`Blocking::fail`])
-//! and wakes everybody; a waiter whose condition is still false leaves
-//! with [`VpceError::PeerFailure`], and stall reports are suppressed —
-//! the run is already ending with its root cause.
+//! A rank that fails — its task ends in an error, or panics — sets the
+//! one `failed` flag ([`Blocking::fail`]) and wakes everybody; a waiter
+//! whose condition is still false leaves with
+//! [`VpceError::PeerFailure`], and stall reports are suppressed — the
+//! run is already ending with its root cause.
 
 use std::any::Any;
 use std::collections::{HashMap, VecDeque};
@@ -68,7 +69,7 @@ use std::future::poll_fn;
 use std::sync::{Condvar, MutexGuard};
 use std::task::Poll;
 
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
 
 use crate::sync::{wait, Mutex};
 use crate::Elem;
@@ -218,14 +219,14 @@ impl Blocking {
 
     /// One look at `rank` waiting for `reason`: the guard when the
     /// condition holds; otherwise the rank is marked waiting and the
-    /// caller yields. Raises `DeadlockStall` if starting to wait stalls
-    /// the universe, `PeerFailure` if a rank died and the condition is
+    /// caller yields. `DeadlockStall` if starting to wait stalls the
+    /// universe, `PeerFailure` if a rank died and the condition is
     /// still false.
-    fn poll(&self, rank: usize, reason: Reason) -> Poll<MutexGuard<'_, State>> {
+    fn poll(&self, rank: usize, reason: Reason) -> Poll<Result<MutexGuard<'_, State>, VpceError>> {
         let mut st = self.state.lock();
         if st.ready(rank, reason) {
             st.status[rank] = Status::Running;
-            return Poll::Ready(st);
+            return Poll::Ready(Ok(st));
         }
         if st.failed {
             let site = match reason {
@@ -233,14 +234,14 @@ impl Blocking {
                 Reason::Collective { .. } => "collective",
                 Reason::Lock { .. } => "win_lock",
             };
-            raise(VpceError::PeerFailure {
+            return Poll::Ready(Err(VpceError::PeerFailure {
                 msg: format!("{site} poisoned: a peer rank panicked"),
-            });
+            }));
         }
         if st.status[rank] == Status::Running {
             st.status[rank] = Status::Waiting(reason);
             if let Some(graph) = st.stalled(rank) {
-                raise(VpceError::DeadlockStall { graph });
+                return Poll::Ready(Err(VpceError::DeadlockStall { graph }));
             }
         }
         Poll::Pending
@@ -249,7 +250,7 @@ impl Blocking {
     /// Stop as `rank` until `reason` is ready; the guard it comes back
     /// with is the one the condition was read under. No lock is held
     /// while the rank is suspended.
-    async fn wait(&self, rank: usize, reason: Reason) -> MutexGuard<'_, State> {
+    async fn wait(&self, rank: usize, reason: Reason) -> Result<MutexGuard<'_, State>, VpceError> {
         poll_fn(|_| self.poll(rank, reason)).await
     }
 
@@ -264,24 +265,24 @@ impl Blocking {
 
     /// `rank`'s SPMD closure returned: it will never wait again, and it
     /// will never wake anyone either.
-    pub fn finish(&self, rank: usize) {
+    pub fn finish(&self, rank: usize) -> Result<(), VpceError> {
         let mut st = self.state.lock();
         if st.epochs.values().any(|e| e.holder == Some(rank)) {
-            raise(VpceError::LockState {
+            return Err(VpceError::LockState {
                 msg: format!("rank {rank} finished holding window locks"),
             });
         }
         st.status[rank] = Status::Done;
-        if let Some(graph) = st.stalled(rank) {
-            raise(VpceError::DeadlockStall { graph });
-        }
+        st.stalled(rank).map_or(Ok(()), |graph| Err(VpceError::DeadlockStall { graph }))
     }
 
     /// A rank died: wake every waiter, which then leaves with
-    /// `PeerFailure` instead of sleeping forever.
-    pub fn fail(&self) {
-        self.state.lock().failed = true;
+    /// `PeerFailure` instead of sleeping forever. True for the run's
+    /// first failure — the root cause; every later one can be its echo.
+    pub fn fail(&self) -> bool {
+        let first = !std::mem::replace(&mut self.state.lock().failed, true);
         self.cv.notify_all();
+        first
     }
 
     /// Enter the rendezvous as `rank` with `input`. When the last rank
@@ -290,11 +291,11 @@ impl Blocking {
     ///
     /// All ranks must pass behaviourally identical leaders (the code is
     /// SPMD, so they do).
-    pub async fn run<T, R, F>(&self, rank: usize, input: T, leader: F) -> R
+    pub async fn run<T, R, F>(&self, rank: usize, input: T, leader: F) -> Result<R, VpceError>
     where
         T: Send + 'static,
         R: Send + 'static,
-        F: FnOnce(Vec<T>) -> Vec<R>,
+        F: FnOnce(Vec<T>) -> Result<Vec<R>, VpceError>,
     {
         // Arrive in the current generation; the last arriver completes
         // it. Then everyone — the leader at once — leaves when it is
@@ -312,9 +313,9 @@ impl Blocking {
                     .iter_mut()
                     .map(|s| *s.take().unwrap().downcast::<T>().expect("input type"))
                     .collect();
-                let outputs = leader(inputs);
+                let outputs = leader(inputs)?;
                 if outputs.len() != n {
-                    raise(VpceError::Internal {
+                    return Err(VpceError::Internal {
                         msg: format!("leader must emit one output per rank: {} != {n}", outputs.len()),
                     });
                 }
@@ -327,12 +328,12 @@ impl Blocking {
             }
             gen
         };
-        let mut st = self.wait(rank, Reason::Collective { gen }).await;
-        *st.outputs[rank]
+        let mut st = self.wait(rank, Reason::Collective { gen }).await?;
+        Ok(*st.outputs[rank]
             .take()
             .expect("output present")
             .downcast::<R>()
-            .expect("output type")
+            .expect("output type"))
     }
 
     /// Enqueue a message (eager send: the sender does not wait).
@@ -342,43 +343,41 @@ impl Blocking {
     }
 
     /// Dequeue the oldest `(src, dst, tag)` message, waiting for one.
-    pub async fn take(&self, src: usize, dst: usize, tag: i32) -> Message {
-        let mut st = self.wait(dst, Reason::Recv { src, tag }).await;
-        st.queues
+    pub async fn take(&self, src: usize, dst: usize, tag: i32) -> Result<Message, VpceError> {
+        let mut st = self.wait(dst, Reason::Recv { src, tag }).await?;
+        Ok(st
+            .queues
             .get_mut(&(src, dst, tag))
             .and_then(VecDeque::pop_front)
-            .expect("a ready receive has a queued message")
+            .expect("a ready receive has a queued message"))
     }
 
     /// Open `rank`'s exclusive epoch on `target`'s shard of `win`,
     /// waiting for the current holder to release it; which of several
     /// waiters is granted next is scheduling order. Returns the virtual time
     /// the previous epoch closed at.
-    pub async fn lock(&self, rank: usize, win: usize, target: usize) -> f64 {
+    pub async fn lock(&self, rank: usize, win: usize, target: usize) -> Result<f64, VpceError> {
         if self.holds(rank, win, target) {
-            raise(VpceError::LockState {
+            return Err(VpceError::LockState {
                 msg: "window already locked by this rank".into(),
             });
         }
-        let mut st = self.wait(rank, Reason::Lock { win, target }).await;
+        let mut st = self.wait(rank, Reason::Lock { win, target }).await?;
         let epoch = st.epochs.entry((win, target)).or_default();
         epoch.holder = Some(rank);
-        epoch.last_release
+        Ok(epoch.last_release)
     }
 
     /// Close the epoch at virtual time `now`.
-    pub fn unlock(&self, rank: usize, win: usize, target: usize, now: f64) {
+    pub fn unlock(&self, rank: usize, win: usize, target: usize, now: f64) -> Result<(), VpceError> {
         let mut st = self.state.lock();
-        match st.epochs.get_mut(&(win, target)) {
-            Some(epoch) if epoch.holder == Some(rank) => {
-                *epoch = Epoch { holder: None, last_release: now };
-            }
-            _ => raise(VpceError::LockState {
-                msg: "unlock without lock".into(),
-            }),
-        }
+        let Some(epoch) = st.epochs.get_mut(&(win, target)).filter(|e| e.holder == Some(rank)) else {
+            return Err(VpceError::LockState { msg: "unlock without lock".into() });
+        };
+        *epoch = Epoch { holder: None, last_release: now };
         drop(st);
         self.cv.notify_all();
+        Ok(())
     }
 
     /// Whether `rank` is inside a lock epoch on `target`'s shard.
@@ -410,9 +409,9 @@ mod tests {
         outs.into_iter().flatten().collect()
     }
 
-    /// The value of an operation that must not have to wait.
-    fn now<T>(op: impl Future<Output = T>) -> T {
-        drive(vec![Box::pin(op)]).pop().unwrap()
+    /// The value of an operation that must neither wait nor fail.
+    fn now<T>(op: impl Future<Output = Result<T, VpceError>>) -> T {
+        drive(vec![Box::pin(op)]).pop().unwrap().unwrap()
     }
 
     fn msg() -> Message {
@@ -478,7 +477,7 @@ mod tests {
         let g = stalled(&b).expect("holder waits in a collective");
         assert!(g.contains("rank 0: blocked in win_lock(win=4, target=0) - held by rank 1"), "{g}");
         set(&b, 1, Status::Running);
-        b.unlock(1, 4, 0, 2.5);
+        b.unlock(1, 4, 0, 2.5).unwrap();
         set(&b, 1, Status::Done);
         assert!(stalled(&b).is_none(), "rank 0 was woken, not scheduled yet");
         assert_eq!(now(b.lock(0, 4, 0)), 2.5, "the grant carries the release time");
@@ -489,15 +488,16 @@ mod tests {
         let b = Blocking::new(1);
         set(&b, 0, Status::Waiting(Reason::Recv { src: 0, tag: 0 }));
         assert!(stalled(&b).is_some());
-        b.fail();
+        assert!(b.fail(), "the first failure is the root cause");
         assert!(stalled(&b).is_none());
+        assert!(!b.fail(), "a second one is not");
     }
 
     #[test]
     fn all_done_is_not_a_stall() {
         let b = Blocking::new(2);
-        b.finish(0);
-        b.finish(1);
+        b.finish(0).unwrap();
+        b.finish(1).unwrap();
         assert!(stalled(&b).is_none());
     }
 
@@ -505,18 +505,20 @@ mod tests {
     fn sums_inputs_for_everyone() {
         let c = Blocking::new(4);
         let ranks = (0..4).map(|r| {
-            Box::pin(c.run(r, r as u64 + 1, |xs| vec![xs.iter().sum::<u64>(); 4])) as Pin<Box<dyn Future<Output = u64>>>
+            Box::pin(c.run(r, r as u64 + 1, |xs| Ok(vec![xs.iter().sum::<u64>(); 4])))
+                as Pin<Box<dyn Future<Output = Result<u64, VpceError>>>>
         });
-        assert_eq!(drive(ranks.collect()), vec![10; 4]);
+        assert_eq!(drive(ranks.collect()), vec![Ok(10); 4]);
     }
 
     #[test]
     fn per_rank_outputs_routed_correctly() {
         let c = Blocking::new(3);
         let ranks = (0..3).map(|r| {
-            Box::pin(c.run(r, r, |xs| xs.iter().map(|x| x * 10).collect())) as Pin<Box<dyn Future<Output = usize>>>
+            Box::pin(c.run(r, r, |xs| Ok(xs.iter().map(|x| x * 10).collect())))
+                as Pin<Box<dyn Future<Output = Result<usize, VpceError>>>>
         });
-        assert_eq!(drive(ranks.collect()), vec![0, 10, 20]);
+        assert_eq!(drive(ranks.collect()), vec![Ok(0), Ok(10), Ok(20)]);
     }
 
     #[test]
@@ -527,8 +529,8 @@ mod tests {
             Box::pin(async move {
                 let mut acc = 0u64;
                 for round in 0..100u64 {
-                    let leader = |xs: Vec<u64>| vec![(xs[0] + xs[1]) % 1_000_003; 2];
-                    acc = c.run(r, (acc + round) % 1_000_003, leader).await;
+                    let leader = |xs: Vec<u64>| Ok(vec![(xs[0] + xs[1]) % 1_000_003; 2]);
+                    acc = c.run(r, (acc + round) % 1_000_003, leader).await.unwrap();
                 }
                 acc
             }) as Pin<Box<dyn Future<Output = u64> + '_>>
@@ -540,7 +542,7 @@ mod tests {
     #[test]
     fn single_participant_runs_leader_inline() {
         let c = Blocking::new(1);
-        let out = now(c.run(0, 7, |xs| vec![xs[0] * 2]));
+        let out = now(c.run(0, 7, |xs| Ok(vec![xs[0] * 2])));
         assert_eq!(out, 14);
     }
 

@@ -14,7 +14,7 @@ use std::sync::Arc;
 
 use cluster_sim::TransferKind;
 use vbus_sim::BusOutcome;
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
 
 use crate::rma::AccumulateOp;
 use crate::universe::Mpi;
@@ -54,16 +54,14 @@ impl Mpi {
     }
 
     /// [`bcast`](Mpi::bcast) for a rank task.
-    pub async fn bcast_async(&mut self, root: usize, data: Option<Vec<Elem>>) -> Vec<Elem> {
-        if root >= self.size() {
-            raise(VpceError::RankOutOfRange {
-                what: "bcast root",
-                rank: root,
-                size: self.size(),
-            });
-        }
+    pub async fn bcast_async(
+        &mut self,
+        root: usize,
+        data: Option<Vec<Elem>>,
+    ) -> Result<Vec<Elem>, VpceError> {
+        self.check_rank("bcast root", root)?;
         if (self.rank() == root) != data.is_some() {
-            raise(VpceError::InvalidArgument {
+            return Err(VpceError::InvalidArgument {
                 msg: "exactly the root must supply the payload".into(),
             });
         }
@@ -122,9 +120,7 @@ impl Mpi {
                                         if rel_dst < n {
                                             let dst = (root + rel_dst) % n;
                                             if let (Some((t, _, _)), None) = (have[src], have[dst]) {
-                                                let x = net
-                                                    .try_p2p(src, dst, bytes, t + post)
-                                                    .unwrap_or_else(|e| raise(e));
+                                                let x = net.try_p2p(src, dst, bytes, t + post)?;
                                                 have[dst] = Some((
                                                     x.end,
                                                     Some((x.start, x.end)),
@@ -139,21 +135,21 @@ impl Mpi {
                             }
                         }
                     };
-                    (0..n)
+                    Ok((0..n)
                         .map(|r| {
                             let (arr, net_iv, rec) = arrive[r];
                             let exit = arr.max(clocks[r]) + post;
                             let dep = net_iv.map(|iv| ((root, clocks[root]), iv, rec));
                             (Arc::clone(&payload), exit, dep)
                         })
-                        .collect()
+                        .collect())
                 })
-                .await;
+                .await?;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         let bytes = payload.len() * crate::ELEM_BYTES;
         self.trace_coll(CallOp::Bcast, t_enter, exit, bytes as u64, dep);
-        Arc::try_unwrap(payload).unwrap_or_else(|p| (*p).clone())
+        Ok(Arc::try_unwrap(payload).unwrap_or_else(|p| (*p).clone()))
     }
 
     /// Emit one collective's blocking span with its dependency edge.
@@ -183,14 +179,8 @@ impl Mpi {
         root: usize,
         value: Vec<Elem>,
         op: AccumulateOp,
-    ) -> Option<Vec<Elem>> {
-        if root >= self.size() {
-            raise(VpceError::RankOutOfRange {
-                what: "reduce root",
-                rank: root,
-                size: self.size(),
-            });
-        }
+    ) -> Result<Option<Vec<Elem>>, VpceError> {
+        self.check_rank("reduce root", root)?;
         let t_enter = self.now();
         let bytes = value.len() * crate::ELEM_BYTES;
         self.charge_msg_host(bytes);
@@ -222,16 +212,14 @@ impl Mpi {
                             let src_val = vals[src].take().expect("value live");
                             let bytes = src_val.len() * crate::ELEM_BYTES;
                             let ready = avail[src];
-                            let t = net
-                                .try_p2p(src, dst, bytes, ready + post)
-                                .unwrap_or_else(|e| raise(e));
+                            let t = net.try_p2p(src, dst, bytes, ready + post)?;
                             if t.end > avail[dst] {
                                 deps[dst] = Some(((src, ready), (t.start, t.end), t.recovery));
                             }
                             avail[dst] = avail[dst].max(t.end);
                             let dst_val = vals[dst].as_mut().expect("dest live");
                             if dst_val.len() != src_val.len() {
-                                raise(VpceError::InvalidArgument {
+                                return Err(VpceError::InvalidArgument {
                                     msg: format!(
                                         "reduce length mismatch: rank {src} sent {} elements, rank {dst} holds {}",
                                         src_val.len(),
@@ -247,7 +235,7 @@ impl Mpi {
                     }
                     let result = vals[root].take().expect("root holds result");
                     let root_exit = avail[root] + post;
-                    (0..n)
+                    Ok((0..n)
                         .map(|r| {
                             if r == root {
                                 (Some(result.clone()), root_exit, deps[r])
@@ -256,13 +244,13 @@ impl Mpi {
                                 (None, avail[r] + post, deps[r])
                             }
                         })
-                        .collect()
+                        .collect())
                 })
-                .await;
+                .await?;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         self.trace_coll(CallOp::Reduce, t_enter, exit, bytes as u64, dep);
-        result
+        Ok(result)
     }
 
     /// `MPI_ALLREDUCE`: reduce to rank 0 then broadcast the result.
@@ -271,8 +259,12 @@ impl Mpi {
     }
 
     /// [`allreduce`](Mpi::allreduce) for a rank task.
-    pub async fn allreduce_async(&mut self, value: Vec<Elem>, op: AccumulateOp) -> Vec<Elem> {
-        let reduced = self.reduce_async(0, value, op).await;
+    pub async fn allreduce_async(
+        &mut self,
+        value: Vec<Elem>,
+        op: AccumulateOp,
+    ) -> Result<Vec<Elem>, VpceError> {
+        let reduced = self.reduce_async(0, value, op).await?;
         self.bcast_async(0, reduced).await
     }
 
@@ -283,14 +275,12 @@ impl Mpi {
     }
 
     /// [`gather`](Mpi::gather) for a rank task.
-    pub async fn gather_async(&mut self, root: usize, value: Vec<Elem>) -> Option<Vec<Vec<Elem>>> {
-        if root >= self.size() {
-            raise(VpceError::RankOutOfRange {
-                what: "gather root",
-                rank: root,
-                size: self.size(),
-            });
-        }
+    pub async fn gather_async(
+        &mut self,
+        root: usize,
+        value: Vec<Elem>,
+    ) -> Result<Option<Vec<Vec<Elem>>>, VpceError> {
+        self.check_rank("gather root", root)?;
         let t_enter = self.now();
         let bytes = value.len() * crate::ELEM_BYTES;
         self.charge_msg_host(bytes);
@@ -313,9 +303,7 @@ impl Mpi {
                         if r == root {
                             continue;
                         }
-                        let t = net
-                            .try_p2p(r, root, v.len() * crate::ELEM_BYTES, clocks[r] + post)
-                            .unwrap_or_else(|e| raise(e));
+                        let t = net.try_p2p(r, root, v.len() * crate::ELEM_BYTES, clocks[r] + post)?;
                         if t.end > root_time {
                             root_dep = Some(((r, clocks[r]), (t.start, t.end), t.recovery));
                         }
@@ -323,7 +311,7 @@ impl Mpi {
                         exits[r] = clocks[r] + post;
                     }
                     exits[root] = root_time + post;
-                    (0..n)
+                    Ok((0..n)
                         .map(|r| {
                             if r == root {
                                 (Some(vals.clone()), exits[r], root_dep)
@@ -331,13 +319,13 @@ impl Mpi {
                                 (None, exits[r], None)
                             }
                         })
-                        .collect()
+                        .collect())
                 })
-                .await;
+                .await?;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         self.trace_coll(CallOp::Gather, t_enter, exit, bytes as u64, dep);
-        result
+        Ok(result)
     }
 
     /// `MPI_ALLGATHER`: gather to rank 0 then broadcast the
@@ -348,10 +336,10 @@ impl Mpi {
     }
 
     /// [`allgather`](Mpi::allgather) for a rank task.
-    pub async fn allgather_async(&mut self, value: Vec<Elem>) -> Vec<Vec<Elem>> {
+    pub async fn allgather_async(&mut self, value: Vec<Elem>) -> Result<Vec<Vec<Elem>>, VpceError> {
         let n = self.size();
         let len = value.len();
-        let gathered = self.gather_async(0, value).await;
+        let gathered = self.gather_async(0, value).await?;
         let flat = (self.rank() == 0).then(|| {
             gathered
                 .expect("root gathered")
@@ -359,11 +347,8 @@ impl Mpi {
                 .flatten()
                 .collect::<Vec<Elem>>()
         });
-        let flat = self.bcast_async(0, flat).await;
-        flat.chunks(len.max(1))
-            .map(<[Elem]>::to_vec)
-            .take(n)
-            .collect()
+        let flat = self.bcast_async(0, flat).await?;
+        Ok(flat.chunks(len.max(1)).map(<[Elem]>::to_vec).take(n).collect())
     }
 
     /// `MPI_SCATTER`: the root supplies one vector per rank; every rank
@@ -373,23 +358,21 @@ impl Mpi {
     }
 
     /// [`scatter`](Mpi::scatter) for a rank task.
-    pub async fn scatter_async(&mut self, root: usize, chunks: Option<Vec<Vec<Elem>>>) -> Vec<Elem> {
-        if root >= self.size() {
-            raise(VpceError::RankOutOfRange {
-                what: "scatter root",
-                rank: root,
-                size: self.size(),
-            });
-        }
+    pub async fn scatter_async(
+        &mut self,
+        root: usize,
+        chunks: Option<Vec<Vec<Elem>>>,
+    ) -> Result<Vec<Elem>, VpceError> {
+        self.check_rank("scatter root", root)?;
         if (self.rank() == root) != chunks.is_some() {
-            raise(VpceError::InvalidArgument {
+            return Err(VpceError::InvalidArgument {
                 msg: "exactly the root must supply the chunks".into(),
             });
         }
         let t_enter = self.now();
         if let Some(c) = &chunks {
             if c.len() != self.size() {
-                raise(VpceError::InvalidArgument {
+                return Err(VpceError::InvalidArgument {
                     msg: format!(
                         "one chunk per rank required: got {} chunks for {} ranks",
                         c.len(),
@@ -419,30 +402,22 @@ impl Mpi {
                     (0..n)
                         .map(|r| {
                             if r == root {
-                                (chunks[r].clone(), clocks[r] + post, None)
-                            } else {
-                                let t = net
-                                    .try_p2p(
-                                        root,
-                                        r,
-                                        chunks[r].len() * crate::ELEM_BYTES,
-                                        send_t + post,
-                                    )
-                                    .unwrap_or_else(|e| raise(e));
-                                send_t = t.start; // pipelined injection
-                                let dep =
-                                    Some(((root, clocks[root]), (t.start, t.end), t.recovery));
-                                (chunks[r].clone(), t.end.max(clocks[r]) + post, dep)
+                                return Ok((chunks[r].clone(), clocks[r] + post, None));
                             }
+                            let bytes = chunks[r].len() * crate::ELEM_BYTES;
+                            let t = net.try_p2p(root, r, bytes, send_t + post)?;
+                            send_t = t.start; // pipelined injection
+                            let dep = Some(((root, clocks[root]), (t.start, t.end), t.recovery));
+                            Ok((chunks[r].clone(), t.end.max(clocks[r]) + post, dep))
                         })
                         .collect()
                 })
-                .await;
+                .await?;
         self.stats_mut().comm_wait += exit - entry;
         *self.clock_mut() = exit;
         let bytes = (mine.len() * crate::ELEM_BYTES) as u64;
         self.trace_coll(CallOp::Scatter, t_enter, exit, bytes, dep);
-        mine
+        Ok(mine)
     }
 }
 

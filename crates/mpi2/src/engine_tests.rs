@@ -1,13 +1,13 @@
 //! One engine, any worker count, same bytes.
 //!
 //! [`Universe::run_on`] is the one engine behind the closure entry
-//! (`try_run`: as many workers as ranks) and the task entry
+//! (`run`: as many workers as ranks) and the task entry
 //! (`try_run_tasks`: as many as the host has cores). These tests call
-//! it with every worker count that matters — one, two, a count that
-//! does not divide the ranks, one per rank — and hold the outcomes
-//! equal to each other and to the closure entry's: results, clocks,
-//! ledgers, network counters, conflicts, pools, trace bytes, or the
-//! typed error. Everything that could hang runs under the watchdog.
+//! it with every worker count that matters — one per rank, one, two, a
+//! count that does not divide the ranks — and hold the outcomes equal
+//! to each other: results, clocks, ledgers, network counters,
+//! conflicts, pools, trace bytes, or the typed error. Everything that
+//! could hang runs under the watchdog.
 
 use std::collections::HashSet;
 use std::ops::AsyncFn;
@@ -15,7 +15,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::thread::available_parallelism;
 
 use cluster_sim::ClusterConfig;
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
 use vpce_testkit::prelude::*;
 use vpce_trace::Tracer;
 
@@ -23,7 +23,7 @@ use crate::{Elem, Mpi, RunOutcome, Universe};
 
 #[path = "../tests/scripts/mod.rs"]
 mod scripts;
-use scripts::{contended, epoch_script_gen, script_gen, within_watchdog, Op};
+use scripts::{contended, epoch_script_gen, play, script_gen, within_watchdog, Op};
 
 /// Everything a run leaves behind that a worker count must not change.
 type Verdict = Result<String, VpceError>;
@@ -43,55 +43,23 @@ fn verdict<R: std::fmt::Debug>(out: Result<RunOutcome<R>, VpceError>, tracer: &T
     })
 }
 
-/// `body` on `n` ranks through the engine on `workers` threads, or —
-/// `None` — through the closure entry, which drives the same future
-/// with `Mpi::block_on` on a thread per rank.
-fn run<R, F>(n: usize, workers: Option<usize>, body: F) -> Verdict
+/// `body` on `n` ranks through the engine on `workers` threads.
+fn run<R, F>(n: usize, workers: usize, body: F) -> Verdict
 where
     R: Send + std::fmt::Debug + 'static,
-    F: AsyncFn(&mut Mpi) -> R + Send + Sync + 'static,
+    F: AsyncFn(&mut Mpi) -> Result<R, VpceError> + Send + Sync + 'static,
 {
     within_watchdog(move || {
         let tracer = Tracer::enabled();
         let uni = Universe::new(ClusterConfig::paper_n(n)).with_tracer(tracer.clone());
-        let out = match workers {
-            Some(w) => uni.run_on(w, body),
-            None => uni.try_run(|mpi| mpi.block_on(&body)),
-        };
-        verdict(out, &tracer)
+        verdict(uni.run_on(workers, body), &tracer)
     })
 }
 
-/// Every way to run `n` ranks: the closure entry, then 1, 2, 3 and `n`
-/// workers.
-fn every_entry(n: usize) -> impl Iterator<Item = Option<usize>> {
-    [None, Some(1), Some(2), Some(3), Some(n)].into_iter()
-}
-
-/// One rank of a script: its ops against two four-element windows
-/// (locks and `put_now` use the first). The result is how many it got
-/// through (the windows' contents would not do: a script may end a rank
-/// while a peer still puts into it).
-async fn play(mpi: &mut Mpi, ops: &[Op]) -> usize {
-    let wins = [mpi.win_create_async(4).await, mpi.win_create_async(4).await];
-    let w = &wins[0];
-    for (done, op) in ops.iter().enumerate() {
-        match *op {
-            Op::Barrier => mpi.barrier_async().await,
-            Op::Send { to, tag } => mpi.send(to, tag, vec![1.0]),
-            Op::Recv { from, tag } => drop(mpi.recv_async(from, tag).await),
-            Op::Lock { target } => mpi.win_lock_async(w, target).await,
-            Op::Unlock { target } => mpi.win_unlock(w, target),
-            Op::PutNow { target } => mpi.put_now(w, target, 0, vec![2.0]),
-            // Every origin writes element 0: racing PUTs, so the
-            // conflict ledger's record order is under test as well.
-            Op::Put { win, target } => mpi.put(&wins[win], target, 0, vec![3.0]),
-            Op::Fence { win: None } => mpi.fence_all_async().await,
-            Op::Fence { win: Some(win) } => mpi.win_fence_async(wins[win].id()).await,
-            Op::Finish => return done,
-        }
-    }
-    ops.len()
+/// Every way to run `n` ranks: a thread per rank — the closure entry's
+/// count — then 1, 2 and 3 workers.
+fn every_entry(n: usize) -> impl Iterator<Item = usize> {
+    [n, 1, 2, 3].into_iter()
 }
 
 /// Whether two ranks use the wire outside a collective: a matched
@@ -138,13 +106,13 @@ fn random_scripts_end_the_same_on_every_worker_count() {
                     }),
                 )
             });
-            let (_, closure_entry) = verdicts.next().expect("the closure entry comes first");
+            let (_, closure_entry) = verdicts.next().expect("a thread per rank comes first");
             let known = ["lock-state", "deadlock-stall"];
             for (workers, v) in verdicts {
                 if let Err(e) = &v {
                     prop_assert!(
                         known.contains(&e.kind()),
-                        "{workers:?} workers: unexpected `{e}`"
+                        "{workers} workers: unexpected `{e}`"
                     );
                 }
                 if contended(script) || wire_races(script) {
@@ -152,7 +120,7 @@ fn random_scripts_end_the_same_on_every_worker_count() {
                 }
                 prop_assert!(
                     kind(&v) == kind(&closure_entry),
-                    "{workers:?} workers:\n{v:?}\nclosure entry:\n{closure_entry:?}"
+                    "{workers} workers:\n{v:?}\na thread per rank:\n{closure_entry:?}"
                 );
             }
             Ok(())
@@ -162,7 +130,7 @@ fn random_scripts_end_the_same_on_every_worker_count() {
 /// The error a program must end in, through every entry.
 fn ends_in(
     n: usize,
-    body: impl AsyncFn(&mut Mpi) + Clone + Send + Sync + 'static,
+    body: impl AsyncFn(&mut Mpi) -> Result<(), VpceError> + Clone + Send + Sync + 'static,
 ) -> Vec<VpceError> {
     every_entry(n)
         .map(|workers| run(n, workers, body.clone()).expect_err("the program cannot finish"))
@@ -173,11 +141,12 @@ fn ends_in(
 fn lock_misuse_and_lock_deadlocks_stay_typed_on_every_worker_count() {
     // The three passive-lock programs of `tests/deadlock_detect.rs`.
     for err in ends_in(2, async |mpi: &mut Mpi| {
-        let w = mpi.win_create_async(4).await;
+        let w = mpi.win_create_async(4).await?;
         if mpi.rank() == 0 {
-            mpi.win_lock_async(&w, 1).await;
-            mpi.win_lock_async(&w, 1).await;
+            mpi.win_lock_async(&w, 1).await?;
+            mpi.win_lock_async(&w, 1).await?;
         }
+        Ok(())
     }) {
         assert!(
             err.to_string().contains("already locked by this rank"),
@@ -185,17 +154,17 @@ fn lock_misuse_and_lock_deadlocks_stay_typed_on_every_worker_count() {
         );
     }
     for err in ends_in(2, async |mpi: &mut Mpi| {
-        let w = mpi.win_create_async(4).await;
+        let w = mpi.win_create_async(4).await?;
         if mpi.rank() == 0 {
-            mpi.win_lock_async(&w, 1).await;
-            mpi.send(1, 0, vec![0.0]);
-            mpi.barrier_async().await;
-            mpi.win_unlock(&w, 1);
+            mpi.win_lock_async(&w, 1).await?;
+            mpi.send(1, 0, vec![0.0])?;
+            mpi.barrier_async().await?;
+            mpi.win_unlock(&w, 1)
         } else {
-            mpi.recv_async(0, 0).await;
-            mpi.win_lock_async(&w, 1).await;
-            mpi.win_unlock(&w, 1);
-            mpi.barrier_async().await;
+            mpi.recv_async(0, 0).await?;
+            mpi.win_lock_async(&w, 1).await?;
+            mpi.win_unlock(&w, 1)?;
+            mpi.barrier_async().await
         }
     }) {
         let graph = err.to_string();
@@ -207,13 +176,13 @@ fn lock_misuse_and_lock_deadlocks_stay_typed_on_every_worker_count() {
         );
     }
     for err in ends_in(2, async |mpi: &mut Mpi| {
-        let w = mpi.win_create_async(4).await;
+        let w = mpi.win_create_async(4).await?;
         let (me, peer) = (mpi.rank(), 1 - mpi.rank());
-        mpi.win_lock_async(&w, me).await;
-        mpi.sendrecv_async(peer, 0, vec![0.0], peer, 0).await;
-        mpi.win_lock_async(&w, peer).await;
-        mpi.win_unlock(&w, peer);
-        mpi.win_unlock(&w, me);
+        mpi.win_lock_async(&w, me).await?;
+        mpi.sendrecv_async(peer, 0, vec![0.0], peer, 0).await?;
+        mpi.win_lock_async(&w, peer).await?;
+        mpi.win_unlock(&w, peer)?;
+        mpi.win_unlock(&w, me)
     }) {
         let graph = err.to_string();
         assert!(matches!(err, VpceError::DeadlockStall { .. }), "{err:?}");
@@ -232,8 +201,8 @@ fn lock_misuse_and_lock_deadlocks_stay_typed_on_every_worker_count() {
 fn recv_cycles_and_orphans_are_typed_stalls_on_every_worker_count() {
     for err in ends_in(2, async |mpi: &mut Mpi| {
         let peer = 1 - mpi.rank();
-        mpi.recv_async(peer, 0).await;
-        mpi.send(peer, 0, vec![1.0]);
+        mpi.recv_async(peer, 0).await?;
+        mpi.send(peer, 0, vec![1.0])
     }) {
         let graph = err.to_string();
         assert!(
@@ -247,8 +216,9 @@ fn recv_cycles_and_orphans_are_typed_stalls_on_every_worker_count() {
     }
     for err in ends_in(3, async |mpi: &mut Mpi| {
         if mpi.rank() != 0 {
-            mpi.barrier_async().await;
+            mpi.barrier_async().await?;
         }
+        Ok(())
     }) {
         let graph = err.to_string();
         assert!(graph.contains("rank 0: finished"), "{graph}");
@@ -265,21 +235,21 @@ fn a_yielded_rank_that_is_ready_vetoes_the_stall_report() {
     // between this run and a false `DeadlockStall`.
     for workers in every_entry(3) {
         let out = run(3, workers, async |mpi: &mut Mpi| {
-            mpi.barrier_async().await;
-            match mpi.rank() {
+            mpi.barrier_async().await?;
+            Ok(match mpi.rank() {
                 0 => {
-                    let got = mpi.recv_async(1, 0).await;
-                    mpi.send(1, 1, vec![got[0] + 1.0]);
+                    let got = mpi.recv_async(1, 0).await?;
+                    mpi.send(1, 1, vec![got[0] + 1.0])?;
                     got[0]
                 }
                 1 => {
-                    mpi.send(0, 0, vec![4.0]);
-                    mpi.recv_async(0, 1).await[0]
+                    mpi.send(0, 0, vec![4.0])?;
+                    mpi.recv_async(0, 1).await?[0]
                 }
                 _ => 0.0,
-            }
+            })
         });
-        let bytes = out.unwrap_or_else(|e| panic!("{workers:?} workers: {e}"));
+        let bytes = out.unwrap_or_else(|e| panic!("{workers} workers: {e}"));
         assert!(bytes.starts_with("[4.0, 5.0, 0.0]"), "{bytes}");
     }
 }
@@ -289,12 +259,12 @@ fn ranks_outnumber_threads_through_the_task_entry() {
     let ids = |n: usize| -> HashSet<std::thread::ThreadId> {
         let out = Universe::new(ClusterConfig::paper_n(n))
             .try_run_tasks(async |mpi: &mut Mpi| {
-                mpi.barrier_async().await;
+                mpi.barrier_async().await?;
                 let total = mpi
                     .allreduce_async(vec![1.0], crate::AccumulateOp::Sum)
-                    .await;
+                    .await?;
                 assert_eq!(total, vec![mpi.size() as Elem]);
-                std::thread::current().id()
+                Ok(std::thread::current().id())
             })
             .expect("a barrier and an allreduce");
         out.results.into_iter().collect()
@@ -313,14 +283,28 @@ fn ranks_outnumber_threads_through_the_task_entry() {
     );
 }
 
+/// The message a run that must panic panics with, re-raised by the
+/// engine once every rank has ended.
+fn panic_message<R>(run: impl FnOnce() -> R + Send + 'static) -> String {
+    let payload = within_watchdog(|| catch_unwind(AssertUnwindSafe(run)).map(drop))
+        .expect_err("the run must panic");
+    match payload.downcast::<String>() {
+        Ok(msg) => *msg,
+        Err(payload) => payload.downcast_ref::<&str>().copied().unwrap_or_default().to_string(),
+    }
+}
+
 #[test]
 fn a_synchronous_wait_on_a_shared_worker_is_refused_not_hung() {
-    let err = within_watchdog(|| {
-        Universe::new(ClusterConfig::paper_n(4)).run_on(2, async |mpi: &mut Mpi| mpi.barrier())
-    })
-    .expect_err("a worker that slept in rank 0's barrier would never poll rank 2");
-    assert!(matches!(err, VpceError::Internal { .. }), "{err:?}");
-    assert!(err.to_string().contains("`_async`"), "{err}");
+    // A worker that slept in rank 0's barrier would never poll rank 2.
+    let msg = panic_message(|| {
+        Universe::new(ClusterConfig::paper_n(4)).run_on(2, async |mpi: &mut Mpi| {
+            mpi.barrier();
+            Ok(())
+        })
+    });
+    assert!(msg.starts_with("internal error: rank "), "{msg}");
+    assert!(msg.contains("`_async`"), "{msg}");
 }
 
 // ---------------------------------------------------------------------------
@@ -331,22 +315,22 @@ fn a_synchronous_wait_on_a_shared_worker_is_refused_not_hung() {
 fn a_crash_is_the_root_cause_while_its_worker_carries_the_others_out() {
     // Eight ranks on two workers: rank 2 shares worker 0 with ranks 0,
     // 4 and 6, all alive and waiting in the barrier when it dies.
-    for workers in [Some(2), Some(1), Some(3), Some(8), None] {
+    for workers in [2, 1, 3, 8] {
         let err = run(8, workers, async |mpi: &mut Mpi| {
-            mpi.barrier_async().await;
+            mpi.barrier_async().await?;
             if mpi.rank() == 2 {
-                raise(VpceError::RankCrash {
+                return Err(VpceError::RankCrash {
                     rank: 2,
                     region: "mid-poll".into(),
                 });
             }
-            mpi.barrier_async().await;
-            mpi.rank()
+            mpi.barrier_async().await?;
+            Ok(mpi.rank())
         })
         .expect_err("rank 2 dies");
         assert!(
             matches!(err, VpceError::RankCrash { rank: 2, .. }),
-            "{workers:?} workers: {err:?}"
+            "{workers} workers: {err:?}"
         );
     }
 }
@@ -354,25 +338,32 @@ fn a_crash_is_the_root_cause_while_its_worker_carries_the_others_out() {
 #[test]
 fn a_plain_panic_on_a_shared_worker_is_re_raised_not_hung() {
     for workers in [2, 1, 8] {
-        let payload = within_watchdog(move || {
-            catch_unwind(AssertUnwindSafe(|| {
-                let _ = Universe::new(ClusterConfig::paper_n(8)).run_on(
-                    workers,
-                    async |mpi: &mut Mpi| {
-                        mpi.barrier_async().await;
-                        if mpi.rank() == 2 {
-                            panic!("plain bug");
-                        }
-                        mpi.barrier_async().await;
-                    },
-                );
-            }))
-        })
-        .expect_err("a bug must still panic");
-        let msg = payload.downcast_ref::<&str>().copied().unwrap_or_default();
-        assert_eq!(
-            msg, "plain bug",
-            "{workers} workers: original payload re-raised"
-        );
+        let msg = panic_message(move || {
+            Universe::new(ClusterConfig::paper_n(8)).run_on(workers, async |mpi: &mut Mpi| {
+                mpi.barrier_async().await?;
+                if mpi.rank() == 2 {
+                    panic!("plain bug");
+                }
+                mpi.barrier_async().await
+            })
+        });
+        assert_eq!(msg, "plain bug", "{workers} workers: original payload re-raised");
     }
+}
+
+#[test]
+fn the_closure_entry_panics_with_the_root_cause_not_its_echo() {
+    // Rank 3 fails in a synchronous call while its peers wait in a
+    // barrier: they leave with `PeerFailure` and panic too, and lower
+    // ranks end first — the first failure's panic is the one that goes
+    // on.
+    let msg = panic_message(|| {
+        Universe::new(ClusterConfig::paper_n(4)).run(|mpi| {
+            if mpi.rank() == 3 {
+                mpi.bcast(7, None);
+            }
+            mpi.barrier();
+        })
+    });
+    assert_eq!(msg, "bcast root rank out of range: 7 >= 4");
 }

@@ -51,14 +51,23 @@
 //!   of them, so a one-rank universe spawns nothing. Compiled programs
 //!   (`spmd_rt::exec`) run this way: 16 384 ranks are 16 384 futures,
 //!   not 16 384 stacks.
-//! * [`Universe::run`] / [`Universe::try_run`] take a plain closure,
-//!   which cannot be suspended: a rank that waits inside
-//!   [`Mpi::barrier`] has to keep its thread, so this entry — and only
-//!   this one — still means one OS thread per rank. Its synchronous
-//!   operations are [`Mpi::block_on`] around the same `_async` bodies.
+//! * [`Universe::run`] takes a plain closure, which cannot be
+//!   suspended: a rank that waits inside [`Mpi::barrier`] has to keep
+//!   its thread, so this entry — and only this one — still means one OS
+//!   thread per rank. Its synchronous operations are [`Mpi::block_on`]
+//!   around the same `_async` bodies.
 //!
 //! Both produce the same bytes: every collective folds its inputs in
 //! rank order, whoever arrived last.
+//!
+//! ## Errors are values
+//!
+//! Every operation that can fail returns `Result<_, VpceError>` from
+//! where the failure is detected — at issue, in a fence or collective
+//! leader, or while waiting. A rank task propagates it with `?` and
+//! [`Universe::try_run_tasks`] returns the root cause; nothing modelled
+//! unwinds. The closure entry's synchronous operations panic with the
+//! error's Display text, as [`Universe::run`] documents.
 //!
 //! ## Blocking
 //!
@@ -73,7 +82,7 @@
 //! condition is read from that state under its lock, the stall rule is
 //! exact and needs no timer: a run that can make no progress ends in a
 //! typed [`VpceError::DeadlockStall`] whose graph names who waits for
-//! what, a rank that raises takes its peers out with
+//! what, a rank that fails takes its peers out with
 //! [`VpceError::PeerFailure`], and lock misuse is
 //! [`VpceError::LockState`] — never a hang.
 //!

@@ -14,7 +14,7 @@
 //! `MPI_ANY_SOURCE` is not modeled.
 
 use cluster_sim::TransferKind;
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
 use vpce_trace::{CallInfo, CallOp, Dominator, EventKind, Lane};
 
 use crate::blocking::Message;
@@ -25,18 +25,12 @@ impl Mpi {
     /// `MPI_SEND` (eager): transmit `data` to `dst` with `tag`. The
     /// sender pays the host-side cost and continues; the wire transfer
     /// is scheduled when the receiver posts the matching `recv`.
-    pub fn send(&mut self, dst: usize, tag: i32, data: Vec<Elem>) {
-        if dst >= self.size() {
-            raise(VpceError::RankOutOfRange {
-                what: "send destination",
-                rank: dst,
-                size: self.size(),
-            });
-        }
+    pub fn send(&mut self, dst: usize, tag: i32, data: Vec<Elem>) -> Result<(), VpceError> {
+        self.check_rank("send destination", dst)?;
         let bytes = data.len() * crate::ELEM_BYTES;
         let t0 = self.now();
         let kind = TransferKind::Contiguous { bytes };
-        let b = self.host_breakdown_checked(kind, None);
+        let b = self.host_breakdown_checked(kind, None)?;
         *self.clock_mut() += b.total();
         self.stats_mut().comm_host += b.total();
         self.stats_mut().bytes_sent += bytes as u64;
@@ -48,6 +42,7 @@ impl Mpi {
                 .push(Lane::Rank(rank), t0, ready, EventKind::Call(info));
         }
         self.shared().blocking.post(rank, dst, tag, Message { data, ready });
+        Ok(())
     }
 
     /// `MPI_SENDRECV`: the classic deadlock-free exchange — post the
@@ -71,8 +66,8 @@ impl Mpi {
         data: Vec<Elem>,
         src: usize,
         recv_tag: i32,
-    ) -> Vec<Elem> {
-        self.send(dst, send_tag, data);
+    ) -> Result<Vec<Elem>, VpceError> {
+        self.send(dst, send_tag, data)?;
         self.recv_async(src, recv_tag).await
     }
 
@@ -93,23 +88,16 @@ impl Mpi {
     }
 
     /// [`recv`](Mpi::recv) for a rank task.
-    pub async fn recv_async(&mut self, src: usize, tag: i32) -> Vec<Elem> {
-        if src >= self.size() {
-            raise(VpceError::RankOutOfRange {
-                what: "recv source",
-                rank: src,
-                size: self.size(),
-            });
-        }
+    pub async fn recv_async(&mut self, src: usize, tag: i32) -> Result<Vec<Elem>, VpceError> {
+        self.check_rank("recv source", src)?;
         let entry = self.now();
         let rank = self.rank();
-        let msg = self.shared().blocking.take(src, rank, tag).await;
+        let msg = self.shared().blocking.take(src, rank, tag).await?;
         let bytes = msg.data.len() * crate::ELEM_BYTES;
         let wire = {
             let shared = std::sync::Arc::clone(self.shared());
             let mut net = shared.net.lock();
-            net.try_p2p(src, rank, bytes, msg.ready.max(entry))
-                .unwrap_or_else(|e| raise(e))
+            net.try_p2p(src, rank, bytes, msg.ready.max(entry))?
         };
         let post = self.shared().cfg.node.nic.post_s;
         let exit = wire.end.max(entry) + post;
@@ -127,7 +115,7 @@ impl Mpi {
             self.tracer()
                 .push(Lane::Rank(rank), entry, exit, EventKind::Call(info));
         }
-        msg.data
+        Ok(msg.data)
     }
 }
 
@@ -144,7 +132,7 @@ mod tests {
     fn send_recv_roundtrip() {
         let out = uni(2).run(|mpi| {
             if mpi.rank() == 0 {
-                mpi.send(1, 7, vec![1.0, 2.0, 3.0]);
+                mpi.send(1, 7, vec![1.0, 2.0, 3.0]).unwrap();
                 Vec::new()
             } else {
                 mpi.recv(0, 7)
@@ -157,7 +145,7 @@ mod tests {
     fn recv_clock_reflects_transfer_time() {
         let out = uni(2).run(|mpi| {
             if mpi.rank() == 0 {
-                mpi.send(1, 0, vec![0.0; 1 << 16]);
+                mpi.send(1, 0, vec![0.0; 1 << 16]).unwrap();
             } else {
                 mpi.recv(0, 0);
             }
@@ -171,8 +159,8 @@ mod tests {
     fn tags_keep_messages_apart() {
         let out = uni(2).run(|mpi| {
             if mpi.rank() == 0 {
-                mpi.send(1, 1, vec![1.0]);
-                mpi.send(1, 2, vec![2.0]);
+                mpi.send(1, 1, vec![1.0]).unwrap();
+                mpi.send(1, 2, vec![2.0]).unwrap();
                 (0.0, 0.0)
             } else {
                 // Receive in reverse tag order.
@@ -189,7 +177,7 @@ mod tests {
         let out = uni(2).run(|mpi| {
             if mpi.rank() == 0 {
                 for i in 0..5 {
-                    mpi.send(1, 0, vec![i as f64]);
+                    mpi.send(1, 0, vec![i as f64]).unwrap();
                 }
                 Vec::new()
             } else {
@@ -223,11 +211,11 @@ mod tests {
                 .run(|mpi| {
                     for _ in 0..10 {
                         if mpi.rank() == 0 {
-                            mpi.send(1, 0, vec![0.0; 16]);
+                            mpi.send(1, 0, vec![0.0; 16]).unwrap();
                             mpi.recv(1, 1);
                         } else {
                             mpi.recv(0, 0);
-                            mpi.send(0, 1, vec![0.0; 16]);
+                            mpi.send(0, 1, vec![0.0; 16]).unwrap();
                         }
                     }
                     mpi.now()

@@ -38,7 +38,7 @@
 //! skipped: what a transfer costs never depended on its bytes.
 
 use cluster_sim::{HostCostBreakdown, Protocol, TransferKind};
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
 use vpce_trace::{CallOp, Dominator, EventKind, Lane};
 
 use crate::pool::BufferPool;
@@ -258,19 +258,13 @@ impl Mpi {
         target: usize,
         (off, stride, count): (usize, usize, usize),
         own_shard: bool,
-    ) {
-        if target >= self.size {
-            raise(VpceError::RankOutOfRange {
-                what: "target",
-                rank: target,
-                size: self.size,
-            });
-        }
+    ) -> Result<(), VpceError> {
+        self.check_rank("target", target)?;
         let end = extent(off, stride, count);
         for rank in std::iter::once(target).chain(own_shard.then_some(self.rank)) {
             let size = win.shard_len(rank);
             if end.is_none_or(|e| e > size) {
-                raise(VpceError::RmaBounds {
+                return Err(VpceError::RmaBounds {
                     target: rank,
                     offset: off,
                     len: end.map_or(usize::MAX, |e| e - off),
@@ -278,6 +272,7 @@ impl Mpi {
                 });
             }
         }
+        Ok(())
     }
 
     /// Retire the open descriptor ring: one doorbell event covering
@@ -307,7 +302,7 @@ impl Mpi {
         kind: TransferKind,
         proto: Protocol,
         win: WinId,
-    ) -> HostCostBreakdown {
+    ) -> Result<HostCostBreakdown, VpceError> {
         let depth = self.shared.policy.ring_depth.max(1);
         let batched = matches!(self.ring, Some((w, n)) if w == win && n < depth);
         if batched {
@@ -322,7 +317,7 @@ impl Mpi {
             self.stats.doorbells += 1;
             self.stats.ring_batch_max = self.stats.ring_batch_max.max(1);
         }
-        let b = self.host_breakdown_checked(kind, Some((proto, batched)));
+        let b = self.host_breakdown_checked(kind, Some((proto, batched)))?;
         self.clock += b.total();
         self.stats.comm_host += b.total();
         let wire = kind.wire_bytes() as u64;
@@ -348,7 +343,7 @@ impl Mpi {
                 self.stats.rdvz_bytes += wire;
             }
         }
-        b
+        Ok(b)
     }
 
     /// Stage an origin-side payload: pick the protocol for its size,
@@ -421,14 +416,14 @@ impl Mpi {
         shape: (usize, usize, usize),
         pio: bool,
         data: Option<Vec<Elem>>,
-    ) {
+    ) -> Result<(), VpceError> {
         let (off, stride, count) = shape;
         if stride < 1 {
-            raise(VpceError::InvalidArgument {
+            return Err(VpceError::InvalidArgument {
                 msg: "stride must be positive".into(),
             });
         }
-        self.check_bounds(win, target, shape, data.is_none());
+        self.check_bounds(win, target, shape, data.is_none())?;
         let bytes = count * crate::ELEM_BYTES;
         let kind = if pio {
             TransferKind::Strided {
@@ -447,7 +442,7 @@ impl Mpi {
             self.stats.bytes_put += bytes as u64;
             self.stage(win, target, shape, data)
         };
-        let b = self.charge_host_proto(kind, proto, win.id());
+        let b = self.charge_host_proto(kind, proto, win.id())?;
         if self.shared.tracer.is_enabled() {
             let lane = Lane::Rank(self.rank);
             let call = match dir {
@@ -486,15 +481,22 @@ impl Mpi {
                 src,
             },
         });
+        Ok(())
     }
 
     /// Contiguous `MPI_PUT`: write `data` at element offset `off` of
     /// `target`'s shard. Small payloads go eager (staged into a
     /// registered slot, completion piggybacked); large ones go
     /// rendezvous (zero-copy DMA at the closing fence).
-    pub fn put(&mut self, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
+    pub fn put(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        data: Vec<Elem>,
+    ) -> Result<(), VpceError> {
         let shape = (off, 1, data.len());
-        self.issue(RmaDir::Put, win, target, shape, false, Some(data));
+        self.issue(RmaDir::Put, win, target, shape, false, Some(data))
     }
 
     /// Strided `MPI_PUT`: write `data[i]` to `off + i*stride` of the
@@ -508,9 +510,9 @@ impl Mpi {
         off: usize,
         stride: usize,
         data: Vec<Elem>,
-    ) {
+    ) -> Result<(), VpceError> {
         let shape = (off, stride, data.len());
-        self.issue(RmaDir::Put, win, target, shape, true, Some(data));
+        self.issue(RmaDir::Put, win, target, shape, true, Some(data))
     }
 
     /// Contiguous PUT of a region of *this rank's own shard* to the
@@ -518,8 +520,14 @@ impl Mpi {
     /// the data-scattering/collecting scheme uses. Allocation-free:
     /// eager stages straight from the shard into a registered slot,
     /// rendezvous DMAs from the shard itself at the fence.
-    pub fn put_region(&mut self, win: &WindowRef, target: usize, off: usize, count: usize) {
-        self.issue(RmaDir::Put, win, target, (off, 1, count), false, None);
+    pub fn put_region(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        count: usize,
+    ) -> Result<(), VpceError> {
+        self.issue(RmaDir::Put, win, target, (off, 1, count), false, None)
     }
 
     /// Strided PUT of a region of this rank's own shard (elements
@@ -532,15 +540,21 @@ impl Mpi {
         off: usize,
         stride: usize,
         count: usize,
-    ) {
-        self.issue(RmaDir::Put, win, target, (off, stride, count), true, None);
+    ) -> Result<(), VpceError> {
+        self.issue(RmaDir::Put, win, target, (off, stride, count), true, None)
     }
 
     /// Contiguous `MPI_GET`: fetch `count` elements at `off` from
     /// `target`'s shard into the same offsets of this rank's shard.
     /// Completes at the closing fence.
-    pub fn get(&mut self, win: &WindowRef, target: usize, off: usize, count: usize) {
-        self.issue(RmaDir::Get, win, target, (off, 1, count), false, None);
+    pub fn get(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        count: usize,
+    ) -> Result<(), VpceError> {
+        self.issue(RmaDir::Get, win, target, (off, 1, count), false, None)
     }
 
     /// Strided `MPI_GET`: fetch elements `off + i*stride` from the
@@ -552,8 +566,8 @@ impl Mpi {
         off: usize,
         stride: usize,
         count: usize,
-    ) {
-        self.issue(RmaDir::Get, win, target, (off, stride, count), true, None);
+    ) -> Result<(), VpceError> {
+        self.issue(RmaDir::Get, win, target, (off, stride, count), true, None)
     }
 
     /// `MPI_ACCUMULATE` (contiguous): combine `data` into the target
@@ -566,38 +580,44 @@ impl Mpi {
         off: usize,
         data: Vec<Elem>,
         op: AccumulateOp,
-    ) {
+    ) -> Result<(), VpceError> {
         let shape = (off, 1, data.len());
-        self.issue(RmaDir::Acc(op), win, target, shape, false, Some(data));
+        self.issue(RmaDir::Acc(op), win, target, shape, false, Some(data))
     }
 
     /// The one passive-target path: inside a lock epoch the transfer is
     /// scheduled and applied now, and the origin blocks until it
     /// completes. Priced on the legacy chunked host model — passive
     /// transfers bypass the eager pool and the descriptor ring.
-    fn rma_now(&mut self, dir: RmaDir, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
+    fn rma_now(
+        &mut self,
+        dir: RmaDir,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        data: Vec<Elem>,
+    ) -> Result<(), VpceError> {
         let call = match dir {
             RmaDir::Acc(_) => CallOp::AccumulateNow,
             _ => CallOp::PutNow,
         };
         if !self.shared.blocking.holds(self.rank, win.id().0, target) {
-            raise(VpceError::LockState {
+            return Err(VpceError::LockState {
                 msg: format!("{} outside a lock epoch", call.name()),
             });
         }
-        self.check_bounds(win, target, (off, 1, data.len()), false);
+        self.check_bounds(win, target, (off, 1, data.len()), false)?;
         let bytes = data.len() * crate::ELEM_BYTES;
         let kind = TransferKind::Contiguous { bytes };
         let entry = self.clock;
         self.stats.bytes_put += bytes as u64;
-        let b = self.host_breakdown_checked(kind, None);
+        let b = self.host_breakdown_checked(kind, None)?;
         self.clock += b.total();
         self.stats.comm_host += b.total();
         self.stats.rma_contiguous += 1;
         let wire = {
             let mut net = self.shared.net.lock();
-            net.try_p2p(self.rank, target, bytes, self.clock)
-                .unwrap_or_else(|e| raise(e))
+            net.try_p2p(self.rank, target, bytes, self.clock)?
         };
         let op = PendingRma {
             origin: self.rank,
@@ -629,6 +649,7 @@ impl Mpi {
                 .tracer
                 .push(Lane::Rank(self.rank), entry, wire.end, EventKind::Call(info));
         }
+        Ok(())
     }
 
     /// Immediate contiguous PUT inside a lock epoch: the transfer is
@@ -643,8 +664,14 @@ impl Mpi {
     /// depend on it. Compiled programs do neither: their transfers are
     /// buffered ([`Mpi::put_region`] et al.) and booked by the closing
     /// fence in `(issue time, origin, issue order)` order.
-    pub fn put_now(&mut self, win: &WindowRef, target: usize, off: usize, data: Vec<Elem>) {
-        self.rma_now(RmaDir::Put, win, target, off, data);
+    pub fn put_now(
+        &mut self,
+        win: &WindowRef,
+        target: usize,
+        off: usize,
+        data: Vec<Elem>,
+    ) -> Result<(), VpceError> {
+        self.rma_now(RmaDir::Put, win, target, off, data)
     }
 
     /// Immediate accumulate inside a lock epoch (the §3 "global
@@ -662,8 +689,8 @@ impl Mpi {
         off: usize,
         data: Vec<Elem>,
         op: AccumulateOp,
-    ) {
-        self.rma_now(RmaDir::Acc(op), win, target, off, data);
+    ) -> Result<(), VpceError> {
+        self.rma_now(RmaDir::Acc(op), win, target, off, data)
     }
 }
 

@@ -1,10 +1,11 @@
 //! Poison-transparent locking over `std::sync`.
 //!
-//! Poisoning is deliberately ignored: when a rank thread raises, the
-//! universe sets the one `failed` flag of [`crate::blocking`] so peers
-//! leave *at their next blocking call* with a meaningful error, and the
-//! original payload is re-raised on join. A second, uninformative
-//! `PoisonError` panic on an unrelated lock would only obscure that.
+//! Poisoning is deliberately ignored: when a rank panics, the universe
+//! sets the one `failed` flag of [`crate::blocking`] so peers leave *at
+//! their next blocking call* with a meaningful error, and the first
+//! failure's payload is re-raised once every rank has ended. A second,
+//! uninformative `PoisonError` panic on an unrelated lock would only
+//! obscure that.
 
 use std::sync::{Condvar, MutexGuard, PoisonError};
 

@@ -16,7 +16,7 @@ use cluster_sim::{
 };
 use crate::sync::Mutex;
 use vbus_sim::{NetSim, NetStats};
-use vpce_faults::{raise, take_raised, FaultInjector, FaultSpec, VpceError};
+use vpce_faults::{FaultInjector, FaultSpec, VpceError};
 use vpce_trace::{
     CallInfo, CallOp, DataPath, Dominator, EventKind, Lane, SetupParts, TraceReport, Tracer,
 };
@@ -59,7 +59,7 @@ pub(crate) struct Shared {
     pub policy: TransportPolicy,
     /// OS threads carrying this run's ranks. With fewer than ranks, a
     /// rank that slept inside a call would take its worker's other
-    /// ranks down with it: [`Mpi::block_on`] refuses instead.
+    /// ranks down with it: [`Mpi::block_on`] panics instead.
     pub workers: usize,
 }
 
@@ -233,26 +233,16 @@ impl Universe {
     /// # Panics
     /// Panics with the error's Display text when the run fails — a
     /// modelled fault exhausted its recovery budget, or the program
-    /// misused the API. [`Universe::try_run`] returns the typed error
-    /// instead.
+    /// misused the API: the synchronous operations panic with it, and
+    /// the first rank to fail is the one whose panic goes on.
+    /// [`Universe::try_run_tasks`] returns the typed error instead.
     pub fn run<R, F>(&self, f: F) -> RunOutcome<R>
     where
         R: Send,
         F: Fn(&mut Mpi) -> R + Sync,
     {
-        self.try_run(f).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// [`run`](Universe::run), but a failed run — an injected fault
-    /// that exhausted its recovery budget, or API misuse — comes back
-    /// as a typed [`VpceError`] instead of a panic. A panic payload
-    /// that is not a [`VpceError`] (a genuine bug) is re-raised.
-    pub fn try_run<R, F>(&self, f: F) -> Result<RunOutcome<R>, VpceError>
-    where
-        R: Send,
-        F: Fn(&mut Mpi) -> R + Sync,
-    {
-        self.run_on(self.size(), async |mpi: &mut Mpi| f(mpi))
+        self.run_on(self.size(), async |mpi: &mut Mpi| Ok(f(mpi)))
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Run `f` as an SPMD program of resumable rank tasks: a rank that
@@ -260,16 +250,22 @@ impl Universe {
     /// can go on, so the run needs no more OS threads than the host has
     /// cores — `min(size, available_parallelism())` workers, the
     /// calling thread among them; a rank stays on the worker it started
-    /// on. Outcome and errors are those of [`Universe::try_run`], bit
-    /// for bit: every collective still folds its inputs in rank order.
+    /// on. Every collective folds its inputs in rank order, so the
+    /// outcome does not depend on the worker count.
+    ///
+    /// A rank whose body returns `Err` fails the run: its peers leave
+    /// their waits with [`VpceError::PeerFailure`], and the run returns
+    /// the root cause — the first error in rank order that is not a
+    /// `PeerFailure`. A panic (a genuine bug) that is the run's first
+    /// failure goes on unwinding once every rank has ended.
     ///
     /// `f` must wait through the `_async` operations only. A
-    /// synchronous one that has to wait raises [`VpceError::Internal`]
-    /// when ranks share workers.
+    /// synchronous one that has to wait panics when ranks share
+    /// workers.
     pub fn try_run_tasks<R, F>(&self, f: F) -> Result<RunOutcome<R>, VpceError>
     where
         R: Send,
-        F: AsyncFn(&mut Mpi) -> R + Sync,
+        F: AsyncFn(&mut Mpi) -> Result<R, VpceError> + Sync,
     {
         // (Asked only when it matters: the answer is a dozen
         // microseconds of affinity-mask and cgroup reads, twenty times
@@ -286,7 +282,7 @@ impl Universe {
     pub(crate) fn run_on<R, F>(&self, workers: usize, f: F) -> Result<RunOutcome<R>, VpceError>
     where
         R: Send,
-        F: AsyncFn(&mut Mpi) -> R + Sync,
+        F: AsyncFn(&mut Mpi) -> Result<R, VpceError> + Sync,
     {
         let n = self.size();
         let workers = workers.clamp(1, n);
@@ -337,17 +333,18 @@ impl Universe {
         // smaller ranks of its share.
         for rank in 0..n {
             match by_worker[rank % workers].next().expect("one end per rank") {
-                Ok((r, c, s)) => {
+                RankEnd::Done(r, c, s) => {
                     results.push(r);
                     clocks.push(c);
                     rank_stats.push(s);
                 }
-                Err(payload) => match take_raised(payload) {
-                    Ok(err) => typed.push(err),
-                    // Not a typed error: a genuine bug. Re-raise with
-                    // the original payload (every rank has ended).
-                    Err(payload) => resume_unwind(payload),
-                },
+                RankEnd::Failed(err) => typed.push(err),
+                // The run's first failure was a panic: a genuine bug,
+                // or a synchronous operation's error. Re-raise it with
+                // its original payload (every rank has ended).
+                RankEnd::Panicked(payload, true) => resume_unwind(payload),
+                // A panic after the first failure is its echo.
+                RankEnd::Panicked(_, false) => {}
             }
         }
         if !typed.is_empty() {
@@ -382,18 +379,25 @@ impl Universe {
     }
 }
 
-/// How one rank ended: its result, final clock and ledger, or the
-/// payload it unwound with.
-type RankEnd<R> = Result<(R, f64, RankStats), Box<dyn Any + Send>>;
+/// How one rank ended: its result, final clock and ledger; the error
+/// its task returned; or the payload it unwound with, and whether that
+/// unwind was the run's first failure.
+enum RankEnd<R> {
+    Done(R, f64, RankStats),
+    Failed(VpceError),
+    Panicked(Box<dyn Any + Send>, bool),
+}
 
 /// Worker `w` of `shared.workers`: carry ranks `w, w + workers, …` to
 /// their ends, in that order. Each sweep polls every rank still going
 /// once — a poll of a rank that cannot go on yet is one look at the
 /// guarded state — and the thread sleeps only when a whole sweep left
-/// all of them pending.
+/// all of them pending. A rank that ends in an error, or panics, fails
+/// the run: its peers leave their waits at their next poll, and this
+/// worker's other ranks are still carried to their ends.
 fn drive_ranks<R, F>(shared: &Arc<Shared>, f: &F, w: usize) -> Vec<RankEnd<R>>
 where
-    F: AsyncFn(&mut Mpi) -> R,
+    F: AsyncFn(&mut Mpi) -> Result<R, VpceError>,
 {
     let (n, workers) = (shared.cfg.num_nodes(), shared.workers);
     let mut live: Vec<usize> = (w..n).step_by(workers).collect();
@@ -411,11 +415,11 @@ where
                     stats: RankStats::default(),
                     shared: Arc::clone(shared),
                 };
-                let r = f(&mut mpi).await;
+                let r = f(&mut mpi).await?;
                 // This rank will never wake anyone again: peers left
                 // waiting on it are deadlocked.
-                shared.blocking.finish(rank);
-                (r, mpi.clock, mpi.stats)
+                shared.blocking.finish(rank)?;
+                Ok((r, mpi.clock, mpi.stats))
             }))
         })
         .collect();
@@ -427,14 +431,12 @@ where
             let task = tasks[slot].as_mut().expect("a live rank has a task");
             ends[slot] = Some(match catch_unwind(AssertUnwindSafe(|| task.as_mut().poll(&mut cx))) {
                 Ok(Poll::Pending) => return true,
-                Ok(Poll::Ready(end)) => Ok(end),
-                Err(payload) => {
-                    // Peers waiting in collectives, receives or window
-                    // locks leave at their next poll; this worker's
-                    // other ranks are still carried to their ends.
+                Ok(Poll::Ready(Ok((r, c, s)))) => RankEnd::Done(r, c, s),
+                Ok(Poll::Ready(Err(e))) => {
                     shared.blocking.fail();
-                    Err(payload)
+                    RankEnd::Failed(e)
                 }
+                Err(payload) => RankEnd::Panicked(payload, shared.blocking.fail()),
             });
             tasks[slot] = None;
             false
@@ -474,6 +476,13 @@ struct FenceTrace {
     recovery: f64,
 }
 
+/// The rank that arrived last — the first such — and its clock; rank 0
+/// at time 0 when every clock is 0.
+fn slowest(clocks: impl IntoIterator<Item = f64>) -> (usize, f64) {
+    let later = |best: (usize, f64), (r, c)| if c > best.1 { (r, c) } else { best };
+    clocks.into_iter().enumerate().fold((0, 0.0), later)
+}
+
 /// The call-span payload of a transfer-initiating call: wire bytes,
 /// NIC path and the host-cost split of its setup.
 pub(crate) fn transfer_info(op: CallOp, kind: TransferKind, b: &HostCostBreakdown) -> CallInfo {
@@ -493,7 +502,7 @@ pub(crate) fn transfer_info(op: CallOp, kind: TransferKind, b: &HostCostBreakdow
     info
 }
 
-/// Handle to one MPI process. Obtained only inside [`Universe::run`].
+/// Handle to one MPI process, handed to each rank of a run.
 pub struct Mpi {
     pub(crate) rank: usize,
     pub(crate) size: usize,
@@ -587,27 +596,30 @@ impl Mpi {
     /// wait (`barrier`, `fence_all`, `recv`, …) is this around its
     /// `_async` form, which holds the one body.
     ///
-    /// Raises [`VpceError::Internal`] when `op` has to wait and this
-    /// rank shares its thread with others
-    /// ([`Universe::try_run_tasks`] on fewer workers than ranks):
-    /// sleeping here would stop ranks the wait may depend on.
-    pub fn block_on<T>(&mut self, op: impl AsyncFnOnce(&mut Mpi) -> T) -> T {
+    /// # Panics
+    /// Panics with the error's Display text when `op` fails, and with
+    /// that of a [`VpceError::Internal`] when `op` has to wait and this
+    /// rank shares its thread with others ([`Universe::try_run_tasks`]
+    /// on fewer workers than ranks): sleeping here would stop ranks the
+    /// wait may depend on.
+    pub fn block_on<T>(&mut self, op: impl AsyncFnOnce(&mut Mpi) -> Result<T, VpceError>) -> T {
         let (shared, rank) = (Arc::clone(&self.shared), self.rank);
         let mut op = pin!(op(self));
         let mut cx = Context::from_waker(Waker::noop());
         loop {
-            if let Poll::Ready(out) = op.as_mut().poll(&mut cx) {
-                return out;
+            match op.as_mut().poll(&mut cx) {
+                Poll::Ready(out) => return out.unwrap_or_else(|e| panic!("{e}")),
+                Poll::Pending if shared.workers < shared.cfg.num_nodes() => {
+                    let e = VpceError::Internal {
+                        msg: format!(
+                            "rank {rank} has to wait inside a synchronous call, on a thread it \
+                             shares with other ranks: use the `_async` form inside `try_run_tasks`"
+                        ),
+                    };
+                    panic!("{e}")
+                }
+                Poll::Pending => shared.blocking.park(&[rank]),
             }
-            if shared.workers < shared.cfg.num_nodes() {
-                raise(VpceError::Internal {
-                    msg: format!(
-                        "rank {rank} has to wait inside a synchronous call, on a thread it shares \
-                         with other ranks: use the `_async` form inside `try_run_tasks`"
-                    ),
-                });
-            }
-            shared.blocking.park(&[rank]);
         }
     }
 
@@ -623,7 +635,7 @@ impl Mpi {
     }
 
     /// [`win_create`](Mpi::win_create) for a rank task.
-    pub async fn win_create_async(&mut self, len: usize) -> WindowRef {
+    pub async fn win_create_async(&mut self, len: usize) -> Result<WindowRef, VpceError> {
         self.win_create_form(len, true).await
     }
 
@@ -639,31 +651,24 @@ impl Mpi {
 
     /// [`win_create_length_only`](Mpi::win_create_length_only) for a
     /// rank task.
-    pub async fn win_create_length_only_async(&mut self, len: usize) -> WindowRef {
+    pub async fn win_create_length_only_async(&mut self, len: usize) -> Result<WindowRef, VpceError> {
         self.win_create_form(len, false).await
     }
 
-    async fn win_create_form(&mut self, len: usize, backed: bool) -> WindowRef {
+    async fn win_create_form(&mut self, len: usize, backed: bool) -> Result<WindowRef, VpceError> {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
         let (win, exit, dom) = self.shared.blocking.run(self.rank, ((len, backed), self.clock), |ins| {
             let forms: Vec<(usize, bool)> = ins.iter().map(|(f, _)| *f).collect();
-            let mut maxc = 0.0f64;
-            let mut slowest = 0usize;
-            for (r, &(_, c)) in ins.iter().enumerate() {
-                if c > maxc {
-                    maxc = c;
-                    slowest = r;
-                }
-            }
+            let (slowest, maxc) = slowest(ins.iter().map(|(_, c)| *c));
             let id = shared.table.lock().create(&forms);
             let exit = maxc + shared.barrier_cost();
-            vec![(id, exit, (slowest, maxc)); forms.len()]
-        }).await;
+            Ok(vec![(id, exit, (slowest, maxc)); forms.len()])
+        }).await?;
         self.stats.sync_wait += exit - entry;
         self.clock = exit;
         self.trace_blocking(CallOp::WinCreate, entry, exit, 0, Some(dom), None);
-        self.win_ref(win)
+        Ok(self.win_ref(win))
     }
 
     /// Handle to this rank's shard of an existing window.
@@ -682,13 +687,13 @@ impl Mpi {
     /// the legacy chunked driver path (two-sided sends, passive-target
     /// RMA); `Some((protocol, batched))` is the protocol-aware
     /// active-target path, `batched` when the descriptor rides an open
-    /// ring. An exhausted retry budget raises
+    /// ring. An exhausted retry budget is a
     /// [`VpceError::NicFailure`].
     pub(crate) fn host_breakdown_checked(
         &mut self,
         kind: TransferKind,
         proto: Option<(Protocol, bool)>,
-    ) -> HostCostBreakdown {
+    ) -> Result<HostCostBreakdown, VpceError> {
         let seq = self.nic_seq;
         self.nic_seq += 1;
         let (nic, cpu, inj) = (self.nic(), self.cpu(), &self.shared.faults);
@@ -697,8 +702,7 @@ impl Mpi {
             Some((proto, batched)) => {
                 nic.host_breakdown_proto_faulty(kind, proto, batched, cpu, inj, self.rank, seq)
             }
-        }
-        .unwrap_or_else(|e| raise(e));
+        }?;
         if b.retries > 0 || b.stalls > 0 {
             self.stats.nic_retries += b.retries;
             self.stats.nic_stalls += b.stalls;
@@ -721,7 +725,7 @@ impl Mpi {
                 );
             }
         }
-        b
+        Ok(b)
     }
 
     /// The trace sink of this universe (the no-op tracer by default).
@@ -770,7 +774,7 @@ impl Mpi {
     }
 
     /// [`win_fence`](Mpi::win_fence) for a rank task.
-    pub async fn win_fence_async(&mut self, win: WinId) {
+    pub async fn win_fence_async(&mut self, win: WinId) -> Result<(), VpceError> {
         self.fence_filtered(Some(win)).await
     }
 
@@ -782,11 +786,11 @@ impl Mpi {
     }
 
     /// [`fence_all`](Mpi::fence_all) for a rank task.
-    pub async fn fence_all_async(&mut self) {
+    pub async fn fence_all_async(&mut self) -> Result<(), VpceError> {
         self.fence_filtered(None).await
     }
 
-    async fn fence_filtered(&mut self, filter: Option<WinId>) {
+    async fn fence_filtered(&mut self, filter: Option<WinId>) -> Result<(), VpceError> {
         // Closing the epoch retires the open descriptor ring: the next
         // epoch's first transfer pays its own doorbell.
         self.flush_ring();
@@ -805,14 +809,7 @@ impl Mpi {
             let table = shared.table.lock();
             // Default dominator: the rendezvous join — the slowest
             // rank's entry clock (what a fence with no traffic is).
-            let mut latest = 0.0f64;
-            let mut slowest = 0usize;
-            for (r, c) in clocks.iter().enumerate() {
-                if *c > latest {
-                    latest = *c;
-                    slowest = r;
-                }
-            }
+            let (slowest, mut latest) = slowest(clocks);
             let mut ft = FenceTrace {
                 ops: order.len() as u64,
                 dom_rank: slowest,
@@ -821,7 +818,7 @@ impl Mpi {
                 recovery: 0.0,
             };
             for op in order.iter(&queues) {
-                let (start, end, rec) = schedule_wire_legs(&shared, &mut net, op);
+                let (start, end, rec) = schedule_wire_legs(&shared, &mut net, op)?;
                 if end > latest {
                     // The fence's exit is now determined by this
                     // transfer: remember its issue point as the
@@ -845,7 +842,7 @@ impl Mpi {
             // Every rank gets its queue back without what this fence
             // completed: another window's operations stay where, and in
             // the order, they were issued.
-            queues
+            Ok(queues
                 .into_iter()
                 .map(|mut queue| {
                     match filter {
@@ -854,8 +851,8 @@ impl Mpi {
                     }
                     (exit, ft, queue)
                 })
-                .collect()
-        }).await;
+                .collect())
+        }).await?;
         self.queue = queue;
         self.stats.comm_wait += exit - entry;
         self.stats.fences += 1;
@@ -876,6 +873,7 @@ impl Mpi {
                 EventKind::EpochClose { ops: ft.ops },
             );
         }
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -887,8 +885,8 @@ impl Mpi {
     /// [`Mpi::accumulate_now`]; close with [`Mpi::win_unlock`].
     ///
     /// Misuse is a typed error, never a hang: locking a shard this rank
-    /// already holds raises [`VpceError::LockState`] (as does unlocking
-    /// one it does not hold, or finishing inside an epoch), and a lock
+    /// already holds is a [`VpceError::LockState`] (as is unlocking one
+    /// it does not hold, or finishing inside an epoch), and a lock
     /// that can never be granted — its holder waits in a collective, or
     /// two ranks each want what the other holds — ends the run in
     /// [`VpceError::DeadlockStall`], whose graph names the holder.
@@ -904,16 +902,10 @@ impl Mpi {
     }
 
     /// [`win_lock`](Mpi::win_lock) for a rank task.
-    pub async fn win_lock_async(&mut self, win: &WindowRef, target: usize) {
-        if target >= self.size {
-            raise(VpceError::RankOutOfRange {
-                what: "lock target",
-                rank: target,
-                size: self.size,
-            });
-        }
+    pub async fn win_lock_async(&mut self, win: &WindowRef, target: usize) -> Result<(), VpceError> {
+        self.check_rank("lock target", target)?;
         let entry = self.clock;
-        let last_release = self.shared.blocking.lock(self.rank, win.id().0, target).await;
+        let last_release = self.shared.blocking.lock(self.rank, win.id().0, target).await?;
         // Acquiring the lock is a small round trip to the target.
         let link = self.shared.cfg.net.link;
         let rtt = 2.0
@@ -924,13 +916,15 @@ impl Mpi {
         // No dominator: passive-target contention order is decided by
         // OS scheduling, so the edge would not be reproducible.
         self.trace_blocking(CallOp::WinLock, entry, self.clock, 0, None, None);
+        Ok(())
     }
 
     /// `MPI_WIN_UNLOCK`: close the passive epoch opened by
     /// [`Mpi::win_lock`].
-    pub fn win_unlock(&mut self, win: &WindowRef, target: usize) {
-        self.shared.blocking.unlock(self.rank, win.id().0, target, self.clock);
+    pub fn win_unlock(&mut self, win: &WindowRef, target: usize) -> Result<(), VpceError> {
+        self.shared.blocking.unlock(self.rank, win.id().0, target, self.clock)?;
         self.trace_blocking(CallOp::WinUnlock, self.clock, self.clock, 0, None, None);
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -943,27 +937,31 @@ impl Mpi {
     }
 
     /// [`barrier`](Mpi::barrier) for a rank task.
-    pub async fn barrier_async(&mut self) {
+    pub async fn barrier_async(&mut self) -> Result<(), VpceError> {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
         let (exit, dom): (f64, (usize, f64)) =
             self.shared.blocking.run(self.rank, self.clock, move |clocks| {
                 let n = clocks.len();
-                let mut maxc = 0.0f64;
-                let mut slowest = 0usize;
-                for (r, c) in clocks.iter().enumerate() {
-                    if *c > maxc {
-                        maxc = *c;
-                        slowest = r;
-                    }
-                }
+                let (slowest, maxc) = slowest(clocks);
                 let exit = maxc + shared.barrier_cost();
-                vec![(exit, (slowest, maxc)); n]
-            }).await;
+                Ok(vec![(exit, (slowest, maxc)); n])
+            }).await?;
         self.stats.sync_wait += exit - entry;
         self.stats.barriers += 1;
         self.clock = exit;
         self.trace_blocking(CallOp::Barrier, entry, exit, 0, Some(dom), None);
+        Ok(())
+    }
+
+    /// `Ok` when `rank` is a rank of this universe; otherwise the
+    /// `RankOutOfRange` that names `what` it was meant to be.
+    pub(crate) fn check_rank(&self, what: &'static str, rank: usize) -> Result<(), VpceError> {
+        if rank < self.size {
+            Ok(())
+        } else {
+            Err(VpceError::RankOutOfRange { what, rank, size: self.size })
+        }
     }
 
     /// Access to shared state for sibling modules (p2p, collectives).
@@ -989,24 +987,24 @@ impl Mpi {
 /// one data leg from the sending side to the receiving one — eager data
 /// carries a piggybacked completion header, rendezvous data is the
 /// zero-copy payload alone.
-fn schedule_wire_legs(shared: &Shared, net: &mut NetSim, op: &PendingRma) -> (f64, f64, f64) {
-    let mut p2p = |from, to, bytes, at| {
-        net.try_p2p(from, to, bytes, at)
-            .unwrap_or_else(|e| raise(e))
-    };
+fn schedule_wire_legs(
+    shared: &Shared,
+    net: &mut NetSim,
+    op: &PendingRma,
+) -> Result<(f64, f64, f64), VpceError> {
     let rdvz = op.proto == Protocol::Rendezvous;
     let (from, to) = op.flow();
     let (mut start, mut at, mut rec) = (None, op.issue, 0.0);
     if op.kind.is_get() || rdvz {
-        let req = p2p(op.origin, op.target, CTRL_BYTES, at);
+        let req = net.try_p2p(op.origin, op.target, CTRL_BYTES, at)?;
         (start, at, rec) = (Some(req.start), req.end, rec + req.recovery);
     }
     if rdvz {
-        let cts = p2p(op.target, op.origin, CTRL_BYTES, at);
+        let cts = net.try_p2p(op.target, op.origin, CTRL_BYTES, at)?;
         (at, rec) = (cts.end, rec + cts.recovery);
     }
     let header = if rdvz { 0 } else { HDR_BYTES };
-    let data = p2p(from, to, op.kind.wire_bytes() + header, at);
+    let data = net.try_p2p(from, to, op.kind.wire_bytes() + header, at)?;
     if rdvz && op.origin != op.target {
         net.note_handshake(2 * CTRL_BYTES as u64);
         if shared.tracer.is_enabled() {
@@ -1022,7 +1020,7 @@ fn schedule_wire_legs(shared: &Shared, net: &mut NetSim, op: &PendingRma) -> (f6
             );
         }
     }
-    (start.unwrap_or(data.start), data.end, rec + data.recovery)
+    Ok((start.unwrap_or(data.start), data.end, rec + data.recovery))
 }
 
 #[cfg(test)]
@@ -1053,14 +1051,14 @@ mod tests {
             let w = mpi.win_create(64);
             // Run 1: one 8-element put.
             if mpi.rank() == 0 {
-                mpi.put(&w, 1, 0, vec![1.0; 8]);
+                mpi.put(&w, 1, 0, vec![1.0; 8]).unwrap();
             }
             mpi.fence_all();
             let first = mpi.take_stats();
             // Run 2: two 8-element puts.
             if mpi.rank() == 0 {
-                mpi.put(&w, 1, 8, vec![2.0; 8]);
-                mpi.put(&w, 1, 16, vec![3.0; 8]);
+                mpi.put(&w, 1, 8, vec![2.0; 8]).unwrap();
+                mpi.put(&w, 1, 16, vec![3.0; 8]).unwrap();
             }
             mpi.fence_all();
             let second = mpi.take_stats();
@@ -1113,12 +1111,12 @@ mod tests {
             // Epoch 1: disjoint PUTs into rank 0 — clean.
             if mpi.rank() > 0 {
                 let off = (mpi.rank() - 1) * 4;
-                mpi.put(&w, 0, off, vec![1.0; 4]);
+                mpi.put(&w, 0, off, vec![1.0; 4]).unwrap();
             }
             mpi.fence_all();
             // Epoch 2: both slaves PUT the same elements — race.
             if mpi.rank() > 0 {
-                mpi.put(&w, 0, 2, vec![2.0; 3]);
+                mpi.put(&w, 0, 2, vec![2.0; 3]).unwrap();
             }
             mpi.fence_all();
         });
@@ -1135,12 +1133,12 @@ mod tests {
         let out = uni(2).run(|mpi| {
             let w = mpi.win_create(4);
             if mpi.rank() == 1 {
-                mpi.put(&w, 0, 0, vec![1.0; 4]);
+                mpi.put(&w, 0, 0, vec![1.0; 4]).unwrap();
             }
             mpi.fence_all();
             // Same region again, but in a new epoch: ordered, legal.
             if mpi.rank() == 1 {
-                mpi.put(&w, 0, 0, vec![2.0; 4]);
+                mpi.put(&w, 0, 0, vec![2.0; 4]).unwrap();
             }
             mpi.fence_all();
         });
@@ -1153,7 +1151,7 @@ mod tests {
             let w = mpi.win_create(8);
             if mpi.rank() == 0 {
                 w.fill_from(&[1., 2., 3., 4., 5., 6., 7., 8.]);
-                mpi.put_region(&w, 1, 2, 3); // elements 3,4,5 at offsets 2..5
+                mpi.put_region(&w, 1, 2, 3).unwrap(); // elements 3,4,5 at offsets 2..5
             }
             mpi.win_fence(w.id());
             w.snapshot()
@@ -1168,7 +1166,7 @@ mod tests {
             if mpi.rank() == 0 {
                 let data: Vec<f64> = (1..=10).map(f64::from).collect();
                 w.fill_from(&data);
-                mpi.put_region_strided(&w, 1, 1, 3, 3); // offsets 1,4,7
+                mpi.put_region_strided(&w, 1, 1, 3, 3).unwrap(); // offsets 1,4,7
             }
             mpi.win_fence(w.id());
             w.snapshot()
@@ -1188,7 +1186,7 @@ mod tests {
             }
             mpi.barrier();
             if mpi.rank() == 0 {
-                mpi.get(&w, 1, 1, 2);
+                mpi.get(&w, 1, 1, 2).unwrap();
             }
             mpi.win_fence(w.id());
             w.snapshot()
@@ -1205,7 +1203,7 @@ mod tests {
             }
             mpi.barrier();
             if mpi.rank() == 0 {
-                mpi.get_strided(&w, 1, 0, 2, 3); // offsets 0,2,4
+                mpi.get_strided(&w, 1, 0, 2, 3).unwrap(); // offsets 0,2,4
             }
             mpi.win_fence(w.id());
             w.snapshot()
@@ -1217,7 +1215,7 @@ mod tests {
     fn accumulate_sums_deterministically() {
         let out = uni(4).run(|mpi| {
             let w = mpi.win_create(1);
-            mpi.accumulate(&w, 0, 0, vec![(mpi.rank() + 1) as f64], AccumulateOp::Sum);
+            mpi.accumulate(&w, 0, 0, vec![(mpi.rank() + 1) as f64], AccumulateOp::Sum).unwrap();
             mpi.win_fence(w.id());
             w.snapshot()[0]
         });
@@ -1231,11 +1229,11 @@ mod tests {
             let a = mpi.win_create(2);
             let b = mpi.win_create(2);
             if mpi.rank() == 0 {
-                mpi.put(&a, 1, 0, vec![1., 1.]);
+                mpi.put(&a, 1, 0, vec![1., 1.]).unwrap();
                 // Two operations on `b` that the fence on `a` leaves
                 // behind; they race on element 1, so their order shows.
-                mpi.put(&b, 1, 0, vec![5., 5.]);
-                mpi.put(&b, 1, 1, vec![7.]);
+                mpi.put(&b, 1, 0, vec![5., 5.]).unwrap();
+                mpi.put(&b, 1, 1, vec![7.]).unwrap();
             }
             mpi.win_fence(a.id());
             let after_first = (mpi.now(), a.snapshot(), b.snapshot());
@@ -1288,12 +1286,12 @@ mod tests {
         let out = uni(2).run(|mpi| {
             let w = mpi.win_create(16384);
             if mpi.rank() == 0 {
-                mpi.put_region(&w, 1, 0, 8192);
+                mpi.put_region(&w, 1, 0, 8192).unwrap();
             }
             mpi.fence_all();
             let contig_host = mpi.stats().comm_host;
             if mpi.rank() == 0 {
-                mpi.put_region_strided(&w, 1, 0, 2, 8192);
+                mpi.put_region_strided(&w, 1, 0, 2, 8192).unwrap();
             }
             mpi.fence_all();
             (contig_host, mpi.stats().comm_host - contig_host)
@@ -1311,8 +1309,8 @@ mod tests {
             let w = mpi.win_create(2);
             if mpi.rank() == 0 {
                 mpi.win_lock(&w, 1);
-                mpi.put_now(&w, 1, 0, vec![7.0, 8.0]);
-                mpi.win_unlock(&w, 1);
+                mpi.put_now(&w, 1, 0, vec![7.0, 8.0]).unwrap();
+                mpi.win_unlock(&w, 1).unwrap();
             }
             mpi.barrier();
             w.snapshot()
@@ -1325,8 +1323,8 @@ mod tests {
         let out = uni(4).run(|mpi| {
             let w = mpi.win_create(1);
             mpi.win_lock(&w, 0);
-            mpi.accumulate_now(&w, 0, 0, vec![1.0], AccumulateOp::Sum);
-            mpi.win_unlock(&w, 0);
+            mpi.accumulate_now(&w, 0, 0, vec![1.0], AccumulateOp::Sum).unwrap();
+            mpi.win_unlock(&w, 0).unwrap();
             mpi.barrier();
             w.snapshot()[0]
         });
@@ -1341,7 +1339,7 @@ mod tests {
                 if mpi.rank() != 0 {
                     let data: Vec<f64> = (0..16).map(|i| (i * mpi.rank()) as f64).collect();
                     w.lock()[16 * mpi.rank()..16 * (mpi.rank() + 1)].copy_from_slice(&data);
-                    mpi.put_region(&w, 0, 16 * mpi.rank(), 16);
+                    mpi.put_region(&w, 0, 16 * mpi.rank(), 16).unwrap();
                 }
                 mpi.fence_all();
                 (mpi.now(), w.snapshot())
@@ -1361,7 +1359,7 @@ mod tests {
         let out = uni(1).run(|mpi| {
             let w = mpi.win_create(4);
             w.fill_from(&[1., 2., 3., 4.]);
-            mpi.put_region(&w, 0, 0, 4); // self-put
+            mpi.put_region(&w, 0, 0, 4).unwrap(); // self-put
             mpi.fence_all();
             mpi.barrier();
             w.snapshot()
@@ -1375,7 +1373,7 @@ mod tests {
         let out = uni(2).run(|mpi| {
             let w = mpi.win_create(1024);
             if mpi.rank() == 0 {
-                mpi.put_region(&w, 1, 0, 1024);
+                mpi.put_region(&w, 1, 0, 1024).unwrap();
             }
             mpi.fence_all();
         });
@@ -1392,7 +1390,7 @@ mod tests {
         let out = uni(4).with_tracer(tracer.clone()).run(|mpi| {
             let w = mpi.win_create(64);
             if mpi.rank() != 0 {
-                mpi.put_region(&w, 0, 16 * mpi.rank(), 16);
+                mpi.put_region(&w, 0, 16 * mpi.rank(), 16).unwrap();
             }
             mpi.fence_all();
             mpi.barrier();
@@ -1418,7 +1416,7 @@ mod tests {
             uni(4).with_tracer(tracer.clone()).run(|mpi| {
                 let w = mpi.win_create(64);
                 if mpi.rank() != 0 {
-                    mpi.put_region_strided(&w, 0, mpi.rank(), 4, 8);
+                    mpi.put_region_strided(&w, 0, mpi.rank(), 4, 8).unwrap();
                 }
                 mpi.fence_all();
                 let v = mpi.allreduce(vec![1.0], AccumulateOp::Sum);
@@ -1435,7 +1433,7 @@ mod tests {
         if mpi.rank() != 0 {
             let data: Vec<f64> = (0..16).map(|i| (i * mpi.rank()) as f64).collect();
             w.lock()[16 * mpi.rank()..16 * (mpi.rank() + 1)].copy_from_slice(&data);
-            mpi.put_region(&w, 0, 16 * mpi.rank(), 16);
+            mpi.put_region(&w, 0, 16 * mpi.rank(), 16).unwrap();
         }
         mpi.fence_all();
         w.snapshot()
@@ -1472,12 +1470,9 @@ mod tests {
         };
         let err = uni(2)
             .with_faults(spec)
-            .try_run(|mpi| {
-                if mpi.rank() == 0 {
-                    mpi.send(1, 0, vec![1.0]);
-                } else {
-                    mpi.recv(0, 0);
-                }
+            .try_run_tasks(async |mpi: &mut Mpi| match mpi.rank() {
+                0 => mpi.send(1, 0, vec![1.0]),
+                _ => mpi.recv_async(0, 0).await.map(drop),
             })
             .unwrap_err();
         match err {
@@ -1499,7 +1494,7 @@ mod tests {
         };
         uni(2).with_faults(spec).run(|mpi| {
             if mpi.rank() == 0 {
-                mpi.send(1, 0, vec![1.0]);
+                mpi.send(1, 0, vec![1.0]).unwrap();
             } else {
                 mpi.recv(0, 0);
             }
@@ -1540,9 +1535,9 @@ mod tests {
     }
 
     #[test]
-    fn try_run_reraises_non_typed_panics() {
+    fn run_reraises_non_typed_panics() {
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _ = uni(2).try_run(|mpi| {
+            uni(2).run(|mpi| {
                 if mpi.rank() == 1 {
                     panic!("plain bug");
                 }
@@ -1557,10 +1552,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "RMA past end of window")]
     fn bounds_checked_puts() {
+        // Through the closure entry: `block_on` panics with the error's
+        // Display text, and `run` re-raises the first failure.
         uni(2).run(|mpi| {
             let w = mpi.win_create(4);
             if mpi.rank() == 0 {
-                mpi.put(&w, 1, 2, vec![0.0; 3]);
+                mpi.block_on(async |m| m.put(&w, 1, 2, vec![0.0; 3]));
             }
             mpi.fence_all();
         });
@@ -1571,7 +1568,7 @@ mod tests {
         let out = uni(2).run(|mpi| {
             let w = mpi.win_create(1 << 16);
             if mpi.rank() == 0 {
-                mpi.put_region(&w, 1, 0, 1 << 16);
+                mpi.put_region(&w, 1, 0, 1 << 16).unwrap();
             }
             mpi.fence_all();
             mpi.stats().clone()

@@ -7,13 +7,15 @@
 
 use std::time::Duration;
 
+use std::ops::AsyncFn;
+
 use cluster_sim::{ClusterConfig, Protocol};
 use mpi2::{Mpi, TransportPolicy, Universe, VpceError};
-use vpce_faults::{raise, FaultSpec};
+use vpce_faults::FaultSpec;
 use vpce_testkit::prelude::*;
 
 mod scripts;
-use scripts::{contended, epoch_script_gen, script_gen, within_watchdog, Op};
+use scripts::{contended, epoch_script_gen, play, script_gen, within_watchdog, Op};
 
 fn uni(n: usize) -> Universe {
     Universe::new(ClusterConfig::paper_n(n))
@@ -22,22 +24,22 @@ fn uni(n: usize) -> Universe {
 /// Run `body` on `n` ranks from a helper thread and hand back the run's
 /// verdict; panics if the run is still going when the watchdog expires
 /// or dies of an untyped panic.
-fn run_within_watchdog(
+fn run_within_watchdog<R: Send + 'static>(
     n: usize,
-    body: impl Fn(&mut Mpi) + Send + Sync + 'static,
+    body: impl AsyncFn(&mut Mpi) -> Result<R, VpceError> + Send + Sync + 'static,
 ) -> Result<(), VpceError> {
-    within_watchdog(move || uni(n).try_run(body).map(|_| ()))
+    within_watchdog(move || uni(n).try_run_tasks(body).map(|_| ()))
 }
 
 #[test]
 fn head_to_head_recv_cycle_is_a_typed_stall() {
     // Both ranks receive first: the classic two-rank deadlock.
     let err = uni(2)
-        .try_run(|mpi| {
+        .try_run_tasks(async |mpi: &mut Mpi| {
             let peer = 1 - mpi.rank();
-            let got = mpi.recv(peer, 0);
-            mpi.send(peer, 0, vec![1.0]);
-            got
+            let got = mpi.recv_async(peer, 0).await?;
+            mpi.send(peer, 0, vec![1.0])?;
+            Ok(got)
         })
         .unwrap_err();
     match err {
@@ -54,10 +56,11 @@ fn unmatched_recv_after_peer_finishes_is_a_typed_stall() {
     // Rank 0 exits without ever sending: rank 1's receive can never be
     // satisfied (the orphaned-handshake shape).
     let err = uni(2)
-        .try_run(|mpi| {
+        .try_run_tasks(async |mpi: &mut Mpi| {
             if mpi.rank() == 1 {
-                mpi.recv(0, 7);
+                mpi.recv_async(0, 7).await?;
             }
+            Ok(())
         })
         .unwrap_err();
     match err {
@@ -74,10 +77,11 @@ fn missing_collective_participant_is_a_typed_stall() {
     // Rank 0 skips the barrier and returns; the other ranks wait for a
     // generation that can never complete.
     let err = uni(3)
-        .try_run(|mpi| {
+        .try_run_tasks(async |mpi: &mut Mpi| {
             if mpi.rank() != 0 {
-                mpi.barrier();
+                mpi.barrier_async().await?;
             }
+            Ok(())
         })
         .unwrap_err();
     match err {
@@ -98,16 +102,17 @@ fn crash_mid_rendezvous_orphans_the_peer_with_a_typed_error() {
     const RTS: i32 = 1000;
     const CTS: i32 = 1001;
     let err = uni(2)
-        .try_run(|mpi| {
+        .try_run_tasks(async |mpi: &mut Mpi| {
             if mpi.rank() == 0 {
-                mpi.send(1, RTS, vec![0.0]);
-                mpi.recv(1, CTS); // orphaned: the CTS never comes
+                mpi.send(1, RTS, vec![0.0])?;
+                mpi.recv_async(1, CTS).await?; // orphaned: the CTS never comes
+                Ok(())
             } else {
-                mpi.recv(0, RTS);
-                raise(VpceError::RankCrash {
+                mpi.recv_async(0, RTS).await?;
+                Err(VpceError::RankCrash {
                     rank: 1,
                     region: "mid-rendezvous".into(),
-                });
+                })
             }
         })
         .unwrap_err();
@@ -125,7 +130,7 @@ fn slow_but_progressing_runs_are_never_flagged() {
         if mpi.rank() == 0 {
             for _ in 0..4 {
                 std::thread::sleep(Duration::from_millis(20));
-                mpi.send(1, 0, vec![1.0]);
+                mpi.send(1, 0, vec![1.0]).unwrap();
             }
             0.0
         } else {
@@ -162,7 +167,7 @@ fn eager_retransmit_under_saturated_pool_never_double_acquires() {
                 // 2x oversubscribed: slots stay pinned to the fence,
                 // the overflow falls back to rendezvous.
                 for i in 0..2 * slots {
-                    mpi.put(&w, 1, i, vec![(i + 1) as f64]);
+                    mpi.put(&w, 1, i, vec![(i + 1) as f64]).unwrap();
                 }
             }
             mpi.fence_all();
@@ -187,12 +192,13 @@ fn eager_retransmit_under_saturated_pool_never_double_acquires() {
 
 #[test]
 fn relocking_a_held_shard_is_a_typed_lock_state_error() {
-    let err = run_within_watchdog(2, |mpi| {
-        let w = mpi.win_create(4);
+    let err = run_within_watchdog(2, async |mpi: &mut Mpi| {
+        let w = mpi.win_create_async(4).await?;
         if mpi.rank() == 0 {
-            mpi.win_lock(&w, 1);
-            mpi.win_lock(&w, 1);
+            mpi.win_lock_async(&w, 1).await?;
+            mpi.win_lock_async(&w, 1).await?;
         }
+        Ok(())
     })
     .unwrap_err();
     assert!(matches!(err, VpceError::LockState { .. }), "got {err:?}");
@@ -204,18 +210,18 @@ fn lock_held_across_a_barrier_a_peer_needs_is_a_typed_stall() {
     // Rank 0 enters the barrier inside its epoch; rank 1 wants the same
     // shard before it can reach the barrier. The send/recv pair orders
     // the two lock calls.
-    let err = run_within_watchdog(2, |mpi| {
-        let w = mpi.win_create(4);
+    let err = run_within_watchdog(2, async |mpi: &mut Mpi| {
+        let w = mpi.win_create_async(4).await?;
         if mpi.rank() == 0 {
-            mpi.win_lock(&w, 1);
-            mpi.send(1, 0, vec![0.0]);
-            mpi.barrier();
-            mpi.win_unlock(&w, 1);
+            mpi.win_lock_async(&w, 1).await?;
+            mpi.send(1, 0, vec![0.0])?;
+            mpi.barrier_async().await?;
+            mpi.win_unlock(&w, 1)
         } else {
-            mpi.recv(0, 0);
-            mpi.win_lock(&w, 1);
-            mpi.win_unlock(&w, 1);
-            mpi.barrier();
+            mpi.recv_async(0, 0).await?;
+            mpi.win_lock_async(&w, 1).await?;
+            mpi.win_unlock(&w, 1)?;
+            mpi.barrier_async().await
         }
     })
     .unwrap_err();
@@ -233,14 +239,14 @@ fn lock_held_across_a_barrier_a_peer_needs_is_a_typed_stall() {
 fn ab_ba_lock_cycle_is_a_typed_stall() {
     // Each rank takes its own shard's lock, then (after the exchange
     // that makes sure both hold one) wants the other's.
-    let err = run_within_watchdog(2, |mpi| {
-        let w = mpi.win_create(4);
+    let err = run_within_watchdog(2, async |mpi: &mut Mpi| {
+        let w = mpi.win_create_async(4).await?;
         let (me, peer) = (mpi.rank(), 1 - mpi.rank());
-        mpi.win_lock(&w, me);
-        mpi.sendrecv(peer, 0, vec![0.0], peer, 0);
-        mpi.win_lock(&w, peer);
-        mpi.win_unlock(&w, peer);
-        mpi.win_unlock(&w, me);
+        mpi.win_lock_async(&w, me).await?;
+        mpi.sendrecv_async(peer, 0, vec![0.0], peer, 0).await?;
+        mpi.win_lock_async(&w, peer).await?;
+        mpi.win_unlock(&w, peer)?;
+        mpi.win_unlock(&w, me)
     })
     .unwrap_err();
     match err {
@@ -259,23 +265,8 @@ fn ab_ba_lock_cycle_is_a_typed_stall() {
 /// The verdict kind of one execution: `ok`, or the typed error's kind.
 fn execute(script: &[Vec<Op>]) -> &'static str {
     let ranks = script.to_vec();
-    let verdict = run_within_watchdog(script.len(), move |mpi| {
-        let wins = [mpi.win_create(4), mpi.win_create(4)];
-        let w = &wins[0];
-        for op in &ranks[mpi.rank()] {
-            match *op {
-                Op::Barrier => mpi.barrier(),
-                Op::Send { to, tag } => mpi.send(to, tag, vec![1.0]),
-                Op::Recv { from, tag } => drop(mpi.recv(from, tag)),
-                Op::Lock { target } => mpi.win_lock(w, target),
-                Op::Unlock { target } => mpi.win_unlock(w, target),
-                Op::PutNow { target } => mpi.put_now(w, target, 0, vec![2.0]),
-                Op::Put { win, target } => mpi.put(&wins[win], target, 0, vec![3.0]),
-                Op::Fence { win: None } => mpi.fence_all(),
-                Op::Fence { win: Some(win) } => mpi.win_fence(wins[win].id()),
-                Op::Finish => return,
-            }
-        }
+    let verdict = run_within_watchdog(script.len(), async move |mpi: &mut Mpi| {
+        play(mpi, &ranks[mpi.rank()]).await
     });
     verdict.map_or_else(|e| e.kind(), |()| "ok")
 }

@@ -8,7 +8,7 @@
 use cluster_sim::ClusterConfig;
 use mpi2::{AccumulateOp, Mpi, Universe, VpceError, WindowRef};
 
-type Call = fn(&mut Mpi, &WindowRef);
+type Call = fn(&mut Mpi, &WindowRef) -> Result<(), VpceError>;
 
 /// A stride whose second multiple wraps a `usize`.
 const HUGE: usize = usize::MAX / 2 + 1;
@@ -18,18 +18,18 @@ const HUGE: usize = usize::MAX / 2 + 1;
 /// `length_only` — then everyone fences.
 fn issue(lens: [usize; 2], length_only: bool, call: Call) -> Result<(), VpceError> {
     Universe::new(ClusterConfig::paper_n(2))
-        .try_run(move |mpi| {
+        .try_run_tasks(async move |mpi: &mut Mpi| {
             let len = lens[mpi.rank()];
             let w = if length_only {
-                mpi.win_create_length_only(len)
+                mpi.win_create_length_only_async(len).await?
             } else {
-                mpi.win_create(len)
+                mpi.win_create_async(len).await?
             };
             assert_eq!((w.len(), w.lock().capacity()), (len, if length_only { 0 } else { len }));
             if mpi.rank() == 0 {
-                call(mpi, &w);
+                call(mpi, &w)?;
             }
-            mpi.fence_all();
+            mpi.fence_all_async().await
         })
         .map(|_| ())
 }

@@ -87,7 +87,7 @@ fn put_batches_match_oracle() {
                 let w = mpi.win_create(WIN);
                 for (i, p) in puts2.iter().enumerate() {
                     if p.origin == mpi.rank() {
-                        mpi.put(&w, p.target, p.off, vec![(i + 1) as f64; p.len]);
+                        mpi.put(&w, p.target, p.off, vec![(i + 1) as f64; p.len]).unwrap();
                     }
                 }
                 mpi.fence_all();
@@ -115,7 +115,7 @@ fn virtual_times_are_reproducible() {
                     let w = mpi.win_create(WIN);
                     for (i, p) in puts.iter().enumerate() {
                         if p.origin == mpi.rank() {
-                            mpi.put(&w, p.target, p.off, vec![(i + 1) as f64; p.len]);
+                            mpi.put(&w, p.target, p.off, vec![(i + 1) as f64; p.len]).unwrap();
                         }
                     }
                     mpi.fence_all();
@@ -144,7 +144,7 @@ fn epoch_rule_no_visibility_before_fence() {
                 let out = uni.run(move |mpi| {
                     let w = mpi.win_create(WIN);
                     if mpi.rank() == 0 {
-                        mpi.put(&w, 1, target_off, vec![7.0; len]);
+                        mpi.put(&w, 1, target_off, vec![7.0; len]).unwrap();
                     }
                     // Both ranks snapshot *before* the fence.
                     let before = w.snapshot();

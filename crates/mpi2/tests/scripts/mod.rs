@@ -1,12 +1,15 @@
-//! The random blocking scripts of the no-script-hangs property, and
-//! the watchdog they run under — shared by `tests/deadlock_detect.rs`
-//! (the closure entry, from outside the crate) and the in-crate engine
-//! tests (`src/engine_tests.rs`: every worker count, both entries).
+//! The random blocking scripts of the no-script-hangs property, the
+//! rank body that plays them, and the watchdog they run under — shared
+//! by `tests/deadlock_detect.rs` (the task entry, from outside the
+//! crate) and the in-crate engine tests (`src/engine_tests.rs`: every
+//! worker count).
 
 use std::sync::mpsc::{self, RecvTimeoutError};
 use std::time::Duration;
 
 use vpce_testkit::prelude::*;
+
+use super::{Mpi, VpceError};
 
 /// How long a program that must *end* may take before it counts as
 /// hung. Every program here finishes in milliseconds.
@@ -59,6 +62,32 @@ pub enum Op {
     },
     /// Return from the SPMD closure here, whatever is still open.
     Finish,
+}
+
+/// One rank of a script: its ops against two four-element windows
+/// (locks and `put_now` use the first). The result is how many it got
+/// through (the windows' contents would not do: a script may end a rank
+/// while a peer still puts into it).
+pub async fn play(mpi: &mut Mpi, ops: &[Op]) -> Result<usize, VpceError> {
+    let wins = [mpi.win_create_async(4).await?, mpi.win_create_async(4).await?];
+    let w = &wins[0];
+    for (done, op) in ops.iter().enumerate() {
+        match *op {
+            Op::Barrier => mpi.barrier_async().await?,
+            Op::Send { to, tag } => mpi.send(to, tag, vec![1.0])?,
+            Op::Recv { from, tag } => drop(mpi.recv_async(from, tag).await?),
+            Op::Lock { target } => mpi.win_lock_async(w, target).await?,
+            Op::Unlock { target } => mpi.win_unlock(w, target)?,
+            Op::PutNow { target } => mpi.put_now(w, target, 0, vec![2.0])?,
+            // Every origin writes element 0: racing PUTs, so the
+            // conflict ledger's record order is under test as well.
+            Op::Put { win, target } => mpi.put(&wins[win], target, 0, vec![3.0])?,
+            Op::Fence { win: None } => mpi.fence_all_async().await?,
+            Op::Fence { win: Some(win) } => mpi.win_fence_async(wins[win].id()).await?,
+            Op::Finish => return Ok(done),
+        }
+    }
+    Ok(ops.len())
 }
 
 /// One op list per rank, 2–4 ranks, every rank index in range. Built

@@ -37,10 +37,10 @@ fn run(xfers: &[Xfer], strided: bool) -> (Vec<Vec<f64>>, mpi2::RankStats) {
             for (tag, x) in xfers.iter().enumerate() {
                 let data: Vec<f64> = (0..x.len).map(|i| (tag * 100 + i + 1) as f64).collect();
                 if strided {
-                    mpi.put_strided(&w, 1, x.off, x.stride, data);
+                    mpi.put_strided(&w, 1, x.off, x.stride, data).unwrap();
                 } else {
                     for (i, v) in data.into_iter().enumerate() {
-                        mpi.put(&w, 1, x.off + i * x.stride, vec![v]);
+                        mpi.put(&w, 1, x.off + i * x.stride, vec![v]).unwrap();
                     }
                 }
             }
@@ -95,7 +95,7 @@ fn unit_stride_strided_put_equals_contiguous_put() {
     let contig = uni.run(move |mpi| {
         let w = mpi.win_create(WIN);
         if mpi.rank() == 0 {
-            mpi.put(&w, 1, 8, (1..=12).map(f64::from).collect());
+            mpi.put(&w, 1, 8, (1..=12).map(f64::from).collect()).unwrap();
         }
         mpi.fence_all();
         w.snapshot()
@@ -104,7 +104,7 @@ fn unit_stride_strided_put_equals_contiguous_put() {
     let strided = uni.run(move |mpi| {
         let w = mpi.win_create(WIN);
         if mpi.rank() == 0 {
-            mpi.put_strided(&w, 1, 8, 1, (1..=12).map(f64::from).collect());
+            mpi.put_strided(&w, 1, 8, 1, (1..=12).map(f64::from).collect()).unwrap();
         }
         mpi.fence_all();
         w.snapshot()
@@ -127,7 +127,7 @@ fn one_pio_op_beats_one_dma_descriptor_per_element() {
         let w = mpi.win_create(WIN);
         if mpi.rank() == 0 {
             for i in 0..elems {
-                mpi.put(&w, 1, i * 3, vec![(i + 1) as f64]);
+                mpi.put(&w, 1, i * 3, vec![(i + 1) as f64]).unwrap();
             }
         }
         mpi.fence_all();
@@ -138,7 +138,7 @@ fn one_pio_op_beats_one_dma_descriptor_per_element() {
         let w = mpi.win_create(WIN);
         if mpi.rank() == 0 {
             let data = (1..=elems).map(|i| i as f64).collect();
-            mpi.put_strided(&w, 1, 0, 3, data);
+            mpi.put_strided(&w, 1, 0, 3, data).unwrap();
         }
         mpi.fence_all();
         w.snapshot()

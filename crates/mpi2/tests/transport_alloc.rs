@@ -34,9 +34,9 @@ fn steady_state_region_transfers_do_not_allocate() {
         // buffer capacity, lazy pool state) happens before measuring.
         for epoch in 0..4 {
             for i in 0..16 {
-                mpi.put_region(&w, 0, (epoch * 64 + i * 8) % 2048, 8);
-                mpi.put_region_strided(&w, 0, i * 16, 2, 8);
-                mpi.put_region(&w, 0, 2048, 2048); // rendezvous-sized
+                mpi.put_region(&w, 0, (epoch * 64 + i * 8) % 2048, 8).unwrap();
+                mpi.put_region_strided(&w, 0, i * 16, 2, 8).unwrap();
+                mpi.put_region(&w, 0, 2048, 2048).unwrap(); // rendezvous-sized
             }
             mpi.fence_all();
         }
@@ -44,9 +44,9 @@ fn steady_state_region_transfers_do_not_allocate() {
         // Steady state: eager (small), rendezvous (large), strided.
         let before = ALLOC.allocations();
         for i in 0..16 {
-            mpi.put_region(&w, 0, (i * 8) % 2048, 8);
-            mpi.put_region_strided(&w, 0, (i * 4) % 512, 4, 8);
-            mpi.put_region(&w, 0, 2048, 2048);
+            mpi.put_region(&w, 0, (i * 8) % 2048, 8).unwrap();
+            mpi.put_region_strided(&w, 0, (i * 4) % 512, 4, 8).unwrap();
+            mpi.put_region(&w, 0, 2048, 2048).unwrap();
         }
         let during = ALLOC.allocations() - before;
         mpi.fence_all();

@@ -193,7 +193,7 @@ fn run(sc: &Scenario, length_only: bool) -> (Vec<Vec<f64>>, String) {
         for (k, op) in sc.progs[r].iter().enumerate() {
             let off = r * SEG + op.off;
             let buf = || op.payload(r, k);
-            match (op.get, op.src, op.acc, op.stride) {
+            let issued = match (op.get, op.src, op.acc, op.stride) {
                 (true, _, _, 1) => mpi.get(&w, op.target, off, op.len),
                 (true, _, _, s) => mpi.get_strided(&w, op.target, off, s, op.len),
                 (false, _, Some(a), _) => mpi.accumulate(&w, op.target, off, buf(), a),
@@ -205,7 +205,8 @@ fn run(sc: &Scenario, length_only: bool) -> (Vec<Vec<f64>>, String) {
                 (false, Src::UserBuffer, None, s) => {
                     mpi.put_strided(&w, op.target, off, s, buf())
                 }
-            }
+            };
+            issued.unwrap();
         }
         mpi.fence_all();
         w.snapshot()
@@ -280,37 +281,37 @@ fn mixed_window_forms_cost_the_same_and_leave_backed_shards_untouched() {
             mpi.barrier();
             match r {
                 0 => {
-                    mpi.put_region(&w, 1, 0, 8);
-                    mpi.put_region(&w, 2, SEG, SEG);
-                    mpi.put_strided(&w, 1, 100, 3, vec![2.0; 5]);
-                    mpi.accumulate(&w, 2, 120, vec![1.0; 4], AccumulateOp::Sum);
-                    mpi.get(&w, 1, 16, 8);
-                    mpi.get_strided(&w, 2, 40, 2, 8);
+                    mpi.put_region(&w, 1, 0, 8).unwrap();
+                    mpi.put_region(&w, 2, SEG, SEG).unwrap();
+                    mpi.put_strided(&w, 1, 100, 3, vec![2.0; 5]).unwrap();
+                    mpi.accumulate(&w, 2, 120, vec![1.0; 4], AccumulateOp::Sum).unwrap();
+                    mpi.get(&w, 1, 16, 8).unwrap();
+                    mpi.get_strided(&w, 2, 40, 2, 8).unwrap();
                 }
                 1 => {
-                    mpi.put_region(&w, 0, 2 * SEG, 8);
-                    mpi.put(&w, 0, 200, vec![3.0; 800]);
-                    mpi.accumulate(&w, 0, 1004, vec![1e9; 4], AccumulateOp::Max);
-                    mpi.get_strided(&w, 0, 8, 2, 4);
+                    mpi.put_region(&w, 0, 2 * SEG, 8).unwrap();
+                    mpi.put(&w, 0, 200, vec![3.0; 800]).unwrap();
+                    mpi.accumulate(&w, 0, 1004, vec![1e9; 4], AccumulateOp::Max).unwrap();
+                    mpi.get_strided(&w, 0, 8, 2, 4).unwrap();
                 }
                 _ => {
-                    mpi.put_region_strided(&w, 0, 2 * SEG, 4, 8);
-                    mpi.get(&w, 0, 2100, 900);
+                    mpi.put_region_strided(&w, 0, 2 * SEG, 4, 8).unwrap();
+                    mpi.get(&w, 0, 2100, 900).unwrap();
                 }
             }
             mpi.fence_all();
             // One rank at a time: lock order is otherwise OS-scheduled.
             if r == 0 {
                 mpi.win_lock(&w, 1);
-                mpi.put_now(&w, 1, 4, vec![9.0; 4]);
-                mpi.accumulate_now(&w, 1, 4, vec![1.0; 4], AccumulateOp::Sum);
-                mpi.win_unlock(&w, 1);
+                mpi.put_now(&w, 1, 4, vec![9.0; 4]).unwrap();
+                mpi.accumulate_now(&w, 1, 4, vec![1.0; 4], AccumulateOp::Sum).unwrap();
+                mpi.win_unlock(&w, 1).unwrap();
             }
             mpi.barrier();
             if r == 1 {
                 mpi.win_lock(&w, 0);
-                mpi.accumulate_now(&w, 0, 0, vec![5.0; 2], AccumulateOp::Prod);
-                mpi.win_unlock(&w, 0);
+                mpi.accumulate_now(&w, 0, 0, vec![5.0; 2], AccumulateOp::Prod).unwrap();
+                mpi.win_unlock(&w, 0).unwrap();
             }
             mpi.barrier();
             w.snapshot()
@@ -340,7 +341,7 @@ fn protocol_split_follows_the_policy_threshold() {
         let out = uni.run(move |mpi| {
             let w = mpi.win_create(WIN);
             if mpi.rank() == 0 {
-                mpi.put_region(&w, 1, 0, len);
+                mpi.put_region(&w, 1, 0, len).unwrap();
             }
             mpi.fence_all();
         });
@@ -376,7 +377,7 @@ fn exhausted_pool_backpressures_across_epochs_and_recovers() {
         for epoch in 0..3 {
             if mpi.rank() == 0 {
                 for i in 0..slots + 4 {
-                    mpi.put(&w, 1, (epoch * (slots + 4) + i) % WIN, vec![1.0]);
+                    mpi.put(&w, 1, (epoch * (slots + 4) + i) % WIN, vec![1.0]).unwrap();
                 }
             }
             mpi.fence_all();

@@ -1,5 +1,8 @@
 //! The epoch analysis over an [`RmaTrace`]:
 //!
+//! 0. **Window bounds** — every operation and compute footprint must
+//!    stay inside its window's declared length (VPCE007), or the run
+//!    ends in "RMA past end of window" or a subscript out of range.
 //! 1. **Sync alignment** — every rank must execute the same sequence
 //!    of fences/barriers/collectives, or the program deadlocks and
 //!    fences pair across different epochs (VPCE005).
@@ -91,6 +94,35 @@ fn pair_code(a: &Effect, b: &Effect) -> Code {
         Code::PutGet
     } else {
         Code::PutPut
+    }
+}
+
+/// Flag every operation of `trace` whose footprint reaches outside
+/// its window, `lens[win]` elements long (VPCE007).
+pub fn check_bounds(trace: &RmaTrace, lens: &[usize], out: &mut LintReport) {
+    for (r, evs) in trace.ranks.iter().enumerate() {
+        for e in evs {
+            let Event::Rma(op) = e else { continue };
+            let (lo, hi) = op.region.extent();
+            let len = lens[op.win];
+            if lo >= 0 && usize::try_from(hi).is_ok_and(|hi| hi < len) {
+                continue;
+            }
+            out.push(Diagnostic {
+                code: Code::WindowBounds,
+                win: op.win,
+                win_name: trace.win_name(op.win).to_string(),
+                shard: op.target,
+                ranks: (r, r),
+                line: op.line,
+                site: op.site.as_str().into(),
+                detail: format!(
+                    "{} by rank {r} touches elements {lo}..={hi} of a window \
+                     of {len} elements",
+                    kind_name(op.kind)
+                ),
+            });
+        }
     }
 }
 
@@ -427,6 +459,35 @@ mod tests {
             }
         });
         assert_eq!(sizes.last(), Some(&2448), "the collect epoch: {sizes:?}");
+    }
+
+    #[test]
+    fn footprints_past_a_window_end_flag_vpce007() {
+        let mut t = two_rank_trace();
+        t.op(1, op(AccessKind::Put, 0, 0, 12, 4)); // elements 12..=15: in range
+        t.op(1, op(AccessKind::Put, 0, 0, 13, 4)); // ..=16: one past the end
+        t.op(0, op(AccessKind::LocalWrite, 0, 0, -1, 2));
+        t.sync_all(SyncKind::Fence);
+        let mut r = crate::diag::new_report("t");
+        check_bounds(&t, &[16], &mut r);
+        r.sort();
+        let found: Vec<_> = r.diags.iter().map(|d| (d.code, d.ranks, d.detail.as_str())).collect();
+        assert_eq!(
+            found,
+            [
+                (
+                    Code::WindowBounds,
+                    (0, 0),
+                    "local store by rank 0 touches elements -1..=0 of a window of 16 elements"
+                ),
+                (
+                    Code::WindowBounds,
+                    (1, 1),
+                    "PUT by rank 1 touches elements 13..=16 of a window of 16 elements"
+                ),
+            ]
+        );
+        assert_eq!(r.exit_code(), 2);
     }
 
     #[test]

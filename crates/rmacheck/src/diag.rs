@@ -30,6 +30,10 @@ pub enum Code {
     /// An AVPG-elided collect left the master copy stale, and the
     /// stale region is consumed later (or survives to program exit).
     UnsoundElision,
+    /// An RMA operation or a compute footprint reaches outside its
+    /// window's declared length: the run would end in "RMA past end of
+    /// window" or a subscript out of range.
+    WindowBounds,
     /// One origin wrote the same elements twice in one epoch
     /// (last-writer ambiguity; the simulator resolves it by sequence
     /// number, real MPI-2 does not).
@@ -49,6 +53,7 @@ impl Code {
             Code::Unfenced => "VPCE004",
             Code::DivergentSync => "VPCE005",
             Code::UnsoundElision => "VPCE006",
+            Code::WindowBounds => "VPCE007",
             Code::SameOriginOverlap => "VPCE101",
             Code::RedundantOverlap => "VPCE102",
         }
@@ -161,6 +166,7 @@ mod tests {
         assert_eq!(Code::Unfenced.as_str(), "VPCE004");
         assert_eq!(Code::DivergentSync.as_str(), "VPCE005");
         assert_eq!(Code::UnsoundElision.as_str(), "VPCE006");
+        assert_eq!(Code::WindowBounds.as_str(), "VPCE007");
         assert_eq!(Code::SameOriginOverlap.as_str(), "VPCE101");
         assert_eq!(Code::RedundantOverlap.as_str(), "VPCE102");
     }

@@ -9,9 +9,10 @@
 //! 1. the lowered SPMD program and its communication plan are lowered
 //!    once more into per-rank event streams ([`trace::RmaTrace`]),
 //!    mirroring the runtime's emission order exactly ([`lower`]);
-//! 2. the epoch analysis ([`check`]) verifies synchronisation
-//!    alignment (VPCE005), epoch closure (VPCE004) and scans each
-//!    fence-delimited epoch for undefined-outcome pairs
+//! 2. the epoch analysis ([`check`]) verifies that every footprint
+//!    stays inside its window's declared length (VPCE007),
+//!    synchronisation alignment (VPCE005), epoch closure (VPCE004) and
+//!    scans each fence-delimited epoch for undefined-outcome pairs
 //!    (VPCE001/002/003, warnings VPCE101/102) using the exact
 //!    LMAD intersection algebra of `crates/lmad`;
 //! 3. the AVPG staleness pass ([`stale`]) re-derives the soundness of
@@ -59,7 +60,10 @@ impl Default for LintOptions {
 /// Run the full static check over a compiled program.
 pub fn lint(prog: &SpmdProgram, report: &PlanReport, opts: &LintOptions) -> LintReport {
     let mut out = diag::new_report(prog.name.clone());
-    check::check_trace(&lower::lower(prog, report), &mut out);
+    let trace = lower::lower(prog, report);
+    let lens: Vec<usize> = prog.arrays.iter().map(|(_, len)| *len).collect();
+    check::check_bounds(&trace, &lens, &mut out);
+    check::check_trace(&trace, &mut out);
     stale::check_elisions(prog, report, opts, &mut out);
     out.sort();
     out

@@ -107,14 +107,14 @@ fn run_dynamic(plan: &Plan) -> Vec<mpi2::ConflictRecord> {
                 if op.is_put {
                     let data = vec![me as f64 + 1.0; op.count];
                     if op.stride == 1 {
-                        mpi.put(w, op.target, op.off, data);
+                        mpi.put(w, op.target, op.off, data).unwrap();
                     } else {
-                        mpi.put_strided(w, op.target, op.off, op.stride, data);
+                        mpi.put_strided(w, op.target, op.off, op.stride, data).unwrap();
                     }
                 } else if op.stride == 1 {
-                    mpi.get(w, op.target, op.off, op.count);
+                    mpi.get(w, op.target, op.off, op.count).unwrap();
                 } else {
-                    mpi.get_strided(w, op.target, op.off, op.stride, op.count);
+                    mpi.get_strided(w, op.target, op.off, op.stride, op.count).unwrap();
                 }
             }
             mpi.fence_all();

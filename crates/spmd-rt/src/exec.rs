@@ -3,12 +3,11 @@
 
 use std::collections::BTreeSet;
 use std::ops::AsyncFn;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 use cluster_sim::{ClusterConfig, CpuModel};
 use mpi2::{AccumulateOp, Elem, Mpi, RankStats, RunOutcome, Universe, WindowRef};
 use vbus_sim::NetStats;
-use vpce_faults::{raise, site, take_raised, FaultSpec, VpceError};
+use vpce_faults::{site, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Lane, TraceReport, Tracer};
 
 use crate::ir::*;
@@ -156,12 +155,12 @@ pub fn try_execute_suppressed(
             cluster: cluster.num_nodes(),
         });
     }
+    let body = rank_body(prog, mode, resume)?;
     let uni = Universe::new(cluster.clone())
         .with_tracer(tracer)
         .with_faults(faults)
         .with_crash_suppression(suppressed_crashes.clone());
-    let out = uni.try_run_tasks(rank_body(prog, mode, resume))?;
-    Ok(RunReport::from_outcome(out))
+    Ok(RunReport::from_outcome(uni.try_run_tasks(body)?))
 }
 
 /// What one rank of a compiled program returns: rank 0's final arrays
@@ -173,15 +172,25 @@ pub type RankOutput = (Vec<Vec<Elem>>, Vec<Value>, Vec<f64>);
 /// rank task: it yields wherever it has to wait for its peers, so ranks
 /// share worker threads. (`Mpi::block_on` runs the same body on a
 /// thread of its own; the differential suite holds the two equal.)
+///
+/// Lowered once, before any rank starts — every rank walks the same
+/// form by reference — and an `Analytic` run of a loop it cannot price
+/// is refused there.
 pub fn rank_body<'a>(
     prog: &'a SpmdProgram,
     mode: ExecMode,
     resume: Option<&'a crate::checkpoint::Snapshot>,
-) -> impl AsyncFn(&mut Mpi) -> RankOutput + Sync + 'a {
-    // Lowered once, before any rank starts; every rank walks the same
-    // form by reference.
+) -> Result<impl AsyncFn(&mut Mpi) -> Result<RankOutput, VpceError> + Sync + 'a, VpceError> {
     let code = lowered::lower_program(prog);
-    async move |mpi: &mut Mpi| run_rank(prog, &code, mpi, mode, resume).await
+    if mode == ExecMode::Analytic {
+        let skip = resume.map_or(0, |s| s.boundary);
+        let regions = code[skip..].iter().filter_map(|c| match c {
+            Code::Parallel(body) => Some(&body.block),
+            Code::MasterSeq(_) => None,
+        });
+        lowered::check_priceable(regions, &prog.scalars)?;
+    }
+    Ok(async move |mpi: &mut Mpi| run_rank(prog, &code, mpi, mode, resume).await)
 }
 
 impl RunReport {
@@ -213,21 +222,15 @@ pub fn execute_sequential(prog: &SpmdProgram, cpu: &CpuModel, mode: ExecMode) ->
 }
 
 /// Fallible [`execute_sequential`]: a typed [`VpceError`] when the
-/// program raises one (a type violation, a division by zero, a loop
-/// `Analytic` cannot price).
+/// program fails (a type violation, a division by zero, a subscript out
+/// of range, a loop `Analytic` cannot price).
 pub fn try_execute_sequential(
     prog: &SpmdProgram,
     cpu: &CpuModel,
     mode: ExecMode,
 ) -> Result<SeqReport, VpceError> {
-    // The error travels as a typed panic payload, as it does out of a
-    // rank thread; anything else that unwinds is a bug and goes on.
-    match catch_unwind(AssertUnwindSafe(|| run_sequential(prog, mode))) {
-        Ok((cycles, arrays, scalars)) => {
-            Ok(SeqReport { elapsed: cycles / cpu.clock_hz, arrays, scalars })
-        }
-        Err(payload) => Err(take_raised(payload).unwrap_or_else(|other| resume_unwind(other))),
-    }
+    let (cycles, arrays, scalars) = run_sequential(prog, mode)?;
+    Ok(SeqReport { elapsed: cycles / cpu.clock_hz, arrays, scalars })
 }
 
 /// The sequential form executed from zeroed state: (cycles, arrays,
@@ -235,18 +238,21 @@ pub fn try_execute_sequential(
 pub(crate) fn run_sequential(
     prog: &SpmdProgram,
     mode: ExecMode,
-) -> (f64, Vec<Vec<Elem>>, Vec<Value>) {
+) -> Result<(f64, Vec<Vec<Elem>>, Vec<Value>), VpceError> {
     let code = lowered::lower(&prog.sequential, &prog.scalars);
-    let mut st = State::new(&prog.scalars);
+    let mut st = State::new(prog);
     let mut mem: Vec<Vec<Elem>> = prog.arrays.iter().map(|(_, len)| vec![0.0; *len]).collect();
     match mode {
         ExecMode::Full => {
             let mut views: Vec<&mut [Elem]> = mem.iter_mut().map(Vec::as_mut_slice).collect();
-            st.run(&code, &mut views);
+            st.run(&code, &mut views)?;
         }
-        ExecMode::Analytic => st.cycles += st.price(&code),
+        ExecMode::Analytic => {
+            lowered::check_priceable([&code], &prog.scalars)?;
+            st.cycles += st.price(&code)?;
+        }
     }
-    (st.cycles, mem, st.values())
+    Ok((st.cycles, mem, st.values()))
 }
 
 impl From<RedOp> for AccumulateOp {
@@ -291,7 +297,7 @@ async fn run_rank(
     mpi: &mut Mpi,
     mode: ExecMode,
     resume: Option<&crate::checkpoint::Snapshot>,
-) -> RankOutput {
+) -> Result<RankOutput, VpceError> {
     let rank = mpi.rank();
     let t_init = mpi.now();
     // One window per array, full-size on every rank ("all data
@@ -302,9 +308,9 @@ async fn run_rank(
     let mut wins: Vec<WindowRef> = Vec::with_capacity(prog.arrays.len());
     for &(_, len) in &prog.arrays {
         wins.push(if backed {
-            mpi.win_create_async(len).await
+            mpi.win_create_async(len).await?
         } else {
-            mpi.win_create_length_only_async(len).await
+            mpi.win_create_length_only_async(len).await?
         });
     }
     // Lock-based reductions need a shared accumulator window.
@@ -316,10 +322,10 @@ async fn run_rank(
         .unwrap_or(0);
     let red_win: Option<WindowRef> = match max_reds {
         0 => None,
-        len => Some(mpi.win_create_async(len).await),
+        len => Some(mpi.win_create_async(len).await?),
     };
     phase(mpi, t_init, || "init".to_string());
-    let mut st = State::new(&prog.scalars);
+    let mut st = State::new(prog);
 
     // Resuming: master state (windows + scalars) is authoritative at
     // every block boundary — each parallel region ends collect → fence
@@ -355,7 +361,7 @@ async fn run_rank(
                     // Sequential sections are cheap scalar set-up;
                     // execute them numerically in both modes so
                     // integer control state stays meaningful.
-                    st.run(block, &mut views(&mut guards));
+                    st.run(block, &mut views(&mut guards))?;
                     drop(guards);
                     flush_cycles(&mut st, mpi);
                     phase(mpi, t_serial, || "serial".to_string());
@@ -364,7 +370,8 @@ async fn run_rank(
             Code::Parallel(body) => {
                 let (serial, _, region) =
                     todo.next().expect("one numbered region per parallel block");
-                run_region(region, body, mode, mpi, &wins, red_win.as_ref(), &mut st, serial).await;
+                run_region(region, body, mode, mpi, &wins, red_win.as_ref(), &mut st, serial)
+                    .await?;
             }
         }
         if rank == 0 {
@@ -380,7 +387,7 @@ async fn run_rank(
     } else {
         Vec::new()
     };
-    (arrays, st.values(), boundaries)
+    Ok((arrays, st.values(), boundaries))
 }
 
 type Guard<'a> = std::sync::MutexGuard<'a, Vec<Elem>>;
@@ -413,7 +420,7 @@ async fn run_region(
     red_win: Option<&WindowRef>,
     st: &mut State<'_>,
     region_serial: u64,
-) {
+) -> Result<(), VpceError> {
     let line = region.line;
     let (rank, nprocs) = (mpi.rank(), mpi.size());
     let red_win = || red_win.expect("reduction window created at startup");
@@ -427,8 +434,8 @@ async fn run_region(
         match step {
             // Rank-level fault draws, keyed (rank, region serial) so
             // the outcome is a pure function of the schedule, not of
-            // thread interleaving. A crash unwinds before the join
-            // barrier; peers then leave their collectives with
+            // thread interleaving. A crash ends the rank before the
+            // join barrier; peers then leave their collectives with
             // `PeerFailure` and the universe reports the crash as the
             // root cause.
             Step::CrashPoint => {
@@ -439,21 +446,21 @@ async fn run_region(
                     slow_factor = spec.slow_factor;
                 }
                 if inj.crash_hits(key) {
-                    raise(VpceError::RankCrash {
+                    return Err(VpceError::RankCrash {
                         rank,
                         region: format!("L{line}"),
                     });
                 }
             }
-            Step::Sync(SyncKind::Barrier) => mpi.barrier_async().await,
-            Step::Sync(SyncKind::Fence) => mpi.fence_all_async().await,
+            Step::Sync(SyncKind::Barrier) => mpi.barrier_async().await?,
+            Step::Sync(SyncKind::Fence) => mpi.fence_all_async().await?,
             // Shared scalars travel master -> everyone (values as f64;
             // the typed store restores integers).
             Step::Sync(SyncKind::Bcast) => {
                 let payload = (rank == 0).then(|| {
                     region.scalars_in.iter().map(|&s| st.real_of(s)).collect::<Vec<f64>>()
                 });
-                let vals = mpi.bcast_async(0, payload).await;
+                let vals = mpi.bcast_async(0, payload).await?;
                 for (&slot, &v) in region.scalars_in.iter().zip(&vals) {
                     st.store_real(slot, v);
                 }
@@ -462,12 +469,12 @@ async fn run_region(
             // collective per reduction.
             Step::Sync(SyncKind::Reduce) => {
                 let (i, red) = tree_reds.next().expect("one reduce step per reduction");
-                if let Some(v) = mpi.reduce_async(0, vec![partials[i]], red.op.into()).await {
+                if let Some(v) = mpi.reduce_async(0, vec![partials[i]], red.op.into()).await? {
                     st.store_real(red.scalar, combine(red.op, saved[i], v[0]));
                 }
             }
             Step::Rma { op, target, get, .. } => {
-                transfer(mpi, &wins[op.array], target, &op.transfer, get)
+                transfer(mpi, &wins[op.array], target, &op.transfer, get)?
             }
             Step::Compute => {
                 // Reductions: save master's running value, seed local
@@ -485,9 +492,9 @@ async fn run_region(
                     match mode {
                         ExecMode::Full => {
                             let mut guards = lock_all(wins);
-                            st.run_trips(body, first, step, count, &mut views(&mut guards));
+                            st.run_trips(body, first, step, count, &mut views(&mut guards))?;
                         }
-                        ExecMode::Analytic => st.cycles += st.price_trips(body, first, step, count),
+                        ExecMode::Analytic => st.cycles += st.price_trips(body, first, step, count)?,
                     }
                     // SPMD addressing overhead on the region's compute;
                     // an injected rank slowdown stretches the same
@@ -508,9 +515,9 @@ async fn run_region(
             }
             Step::LockAccumulate => {
                 for (i, red) in region.reductions.iter().enumerate() {
-                    mpi.win_lock_async(red_win(), 0).await;
-                    mpi.accumulate_now(red_win(), 0, i, vec![partials[i]], red.op.into());
-                    mpi.win_unlock(red_win(), 0);
+                    mpi.win_lock_async(red_win(), 0).await?;
+                    mpi.accumulate_now(red_win(), 0, i, vec![partials[i]], red.op.into())?;
+                    mpi.win_unlock(red_win(), 0)?;
                 }
             }
             Step::LockCombine => {
@@ -527,6 +534,7 @@ async fn run_region(
             }
         }
     }
+    Ok(())
 }
 
 /// The current values of the region's reduction scalars.
@@ -536,7 +544,13 @@ fn reduction_values(region: &ParRegion, st: &State) -> Vec<f64> {
 
 /// Issue one planned transfer — a GET from `target` or a PUT to it —
 /// on the contiguous (DMA) or the strided (programmed-I/O) path.
-fn transfer(mpi: &mut Mpi, win: &WindowRef, target: usize, t: &lmad::RegionTransfer, get: bool) {
+fn transfer(
+    mpi: &mut Mpi,
+    win: &WindowRef,
+    target: usize,
+    t: &lmad::RegionTransfer,
+    get: bool,
+) -> Result<(), VpceError> {
     debug_assert!(t.offset >= 0, "transfers are in-bounds by construction");
     let (offset, stride, count) = (t.offset as usize, t.stride as usize, t.count as usize);
     match (get, t.is_contiguous()) {

@@ -25,7 +25,7 @@
 //! of a polynomial over it has the same value. A tree built from those
 //! operators over INTEGER scalars and constants in which every product
 //! has a constant factor therefore folds into one [`Affine`] node
-//! `c0 + Σ kᵢ·scalar[sᵢ]`. Affine nodes cannot raise, so no error moves.
+//! `c0 + Σ kᵢ·scalar[sᵢ]`. Affine nodes cannot fail, so no error moves.
 //!
 //! **Block-summed costs are exact.** Each [`Block`] carries the sum of
 //! its statements' shallow costs ([`instr_cycles`]: the tree's
@@ -39,7 +39,7 @@
 //!
 //! **Innermost loops run as streams.** A loop body of array and
 //! REAL-scalar stores whose subscripts are all [`Affine`] nodes over an
-//! INTEGER loop variable cannot raise, and each subscript is linear in
+//! INTEGER loop variable cannot fail, and each subscript is linear in
 //! the variable — an LMAD walk: a base fixed on loop entry and a
 //! constant stride per trip. Such a body gets a [`Stream`]: every
 //! affine node is a [`Cursor`]; every maximal subtree that reads
@@ -52,15 +52,20 @@
 //! the per-trip walk has, hence its bits. `State::run_trips` proves
 //! every subscript cursor's first and last index in range on entry
 //! (linear, so every index between is too) and otherwise leaves the
-//! entry to the per-trip walk, which reports the first bad access as it
-//! always did. Costs are charged on entry either way; `Analytic` never
-//! sees a stream.
+//! entry to the per-trip walk, which reports the first bad access as a
+//! typed `SubscriptRange`. Costs are charged on entry either way;
+//! `Analytic` never sees a stream.
+//!
+//! **Errors are one word.** The per-trip walk returns [`Eval`], its
+//! error boxed, so a value comes back in registers; streams have no
+//! error path at all, and what `Analytic` cannot price is refused
+//! before anything runs ([`check_priceable`]).
 
 use mpi2::Elem;
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
 
 use crate::cost::{instr_cycles, TRIP_CYCLES};
-use crate::ir::{self, BinOp, Expr, Instr, IntrinsicOp};
+use crate::ir::{self, BinOp, Expr, Instr, IntrinsicOp, SpmdProgram};
 use crate::value::{exact_int, Value};
 
 /// `c0 + Σ k·ints[slot]`, wrapping. No terms: a constant; one term
@@ -263,8 +268,8 @@ pub enum Residual {
 
 /// A loop body of array and REAL-scalar stores whose every subscript
 /// (and `REAL()` operand) is affine over an INTEGER loop variable:
-/// nothing in it can raise, and once every cursor's first and last
-/// index are proven in range nothing in it can panic.
+/// once every cursor's first and last index are proven in range,
+/// nothing in it can fail.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stream {
     pub cursors: Vec<Cursor>,
@@ -698,6 +703,31 @@ impl StreamBuilder {
     }
 }
 
+/// Refuse, before anything runs, what `Analytic` cannot price: the
+/// first loop of `blocks`, in program order, with a bound that reads
+/// array memory — which only full execution computes.
+pub(crate) fn check_priceable<'b>(
+    blocks: impl IntoIterator<Item = &'b Block>,
+    scalars: &[(String, bool)],
+) -> Result<(), VpceError> {
+    fn first(stmts: &[Stmt]) -> Option<usize> {
+        stmts.iter().find_map(|s| match s {
+            Stmt::Loop { bounds_read_memory: true, body, .. } => Some(body.var),
+            Stmt::Loop { body, .. } => first(&body.block.stmts),
+            Stmt::If { then_body: t, else_body: e, .. } => first(&t.stmts).or_else(|| first(&e.stmts)),
+            Stmt::StoreArray { .. } | Stmt::StoreInt { .. } | Stmt::StoreReal { .. } => None,
+        })
+    }
+    let Some(var) = blocks.into_iter().find_map(|b| first(&b.stmts)) else { return Ok(()) };
+    Err(VpceError::InvalidArgument {
+        msg: format!(
+            "analytic mode cannot price loop DO {}: a bound reads array memory, which only full \
+             execution computes",
+            scalars[var].0
+        ),
+    })
+}
+
 fn reads_memory(e: &Expr) -> bool {
     match e {
         Expr::Load { .. } => true,
@@ -744,28 +774,28 @@ fn trips(lo: i64, hi: i64, step: i64) -> u64 {
     ((hi - lo + step) / step).clamp(0, u64::MAX as i128) as u64
 }
 
+/// What the per-trip walk evaluates to: a value, or the boxed error
+/// that ends the run.
+pub(crate) type Eval<T> = Result<T, Box<VpceError>>;
+
 #[cold]
 #[inline(never)]
-fn out_of_bounds(what: &str, array: usize, idx: i64, len: usize) -> ! {
-    panic!("{what} out of bounds: array {array} index {idx} len {len}")
-}
-
-fn division_by_zero() -> ! {
-    raise(VpceError::TypeViolation {
+pub(crate) fn division_by_zero<T>() -> Eval<T> {
+    Err(Box::new(VpceError::TypeViolation {
         msg: "integer division by zero".into(),
-    })
+    }))
 }
 
 /// Fortran INTEGER `**`. A negative exponent is the truncated
 /// reciprocal: 0 unless the base is ±1 (or 0, which divides by zero).
-fn ipow(a: i64, b: i64) -> i64 {
-    match (a, b) {
+fn ipow(a: i64, b: i64) -> Eval<i64> {
+    Ok(match (a, b) {
         (_, 0..=i64::MAX) => a.wrapping_pow(b.min(62) as u32),
         (1, _) => 1,
         (-1, _) => 1 - 2 * (b & 1),
-        (0, _) => division_by_zero(),
+        (0, _) => return division_by_zero(),
         _ => 0,
-    }
+    })
 }
 
 /// The REAL operator tables, written once. `$body` is expanded in the
@@ -823,6 +853,8 @@ fn at((start, delta): Walk, t: u64) -> i64 {
 /// type and its entry in the other bank is never read.
 pub(crate) struct State<'p> {
     scalars: &'p [(String, bool)],
+    /// `(name, len)` per array, for naming an access out of range.
+    arrays: &'p [(String, usize)],
     ints: Vec<i64>,
     reals: Vec<f64>,
     pub cycles: f64,
@@ -841,10 +873,12 @@ thread_local! {
 }
 
 impl<'p> State<'p> {
-    /// All scalars zero.
-    pub fn new(scalars: &'p [(String, bool)]) -> State<'p> {
+    /// All of `prog`'s scalars zero.
+    pub fn new(prog: &'p SpmdProgram) -> State<'p> {
+        let scalars = &prog.scalars;
         State {
             scalars,
+            arrays: &prog.arrays,
             ints: vec![0; scalars.len()],
             reals: vec![0.0; scalars.len()],
             cycles: 0.0,
@@ -904,9 +938,9 @@ impl<'p> State<'p> {
 
     /// `Full`: execute `block` once against `mem` (one slice per
     /// program array).
-    pub fn run(&mut self, block: &Block, mem: &mut [&mut [Elem]]) {
+    pub fn run(&mut self, block: &Block, mem: &mut [&mut [Elem]]) -> Eval<()> {
         self.cycles += block.cost;
-        self.exec(&block.stmts, mem);
+        self.exec(&block.stmts, mem)
     }
 
     /// `Full`: execute `n` trips of a loop, `var = first, first + step,
@@ -919,19 +953,20 @@ impl<'p> State<'p> {
         step: i64,
         n: u64,
         mem: &mut [&mut [Elem]],
-    ) {
+    ) -> Eval<()> {
         self.cycles += n as f64 * (TRIP_CYCLES + l.block.cost);
         if let Some(s) = &l.stream {
             if n > 0 && self.run_stream(s, l.var, first, step, n, mem) {
-                return;
+                return Ok(());
             }
         }
         let mut v = first;
         for _ in 0..n {
             self.store_int(l.var, v);
-            self.exec(&l.block.stmts, mem);
+            self.exec(&l.block.stmts, mem)?;
             v = v.wrapping_add(step);
         }
+        Ok(())
     }
 
     /// Run `n >= 1` trips of a stream body, provided every subscript
@@ -1070,7 +1105,7 @@ impl<'p> State<'p> {
         }
     }
 
-    fn exec(&mut self, stmts: &[Stmt], mem: &mut [&mut [Elem]]) {
+    fn exec(&mut self, stmts: &[Stmt], mem: &mut [&mut [Elem]]) -> Eval<()> {
         for s in stmts {
             match s {
                 Stmt::StoreArray {
@@ -1078,117 +1113,114 @@ impl<'p> State<'p> {
                     index,
                     value,
                 } => {
-                    let idx = self.index(index, mem);
-                    let v = self.real(value, mem);
+                    let idx = self.index(index, mem)?;
+                    let v = self.real(value, mem)?;
                     let m = &mut *mem[*array];
                     match m.get_mut(idx as usize) {
                         Some(elem) => *elem = v,
-                        None => out_of_bounds("store", *array, idx, m.len()),
+                        None => return Err(self.out_of_bounds("store", *array, idx, m.len())),
                     }
                 }
-                Stmt::StoreInt { slot, value } => self.ints[*slot] = self.int(value, mem),
-                Stmt::StoreReal { slot, value } => self.reals[*slot] = self.real(value, mem),
+                Stmt::StoreInt { slot, value } => self.ints[*slot] = self.int(value, mem)?,
+                Stmt::StoreReal { slot, value } => self.reals[*slot] = self.real(value, mem)?,
                 Stmt::Loop {
                     lo, hi, step, body, ..
                 } => {
-                    let lo = self.int(lo, mem);
-                    let hi = self.int(hi, mem);
-                    self.run_trips(body, lo, *step, trips(lo, hi, *step), mem);
+                    let lo = self.int(lo, mem)?;
+                    let hi = self.int(hi, mem)?;
+                    self.run_trips(body, lo, *step, trips(lo, hi, *step), mem)?;
                 }
                 Stmt::If {
                     cond,
                     then_body,
                     else_body,
                 } => {
-                    if self.int(cond, mem) != 0 {
-                        self.run(then_body, mem);
+                    if self.int(cond, mem)? != 0 {
+                        self.run(then_body, mem)?;
                     } else {
-                        self.run(else_body, mem);
+                        self.run(else_body, mem)?;
                     }
                 }
             }
         }
+        Ok(())
+    }
+
+    /// The error of an array access out of range.
+    #[cold]
+    #[inline(never)]
+    fn out_of_bounds(&self, op: &'static str, array: usize, at: i64, len: usize) -> Box<VpceError> {
+        let array = self.arrays[array].0.clone();
+        Box::new(VpceError::SubscriptRange { access: op, array, index: at, len })
     }
 
     /// `Analytic`: cycle cost of executing `block` once, evaluating
     /// loop bounds through the current scalar state but skipping all
-    /// numeric work. Conditionals are priced as condition + the dearer
-    /// branch (a documented approximation; the evaluated benchmarks
-    /// have no data-dependent branches in hot regions).
-    pub fn price(&mut self, block: &Block) -> f64 {
+    /// numeric work — no bound reads memory ([`check_priceable`]).
+    /// Conditionals are priced as condition + the dearer branch (a
+    /// documented approximation; the evaluated benchmarks have no
+    /// data-dependent branches in hot regions).
+    pub fn price(&mut self, block: &Block) -> Eval<f64> {
         let mut total = block.cost;
         for s in &block.stmts {
             match s {
                 Stmt::StoreArray { .. } | Stmt::StoreInt { .. } | Stmt::StoreReal { .. } => {}
                 Stmt::Loop {
-                    lo,
-                    hi,
-                    step,
-                    bounds_read_memory,
-                    body,
+                    lo, hi, step, body, ..
                 } => {
-                    if *bounds_read_memory {
-                        raise(VpceError::InvalidArgument {
-                            msg: format!(
-                                "analytic mode cannot price loop DO {}: a bound reads array \
-                                 memory, which only full execution computes",
-                                self.scalars[body.var].0
-                            ),
-                        });
-                    }
-                    let lo = self.int(lo, &[]);
-                    let hi = self.int(hi, &[]);
-                    total += self.price_trips(body, lo, *step, trips(lo, hi, *step));
+                    let lo = self.int(lo, &[])?;
+                    let hi = self.int(hi, &[])?;
+                    total += self.price_trips(body, lo, *step, trips(lo, hi, *step))?;
                 }
                 Stmt::If {
                     then_body,
                     else_body,
                     ..
                 } => {
-                    let t = self.price(then_body);
-                    let e = self.price(else_body);
+                    let t = self.price(then_body)?;
+                    let e = self.price(else_body)?;
                     total += t.max(e);
                 }
             }
         }
-        total
+        Ok(total)
     }
 
     /// `Analytic`: cost of `n` trips of a loop. When nothing inside is
     /// shaped by the loop variable, one trip prices them all.
-    pub fn price_trips(&mut self, l: &LoopBody, first: i64, step: i64, n: u64) -> f64 {
+    pub fn price_trips(&mut self, l: &LoopBody, first: i64, step: i64, n: u64) -> Eval<f64> {
         if n == 0 {
-            return 0.0;
+            return Ok(0.0);
         }
         if !l.shape_reads_var {
             self.store_int(l.var, first);
-            return (self.price(&l.block) + TRIP_CYCLES) * n as f64;
+            return Ok((self.price(&l.block)? + TRIP_CYCLES) * n as f64);
         }
         let mut total = 0.0;
         let mut v = first;
         for _ in 0..n {
             self.store_int(l.var, v);
-            total += self.price(&l.block) + TRIP_CYCLES;
+            total += self.price(&l.block)? + TRIP_CYCLES;
             v = v.wrapping_add(step);
         }
-        total
+        Ok(total)
     }
 
     /// A subscript. Nearly always one affine node: evaluating it here,
     /// not through a call into [`Self::int`], is a third of MM's time.
     #[inline(always)]
-    fn index(&self, e: &IExpr, mem: &[&mut [Elem]]) -> i64 {
+    fn index(&self, e: &IExpr, mem: &[&mut [Elem]]) -> Eval<i64> {
         match e {
-            IExpr::Affine(a) => a.value(&self.ints),
+            IExpr::Affine(a) => Ok(a.value(&self.ints)),
             e => self.int(e, mem),
         }
     }
 
-    fn int(&self, e: &IExpr, mem: &[&mut [Elem]]) -> i64 {
-        match e {
+    fn int(&self, e: &IExpr, mem: &[&mut [Elem]]) -> Eval<i64> {
+        Ok(match e {
             IExpr::Affine(a) => a.value(&self.ints),
             IExpr::Un(op, a) => {
-                let a = self.int(a, mem);
+                let a = self.int(a, mem)?;
                 match op {
                     IUn::Neg => a.wrapping_neg(),
                     IUn::Abs => a.wrapping_abs(),
@@ -1196,16 +1228,15 @@ impl<'p> State<'p> {
                 }
             }
             IExpr::Bin(op, a, b) => {
-                let (a, b) = (self.int(a, mem), self.int(b, mem));
+                let (a, b) = (self.int(a, mem)?, self.int(b, mem)?);
                 match op {
                     IBin::Add => a.wrapping_add(b),
                     IBin::Sub => a.wrapping_sub(b),
                     IBin::Mul => a.wrapping_mul(b),
-                    IBin::Div if b == 0 => division_by_zero(),
+                    IBin::Div | IBin::Mod if b == 0 => return division_by_zero(),
                     IBin::Div => a.wrapping_div(b),
-                    IBin::Mod if b == 0 => division_by_zero(),
                     IBin::Mod => a.wrapping_rem(b),
-                    IBin::Pow => ipow(a, b),
+                    IBin::Pow => ipow(a, b)?,
                     IBin::Min => a.min(b),
                     IBin::Max => a.max(b),
                     IBin::And => (a != 0 && b != 0) as i64,
@@ -1213,7 +1244,7 @@ impl<'p> State<'p> {
                 }
             }
             IExpr::Cmp(op, a, b) => {
-                let (a, b) = (self.real(a, mem), self.real(b, mem));
+                let (a, b) = (self.real(a, mem)?, self.real(b, mem)?);
                 (match op {
                     Cmp::Lt => a < b,
                     Cmp::Le => a <= b,
@@ -1223,33 +1254,33 @@ impl<'p> State<'p> {
                     Cmp::Ne => a != b,
                 }) as i64
             }
-            IExpr::Exact(a) => exact_int(self.real(a, mem)),
-            IExpr::Trunc(a) => self.real(a, mem) as i64,
-        }
+            IExpr::Exact(a) => exact_int(self.real(a, mem)?)?,
+            IExpr::Trunc(a) => self.real(a, mem)? as i64,
+        })
     }
 
-    fn real(&self, e: &RExpr, mem: &[&mut [Elem]]) -> f64 {
-        match e {
+    fn real(&self, e: &RExpr, mem: &[&mut [Elem]]) -> Eval<f64> {
+        Ok(match e {
             RExpr::Const(v) => *v,
             RExpr::Scalar(slot) => self.reals[*slot],
             RExpr::Load { array, index } => {
-                let idx = self.index(index, mem);
+                let idx = self.index(index, mem)?;
                 let m = &*mem[*array];
                 match m.get(idx as usize) {
                     Some(v) => *v,
-                    None => out_of_bounds("load", *array, idx, m.len()),
+                    None => return Err(self.out_of_bounds("load", *array, idx, m.len())),
                 }
             }
             RExpr::Un(op, a) => {
-                let a = self.real(a, mem);
+                let a = self.real(a, mem)?;
                 with_run!(op, f => f(a))
             }
             RExpr::Bin(op, a, b) => {
-                let (a, b) = (self.real(a, mem), self.real(b, mem));
+                let (a, b) = (self.real(a, mem)?, self.real(b, mem)?);
                 with_rbin!(op, f => f(a, b))
             }
-            RExpr::FromInt(a) => self.int(a, mem) as f64,
-        }
+            RExpr::FromInt(a) => self.int(a, mem)? as f64,
+        })
     }
 }
 
@@ -1259,7 +1290,6 @@ mod tests {
     use crate::exec::{run_sequential, try_execute, ExecMode};
     use crate::ir::{Block as IrBlock, ParRegion, SpmdProgram};
     use cluster_sim::ClusterConfig;
-    use std::panic::{catch_unwind, AssertUnwindSafe};
     use vpce_faults::FaultSpec;
 
     fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
@@ -1278,13 +1308,11 @@ mod tests {
         }
     }
 
-    /// `M = e`, executed: the value, or the typed error it raised.
+    /// `M = e`, executed: the value, or the typed error it ended in.
     fn int_value(e: Expr) -> Result<i64, VpceError> {
         let p = prog(vec![Instr::StoreScalar { slot: 0, value: e }]);
-        match catch_unwind(AssertUnwindSafe(|| run_sequential(&p, ExecMode::Full))) {
-            Ok((_, _, scalars)) => Ok(scalars[0].as_int()),
-            Err(payload) => Err(vpce_faults::take_raised(payload).expect("a typed error")),
-        }
+        let (_, _, scalars) = run_sequential(&p, ExecMode::Full)?;
+        Ok(scalars[0].as_int()?)
     }
 
     #[test]
@@ -1336,10 +1364,10 @@ mod tests {
                 }],
             }]);
             let before = STREAMED.get();
-            let (_, _, scalars) = run_sequential(&p, ExecMode::Full);
+            let (_, _, scalars) = run_sequential(&p, ExecMode::Full).unwrap();
             let trips = scalars[slot].as_real() as i64;
             assert_eq!(STREAMED.get() - before, (slot == 1 && trips > 0) as u64);
-            (trips, scalars[2].as_int())
+            (trips, scalars[2].as_int().unwrap())
         };
         for slot in [0, 1] {
             assert_eq!(count(slot, i64::MAX - 1, i64::MAX, 1), (2, i64::MAX));
@@ -1354,7 +1382,7 @@ mod tests {
     fn a_stream_loop_names_the_first_access_out_of_range() {
         // DO K = lo, hi: A(K) = A(K + shift), or = 1.0, on A(4). The
         // stream cannot prove its cursors in range, so the walk runs
-        // and reports.
+        // and ends in a typed error that names the array.
         let message = |lo, hi, step, shift: Option<i64>| {
             let p = prog(vec![Instr::Loop {
                 var: 2,
@@ -1371,11 +1399,12 @@ mod tests {
                 }],
             }]);
             let before = STREAMED.get();
-            let payload = catch_unwind(AssertUnwindSafe(|| run_sequential(&p, ExecMode::Full)));
+            let err = run_sequential(&p, ExecMode::Full).unwrap_err();
             assert_eq!(STREAMED.get(), before);
-            *payload.unwrap_err().downcast::<String>().unwrap()
+            assert_eq!(err.kind(), "subscript-range");
+            err.to_string()
         };
-        let oob = |what, idx| format!("{what} out of bounds: array 0 index {idx} len 4");
+        let oob = |what, idx| format!("{what} out of bounds: array A index {idx} len 4");
         assert_eq!(message(0, 4, 1, None), oob("store", 4));
         assert_eq!(message(3, -1, -1, None), oob("store", -1));
         assert_eq!(message(0, 4, 1, Some(0)), oob("load", 4));
@@ -1402,7 +1431,7 @@ mod tests {
                 value: bin(BinOp::Div, Expr::Scalar(1), Expr::IConst(2)),
             },
         ]);
-        let (_, _, scalars) = run_sequential(&p, ExecMode::Full);
+        let (_, _, scalars) = run_sequential(&p, ExecMode::Full).unwrap();
         assert_eq!(scalars[..2], [Value::I(-7), Value::R(0.5)]);
     }
 

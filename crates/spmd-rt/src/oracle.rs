@@ -6,39 +6,56 @@
 //! goes, and carries a [`Value`] tag through every node. Against the
 //! parent commit's walker it differs only where the specification
 //! moved: stores convert to the slot's declared type, `MOD` by zero and
-//! `0 ** negative` raise, INTEGER `**` stays INTEGER, and the remaining
-//! INTEGER operators wrap. `tests/differential_proptest.rs` and
+//! `0 ** negative` fail, INTEGER `**` stays INTEGER, the remaining
+//! INTEGER operators wrap, and an access out of range is a typed error
+//! that names the array. `tests/differential_proptest.rs` and
 //! `tests/workload_differential.rs` compare the executor with itself
 //! (parallel vs sequential) and cannot see a slip both sides share;
 //! the properties below can.
 
 use mpi2::Elem;
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
 
 use crate::cost::{instr_cycles, TRIP_CYCLES};
 use crate::ir::*;
+use crate::lowered::division_by_zero;
 use crate::value::Value;
 
 pub(crate) struct Oracle {
     /// INTEGER-ness per scalar slot.
     int_scalars: Vec<bool>,
+    array_names: Vec<String>,
     pub scalars: Vec<Value>,
     pub cycles: f64,
 }
 
 impl Oracle {
-    /// All scalars zero.
-    pub fn new(types: &[(String, bool)]) -> Oracle {
-        let int_scalars: Vec<bool> = types.iter().map(|t| t.1).collect();
+    /// All of `prog`'s scalars zero.
+    pub fn new(prog: &SpmdProgram) -> Oracle {
+        let int_scalars: Vec<bool> = prog.scalars.iter().map(|t| t.1).collect();
         let scalars = int_scalars
             .iter()
             .map(|&int| if int { Value::I(0) } else { Value::R(0.0) })
             .collect();
         Oracle {
             int_scalars,
+            array_names: prog.arrays.iter().map(|a| a.0.clone()).collect(),
             scalars,
             cycles: 0.0,
         }
+    }
+
+    /// Element `idx` of `mem[array]`, or the typed error naming both.
+    fn check(&self, access: &'static str, array: usize, idx: i64, len: usize) -> Result<usize, VpceError> {
+        if (idx as usize) < len {
+            return Ok(idx as usize);
+        }
+        Err(VpceError::SubscriptRange {
+            access,
+            array: self.array_names[array].clone(),
+            index: idx,
+            len,
+        })
     }
 
     /// The typed store (F77 assignment conversion).
@@ -50,7 +67,7 @@ impl Oracle {
         };
     }
 
-    pub fn run_generic(&mut self, instrs: &[Instr], mem: &mut [Vec<Elem>]) {
+    pub fn run_generic(&mut self, instrs: &[Instr], mem: &mut [Vec<Elem>]) -> Result<(), VpceError> {
         for i in instrs {
             self.cycles += instr_cycles(i, &self.int_scalars);
             match i {
@@ -59,19 +76,13 @@ impl Oracle {
                     index,
                     value,
                 } => {
-                    let idx = self.eval(index, mem).as_int();
-                    let v = self.eval(value, mem).as_real();
-                    let m = &mut mem[*array];
-                    assert!(
-                        (idx as usize) < m.len(),
-                        "store out of bounds: array {} index {idx} len {}",
-                        array,
-                        m.len()
-                    );
-                    m[idx as usize] = v;
+                    let idx = self.eval(index, mem)?.as_int()?;
+                    let v = self.eval(value, mem)?.as_real();
+                    let at = self.check("store", *array, idx, mem[*array].len())?;
+                    mem[*array][at] = v;
                 }
                 Instr::StoreScalar { slot, value } => {
-                    let v = self.eval(value, mem);
+                    let v = self.eval(value, mem)?;
                     self.store(*slot, v);
                 }
                 Instr::Loop {
@@ -81,14 +92,14 @@ impl Oracle {
                     step,
                     body,
                 } => {
-                    let lo = self.eval(lo, mem).as_int();
-                    let hi = self.eval(hi, mem).as_int();
+                    let lo = self.eval(lo, mem)?.as_int()?;
+                    let hi = self.eval(hi, mem)?.as_int()?;
                     let step = *step;
                     let mut v = lo;
                     while (step > 0 && v <= hi) || (step < 0 && v >= hi) {
                         self.store(*var, Value::I(v));
                         self.cycles += TRIP_CYCLES;
-                        self.run_generic(body, mem);
+                        self.run_generic(body, mem)?;
                         v = v.wrapping_add(step);
                     }
                 }
@@ -97,43 +108,37 @@ impl Oracle {
                     then_body,
                     else_body,
                 } => {
-                    if self.eval(cond, mem).is_true() {
-                        self.run_generic(then_body, mem);
+                    if self.eval(cond, mem)?.is_true() {
+                        self.run_generic(then_body, mem)?;
                     } else {
-                        self.run_generic(else_body, mem);
+                        self.run_generic(else_body, mem)?;
                     }
                 }
             }
         }
+        Ok(())
     }
 
-    fn eval(&self, e: &Expr, mem: &[Vec<Elem>]) -> Value {
-        match e {
+    fn eval(&self, e: &Expr, mem: &[Vec<Elem>]) -> Result<Value, VpceError> {
+        Ok(match e {
             Expr::IConst(v) => Value::I(*v),
             Expr::RConst(v) => Value::R(*v),
             Expr::Scalar(slot) => self.scalars[*slot],
             Expr::Load { array, index } => {
-                let idx = self.eval(index, mem).as_int();
-                let m = &mem[*array];
-                assert!(
-                    (idx as usize) < m.len(),
-                    "load out of bounds: array {} index {idx} len {}",
-                    array,
-                    m.len()
-                );
-                Value::R(m[idx as usize])
+                let idx = self.eval(index, mem)?.as_int()?;
+                Value::R(mem[*array][self.check("load", *array, idx, mem[*array].len())?])
             }
-            Expr::Neg(a) => self.eval(a, mem).neg(),
-            Expr::Not(a) => self.eval(a, mem).not(),
+            Expr::Neg(a) => self.eval(a, mem)?.neg(),
+            Expr::Not(a) => self.eval(a, mem)?.not(),
             Expr::Bin(op, a, b) => {
-                let x = self.eval(a, mem);
-                let y = self.eval(b, mem);
+                let x = self.eval(a, mem)?;
+                let y = self.eval(b, mem)?;
                 match op {
                     BinOp::Add => x.add(y),
                     BinOp::Sub => x.sub(y),
                     BinOp::Mul => x.mul(y),
-                    BinOp::Div => x.div(y),
-                    BinOp::Pow => x.pow(y),
+                    BinOp::Div => x.div(y)?,
+                    BinOp::Pow => x.pow(y)?,
                     BinOp::Lt => x.lt(y),
                     BinOp::Le => x.le(y),
                     BinOp::Gt => x.gt(y),
@@ -145,7 +150,7 @@ impl Oracle {
                 }
             }
             Expr::Intr(op, args) => {
-                let a0 = self.eval(&args[0], mem);
+                let a0 = self.eval(&args[0], mem)?;
                 match op {
                     IntrinsicOp::Sqrt => Value::R(a0.as_real().sqrt()),
                     IntrinsicOp::Abs => match a0 {
@@ -158,24 +163,22 @@ impl Oracle {
                     IntrinsicOp::ToReal => Value::R(a0.as_real()),
                     IntrinsicOp::ToInt => Value::I(a0.as_real().trunc() as i64),
                     IntrinsicOp::Mod => {
-                        let a1 = self.eval(&args[1], mem);
+                        let a1 = self.eval(&args[1], mem)?;
                         match (a0, a1) {
-                            (Value::I(_), Value::I(0)) => raise(VpceError::TypeViolation {
-                                msg: "integer division by zero".into(),
-                            }),
+                            (Value::I(_), Value::I(0)) => division_by_zero()?,
                             (Value::I(x), Value::I(y)) => Value::I(x.wrapping_rem(y)),
                             (x, y) => Value::R(x.as_real() % y.as_real()),
                         }
                     }
                     IntrinsicOp::Min => {
-                        let a1 = self.eval(&args[1], mem);
+                        let a1 = self.eval(&args[1], mem)?;
                         match (a0, a1) {
                             (Value::I(x), Value::I(y)) => Value::I(x.min(y)),
                             (x, y) => Value::R(x.as_real().min(y.as_real())),
                         }
                     }
                     IntrinsicOp::Max => {
-                        let a1 = self.eval(&args[1], mem);
+                        let a1 = self.eval(&args[1], mem)?;
                         match (a0, a1) {
                             (Value::I(x), Value::I(y)) => Value::I(x.max(y)),
                             (x, y) => Value::R(x.as_real().max(y.as_real())),
@@ -183,7 +186,7 @@ impl Oracle {
                     }
                 }
             }
-        }
+        })
     }
 }
 
@@ -518,7 +521,7 @@ mod tests {
     }
 
     /// What one execution produced: state and cycles down to the bit,
-    /// or the error that stopped it.
+    /// the typed error that stopped it, or a panic — a bug.
     #[derive(Debug, PartialEq)]
     enum Outcome {
         Done {
@@ -526,13 +529,15 @@ mod tests {
             scalars: Vec<(bool, u64)>,
             cycles: u64,
         },
-        Raised(VpceError),
+        Failed(VpceError),
         Panicked(String),
     }
 
-    fn outcome(run: impl FnOnce() -> (f64, Vec<Vec<Elem>>, Vec<Value>)) -> Outcome {
+    type Run = Result<(f64, Vec<Vec<Elem>>, Vec<Value>), VpceError>;
+
+    fn outcome(run: impl FnOnce() -> Run) -> Outcome {
         match catch_unwind(AssertUnwindSafe(run)) {
-            Ok((cycles, arrays, scalars)) => Outcome::Done {
+            Ok(Ok((cycles, arrays, scalars))) => Outcome::Done {
                 arrays: arrays
                     .iter()
                     .map(|a| a.iter().map(|v| v.to_bits()).collect())
@@ -546,29 +551,27 @@ mod tests {
                     .collect(),
                 cycles: cycles.to_bits(),
             },
-            Err(payload) => match vpce_faults::take_raised(payload) {
-                Ok(e) => Outcome::Raised(e),
-                Err(payload) => Outcome::Panicked(
-                    payload
-                        .downcast_ref::<String>()
-                        .cloned()
-                        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                        .unwrap_or_default(),
-                ),
-            },
+            Ok(Err(e)) => Outcome::Failed(e),
+            Err(payload) => Outcome::Panicked(
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                    .unwrap_or_default(),
+            ),
         }
     }
 
-    fn oracle_run(prog: &SpmdProgram) -> (f64, Vec<Vec<Elem>>, Vec<Value>) {
+    fn oracle_run(prog: &SpmdProgram) -> Run {
         let mut mem: Vec<Vec<Elem>> = prog.arrays.iter().map(|(_, n)| vec![0.0; *n]).collect();
-        let mut o = Oracle::new(&prog.scalars);
-        o.run_generic(&prog.sequential, &mut mem);
-        (o.cycles, mem, o.scalars)
+        let mut o = Oracle::new(prog);
+        o.run_generic(&prog.sequential, &mut mem)?;
+        Ok((o.cycles, mem, o.scalars))
     }
 
     #[test]
     fn lowered_form_agrees_with_the_tree_walker() {
-        // One stream loop up front, where nothing has raised yet.
+        // One stream loop up front, where nothing has failed yet.
         let programs = Gen::new(|src| {
             let mut body = vec![stream_loop(src)];
             body.extend(stmts(src, 3, true));
@@ -584,6 +587,8 @@ mod tests {
                 // The three fills of `program` always stream.
                 streamed.set(streamed.get() + (STREAMED.get() - before > 3) as u32);
                 let oracle = outcome(|| oracle_run(prog));
+                // Every failure of a generated program is typed.
+                prop_assert!(!matches!(lowered, Outcome::Panicked(_)), "{lowered:?}");
                 prop_assert_eq!(lowered, oracle);
                 Ok(())
             });
@@ -596,7 +601,7 @@ mod tests {
         );
     }
 
-    /// No `If`, no subscript or bound that can raise, no loop bound that
+    /// No `If`, no subscript or bound that can fail, no loop bound that
     /// depends on a stored scalar: everything `Analytic` prices exactly.
     fn branch_free(src: &mut Source, depth: u32, enclosing: &[usize]) -> Vec<Instr> {
         let n = 1 + src.next_below(3);
@@ -647,8 +652,8 @@ mod tests {
         Check::new("spmd_rt::analytic_cycles_equal_full_cycles_on_branch_free_programs")
             .cases(500)
             .run(&Gen::new(|src| program(branch_free(src, 3, &[]))), |prog| {
-                let (full, ..) = run_sequential(prog, ExecMode::Full);
-                let (analytic, ..) = run_sequential(prog, ExecMode::Analytic);
+                let (full, ..) = run_sequential(prog, ExecMode::Full).unwrap();
+                let (analytic, ..) = run_sequential(prog, ExecMode::Analytic).unwrap();
                 prop_assert_eq!(full.to_bits(), analytic.to_bits());
                 Ok(())
             });

@@ -5,7 +5,11 @@
 //! reports, snapshots — and in the `#[cfg(test)]` tree-walking oracle,
 //! which is also the only user of the tagged arithmetic below.
 
-use vpce_faults::{raise, VpceError};
+use vpce_faults::VpceError;
+
+use crate::lowered::Eval;
+#[cfg(test)]
+use crate::lowered::division_by_zero;
 
 /// A scalar slot's value, tagged with its declared type.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -20,29 +24,19 @@ pub enum Value {
 /// so an integral-valued REAL (e.g. `IDX(I)` read back from an integer
 /// array) converts exactly.
 ///
-/// # Panics
-/// Raises [`VpceError::TypeViolation`] on a fractional REAL — the
+/// A fractional REAL is a [`VpceError::TypeViolation`] — the
 /// translator only emits integer-valued expressions in integer
 /// positions, so this indicates a compiler bug, not a user error.
-pub(crate) fn exact_int(v: f64) -> i64 {
+pub(crate) fn exact_int(v: f64) -> Eval<i64> {
     if v.fract() == 0.0 && v.abs() < 2f64.powi(53) {
-        v as i64
-    } else {
-        raise(VpceError::TypeViolation {
-            msg: format!("REAL value {v} used where INTEGER required"),
-        })
+        return Ok(v as i64);
     }
+    Err(Box::new(VpceError::TypeViolation {
+        msg: format!("REAL value {v} used where INTEGER required"),
+    }))
 }
 
 impl Value {
-    /// Integer view; see [`exact_int`] for a REAL.
-    pub fn as_int(self) -> i64 {
-        match self {
-            Value::I(v) => v,
-            Value::R(v) => exact_int(v),
-        }
-    }
-
     /// Numeric view as f64 (Fortran implicit conversion).
     pub fn as_real(self) -> f64 {
         match self {
@@ -58,6 +52,14 @@ impl Value {
 #[cfg(test)]
 #[allow(clippy::should_implement_trait)] // Fortran semantics, deliberately not std ops
 impl Value {
+    /// Integer view; see [`exact_int`] for a REAL.
+    pub fn as_int(self) -> Eval<i64> {
+        match self {
+            Value::I(v) => Ok(v),
+            Value::R(v) => exact_int(v),
+        }
+    }
+
     /// Truth view (relational results are stored as I(0)/I(1)).
     pub fn is_true(self) -> bool {
         match self {
@@ -92,28 +94,20 @@ impl Value {
     }
 
     /// Fortran division: INTEGER/INTEGER truncates toward zero.
-    pub fn div(self, o: Value) -> Value {
-        match (self, o) {
-            (Value::I(a), Value::I(b)) => {
-                if b == 0 {
-                    raise(VpceError::TypeViolation {
-                        msg: "integer division by zero".into(),
-                    });
-                }
-                Value::I(a.wrapping_div(b))
-            }
+    pub fn div(self, o: Value) -> Eval<Value> {
+        Ok(match (self, o) {
+            (Value::I(_), Value::I(0)) => return division_by_zero(),
+            (Value::I(a), Value::I(b)) => Value::I(a.wrapping_div(b)),
             _ => Value::R(self.as_real() / o.as_real()),
-        }
+        })
     }
 
     /// Fortran `**`. INTEGER ** INTEGER stays INTEGER: a negative
     /// exponent is the truncated reciprocal.
-    pub fn pow(self, o: Value) -> Value {
-        match (self, o) {
+    pub fn pow(self, o: Value) -> Eval<Value> {
+        Ok(match (self, o) {
             (Value::I(a), Value::I(b)) if b >= 0 => Value::I(a.wrapping_pow(b.min(62) as u32)),
-            (Value::I(0), Value::I(_)) => raise(VpceError::TypeViolation {
-                msg: "integer division by zero".into(),
-            }),
+            (Value::I(0), Value::I(_)) => return division_by_zero(),
             (Value::I(a), Value::I(b)) => Value::I(match a {
                 1 => 1,
                 -1 if b % 2 == 0 => 1,
@@ -121,7 +115,7 @@ impl Value {
                 _ => 0,
             }),
             _ => Value::R(self.as_real().powf(o.as_real())),
-        }
+        })
     }
 
     pub fn neg(self) -> Value {
@@ -166,20 +160,20 @@ mod tests {
 
     #[test]
     fn integer_division_truncates() {
-        assert_eq!(Value::I(7).div(Value::I(2)), Value::I(3));
-        assert_eq!(Value::I(-7).div(Value::I(2)), Value::I(-3));
+        assert_eq!(Value::I(7).div(Value::I(2)), Ok(Value::I(3)));
+        assert_eq!(Value::I(-7).div(Value::I(2)), Ok(Value::I(-3)));
     }
 
     #[test]
     fn mixed_arithmetic_promotes() {
         assert_eq!(Value::I(1).add(Value::R(0.5)), Value::R(1.5));
-        assert_eq!(Value::I(7).div(Value::R(2.0)), Value::R(3.5));
+        assert_eq!(Value::I(7).div(Value::R(2.0)), Ok(Value::R(3.5)));
     }
 
     #[test]
     fn integer_pow() {
-        assert_eq!(Value::I(2).pow(Value::I(10)), Value::I(1024));
-        assert_eq!(Value::R(2.0).pow(Value::I(3)), Value::R(8.0));
+        assert_eq!(Value::I(2).pow(Value::I(10)), Ok(Value::I(1024)));
+        assert_eq!(Value::R(2.0).pow(Value::I(3)), Ok(Value::R(8.0)));
     }
 
     #[test]
@@ -192,29 +186,24 @@ mod tests {
 
     #[test]
     fn fractional_real_as_int_raises_type_violation() {
-        let payload = std::panic::catch_unwind(|| Value::R(1.5).as_int()).unwrap_err();
-        match vpce_faults::take_raised(payload) {
-            Ok(VpceError::TypeViolation { msg }) => assert!(msg.contains("INTEGER required")),
-            Ok(other) => panic!("wrong error: {other}"),
-            Err(_) => panic!("payload was not a typed Raised error"),
+        match *Value::R(1.5).as_int().unwrap_err() {
+            VpceError::TypeViolation { msg } => assert!(msg.contains("INTEGER required")),
+            other => panic!("wrong error: {other}"),
         }
     }
 
     #[test]
     fn integer_division_by_zero_raises_type_violation() {
-        let payload =
-            std::panic::catch_unwind(|| Value::I(1).div(Value::I(0))).unwrap_err();
-        match vpce_faults::take_raised(payload) {
-            Ok(VpceError::TypeViolation { msg }) => assert!(msg.contains("division by zero")),
-            Ok(other) => panic!("wrong error: {other}"),
-            Err(_) => panic!("payload was not a typed Raised error"),
+        match *Value::I(1).div(Value::I(0)).unwrap_err() {
+            VpceError::TypeViolation { msg } => assert!(msg.contains("division by zero")),
+            other => panic!("wrong error: {other}"),
         }
     }
 
     #[test]
     fn integral_real_as_int_converts_exactly() {
         // INTEGER arrays live in f64 windows; their values round-trip.
-        assert_eq!(Value::R(42.0).as_int(), 42);
-        assert_eq!(Value::R(-7.0).as_int(), -7);
+        assert_eq!(Value::R(42.0).as_int(), Ok(42));
+        assert_eq!(Value::R(-7.0).as_int(), Ok(-7));
     }
 }

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `vpcec` binary itself: stdin-fed jobfiles
 //! (`--batch -`), the `--serve` daemon with a durable `--journal`, and
 //! the `--kill-after` crash drill, and the exit discipline of errors a
-//! program raises while it runs. Everything below runs the real
+//! program fails with while it runs. Everything below runs the real
 //! executable via `CARGO_BIN_EXE_vpcec`.
 
 use std::io::Write as _;
@@ -118,8 +118,8 @@ fn usage_error_exits_1_and_mentions_serve() {
     assert!(err.contains("--serve"), "{err}");
 }
 
-/// Run `source` through the binary; an error the program raises must be
-/// one typed line on stdout, exit 3, and no panic text anywhere.
+/// Run `source` through the binary; an error the program fails with
+/// must be one typed line on stdout, exit 3, and no panic text anywhere.
 fn run_source(name: &str, source: &str, flags: &[&str]) -> (Option<i32>, String) {
     let file = Scratch::new(name);
     std::fs::write(&file.0, source).unwrap();
@@ -197,6 +197,77 @@ fn mod_by_zero_is_a_typed_error_with_exit_3() {
     let (code, text) = run_source("modz.f", MOD_ZERO, &[]);
     assert_eq!(code, Some(3), "{text}");
     assert_eq!(text, "error: integer division by zero\n");
+}
+
+/// `DO I = 1, N + 1` over `A(N)`: one store past the end of `A`.
+const PAST_THE_END: &str = "
+      PROGRAM OOB
+      PARAMETER (N = 16)
+      REAL A(N)
+      INTEGER I
+      DO I = 1, N + 1
+        A(I) = 1.0
+      ENDDO
+      END
+";
+
+#[test]
+fn typed_failures_are_one_line_on_stdout_and_nothing_on_stderr() {
+    const DIV_ZERO: &str = "
+      PROGRAM T
+      PARAMETER (N = 16)
+      REAL A(N)
+      INTEGER I, Z
+      Z = 0
+      DO I = 1, N
+        A(I) = REAL(I / Z)
+      ENDDO
+      END
+";
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    let file = |name: &str, source: &str| {
+        let file = Scratch::new(name);
+        std::fs::write(&file.0, source).unwrap();
+        file
+    };
+    let (div, oob) = (file("quiet_div.f", DIV_ZERO), file("quiet_oob.f", PAST_THE_END));
+    let mm_fine = [mm, "--nodes", "4", "--param", "N=16", "--grain", "fine"];
+    let table: [(Vec<&str>, &str); 5] = [
+        (vec![div.str(), "--nodes", "4"], "error: integer division by zero"),
+        (
+            [&mm_fine[..], &["--faults", "crashy"]].concat(),
+            "error: rank 1 crashed (fault schedule) at L7",
+        ),
+        (
+            [&mm_fine[..], &["--faults", "drop=1.0"]].concat(),
+            "error: link failure: packet 1->0 lost after 9 attempts",
+        ),
+        (
+            vec![oob.str(), "--nodes", "4", "--grain", "coarse"],
+            "error: store out of bounds: array A index 16 len 16",
+        ),
+        (
+            vec![oob.str(), "--nodes", "4", "--grain", "coarse", "--analytic"],
+            "error: RMA past end of window: offset 15 + len 2 > size 16 on target rank 0",
+        ),
+    ];
+    for (args, line) in table {
+        let out = vpcec(&args, None);
+        let text = stdout(&out);
+        assert_eq!(out.status.code(), Some(3), "{args:?}: {text}");
+        assert_eq!(text.lines().count(), 1, "{args:?}: {text}");
+        assert!(text.starts_with(line), "{args:?}: {text}");
+        assert!(out.stderr.is_empty(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+    }
+}
+
+#[test]
+fn lint_flags_a_footprint_past_its_window_with_vpce007() {
+    let (code, text) = run_source("lint_oob.f", PAST_THE_END, &["--grain", "coarse", "--lint"]);
+    assert_eq!(code, Some(2), "{text}");
+    let flagged: Vec<&str> = text.lines().filter(|l| l.starts_with("error[VPCE007] window A")).collect();
+    assert_eq!(flagged.len(), 2, "the collect PUT and the compute store: {text}");
+    assert!(text.ends_with("lint: OOB: 2 error(s), 0 warning(s)\n"), "{text}");
 }
 
 #[test]

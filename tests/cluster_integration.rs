@@ -53,7 +53,7 @@ fn broadcast_freezes_inflight_traffic_through_the_mpi_layer() {
         uni.run(|mpi| {
             let w = mpi.win_create(1 << 17);
             if mpi.rank() == 0 {
-                mpi.put_region(&w, 1, 0, 1 << 17); // ~1MB worm
+                mpi.put_region(&w, 1, 0, 1 << 17).unwrap(); // ~1MB worm
             }
             if do_bcast {
                 let data = (mpi.rank() == 2).then(|| vec![0.0; 512]);

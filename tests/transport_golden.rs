@@ -31,7 +31,7 @@ fn sweep() -> String {
         let rep = uni.run(move |mpi| {
             let w = mpi.win_create(elems.max(1));
             if mpi.rank() == 0 {
-                mpi.put_region(&w, 1, 0, elems.max(1));
+                mpi.put_region(&w, 1, 0, elems.max(1)).unwrap();
             }
             mpi.fence_all();
         });

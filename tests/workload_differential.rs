@@ -255,12 +255,12 @@ fn task_entry_and_thread_entry_produce_the_same_report() {
                     let (on_tasks, on_threads) = (Tracer::enabled(), Tracer::enabled());
                     let tasks = spmd_rt::try_execute_traced(&prog, &cluster, mode, on_tasks.clone(), FaultSpec::off())
                         .unwrap_or_else(|e| panic!("{what}: {e}"));
-                    let body = spmd_rt::rank_body(&prog, mode, None);
-                    let threads = mpi2::Universe::new(cluster.clone())
-                        .with_tracer(on_threads.clone())
-                        .try_run(|mpi| mpi.block_on(&body))
-                        .map(spmd_rt::RunReport::from_outcome)
-                        .unwrap_or_else(|e| panic!("{what}: {e}"));
+                    let body = spmd_rt::rank_body(&prog, mode, None).unwrap();
+                    let threads = spmd_rt::RunReport::from_outcome(
+                        mpi2::Universe::new(cluster.clone())
+                            .with_tracer(on_threads.clone())
+                            .run(|mpi| mpi.block_on(&body)),
+                    );
                     // `Debug` prints every field, floats to the bit.
                     assert!(format!("{tasks:?}") == format!("{threads:?}"), "{what}: reports differ");
                     assert!(on_tasks.to_chrome_json() == on_threads.to_chrome_json(), "{what}: traces differ");
