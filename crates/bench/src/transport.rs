@@ -94,8 +94,10 @@ fn run_cell(cfg: &ClusterConfig, mode: Mode, bytes: usize, slots: usize, epochs:
     let elems = (bytes / ELEM_BYTES).max(1);
     let policy = policy_for(mode, cfg, bytes, slots);
     let uni = Universe::new(cfg.clone()).with_transport(policy);
+    // One worker: a ring of fenced PUTs has nothing for a second thread
+    // to do but hand rendezvous off (the outcome is the same on any).
     let out = uni
-        .try_run_tasks(async move |mpi: &mut Mpi| {
+        .run_on(1, async move |mpi: &mut Mpi| {
             let w = mpi.win_create_async(elems * PUTS_PER_EPOCH).await?;
             let next = (mpi.rank() + 1) % mpi.size();
             for _ in 0..epochs {

@@ -44,7 +44,7 @@ fn cts_tag(hs: usize) -> i32 {
 /// deadlock detector armed.
 fn run_dynamic(sk: &Skeleton) -> Result<(), VpceError> {
     let uni = Universe::new(ClusterConfig::paper_n(sk.nranks));
-    uni.try_run_tasks(async |mpi: &mut Mpi| {
+    uni.run_on(2, async |mpi: &mut Mpi| {
         let r = mpi.rank();
         for act in &sk.ranks[r] {
             match act.op {

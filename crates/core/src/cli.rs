@@ -585,7 +585,13 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
     let (granularity, advised) = match args.granularity {
         Some(g) => (g, None),
         None => {
-            let advice = crate::advise_by_simulation(&analyzed, &cluster, &base_opts(args));
+            let advice = match crate::advise_by_simulation(&analyzed, &cluster, &base_opts(args)) {
+                Ok(advice) => advice,
+                Err(e) => {
+                    let _ = writeln!(out, "error: {e}");
+                    return Ok(RunOutput::new(out, Outcome::from_error(&e)));
+                }
+            };
             if args.advise {
                 let _ = writeln!(out, "granularity advisor:");
                 for (g, t) in &advice.measured {

@@ -103,18 +103,21 @@ pub struct SimulatedAdvice {
 
 /// Pick the cheapest §5.6 granularity for an analysed program by
 /// *simulating* all three (the precise counterpart of the static
-/// [`polaris_be::advise`] estimator).
+/// [`polaris_be::advise`] estimator). A simulation that fails — the
+/// program runs past a window's end, or divides by zero — is the
+/// error, typed.
 pub fn advise_by_simulation(
     analyzed: &polaris_fe::analysis::AnalyzedProgram,
     cluster: &ClusterConfig,
     base: &BackendOptions,
-) -> SimulatedAdvice {
+) -> Result<SimulatedAdvice, spmd_rt::VpceError> {
     let mut measured = Vec::with_capacity(3);
     let mut best: Option<(Granularity, CompiledProgram, RunReport)> = None;
     for g in Granularity::ALL {
         let opts = base.clone().granularity(g);
         let compiled = polaris_be::compile_backend(analyzed, &opts);
-        let rep = spmd_rt::execute(&compiled.program, cluster, ExecMode::Analytic);
+        let rep =
+            spmd_rt::try_execute(&compiled.program, cluster, ExecMode::Analytic, spmd_rt::FaultSpec::off())?;
         measured.push((g, rep.comm_time));
         // Strictly cheaper only: ties keep the earlier granularity.
         if best.as_ref().is_none_or(|(_, _, b)| rep.comm_time.total_cmp(&b.comm_time).is_lt()) {
@@ -122,16 +125,19 @@ pub fn advise_by_simulation(
         }
     }
     let (winner, compiled, report) = best.expect("three candidates");
-    SimulatedAdvice {
+    Ok(SimulatedAdvice {
         winner,
         measured,
         compiled,
         report,
-    }
+    })
 }
 
 /// [`advise_by_simulation`] from source: the winner and the simulated
 /// communication time per granularity in [`Granularity::ALL`] order.
+///
+/// # Panics
+/// Panics with the error's text when a simulation fails.
 pub fn advise_granularity(
     source: &str,
     params: &[(&str, i64)],
@@ -139,7 +145,7 @@ pub fn advise_granularity(
     base: &BackendOptions,
 ) -> Result<(Granularity, Vec<(Granularity, f64)>), FrontError> {
     let analyzed = polaris_fe::compile(source, params)?;
-    let advice = advise_by_simulation(&analyzed, cluster, base);
+    let advice = advise_by_simulation(&analyzed, cluster, base).unwrap_or_else(|e| panic!("{e}"));
     Ok((advice.winner, advice.measured))
 }
 

@@ -1,11 +1,11 @@
 //! One engine, any worker count, same bytes.
 //!
-//! [`Universe::run_on`] is the one engine behind the closure entry
-//! (`run`: as many workers as ranks) and the task entry
-//! (`try_run_tasks`: as many as the host has cores). These tests call
-//! it with every worker count that matters — one per rank, one, two, a
-//! count that does not divide the ranks — and hold the outcomes equal
-//! to each other: results, clocks, ledgers, network counters,
+//! [`Universe::run_on`] is the one engine: the closure entry (`run`)
+//! is it on as many workers as ranks, and compiled programs call it
+//! with one worker or with as many as the host has cores. These tests
+//! call it with every worker count that matters — one per rank, one,
+//! two, a count that does not divide the ranks — and hold the outcomes
+//! equal to each other: results, clocks, ledgers, network counters,
 //! conflicts, pools, trace bytes, or the typed error. Everything that
 //! could hang runs under the watchdog.
 
@@ -256,9 +256,10 @@ fn a_yielded_rank_that_is_ready_vetoes_the_stall_report() {
 
 #[test]
 fn ranks_outnumber_threads_through_the_task_entry() {
+    let cores = available_parallelism().map_or(1, usize::from);
     let ids = |n: usize| -> HashSet<std::thread::ThreadId> {
         let out = Universe::new(ClusterConfig::paper_n(n))
-            .try_run_tasks(async |mpi: &mut Mpi| {
+            .run_on(cores, async |mpi: &mut Mpi| {
                 mpi.barrier_async().await?;
                 let total = mpi
                     .allreduce_async(vec![1.0], crate::AccumulateOp::Sum)
@@ -269,7 +270,6 @@ fn ranks_outnumber_threads_through_the_task_entry() {
             .expect("a barrier and an allreduce");
         out.results.into_iter().collect()
     };
-    let cores = available_parallelism().map_or(1, usize::from);
     let seen = ids(64);
     assert!(
         seen.len() <= cores,

@@ -44,13 +44,15 @@
 //! on. One engine carries the tasks of a universe on worker threads,
 //! each rank on one worker for life, and has two entries:
 //!
-//! * [`Universe::try_run_tasks`] takes an `async` closure, which waits
+//! * [`Universe::run_on`] takes an `async` closure, which waits
 //!   through the `_async` operations ([`Mpi::barrier_async`],
-//!   [`Mpi::fence_all_async`], [`Mpi::recv_async`], …), and needs no
-//!   more threads than the host has cores — the calling thread is one
-//!   of them, so a one-rank universe spawns nothing. Compiled programs
+//!   [`Mpi::fence_all_async`], [`Mpi::recv_async`], …), and a worker
+//!   count chosen by the caller — the calling thread is one of the
+//!   workers, so one worker spawns nothing. Compiled programs
 //!   (`spmd_rt::exec`) run this way: 16 384 ranks are 16 384 futures,
-//!   not 16 384 stacks.
+//!   not 16 384 stacks. Their count is `spmd_rt::exec::workers`: one
+//!   worker for an `Analytic` run or a `Full` run of small arrays, else
+//!   `min(n, available_parallelism())`.
 //! * [`Universe::run`] takes a plain closure, which cannot be
 //!   suspended: a rank that waits inside [`Mpi::barrier`] has to keep
 //!   its thread, so this entry — and only this one — still means one OS
@@ -65,7 +67,7 @@
 //! Every operation that can fail returns `Result<_, VpceError>` from
 //! where the failure is detected — at issue, in a fence or collective
 //! leader, or while waiting. A rank task propagates it with `?` and
-//! [`Universe::try_run_tasks`] returns the root cause; nothing modelled
+//! [`Universe::run_on`] returns the root cause; nothing modelled
 //! unwinds. The closure entry's synchronous operations panic with the
 //! error's Display text, as [`Universe::run`] documents.
 //!

@@ -9,7 +9,6 @@ use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::pin::pin;
 use std::sync::Arc;
 use std::task::{Context, Poll, Waker};
-use std::thread::available_parallelism;
 
 use cluster_sim::{
     ClusterConfig, CpuModel, HostCostBreakdown, NicModel, OpCounts, Protocol, TransferKind,
@@ -227,15 +226,15 @@ impl Universe {
     ///
     /// One OS thread per rank: a plain closure cannot be suspended, so
     /// a rank that has to wait inside a call keeps its thread and
-    /// sleeps on it. [`Universe::try_run_tasks`] is the same engine
-    /// without that cost, for programs written as `async` closures.
+    /// sleeps on it. [`Universe::run_on`] is the same engine without
+    /// that cost, for programs written as `async` closures.
     ///
     /// # Panics
     /// Panics with the error's Display text when the run fails — a
     /// modelled fault exhausted its recovery budget, or the program
     /// misused the API: the synchronous operations panic with it, and
     /// the first rank to fail is the one whose panic goes on.
-    /// [`Universe::try_run_tasks`] returns the typed error instead.
+    /// [`Universe::run_on`] returns the typed error instead.
     pub fn run<R, F>(&self, f: F) -> RunOutcome<R>
     where
         R: Send,
@@ -245,13 +244,14 @@ impl Universe {
             .unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Run `f` as an SPMD program of resumable rank tasks: a rank that
-    /// has to wait inside an `_async` call yields, and is data until it
-    /// can go on, so the run needs no more OS threads than the host has
-    /// cores — `min(size, available_parallelism())` workers, the
-    /// calling thread among them; a rank stays on the worker it started
-    /// on. Every collective folds its inputs in rank order, so the
-    /// outcome does not depend on the worker count.
+    /// Run `f` as an SPMD program of resumable rank tasks on `workers`
+    /// OS threads (clamped to `1..=size`), the calling thread among
+    /// them: one worker spawns nothing. A rank that has to wait inside
+    /// an `_async` call yields, and is data until it can go on; rank
+    /// `r` stays on worker `r % workers` for life. Every collective
+    /// folds its inputs in rank order, so the outcome does not depend
+    /// on the worker count — the caller picks it for speed alone
+    /// (`spmd_rt::exec::workers` is the rule compiled programs use).
     ///
     /// A rank whose body returns `Err` fails the run: its peers leave
     /// their waits with [`VpceError::PeerFailure`], and the run returns
@@ -262,24 +262,7 @@ impl Universe {
     /// `f` must wait through the `_async` operations only. A
     /// synchronous one that has to wait panics when ranks share
     /// workers.
-    pub fn try_run_tasks<R, F>(&self, f: F) -> Result<RunOutcome<R>, VpceError>
-    where
-        R: Send,
-        F: AsyncFn(&mut Mpi) -> Result<R, VpceError> + Sync,
-    {
-        // (Asked only when it matters: the answer is a dozen
-        // microseconds of affinity-mask and cgroup reads, twenty times
-        // the rest of a one-rank universe.)
-        let workers = match self.size() {
-            1 => 1,
-            n => n.min(available_parallelism().map_or(1, usize::from)),
-        };
-        self.run_on(workers, f)
-    }
-
-    /// The one engine behind both entries: the ranks' futures on
-    /// `workers` OS threads, rank `r` on worker `r % workers`.
-    pub(crate) fn run_on<R, F>(&self, workers: usize, f: F) -> Result<RunOutcome<R>, VpceError>
+    pub fn run_on<R, F>(&self, workers: usize, f: F) -> Result<RunOutcome<R>, VpceError>
     where
         R: Send,
         F: AsyncFn(&mut Mpi) -> Result<R, VpceError> + Sync,
@@ -599,8 +582,8 @@ impl Mpi {
     /// # Panics
     /// Panics with the error's Display text when `op` fails, and with
     /// that of a [`VpceError::Internal`] when `op` has to wait and this
-    /// rank shares its thread with others ([`Universe::try_run_tasks`]
-    /// on fewer workers than ranks): sleeping here would stop ranks the
+    /// rank shares its thread with others ([`Universe::run_on`] on
+    /// fewer workers than ranks): sleeping here would stop ranks the
     /// wait may depend on.
     pub fn block_on<T>(&mut self, op: impl AsyncFnOnce(&mut Mpi) -> Result<T, VpceError>) -> T {
         let (shared, rank) = (Arc::clone(&self.shared), self.rank);
@@ -613,7 +596,7 @@ impl Mpi {
                     let e = VpceError::Internal {
                         msg: format!(
                             "rank {rank} has to wait inside a synchronous call, on a thread it \
-                             shares with other ranks: use the `_async` form inside `try_run_tasks`"
+                             shares with other ranks: use the `_async` form inside `run_on`"
                         ),
                     };
                     panic!("{e}")
@@ -1470,7 +1453,7 @@ mod tests {
         };
         let err = uni(2)
             .with_faults(spec)
-            .try_run_tasks(async |mpi: &mut Mpi| match mpi.rank() {
+            .run_on(2, async |mpi: &mut Mpi| match mpi.rank() {
                 0 => mpi.send(1, 0, vec![1.0]),
                 _ => mpi.recv_async(0, 0).await.map(drop),
             })

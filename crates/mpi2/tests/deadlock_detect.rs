@@ -28,14 +28,14 @@ fn run_within_watchdog<R: Send + 'static>(
     n: usize,
     body: impl AsyncFn(&mut Mpi) -> Result<R, VpceError> + Send + Sync + 'static,
 ) -> Result<(), VpceError> {
-    within_watchdog(move || uni(n).try_run_tasks(body).map(|_| ()))
+    within_watchdog(move || uni(n).run_on(2, body).map(|_| ()))
 }
 
 #[test]
 fn head_to_head_recv_cycle_is_a_typed_stall() {
     // Both ranks receive first: the classic two-rank deadlock.
     let err = uni(2)
-        .try_run_tasks(async |mpi: &mut Mpi| {
+        .run_on(2, async |mpi: &mut Mpi| {
             let peer = 1 - mpi.rank();
             let got = mpi.recv_async(peer, 0).await?;
             mpi.send(peer, 0, vec![1.0])?;
@@ -56,7 +56,7 @@ fn unmatched_recv_after_peer_finishes_is_a_typed_stall() {
     // Rank 0 exits without ever sending: rank 1's receive can never be
     // satisfied (the orphaned-handshake shape).
     let err = uni(2)
-        .try_run_tasks(async |mpi: &mut Mpi| {
+        .run_on(2, async |mpi: &mut Mpi| {
             if mpi.rank() == 1 {
                 mpi.recv_async(0, 7).await?;
             }
@@ -77,7 +77,7 @@ fn missing_collective_participant_is_a_typed_stall() {
     // Rank 0 skips the barrier and returns; the other ranks wait for a
     // generation that can never complete.
     let err = uni(3)
-        .try_run_tasks(async |mpi: &mut Mpi| {
+        .run_on(2, async |mpi: &mut Mpi| {
             if mpi.rank() != 0 {
                 mpi.barrier_async().await?;
             }
@@ -102,7 +102,7 @@ fn crash_mid_rendezvous_orphans_the_peer_with_a_typed_error() {
     const RTS: i32 = 1000;
     const CTS: i32 = 1001;
     let err = uni(2)
-        .try_run_tasks(async |mpi: &mut Mpi| {
+        .run_on(2, async |mpi: &mut Mpi| {
             if mpi.rank() == 0 {
                 mpi.send(1, RTS, vec![0.0])?;
                 mpi.recv_async(1, CTS).await?; // orphaned: the CTS never comes

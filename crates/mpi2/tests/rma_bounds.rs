@@ -18,7 +18,7 @@ const HUGE: usize = usize::MAX / 2 + 1;
 /// `length_only` — then everyone fences.
 fn issue(lens: [usize; 2], length_only: bool, call: Call) -> Result<(), VpceError> {
     Universe::new(ClusterConfig::paper_n(2))
-        .try_run_tasks(async move |mpi: &mut Mpi| {
+        .run_on(2, async move |mpi: &mut Mpi| {
             let len = lens[mpi.rank()];
             let w = if length_only {
                 mpi.win_create_length_only_async(len).await?

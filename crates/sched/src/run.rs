@@ -1,7 +1,8 @@
 //! Per-job compilation and execution.
 //!
-//! Admission compiles the job once ([`compile`]: front-end + backend at
-//! the chosen granularity) and dry-runs it fault-free on its private
+//! Admission compiles the job once ([`analyze`], the front end, shared
+//! by every job of one program text and parameters; [`compile`], the
+//! backend at the chosen granularity) and dry-runs it fault-free on its private
 //! partition. The dry run is not a second way to execute a program: it
 //! is [`run_attempt`], attempt 0, of the job's fault- and recover-free
 //! copy ([`crate::Runner::prepare`] composes the two), and its one
@@ -26,6 +27,7 @@ use std::rc::Rc;
 use cluster_sim::ClusterConfig;
 use lmad::Granularity;
 use polaris_be::{advisor, BackendOptions};
+use polaris_fe::AnalyzedProgram;
 use spmd_rt::{ExecMode, RunReport, SpmdProgram, VpceError};
 use vbus_sim::Mesh;
 use vpce_faults::FaultSpec;
@@ -70,7 +72,7 @@ pub(crate) fn reject(job: &JobSpec, reason: String) -> VpceError {
     VpceError::AdmissionRejected { job: job.name.clone(), reason }
 }
 
-fn resolve_source(job: &JobSpec, loader: &SourceLoader) -> Result<String, VpceError> {
+pub(crate) fn resolve_source(job: &JobSpec, loader: &SourceLoader) -> Result<String, VpceError> {
     match &job.source {
         JobSource::Inline(text) => Ok(text.clone()),
         JobSource::Path(path) => {
@@ -129,32 +131,33 @@ pub fn job_footprint(machine: &MachineSpec, ranks: usize) -> Mesh {
         .expect("positive ranks always have a footprint")
 }
 
-/// Admission-time compile. `default_machine` is the batch-level
-/// machine description (the CLI's `--machine` / the jobfile's
-/// `machine=` header); the job's own `machine=` field wins. Any failure
-/// here is a typed [`VpceError::AdmissionRejected`] — the job never
-/// enters the queue.
+/// The front end on the job's program text `source` under its
+/// `PARAMETER` overrides. A failure is a typed
+/// [`VpceError::AdmissionRejected`] naming `job`.
+pub fn analyze(job: &JobSpec, source: &str) -> Result<AnalyzedProgram, VpceError> {
+    let params: Vec<(&str, i64)> = job.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
+    polaris_fe::compile(source, &params).map_err(|e| reject(job, format!("front-end: {e}")))
+}
+
+/// Admission-time compile of the job's analyzed program onto its
+/// resolved machine ([`resolve_machine`]). Any failure here is a typed
+/// [`VpceError::AdmissionRejected`] — the job never enters the queue.
 pub fn compile(
     job: &JobSpec,
-    loader: &SourceLoader,
-    default_machine: Option<&MachineSpec>,
+    analyzed: &AnalyzedProgram,
+    machine: &MachineSpec,
 ) -> Result<Plan, VpceError> {
-    let machine = resolve_machine(job, default_machine)?;
-    let source = resolve_source(job, loader)?;
-    let params: Vec<(&str, i64)> = job.params.iter().map(|(k, v)| (k.as_str(), *v)).collect();
-    let analyzed = polaris_fe::compile(&source, &params)
-        .map_err(|e| reject(job, format!("front-end: {e}")))?;
     let base = BackendOptions::new(job.ranks);
     // The static advisor plans all three grains to price them and
     // hands back the winner's plan.
     let (granularity, compiled) = match job.granularity {
-        Some(g) => (g, polaris_be::compile_backend(&analyzed, &base.granularity(g))),
+        Some(g) => (g, polaris_be::compile_backend(analyzed, &base.granularity(g))),
         None => {
-            let advice = advisor::advise(&analyzed, &base, &advisor::CostParams::paper_card());
+            let advice = advisor::advise(analyzed, &base, &advisor::CostParams::paper_card());
             (advice.recommended, advice.compiled)
         }
     };
-    let shape = job_footprint(&machine, job.ranks);
+    let shape = job_footprint(machine, job.ranks);
     // The private cluster every attempt executes on: the machine's
     // fabric lowered onto the job's partition (a `VPCE505`-class
     // failure — e.g. a non-power-of-two hypercube partition — rejects).

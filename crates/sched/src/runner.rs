@@ -11,6 +11,9 @@
 //! [`JobSpec::work_key`], the outcome's whole input — every field an
 //! outcome depends on and none that only says who asks, when and how
 //! urgently. Hits hand out shared handles, never copies of the arrays.
+//! The front end's analysis depends on less — the program text and its
+//! `PARAMETER` overrides — so jobs that differ in ranks, grain, faults
+//! or machine share one [`AnalyzedProgram`].
 //!
 //! There is one way to execute a job. The admission dry run is attempt
 //! 0 of the job's fault- and recover-free copy, through the same
@@ -21,6 +24,7 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
+use polaris_fe::AnalyzedProgram;
 use spmd_rt::{ExecMode, Snapshot, VpceError};
 use vpce_machine::MachineSpec;
 
@@ -29,6 +33,8 @@ use crate::run::{self, AttemptOutcome, Plan, Prepared, SourceLoader};
 
 type Key = (String, u32);
 type CkptKey = (String, u32, usize);
+/// Resolved program text and `PARAMETER` overrides.
+type SourceKey = (String, Vec<(String, i64)>);
 type Memo<K, V> = RefCell<HashMap<K, Result<Rc<V>, VpceError>>>;
 
 /// The loader of a runner built without one: jobs must carry their
@@ -50,6 +56,7 @@ pub struct Runner<'l> {
     /// Resolves `src=` paths; fixed for the runner's life, so the
     /// work key stays a complete cache key.
     loader: &'l SourceLoader<'l>,
+    analyzed: Memo<SourceKey, AnalyzedProgram>,
     prepared: Memo<String, Prepared>,
     runs: Memo<Key, AttemptOutcome>,
     snaps: Memo<CkptKey, Snapshot>,
@@ -60,14 +67,23 @@ pub struct Runner<'l> {
 fn memoised<K: std::hash::Hash + Eq, V>(
     memo: &Memo<K, V>,
     key: K,
-    compute: impl FnOnce() -> Result<V, VpceError>,
+    compute: impl FnOnce(&K) -> Result<V, VpceError>,
 ) -> Result<Rc<V>, VpceError> {
     if let Some(hit) = memo.borrow().get(&key) {
         return hit.clone();
     }
-    let out = compute().map(Rc::new);
+    let out = compute(&key).map(Rc::new);
     memo.borrow_mut().insert(key, out.clone());
     out
+}
+
+/// `e` as `spec`'s own: a remembered refusal names whichever job asked
+/// first.
+fn refusal_of(spec: &JobSpec, e: VpceError) -> VpceError {
+    match e {
+        VpceError::AdmissionRejected { reason, .. } => run::reject(spec, reason),
+        other => other,
+    }
 }
 
 impl Runner<'static> {
@@ -85,6 +101,7 @@ impl<'l> Runner<'l> {
             mode,
             machine: None,
             loader,
+            analyzed: RefCell::default(),
             prepared: RefCell::default(),
             runs: RefCell::default(),
             snaps: RefCell::default(),
@@ -107,27 +124,37 @@ impl<'l> Runner<'l> {
         self.machine.as_ref()
     }
 
+    /// The front end's analysis of the job's program under its
+    /// `PARAMETER` overrides, run once per (program text, overrides). A
+    /// refusal names the job that asked.
+    pub(crate) fn analyze(&self, spec: &JobSpec) -> Result<Rc<AnalyzedProgram>, VpceError> {
+        let source = run::resolve_source(spec, self.loader)?;
+        memoised(&self.analyzed, (source, spec.params.clone()), |(source, _)| {
+            run::analyze(spec, source)
+        })
+        .map_err(|e| refusal_of(spec, e))
+    }
+
     /// Compile + fault-free dry run (admission). A refusal names the
     /// job that asked, whichever copy of the work was refused first.
     pub fn prepare(&self, spec: &JobSpec) -> Result<Rc<Prepared>, VpceError> {
-        memoised(&self.prepared, spec.work_key(), || {
-            let plan = run::compile(spec, self.loader, self.machine.as_ref())?;
+        memoised(&self.prepared, spec.work_key(), |_| {
+            let machine = run::resolve_machine(spec, self.machine.as_ref())?;
+            let analyzed = self.analyze(spec)?;
+            let plan = run::compile(spec, &analyzed, &machine)?;
             let clean = self
                 .run(&spec.fault_free(), &plan, 0)
                 .map_err(|e| run::reject(spec, format!("fault-free dry run: {e}")))?;
             Ok(Prepared { plan, clean })
         })
-        .map_err(|e| match e {
-            VpceError::AdmissionRejected { reason, .. } => run::reject(spec, reason),
-            other => other,
-        })
+        .map_err(|e| refusal_of(spec, e))
     }
 
     /// Outcome of attempt `attempt` (traced, on a fresh private
     /// cluster). With `recover=` armed the outcome carries the
     /// rollback-recovery ledger alongside the report.
     pub fn run(&self, spec: &JobSpec, plan: &Plan, attempt: u32) -> Result<Rc<AttemptOutcome>, VpceError> {
-        memoised(&self.runs, (spec.work_key(), attempt), || {
+        memoised(&self.runs, (spec.work_key(), attempt), |_| {
             run::run_attempt(spec, plan, self.mode, attempt)
         })
     }
@@ -141,7 +168,7 @@ impl<'l> Runner<'l> {
         attempt: u32,
         boundary: usize,
     ) -> Result<Rc<Snapshot>, VpceError> {
-        memoised(&self.snaps, (spec.work_key(), attempt, boundary), || {
+        memoised(&self.snaps, (spec.work_key(), attempt, boundary), |_| {
             run::checkpoint_attempt(spec, plan, self.mode, attempt, boundary)
         })
     }
@@ -157,7 +184,7 @@ impl<'l> Runner<'l> {
         attempt: u32,
         boundary: usize,
     ) -> Result<Rc<AttemptOutcome>, VpceError> {
-        memoised(&self.resumes, (spec.work_key(), attempt, boundary), || {
+        memoised(&self.resumes, (spec.work_key(), attempt, boundary), |_| {
             let snap = self.checkpoint(spec, plan, attempt, boundary)?;
             run::resume_attempt(spec, plan, self.mode, attempt, &snap)
                 .map(|report| AttemptOutcome { report, recovery: None })
@@ -264,6 +291,48 @@ mod tests {
             assert!(!Rc::ptr_eq(&po, &p), "{field}: its own admission");
             assert!(!Rc::ptr_eq(&r.run(&other, &po.plan, 0).unwrap(), &out), "{field}: its own attempt");
         }
+    }
+
+    #[test]
+    fn one_program_text_and_parameters_are_analyzed_once() {
+        let r = Runner::new(ExecMode::Full);
+        let base = mm("a");
+        let pa = r.analyze(&base).unwrap();
+        let same: [(&str, fn(&mut JobSpec)); 4] = [
+            ("ranks", |j| j.ranks = 4),
+            ("grain", |j| j.granularity = Some(lmad::Granularity::Fine)),
+            ("faults", |j| j.faults = vpce_faults::FaultSpec::parse("light,seed=3").unwrap()),
+            ("machine", |j| j.machine = Some("torus".into())),
+        ];
+        for (field, change) in same {
+            let mut other = mm("b");
+            change(&mut other);
+            r.prepare(&other).unwrap();
+            assert!(Rc::ptr_eq(&r.analyze(&other).unwrap(), &pa), "{field}: one analysis");
+        }
+        let mut bigger = mm("c");
+        bigger.params[0].1 = 12;
+        assert!(!Rc::ptr_eq(&r.analyze(&bigger).unwrap(), &pa), "params: its own analysis");
+        assert_eq!(r.analyzed.borrow().len(), 2);
+    }
+
+    #[test]
+    fn a_front_end_refusal_through_the_memo_names_each_asking_job() {
+        let r = Runner::new(ExecMode::Full);
+        let bad = JobSource::Inline("PROGRAM T\nX = \nEND\n".into());
+        // Different ranks: two admissions, one front-end run.
+        for (name, ranks) in [("first", 2), ("second", 4)] {
+            let job = JobSpec::new(name, bad.clone(), ranks);
+            match r.prepare(&job).unwrap_err() {
+                VpceError::AdmissionRejected { job, reason } => {
+                    assert_eq!(job, name);
+                    assert!(reason.starts_with("front-end: "), "{reason}");
+                }
+                other => panic!("expected a rejection, got {other:?}"),
+            }
+        }
+        assert_eq!(r.prepared.borrow().len(), 2);
+        assert_eq!(r.analyzed.borrow().len(), 1, "analyzed once, refused twice");
     }
 
     #[test]

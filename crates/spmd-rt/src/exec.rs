@@ -22,6 +22,32 @@ use crate::value::Value;
 /// achieves a speedup of 0.96 (i.e. ≈4% slower than sequential).
 pub const SPMD_OVERHEAD: f64 = 1.0 / 0.96;
 
+/// Declared array elements, summed over a program's arrays, up to which
+/// a `Full` run is carried by one worker. Measured on a 2-core x86-64
+/// host with `mm.f --grain coarse`, one worker against two in
+/// alternating runs: 4 ranks at N=144 (62 208 elements) and N=192
+/// (110 592) were no slower on one (+0.5 % each, 30 pairs); at N=256
+/// (196 608) two were 10–15 % faster, and 16 ranks at N=512 (786 432)
+/// 20–25 % faster — in phases where the host keeps a woken thread on
+/// its waker's core, those two rows come out even instead. Below the
+/// crossover a second worker's futex hand-offs at every rendezvous
+/// cost more than the numeric work it takes over.
+const ONE_WORKER_ELEMS: usize = 1 << 17;
+
+/// How many OS threads carry the ranks of `prog` run in `mode` — the one
+/// place that count is decided. An `Analytic` run prices its loops and
+/// moves no payload, and a `Full` run of small arrays computes little
+/// between rendezvous: one worker, the calling thread, carries every
+/// rank of either. Otherwise every core gets a worker. The outcome is
+/// the same on any count (`mpi2::Universe::run_on`); only speed moves.
+pub fn workers(prog: &SpmdProgram, mode: ExecMode) -> usize {
+    let elems: usize = prog.arrays.iter().map(|(_, len)| len).sum();
+    if mode == ExecMode::Analytic || elems <= ONE_WORKER_ELEMS {
+        return 1;
+    }
+    prog.nprocs.min(std::thread::available_parallelism().map_or(1, usize::from))
+}
+
 /// How loop bodies execute. See the crate docs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExecMode {
@@ -160,7 +186,7 @@ pub fn try_execute_suppressed(
         .with_tracer(tracer)
         .with_faults(faults)
         .with_crash_suppression(suppressed_crashes.clone());
-    Ok(RunReport::from_outcome(uni.try_run_tasks(body)?))
+    Ok(RunReport::from_outcome(uni.run_on(workers(prog, mode), body)?))
 }
 
 /// What one rank of a compiled program returns: rank 0's final arrays
@@ -168,7 +194,7 @@ pub fn try_execute_suppressed(
 pub type RankOutput = (Vec<Vec<Elem>>, Vec<Value>, Vec<f64>);
 
 /// The compiled program as the body of one rank — what
-/// [`try_execute_suppressed`] hands to [`Universe::try_run_tasks`]. A
+/// [`try_execute_suppressed`] hands to [`Universe::run_on`]. A
 /// rank task: it yields wherever it has to wait for its peers, so ranks
 /// share worker threads. (`Mpi::block_on` runs the same body on a
 /// thread of its own; the differential suite holds the two equal.)
@@ -570,7 +596,11 @@ pub(crate) mod tests {
     /// parallel region computes C[i] = A[i] * 2 over 16 iterations,
     /// block-scheduled on 4 ranks. A is initialised by the master.
     pub(crate) fn axpy_prog(nprocs: usize) -> SpmdProgram {
-        let n = 16usize;
+        axpy_prog_of(nprocs, 16)
+    }
+
+    /// [`axpy_prog`] over arrays of `n` elements (`nprocs` divides `n`).
+    fn axpy_prog_of(nprocs: usize, n: usize) -> SpmdProgram {
         let chunk = n / nprocs;
         // Scatter: rank r receives A[r*chunk .. (r+1)*chunk].
         // Collect: rank r returns C[...] likewise.
@@ -816,6 +846,48 @@ pub(crate) mod tests {
             slow.elapsed,
             clean.elapsed
         );
+    }
+
+    #[test]
+    fn one_worker_unless_a_full_run_has_numeric_work_to_share() {
+        let cores = std::thread::available_parallelism().map_or(1, usize::from);
+        let big = axpy_prog_of(4, ONE_WORKER_ELEMS / 2 + 4);
+        for (prog, mode, want) in [
+            (axpy_prog(4), ExecMode::Analytic, 1),
+            (big.clone(), ExecMode::Analytic, 1),
+            (axpy_prog(4), ExecMode::Full, 1),
+            (axpy_prog_of(4, ONE_WORKER_ELEMS / 2), ExecMode::Full, 1),
+            (big, ExecMode::Full, cores.min(4)),
+            (axpy_prog_of(1, ONE_WORKER_ELEMS), ExecMode::Full, 1),
+        ] {
+            let elems: usize = prog.arrays.iter().map(|(_, len)| len).sum();
+            assert_eq!(workers(&prog, mode), want, "{elems} elements on {} ranks, {mode:?}", prog.nprocs);
+        }
+    }
+
+    /// Most runs now take one worker; the multi-worker path must stay
+    /// covered. Above the one-worker bound, one and two workers must
+    /// leave the same arrays, clocks, ledgers, network counters and
+    /// trace bytes.
+    #[test]
+    fn full_runs_above_the_bound_are_the_same_on_one_and_two_workers() {
+        let prog = axpy_prog_of(4, ONE_WORKER_ELEMS / 2 + 4);
+        let cluster = ClusterConfig::paper_4node();
+        let body = rank_body(&prog, ExecMode::Full, None).unwrap();
+        let [one, two] = [1, 2].map(|w| {
+            let tracer = Tracer::enabled();
+            let out = Universe::new(cluster.clone())
+                .with_tracer(tracer.clone())
+                .run_on(w, &body)
+                .unwrap();
+            (out.clocks.clone(), RunReport::from_outcome(out), tracer.to_chrome_json())
+        });
+        assert_eq!(one.0, two.0, "clocks");
+        assert_eq!(one.1.arrays, two.1.arrays);
+        assert_eq!(one.1.arrays[1][7], 16.0);
+        assert_eq!(one.1.rank_stats, two.1.rank_stats);
+        assert_eq!(one.1.net, two.1.net);
+        assert!(one.2 == two.2, "Chrome traces differ");
     }
 
     #[test]

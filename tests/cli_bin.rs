@@ -232,7 +232,7 @@ fn typed_failures_are_one_line_on_stdout_and_nothing_on_stderr() {
     };
     let (div, oob) = (file("quiet_div.f", DIV_ZERO), file("quiet_oob.f", PAST_THE_END));
     let mm_fine = [mm, "--nodes", "4", "--param", "N=16", "--grain", "fine"];
-    let table: [(Vec<&str>, &str); 5] = [
+    let table: [(Vec<&str>, &str); 6] = [
         (vec![div.str(), "--nodes", "4"], "error: integer division by zero"),
         (
             [&mm_fine[..], &["--faults", "crashy"]].concat(),
@@ -248,6 +248,11 @@ fn typed_failures_are_one_line_on_stdout_and_nothing_on_stderr() {
         ),
         (
             vec![oob.str(), "--nodes", "4", "--grain", "coarse", "--analytic"],
+            "error: RMA past end of window: offset 15 + len 2 > size 16 on target rank 0",
+        ),
+        // No `--grain`: the advisor's analytic simulation fails first.
+        (
+            vec![oob.str(), "--nodes", "4"],
             "error: RMA past end of window: offset 15 + len 2 > size 16 on target rank 0",
         ),
     ];

@@ -230,8 +230,8 @@ fn workloads_equal_their_references_on_both_sides_of_the_strip_width() {
 }
 
 /// One engine, two entries, same bytes. A compiled program runs as
-/// resumable rank tasks on at most as many threads as the host has
-/// cores (`Universe::try_run_tasks`, what every shipped command uses);
+/// resumable rank tasks on the workers `spmd_rt::exec::workers` picks
+/// (`Universe::run_on`, what every shipped command uses);
 /// the closure entry drives the *same* rank body with `Mpi::block_on`
 /// on a thread per rank. The two reports must be equal field for field
 /// — times, ledgers, network counters, arrays, scalars, boundaries,
