@@ -93,8 +93,8 @@ pub fn sweep(cluster: &ClusterConfig, seeds: u64) -> Vec<Cell> {
                 match spmd_rt::try_execute(&compiled.program, cluster, ExecMode::Full, spec) {
                     Ok(rep) => {
                         cell.survived = true;
-                        cell.identical =
-                            rep.arrays == clean.arrays && rep.scalars == clean.scalars;
+                        cell.identical = spmd_rt::same_bits(&rep.arrays, &clean.arrays)
+                            && spmd_rt::same_bits(&rep.scalars, &clean.scalars);
                         cell.elapsed = rep.elapsed;
                         cell.crc_failures = rep.net.crc_failures;
                         cell.packets_dropped = rep.net.packets_dropped;

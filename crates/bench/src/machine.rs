@@ -72,7 +72,7 @@ pub fn sweep(machines: &[&str], nodes: usize) -> Vec<MachinePoint> {
                 elapsed_s: par.elapsed,
                 comm_s: par.comm_time,
                 speedup: seq.elapsed / par.elapsed,
-                identical: par.arrays == seq.arrays,
+                identical: spmd_rt::same_bits(&par.arrays, &seq.arrays),
             });
         }
     }

@@ -725,7 +725,7 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
         &parallel.rank_stats,
     ));
     if args.mode == ExecMode::Full {
-        let identical = parallel.arrays == sequential.arrays;
+        let identical = spmd_rt::same_bits(&parallel.arrays, &sequential.arrays);
         let _ = writeln!(
             out,
             "  results identical to sequential execution: {identical}"

@@ -1113,7 +1113,9 @@ impl<'r> Scheduler<'r> {
                     requeues: j.attempts.saturating_sub(1),
                     preemptions: j.preemptions,
                     identical: match (report, &j.prepared) {
-                        (Some(rep), Ok(p)) if full => Some(rep.arrays == p.clean.report.arrays),
+                        (Some(rep), Ok(p)) if full => {
+                            Some(spmd_rt::same_bits(&rep.arrays, &p.clean.report.arrays))
+                        }
                         _ => None,
                     },
                     error: j.error.clone(),

@@ -95,6 +95,41 @@ pub struct RunReport {
     pub trace: Option<TraceReport>,
 }
 
+/// Do two runs' arrays (or scalars, or one array) hold the same bits?
+/// This, not `==`, is what "identical results" means: a NaN matches
+/// itself, and `-0.0` does not match `0.0`.
+pub fn same_bits<T: Bits>(a: &[T], b: &[T]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.same_bits(y))
+}
+
+/// What [`same_bits`] compares: a REAL by `f64::to_bits`, an INTEGER
+/// by value, an array element by element.
+pub trait Bits {
+    fn same_bits(&self, other: &Self) -> bool;
+}
+
+impl Bits for Elem {
+    fn same_bits(&self, other: &Self) -> bool {
+        self.to_bits() == other.to_bits()
+    }
+}
+
+impl Bits for Value {
+    fn same_bits(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Value::I(a), Value::I(b)) => a == b,
+            (Value::R(a), Value::R(b)) => a.same_bits(b),
+            _ => false,
+        }
+    }
+}
+
+impl<T: Bits> Bits for Vec<T> {
+    fn same_bits(&self, other: &Self) -> bool {
+        same_bits(self, other)
+    }
+}
+
 /// Result of a sequential execution.
 #[derive(Debug)]
 pub struct SeqReport {
@@ -725,6 +760,20 @@ pub(crate) mod tests {
             par.arrays[1],
             (1..=16).map(|i| 2.0 * i as f64).collect::<Vec<_>>()
         );
+    }
+
+    #[test]
+    fn identical_results_compare_bits_not_values() {
+        let arrays = |v: &[f64]| vec![vec![1.0], v.to_vec()];
+        let nan = arrays(&[f64::NAN, 2.0]);
+        assert!(same_bits(&nan, &nan.clone()));
+        assert!(!same_bits(&arrays(&[-0.0, 2.0]), &arrays(&[0.0, 2.0])));
+        assert!(!same_bits(&arrays(&[2.0]), &arrays(&[2.0, 2.0])));
+        assert!(!same_bits(&arrays(&[2.0]), &arrays(&[2.0])[..1]));
+        let scalars = [Value::I(3), Value::R(f64::NAN)];
+        assert!(same_bits(&scalars, &scalars));
+        assert!(!same_bits(&scalars, &[Value::I(3), Value::R(-f64::NAN)]));
+        assert!(!same_bits(&[Value::I(0)], &[Value::R(0.0)]));
     }
 
     #[test]

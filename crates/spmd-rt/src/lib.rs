@@ -53,8 +53,9 @@ pub mod value;
 
 pub use checkpoint::Snapshot;
 pub use exec::{
-    execute, execute_sequential, execute_traced, rank_body, try_execute, try_execute_suppressed,
-    try_execute_sequential, try_execute_traced, ExecMode, RankOutput, RunReport, SeqReport,
+    execute, execute_sequential, execute_traced, rank_body, same_bits, try_execute,
+    try_execute_suppressed, try_execute_sequential, try_execute_traced, ExecMode, RankOutput,
+    RunReport, SeqReport,
 };
 pub use vpce_faults::{FaultSpec, VpceError};
 pub use ir::{

@@ -45,16 +45,22 @@
 //! affine node is a [`Cursor`]; every maximal subtree that reads
 //! nothing the body stores — so that no trip can change what another
 //! trip's evaluation of it sees — is hoisted and evaluated a strip of
-//! `STRIP` trips at a time, one gather per load and one lane-wise loop
-//! per operator; the rest runs per trip, in statement order, over those
-//! strips. The sole statement `X[c] = X[c] ⊕ strip`, `c` invariant, is
-//! folded in trip order — `((X[c] ⊕ t₀) ⊕ t₁) ⊕ …`, the association
-//! the per-trip walk has, hence its bits. `State::run_trips` proves
-//! every subscript cursor's first and last index in range on entry
-//! (linear, so every index between is too) and otherwise leaves the
-//! entry to the per-trip walk, which reports the first bad access as a
-//! typed `SubscriptRange`. Costs are charged on entry either way;
-//! `Analytic` never sees a stream.
+//! `STRIP` trips at a time, one lane-wise loop per operator. Operands
+//! are read where they live: a load is a strided view of its array
+//! (`View`: start and delta of its cursor, any sign), a constant or a
+//! scalar a view of one element, and only an operator's result fills a
+//! strip buffer. The rest runs per trip, in statement order, over those
+//! strips; a leaf under it is not hoisted, just read. The sole
+//! statement `X[c] = X[c] ⊕ t`, `c` invariant and `t` free, is folded
+//! in trip order — `((X[c] ⊕ t₀) ⊕ t₁) ⊕ …`, the association the
+//! per-trip walk has, hence its bits; when `t = a ⊗ b` the fold applies
+//! `⊗` trip by trip over the two operands, `acc ⊕ (aᵢ ⊗ bᵢ)`, and no
+//! buffer holds the `tᵢ`. `State::run_trips` proves every subscript
+//! cursor's first and last index in range on entry (linear, so every
+//! index between is too) and otherwise leaves the entry to the per-trip
+//! walk, which reports the first bad access as a typed `SubscriptRange`.
+//! A view is still read with bounds-checked indexing. Costs are charged
+//! on entry either way; `Analytic` never sees a stream.
 //!
 //! **Errors are one word.** The per-trip walk returns [`Eval`], its
 //! error boxed, so a value comes back in registers; streams have no
@@ -201,8 +207,8 @@ pub struct LoopBody {
 
 /// Trips a stream evaluates per strip: wide enough that an operator's
 /// dispatch is noise against its lanes, narrow enough that a rank's
-/// buffers (one per hoisted subtree, one more on the stack per level of
-/// the subtree being evaluated) stay a few KB.
+/// buffers (one per hoisted subtree, and [`Stream::scratch`] more for
+/// the computed operands of the one being evaluated) stay a few KB.
 pub(crate) const STRIP: usize = 64;
 
 /// One affine node of a stream body, as a walk: its value at the first
@@ -221,7 +227,9 @@ pub struct Cursor {
 
 /// A subtree evaluated for a whole strip of trips at once. It reads no
 /// array and no REAL slot the body stores, so no trip of this loop can
-/// change what any other trip's evaluation of it sees.
+/// change what any other trip's evaluation of it sees. Its leaves
+/// (`Const`, `Scalar`, `Load`) are read where they live; the other
+/// nodes compute a strip buffer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SExpr {
     Const(f64),
@@ -233,11 +241,12 @@ pub enum SExpr {
 }
 
 /// What is left to evaluate trip by trip, in statement order: reads of
-/// what the body itself stores, over strip buffers as leaves.
+/// what the body itself stores, over strip buffers and free leaves.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TExpr {
     /// The current lane of `Stream::hoisted[i]`'s buffer.
     Strip(usize),
+    Const(f64),
     Scalar(usize),
     Load {
         array: usize,
@@ -255,13 +264,14 @@ pub enum Place {
 
 #[derive(Debug, Clone, PartialEq)]
 pub enum Residual {
-    /// The body is the one statement `X[c] = X[c] ⊕ strip` with `c`
-    /// loop-invariant: an in-order fold of the strip into `X[c]`.
+    /// The body is the one statement `X[c] = X[c] ⊕ term` with `c`
+    /// loop-invariant and `term` reading nothing the body stores: an
+    /// in-order fold of `term` into `X[c]`.
     Fold {
         array: usize,
         cursor: usize,
         op: RBin,
-        strip: usize,
+        term: SExpr,
     },
     Trips(Vec<(Place, TExpr)>),
 }
@@ -273,9 +283,12 @@ pub enum Residual {
 #[derive(Debug, Clone, PartialEq)]
 pub struct Stream {
     pub cursors: Vec<Cursor>,
-    /// The maximal subtrees the body cannot affect.
+    /// The maximal computed subtrees the body cannot affect.
     pub hoisted: Vec<SExpr>,
     pub residual: Residual,
+    /// Strip buffers the computed operands inside one hoisted subtree,
+    /// or the fold's term, take at most. 0 when every operand is a leaf.
+    pub scratch: usize,
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -568,6 +581,7 @@ enum Built {
     Bound(TExpr),
 }
 
+#[derive(Clone)]
 struct StreamBuilder {
     var: usize,
     /// Arrays and REAL slots the body stores.
@@ -594,6 +608,45 @@ impl StreamBuilder {
                 Stmt::StoreInt { .. } | Stmt::Loop { .. } | Stmt::If { .. } => return None,
             }
         }
+        b.clone().fold(stmts).or_else(|| b.trips(stmts))
+    }
+
+    /// The body `X[c] = X[c] ⊕ term`, `c` loop-invariant and `term`
+    /// free of the body's stores: a fold of `term` into `X[c]`.
+    fn fold(mut self, stmts: &[Stmt]) -> Option<Stream> {
+        let [Stmt::StoreArray {
+            array,
+            index,
+            value: RExpr::Bin(op, x, term),
+        }] = stmts
+        else {
+            return None;
+        };
+        let RExpr::Load {
+            array: xa,
+            index: xi,
+        } = &**x
+        else {
+            return None;
+        };
+        let cursor = self.cursor(index, Some(*array))?;
+        self.cursor(xi, Some(*xa))?;
+        let Built::Free(term) = self.expr(term)? else {
+            return None;
+        };
+        (xa == array && **xi == *index && self.cursors[cursor].k_var == 0).then(|| {
+            self.stream(Residual::Fold {
+                array: *array,
+                cursor,
+                op: *op,
+                term,
+            })
+        })
+    }
+
+    /// Any other body: its statements trip by trip over the hoisted
+    /// strips.
+    fn trips(mut self, stmts: &[Stmt]) -> Option<Stream> {
         let mut trips = Vec::new();
         for s in stmts {
             let (place, value) = match s {
@@ -602,22 +655,37 @@ impl StreamBuilder {
                     index,
                     value,
                 } => {
-                    let cursor = b.cursor(index, Some(*array))?;
+                    let cursor = self.cursor(index, Some(*array))?;
                     let array = *array;
                     (Place::Elem { array, cursor }, value)
                 }
                 Stmt::StoreReal { slot, value } => (Place::Real(*slot), value),
-                _ => unreachable!("rejected above"),
+                _ => unreachable!("rejected by `build`"),
             };
-            let value = b.expr(value)?;
-            trips.push((place, b.cut(value)));
+            let value = self.expr(value)?;
+            trips.push((place, self.cut(value)));
         }
-        let residual = b.fold(&trips).unwrap_or(Residual::Trips(trips));
-        Some(Stream {
-            cursors: b.cursors,
-            hoisted: b.hoisted,
+        Some(self.stream(Residual::Trips(trips)))
+    }
+
+    fn stream(self, residual: Residual) -> Stream {
+        // A fold computes the operands of a term `a ⊗ b`, or the term
+        // itself as one operand.
+        let fold = match &residual {
+            Residual::Fold {
+                term: term @ SExpr::Bin(..),
+                ..
+            } => scratch(term),
+            Residual::Fold { term, .. } => operand_scratch(term),
+            Residual::Trips(_) => 0,
+        };
+        let scratch = self.hoisted.iter().map(scratch).fold(fold, usize::max);
+        Stream {
+            cursors: self.cursors,
+            hoisted: self.hoisted,
             residual,
-        })
+            scratch,
+        }
     }
 
     fn cursor(&mut self, e: &IExpr, array: Option<usize>) -> Option<usize> {
@@ -668,9 +736,13 @@ impl StreamBuilder {
         })
     }
 
-    /// A free subtree under a bound parent is maximal: hoist it.
+    /// A free subtree under a bound parent is maximal: hoist it, unless
+    /// it is a leaf, which the trip reads where it lives.
     fn cut(&mut self, e: Built) -> TExpr {
         match e {
+            Built::Free(SExpr::Const(v)) => TExpr::Const(v),
+            Built::Free(SExpr::Scalar(slot)) => TExpr::Scalar(slot),
+            Built::Free(SExpr::Load { array, cursor }) => TExpr::Load { array, cursor },
             Built::Free(e) => {
                 self.hoisted.push(e);
                 TExpr::Strip(self.hoisted.len() - 1)
@@ -678,28 +750,25 @@ impl StreamBuilder {
             Built::Bound(e) => e,
         }
     }
+}
 
-    fn fold(&self, trips: &[(Place, TExpr)]) -> Option<Residual> {
-        let [(Place::Elem { array, cursor }, TExpr::Bin(op, x, t))] = trips else {
-            return None;
-        };
-        let (
-            TExpr::Load {
-                array: xa,
-                cursor: xc,
-            },
-            TExpr::Strip(strip),
-        ) = (&**x, &**t)
-        else {
-            return None;
-        };
-        let (store, load) = (&self.cursors[*cursor], &self.cursors[*xc]);
-        (xa == array && load.affine == store.affine && store.k_var == 0).then_some(Residual::Fold {
-            array: *array,
-            cursor: *cursor,
-            op: *op,
-            strip: *strip,
-        })
+/// The strip buffers `State::strip` takes from scratch for the computed
+/// operands of `e`, theirs included. A bound: it sums what the
+/// evaluation reuses.
+fn scratch(e: &SExpr) -> usize {
+    match e {
+        SExpr::Un(_, a) => operand_scratch(a),
+        SExpr::Bin(_, a, b) => operand_scratch(a) + operand_scratch(b),
+        SExpr::Const(_) | SExpr::Scalar(_) | SExpr::Load { .. } | SExpr::FromInt(_) => 0,
+    }
+}
+
+/// [`scratch`] for `e` as an operand: none for a leaf, read where it
+/// lives; else its own buffer too.
+fn operand_scratch(e: &SExpr) -> usize {
+    match e {
+        SExpr::Const(_) | SExpr::Scalar(_) | SExpr::Load { .. } => 0,
+        e => 1 + scratch(e),
     }
 }
 
@@ -848,6 +917,68 @@ fn at((start, delta): Walk, t: u64) -> i64 {
     start.wrapping_add(delta.wrapping_mul(t as i64))
 }
 
+/// A strip operand where it lives: lane `l` is `m[start + l·delta]`. A
+/// load is a view of its array at its cursor's stride, a constant or a
+/// scalar one element at delta 0, a computed subtree its buffer at
+/// delta 1.
+#[derive(Clone, Copy)]
+struct View<'a> {
+    m: &'a [f64],
+    start: i64,
+    delta: i64,
+}
+
+impl<'a> View<'a> {
+    fn one(v: &'a f64) -> View<'a> {
+        View {
+            m: std::slice::from_ref(v),
+            start: 0,
+            delta: 0,
+        }
+    }
+
+    #[inline(always)]
+    fn at(self, lane: usize) -> f64 {
+        self.m[at((self.start, self.delta), lane as u64) as usize]
+    }
+
+    /// Lanes `0 .. w` as a slice, when they are contiguous.
+    fn run(self, w: usize) -> Option<&'a [f64]> {
+        (self.delta == 1).then(|| &self.m[self.start as usize..][..w])
+    }
+}
+
+/// `out[l] = f(a[l])`. Contiguous lanes go through a slice, so the
+/// loop has no index arithmetic and vectorizes.
+#[inline(always)]
+fn map_lanes(out: &mut [f64], a: View, f: impl Fn(f64) -> f64) {
+    match a.run(out.len()) {
+        Some(a) => out.iter_mut().zip(a).for_each(|(o, a)| *o = f(*a)),
+        None => out
+            .iter_mut()
+            .enumerate()
+            .for_each(|(l, o)| *o = f(a.at(l))),
+    }
+}
+
+/// `out[l] = f(a[l], b[l])`, with [`map_lanes`]' fast path when both
+/// operands are contiguous.
+#[inline(always)]
+fn zip_lanes(out: &mut [f64], a: View, b: View, f: impl Fn(f64, f64) -> f64) {
+    let w = out.len();
+    match (a.run(w), b.run(w)) {
+        (Some(a), Some(b)) => out
+            .iter_mut()
+            .zip(a)
+            .zip(b)
+            .for_each(|((o, a), b)| *o = f(*a, *b)),
+        _ => out
+            .iter_mut()
+            .enumerate()
+            .for_each(|(l, o)| *o = f(a.at(l), b.at(l))),
+    }
+}
+
 /// One executor's scalar banks and un-flushed compute cycles. Both
 /// banks are indexed by slot; a slot lives in the bank of its declared
 /// type and its entry in the other bank is never read.
@@ -859,8 +990,8 @@ pub(crate) struct State<'p> {
     reals: Vec<f64>,
     pub cycles: f64,
     /// Stream scratch, reused across loop entries: the walks of the
-    /// running stream's cursors and one `STRIP`-wide buffer per hoisted
-    /// subtree.
+    /// running stream's cursors, then one `STRIP`-wide buffer per
+    /// hoisted subtree and `Stream::scratch` more.
     walks: Vec<Walk>,
     strips: Vec<f64>,
 }
@@ -870,6 +1001,9 @@ thread_local! {
     /// Loop entries this thread ran as a stream (the oracle property
     /// checks that its programs reach that path).
     pub(crate) static STREAMED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Of those, the entries that folded a term `a ⊗ b` trip by trip
+    /// over its operands.
+    pub(crate) static FUSED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl<'p> State<'p> {
@@ -1001,31 +1135,34 @@ impl<'p> State<'p> {
         });
         if in_range {
             let mut strips = std::mem::take(&mut self.strips);
-            if strips.len() < s.hoisted.len() * STRIP {
-                strips.resize(s.hoisted.len() * STRIP, 0.0);
+            let len = (s.hoisted.len() + s.scratch) * STRIP;
+            if strips.len() < len {
+                strips.resize(len, 0.0);
             }
-            let mut t0 = 0;
-            while t0 < n {
-                let w = (n - t0).min(STRIP as u64) as usize;
-                for (h, buf) in s.hoisted.iter().zip(strips.chunks_exact_mut(STRIP)) {
-                    self.strip(h, &walks, t0, mem, &mut buf[..w]);
+            let (bufs, scratch) = strips.split_at_mut(s.hoisted.len() * STRIP);
+            match &s.residual {
+                Residual::Fold {
+                    array,
+                    cursor,
+                    op,
+                    term,
+                } => {
+                    let c = walks[*cursor].0 as usize;
+                    let acc = self.fold(*op, term, mem[*array][c], &walks, n, mem, scratch);
+                    mem[*array][c] = acc;
+                    #[cfg(test)]
+                    FUSED.set(FUSED.get() + matches!(term, SExpr::Bin(..)) as u64);
                 }
-                match &s.residual {
-                    Residual::Fold {
-                        array,
-                        cursor,
-                        op,
-                        strip,
-                    } => {
-                        let x = &mut mem[*array][walks[*cursor].0 as usize];
-                        let t = &strips[strip * STRIP..][..w];
-                        *x = with_rbin!(op, f => t.iter().fold(*x, |acc, &t| f(acc, t)));
-                    }
-                    Residual::Trips(stmts) => {
+                Residual::Trips(stmts) => {
+                    for t0 in (0..n).step_by(STRIP) {
+                        let w = (n - t0).min(STRIP as u64) as usize;
+                        for (h, buf) in s.hoisted.iter().zip(bufs.chunks_exact_mut(STRIP)) {
+                            self.strip(h, &walks, t0, mem, &mut buf[..w], scratch);
+                        }
                         for lane in 0..w {
                             let t = t0 + lane as u64;
                             for (place, value) in stmts {
-                                let v = self.trip(value, &walks, t, &strips[lane..], mem);
+                                let v = self.trip(value, &walks, t, bufs, mem);
                                 match place {
                                     Place::Elem { array, cursor } => {
                                         mem[*array][at(walks[*cursor], t) as usize] = v
@@ -1036,7 +1173,6 @@ impl<'p> State<'p> {
                         }
                     }
                 }
-                t0 += w as u64;
             }
             self.ints[var] = at((first, step), n - 1);
             self.strips = strips;
@@ -1047,58 +1183,120 @@ impl<'p> State<'p> {
         in_range
     }
 
-    /// A hoisted subtree over the `out.len()` trips from `t0`, one lane
-    /// each.
-    fn strip(&self, e: &SExpr, walks: &[Walk], t0: u64, mem: &[&mut [Elem]], out: &mut [f64]) {
+    /// `acc` folded with `op` over trips `0 .. n` of `term`, a strip at
+    /// a time. A term `a ⊗ b` is applied inside the fold, trip by trip,
+    /// to its operands where they live: no buffer holds its values.
+    fn fold(
+        &self,
+        op: RBin,
+        term: &SExpr,
+        mut acc: f64,
+        walks: &[Walk],
+        n: u64,
+        mem: &[&mut [Elem]],
+        scratch: &mut [f64],
+    ) -> f64 {
+        for t0 in (0..n).step_by(STRIP) {
+            let w = (n - t0).min(STRIP as u64) as usize;
+            acc = match term {
+                SExpr::Bin(g, a, b) => {
+                    let (a, rest) = self.operand(a, walks, t0, w, mem, scratch);
+                    let (b, _) = self.operand(b, walks, t0, w, mem, rest);
+                    with_rbin!(op, f => with_rbin!(g, h =>
+                        (0..w).fold(acc, |acc, l| f(acc, h(a.at(l), b.at(l))))))
+                }
+                _ => {
+                    let (x, _) = self.operand(term, walks, t0, w, mem, scratch);
+                    with_rbin!(op, f => (0..w).fold(acc, |acc, l| f(acc, x.at(l))))
+                }
+            };
+        }
+        acc
+    }
+
+    /// Lanes `t0 .. t0 + w` of a strip operand: a leaf where it lives,
+    /// any other subtree computed into the first strip of `scratch`.
+    /// Returns the rest of `scratch` with it.
+    fn operand<'a>(
+        &'a self,
+        e: &'a SExpr,
+        walks: &[Walk],
+        t0: u64,
+        w: usize,
+        mem: &'a [&mut [Elem]],
+        scratch: &'a mut [f64],
+    ) -> (View<'a>, &'a mut [f64]) {
         match e {
-            SExpr::Const(v) => out.fill(*v),
-            SExpr::Scalar(slot) => out.fill(self.reals[*slot]),
+            SExpr::Const(v) => (View::one(v), scratch),
+            SExpr::Scalar(slot) => (View::one(&self.reals[*slot]), scratch),
             SExpr::Load { array, cursor } => {
                 let (m, delta) = (&*mem[*array], walks[*cursor].1);
-                let mut idx = at(walks[*cursor], t0);
-                if delta == 1 {
-                    out.copy_from_slice(&m[idx as usize..][..out.len()]);
-                } else {
-                    for o in out {
-                        *o = m[idx as usize];
-                        idx = idx.wrapping_add(delta);
-                    }
-                }
+                let start = at(walks[*cursor], t0);
+                (View { m, start, delta }, scratch)
             }
+            SExpr::FromInt(_) | SExpr::Un(..) | SExpr::Bin(..) => {
+                let (buf, rest) = scratch.split_at_mut(STRIP);
+                self.strip(e, walks, t0, mem, &mut buf[..w], rest);
+                let view = View {
+                    m: buf,
+                    start: 0,
+                    delta: 1,
+                };
+                (view, rest)
+            }
+        }
+    }
+
+    /// A computed subtree over the `out.len()` trips from `t0`, one lane
+    /// each; its computed operands take their buffers from `scratch`.
+    fn strip(
+        &self,
+        e: &SExpr,
+        walks: &[Walk],
+        t0: u64,
+        mem: &[&mut [Elem]],
+        out: &mut [f64],
+        scratch: &mut [f64],
+    ) {
+        let w = out.len();
+        match e {
             SExpr::FromInt(cursor) => {
                 for (lane, o) in out.iter_mut().enumerate() {
                     *o = at(walks[*cursor], t0 + lane as u64) as f64;
                 }
             }
             SExpr::Un(op, a) => {
-                self.strip(a, walks, t0, mem, out);
-                with_run!(op, f => out.iter_mut().for_each(|o| *o = f(*o)));
+                let (a, _) = self.operand(a, walks, t0, w, mem, scratch);
+                with_run!(op, f => map_lanes(out, a, f));
             }
             SExpr::Bin(op, a, b) => {
-                self.strip(a, walks, t0, mem, out);
-                let mut rhs = [0.0; STRIP];
-                let rhs = &mut rhs[..out.len()];
-                self.strip(b, walks, t0, mem, rhs);
-                with_rbin!(op, f => out.iter_mut().zip(rhs).for_each(|(o, b)| *o = f(*o, *b)));
+                let (a, rest) = self.operand(a, walks, t0, w, mem, scratch);
+                let (b, _) = self.operand(b, walks, t0, w, mem, rest);
+                with_rbin!(op, f => zip_lanes(out, a, b, f));
+            }
+            SExpr::Const(_) | SExpr::Scalar(_) | SExpr::Load { .. } => {
+                unreachable!("a leaf is read where it lives, never hoisted")
             }
         }
     }
 
-    /// The residual of one statement at trip `t`; `lane[i * STRIP]` is
-    /// this trip's lane of hoisted subtree `i`.
-    fn trip(&self, e: &TExpr, walks: &[Walk], t: u64, lane: &[f64], mem: &[&mut [Elem]]) -> f64 {
+    /// The residual of one statement at trip `t`. Strips start at
+    /// multiples of `STRIP`, so `bufs[i * STRIP + t % STRIP]` is this
+    /// trip's lane of hoisted subtree `i`.
+    fn trip(&self, e: &TExpr, walks: &[Walk], t: u64, bufs: &[f64], mem: &[&mut [Elem]]) -> f64 {
         match e {
-            TExpr::Strip(i) => lane[i * STRIP],
+            TExpr::Strip(i) => bufs[i * STRIP + t as usize % STRIP],
+            TExpr::Const(v) => *v,
             TExpr::Scalar(slot) => self.reals[*slot],
             TExpr::Load { array, cursor } => mem[*array][at(walks[*cursor], t) as usize],
             TExpr::Un(op, a) => {
-                let a = self.trip(a, walks, t, lane, mem);
+                let a = self.trip(a, walks, t, bufs, mem);
                 with_run!(op, f => f(a))
             }
             TExpr::Bin(op, a, b) => {
                 let (a, b) = (
-                    self.trip(a, walks, t, lane, mem),
-                    self.trip(b, walks, t, lane, mem),
+                    self.trip(a, walks, t, bufs, mem),
+                    self.trip(b, walks, t, bufs, mem),
                 );
                 with_rbin!(op, f => f(a, b))
             }
@@ -1411,6 +1609,116 @@ mod tests {
         assert_eq!(message(0, 3, 1, Some(1)), oob("load", 4));
         assert_eq!(message(0, 3, 1, Some(-1)), oob("load", -1));
         assert_eq!(message(2, 2, 1, Some(i64::MAX)), oob("load", i64::MIN + 1));
+    }
+
+    #[test]
+    fn a_stream_that_hoists_nothing_runs_first() {
+        // A(0) = 2.0, then DO K = 1, 3: A(K) = A(K - 1) — every read is
+        // of what the body stores, so no strip is computed. As the first
+        // stream of a fresh state it used to index an empty strip
+        // buffer at its second trip (exit 101).
+        let a = |index| Expr::Load {
+            array: 0,
+            index: Box::new(index),
+        };
+        let p = prog(vec![
+            Instr::StoreArray {
+                array: 0,
+                index: Expr::IConst(0),
+                value: Expr::RConst(2.0),
+            },
+            Instr::Loop {
+                var: 2,
+                lo: Expr::IConst(1),
+                hi: Expr::IConst(3),
+                step: 1,
+                body: vec![Instr::StoreArray {
+                    array: 0,
+                    index: Expr::Scalar(2),
+                    value: a(bin(BinOp::Sub, Expr::Scalar(2), Expr::IConst(1))),
+                }],
+            },
+        ]);
+        let before = STREAMED.get();
+        let (_, arrays, _) = run_sequential(&p, ExecMode::Full).unwrap();
+        assert_eq!(STREAMED.get() - before, 1);
+        assert_eq!(arrays[0], [2.0; 4]);
+    }
+
+    #[test]
+    fn every_entry_of_mm_inner_loop_folds_its_product_in_place() {
+        // MM as the front end emits it, subscripts `(R-1) + (C-1)·N`:
+        // A(I,J) = REAL(I+J) / REAL(N), B(I,J) = REAL(I-J) / REAL(N),
+        // then C(I,J) = 0.0 and DO K: C(I,J) = C(I,J) + A(I,K) * B(K,J).
+        // N = 70 spans a strip and a bit.
+        const N: i64 = 70;
+        let (i, j, k) = (Expr::Scalar(0), Expr::Scalar(1), Expr::Scalar(2));
+        let minus_one = |e: &Expr| bin(BinOp::Sub, e.clone(), Expr::IConst(1));
+        let at = |array, r: &Expr, c: &Expr| {
+            let index = bin(
+                BinOp::Add,
+                minus_one(r),
+                bin(BinOp::Mul, minus_one(c), Expr::IConst(N)),
+            );
+            (array, index)
+        };
+        let store = |(array, index), value| Instr::StoreArray {
+            array,
+            index,
+            value,
+        };
+        let load = |(array, index)| Expr::Load {
+            array,
+            index: Box::new(index),
+        };
+        let real = |e| Expr::Intr(IntrinsicOp::ToReal, vec![e]);
+        let over = |var, body| Instr::Loop {
+            var,
+            lo: Expr::IConst(1),
+            hi: Expr::IConst(N),
+            step: 1,
+            body,
+        };
+        let ratio = |op| {
+            let sum = bin(op, i.clone(), j.clone());
+            bin(BinOp::Div, real(sum), real(Expr::IConst(N)))
+        };
+        let fill = vec![
+            store(at(0, &i, &j), ratio(BinOp::Add)),
+            store(at(1, &i, &j), ratio(BinOp::Sub)),
+        ];
+        let product = bin(BinOp::Mul, load(at(0, &i, &k)), load(at(1, &k, &j)));
+        let dot = store(at(2, &i, &j), bin(BinOp::Add, load(at(2, &i, &j)), product));
+        let mm = vec![store(at(2, &i, &j), Expr::RConst(0.0)), over(2, vec![dot])];
+        let p = SpmdProgram {
+            name: "MM".into(),
+            nprocs: 1,
+            arrays: ["A", "B", "C"]
+                .map(|a| (a.to_string(), (N * N) as usize))
+                .to_vec(),
+            scalars: ["I", "J", "K"].map(|s| (s.to_string(), true)).to_vec(),
+            blocks: Vec::new(),
+            sequential: vec![over(0, vec![over(1, fill)]), over(0, vec![over(1, mm)])],
+        };
+        let (streamed, fused) = (STREAMED.get(), FUSED.get());
+        let (_, arrays, _) = run_sequential(&p, ExecMode::Full).unwrap();
+        let n = N as u64;
+        // The fill's inner loop streams once per I, the product loop
+        // once per (I, J), always as the fused fold.
+        assert_eq!(FUSED.get() - fused, n * n);
+        assert_eq!(STREAMED.get() - streamed, n + n * n);
+
+        let (a, b) = (
+            |i: i64, j: i64| (i + j) as f64 / N as f64,
+            |i: i64, j: i64| (i - j) as f64 / N as f64,
+        );
+        for i in 1..=N {
+            for j in 1..=N {
+                let want = (1..=N).fold(0.0, |s, k| s + a(i, k) * b(k, j));
+                let got = arrays[2][((i - 1) + (j - 1) * N) as usize];
+                assert_eq!(got.to_bits(), want.to_bits(), "C({i},{j})");
+            }
+        }
     }
 
     #[test]

@@ -199,7 +199,7 @@ mod tests {
 
     use super::*;
     use crate::exec::{run_sequential, ExecMode};
-    use crate::lowered::{STREAMED, STRIP};
+    use crate::lowered::{FUSED, STREAMED, STRIP};
 
     // Scalar slots of every generated program: three INTEGER loop
     // variables, one INTEGER and two REAL temporaries.
@@ -221,7 +221,7 @@ mod tests {
     fn program(body: Vec<Instr>) -> SpmdProgram {
         // A holds halves (a loaded subscript is fractional half the
         // time), B holds integers (a loaded subscript converts), C
-        // quarters.
+        // quarters, D negative halves (for `**`: see `stream_loop`).
         let fill = |array, len: usize, scale| Instr::Loop {
             var: 0,
             lo: Expr::IConst(0),
@@ -237,6 +237,7 @@ mod tests {
             fill(0, ARRAY_LEN, 0.5),
             fill(1, ARRAY_LEN, 1.0),
             fill(2, LONG_LEN, 0.25),
+            fill(3, ARRAY_LEN, -0.5),
         ];
         sequential.extend(body);
         SpmdProgram {
@@ -246,6 +247,7 @@ mod tests {
                 ("A".into(), ARRAY_LEN),
                 ("B".into(), ARRAY_LEN),
                 ("C".into(), LONG_LEN),
+                ("D".into(), ARRAY_LEN),
             ],
             scalars: SCALARS.iter().map(|(n, i)| (n.to_string(), *i)).collect(),
             blocks: Vec::new(),
@@ -254,6 +256,7 @@ mod tests {
     }
 
     fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+        let a = if op == BinOp::Pow { no_nan(a) } else { a };
         Expr::Bin(op, Box::new(a), Box::new(b))
     }
 
@@ -290,6 +293,78 @@ mod tests {
         items[src.next_below(items.len() as u64) as usize]
     }
 
+    // Which operand's NaN `a + b` returns when both are NaN is left to
+    // the compiler, which may swap a commutative operator's operands;
+    // two correct evaluations of one program can differ there. So the
+    // programs hold one NaN: the one the hardware makes from non-NaN
+    // operands (`0/0`, `SQRT(-1.0)`, `inf - inf`; the libm functions
+    // return it too). Only `NEG`, `ABS` and `**` on a NaN make another
+    // — `**` flips its sign at an odd exponent — so those take NaN-free
+    // operands, but for `X = X ** t` into D, which nothing else reads.
+    // Two NaNs that meet are then the same bits, and arrays and scalars
+    // compare bit for bit, NaNs included.
+
+    /// A REAL operand on which `MIN` / `MAX` order, and every operator's
+    /// propagation, are easiest to get wrong.
+    fn special(src: &mut Source) -> f64 {
+        let nan = std::hint::black_box(0.0f64) / 0.0;
+        pick(src, &[nan, -0.0, 0.0, f64::INFINITY, f64::NEG_INFINITY])
+    }
+
+    /// `e` where it cannot be NaN, else `MAX(e, -inf)`: `e` but for a
+    /// NaN, which becomes -inf.
+    fn no_nan(e: Expr) -> Expr {
+        match e {
+            Expr::IConst(_) => e,
+            Expr::RConst(v) if !v.is_nan() => e,
+            Expr::Scalar(slot) if SCALARS[slot].1 => e,
+            _ => Expr::Intr(IntrinsicOp::Max, vec![e, Expr::RConst(f64::NEG_INFINITY)]),
+        }
+    }
+
+    fn intrinsic(op: IntrinsicOp, a: Expr, b: Expr) -> Expr {
+        let a = if op == IntrinsicOp::Abs { no_nan(a) } else { a };
+        Expr::Intr(op, vec![a, b])
+    }
+
+    /// Index of `**` among the REAL operators of [`real_op`].
+    const POW: u64 = 4;
+
+    /// `a ⊕ b` for REAL operator `i` of the eight (`RBin`): `+ - * /
+    /// **`, then `MOD`, `MIN`, `MAX`.
+    fn real_op(i: u64, a: Expr, b: Expr) -> Expr {
+        match i {
+            0..=POW => bin(BIN_OPS[i as usize], a, b),
+            _ => intrinsic(INTRINSICS[i as usize - 3], a, b),
+        }
+    }
+
+    /// Two stream loops that write a [`special`] into every few
+    /// elements of C, and one REAL scalar set to another.
+    fn specials(src: &mut Source) -> Vec<Instr> {
+        let mut out: Vec<Instr> = (0..2)
+            .map(|_| {
+                let step = 5 + src.next_below(19) as i64;
+                Instr::Loop {
+                    var: 0,
+                    lo: Expr::IConst(src.next_below(step as u64) as i64),
+                    hi: Expr::IConst(LONG_LEN as i64 - 1),
+                    step,
+                    body: vec![Instr::StoreArray {
+                        array: 2,
+                        index: Expr::Scalar(0),
+                        value: Expr::RConst(special(src)),
+                    }],
+                }
+            })
+            .collect();
+        out.push(Instr::StoreScalar {
+            slot: 4 + src.next_below(2) as usize,
+            value: Expr::RConst(special(src)),
+        });
+        out
+    }
+
     /// An in-range subscript that folds to one affine node.
     fn affine_index(src: &mut Source) -> Expr {
         // MAX(0, MIN(2*v + 1, len-1)): the inner part folds, the clamp
@@ -324,7 +399,7 @@ mod tests {
             };
         }
         match src.next_below(10) {
-            0 => Expr::Neg(Box::new(expr(src, depth - 1))),
+            0 => Expr::Neg(Box::new(no_nan(expr(src, depth - 1)))),
             1 => Expr::Not(Box::new(expr(src, depth - 1))),
             2 => Expr::Load {
                 array: src.next_below(2) as usize,
@@ -336,9 +411,10 @@ mod tests {
                 array: src.next_below(2) as usize,
                 index: Box::new(expr(src, depth - 1)),
             },
-            4 | 5 => Expr::Intr(
+            4 | 5 => intrinsic(
                 pick(src, &INTRINSICS),
-                vec![expr(src, depth - 1), expr(src, depth - 1)],
+                expr(src, depth - 1),
+                expr(src, depth - 1),
             ),
             _ => bin(
                 pick(src, &BIN_OPS),
@@ -406,10 +482,11 @@ mod tests {
             element: &impl Fn(&mut Source) -> (usize, Expr),
         ) -> Expr {
             if depth == 0 || src.next_below(3) == 0 {
-                return match src.next_below(5) {
+                return match src.next_below(6) {
                     0 => Expr::RConst((src.next_below(33) as f64 - 16.0) / 4.0),
-                    1 => Expr::Scalar(4 + src.next_below(2) as usize),
-                    2 => Expr::Intr(IntrinsicOp::ToReal, vec![element(src).1]),
+                    1 => Expr::RConst(special(src)),
+                    2 => Expr::Scalar(4 + src.next_below(2) as usize),
+                    3 => Expr::Intr(IntrinsicOp::ToReal, vec![element(src).1]),
                     _ => {
                         let (array, index) = element(src);
                         Expr::Load {
@@ -424,52 +501,81 @@ mod tests {
                 value(src, depth - 1, element),
             );
             match src.next_below(4) {
-                0 => Expr::Neg(Box::new(a)),
-                1 => Expr::Intr(pick(src, &INTRINSICS[..8]), vec![a, b]),
-                _ => bin(pick(src, &BIN_OPS[..5]), a, b),
+                0 => Expr::Neg(Box::new(no_nan(a))),
+                1 => intrinsic(pick(src, &INTRINSICS[..8]), a, b),
+                _ => real_op(src.next_below(8), a, b),
             }
         }
+        // X[c] = X[c] ⊕ t, `c` invariant: alone in the body (and `t`
+        // not reading X), the fold. X is an element of C, or of A or B
+        // so that `t` may read C at any stride; for `**`, of D. Sometimes
+        // X[d] ⊕ t, with `d` invariant too, which is not one.
+        let fold = |src: &mut Source, t: Expr| {
+            let op = src.next_below(8);
+            let (array, len) = match src.next_below(2) {
+                _ if op == POW => (3, ARRAY_LEN),
+                0 => (2, LONG_LEN),
+                _ => (src.next_below(2) as usize, ARRAY_LEN),
+            };
+            let index = subscript(src, len, 0);
+            let x = Expr::Load {
+                array,
+                index: Box::new(match src.next_below(4) {
+                    0 => subscript(src, len, 0),
+                    _ => index.clone(),
+                }),
+            };
+            let value = match op {
+                // D may hold a NaN of either sign: no `bin`, which
+                // would clear it.
+                POW => Expr::Bin(BinOp::Pow, Box::new(x), Box::new(t)),
+                _ => real_op(op, x, t),
+            };
+            Instr::StoreArray {
+                array,
+                index,
+                value,
+            }
+        };
 
-        let body = (0..1 + src.next_below(3))
-            .map(|_| {
-                let t = value(src, 2, &element);
-                let op = pick(src, &BIN_OPS[..4]);
-                match src.next_below(4) {
-                    // Y = Y ⊕ t: a REAL slot the body stores and reads.
-                    0 => {
-                        let slot = 4 + src.next_below(2) as usize;
-                        Instr::StoreScalar {
-                            slot,
-                            value: bin(op, Expr::Scalar(slot), t),
+        let body = match src.next_below(6) {
+            // X[c] = X[c] ⊕ (a ⊗ b) over two leaves — views of C at a
+            // negative, zero or positive stride, constants, scalars, a
+            // `REAL()` — with ⊕ and ⊗ any REAL operator: the fold that
+            // applies ⊗ trip by trip.
+            0 => {
+                let (a, b) = (value(src, 0, &element), value(src, 0, &element));
+                let t = real_op(src.next_below(8), a, b);
+                vec![fold(src, t)]
+            }
+            _ => (0..1 + src.next_below(3))
+                .map(|_| {
+                    let t = value(src, 2, &element);
+                    match src.next_below(4) {
+                        // Y = Y ⊕ t: a REAL slot the body stores and
+                        // reads.
+                        0 => {
+                            let slot = 4 + src.next_below(2) as usize;
+                            Instr::StoreScalar {
+                                slot,
+                                value: real_op(src.next_below(8), Expr::Scalar(slot), t),
+                            }
+                        }
+                        1 => fold(src, t),
+                        // `t` loads C at its own subscripts: the array
+                        // the body stores, at a shifted one.
+                        _ => {
+                            let (array, index) = element(src);
+                            Instr::StoreArray {
+                                array,
+                                index,
+                                value: t,
+                            }
                         }
                     }
-                    // X[c] = X[c] ⊕ t, `c` invariant: alone in the
-                    // body (and `t` not reading X), the fold.
-                    1 => {
-                        let (array, index) = (2, subscript(src, LONG_LEN, 0));
-                        let x = Expr::Load {
-                            array,
-                            index: Box::new(index.clone()),
-                        };
-                        Instr::StoreArray {
-                            array,
-                            index,
-                            value: bin(op, x, t),
-                        }
-                    }
-                    // `t` loads C at its own subscripts: the array the
-                    // body stores, at a shifted one.
-                    _ => {
-                        let (array, index) = element(src);
-                        Instr::StoreArray {
-                            array,
-                            index,
-                            value: t,
-                        }
-                    }
-                }
-            })
-            .collect();
+                })
+                .collect(),
+        };
         Instr::Loop {
             var,
             lo: Expr::IConst(lo),
@@ -571,32 +677,43 @@ mod tests {
 
     #[test]
     fn lowered_form_agrees_with_the_tree_walker() {
-        // One stream loop up front, where nothing has failed yet.
+        // Special values in C and a scalar, then one stream loop, where
+        // nothing has failed yet.
         let programs = Gen::new(|src| {
-            let mut body = vec![stream_loop(src)];
+            let mut body = specials(src);
+            body.push(stream_loop(src));
             body.extend(stmts(src, 3, true));
             program(body)
         });
-        let (cases, streamed) = (Cell::new(0u32), Cell::new(0u32));
+        let [cases, streamed, fused] = [(); 3].map(|_| Cell::new(0u32));
         Check::new("spmd_rt::lowered_form_agrees_with_the_tree_walker")
             .cases(1500)
             .run(&programs, |prog| {
-                let before = STREAMED.get();
+                let (before, fused_before) = (STREAMED.get(), FUSED.get());
                 let lowered = outcome(|| run_sequential(prog, ExecMode::Full));
                 cases.set(cases.get() + 1);
-                // The three fills of `program` always stream.
-                streamed.set(streamed.get() + (STREAMED.get() - before > 3) as u32);
+                // The four fills of `program` and the two loops of
+                // `specials` always stream.
+                streamed.set(streamed.get() + (STREAMED.get() - before > 6) as u32);
+                fused.set(fused.get() + (FUSED.get() > fused_before) as u32);
                 let oracle = outcome(|| oracle_run(prog));
                 // Every failure of a generated program is typed.
                 prop_assert!(!matches!(lowered, Outcome::Panicked(_)), "{lowered:?}");
                 prop_assert_eq!(lowered, oracle);
                 Ok(())
             });
-        // The comparison is only worth its name if the stream path ran.
+        // The comparison is only worth its name if the stream path ran,
+        // and the fold that applies its term trip by trip with it.
         assert!(
             streamed.get() * 2 >= cases.get(),
             "{} of {} cases ran a generated loop as a stream",
             streamed.get(),
+            cases.get()
+        );
+        assert!(
+            fused.get() * 20 >= cases.get(),
+            "{} of {} cases ran a fused fold",
+            fused.get(),
             cases.get()
         );
     }

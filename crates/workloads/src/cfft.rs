@@ -48,7 +48,9 @@ pub fn reference(m: u32) -> (Vec<f64>, Vec<f64>) {
         w[2 * i - 2] = ang.cos();
         w[2 * i - 1] = ang.sin();
         winv[2 * i - 2] = ang.cos();
-        winv[2 * i - 1] = -ang.sin();
+        // `0.0 - SIN(ANG)`, as the source says: at ANG = 0 it is +0.0,
+        // where `-ang.sin()` would be -0.0.
+        winv[2 * i - 1] = 0.0 - ang.sin();
     }
     (w, winv)
 }

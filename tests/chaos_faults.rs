@@ -49,11 +49,11 @@ fn chaos(name: &'static str, source: &str, n: i64, cases: u32) {
         match spmd_rt::try_execute(&compiled.program, &cluster, ExecMode::Full, spec.clone()) {
             Ok(rep) => {
                 prop_assert!(
-                    rep.arrays == clean.arrays,
+                    spmd_rt::same_bits(&rep.arrays, &clean.arrays),
                     "arrays diverge from fault-free run under {spec:?}"
                 );
                 prop_assert!(
-                    rep.scalars == clean.scalars,
+                    spmd_rt::same_bits(&rep.scalars, &clean.scalars),
                     "scalars diverge from fault-free run under {spec:?}"
                 );
                 survived.set(survived.get() + 1);

@@ -154,6 +154,24 @@ fn mixed_type_scalar_assignment_is_identical_to_sequential() {
 }
 
 #[test]
+fn nan_results_are_identical_when_their_bits_are() {
+    // Every element is the SQRT of a negative REAL, a NaN, and NaN != NaN:
+    // compared by value, bit-identical runs printed `false`.
+    const NAN: &str = "
+      PROGRAM T
+      REAL A(16)
+      INTEGER I
+      DO I = 1, 16
+        A(I) = SQRT(REAL(I) - 100.0)
+      ENDDO
+      END
+";
+    let (code, text) = run_source("nan.f", NAN, &["--nodes", "2", "--grain", "coarse"]);
+    assert_eq!(code, Some(0), "{text}");
+    assert!(text.contains("identical to sequential execution: true"), "{text}");
+}
+
+#[test]
 fn analytic_refuses_an_array_valued_loop_bound_with_exit_3() {
     const BOUND: &str = "
       PROGRAM T

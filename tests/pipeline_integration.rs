@@ -610,25 +610,21 @@ fn mm_inner_statement_lowers_to_its_minimal_shape() {
 
     // As a stream: those four subscripts are four cursors — C's two
     // loop-invariant, A(I,K) striding a column per trip, B(K,J) an
-    // element — the product is the one hoisted subtree, and what is
-    // left of the statement is the fold of its strip into C(I,J).
+    // element — and the statement is a fold into C(I,J) whose term is
+    // the product of A and B read in place: nothing is hoisted into a
+    // buffer and no scratch is needed.
     let stream = innermost.stream.as_ref().expect("MM's inner loop is a stream");
     let n = 16;
     let strides: Vec<i64> = stream.cursors.iter().map(|c| c.k_var).collect();
     assert_eq!(strides, [0, 0, n, 1], "{:?}", stream.cursors);
-    let [SExpr::Bin(RBin::Mul, a, b)] = &stream.hoisted[..] else {
-        panic!("{:?}", stream.hoisted)
+    assert!(stream.hoisted.is_empty() && stream.scratch == 0, "{stream:?}");
+    let Residual::Fold { cursor: 0, op: RBin::Add, term: SExpr::Bin(RBin::Mul, a, b), .. } =
+        &stream.residual
+    else {
+        panic!("{:?}", stream.residual)
     };
     assert!(
         matches!((&**a, &**b), (SExpr::Load { cursor: 2, .. }, SExpr::Load { cursor: 3, .. })),
-        "{:?}",
-        stream.hoisted
-    );
-    assert!(
-        matches!(
-            stream.residual,
-            Residual::Fold { cursor: 0, op: RBin::Add, strip: 0, .. }
-        ),
         "{:?}",
         stream.residual
     );

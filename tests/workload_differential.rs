@@ -76,7 +76,7 @@ fn run_both_sized(
     let par = spmd_rt::execute(&compiled.program, &cluster, ExecMode::Full);
     let seq =
         spmd_rt::execute_sequential(&compiled.program, &cluster.node.cpu, ExecMode::Full);
-    if par.arrays != seq.arrays {
+    if !spmd_rt::same_bits(&par.arrays, &seq.arrays) {
         return Err(PropError::fail(format!(
             "parallel and sequential arrays diverge under {cfg:?}"
         )));
@@ -113,13 +113,13 @@ fn mm_differential_over_random_configs() {
 }
 
 /// The interpreter runs an innermost loop a strip of 64 trips at a time
-/// (`spmd_rt::lowered`), hoisting what the body cannot affect and
-/// folding `C(I,J) = C(I,J) + …` in order. None of that may move a bit:
-/// at inner trip counts below, at, just past and at twice-and-a-bit the
-/// strip width, block and cyclic, every array of every workload equals
-/// its native reference *exactly* — a reference that knows nothing of
-/// strips, so a slip the parallel and sequential runs share still
-/// shows.
+/// (`spmd_rt::lowered`), reading loads where they live and folding
+/// `C(I,J) = C(I,J) + A(I,K) * B(K,J)` trip by trip, in order, over A
+/// and B in place. None of that may move a bit: at inner trip counts
+/// below, at, just past and at twice-and-a-bit the strip width, block
+/// and cyclic, every array of every workload equals its native
+/// reference *bit for bit* — a reference that knows nothing of strips,
+/// so a slip the parallel and sequential runs share still shows.
 #[test]
 fn workloads_equal_their_references_on_both_sides_of_the_strip_width() {
     let cfg = |n, nprocs, g, cyclic| Config {
@@ -130,15 +130,11 @@ fn workloads_equal_their_references_on_both_sides_of_the_strip_width() {
     };
     use Granularity::{Coarse, Fine, Middle};
     let same = |arrays: &NamedArrays, name: &str, want: &[f64], cfg: &Config| {
-        assert!(named(arrays, name) == want, "{name} differs from its reference under {cfg:?}");
+        assert!(spmd_rt::same_bits(named(arrays, name), want), "{name} differs from its reference under {cfg:?}");
     };
 
-    for c in [
-        cfg(63, 3, Coarse, false),
-        cfg(64, 4, Fine, true),
-        cfg(65, 2, Middle, false),
-        cfg(130, 4, Coarse, true),
-    ] {
+    let mm_sizes = [(63, 3, Coarse), (64, 4, Fine), (65, 2, Middle), (129, 4, Coarse)];
+    for c in mm_sizes.into_iter().flat_map(|(n, p, g)| [false, true].map(|cyclic| cfg(n, p, g, cyclic))) {
         let (arrays, _) = run_both(mm::SOURCE, &c).unwrap();
         let (a, b, want) = mm::reference(c.n);
         same(&arrays, "A", &a, &c);
@@ -226,6 +222,31 @@ fn workloads_equal_their_references_on_both_sides_of_the_strip_width() {
         same(&arrays, "A", &a, &c);
         same(&arrays, "IDX", &idx.iter().map(|&v| v as f64).collect::<Vec<_>>(), &c);
         same(&arrays, "B", &b, &c);
+    }
+}
+
+/// Above spmd-rt's one-worker bound (2¹⁷ declared array elements; MM at
+/// N = 216 declares 3 · 216² = 139 968) a `Full` run shares its ranks
+/// among several workers. The fused fold runs inside whichever worker
+/// polls a rank, so one worker and two must give the same report to
+/// the bit, and C its native reference's bits, block and cyclic.
+#[test]
+fn mm_above_the_one_worker_bound_is_the_same_on_one_and_two_workers() {
+    let n = 216;
+    let (_, _, want) = mm::reference(n);
+    let cluster = ClusterConfig::paper_n(4);
+    for schedule in [Schedule::Block, Schedule::Cyclic] {
+        let opts = BackendOptions::new(4).granularity(Granularity::Coarse).schedule(schedule);
+        let prog = compile(mm::SOURCE, &[("N", n as i64)], &opts).unwrap().program;
+        let body = spmd_rt::rank_body(&prog, ExecMode::Full, None).unwrap();
+        let [one, two] = [1, 2].map(|workers| {
+            let out = mpi2::Universe::new(cluster.clone()).run_on(workers, &body).unwrap();
+            spmd_rt::RunReport::from_outcome(out)
+        });
+        // `Debug` prints every field, floats to the bit.
+        assert!(format!("{one:?}") == format!("{two:?}"), "{schedule:?}: reports differ");
+        let c = prog.arrays.iter().position(|(name, _)| name == "C").unwrap();
+        assert!(spmd_rt::same_bits(&one.arrays[c], &want), "{schedule:?}: C differs from its reference");
     }
 }
 
@@ -355,7 +376,7 @@ fn chaos_schedules_match_the_sequential_oracle() {
             {
                 Ok(rep) => {
                     prop_assert!(
-                        rep.arrays == seq.arrays,
+                        spmd_rt::same_bits(&rep.arrays, &seq.arrays),
                         "arrays diverge from the sequential oracle under {spec:?}"
                     );
                 }
