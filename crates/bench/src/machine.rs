@@ -62,8 +62,12 @@ pub fn sweep(machines: &[&str], nodes: usize) -> Vec<MachinePoint> {
             let cluster = spec
                 .lower(nodes)
                 .unwrap_or_else(|e| panic!("machine `{machine}` lowers at {nodes} nodes: {e}"));
-            let par = spmd_rt::execute(&compiled.program, &cluster, ExecMode::Full);
-            let seq = spmd_rt::execute_sequential(&compiled.program, &cluster.node.cpu, ExecMode::Full);
+            let prog = &compiled.program;
+            let (par, seq) =
+                spmd_rt::with_reference(prog, &cluster.node.cpu, ExecMode::Full, || {
+                    spmd_rt::try_execute(prog, &cluster, ExecMode::Full, spmd_rt::FaultSpec::off())
+                })
+                .unwrap_or_else(|e| panic!("{e}"));
             out.push(MachinePoint {
                 machine: machine.to_string(),
                 topology: spec.topology.kind.name().to_string(),

@@ -550,6 +550,12 @@ pub fn run_machine_dump(args: &CliArgs) -> RunOutput {
 /// Execute the request against already-loaded source text. Returns the
 /// full report the binary prints.
 pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
+    run_on(source, args, mpi2::workers::cores())
+}
+
+/// [`run`] on a host of `cores` cores, which decides where the
+/// sequential reference runs (`spmd_rt::with_reference_on`) and no byte.
+pub(crate) fn run_on(source: &str, args: &CliArgs, cores: usize) -> Result<RunOutput, FrontError> {
     // One lowering for every machine: the built-in presets are machine
     // descriptions too (their lowering is field-identical to
     // `ClusterConfig::{paper_n, prototype_n}`), so a node count they
@@ -664,7 +670,7 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
     // `--recover` swaps in the rollback-recovery driver: the same
     // execution (report and trace byte-identical to the crash-free
     // run) plus a side ledger of checkpoints/rollbacks/respawns.
-    let executed = match (advised_run, &args.recover) {
+    let run_parallel = || match (advised_run, &args.recover) {
         (Some(rep), _) => Ok((rep, None)),
         (None, Some(spec)) => vpce_recover::run_recovering(
             &compiled.program,
@@ -684,12 +690,14 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
         )
         .map(|rep| (rep, None)),
     };
-    let executed = executed.and_then(|(parallel, recovery)| {
-        let sequential =
-            spmd_rt::try_execute_sequential(&compiled.program, &cluster.node.cpu, args.mode)?;
-        Ok((parallel, recovery, sequential))
-    });
-    let (parallel, recovery, sequential) = match executed {
+    let executed = spmd_rt::with_reference_on(
+        cores,
+        &compiled.program,
+        &cluster.node.cpu,
+        args.mode,
+        run_parallel,
+    );
+    let ((parallel, recovery), sequential) = match executed {
         Ok(all) => all,
         Err(e) => {
             // Unsurvivable fault, a program/cluster mismatch or an
@@ -907,6 +915,30 @@ mod tests {
         assert_eq!(a.lint_json.as_deref(), Some("out.json"));
         assert_eq!(a.trace.as_deref(), Some("t.json"));
         assert!(a.trace_summary);
+    }
+
+    /// Where the sequential reference runs reaches no byte: at one core
+    /// it runs after the parallel run, at two beside it.
+    #[test]
+    fn reference_placement_reaches_no_byte() {
+        for extra in [
+            "",
+            "--faults light",
+            "--recover interval=1",
+            "--trace-summary",
+            "--trace t.json",
+        ] {
+            let line = format!("mm.f --nodes 4 --param N=144 --grain coarse {extra}");
+            let args = parse_args(&argv(&line)).unwrap();
+            let [after, beside] =
+                [1, 2].map(|cores| run_on(vpce_workloads::mm::SOURCE, &args, cores).unwrap());
+            assert_eq!(after.text, beside.text, "{line}");
+            assert_eq!(after.exit, beside.exit, "{line}");
+            let traces_equal = after.trace_json == beside.trace_json;
+            assert!(traces_equal, "{line}: traces differ");
+            let identical = "results identical to sequential execution: true";
+            assert!(after.text.contains(identical), "{line}: {}", after.text);
+        }
     }
 
     #[test]

@@ -179,14 +179,31 @@ pub fn run_experiment(
     opts: &BackendOptions,
     mode: ExecMode,
 ) -> Result<Experiment, FrontError> {
+    run_experiment_on(mpi2::workers::cores(), source, params, cluster, opts, mode)
+}
+
+/// [`run_experiment`] on a host of `cores` cores, which decides where
+/// the sequential baseline runs (`spmd_rt::with_reference_on`) and no
+/// bit.
+fn run_experiment_on(
+    cores: usize,
+    source: &str,
+    params: &[(&str, i64)],
+    cluster: &ClusterConfig,
+    opts: &BackendOptions,
+    mode: ExecMode,
+) -> Result<Experiment, FrontError> {
     assert_eq!(
         opts.nprocs,
         cluster.num_nodes(),
         "backend nprocs must match the cluster"
     );
     let compiled = compile(source, params, opts)?;
-    let parallel = spmd_rt::execute(&compiled.program, cluster, mode);
-    let sequential = spmd_rt::execute_sequential(&compiled.program, &cluster.node.cpu, mode);
+    let (parallel, sequential) =
+        spmd_rt::with_reference_on(cores, &compiled.program, &cluster.node.cpu, mode, || {
+            spmd_rt::try_execute(&compiled.program, cluster, mode, spmd_rt::FaultSpec::off())
+        })
+        .unwrap_or_else(|e| panic!("{e}"));
     Ok(Experiment {
         compiled,
         parallel,
@@ -252,6 +269,21 @@ mod tests {
             .position(|(n, _)| n == "S")
             .unwrap();
         assert_eq!(exp.parallel.scalars[s_slot].as_real(), (128.0 * 129.0));
+    }
+
+    #[test]
+    fn the_baseline_is_the_same_after_or_beside_the_parallel_run() {
+        let cluster = ClusterConfig::paper_4node();
+        let opts = BackendOptions::new(4).granularity(Granularity::Coarse);
+        let src = vpce_workloads::mm::SOURCE;
+        let [after, beside] = [1, 2].map(|cores| {
+            run_experiment_on(cores, src, &[("N", 144)], &cluster, &opts, ExecMode::Full).unwrap()
+        });
+        assert!(spmd_rt::same_bits(&after.parallel.arrays, &beside.parallel.arrays));
+        assert!(spmd_rt::same_bits(&after.sequential.arrays, &beside.sequential.arrays));
+        assert!(spmd_rt::same_bits(&after.parallel.arrays, &after.sequential.arrays));
+        assert_eq!(after.parallel.elapsed.to_bits(), beside.parallel.elapsed.to_bits());
+        assert_eq!(after.sequential.elapsed.to_bits(), beside.sequential.elapsed.to_bits());
     }
 
     #[test]

@@ -1,17 +1,20 @@
 //! The host's worker threads: how many cores there are, and the one
 //! place that starts threads.
 //!
-//! Two things run on more than one OS thread: the rank tasks of a
-//! universe ([`crate::Universe::run_on`]) and the job scheduler's
+//! Three things run on more than one OS thread: the rank tasks of a
+//! universe ([`crate::Universe::run_on`]), the job scheduler's
 //! admission pass (`vpce_sched::Runner::prepare_all`), which compiles
-//! and dry-runs a session's distinct jobs side by side. Both start
-//! their threads through [`scoped`], and both size themselves from
-//! [`cores`]. Neither lets the count reach a result: the rank engine
-//! folds every collective in rank order, and [`map`] hands its results
-//! back in item order.
+//! and dry-runs a session's distinct jobs side by side, and the
+//! sequential reference of a `Full` run (`spmd_rt::with_reference`),
+//! which [`join`]s the parallel run on a host of two or more cores. All
+//! start their threads through [`scoped`] and size themselves from
+//! [`cores`]. None lets the count reach a result: the rank engine folds
+//! every collective in rank order, [`map`] hands its results back in
+//! item order, and [`join`] returns its pair in argument order.
 
 use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// Cores this process may run on. The one place that asks the host.
 pub fn cores() -> usize {
@@ -59,6 +62,33 @@ pub fn map<T: Sync, U: Send>(workers: usize, items: &[T], f: impl Fn(&T) -> U + 
     done.into_iter().map(|(_, u)| u).collect()
 }
 
+/// `a()` on the calling thread and `b()` on a second worker
+/// ([`scoped`]), at the same time; returns `(a(), b())` once both are
+/// done. A panic on either side goes on unwinding on the calling
+/// thread, after the other side has finished.
+pub fn join<A: Send, B: Send>(
+    a: impl FnOnce() -> A + Send,
+    b: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    fn take<F>(side: &Mutex<Option<F>>) -> F {
+        let mut side = side.lock().expect("no panic happens while a side is locked");
+        side.take().expect("each side is taken once, by the worker that runs it")
+    }
+    let (a, b) = (Mutex::new(Some(a)), Mutex::new(Some(b)));
+    let mut out = scoped(2, |w| {
+        if w == 0 {
+            (Some(take(&a)()), None)
+        } else {
+            (None, Some(take(&b)()))
+        }
+    })
+    .into_iter();
+    let (Some((Some(a), _)), Some((_, Some(b)))) = (out.next(), out.next()) else {
+        unreachable!("scoped returns one result per worker, in worker order")
+    };
+    (a, b)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -93,5 +123,29 @@ mod tests {
     #[should_panic(expected = "item 5")]
     fn a_workers_panic_reaches_the_caller() {
         map(2, &[0, 1, 2, 3, 4, 5, 6], |&i| assert_ne!(i, 5, "item {i}"));
+    }
+
+    #[test]
+    fn join_returns_both_results_in_argument_order() {
+        let me = std::thread::current().id();
+        let (a, b) = join(
+            || (std::thread::current().id(), "a"),
+            || (std::thread::current().id(), 2_u8),
+        );
+        assert_eq!(a, (me, "a"), "the first side runs on the calling thread");
+        assert_eq!(b.1, 2);
+        assert_ne!(b.0, me, "the second side runs on a worker of its own");
+    }
+
+    #[test]
+    #[should_panic(expected = "first side")]
+    fn a_panic_on_the_calling_side_of_a_join_reaches_the_caller() {
+        join(|| panic!("first side"), || ());
+    }
+
+    #[test]
+    #[should_panic(expected = "second side")]
+    fn a_panic_on_the_worker_side_of_a_join_reaches_the_caller() {
+        join(|| (), || panic!("second side"));
     }
 }

@@ -1,6 +1,7 @@
 //! The SPMD interpreter: runs a compiled [`SpmdProgram`] on the
 //! simulated cluster (and sequentially, for the reference baseline).
 
+use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::AsyncFn;
 
@@ -38,14 +39,77 @@ const ONE_WORKER_ELEMS: usize = 1 << 17;
 /// place that count is decided. An `Analytic` run prices its loops and
 /// moves no payload, and a `Full` run of small arrays computes little
 /// between rendezvous: one worker, the calling thread, carries every
-/// rank of either. Otherwise every core gets a worker. The outcome is
-/// the same on any count (`mpi2::Universe::run_on`); only speed moves.
+/// rank of either. Otherwise every core gets a worker, less the one
+/// lent to a sequential reference running beside this run
+/// ([`with_reference`]). The outcome is the same on any count
+/// (`mpi2::Universe::run_on`); only speed moves.
 pub fn workers(prog: &SpmdProgram, mode: ExecMode) -> usize {
     let elems: usize = prog.arrays.iter().map(|(_, len)| len).sum();
     if mode == ExecMode::Analytic || elems <= ONE_WORKER_ELEMS {
         return 1;
     }
-    prog.nprocs.min(mpi2::workers::cores())
+    let cores = mpi2::workers::cores().saturating_sub(LENT.get());
+    prog.nprocs.min(cores.max(1))
+}
+
+thread_local! {
+    /// Cores this thread has lent to a sequential reference running
+    /// beside the parallel run it carries ([`with_reference_on`]).
+    static LENT: Cell<usize> = const { Cell::new(0) };
+}
+
+/// The parallel run of `prog` paired with its sequential reference on
+/// `cpu` (the Table-1 baseline): `parallel()`'s result and the
+/// [`SeqReport`] — the one place a run and its reference are paired.
+/// A `Full` run on a host of two or more cores computes the reference
+/// on one core while `parallel()` runs on the calling thread
+/// ([`mpi2::workers::join`]), its ranks on the other cores
+/// ([`workers`]). An `Analytic` reference is a pricing pass, and one
+/// core has nothing to lend: there the reference runs after the
+/// parallel run, as before. Either way the outcome is the same: a
+/// parallel error wins over the reference's, the reference's error
+/// surfaces only after a parallel success, and a panic on either side
+/// unwinds on the caller. A failed parallel run that overlapped its
+/// reference returns once the reference is done.
+pub fn with_reference<T: Send>(
+    prog: &SpmdProgram,
+    cpu: &CpuModel,
+    mode: ExecMode,
+    parallel: impl FnOnce() -> Result<T, VpceError> + Send,
+) -> Result<(T, SeqReport), VpceError> {
+    with_reference_on(mpi2::workers::cores(), prog, cpu, mode, parallel)
+}
+
+/// [`with_reference`] on a host of `cores` cores: the seam tests use
+/// to take either placement on any host.
+pub fn with_reference_on<T: Send>(
+    cores: usize,
+    prog: &SpmdProgram,
+    cpu: &CpuModel,
+    mode: ExecMode,
+    parallel: impl FnOnce() -> Result<T, VpceError> + Send,
+) -> Result<(T, SeqReport), VpceError> {
+    let reference = || try_execute_sequential(prog, cpu, mode);
+    if mode == ExecMode::Full && cores > 1 {
+        let (par, seq) = mpi2::workers::join(|| lending_a_core(parallel), reference);
+        Ok((par?, seq?))
+    } else {
+        let par = parallel()?;
+        Ok((par, reference()?))
+    }
+}
+
+/// `run()` with one core lent ([`LENT`]) until it returns or unwinds.
+fn lending_a_core<T>(run: impl FnOnce() -> T) -> T {
+    struct Lent;
+    impl Drop for Lent {
+        fn drop(&mut self) {
+            LENT.set(LENT.get() - 1);
+        }
+    }
+    LENT.set(LENT.get() + 1);
+    let _lent = Lent;
+    run()
 }
 
 /// How loop bodies execute. See the crate docs.
@@ -906,11 +970,78 @@ pub(crate) mod tests {
             (big.clone(), ExecMode::Analytic, 1),
             (axpy_prog(4), ExecMode::Full, 1),
             (axpy_prog_of(4, ONE_WORKER_ELEMS / 2), ExecMode::Full, 1),
-            (big, ExecMode::Full, cores.min(4)),
+            (big.clone(), ExecMode::Full, cores.min(4)),
             (axpy_prog_of(1, ONE_WORKER_ELEMS), ExecMode::Full, 1),
         ] {
             let elems: usize = prog.arrays.iter().map(|(_, len)| len).sum();
             assert_eq!(workers(&prog, mode), want, "{elems} elements on {} ranks, {mode:?}", prog.nprocs);
+        }
+        // A reference beside the run takes one core, and gives it back.
+        let cpu = ClusterConfig::paper_4node().node.cpu;
+        for (placement_cores, want) in [(1, cores.min(4)), (2, (cores - 1).clamp(1, 4))] {
+            let beside = || Ok(workers(&big, ExecMode::Full));
+            let got = with_reference_on(placement_cores, &axpy_prog(4), &cpu, ExecMode::Full, beside);
+            assert_eq!(got.unwrap().0, want, "placed for {placement_cores} cores");
+        }
+        assert_eq!(workers(&big, ExecMode::Full), cores.min(4));
+    }
+
+    /// [`axpy_prog`] whose sequential reference fails: A is declared 8
+    /// elements long and the master's init stores 16.
+    fn short_array_prog() -> SpmdProgram {
+        let mut prog = axpy_prog(4);
+        prog.arrays[0].1 = 8;
+        prog
+    }
+
+    // The reference placement tests name their core count: one core
+    // runs the reference after the parallel run, two run it beside.
+
+    #[test]
+    fn a_parallel_error_wins_over_the_references() {
+        let cpu = ClusterConfig::paper_4node().node.cpu;
+        let crash = VpceError::RankCrash { rank: 2, region: "L1".into() };
+        for cores in [1, 2] {
+            let got = with_reference_on(cores, &short_array_prog(), &cpu, ExecMode::Full, || {
+                Err::<(), _>(crash.clone())
+            });
+            assert_eq!(got.unwrap_err(), crash, "{cores} cores");
+        }
+    }
+
+    #[test]
+    fn the_references_error_surfaces_only_after_a_parallel_success() {
+        let cpu = ClusterConfig::paper_4node().node.cpu;
+        let good = axpy_prog(4);
+        let want = execute_sequential(&good, &cpu, ExecMode::Full);
+        let me = std::thread::current().id();
+        for cores in [1, 2] {
+            let got = with_reference_on(cores, &short_array_prog(), &cpu, ExecMode::Full, || Ok(()));
+            assert!(
+                matches!(got, Err(VpceError::SubscriptRange { .. })),
+                "{cores} cores: {got:?}"
+            );
+            let (on, seq) = with_reference_on(cores, &good, &cpu, ExecMode::Full, || {
+                Ok(std::thread::current().id())
+            })
+            .unwrap();
+            assert_eq!(on, me, "{cores} cores: the parallel run stays on the calling thread");
+            assert_eq!(seq.elapsed.to_bits(), want.elapsed.to_bits());
+            assert!(same_bits(&seq.arrays, &want.arrays));
+        }
+    }
+
+    #[test]
+    fn a_reference_panic_unwinds_on_the_caller() {
+        let cpu = ClusterConfig::paper_4node().node.cpu;
+        // Malformed, not failing: the region stores to an undeclared array.
+        let mut prog = axpy_prog(4);
+        prog.arrays.truncate(1);
+        for cores in [1, 2] {
+            let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                with_reference_on(cores, &prog, &cpu, ExecMode::Full, || Ok(()))
+            }));
+            assert!(got.is_err(), "{cores} cores: {got:?}");
         }
     }
 

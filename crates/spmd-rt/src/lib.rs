@@ -54,8 +54,8 @@ pub mod value;
 pub use checkpoint::Snapshot;
 pub use exec::{
     execute, execute_sequential, execute_traced, rank_body, same_bits, try_execute,
-    try_execute_suppressed, try_execute_sequential, try_execute_traced, ExecMode, RankOutput,
-    RunReport, SeqReport,
+    try_execute_suppressed, try_execute_sequential, try_execute_traced, with_reference,
+    with_reference_on, ExecMode, RankOutput, RunReport, SeqReport,
 };
 pub use vpce_faults::{FaultSpec, VpceError};
 pub use ir::{
