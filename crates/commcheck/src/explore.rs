@@ -350,8 +350,8 @@ impl<'a> Tables<'a> {
             .any(|a| matches!(a.op, Op::Send { to: t, tag: g } if t == to && g == tag))
     }
 
-    /// Classify why the live rank `r` cannot move in the stuck state.
-    fn classify(&self, st: &State, r: usize) -> Blocked {
+    /// Why the live rank `r` cannot move in the stuck state.
+    fn blocked(&self, st: &State, r: usize) -> Blocked {
         let i = st.pc[r] as usize;
         let act = self.act(r, i).clone();
         let cause = match &act.op {
@@ -533,7 +533,7 @@ pub fn explore(sk: &Skeleton, strict_pools: bool, max_states: usize) -> ExploreR
             // Global stall: some rank is live, nothing can move.
             let blocked: Vec<Blocked> = (0..sk.nranks)
                 .filter(|&r| t.live(&st, r))
-                .map(|r| t.classify(&st, r))
+                .map(|r| t.blocked(&st, r))
                 .collect();
             let mut steps = Vec::new();
             let mut cur = id;

@@ -540,7 +540,7 @@ fn ext_gcd(a: i128, b: i128) -> (i128, i128, i128) {
 /// Exact at any size — this is what lets [`Lmad::overlaps_exact`]
 /// decide same- or mixed-stride descriptor pairs far beyond the
 /// enumeration limit.
-pub(crate) fn progressions_intersect(o1: i64, s1: i64, c1: u64, o2: i64, s2: i64, c2: u64) -> bool {
+pub fn progressions_intersect(o1: i64, s1: i64, c1: u64, o2: i64, s2: i64, c2: u64) -> bool {
     debug_assert!(s1 > 0 && s2 > 0, "normalised strides are positive");
     let (s1, s2) = (s1 as i128, s2 as i128);
     let d = o2 as i128 - o1 as i128;

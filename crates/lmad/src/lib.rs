@@ -44,6 +44,7 @@
 #![forbid(unsafe_code)]
 
 mod descriptor;
+pub mod epoch;
 #[cfg(test)]
 mod oracle;
 mod runs;
@@ -51,7 +52,7 @@ mod summary;
 pub mod sweep;
 mod transfer;
 
-pub use descriptor::{Dim, Lmad, SplitLmad};
+pub use descriptor::{progressions_intersect, Dim, Lmad, SplitLmad};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
 pub use sweep::{CoverIndex, COVER_LIMIT};
 pub use transfer::{any_overlap, Granularity, RegionTransfer, TransferPlan};

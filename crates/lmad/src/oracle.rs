@@ -3,9 +3,12 @@
 //! `Vec<i64>`, sorted, probed one by one — kept verbatim for tests
 //! only, plus the pinned-seed properties that compare. The contract is
 //! *cost changes, answers do not*: equal on every input, `None`-ness
-//! and budget refusals included.
+//! and budget refusals included. The same holds for the epoch scanner
+//! against a visit to every pair, and for the progression kernel
+//! against listing both progressions.
 
 use crate::descriptor::{progressions_intersect, Dim, Lmad};
+use crate::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
 use crate::sweep::CoverIndex;
 use vpce_testkit::prelude::*;
 
@@ -252,6 +255,212 @@ fn contains_all_and_distinct_elements_match_enumeration() {
                 if let Some(mut offs) = a.offsets(limit) {
                     offs.dedup();
                     prop_assert_eq!(a.distinct_elements_exact(limit), Some(offs.len() as u64));
+                }
+            }
+            Ok(())
+        });
+}
+
+/// Base, stride and count of one progression for the kernel: strides
+/// of 1, small coprime and shared-factor ones, and ones far past any
+/// array; counts of 0, 1 and more; bases near both ends of `i64`.
+fn progression() -> Gen<(i64, i64, u64)> {
+    let stride = weighted(vec![
+        (3, just(1)),
+        (4, i64_in(2, 9)),
+        (3, i64_in(1, 8).map(|k| 6 * k)),
+        (1, elem_of(vec![97, 1 << 40, i64::MAX])),
+    ]);
+    let count = weighted(vec![(1, just(0)), (2, just(1)), (6, u64_in(2, 24))]);
+    let base = weighted(vec![
+        (6, i64_in(-40, 40)),
+        (1, i64_in(i64::MIN, i64::MIN + 64)),
+        (1, i64_in(i64::MAX - 64, i64::MAX)),
+    ]);
+    zip3(base, stride, count)
+}
+
+#[test]
+fn progressions_intersect_matches_enumeration() {
+    // Half the pairs start next to each other, so they can meet.
+    let near = weighted(vec![(1, just(None)), (1, i64_in(-30, 30).map(Some))]);
+    let (met, missed) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    Check::new("lmad::progressions_intersect_matches_enumeration")
+        .cases(4000)
+        .run(&zip3(progression(), progression(), near), |&(a, mut b, near)| {
+            if let Some(delta) = near {
+                b.0 = a.0.saturating_add(delta);
+            }
+            // Listed in i128: the elements of a progression based near
+            // an end of `i64` may leave it.
+            let list = |(o, s, c): (i64, i64, u64)| -> Vec<i128> {
+                (0..c as i128).map(|i| o as i128 + i * s as i128).collect()
+            };
+            let other = list(b);
+            let want = list(a).iter().any(|x| other.contains(x));
+            let got = progressions_intersect(a.0, a.1, a.2, b.0, b.1, b.2);
+            prop_assert_eq!(got, want, "{:?} vs {:?}", a, b);
+            prop_assert_eq!(progressions_intersect(b.0, b.1, b.2, a.0, a.1, a.2), want, "flipped");
+            let tally = if want { &met } else { &missed };
+            tally.set(tally.get() + 1);
+            Ok(())
+        });
+    let (met, missed) = (met.get(), missed.get());
+    assert!(met > 400 && missed > 400, "{met} meeting pairs, {missed} disjoint");
+}
+
+/// A one-dimensional progression with the runtime ledger's
+/// normalisation (a zero stride or a count below two is one element,
+/// or none), answering through the kernel.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Progression {
+    off: i64,
+    stride: i64,
+    count: u64,
+}
+
+impl Progression {
+    fn new(off: i64, stride: i64, count: u64) -> Self {
+        if stride == 0 || count <= 1 {
+            Progression { off, stride: 1, count: count.min(1) }
+        } else {
+            Progression { off, stride, count }
+        }
+    }
+}
+
+impl Footprint for Progression {
+    fn extent(&self) -> (i64, i64) {
+        match self.count.checked_sub(1) {
+            None => (1, 0),
+            Some(last) => (self.off, self.off + self.stride * last as i64),
+        }
+    }
+
+    fn meets(&self, other: &Self) -> bool {
+        let (a, b) = (self, other);
+        progressions_intersect(a.off, a.stride, a.count, b.off, b.stride, b.count)
+    }
+}
+
+impl Footprint for &Lmad {
+    fn extent(&self) -> (i64, i64) {
+        Lmad::extent(self)
+    }
+
+    fn meets(&self, other: &Self) -> bool {
+        self.overlaps(other)
+    }
+}
+
+/// One operation as an epoch receives it: window, origin, target,
+/// access, footprint.
+type EpochOp<O, A> = (usize, usize, usize, Access<A>, O);
+
+/// The epoch scan as it visited every pair: the same effects, every
+/// pair `i < j` judged by the same rule and the same footprint test.
+fn conflicts_all_pairs<O, A>(eff: &[Effect<O, A>]) -> Vec<(ConflictKind, Effect<O, A>, Effect<O, A>)>
+where
+    O: Footprint + Copy,
+    A: Copy + Eq,
+{
+    let mut out = Vec::new();
+    for (i, a) in eff.iter().enumerate() {
+        for b in &eff[i + 1..] {
+            out.extend(a.conflict(b).map(|kind| (kind, *a, *b)));
+        }
+    }
+    out
+}
+
+/// The scanner ≡ the all-pairs visit, **including order**, on one
+/// epoch — scanned with a scanner that may hold an earlier one.
+fn scan_matches_all_pairs<O, A>(scan: &mut EpochScan<O, A>, ops: &[EpochOp<O, A>]) -> PropResult
+where
+    O: Footprint + Copy + PartialEq + std::fmt::Debug,
+    A: Copy + Eq + std::fmt::Debug,
+{
+    scan.begin(ops.len());
+    for &(win, origin, target, access, op) in ops {
+        scan.push(win, origin, target, access, op);
+    }
+    let want = conflicts_all_pairs(scan.effects());
+    let got: Vec<_> = scan.conflicts().map(|(kind, a, b)| (kind, *a, *b)).collect();
+    prop_assert_eq!(got, want);
+    Ok(())
+}
+
+/// The runtime ledger's fence batches: PUT / GET / ACC (two operators)
+/// from four ranks on two windows — strided sets, zero strides,
+/// zero-count operations and self-gets.
+#[test]
+fn epoch_scan_matches_all_pairs_on_ledger_batches() {
+    let op = zip4(
+        zip3(usize_in(0, 3), usize_in(0, 3), usize_in(0, 1)),
+        usize_in(0, 5),
+        zip3(i64_in(0, 40), i64_in(0, 5), u64_in(0, 8)),
+        elem_of(vec!['+', 'M']),
+    );
+    let scan = std::cell::RefCell::new(EpochScan::default());
+    Check::new("lmad::epoch_scan_matches_all_pairs_on_ledger_batches")
+        .cases(512)
+        .run(&vec_of(op, 0, 24), |batch| {
+            let ops: Vec<EpochOp<Progression, char>> = batch
+                .iter()
+                .map(|&((origin, target, win), shape, (off, stride, count), acc)| {
+                    let (access, stride) = match shape {
+                        0 | 1 => (Access::Put, 1),
+                        2 => (Access::Put, stride),
+                        3 => (Access::Get, 1),
+                        4 => (Access::Get, stride),
+                        _ => (Access::Acc(acc), 1),
+                    };
+                    (win, origin, target, access, Progression::new(off, stride, count))
+                })
+                .collect();
+            scan_matches_all_pairs(&mut scan.borrow_mut(), &ops)
+        });
+}
+
+/// The static checker's traces: four ranks' PUTs, GETs and local
+/// accesses with contiguous, strided and two-dimensional footprints on
+/// two windows, cut into epochs at fences — a barrier does not cut one,
+/// an epoch may be empty — and handed over rank by rank, as a trace
+/// is walked.
+#[test]
+fn epoch_scan_matches_all_pairs_on_checker_traces() {
+    let region = weighted(vec![
+        (3, zip2(i64_in(0, 30), u64_in(1, 8)).map(|(b, c)| Lmad::contiguous(b, c))),
+        (2, zip3(i64_in(0, 30), i64_in(2, 4), u64_in(1, 6)).map(|(b, s, c)| Lmad::strided(b, s, c))),
+        (1, zip3(i64_in(0, 12), u64_in(1, 3), u64_in(2, 3))
+            .map(|(b, w, c)| Lmad::new(b, vec![Dim::new(1, w), Dim::new(8, c)]))),
+    ]);
+    let access = elem_of(vec![
+        Access::Put,
+        Access::Put,
+        Access::Get,
+        Access::LocalWrite,
+        Access::LocalRead,
+    ]);
+    // (rank, access, window, target, footprint)
+    let op = zip4(zip2(usize_in(0, 3), access), usize_in(0, 1), usize_in(0, 3), region);
+    let fence = elem_of(vec![true, true, false]);
+    Check::new("lmad::epoch_scan_matches_all_pairs_on_checker_traces")
+        .cases(384)
+        .run(&vec_of(zip2(vec_of(op, 0, 10), fence), 0, 6), |segments| {
+            // One scanner for the trace's epochs, as a check keeps one.
+            let mut scan = EpochScan::default();
+            let mut epoch: Vec<EpochOp<&Lmad, ()>> = Vec::new();
+            for (ops, fence) in segments {
+                for ((rank, access), win, target, region) in ops {
+                    let local = matches!(access, Access::LocalWrite | Access::LocalRead);
+                    let target = if local { *rank } else { *target };
+                    epoch.push((*win, *rank, target, *access, region));
+                }
+                if *fence {
+                    epoch.sort_by_key(|op| op.1);
+                    scan_matches_all_pairs(&mut scan, &epoch)?;
+                    epoch.clear();
                 }
             }
             Ok(())

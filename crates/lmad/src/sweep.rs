@@ -63,35 +63,11 @@ pub fn any_overlapping_pair<T: Ord + Copy>(
     sweep(&mut members, &mut Vec::new(), |i| intervals[i], hit)
 }
 
-/// Every index pair `i < j` whose closed intervals intersect, in
-/// lexicographic order. `O(n log n + k log k)` for `k` reported pairs.
-pub fn overlapping_pairs<T: Ord + Copy>(intervals: &[(T, T)]) -> Vec<(usize, usize)> {
-    let mut pairs = Vec::new();
-    any_overlapping_pair(intervals, |i, j| {
-        pairs.push((i, j));
-        false
-    });
-    pairs.sort_unstable();
-    pairs
-}
-
-/// [`overlapping_pairs`] within buckets: every index pair `i < j` with
-/// *equal keys* and intersecting intervals, in lexicographic order over
-/// the whole list — so a caller that replays the pairs visits them in
-/// exactly the order its old `for i { for j in i+1.. }` loop did.
-pub fn overlapping_pairs_by_key<K: Ord + Copy, T: Ord + Copy>(
-    items: &[(K, (T, T))],
-) -> Vec<(usize, usize)> {
-    let mut join = PairJoin::default();
-    join.pairs_by_key(items.len(), |i| items[i]);
-    join.pairs
-}
-
-/// The working memory of [`overlapping_pairs_by_key`], for a caller
-/// that joins batch after batch (every closing fence of a run does):
-/// the bucket order, the sweep line and the answer keep their capacity
-/// from one join to the next, so a join the size of an earlier one
-/// allocates nothing.
+/// The keyed interval join, with its working memory, for a caller
+/// that joins batch after batch (the epoch scanner, at every closing
+/// fence of a run and every epoch of a trace): the bucket order, the
+/// sweep line and the answer keep their capacity from one join to the
+/// next, so a join the size of an earlier one allocates nothing.
 #[derive(Debug, Default)]
 pub struct PairJoin {
     order: Vec<usize>,
@@ -100,9 +76,14 @@ pub struct PairJoin {
 }
 
 impl PairJoin {
-    /// [`overlapping_pairs_by_key`] over items `0..n`, item `i` read as
+    /// Every index pair `i < j` of items `0..n` with *equal keys* and
+    /// intersecting closed intervals, item `i` read as
     /// `item(i) = (key, (lo, hi))` wherever the caller keeps it — no
-    /// list of footprints is built to ask. The answer is valid until
+    /// list of footprints is built to ask. The pairs come in
+    /// lexicographic order over the whole list, so a caller that
+    /// replays them visits them in exactly the order a
+    /// `for i { for j in i+1.. }` loop would. An interval with
+    /// `lo > hi` is empty and meets nothing. The answer is valid until
     /// the next join.
     pub fn pairs_by_key<K: Ord + Copy, T: Ord + Copy>(
         &mut self,
@@ -317,13 +298,23 @@ mod tests {
         out
     }
 
+    /// A fresh [`PairJoin::pairs_by_key`] over a list.
+    fn join<K: Ord + Copy, T: Ord + Copy>(items: &[(K, (T, T))]) -> Vec<(usize, usize)> {
+        PairJoin::default().pairs_by_key(items.len(), |i| items[i]).to_vec()
+    }
+
+    /// The same intervals, all in one bucket.
+    fn one_bucket<T: Copy>(iv: &[(T, T)]) -> Vec<((), (T, T))> {
+        iv.iter().map(|&e| ((), e)).collect()
+    }
+
     #[test]
     fn pairs_of_a_small_set() {
         //            0        1       2        3 (empty)  4
         let iv = [(0, 4), (4, 6), (10, 12), (3, 2), (-5, 20)];
-        assert_eq!(overlapping_pairs(&iv), vec![(0, 1), (0, 4), (1, 4), (2, 4)]);
-        assert!(overlapping_pairs::<i64>(&[]).is_empty());
-        assert!(overlapping_pairs(&[(1, 1)]).is_empty());
+        assert_eq!(join(&one_bucket(&iv)), vec![(0, 1), (0, 4), (1, 4), (2, 4)]);
+        assert!(join::<(), i64>(&[]).is_empty());
+        assert!(join(&one_bucket(&[(1, 1)])).is_empty());
     }
 
     #[test]
@@ -355,7 +346,7 @@ mod tests {
             (2, (0, 9)),
         ];
         assert_eq!(
-            overlapping_pairs_by_key(&items),
+            join(&items),
             vec![(0, 2), (0, 4), (1, 3), (2, 4)]
         );
     }
@@ -366,12 +357,9 @@ mod tests {
         // empty one: nothing of an earlier answer survives into a later.
         let wide: Vec<(u8, (i64, i64))> = (0..40).map(|i| (i % 3, (i as i64, i as i64 + 4))).collect();
         let small = [(7u8, (0, 9)), (7, (5, 6)), (8, (5, 6))];
-        let mut join = PairJoin::default();
+        let mut reused = PairJoin::default();
         for items in [&wide[..], &small[..], &[][..], &wide[..]] {
-            assert_eq!(
-                join.pairs_by_key(items.len(), |i| items[i]),
-                overlapping_pairs_by_key(items)
-            );
+            assert_eq!(reused.pairs_by_key(items.len(), |i| items[i]), join(items));
         }
     }
 
@@ -395,7 +383,7 @@ mod tests {
                     .map(|&(a, b, keep)| if keep == 0 { (a, b) } else { (a.min(b), a.max(b)) })
                     .collect();
                 let want = all_pairs(&iv);
-                prop_assert_eq!(&overlapping_pairs(&iv), &want);
+                prop_assert_eq!(&join(&one_bucket(&iv)), &want);
                 let mut seen = Vec::new();
                 any_overlapping_pair(&iv, |i, j| {
                     seen.push((i, j));
@@ -411,7 +399,7 @@ mod tests {
                     .copied()
                     .filter(|&(i, j)| keyed[i].0 == keyed[j].0)
                     .collect();
-                prop_assert_eq!(&overlapping_pairs_by_key(&keyed), &want_keyed);
+                prop_assert_eq!(&join(&keyed), &want_keyed);
                 Ok(())
             });
     }

@@ -8,21 +8,25 @@
 //! simulator happens to resolve them deterministically (sorted
 //! application order), which *hides* such bugs. This ledger records
 //! them instead: every closing fence scans the operations it completes
-//! — exactly one access epoch per window — for overlapping element
-//! footprints and appends a [`ConflictRecord`] per offending pair.
+//! — exactly one access epoch per window — through [`lmad::epoch`],
+//! the scanner the static checker uses, and appends a
+//! [`ConflictRecord`] per colliding pair.
 //!
-//! The footprint intersection here is **exact** (closed-form
-//! arithmetic-progression intersection, no enumeration, no
-//! approximation in either direction). That exactness is what makes
-//! the differential soundness property meaningful: a recorded conflict
-//! is a true element-level collision, so a static checker that stays
-//! green on a flagged run has a genuine soundness hole.
+//! The footprint test is **exact** (closed-form progression
+//! intersection, no enumeration, no approximation in either
+//! direction). That exactness is what makes the differential soundness
+//! property meaningful: a recorded conflict is a true element-level
+//! collision, so a static checker that stays green on a flagged run
+//! has a genuine soundness hole.
 //!
 //! Scope: active-target (fence) epochs only. Passive-target
 //! `put_now`/`accumulate_now` apply immediately under an exclusive
 //! per-shard lock, which serialises them by construction.
 
-use lmad::sweep::PairJoin;
+use lmad::epoch::{Access, EpochScan, Footprint};
+use lmad::progressions_intersect;
+
+pub use lmad::epoch::ConflictKind;
 
 use crate::rma::{AccumulateOp, PendingRma, RmaDir};
 
@@ -51,83 +55,23 @@ impl AccessSet {
             AccessSet { off, stride, count }
         }
     }
+}
 
-    /// First and last element touched; `None` for the empty set.
-    fn extent(&self) -> Option<(u128, u128)> {
-        let last = self.count.checked_sub(1)?;
-        let off = self.off as u128;
-        Some((off, off + self.stride as u128 * last as u128))
-    }
-
-    /// Exact intersection test of two positive-stride progressions:
-    /// solve `off1 + i*s1 == off2 + j*s2` over the index boxes via the
-    /// linear Diophantine solution family. Never approximates.
-    pub fn intersects(&self, other: &AccessSet) -> bool {
-        if self.count == 0 || other.count == 0 {
-            return false;
+/// A ledger set lies inside a shard (its operation passed the bounds
+/// check when it was issued), so every element fits an `i64`.
+impl Footprint for AccessSet {
+    fn extent(&self) -> (i64, i64) {
+        match self.count.checked_sub(1) {
+            None => (1, 0),
+            Some(last) => (self.off as i64, (self.off + self.stride * last) as i64),
         }
-        let (o1, s1, c1) = (self.off as i128, self.stride as i128, self.count as i128);
-        let (o2, s2, c2) = (other.off as i128, other.stride as i128, other.count as i128);
-        // Cheap extent rejection.
-        let (a_lo, a_hi) = (o1, o1 + s1 * (c1 - 1));
-        let (b_lo, b_hi) = (o2, o2 + s2 * (c2 - 1));
-        if a_hi < b_lo || b_hi < a_lo {
-            return false;
-        }
-        let d = o2 - o1;
-        let (g, x, _) = ext_gcd(s1, s2);
-        if d % g != 0 {
-            return false;
-        }
-        let step_i = s2 / g;
-        let i0 = (x.rem_euclid(step_i) * (d / g).rem_euclid(step_i)).rem_euclid(step_i);
-        let j0 = (i0 * s1 - d) / s2;
-        let step_j = s1 / g;
-        let t_lo = div_ceil(-i0, step_i).max(div_ceil(-j0, step_j));
-        let t_hi = div_floor(c1 - 1 - i0, step_i).min(div_floor(c2 - 1 - j0, step_j));
-        t_lo <= t_hi
     }
-}
 
-fn div_floor(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) != (b < 0)) {
-        q - 1
-    } else {
-        q
+    fn meets(&self, other: &AccessSet) -> bool {
+        let side = |s: &AccessSet| (s.off as i64, s.stride as i64, s.count as u64);
+        let ((o1, s1, c1), (o2, s2, c2)) = (side(self), side(other));
+        progressions_intersect(o1, s1, c1, o2, s2, c2)
     }
-}
-
-fn div_ceil(a: i128, b: i128) -> i128 {
-    let q = a / b;
-    if (a % b != 0) && ((a < 0) == (b < 0)) {
-        q + 1
-    } else {
-        q
-    }
-}
-
-fn ext_gcd(a: i128, b: i128) -> (i128, i128, i128) {
-    if b == 0 {
-        (a, 1, 0)
-    } else {
-        let (g, x, y) = ext_gcd(b, a % b);
-        (g, y, x - (a / b) * y)
-    }
-}
-
-/// How two operations collided.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConflictKind {
-    /// Two writes to the same element (PUT/PUT, PUT/ACC, or the
-    /// origin-side write of a GET against another write).
-    WriteWrite,
-    /// A write and a read of the same element (PUT vs the target-side
-    /// read of a GET).
-    WriteRead,
-    /// Two ACCUMULATEs with *different* operators on the same element
-    /// (same-operator accumulates commute and are permitted).
-    AccMixed,
 }
 
 /// One undefined-outcome pair detected at a closing fence.
@@ -148,123 +92,38 @@ pub struct ConflictRecord {
     pub set: AccessSet,
 }
 
-/// How one side of an op touches a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Write,
-    Read,
-    Acc(AccumulateOp),
-}
-
-/// Append the flattened shard effects of one op into `eff`.
-fn push_effects(op: &PendingRma, eff: &mut Vec<Effect>) {
-    let mk = |shard, role, set| Effect {
-        win: op.win.0,
-        shard,
-        origin: op.origin,
-        role,
-        set,
-    };
-    let k = &op.kind;
-    let set = AccessSet::new(k.off, k.stride, k.count);
-    match k.dir {
-        RmaDir::Put => eff.push(mk(op.target, Role::Write, set)),
-        RmaDir::Acc(a) => eff.push(mk(op.target, Role::Acc(a), set)),
-        // Symmetric layout: a self-get is the identity.
-        RmaDir::Get if op.origin == op.target => {}
-        RmaDir::Get => {
-            eff.push(mk(op.target, Role::Read, set));
-            eff.push(mk(op.origin, Role::Write, set));
-        }
-    }
-}
-
-/// Classify a pair of roles; `None` means the pair is permitted.
-fn classify(a: Role, b: Role) -> Option<ConflictKind> {
-    use Role::*;
-    match (a, b) {
-        (Read, Read) => None,
-        (Acc(x), Acc(y)) if x == y => None,
-        (Acc(_), Acc(_)) => Some(ConflictKind::AccMixed),
-        (Read, _) | (_, Read) => Some(ConflictKind::WriteRead),
-        _ => Some(ConflictKind::WriteWrite),
-    }
-}
-
-/// One flattened shard effect: (window, shard, origin, role, set).
-struct Effect {
-    win: usize,
-    shard: usize,
-    origin: usize,
-    role: Role,
-    set: AccessSet,
-}
-
-/// The working memory of [`scan_epoch`]: the flattened effects and the
-/// interval join over them. A universe keeps one beside the fence
-/// order, so a fence the size of an earlier one scans without
-/// allocating.
-#[derive(Default)]
-pub(crate) struct ScanScratch {
-    eff: Vec<Effect>,
-    join: PairJoin,
-}
+/// The working memory of [`scan_epoch`]. A universe keeps one beside
+/// the fence order, so a fence the size of an earlier one scans
+/// without allocating.
+pub(crate) type ScanScratch = EpochScan<AccessSet, AccumulateOp>;
 
 /// Scan one fence batch (= one access epoch per window) for
 /// undefined-outcome pairs, appending them to `found`. Operations
-/// arrive in the fence's order, filtered to the fenced window(s); empty
-/// effect lists (self-gets) drop out naturally.
+/// arrive in the fence's order, filtered to the fenced window(s).
 pub(crate) fn scan_epoch<'a>(
     ops: impl ExactSizeIterator<Item = &'a PendingRma>,
-    scratch: &mut ScanScratch,
+    scan: &mut ScanScratch,
     found: &mut Vec<ConflictRecord>,
 ) {
-    let ScanScratch { eff, join } = scratch;
-    eff.clear();
-    // One effect per operation, a GET's second aside.
-    eff.reserve(ops.len());
+    scan.begin(ops.len());
     for op in ops {
-        push_effects(op, eff);
+        let k = &op.kind;
+        let access = match k.dir {
+            RmaDir::Put => Access::Put,
+            RmaDir::Get => Access::Get,
+            RmaDir::Acc(a) => Access::Acc(a),
+        };
+        let set = AccessSet::new(k.off, k.stride, k.count);
+        scan.push(op.win.0, op.origin, op.target, access, set);
     }
-    found.extend(
-        candidate_pairs(eff, join)
-            .iter()
-            .filter_map(|&(i, j)| conflict(&eff[i], &eff[j])),
-    );
-}
-
-/// The pairs of one batch that can collide at all: same (window,
-/// shard) and intersecting first..last element intervals, found by an
-/// interval join per bucket instead of a visit to every pair. The join
-/// only drops pairs [`conflict`] drops itself (its shard test, and the
-/// extent rejection that opens [`AccessSet::intersects`]), and returns
-/// the rest in the all-pairs loop's `(i, j)` order, so the ledger
-/// keeps its record order.
-fn candidate_pairs<'j>(eff: &[Effect], join: &'j mut PairJoin) -> &'j [(usize, usize)] {
-    join.pairs_by_key(eff.len(), |i| {
-        let e = &eff[i];
-        // An empty set meets nothing: give it an empty interval.
-        ((e.win, e.shard), e.set.extent().unwrap_or((1, 0)))
-    })
-}
-
-/// The ledger record for one pair of effects, if they collide.
-fn conflict(a: &Effect, b: &Effect) -> Option<ConflictRecord> {
-    if a.win != b.win || a.shard != b.shard {
-        return None;
-    }
-    let kind = classify(a.role, b.role)?;
-    if !a.set.intersects(&b.set) {
-        return None;
-    }
-    Some(ConflictRecord {
+    found.extend(scan.conflicts().map(|(kind, a, b)| ConflictRecord {
         win: a.win,
         shard: a.shard,
         kind,
         ranks: (a.origin, b.origin),
         same_origin: a.origin == b.origin,
-        set: a.set,
-    })
+        set: a.op,
+    }));
 }
 
 #[cfg(test)]
@@ -309,58 +168,6 @@ mod tests {
         found
     }
 
-    /// The all-pairs scan the interval join replaced, kept as the
-    /// oracle: same effects, same `conflict`, every pair visited.
-    fn scan_epoch_all_pairs(ops: &[PendingRma]) -> Vec<ConflictRecord> {
-        let mut eff = Vec::new();
-        for op in ops {
-            push_effects(op, &mut eff);
-        }
-        let mut out = Vec::new();
-        for (i, a) in eff.iter().enumerate() {
-            for b in &eff[i + 1..] {
-                out.extend(conflict(a, b));
-            }
-        }
-        out
-    }
-
-    /// `scan_epoch` ≡ the all-pairs oracle **including record order**,
-    /// over random PUT/GET/ACC batches on two windows: strided sets,
-    /// zero strides, zero-count ops, self-gets.
-    #[test]
-    fn scan_epoch_matches_all_pairs_oracle_in_order() {
-        use vpce_testkit::prelude::*;
-        let op = zip4(
-            zip3(usize_in(0, 3), usize_in(0, 3), usize_in(0, 1)),
-            usize_in(0, 5),
-            zip3(usize_in(0, 40), usize_in(0, 5), usize_in(0, 8)),
-            elem_of(vec![AccumulateOp::Sum, AccumulateOp::Max]),
-        );
-        Check::new("mpi2::scan_epoch_matches_all_pairs_oracle_in_order")
-            .cases(512)
-            .run(&vec_of(op, 0, 24), |batch| {
-                let ops: Vec<PendingRma> = batch
-                    .iter()
-                    .map(|&((origin, target, win), shape, (off, stride, count), acc)| {
-                        let (dir, stride) = match shape {
-                            0 | 1 => (RmaDir::Put, 1),
-                            2 => (RmaDir::Put, stride),
-                            3 => (RmaDir::Get, 1),
-                            4 => (RmaDir::Get, stride),
-                            _ => (RmaDir::Acc(acc), 1),
-                        };
-                        PendingRma {
-                            win: WinId(win),
-                            ..pending(origin, target, dir, (off, stride, count))
-                        }
-                    })
-                    .collect();
-                prop_assert_eq!(scan_epoch(&ops), scan_epoch_all_pairs(&ops));
-                Ok(())
-            });
-    }
-
     /// The work bound, on a deterministic counter: a fence batch of
     /// 19 200 disjoint contiguous PUTs (MM's fine-grain collect at
     /// `mm_wire`'s size: 15 slaves × 1 280 column pieces, in issue
@@ -376,30 +183,11 @@ mod tests {
                 ops.push(pending(slave + 1, 0, RmaDir::Put, (off, 1, len)));
             }
         }
-        let mut eff = Vec::new();
-        for op in &ops {
-            push_effects(op, &mut eff);
-        }
-        assert_eq!(eff.len(), 19_200);
-        assert!(candidate_pairs(&eff, &mut PairJoin::default()).is_empty());
-        assert!(scan_epoch(&ops).is_empty());
-    }
-
-    #[test]
-    fn access_set_intersection_exact() {
-        let evens = AccessSet::new(0, 2, 10);
-        let odds = AccessSet::new(1, 2, 10);
-        assert!(!evens.intersects(&odds));
-        assert!(evens.intersects(&AccessSet::new(4, 6, 3)));
-        // Touching-but-disjoint.
-        let a = AccessSet::new(0, 1, 5);
-        let b = AccessSet::new(5, 1, 5);
-        assert!(!a.intersects(&b));
-        assert!(a.intersects(&AccessSet::new(4, 1, 1)));
-        // Degenerate normalisation.
-        let single = AccessSet::new(7, 0, 9);
-        assert_eq!(single, AccessSet::new(7, 1, 1));
-        assert!(single.intersects(&AccessSet::new(7, 3, 2)));
+        let (mut scan, mut found) = (ScanScratch::default(), Vec::new());
+        super::scan_epoch(ops.iter(), &mut scan, &mut found);
+        assert_eq!(scan.effects().len(), 19_200);
+        assert!(scan.candidates().is_empty());
+        assert!(found.is_empty());
     }
 
     #[test]

@@ -12,10 +12,9 @@
 //!    pair of operations touching the same (window, shard) is
 //!    classified; overlapping element footprints with at least one
 //!    write are undefined-outcome conflicts (VPCE001/002/003) or
-//!    same-origin warnings (VPCE101/102). "Every pair" is reached by
-//!    an interval join ([`lmad::sweep`]), not by visiting every pair:
-//!    footprints with disjoint bounding intervals cannot overlap, so
-//!    only the rest are classified — in the same order.
+//!    same-origin warnings (VPCE101/102). The scan is [`lmad::epoch`]'s
+//!    (the runtime ledger's too); this module cuts the trace into
+//!    epochs and turns a colliding pair into a [`Code`].
 //!
 //! Footprint intersection uses [`lmad::Lmad::overlaps`], which is
 //! exact whenever the closed forms apply (progression intersection,
@@ -30,71 +29,39 @@
 //! closes), so a barrier between two conflicting PUTs does not
 //! serialise them.
 
-use lmad::sweep;
+use std::convert::Infallible;
+
+use lmad::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::trace::{AccessKind, Event, Op, RmaTrace, SyncKind};
 
-/// One side of an operation's element-level effect on a shard.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Role {
-    Write,
-    Read,
-}
+/// One epoch of a trace as the scanner holds it. Traces have no
+/// accumulates.
+type Scan<'a> = EpochScan<Fp<'a>, Infallible>;
+type OpEffect<'a> = Effect<Fp<'a>, Infallible>;
 
-/// A flattened effect: which shard it touches, how, and from where.
-struct Effect<'a> {
-    origin: usize,
-    shard: usize,
-    role: Role,
+/// An operation and its region's extent, taken once: the scanner's
+/// join sorts on extents, and an [`lmad::Lmad`]'s is a walk over its
+/// dimensions. The exact test is [`lmad::Lmad::overlaps`].
+#[derive(Clone, Copy)]
+struct Fp<'a> {
     op: &'a Op,
+    extent: (i64, i64),
 }
 
-/// Mirror of the dynamic ledger's effect expansion
-/// (`mpi2::conflict::push_effects`): a GET reads the target shard
-/// *and* writes the origin's own shard at the same offsets; a self-GET
-/// is the identity under the symmetric window layout. Appends into the
-/// caller's (reused) vector.
-fn push_effects<'a>(origin: usize, op: &'a Op, eff: &mut Vec<Effect<'a>>) {
-    let mut push = |shard, role| {
-        eff.push(Effect {
-            origin,
-            shard,
-            role,
-            op,
-        })
-    };
-    match op.kind {
-        AccessKind::Put | AccessKind::LocalWrite => push(op.target, Role::Write),
-        AccessKind::LocalRead => push(op.target, Role::Read),
-        AccessKind::Get => {
-            if op.target != origin {
-                push(op.target, Role::Read);
-                push(origin, Role::Write);
-            }
-        }
+impl Footprint for Fp<'_> {
+    fn extent(&self) -> (i64, i64) {
+        self.extent
+    }
+
+    fn meets(&self, other: &Self) -> bool {
+        self.op.region.overlaps(&other.op.region)
     }
 }
 
 fn is_local(k: AccessKind) -> bool {
     matches!(k, AccessKind::LocalWrite | AccessKind::LocalRead)
-}
-
-/// Pick the diagnostic code for a colliding pair.
-fn pair_code(a: &Effect, b: &Effect) -> Code {
-    if a.origin == b.origin {
-        if a.role == Role::Write && b.role == Role::Write {
-            Code::SameOriginOverlap
-        } else {
-            Code::RedundantOverlap
-        }
-    } else if is_local(a.op.kind) || is_local(b.op.kind) {
-        Code::PutLocal
-    } else if a.op.kind == AccessKind::Get || b.op.kind == AccessKind::Get {
-        Code::PutGet
-    } else {
-        Code::PutPut
-    }
 }
 
 /// Flag every operation of `trace` whose footprint reaches outside
@@ -214,11 +181,9 @@ pub fn check_trace(trace: &RmaTrace, out: &mut LintReport) {
     // Epoch e of rank r = ops between its e-th and (e+1)-th fence.
     // Only fence-closed epochs take part (an unclosed trailing epoch
     // never applies its ops; those were flagged above).
-    for_each_epoch(trace, |epoch, eff| {
-        for (i, j) in candidate_pairs(eff) {
-            if let Some(d) = conflict(trace, epoch, &eff[i], &eff[j]) {
-                out.push(d);
-            }
+    for_each_epoch(trace, |epoch, scan| {
+        for (kind, a, b) in scan.conflicts() {
+            out.push(conflict(trace, epoch, kind, a, b));
         }
     });
 }
@@ -227,11 +192,12 @@ fn is_fence(e: &Event) -> bool {
     matches!(e, Event::Sync(SyncKind::Fence))
 }
 
-/// Hand `visit` the flattened effects of each fence-closed epoch, all
-/// ranks' in rank order (the ranks agree on the fence count: the
-/// alignment check passed). Each rank's events are walked once — split
-/// at its fences — not once per epoch, and the effect vector is reused.
-fn for_each_epoch<'a>(trace: &'a RmaTrace, mut visit: impl FnMut(usize, &[Effect<'a>])) {
+/// Hand `visit` the scanner holding each fence-closed epoch, all
+/// ranks' operations in rank order (the ranks agree on the fence
+/// count: the alignment check passed). Each rank's events are walked
+/// once — split at its fences — not once per epoch, and one scanner
+/// serves every epoch.
+fn for_each_epoch<'a>(trace: &'a RmaTrace, mut visit: impl FnMut(usize, &mut Scan<'a>)) {
     let nepochs = trace
         .ranks
         .first()
@@ -241,76 +207,69 @@ fn for_each_epoch<'a>(trace: &'a RmaTrace, mut visit: impl FnMut(usize, &[Effect
         .iter()
         .map(|evs| evs.split(is_fence))
         .collect();
-    let mut eff: Vec<Effect> = Vec::new();
+    let mut scan = Scan::default();
     for epoch in 0..nepochs {
-        eff.clear();
+        scan.begin(0);
         for (r, epochs) in epochs_of.iter_mut().enumerate() {
             for e in epochs.next().unwrap_or_default() {
                 if let Event::Rma(op) = e {
-                    push_effects(r, op, &mut eff);
+                    let access = match op.kind {
+                        AccessKind::Put => Access::Put,
+                        AccessKind::Get => Access::Get,
+                        AccessKind::LocalWrite => Access::LocalWrite,
+                        AccessKind::LocalRead => Access::LocalRead,
+                    };
+                    let extent = op.region.extent();
+                    scan.push(op.win, r, op.target, access, Fp { op, extent });
                 }
             }
         }
-        visit(epoch, &eff);
+        visit(epoch, &mut scan);
     }
 }
 
-/// The pairs of one epoch's effects that can collide at all: same
-/// (window, shard) and intersecting bounding intervals — an interval
-/// join per bucket instead of a visit to every pair. It only drops
-/// pairs [`conflict`] would drop itself (a different shard, or
-/// disjoint extents, which step 1 of `Lmad::overlaps_exact` answers
-/// `false`), and returns the rest in the all-pairs loop's `(i, j)`
-/// order: `LintReport::sort` is stable and its key omits `site`, so
-/// the order diagnostics are pushed in is visible in the report.
-fn candidate_pairs(eff: &[Effect]) -> Vec<(usize, usize)> {
-    let footprints: Vec<_> = eff
-        .iter()
-        .map(|e| ((e.op.win, e.shard), e.op.region.extent()))
-        .collect();
-    sweep::overlapping_pairs_by_key(&footprints)
-}
-
-/// The diagnostic for one pair of effects of `epoch`, if they conflict.
-fn conflict(trace: &RmaTrace, epoch: usize, a: &Effect, b: &Effect) -> Option<Diagnostic> {
-    if a.op.win != b.op.win || a.shard != b.shard {
-        return None;
-    }
-    if a.role == Role::Read && b.role == Role::Read {
-        return None;
-    }
-    // Two local accesses on the same shard come from the same rank:
-    // ordinary sequential program order, not an epoch conflict.
-    if is_local(a.op.kind) && is_local(b.op.kind) {
-        return None;
-    }
-    if !a.op.region.overlaps(&b.op.region) {
-        return None;
-    }
-    let code = pair_code(a, b);
-    let (lo, hi) = if a.origin <= b.origin {
-        (a.origin, b.origin)
+/// The diagnostic, code included, for a colliding pair of effects of
+/// `epoch`. Pushed in the scanner's order, which is visible in the
+/// report: `LintReport::sort` is stable and its key omits `site`.
+fn conflict(
+    trace: &RmaTrace,
+    epoch: usize,
+    kind: ConflictKind,
+    a: &OpEffect,
+    b: &OpEffect,
+) -> Diagnostic {
+    let (x, y) = (a.op.op, b.op.op);
+    let code = if a.origin == b.origin {
+        if kind == ConflictKind::WriteWrite {
+            Code::SameOriginOverlap
+        } else {
+            Code::RedundantOverlap
+        }
+    } else if is_local(x.kind) || is_local(y.kind) {
+        Code::PutLocal
+    } else if x.kind == AccessKind::Get || y.kind == AccessKind::Get {
+        Code::PutGet
     } else {
-        (b.origin, a.origin)
+        Code::PutPut
     };
-    Some(Diagnostic {
+    Diagnostic {
         code,
-        win: a.op.win,
-        win_name: trace.win_name(a.op.win).to_string(),
+        win: x.win,
+        win_name: trace.win_name(x.win).to_string(),
         shard: a.shard,
-        ranks: (lo, hi),
-        line: a.op.line.max(b.op.line),
-        site: format!("{}/{}", a.op.site.as_str(), b.op.site.as_str()),
+        ranks: (a.origin.min(b.origin), a.origin.max(b.origin)),
+        line: x.line.max(y.line),
+        site: format!("{}/{}", x.site.as_str(), y.site.as_str()),
         detail: format!(
             "epoch {epoch}: {} by rank {} overlaps {} by rank {} \
              on shard {} with no intervening fence",
-            kind_name(a.op.kind),
+            kind_name(x.kind),
             a.origin,
-            kind_name(b.op.kind),
+            kind_name(y.kind),
             b.origin,
             a.shard,
         ),
-    })
+    }
 }
 
 fn kind_name(k: AccessKind) -> &'static str {
@@ -350,94 +309,6 @@ mod tests {
         RmaTrace::new(2, vec!["A".into()])
     }
 
-    /// The epoch scan the interval join replaced, kept as the oracle:
-    /// every epoch re-walks every rank's events, every pair of its
-    /// effects goes through [`conflict`].
-    fn epoch_conflicts_all_pairs(trace: &RmaTrace) -> Vec<Diagnostic> {
-        let fences = trace.ranks[0].iter().filter(|e| is_fence(e)).count();
-        let mut out = Vec::new();
-        for epoch in 0..fences {
-            let mut eff: Vec<Effect> = Vec::new();
-            for (r, evs) in trace.ranks.iter().enumerate() {
-                let mut seen = 0usize;
-                for e in evs {
-                    match e {
-                        Event::Sync(SyncKind::Fence) => seen += 1,
-                        Event::Rma(op) if seen == epoch => push_effects(r, op, &mut eff),
-                        Event::Rma(_) | Event::Sync(_) => {}
-                    }
-                }
-            }
-            for (i, a) in eff.iter().enumerate() {
-                for b in &eff[i + 1..] {
-                    out.extend(conflict(trace, epoch, a, b));
-                }
-            }
-        }
-        out
-    }
-
-    /// `check_trace` ≡ the all-pairs oracle on the diagnostics vector
-    /// *before* `sort()` — same findings, pushed in the same order —
-    /// over random aligned traces: strided and two-dimensional
-    /// footprints, local accesses, self-gets, barriers inside epochs,
-    /// empty epochs and an unfenced tail.
-    #[test]
-    fn check_trace_matches_all_pairs_oracle_before_sort() {
-        use lmad::Dim;
-        use vpce_testkit::prelude::*;
-        let region = weighted(vec![
-            (3, zip2(i64_in(0, 30), u64_in(1, 8)).map(|(b, c)| Lmad::contiguous(b, c))),
-            (2, zip3(i64_in(0, 30), i64_in(2, 4), u64_in(1, 6)).map(|(b, s, c)| Lmad::strided(b, s, c))),
-            (1, zip3(i64_in(0, 12), u64_in(1, 3), u64_in(2, 3))
-                .map(|(b, w, c)| Lmad::new(b, vec![Dim::new(1, w), Dim::new(8, c)]))),
-        ]);
-        let kind = elem_of(vec![
-            AccessKind::Put,
-            AccessKind::Put,
-            AccessKind::Get,
-            AccessKind::LocalWrite,
-            AccessKind::LocalRead,
-        ]);
-        // (rank, kind, window, target, footprint)
-        let access = zip4(zip2(usize_in(0, 3), kind), usize_in(0, 1), usize_in(0, 3), region);
-        let segment = zip2(
-            vec_of(access, 0, 10),
-            elem_of(vec![SyncKind::Fence, SyncKind::Fence, SyncKind::Barrier]),
-        );
-        Check::new("rmacheck::check_trace_matches_all_pairs_oracle_before_sort")
-            .cases(384)
-            .run(&vec_of(segment, 0, 6), |segments| {
-                let mut t = RmaTrace::new(4, vec!["A".into(), "B".into()]);
-                for (accesses, sync) in segments {
-                    for ((rank, kind), win, target, region) in accesses {
-                        t.op(
-                            *rank,
-                            Op {
-                                win: *win,
-                                target: if is_local(*kind) { *rank } else { *target },
-                                kind: *kind,
-                                region: region.clone(),
-                                line: *target,
-                                site: if *win == 0 { Site::Scatter } else { Site::Collect },
-                            },
-                        );
-                    }
-                    t.sync_all(*sync);
-                }
-                let mut got = crate::diag::new_report("t");
-                check_trace(&t, &mut got);
-                // Aligned by construction: whatever precedes the epoch
-                // conflicts is the closure check's.
-                let want = epoch_conflicts_all_pairs(&t);
-                prop_assert!(got.diags.len() >= want.len());
-                let (closure, conflicts) = got.diags.split_at(got.diags.len() - want.len());
-                prop_assert!(closure.iter().all(|d| d.code == Code::Unfenced));
-                prop_assert_eq!(conflicts, &want[..]);
-                Ok(())
-            });
-    }
-
     /// The work bound, on a deterministic counter: MM at `N = 160` on
     /// 16 ranks, fine grain (`mm_lint`'s plan). In every epoch the
     /// join hands the classifier at most one pair per effect — the
@@ -451,11 +322,12 @@ mod tests {
             polaris_be::compile_backend(&analyzed, &polaris_be::BackendOptions::new(16));
         let trace = crate::lower(&compiled.program, &compiled.report);
         let mut sizes = Vec::new();
-        for_each_epoch(&trace, |_, eff| {
-            if !eff.is_empty() {
-                let candidates = candidate_pairs(eff).len();
-                assert!(candidates <= eff.len(), "{candidates} pairs for {} effects", eff.len());
-                sizes.push(eff.len());
+        for_each_epoch(&trace, |_, scan| {
+            let effects = scan.effects().len();
+            if effects > 0 {
+                let candidates = scan.candidates().len();
+                assert!(candidates <= effects, "{candidates} pairs, {effects} effects");
+                sizes.push(effects);
             }
         });
         assert_eq!(sizes.last(), Some(&2448), "the collect epoch: {sizes:?}");

@@ -13,8 +13,8 @@
 //!    stays inside its window's declared length (VPCE007),
 //!    synchronisation alignment (VPCE005), epoch closure (VPCE004) and
 //!    scans each fence-delimited epoch for undefined-outcome pairs
-//!    (VPCE001/002/003, warnings VPCE101/102) using the exact
-//!    LMAD intersection algebra of `crates/lmad`;
+//!    (VPCE001/002/003, warnings VPCE101/102) through [`lmad::epoch`],
+//!    the scanner the runtime ledger uses too;
 //! 3. the AVPG staleness pass ([`stale`]) re-derives the soundness of
 //!    every elided collect from the plan timeline (VPCE006).
 //!
@@ -24,7 +24,8 @@
 //! green on a real one. The differential suite in `tests/` pits it
 //! against the *dynamic* epoch-conflict ledger in `mpi2::conflict`
 //! (exact, element-level, recorded at every closing fence) to hold
-//! that soundness direction over thousands of random plans.
+//! that soundness direction over thousands of random plans — with one
+//! scanner on both sides, it compares the lowering against the runtime.
 
 #![forbid(unsafe_code)]
 

@@ -1,8 +1,7 @@
 //! The checker's intermediate form: per-rank streams of RMA operations
 //! and synchronisation events, abstracted from the lowered SPMD
-//! program. Element footprints are [`Lmad`] descriptors, so the epoch
-//! conflict scan inherits the exact/conservative intersection algebra
-//! of `crates/lmad` (see [`Lmad::overlaps`]).
+//! program. Element footprints are [`Lmad`] descriptors, which the
+//! epoch scanner ([`lmad::epoch`]) intersects with [`Lmad::overlaps`].
 
 use lmad::Lmad;
 

@@ -9,7 +9,10 @@
 //! never to under-approximate. Random fence-structured plans are
 //! executed on the simulated cluster and simultaneously lowered to an
 //! [`rmacheck::RmaTrace`]; any dynamically recorded conflict must be
-//! matched by a non-clean static verdict.
+//! matched by a non-clean static verdict. Both sides scan an epoch
+//! through `lmad::epoch`, so what differs — and what this suite
+//! compares — is the lowering against the runtime, and `Lmad::overlaps`
+//! against the ledger's exact progression test.
 //!
 //! Seeds are pinned in `testkit-regressions/` so known-hard cases
 //! replay first.
