@@ -227,7 +227,11 @@ USAGE: vpcec <file.f> [options]
   --analytic           analytic timing mode (skip numeric execution)
   --param NAME=VALUE   override a PARAMETER (repeatable)
   --report             print the compiler's analysis and plans
-  --advise             print the granularity advisor's comparison
+  --advise             print the granularity advisor's comparison (not
+                       with --grain): the simulated communication time
+                       of each grain, one analytic run per distinct
+                       lowered program — fine and middle lower alike
+                       where the mapping dimension is unit-stride
   --no-avpg            disable the AVPG communication elimination
   --prototype          use the calibrated ~6 MB/s prototype card
   --machine M          replace the hard-coded paper cluster with a
@@ -247,6 +251,7 @@ USAGE: vpcec <file.f> [options]
   --lint               statically check the communication plan for RMA
                        races and epoch-safety violations instead of
                        executing; exit 0 clean / 1 warnings / 2 conflicts
+                       (not with --verify)
   --lint-json PATH     also write the lint diagnostics as JSON to PATH
   --verify             statically verify deadlock-freedom of the lowered
                        communication plan instead of executing: exhaustive
@@ -255,6 +260,7 @@ USAGE: vpcec <file.f> [options]
                        handshakes, pool pressure, scheduled crashes), with a
                        minimal counterexample schedule on failure; exit 0
                        verified / 1 conditional-progress warnings / 2 deadlock
+                       (not with --lint)
   --verify-json PATH   also write the verifier report as JSON to PATH
   --verify-strict-pools
                        treat the registered eager pool as a hard capacity:
@@ -466,6 +472,14 @@ pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
     }
     if out.machine.is_some() && out.prototype {
         return Err("--machine and --prototype both pick the cluster model; give one".into());
+    }
+    if out.granularity.is_some() && out.advise {
+        return Err("--grain and --advise both settle the granularity; give one".into());
+    }
+    if out.lint && out.verify {
+        return Err(
+            "--lint and --verify both replace the run with a static check; give one".into(),
+        );
     }
     if out.serve.is_none()
         && (out.journal.is_some() || out.kill_after.is_some() || out.status.is_some())
@@ -899,7 +913,7 @@ mod tests {
     fn parses_all_flags() {
         let a = parse_args(&argv(
             "prog.f --nodes 8 --grain coarse --schedule cyclic --analytic \
-             --param N=128 --report --advise --no-avpg --prototype --pull \
+             --param N=128 --report --no-avpg --prototype --pull \
              --lint --lint-json out.json --unsafe-collect \
              --trace t.json --trace-summary",
         ))
@@ -910,11 +924,15 @@ mod tests {
         assert_eq!(a.schedule, Some(Schedule::Cyclic));
         assert_eq!(a.mode, ExecMode::Analytic);
         assert_eq!(a.params, vec![("N".to_string(), 128)]);
-        assert!(a.show_report && a.advise && a.no_avpg && a.prototype && a.pull);
+        assert!(a.show_report && a.no_avpg && a.prototype && a.pull);
         assert!(a.lint && a.unsafe_collect);
         assert_eq!(a.lint_json.as_deref(), Some("out.json"));
         assert_eq!(a.trace.as_deref(), Some("t.json"));
         assert!(a.trace_summary);
+        // `--advise` prints the advisor's comparison, so it goes without
+        // `--grain` (which skips the advisor).
+        let a = parse_args(&argv("prog.f --advise --verify")).unwrap();
+        assert!(a.advise && a.verify && a.granularity.is_none());
     }
 
     /// Where the sequential reference runs reaches no byte: at one core
@@ -948,6 +966,13 @@ mod tests {
         assert!(parse_args(&argv("")).is_err());
         assert!(parse_args(&argv("prog.f --param N")).is_err());
         assert!(parse_args(&argv("prog.f --lint-json")).is_err());
+        // Two flags of which one would be silently ignored.
+        let grain = "--grain and --advise both settle the granularity; give one";
+        let check = "--lint and --verify both replace the run with a static check; give one";
+        for (pair, line) in [("--grain fine --advise", grain), ("--lint --verify", check)] {
+            let refused = parse_args(&argv(&format!("prog.f {pair}"))).unwrap_err();
+            assert_eq!(refused, line);
+        }
     }
 
     #[test]

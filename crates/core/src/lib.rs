@@ -99,13 +99,19 @@ pub struct SimulatedAdvice {
     /// a pure function of program and cluster, so it *is* the report
     /// of any later run under the same three conditions.
     pub report: RunReport,
+    /// Pricing runs made: one per distinct lowered program, so fewer
+    /// than three wherever two grains lower alike (§5.6 middle grain
+    /// *is* fine grain when the mapping dimension is unit-stride).
+    pub priced: usize,
 }
 
 /// Pick the cheapest §5.6 granularity for an analysed program by
-/// *simulating* all three (the precise counterpart of the static
-/// [`polaris_be::advise`] estimator). A simulation that fails — the
-/// program runs past a window's end, or divides by zero — is the
-/// error, typed.
+/// *simulating* each (the precise counterpart of the static
+/// [`polaris_be::advise`] estimator). A pricing run is a pure function
+/// of program and cluster, so a grain that lowers to the program of an
+/// earlier grain takes that grain's time instead of a run of its own.
+/// A simulation that fails — the program runs past a window's end, or
+/// divides by zero — is the error, typed.
 pub fn advise_by_simulation(
     analyzed: &polaris_fe::analysis::AnalyzedProgram,
     cluster: &ClusterConfig,
@@ -113,15 +119,34 @@ pub fn advise_by_simulation(
 ) -> Result<SimulatedAdvice, spmd_rt::VpceError> {
     let mut measured = Vec::with_capacity(3);
     let mut best: Option<(Granularity, CompiledProgram, RunReport)> = None;
+    // The distinct programs priced so far other than the best's.
+    let mut others: Vec<(SpmdProgram, f64)> = Vec::new();
+    let mut priced = 0;
     for g in Granularity::ALL {
         let opts = base.clone().granularity(g);
         let compiled = polaris_be::compile_backend(analyzed, &opts);
+        let seen = best
+            .iter()
+            .map(|(_, c, rep)| (&c.program, rep.comm_time))
+            .chain(others.iter().map(|(program, t)| (program, *t)))
+            .find(|(program, _)| **program == compiled.program);
+        // A repeated program ties the grain it repeats, which came
+        // first, so it cannot win.
+        if let Some((_, t)) = seen {
+            measured.push((g, t));
+            continue;
+        }
         let rep =
             spmd_rt::try_execute(&compiled.program, cluster, ExecMode::Analytic, spmd_rt::FaultSpec::off())?;
+        priced += 1;
         measured.push((g, rep.comm_time));
         // Strictly cheaper only: ties keep the earlier granularity.
         if best.as_ref().is_none_or(|(_, _, b)| rep.comm_time.total_cmp(&b.comm_time).is_lt()) {
-            best = Some((g, compiled, rep));
+            if let Some((_, c, rep)) = best.replace((g, compiled, rep)) {
+                others.push((c.program, rep.comm_time));
+            }
+        } else {
+            others.push((compiled.program, rep.comm_time));
         }
     }
     let (winner, compiled, report) = best.expect("three candidates");
@@ -130,6 +155,7 @@ pub fn advise_by_simulation(
         measured,
         compiled,
         report,
+        priced,
     })
 }
 
@@ -284,6 +310,81 @@ mod tests {
         assert!(spmd_rt::same_bits(&after.parallel.arrays, &after.sequential.arrays));
         assert_eq!(after.parallel.elapsed.to_bits(), beside.parallel.elapsed.to_bits());
         assert_eq!(after.sequential.elapsed.to_bits(), beside.sequential.elapsed.to_bits());
+    }
+
+    /// The advisor against the plain definition — plan and price every
+    /// grain, keep the first cheapest: the same winner, times, program,
+    /// plan report and run, from exactly one pricing run per distinct
+    /// lowered program.
+    #[test]
+    fn advisor_equals_pricing_every_grain_with_one_run_per_distinct_program() {
+        let saxpy = include_str!("../../../examples/fortran/saxpy.f");
+        let torus3d = vpce_machine::MachineSpec::builtin("torus3d").unwrap();
+        // (name, source, size, pricing runs under block / cyclic): MM's
+        // and SWIM's mapping dimension is unit-stride, so middle grain
+        // lowers as fine does; CFFT2INIT's stride-2 tables make three
+        // programs in block bands, while cyclic ones make the §5.6
+        // overlap check collect fine at every grain (and nothing is
+        // scattered); SAXPY's contiguous bands are one program, and in
+        // cyclic ones middle falls back to fine but coarse scatters a
+        // bounding region.
+        let cases = [
+            ("MM", vpce_workloads::mm::SOURCE, ("N", 32), [2, 2]),
+            ("SWIM", vpce_workloads::swim::SOURCE, ("N", 32), [2, 2]),
+            ("CFFT2INIT", vpce_workloads::cfft::SOURCE, ("M", 5), [3, 1]),
+            ("SAXPY", saxpy, ("N", 96), [1, 2]),
+        ];
+        for (name, source, size, runs) in cases {
+            let analyzed = polaris_fe::compile(source, &[size]).unwrap();
+            for nodes in [2, 4, 16] {
+                let paper = ClusterConfig::paper_n(nodes);
+                let torus = torus3d.lower(nodes).unwrap();
+                let scheds = [(Schedule::Block, runs[0]), (Schedule::Cyclic, runs[1])];
+                for ((machine, cluster), (sched, runs)) in [("paper", &paper), ("torus3d", &torus)]
+                    .into_iter()
+                    .flat_map(|m| scheds.map(|s| (m, s)))
+                {
+                    let case = format!("{name} nodes={nodes} {machine} {sched:?}");
+                    let base = BackendOptions::new(nodes).schedule(sched);
+                    let advice = advise_by_simulation(&analyzed, cluster, &base).unwrap();
+                    let every: Vec<_> = Granularity::ALL
+                        .map(|g| {
+                            let compiled = compile_backend(&analyzed, &base.clone().granularity(g));
+                            let rep = spmd_rt::try_execute(
+                                &compiled.program,
+                                cluster,
+                                ExecMode::Analytic,
+                                spmd_rt::FaultSpec::off(),
+                            )
+                            .unwrap();
+                            (g, compiled, rep)
+                        })
+                        .into();
+                    let first_cheapest = every.iter().fold(&every[0], |best, c| {
+                        if c.2.comm_time.total_cmp(&best.2.comm_time).is_lt() {
+                            c
+                        } else {
+                            best
+                        }
+                    });
+                    let (winner, compiled, report) = first_cheapest;
+                    assert_eq!(advice.winner, *winner, "{case}");
+                    let advised: Vec<_> =
+                        advice.measured.iter().map(|(g, t)| (*g, t.to_bits())).collect();
+                    let measured: Vec<_> =
+                        every.iter().map(|(g, _, r)| (*g, r.comm_time.to_bits())).collect();
+                    assert_eq!(advised, measured, "{case}");
+                    assert_eq!(advice.compiled.program, compiled.program, "{case}");
+                    let plan = |c: &CompiledProgram| format!("{:?}", c.report);
+                    assert_eq!(plan(&advice.compiled), plan(compiled), "{case}");
+                    assert_eq!(advice.report.elapsed.to_bits(), report.elapsed.to_bits(), "{case}");
+                    let comm = advice.report.comm_time.to_bits();
+                    assert_eq!(comm, report.comm_time.to_bits(), "{case}");
+                    assert_eq!(advice.report.net, report.net, "{case}");
+                    assert_eq!(advice.priced, runs, "{case}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -253,14 +253,8 @@ impl<'a> Planner<'a> {
             trips: pl.trips,
             sched,
             body: translate::translate_stmts(&pl.body, &self.analyzed.symbols),
-            scatter: CommPlan {
-                per_rank: scatter_plan,
-                granularity: Some(g),
-            },
-            collect: CommPlan {
-                per_rank: collect_plan,
-                granularity: Some(g),
-            },
+            scatter: CommPlan { per_rank: scatter_plan },
+            collect: CommPlan { per_rank: collect_plan },
             pull_scatter: self.opts.pull_scatter,
             lock_reductions: self.opts.lock_reductions,
             scalars_in: pl.analysis.shared_scalars.iter().copied().collect(),

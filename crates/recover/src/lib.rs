@@ -478,8 +478,8 @@ mod tests {
             trips: n as u64,
             sched: Schedule::Block,
             body: body.clone(),
-            scatter: CommPlan { per_rank: per_rank(0), granularity: None },
-            collect: CommPlan { per_rank: per_rank(1), granularity: None },
+            scatter: CommPlan { per_rank: per_rank(0) },
+            collect: CommPlan { per_rank: per_rank(1) },
             pull_scatter: false,
             lock_reductions: false,
             scalars_in: vec![],

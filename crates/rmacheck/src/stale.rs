@@ -217,10 +217,7 @@ mod tests {
     use spmd_rt::ir::{Block, CommOp, CommPlan, Schedule};
 
     fn comm(per_rank: Vec<Vec<CommOp>>) -> CommPlan {
-        CommPlan {
-            per_rank,
-            granularity: None,
-        }
+        CommPlan { per_rank }
     }
 
     fn op(array: usize, offset: i64, count: u64) -> CommOp {

@@ -189,8 +189,8 @@ mod tests {
             sched: Schedule::Block,
             body,
             // C is read-write in this region: scatter and collect it.
-            scatter: CommPlan { per_rank: per_rank(1), granularity: None },
-            collect: CommPlan { per_rank: per_rank(1), granularity: None },
+            scatter: CommPlan { per_rank: per_rank(1) },
+            collect: CommPlan { per_rank: per_rank(1) },
             pull_scatter: false,
             lock_reductions: false,
             scalars_in: vec![],

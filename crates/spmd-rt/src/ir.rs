@@ -4,7 +4,7 @@
 //! intrinsically private (per-rank copies), and explicit communication
 //! via PUT/GET.
 
-use lmad::{Granularity, RegionTransfer};
+use lmad::RegionTransfer;
 
 /// Binary operators (arithmetic, relational, logical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,8 +127,6 @@ pub struct CommOp {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommPlan {
     pub per_rank: Vec<Vec<CommOp>>,
-    /// Granularity the plan was lowered at (reporting).
-    pub granularity: Option<Granularity>,
 }
 
 impl CommPlan {
@@ -215,7 +213,7 @@ impl ParRegion {
     /// nothing to scatter, broadcast, reduce or collect — the blank that
     /// hand-built programs fill in with struct-update syntax.
     pub fn blank(nprocs: usize, line: usize) -> ParRegion {
-        let no_comm = || CommPlan { per_rank: vec![Vec::new(); nprocs], granularity: None };
+        let no_comm = || CommPlan { per_rank: vec![Vec::new(); nprocs] };
         ParRegion {
             var: 0,
             lo: 1,
@@ -379,7 +377,6 @@ mod tests {
                     },
                 ],
             ],
-            granularity: Some(Granularity::Fine),
         };
         assert_eq!(plan.num_messages(), 2);
         assert_eq!(plan.total_elems(), 15);

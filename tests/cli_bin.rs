@@ -118,6 +118,25 @@ fn usage_error_exits_1_and_mentions_serve() {
     assert!(err.contains("--serve"), "{err}");
 }
 
+#[test]
+fn flag_pairs_that_would_drop_one_flag_are_usage_errors() {
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    let grain = "error: --grain and --advise both settle the granularity; give one";
+    let check = "error: --lint and --verify both replace the run with a static check; give one";
+    for (pair, line) in [
+        (&["--grain", "fine", "--advise"][..], grain),
+        (&["--lint", "--verify"][..], check),
+    ] {
+        let mut args = vec![mm];
+        args.extend_from_slice(pair);
+        let out = vpcec(&args, None);
+        assert_eq!(out.status.code(), Some(1), "{pair:?}: {}", stdout(&out));
+        assert!(out.stdout.is_empty(), "{pair:?}: nothing ran: {}", stdout(&out));
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(err.lines().next(), Some(line), "{pair:?}: {err}");
+    }
+}
+
 /// Run `source` through the binary; an error the program fails with
 /// must be one typed line on stdout, exit 3, and no panic text anywhere.
 fn run_source(name: &str, source: &str, flags: &[&str]) -> (Option<i32>, String) {
