@@ -56,7 +56,7 @@ pub mod cli;
 pub mod report;
 
 pub use cluster_sim::{ClusterConfig, CpuModel, NodeConfig, OpCounts};
-pub use polaris_be::{advise, CostParams, GranularityAdvice};
+pub use polaris_be::{advise, SimulatedAdvice};
 pub use report::{describe_backend, describe_comm, describe_frontend};
 pub use lmad::Granularity;
 pub use mpi2::{Mpi, RunOutcome, Universe};
@@ -82,85 +82,8 @@ pub fn compile(
     Ok(polaris_be::compile_backend(&analyzed, opts))
 }
 
-/// What the simulation-backed advisor found — and what it built on the
-/// way, so that a caller who goes on to run the winner need not plan
-/// and simulate it a second time.
-#[derive(Debug)]
-pub struct SimulatedAdvice {
-    /// The granularity with the least simulated communication time
-    /// (the first such in [`Granularity::ALL`] order).
-    pub winner: Granularity,
-    /// Simulated communication time per granularity, in
-    /// [`Granularity::ALL`] order.
-    pub measured: Vec<(Granularity, f64)>,
-    /// The winner's lowered program.
-    pub compiled: CompiledProgram,
-    /// The winner's run: `ExecMode::Analytic`, no faults, no tracer —
-    /// a pure function of program and cluster, so it *is* the report
-    /// of any later run under the same three conditions.
-    pub report: RunReport,
-    /// Pricing runs made: one per distinct lowered program, so fewer
-    /// than three wherever two grains lower alike (§5.6 middle grain
-    /// *is* fine grain when the mapping dimension is unit-stride).
-    pub priced: usize,
-}
-
-/// Pick the cheapest §5.6 granularity for an analysed program by
-/// *simulating* each (the precise counterpart of the static
-/// [`polaris_be::advise`] estimator). A pricing run is a pure function
-/// of program and cluster, so a grain that lowers to the program of an
-/// earlier grain takes that grain's time instead of a run of its own.
-/// A simulation that fails — the program runs past a window's end, or
-/// divides by zero — is the error, typed.
-pub fn advise_by_simulation(
-    analyzed: &polaris_fe::analysis::AnalyzedProgram,
-    cluster: &ClusterConfig,
-    base: &BackendOptions,
-) -> Result<SimulatedAdvice, spmd_rt::VpceError> {
-    let mut measured = Vec::with_capacity(3);
-    let mut best: Option<(Granularity, CompiledProgram, RunReport)> = None;
-    // The distinct programs priced so far other than the best's.
-    let mut others: Vec<(SpmdProgram, f64)> = Vec::new();
-    let mut priced = 0;
-    for g in Granularity::ALL {
-        let opts = base.clone().granularity(g);
-        let compiled = polaris_be::compile_backend(analyzed, &opts);
-        let seen = best
-            .iter()
-            .map(|(_, c, rep)| (&c.program, rep.comm_time))
-            .chain(others.iter().map(|(program, t)| (program, *t)))
-            .find(|(program, _)| **program == compiled.program);
-        // A repeated program ties the grain it repeats, which came
-        // first, so it cannot win.
-        if let Some((_, t)) = seen {
-            measured.push((g, t));
-            continue;
-        }
-        let rep =
-            spmd_rt::try_execute(&compiled.program, cluster, ExecMode::Analytic, spmd_rt::FaultSpec::off())?;
-        priced += 1;
-        measured.push((g, rep.comm_time));
-        // Strictly cheaper only: ties keep the earlier granularity.
-        if best.as_ref().is_none_or(|(_, _, b)| rep.comm_time.total_cmp(&b.comm_time).is_lt()) {
-            if let Some((_, c, rep)) = best.replace((g, compiled, rep)) {
-                others.push((c.program, rep.comm_time));
-            }
-        } else {
-            others.push((compiled.program, rep.comm_time));
-        }
-    }
-    let (winner, compiled, report) = best.expect("three candidates");
-    Ok(SimulatedAdvice {
-        winner,
-        measured,
-        compiled,
-        report,
-        priced,
-    })
-}
-
-/// [`advise_by_simulation`] from source: the winner and the simulated
-/// communication time per granularity in [`Granularity::ALL`] order.
+/// [`advise`] from source: the winner and the simulated communication
+/// time per granularity in [`Granularity::ALL`] order.
 ///
 /// # Panics
 /// Panics with the error's text when a simulation fails.
@@ -171,7 +94,7 @@ pub fn advise_granularity(
     base: &BackendOptions,
 ) -> Result<(Granularity, Vec<(Granularity, f64)>), FrontError> {
     let analyzed = polaris_fe::compile(source, params)?;
-    let advice = advise_by_simulation(&analyzed, cluster, base).unwrap_or_else(|e| panic!("{e}"));
+    let advice = advise(&analyzed, cluster, base).unwrap_or_else(|e| panic!("{e}"));
     Ok((advice.winner, advice.measured))
 }
 
@@ -346,7 +269,7 @@ mod tests {
                 {
                     let case = format!("{name} nodes={nodes} {machine} {sched:?}");
                     let base = BackendOptions::new(nodes).schedule(sched);
-                    let advice = advise_by_simulation(&analyzed, cluster, &base).unwrap();
+                    let advice = advise(&analyzed, cluster, &base).unwrap();
                     let every: Vec<_> = Granularity::ALL
                         .map(|g| {
                             let compiled = compile_backend(&analyzed, &base.clone().granularity(g));

@@ -36,7 +36,7 @@ use lmad::Granularity;
 use polaris_fe::analysis::{AnalyzedProgram, Region};
 use spmd_rt::{Block, Schedule, SpmdProgram};
 
-pub use advisor::{advise, CostParams, GranularityAdvice};
+pub use advisor::{advise, SimulatedAdvice};
 pub use avpg::{Avpg, NodeAttr};
 pub use plan::{ElisionReport, PlanReport, PlanStep, RegionPlanInfo};
 

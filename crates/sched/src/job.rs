@@ -209,8 +209,9 @@ pub struct JobSpec {
     pub deadline: Option<f64>,
     /// `PARAMETER` overrides, `(NAME, value)`.
     pub params: Vec<(String, i64)>,
-    /// Explicit communication granularity; `None` asks the static
-    /// advisor.
+    /// Explicit communication granularity; `None` asks the advisor
+    /// (`polaris_be::advise`), which simulates every grain on the job's
+    /// partition.
     pub granularity: Option<Granularity>,
     /// Per-job fault schedule (each requeue re-seeds it
     /// deterministically).

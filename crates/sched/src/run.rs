@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use cluster_sim::ClusterConfig;
 use lmad::Granularity;
-use polaris_be::{advisor, BackendOptions};
+use polaris_be::BackendOptions;
 use polaris_fe::AnalyzedProgram;
 use spmd_rt::{ExecMode, RunReport, SpmdProgram, VpceError};
 use vbus_sim::Mesh;
@@ -140,23 +140,16 @@ pub fn analyze(job: &JobSpec, source: &str) -> Result<AnalyzedProgram, VpceError
 }
 
 /// Admission-time compile of the job's analyzed program onto its
-/// resolved machine ([`resolve_machine`]). Any failure here is a typed
-/// [`VpceError::AdmissionRejected`] — the job never enters the queue.
+/// resolved machine ([`resolve_machine`]). A job without `grain=` gets
+/// the grain [`polaris_be::advise`] picks by simulating every grain on
+/// the job's own partition. Any failure here — the machine cannot host
+/// the partition, or a pricing run fails — is a typed
+/// [`VpceError::AdmissionRejected`]: the job never enters the queue.
 pub fn compile(
     job: &JobSpec,
     analyzed: &AnalyzedProgram,
     machine: &MachineSpec,
 ) -> Result<Plan, VpceError> {
-    let base = BackendOptions::new(job.ranks);
-    // The static advisor plans all three grains to price them and
-    // hands back the winner's plan.
-    let (granularity, compiled) = match job.granularity {
-        Some(g) => (g, polaris_be::compile_backend(analyzed, &base.granularity(g))),
-        None => {
-            let advice = advisor::advise(analyzed, &base, &advisor::CostParams::paper_card());
-            (advice.recommended, advice.compiled)
-        }
-    };
     let shape = job_footprint(machine, job.ranks);
     // The private cluster every attempt executes on: the machine's
     // fabric lowered onto the job's partition (a `VPCE505`-class
@@ -164,6 +157,17 @@ pub fn compile(
     let cluster = machine
         .lower_partition(shape, job.ranks)
         .map_err(|e| reject(job, format!("machine `{}`: {e}", machine.name)))?;
+    let base = BackendOptions::new(job.ranks);
+    // The advisor prices the grains on that cluster and hands back the
+    // winner's plan.
+    let (granularity, compiled) = match job.granularity {
+        Some(g) => (g, polaris_be::compile_backend(analyzed, &base.granularity(g))),
+        None => {
+            let advice = polaris_be::advise(analyzed, &cluster, &base)
+                .map_err(|e| reject(job, format!("advisor pricing run: {e}")))?;
+            (advice.winner, advice.compiled)
+        }
+    };
     Ok(Plan { program: compiled.program, shape, cluster, granularity })
 }
 

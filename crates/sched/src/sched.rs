@@ -1613,22 +1613,37 @@ mod tests {
     fn refused_jobs_name_themselves_under_parallel_admission() {
         const MOD_ZERO: &str = "PROGRAM T\nPARAMETER (N = 16)\nREAL A(N)\nINTEGER I, Z\nZ = 0\n\
                                 DO I = 1, N\nA(I) = REAL(MOD(I, Z))\nENDDO\nEND\n";
+        // One store past the end of `A`: the advisor's analytic pricing
+        // run of a job without `grain=` puts past its window's end.
+        const PAST_THE_END: &str = "PROGRAM T\nPARAMETER (N = 16)\nREAL A(N)\nINTEGER I\n\
+                                    DO I = 1, N + 1\nA(I) = 1.0\nENDDO\nEND\n";
         let job = |name: &str, text: &str| JobSpec::new(name, JobSource::Inline(text.into()), 2);
         // The second copy of each refused program shares its work with
         // the first, so its refusal comes from the memo.
         let jobs = vec![
             job("syn1", "PROGRAM T\nX = \nEND\n"),
             job("div1", MOD_ZERO),
+            job("oob1", PAST_THE_END),
             mm("ok", 2),
             job("syn2", "PROGRAM T\nX = \nEND\n"),
             job("div2", MOD_ZERO),
+            job("oob2", PAST_THE_END),
         ];
         for workers in [1, 2] {
             let runner = Runner::new(ExecMode::Full).with_workers(workers);
             let (rep, ops) = play(machine(&runner, 16, Policy::Backfill, false), jobs.clone());
-            assert_eq!((rep.done(), rep.rejected()), (1, 4), "{workers} workers");
+            assert_eq!((rep.done(), rep.rejected()), (1, 6), "{workers} workers");
             let (parse, dry) = ("front-end: ", "fault-free dry run: ");
-            for (name, stage) in [("syn1", parse), ("syn2", parse), ("div1", dry), ("div2", dry)] {
+            let price = "advisor pricing run: ";
+            let stages = [
+                ("syn1", parse),
+                ("syn2", parse),
+                ("div1", dry),
+                ("div2", dry),
+                ("oob1", price),
+                ("oob2", price),
+            ];
+            for (name, stage) in stages {
                 let (kind, text) = record(&rep, name).error.clone().unwrap();
                 assert_eq!(kind, "admission-rejected", "{name}");
                 let own = format!("job '{name}': {stage}");
@@ -1638,6 +1653,8 @@ mod tests {
                 assert!(ops.iter().filter(refused).any(|o| o.starts_with(&verdict)), "{ops:?}");
             }
             assert!(record(&rep, "div2").error.as_ref().unwrap().1.contains("division by zero"));
+            let oob2 = &record(&rep, "oob2").error.as_ref().unwrap().1;
+            assert!(oob2.contains("RMA past end of window"), "{oob2}");
         }
     }
 

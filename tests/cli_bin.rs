@@ -65,6 +65,36 @@ fn batch_reads_the_jobfile_from_stdin() {
     assert_eq!(text, stdout(&from_file));
 }
 
+/// The batch door picks a grain the way `vpcec` does: by simulating
+/// every grain on the job's partition. MM at N=96 on 2 ranks is a job
+/// where fine grain is cheaper than coarse; six nodes hold all three
+/// jobs at once, so each makespan is the job's own run.
+#[test]
+fn the_batch_door_picks_the_grain_vpcec_picks() {
+    let jobfile = "nodes=6\nseed=1\n\
+                   job name=auto workload=mm ranks=2 param:N=96\n\
+                   job name=fine workload=mm ranks=2 param:N=96 grain=fine\n\
+                   job name=coarse workload=mm ranks=2 param:N=96 grain=coarse\n";
+    let out = vpcec(&["--batch", "-", "--analytic"], Some(jobfile));
+    let text = stdout(&out);
+    assert!(out.status.success(), "{text}");
+    let makespan = |job: &str| {
+        let row = text.lines().find(|l| l.split_whitespace().next() == Some(job));
+        let row = row.unwrap_or_else(|| panic!("no row `{job}`: {text}"));
+        let cols: Vec<&str> = row.split_whitespace().collect();
+        assert_eq!(cols[5], "0.000000", "`{job}` waited: {text}");
+        cols[6].to_string()
+    };
+    assert_eq!(makespan("fine"), "0.062200", "{text}");
+    assert_eq!(makespan("coarse"), "0.064185", "{text}");
+    assert_eq!(makespan("auto"), makespan("fine"), "{text}");
+    // `vpcec` itself picks fine for the same program on two nodes.
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    let args = [mm, "--nodes", "2", "--param", "N=96", "--analytic", "--advise"];
+    let advised = stdout(&vpcec(&args, None));
+    assert!(advised.contains("  picked: fine\n"), "{advised}");
+}
+
 #[test]
 fn serve_reads_the_script_from_stdin_and_journals_to_disk() {
     let journal = Scratch::new("serve.journal");

@@ -3,8 +3,10 @@
 //! `table1`/`table2`/`hwclaims`/`ablation` binaries and are recorded
 //! in EXPERIMENTS.md).
 
-use cluster_sim::{partition_shape, ClusterConfig};
+use cluster_sim::ClusterConfig;
 use vpce::{compile, BackendOptions, ExecMode, Granularity, Schedule};
+use vpce_machine::MachineSpec;
+use vpce_sched::{run, JobSource, JobSpec};
 use vpce_workloads::{cfft, mm, swim};
 
 fn comm_time(
@@ -145,45 +147,57 @@ fn avpg_elision_changes_traffic_not_results() {
 // ------------------------------------------------- granularity advice
 
 #[test]
-fn static_advisor_agrees_with_simulation_on_paper_workloads() {
-    // The §5.6 "profiling tools to guide the user": the static
-    // plan-based estimate (the batch door's advisor) must pick the same
-    // winner as the full simulation (`vpcec`'s) — at the paper's sizes
-    // on its 4-node machine, and on every cell of perfbench's
-    // `job_storm` grid, each on the private partition `--batch` gives a
-    // job of that width. That agreement is what lets the pinned
-    // `job_storm` digest survive whichever advisor the batch door uses.
+fn the_batch_door_grain_is_the_advisors_on_every_builtin_machine() {
+    // The §5.6 "profiling tools to guide the user": admission
+    // (`sched::run::compile`) of a job without `grain=` must pick the
+    // grain `vpce::advise` picks on the private partition `--batch`
+    // gives a job of that width. The cells: the paper-size CFFT2INIT
+    // and SWIM on 4 ranks of the paper machine; MM N=96 on 2 ranks;
+    // every cell of perfbench's `job_storm` grid; and SWIM N=32 and
+    // CFFT2INIT M=8 on every built-in machine × ranks. A static
+    // plan-cost estimate once picked coarse where simulation found fine
+    // cheaper on MM N=96 and CFFT2INIT M=8 at 2 ranks, and on SWIM N=32
+    // at 8 and 16 ranks of the `prototype` and `conventional` machines.
+    let paper = MachineSpec::default();
     let mut cells = vec![
-        (cfft::SOURCE, ("M", 11i64), ClusterConfig::paper_4node()),
-        (swim::SOURCE, ("N", 64), ClusterConfig::paper_4node()),
+        (cfft::SOURCE, ("M", 11i64), 4usize, paper.clone()),
+        (swim::SOURCE, ("N", 64), 4, paper.clone()),
+        (mm::SOURCE, ("N", 96), 2, paper.clone()),
+        (cfft::SOURCE, ("M", 8), 2, paper.clone()),
     ];
-    for ranks in [1usize, 2, 4] {
-        let partition = || ClusterConfig::paper_partition(partition_shape(ranks), ranks);
-        for n in [8i64, 16, 32] {
-            cells.push((mm::SOURCE, ("N", n), partition()));
-            cells.push((swim::SOURCE, ("N", n), partition()));
+    for ranks in [1, 2, 4] {
+        for n in [8, 16, 32] {
+            cells.push((mm::SOURCE, ("N", n), ranks, paper.clone()));
+            cells.push((swim::SOURCE, ("N", n), ranks, paper.clone()));
         }
-        for m in [3i64, 4, 5] {
-            cells.push((cfft::SOURCE, ("M", m), partition()));
+        for m in [3, 4, 5] {
+            cells.push((cfft::SOURCE, ("M", m), ranks, paper.clone()));
         }
     }
-    assert_eq!(cells.len(), 2 + 27);
-    for (src, params, cluster) in cells {
-        let ranks = cluster.num_nodes();
+    for name in MachineSpec::BUILTINS {
+        let machine = MachineSpec::builtin(name).unwrap();
+        for ranks in [2, 4, 8, 16] {
+            cells.push((swim::SOURCE, ("N", 32), ranks, machine.clone()));
+            cells.push((cfft::SOURCE, ("M", 8), ranks, machine.clone()));
+        }
+    }
+    assert_eq!(cells.len(), 4 + 27 + 2 * 4 * MachineSpec::BUILTINS.len());
+    let mut winners = Vec::new();
+    for (src, params, ranks, machine) in cells {
+        let case = format!("{params:?} on {ranks} ranks of `{}`", machine.name);
         let analyzed = polaris_fe::compile(src, &[params]).unwrap();
-        let static_advice = vpce::advise(
-            &analyzed,
-            &vpce::BackendOptions::new(ranks),
-            &vpce::CostParams::paper_card(),
-        );
-        let (simulated, measured) =
-            vpce::advise_granularity(src, &[params], &cluster, &BackendOptions::new(ranks))
-                .unwrap();
-        assert_eq!(
-            static_advice.recommended, simulated,
-            "{params:?} on {ranks} ranks: static {:?} vs simulated {measured:?}",
-            static_advice.predictions
-        );
+        let shape = run::job_footprint(&machine, ranks);
+        let cluster = machine.lower_partition(shape, ranks).unwrap();
+        let advice = vpce::advise(&analyzed, &cluster, &BackendOptions::new(ranks)).unwrap();
+        let mut job = JobSpec::new("j", JobSource::Inline(src.into()), ranks);
+        job.params.push((params.0.into(), params.1));
+        let plan = run::compile(&job, &analyzed, &machine).unwrap();
+        assert_eq!(plan.granularity, advice.winner, "{case}: {:?}", advice.measured);
+        assert_eq!(plan.program, advice.compiled.program, "{case}");
+        winners.push(advice.winner);
+    }
+    for g in [Granularity::Fine, Granularity::Coarse] {
+        assert!(winners.contains(&g), "{g:?} wins somewhere");
     }
 }
 
