@@ -1,10 +1,12 @@
-//! Ablations A1–A4 of `DESIGN.md`: each design choice the paper calls
+//! Ablations A1–A5 of `DESIGN.md`: each design choice the paper calls
 //! out, measured with the mechanism switched on and off.
 
+use crate::fmt_secs;
 use cluster_sim::{ClusterConfig, NicModel};
 use lmad::Granularity;
 use polaris_be::BackendOptions;
 use spmd_rt::{ExecMode, Schedule};
+use vpce_diag::json::{self, Layout};
 use vpce_workloads::{mm, swim};
 
 /// A1 — AVPG redundant-communication elimination on the SWIM loop
@@ -186,6 +188,94 @@ pub fn a5_push_vs_pull(n: i64, cluster: &ClusterConfig) -> A5Result {
         push_master_host,
         pull_master_host,
     }
+}
+
+/// Run A1–A5 at size 256 on the paper's 4-node machine, print each
+/// result, and return the committed `BENCH_ablation.json`.
+pub(crate) fn table() -> String {
+    const N: i64 = 256;
+    let cluster = ClusterConfig::paper_4node();
+    json::document(Layout::Block(2), |o| {
+        o.int("n", N);
+        let a1 = a1_avpg(N, &cluster);
+        println!("== A1: AVPG redundant-communication elimination (SWIM {N}) ==");
+        println!(
+            "  with AVPG:    comm {} / {} msgs / {} B",
+            fmt_secs(a1.with_avpg_comm),
+            a1.with_msgs,
+            a1.with_bytes
+        );
+        println!(
+            "  without AVPG: comm {} / {} msgs / {} B",
+            fmt_secs(a1.without_avpg_comm),
+            a1.without_msgs,
+            a1.without_bytes
+        );
+        println!(
+            "  elided: {} scatters, {} collects ({:.1}% comm-time saved)",
+            a1.scatters_elided,
+            a1.collects_elided,
+            100.0 * (1.0 - a1.with_avpg_comm / a1.without_avpg_comm)
+        );
+        o.object("a1_avpg", Layout::Inline)
+            .num("with_avpg_comm_s", a1.with_avpg_comm)
+            .num("without_avpg_comm_s", a1.without_avpg_comm)
+            .int("with_msgs", a1.with_msgs)
+            .int("without_msgs", a1.without_msgs)
+            .int("with_bytes", a1.with_bytes)
+            .int("without_bytes", a1.without_bytes)
+            .int("scatters_elided", a1.scatters_elided)
+            .int("collects_elided", a1.collects_elided);
+
+        let a2 = a2_stack(N);
+        println!("\n== A2: shared driver/daemon queue vs kernel stack (MM {N}, fine) ==");
+        println!(
+            "  user-level {} vs kernel-level {} ({:.2}x)",
+            fmt_secs(a2.user_level_comm),
+            fmt_secs(a2.kernel_level_comm),
+            a2.kernel_level_comm / a2.user_level_comm
+        );
+        o.object("a2_stack", Layout::Inline)
+            .num("user_level_comm_s", a2.user_level_comm)
+            .num("kernel_level_comm_s", a2.kernel_level_comm);
+
+        let a3 = a3_partitioning(N, &cluster);
+        println!("\n== A3: block vs cyclic partitioning (triangular matmul {N}) ==");
+        println!(
+            "  block {} vs cyclic {} ({:.2}x); heuristic picked cyclic: {}",
+            fmt_secs(a3.block_elapsed),
+            fmt_secs(a3.cyclic_elapsed),
+            a3.block_elapsed / a3.cyclic_elapsed,
+            a3.heuristic_is_cyclic
+        );
+        o.object("a3_partitioning", Layout::Inline)
+            .num("block_elapsed_s", a3.block_elapsed)
+            .num("cyclic_elapsed_s", a3.cyclic_elapsed)
+            .bool("heuristic_is_cyclic", a3.heuristic_is_cyclic);
+
+        let a5 = a5_push_vs_pull(N, &cluster);
+        println!("\n== A5: push (master PUT) vs pull (slave GET) scattering (SWIM {N}, fine) ==");
+        println!(
+            "  push comm {} (master host {}) vs pull comm {} (master host {})",
+            fmt_secs(a5.push_comm),
+            fmt_secs(a5.push_master_host),
+            fmt_secs(a5.pull_comm),
+            fmt_secs(a5.pull_master_host)
+        );
+
+        let (mm_fb, swim_fb) = a4_overlap_check(N);
+        println!("\n== A4: section 5.6 overlap safety check (coarse collection) ==");
+        println!("  MM (interleaved row bands): {mm_fb} arrays forced to fine collection");
+        println!("  SWIM (disjoint column bands): {swim_fb} arrays forced to fine collection");
+        o.object("a4_overlap_check", Layout::Inline)
+            .int("mm_fine_fallbacks", mm_fb)
+            .int("swim_fine_fallbacks", swim_fb);
+        o.object("a5_push_vs_pull", Layout::Inline)
+            .num("push_comm_s", a5.push_comm)
+            .num("pull_comm_s", a5.pull_comm)
+            .num("push_master_host_s", a5.push_master_host)
+            .num("pull_master_host_s", a5.pull_master_host);
+    })
 }
 
 #[cfg(test)]

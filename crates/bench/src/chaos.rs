@@ -5,8 +5,8 @@
 //! headline invariant: survivable schedules leave workload results
 //! byte-identical to the fault-free run.
 //!
-//! The `chaos` binary prints the grid; its `--json` document is the
-//! committed `BENCH_chaos.json`.
+//! `vpce-bench chaos` prints the grid; its document is the committed
+//! `BENCH_chaos.json`.
 
 use cluster_sim::ClusterConfig;
 use lmad::Granularity;
@@ -16,7 +16,7 @@ use vpce_diag::json::{self, Layout};
 use vpce_workloads::{mm, swim};
 
 /// One (workload, schedule, seed) cell of the chaos matrix.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Cell {
     pub workload: String,
     pub schedule: &'static str,
@@ -76,19 +76,7 @@ pub fn sweep(cluster: &ClusterConfig, seeds: u64) -> Vec<Cell> {
                     workload: name.to_string(),
                     schedule: sched_name,
                     seed,
-                    survived: false,
-                    identical: false,
-                    error: String::new(),
-                    elapsed: 0.0,
-                    crc_failures: 0,
-                    packets_dropped: 0,
-                    link_stalls: 0,
-                    retransmits: 0,
-                    backoff_s: 0.0,
-                    recovery_s: 0.0,
-                    bus_degraded: 0,
-                    nic_retries: 0,
-                    nic_stalls: 0,
+                    ..Cell::default()
                 };
                 match spmd_rt::try_execute(&compiled.program, cluster, ExecMode::Full, spec) {
                     Ok(rep) => {
@@ -119,7 +107,20 @@ pub fn sweep(cluster: &ClusterConfig, seeds: u64) -> Vec<Cell> {
     out
 }
 
-/// Print the matrix.
+/// The matrix's one invariant: a run that survived its schedule left
+/// results byte-identical to the fault-free run.
+pub(crate) fn failures(cells: &[Cell]) -> Vec<String> {
+    cells
+        .iter()
+        .filter(|c| c.survived && !c.identical)
+        .map(|c| {
+            let (w, s, seed) = (&c.workload, c.schedule, c.seed);
+            format!("{w} {s} seed {seed}: survived but diverged from the fault-free results")
+        })
+        .collect()
+}
+
+/// Print the matrix and its outcome counts.
 pub fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Chaos matrix: self-healing under injected faults ({title}) ==");
     println!(
@@ -148,6 +149,13 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
             if c.error.is_empty() { "-" } else { &c.error },
         );
     }
+    let survived = cells.iter().filter(|c| c.survived).count();
+    println!(
+        "\n{} cells: {survived} survived byte-identical, {} typed errors, {} diverged",
+        cells.len(),
+        cells.len() - survived,
+        failures(cells).len()
+    );
 }
 
 /// The committed `BENCH_chaos.json` (at [`SEEDS`] seeds).

@@ -2,7 +2,8 @@
 //!
 //! One module per experiment of `DESIGN.md` §4:
 //!
-//! * [`table1`] — MM speedups over matrix size × node count;
+//! * [`table1`] — MM speedups over matrix size × node count, and the
+//!   scaling sweep past the paper's four nodes;
 //! * [`table2`] — communication time at fine/middle/coarse granularity
 //!   for MM, SWIM and CFFT2INIT;
 //! * [`hwclaims`] — the §1/§2 hardware claims: SKWP vs conventional
@@ -13,8 +14,8 @@
 //!   topology zoo) runs every example workload end to end, with the
 //!   fabric-independent-numerics invariant checked per cell;
 //! * [`ablation`] — AVPG elimination (A1), user-level vs kernel stack
-//!   (A2), block vs cyclic partitioning (A3), and the §5.6 overlap
-//!   safety check (A4);
+//!   (A2), block vs cyclic partitioning (A3), the §5.6 overlap safety
+//!   check (A4), and push vs pull scattering (A5);
 //! * [`chaos`] — the fault matrix: workloads under seeded fault
 //!   schedules, recording the self-healing transport's counters and
 //!   the byte-identity invariant;
@@ -32,15 +33,16 @@
 //!   seeded crash schedules, with byte-identity cross-checked on every
 //!   absorbed schedule.
 //!
-//! Each module computes plain data structures; the binaries print them
-//! as the paper-style rows recorded in `EXPERIMENTS.md`.
+//! Each module computes plain data structures. [`tables::TABLES`] names
+//! one table per sweep at its committed constants: `vpce-bench <table>`
+//! prints its paper-style rows (recorded in `EXPERIMENTS.md`) and exits
+//! 1 on a broken invariant.
 //!
 //! Every number a sweep exports is **virtual time or a count** — a pure
-//! function of the source tree. The eight sweeps with a `json_doc`
-//! commit it as `BENCH_*.json` at the repository root, held
-//! byte-for-byte by `tests/bench_golden.rs`; a binary's `--json PATH`
-//! writes the same document. Nothing here reads the host's clock: host
-//! time has one ruler, `perfbench/`.
+//! function of the source tree. Each table's document is committed as
+//! a `BENCH_*.json` at the repository root, held byte-for-byte (and its
+//! invariants checked) by `tests/bench_golden.rs`. Nothing here reads
+//! the host's clock: host time has one ruler, `perfbench/`.
 
 #![forbid(unsafe_code)]
 
@@ -53,43 +55,8 @@ pub mod sched;
 pub mod serve;
 pub mod table1;
 pub mod table2;
+pub mod tables;
 pub mod transport;
-
-/// The sweep binaries' whole command line: `--json PATH` plus the
-/// numeric options named in `numeric` (with their defaults). Returns
-/// the path and the values in `numeric`'s order; anything else is a
-/// usage error (exit 2).
-pub fn sweep_args<const N: usize>(numeric: [(&str, u64); N]) -> (Option<String>, [u64; N]) {
-    let mut json_path = None;
-    let mut values = numeric.map(|(_, default)| default);
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        let slot = numeric.iter().position(|(name, _)| *name == a);
-        match (a.as_str(), slot) {
-            ("--json", _) => json_path = Some(args.next().expect("--json needs a path")),
-            (_, Some(i)) => {
-                values[i] = args
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| panic!("{a} needs a number"))
-            }
-            _ => {
-                let names: String = numeric.iter().map(|(n, _)| format!(", {n} N")).collect();
-                eprintln!("unknown argument `{a}` (accepted: --json PATH{names})");
-                std::process::exit(2);
-            }
-        }
-    }
-    (json_path, values)
-}
-
-/// What `--json PATH` does with a sweep's `json_doc`.
-pub fn write_json(path: Option<String>, doc: &str) {
-    if let Some(path) = path {
-        std::fs::write(&path, doc).expect("write --json output");
-        eprintln!("wrote {path}");
-    }
-}
 
 /// Render a float with engineering-style precision for tables.
 pub fn fmt_secs(s: f64) -> String {

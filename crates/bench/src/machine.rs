@@ -4,9 +4,8 @@
 //! sequential execution, and the byte-identity invariant (numerics
 //! must never depend on the fabric).
 //!
-//! The `machinebench` binary prints the table; its `--json` document
-//! is the committed `BENCH_machine.json`. The `hwclaims` binary prints
-//! the same sweep as its final section.
+//! `vpce-bench machine` prints the table; its document is the
+//! committed `BENCH_machine.json`.
 
 use lmad::Granularity;
 use polaris_be::BackendOptions;
@@ -83,18 +82,32 @@ pub fn sweep(machines: &[&str], nodes: usize) -> Vec<MachinePoint> {
     out
 }
 
-/// Sanity gate for CI: every cell finished with fabric-independent
+/// The sweep's invariants: every cell finished with fabric-independent
 /// numerics, and the zoo really exercised at least three non-mesh
 /// fabrics end to end.
-pub fn healthy(points: &[MachinePoint]) -> bool {
+pub(crate) fn failures(points: &[MachinePoint]) -> Vec<String> {
+    let mut out: Vec<String> = points
+        .iter()
+        .filter(|p| !(p.identical && p.elapsed_s > 0.0))
+        .map(|p| {
+            format!(
+                "{} {}: numerics diverged from sequential",
+                p.machine, p.workload
+            )
+        })
+        .collect();
     let non_mesh: std::collections::BTreeSet<&str> = points
         .iter()
         .filter(|p| p.topology != "mesh" && p.topology != "torus")
         .map(|p| p.topology.as_str())
         .collect();
-    !points.is_empty()
-        && points.iter().all(|p| p.identical && p.elapsed_s > 0.0)
-        && non_mesh.len() >= 3
+    if non_mesh.len() < 3 {
+        out.push(format!(
+            "the zoo ran {} non-mesh fabrics, not 3",
+            non_mesh.len()
+        ));
+    }
+    out
 }
 
 /// Print the paper-style table.
@@ -144,7 +157,7 @@ mod tests {
     fn sweep_covers_the_zoo_and_stays_numerics_identical() {
         let points = sweep(MACHINES, 8);
         assert_eq!(points.len(), MACHINES.len() * 2);
-        assert!(healthy(&points), "{points:?}");
+        assert_eq!(failures(&points), Vec::<String>::new());
         // The conventional links must visibly slow communication on
         // the same workload.
         let comm = |m: &str, w: &str| {

@@ -13,9 +13,9 @@
 //!
 //! Every absorbed schedule is also cross-checked byte-for-byte against
 //! the crash-free run — a divergence is a hard failure, not a data
-//! point. Every figure is virtual time or a count; the
-//! `recoverybench` binary prints the table and its `--json` document
-//! is the committed `BENCH_recovery.json`.
+//! point. Every figure is virtual time or a count; `vpce-bench
+//! recover` prints the table and its document is the committed
+//! `BENCH_recovery.json`.
 
 use spmd_rt::{ExecMode, FaultSpec};
 use vpce::{compile, BackendOptions, ClusterConfig, Granularity, Tracer};
@@ -144,18 +144,22 @@ pub fn run(seeds: u64) -> RecoverBench {
     RecoverBench { seeds, rows }
 }
 
-/// Sanity-check a finished sweep (the binary exits nonzero otherwise):
+/// The sweep's invariants, one line per workload that breaks them:
 /// every workload must have exercised real recoveries, paid a real
-/// (finite, sub-100%) premium, and replayed at least as much as it ran.
-pub fn healthy(b: &RecoverBench) -> bool {
-    b.rows.iter().all(|r| {
-        r.recovered > 0
-            && r.crashing == r.recovered + r.unsurvivable
-            && r.ckpt_overhead_pct.is_finite()
-            && r.ckpt_overhead_pct > 0.0
-            && r.mean_time_to_recover_s > 0.0
-            && r.replay_amplification >= 1.0
-    })
+/// (finite, positive) premium, and replayed at least as much as it ran.
+pub(crate) fn failures(b: &RecoverBench) -> Vec<String> {
+    b.rows
+        .iter()
+        .filter(|r| {
+            !(r.recovered > 0
+                && r.crashing == r.recovered + r.unsurvivable
+                && r.ckpt_overhead_pct.is_finite()
+                && r.ckpt_overhead_pct > 0.0
+                && r.mean_time_to_recover_s > 0.0
+                && r.replay_amplification >= 1.0)
+        })
+        .map(|r| format!("{}: recovery row unhealthy: {r:?}", r.workload))
+        .collect()
 }
 
 /// Print the table.
@@ -212,7 +216,7 @@ mod tests {
     #[test]
     fn sweep_runs_healthy_and_exports_wellformed_json() {
         let b = run(16);
-        assert!(healthy(&b), "{b:?}");
+        assert_eq!(failures(&b), Vec::<String>::new());
         assert_eq!(b.rows.len(), 2);
         let json = json_doc(&b);
         assert!(json.contains("\"ckpt_overhead_pct\""), "{json}");

@@ -3,8 +3,8 @@
 //! half-machine-wide low-priority job plus two narrow storms) to
 //! `vpce_sched::run_batch` and records the report's headline numbers:
 //! utilization, peak gang concurrency, queue-wait and makespan
-//! percentiles. The `schedbench` binary prints the grid; its `--json`
-//! document is the committed `BENCH_sched.json`. The interesting
+//! percentiles. `vpce-bench sched` prints the grid; its document is
+//! the committed `BENCH_sched.json`. The interesting
 //! comparison is fcfs vs backfill under heavy load, where backfill
 //! fills the holes in front of the wide job's reservation.
 
@@ -124,7 +124,23 @@ pub fn sweep(seed: u64, per_storm: usize) -> Vec<Cell> {
     out
 }
 
-/// Print the grid.
+/// The sweep's liveness invariant: every fault-free storm completes
+/// every job.
+pub(crate) fn failures(cells: &[Cell]) -> Vec<String> {
+    cells
+        .iter()
+        .filter(|c| c.done != c.jobs)
+        .map(|c| {
+            let (n, load, policy) = (c.nodes, c.load, c.policy);
+            format!(
+                "{n} nodes, {load} load, {policy}: {} of {} jobs finished",
+                c.done, c.jobs
+            )
+        })
+        .collect()
+}
+
+/// Print the grid and how many cells completed.
 pub fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Scheduler sweep: storm throughput by policy ({title}) ==");
     println!(
@@ -147,6 +163,12 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
             crate::fmt_secs(c.makespan_p99_s),
         );
     }
+    let incomplete = failures(cells).len();
+    println!(
+        "\n{} cells: {} completed every job, {incomplete} incomplete",
+        cells.len(),
+        cells.len() - incomplete,
+    );
 }
 
 /// The committed `BENCH_sched.json` (at [`SEED`], [`JOBS_PER_STORM`]).

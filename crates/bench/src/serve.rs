@@ -11,9 +11,9 @@
 //! * **kill matrix** — the full seeded murder sweep: every kill point
 //!   must fire and every restart must converge to the baseline bytes.
 //!
-//! Every number here is a count, so the run is deterministic: the
-//! `servebench` binary prints the table and its `--json` document is
-//! the committed `BENCH_serve.json`. How long the *host* takes to
+//! Every number here is a count, so the run is deterministic:
+//! `vpce-bench serve` prints the table and its document is the
+//! committed `BENCH_serve.json`. How long the *host* takes to
 //! ingest, drain and recover is `perfbench`'s to measure
 //! (`serve.ingest_s`, `serve.submits_per_s`, `serve.drain_s`,
 //! `serve.recover_s`).
@@ -96,10 +96,17 @@ pub fn run(jobs: usize, kill_points: usize) -> ServeBench {
     }
 }
 
-/// Sanity-check a finished run (the binary exits nonzero otherwise):
-/// the kill matrix must fire everywhere and never diverge.
-pub fn healthy(b: &ServeBench) -> bool {
-    b.kill_divergent == 0 && b.kill_restarts >= b.kill_points as u64 && b.journal_bytes > 0
+/// The run's invariant: the journal holds the run, and the kill matrix
+/// fires everywhere and never diverges.
+pub(crate) fn failures(b: &ServeBench) -> Vec<String> {
+    let (divergent, restarts, points) = (b.kill_divergent, b.kill_restarts, b.kill_points);
+    if divergent == 0 && restarts >= points as u64 && b.journal_bytes > 0 {
+        return Vec::new();
+    }
+    vec![format!(
+        "{divergent} divergent, {restarts} restarts over {points} kill points, {} journal bytes",
+        b.journal_bytes
+    )]
 }
 
 /// Print the table.
@@ -132,7 +139,7 @@ mod tests {
     #[test]
     fn bench_runs_and_exports_wellformed_json() {
         let b = run(6, 8);
-        assert!(healthy(&b), "{b:?}");
+        assert_eq!(failures(&b), Vec::<String>::new());
         assert_eq!(b.jobs, 6);
         assert_eq!(b.inputs, 10, "4 directives + 6 jobs");
         let json = json_doc(&b);

@@ -11,8 +11,7 @@ use cluster_sim::ClusterConfig;
 use lmad::Granularity;
 use polaris_be::BackendOptions;
 use spmd_rt::ExecMode;
-use vpce_diag::json::{self, Array, Layout};
-use vpce_workloads::mm;
+use vpce_diag::json::{self, Layout};
 
 /// The paper's Table 1 values, `paper[size][nodes]` with
 /// sizes = [256, 512, 1024] and nodes = [1, 2, 4].
@@ -37,24 +36,34 @@ pub struct Cell {
     pub comm_time: f64,
 }
 
-/// Run the whole sweep on a cluster family (e.g.
-/// `ClusterConfig::paper_n` or `ClusterConfig::prototype_n`).
+/// Speedups of `source` (parameter `N` ∈ `sizes`) on each node count
+/// of `nodes`, on one cluster family (e.g. `ClusterConfig::paper_n` or
+/// `ClusterConfig::prototype_n`). Table 1 is MM at [`SIZES`] ×
+/// [`NODES`]; the scaling table takes MM and SWIM past the paper's
+/// four nodes.
 ///
 /// Uses coarse granularity (the fewest-setup plan — what a user would
 /// pick for MM per §5.6) and analytic execution (identical virtual
 /// times to full execution; see `spmd-rt` docs).
-pub fn sweep(cluster_of: impl Fn(usize) -> ClusterConfig) -> Vec<Cell> {
+pub fn speedups(
+    source: &str,
+    sizes: &[i64],
+    nodes: &[usize],
+    cluster_of: impl Fn(usize) -> ClusterConfig,
+) -> Vec<Cell> {
     let mut out = Vec::new();
-    for &size in &SIZES {
+    for &size in sizes {
         // The sequential baseline does not depend on the node count.
         let opts = BackendOptions::new(1).granularity(Granularity::Coarse);
-        let compiled = vpce::compile(mm::SOURCE, &[("N", size)], &opts).expect("MM compiles");
-        let seq =
-            spmd_rt::execute_sequential(&compiled.program, &cluster_of(1).node.cpu, ExecMode::Analytic);
-        for &nodes in &NODES {
+        let compiled = vpce::compile(source, &[("N", size)], &opts).expect("workload compiles");
+        let seq = spmd_rt::execute_sequential(
+            &compiled.program,
+            &cluster_of(1).node.cpu,
+            ExecMode::Analytic,
+        );
+        for &nodes in nodes {
             let opts = BackendOptions::new(nodes).granularity(Granularity::Coarse);
-            let compiled =
-                vpce::compile(mm::SOURCE, &[("N", size)], &opts).expect("MM compiles");
+            let compiled = vpce::compile(source, &[("N", size)], &opts).expect("workload compiles");
             let rep = spmd_rt::execute(&compiled.program, &cluster_of(nodes), ExecMode::Analytic);
             out.push(Cell {
                 size,
@@ -69,7 +78,7 @@ pub fn sweep(cluster_of: impl Fn(usize) -> ClusterConfig) -> Vec<Cell> {
     out
 }
 
-/// Pretty-print one sweep next to the paper's numbers.
+/// Pretty-print one Table 1 sweep next to the paper's numbers.
 pub fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Table 1: MM speedups ({title}) ==");
     println!(
@@ -92,60 +101,74 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
     }
 }
 
-/// The committed `BENCH_table1.json`: both hardware variants' sweeps.
-pub fn json_doc(nominal: &[Cell], prototype: &[Cell]) -> String {
-    json::document(Layout::Block(2), |o| {
-        write_rows(&mut o.array("nominal", Layout::Block(4)), nominal);
-        write_rows(&mut o.array("prototype", Layout::Block(4)), prototype);
-    })
+/// Print the paper's Table 1 as published.
+pub(crate) fn print_paper() {
+    println!("\npaper Table 1 for reference:");
+    println!(
+        "{:>10} {:>8} {:>8} {:>8}",
+        "size", "1 node", "2 nodes", "4 nodes"
+    );
+    for (i, &size) in SIZES.iter().enumerate() {
+        println!(
+            "{:>7}^2 {:>8} {:>8} {:>8}",
+            size, PAPER[i][0], PAPER[i][1], PAPER[i][2]
+        );
+    }
 }
 
-fn write_rows(rows: &mut Array<'_>, cells: &[Cell]) {
+/// Print one scaling sweep: speedup and parallel efficiency per node
+/// count.
+pub(crate) fn print_scaling(title: &str, cells: &[Cell]) {
+    println!("\n== {title} ==");
+    println!(
+        "{:>6} {:>12} {:>12} {:>9} {:>12} {:>10}",
+        "nodes", "T_seq", "T_par", "speedup", "comm", "eff"
+    );
     for c in cells {
-        rows.object(Layout::Inline)
-            .int("size", c.size)
-            .int("nodes", c.nodes)
-            .num("seq_time", c.seq_time)
-            .num("par_time", c.par_time)
-            .num("speedup", c.speedup)
-            .num("comm_time", c.comm_time);
+        println!(
+            "{:>6} {:>12} {:>12} {:>9.3} {:>12} {:>9.1}%",
+            c.nodes,
+            crate::fmt_secs(c.seq_time),
+            crate::fmt_secs(c.par_time),
+            c.speedup,
+            crate::fmt_secs(c.comm_time),
+            100.0 * c.speedup / c.nodes as f64
+        );
     }
+}
+
+/// One document of named sweeps: `BENCH_table1.json` (`nominal`,
+/// `prototype`) and `BENCH_scaling.json`.
+pub fn json_doc(sweeps: &[(&str, &[Cell])]) -> String {
+    json::document(Layout::Block(2), |o| {
+        for (name, cells) in sweeps {
+            let mut rows = o.array(name, Layout::Block(4));
+            for c in *cells {
+                rows.object(Layout::Inline)
+                    .int("size", c.size)
+                    .int("nodes", c.nodes)
+                    .num("seq_time", c.seq_time)
+                    .num("par_time", c.par_time)
+                    .num("speedup", c.speedup)
+                    .num("comm_time", c.comm_time);
+            }
+        }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpce_workloads::mm;
 
     fn small_sweep(cluster_of: impl Fn(usize) -> ClusterConfig, size: i64) -> Vec<Cell> {
-        let mut out = Vec::new();
-        let opts = BackendOptions::new(1).granularity(Granularity::Coarse);
-        let compiled = vpce::compile(mm::SOURCE, &[("N", size)], &opts).unwrap();
-        let seq = spmd_rt::execute_sequential(
-            &compiled.program,
-            &cluster_of(1).node.cpu,
-            ExecMode::Analytic,
-        );
-        for nodes in [1usize, 2, 4] {
-            let opts = BackendOptions::new(nodes).granularity(Granularity::Coarse);
-            let compiled = vpce::compile(mm::SOURCE, &[("N", size)], &opts).unwrap();
-            let rep =
-                spmd_rt::execute(&compiled.program, &cluster_of(nodes), ExecMode::Analytic);
-            out.push(Cell {
-                size,
-                nodes,
-                seq_time: seq.elapsed,
-                par_time: rep.elapsed,
-                speedup: seq.elapsed / rep.elapsed,
-                comm_time: rep.comm_time,
-            });
-        }
-        out
+        speedups(mm::SOURCE, &[size], &NODES, cluster_of)
     }
 
     #[test]
     fn json_export_is_wellformed() {
         let cells = small_sweep(ClusterConfig::paper_n, 64);
-        let json = json_doc(&cells, &[]);
+        let json = json_doc(&[("nominal", &cells), ("prototype", &[])]);
         assert_eq!(json.matches('{').count(), cells.len() + 1);
         assert_eq!(json.matches('}').count(), cells.len() + 1);
         assert!(json.contains("\"speedup\": "));

@@ -186,6 +186,27 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
     }
 }
 
+/// Print the paper's Table 2 as published.
+pub(crate) fn print_paper() {
+    println!("\npaper Table 2 for reference (seconds; * = not reported):");
+    println!(
+        "{:>18} {:>10} {:>10} {:>10}",
+        "workload", "fine", "middle", "coarse"
+    );
+    for row in PAPER {
+        let f = |v: Option<f64>| v.map_or("*".to_string(), |x| format!("{x}"));
+        println!(
+            "{:>18} {:>10} {:>10} {:>10}",
+            row.name,
+            f(row.fine),
+            f(row.middle),
+            f(row.coarse)
+        );
+    }
+    println!("\nSee EXPERIMENTS.md for the shape analysis (the paper's MM row");
+    println!("is internally inconsistent with its own link-rate claims).");
+}
+
 /// The committed `BENCH_table2.json`.
 pub fn json_doc(cells: &[Cell]) -> String {
     json::document(Layout::Block(2), |o| {

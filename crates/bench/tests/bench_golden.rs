@@ -1,17 +1,21 @@
-//! The eight committed `BENCH_*.json` documents, held byte-for-byte.
+//! Every table of the paper's evidence, held byte-for-byte.
 //!
-//! Every number in them is virtual time or a count — a pure function
-//! of the source tree — so a change to Table 1, Table 2, the fault
-//! matrix, the scheduler grid, the recovery sweep, the service
+//! Each entry of `vpce_bench::tables::TABLES` commits one `BENCH_*.json`
+//! at the repository root. Every number in them is virtual time or a
+//! count — a pure function of the source tree — so a change to Table 1,
+//! Table 2, the hardware claims, the ablations, the scaling sweep, the
+//! fault matrix, the scheduler grid, the recovery sweep, the service
 //! benchmark, the machine zoo or the transport crossover is a readable
-//! diff in review. Each test computes the document its binary's
-//! `--json` writes (same `json_doc`, same default parameters) and
-//! compares it with the file at the repository root. Regenerate with
+//! diff in review. Each test runs its table exactly as `vpce-bench
+//! <table>` does, requires that the run broke no invariant, and
+//! compares the document with the committed file. Regenerate with
 //! `UPDATE_GOLDEN=1 cargo test --offline -p vpce-bench --test
 //! bench_golden`.
 
-use cluster_sim::ClusterConfig;
-use vpce_bench::{chaos, machine, recover, sched, serve, table1, table2, transport};
+use std::ffi::OsString;
+use std::process::Command;
+
+use vpce_bench::tables::{self, TABLES};
 
 /// The first differing hunk, unified-diff style (common prefix and
 /// suffix lines trimmed).
@@ -55,55 +59,127 @@ fn check(file: &str, doc: &str) {
     );
 }
 
+/// Run the table called `name`, require a healthy run, and hold its
+/// document against the committed golden.
+fn golden(name: &str) {
+    let table = tables::find(name).unwrap_or_else(|| panic!("no table `{name}`"));
+    let (doc, failures) = (table.run)();
+    assert!(
+        failures.is_empty(),
+        "{name} broke its invariants:\n{}",
+        failures.join("\n")
+    );
+    check(table.golden, &doc);
+}
+
 #[test]
 fn table1_matches_golden() {
-    let nominal = table1::sweep(ClusterConfig::paper_n);
-    let prototype = table1::sweep(ClusterConfig::prototype_n);
-    check("BENCH_table1.json", &table1::json_doc(&nominal, &prototype));
+    golden("table1");
 }
 
 #[test]
 fn table2_matches_golden() {
-    let cells = table2::sweep(&ClusterConfig::paper_4node());
-    check("BENCH_table2.json", &table2::json_doc(&cells));
+    golden("table2");
+}
+
+#[test]
+fn hwclaims_matches_golden() {
+    golden("hwclaims");
+}
+
+#[test]
+fn ablation_matches_golden() {
+    golden("ablation");
+}
+
+#[test]
+fn scaling_matches_golden() {
+    golden("scaling");
 }
 
 #[test]
 fn chaos_matches_golden() {
-    let cells = chaos::sweep(&ClusterConfig::paper_4node(), chaos::SEEDS);
-    check("BENCH_chaos.json", &chaos::json_doc(&cells));
+    golden("chaos");
 }
 
 #[test]
 fn sched_matches_golden() {
-    let cells = sched::sweep(sched::SEED, sched::JOBS_PER_STORM);
-    check("BENCH_sched.json", &sched::json_doc(&cells));
-}
-
-#[test]
-fn recovery_matches_golden() {
-    check(
-        "BENCH_recovery.json",
-        &recover::json_doc(&recover::run(recover::SEEDS)),
-    );
+    golden("sched");
 }
 
 #[test]
 fn serve_matches_golden() {
-    let bench = serve::run(serve::JOBS, serve::KILL_POINTS);
-    check("BENCH_serve.json", &serve::json_doc(&bench));
+    golden("serve");
+}
+
+#[test]
+fn recovery_matches_golden() {
+    golden("recover");
 }
 
 #[test]
 fn machine_matches_golden() {
-    let points = machine::sweep(machine::MACHINES, machine::NODES);
-    check("BENCH_machine.json", &machine::json_doc(&points));
+    golden("machine");
 }
 
 #[test]
 fn transport_matches_golden() {
-    let cells = transport::sweep(&ClusterConfig::paper_n(4), transport::EPOCHS);
-    check("BENCH_transport.json", &transport::json_doc(&cells));
+    golden("transport");
+}
+
+#[test]
+fn every_golden_belongs_to_one_table() {
+    let root = format!("{}/../..", env!("CARGO_MANIFEST_DIR"));
+    let mut on_disk: Vec<String> = std::fs::read_dir(&root)
+        .expect("read the repository root")
+        .map(|e| {
+            e.expect("directory entry")
+                .file_name()
+                .into_string()
+                .expect("utf-8 name")
+        })
+        .filter(|n| n.starts_with("BENCH_") && n.ends_with(".json"))
+        .collect();
+    on_disk.sort();
+    let mut registered: Vec<String> = TABLES.iter().map(|t| t.golden.to_string()).collect();
+    registered.sort();
+    registered.dedup();
+    assert_eq!(registered.len(), TABLES.len(), "two tables share a golden");
+    assert_eq!(on_disk, registered);
+    let mut names: Vec<&str> = TABLES.iter().map(|t| t.name).collect();
+    names.sort();
+    names.dedup();
+    assert_eq!(names.len(), TABLES.len(), "two tables share a name");
+}
+
+#[test]
+fn a_bad_command_line_is_a_usage_line() {
+    let usage = format!(
+        "usage: vpce-bench <table>\ntables: {}\n",
+        TABLES.iter().map(|t| t.name).collect::<Vec<_>>().join(" ")
+    );
+    let mut bad: Vec<Vec<OsString>> = [
+        &[][..],
+        &["bogus"],
+        &["table1", "extra"],
+        &["hwclaims", "--bogus"],
+        &["chaos", "--json"],
+        &["--json", "x.json"],
+    ]
+    .iter()
+    .map(|args| args.iter().map(OsString::from).collect())
+    .collect();
+    #[cfg(unix)]
+    bad.push(vec![std::os::unix::ffi::OsStringExt::from_vec(vec![0xff])]);
+    for args in bad {
+        let out = Command::new(env!("CARGO_BIN_EXE_vpce-bench"))
+            .args(&args)
+            .output()
+            .expect("spawn vpce-bench");
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}");
+        assert_eq!(String::from_utf8_lossy(&out.stderr), usage, "{args:?}");
+    }
 }
 
 #[test]

@@ -122,9 +122,4 @@ impl Skeleton {
             }
         }
     }
-
-    /// Total act count across all ranks.
-    pub fn total_acts(&self) -> usize {
-        self.ranks.iter().map(Vec::len).sum()
-    }
 }

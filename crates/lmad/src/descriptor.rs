@@ -38,11 +38,6 @@ impl Dim {
         let steps = i64::try_from(self.count - 1).unwrap_or(i64::MAX);
         self.stride.saturating_mul(steps)
     }
-
-    /// True when this dimension walks consecutive elements.
-    pub fn is_unit_stride(&self) -> bool {
-        self.stride == 1
-    }
 }
 
 /// A Linear Memory Access Descriptor: `base` plus a set of dimensions.

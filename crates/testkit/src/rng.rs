@@ -73,11 +73,6 @@ impl Xoshiro256pp {
         result
     }
 
-    /// Next 32 random bits (upper half — the better-mixed bits).
-    pub fn next_u32(&mut self) -> u32 {
-        (self.next_u64() >> 32) as u32
-    }
-
     /// Uniform in `[0, bound)`. Uses Lemire's multiply-shift reduction
     /// with rejection, so the distribution is exactly uniform.
     ///

@@ -41,14 +41,13 @@
 
 pub mod link;
 pub mod stats;
-pub mod sweep;
 pub mod topology;
 
 mod sim;
 
 pub use link::{LinkPhy, LinkRate, SignallingMode};
 pub use sim::{BusOutcome, NetConfig, NetSim, Transfer, VBusConfig};
-pub use stats::{LinkStats, NetStats};
+pub use stats::NetStats;
 pub use topology::{FactorError, Mesh, NodeId, Topology};
 
 /// Virtual time in seconds.

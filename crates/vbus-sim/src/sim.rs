@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::link::LinkRate;
-use crate::stats::{LinkStats, NetStats};
+use crate::stats::NetStats;
 use crate::topology::{LinkId, Mesh, NodeId, Topology};
 use crate::Time;
 use vpce_faults::{site, FaultInjector, FaultSpec, VpceError};
@@ -138,13 +138,6 @@ pub struct Transfer {
     pub recovery: Time,
 }
 
-impl Transfer {
-    /// End-to-end duration from readiness to completion.
-    pub fn latency_from(&self, ready: Time) -> Time {
-        self.end - ready
-    }
-}
-
 /// How a broadcast request was served — or not — by the virtual bus.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BusOutcome {
@@ -190,7 +183,6 @@ pub struct NetSim {
     cfg: NetConfig,
     /// `busy_until` per directed link.
     link_busy: Vec<Time>,
-    per_link: Vec<LinkStats>,
     stats: NetStats,
     /// Trace sink — the no-op tracer by default; link-occupancy and
     /// virtual-bus events are emitted only when enabled.
@@ -218,7 +210,6 @@ impl NetSim {
         NetSim {
             cfg,
             link_busy: vec![0.0; n_links],
-            per_link: vec![LinkStats::default(); n_links],
             stats: NetStats::default(),
             tracer: Tracer::disabled(),
             injector: FaultInjector::new(FaultSpec::off()),
@@ -260,11 +251,6 @@ impl NetSim {
         &self.stats
     }
 
-    /// Per-link occupancy counters.
-    pub fn link_stats(&self) -> &[LinkStats] {
-        &self.per_link
-    }
-
     /// Record one completed rendezvous RTS/CTS handshake of `bytes`
     /// control traffic. The control legs themselves are scheduled as
     /// ordinary p2p messages by the transport; this just keeps the
@@ -288,7 +274,6 @@ impl NetSim {
     /// reset simulator replays the same faults.
     pub fn reset(&mut self) {
         self.link_busy.fill(0.0);
-        self.per_link.fill(LinkStats::default());
         self.stats = NetStats::default();
         self.pair_seq.clear();
         self.bus_seq = 0;
@@ -363,9 +348,6 @@ impl NetSim {
                 self.stats.stall_time += spec.stall_s;
             }
             for &l in &self.path {
-                let held = end - self.link_busy[l].max(start);
-                self.per_link[l].busy += held.max(0.0).min(end - start);
-                self.per_link[l].messages += 1;
                 self.link_busy[l] = end;
             }
             self.stats.horizon = self.stats.horizon.max(end);
@@ -573,16 +555,14 @@ impl NetSim {
         // itself occupies every channel until it is torn down, so
         // traffic scheduled later waits for `end`.
         let mut frozen_here = 0u64;
-        for (l, busy) in self.link_busy.iter_mut().enumerate() {
+        for busy in self.link_busy.iter_mut() {
             if *busy > start {
                 *busy += duration;
-                self.per_link[l].busy += duration;
                 self.stats.frozen_time += duration;
                 self.stats.frozen_links += 1;
                 frozen_here += 1;
             } else {
                 *busy = end;
-                self.per_link[l].busy += duration;
             }
         }
         self.stats.broadcasts += 1;

@@ -1,4 +1,4 @@
-//! Network statistics: per-link occupancy and aggregate counters.
+//! Network statistics: the aggregate counters of one simulation run.
 //!
 //! The paper argues the V-Bus achieves "more efficient bandwidth
 //! utilization" than dedicated broadcast wires; [`NetStats`] exposes the
@@ -54,15 +54,6 @@ pub struct NetStats {
     /// Broadcasts that gave up on the hardware bus and degraded to the
     /// software multicast tree.
     pub bus_degraded: u64,
-}
-
-/// Per-link occupancy, for utilization reports.
-#[derive(Debug, Clone, Default)]
-pub struct LinkStats {
-    /// Total time the link was held by messages, seconds.
-    pub busy: f64,
-    /// Messages that traversed the link.
-    pub messages: u64,
 }
 
 impl NetStats {
