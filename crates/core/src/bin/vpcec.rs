@@ -50,15 +50,23 @@ fn emit(args: &cli::CliArgs, out: cli::RunOutput) -> ExitCode {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
+    // A non-UTF-8 argument is a usage error, never a panic.
+    let argv: Result<Vec<String>, _> = std::env::args_os().skip(1).map(|a| a.into_string()).collect();
+    let argv = match argv {
+        Ok(argv) => argv,
+        Err(bad) => {
+            eprintln!("error: argument {bad:?} is not UTF-8");
+            return exit(Outcome::UsageError);
+        }
+    };
     if argv.iter().any(|a| a == "--help" || a == "-h") || argv.is_empty() {
-        print!("{}", cli::USAGE);
+        print!("{}", cli::usage());
         return exit(Outcome::Success);
     }
     let mut args = match cli::parse_args(&argv) {
         Ok(a) => a,
         Err(e) => {
-            eprintln!("error: {e}\n\n{}", cli::USAGE);
+            eprintln!("error: {e}\n\n{}", cli::usage());
             return exit(Outcome::UsageError);
         }
     };

@@ -1,7 +1,8 @@
 //! The `vpcec` command-line driver: compile an F77-mini file and run
-//! it on the simulated cluster. Argument parsing is hand-rolled (no
-//! CLI dependency) and pure — [`run`] maps arguments to output text,
-//! so the whole driver is unit-testable.
+//! it on the simulated cluster. Every flag is one row of [`FLAGS`],
+//! read by the settings walker (no CLI dependency); parsing is pure and
+//! [`run`] maps arguments to output text, so the whole driver is
+//! unit-testable.
 
 use std::borrow::Cow;
 use std::fmt::Write as _;
@@ -9,14 +10,17 @@ use std::fmt::Write as _;
 use lmad::Granularity;
 use spmd_rt::{ExecMode, FaultSpec, Schedule, VpceError};
 use vpce_machine::MachineSpec;
-use vpce_recover::RecoverSpec;
-use vpce_sched::{BatchOptions, BatchSpec, SourceLoader};
+use vpce_recover::{RecoverSpec, RECOVER_KEYS};
+use vpce_sched::settings::{self, Flag};
+use vpce_sched::{BatchOptions, BatchSpec, SourceLoader, FAULT_KEYS};
 use vpce_trace::Tracer;
 
 use crate::{BackendOptions, FrontError};
 
-/// Parsed command line.
-#[derive(Debug, Clone)]
+/// Parsed command line: one field per row of [`FLAGS`] (which says
+/// what each one sets), plus the resolved machine. Every field not
+/// given is its type's default, except `nodes`, which is 4.
+#[derive(Debug, Clone, Default)]
 pub struct CliArgs {
     pub source_path: String,
     pub nodes: usize,
@@ -31,94 +35,27 @@ pub struct CliArgs {
     pub pull: bool,
     pub lint: bool,
     pub lint_json: Option<String>,
-    /// `--verify`: statically verify deadlock-freedom of the lowered
-    /// communication plan instead of executing it.
     pub verify: bool,
-    /// `--verify-json`: also write the verifier report as stable JSON.
     pub verify_json: Option<String>,
-    /// `--verify-strict-pools`: model the eager pool as a hard
-    /// capacity (no rendezvous fallback when it is dry).
     pub verify_strict_pools: bool,
     pub unsafe_collect: bool,
     pub trace: Option<String>,
     pub trace_summary: bool,
     pub faults: FaultSpec,
-    pub fault_seed: Option<u64>,
-    /// Batch mode: path of a jobfile to run through the gang
-    /// scheduler instead of a single program.
     pub batch: Option<String>,
-    /// `--sched-seed`: overrides the jobfile's `seed=` directive.
     pub sched_seed: Option<u64>,
-    /// `--probation N`: crashed nodes reintegrate after `N` clean
-    /// attempt completions instead of draining for the whole batch
-    /// (the jobfile's `probation=` header wins over this).
     pub probation: Option<u32>,
-    /// `--batch-json`: also write the batch report as stable JSON.
     pub batch_json: Option<String>,
-    /// Serve mode: path of a `vpced` script (`-` = stdin) to feed the
-    /// persistent job service.
     pub serve: Option<String>,
-    /// `--journal`: durable journal file for `--serve` (in-memory
-    /// journal when absent).
     pub journal: Option<String>,
-    /// `--kill-after`: murder the daemon when the journal would grow
-    /// past this byte offset (crash-recovery demo / CI harness).
     pub kill_after: Option<u64>,
-    /// `--status`: after draining, also print this job's one-line
-    /// status (the client `status` verb).
     pub status: Option<String>,
-    /// `--recover`: arm in-run rollback recovery (buddy-replicated
-    /// diskless checkpoints + spare-node failover) for a single run.
     pub recover: Option<RecoverSpec>,
-    /// `--machine`: a built-in description name or a `.machine` file;
-    /// replaces the hard-coded paper cluster in every mode.
     pub machine: Option<String>,
-    /// The resolved description. The binary fills this via
+    /// The resolved `--machine` description. The binary fills this via
     /// [`load_machine`] after parsing; tests may set it directly.
     pub machine_spec: Option<MachineSpec>,
-    /// `--machine-dump`: print the fully-resolved machine description
-    /// and exit (a standalone mode; the CI config lint).
     pub machine_dump: bool,
-}
-
-impl Default for CliArgs {
-    fn default() -> Self {
-        CliArgs {
-            source_path: String::new(),
-            nodes: 4,
-            granularity: None,
-            schedule: None,
-            mode: ExecMode::Full,
-            params: Vec::new(),
-            show_report: false,
-            advise: false,
-            no_avpg: false,
-            prototype: false,
-            pull: false,
-            lint: false,
-            lint_json: None,
-            verify: false,
-            verify_json: None,
-            verify_strict_pools: false,
-            unsafe_collect: false,
-            trace: None,
-            trace_summary: false,
-            faults: FaultSpec::off(),
-            fault_seed: None,
-            batch: None,
-            sched_seed: None,
-            probation: None,
-            batch_json: None,
-            serve: None,
-            journal: None,
-            kill_after: None,
-            status: None,
-            recover: None,
-            machine: None,
-            machine_spec: None,
-            machine_dump: false,
-        }
-    }
 }
 
 /// Every way a `vpcec` invocation can end. All process exit codes
@@ -214,287 +151,210 @@ impl Outcome {
     }
 }
 
-/// Usage text.
-pub const USAGE: &str = "\
-vpcec — compile Fortran-77 (F77-mini) and run it on the simulated V-Bus cluster
+/// The modes an invocation runs in, one bit each in a flag's `modes`:
+/// a source file runs (or, with `--lint` / `--verify`, is checked),
+/// `--batch`, `--serve` and `--machine-dump` are modes of their own.
+const RUN: u8 = 1;
+const LINT: u8 = 1 << 1;
+const VERIFY: u8 = 1 << 2;
+const BATCH: u8 = 1 << 3;
+const SERVE: u8 = 1 << 4;
+const DUMP: u8 = 1 << 5;
+/// Every mode that compiles a source file.
+const PROGRAM: u8 = RUN | LINT | VERIFY;
 
-USAGE: vpcec <file.f> [options]
-  --nodes N            cluster size (default 4)
-  --grain fine|middle|coarse
-                       communication granularity (default: advisor's pick)
-  --schedule block|cyclic
-                       override the block/cyclic heuristic
-  --analytic           analytic timing mode (skip numeric execution)
-  --param NAME=VALUE   override a PARAMETER (repeatable)
-  --report             print the compiler's analysis and plans
-  --advise             print the granularity advisor's comparison (not
-                       with --grain): the simulated communication time
-                       of each grain, one analytic run per distinct
-                       lowered program — fine and middle lower alike
-                       where the mapping dimension is unit-stride
-  --no-avpg            disable the AVPG communication elimination
-  --prototype          use the calibrated ~6 MB/s prototype card
-  --machine M          replace the hard-coded paper cluster with a
-                       machine description: a built-in name (paper,
-                       prototype, fast-ethernet, conventional, torus,
-                       torus3d, crossbar, fattree, hypercube) or a
-                       layered key=value .machine file (include= pulls
-                       in a base; later settings override). Valid in
-                       plain, --batch and --serve modes; jobfile
-                       machine= headers and per-job machine= fields
-                       (built-in names) win over it
-  --machine-dump       print the fully-resolved machine description
-                       (the --machine layering applied, or the paper
-                       baseline) and exit — a config lint: the output
-                       re-parses to the identical machine
-  --pull               slaves GET their data instead of master PUTs
-  --lint               statically check the communication plan for RMA
-                       races and epoch-safety violations instead of
-                       executing; exit 0 clean / 1 warnings / 2 conflicts
-                       (not with --verify)
-  --lint-json PATH     also write the lint diagnostics as JSON to PATH
-  --verify             statically verify deadlock-freedom of the lowered
-                       communication plan instead of executing: exhaustive
-                       small-scope exploration of every interleaving of the
-                       per-rank skeleton (fences, collectives, rendezvous
-                       handshakes, pool pressure, scheduled crashes), with a
-                       minimal counterexample schedule on failure; exit 0
-                       verified / 1 conditional-progress warnings / 2 deadlock
-                       (not with --lint)
-  --verify-json PATH   also write the verifier report as JSON to PATH
-  --verify-strict-pools
-                       treat the registered eager pool as a hard capacity:
-                       an eager put with no free slot blocks (VPCE204)
-                       instead of falling back to rendezvous (VPCE210)
-  --unsafe-collect     skip the 5.6 overlap safety check (deliberately
-                       unsound; exists to exercise the linter)
-  --trace PATH         record the run as Chrome trace-event JSON and
-                       write it to PATH (open in ui.perfetto.dev or
-                       chrome://tracing: one lane per rank, one per
-                       V-Bus link)
-  --trace-summary      print per-phase rollups (DMA vs PIO bytes,
-                       setup time, fence waits) and the critical-path
-                       breakdown of the run
-  --faults SPEC        inject a deterministic fault schedule: off,
-                       light, heavy or crashy, tunable with key=value
-                       pairs (e.g. light,drop=0.2,retries=10,seed=7).
-                       Survivable schedules self-heal (CRC/ack/
-                       retransmit, V-Bus degradation to a software
-                       tree) and leave results bit-identical; an
-                       unsurvivable schedule exits 3 with a one-line
-                       typed diagnosis
-  --fault-seed N       override the fault schedule's PRNG seed
-  --recover SPEC       arm in-run rollback recovery: after every
-                       interval-th parallel region each rank ships its
-                       fence-boundary snapshot to buddy ranks (diskless
-                       checkpointing); a rank crash quiesces the
-                       survivors, rolls back to the last consistent
-                       snapshot, respawns the dead rank from a buddy
-                       replica onto a spare node and replays
-                       deterministically — the report and trace stay
-                       byte-identical to the crash-free run, with the
-                       recovery ledger appended. SPEC is `on` (defaults)
-                       or key=value pairs: interval=1, spares=4,
-                       buddies=2, rollbacks=16. An unabsorbable crash
-                       schedule exits 3 with a VPCE402/403/404 diagnosis
-  --batch JOBFILE      run a batch of jobs through the deterministic
-                       gang scheduler instead of a single program
-                       (jobfile `nodes=`/`policy=`/`seed=` directives
-                       win over flags); prints per-job and aggregate
-                       results. Exit 0 all jobs done / 3 an admitted
-                       job failed / 4 a job was refused at admission.
-                       `-` reads the jobfile from stdin
-  --sched-seed N       override the jobfile's batch seed (storm
-                       arrivals and per-job fault schedules)
-  --probation N        reintegrate crashed nodes after N clean attempt
-                       completions instead of draining them for the
-                       whole batch (jobfile `probation=` header wins)
-  --batch-json PATH    also write the batch report as stable JSON
-  --serve SCRIPT       run the jobfile-plus-verbs script through
-                       `vpced`, the persistent job service: every
-                       submission and scheduling decision is journaled
-                       (crash-safe, CRC'd), low-priority jobs are
-                       preempted by checkpoint/restart at fence
-                       boundaries, and tenants share the machine by
-                       fair share. `-` reads the script from stdin.
-                       Killing the daemon anywhere and restarting it on
-                       the same journal replays to a byte-identical
-                       report. Exits like --batch, plus 5 when the
-                       journal cannot be trusted (VPCE302/VPCE303)
-  --journal PATH       durable journal file for --serve; restarting on
-                       an existing journal recovers the acknowledged
-                       state (omitted: in-memory journal)
-  --kill-after N       kill the daemon when the journal would grow past
-                       byte N (crash drill; exit 3, then restart with
-                       the same --journal to recover)
-  --status NAME        after draining, also print NAME's one-line
-                       status (the client `status` verb)
+/// Mode names, by bit.
+pub const MODES: [&str; 6] = ["run", "--lint", "--verify", "--batch", "--serve", "--machine-dump"];
 
-EXIT CODES: 0 ok | 1 usage, I/O or lint warnings | 2 lint conflicts |
-            3 unsurvivable fault / failed batch job / killed daemon |
-            4 admission refused | 5 untrusted journal
-";
+/// Flag pairs that settle one thing twice: refused, with the reason.
+const CONFLICTS: [(&str, &str, &str); 3] = [
+    ("--grain", "--advise", "both settle the granularity"),
+    ("--lint", "--verify", "both replace the run with a static check"),
+    ("--machine", "--prototype", "both pick the cluster model"),
+];
 
-/// Parse an argument vector (excluding argv[0]).
+fn on(switch: &mut bool) -> Result<(), String> {
+    *switch = true;
+    Ok(())
+}
+
+/// Every `vpcec` flag, once: its operand, the modes it applies to, its
+/// help text and how it is read. Parsing, the mode check and `--help`
+/// all come from this table.
+#[rustfmt::skip]
+pub const FLAGS: &[Flag<CliArgs>] = &[
+    Flag { name: "--nodes", operand: Some("N"), modes: PROGRAM | BATCH, repeatable: false,
+        help: "cluster size (default 4; a jobfile's nodes= wins over it)",
+        set: |a, v| settings::number(v).map(|n| a.nodes = n) },
+    Flag { name: "--grain", operand: Some("fine|middle|coarse"), modes: PROGRAM, repeatable: false,
+        help: "communication granularity (default: the advisor's pick)",
+        set: |a, v| settings::choice(v, &Granularity::ALL, Granularity::name).map(|g| a.granularity = Some(g)) },
+    Flag { name: "--schedule", operand: Some("block|cyclic"), modes: PROGRAM, repeatable: false,
+        help: "override the block/cyclic heuristic",
+        set: |a, v| settings::choice(v, &Schedule::ALL, Schedule::name).map(|s| a.schedule = Some(s)) },
+    Flag { name: "--analytic", operand: None, modes: RUN | BATCH | SERVE, repeatable: false,
+        help: "analytic timing mode (skip numeric execution)",
+        set: |a, _| { a.mode = ExecMode::Analytic; Ok(()) } },
+    Flag { name: "--param", operand: Some("NAME=VALUE"), modes: PROGRAM, repeatable: true,
+        help: "override a PARAMETER (repeatable, each NAME once)",
+        set: |a, v| {
+            let (k, v) = settings::key_value(v).map_err(|_| "needs NAME=VALUE".to_string())?;
+            let name = k.to_ascii_uppercase();
+            if a.params.iter().any(|(n, _)| *n == name) {
+                return Err(format!("repeats `{name}`: give each PARAMETER once"));
+            }
+            a.params.push((name, settings::number(v)?));
+            Ok(())
+        } },
+    Flag { name: "--report", operand: None, modes: PROGRAM, repeatable: false,
+        help: "print the compiler's analysis and plans", set: |a, _| on(&mut a.show_report) },
+    Flag { name: "--advise", operand: None, modes: PROGRAM, repeatable: false,
+        help: "print the advisor's simulated communication time per grain\n\
+               (one analytic run per distinct lowered program)",
+        set: |a, _| on(&mut a.advise) },
+    Flag { name: "--no-avpg", operand: None, modes: PROGRAM, repeatable: false,
+        help: "disable the AVPG communication elimination", set: |a, _| on(&mut a.no_avpg) },
+    Flag { name: "--prototype", operand: None, modes: PROGRAM, repeatable: false,
+        help: "use the calibrated ~6 MB/s prototype card", set: |a, _| on(&mut a.prototype) },
+    Flag { name: "--machine", operand: Some("M"), modes: PROGRAM | BATCH | SERVE | DUMP, repeatable: false,
+        help: "a built-in machine (paper, prototype, fast-ethernet,\n\
+               conventional, torus, torus3d, crossbar, fattree, hypercube)\n\
+               or a layered .machine file (include= pulls in a base);\n\
+               jobfile machine= headers and fields win over it",
+        set: |a, v| { a.machine = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--machine-dump", operand: None, modes: DUMP, repeatable: false,
+        help: "print the resolved machine description and exit; it\n\
+               re-parses to the identical machine",
+        set: |a, _| on(&mut a.machine_dump) },
+    Flag { name: "--pull", operand: None, modes: PROGRAM, repeatable: false,
+        help: "slaves GET their data instead of master PUTs", set: |a, _| on(&mut a.pull) },
+    Flag { name: "--lint", operand: None, modes: LINT, repeatable: false,
+        help: "check the plan for RMA races and epoch-safety violations\n\
+               instead of running; exit 0 clean / 1 warnings / 2 conflicts",
+        set: |a, _| on(&mut a.lint) },
+    Flag { name: "--lint-json", operand: Some("PATH"), modes: LINT, repeatable: false,
+        help: "also write the lint diagnostics as JSON to PATH",
+        set: |a, v| { a.lint_json = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--verify", operand: None, modes: VERIFY, repeatable: false,
+        help: "explore every interleaving of the lowered plan for\n\
+               deadlocks instead of running, with a minimal counterexample;\n\
+               exit 0 verified / 1 conditional progress / 2 deadlock",
+        set: |a, _| on(&mut a.verify) },
+    Flag { name: "--verify-json", operand: Some("PATH"), modes: VERIFY, repeatable: false,
+        help: "also write the verifier report as JSON to PATH",
+        set: |a, v| { a.verify_json = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--verify-strict-pools", operand: None, modes: VERIFY, repeatable: false,
+        help: "an eager put with no free pool slot blocks (VPCE204)\n\
+               instead of falling back to rendezvous (VPCE210)",
+        set: |a, _| on(&mut a.verify_strict_pools) },
+    Flag { name: "--unsafe-collect", operand: None, modes: PROGRAM, repeatable: false,
+        help: "skip the 5.6 overlap safety check (unsound; exercises the linter)",
+        set: |a, _| on(&mut a.unsafe_collect) },
+    Flag { name: "--trace", operand: Some("PATH"), modes: RUN | BATCH | SERVE, repeatable: false,
+        help: "write the run (batch, serve: the cluster timeline) as Chrome\n\
+               trace-event JSON to PATH (ui.perfetto.dev)",
+        set: |a, v| { a.trace = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--trace-summary", operand: None, modes: RUN, repeatable: false,
+        help: "print per-phase rollups and the critical-path breakdown",
+        set: |a, _| on(&mut a.trace_summary) },
+    Flag { name: "--faults", operand: Some("SPEC"), modes: RUN | VERIFY, repeatable: false,
+        help: "inject a deterministic fault schedule: a preset (off, light,\n\
+               heavy, crashy) then key=value pairs (below), e.g.\n\
+               light,drop=0.2,seed=7; an unsurvivable one exits 3",
+        set: |a, v| FaultSpec::parse(v).map(|f| a.faults = f).map_err(|e| e.to_string()) },
+    Flag { name: "--recover", operand: Some("SPEC"), modes: RUN, repeatable: false,
+        help: "arm in-run rollback recovery (buddy checkpoints, spare-node\n\
+               failover): `on` then key=value pairs (below); a batch or\n\
+               serve job takes recover= in the jobfile",
+        set: |a, v| RecoverSpec::parse(v).map(|r| a.recover = Some(r)) },
+    Flag { name: "--batch", operand: Some("JOBFILE"), modes: BATCH, repeatable: false,
+        help: "run a jobfile (`-`: stdin) through the gang scheduler; exit 0\n\
+               all done / 3 a job failed / 4 a job refused at admission",
+        set: |a, v| { a.batch = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--sched-seed", operand: Some("N"), modes: BATCH, repeatable: false,
+        help: "override the jobfile's batch seed",
+        set: |a, v| settings::number(v).map(|n| a.sched_seed = Some(n)) },
+    Flag { name: "--probation", operand: Some("N"), modes: BATCH, repeatable: false,
+        help: "reintegrate crashed nodes after N clean completions\n\
+               (a jobfile's probation= wins over it)",
+        set: |a, v| settings::count(v).map(|n| a.probation = Some(n)) },
+    Flag { name: "--batch-json", operand: Some("PATH"), modes: BATCH | SERVE, repeatable: false,
+        help: "also write the batch report as stable JSON",
+        set: |a, v| { a.batch_json = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--serve", operand: Some("SCRIPT"), modes: SERVE, repeatable: false,
+        help: "feed a jobfile-plus-verbs script (`-`: stdin) to `vpced`,\n\
+               the journaled, preemptive job service; exits like --batch,\n\
+               or 5 when the journal cannot be trusted",
+        set: |a, v| { a.serve = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--journal", operand: Some("PATH"), modes: SERVE, repeatable: false,
+        help: "durable journal; restarting on it recovers the acknowledged state",
+        set: |a, v| { a.journal = Some(v.to_string()); Ok(()) } },
+    Flag { name: "--kill-after", operand: Some("N"), modes: SERVE, repeatable: false,
+        help: "kill the daemon when the journal would pass byte N (exit 3)",
+        set: |a, v| settings::number(v).map(|n| a.kill_after = Some(n)) },
+    Flag { name: "--status", operand: Some("NAME"), modes: SERVE, repeatable: false,
+        help: "after draining, print NAME's one-line status",
+        set: |a, v| { a.status = Some(v.to_string()); Ok(()) } },
+];
+
+/// The `--help` text: every flag of [`FLAGS`] with the modes it
+/// applies to, then the `--faults` and `--recover` keys.
+pub fn usage() -> String {
+    format!(
+        "vpcec — compile Fortran-77 (F77-mini) and run it on the simulated V-Bus cluster\n\n\
+         USAGE: vpcec <file.f> [options]      (run; --lint or --verify check instead)\n       \
+         vpcec --batch JOBFILE | --serve SCRIPT | --machine-dump [options]\n\n\
+         {}\n--faults keys:\n{}\n--recover keys:\n{}\n\
+         EXIT CODES: 0 ok | 1 usage, I/O or lint warnings | 2 lint conflicts |\n            \
+         3 unsurvivable fault / failed batch job / killed daemon |\n            \
+         4 admission refused | 5 untrusted journal\n",
+        settings::usage(FLAGS, &MODES),
+        settings::help(FAULT_KEYS),
+        settings::help(RECOVER_KEYS),
+    )
+}
+
+/// Parse an argument vector (excluding argv[0]) through [`FLAGS`]: a
+/// repeated flag, a declared `CONFLICTS` pair and a flag outside the
+/// invocation's mode are refused, each in one line.
 pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {
-    let mut out = CliArgs::default();
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--nodes" => {
-                out.nodes = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--nodes needs a number")?;
-            }
-            "--grain" => {
-                out.granularity = Some(match it.next().map(String::as_str) {
-                    Some("fine") => Granularity::Fine,
-                    Some("middle") => Granularity::Middle,
-                    Some("coarse") => Granularity::Coarse,
-                    other => return Err(format!("bad --grain {other:?}")),
-                });
-            }
-            "--schedule" => {
-                out.schedule = Some(match it.next().map(String::as_str) {
-                    Some("block") => Schedule::Block,
-                    Some("cyclic") => Schedule::Cyclic,
-                    other => return Err(format!("bad --schedule {other:?}")),
-                });
-            }
-            "--analytic" => out.mode = ExecMode::Analytic,
-            "--param" => {
-                let kv = it.next().ok_or("--param needs NAME=VALUE")?;
-                let (k, v) = kv.split_once('=').ok_or("--param needs NAME=VALUE")?;
-                let v: i64 = v.parse().map_err(|_| format!("bad value in {kv}"))?;
-                out.params.push((k.to_ascii_uppercase(), v));
-            }
-            "--report" => out.show_report = true,
-            "--advise" => out.advise = true,
-            "--no-avpg" => out.no_avpg = true,
-            "--prototype" => out.prototype = true,
-            "--pull" => out.pull = true,
-            "--lint" => out.lint = true,
-            "--lint-json" => {
-                out.lint_json = Some(it.next().ok_or("--lint-json needs a path")?.clone());
-            }
-            "--verify" => out.verify = true,
-            "--verify-json" => {
-                out.verify_json = Some(it.next().ok_or("--verify-json needs a path")?.clone());
-            }
-            "--verify-strict-pools" => out.verify_strict_pools = true,
-            "--unsafe-collect" => out.unsafe_collect = true,
-            "--trace" => {
-                out.trace = Some(it.next().ok_or("--trace needs a path")?.clone());
-            }
-            "--trace-summary" => out.trace_summary = true,
-            "--faults" => {
-                let spec = it.next().ok_or("--faults needs a schedule spec")?;
-                out.faults = FaultSpec::parse(spec).map_err(|e| e.to_string())?;
-            }
-            "--fault-seed" => {
-                out.fault_seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--fault-seed needs a number")?,
-                );
-            }
-            "--recover" => {
-                let spec = it.next().ok_or("--recover needs a spec (try: on)")?;
-                out.recover = Some(RecoverSpec::parse(spec)?);
-            }
-            "--batch" => {
-                out.batch = Some(it.next().ok_or("--batch needs a jobfile path")?.clone());
-            }
-            "--sched-seed" => {
-                out.sched_seed = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--sched-seed needs a number")?,
-                );
-            }
-            "--probation" => {
-                let n: u32 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .ok_or("--probation needs a number of clean intervals")?;
-                if n == 0 {
-                    return Err("--probation needs at least one clean interval".into());
-                }
-                out.probation = Some(n);
-            }
-            "--batch-json" => {
-                out.batch_json = Some(it.next().ok_or("--batch-json needs a path")?.clone());
-            }
-            "--serve" => {
-                out.serve = Some(it.next().ok_or("--serve needs a script path")?.clone());
-            }
-            "--journal" => {
-                out.journal = Some(it.next().ok_or("--journal needs a path")?.clone());
-            }
-            "--kill-after" => {
-                out.kill_after = Some(
-                    it.next()
-                        .and_then(|v| v.parse().ok())
-                        .ok_or("--kill-after needs a byte offset")?,
-                );
-            }
-            "--status" => {
-                out.status = Some(it.next().ok_or("--status needs a job name")?.clone());
-            }
-            "--machine" => {
-                out.machine =
-                    Some(it.next().ok_or("--machine needs a name or .machine file")?.clone());
-            }
-            "--machine-dump" => out.machine_dump = true,
-            // `-` alone is stdin for --batch/--serve, never a source
-            // file — so it falls through to the unknown-argument error
-            // here.
-            other if other != "-" && !other.starts_with('-') && out.source_path.is_empty() => {
-                out.source_path = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
+    let mut out = CliArgs { nodes: 4, ..CliArgs::default() };
+    let (positional, given) = settings::walk(FLAGS, args, &mut out)?;
+    let named = |name: &str| given.iter().any(|&i| FLAGS[i].name == name);
+    let mut positional = positional.iter();
+    if let Some(source) = positional.next() {
+        out.source_path = source.clone();
+    }
+    if let Some(extra) = positional.next() {
+        return Err(format!("unknown argument `{extra}`"));
+    }
+    for (a, b, why) in CONFLICTS {
+        if named(a) && named(b) {
+            return Err(format!("{a} and {b} {why}; give one"));
         }
     }
-    let modes = usize::from(out.batch.is_some())
-        + usize::from(out.serve.is_some())
-        + usize::from(out.machine_dump);
-    match (modes, out.source_path.is_empty()) {
-        (0, true) => return Err("no source file given".into()),
-        (0, false) => {}
-        (1, true) => {}
+    let selected = [
+        (!out.source_path.is_empty(), RUN),
+        (out.batch.is_some(), BATCH),
+        (out.serve.is_some(), SERVE),
+        (out.machine_dump, DUMP),
+    ];
+    let mut mode = match selected.iter().filter(|(on, _)| *on).map(|&(_, m)| m).collect::<Vec<_>>()[..] {
+        [] => return Err("no source file given".into()),
+        [mode] => mode,
         _ => {
             return Err(
                 "give exactly one of a source file, --batch JOBFILE, --serve SCRIPT or --machine-dump"
                     .into(),
             )
         }
+    };
+    if mode == RUN && out.lint {
+        mode = LINT;
+    } else if mode == RUN && out.verify {
+        mode = VERIFY;
     }
-    if out.machine.is_some() && out.prototype {
-        return Err("--machine and --prototype both pick the cluster model; give one".into());
-    }
-    if out.granularity.is_some() && out.advise {
-        return Err("--grain and --advise both settle the granularity; give one".into());
-    }
-    if out.lint && out.verify {
-        return Err(
-            "--lint and --verify both replace the run with a static check; give one".into(),
-        );
-    }
-    if out.serve.is_none()
-        && (out.journal.is_some() || out.kill_after.is_some() || out.status.is_some())
-    {
-        return Err("--journal/--kill-after/--status need --serve".into());
-    }
-    if out.recover.is_some() && (out.batch.is_some() || out.serve.is_some()) {
-        return Err("--recover applies to a single run; use `recover=` in the jobfile".into());
-    }
-    if out.probation.is_some() && out.batch.is_none() {
-        return Err("--probation needs --batch".into());
-    }
-    if let Some(seed) = out.fault_seed {
-        out.faults.seed = seed;
-    }
+    settings::check_modes(FLAGS, &given, mode, &MODES)?;
     Ok(out)
 }
 
@@ -914,8 +774,7 @@ mod tests {
         let a = parse_args(&argv(
             "prog.f --nodes 8 --grain coarse --schedule cyclic --analytic \
              --param N=128 --report --no-avpg --prototype --pull \
-             --lint --lint-json out.json --unsafe-collect \
-             --trace t.json --trace-summary",
+             --unsafe-collect --trace t.json --trace-summary",
         ))
         .unwrap();
         assert_eq!(a.source_path, "prog.f");
@@ -925,14 +784,35 @@ mod tests {
         assert_eq!(a.mode, ExecMode::Analytic);
         assert_eq!(a.params, vec![("N".to_string(), 128)]);
         assert!(a.show_report && a.no_avpg && a.prototype && a.pull);
-        assert!(a.lint && a.unsafe_collect);
-        assert_eq!(a.lint_json.as_deref(), Some("out.json"));
+        assert!(a.unsafe_collect && !a.lint);
         assert_eq!(a.trace.as_deref(), Some("t.json"));
         assert!(a.trace_summary);
+        // `--lint` takes the flags that reach the plan it checks, and
+        // its JSON side file.
+        let a = parse_args(&argv("prog.f --lint --lint-json out.json --unsafe-collect")).unwrap();
+        assert!(a.lint && a.unsafe_collect);
+        assert_eq!(a.lint_json.as_deref(), Some("out.json"));
         // `--advise` prints the advisor's comparison, so it goes without
         // `--grain` (which skips the advisor).
         let a = parse_args(&argv("prog.f --advise --verify")).unwrap();
         assert!(a.advise && a.verify && a.granularity.is_none());
+    }
+
+    /// Every flag of the table with hostile operands parses or is
+    /// refused, never panics, and given twice is always refused.
+    #[test]
+    fn hostile_flag_values_are_refused_or_parsed() {
+        for flag in FLAGS {
+            for v in ["nan", "inf", "-1", "1e400", "", "18446744073709551616", "0", "N=nan", "N=1"] {
+                let mut line = vec!["prog.f".to_string(), flag.name.to_string()];
+                if flag.operand.is_some() {
+                    line.push(v.to_string());
+                }
+                let _ = parse_args(&line);
+                let twice = [&line[..], &line[1..]].concat();
+                assert!(parse_args(&twice).is_err(), "{twice:?}");
+            }
+        }
     }
 
     /// Where the sequential reference runs reaches no byte: at one core
@@ -1158,13 +1038,15 @@ mod tests {
 
     #[test]
     fn parses_fault_flags() {
-        let a = parse_args(&argv("prog.f --faults light,drop=0.2 --fault-seed 9")).unwrap();
+        let a = parse_args(&argv("prog.f --faults light,drop=0.2,seed=9")).unwrap();
         assert!(!a.faults.is_off());
         assert_eq!(a.faults.link_drop, 0.2);
-        assert_eq!(a.faults.seed, 9, "--fault-seed overrides the spec seed");
+        assert_eq!(a.faults.seed, 9, "the spec's seed= sets the seed");
         assert!(parse_args(&argv("prog.f --faults drop=2.0")).is_err());
-        assert!(parse_args(&argv("prog.f --fault-seed x")).is_err());
         assert!(parse_args(&argv("prog.f --faults")).is_err());
+        // `--faults …,seed=N` is the one way to seed a schedule.
+        let seeds: Vec<&str> = FLAGS.iter().map(|f| f.name).filter(|n| n.ends_with("seed")).collect();
+        assert_eq!(seeds, ["--sched-seed"]);
     }
 
     #[test]

@@ -46,6 +46,7 @@
 //! | VPCE313 | error    | jobfile | required jobfile field missing |
 //! | VPCE314 | error    | jobfile | duplicate job name in one jobfile |
 //! | VPCE315 | error    | jobfile | mutually exclusive jobfile fields combined |
+//! | VPCE316 | error    | jobfile | header directive or record key given twice |
 //! | VPCE320 | error    | faults | duplicate key in one --faults spec |
 //! | VPCE321 | error    | faults | unknown --faults key |
 //! | VPCE322 | error    | faults | unparsable or out-of-range --faults value |
@@ -59,6 +60,7 @@
 //! | VPCE503 | error    | machine | unparsable or out-of-range machine value |
 //! | VPCE504 | error    | machine | unresolvable, cyclic, or misplaced include |
 //! | VPCE505 | error    | machine | topology constraints unsatisfiable (dims, pod counts) |
+//! | VPCE506 | error    | machine | key set twice in one section of one file |
 //!
 //! Each checker owns its code *enum* (and therefore the
 //! 0xx/2xx/30x/31x namespace split); this crate owns everything the
@@ -70,6 +72,7 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
+pub mod settings;
 
 use std::fmt::Write as _;
 

@@ -20,4 +20,4 @@ mod spec;
 
 pub use error::VpceError;
 pub use inject::{site, FaultInjector};
-pub use spec::{FaultParseError, FaultSpec, FaultSpecCode};
+pub use spec::{FaultParseError, FaultSpec, FaultSpecCode, FAULT_KEYS};

@@ -5,9 +5,9 @@
 //! [`crate::FaultInjector`]); no wall clock, no global state. The same
 //! spec + seed therefore reproduces the same faults bit-for-bit.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
+use vpce_diag::settings::{self, Refusal, Row};
 use vpce_diag::{DiagCode, Diagnostic, Severity};
 
 /// Stable diagnostic codes for `--faults` / `faults=` parse failures,
@@ -177,156 +177,103 @@ impl FaultSpec {
             && self.rank_crash == 0.0
     }
 
+    /// The named starting points a `--faults` spec may open with.
+    const PRESETS: [(&'static str, fn() -> FaultSpec); 4] = [
+        ("off", FaultSpec::off),
+        ("light", FaultSpec::light),
+        ("heavy", FaultSpec::heavy),
+        ("crashy", FaultSpec::crashy),
+    ];
+
     /// Parse `--faults` syntax: a preset name (`off`, `light`,
     /// `heavy`, `crashy`) optionally followed by comma-separated
-    /// `key=value` overrides, or overrides alone (starting from
-    /// `off`). Example: `light,drop=0.2,retries=10`. A repeated key is
-    /// a typed VPCE320 error — silent last-wins would make two
-    /// visually different specs produce identical runs.
+    /// `key=value` overrides ([`FAULT_KEYS`]), or overrides alone
+    /// (starting from `off`). Example: `light,drop=0.2,retries=10`. A
+    /// repeated key is a typed VPCE320 error — silent last-wins would
+    /// make two visually different specs produce identical runs — and
+    /// a value outside its range (a rate outside `[0, 1]`, a delay that
+    /// is negative or not finite) a VPCE322.
     pub fn parse(s: &str) -> Result<FaultSpec, FaultParseError> {
-        let mut spec = FaultSpec::off();
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        for (i, part) in s.split(',').enumerate() {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
+        let mut items = settings::list(s).peekable();
+        let preset = items.peek().and_then(|first| {
+            let (_, make) = FaultSpec::PRESETS.iter().find(|(name, _)| name == first)?;
+            Some(make())
+        });
+        let mut spec = match preset {
+            Some(spec) => {
+                items.next();
+                spec
             }
-            match part {
-                "off" | "light" | "heavy" | "crashy" => {
-                    if i != 0 {
-                        return Err(FaultParseError::new(
-                            FaultSpecCode::BadValue,
-                            format!("preset '{part}' must come first in a --faults spec"),
-                        ));
-                    }
-                    spec = match part {
-                        "off" => FaultSpec::off(),
-                        "light" => FaultSpec::light(),
-                        "heavy" => FaultSpec::heavy(),
-                        _ => FaultSpec::crashy(),
-                    };
-                    continue;
-                }
-                _ => {}
-            }
-            let (key, value) = part.split_once('=').ok_or_else(|| {
-                FaultParseError::new(
-                    FaultSpecCode::BadValue,
-                    format!("bad --faults item '{part}': expected key=value"),
-                )
-            })?;
-            if !seen.insert(key.to_string()) {
-                return Err(FaultParseError::new(
+            None => FaultSpec::off(),
+        };
+        settings::apply(FAULT_KEYS, &mut spec, items).map_err(|e| {
+            let (code, detail) = match e.refusal {
+                Refusal::Repeated => (
                     FaultSpecCode::DuplicateKey,
-                    format!("duplicate --faults key '{key}': each key may appear once"),
-                ));
-            }
-            let fval = || -> Result<f64, FaultParseError> {
-                value.parse::<f64>().map_err(|_| {
-                    FaultParseError::new(
-                        FaultSpecCode::BadValue,
-                        format!("bad --faults value '{value}' for '{key}'"),
-                    )
-                })
+                    format!("duplicate --faults key '{}': each key may appear once", e.key),
+                ),
+                Refusal::Unknown => (FaultSpecCode::UnknownKey, e.detail),
+                Refusal::NotKeyValue | Refusal::BadValue => (FaultSpecCode::BadValue, e.detail),
             };
-            let uval = || -> Result<u32, FaultParseError> {
-                value.parse::<u32>().map_err(|_| {
-                    FaultParseError::new(
-                        FaultSpecCode::BadValue,
-                        format!("bad --faults value '{value}' for '{key}'"),
-                    )
-                })
-            };
-            let rate = |v: f64| -> Result<f64, FaultParseError> {
-                if (0.0..=1.0).contains(&v) {
-                    Ok(v)
-                } else {
-                    Err(FaultParseError::new(
-                        FaultSpecCode::BadValue,
-                        format!("--faults rate '{key}' must be in [0,1], got {v}"),
-                    ))
-                }
-            };
-            match key {
-                "seed" => {
-                    spec.seed = value.parse::<u64>().map_err(|_| {
-                        FaultParseError::new(
-                            FaultSpecCode::BadValue,
-                            format!("bad --faults seed '{value}'"),
-                        )
-                    })?
-                }
-                "corrupt" => spec.flit_corrupt = rate(fval()?)?,
-                "drop" => spec.link_drop = rate(fval()?)?,
-                "stall" => spec.link_stall = rate(fval()?)?,
-                "stall_s" => spec.stall_s = fval()?,
-                "bus" => spec.bus_fail = rate(fval()?)?,
-                "bus_attempts" => spec.bus_attempts = uval()?.max(1),
-                "dma" => spec.dma_err = rate(fval()?)?,
-                "pio" => spec.pio_err = rate(fval()?)?,
-                "nicstall" => spec.nic_stall = rate(fval()?)?,
-                "nicstall_s" => spec.nic_stall_s = fval()?,
-                "slow" => spec.rank_slow = rate(fval()?)?,
-                "slow_factor" => spec.slow_factor = fval()?.max(1.0),
-                "crash" => spec.rank_crash = rate(fval()?)?,
-                "retries" => spec.max_retries = uval()?,
-                "backoff_s" => spec.backoff_base_s = fval()?,
-                _ => {
-                    return Err(FaultParseError::new(
-                        FaultSpecCode::UnknownKey,
-                        format!("unknown --faults key '{key}'"),
-                    ))
-                }
-            }
-        }
+            FaultParseError::new(code, detail)
+        })?;
         Ok(spec)
     }
+
     /// The canonical `--faults` string for this spec: `off` when it
     /// equals [`FaultSpec::off`], otherwise comma-separated
     /// `key=value` overrides (only the fields that differ from `off`,
-    /// in the fixed key order of [`FaultSpec::parse`]). Parsing the
-    /// result reproduces the spec exactly, which is what lets jobfile
-    /// records and the `vpce-serve` journal round-trip fault
-    /// schedules.
+    /// in [`FAULT_KEYS`] order). Parsing the result reproduces the spec
+    /// exactly, which is what lets jobfile records and the `vpce-serve`
+    /// journal round-trip fault schedules.
     pub fn to_record(&self) -> String {
-        let off = FaultSpec::off();
-        let mut parts: Vec<String> = Vec::new();
-        if self.seed != off.seed {
-            parts.push(format!("seed={}", self.seed));
+        // Every job record and work key carries this: the common
+        // fault-free spec formats no value.
+        if *self == FaultSpec::off() {
+            return "off".to_string();
         }
-        let floats = [
-            ("corrupt", self.flit_corrupt, off.flit_corrupt),
-            ("drop", self.link_drop, off.link_drop),
-            ("stall", self.link_stall, off.link_stall),
-            ("stall_s", self.stall_s, off.stall_s),
-            ("bus", self.bus_fail, off.bus_fail),
-            ("dma", self.dma_err, off.dma_err),
-            ("pio", self.pio_err, off.pio_err),
-            ("nicstall", self.nic_stall, off.nic_stall),
-            ("nicstall_s", self.nic_stall_s, off.nic_stall_s),
-            ("slow", self.rank_slow, off.rank_slow),
-            ("slow_factor", self.slow_factor, off.slow_factor),
-            ("crash", self.rank_crash, off.rank_crash),
-            ("backoff_s", self.backoff_base_s, off.backoff_base_s),
-        ];
-        for (key, v, d) in floats {
-            if v != d {
-                parts.push(format!("{key}={v}"));
-            }
-        }
-        if self.bus_attempts != off.bus_attempts {
-            parts.push(format!("bus_attempts={}", self.bus_attempts));
-        }
-        if self.max_retries != off.max_retries {
-            parts.push(format!("retries={}", self.max_retries));
-        }
-        if parts.is_empty() {
-            "off".to_string()
-        } else {
-            parts.join(",")
-        }
+        settings::record(FAULT_KEYS, self, &FaultSpec::off()).join(",")
     }
 }
+
+/// Every `--faults` key, once: what it sets, how its value is read
+/// and written, and its help line. The order is the canonical
+/// record's.
+#[rustfmt::skip]
+pub const FAULT_KEYS: &[Row<FaultSpec>] = &[
+    Row { key: "seed", help: "PRNG seed of every injection decision",
+          set: |s, v| settings::number(v).map(|x| s.seed = x), get: |s| s.seed.to_string() },
+    Row { key: "corrupt", help: "P(packet attempt fails its CRC)",
+          set: |s, v| settings::rate(v).map(|x| s.flit_corrupt = x), get: |s| s.flit_corrupt.to_string() },
+    Row { key: "drop", help: "P(packet attempt vanishes)",
+          set: |s, v| settings::rate(v).map(|x| s.link_drop = x), get: |s| s.link_drop.to_string() },
+    Row { key: "stall", help: "P(link stalls a packet attempt)",
+          set: |s, v| settings::rate(v).map(|x| s.link_stall = x), get: |s| s.link_stall.to_string() },
+    Row { key: "stall_s", help: "virtual seconds a link stall holds the packet",
+          set: |s, v| settings::seconds(v).map(|x| s.stall_s = x), get: |s| s.stall_s.to_string() },
+    Row { key: "bus", help: "P(V-Bus construction attempt fails)",
+          set: |s, v| settings::rate(v).map(|x| s.bus_fail = x), get: |s| s.bus_fail.to_string() },
+    Row { key: "dma", help: "P(DMA descriptor rejected)",
+          set: |s, v| settings::rate(v).map(|x| s.dma_err = x), get: |s| s.dma_err.to_string() },
+    Row { key: "pio", help: "P(PIO batch corrupted)",
+          set: |s, v| settings::rate(v).map(|x| s.pio_err = x), get: |s| s.pio_err.to_string() },
+    Row { key: "nicstall", help: "P(driver queue stalls a host op)",
+          set: |s, v| settings::rate(v).map(|x| s.nic_stall = x), get: |s| s.nic_stall.to_string() },
+    Row { key: "nicstall_s", help: "virtual seconds a NIC queue stall costs",
+          set: |s, v| settings::seconds(v).map(|x| s.nic_stall_s = x), get: |s| s.nic_stall_s.to_string() },
+    Row { key: "slow", help: "P(rank computes slowed in a region)",
+          set: |s, v| settings::rate(v).map(|x| s.rank_slow = x), get: |s| s.rank_slow.to_string() },
+    Row { key: "slow_factor", help: "multiplier on slowed compute time (>= 1)",
+          set: |s, v| settings::factor(v).map(|x| s.slow_factor = x), get: |s| s.slow_factor.to_string() },
+    Row { key: "crash", help: "P(rank crashes entering a region)",
+          set: |s, v| settings::rate(v).map(|x| s.rank_crash = x), get: |s| s.rank_crash.to_string() },
+    Row { key: "backoff_s", help: "base of the bounded exponential backoff, seconds",
+          set: |s, v| settings::seconds(v).map(|x| s.backoff_base_s = x), get: |s| s.backoff_base_s.to_string() },
+    Row { key: "bus_attempts", help: "V-Bus acquisition attempts before the software tree (>= 1)",
+          set: |s, v| settings::count(v).map(|x| s.bus_attempts = x), get: |s| s.bus_attempts.to_string() },
+    Row { key: "retries", help: "retransmit / re-post budget per packet or descriptor",
+          set: |s, v| settings::number(v).map(|x| s.max_retries = x), get: |s| s.max_retries.to_string() },
+];
 
 impl Default for FaultSpec {
     fn default() -> Self {

@@ -34,7 +34,7 @@ use vbus_sim::{LinkPhy, LinkRate, Mesh, NetConfig, Topology, VBusConfig};
 use vpce_diag::{DiagCode, Diagnostic, Severity};
 
 /// Stable diagnostic codes for machine-description problems
-/// (`VPCE500`–`VPCE505`; the registry lives in `vpce-diag`).
+/// (`VPCE500`–`VPCE506`; the registry lives in `vpce-diag`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum MachineCode {
     /// VPCE500 — a line that is neither blank, comment, section
@@ -51,6 +51,8 @@ pub enum MachineCode {
     /// VPCE505 — topology constraints unsatisfiable (dims, pod
     /// counts, power-of-two node counts).
     BadTopology,
+    /// VPCE506 — a key set twice in one section of one file.
+    DuplicateKey,
 }
 
 impl DiagCode for MachineCode {
@@ -62,6 +64,7 @@ impl DiagCode for MachineCode {
             MachineCode::BadValue => "VPCE503",
             MachineCode::BadInclude => "VPCE504",
             MachineCode::BadTopology => "VPCE505",
+            MachineCode::DuplicateKey => "VPCE506",
         }
     }
 

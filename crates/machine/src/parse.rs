@@ -9,6 +9,8 @@
 //! never touches the filesystem). Later keys override earlier ones,
 //! so `parse(spec.dump())` round-trips exactly.
 
+use vpce_diag::settings::{self, Seen};
+
 use crate::spec::{MachineSpec, Signalling, TopoKind};
 use crate::{MachineCode, MachineError};
 
@@ -45,21 +47,15 @@ fn resolve_include(
     line: usize,
 ) -> Result<MachineSpec, MachineError> {
     if depth > MAX_INCLUDE_DEPTH {
-        return Err(MachineError {
-            code: MachineCode::BadInclude,
-            line,
-            key: "include".into(),
-            detail: format!("include nesting exceeds {MAX_INCLUDE_DEPTH} (cycle?)"),
-        });
+        let detail = format!("include nesting exceeds {MAX_INCLUDE_DEPTH} (cycle?)");
+        return Err(err(MachineCode::BadInclude, line, "include", detail));
     }
     if let Some(spec) = MachineSpec::builtin(name) {
         return Ok(spec);
     }
-    let text = loader(name).map_err(|e| MachineError {
-        code: MachineCode::BadInclude,
-        line,
-        key: "include".into(),
-        detail: format!("cannot resolve include `{name}`: {e}"),
+    let text = loader(name).map_err(|e| {
+        let detail = format!("cannot resolve include `{name}`: {e}");
+        err(MachineCode::BadInclude, line, "include", detail)
     })?;
     let mut spec = MachineSpec::paper();
     parse_into(&mut spec, &text, loader, depth)?;
@@ -77,6 +73,30 @@ enum Section {
     Topology,
 }
 
+impl Section {
+    const ALL: [Section; 7] = [
+        Section::Machine,
+        Section::Cpu,
+        Section::Nic,
+        Section::Link,
+        Section::Bus,
+        Section::Node,
+        Section::Topology,
+    ];
+
+    fn name(self) -> &'static str {
+        match self {
+            Section::Machine => "machine",
+            Section::Cpu => "cpu",
+            Section::Nic => "nic",
+            Section::Link => "link",
+            Section::Bus => "bus",
+            Section::Node => "node",
+            Section::Topology => "topology",
+        }
+    }
+}
+
 fn parse_into(
     spec: &mut MachineSpec,
     text: &str,
@@ -85,6 +105,9 @@ fn parse_into(
 ) -> Result<(), MachineError> {
     let mut section = Section::Machine;
     let mut saw_setting = false;
+    // Every `[section] key` of this file, once: a later file layer
+    // overrides an included one, a repeat within one file is refused.
+    let mut seen = Seen::default();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let content = raw.split('#').next().unwrap_or("").trim();
@@ -95,239 +118,155 @@ fn parse_into(
             let Some(name) = rest.strip_suffix(']') else {
                 return Err(bad_line(line, content, "unterminated section header"));
             };
-            section = match name.trim() {
-                "machine" => Section::Machine,
-                "cpu" => Section::Cpu,
-                "nic" => Section::Nic,
-                "link" => Section::Link,
-                "bus" => Section::Bus,
-                "node" => Section::Node,
-                "topology" => Section::Topology,
-                other => {
-                    return Err(MachineError {
-                        code: MachineCode::UnknownSection,
-                        line,
-                        key: other.to_string(),
-                        detail: format!(
-                            "unknown section `[{other}]` (expected machine, cpu, nic, link, bus, node, or topology)"
-                        ),
-                    })
-                }
-            };
+            let name = name.trim();
+            section = settings::choice(name, &Section::ALL, Section::name).map_err(|why| {
+                err(MachineCode::UnknownSection, line, name, format!("section {why}"))
+            })?;
             continue;
         }
-        let Some((key, value)) = content.split_once('=') else {
+        let Ok((key, value)) = settings::key_value(content) else {
             return Err(bad_line(line, content, "expected `key = value` or `[section]`"));
         };
-        let key = key.trim();
-        let value = value.trim();
+        let section_name = section.name();
+        seen.insert(&format!("[{section_name}] {key}")).map_err(|_| {
+            let detail = format!("`{key}` is set twice in [{section_name}]: give each once");
+            err(MachineCode::DuplicateKey, line, key, detail)
+        })?;
         if key == "include" {
-            if section != Section::Machine {
-                return Err(MachineError {
-                    code: MachineCode::BadInclude,
-                    line,
-                    key: "include".into(),
-                    detail: "include belongs at the top (the [machine] section)".into(),
-                });
-            }
-            if saw_setting {
-                return Err(MachineError {
-                    code: MachineCode::BadInclude,
-                    line,
-                    key: "include".into(),
-                    detail: "include must precede every other setting".into(),
-                });
+            let misplaced = if section != Section::Machine {
+                "include belongs at the top (the [machine] section)"
+            } else if saw_setting {
+                "include must precede every other setting"
+            } else {
+                ""
+            };
+            if !misplaced.is_empty() {
+                return Err(err(MachineCode::BadInclude, line, key, misplaced));
             }
             *spec = resolve_include(value, loader, depth + 1, line)?;
             saw_setting = true;
             continue;
         }
         saw_setting = true;
-        apply(spec, section, key, value, line)?;
+        apply(spec, section, key, value).map_err(|(code, detail)| err(code, line, key, detail))?;
     }
     Ok(())
 }
 
-fn bad_line(line: usize, content: &str, why: &str) -> MachineError {
-    MachineError {
-        code: MachineCode::BadLine,
-        line,
-        key: String::new(),
-        detail: format!("{why}: `{content}`"),
-    }
+fn err(code: MachineCode, line: usize, key: &str, detail: impl Into<String>) -> MachineError {
+    MachineError { code, line, key: key.to_string(), detail: detail.into() }
 }
 
+fn bad_line(line: usize, content: &str, why: &str) -> MachineError {
+    err(MachineCode::BadLine, line, "", format!("{why}: `{content}`"))
+}
+
+/// Read one `key = value` of `section` into `spec`: an unknown key is
+/// VPCE502, a value its parser refuses VPCE503.
 fn apply(
     spec: &mut MachineSpec,
     section: Section,
     key: &str,
-    value: &str,
-    line: usize,
-) -> Result<(), MachineError> {
-    match section {
+    v: &str,
+) -> Result<(), (MachineCode, String)> {
+    use settings::{boolean, count, number, positive, seconds as nonneg};
+    let unknown = || {
+        let detail = format!("unknown key `{key}` in section [{}]", section.name());
+        (MachineCode::UnknownKey, detail)
+    };
+    let r = match section {
         Section::Machine => match key {
-            "name" => spec.name = value.to_string(),
-            _ => return Err(unknown_key("machine", key, line)),
+            "name" => {
+                spec.name = v.to_string();
+                Ok(())
+            }
+            _ => return Err(unknown()),
         },
         Section::Cpu => {
             let c = &mut spec.cpu;
             match key {
-                "clock_hz" => c.clock_hz = pos_f64(key, value, line)?,
-                "cyc_fadd" => c.cyc_fadd = pos_f64(key, value, line)?,
-                "cyc_fmul" => c.cyc_fmul = pos_f64(key, value, line)?,
-                "cyc_fdiv" => c.cyc_fdiv = pos_f64(key, value, line)?,
-                "cyc_transcendental" => c.cyc_transcendental = pos_f64(key, value, line)?,
-                "cyc_load" => c.cyc_load = pos_f64(key, value, line)?,
-                "cyc_store" => c.cyc_store = pos_f64(key, value, line)?,
-                "cyc_int" => c.cyc_int = pos_f64(key, value, line)?,
-                "cyc_loop" => c.cyc_loop = pos_f64(key, value, line)?,
-                "memcpy_bps" => c.memcpy_bps = pos_f64(key, value, line)?,
-                _ => return Err(unknown_key("cpu", key, line)),
+                "clock_hz" => positive(v).map(|x| c.clock_hz = x),
+                "cyc_fadd" => positive(v).map(|x| c.cyc_fadd = x),
+                "cyc_fmul" => positive(v).map(|x| c.cyc_fmul = x),
+                "cyc_fdiv" => positive(v).map(|x| c.cyc_fdiv = x),
+                "cyc_transcendental" => positive(v).map(|x| c.cyc_transcendental = x),
+                "cyc_load" => positive(v).map(|x| c.cyc_load = x),
+                "cyc_store" => positive(v).map(|x| c.cyc_store = x),
+                "cyc_int" => positive(v).map(|x| c.cyc_int = x),
+                "cyc_loop" => positive(v).map(|x| c.cyc_loop = x),
+                "memcpy_bps" => positive(v).map(|x| c.memcpy_bps = x),
+                _ => return Err(unknown()),
             }
         }
         Section::Nic => {
             let n = &mut spec.nic;
             match key {
-                "post_s" => n.post_s = nonneg_f64(key, value, line)?,
-                "dma_setup_s" => n.dma_setup_s = nonneg_f64(key, value, line)?,
-                "pio_per_elem_s" => n.pio_per_elem_s = nonneg_f64(key, value, line)?,
-                "shared_queue" => n.shared_queue = boolean(key, value, line)?,
-                "context_switch_s" => n.context_switch_s = nonneg_f64(key, value, line)?,
-                "staging_copy_bps" => n.staging_copy_bps = pos_f64(key, value, line)?,
-                "driver_buf_bytes" => n.driver_buf_bytes = pos_usize(key, value, line)?,
-                "eager_slots" => n.eager_slots = pos_usize(key, value, line)?,
-                "eager_slot_bytes" => n.eager_slot_bytes = pos_usize(key, value, line)?,
-                "ring_depth" => n.ring_depth = pos_usize(key, value, line)?,
-                "ring_entry_s" => n.ring_entry_s = nonneg_f64(key, value, line)?,
-                _ => return Err(unknown_key("nic", key, line)),
+                "post_s" => nonneg(v).map(|x| n.post_s = x),
+                "dma_setup_s" => nonneg(v).map(|x| n.dma_setup_s = x),
+                "pio_per_elem_s" => nonneg(v).map(|x| n.pio_per_elem_s = x),
+                "shared_queue" => boolean(v).map(|x| n.shared_queue = x),
+                "context_switch_s" => nonneg(v).map(|x| n.context_switch_s = x),
+                "staging_copy_bps" => positive(v).map(|x| n.staging_copy_bps = x),
+                "driver_buf_bytes" => count(v).map(|x| n.driver_buf_bytes = x),
+                "eager_slots" => count(v).map(|x| n.eager_slots = x),
+                "eager_slot_bytes" => count(v).map(|x| n.eager_slot_bytes = x),
+                "ring_depth" => count(v).map(|x| n.ring_depth = x),
+                "ring_entry_s" => nonneg(v).map(|x| n.ring_entry_s = x),
+                _ => return Err(unknown()),
             }
         }
         Section::Link => {
             let l = &mut spec.link;
             match key {
-                "signalling" => {
-                    l.signalling = Signalling::from_name(value).ok_or_else(|| MachineError {
-                        code: MachineCode::BadValue,
-                        line,
-                        key: key.into(),
-                        detail: format!(
-                            "unknown signalling `{value}` (expected skwp, conventional, wave, or raw)"
-                        ),
-                    })?
-                }
-                "width_bits" => l.width_bits = pos_usize(key, value, line)?,
-                "line_delay_min_ps" => l.line_delay_min_ps = pos_f64(key, value, line)?,
-                "line_delay_spread_ps" => l.line_delay_spread_ps = nonneg_f64(key, value, line)?,
-                "settle_ps" => l.settle_ps = nonneg_f64(key, value, line)?,
-                "jitter_ps" => l.jitter_ps = nonneg_f64(key, value, line)?,
-                "sample_window_ps" => l.sample_window_ps = nonneg_f64(key, value, line)?,
-                "wave_margin" => l.wave_margin = pos_f64(key, value, line)?,
-                "budget_hops" => l.budget_hops = pos_usize(key, value, line)?,
-                "router_delay_s" => l.router_delay_s = nonneg_f64(key, value, line)?,
-                "raw_bandwidth_bps" => l.raw_bandwidth_bps = pos_f64(key, value, line)?,
-                "raw_per_hop_s" => l.raw_per_hop_s = nonneg_f64(key, value, line)?,
-                "derate_bandwidth_bps" => l.derate_bandwidth_bps = nonneg_f64(key, value, line)?,
-                _ => return Err(unknown_key("link", key, line)),
+                "signalling" => settings::choice(v, &Signalling::ALL, Signalling::name)
+                    .map(|x| l.signalling = x),
+                "width_bits" => count(v).map(|x| l.width_bits = x),
+                "line_delay_min_ps" => positive(v).map(|x| l.line_delay_min_ps = x),
+                "line_delay_spread_ps" => nonneg(v).map(|x| l.line_delay_spread_ps = x),
+                "settle_ps" => nonneg(v).map(|x| l.settle_ps = x),
+                "jitter_ps" => nonneg(v).map(|x| l.jitter_ps = x),
+                "sample_window_ps" => nonneg(v).map(|x| l.sample_window_ps = x),
+                "wave_margin" => positive(v).map(|x| l.wave_margin = x),
+                "budget_hops" => count(v).map(|x| l.budget_hops = x),
+                "router_delay_s" => nonneg(v).map(|x| l.router_delay_s = x),
+                "raw_bandwidth_bps" => positive(v).map(|x| l.raw_bandwidth_bps = x),
+                "raw_per_hop_s" => nonneg(v).map(|x| l.raw_per_hop_s = x),
+                "derate_bandwidth_bps" => nonneg(v).map(|x| l.derate_bandwidth_bps = x),
+                _ => return Err(unknown()),
             }
         }
         Section::Bus => {
             let b = &mut spec.bus;
             match key {
-                "enabled" => b.enabled = boolean(key, value, line)?,
-                "arbitration_s" => b.arbitration_s = nonneg_f64(key, value, line)?,
-                "per_node_config_s" => b.per_node_config_s = nonneg_f64(key, value, line)?,
-                "bandwidth_derate" => {
-                    let v = pos_f64(key, value, line)?;
-                    if v > 1.0 {
-                        return Err(MachineError {
-                            code: MachineCode::BadValue,
-                            line,
-                            key: key.into(),
-                            detail: format!("bandwidth_derate must be in (0, 1], got {value}"),
-                        });
+                "enabled" => boolean(v).map(|x| b.enabled = x),
+                "arbitration_s" => nonneg(v).map(|x| b.arbitration_s = x),
+                "per_node_config_s" => nonneg(v).map(|x| b.per_node_config_s = x),
+                "bandwidth_derate" => match positive(v) {
+                    Ok(x) if x <= 1.0 => {
+                        b.bandwidth_derate = x;
+                        Ok(())
                     }
-                    b.bandwidth_derate = v;
-                }
-                _ => return Err(unknown_key("bus", key, line)),
+                    _ => Err(format!("needs a fraction in (0, 1], got `{v}`")),
+                },
+                _ => return Err(unknown()),
             }
         }
         Section::Node => match key {
-            "mem_bytes" => spec.node.mem_bytes = pos_usize(key, value, line)?,
-            _ => return Err(unknown_key("node", key, line)),
+            "mem_bytes" => count(v).map(|x| spec.node.mem_bytes = x),
+            _ => return Err(unknown()),
         },
         Section::Topology => {
             let t = &mut spec.topology;
             match key {
-                "kind" => {
-                    t.kind = TopoKind::from_name(value).ok_or_else(|| MachineError {
-                        code: MachineCode::BadValue,
-                        line,
-                        key: key.into(),
-                        detail: format!(
-                            "unknown topology `{value}` (expected mesh, torus, torus3d, hypercube, crossbar, fattree, or shared)"
-                        ),
-                    })?
-                }
-                "dim_x" => t.dim_x = any_usize(key, value, line)?,
-                "dim_y" => t.dim_y = any_usize(key, value, line)?,
-                "dim_z" => t.dim_z = any_usize(key, value, line)?,
-                "pods" => t.pods = any_usize(key, value, line)?,
-                _ => return Err(unknown_key("topology", key, line)),
+                "kind" => settings::choice(v, &TopoKind::ALL, TopoKind::name).map(|x| t.kind = x),
+                "dim_x" => number(v).map(|x| t.dim_x = x),
+                "dim_y" => number(v).map(|x| t.dim_y = x),
+                "dim_z" => number(v).map(|x| t.dim_z = x),
+                "pods" => number(v).map(|x| t.pods = x),
+                _ => return Err(unknown()),
             }
         }
-    }
-    Ok(())
+    };
+    r.map_err(|why| (MachineCode::BadValue, format!("`{key}` {why}")))
 }
 
-fn unknown_key(section: &str, key: &str, line: usize) -> MachineError {
-    MachineError {
-        code: MachineCode::UnknownKey,
-        line,
-        key: key.to_string(),
-        detail: format!("unknown key `{key}` in section [{section}]"),
-    }
-}
-
-fn bad_value(key: &str, value: &str, line: usize, want: &str) -> MachineError {
-    MachineError {
-        code: MachineCode::BadValue,
-        line,
-        key: key.to_string(),
-        detail: format!("`{key}` needs {want}, got `{value}`"),
-    }
-}
-
-fn nonneg_f64(key: &str, value: &str, line: usize) -> Result<f64, MachineError> {
-    match value.parse::<f64>() {
-        Ok(v) if v.is_finite() && v >= 0.0 => Ok(v),
-        _ => Err(bad_value(key, value, line, "a finite non-negative number")),
-    }
-}
-
-fn pos_f64(key: &str, value: &str, line: usize) -> Result<f64, MachineError> {
-    match value.parse::<f64>() {
-        Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
-        _ => Err(bad_value(key, value, line, "a finite positive number")),
-    }
-}
-
-fn pos_usize(key: &str, value: &str, line: usize) -> Result<usize, MachineError> {
-    match value.parse::<usize>() {
-        Ok(v) if v > 0 => Ok(v),
-        _ => Err(bad_value(key, value, line, "a positive integer")),
-    }
-}
-
-fn any_usize(key: &str, value: &str, line: usize) -> Result<usize, MachineError> {
-    value
-        .parse::<usize>()
-        .map_err(|_| bad_value(key, value, line, "a non-negative integer"))
-}
-
-fn boolean(key: &str, value: &str, line: usize) -> Result<bool, MachineError> {
-    match value {
-        "true" => Ok(true),
-        "false" => Ok(false),
-        _ => Err(bad_value(key, value, line, "`true` or `false`")),
-    }
-}

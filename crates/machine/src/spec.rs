@@ -27,6 +27,10 @@ pub enum Signalling {
 }
 
 impl Signalling {
+    /// Every mode, in config-file order.
+    pub const ALL: [Signalling; 4] =
+        [Signalling::Skwp, Signalling::Conventional, Signalling::Wave, Signalling::Raw];
+
     /// Stable config-file name.
     pub fn name(self) -> &'static str {
         match self {
@@ -35,17 +39,6 @@ impl Signalling {
             Signalling::Wave => "wave",
             Signalling::Raw => "raw",
         }
-    }
-
-    /// Parse a config-file name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "skwp" => Signalling::Skwp,
-            "conventional" => Signalling::Conventional,
-            "wave" => Signalling::Wave,
-            "raw" => Signalling::Raw,
-            _ => return None,
-        })
     }
 
     /// The phy signalling mode (not meaningful for `Raw`).
@@ -78,6 +71,17 @@ pub enum TopoKind {
 }
 
 impl TopoKind {
+    /// Every shape, in config-file order.
+    pub const ALL: [TopoKind; 7] = [
+        TopoKind::Mesh,
+        TopoKind::Torus,
+        TopoKind::Torus3d,
+        TopoKind::Hypercube,
+        TopoKind::Crossbar,
+        TopoKind::FatTree,
+        TopoKind::Shared,
+    ];
+
     /// Stable config-file name.
     pub fn name(self) -> &'static str {
         match self {
@@ -89,20 +93,6 @@ impl TopoKind {
             TopoKind::FatTree => "fattree",
             TopoKind::Shared => "shared",
         }
-    }
-
-    /// Parse a config-file name.
-    pub fn from_name(s: &str) -> Option<Self> {
-        Some(match s {
-            "mesh" => TopoKind::Mesh,
-            "torus" => TopoKind::Torus,
-            "torus3d" => TopoKind::Torus3d,
-            "hypercube" => TopoKind::Hypercube,
-            "crossbar" => TopoKind::Crossbar,
-            "fattree" => TopoKind::FatTree,
-            "shared" => TopoKind::Shared,
-            _ => return None,
-        })
     }
 
     /// Whether the fabric admits rectangular sub-partitions (a gang

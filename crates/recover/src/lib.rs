@@ -49,6 +49,7 @@ use cluster_sim::{ClusterConfig, FailoverMap};
 use mpi2::{quiesce_cost, replica_put_cost, TransportPolicy, ELEM_BYTES};
 use spmd_rt::protocol::crash_key;
 use spmd_rt::{try_execute_suppressed, ExecMode, RunReport, SpmdProgram};
+use vpce_diag::settings::{self, Row};
 use vpce_diag::{DiagCode, Severity};
 use vpce_faults::{FaultInjector, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Tracer};
@@ -105,79 +106,41 @@ impl Default for RecoverSpec {
 
 impl RecoverSpec {
     /// Parse `--recover` / `recover=` syntax: `on` (all defaults) or
-    /// comma-separated `key=value` overrides
-    /// (`interval=N,spares=K,buddies=B,rollbacks=R`), optionally led
-    /// by `on`. Duplicate keys are rejected, mirroring the `--faults`
-    /// grammar.
+    /// comma-separated `key=value` overrides ([`RECOVER_KEYS`]),
+    /// optionally led by `on`. A repeated key is refused, as in the
+    /// `--faults` grammar.
     pub fn parse(s: &str) -> Result<RecoverSpec, String> {
+        let mut items = settings::list(s).peekable();
+        items.next_if_eq(&"on");
         let mut spec = RecoverSpec::default();
-        let mut seen: BTreeSet<String> = BTreeSet::new();
-        for (i, part) in s.split(',').enumerate() {
-            let part = part.trim();
-            if part.is_empty() {
-                continue;
-            }
-            if part == "on" {
-                if i != 0 {
-                    return Err("'on' must come first in a --recover spec".into());
-                }
-                continue;
-            }
-            let (key, value) = part
-                .split_once('=')
-                .ok_or_else(|| format!("bad --recover item '{part}': expected key=value"))?;
-            if !seen.insert(key.to_string()) {
-                return Err(format!("duplicate --recover key '{key}'"));
-            }
-            let uval = value
-                .parse::<usize>()
-                .map_err(|_| format!("bad --recover value '{value}' for '{key}'"))?;
-            match key {
-                "interval" => {
-                    if uval == 0 {
-                        return Err("--recover interval must be >= 1".into());
-                    }
-                    spec.interval = uval;
-                }
-                "spares" => spec.spares = uval,
-                "buddies" => {
-                    if uval == 0 {
-                        return Err("--recover buddies must be >= 1".into());
-                    }
-                    spec.buddies = uval;
-                }
-                "rollbacks" => spec.rollbacks = uval,
-                _ => return Err(format!("unknown --recover key '{key}'")),
-            }
-        }
+        settings::apply(RECOVER_KEYS, &mut spec, items).map_err(|e| e.detail)?;
         Ok(spec)
     }
 
     /// The canonical `recover=` string: `on` for the defaults,
-    /// otherwise the overridden fields in fixed key order. Parsing the
-    /// result reproduces the spec exactly (jobfile/journal round-trip).
+    /// otherwise the overridden fields in [`RECOVER_KEYS`] order.
+    /// Parsing the result reproduces the spec exactly (jobfile/journal
+    /// round-trip).
     pub fn to_record(&self) -> String {
-        let d = RecoverSpec::default();
-        let mut parts: Vec<String> = Vec::new();
-        if self.interval != d.interval {
-            parts.push(format!("interval={}", self.interval));
+        if *self == RecoverSpec::default() {
+            return "on".to_string();
         }
-        if self.spares != d.spares {
-            parts.push(format!("spares={}", self.spares));
-        }
-        if self.buddies != d.buddies {
-            parts.push(format!("buddies={}", self.buddies));
-        }
-        if self.rollbacks != d.rollbacks {
-            parts.push(format!("rollbacks={}", self.rollbacks));
-        }
-        if parts.is_empty() {
-            "on".to_string()
-        } else {
-            parts.join(",")
-        }
+        settings::record(RECOVER_KEYS, self, &RecoverSpec::default()).join(",")
     }
 }
+
+/// Every `--recover` key, once; the order is the canonical record's.
+#[rustfmt::skip]
+pub const RECOVER_KEYS: &[Row<RecoverSpec>] = &[
+    Row { key: "interval", help: "checkpoint after every interval-th parallel region (>= 1)",
+          set: |s, v| settings::count(v).map(|x| s.interval = x), get: |s| s.interval.to_string() },
+    Row { key: "spares", help: "standby nodes provisioned for failover",
+          set: |s, v| settings::number(v).map(|x| s.spares = x), get: |s| s.spares.to_string() },
+    Row { key: "buddies", help: "buddy ranks holding each rank's snapshot (>= 1)",
+          set: |s, v| settings::count(v).map(|x| s.buddies = x), get: |s| s.buddies.to_string() },
+    Row { key: "rollbacks", help: "rollbacks (crash groups) one run may absorb",
+          set: |s, v| settings::number(v).map(|x| s.rollbacks = x), get: |s| s.rollbacks.to_string() },
+];
 
 /// Everything recovery did during one run, kept **out of band**: the
 /// run's own report and trace stay byte-identical to the crash-free

@@ -39,6 +39,7 @@
 use std::fmt;
 
 use lmad::Granularity;
+use vpce_diag::settings::{self, Refusal, Seen, SettingError};
 use vpce_diag::{DiagCode, Diagnostic, Severity};
 use vpce_faults::FaultSpec;
 use vpce_testkit::rng::SplitMix64;
@@ -62,6 +63,9 @@ pub enum JobfileCode {
     DuplicateName,
     /// VPCE315: mutually exclusive fields given together.
     ConflictingFields,
+    /// VPCE316: a header directive, or a key of one record, given
+    /// twice.
+    DuplicateKey,
 }
 
 impl DiagCode for JobfileCode {
@@ -73,6 +77,7 @@ impl DiagCode for JobfileCode {
             JobfileCode::MissingField => "VPCE313",
             JobfileCode::DuplicateName => "VPCE314",
             JobfileCode::ConflictingFields => "VPCE315",
+            JobfileCode::DuplicateKey => "VPCE316",
         }
     }
 
@@ -307,12 +312,7 @@ impl JobSpec {
             s.push_str(&format!(" deadline={d}"));
         }
         if let Some(g) = self.granularity {
-            let name = match g {
-                Granularity::Fine => "fine",
-                Granularity::Middle => "middle",
-                Granularity::Coarse => "coarse",
-            };
-            s.push_str(&format!(" grain={name}"));
+            s.push_str(&format!(" grain={}", g.name()));
         }
         let faults = self.faults.to_record();
         if faults != "off" {
@@ -334,14 +334,18 @@ impl JobSpec {
     }
 }
 
-/// Percent-encode inline program text into a single jobfile token
-/// (whitespace and `%` escaped as `%XX`).
+/// Percent-encode inline program text into a single jobfile token:
+/// `%` and every whitespace character (the record tokenizer splits on
+/// Unicode whitespace, U+00A0 included) escaped as `%XX` per byte.
 pub fn encode_inline(text: &str) -> String {
     let mut out = String::with_capacity(text.len());
-    for b in text.bytes() {
-        match b {
-            b'%' | b' ' | b'\t' | b'\n' | b'\r' => out.push_str(&format!("%{b:02X}")),
-            _ => out.push(b as char),
+    for c in text.chars() {
+        if c == '%' || c.is_whitespace() {
+            for b in c.encode_utf8(&mut [0; 4]).bytes() {
+                out.push_str(&format!("%{b:02X}"));
+            }
+        } else {
+            out.push(c);
         }
     }
     out
@@ -382,13 +386,7 @@ pub enum Policy {
 }
 
 impl Policy {
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "fcfs" => Ok(Policy::Fcfs),
-            "backfill" => Ok(Policy::Backfill),
-            other => Err(format!("unknown policy `{other}` (fcfs|backfill)")),
-        }
-    }
+    pub const ALL: [Policy; 2] = [Policy::Fcfs, Policy::Backfill];
 
     pub fn name(self) -> &'static str {
         match self {
@@ -489,6 +487,7 @@ impl BatchSpec {
 
     fn parse_inner(text: &str, file: Option<&str>) -> Result<Self, JobfileError> {
         let mut spec = BatchSpec::default();
+        let mut headers = Seen::default();
         for (lineno, raw) in text.lines().enumerate() {
             let line = raw.trim();
             let at = |e: JobfileError| e.at(lineno + 1, file);
@@ -499,7 +498,7 @@ impl BatchSpec {
             let head = tokens.next().expect("non-empty line");
             match head {
                 "job" => {
-                    let job = parse_job(tokens, /*storm*/ false).map_err(at)?;
+                    let job = parse_record(tokens, /*storm*/ false).map_err(at)?.job;
                     if spec.jobs.iter().any(|j| j.name == job.name) {
                         return Err(at(JobfileError::new(
                             JobfileCode::DuplicateName,
@@ -522,7 +521,7 @@ impl BatchSpec {
                     spec.tenants.push(t);
                 }
                 _ => {
-                    let (k, v) = head.split_once('=').ok_or_else(|| {
+                    let (k, v) = settings::key_value(head).map_err(|_| {
                         at(JobfileError::new(
                             JobfileCode::BadLine,
                             format!("expected `job`, `storm`, `tenant` or `key=value`, got `{head}`"),
@@ -534,45 +533,34 @@ impl BatchSpec {
                             "header directives take a single key=value",
                         )));
                     }
-                    let bad = |what: &str| {
-                        at(JobfileError::new(
-                            JobfileCode::BadValue,
-                            format!("bad {what} `{v}`"),
-                        )
-                        .field(what))
-                    };
-                    match k {
-                        "nodes" => spec.nodes = Some(v.parse().map_err(|_| bad("nodes"))?),
-                        "policy" => {
-                            spec.policy = Some(Policy::parse(v).map_err(|e| {
-                                at(JobfileError::new(JobfileCode::BadValue, e).field("policy"))
-                            })?)
-                        }
-                        "seed" => spec.seed = Some(v.parse().map_err(|_| bad("seed"))?),
-                        "machine" => {
-                            spec.machine = Some(checked_machine(v).map_err(|e| {
-                                at(JobfileError::new(JobfileCode::BadValue, e).field("machine"))
-                            })?)
-                        }
-                        "probation" => {
-                            let p: u32 = v.parse().map_err(|_| bad("probation"))?;
-                            if p == 0 {
-                                return Err(bad("probation"));
-                            }
-                            spec.probation = Some(p);
-                        }
-                        other => {
-                            return Err(at(JobfileError::new(
-                                JobfileCode::UnknownKey,
-                                format!("unknown header directive `{other}`"),
-                            )
-                            .field(other)))
-                        }
-                    }
+                    headers.insert(k).map_err(|e| at(refused(e)))?;
+                    spec.header(k, v).map_err(|e| at(refused(e)))?;
                 }
             }
         }
         Ok(spec)
+    }
+
+    /// Apply one header directive.
+    fn header(&mut self, k: &str, v: &str) -> Result<(), SettingError> {
+        let bad = |why| SettingError::bad_value(k, why);
+        match k {
+            "nodes" => self.nodes = Some(settings::number(v).map_err(bad)?),
+            "policy" => {
+                self.policy = Some(settings::choice(v, &Policy::ALL, Policy::name).map_err(bad)?)
+            }
+            "seed" => self.seed = Some(settings::number(v).map_err(bad)?),
+            "machine" => self.machine = Some(checked_machine(v).map_err(bad)?),
+            "probation" => self.probation = Some(settings::count(v).map_err(bad)?),
+            other => {
+                return Err(SettingError::new(
+                    Refusal::Unknown,
+                    other,
+                    format!("unknown header directive `{other}`"),
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// The declared tenant of `name`, or the implicit one.
@@ -615,8 +603,39 @@ struct RecordFields {
     mean_gap_s: f64,
 }
 
-fn err(code: JobfileCode, field: &str, detail: String) -> JobfileError {
+fn err(code: JobfileCode, field: &str, detail: impl Into<String>) -> JobfileError {
     JobfileError::new(code, detail).field(field)
+}
+
+/// A refused setting as a jobfile error, field named.
+fn refused(e: SettingError) -> JobfileError {
+    let code = match e.refusal {
+        Refusal::NotKeyValue => return JobfileError::new(JobfileCode::BadLine, e.detail),
+        Refusal::Repeated => JobfileCode::DuplicateKey,
+        Refusal::Unknown => JobfileCode::UnknownKey,
+        Refusal::BadValue => JobfileCode::BadValue,
+    };
+    err(code, &e.key, e.detail)
+}
+
+/// The `key=value` tokens of one record, each key once (`prefix=` is
+/// the storm's `name=`, `start=` its `arrive=`).
+fn record_pairs<'a>(
+    tokens: impl Iterator<Item = &'a str>,
+) -> Result<Vec<(&'a str, &'a str)>, JobfileError> {
+    let mut seen = Seen::default();
+    tokens
+        .map(|tok| {
+            let (k, v) = settings::key_value(tok).map_err(refused)?;
+            let canonical = match k {
+                "prefix" => "name",
+                "start" => "arrive",
+                k => k,
+            };
+            seen.insert(canonical).map_err(refused)?;
+            Ok((k, v))
+        })
+        .collect()
 }
 
 fn parse_record<'a>(
@@ -630,23 +649,17 @@ fn parse_record<'a>(
         count: None,
         mean_gap_s: 1e-4,
     };
-    for tok in tokens {
-        let (k, v) = tok.split_once('=').ok_or_else(|| {
-            JobfileError::new(JobfileCode::BadLine, format!("expected key=value, got `{tok}`"))
-        })?;
+    for (k, v) in record_pairs(tokens)? {
         let set_source = |f: &mut RecordFields, k: &str, src: JobSource| {
             if f.sourced {
-                return Err(err(
-                    JobfileCode::ConflictingFields,
-                    k,
-                    "a job takes exactly one of src=/workload=/inline=".into(),
-                ));
+                let detail = "a job takes exactly one of src=/workload=/inline=";
+                return Err(err(JobfileCode::ConflictingFields, k, detail));
             }
             f.sourced = true;
             f.job.source = src;
             Ok(())
         };
-        let bad = |detail: String| err(JobfileCode::BadValue, k, detail);
+        let bad = |why: String| refused(SettingError::bad_value(k, why));
         match k {
             "name" | "prefix" => {
                 f.job.name = v.to_string();
@@ -656,101 +669,49 @@ fn parse_record<'a>(
             "src" => set_source(&mut f, k, JobSource::Path(v.to_string()))?,
             "workload" => set_source(&mut f, k, JobSource::Workload(v.to_string()))?,
             "inline" => {
-                let text = decode_inline(v).map_err(|e| bad(format!("bad inline text: {e}")))?;
+                let text = decode_inline(v).map_err(|e| bad(format!("is bad inline text: {e}")))?;
                 set_source(&mut f, k, JobSource::Inline(text))?;
             }
-            "ranks" => {
-                f.job.ranks = v.parse().map_err(|_| bad(format!("bad ranks `{v}`")))?
-            }
-            "arrive" | "start" => {
-                f.job.arrival = parse_time(v).map_err(&bad)?;
-            }
-            "prio" => {
-                f.job.priority = v.parse().map_err(|_| bad(format!("bad prio `{v}`")))?
-            }
-            "deadline" => f.job.deadline = Some(parse_time(v).map_err(&bad)?),
+            "ranks" => f.job.ranks = settings::number(v).map_err(bad)?,
+            "arrive" | "start" => f.job.arrival = settings::seconds(v).map_err(bad)?,
+            "prio" => f.job.priority = settings::number(v).map_err(bad)?,
+            "deadline" => f.job.deadline = Some(settings::seconds(v).map_err(bad)?),
             "grain" => {
-                f.job.granularity = Some(match v {
-                    "fine" => Granularity::Fine,
-                    "middle" => Granularity::Middle,
-                    "coarse" => Granularity::Coarse,
-                    other => return Err(bad(format!("bad grain `{other}`"))),
-                })
+                let g = settings::choice(v, &Granularity::ALL, Granularity::name).map_err(bad)?;
+                f.job.granularity = Some(g);
             }
             "faults" => f.job.faults = FaultSpec::parse(v).map_err(|e| bad(e.to_string()))?,
-            "retries" => {
-                f.job.retries = v.parse().map_err(|_| bad(format!("bad retries `{v}`")))?
-            }
-            "recover" => {
-                f.job.recover =
-                    Some(vpce_recover::RecoverSpec::parse(v).map_err(|e| bad(e.to_string()))?)
-            }
-            "machine" => f.job.machine = Some(checked_machine(v).map_err(&bad)?),
-            "count" if storm => {
-                f.count = Some(v.parse().map_err(|_| bad(format!("bad count `{v}`")))?)
-            }
-            "mean-gap" if storm => f.mean_gap_s = parse_time(v).map_err(&bad)?,
+            "retries" => f.job.retries = settings::number(v).map_err(bad)?,
+            "recover" => f.job.recover = Some(vpce_recover::RecoverSpec::parse(v).map_err(bad)?),
+            "machine" => f.job.machine = Some(checked_machine(v).map_err(bad)?),
+            "count" if storm => f.count = Some(settings::count(v).map_err(bad)?),
+            "mean-gap" if storm => f.mean_gap_s = settings::positive(v).map_err(bad)?,
             _ if k.starts_with("param:") => {
                 let name = k["param:".len()..].to_ascii_uppercase();
-                let val: i64 = v.parse().map_err(|_| bad(format!("bad value in `{tok}`")))?;
-                f.job.params.push((name, val));
+                f.job.params.push((name, settings::number(v).map_err(bad)?));
             }
             other => {
-                return Err(err(
-                    JobfileCode::UnknownKey,
-                    other,
-                    format!("unknown key `{other}`"),
-                ))
+                return Err(err(JobfileCode::UnknownKey, other, format!("unknown key `{other}`")))
             }
         }
     }
+    let missing = |field, what| Err(err(JobfileCode::MissingField, field, what));
     if !f.named {
         let (field, what) = if storm { ("prefix", "storm needs prefix=") } else { ("name", "job needs name=") };
-        return Err(err(JobfileCode::MissingField, field, what.into()));
+        return missing(field, what);
     }
     if !f.sourced {
-        return Err(err(
-            JobfileCode::MissingField,
-            "src",
-            "job needs src=, workload= or inline=".into(),
-        ));
+        return missing("src", "job needs src=, workload= or inline=");
     }
     if f.job.ranks == 0 {
-        return Err(err(
-            JobfileCode::MissingField,
-            "ranks",
-            "job needs ranks= (at least 1)".into(),
-        ));
+        return missing("ranks", "job needs ranks= (at least 1)");
     }
     Ok(f)
 }
 
-fn parse_job<'a>(
-    tokens: impl Iterator<Item = &'a str>,
-    storm: bool,
-) -> Result<JobSpec, JobfileError> {
-    Ok(parse_record(tokens, storm)?.job)
-}
-
 fn parse_storm<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<StormSpec, JobfileError> {
     let f = parse_record(tokens, true)?;
-    let count = f
-        .count
-        .ok_or_else(|| err(JobfileCode::MissingField, "count", "storm needs count=".into()))?;
-    if count == 0 {
-        return Err(err(
-            JobfileCode::BadValue,
-            "count",
-            "storm count must be at least 1".into(),
-        ));
-    }
-    if f.mean_gap_s <= 0.0 || f.mean_gap_s.is_nan() {
-        return Err(err(
-            JobfileCode::BadValue,
-            "mean-gap",
-            "storm mean-gap must be positive".into(),
-        ));
-    }
+    let count = f.count.ok_or(err(JobfileCode::MissingField, "count", "storm needs count="))?;
     Ok(StormSpec {
         prefix: f.job.name.clone(),
         count,
@@ -762,42 +723,20 @@ fn parse_storm<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<StormSpec, J
 
 fn parse_tenant<'a>(tokens: impl Iterator<Item = &'a str>) -> Result<TenantSpec, JobfileError> {
     let mut t = TenantSpec { name: String::new(), share: 1.0, quota: None };
-    for tok in tokens {
-        let (k, v) = tok.split_once('=').ok_or_else(|| {
-            JobfileError::new(JobfileCode::BadLine, format!("expected key=value, got `{tok}`"))
-        })?;
-        let bad = |detail: String| err(JobfileCode::BadValue, k, detail);
+    for (k, v) in record_pairs(tokens)? {
+        let bad = |why: String| refused(SettingError::bad_value(k, why));
         match k {
             "name" => t.name = v.to_string(),
-            "share" => {
-                let s: f64 = v.parse().map_err(|_| bad(format!("bad share `{v}`")))?;
-                if !s.is_finite() || s <= 0.0 {
-                    return Err(bad(format!("share `{v}` must be positive")));
-                }
-                t.share = s;
-            }
-            "quota" => {
-                let q: usize = v.parse().map_err(|_| bad(format!("bad quota `{v}`")))?;
-                if q == 0 {
-                    return Err(bad("quota must be at least 1 node".into()));
-                }
-                t.quota = Some(q);
-            }
+            "share" => t.share = settings::positive(v).map_err(bad)?,
+            "quota" => t.quota = Some(settings::count(v).map_err(bad)?),
             other => {
-                return Err(err(
-                    JobfileCode::UnknownKey,
-                    other,
-                    format!("unknown tenant key `{other}`"),
-                ))
+                let detail = format!("unknown tenant key `{other}`");
+                return Err(err(JobfileCode::UnknownKey, other, detail));
             }
         }
     }
     if t.name.is_empty() {
-        return Err(err(
-            JobfileCode::MissingField,
-            "name",
-            "tenant needs name=".into(),
-        ));
+        return Err(err(JobfileCode::MissingField, "name", "tenant needs name="));
     }
     Ok(t)
 }
@@ -812,21 +751,10 @@ fn checked_machine(v: &str) -> Result<String, String> {
         Ok(v.to_string())
     } else {
         Err(format!(
-            "unknown machine `{v}` (built-in descriptions: {})",
+            "needs a built-in machine description ({}), got `{v}`",
             vpce_machine::MachineSpec::BUILTINS.join(", ")
         ))
     }
-}
-
-/// A virtual time as the line grammars accept it (`arrive=`,
-/// `deadline=`, `mean-gap=`, the service's `cancel at=`): finite and
-/// non-negative, so `NaN`, `inf` and `-1` never reach the event loop.
-pub fn parse_time(v: &str) -> Result<f64, String> {
-    let t: f64 = v.parse().map_err(|_| format!("bad time `{v}`"))?;
-    if !t.is_finite() || t < 0.0 {
-        return Err(format!("time `{v}` must be finite and non-negative"));
-    }
-    Ok(t)
 }
 
 #[cfg(test)]

@@ -68,3 +68,9 @@ pub use sched::{run_batch, BatchOptions, JobView, Scheduler, SourceLoader};
 // (vpce-serve) that handle attempt outcomes without a direct
 // dependency on the recovery crate.
 pub use vpce_recover::{RecoverSpec, RecoveryLedger};
+// The settings grammar every jobfile line reads through, and the keys
+// of a job's `faults=`, for the `vpcec` front door, which declares its
+// flags in the same grammar without a direct dependency on
+// `vpce-diag` or `vpce-faults`.
+pub use vpce_diag::settings;
+pub use vpce_faults::FAULT_KEYS;

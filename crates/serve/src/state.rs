@@ -11,7 +11,7 @@
 //! replaying the accepted ones reconstructs the same scheduler bit
 //! for bit.
 
-use vpce_sched::job::parse_time;
+use vpce_diag::settings;
 use vpce_sched::{BatchSpec, Scheduler};
 
 use crate::codes::{ServeCode, ServeError};
@@ -75,19 +75,21 @@ pub fn apply(
     Ok(())
 }
 
-/// `cancel name=<job> at=<t>`: `t` goes through the jobfile's own time
-/// validator (finite, non-negative), so a hostile `at=NaN` is refused
-/// here instead of firing at the first step.
+/// `cancel name=<job> at=<t>`: one record through the settings
+/// tokenizer (a repeated key is refused), `t` through its seconds
+/// parser (finite, non-negative), so a hostile `at=NaN` is refused here
+/// instead of firing at the first step.
 fn apply_cancel(sched: &mut Scheduler<'_>, args: &str) -> Result<(), ServeError> {
-    let mut name = None;
-    let mut at = None;
-    for tok in args.split_whitespace() {
-        match tok.split_once('=') {
-            Some(("name", v)) => name = Some(v),
-            Some(("at", v)) => {
-                at = Some(parse_time(v).map_err(|e| bad(format!("bad cancel time: {e}")))?)
+    let usage = |detail: String| bad(format!("cancel takes name=<job> at=<t>: {detail}"));
+    let (mut name, mut at) = (None, None);
+    for (k, v) in settings::pairs(args.split_whitespace()).map_err(|e| usage(e.to_string()))? {
+        match k {
+            "name" => name = Some(v),
+            "at" => {
+                let t = settings::seconds(v).map_err(|e| bad(format!("bad cancel time: `at` {e}")))?;
+                at = Some(t);
             }
-            _ => return Err(bad(format!("cancel takes name=<job> at=<t>, got `{tok}`"))),
+            other => return Err(usage(format!("unknown key `{other}`"))),
         }
     }
     let name = name.ok_or_else(|| bad("cancel needs name="))?;

@@ -113,9 +113,10 @@ fn lending_a_core<T>(run: impl FnOnce() -> T) -> T {
 }
 
 /// How loop bodies execute. See the crate docs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Execute all numerics (correctness runs).
+    #[default]
     Full,
     /// Charge compute cost analytically; skip numeric execution of
     /// parallel-region bodies. Communication carries sizes, not

@@ -95,6 +95,17 @@ pub enum Schedule {
 }
 
 impl Schedule {
+    /// Both schedules, in flag order.
+    pub const ALL: [Schedule; 2] = [Schedule::Block, Schedule::Cyclic];
+
+    /// The `--schedule` name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Schedule::Block => "block",
+            Schedule::Cyclic => "cyclic",
+        }
+    }
+
     /// The iterations rank `r` of `p` executes, as (start-iteration,
     /// every, count) over `0..trips`.
     pub fn assignment(self, trips: u64, r: usize, p: usize) -> (u64, u64, u64) {

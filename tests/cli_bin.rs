@@ -172,7 +172,12 @@ fn flag_pairs_that_would_drop_one_flag_are_usage_errors() {
 fn run_source(name: &str, source: &str, flags: &[&str]) -> (Option<i32>, String) {
     let file = Scratch::new(name);
     std::fs::write(&file.0, source).unwrap();
-    let mut args = vec![file.str(), "--nodes", "4"];
+    // Four nodes unless the flags name a count: a repeated flag is a
+    // usage error.
+    let mut args = vec![file.str()];
+    if !flags.contains(&"--nodes") {
+        args.extend(["--nodes", "4"]);
+    }
     args.extend_from_slice(flags);
     let out = vpcec(&args, None);
     let err = String::from_utf8_lossy(&out.stderr).into_owned();
@@ -389,4 +394,265 @@ fn overriding_an_undeclared_parameter_names_the_declared_ones() {
     assert!(report.contains("\"error_kind\": \"admission-rejected\""), "{report}");
     let line = report.lines().find(|l| l.contains("\"error\": ")).expect("an error line");
     assert!(line.contains("no PARAMETER `NN`") && line.contains("(declared PARAMETERs: N)"), "{line}");
+}
+
+/// A fault-spec value outside its range is one typed `VPCE322` line in
+/// every door — the command line, a `--batch` job and a `--serve` job —
+/// never a panic, a negative delay or a silent clamp.
+#[test]
+fn fault_spec_values_are_typed_refusals_in_every_door() {
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    for spec in [
+        "stall=1,stall_s=nan",
+        "stall=1,stall_s=-1",
+        "stall=1,stall_s=inf",
+        "nicstall=1,nicstall_s=-5",
+        "backoff_s=1e400",
+        "slow=1,slow_factor=nan",
+        "slow=1,slow_factor=0.5",
+        "bus=1,bus_attempts=0",
+    ] {
+        let out = vpcec(&[mm, "--nodes", "2", "--param", "N=16", "--faults", spec], None);
+        let err = String::from_utf8_lossy(&out.stderr).into_owned();
+        assert_eq!(out.status.code(), Some(1), "{spec}: {}", stdout(&out));
+        assert!(out.stdout.is_empty(), "{spec}: nothing ran: {}", stdout(&out));
+        assert_eq!(err.lines().filter(|l| l.contains("[VPCE322]")).count(), 1, "{spec}: {err}");
+        assert!(err.starts_with("error: --faults [VPCE322] "), "{spec}: {err}");
+        assert!(!err.contains("panicked"), "{spec}: {err}");
+        let jobs = format!("nodes=4\njob name=a workload=mm ranks=2 param:N=8 faults={spec}\n");
+        let batch = vpcec(&["--batch", "-"], Some(&jobs));
+        let err = String::from_utf8_lossy(&batch.stderr).into_owned();
+        assert_eq!(batch.status.code(), Some(1), "{spec}: {}", stdout(&batch));
+        assert!(err.starts_with("error: jobfile line 2: error[VPCE312] "), "{spec}: {err}");
+        assert!(err.contains("[VPCE322]") && !err.contains("panicked"), "{spec}: {err}");
+        let serve = vpcec(&["--serve", "-"], Some(&jobs));
+        let text = stdout(&serve);
+        assert_eq!(serve.status.code(), Some(1), "{spec}: {text}");
+        assert_eq!(text.lines().count(), 1, "{spec}: {text}");
+        assert!(text.contains("VPCE307") && text.contains("[VPCE322]"), "{spec}: {text}");
+        assert!(serve.stderr.is_empty(), "{spec}: {}", String::from_utf8_lossy(&serve.stderr));
+    }
+}
+
+/// A non-UTF-8 argument is one usage line, not a panic in argument
+/// decoding.
+#[cfg(unix)]
+#[test]
+fn a_non_utf8_argument_is_a_usage_line() {
+    use std::os::unix::ffi::OsStrExt as _;
+    let out = Command::new(env!("CARGO_BIN_EXE_vpcec"))
+        .arg(std::ffi::OsStr::from_bytes(&[0xff]))
+        .output()
+        .expect("run vpcec");
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(err.lines().count(), 1, "{err}");
+    assert!(err.starts_with("error: ") && err.contains("not UTF-8"), "{err}");
+    assert!(out.stdout.is_empty());
+}
+
+/// A fresh directory holding the inputs the flag walk runs against.
+struct Dir(PathBuf);
+
+impl Dir {
+    fn new(name: &str) -> Dir {
+        let p = std::env::temp_dir().join(format!("vpcec-{}-{name}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&p);
+        std::fs::create_dir_all(&p).unwrap();
+        let examples = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples");
+        for f in ["mm", "swim", "saxpy", "racy", "deadlock"] {
+            std::fs::copy(format!("{examples}/fortran/{f}.f"), p.join(format!("{f}.f"))).unwrap();
+        }
+        std::fs::copy(format!("{examples}/jobs/drain.jobs"), p.join("d.jobs")).unwrap();
+        let write = |n: &str, t: &str| std::fs::write(p.join(n), t).unwrap();
+        write("j.jobs", JOBFILE);
+        write("n.jobs", "seed=1\njob name=a workload=mm ranks=2 param:N=8\njob name=b workload=mm ranks=2 param:N=8\n");
+        write("s.jobs", "nodes=4\nseed=7\nstorm count=2 prefix=s workload=mm ranks=2 param:N=8 mean-gap=1e-4\n");
+        Dir(p)
+    }
+
+    /// Run `vpcec` here; every file the run leaves is part of its
+    /// output.
+    fn run(&self, args: &str) -> (Option<i32>, String, String, Vec<(String, Vec<u8>)>) {
+        let out = Command::new(env!("CARGO_BIN_EXE_vpcec"))
+            .args(args.split_whitespace())
+            .current_dir(&self.0)
+            .stdin(Stdio::null())
+            .output()
+            .expect("run vpcec");
+        let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(&self.0)
+            .unwrap()
+            .map(|e| e.unwrap().path())
+            .map(|p| (p.file_name().unwrap().to_string_lossy().into_owned(), std::fs::read(&p).unwrap()))
+            .collect();
+        files.sort();
+        let text = |b: &[u8]| String::from_utf8_lossy(b).into_owned();
+        (out.status.code(), text(&out.stdout), text(&out.stderr), files)
+    }
+}
+
+impl Drop for Dir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
+}
+
+/// For every flag and every mode a flag applies to: an invocation, and
+/// the words that add the flag to it, such that the output — exit code,
+/// stdout, stderr and files written — differs with and without them.
+const WITNESSES: &[(&str, &str, &str, &str)] = &[
+    ("--nodes", "run", "mm.f --param N=16 --grain fine", "--nodes 2"),
+    ("--nodes", "--lint", "swim.f --lint --grain fine", "--nodes 2"),
+    ("--nodes", "--verify", "mm.f --verify --grain fine --param N=16", "--nodes 2"),
+    ("--nodes", "--batch", "--batch n.jobs", "--nodes 2"),
+    ("--grain", "run", "mm.f --param N=16", "--grain coarse"),
+    ("--grain", "--lint", "swim.f --lint", "--grain fine"),
+    ("--grain", "--verify", "swim.f --verify", "--grain fine"),
+    ("--schedule", "run", "mm.f --param N=16 --grain fine", "--schedule cyclic"),
+    ("--schedule", "--lint", "racy.f --lint --grain coarse --unsafe-collect", "--schedule cyclic"),
+    ("--schedule", "--verify", "mm.f --verify", "--schedule cyclic"),
+    ("--analytic", "run", "mm.f --param N=16 --grain fine", "--analytic"),
+    ("--analytic", "--batch", "--batch j.jobs", "--analytic"),
+    ("--analytic", "--serve", "--serve j.jobs", "--analytic"),
+    ("--param", "run", "mm.f --grain fine", "--param N=16"),
+    ("--param", "--lint", "swim.f --nodes 16 --lint --grain fine", "--param N=400"),
+    ("--param", "--verify", "mm.f --verify --grain fine", "--param N=16"),
+    ("--report", "run", "mm.f --param N=16 --grain fine", "--report"),
+    ("--report", "--lint", "mm.f --lint --grain fine", "--report"),
+    ("--report", "--verify", "mm.f --verify --grain fine", "--report"),
+    ("--advise", "run", "mm.f --param N=16", "--advise"),
+    ("--advise", "--lint", "mm.f --lint", "--advise"),
+    ("--advise", "--verify", "mm.f --verify", "--advise"),
+    ("--no-avpg", "run", "swim.f --grain fine", "--no-avpg"),
+    ("--no-avpg", "--lint", "swim.f --lint --grain fine", "--no-avpg"),
+    ("--no-avpg", "--verify", "mm.f --verify", "--no-avpg"),
+    ("--prototype", "run", "mm.f --param N=16 --grain fine", "--prototype"),
+    ("--prototype", "--lint", "swim.f --lint", "--prototype"),
+    ("--prototype", "--verify", "swim.f --verify", "--prototype"),
+    ("--machine", "run", "mm.f --param N=16 --grain fine", "--machine fast-ethernet"),
+    ("--machine", "--lint", "swim.f --nodes 8 --lint", "--machine conventional"),
+    ("--machine", "--verify", "mm.f --verify", "--machine fast-ethernet"),
+    ("--machine", "--batch", "--batch j.jobs", "--machine fast-ethernet"),
+    ("--machine", "--serve", "--serve j.jobs", "--machine fast-ethernet"),
+    ("--machine", "--machine-dump", "--machine-dump", "--machine torus3d"),
+    ("--machine-dump", "--machine-dump", "", "--machine-dump"),
+    ("--pull", "run", "mm.f --param N=16 --grain fine", "--pull"),
+    ("--pull", "--lint", "swim.f --lint", "--pull"),
+    ("--pull", "--verify", "swim.f --verify", "--pull"),
+    ("--lint", "--lint", "mm.f --grain fine", "--lint"),
+    ("--lint", "run", "mm.f --grain fine", "--lint"),
+    ("--lint-json", "--lint", "mm.f --lint --grain fine", "--lint-json l.json"),
+    ("--verify", "--verify", "mm.f --grain fine", "--verify"),
+    ("--verify", "run", "mm.f --grain fine", "--verify"),
+    ("--verify-json", "--verify", "mm.f --verify --grain fine", "--verify-json v.json"),
+    ("--verify-strict-pools", "--verify", "deadlock.f --verify --grain coarse --no-avpg", "--verify-strict-pools"),
+    ("--unsafe-collect", "run", "saxpy.f --grain coarse --schedule cyclic", "--unsafe-collect"),
+    ("--unsafe-collect", "--lint", "racy.f --lint --grain coarse --schedule cyclic", "--unsafe-collect"),
+    ("--unsafe-collect", "--verify", "swim.f --nodes 2 --verify --grain coarse --schedule cyclic", "--unsafe-collect"),
+    ("--trace", "run", "mm.f --param N=16 --grain fine", "--trace t.json"),
+    ("--trace", "--batch", "--batch j.jobs", "--trace t.json"),
+    ("--trace", "--serve", "--serve j.jobs", "--trace t.json"),
+    ("--trace-summary", "run", "mm.f --param N=16 --grain fine", "--trace-summary"),
+    ("--faults", "run", "mm.f --param N=16 --grain fine", "--faults light,seed=1"),
+    ("--faults", "--verify", "mm.f --verify --grain fine", "--faults crash=0.5,seed=1"),
+    ("--recover", "run", "mm.f --param N=16 --grain fine", "--recover on"),
+    ("--batch", "--batch", "", "--batch j.jobs"),
+    ("--sched-seed", "--batch", "--batch s.jobs", "--sched-seed 8"),
+    ("--probation", "--batch", "--batch d.jobs", "--probation 1"),
+    ("--batch-json", "--batch", "--batch j.jobs", "--batch-json b.json"),
+    ("--batch-json", "--serve", "--serve j.jobs", "--batch-json b.json"),
+    ("--serve", "--serve", "", "--serve j.jobs"),
+    ("--journal", "--serve", "--serve j.jobs", "--journal j.log"),
+    ("--kill-after", "--serve", "--serve j.jobs", "--kill-after 150"),
+    ("--status", "--serve", "--serve j.jobs", "--status a"),
+];
+
+/// No flag is silent: walking the flag table × the six modes, each
+/// pair is either backed by a witness whose output bytes the flag
+/// changes — every mode the flag's row declares has one — or refused:
+/// exit 1, nothing run, a first stderr line naming the flag. `--help`
+/// lists exactly the table's flags.
+#[test]
+fn every_flag_is_refused_outside_its_modes_or_witnessed_inside_them() {
+    let base = ["mm.f", "mm.f --lint", "mm.f --verify", "--batch j.jobs", "--serve j.jobs", "--machine-dump"];
+    let mut silent = Vec::new();
+    for flag in vpce::cli::FLAGS {
+        let words = WITNESSES.iter().find(|w| w.0 == flag.name).map(|w| w.3);
+        let words = words.unwrap_or_else(|| panic!("{} has no witness", flag.name));
+        for (bit, mode) in vpce::cli::MODES.iter().enumerate() {
+            let witness = WITNESSES.iter().find(|w| w.0 == flag.name && w.1 == *mode);
+            // `--lint` and `--verify` turn a run into their own mode.
+            let Some((_, _, args, words)) = witness else {
+                assert_eq!(flag.modes & (1 << bit), 0, "{} in {mode} has no witness", flag.name);
+                let dir = Dir::new("refused");
+                let (code, out, err, _) = dir.run(&format!("{} {words}", base[bit]));
+                assert_eq!(code, Some(1), "{} in {mode}: {out}{err}", flag.name);
+                assert!(out.is_empty(), "{} in {mode}: nothing runs: {out}", flag.name);
+                let first = err.lines().next().unwrap_or_default();
+                assert!(first.starts_with("error: ") && first.contains(flag.name), "{} in {mode}: {err}", flag.name);
+                continue;
+            };
+            let without = Dir::new("without").run(args);
+            let with = Dir::new("with").run(&format!("{args} {words}"));
+            if with == without {
+                silent.push(format!("{} in {mode}: `{args}` ± `{words}`", flag.name));
+            }
+        }
+    }
+    assert!(silent.is_empty(), "silent flags:\n{}", silent.join("\n"));
+    let help = stdout(&vpcec(&["--help"], None));
+    let listed: Vec<&str> = help
+        .lines()
+        .filter_map(|l| l.strip_prefix("  --"))
+        .map(|l| &l[..l.find(' ').unwrap_or(l.len())])
+        .collect();
+    let table: Vec<&str> = vpce::cli::FLAGS.iter().map(|f| &f.name[2..]).collect();
+    assert_eq!(listed, table, "{help}");
+    assert_eq!(table.len(), 30, "one row per flag, and no flag added");
+}
+
+/// Every surface refuses a repeated key with its own typed code, and
+/// every command that used to drop a flag or a key without a word is a
+/// one-line refusal now.
+#[test]
+fn repeated_keys_and_ignored_flags_are_refused() {
+    let dir = Dir::new("repeats");
+    std::fs::write(dir.0.join("twice.machine"), "[nic]\npost_s = 1e-6\npost_s = 2e-6\n").unwrap();
+    std::fs::write(dir.0.join("hdr.jobs"), "nodes=4\nnodes=8\njob name=a workload=mm ranks=2\n").unwrap();
+    std::fs::write(dir.0.join("rec.jobs"), "nodes=8\njob name=a workload=mm ranks=2 ranks=4\n").unwrap();
+    std::fs::write(dir.0.join("par.jobs"), "nodes=8\njob name=a workload=mm ranks=2 param:N=8 param:n=16\n").unwrap();
+    std::fs::write(dir.0.join("cancel.jobs"), format!("{JOBFILE}cancel name=a at=1 at=2\n")).unwrap();
+    for (args, line) in [
+        ("mm.f --nodes 2 --nodes 8", "error: --nodes is given twice; give each flag once"),
+        ("mm.f --grain coarse --grain fine", "error: --grain is given twice; give each flag once"),
+        ("mm.f --param N=16 --param n=32", "error: --param repeats `N`: give each PARAMETER once"),
+        ("mm.f --faults seed=1,seed=2", "error: --faults [VPCE320] duplicate --faults key 'seed'"),
+        ("mm.f --recover interval=1,interval=2", "error: --recover duplicate key `interval`"),
+        ("--batch hdr.jobs", "error: hdr.jobs line 2: error[VPCE316] duplicate key `nodes`"),
+        ("--batch rec.jobs", "error: rec.jobs line 2: error[VPCE316] duplicate key `ranks`"),
+        ("--batch par.jobs", "error: par.jobs line 2: error[VPCE316] duplicate key `param:n`"),
+        ("--machine twice.machine mm.f", "error: --machine twice.machine: VPCE506: `post_s` is set twice in [nic]: give each once"),
+        ("mm.f --lint --trace z.json", "error: --trace applies only to run, --batch or --serve (this invocation: --lint)"),
+        ("mm.f --lint --trace-summary", "error: --trace-summary applies only to run (this invocation: --lint)"),
+        ("mm.f --verify --trace-summary", "error: --trace-summary applies only to run (this invocation: --verify)"),
+        ("mm.f --lint --analytic", "error: --analytic applies only to run, --batch or --serve (this invocation: --lint)"),
+        ("mm.f --lint-json x.json", "error: --lint-json applies only to --lint (this invocation: run)"),
+        ("mm.f --batch-json y.json", "error: --batch-json applies only to --batch or --serve (this invocation: run)"),
+        ("mm.f --verify-strict-pools", "error: --verify-strict-pools applies only to --verify (this invocation: run)"),
+        ("mm.f --sched-seed 3", "error: --sched-seed applies only to --batch (this invocation: run)"),
+        ("--batch j.jobs --grain fine", "error: --grain applies only to run, --lint or --verify (this invocation: --batch)"),
+        ("--batch j.jobs --faults light", "error: --faults applies only to run or --verify (this invocation: --batch)"),
+        ("--batch j.jobs --param N=8", "error: --param applies only to run, --lint or --verify (this invocation: --batch)"),
+        ("--serve j.jobs --nodes 8", "error: --nodes applies only to run, --lint, --verify or --batch (this invocation: --serve)"),
+    ] {
+        let (code, out, err, _) = dir.run(args);
+        assert_eq!(code, Some(1), "{args}: {out}{err}");
+        assert!(out.is_empty(), "{args}: nothing runs: {out}");
+        let first = err.lines().next().unwrap_or_default();
+        assert!(first.starts_with(line), "{args}: {err}");
+    }
+    // The serve verb `cancel` refuses its repeat as a bad command.
+    let (code, out, _, _) = dir.run("--serve cancel.jobs");
+    assert_eq!(code, Some(1), "{out}");
+    assert!(out.contains("VPCE307") && out.contains("duplicate key `at`"), "{out}");
 }
