@@ -473,10 +473,26 @@ fn pool_epoch_hwm(sk: &Skeleton) -> Vec<(usize, usize)> {
         .collect()
 }
 
+/// The most ranks [`explore`] tracks: a state's crash mask is a `u32`.
+pub const MAX_RANKS: usize = 32;
+
+/// A skeleton of more than [`MAX_RANKS`] ranks, which [`explore`]
+/// refuses (VPCE209).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct RankLimit {
+    pub nranks: usize,
+}
+
 /// Explore `sk` exhaustively (up to `max_states`) and return the first
 /// (minimal) stall, if any.
-pub fn explore(sk: &Skeleton, strict_pools: bool, max_states: usize) -> ExploreResult {
-    assert!(sk.nranks <= 32, "crash mask is a u32");
+pub fn explore(
+    sk: &Skeleton,
+    strict_pools: bool,
+    max_states: usize,
+) -> Result<ExploreResult, RankLimit> {
+    if sk.nranks > MAX_RANKS {
+        return Err(RankLimit { nranks: sk.nranks });
+    }
     let t = Tables::build(sk, strict_pools);
     let init = State {
         pc: vec![0; sk.nranks],
@@ -579,10 +595,10 @@ pub fn explore(sk: &Skeleton, strict_pools: bool, max_states: usize) -> ExploreR
         }
     }
 
-    ExploreResult {
+    Ok(ExploreResult {
         stall,
         states: states.len(),
         truncated,
         pool_epoch_hwm: pool_epoch_hwm(sk),
-    }
+    })
 }

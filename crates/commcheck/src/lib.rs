@@ -20,6 +20,7 @@
 //! | VPCE206 | scheduler-reservation deadlock |
 //! | VPCE207 | receive no surviving rank ever matches |
 //! | VPCE208 | handshake half orphaned by a finished peer |
+//! | VPCE209 | more than 32 ranks: refused, nothing explored |
 //! | VPCE210 | progress depends on eager pool size ≥ N (warning) |
 //!
 //! The verifier never executes the program: exploration is over
@@ -45,11 +46,23 @@ use vpce_diag::{DiagCode, Diagnostic, Report, Severity};
 use vpce_faults::FaultSpec;
 use vpce_trace::{CallInfo, CallOp, EventKind, Lane, Tracer};
 
-use explore::{explore, Blocked, Cause, TraceStep};
+use explore::{explore, Blocked, Cause, TraceStep, MAX_RANKS};
 use skeleton::{Op, Skeleton, SyncKind};
 
-pub use explore::ExploreResult;
+pub use explore::{ExploreResult, RankLimit};
 pub use lower::lower;
+
+impl std::fmt::Display for RankLimit {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "--verify [{}] explores at most {MAX_RANKS} ranks (a state's crash mask is 32 bits); \
+             this plan has {}",
+            VerifyCode::RankLimit.as_str(),
+            self.nranks
+        )
+    }
+}
 
 /// The stable verifier diagnostic codes (the VPCE2xx namespace).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -70,6 +83,8 @@ pub enum VerifyCode {
     UnmatchedRecv,
     /// VPCE208: a handshake half orphaned by a finished peer.
     OrphanedSend,
+    /// VPCE209: more ranks than the explorer tracks; nothing explored.
+    RankLimit,
     /// VPCE210: progress depends on the eager pool being large enough.
     PoolConditional,
 }
@@ -85,6 +100,7 @@ impl DiagCode for VerifyCode {
             VerifyCode::ReservationDeadlock => "VPCE206",
             VerifyCode::UnmatchedRecv => "VPCE207",
             VerifyCode::OrphanedSend => "VPCE208",
+            VerifyCode::RankLimit => "VPCE209",
             VerifyCode::PoolConditional => "VPCE210",
         }
     }
@@ -376,9 +392,10 @@ fn peer_of(c: &Cause) -> Option<usize> {
 }
 
 /// Verify a hand-built skeleton (the test and differential-suite entry
-/// point; [`verify`] lowers a program and calls this).
-pub fn verify_skeleton(sk: &Skeleton, opts: &VerifyOptions) -> VerifyReport {
-    let result = explore(sk, opts.strict_pools, opts.max_states);
+/// point; [`verify`] lowers a program and calls this), or refuse one of
+/// more than 32 ranks.
+pub fn verify_skeleton(sk: &Skeleton, opts: &VerifyOptions) -> Result<VerifyReport, RankLimit> {
+    let result = explore(sk, opts.strict_pools, opts.max_states)?;
     let mut report = Report::new("verify", "clean (no stalling interleaving)", &sk.program);
 
     // Pool-pressure warning: without strict pools the runtime falls
@@ -477,22 +494,36 @@ pub fn verify_skeleton(sk: &Skeleton, opts: &VerifyOptions) -> VerifyReport {
     });
 
     report.sort();
-    VerifyReport {
+    Ok(VerifyReport {
         report,
         counterexample,
         states: result.states,
         truncated: result.truncated,
-    }
+    })
 }
 
 /// Verify a compiled program: lower it under `policy` and the crash
 /// schedule of `faults`, then explore. Never executes the program.
+///
+/// # Panics
+/// Panics with the refusal's text where [`try_verify`] returns one.
 pub fn verify(
     prog: &SpmdProgram,
     policy: &TransportPolicy,
     faults: &FaultSpec,
     opts: &VerifyOptions,
 ) -> VerifyReport {
+    try_verify(prog, policy, faults, opts).unwrap_or_else(|e| panic!("{e}"))
+}
+
+/// Fallible [`verify`]: a plan of more than 32 ranks is refused
+/// (VPCE209) before anything is explored.
+pub fn try_verify(
+    prog: &SpmdProgram,
+    policy: &TransportPolicy,
+    faults: &FaultSpec,
+    opts: &VerifyOptions,
+) -> Result<VerifyReport, RankLimit> {
     let sk = lower(prog, policy, faults);
     verify_skeleton(&sk, opts)
 }
@@ -517,7 +548,7 @@ mod tests {
         sk.push(0, Op::Send { to: 1, tag: 0 }, 1, "p2p");
         sk.push(1, Op::Recv { from: 0, tag: 0 }, 1, "p2p");
         sk.sync_all(SyncKind::Fence, 1, &[true, true]);
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert!(r.is_clean(), "{}", r.render_human());
         assert_eq!(r.exit_code(), 0);
         assert!(!r.truncated);
@@ -528,7 +559,7 @@ mod tests {
         let mut sk = Skeleton::new("t", 2);
         sk.push(0, Op::Sync(SyncKind::Barrier), 3, "sync");
         sk.push(1, Op::Sync(SyncKind::Fence), 3, "sync");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert_eq!(r.exit_code(), 2);
         let cs = codes(&r);
         assert!(cs.contains(&"VPCE201") && cs.contains(&"VPCE202"), "{cs:?}");
@@ -544,7 +575,7 @@ mod tests {
         sk.push(0, Op::Send { to: 1, tag: 0 }, 1, "p2p");
         sk.push(1, Op::Recv { from: 0, tag: 0 }, 1, "p2p");
         sk.push(1, Op::Send { to: 0, tag: 0 }, 1, "p2p");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert_eq!(codes(&r), vec!["VPCE201"]);
         // Both ranks appear in the stall, cross-referencing each other.
         let cx = r.counterexample.expect("counterexample");
@@ -556,7 +587,7 @@ mod tests {
     fn unmatched_recv_is_vpce207() {
         let mut sk = Skeleton::new("t", 2);
         sk.push(1, Op::Recv { from: 0, tag: 7 }, 2, "p2p");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         let cs = codes(&r);
         assert!(cs.contains(&"VPCE207"), "{cs:?}");
     }
@@ -570,7 +601,7 @@ mod tests {
         sk.push(0, Op::RdvzRecv { from: 1, hs: 1 }, 4, "rdvz");
         sk.push(1, Op::RdvzSend { to: 0, hs: 1 }, 4, "rdvz");
         sk.push(1, Op::RdvzRecv { from: 0, hs: 0 }, 4, "rdvz");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         let cs = codes(&r);
         assert!(cs.contains(&"VPCE203"), "{cs:?}");
         // One cycle diagnostic, not one per participant.
@@ -582,7 +613,7 @@ mod tests {
         let mut sk = Skeleton::new("t", 2);
         sk.push(0, Op::RdvzSend { to: 1, hs: 0 }, 4, "rdvz");
         sk.push(1, Op::RdvzRecv { from: 0, hs: 0 }, 4, "rdvz");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert!(r.is_clean(), "{}", r.render_human());
     }
 
@@ -593,7 +624,7 @@ mod tests {
         let mut sk = Skeleton::new("t", 2);
         sk.push(0, Op::RdvzSend { to: 1, hs: 0 }, 9, "rdvz");
         sk.push(1, Op::Crash, 9, "crash");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         let cs = codes(&r);
         assert!(cs.contains(&"VPCE205"), "{cs:?}");
         assert_eq!(r.exit_code(), 2);
@@ -604,7 +635,7 @@ mod tests {
         let mut sk = Skeleton::new("t", 2);
         sk.push(0, Op::Sync(SyncKind::Barrier), 1, "sync");
         sk.push(1, Op::Crash, 1, "crash");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert!(codes(&r).contains(&"VPCE205"), "{:?}", codes(&r));
     }
 
@@ -620,7 +651,7 @@ mod tests {
             strict_pools: true,
             ..opts()
         };
-        let r = verify_skeleton(&sk, &strict);
+        let r = verify_skeleton(&sk, &strict).unwrap();
         assert!(codes(&r).contains(&"VPCE204"), "{:?}", codes(&r));
         assert_eq!(r.exit_code(), 2);
     }
@@ -633,7 +664,7 @@ mod tests {
             sk.push(0, Op::EagerPut { to: 1, bytes: 64 }, 5, "scatter");
         }
         sk.sync_all(SyncKind::Fence, 5, &[true, true]);
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert_eq!(codes(&r), vec!["VPCE210"]);
         assert_eq!(r.exit_code(), 1);
         assert!(r.counterexample.is_none());
@@ -649,7 +680,7 @@ mod tests {
             ok.push(0, Op::EagerPut { to: 1, bytes: 64 }, 6, "scatter");
         }
         ok.sync_all(SyncKind::Fence, 6, &[true, true]);
-        assert!(verify_skeleton(&ok, &opts()).is_clean());
+        assert!(verify_skeleton(&ok, &opts()).unwrap().is_clean());
     }
 
     #[test]
@@ -663,7 +694,7 @@ mod tests {
             sk.push(r, Op::Acquire { res: 0, n: 1 }, 8, "sched");
             sk.push(r, Op::Release { res: 0, n: 2 }, 8, "sched");
         }
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert!(codes(&r).contains(&"VPCE206"), "{:?}", codes(&r));
     }
 
@@ -675,7 +706,7 @@ mod tests {
             sk.push(r, Op::Acquire { res: 0, n: 2 }, 8, "sched");
             sk.push(r, Op::Release { res: 0, n: 2 }, 8, "sched");
         }
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert!(r.is_clean(), "{}", r.render_human());
     }
 
@@ -686,7 +717,7 @@ mod tests {
         let mut sk = Skeleton::new("t", 2);
         sk.push(0, Op::RdvzSend { to: 1, hs: 3 }, 2, "rdvz");
         sk.push(1, Op::Send { to: 0, tag: 5 }, 2, "p2p");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         assert!(codes(&r).contains(&"VPCE208"), "{:?}", codes(&r));
     }
 
@@ -697,7 +728,7 @@ mod tests {
         sk.push(0, Op::Sync(SyncKind::Barrier), 1, "sync");
         sk.push(1, Op::Recv { from: 0, tag: 0 }, 1, "p2p");
         sk.push(1, Op::Sync(SyncKind::Fence), 1, "sync");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         let cx = r.counterexample.as_ref().expect("counterexample");
         let json = r.to_json();
         assert!(json.contains("\"counterexample\""), "{json}");
@@ -722,7 +753,7 @@ mod tests {
         sk.push(0, Op::Send { to: 1, tag: 0 }, 1, "p2p");
         sk.push(0, Op::Recv { from: 1, tag: 9 }, 1, "p2p");
         sk.push(1, Op::Recv { from: 0, tag: 0 }, 1, "p2p");
-        let r = verify_skeleton(&sk, &opts());
+        let r = verify_skeleton(&sk, &opts()).unwrap();
         let cx = r.counterexample.expect("counterexample");
         assert!(cx.steps.len() <= 2, "{}", cx.render_text());
     }

@@ -89,7 +89,7 @@ fn run_dynamic(sk: &Skeleton) -> Result<(), VpceError> {
 }
 
 fn verify(sk: &Skeleton) -> VerifyReport {
-    verify_skeleton(sk, &VerifyOptions::default())
+    verify_skeleton(sk, &VerifyOptions::default()).unwrap()
 }
 
 fn codes(rep: &VerifyReport) -> Vec<&'static str> {

@@ -21,6 +21,7 @@ fn exit(outcome: Outcome) -> ExitCode {
 /// with the run's outcome.
 fn emit(args: &cli::CliArgs, out: cli::RunOutput) -> ExitCode {
     print!("{}", out.text);
+    eprint!("{}", out.stderr);
     // `--batch` and `--serve` trace the whole machine, not one run.
     let whole_machine = args.batch.is_some() || args.serve.is_some();
     let trace = if whole_machine {

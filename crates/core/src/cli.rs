@@ -380,6 +380,9 @@ pub struct RunOutput {
     /// Stable-JSON batch report in `--batch` mode (the binary writes
     /// it when `--batch-json` was requested).
     pub batch_json: Option<String>,
+    /// A refusal for standard error (the binary prints it), with
+    /// nothing on `text`.
+    pub stderr: String,
 }
 
 impl RunOutput {
@@ -394,6 +397,7 @@ impl RunOutput {
             verify_json: None,
             trace_json: None,
             batch_json: None,
+            stderr: String::new(),
         }
     }
 }
@@ -517,7 +521,15 @@ pub(crate) fn run_on(source: &str, args: &CliArgs, cores: usize) -> Result<RunOu
             strict_pools: args.verify_strict_pools,
             ..commcheck::VerifyOptions::default()
         };
-        let rep = commcheck::verify(&compiled.program, &policy, &args.faults, &opts);
+        let rep = match commcheck::try_verify(&compiled.program, &policy, &args.faults, &opts) {
+            Ok(rep) => rep,
+            Err(refusal) => {
+                return Ok(RunOutput {
+                    stderr: format!("error: {refusal}\n"),
+                    ..RunOutput::new(String::new(), Outcome::UsageError)
+                })
+            }
+        };
         out.push_str(&rep.render_human());
         return Ok(RunOutput {
             verify_json: args.verify_json.is_some().then(|| rep.to_json()),

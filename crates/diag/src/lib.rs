@@ -31,6 +31,7 @@
 //! | VPCE206 | error    | verify | scheduler-reservation deadlock |
 //! | VPCE207 | error    | verify | receive no surviving rank ever matches |
 //! | VPCE208 | error    | verify | handshake half orphaned by a finished peer |
+//! | VPCE209 | error    | verify | more than 32 ranks: refused, nothing explored |
 //! | VPCE210 | warning  | verify | progress depends on eager pool size ≥ N |
 //! | VPCE301 | warning  | serve  | torn journal tail truncated (crash mid-append) |
 //! | VPCE302 | error    | serve  | journal corrupt before the tail; recovery refused |

@@ -4,6 +4,7 @@
 use std::cell::Cell;
 use std::collections::BTreeSet;
 use std::ops::AsyncFn;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 use cluster_sim::{ClusterConfig, CpuModel};
 use mpi2::{AccumulateOp, Elem, Mpi, RankStats, RunOutcome, Universe, WindowRef};
@@ -25,15 +26,17 @@ pub const SPMD_OVERHEAD: f64 = 1.0 / 0.96;
 
 /// Declared array elements, summed over a program's arrays, up to which
 /// a `Full` run is carried by one worker. Measured on a 2-core x86-64
-/// host with `mm.f --grain coarse`, one worker against two in
-/// alternating runs: 4 ranks at N=144 (62 208 elements) and N=192
-/// (110 592) were no slower on one (+0.5 % each, 30 pairs); at N=256
-/// (196 608) two were 10–15 % faster, and 16 ranks at N=512 (786 432)
-/// 20–25 % faster — in phases where the host keeps a woken thread on
-/// its waker's core, those two rows come out even instead. Below the
-/// crossover a second worker's futex hand-offs at every rendezvous
-/// cost more than the numeric work it takes over.
-const ONE_WORKER_ELEMS: usize = 1 << 17;
+/// host with MM's coarse-grain program and no reference beside the
+/// run, one worker against two in 12 alternating pairs, once MM's
+/// product nest ran as lanes: 4 ranks at N=96 (27 648 elements) were
+/// 33 % faster on one (11 of 12 pairs), at N=128 even, at N=144
+/// (62 208) 8 % faster on one (9 of 12); at N=160 (76 800) two were
+/// 13 % faster (11 of 12), at N=192 15 % (8 of 12), at N=256 and N=384
+/// 28 % (11 and 12 of 12), and 16 ranks at N=512 (786 432) 36 % (11 of
+/// 12). Below the crossover a second worker's futex hand-offs at every
+/// rendezvous cost more than the numeric work it takes over. (It was
+/// 2¹⁷ while each element of MM's C was a fold of its own.)
+const ONE_WORKER_ELEMS: usize = 1 << 16;
 
 /// How many OS threads carry the ranks of `prog` run in `mode` — the one
 /// place that count is decided. An `Analytic` run prices its loops and
@@ -69,8 +72,9 @@ thread_local! {
 /// parallel run, as before. Either way the outcome is the same: a
 /// parallel error wins over the reference's, the reference's error
 /// surfaces only after a parallel success, and a panic on either side
-/// unwinds on the caller. A failed parallel run that overlapped its
-/// reference returns once the reference is done.
+/// unwinds on the caller. A parallel run that fails or unwinds beside
+/// its reference stops it: the reference ends at its next loop trip or
+/// nest row, and its result is never read.
 pub fn with_reference<T: Send>(
     prog: &SpmdProgram,
     cpu: &CpuModel,
@@ -89,9 +93,13 @@ pub fn with_reference_on<T: Send>(
     mode: ExecMode,
     parallel: impl FnOnce() -> Result<T, VpceError> + Send,
 ) -> Result<(T, SeqReport), VpceError> {
-    let reference = || try_execute_sequential(prog, cpu, mode);
+    let stop = AtomicBool::new(false);
+    let reference = || sequential_report(prog, cpu, mode, &stop);
     if mode == ExecMode::Full && cores > 1 {
-        let (par, seq) = mpi2::workers::join(|| lending_a_core(parallel), reference);
+        let (par, seq) = mpi2::workers::join(
+            || stopping_on_failure(&stop, || lending_a_core(parallel)),
+            reference,
+        );
         Ok((par?, seq?))
     } else {
         let par = parallel()?;
@@ -110,6 +118,25 @@ fn lending_a_core<T>(run: impl FnOnce() -> T) -> T {
     LENT.set(LENT.get() + 1);
     let _lent = Lent;
     run()
+}
+
+/// `run()`, raising `stop` if it fails or unwinds.
+fn stopping_on_failure<T>(
+    stop: &AtomicBool,
+    run: impl FnOnce() -> Result<T, VpceError>,
+) -> Result<T, VpceError> {
+    struct Raise<'s>(&'s AtomicBool);
+    impl Drop for Raise<'_> {
+        fn drop(&mut self) {
+            self.0.store(true, Ordering::Relaxed);
+        }
+    }
+    let raise = Raise(stop);
+    let out = run();
+    if out.is_ok() {
+        std::mem::forget(raise);
+    }
+    out
 }
 
 /// How loop bodies execute. See the crate docs.
@@ -355,18 +382,38 @@ pub fn try_execute_sequential(
     cpu: &CpuModel,
     mode: ExecMode,
 ) -> Result<SeqReport, VpceError> {
-    let (cycles, arrays, scalars) = run_sequential(prog, mode)?;
+    sequential_report(prog, cpu, mode, &AtomicBool::new(false))
+}
+
+/// [`try_execute_sequential`], ended early once `stop` is raised.
+fn sequential_report(
+    prog: &SpmdProgram,
+    cpu: &CpuModel,
+    mode: ExecMode,
+    stop: &AtomicBool,
+) -> Result<SeqReport, VpceError> {
+    let (cycles, arrays, scalars) = run_sequential_until(prog, mode, stop)?;
     Ok(SeqReport { elapsed: cycles / cpu.clock_hz, arrays, scalars })
 }
 
 /// The sequential form executed from zeroed state: (cycles, arrays,
 /// scalars).
+#[cfg(test)]
 pub(crate) fn run_sequential(
     prog: &SpmdProgram,
     mode: ExecMode,
 ) -> Result<(f64, Vec<Vec<Elem>>, Vec<Value>), VpceError> {
+    run_sequential_until(prog, mode, &AtomicBool::new(false))
+}
+
+/// [`run_sequential`], ended early once `stop` is raised.
+fn run_sequential_until(
+    prog: &SpmdProgram,
+    mode: ExecMode,
+    stop: &AtomicBool,
+) -> Result<(f64, Vec<Vec<Elem>>, Vec<Value>), VpceError> {
     let code = lowered::lower(&prog.sequential, &prog.scalars);
-    let mut st = State::new(prog);
+    let mut st = State::new(prog).stopping_at(stop);
     let mut mem: Vec<Vec<Elem>> = prog.arrays.iter().map(|(_, len)| vec![0.0; *len]).collect();
     match mode {
         ExecMode::Full => {
@@ -1024,6 +1071,33 @@ pub(crate) mod tests {
             assert_eq!(seq.elapsed.to_bits(), want.elapsed.to_bits());
             assert!(same_bits(&seq.arrays, &want.arrays));
         }
+    }
+
+    #[test]
+    fn a_failed_or_unwinding_parallel_run_stops_its_reference() {
+        let stop = AtomicBool::new(false);
+        assert!(stopping_on_failure(&stop, || Ok(())).is_ok());
+        assert!(!stop.load(Ordering::Relaxed), "a success lets the reference finish");
+        let crash = VpceError::RankCrash { rank: 2, region: "L1".into() };
+        assert_eq!(stopping_on_failure(&stop, || Err::<(), _>(crash.clone())), Err(crash));
+        assert!(stop.load(Ordering::Relaxed), "an error raises the flag");
+        let unwound = AtomicBool::new(false);
+        let got = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            stopping_on_failure(&unwound, || -> Result<(), VpceError> { panic!("a bug") })
+        }));
+        assert!(got.is_err() && unwound.load(Ordering::Relaxed), "so does unwinding");
+        // A raised flag ends the sequential walk at its first loop trip.
+        let mut prog = axpy_prog(4);
+        prog.sequential = vec![Instr::Loop {
+            var: 0,
+            lo: Expr::IConst(1),
+            hi: Expr::IConst(2),
+            step: 1,
+            body: prog.sequential.clone(),
+        }];
+        assert!(run_sequential_until(&prog, ExecMode::Full, &AtomicBool::new(false)).is_ok());
+        let stopped = run_sequential_until(&prog, ExecMode::Full, &stop);
+        assert!(matches!(stopped, Err(VpceError::PeerFailure { .. })), "{stopped:?}");
     }
 
     #[test]

@@ -62,10 +62,25 @@
 //! A view is still read with bounds-checked indexing. Costs are charged
 //! on entry either way; `Analytic` never sees a stream.
 //!
+//! **Fold nests run as lanes.** A loop whose body is a rectangular nest
+//! ending in such a fold, with prologue stores to the fold's `X[c]`
+//! before its loop and nothing else stored, gets a [`Nest`]: its
+//! elements are independent once `c` is proven injective over the loops
+//! outside the fold and every cursor in range at the box's corners
+//! (`State::nest_box`; the walk runs the entry otherwise). The non-fold
+//! loop along `c`'s smallest stride becomes lanes, the others keep their
+//! order outside, and the fold's trips run over a chunk of lanes at a
+//! time: each element still takes its prologue value, then `⊕ term` in
+//! trip order, so it gets the walk's bits. MM's `DO I / DO J / DO K`
+//! runs as `J`, `K`, then a column of `I`.
+//!
 //! **Errors are one word.** The per-trip walk returns [`Eval`], its
 //! error boxed, so a value comes back in registers; streams have no
 //! error path at all, and what `Analytic` cannot price is refused
 //! before anything runs ([`check_priceable`]).
+
+use std::sync::atomic::AtomicBool;
+use std::sync::atomic::Ordering::Relaxed;
 
 use mpi2::Elem;
 use vpce_faults::VpceError;
@@ -90,6 +105,11 @@ impl Affine {
         self.terms.iter().fold(self.c0, |acc, &(k, s)| {
             acc.wrapping_add(k.wrapping_mul(ints[s]))
         })
+    }
+
+    /// The coefficient of `slot`; 0 when the node does not read it.
+    fn coef(&self, slot: usize) -> i64 {
+        self.terms.iter().find(|t| t.1 == slot).map_or(0, |t| t.0)
     }
 }
 
@@ -203,6 +223,8 @@ pub struct LoopBody {
     pub shape_reads_var: bool,
     /// The strip-at-a-time form of `block`, when it has one.
     pub stream: Option<Stream>,
+    /// The lane form of `block`, when it is a fold nest.
+    pub nest: Option<Box<Nest>>,
 }
 
 /// Trips a stream evaluates per strip: wide enough that an operator's
@@ -210,6 +232,12 @@ pub struct LoopBody {
 /// buffers (one per hoisted subtree, and [`Stream::scratch`] more for
 /// the computed operands of the one being evaluated) stay a few KB.
 pub(crate) const STRIP: usize = 64;
+
+/// Lanes a [`Nest`] runs at once, each fold trip over all of them: a
+/// column of MM at the paper's largest size, its accumulators and a
+/// column of each operand well inside L1. With `STRIP` lanes every fold
+/// trip jumped to another page of A (N=1024: 4.8 s against 0.7 s).
+pub(crate) const LANES: usize = 16 * STRIP;
 
 /// One affine node of a stream body, as a walk: its value at the first
 /// trip is computed on loop entry, every later trip adds
@@ -288,6 +316,50 @@ pub struct Stream {
     pub residual: Residual,
     /// Strip buffers the computed operands inside one hoisted subtree,
     /// or the fold's term, take at most. 0 when every operand is a leaf.
+    pub scratch: usize,
+}
+
+/// One loop of a [`Nest`], inside the loop that carries the nest.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Level {
+    pub var: usize,
+    /// Affine over no variable of the nest: fixed for the whole nest,
+    /// and unable to fail.
+    pub lo: Affine,
+    pub hi: Affine,
+    /// Constant and non-zero.
+    pub step: i64,
+    /// One pass over the loop's body, nested bodies excluded
+    /// ([`Block::cost`]).
+    pub cost: f64,
+}
+
+/// A rectangular loop nest that ends in a fold: under the carrying loop
+/// and `levels`, the innermost loop's body is `X[c] = X[c] ⊕ term`
+/// ([`Residual::Fold`]), its parent stores to that `X[c]` first (the
+/// prologue) and nothing else is stored. Every other array is read
+/// only. Once `c` is proven to name a different element at every point
+/// of the loops outside the fold, each element's computation is its own
+/// — its prologue value, then `⊕ term` in fold-trip order — and the
+/// points may run in any order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Nest {
+    /// The loops inside the carrying loop, outermost first; the last is
+    /// the fold's.
+    pub levels: Vec<Level>,
+    /// The affine nodes of the fold's body, then those of `init`.
+    pub cursors: Vec<Cursor>,
+    /// `X` and `c`, as in [`Residual::Fold`].
+    pub array: usize,
+    pub cursor: usize,
+    pub op: RBin,
+    pub term: SExpr,
+    /// What the prologue leaves in `X[c]` before the fold: its last
+    /// store's value, which reads neither `X` nor the fold's variable.
+    /// `None`: no prologue, the fold starts from `X[c]` as it is.
+    pub init: Option<SExpr>,
+    /// Lane buffers `term` or `init` take when computed, their computed
+    /// operands' included.
     pub scratch: usize,
 }
 
@@ -448,11 +520,11 @@ impl Lowerer {
 
     fn loop_body(&self, var: usize, body: &[Instr]) -> LoopBody {
         let block = self.block(body);
+        let int = self.int_scalars[var];
         LoopBody {
             var,
-            stream: self.int_scalars[var]
-                .then(|| StreamBuilder::build(var, &block.stmts))
-                .flatten(),
+            stream: int.then(|| StreamBuilder::build(var, &block.stmts)).flatten(),
+            nest: int.then(|| Nest::build(var, &block.stmts).map(Box::new)).flatten(),
             block,
             shape_reads_var: shape_reads(body, var),
         }
@@ -692,14 +764,9 @@ impl StreamBuilder {
         let IExpr::Affine(affine) = e else {
             return None;
         };
-        let k_var = affine
-            .terms
-            .iter()
-            .find(|t| t.1 == self.var)
-            .map_or(0, |t| t.0);
         self.cursors.push(Cursor {
             affine: affine.clone(),
-            k_var,
+            k_var: affine.coef(self.var),
             array,
         });
         Some(self.cursors.len() - 1)
@@ -749,6 +816,91 @@ impl StreamBuilder {
             }
             Built::Bound(e) => e,
         }
+    }
+}
+
+impl Nest {
+    /// The nest form of a loop body over INTEGER `var`, if it has one:
+    /// the body is one loop that carries a nest, or prologue stores and
+    /// a loop whose body is a fold. Every variable of the nest is
+    /// distinct and no bound reads one.
+    fn build(var: usize, stmts: &[Stmt]) -> Option<Nest> {
+        let (
+            Stmt::Loop {
+                lo: IExpr::Affine(lo),
+                hi: IExpr::Affine(hi),
+                step,
+                body,
+                ..
+            },
+            prologue,
+        ) = stmts.split_last()?
+        else {
+            return None;
+        };
+        let mut nest = match (&body.stream, &body.nest) {
+            (
+                Some(Stream {
+                    cursors,
+                    residual: Residual::Fold { array, cursor, op, term },
+                    ..
+                }),
+                _,
+            ) => {
+                // The prologue's values are read like a fold's term: free
+                // of X, the one array the nest stores.
+                let mut b = StreamBuilder {
+                    var: body.var,
+                    arrays: vec![*array],
+                    slots: Vec::new(),
+                    cursors: cursors.clone(),
+                    hoisted: Vec::new(),
+                };
+                let c = IExpr::Affine(cursors[*cursor].affine.clone());
+                let mut init = None;
+                for s in prologue {
+                    let Stmt::StoreArray { array: a, index, value } = s else { return None };
+                    let Built::Free(value) = b.expr(value)? else { return None };
+                    if a != array || *index != c {
+                        return None;
+                    }
+                    init = Some(value);
+                }
+                // The prologue runs before the fold's loop sets its
+                // variable, so it must not read it.
+                if b.cursors[cursors.len()..].iter().any(|c| c.k_var != 0) {
+                    return None;
+                }
+                Nest {
+                    levels: Vec::new(),
+                    scratch: init.as_ref().map_or(0, operand_scratch).max(operand_scratch(term)),
+                    init,
+                    cursors: b.cursors,
+                    array: *array,
+                    cursor: *cursor,
+                    op: *op,
+                    term: term.clone(),
+                }
+            }
+            (None, Some(inner)) if prologue.is_empty() => Nest::clone(inner),
+            _ => return None,
+        };
+        nest.levels.insert(
+            0,
+            Level {
+                var: body.var,
+                lo: lo.clone(),
+                hi: hi.clone(),
+                step: *step,
+                cost: body.block.cost,
+            },
+        );
+        let vars: Vec<usize> = std::iter::once(var).chain(nest.levels.iter().map(|l| l.var)).collect();
+        let distinct = vars.iter().enumerate().all(|(i, v)| !vars[..i].contains(v));
+        let fixed = nest.levels.iter().all(|l| {
+            [&l.lo, &l.hi].iter().all(|b| b.terms.iter().all(|t| !vars.contains(&t.1)))
+        });
+        (*step != 0 && distinct && fixed).then_some(nest)
     }
 }
 
@@ -946,6 +1098,15 @@ impl<'a> View<'a> {
     fn run(self, w: usize) -> Option<&'a [f64]> {
         (self.delta == 1).then(|| &self.m[self.start as usize..][..w])
     }
+
+    /// The view `t` steps of `d` on.
+    #[inline(always)]
+    fn on(self, d: i64, t: u64) -> View<'a> {
+        View {
+            start: at((self.start, d), t),
+            ..self
+        }
+    }
 }
 
 /// `out[l] = f(a[l])`. Contiguous lanes go through a slice, so the
@@ -961,8 +1122,60 @@ fn map_lanes(out: &mut [f64], a: View, f: impl Fn(f64) -> f64) {
     }
 }
 
-/// `out[l] = f(a[l], b[l])`, with [`map_lanes`]' fast path when both
-/// operands are contiguous.
+/// `acc[l] += h(a[l], b[l])` for `n` fold trips, trip `t` reading each
+/// operand `t` fold steps (`da`, `db`) on: a sum of products in one
+/// pass, no buffer holding the terms. Each operand is contiguous (delta
+/// 1, a slice) or one element (delta 0, read once a trip), not both one
+/// element, so the lane loop vectorizes.
+#[inline(always)]
+fn sum_lanes(
+    acc: &mut [f64],
+    a: View,
+    b: View,
+    (da, db): (i64, i64),
+    n: u64,
+    h: impl Fn(f64, f64) -> f64,
+) {
+    let w = acc.len();
+    for t in 0..n {
+        let (a, b) = (a.on(da, t), b.on(db, t));
+        match (a.run(w), b.run(w)) {
+            (Some(a), Some(b)) => acc
+                .iter_mut()
+                .zip(a)
+                .zip(b)
+                .for_each(|((x, a), b)| *x += h(*a, *b)),
+            (Some(a), None) => {
+                let b = b.at(0);
+                acc.iter_mut().zip(a).for_each(|(x, a)| *x += h(*a, b))
+            }
+            (None, Some(b)) => {
+                let a = a.at(0);
+                acc.iter_mut().zip(b).for_each(|(x, b)| *x += h(a, *b))
+            }
+            (None, None) => unreachable!("the caller passes one contiguous operand"),
+        }
+    }
+}
+
+/// `acc[l] = f(acc[l], t[l])`, with [`zip_lanes`]' fast paths.
+#[inline(always)]
+fn fold_lanes(acc: &mut [f64], t: View, f: impl Fn(f64, f64) -> f64) {
+    match t.run(acc.len()) {
+        Some(t) => acc.iter_mut().zip(t).for_each(|(x, t)| *x = f(*x, *t)),
+        None if t.delta == 0 => {
+            let t = t.at(0);
+            acc.iter_mut().for_each(|x| *x = f(*x, t))
+        }
+        None => acc
+            .iter_mut()
+            .enumerate()
+            .for_each(|(l, x)| *x = f(*x, t.at(l))),
+    }
+}
+
+/// `out[l] = f(a[l], b[l])`, with [`map_lanes`]' fast path when each
+/// operand is contiguous or one element (delta 0, read once).
 #[inline(always)]
 fn zip_lanes(out: &mut [f64], a: View, b: View, f: impl Fn(f64, f64) -> f64) {
     let w = out.len();
@@ -972,6 +1185,14 @@ fn zip_lanes(out: &mut [f64], a: View, b: View, f: impl Fn(f64, f64) -> f64) {
             .zip(a)
             .zip(b)
             .for_each(|((o, a), b)| *o = f(*a, *b)),
+        (Some(a), None) if b.delta == 0 => {
+            let b = b.at(0);
+            out.iter_mut().zip(a).for_each(|(o, a)| *o = f(*a, b))
+        }
+        (None, Some(b)) if a.delta == 0 => {
+            let a = a.at(0);
+            out.iter_mut().zip(b).for_each(|(o, b)| *o = f(a, *b))
+        }
         _ => out
             .iter_mut()
             .enumerate()
@@ -994,6 +1215,30 @@ pub(crate) struct State<'p> {
     /// hoisted subtree and `Stream::scratch` more.
     walks: Vec<Walk>,
     strips: Vec<f64>,
+    /// Raised when nobody will read this executor's results: the walk
+    /// then ends at its next loop trip or nest row ([`Self::stopping_at`]).
+    stop: &'p AtomicBool,
+}
+
+/// What a proven nest entry runs over: per level, outermost first, its
+/// variable, first value, step and trips; per cursor its value at the
+/// nest's first point, and what one trip of each level adds to it
+/// (`deltas[cursor * levels + level]`); and the level whose trips are
+/// the lanes.
+struct NestBox {
+    levels: Vec<(usize, i64, i64, u64)>,
+    bases: Vec<i64>,
+    deltas: Vec<i64>,
+    lane: usize,
+}
+
+/// The error of a walk stopped from outside; never reported.
+#[cold]
+#[inline(never)]
+fn stopped<T>() -> Eval<T> {
+    Err(Box::new(VpceError::PeerFailure {
+        msg: "the sequential reference stopped: its parallel run failed".into(),
+    }))
 }
 
 #[cfg(test)]
@@ -1004,6 +1249,8 @@ thread_local! {
     /// Of those, the entries that folded a term `a ⊗ b` trip by trip
     /// over its operands.
     pub(crate) static FUSED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    /// Loop entries this thread ran as a fold nest, in lanes.
+    pub(crate) static NESTED: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
 }
 
 impl<'p> State<'p> {
@@ -1018,7 +1265,17 @@ impl<'p> State<'p> {
             cycles: 0.0,
             walks: Vec::new(),
             strips: Vec::new(),
+            stop: {
+                static NEVER: AtomicBool = AtomicBool::new(false);
+                &NEVER
+            },
         }
+    }
+
+    /// This executor, ending its walk with an error once `stop` is
+    /// raised.
+    pub fn stopping_at(self, stop: &'p AtomicBool) -> State<'p> {
+        State { stop, ..self }
     }
 
     /// The typed store: `v` converted to the slot's declared type.
@@ -1094,8 +1351,16 @@ impl<'p> State<'p> {
                 return Ok(());
             }
         }
+        if let Some(nest) = &l.nest {
+            if let Some(b) = self.nest_box(nest, l.var, first, step, n, mem) {
+                return self.run_nest(nest, &b, mem);
+            }
+        }
         let mut v = first;
         for _ in 0..n {
+            if self.stop.load(Relaxed) {
+                return stopped();
+            }
             self.store_int(l.var, v);
             self.exec(&l.block.stmts, mem)?;
             v = v.wrapping_add(step);
@@ -1183,6 +1448,216 @@ impl<'p> State<'p> {
         in_range
     }
 
+    /// The box a nest entry of `n` trips of the carrying loop runs over,
+    /// provided every trip count is positive, every cursor's least and
+    /// greatest value over the box — at its corners, in `i128` — lie in
+    /// its array, and `c` names a different element at every point of
+    /// the loops outside the fold: sorted by stride, each of their
+    /// strides must exceed the reach of the smaller ones (a mixed-radix
+    /// test). `None`: the walk runs the entry, and names the first bad
+    /// access if there is one.
+    fn nest_box(
+        &self,
+        nest: &Nest,
+        var: usize,
+        first: i64,
+        step: i64,
+        n: u64,
+        mem: &[&mut [Elem]],
+    ) -> Option<NestBox> {
+        let mut levels = vec![(var, first, step, n)];
+        for l in &nest.levels {
+            let (lo, hi) = (l.lo.value(&self.ints), l.hi.value(&self.ints));
+            levels.push((l.var, lo, l.step, trips(lo, hi, l.step)));
+        }
+        // The box's size bounds every count below.
+        levels.iter().try_fold(1u64, |size, l| size.checked_mul(l.3).filter(|&s| s > 0))?;
+        // Every cursor with each nest variable at its first value.
+        let bases: Vec<i64> = nest
+            .cursors
+            .iter()
+            .map(|c| {
+                levels.iter().fold(c.affine.value(&self.ints), |v, l| {
+                    v.wrapping_add(c.affine.coef(l.0).wrapping_mul(l.1.wrapping_sub(self.ints[l.0])))
+                })
+            })
+            .collect();
+        let d = levels.len();
+        let deltas: Vec<i64> = nest
+            .cursors
+            .iter()
+            .flat_map(|c| levels.iter().map(|l| c.affine.coef(l.0).wrapping_mul(l.2)))
+            .collect();
+        let reach = |c: usize, i: usize| (deltas[c * d + i] as i128) * (levels[i].3 as i128 - 1);
+        for (c, cursor) in nest.cursors.iter().enumerate() {
+            let Some(array) = cursor.array else { continue };
+            let (mut least, mut most) = (bases[c] as i128, bases[c] as i128);
+            for i in 0..d {
+                let r = reach(c, i);
+                if r < 0 {
+                    least = least.checked_add(r)?;
+                } else {
+                    most = most.checked_add(r)?;
+                }
+            }
+            if least < 0 || most >= mem[array].len() as i128 {
+                return None;
+            }
+        }
+        let x = nest.cursor;
+        let mut strides: Vec<(u128, i128)> = (0..d - 1)
+            .filter(|&i| levels[i].3 > 1)
+            .map(|i| (deltas[x * d + i].unsigned_abs() as u128, reach(x, i).abs()))
+            .collect();
+        strides.sort_unstable();
+        let mut span = 0i128;
+        for (stride, r) in strides {
+            if stride as i128 <= span {
+                return None;
+            }
+            span = span.checked_add(r)?;
+        }
+        // Lanes along X's smallest stride, then the operands'.
+        let operands = |i: usize| -> u128 {
+            (0..nest.cursors.len()).map(|c| deltas[c * d + i].unsigned_abs() as u128).sum()
+        };
+        let lane = (0..d - 1)
+            .min_by_key(|&i| (levels[i].3 < 2, deltas[x * d + i].unsigned_abs(), operands(i)))?;
+        Some(NestBox { levels, bases, deltas, lane })
+    }
+
+    /// Run a proven nest entry. The loops outside the fold but the lane
+    /// loop run in source order; at each of their points, the lanes run
+    /// `LANES` at a time, every fold trip over the whole chunk. Lane
+    /// `l`'s accumulator starts from its element's prologue value (or
+    /// the element) and takes `⊕ term` for the fold's trips in order:
+    /// the sequence the per-trip walk applies to that element, hence its
+    /// bits. Cycles are the walk's: each inner level charges its trips
+    /// on every entry of it. Polls the stop flag once per row.
+    fn run_nest(&mut self, nest: &Nest, b: &NestBox, mem: &mut [&mut [Elem]]) -> Eval<()> {
+        let d = b.levels.len();
+        let mut entries = b.levels[0].3;
+        for (l, &(.., n)) in nest.levels.iter().zip(&b.levels[1..]) {
+            entries *= n;
+            self.cycles += entries as f64 * (TRIP_CYCLES + l.cost);
+        }
+        let (fold, lane) = (d - 1, b.lane);
+        let outer: Vec<usize> = (0..fold).filter(|&i| i != lane).collect();
+        let ncur = nest.cursors.len();
+        let delta = |c: usize, i: usize| b.deltas[c * d + i];
+        let steps: Vec<i64> = (0..ncur).map(|c| delta(c, fold)).collect();
+        let x = (nest.array, nest.cursor);
+        // Buffers as wide as the widest chunk: the accumulators, then
+        // scratch.
+        let width = b.levels[lane].3.min(LANES as u64) as usize;
+        let mut strips = std::mem::take(&mut self.strips);
+        let len = (1 + nest.scratch) * width;
+        if strips.len() < len {
+            strips.resize(len, 0.0);
+        }
+        let (acc, scratch) = strips.split_at_mut(width);
+        let mut walks = std::mem::take(&mut self.walks);
+        let mut point = vec![0u64; d];
+        let mut done = Ok(());
+        'rows: loop {
+            if self.stop.load(Relaxed) {
+                done = stopped();
+                break;
+            }
+            // Every cursor at this row's first lane and first fold trip.
+            let row = |c: usize| {
+                outer.iter().fold(b.bases[c], |v, &i| {
+                    v.wrapping_add(delta(c, i).wrapping_mul(point[i] as i64))
+                })
+            };
+            let xs = (row(x.1), delta(x.1, lane));
+            for t0 in (0..b.levels[lane].3).step_by(LANES) {
+                let w = (b.levels[lane].3 - t0).min(LANES as u64) as usize;
+                let acc = &mut acc[..w];
+                walks.clear();
+                walks.extend((0..ncur).map(|c| (row(c), delta(c, lane))));
+                let start = at(xs, t0);
+                let from = match &nest.init {
+                    Some(e) => self.operand(e, &walks, t0, w, mem, scratch).0,
+                    None => View { m: &*mem[x.0], start, delta: xs.1 },
+                };
+                match from.run(w) {
+                    Some(v) => acc.copy_from_slice(v),
+                    None => acc.iter_mut().enumerate().for_each(|(l, a)| *a = from.at(l)),
+                }
+                let n = b.levels[fold].3;
+                self.fold_strip(nest, acc, &mut walks, &steps, t0, n, mem, scratch);
+                let m = &mut *mem[x.0];
+                match xs.1 {
+                    1 => m[start as usize..][..w].copy_from_slice(acc),
+                    _ => acc.iter().enumerate().for_each(|(l, a)| m[at(xs, t0 + l as u64) as usize] = *a),
+                }
+            }
+            // The next point of the outer loops, innermost first.
+            for &i in outer.iter().rev() {
+                point[i] += 1;
+                if point[i] < b.levels[i].3 {
+                    continue 'rows;
+                }
+                point[i] = 0;
+            }
+            break;
+        }
+        self.strips = strips;
+        self.walks = walks;
+        done?;
+        // Every variable of the nest holds its last trip's value.
+        for &(var, first, step, n) in &b.levels {
+            self.ints[var] = at((first, step), n - 1);
+        }
+        #[cfg(test)]
+        NESTED.set(NESTED.get() + 1);
+        Ok(())
+    }
+
+    /// The fold's `n` trips over a chunk of lanes, in trip order: the
+    /// term at every lane — read where it lives, or computed into
+    /// scratch one lane-wise loop per operator — then `acc[l] = acc[l] ⊕
+    /// term[l]`. A sum of products of leaves over contiguous or
+    /// one-element lanes (MM's `+ A(I,K)·B(K,J)`, any dot product) takes
+    /// one pass instead, each view moving by its step. `walks` holds
+    /// every cursor at the first trip and `steps` what a trip adds.
+    #[allow(clippy::too_many_arguments)]
+    fn fold_strip(
+        &self,
+        nest: &Nest,
+        acc: &mut [f64],
+        walks: &mut [Walk],
+        steps: &[i64],
+        t0: u64,
+        n: u64,
+        mem: &[&mut [Elem]],
+        scratch: &mut [f64],
+    ) {
+        let w = acc.len();
+        if let (RBin::Add, SExpr::Bin(g, a, b)) = (nest.op, &nest.term) {
+            let step = |e: &SExpr| match e {
+                SExpr::Load { cursor, .. } => Some(steps[*cursor]),
+                SExpr::Const(_) | SExpr::Scalar(_) => Some(0),
+                SExpr::FromInt(_) | SExpr::Un(..) | SExpr::Bin(..) => None,
+            };
+            if let (Some(da), Some(db)) = (step(a), step(b)) {
+                let (x, rest) = self.operand(a, walks, t0, w, mem, scratch);
+                let (y, _) = self.operand(b, walks, t0, w, mem, rest);
+                if matches!((x.delta, y.delta), (1, 0 | 1) | (0, 1)) {
+                    return with_rbin!(g, h => sum_lanes(acc, x, y, (da, db), n, h));
+                }
+            }
+        }
+        for _ in 0..n {
+            let (t, _) = self.operand(&nest.term, walks, t0, w, mem, scratch);
+            with_rbin!(nest.op, f => fold_lanes(acc, t, f));
+            for (walk, s) in walks.iter_mut().zip(steps) {
+                walk.0 = walk.0.wrapping_add(*s);
+            }
+        }
+    }
+
     /// `acc` folded with `op` over trips `0 .. n` of `term`, a strip at
     /// a time. A term `a ⊗ b` is applied inside the fold, trip by trip,
     /// to its operands where they live: no buffer holds its values.
@@ -1235,7 +1710,7 @@ impl<'p> State<'p> {
                 (View { m, start, delta }, scratch)
             }
             SExpr::FromInt(_) | SExpr::Un(..) | SExpr::Bin(..) => {
-                let (buf, rest) = scratch.split_at_mut(STRIP);
+                let (buf, rest) = scratch.split_at_mut(w);
                 self.strip(e, walks, t0, mem, &mut buf[..w], rest);
                 let view = View {
                     m: buf,
@@ -1700,13 +2175,14 @@ mod tests {
             blocks: Vec::new(),
             sequential: vec![over(0, vec![over(1, fill)]), over(0, vec![over(1, mm)])],
         };
-        let (streamed, fused) = (STREAMED.get(), FUSED.get());
+        let (streamed, fused, nested) = (STREAMED.get(), FUSED.get(), NESTED.get());
         let (_, arrays, _) = run_sequential(&p, ExecMode::Full).unwrap();
         let n = N as u64;
-        // The fill's inner loop streams once per I, the product loop
-        // once per (I, J), always as the fused fold.
-        assert_eq!(FUSED.get() - fused, n * n);
-        assert_eq!(STREAMED.get() - streamed, n + n * n);
+        // The fill's inner loop streams once per I; the product nest
+        // runs once, in lanes, so no (I, J) entry folds on its own.
+        assert_eq!(NESTED.get() - nested, 1);
+        assert_eq!(FUSED.get() - fused, 0);
+        assert_eq!(STREAMED.get() - streamed, n);
 
         let (a, b) = (
             |i: i64, j: i64| (i + j) as f64 / N as f64,

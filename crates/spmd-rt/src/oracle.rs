@@ -199,7 +199,7 @@ mod tests {
 
     use super::*;
     use crate::exec::{run_sequential, ExecMode};
-    use crate::lowered::{FUSED, STREAMED, STRIP};
+    use crate::lowered::{FUSED, LANES, NESTED, STREAMED, STRIP};
 
     // Scalar slots of every generated program: three INTEGER loop
     // variables, one INTEGER and two REAL temporaries.
@@ -714,6 +714,312 @@ mod tests {
             fused.get() * 20 >= cases.get(),
             "{} of {} cases ran a fused fold",
             fused.get(),
+            cases.get()
+        );
+    }
+
+    /// How a generated fold nest misses the nest form, if it does. Each
+    /// miss also denies it to the nest under the outermost loop.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Miss {
+        Qualifies,
+        /// The term reads X at another index: no fold.
+        TermReadsX,
+        /// X's subscript skips the fold's parent, which runs ≥ 2 trips.
+        NotInjective,
+        /// The prologue stores to an operand.
+        StoresOperand,
+        /// The fold's upper bound reads its parent's variable.
+        BoundReadsVar,
+    }
+
+    /// The loops of a generated nest, outermost first.
+    struct Shape {
+        vars: Vec<usize>,
+        lo: Vec<i64>,
+        step: Vec<i64>,
+        /// Trips each loop may reach: the fold's grows with its parent
+        /// under `BoundReadsVar`.
+        reach: Vec<i64>,
+        /// The value of M, which subscripts and bounds may read.
+        m: i64,
+    }
+
+    const M: usize = 3;
+
+    impl Shape {
+        /// `Σ k·var + km·M + c0` with `c0` putting its least value over
+        /// the loops at `low`, and its greatest value.
+        fn subscript(&self, k: &[i64], km: i64, low: i64) -> (Expr, i64) {
+            let mut least = km * self.m;
+            let mut most = least;
+            for (i, k) in k.iter().enumerate() {
+                least += k * self.lo[i];
+                let r = k * self.step[i] * (self.reach[i] - 1).max(0);
+                most += k * self.lo[i] + r.max(0);
+                least += r.min(0);
+            }
+            let c0 = low - least;
+            let term = |k, slot| bin(BinOp::Mul, Expr::IConst(k), Expr::Scalar(slot));
+            let e = (0..k.len()).fold(term(km, M), |e, i| bin(BinOp::Add, e, term(k[i], self.vars[i])));
+            (bin(BinOp::Add, e, Expr::IConst(c0)), most + c0)
+        }
+    }
+
+    /// A fold nest in the form of MM's product nest, or one of its
+    /// near-misses: 2 or 3 loops over I, J, K in any source order, steps
+    /// ±1 / ±2, one non-fold loop's trips sometimes across a strip or a
+    /// lane chunk; 0–2 prologue stores to X(c); X(c) = X(c) ⊕ t over
+    /// every REAL operator, `t` reading P and Q at strides -2..2 in every
+    /// variable, constants, scalars and `REAL()`; and now and then one
+    /// element out of range at a corner of the loops.
+    fn fold_nest(src: &mut Source) -> (SpmdProgram, Miss) {
+        let depth = 2 + src.next_below(2) as usize;
+        let (fold, parent) = (depth - 1, depth - 2);
+        let mut vars = vec![0, 1, 2];
+        for i in (1..3).rev() {
+            vars.swap(i, src.next_below(i as u64 + 1) as usize);
+        }
+        vars.truncate(depth);
+        // MM's own shape, X ⊕ P·Q with ⊕ = +, one time in three.
+        let mm = src.next_below(3) == 0;
+        let op = if mm { 0 } else { src.next_below(8) };
+        let miss = match src.next_below(10) {
+            0 if op != POW => Miss::TermReadsX,
+            1 => Miss::NotInjective,
+            2 => Miss::StoresOperand,
+            3 => Miss::BoundReadsVar,
+            _ => Miss::Qualifies,
+        };
+        let long = src.next_below(fold as u64) as usize;
+        let mut trips: Vec<i64> = (0..depth)
+            .map(|i| match src.next_below(8) {
+                0 if i == long => (LANES - 2) as i64 + src.next_below(5) as i64,
+                1 | 2 if i == long => (STRIP - 2) as i64 + src.next_below(5) as i64,
+                _ => src.next_below(5) as i64,
+            })
+            .collect();
+        match miss {
+            Miss::NotInjective => trips[parent] = trips[parent].max(2),
+            // The fold's trips grow with its parent's: keep both short.
+            Miss::BoundReadsVar => trips[parent] = trips[parent].min(4),
+            _ => {}
+        }
+        let step: Vec<i64> = (0..depth).map(|_| pick(src, &[-2, -1, 1, 2])).collect();
+        let lo: Vec<i64> = (0..depth).map(|_| src.next_below(7) as i64 - 3).collect();
+        let grow = match miss {
+            Miss::BoundReadsVar => step[fold] * step[parent],
+            _ => 0,
+        };
+        let mut reach = trips.clone();
+        reach[fold] += grow.abs() * step[parent].abs() * (trips[parent] - 1).max(0);
+        let s = Shape {
+            vars: vars.clone(),
+            lo: lo.clone(),
+            step: step.clone(),
+            reach,
+            m: src.next_below(7) as i64 - 3,
+        };
+
+        // X's subscript: injective by construction, its strides grown
+        // as mixed-radix digits over the loops outside the fold.
+        let mut kx = vec![0; depth];
+        let mut radix = 1;
+        let mut order: Vec<usize> = (0..fold).collect();
+        if src.next_below(2) == 0 {
+            order.reverse();
+        }
+        let lane = order[0];
+        for i in order {
+            kx[i] = radix * pick(src, &[1, -1]);
+            radix *= step[i].abs() * trips[i].max(1) + src.next_below(2) as i64;
+        }
+        if miss == Miss::NotInjective {
+            kx[parent] = 0;
+        }
+        let out = src.next_below(8);
+        let (c, x_most) = s.subscript(&kx, 0, -((out == 0) as i64));
+        let x_len = x_most + (out != 1) as i64;
+
+        // Operands: P and Q at strides -2..2 in every variable, the
+        // fold's excepted where the prologue reads them.
+        let mut most = [0i64; 2];
+        let strides = |src: &mut Source, fold_free: bool| -> Vec<i64> {
+            let mut k: Vec<i64> = (0..depth).map(|_| src.next_below(5) as i64 - 2).collect();
+            if fold_free {
+                k[fold] = 0;
+            }
+            k
+        };
+        let load = |src: &mut Source, k: &[i64], most: &mut [i64; 2]| {
+            let array = 1 + src.next_below(2) as usize;
+            let (index, top) = s.subscript(k, src.next_below(3) as i64 - 1, 0);
+            most[array - 1] = most[array - 1].max(top);
+            (array, index)
+        };
+        let leaf = |src: &mut Source, fold_free: bool, most: &mut [i64; 2]| match src.next_below(8) {
+            0 => Expr::RConst((src.next_below(33) as f64 - 16.0) / 4.0),
+            1 => Expr::RConst(special(src)),
+            2 => Expr::Scalar(4 + src.next_below(2) as usize),
+            3 => Expr::Intr(IntrinsicOp::ToReal, vec![s.subscript(&strides(src, fold_free), 1, 0).0]),
+            _ => {
+                let k = strides(src, fold_free);
+                let (array, index) = load(src, &k, most);
+                Expr::Load { array, index: Box::new(index) }
+            }
+        };
+        let x_at = |index: Expr| Expr::Load { array: 0, index: Box::new(index) };
+        let mut t = match src.next_below(6) {
+            // P along X's smallest stride, likely the lanes, and Q across
+            // them, as A(I,K) and B(K,J) are; either operand first.
+            _ if mm => {
+                let mut kp = strides(src, false);
+                let mut kq = strides(src, false);
+                for i in 0..fold {
+                    kp[i] = if i == lane { step[i].signum() } else { 0 };
+                }
+                kq[lane] = 0;
+                let [p, q] = [kp, kq].map(|k| {
+                    let (array, index) = load(src, &k, &mut most);
+                    Expr::Load { array, index: Box::new(index) }
+                });
+                let (a, b) = if src.next_below(2) == 0 { (p, q) } else { (q, p) };
+                real_op(pick(src, &[2, 2, 0, 1, 3, 5, 6, 7]), a, b)
+            }
+            0 => leaf(src, false, &mut most),
+            1 => {
+                let inner = real_op(src.next_below(8), leaf(src, false, &mut most), leaf(src, false, &mut most));
+                real_op(src.next_below(8), inner, leaf(src, false, &mut most))
+            }
+            _ => real_op(src.next_below(8), leaf(src, false, &mut most), leaf(src, false, &mut most)),
+        };
+        if miss == Miss::TermReadsX {
+            t = real_op(src.next_below(8), t, x_at(Expr::IConst(src.next_below(x_len.max(1) as u64) as i64)));
+        }
+        let x = x_at(c.clone());
+        let value = match op {
+            // X may hold a NaN of either sign: no `bin`, which would
+            // clear it.
+            POW => Expr::Bin(BinOp::Pow, Box::new(x), Box::new(t)),
+            _ => real_op(op, x, t),
+        };
+        let mut body = vec![Instr::StoreArray { array: 0, index: c.clone(), value }];
+        let bound = |src: &mut Source, v: i64| match src.next_below(3) {
+            0 => bin(BinOp::Add, Expr::Scalar(M), Expr::IConst(v - s.m)),
+            _ => Expr::IConst(v),
+        };
+        let last = |i: usize| lo[i] + step[i] * (trips[i] - 1);
+        let mut hi = bound(src, last(fold));
+        if grow != 0 {
+            let by = bin(BinOp::Sub, Expr::Scalar(vars[parent]), Expr::IConst(lo[parent]));
+            hi = bin(BinOp::Add, hi, bin(BinOp::Mul, Expr::IConst(grow), by));
+        }
+        body = vec![Instr::Loop { var: vars[fold], lo: bound(src, lo[fold]), hi, step: step[fold], body }];
+        let mut prologue: Vec<Instr> = (0..src.next_below(3))
+            .map(|_| {
+                let value = match src.next_below(3) {
+                    0 => real_op(src.next_below(8), leaf(src, true, &mut most), leaf(src, true, &mut most)),
+                    _ => leaf(src, true, &mut most),
+                };
+                Instr::StoreArray { array: 0, index: c.clone(), value }
+            })
+            .collect();
+        if miss == Miss::StoresOperand {
+            let k = strides(src, true);
+            let (array, index) = load(src, &k, &mut most);
+            let value = leaf(src, true, &mut most);
+            let at = src.next_below(prologue.len() as u64 + 1) as usize;
+            prologue.insert(at, Instr::StoreArray { array, index, value });
+        }
+        prologue.extend(body);
+        body = prologue;
+        for i in (0..fold).rev() {
+            body = vec![Instr::Loop { var: vars[i], lo: bound(src, lo[i]), hi: bound(src, last(i)), step: step[i], body }];
+        }
+        (nest_program(s, x_len, most, body, src), miss)
+    }
+
+    /// X, P and Q filled with quarters and a few [`special`]s, M and the
+    /// REAL scalars set, then `body`. P or Q is sometimes one element
+    /// short of its greatest subscript.
+    fn nest_program(
+        s: Shape,
+        x_len: i64,
+        most: [i64; 2],
+        body: Vec<Instr>,
+        src: &mut Source,
+    ) -> SpmdProgram {
+        let short = src.next_below(12);
+        let lens = [x_len, most[0] + (short != 1) as i64, most[1] + (short != 2) as i64]
+            .map(|n| n.max(1) as usize);
+        let mut sequential = Vec::new();
+        for (array, &len) in lens.iter().enumerate() {
+            sequential.push(Instr::Loop {
+                var: 0,
+                lo: Expr::IConst(0),
+                hi: Expr::IConst(len as i64 - 1),
+                step: 1,
+                body: vec![Instr::StoreArray {
+                    array,
+                    index: Expr::Scalar(0),
+                    value: bin(BinOp::Mul, Expr::Scalar(0), Expr::RConst(0.25 - array as f64)),
+                }],
+            });
+            let every = 3 + src.next_below(9) as i64;
+            sequential.push(Instr::Loop {
+                var: 0,
+                lo: Expr::IConst(src.next_below(every as u64) as i64),
+                hi: Expr::IConst(len as i64 - 1),
+                step: every,
+                body: vec![Instr::StoreArray {
+                    array,
+                    index: Expr::Scalar(0),
+                    value: Expr::RConst(special(src)),
+                }],
+            });
+        }
+        sequential.push(Instr::StoreScalar { slot: M, value: Expr::IConst(s.m) });
+        for slot in [4, 5] {
+            let v = match src.next_below(3) {
+                0 => special(src),
+                _ => (src.next_below(33) as f64 - 16.0) / 4.0,
+            };
+            sequential.push(Instr::StoreScalar { slot, value: Expr::RConst(v) });
+        }
+        sequential.extend(body);
+        SpmdProgram {
+            name: "NEST".into(),
+            nprocs: 1,
+            arrays: ["X", "P", "Q"].iter().zip(lens).map(|(n, len)| (n.to_string(), len)).collect(),
+            scalars: SCALARS.iter().map(|(n, i)| (n.to_string(), *i)).collect(),
+            blocks: Vec::new(),
+            sequential,
+        }
+    }
+
+    #[test]
+    fn fold_nests_agree_with_the_tree_walker() {
+        let [cases, qualifying, nested] = [(); 3].map(|_| Cell::new(0u32));
+        Check::new("spmd_rt::fold_nests_agree_with_the_tree_walker")
+            .cases(400)
+            .run(&Gen::new(fold_nest), |(prog, miss)| {
+                let before = NESTED.get();
+                let lowered = outcome(|| run_sequential(prog, ExecMode::Full));
+                let took = NESTED.get() > before;
+                let oracle = outcome(|| oracle_run(prog));
+                prop_assert!(!matches!(lowered, Outcome::Panicked(_)), "{lowered:?}");
+                prop_assert_eq!(lowered, oracle);
+                prop_assert!(*miss == Miss::Qualifies || !took, "{miss:?} ran as a nest");
+                cases.set(cases.get() + 1);
+                qualifying.set(qualifying.get() + (*miss == Miss::Qualifies) as u32);
+                nested.set(nested.get() + took as u32);
+                Ok(())
+            });
+        assert!(
+            nested.get() * 4 >= qualifying.get(),
+            "{} of {} qualifying cases ({} in all) ran as a nest",
+            nested.get(),
+            qualifying.get(),
             cases.get()
         );
     }

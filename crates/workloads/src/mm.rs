@@ -53,13 +53,15 @@ pub fn reference(n: usize) -> (Vec<f64>, Vec<f64>, Vec<f64>) {
             b[idx2(i, j, n)] = (i as f64 - j as f64) / n as f64;
         }
     }
-    for i in 1..=n {
-        for j in 1..=n {
-            let mut s = 0.0;
-            for k in 1..=n {
-                s += a[idx2(i, k, n)] * b[idx2(k, j, n)];
+    // Column by column, K outer and I inner: A is read down its
+    // columns, and every C(I,J) still takes 0.0 + A(I,1)·B(1,J) + … in
+    // K order — the source's fold, hence its bits.
+    for j in 1..=n {
+        for k in 1..=n {
+            let bkj = b[idx2(k, j, n)];
+            for i in 1..=n {
+                c[idx2(i, j, n)] += a[idx2(i, k, n)] * bkj;
             }
-            c[idx2(i, j, n)] = s;
         }
     }
     (a, b, c)
@@ -94,6 +96,20 @@ mod tests {
         let (_, _, c) = reference(8);
         assert!(c.iter().all(|x| x.is_finite()));
         assert!(c.iter().any(|&x| x != 0.0));
+    }
+
+    #[test]
+    fn reference_folds_each_element_from_zero_in_k_order() {
+        // The source's order, element by element: the bits `Full`
+        // execution of MM must reproduce.
+        let n = 37;
+        let (a, b, c) = reference(n);
+        for i in 1..=n {
+            for j in 1..=n {
+                let dot = (1..=n).fold(0.0, |s, k| s + a[idx2(i, k, n)] * b[idx2(k, j, n)]);
+                assert_eq!(c[idx2(i, j, n)].to_bits(), dot.to_bits(), "C({i},{j})");
+            }
+        }
     }
 
     #[test]

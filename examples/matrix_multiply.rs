@@ -1,71 +1,90 @@
-//! The paper's MM benchmark end-to-end: Table-1-style speedup rows
-//! for a chosen matrix size (default 256; pass another as argv[1]).
+//! The paper's MM benchmark end-to-end: Table-1 rows for one matrix
+//! size (default 256; pass another as argv[1]) on 1, 2 and 4 nodes of
+//! the nominal card and of the calibrated prototype, every cell
+//! executed in full. Each run must reproduce the analytic cell bit for
+//! bit — sequential, parallel and communication time, which
+//! `BENCH_table1.json` pins — and leave C bit-equal to the native
+//! reference (`mm::reference`).
 //!
 //! ```sh
-//! cargo run --release -p vpce --example matrix_multiply -- 512
+//! cargo run --release -p vpce --example matrix_multiply -- 1024
 //! ```
 
-use vpce::{compile, BackendOptions, ClusterConfig, ExecMode, Granularity};
-use vpce_workloads::{max_abs_diff, mm};
+use vpce::{compile, BackendOptions, ClusterConfig, CompiledProgram, ExecMode, Granularity};
+use vpce_workloads::mm;
 
 fn main() {
     let n: i64 = std::env::args()
         .nth(1)
         .and_then(|a| a.parse().ok())
         .unwrap_or(256);
-
-    // Verify correctness at a reduced size against the native
-    // reference (full interpretation of the big size is unnecessary —
-    // analytic timing is exact).
-    let check_n = n.min(64);
-    let opts = BackendOptions::new(4).granularity(Granularity::Coarse);
-    let compiled = compile(mm::SOURCE, &[("N", check_n)], &opts).unwrap();
-    let rep = spmd_rt::execute(
-        &compiled.program,
-        &ClusterConfig::paper_4node(),
-        ExecMode::Full,
-    );
-    let (_, _, c_ref) = mm::reference(check_n as usize);
-    let c_idx = compiled
-        .program
-        .arrays
-        .iter()
-        .position(|(name, _)| name == "C")
-        .unwrap();
-    let diff = max_abs_diff(&rep.arrays[c_idx], &c_ref);
-    println!("correctness check at N={check_n}: max |diff| = {diff:.2e}");
-    assert!(diff < 1e-10);
-
-    // Timing rows at the requested size.
-    println!("\nMM {n}x{n} on the simulated V-Bus cluster (coarse granularity):");
-    println!(
-        "{:>6} {:>12} {:>12} {:>9} {:>12}",
-        "nodes", "T_seq", "T_par", "speedup", "comm"
-    );
-    let seq = {
-        let compiled = compile(mm::SOURCE, &[("N", n)], &BackendOptions::new(1)).unwrap();
-        spmd_rt::execute_sequential(
-            &compiled.program,
-            &ClusterConfig::paper_n(1).node.cpu,
-            ExecMode::Analytic,
-        )
-        .elapsed
-    };
-    for nodes in [1usize, 2, 4, 8] {
+    let (_, _, c_ref) = mm::reference(n as usize);
+    let compiled = |nodes: usize| {
         let opts = BackendOptions::new(nodes).granularity(Granularity::Coarse);
-        let compiled = compile(mm::SOURCE, &[("N", n)], &opts).unwrap();
-        let rep = spmd_rt::execute(
-            &compiled.program,
-            &ClusterConfig::paper_n(nodes),
-            ExecMode::Analytic,
+        compile(mm::SOURCE, &[("N", n)], &opts).expect("MM compiles")
+    };
+    // C as a run left it, checked against the native reference.
+    let check_c = |what: &str, program: &CompiledProgram, arrays: &[Vec<f64>]| {
+        let c = program
+            .program
+            .arrays
+            .iter()
+            .position(|(name, _)| name == "C")
+            .unwrap();
+        assert!(
+            spmd_rt::same_bits(&arrays[c], &c_ref),
+            "{what}: C differs from mm::reference({n})"
         );
+    };
+    let same = |what: &str, full: f64, analytic: f64| {
+        assert_eq!(
+            full.to_bits(),
+            analytic.to_bits(),
+            "{what}: Full {full} vs Analytic {analytic}"
+        );
+    };
+
+    let families: [(&str, fn(usize) -> ClusterConfig); 2] = [
+        ("nominal", ClusterConfig::paper_n),
+        ("prototype", ClusterConfig::prototype_n),
+    ];
+    for (family, cluster_of) in families {
+        println!("\nMM {n}x{n}, {family} V-Bus cluster, coarse granularity, full execution:");
         println!(
-            "{:>6} {:>11.3}s {:>11.3}s {:>9.3} {:>11.4}s",
-            nodes,
-            seq,
-            rep.elapsed,
-            seq / rep.elapsed,
-            rep.comm_time
+            "{:>6} {:>12} {:>12} {:>9} {:>12}",
+            "nodes", "T_seq", "T_par", "speedup", "comm"
         );
+        let one = compiled(1);
+        let cpu = cluster_of(1).node.cpu;
+        let seq = spmd_rt::execute_sequential(&one.program, &cpu, ExecMode::Full);
+        let priced = spmd_rt::execute_sequential(&one.program, &cpu, ExecMode::Analytic);
+        same("sequential time", seq.elapsed, priced.elapsed);
+        check_c("sequential", &one, &seq.arrays);
+        for nodes in [1usize, 2, 4] {
+            let program = compiled(nodes);
+            let cluster = cluster_of(nodes);
+            let full = spmd_rt::execute(&program.program, &cluster, ExecMode::Full);
+            let priced = spmd_rt::execute(&program.program, &cluster, ExecMode::Analytic);
+            same(
+                &format!("{nodes} nodes, parallel time"),
+                full.elapsed,
+                priced.elapsed,
+            );
+            same(
+                &format!("{nodes} nodes, communication time"),
+                full.comm_time,
+                priced.comm_time,
+            );
+            check_c(&format!("{nodes} nodes"), &program, &full.arrays);
+            println!(
+                "{:>6} {:>11.3}s {:>11.3}s {:>9.3} {:>11.4}s",
+                nodes,
+                seq.elapsed,
+                full.elapsed,
+                seq.elapsed / full.elapsed,
+                full.comm_time
+            );
+        }
     }
+    println!("\nevery cell: Full = Analytic bit for bit, C = mm::reference({n}) bit for bit");
 }

@@ -63,7 +63,7 @@ impl Ending {
         Ending {
             exit: out.exit,
             stdout: out.text,
-            stderr: String::new(),
+            stderr: out.stderr,
             files: vec![
                 out.lint_json,
                 out.verify_json,

@@ -371,6 +371,26 @@ fn zero_nodes_is_the_vpce505_usage_line_on_the_builtin_machines() {
     }
 }
 
+/// `--verify` explores at most 32 ranks (a state's crash mask is a
+/// `u32`): a larger plan is one typed VPCE209 line on stderr and a
+/// usage exit, nothing on stdout — it used to panic (exit 101).
+#[test]
+fn verify_above_32_ranks_is_a_typed_refusal() {
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    for nodes in ["33", "64"] {
+        let out = vpcec(&[mm, "--nodes", nodes, "--param", "N=64", "--verify"], None);
+        assert_eq!(out.status.code(), Some(1), "{nodes}: {}", stdout(&out));
+        assert!(stdout(&out).is_empty(), "{nodes}: {}", stdout(&out));
+        assert_eq!(
+            String::from_utf8_lossy(&out.stderr),
+            format!(
+                "error: --verify [VPCE209] explores at most 32 ranks (a state's crash mask is 32 \
+                 bits); this plan has {nodes}\n"
+            )
+        );
+    }
+}
+
 #[test]
 fn overriding_an_undeclared_parameter_names_the_declared_ones() {
     let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");

@@ -685,3 +685,54 @@ fn every_innermost_workload_loop_has_a_stream_form() {
         [("I".to_string(), false), ("I".to_string(), false)]
     );
 }
+
+/// MM's product nest — `DO I / DO J / { C(I,J) = 0.0 ; DO K: C(I,J) =
+/// C(I,J) + A(I,K) * B(K,J) }` — has the lane form under `DO I`, in the
+/// sequential reference and in the rank body alike, and the fold's
+/// parent `DO J` has the two-loop one beside it. Nothing else in MM
+/// (the fill stores two arrays and folds nothing) or in `irregular`
+/// has one: a nest form that stops appearing is MM's per-element fold
+/// coming back on Table 1's hottest loop.
+#[test]
+fn mm_product_nest_has_a_nest_form_and_irregular_loops_do_not() {
+    use spmd_rt::ir::{Block as IrBlock, Expr, Instr};
+    use spmd_rt::lowered::{lower, Block, Stmt};
+    use vpce_workloads::irregular;
+
+    /// `(loop variable, loops in its nest)` per loop with a nest form,
+    /// outermost first.
+    fn nests(block: &Block, scalars: &[(String, bool)], out: &mut Vec<(String, usize)>) {
+        for s in &block.stmts {
+            if let Stmt::Loop { body, .. } = s {
+                if let Some(nest) = &body.nest {
+                    out.push((scalars[body.var].0.clone(), 1 + nest.levels.len()));
+                }
+                nests(&body.block, scalars, out);
+            }
+        }
+    }
+    let of = |source: &str| {
+        let program = compile(source, &[("N", 16)], &BackendOptions::new(4)).unwrap().program;
+        let scalars = &program.scalars;
+        let mut sequential = Vec::new();
+        nests(&lower(&program.sequential, scalars), scalars, &mut sequential);
+        // A rank runs a region's body as the loop `lower` makes of it.
+        let mut ranks = Vec::new();
+        for block in &program.blocks {
+            if let IrBlock::Parallel(r) = block {
+                let whole = Instr::Loop {
+                    var: r.var,
+                    lo: Expr::IConst(r.lo),
+                    hi: Expr::IConst(r.lo + r.step * (r.trips as i64 - 1)),
+                    step: r.step,
+                    body: r.body.clone(),
+                };
+                nests(&lower(&[whole], scalars), scalars, &mut ranks);
+            }
+        }
+        (sequential, ranks)
+    };
+    let mm_nests = vec![("I".to_string(), 3), ("J".to_string(), 2)];
+    assert_eq!(of(mm::SOURCE), (mm_nests.clone(), mm_nests));
+    assert_eq!(of(irregular::SOURCE), (Vec::new(), Vec::new()));
+}

@@ -225,7 +225,7 @@ fn workloads_equal_their_references_on_both_sides_of_the_strip_width() {
     }
 }
 
-/// Above spmd-rt's one-worker bound (2¹⁷ declared array elements; MM at
+/// Above spmd-rt's one-worker bound (2¹⁶ declared array elements; MM at
 /// N = 216 declares 3 · 216² = 139 968) a `Full` run shares its ranks
 /// among several workers. The fused fold runs inside whichever worker
 /// polls a rank, so one worker and two must give the same report to
