@@ -7,6 +7,7 @@
 use cluster_sim::{ClusterConfig, CpuModel, NicModel, TransferKind};
 use vbus_sim::{LinkPhy, NetConfig, NetSim, SignallingMode, Time};
 use vpce_diag::json::{self, Layout};
+use vpce_machine::MachineSpec;
 
 /// One row of the link-technology table (claim C1).
 #[derive(Debug, Clone)]
@@ -48,11 +49,8 @@ pub fn c1_system_level(size: i64) -> (f64, f64) {
     let compiled =
         vpce::compile(vpce_workloads::mm::SOURCE, &[("N", size)], &opts).expect("compiles");
     let skwp = spmd_rt::execute(&compiled.program, &ClusterConfig::paper_n(4), ExecMode::Analytic);
-    let conv = spmd_rt::execute(
-        &compiled.program,
-        &ClusterConfig::conventional_links_n(4),
-        ExecMode::Analytic,
-    );
+    let conventional = MachineSpec::conventional().lower(4).expect("a 4-node mesh");
+    let conv = spmd_rt::execute(&compiled.program, &conventional, ExecMode::Analytic);
     (skwp.comm_time, conv.comm_time)
 }
 

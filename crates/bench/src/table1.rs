@@ -4,14 +4,14 @@
 //!
 //! Two hardware variants are reported: the nominal card (§2.1 specs:
 //! 50 MB/s SKWP links) and the calibrated prototype
-//! ([`cluster_sim::ClusterConfig::prototype_n`]), whose ≈6 MB/s
+//! ([`vpce_machine::MachineSpec::prototype`]), whose ≈6 MB/s
 //! achieved bandwidth reconciles the paper's own speedup numbers.
 
-use cluster_sim::ClusterConfig;
 use lmad::Granularity;
 use polaris_be::BackendOptions;
 use spmd_rt::ExecMode;
 use vpce_diag::json::{self, Layout};
+use vpce_machine::MachineSpec;
 
 /// The paper's Table 1 values, `paper[size][nodes]` with
 /// sizes = [256, 512, 1024] and nodes = [1, 2, 4].
@@ -37,20 +37,20 @@ pub struct Cell {
 }
 
 /// Speedups of `source` (parameter `N` ∈ `sizes`) on each node count
-/// of `nodes`, on one cluster family (e.g. `ClusterConfig::paper_n` or
-/// `ClusterConfig::prototype_n`). Table 1 is MM at [`SIZES`] ×
+/// of `nodes`, on one machine (e.g. the `paper` or the `prototype`
+/// preset). Table 1 is MM at [`SIZES`] ×
 /// [`NODES`]; the scaling table takes MM and SWIM past the paper's
 /// four nodes.
 ///
 /// Uses coarse granularity (the fewest-setup plan — what a user would
 /// pick for MM per §5.6) and analytic execution (identical virtual
 /// times to full execution; see `spmd-rt` docs).
-pub fn speedups(
-    source: &str,
-    sizes: &[i64],
-    nodes: &[usize],
-    cluster_of: impl Fn(usize) -> ClusterConfig,
-) -> Vec<Cell> {
+pub fn speedups(source: &str, sizes: &[i64], nodes: &[usize], machine: &MachineSpec) -> Vec<Cell> {
+    let cluster_of = |n| {
+        machine
+            .lower(n)
+            .expect("a sweep's machine holds its node counts")
+    };
     let mut out = Vec::new();
     for &size in sizes {
         // The sequential baseline does not depend on the node count.
@@ -161,13 +161,13 @@ mod tests {
     use super::*;
     use vpce_workloads::mm;
 
-    fn small_sweep(cluster_of: impl Fn(usize) -> ClusterConfig, size: i64) -> Vec<Cell> {
-        speedups(mm::SOURCE, &[size], &NODES, cluster_of)
+    fn small_sweep(machine: MachineSpec, size: i64) -> Vec<Cell> {
+        speedups(mm::SOURCE, &[size], &NODES, &machine)
     }
 
     #[test]
     fn json_export_is_wellformed() {
-        let cells = small_sweep(ClusterConfig::paper_n, 64);
+        let cells = small_sweep(MachineSpec::paper(), 64);
         let json = json_doc(&[("nominal", &cells), ("prototype", &[])]);
         assert_eq!(json.matches('{').count(), cells.len() + 1);
         assert_eq!(json.matches('}').count(), cells.len() + 1);
@@ -177,7 +177,7 @@ mod tests {
 
     #[test]
     fn single_node_speedup_is_the_calibrated_0_96() {
-        let cells = small_sweep(ClusterConfig::paper_n, 64);
+        let cells = small_sweep(MachineSpec::paper(), 64);
         assert!(
             (cells[0].speedup - 0.96).abs() < 0.01,
             "got {}",
@@ -187,7 +187,7 @@ mod tests {
 
     #[test]
     fn speedup_monotone_in_nodes() {
-        let cells = small_sweep(ClusterConfig::paper_n, 128);
+        let cells = small_sweep(MachineSpec::paper(), 128);
         assert!(cells[0].speedup < cells[1].speedup);
         assert!(cells[1].speedup < cells[2].speedup);
     }
@@ -196,8 +196,8 @@ mod tests {
     fn larger_matrices_scale_better() {
         // The paper's key Table-1 shape: speedup at 4 nodes grows with
         // the matrix size (compute grows N^3, communication N^2).
-        let s64 = small_sweep(ClusterConfig::prototype_n, 64)[2].speedup;
-        let s256 = small_sweep(ClusterConfig::prototype_n, 256)[2].speedup;
+        let s64 = small_sweep(MachineSpec::prototype(), 64)[2].speedup;
+        let s256 = small_sweep(MachineSpec::prototype(), 256)[2].speedup;
         assert!(
             s256 > s64,
             "4-node speedup should grow with N: {s64} vs {s256}"

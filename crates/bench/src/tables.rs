@@ -2,6 +2,7 @@
 //! both `vpce-bench <table>` and the golden test.
 
 use cluster_sim::ClusterConfig;
+use vpce_machine::MachineSpec;
 use vpce_workloads::{mm, swim};
 
 use crate::{ablation, chaos, hwclaims, machine, recover, sched, serve, table1, table2, transport};
@@ -41,12 +42,12 @@ pub fn find(name: &str) -> Option<&'static Table> {
 /// Table 1: MM speedups on the nominal card and the calibrated
 /// prototype.
 fn table1() -> (String, Vec<String>) {
-    let sweep = |cluster_of: fn(usize) -> ClusterConfig| {
-        table1::speedups(mm::SOURCE, &table1::SIZES, &table1::NODES, cluster_of)
+    let sweep = |machine: MachineSpec| {
+        table1::speedups(mm::SOURCE, &table1::SIZES, &table1::NODES, &machine)
     };
-    let nominal = sweep(ClusterConfig::paper_n);
+    let nominal = sweep(MachineSpec::paper());
     table1::print_sweep("nominal card: 50 MB/s SKWP links", &nominal);
-    let prototype = sweep(ClusterConfig::prototype_n);
+    let prototype = sweep(MachineSpec::prototype());
     table1::print_sweep("calibrated prototype: ~6 MB/s achieved", &prototype);
     table1::print_paper();
     let sweeps = [("nominal", &nominal[..]), ("prototype", &prototype[..])];
@@ -74,11 +75,12 @@ fn ablation() -> (String, Vec<String>) {
 fn scaling() -> (String, Vec<String>) {
     const NODES: [usize; 5] = [1, 2, 4, 8, 16];
     println!("scaling sweeps (coarse granularity, analytic mode)");
-    let mm_nominal = table1::speedups(mm::SOURCE, &[512], &NODES, ClusterConfig::paper_n);
+    let (paper, prototype) = (MachineSpec::paper(), MachineSpec::prototype());
+    let mm_nominal = table1::speedups(mm::SOURCE, &[512], &NODES, &paper);
     table1::print_scaling("MM 512^2, nominal card", &mm_nominal);
-    let mm_prototype = table1::speedups(mm::SOURCE, &[512], &NODES, ClusterConfig::prototype_n);
+    let mm_prototype = table1::speedups(mm::SOURCE, &[512], &NODES, &prototype);
     table1::print_scaling("MM 512^2, calibrated prototype", &mm_prototype);
-    let swim_nominal = table1::speedups(swim::SOURCE, &[256], &NODES, ClusterConfig::paper_n);
+    let swim_nominal = table1::speedups(swim::SOURCE, &[256], &NODES, &paper);
     table1::print_scaling("SWIM 256, nominal card", &swim_nominal);
     let sweeps = [
         ("mm_nominal", &mm_nominal[..]),

@@ -8,7 +8,7 @@
 //! communication ratio, not on micro-architectural detail.
 
 /// Cost table and clock for one CPU.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpuModel {
     /// Core clock, Hz.
     pub clock_hz: f64,

@@ -114,7 +114,7 @@ impl HostCostBreakdown {
 }
 
 /// Cost parameters of one network card plus its driver stack.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NicModel {
     /// CPU time to post one message descriptor (queue entry, doorbell).
     pub post_s: f64,
@@ -130,9 +130,10 @@ pub struct NicModel {
     /// Context-switch cost into the kernel per message when the shared
     /// queue is absent (conventional system-level stack).
     pub context_switch_s: f64,
-    /// Extra per-byte staging copy cost when data cannot go directly
-    /// from the user buffer (conventional stack), s/byte.
-    pub staging_copy_s_per_byte: f64,
+    /// Rate of the extra staging copy when data cannot go directly
+    /// from the user buffer (conventional stack), bytes/s. The copy
+    /// costs `1.0 / staging_copy_bps` seconds per byte.
+    pub staging_copy_bps: f64,
     /// Device-driver buffer size; a transfer larger than this is split
     /// into buffer-sized chunks, each paying the post cost.
     pub driver_buf_bytes: usize,
@@ -161,7 +162,8 @@ impl NicModel {
             pio_per_elem_s: 0.6e-6,
             shared_queue: true,
             context_switch_s: 15.0e-6,
-            staging_copy_s_per_byte: 1.0 / 180e6,
+            // The staging copy runs at the host's memcpy rate.
+            staging_copy_bps: CpuModel::pentium_ii_300().memcpy_bps,
             driver_buf_bytes: 256 << 10,
             eager_slots: 16,
             eager_slot_bytes: 16 << 10,
@@ -187,15 +189,14 @@ impl NicModel {
         NicModel {
             post_s: 10.0e-6,
             dma_setup_s: 15.0e-6,
-            pio_per_elem_s: 0.6e-6,
             shared_queue: false,
             context_switch_s: 25.0e-6,
-            staging_copy_s_per_byte: 1.0 / 180e6,
             driver_buf_bytes: 64 << 10,
             eager_slots: 8,
             eager_slot_bytes: 8 << 10,
             ring_depth: 4,
             ring_entry_s: 1.0e-6,
+            ..NicModel::vbus_card()
         }
     }
 
@@ -225,7 +226,7 @@ impl NicModel {
             // staging copy of the payload, amortised over the chunks.
             self.post_s
                 + self.context_switch_s
-                + wire as f64 * self.staging_copy_s_per_byte / self.chunks(wire) as f64
+                + wire as f64 * (1.0 / self.staging_copy_bps) / self.chunks(wire) as f64
         };
         let n_chunks = self.chunks(wire);
         let mut out = HostCostBreakdown {
@@ -282,7 +283,7 @@ impl NicModel {
         } else {
             // Conventional stack: kernel entry plus a staging copy of
             // the payload on top of the doorbell.
-            doorbell + self.context_switch_s + wire as f64 * self.staging_copy_s_per_byte
+            doorbell + self.context_switch_s + wire as f64 * (1.0 / self.staging_copy_bps)
         };
         let mut out = HostCostBreakdown {
             queue_s: per_msg,

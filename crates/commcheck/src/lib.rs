@@ -113,26 +113,18 @@ impl DiagCode for VerifyCode {
     }
 }
 
+/// The verifier's state budget: exploration past it returns
+/// `truncated` and a clean result becomes inconclusive.
+pub const MAX_STATES: usize = 200_000;
+
 /// Verifier knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct VerifyOptions {
     /// Treat the registered eager pool as a hard capacity: a put with
     /// no free slot *blocks* (VPCE204) instead of falling back to
     /// rendezvous (VPCE210 warning). Models runtimes without a
     /// fallback path.
     pub strict_pools: bool,
-    /// State-budget cap; exploration past it returns `truncated` and a
-    /// clean result becomes inconclusive.
-    pub max_states: usize,
-}
-
-impl Default for VerifyOptions {
-    fn default() -> Self {
-        VerifyOptions {
-            strict_pools: false,
-            max_states: 200_000,
-        }
-    }
 }
 
 /// One blocked rank of the counterexample's stall, with its code.
@@ -395,7 +387,12 @@ fn peer_of(c: &Cause) -> Option<usize> {
 /// point; [`verify`] lowers a program and calls this), or refuse one of
 /// more than 32 ranks.
 pub fn verify_skeleton(sk: &Skeleton, opts: &VerifyOptions) -> Result<VerifyReport, RankLimit> {
-    let result = explore(sk, opts.strict_pools, opts.max_states)?;
+    let result = explore(sk, opts.strict_pools, MAX_STATES)?;
+    Ok(verify_report(sk, opts, result))
+}
+
+/// The report of one exploration of `sk`.
+fn verify_report(sk: &Skeleton, opts: &VerifyOptions, result: ExploreResult) -> VerifyReport {
     let mut report = Report::new("verify", "clean (no stalling interleaving)", &sk.program);
 
     // Pool-pressure warning: without strict pools the runtime falls
@@ -494,12 +491,12 @@ pub fn verify_skeleton(sk: &Skeleton, opts: &VerifyOptions) -> Result<VerifyRepo
     });
 
     report.sort();
-    Ok(VerifyReport {
+    VerifyReport {
         report,
         counterexample,
         states: result.states,
         truncated: result.truncated,
-    })
+    }
 }
 
 /// Verify a compiled program: lower it under `policy` and the crash
@@ -552,6 +549,26 @@ mod tests {
         assert!(r.is_clean(), "{}", r.render_human());
         assert_eq!(r.exit_code(), 0);
         assert!(!r.truncated);
+    }
+
+    #[test]
+    fn an_exhausted_state_budget_is_an_inconclusive_verdict() {
+        let mut sk = Skeleton::new("t", 2);
+        sk.sync_all(SyncKind::Barrier, 1, &[true, true]);
+        sk.push(0, Op::Send { to: 1, tag: 0 }, 1, "p2p");
+        sk.push(1, Op::Recv { from: 0, tag: 0 }, 1, "p2p");
+        let result = explore(&sk, false, 1).unwrap();
+        assert!(result.truncated && result.stall.is_none());
+        let r = verify_report(&sk, &opts(), result);
+        assert!(r.truncated && r.is_clean(), "{}", r.render_human());
+        assert!(r.render_human().contains("a clean result is inconclusive"));
+        assert!(
+            r.to_json().contains("\"truncated\": true"),
+            "{}",
+            r.to_json()
+        );
+        // The constant budget explores this skeleton to the end.
+        assert!(!verify_skeleton(&sk, &opts()).unwrap().truncated);
     }
 
     #[test]
@@ -647,10 +664,7 @@ mod tests {
             sk.push(0, Op::EagerPut { to: 1, bytes: 64 }, 5, "scatter");
         }
         sk.sync_all(SyncKind::Fence, 5, &[true, true]);
-        let strict = VerifyOptions {
-            strict_pools: true,
-            ..opts()
-        };
+        let strict = VerifyOptions { strict_pools: true };
         let r = verify_skeleton(&sk, &strict).unwrap();
         assert!(codes(&r).contains(&"VPCE204"), "{:?}", codes(&r));
         assert_eq!(r.exit_code(), 2);

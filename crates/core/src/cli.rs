@@ -435,9 +435,9 @@ pub fn run(source: &str, args: &CliArgs) -> Result<RunOutput, FrontError> {
 /// sequential reference runs (`spmd_rt::with_reference_on`) and no byte.
 pub(crate) fn run_on(source: &str, args: &CliArgs, cores: usize) -> Result<RunOutput, FrontError> {
     // One lowering for every machine: the built-in presets are machine
-    // descriptions too (their lowering is field-identical to
-    // `ClusterConfig::{paper_n, prototype_n}`), so a node count they
-    // cannot host is the same VPCE505 as for `--machine`.
+    // descriptions too (`paper` lowers to `ClusterConfig::paper_n`), so
+    // a node count they cannot host is the same VPCE505 as for
+    // `--machine`.
     let machine = match &args.machine_spec {
         Some(m) => Cow::Borrowed(m),
         None => {
@@ -519,7 +519,6 @@ pub(crate) fn run_on(source: &str, args: &CliArgs, cores: usize) -> Result<RunOu
         let policy = mpi2::TransportPolicy::from_config(&cluster);
         let opts = commcheck::VerifyOptions {
             strict_pools: args.verify_strict_pools,
-            ..commcheck::VerifyOptions::default()
         };
         let rep = match commcheck::try_verify(&compiled.program, &policy, &args.faults, &opts) {
             Ok(rep) => rep,
@@ -1413,8 +1412,11 @@ mod tests {
         let builtin = load_machine("fast-ethernet", &loader).unwrap();
         assert_eq!(builtin.name, "fast-ethernet");
         let layered = load_machine("slow.machine", &loader).unwrap();
-        assert_eq!(layered.cpu.clock_hz, 200e6, "include pulled the base in");
-        assert_eq!(layered.nic.post_s, 9e-6, "top layer overrides");
+        assert_eq!(
+            layered.node.cpu.clock_hz, 200e6,
+            "include pulled the base in"
+        );
+        assert_eq!(layered.node.nic.post_s, 9e-6, "top layer overrides");
         let e = load_machine("ghost.machine", &loader).unwrap_err();
         assert!(e.contains("ghost.machine"), "{e}");
     }

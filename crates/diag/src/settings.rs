@@ -10,7 +10,7 @@
 //!   lists and whitespace-separated records, with one duplicate rule
 //!   ([`Seen`]): a key given twice is refused, never last-wins;
 //! * one set of typed value parsers ([`rate`], [`seconds`],
-//!   [`positive`], [`factor`], [`count`], [`number`], [`boolean`],
+//!   [`positive`], [`fraction`], [`factor`], [`count`], [`number`], [`boolean`],
 //!   [`choice`]) that turn hostile text — `nan`, `inf`, `-1`, `1e400`,
 //!   an empty value, 2⁶⁴ — into a refusal, never a panic or a clamp.
 //!
@@ -137,6 +137,11 @@ pub fn seconds(v: &str) -> Result<f64, String> {
 /// A finite positive real.
 pub fn positive(v: &str) -> Result<f64, String> {
     real(v, |x| x > 0.0, "a finite positive number")
+}
+
+/// A fraction in `(0, 1]`.
+pub fn fraction(v: &str) -> Result<f64, String> {
+    real(v, |x| x > 0.0 && x <= 1.0, "a fraction in (0, 1]")
 }
 
 /// A finite multiplier of at least 1.
@@ -374,6 +379,8 @@ mod tests {
         }
         assert_eq!(seconds("0"), Ok(0.0));
         assert!(positive("0").is_err() && factor("0.5").is_err());
+        assert_eq!(fraction("1"), Ok(1.0));
+        assert!(fraction("0").is_err() && fraction("1.5").is_err());
         assert_eq!(number::<u64>("18446744073709551615"), Ok(u64::MAX));
         assert!(number::<u64>("18446744073709551616").is_err());
         assert_eq!(boolean("true"), Ok(true));

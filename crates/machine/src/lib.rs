@@ -5,17 +5,19 @@
 //! every one of those constants into data: a layered `key = value`
 //! description (the sesc `.conf` idiom — a file is a set of overrides
 //! on a built-in preset or an included base) that lowers to the
-//! existing [`cluster_sim::ClusterConfig`] model stack. The built-in
-//! `paper` preset lowers *byte-identically* to the hard-coded
-//! constructors, so `--machine examples/machines/paper.machine`
-//! reproduces every report and trace bit-for-bit.
+//! existing [`cluster_sim::ClusterConfig`] model stack. The
+//! calibration numbers live once, in the model crates: the built-in
+//! `paper` preset is built from their constructors, so `--machine
+//! examples/machines/paper.machine` reproduces every report and trace
+//! bit-for-bit.
 //!
 //! Three layers:
 //!
 //! * [`spec`] — the resolved description ([`MachineSpec`]) with its
 //!   built-in presets and the stable `--machine-dump` renderer;
-//! * [`parse`] — the section/key parser with include layering and
-//!   stable `VPCE5xx` diagnostics;
+//! * [`parse`] — the section/key parser over one row per key
+//!   ([`parse::SECTIONS`]), with include layering and stable
+//!   `VPCE5xx` diagnostics;
 //! * the lowering (here) — `MachineSpec → ClusterConfig` plus the
 //!   topology-zoo constructors and partition-shape policy.
 
@@ -25,12 +27,10 @@ pub mod parse;
 pub mod spec;
 
 pub use parse::{parse, parse_layered, IncludeLoader};
-pub use spec::{
-    BusSpec, CpuSpec, LinkSpec, MachineSpec, NicSpec, NodeSpec, Signalling, TopoKind, TopoSpec,
-};
+pub use spec::{LinkSpec, MachineSpec, Signalling, TopoKind, TopoSpec};
 
-use cluster_sim::{ClusterConfig, CpuModel, NicModel, NodeConfig, ShapeError};
-use vbus_sim::{LinkPhy, LinkRate, Mesh, NetConfig, Topology, VBusConfig};
+use cluster_sim::{ClusterConfig, ShapeError};
+use vbus_sim::{LinkPhy, LinkRate, Mesh, NetConfig, Topology};
 use vpce_diag::{DiagCode, Diagnostic, Severity};
 
 /// Stable diagnostic codes for machine-description problems
@@ -121,27 +121,22 @@ impl MachineError {
 
 impl MachineSpec {
     /// The signal-level phy the `[link]` section describes. Line
-    /// delays are spaced evenly across the spread — for the `paper`
-    /// values this reproduces [`LinkPhy::paper_card`] exactly.
+    /// delays are spaced evenly across the spread, as the paper card's
+    /// are.
     pub fn link_phy(&self) -> LinkPhy {
-        let width_bits = self.link.width_bits;
-        let min = self.link.line_delay_min_ps;
-        let spread = self.link.line_delay_spread_ps;
-        let line_delays_ps: Vec<f64> = if width_bits == 1 {
-            vec![min]
-        } else {
-            (0..width_bits)
-                .map(|i| min + spread * (i as f64) / (width_bits - 1) as f64)
-                .collect()
-        };
+        let l = &self.link;
         LinkPhy {
-            width_bits,
-            line_delays_ps,
-            settle_ps: self.link.settle_ps,
-            jitter_ps: self.link.jitter_ps,
-            sample_window_ps: self.link.sample_window_ps,
-            wave_margin: self.link.wave_margin,
-            budget_hops: self.link.budget_hops,
+            width_bits: l.width_bits,
+            line_delays_ps: LinkPhy::even_line_delays(
+                l.width_bits,
+                l.line_delay_min_ps,
+                l.line_delay_spread_ps,
+            ),
+            settle_ps: l.settle_ps,
+            jitter_ps: l.jitter_ps,
+            sample_window_ps: l.sample_window_ps,
+            wave_margin: l.wave_margin,
+            budget_hops: l.budget_hops,
         }
     }
 
@@ -150,69 +145,13 @@ impl MachineSpec {
     /// at `derate_bandwidth_bps` when set.
     pub fn link_rate(&self) -> LinkRate {
         let mut rate = match self.link.signalling {
-            Signalling::Raw => LinkRate {
-                bandwidth_bps: self.link.raw_bandwidth_bps,
-                per_hop_s: self.link.raw_per_hop_s,
-            },
+            Signalling::Raw => self.link.raw,
             mode => self.link_phy().rate(mode.mode(), self.link.router_delay_s),
         };
-        if self.link.derate_bandwidth_bps > 0.0 {
-            rate.bandwidth_bps = self.link.derate_bandwidth_bps;
+        if let Some(bps) = self.link.derate_bandwidth_bps {
+            rate.bandwidth_bps = bps;
         }
         rate
-    }
-
-    /// The per-operation CPU cost model.
-    pub fn cpu_model(&self) -> CpuModel {
-        CpuModel {
-            clock_hz: self.cpu.clock_hz,
-            cyc_fadd: self.cpu.cyc_fadd,
-            cyc_fmul: self.cpu.cyc_fmul,
-            cyc_fdiv: self.cpu.cyc_fdiv,
-            cyc_transcendental: self.cpu.cyc_transcendental,
-            cyc_load: self.cpu.cyc_load,
-            cyc_store: self.cpu.cyc_store,
-            cyc_int: self.cpu.cyc_int,
-            cyc_loop: self.cpu.cyc_loop,
-            memcpy_bps: self.cpu.memcpy_bps,
-        }
-    }
-
-    /// The NIC software-path model. The staging-copy rate is stored
-    /// as bytes/s and lowered to the model's seconds-per-byte
-    /// reciprocal — `1.0 / 180e6` bit-for-bit for the paper card.
-    pub fn nic_model(&self) -> NicModel {
-        NicModel {
-            post_s: self.nic.post_s,
-            dma_setup_s: self.nic.dma_setup_s,
-            pio_per_elem_s: self.nic.pio_per_elem_s,
-            shared_queue: self.nic.shared_queue,
-            context_switch_s: self.nic.context_switch_s,
-            staging_copy_s_per_byte: 1.0 / self.nic.staging_copy_bps,
-            driver_buf_bytes: self.nic.driver_buf_bytes,
-            eager_slots: self.nic.eager_slots,
-            eager_slot_bytes: self.nic.eager_slot_bytes,
-            ring_depth: self.nic.ring_depth,
-            ring_entry_s: self.nic.ring_entry_s,
-        }
-    }
-
-    /// One PC: cpu + nic + memory.
-    pub fn node_config(&self) -> NodeConfig {
-        NodeConfig {
-            cpu: self.cpu_model(),
-            nic: self.nic_model(),
-            mem_bytes: self.node.mem_bytes,
-        }
-    }
-
-    /// The virtual-bus broadcast hardware, `None` when disabled.
-    pub fn vbus(&self) -> Option<VBusConfig> {
-        self.bus.enabled.then_some(VBusConfig {
-            arbitration_s: self.bus.arbitration_s,
-            per_node_config_s: self.bus.per_node_config_s,
-            bandwidth_derate: self.bus.bandwidth_derate,
-        })
     }
 
     /// Wire `n` nodes into the described fabric. Fails (VPCE505) when
@@ -234,7 +173,18 @@ impl MachineSpec {
                 if dims == (0, 0, 0) {
                     Topology::torus3d_for(n)
                 } else if dims.0 > 0 && dims.1 > 0 && dims.2 > 0 {
-                    if n > dims.0 * dims.1 * dims.2 {
+                    // Every cell owns six directed links: the cell and
+                    // the link count must both fit a `usize`.
+                    let Some(cells) = (dims.0.checked_mul(dims.1))
+                        .and_then(|c| c.checked_mul(dims.2))
+                        .filter(|c| c.checked_mul(6).is_some())
+                    else {
+                        return Err(MachineError::topology(format!(
+                            "torus3d dims {}x{}x{} overflow the cell and link counts",
+                            dims.0, dims.1, dims.2
+                        )));
+                    };
+                    if n > cells {
                         return Err(MachineError::topology(format!(
                             "{n} nodes do not fit a {}x{}x{} torus",
                             dims.0, dims.1, dims.2
@@ -272,14 +222,19 @@ impl MachineSpec {
     /// For the `paper` preset this is byte-identical to
     /// [`ClusterConfig::paper_n`].
     pub fn lower(&self, n: usize) -> Result<ClusterConfig, MachineError> {
-        Ok(ClusterConfig {
-            node: self.node_config(),
+        Ok(self.cluster(self.topology(n)?))
+    }
+
+    /// This machine's nodes, link and bus on `topology`.
+    fn cluster(&self, topology: Topology) -> ClusterConfig {
+        ClusterConfig {
+            node: self.node.clone(),
             net: NetConfig {
-                topology: self.topology(n)?,
+                topology,
                 link: self.link_rate(),
-                vbus: self.vbus(),
+                vbus: self.bus_enabled.then_some(self.bus),
             },
-        })
+        }
     }
 
     /// The shape a gang scheduler should carve for a `ranks`-node
@@ -309,11 +264,11 @@ impl MachineSpec {
         }
     }
 
-    /// Lower a `ranks`-node partition carved as `shape`. On
-    /// rectangular fabrics the partition owns its wires (an explicit
-    /// sub-mesh/sub-torus); on switch-based fabrics each partition
-    /// gets its own fabric instance sized for `ranks` — byte-identical
-    /// to [`ClusterConfig::paper_partition`] for the `paper` preset.
+    /// Lower a `ranks`-node partition carved as `shape`: the per-job
+    /// machine a gang scheduler builds. On rectangular fabrics the
+    /// partition owns its wires (an explicit sub-mesh/sub-torus), so
+    /// concurrent jobs are fully isolated; on switch-based fabrics each
+    /// partition gets its own fabric instance sized for `ranks`.
     pub fn lower_partition(&self, shape: Mesh, ranks: usize) -> Result<ClusterConfig, MachineError> {
         let topology = match self.topology.kind {
             TopoKind::Mesh => Topology::mesh_with(shape, ranks),
@@ -323,64 +278,25 @@ impl MachineSpec {
             },
             _ => self.topology(ranks)?,
         };
-        Ok(ClusterConfig {
-            node: self.node_config(),
-            net: NetConfig {
-                topology,
-                link: self.link_rate(),
-                vbus: self.vbus(),
-            },
-        })
+        Ok(self.cluster(topology))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vbus_sim::SignallingMode;
+    use cluster_sim::{NicModel, NodeConfig, PROTOTYPE_LINK_BPS};
+    use vbus_sim::{SignallingMode, ROUTER_DELAY_S};
 
     /// Bit-exact f64 equality — byte-identity is the contract.
     fn same(a: f64, b: f64) -> bool {
         a.to_bits() == b.to_bits()
     }
 
+    /// `Debug` prints every f64 so that it reads back to the same bits,
+    /// so equal renderings are bit-identical configurations.
     fn assert_cluster_identical(got: &ClusterConfig, want: &ClusterConfig) {
-        let (gc, wc) = (&got.node.cpu, &want.node.cpu);
-        assert!(same(gc.clock_hz, wc.clock_hz));
-        assert!(same(gc.cyc_fadd, wc.cyc_fadd));
-        assert!(same(gc.cyc_fmul, wc.cyc_fmul));
-        assert!(same(gc.cyc_fdiv, wc.cyc_fdiv));
-        assert!(same(gc.cyc_transcendental, wc.cyc_transcendental));
-        assert!(same(gc.cyc_load, wc.cyc_load));
-        assert!(same(gc.cyc_store, wc.cyc_store));
-        assert!(same(gc.cyc_int, wc.cyc_int));
-        assert!(same(gc.cyc_loop, wc.cyc_loop));
-        assert!(same(gc.memcpy_bps, wc.memcpy_bps));
-        let (gn, wn) = (&got.node.nic, &want.node.nic);
-        assert!(same(gn.post_s, wn.post_s));
-        assert!(same(gn.dma_setup_s, wn.dma_setup_s));
-        assert!(same(gn.pio_per_elem_s, wn.pio_per_elem_s));
-        assert_eq!(gn.shared_queue, wn.shared_queue);
-        assert!(same(gn.context_switch_s, wn.context_switch_s));
-        assert!(same(gn.staging_copy_s_per_byte, wn.staging_copy_s_per_byte));
-        assert_eq!(gn.driver_buf_bytes, wn.driver_buf_bytes);
-        assert_eq!(gn.eager_slots, wn.eager_slots);
-        assert_eq!(gn.eager_slot_bytes, wn.eager_slot_bytes);
-        assert_eq!(gn.ring_depth, wn.ring_depth);
-        assert!(same(gn.ring_entry_s, wn.ring_entry_s));
-        assert_eq!(got.node.mem_bytes, want.node.mem_bytes);
-        assert!(same(got.net.link.bandwidth_bps, want.net.link.bandwidth_bps));
-        assert!(same(got.net.link.per_hop_s, want.net.link.per_hop_s));
-        assert_eq!(got.net.topology, want.net.topology);
-        match (&got.net.vbus, &want.net.vbus) {
-            (None, None) => {}
-            (Some(g), Some(w)) => {
-                assert!(same(g.arbitration_s, w.arbitration_s));
-                assert!(same(g.per_node_config_s, w.per_node_config_s));
-                assert!(same(g.bandwidth_derate, w.bandwidth_derate));
-            }
-            _ => panic!("vbus presence differs"),
-        }
+        assert_eq!(format!("{got:?}"), format!("{want:?}"));
     }
 
     #[test]
@@ -391,27 +307,45 @@ mod tests {
         }
     }
 
+    /// `prototype` is the paper machine with its link capped at the
+    /// prototype's achieved rate.
     #[test]
     fn prototype_preset_matches_prototype_n() {
         for n in [2, 4, 8] {
+            let mut want = ClusterConfig::paper_n(n);
+            want.net.link.bandwidth_bps = PROTOTYPE_LINK_BPS;
             let got = MachineSpec::prototype().lower(n).unwrap();
-            assert_cluster_identical(&got, &ClusterConfig::prototype_n(n));
+            assert_cluster_identical(&got, &want);
         }
     }
 
+    /// `fast-ethernet` is the paper PC with the kernel-stack card on the
+    /// simulator's Fast-Ethernet segment.
     #[test]
     fn fast_ethernet_preset_matches_fast_ethernet_n() {
         for n in [2, 4, 8] {
+            let want = ClusterConfig {
+                node: NodeConfig {
+                    nic: NicModel::fast_ethernet_card(),
+                    ..NodeConfig::paper_pc()
+                },
+                net: NetConfig::fast_ethernet(n),
+            };
             let got = MachineSpec::fast_ethernet().lower(n).unwrap();
-            assert_cluster_identical(&got, &ClusterConfig::fast_ethernet_n(n));
+            assert_cluster_identical(&got, &want);
         }
     }
 
+    /// `conventional` is the paper machine with the card clocked
+    /// conventionally behind the same router.
     #[test]
     fn conventional_preset_matches_conventional_links_n() {
         for n in [2, 4, 8] {
+            let mut want = ClusterConfig::paper_n(n);
+            want.net.link =
+                LinkPhy::paper_card().rate(SignallingMode::Conventional, ROUTER_DELAY_S);
             let got = MachineSpec::conventional().lower(n).unwrap();
-            assert_cluster_identical(&got, &ClusterConfig::conventional_links_n(n));
+            assert_cluster_identical(&got, &want);
         }
     }
 
@@ -419,9 +353,34 @@ mod tests {
     fn paper_partition_lowering_matches_paper_partition() {
         for (cols, rows, ranks) in [(2, 2, 4), (3, 2, 5), (4, 1, 3)] {
             let shape = Mesh { cols, rows };
+            let mut want = ClusterConfig::paper_n(ranks);
+            want.net.topology = Topology::mesh_with(shape, ranks);
             let got = MachineSpec::paper().lower_partition(shape, ranks).unwrap();
-            assert_cluster_identical(&got, &ClusterConfig::paper_partition(shape, ranks));
+            assert_cluster_identical(&got, &want);
         }
+    }
+
+    #[test]
+    fn paper_partition_isolates_shape_and_size() {
+        let c = MachineSpec::paper()
+            .lower_partition(Mesh::new(2, 1), 2)
+            .unwrap();
+        assert_eq!(c.num_nodes(), 2);
+        // The partition keeps the paper card (V-Bus present).
+        assert!(c.net.vbus.is_some());
+    }
+
+    #[test]
+    fn fast_ethernet_cluster_uses_kernel_stack() {
+        let c = MachineSpec::fast_ethernet().lower(4).unwrap();
+        assert!(!c.node.nic.shared_queue);
+        assert!(c.net.vbus.is_none());
+    }
+
+    #[test]
+    fn conventional_links_slower_than_skwp() {
+        let bps = |m: MachineSpec| m.lower(4).unwrap().net.link.bandwidth_bps;
+        assert!(bps(MachineSpec::paper()) / bps(MachineSpec::conventional()) > 3.0);
     }
 
     #[test]
@@ -510,10 +469,10 @@ mod tests {
     #[test]
     fn overrides_layer_on_the_paper_base() {
         let spec = parse("[cpu]\nclock_hz = 450e6\n[topology]\nkind = torus\n").unwrap();
-        assert!(same(spec.cpu.clock_hz, 450e6));
+        assert!(same(spec.node.cpu.clock_hz, 450e6));
         assert_eq!(spec.topology.kind, TopoKind::Torus);
         // Everything untouched stays at the paper values.
-        assert!(same(spec.nic.post_s, 3.0e-6));
+        assert!(same(spec.node.nic.post_s, 3.0e-6));
         assert!(same(spec.link.wave_margin, 1.5));
     }
 
@@ -521,7 +480,7 @@ mod tests {
     fn include_swaps_the_base_layer() {
         let spec = parse("include = prototype\n[machine]\nname = tweaked\n").unwrap();
         assert_eq!(spec.name, "tweaked");
-        assert!(same(spec.link.derate_bandwidth_bps, 6.0e6));
+        assert_eq!(spec.link.derate_bandwidth_bps, Some(6.0e6));
     }
 
     #[test]
@@ -535,7 +494,7 @@ mod tests {
         let spec = parse_layered("include = base.machine\n[nic]\nring_depth = 2\n", &mut loader)
             .unwrap();
         assert_eq!(spec.node.mem_bytes, 1024);
-        assert_eq!(spec.nic.ring_depth, 2);
+        assert_eq!(spec.node.nic.ring_depth, 2);
         assert_eq!(spec.topology.kind, TopoKind::Shared);
     }
 
@@ -565,6 +524,16 @@ mod tests {
         assert!(hyper.lower(8).is_ok());
         let err = hyper.lower(9).unwrap_err();
         assert_eq!(err.code, MachineCode::BadTopology);
+
+        // Dims whose cell count, or whose six-links-a-cell count,
+        // overflows are refused, not wrapped.
+        for side in [1 << 22, 1 << 21] {
+            let t = &mut hyper.topology;
+            (t.dim_x, t.dim_y, t.dim_z) = (side, side, side);
+            let err = hyper.lower(4).unwrap_err();
+            assert_eq!(err.code, MachineCode::BadTopology);
+            assert!(err.detail.contains("overflow"), "{err}");
+        }
 
         let err = MachineSpec::paper().lower(0).unwrap_err();
         assert_eq!(err.code, MachineCode::BadTopology);
@@ -600,6 +569,6 @@ mod tests {
     #[test]
     fn comments_and_whitespace_are_ignored() {
         let spec = parse("  # a comment\n\n[cpu]  # trailing\n  clock_hz = 1e9  # fast\n").unwrap();
-        assert!(same(spec.cpu.clock_hz, 1e9));
+        assert!(same(spec.node.cpu.clock_hz, 1e9));
     }
 }

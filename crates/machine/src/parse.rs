@@ -9,7 +9,11 @@
 //! never touches the filesystem). Later keys override earlier ones,
 //! so `parse(spec.dump())` round-trips exactly.
 
-use vpce_diag::settings::{self, Seen};
+// `seconds` is the finite non-negative parser: every time, delay and
+// cap of the format reads through it.
+use vpce_diag::settings::{
+    self, boolean, choice, count, fraction, number, positive, seconds as nonneg, Row, Seen,
+};
 
 use crate::spec::{MachineSpec, Signalling, TopoKind};
 use crate::{MachineCode, MachineError};
@@ -62,40 +66,94 @@ fn resolve_include(
     Ok(spec)
 }
 
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Section {
-    Machine,
-    Cpu,
-    Nic,
-    Link,
-    Bus,
-    Node,
-    Topology,
+/// One `[section]` of the format: its name and its keys, in dump
+/// order.
+#[derive(Clone, Copy)]
+pub struct Section {
+    pub name: &'static str,
+    pub rows: &'static [Row<MachineSpec>],
 }
 
-impl Section {
-    const ALL: [Section; 7] = [
-        Section::Machine,
-        Section::Cpu,
-        Section::Nic,
-        Section::Link,
-        Section::Bus,
-        Section::Node,
-        Section::Topology,
-    ];
-
-    fn name(self) -> &'static str {
-        match self {
-            Section::Machine => "machine",
-            Section::Cpu => "cpu",
-            Section::Nic => "nic",
-            Section::Link => "link",
-            Section::Bus => "bus",
-            Section::Node => "node",
-            Section::Topology => "topology",
+/// A key whose value is the spec field `$($f).+`, read by `$parse`
+/// (which holds the value's range) and dumped through `Display`.
+macro_rules! row {
+    ($key:literal, $parse:expr, $($f:ident).+) => {
+        Row {
+            key: $key,
+            help: "",
+            set: |m, v| $parse(v).map(|x| m.$($f).+ = x),
+            get: |m| m.$($f).+.to_string(),
         }
-    }
+    };
 }
+
+/// Every key of the format, one row each, by section in dump order:
+/// the parser looks a key up here and [`MachineSpec::dump`] walks it.
+#[rustfmt::skip]
+pub const SECTIONS: &[Section] = &[
+    Section { name: "machine", rows: &[
+        row!("name", |v: &str| Ok::<_, String>(v.to_string()), name),
+    ] },
+    Section { name: "cpu", rows: &[
+        row!("clock_hz", positive, node.cpu.clock_hz),
+        row!("cyc_fadd", positive, node.cpu.cyc_fadd),
+        row!("cyc_fmul", positive, node.cpu.cyc_fmul),
+        row!("cyc_fdiv", positive, node.cpu.cyc_fdiv),
+        row!("cyc_transcendental", positive, node.cpu.cyc_transcendental),
+        row!("cyc_load", positive, node.cpu.cyc_load),
+        row!("cyc_store", positive, node.cpu.cyc_store),
+        row!("cyc_int", positive, node.cpu.cyc_int),
+        row!("cyc_loop", positive, node.cpu.cyc_loop),
+        row!("memcpy_bps", positive, node.cpu.memcpy_bps),
+    ] },
+    Section { name: "nic", rows: &[
+        row!("post_s", nonneg, node.nic.post_s),
+        row!("dma_setup_s", nonneg, node.nic.dma_setup_s),
+        row!("pio_per_elem_s", nonneg, node.nic.pio_per_elem_s),
+        row!("shared_queue", boolean, node.nic.shared_queue),
+        row!("context_switch_s", nonneg, node.nic.context_switch_s),
+        row!("staging_copy_bps", positive, node.nic.staging_copy_bps),
+        row!("driver_buf_bytes", count, node.nic.driver_buf_bytes),
+        row!("eager_slots", count, node.nic.eager_slots),
+        row!("eager_slot_bytes", count, node.nic.eager_slot_bytes),
+        row!("ring_depth", count, node.nic.ring_depth),
+        row!("ring_entry_s", nonneg, node.nic.ring_entry_s),
+    ] },
+    Section { name: "link", rows: &[
+        row!("signalling", |v| choice(v, &Signalling::ALL, Signalling::name), link.signalling),
+        row!("width_bits", count, link.width_bits),
+        row!("line_delay_min_ps", positive, link.line_delay_min_ps),
+        row!("line_delay_spread_ps", nonneg, link.line_delay_spread_ps),
+        row!("settle_ps", nonneg, link.settle_ps),
+        row!("jitter_ps", nonneg, link.jitter_ps),
+        row!("sample_window_ps", nonneg, link.sample_window_ps),
+        row!("wave_margin", positive, link.wave_margin),
+        row!("budget_hops", count, link.budget_hops),
+        row!("router_delay_s", nonneg, link.router_delay_s),
+        row!("raw_bandwidth_bps", positive, link.raw.bandwidth_bps),
+        row!("raw_per_hop_s", nonneg, link.raw.per_hop_s),
+        // `0` is no cap.
+        Row { key: "derate_bandwidth_bps", help: "",
+              set: |m, v| nonneg(v).map(|x| m.link.derate_bandwidth_bps = (x > 0.0).then_some(x)),
+              get: |m| m.link.derate_bandwidth_bps.unwrap_or_default().to_string() },
+    ] },
+    Section { name: "bus", rows: &[
+        row!("enabled", boolean, bus_enabled),
+        row!("arbitration_s", nonneg, bus.arbitration_s),
+        row!("per_node_config_s", nonneg, bus.per_node_config_s),
+        row!("bandwidth_derate", fraction, bus.bandwidth_derate),
+    ] },
+    Section { name: "node", rows: &[
+        row!("mem_bytes", count, node.mem_bytes),
+    ] },
+    Section { name: "topology", rows: &[
+        row!("kind", |v| choice(v, &TopoKind::ALL, TopoKind::name), topology.kind),
+        row!("dim_x", number, topology.dim_x),
+        row!("dim_y", number, topology.dim_y),
+        row!("dim_z", number, topology.dim_z),
+        row!("pods", number, topology.pods),
+    ] },
+];
 
 fn parse_into(
     spec: &mut MachineSpec,
@@ -103,7 +161,7 @@ fn parse_into(
     loader: &mut IncludeLoader,
     depth: usize,
 ) -> Result<(), MachineError> {
-    let mut section = Section::Machine;
+    let mut section = SECTIONS[0];
     let mut saw_setting = false;
     // Every `[section] key` of this file, once: a later file layer
     // overrides an included one, a repeat within one file is refused.
@@ -119,7 +177,7 @@ fn parse_into(
                 return Err(bad_line(line, content, "unterminated section header"));
             };
             let name = name.trim();
-            section = settings::choice(name, &Section::ALL, Section::name).map_err(|why| {
+            section = choice(name, SECTIONS, |s| s.name).map_err(|why| {
                 err(MachineCode::UnknownSection, line, name, format!("section {why}"))
             })?;
             continue;
@@ -127,13 +185,13 @@ fn parse_into(
         let Ok((key, value)) = settings::key_value(content) else {
             return Err(bad_line(line, content, "expected `key = value` or `[section]`"));
         };
-        let section_name = section.name();
+        let section_name = section.name;
         seen.insert(&format!("[{section_name}] {key}")).map_err(|_| {
             let detail = format!("`{key}` is set twice in [{section_name}]: give each once");
             err(MachineCode::DuplicateKey, line, key, detail)
         })?;
         if key == "include" {
-            let misplaced = if section != Section::Machine {
+            let misplaced = if section.name != SECTIONS[0].name {
                 "include belongs at the top (the [machine] section)"
             } else if saw_setting {
                 "include must precede every other setting"
@@ -148,7 +206,12 @@ fn parse_into(
             continue;
         }
         saw_setting = true;
-        apply(spec, section, key, value).map_err(|(code, detail)| err(code, line, key, detail))?;
+        let Some(row) = section.rows.iter().find(|r| r.key == key) else {
+            let detail = format!("unknown key `{key}` in section [{section_name}]");
+            return Err(err(MachineCode::UnknownKey, line, key, detail));
+        };
+        (row.set)(spec, value)
+            .map_err(|why| err(MachineCode::BadValue, line, key, format!("`{key}` {why}")))?;
     }
     Ok(())
 }
@@ -160,113 +223,3 @@ fn err(code: MachineCode, line: usize, key: &str, detail: impl Into<String>) -> 
 fn bad_line(line: usize, content: &str, why: &str) -> MachineError {
     err(MachineCode::BadLine, line, "", format!("{why}: `{content}`"))
 }
-
-/// Read one `key = value` of `section` into `spec`: an unknown key is
-/// VPCE502, a value its parser refuses VPCE503.
-fn apply(
-    spec: &mut MachineSpec,
-    section: Section,
-    key: &str,
-    v: &str,
-) -> Result<(), (MachineCode, String)> {
-    use settings::{boolean, count, number, positive, seconds as nonneg};
-    let unknown = || {
-        let detail = format!("unknown key `{key}` in section [{}]", section.name());
-        (MachineCode::UnknownKey, detail)
-    };
-    let r = match section {
-        Section::Machine => match key {
-            "name" => {
-                spec.name = v.to_string();
-                Ok(())
-            }
-            _ => return Err(unknown()),
-        },
-        Section::Cpu => {
-            let c = &mut spec.cpu;
-            match key {
-                "clock_hz" => positive(v).map(|x| c.clock_hz = x),
-                "cyc_fadd" => positive(v).map(|x| c.cyc_fadd = x),
-                "cyc_fmul" => positive(v).map(|x| c.cyc_fmul = x),
-                "cyc_fdiv" => positive(v).map(|x| c.cyc_fdiv = x),
-                "cyc_transcendental" => positive(v).map(|x| c.cyc_transcendental = x),
-                "cyc_load" => positive(v).map(|x| c.cyc_load = x),
-                "cyc_store" => positive(v).map(|x| c.cyc_store = x),
-                "cyc_int" => positive(v).map(|x| c.cyc_int = x),
-                "cyc_loop" => positive(v).map(|x| c.cyc_loop = x),
-                "memcpy_bps" => positive(v).map(|x| c.memcpy_bps = x),
-                _ => return Err(unknown()),
-            }
-        }
-        Section::Nic => {
-            let n = &mut spec.nic;
-            match key {
-                "post_s" => nonneg(v).map(|x| n.post_s = x),
-                "dma_setup_s" => nonneg(v).map(|x| n.dma_setup_s = x),
-                "pio_per_elem_s" => nonneg(v).map(|x| n.pio_per_elem_s = x),
-                "shared_queue" => boolean(v).map(|x| n.shared_queue = x),
-                "context_switch_s" => nonneg(v).map(|x| n.context_switch_s = x),
-                "staging_copy_bps" => positive(v).map(|x| n.staging_copy_bps = x),
-                "driver_buf_bytes" => count(v).map(|x| n.driver_buf_bytes = x),
-                "eager_slots" => count(v).map(|x| n.eager_slots = x),
-                "eager_slot_bytes" => count(v).map(|x| n.eager_slot_bytes = x),
-                "ring_depth" => count(v).map(|x| n.ring_depth = x),
-                "ring_entry_s" => nonneg(v).map(|x| n.ring_entry_s = x),
-                _ => return Err(unknown()),
-            }
-        }
-        Section::Link => {
-            let l = &mut spec.link;
-            match key {
-                "signalling" => settings::choice(v, &Signalling::ALL, Signalling::name)
-                    .map(|x| l.signalling = x),
-                "width_bits" => count(v).map(|x| l.width_bits = x),
-                "line_delay_min_ps" => positive(v).map(|x| l.line_delay_min_ps = x),
-                "line_delay_spread_ps" => nonneg(v).map(|x| l.line_delay_spread_ps = x),
-                "settle_ps" => nonneg(v).map(|x| l.settle_ps = x),
-                "jitter_ps" => nonneg(v).map(|x| l.jitter_ps = x),
-                "sample_window_ps" => nonneg(v).map(|x| l.sample_window_ps = x),
-                "wave_margin" => positive(v).map(|x| l.wave_margin = x),
-                "budget_hops" => count(v).map(|x| l.budget_hops = x),
-                "router_delay_s" => nonneg(v).map(|x| l.router_delay_s = x),
-                "raw_bandwidth_bps" => positive(v).map(|x| l.raw_bandwidth_bps = x),
-                "raw_per_hop_s" => nonneg(v).map(|x| l.raw_per_hop_s = x),
-                "derate_bandwidth_bps" => nonneg(v).map(|x| l.derate_bandwidth_bps = x),
-                _ => return Err(unknown()),
-            }
-        }
-        Section::Bus => {
-            let b = &mut spec.bus;
-            match key {
-                "enabled" => boolean(v).map(|x| b.enabled = x),
-                "arbitration_s" => nonneg(v).map(|x| b.arbitration_s = x),
-                "per_node_config_s" => nonneg(v).map(|x| b.per_node_config_s = x),
-                "bandwidth_derate" => match positive(v) {
-                    Ok(x) if x <= 1.0 => {
-                        b.bandwidth_derate = x;
-                        Ok(())
-                    }
-                    _ => Err(format!("needs a fraction in (0, 1], got `{v}`")),
-                },
-                _ => return Err(unknown()),
-            }
-        }
-        Section::Node => match key {
-            "mem_bytes" => count(v).map(|x| spec.node.mem_bytes = x),
-            _ => return Err(unknown()),
-        },
-        Section::Topology => {
-            let t = &mut spec.topology;
-            match key {
-                "kind" => settings::choice(v, &TopoKind::ALL, TopoKind::name).map(|x| t.kind = x),
-                "dim_x" => number(v).map(|x| t.dim_x = x),
-                "dim_y" => number(v).map(|x| t.dim_y = x),
-                "dim_z" => number(v).map(|x| t.dim_z = x),
-                "pods" => number(v).map(|x| t.pods = x),
-                _ => return Err(unknown()),
-            }
-        }
-    };
-    r.map_err(|why| (MachineCode::BadValue, format!("`{key}` {why}")))
-}
-

@@ -1,16 +1,20 @@
 //! The resolved machine description and its built-in presets.
 //!
 //! A [`MachineSpec`] is the fully-layered result of parsing a
-//! `.machine` file (or naming a built-in preset): every knob of the
-//! cpu/nic/link/bus/node/topology models, as plain numbers. The
-//! built-in `paper` preset carries *exactly* the constants hard-coded
-//! in `cluster-sim` and `vbus-sim` — lowering it must reproduce
-//! today's `ClusterConfig::paper_n` byte-for-byte, which the golden
-//! tests pin.
+//! `.machine` file (or naming a built-in preset). It holds the model
+//! structs themselves — the node's `CpuModel` and `NicModel`, the
+//! [`VBusConfig`] — plus what a `ClusterConfig` has no place for: the
+//! link's phy description and the topology's shape knobs. The presets
+//! are the paper machine built from the model crates' constructors
+//! plus a named delta each, so every calibration number is written
+//! once, in `cluster-sim` and `vbus-sim`.
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
-use vbus_sim::SignallingMode;
+use cluster_sim::{NicModel, NodeConfig, PROTOTYPE_LINK_BPS};
+use vbus_sim::{LinkPhy, LinkRate, SignallingMode, VBusConfig, ROUTER_DELAY_S};
+
+use crate::parse::SECTIONS;
 
 /// How the link section turns into a [`vbus_sim::LinkRate`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,6 +52,12 @@ impl Signalling {
             Signalling::Conventional => SignallingMode::Conventional,
             Signalling::Wave | Signalling::Raw => SignallingMode::WavePipelined,
         }
+    }
+}
+
+impl fmt::Display for Signalling {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
     }
 }
 
@@ -102,42 +112,14 @@ impl TopoKind {
     }
 }
 
-/// `[cpu]`: the per-operation cycle table and the local copy rate.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CpuSpec {
-    pub clock_hz: f64,
-    pub cyc_fadd: f64,
-    pub cyc_fmul: f64,
-    pub cyc_fdiv: f64,
-    pub cyc_transcendental: f64,
-    pub cyc_load: f64,
-    pub cyc_store: f64,
-    pub cyc_int: f64,
-    pub cyc_loop: f64,
-    pub memcpy_bps: f64,
-}
-
-/// `[nic]`: descriptor posting, DMA-setup and PIO costs, the driver
-/// stack shape, and the registered buffer pool.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NicSpec {
-    pub post_s: f64,
-    pub dma_setup_s: f64,
-    pub pio_per_elem_s: f64,
-    pub shared_queue: bool,
-    pub context_switch_s: f64,
-    /// Staging-copy rate, bytes/s (lowered to the model's s-per-byte
-    /// reciprocal).
-    pub staging_copy_bps: f64,
-    pub driver_buf_bytes: usize,
-    pub eager_slots: usize,
-    pub eager_slot_bytes: usize,
-    pub ring_depth: usize,
-    pub ring_entry_s: f64,
+impl fmt::Display for TopoKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.name())
+    }
 }
 
 /// `[link]`: the signal-level phy parameters plus the router delay —
-/// or, for `signalling = raw`, a verbatim bandwidth/latency pair.
+/// or, for `signalling = raw`, a verbatim link rate.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LinkSpec {
     pub signalling: Signalling,
@@ -153,29 +135,13 @@ pub struct LinkSpec {
     pub wave_margin: f64,
     pub budget_hops: usize,
     pub router_delay_s: f64,
-    /// Used only when `signalling = raw`.
-    pub raw_bandwidth_bps: f64,
-    /// Used only when `signalling = raw`.
-    pub raw_per_hop_s: f64,
-    /// `> 0` caps the achieved bandwidth at this value after the phy
+    /// The rate taken verbatim when `signalling = raw`
+    /// (`raw_bandwidth_bps`, `raw_per_hop_s`).
+    pub raw: LinkRate,
+    /// Caps the achieved bandwidth at this value after the phy
     /// derivation — the `prototype` preset's ≈6 MB/s effective rate.
-    pub derate_bandwidth_bps: f64,
-}
-
-/// `[bus]`: the virtual-bus broadcast hardware (absent when the card
-/// has no hardware broadcast).
-#[derive(Debug, Clone, PartialEq)]
-pub struct BusSpec {
-    pub enabled: bool,
-    pub arbitration_s: f64,
-    pub per_node_config_s: f64,
-    pub bandwidth_derate: f64,
-}
-
-/// `[node]`: everything about the PC that is not cpu or nic.
-#[derive(Debug, Clone, PartialEq)]
-pub struct NodeSpec {
-    pub mem_bytes: usize,
+    /// Written `0` when there is no cap.
+    pub derate_bandwidth_bps: Option<f64>,
 }
 
 /// `[topology]`: fabric kind plus the kind-specific shape knobs
@@ -196,11 +162,14 @@ pub struct TopoSpec {
 pub struct MachineSpec {
     /// Display name (`[machine] name = ...`).
     pub name: String,
-    pub cpu: CpuSpec,
-    pub nic: NicSpec,
+    /// `[cpu]`, `[nic]` and `[node]`: one PC.
+    pub node: NodeConfig,
     pub link: LinkSpec,
-    pub bus: BusSpec,
-    pub node: NodeSpec,
+    /// `[bus] enabled`: whether the card erects a virtual bus.
+    pub bus_enabled: bool,
+    /// The rest of `[bus]`, kept when the bus is disabled so the dump
+    /// still prints it.
+    pub bus: VBusConfig,
     pub topology: TopoSpec,
 }
 
@@ -243,59 +212,32 @@ impl MachineSpec {
 
     /// The paper's machine: 300 MHz Pentium-II nodes, the V-Bus card
     /// with the shared driver/daemon queue, SKWP links on a 2-D mesh
-    /// with hardware broadcast. Every constant below mirrors the
-    /// hard-coded model defaults; the calibration goldens assert the
-    /// lowering is byte-identical.
+    /// with hardware broadcast — the model crates' own constructors,
+    /// so lowering it is [`cluster_sim::ClusterConfig::paper_n`]. The
+    /// `raw` link rate is the Fast-Ethernet reference, used only when
+    /// a description switches to `signalling = raw`.
     pub fn paper() -> Self {
+        let card = LinkPhy::paper_card();
         MachineSpec {
             name: "paper".into(),
-            cpu: CpuSpec {
-                clock_hz: 300e6,
-                cyc_fadd: 3.0,
-                cyc_fmul: 5.0,
-                cyc_fdiv: 32.0,
-                cyc_transcendental: 60.0,
-                cyc_load: 2.5,
-                cyc_store: 2.5,
-                cyc_int: 1.0,
-                cyc_loop: 2.0,
-                memcpy_bps: 180e6,
-            },
-            nic: NicSpec {
-                post_s: 3.0e-6,
-                dma_setup_s: 10.0e-6,
-                pio_per_elem_s: 0.6e-6,
-                shared_queue: true,
-                context_switch_s: 15.0e-6,
-                staging_copy_bps: 180e6,
-                driver_buf_bytes: 256 << 10,
-                eager_slots: 16,
-                eager_slot_bytes: 16 << 10,
-                ring_depth: 8,
-                ring_entry_s: 0.3e-6,
-            },
+            node: NodeConfig::paper_pc(),
             link: LinkSpec {
                 signalling: Signalling::Skwp,
-                width_bits: 16,
-                line_delay_min_ps: 100_000.0,
-                line_delay_spread_ps: 25_000.0,
-                settle_ps: 10_000.0,
-                jitter_ps: 5_000.0,
-                sample_window_ps: 25_000.0,
-                wave_margin: 1.5,
-                budget_hops: 2,
-                router_delay_s: 0.5e-6,
-                raw_bandwidth_bps: 12.5e6,
-                raw_per_hop_s: 5e-6,
-                derate_bandwidth_bps: 0.0,
+                width_bits: card.width_bits,
+                // The card's line 0 is its fastest line.
+                line_delay_min_ps: card.line_delays_ps[0],
+                line_delay_spread_ps: card.skew_spread_ps(),
+                settle_ps: card.settle_ps,
+                jitter_ps: card.jitter_ps,
+                sample_window_ps: card.sample_window_ps,
+                wave_margin: card.wave_margin,
+                budget_hops: card.budget_hops,
+                router_delay_s: ROUTER_DELAY_S,
+                raw: LinkRate::fast_ethernet(),
+                derate_bandwidth_bps: None,
             },
-            bus: BusSpec {
-                enabled: true,
-                arbitration_s: 2.0e-6,
-                per_node_config_s: 0.5e-6,
-                bandwidth_derate: 0.9,
-            },
-            node: NodeSpec { mem_bytes: 64 << 20 },
+            bus_enabled: true,
+            bus: VBusConfig::paper(),
             topology: TopoSpec {
                 kind: TopoKind::Mesh,
                 dim_x: 0,
@@ -311,7 +253,7 @@ impl MachineSpec {
     pub fn prototype() -> Self {
         let mut m = Self::paper();
         m.name = "prototype".into();
-        m.link.derate_bandwidth_bps = 6.0e6;
+        m.link.derate_bandwidth_bps = Some(PROTOTYPE_LINK_BPS);
         m
     }
 
@@ -320,21 +262,9 @@ impl MachineSpec {
     pub fn fast_ethernet() -> Self {
         let mut m = Self::paper();
         m.name = "fast-ethernet".into();
-        m.nic = NicSpec {
-            post_s: 10.0e-6,
-            dma_setup_s: 15.0e-6,
-            pio_per_elem_s: 0.6e-6,
-            shared_queue: false,
-            context_switch_s: 25.0e-6,
-            staging_copy_bps: 180e6,
-            driver_buf_bytes: 64 << 10,
-            eager_slots: 8,
-            eager_slot_bytes: 8 << 10,
-            ring_depth: 4,
-            ring_entry_s: 1.0e-6,
-        };
+        m.node.nic = NicModel::fast_ethernet_card();
         m.link.signalling = Signalling::Raw;
-        m.bus.enabled = false;
+        m.bus_enabled = false;
         m.topology.kind = TopoKind::Shared;
         m
     }
@@ -356,69 +286,19 @@ impl MachineSpec {
     }
 
     /// Render the fully-resolved description in the machine format:
-    /// stable section and key order, round-trips through the parser.
-    /// `vpcec --machine-dump` prints exactly this.
+    /// every row of [`SECTIONS`] in table order, so it round-trips
+    /// through the parser. `vpcec --machine-dump` prints exactly this.
     pub fn dump(&self) -> String {
-        let mut out = String::new();
-        let _ = writeln!(out, "# resolved machine description");
-        let _ = writeln!(out, "[machine]");
-        let _ = writeln!(out, "name = {}", self.name);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[cpu]");
-        let _ = writeln!(out, "clock_hz = {}", self.cpu.clock_hz);
-        let _ = writeln!(out, "cyc_fadd = {}", self.cpu.cyc_fadd);
-        let _ = writeln!(out, "cyc_fmul = {}", self.cpu.cyc_fmul);
-        let _ = writeln!(out, "cyc_fdiv = {}", self.cpu.cyc_fdiv);
-        let _ = writeln!(out, "cyc_transcendental = {}", self.cpu.cyc_transcendental);
-        let _ = writeln!(out, "cyc_load = {}", self.cpu.cyc_load);
-        let _ = writeln!(out, "cyc_store = {}", self.cpu.cyc_store);
-        let _ = writeln!(out, "cyc_int = {}", self.cpu.cyc_int);
-        let _ = writeln!(out, "cyc_loop = {}", self.cpu.cyc_loop);
-        let _ = writeln!(out, "memcpy_bps = {}", self.cpu.memcpy_bps);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[nic]");
-        let _ = writeln!(out, "post_s = {}", self.nic.post_s);
-        let _ = writeln!(out, "dma_setup_s = {}", self.nic.dma_setup_s);
-        let _ = writeln!(out, "pio_per_elem_s = {}", self.nic.pio_per_elem_s);
-        let _ = writeln!(out, "shared_queue = {}", self.nic.shared_queue);
-        let _ = writeln!(out, "context_switch_s = {}", self.nic.context_switch_s);
-        let _ = writeln!(out, "staging_copy_bps = {}", self.nic.staging_copy_bps);
-        let _ = writeln!(out, "driver_buf_bytes = {}", self.nic.driver_buf_bytes);
-        let _ = writeln!(out, "eager_slots = {}", self.nic.eager_slots);
-        let _ = writeln!(out, "eager_slot_bytes = {}", self.nic.eager_slot_bytes);
-        let _ = writeln!(out, "ring_depth = {}", self.nic.ring_depth);
-        let _ = writeln!(out, "ring_entry_s = {}", self.nic.ring_entry_s);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[link]");
-        let _ = writeln!(out, "signalling = {}", self.link.signalling.name());
-        let _ = writeln!(out, "width_bits = {}", self.link.width_bits);
-        let _ = writeln!(out, "line_delay_min_ps = {}", self.link.line_delay_min_ps);
-        let _ = writeln!(out, "line_delay_spread_ps = {}", self.link.line_delay_spread_ps);
-        let _ = writeln!(out, "settle_ps = {}", self.link.settle_ps);
-        let _ = writeln!(out, "jitter_ps = {}", self.link.jitter_ps);
-        let _ = writeln!(out, "sample_window_ps = {}", self.link.sample_window_ps);
-        let _ = writeln!(out, "wave_margin = {}", self.link.wave_margin);
-        let _ = writeln!(out, "budget_hops = {}", self.link.budget_hops);
-        let _ = writeln!(out, "router_delay_s = {}", self.link.router_delay_s);
-        let _ = writeln!(out, "raw_bandwidth_bps = {}", self.link.raw_bandwidth_bps);
-        let _ = writeln!(out, "raw_per_hop_s = {}", self.link.raw_per_hop_s);
-        let _ = writeln!(out, "derate_bandwidth_bps = {}", self.link.derate_bandwidth_bps);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[bus]");
-        let _ = writeln!(out, "enabled = {}", self.bus.enabled);
-        let _ = writeln!(out, "arbitration_s = {}", self.bus.arbitration_s);
-        let _ = writeln!(out, "per_node_config_s = {}", self.bus.per_node_config_s);
-        let _ = writeln!(out, "bandwidth_derate = {}", self.bus.bandwidth_derate);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[node]");
-        let _ = writeln!(out, "mem_bytes = {}", self.node.mem_bytes);
-        let _ = writeln!(out);
-        let _ = writeln!(out, "[topology]");
-        let _ = writeln!(out, "kind = {}", self.topology.kind.name());
-        let _ = writeln!(out, "dim_x = {}", self.topology.dim_x);
-        let _ = writeln!(out, "dim_y = {}", self.topology.dim_y);
-        let _ = writeln!(out, "dim_z = {}", self.topology.dim_z);
-        let _ = writeln!(out, "pods = {}", self.topology.pods);
+        let mut out = String::from("# resolved machine description\n");
+        for (i, section) in SECTIONS.iter().enumerate() {
+            if i > 0 {
+                out.push('\n');
+            }
+            let _ = writeln!(out, "[{}]", section.name);
+            for row in section.rows {
+                let _ = writeln!(out, "{} = {}", row.key, (row.get)(self));
+            }
+        }
         out
     }
 }

@@ -426,6 +426,7 @@ mod tests {
     use super::*;
     use crate::Universe;
     use cluster_sim::ClusterConfig;
+    use vpce_machine::MachineSpec;
 
     fn uni(n: usize) -> Universe {
         Universe::new(ClusterConfig::paper_n(n))
@@ -454,7 +455,7 @@ mod tests {
 
     #[test]
     fn bcast_falls_back_to_tree_without_vbus() {
-        let out = Universe::new(ClusterConfig::fast_ethernet_n(4)).run(|mpi| {
+        let out = Universe::new(MachineSpec::fast_ethernet().lower(4).unwrap()).run(|mpi| {
             let data = (mpi.rank() == 0).then(|| vec![0.0; 1024]);
             mpi.bcast(0, data);
         });

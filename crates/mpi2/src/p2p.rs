@@ -123,6 +123,7 @@ impl Mpi {
 mod tests {
     use crate::Universe;
     use cluster_sim::ClusterConfig;
+    use vpce_machine::MachineSpec;
 
     fn uni(n: usize) -> Universe {
         Universe::new(ClusterConfig::paper_n(n))
@@ -223,7 +224,7 @@ mod tests {
                 .elapsed()
         };
         let vb = round_trip(ClusterConfig::paper_n(2));
-        let fe = round_trip(ClusterConfig::fast_ethernet_n(2));
+        let fe = round_trip(MachineSpec::fast_ethernet().lower(2).unwrap());
         let ratio = fe / vb;
         assert!(
             (2.0..10.0).contains(&ratio),

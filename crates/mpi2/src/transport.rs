@@ -146,6 +146,7 @@ pub fn quiesce_cost(cfg: &ClusterConfig) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vpce_machine::MachineSpec;
 
     #[test]
     fn paper_machine_crossover_is_a_few_kb() {
@@ -174,8 +175,8 @@ mod tests {
         for cfg in [
             ClusterConfig::paper_n(2),
             ClusterConfig::paper_n(16),
-            ClusterConfig::fast_ethernet_n(4),
-            ClusterConfig::prototype_n(4),
+            MachineSpec::fast_ethernet().lower(4).unwrap(),
+            MachineSpec::prototype().lower(4).unwrap(),
         ] {
             let p = TransportPolicy::from_config(&cfg);
             assert!(p.eager_max_bytes <= p.slot_bytes);
@@ -221,7 +222,7 @@ mod tests {
         // dearer — eager should stay attractive for larger messages
         // (until the slot cap bites).
         let fast = TransportPolicy::from_config(&ClusterConfig::paper_n(4));
-        let slow = TransportPolicy::from_config(&ClusterConfig::prototype_n(4));
+        let slow = TransportPolicy::from_config(&MachineSpec::prototype().lower(4).unwrap());
         assert!(slow.eager_max_bytes >= fast.eager_max_bytes);
     }
 }

@@ -417,14 +417,17 @@ mod tests {
     fn paper_machine_prepares_byte_identically_to_no_machine() {
         // Every rank count up to the paper's 4x4 mesh, the awkward ones
         // (3, 5, 6, 7, ...) included: their partitions carry phantom
-        // router cells. The reference is the hard-coded paper partition.
+        // router cells. The reference is the paper machine on the
+        // carved sub-mesh.
         let paper = MachineSpec::default();
         for ranks in 1..=16 {
             let job = mm_job("mm0", ranks);
             let bare = prepare(&job, ExecMode::Full).unwrap();
             let with = prepare_on(&job, ExecMode::Full, Some(&paper)).unwrap();
             let shape = partition_shape(ranks);
-            let reference = format!("{:?}", ClusterConfig::paper_partition(shape, ranks));
+            let mut reference = ClusterConfig::paper_n(ranks);
+            reference.net.topology = vbus_sim::Topology::mesh_with(shape, ranks);
+            let reference = format!("{reference:?}");
             for p in [&bare, &with] {
                 assert_eq!(p.plan.shape, shape, "ranks={ranks}");
                 assert_eq!(format!("{:?}", p.plan.cluster), reference, "ranks={ranks}");

@@ -5,7 +5,9 @@
 //! `1e400`, empty, 2⁶⁴, a repeated key — parses to a spec inside its
 //! ranges or a typed refusal, never a panic.
 
+use vpce_diag::settings::Row;
 use vpce_faults::{FaultSpec, FaultSpecCode, FAULT_KEYS};
+use vpce_machine::parse::SECTIONS;
 use vpce_machine::{MachineCode, MachineSpec, Signalling, TopoKind};
 use vpce_recover::{RecoverSpec, RECOVER_KEYS};
 use vpce_sched::{BatchSpec, JobSource, JobSpec, JobfileCode, StormSpec, TenantSpec};
@@ -203,43 +205,60 @@ fn jobfile_records_round_trip() {
     });
 }
 
+/// Every `[section] key` row of the machine format, in dump order.
+fn machine_rows() -> impl Iterator<Item = (&'static str, &'static Row<MachineSpec>)> {
+    SECTIONS
+        .iter()
+        .flat_map(|s| s.rows.iter().map(move |r| (s.name, r)))
+}
+
+/// A value some row of the machine format may take: a fraction, a
+/// real, a count, a flag, a choice name or a word.
+fn machine_value() -> Gen<String> {
+    let names = Signalling::ALL.iter().map(|s| s.name());
+    let names: Vec<&str> = names
+        .chain(TopoKind::ALL.iter().map(|k| k.name()))
+        .collect();
+    one_of(vec![
+        f64_in(0.0, 1.0).map(|x| x.to_string()),
+        f64_in(1.0, 1e9).map(|x| x.to_string()),
+        usize_in(0, 1 << 30).map(|n| n.to_string()),
+        elem_of(vec!["true", "false"]).map(String::from),
+        elem_of(names).map(String::from),
+        word(),
+    ])
+}
+
 #[test]
 fn machine_dumps_round_trip() {
-    let base = elem_of(MachineSpec::BUILTINS.to_vec());
-    let knobs = zip4(
-        zip3(word(), f64_in(1e6, 1e9), f64_in(0.0, 1e-4)),
-        zip3(
-            usize_in(1, 64),
-            elem_of(Signalling::ALL.to_vec()),
-            f64_in(0.0, 100.0),
-        ),
-        zip3(bool_any(), f64_in(1e-3, 1.0), usize_in(1, 1 << 30)),
-        zip2(elem_of(TopoKind::ALL.to_vec()), usize_in(0, 9)),
+    // Each kind of value the generator draws moves every row somewhere.
+    let kinds = ["0.5", "7", "false", "wave", "torus3d", "abc"];
+    for (section, row) in machine_rows() {
+        let paper = MachineSpec::paper();
+        let moves = kinds.iter().any(|v| {
+            let mut m = paper.clone();
+            (row.set)(&mut m, v).is_ok() && m != paper
+        });
+        assert!(moves, "no drawn value moves [{section}] {}", row.key);
+    }
+    let rows = machine_rows().count();
+    let spec = zip2(
+        elem_of(MachineSpec::BUILTINS.to_vec()),
+        vec_of(machine_value(), rows, rows),
     );
-    let spec = zip2(base, knobs).map(
-        |(
-            name,
-            ((n, clock, post), (slots, signalling, jitter), (enabled, derate, mem), (kind, dim)),
-        )| {
-            let mut m = MachineSpec::builtin(name).expect("a built-in name");
-            m.name = n;
-            m.cpu.clock_hz = clock;
-            m.nic.post_s = post;
-            m.nic.eager_slots = slots;
-            m.link.signalling = signalling;
-            m.link.jitter_ps = jitter;
-            m.bus.enabled = enabled;
-            m.bus.bandwidth_derate = derate;
-            m.node.mem_bytes = mem;
-            m.topology.kind = kind;
-            m.topology.dim_x = dim;
-            m
+    check(
+        "settings::machine_dump_round_trip",
+        &spec,
+        |(base, values)| {
+            let mut m = MachineSpec::builtin(base).expect("a built-in name");
+            for ((_, row), v) in machine_rows().zip(values) {
+                // A value the row's own parser refuses leaves the preset's.
+                let _ = (row.set)(&mut m, v);
+            }
+            prop_assert_eq!(vpce_machine::parse(&m.dump()), Ok(m.clone()));
+            Ok(())
         },
     );
-    check("settings::machine_dump_round_trip", &spec, |m| {
-        prop_assert_eq!(vpce_machine::parse(&m.dump()), Ok(m.clone()));
-        Ok(())
-    });
 }
 
 /// Items of hostile values for a table's keys, and whether the first
@@ -355,23 +374,22 @@ fn hostile_jobfile_lines_are_typed_refusals() {
     );
 }
 
-#[test]
-fn hostile_machine_values_are_typed_refusals() {
-    let dump = MachineSpec::paper().dump();
-    let mut keys: Vec<(String, String)> = Vec::new();
-    let mut section = String::new();
-    for line in dump
-        .lines()
-        .filter(|l| !l.starts_with('#') && !l.is_empty())
-    {
-        match line.strip_prefix('[') {
-            Some(s) => section = s.trim_end_matches(']').to_string(),
-            None => keys.push((
-                section.clone(),
-                line.split(" = ").next().unwrap().to_string(),
-            )),
+/// A description that parses lowers at 1, 4 and 8 nodes to a machine
+/// or to a typed VPCE505 — never a panic, never another code.
+fn lowers_or_vpce505(m: &MachineSpec) -> Result<(), String> {
+    for n in [1, 4, 8] {
+        match m.lower(n) {
+            Err(e) if e.code != MachineCode::BadTopology => return Err(format!("{n}: {e}")),
+            _ => {}
         }
     }
+    Ok(())
+}
+
+#[test]
+fn hostile_machine_values_are_typed_refusals() {
+    let keys: Vec<(&str, &str)> = machine_rows().map(|(s, r)| (s, r.key)).collect();
+    assert_eq!(keys.len(), 45, "one row per .machine key");
     let gen = zip3(elem_of(keys), hostile(), bool_any());
     check(
         "settings::hostile_machine",
@@ -382,7 +400,10 @@ fn hostile_machine_values_are_typed_refusals() {
                 text.push_str(&format!("{key} = {v}\n"));
             }
             match vpce_machine::parse(&text) {
-                Ok(m) => prop_assert!(!*repeat, "a repeated key parsed: {m:?}"),
+                Ok(m) => {
+                    prop_assert!(!*repeat, "a repeated key parsed: {m:?}");
+                    lowers_or_vpce505(&m).map_err(|e| PropError::fail(format!("{text}{e}")))?;
+                }
                 Err(e)
                     if *repeat
                         && vpce_machine::parse(&format!("[{section}]\n{key} = {v}\n")).is_ok() =>
@@ -394,4 +415,20 @@ fn hostile_machine_values_are_typed_refusals() {
             Ok(())
         },
     );
+    // One value in every key of a section that takes it, on every
+    // preset: 2²² in each torus3d dim is a cell count past 2⁶⁴.
+    for base in MachineSpec::BUILTINS {
+        for section in SECTIONS {
+            for v in HOSTILE.iter().chain(&["4194304"]) {
+                let mut text = format!("include = {base}\n[{}]\n", section.name);
+                for row in section.rows {
+                    if (row.set)(&mut MachineSpec::paper(), v).is_ok() {
+                        text.push_str(&format!("{} = {v}\n", row.key));
+                    }
+                }
+                let m = vpce_machine::parse(&text).unwrap_or_else(|e| panic!("{text}{e}"));
+                lowers_or_vpce505(&m).unwrap_or_else(|e| panic!("{text}{e}"));
+            }
+        }
+    }
 }

@@ -45,7 +45,7 @@ pub mod topology;
 
 mod sim;
 
-pub use link::{LinkPhy, LinkRate, SignallingMode};
+pub use link::{LinkPhy, LinkRate, SignallingMode, ROUTER_DELAY_S};
 pub use sim::{BusOutcome, NetConfig, NetSim, Transfer, VBusConfig};
 pub use stats::NetStats;
 pub use topology::{FactorError, Mesh, NodeId, Topology};

@@ -87,19 +87,27 @@ impl LinkPhy {
     /// exactly 4x Fast Ethernet's 12.5 MB/s payload rate.
     pub fn paper_card() -> Self {
         let width_bits = 16;
-        // Deterministic skews spanning [100, 125] ns: spread 25 ns.
-        let line_delays_ps: Vec<f64> = (0..width_bits)
-            .map(|i| 100_000.0 + 25_000.0 * (i as f64) / (width_bits - 1) as f64)
-            .collect();
         LinkPhy {
             width_bits,
-            line_delays_ps,
+            // Deterministic skews spanning [100, 125] ns: spread 25 ns.
+            line_delays_ps: Self::even_line_delays(width_bits, 100_000.0, 25_000.0),
             settle_ps: 10_000.0,
             jitter_ps: 5_000.0,
             sample_window_ps: 25_000.0,
             wave_margin: 1.5,
             budget_hops: 2,
         }
+    }
+
+    /// `width_bits` line delays spaced evenly from `min_ps` across
+    /// `spread_ps` (one line sits at `min_ps`).
+    pub fn even_line_delays(width_bits: usize, min_ps: f64, spread_ps: f64) -> Vec<f64> {
+        if width_bits == 1 {
+            return vec![min_ps];
+        }
+        (0..width_bits)
+            .map(|i| min_ps + spread_ps * (i as f64) / (width_bits - 1) as f64)
+            .collect()
     }
 
     /// Worst-case inter-line skew spread, ps.
@@ -172,17 +180,14 @@ pub struct LinkRate {
     pub per_hop_s: f64,
 }
 
-impl LinkRate {
-    /// The paper's card: SKWP-mode [`LinkPhy::paper_card`] with a 0.5 µs
-    /// wormhole router decision.
-    pub fn vbus_skwp() -> Self {
-        LinkPhy::paper_card().rate(SignallingMode::Skwp, 0.5e-6)
-    }
+/// The paper's wormhole router decision time per hop, seconds.
+pub const ROUTER_DELAY_S: f64 = 0.5e-6;
 
-    /// Same card clocked conventionally (≈¼ of the SKWP bandwidth) —
-    /// the pipelining baseline in the paper's §2.1 comparison.
-    pub fn vbus_conventional() -> Self {
-        LinkPhy::paper_card().rate(SignallingMode::Conventional, 0.5e-6)
+impl LinkRate {
+    /// The paper's card: SKWP-mode [`LinkPhy::paper_card`] behind a
+    /// [`ROUTER_DELAY_S`] router.
+    pub fn vbus_skwp() -> Self {
+        LinkPhy::paper_card().rate(SignallingMode::Skwp, ROUTER_DELAY_S)
     }
 
     /// Fast Ethernet reference: 100 Mbit/s payload (12.5 MB/s) on a

@@ -21,13 +21,13 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use crate::link::LinkRate;
 use crate::stats::NetStats;
-use crate::topology::{LinkId, Mesh, NodeId, Topology};
+use crate::topology::{LinkId, NodeId, Topology};
 use crate::Time;
 use vpce_faults::{site, FaultInjector, FaultSpec, VpceError};
 use vpce_trace::{EventKind, Lane, Tracer};
 
 /// Virtual-bus parameters.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VBusConfig {
     /// Bus arbitration latency before the bus exists, seconds.
     pub arbitration_s: f64,
@@ -65,29 +65,6 @@ impl NetConfig {
     pub fn vbus_skwp(n: usize) -> Self {
         NetConfig {
             topology: Topology::mesh_for(n),
-            link: LinkRate::vbus_skwp(),
-            vbus: Some(VBusConfig::paper()),
-        }
-    }
-
-    /// Same mesh with conventionally pipelined links (≈¼ bandwidth) —
-    /// isolates the SKWP contribution.
-    pub fn vbus_conventional(n: usize) -> Self {
-        NetConfig {
-            topology: Topology::mesh_for(n),
-            link: LinkRate::vbus_conventional(),
-            vbus: Some(VBusConfig::paper()),
-        }
-    }
-
-    /// A rectangular sub-partition of the paper's machine: `n` nodes
-    /// attached to an explicit `mesh` shape, SKWP links, virtual-bus
-    /// broadcast. This is the network a gang scheduler hands each job:
-    /// the partition's wires are private, so concurrent jobs cannot
-    /// contend (or share counters) at the network level.
-    pub fn vbus_skwp_mesh(mesh: Mesh, n: usize) -> Self {
-        NetConfig {
-            topology: Topology::mesh_with(mesh, n),
             link: LinkRate::vbus_skwp(),
             vbus: Some(VBusConfig::paper()),
         }

@@ -10,7 +10,8 @@
 //! cargo run --release -p vpce --example matrix_multiply -- 1024
 //! ```
 
-use vpce::{compile, BackendOptions, ClusterConfig, CompiledProgram, ExecMode, Granularity};
+use vpce::{compile, BackendOptions, CompiledProgram, ExecMode, Granularity};
+use vpce_machine::MachineSpec;
 use vpce_workloads::mm;
 
 fn main() {
@@ -44,11 +45,11 @@ fn main() {
         );
     };
 
-    let families: [(&str, fn(usize) -> ClusterConfig); 2] = [
-        ("nominal", ClusterConfig::paper_n),
-        ("prototype", ClusterConfig::prototype_n),
-    ];
-    for (family, cluster_of) in families {
+    for (family, machine) in [
+        ("nominal", MachineSpec::paper()),
+        ("prototype", MachineSpec::prototype()),
+    ] {
+        let cluster_of = |n| machine.lower(n).expect("a mesh holds 1, 2 and 4 nodes");
         println!("\nMM {n}x{n}, {family} V-Bus cluster, coarse granularity, full execution:");
         println!(
             "{:>6} {:>12} {:>12} {:>9} {:>12}",

@@ -371,6 +371,36 @@ fn zero_nodes_is_the_vpce505_usage_line_on_the_builtin_machines() {
     }
 }
 
+/// A torus whose cell count overflows a `usize` is one typed VPCE505
+/// line and a usage exit, in the debug build too: the product used to
+/// panic there ("attempt to multiply with overflow") and wrap to 0 in
+/// release ("4 nodes do not fit").
+#[test]
+fn torus3d_dims_past_usize_are_one_vpce505_line() {
+    let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");
+    let file = Scratch::new("huge.machine");
+    let side = "4194304";
+    let dims = format!("dim_x = {side}\ndim_y = {side}\ndim_z = {side}\n");
+    std::fs::write(&file.0, format!("[topology]\nkind = torus3d\n{dims}")).unwrap();
+    let out = vpcec(
+        &[mm, "--nodes", "4", "--analytic", "--machine", file.str()],
+        None,
+    );
+    let err = String::from_utf8_lossy(&out.stderr).into_owned();
+    assert!(
+        !err.contains("panicked") && !err.contains("backtrace"),
+        "{err}"
+    );
+    assert_eq!(out.status.code(), Some(1), "{err}");
+    assert_eq!(
+        stdout(&out),
+        format!(
+            "error: machine `paper`: VPCE505: torus3d dims {side}x{side}x{side} \
+             overflow the cell and link counts\n"
+        )
+    );
+}
+
 /// `--verify` explores at most 32 ranks (a state's crash mask is a
 /// `u32`): a larger plan is one typed VPCE209 line on stderr and a
 /// usage exit, nothing on stdout — it used to panic (exit 101).

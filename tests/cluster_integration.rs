@@ -5,7 +5,13 @@
 
 use cluster_sim::ClusterConfig;
 use vpce::{compile, BackendOptions, ExecMode, Granularity, Universe};
+use vpce_machine::MachineSpec;
 use vpce_workloads::mm;
+
+/// The built-in machine `name` with four nodes.
+fn preset4(name: &str) -> ClusterConfig {
+    MachineSpec::builtin(name).unwrap().lower(4).unwrap()
+}
 
 fn mm_comm(cluster: &ClusterConfig, n: i64) -> f64 {
     let opts = BackendOptions::new(cluster.num_nodes()).granularity(Granularity::Fine);
@@ -16,7 +22,7 @@ fn mm_comm(cluster: &ClusterConfig, n: i64) -> f64 {
 #[test]
 fn vbus_beats_fast_ethernet_end_to_end() {
     let vb = mm_comm(&ClusterConfig::paper_n(4), 128);
-    let fe = mm_comm(&ClusterConfig::fast_ethernet_n(4), 128);
+    let fe = mm_comm(&preset4("fast-ethernet"), 128);
     let ratio = fe / vb;
     assert!(
         ratio > 2.5,
@@ -28,7 +34,7 @@ fn vbus_beats_fast_ethernet_end_to_end() {
 #[test]
 fn skwp_links_beat_conventional_pipelining_end_to_end() {
     let skwp = mm_comm(&ClusterConfig::paper_n(4), 128);
-    let conv = mm_comm(&ClusterConfig::conventional_links_n(4), 128);
+    let conv = mm_comm(&preset4("conventional"), 128);
     assert!(
         conv > 1.5 * skwp,
         "conventional links should slow communication: {skwp} vs {conv}"
@@ -38,8 +44,8 @@ fn skwp_links_beat_conventional_pipelining_end_to_end() {
 #[test]
 fn prototype_preset_sits_between_nominal_and_ethernet() {
     let nominal = mm_comm(&ClusterConfig::paper_n(4), 128);
-    let proto = mm_comm(&ClusterConfig::prototype_n(4), 128);
-    let fe = mm_comm(&ClusterConfig::fast_ethernet_n(4), 128);
+    let proto = mm_comm(&preset4("prototype"), 128);
+    let fe = mm_comm(&preset4("fast-ethernet"), 128);
     assert!(nominal < proto, "derated bandwidth must cost time");
     assert!(proto > fe * 0.3, "but stay in a plausible range");
 }

@@ -111,8 +111,7 @@ fn skwp_carries_about_four_times_the_conventional_bandwidth() {
 fn dma_and_pio_cost_curves_cross_where_the_setup_model_says() {
     use cluster_sim::TransferKind;
     let paper = example_machine("paper.machine");
-    let nic = paper.nic_model();
-    let cpu = paper.cpu_model();
+    let (nic, cpu) = (&paper.node.nic, &paper.node.cpu);
     let elem = 8; // one REAL*8
     let cost = |elems: usize, pio: bool| {
         let kind = if pio {
@@ -120,7 +119,7 @@ fn dma_and_pio_cost_curves_cross_where_the_setup_model_says() {
         } else {
             TransferKind::Contiguous { bytes: elems * elem }
         };
-        nic.host_overhead(kind, &cpu)
+        nic.host_overhead(kind, cpu)
     };
     // Small strided messages: element-by-element PIO beats paying the
     // 10us DMA engine setup.
@@ -182,4 +181,42 @@ fn machine_dump_matches_golden_bytes() {
     assert_eq!(reparsed, example_machine("paper.machine"));
     // And the example file equals the built-in default it documents.
     assert_eq!(example_machine("paper.machine"), MachineSpec::default());
+
+    // Every built-in preset and every example file, dumped in one
+    // document: a refactor of how the presets are built must leave
+    // each resolved value where it was.
+    let mut all = String::new();
+    for name in MachineSpec::BUILTINS {
+        let spec = MachineSpec::builtin(name).expect("listed presets resolve");
+        all.push_str(&format!("## builtin {name}\n{}\n", spec.dump()));
+    }
+    let mut files: Vec<String> = std::fs::read_dir(repo_path("examples/machines"))
+        .expect("examples/machines exists")
+        .map(|e| {
+            e.expect("readable entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|f| f.ends_with(".machine"))
+        .collect();
+    files.sort();
+    for file in &files {
+        all.push_str(&format!(
+            "## file {file}\n{}\n",
+            example_machine(file).dump()
+        ));
+    }
+    let golden_path = repo_path("tests/golden/builtin_machines.txt");
+    if std::env::var_os("UPDATE_GOLDEN").is_some() {
+        std::fs::write(&golden_path, &all).expect("write golden");
+    } else {
+        let expected = std::fs::read_to_string(&golden_path)
+            .unwrap_or_else(|e| panic!("missing golden file {golden_path}: {e}"));
+        assert_eq!(
+            all, expected,
+            "a preset's dump drifted from builtin_machines.txt; if intentional, \
+             regenerate with UPDATE_GOLDEN=1"
+        );
+    }
 }
