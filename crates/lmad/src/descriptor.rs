@@ -3,6 +3,8 @@
 
 use std::fmt;
 
+use crate::normal::Form;
+
 /// One access dimension: a consistent stride walked `count` times.
 ///
 /// The paper characterises a dimension by (stride, span); we store
@@ -122,14 +124,7 @@ impl Lmad {
     /// be established exactly (dimensions may alias and the access is
     /// too large to enumerate within `limit`).
     pub fn distinct_elements_exact(&self, limit: u64) -> Option<u64> {
-        let n = self.normalized();
-        if n.is_non_aliasing() {
-            return Some(n.num_accesses());
-        }
-        n.offsets(limit).map(|mut offs| {
-            offs.dedup();
-            offs.len() as u64
-        })
+        self.with_form(|f| f.distinct_elements_exact(limit))
     }
 
     /// True when (on the *normalised* form) each dimension's stride
@@ -215,6 +210,8 @@ impl Lmad {
     /// Normalisation preserves the *set* of touched offsets (it may
     /// drop multiplicity of revisits, which no consumer depends on).
     pub fn normalized(&self) -> Lmad {
+        #[cfg(debug_assertions)]
+        crate::work::count(&crate::work::NORMALISED);
         let mut base = self.base;
         let mut dims: Vec<Dim> = Vec::with_capacity(self.dims.len());
         for d in &self.dims {
@@ -247,6 +244,28 @@ impl Lmad {
             }
         }
         Lmad { base, dims: out }
+    }
+
+    /// Ask `f` of this descriptor's normal form, built for the one
+    /// question (a caller asking many keeps a [`crate::Normal`]).
+    fn with_form<R>(&self, f: impl FnOnce(Form) -> R) -> R {
+        let form = self.normalized();
+        f(Form::of(&form, self))
+    }
+
+    /// Is this descriptor its own normal form — would
+    /// [`Lmad::normalized`] return it unchanged? Every dimension moves
+    /// (count above one, positive stride), the strides ascend, and no
+    /// two neighbours coalesce. `O(dims)`, building nothing.
+    pub(crate) fn is_normal(&self) -> bool {
+        self.dims.iter().all(|d| d.count > 1 && d.stride > 0)
+            && self.dims.windows(2).all(|w| {
+                let coalesces = i64::try_from(w[0].count)
+                    .ok()
+                    .and_then(|c| w[0].stride.checked_mul(c))
+                    == Some(w[1].stride);
+                w[0].stride <= w[1].stride && !coalesces
+            })
     }
 
     /// True when the (normalised) access is one contiguous run.
@@ -283,7 +302,7 @@ impl Lmad {
     }
 
     /// Exact containment of one element offset, by digit decomposition
-    /// over the normalised sorted dims ([`Lmad::run_end`]): one
+    /// over the normalised sorted dims (`Form::run_end`): one
     /// candidate digit per dimension when the dims do not alias, a
     /// backtracking search over the feasible digits when they do.
     pub fn contains(&self, offset: i64) -> bool {
@@ -294,7 +313,7 @@ impl Lmad {
         if offset < lo || offset > hi {
             return false;
         }
-        self.normalized().run_end(offset).is_some()
+        self.with_form(|f| f.run_end(offset).is_some())
     }
 
     /// Conservative overlap: do the bounding extents intersect?
@@ -306,27 +325,7 @@ impl Lmad {
     /// a spurious `true` yields a false alarm, a spurious `false`
     /// would hide a race.
     pub fn may_overlap(&self, other: &Lmad) -> bool {
-        let (alo, ahi) = self.extent();
-        let (blo, bhi) = other.extent();
-        if ahi < blo || bhi < alo {
-            return false;
-        }
-        // Refinement for a pair of single-dimension strided accesses:
-        // offsets a.base + i*s and b.base + j*t intersect only if
-        // gcd(s, t) divides the base difference.
-        let a = self.normalized();
-        let b = other.normalized();
-        if a.dims.len() == 1 && b.dims.len() == 1 {
-            let g = gcd(
-                a.dims[0].stride.unsigned_abs(),
-                b.dims[0].stride.unsigned_abs(),
-            );
-            let diff = (a.base as i128 - b.base as i128).unsigned_abs();
-            if g > 0 && diff % g as u128 != 0 {
-                return false;
-            }
-        }
-        true
+        self.with_form(|a| other.with_form(|b| a.may_overlap(b)))
     }
 
     /// Exact overlap decision; `None` only when undecidable within a
@@ -338,9 +337,9 @@ impl Lmad {
     /// 2. both sides (normalised) at most one dimension — closed-form
     ///    arithmetic-progression intersection, exact at any size;
     /// 3. one side within `limit` accesses and the other non-aliasing —
-    ///    walk the runs of the first ([`Lmad::runs`]) and ask the
+    ///    walk the runs of the first (`Form::runs`) and ask the
     ///    second for its first element at or after each run's start
-    ///    ([`Lmad::next_at_or_after`], `O(dims)`): they meet iff it
+    ///    (`Form::next_at_or_after`, `O(dims)`): they meet iff it
     ///    falls inside the run. With both sides eligible either way,
     ///    the side with fewer runs is walked;
     /// 4. both sides within `limit` and both aliasing — no closed form:
@@ -350,56 +349,15 @@ impl Lmad {
     /// enumerated them: a side is "within `limit`" exactly when
     /// [`Lmad::offsets`]`(limit)` would list it, so the answer is
     /// `None` on exactly the inputs it always was.
+    ///
+    /// Rung 1 reads the raw extents, rungs 2–4 the normal forms
+    /// ([`crate::Form::overlaps_exact`], which a caller holding normal forms
+    /// asks directly).
     pub fn overlaps_exact(&self, other: &Lmad, limit: u64) -> Option<bool> {
-        // Step 1 on the raw descriptors: the extent is the same before
-        // and after normalisation, and most pairs end here.
-        let (alo, ahi) = self.extent();
-        let (blo, bhi) = other.extent();
-        if ahi < blo || bhi < alo {
+        if extents_apart(self, other) {
             return Some(false);
         }
-        let a = self.normalized();
-        let b = other.normalized();
-        if a.dims.len() <= 1 && b.dims.len() <= 1 {
-            let (s1, c1) = a
-                .dims
-                .first()
-                .map_or((1, 1), |d| (d.stride, d.count));
-            let (s2, c2) = b
-                .dims
-                .first()
-                .map_or((1, 1), |d| (d.stride, d.count));
-            return Some(
-                progressions_intersect(a.base, s1, c1, b.base, s2, c2),
-            );
-        }
-        let meets = |walked: &Lmad, probed: &Lmad| {
-            walked
-                .runs()
-                .any(|(first, last)| probed.next_at_or_after(first).is_some_and(|o| o <= last))
-        };
-        let (a_listable, b_listable) = (a.enumerable(limit), b.enumerable(limit));
-        let a_walks = a_listable && b.is_non_aliasing();
-        let b_walks = b_listable && a.is_non_aliasing();
-        match (a_walks, b_walks) {
-            (true, true) if b.num_runs() < a.num_runs() => Some(meets(&b, &a)),
-            (true, _) => Some(meets(&a, &b)),
-            (false, true) => Some(meets(&b, &a)),
-            (false, false) if !(a_listable && b_listable) => None,
-            // Both listable and neither walkable: both sides alias.
-            (false, false) => {
-                let (ao, bo) = (a.offsets(limit)?, b.offsets(limit)?);
-                let (mut i, mut j) = (0, 0);
-                while i < ao.len() && j < bo.len() {
-                    match ao[i].cmp(&bo[j]) {
-                        std::cmp::Ordering::Less => i += 1,
-                        std::cmp::Ordering::Greater => j += 1,
-                        std::cmp::Ordering::Equal => return Some(true),
-                    }
-                }
-                Some(false)
-            }
-        }
+        self.with_form(|a| other.with_form(|b| a.overlaps_exact(b, limit)))
     }
 
     /// Best-effort overlap: the [`Lmad::overlaps_exact`] answer
@@ -412,10 +370,7 @@ impl Lmad {
     /// `may_overlap` elsewhere — it may report `true` for disjoint
     /// accesses but never `false` for overlapping ones.
     pub fn overlaps(&self, other: &Lmad) -> bool {
-        match self.overlaps_exact(other, 4096) {
-            Some(exact) => exact,
-            None => self.may_overlap(other),
-        }
+        !extents_apart(self, other) && self.with_form(|a| other.with_form(|b| a.overlaps(b)))
     }
 
     /// True when every offset of `other` is an offset of `self`: exact
@@ -424,18 +379,22 @@ impl Lmad {
     /// lacks); conservative `false` when it is larger, unless `self`
     /// is one contiguous run holding `other`'s extent.
     pub fn contains_all(&self, other: &Lmad, limit: u64) -> bool {
-        let n = self.normalized();
         let (olo, ohi) = other.extent();
-        if other.enumerable(limit) {
-            // Nothing outside `self`'s bounding interval is in it.
-            let (lo, hi) = self.extent();
-            lo <= olo && ohi <= hi && other.normalized().covered_by(|o| n.run_end(o))
-        } else {
-            // Cheap sufficient condition: self is one contiguous run
-            // and other's extent is inside it.
-            let (lo, hi) = n.extent();
-            n.is_contiguous_normalized() && lo <= olo && ohi <= hi
-        }
+        self.with_form(|n| {
+            if other.enumerable(limit) {
+                // Nothing outside `self`'s bounding interval is in it;
+                // a descriptor of `self`'s normal form is all in it.
+                let (lo, hi) = self.extent();
+                lo <= olo
+                    && ohi <= hi
+                    && other.with_form(|o| o.lmad() == n.lmad() || o.covered_by(|x| n.run_end(x)))
+            } else {
+                // Cheap sufficient condition: self is one contiguous
+                // run and other's extent is inside it.
+                let (lo, hi) = n.lmad().extent();
+                n.lmad().is_contiguous_normalized() && lo <= olo && ohi <= hi
+            }
+        })
     }
 
     /// The splitted LMADs of §5.4, Definition 2: `A_mapping` is the
@@ -445,21 +404,15 @@ impl Lmad {
     ///
     /// For a dimensionless LMAD the mapping is a single element.
     pub fn split(&self) -> SplitLmad {
-        let n = self.normalized();
-        match n.dims.split_first() {
-            None => SplitLmad {
-                mapping: Dim::new(1, 1),
-                offsets: Lmad::scalar(n.base),
-            },
-            Some((lowest, rest)) => SplitLmad {
-                mapping: *lowest,
-                offsets: Lmad {
-                    base: n.base,
-                    dims: rest.to_vec(),
-                },
-            },
-        }
+        self.with_form(|f| f.split())
     }
+}
+
+/// Rung 1 of every overlap test, asked of the raw descriptors before
+/// either is normalised: disjoint bounding extents, as most pairs have.
+fn extents_apart(a: &Lmad, b: &Lmad) -> bool {
+    let ((alo, ahi), (blo, bhi)) = (a.extent(), b.extent());
+    ahi < blo || bhi < alo
 }
 
 /// The §5.4 decomposition: `A_offsets` enumerates start offsets,
@@ -484,14 +437,6 @@ impl SplitLmad {
     /// Enumerate the start offsets.
     pub fn offset_list(&self, limit: u64) -> Option<Vec<i64>> {
         self.offsets.offsets(limit)
-    }
-}
-
-fn gcd(a: u64, b: u64) -> u64 {
-    if b == 0 {
-        a
-    } else {
-        gcd(b, a % b)
     }
 }
 

@@ -45,6 +45,7 @@
 
 mod descriptor;
 pub mod epoch;
+mod normal;
 #[cfg(test)]
 mod oracle;
 mod runs;
@@ -53,6 +54,35 @@ pub mod sweep;
 mod transfer;
 
 pub use descriptor::{progressions_intersect, Dim, Lmad, SplitLmad};
+pub use normal::{Form, Normal};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
 pub use sweep::{CoverIndex, COVER_LIMIT};
-pub use transfer::{any_overlap, Granularity, RegionTransfer, TransferPlan};
+pub use transfer::{any_overlap, cross_rank_overlap, Granularity, RegionTransfer, TransferPlan};
+
+/// Work counts of the exact tests on the calling thread, so a test can
+/// pin how much work a caller makes (`spmd-rt`'s `STREAMED` /
+/// `NESTED` are the same idea). Debug builds only — the dependent
+/// crates' tests read them, and a `cfg(test)` item of this crate is not
+/// compiled for those — and release builds carry none.
+#[cfg(debug_assertions)]
+pub mod work {
+    use std::cell::Cell;
+    use std::thread::LocalKey;
+
+    thread_local! {
+        /// Calls of [`crate::Lmad::normalized`].
+        pub static NORMALISED: Cell<u64> = const { Cell::new(0) };
+        /// Exact pair tests ([`crate::Form::overlaps_exact`], which
+        /// every overlap question of the crate ends in).
+        pub static PAIR_TESTS: Cell<u64> = const { Cell::new(0) };
+    }
+
+    pub(crate) fn count(c: &'static LocalKey<Cell<u64>>) {
+        c.with(|c| c.set(c.get() + 1));
+    }
+
+    /// `(NORMALISED, PAIR_TESTS)` so far on this thread.
+    pub fn read() -> (u64, u64) {
+        (NORMALISED.with(Cell::get), PAIR_TESTS.with(Cell::get))
+    }
+}

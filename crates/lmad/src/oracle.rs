@@ -8,8 +8,10 @@
 //! against listing both progressions.
 
 use crate::descriptor::{progressions_intersect, Dim, Lmad};
+use crate::normal::{Form, Normal};
 use crate::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
-use crate::sweep::CoverIndex;
+use crate::sweep::{self, CoverIndex};
+use crate::transfer::{cross_rank_overlap, RegionTransfer};
 use vpce_testkit::prelude::*;
 
 /// `Lmad::overlaps_exact` as it enumerated (rungs 3–4 by offset list).
@@ -80,6 +82,39 @@ pub(crate) fn ladder_oracle(needed: &Lmad, have: &[Lmad], limit: u64) -> bool {
     }
 }
 
+/// `is_normal` is "normalising changes nothing": true of every normal
+/// form, and of a descriptor only when its normal form is itself.
+#[test]
+fn is_normal_is_what_normalising_keeps() {
+    let seen = std::cell::Cell::new(0);
+    Check::new("lmad::is_normal_is_what_normalising_keeps")
+        .cases(3000)
+        .run(&wild_lmad(), |l| {
+            let n = l.normalized();
+            prop_assert!(n.is_normal(), "{:?} normalises to {:?}", l, n);
+            prop_assert_eq!(l.is_normal(), n == *l, "{:?}", l);
+            prop_assert_eq!(Form::of_normal(l).is_some(), l.is_normal());
+            seen.set(seen.get() + u32::from(l.is_normal() && !l.dims.is_empty()));
+            Ok(())
+        });
+    assert!(seen.get() > 300, "{} descriptors already normal", seen.get());
+}
+
+/// The §5.6 check as it asked every pair: each cross-rank pair whose
+/// raw extents meet, one [`Lmad::overlaps`] each.
+pub(crate) fn cross_rank_overlap_pairwise(per_rank: &[Vec<Lmad>]) -> bool {
+    let regions: Vec<(usize, &Lmad)> = per_rank
+        .iter()
+        .enumerate()
+        .flat_map(|(r, rs)| rs.iter().map(move |lm| (r, lm)))
+        .collect();
+    let extents: Vec<(i64, i64)> = regions.iter().map(|(_, lm)| lm.extent()).collect();
+    sweep::any_overlapping_pair(&extents, |i, j| {
+        let ((ri, x), (rj, y)) = (regions[i], regions[j]);
+        ri != rj && x.overlaps(y)
+    })
+}
+
 /// Descriptors from every corner the proofs must agree in: 0–3 dims;
 /// negative, zero and repeated strides; `count == 1`; dims that alias;
 /// unit-stride inner runs; counts on both sides of the 4096 rung and
@@ -128,11 +163,31 @@ pub(crate) fn wild_lmad() -> Gen<Lmad> {
 
 /// Two of them, half the time rebased next to each other so that the
 /// bounding extents meet and the rungs past the first decide.
+/// One pair in four is one descriptor written twice: the second
+/// reversed, with a degenerate dimension added, or rebased by a span —
+/// the same normal form from another raw form.
 fn wild_pair() -> Gen<(Lmad, Lmad)> {
-    let near = weighted(vec![(1, just(None)), (1, i64_in(-30, 30).map(Some))]);
-    zip3(wild_lmad(), wild_lmad(), near).map(|(a, mut b, near)| {
+    let near = weighted(vec![(2, just(None)), (2, i64_in(-30, 30).map(Some)), (1, just(Some(0)))]);
+    let again = weighted(vec![(3, just(None)), (1, u64_in(0, 2).map(Some))]);
+    zip4(wild_lmad(), wild_lmad(), near, again).map(|(a, mut b, near, again)| {
         if let Some(delta) = near {
             b.base = a.base.saturating_add(delta);
+        }
+        match again {
+            Some(0) => b = Lmad::new(a.base, a.dims.iter().rev().copied().collect()),
+            Some(1) => {
+                b = a.clone();
+                b.dims.push(Dim::new(0, 3));
+            }
+            Some(_) => {
+                // Walk the outermost dimension backwards from its end.
+                b = a.clone();
+                if let Some(d) = b.dims.last_mut() {
+                    b.base = b.base.saturating_add(d.span());
+                    d.stride = d.stride.saturating_neg();
+                }
+            }
+            None => {}
         }
         (a, b)
     })
@@ -184,8 +239,132 @@ fn overlaps_exact_matches_the_enumerating_proof() {
                 prop_assert_eq!(a.overlaps_exact(b, limit), want, "limit {}", limit);
                 prop_assert_eq!(b.overlaps_exact(a, limit), want, "flipped, limit {}", limit);
             }
+            // `overlaps`: the exact answer at its budget, else the
+            // interval-and-gcd fallback.
+            let want = overlaps_exact_enumerating(a, b, 4096).unwrap_or_else(|| a.may_overlap(b));
+            prop_assert_eq!(a.overlaps(b), want);
+            prop_assert_eq!(b.overlaps(a), want, "flipped");
             Ok(())
         });
+}
+
+/// A comb around the 4096-access budget of [`Lmad::overlaps`]: `cols`
+/// columns of `w` elements at stride 2, `ld` apart, with `w × cols`
+/// just under, at or just over 4096. Every element has the parity of
+/// `base` (`ld` is even), so two combs based one apart interleave
+/// without meeting: past the budget the conservative fallback answers
+/// `true` where the exact test would answer `false`. Sometimes
+/// aliasing (the next column starts inside this one) or flipped.
+fn budget_edge_lmad(base: i64) -> Gen<Lmad> {
+    let shape = elem_of(vec![(64u64, 64u64), (63, 65), (65, 63), (64, 65), (65, 64), (4096, 1), (4097, 1)]);
+    zip2(shape, elem_of(vec![0u8, 0, 1, 2])).map(move |((w, cols), twist)| {
+        let ld = if twist == 1 { 6 } else { 2 * w as i64 + 4 };
+        let inner = if twist == 2 { Dim::new(-2, w) } else { Dim::new(2, w) };
+        Lmad::new(base, vec![inner, Dim::new(ld, cols)])
+    })
+}
+
+/// Per-rank region lists for the §5.6 check. Three in five cases: 0–5
+/// ranks (empty ones included) of wild descriptors, budget-edge combs,
+/// progressions far past any budget and the planner's shapes (a row
+/// band and its column transfers), with a region now and then repeated
+/// inside its rank (a same-rank overlap the check must ignore) or
+/// copied to another (a cross-rank one it must see). One in five: two
+/// ranks (and an empty one) holding one budget-edge comb each, of
+/// opposite parity and based next to each other, so that the verdict
+/// rests on the budget alone. One in five: a few small regions based
+/// just above `i64::MIN`, where a negative stride saturates the
+/// normal form's base away from the raw extent — the one place the
+/// sweep's raw-extent test decides.
+fn rank_lists() -> Gen<Vec<Vec<Lmad>>> {
+    let huge = zip3(i64_in(-20, 60), i64_in(1, 9), elem_of(vec![1u64 << 22, 1 << 40]))
+        .map(|(b, s, c)| Lmad::strided(b, s, c));
+    let band = zip3(i64_in(0, 40), u64_in(1, 12), u64_in(1, 40))
+        .map(|(b, w, cols)| Lmad::new(b, vec![Dim::new(40, cols), Dim::new(1, w)]));
+    let column = zip2(i64_in(0, 1600), u64_in(1, 12)).map(|(b, c)| Lmad::contiguous(b, c));
+    let region = weighted(vec![
+        (4, wild_lmad()),
+        (2, budget_edge_lmad(0)),
+        (2, budget_edge_lmad(1)),
+        (1, huge),
+        (1, band),
+        (2, column),
+    ]);
+    let twist = elem_of(vec![0u8, 0, 0, 1, 2]);
+    let mixed = zip2(vec_of(vec_of(region, 0, 4), 0, 5), twist).map(|(mut ranks, twist)| {
+        let n = ranks.len();
+        if let Some(first) = ranks.iter().position(|rs| !rs.is_empty()) {
+            let lm = ranks[first][0].clone();
+            match twist {
+                1 => ranks[first].push(lm),
+                2 => ranks[(first + 1) % n].push(lm),
+                _ => {}
+            }
+        }
+        ranks
+    });
+    let combs = zip3(i64_in(-3, 3), budget_edge_lmad(0), budget_edge_lmad(1)).map(|(k, a, mut b)| {
+        b.base += 2 * k; // still odd: interleaved with `a`, never meeting it
+        vec![vec![a], vec![], vec![b]]
+    });
+    let dim = zip2(i64_in(-12, 12), u64_in(1, 6)).map(|(s, c)| Dim::new(s, c));
+    let low = zip2(i64_in(i64::MIN, i64::MIN + 40), vec_of(dim, 0, 2)).map(|(b, d)| Lmad::new(b, d));
+    let at_floor = vec_of(vec_of(low, 0, 2), 2, 3);
+    weighted(vec![(3, mixed), (1, combs), (1, at_floor)])
+}
+
+/// Wire transfers for the §5.6 check, each with a rank in `0..4`:
+/// contiguous column pieces (the planner's middle grain), strided ones,
+/// bounding runs past the 4096 budget, spans and ends past `i64`, a
+/// stride that is no `i64` and single elements.
+fn rank_transfers() -> Gen<Vec<(usize, RegionTransfer)>> {
+    let stride = weighted(vec![(6, just(1u64)), (2, u64_in(2, 5)), (1, elem_of(vec![1 << 40, 1 << 62, u64::MAX]))]);
+    let count = weighted(vec![(6, u64_in(1, 12)), (1, elem_of(vec![4096, 4097, 1 << 22, 1 << 40]))]);
+    let offset = weighted(vec![
+        (8, i64_in(-20, 1600)),
+        (1, i64_in(i64::MAX - 64, i64::MAX)),
+        (1, i64_in(i64::MIN, i64::MIN + 64)),
+    ]);
+    let t = zip4(usize_in(0, 3), offset, stride, count)
+        .map(|(r, offset, stride, count)| (r, RegionTransfer { offset, stride, count }));
+    vec_of(t, 0, 10)
+}
+
+/// The region a transfer covers, as the pairwise check built it.
+fn transfer_region(t: &RegionTransfer) -> Lmad {
+    Lmad::strided(t.offset, t.stride as i64, t.count)
+}
+
+/// The run sweep ≡ the pairwise check, on every case.
+#[test]
+fn cross_rank_sweep_matches_the_pairwise_check() {
+    let (met, missed) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    let g = zip2(rank_lists(), weighted(vec![(2, just(Vec::new())), (1, rank_transfers())]));
+    Check::new("lmad::cross_rank_sweep_matches_the_pairwise_check")
+        .cases(1500)
+        .run(&g, |(ranks, transfers)| {
+            let normals: Vec<Vec<Normal>> =
+                ranks.iter().map(|rs| rs.iter().map(Normal::of).collect()).collect();
+            let tagged: Vec<(usize, Form)> = normals
+                .iter()
+                .enumerate()
+                .flat_map(|(r, ns)| ns.iter().map(move |n| (r, n.view())))
+                .collect();
+            let mut all = ranks.clone();
+            for (r, t) in transfers {
+                if all.len() <= *r {
+                    all.resize(r + 1, Vec::new());
+                }
+                all[*r].push(transfer_region(t));
+            }
+            let want = cross_rank_overlap_pairwise(&all);
+            prop_assert_eq!(cross_rank_overlap(&tagged, transfers), want, "{:?} {:?}", ranks, transfers);
+            let tally = if want { &met } else { &missed };
+            tally.set(tally.get() + 1);
+            Ok(())
+        });
+    let (met, missed) = (met.get(), missed.get());
+    assert!(met > 200 && missed > 200, "{met} overlapping cases, {missed} clean");
 }
 
 #[test]
@@ -201,18 +380,50 @@ fn covered_matches_the_enumerating_ladder() {
     Check::new("lmad::covered_matches_the_enumerating_ladder")
         .cases(2500)
         .run(&g, |((needed, have), pushed)| {
-            // The same union, partly indexed up front and partly pushed.
+            // The same union, partly indexed up front and partly pushed —
+            // after a first question, so that the pushes land in the
+            // index's runs as well.
             let split = (*pushed).min(have.len());
             let mut idx = CoverIndex::new(&have[split..]);
+            idx.covered(&Normal::of(needed), 1 << 21);
             for h in &have[..split] {
-                idx.push(h);
+                idx.push(Normal::of(h));
             }
             let exact = fits(needed) && have.iter().all(fits);
             for limit in limits_around(needed) {
-                let got = idx.covered(needed, limit);
+                let got = idx.covered(&Normal::of(needed), limit);
                 prop_assert_eq!(got, idx.covered_enumerating(needed, limit), "limit {}", limit);
                 if exact {
                     prop_assert_eq!(got, ladder_oracle(needed, have, limit), "ladder, {}", limit);
+                }
+            }
+            Ok(())
+        });
+}
+
+/// A transfer's coverage read off the transfer ≡ the ladder asked of
+/// its region, before and after the index has built its runs, with
+/// members pushed in between — on the planner's shapes (column pieces
+/// of a band) and wild ones.
+#[test]
+fn covered_transfer_is_the_ladder_on_its_region() {
+    let band = zip3(i64_in(0, 40), u64_in(1, 12), u64_in(1, 40))
+        .map(|(b, w, cols)| Lmad::new(b, vec![Dim::new(40, cols), Dim::new(1, w)]));
+    let member = weighted(vec![(2, wild_lmad()), (2, band)]);
+    let transfers = rank_transfers().map(|ts| ts.into_iter().map(|(_, t)| t).collect::<Vec<_>>());
+    let limit = elem_of(vec![1u64 << 21, 1 << 16, 4096, 12, 1]);
+    let g = zip4(vec_of(member, 0, 4), transfers, vec_of(wild_lmad(), 0, 2), limit);
+    Check::new("lmad::covered_transfer_is_the_ladder_on_its_region")
+        .cases(1500)
+        .run(&g, |(have, ts, pushed, limit)| {
+            let mut idx = CoverIndex::new(have);
+            for p in pushed.iter().map(Some).chain([None]) {
+                for t in ts {
+                    let want = idx.covered(&Normal::of_transfer(t), *limit);
+                    prop_assert_eq!(idx.covered_transfer(t, *limit), want, "{:?} in {:?}", t, have);
+                }
+                if let Some(p) = p {
+                    idx.push(Normal::of(p));
                 }
             }
             Ok(())
@@ -225,9 +436,10 @@ fn jointly_covered_runs_are_proved() {
         .cases(256)
         .run(&jointly_covered(), |(needed, halves)| {
             let idx = CoverIndex::new(halves);
-            prop_assert!(idx.covered(needed, 1 << 16));
-            prop_assert!(!CoverIndex::new(&halves[..1]).covered(needed, 1 << 16));
-            prop_assert!(!CoverIndex::new(&halves[1..]).covered(needed, 1 << 16));
+            let needed = Normal::of(needed);
+            prop_assert!(idx.covered(&needed, 1 << 16));
+            prop_assert!(!CoverIndex::new(&halves[..1]).covered(&needed, 1 << 16));
+            prop_assert!(!CoverIndex::new(&halves[1..]).covered(&needed, 1 << 16));
             Ok(())
         });
 }

@@ -6,23 +6,25 @@
 //! `A_mapping` run. The proofs in this crate read it the same way: a
 //! normalised descriptor *is* its stride-1 runs (single elements when
 //! the lowest stride is not 1), and the three questions a proof asks of
-//! one — "what are your runs?" ([`Lmad::runs`]), "how far does the run
-//! holding `o` reach?" ([`Lmad::run_end`]) and "what is your first
-//! element at or after `o`?" ([`Lmad::next_at_or_after`]) — have
-//! answers in `O(dims)` arithmetic. [`crate::CoverIndex::covered`],
-//! [`Lmad::overlaps_exact`] and [`Lmad::contains_all`] are built from
-//! these three ([`Lmad::covered_by`] is the walk the two coverage
-//! questions share); none of them materialises, sorts or probes an
-//! offset list.
+//! one — "what are your runs?" ([`Form::runs`]), "how far does the
+//! run holding `o` reach?" ([`Form::run_end`]) and "what is your
+//! first element at or after `o`?" ([`Form::next_at_or_after`]) —
+//! have answers in `O(dims)` arithmetic. [`crate::CoverIndex::covered`],
+//! [`Form::overlaps_exact`], [`Lmad::contains_all`] and the §5.6
+//! run sweep ([`crate::cross_rank_overlap`]) are built from these three
+//! ([`Form::covered_by`] is the walk the two coverage questions
+//! share); none of them materialises, sorts or probes an offset list.
 //!
-//! Every method here expects `self` in normal form
-//! ([`Lmad::normalized`]: positive strides, ascending, coalesced).
-//! Intermediate arithmetic is `i128`, so descriptors reaching past the
-//! `i64` offset space stay panic-free; their elements are the ones
-//! inside [`Lmad::extent`] — saturating, so such a descriptor is
+//! Every method here is asked of a [`Form`] — a normal form computed
+//! once, when the caller built its [`crate::Normal`], or a descriptor
+//! that already was one. Intermediate
+//! arithmetic is `i128`, so descriptors reaching past the `i64` offset
+//! space stay panic-free; their elements are the ones inside the normal
+//! form's [`Lmad::extent`] — saturating, so such a descriptor is
 //! clipped where every extent test in the crate already clips it.
 
 use crate::descriptor::{Dim, Lmad};
+use crate::normal::Form;
 
 /// A dimension's span in exact arithmetic (the product fits `i128`
 /// for any `i64` stride and `u64` count).
@@ -36,6 +38,17 @@ fn exact_span(d: &Dim) -> i128 {
 /// `i128`.
 fn span(d: &Dim) -> i128 {
     exact_span(d).min(1 << 66)
+}
+
+/// `a / b` for `a >= 0` and `b > 0`: the quotient of the `i128`
+/// arithmetic, taken by 64-bit division whenever both fit — offsets
+/// inside an array always do, and the 128-bit division is a library
+/// call several times slower.
+fn div(a: i128, b: i128) -> i128 {
+    match (i64::try_from(a), i64::try_from(b)) {
+        (Ok(a), Ok(b)) => (a / b) as i128,
+        _ => a / b,
+    }
 }
 
 /// The digit of `dims[0]` in some decomposition
@@ -53,8 +66,8 @@ fn lowest_digit(dims: &[Dim], rem: i128, total: i128) -> Option<i128> {
     };
     let inner = total - span(d);
     let s = d.stride as i128; // > 0 in normal form
-    let hi = (rem / s).min(d.count as i128 - 1);
-    let lo = ((rem - inner).max(0) + s - 1) / s;
+    let hi = div(rem, s).min(d.count as i128 - 1);
+    let lo = div((rem - inner).max(0) + s - 1, s);
     (lo..=hi).find_map(|i| match lowest_digit(rest, rem - i * s, inner) {
         Some(_) if rest.is_empty() => Some(i),
         found => found,
@@ -90,19 +103,21 @@ impl Lmad {
         }
         i64::try_from(lo).is_ok() && i64::try_from(hi).is_ok()
     }
+}
 
+impl<'a> Form<'a> {
     /// §5.4's split of a normal form: the length of one run (the
     /// `A_mapping` dimension when its stride is 1, else a single
     /// element) and the dimensions that place the runs (`A_offsets`).
-    fn run_shape(&self) -> (u64, &[Dim]) {
-        match self.dims.split_first() {
+    fn run_shape(self) -> (u64, &'a [Dim]) {
+        match self.lmad().dims.split_first() {
             Some((d, rest)) if d.stride == 1 => (d.count, rest),
-            _ => (1, &self.dims),
+            _ => (1, &self.lmad().dims),
         }
     }
 
-    /// How many runs [`Lmad::runs`] yields.
-    pub(crate) fn num_runs(&self) -> u64 {
+    /// How many runs [`Form::runs`] yields.
+    pub(crate) fn num_runs(self) -> u64 {
         let (_, outer) = self.run_shape();
         outer.iter().fold(1u64, |n, d| n.saturating_mul(d.count))
     }
@@ -117,11 +132,11 @@ impl Lmad {
     /// # Panics
     /// Panics unless every offset fits `i64` (callers establish
     /// [`Lmad::enumerable`] first — the proof budget implies it).
-    pub(crate) fn runs(&self) -> impl Iterator<Item = (i64, i64)> + '_ {
-        assert!(self.enumerable(u64::MAX), "run walk of {self}: offsets leave i64");
+    pub(crate) fn runs(self) -> impl Iterator<Item = (i64, i64)> + 'a {
+        assert!(self.lmad().enumerable(u64::MAX), "run walk of {}: offsets leave i64", self.lmad());
         let (len, outer) = self.run_shape();
         (0..self.num_runs()).map(move |mut k| {
-            let mut first = self.base;
+            let mut first = self.lmad().base;
             for d in outer {
                 first += (k % d.count) as i64 * d.stride;
                 k /= d.count;
@@ -135,8 +150,8 @@ impl Lmad {
     /// and `None` when `o` is not accepted? A cursor goes through each
     /// run of `self` on the answers, so whole runs are skipped in one
     /// step and the walk stops at the first element that is refused.
-    /// Same precondition as [`Lmad::runs`].
-    pub(crate) fn covered_by(&self, run_end: impl Fn(i64) -> Option<i64>) -> bool {
+    /// Same precondition as [`Form::runs`].
+    pub(crate) fn covered_by(self, run_end: impl Fn(i64) -> Option<i64>) -> bool {
         self.runs().all(|(first, last)| {
             let mut at = first;
             loop {
@@ -154,14 +169,14 @@ impl Lmad {
     /// not 1 — or `None` when `o` is not an element. Exact for any
     /// normal form; for aliasing dimensions the run is the one of the
     /// first decomposition found, which need not be the longest.
-    pub(crate) fn run_end(&self, o: i64) -> Option<i64> {
-        let (_, hi) = self.extent();
+    pub(crate) fn run_end(self, o: i64) -> Option<i64> {
+        let (_, hi) = self.lmad().extent();
         if o > hi {
             return None;
         }
-        let total = self.dims.iter().map(span).sum();
-        let digit = lowest_digit(&self.dims, o as i128 - self.base as i128, total)?;
-        Some(match self.dims.first() {
+        let total = self.lmad().dims.iter().map(span).sum();
+        let digit = lowest_digit(&self.lmad().dims, o as i128 - self.lmad().base as i128, total)?;
+        Some(match self.lmad().dims.first() {
             Some(d) if d.stride == 1 => {
                 let end = o as i128 + (d.count as i128 - 1 - digit);
                 i64::try_from(end).map_or(hi, |end| end.min(hi))
@@ -178,21 +193,21 @@ impl Lmad {
     ///
     /// Requires [`Lmad::is_non_aliasing`]: blocks of a dimension must
     /// not interleave for "next block" to mean "next element".
-    pub(crate) fn next_at_or_after(&self, o: i64) -> Option<i64> {
-        debug_assert!(self.is_non_aliasing(), "{self} aliases");
-        let mut rem = o as i128 - self.base as i128;
+    pub(crate) fn next_at_or_after(self, o: i64) -> Option<i64> {
+        debug_assert!(self.lmad().is_non_aliasing(), "{} aliases", self.lmad());
+        let mut rem = o as i128 - self.lmad().base as i128;
         if rem <= 0 {
-            return Some(self.base);
+            return Some(self.lmad().base);
         }
-        let (_, hi) = self.extent();
+        let (_, hi) = self.lmad().extent();
         let in_extent = |n: Option<i128>| n.and_then(|n| i64::try_from(n).ok()).filter(|&n| n <= hi);
-        let mut inner: i128 = self.dims.iter().map(span).sum();
-        let mut at = self.base as i128;
+        let mut inner: i128 = self.lmad().dims.iter().map(span).sum();
+        let mut at = self.lmad().base as i128;
         let mut carry: Option<i128> = None;
-        for d in self.dims.iter().rev() {
+        for d in self.lmad().dims.iter().rev() {
             inner -= span(d);
             let s = d.stride as i128;
-            let digit = rem / s;
+            let digit = div(rem, s);
             if digit >= d.count as i128 {
                 return in_extent(carry);
             }
@@ -212,6 +227,7 @@ impl Lmad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::normal::Normal;
     use crate::oracle::wild_lmad;
     use vpce_testkit::prelude::*;
 
@@ -221,7 +237,8 @@ mod tests {
     fn next_at_or_after_carries_across_levels() {
         // Rows 0..=2 of a 5-wide, 3-deep, 2-plane block: 0,1,2 5,6,7
         // 10,11,12 | 40,41,42 …
-        let l = Lmad::new(0, vec![Dim::new(1, 3), Dim::new(5, 3), Dim::new(40, 2)]);
+        let n = Normal::of(&Lmad::new(0, vec![Dim::new(1, 3), Dim::new(5, 3), Dim::new(40, 2)]));
+        let l = n.view();
         assert_eq!(l.next_at_or_after(-7), Some(0));
         assert_eq!(l.next_at_or_after(2), Some(2));
         assert_eq!(l.next_at_or_after(3), Some(5), "carry into the row dimension");
@@ -231,12 +248,14 @@ mod tests {
         assert_eq!(l.run_end(5), Some(7));
         assert_eq!(l.run_end(7), Some(7));
         assert_eq!(l.run_end(8), None);
-        assert_eq!(Lmad::scalar(4).next_at_or_after(5), None);
-        assert_eq!(Lmad::scalar(4).run_end(4), Some(4));
+        let scalar = Normal::of(&Lmad::scalar(4));
+        assert_eq!(scalar.view().next_at_or_after(5), None);
+        assert_eq!(scalar.view().run_end(4), Some(4));
         // Elements past `i64` are not offsets.
-        let top = Lmad::strided(i64::MAX - 1, 4, 3);
-        assert_eq!(top.next_at_or_after(i64::MAX), None);
-        assert_eq!(Lmad::contiguous(i64::MAX - 1, 9).run_end(i64::MAX - 1), Some(i64::MAX));
+        let top = Normal::of(&Lmad::strided(i64::MAX - 1, 4, 3));
+        assert_eq!(top.view().next_at_or_after(i64::MAX), None);
+        let near_top = Normal::of(&Lmad::contiguous(i64::MAX - 1, 9));
+        assert_eq!(near_top.view().run_end(i64::MAX - 1), Some(i64::MAX));
     }
 
     /// `enumerable` is `offsets(..).is_some()` without the list — on
@@ -267,8 +286,9 @@ mod tests {
         Check::new("lmad::runs_match_a_scan_of_the_enumerated_list")
             .cases(2000)
             .run(&wild_lmad(), |raw| {
-                let l = raw.normalized();
-                let Some(mut list) = l.offsets(BUDGET) else {
+                let n = Normal::of(raw);
+                let l = n.view();
+                let Some(mut list) = l.lmad().offsets(BUDGET) else {
                     return Ok(()); // over budget or past i64: no walk is made
                 };
                 list.dedup();
@@ -276,13 +296,13 @@ mod tests {
 
                 let runs: Vec<(i64, i64)> = l.runs().collect();
                 prop_assert_eq!(runs.len() as u64, l.num_runs());
-                prop_assert!(l.num_runs() <= l.num_accesses());
+                prop_assert!(l.num_runs() <= l.lmad().num_accesses());
                 let mut from_runs: Vec<i64> = runs.iter().flat_map(|&(f, t)| f..=t).collect();
                 from_runs.sort_unstable();
                 from_runs.dedup();
                 prop_assert_eq!(&from_runs, &list);
 
-                let (lo, hi) = l.extent();
+                let (lo, hi) = l.lmad().extent();
                 let probes = (lo.saturating_sub(2)..=lo.saturating_add(70))
                     .chain(hi.saturating_sub(70)..=hi.saturating_add(2));
                 for o in probes {
@@ -290,14 +310,14 @@ mod tests {
                         None => prop_assert!(!has(o), "run_end misses element {}", o),
                         Some(end) => {
                             prop_assert!(end >= o && (o..=end).all(has), "run {}..={}", o, end);
-                            if l.is_non_aliasing() {
+                            if l.lmad().is_non_aliasing() {
                                 // Runs are disjoint: the one holding `o`.
                                 let run = runs.iter().find(|&&(f, t)| f <= o && o <= t);
                                 prop_assert_eq!(Some(end), run.map(|r| r.1));
                             }
                         }
                     }
-                    if l.is_non_aliasing() {
+                    if l.lmad().is_non_aliasing() {
                         let next = list.get(list.partition_point(|&x| x < o)).copied();
                         prop_assert_eq!(l.next_at_or_after(o), next, "at {}", o);
                     }

@@ -15,7 +15,11 @@
 //! run algebra (`crate::runs`) — a walk over stride-1 runs, not over
 //! elements — so neither half of a footprint question enumerates.
 
+use std::cell::OnceCell;
+
 use crate::descriptor::Lmad;
+use crate::normal::{Form, Normal};
+use crate::transfer::{transfer_runs, RegionTransfer};
 
 /// Sweep the `members` (indices into whatever `extent` describes) in
 /// order of their low ends, calling `hit(i, j)` with `i < j` for every
@@ -61,6 +65,42 @@ pub fn any_overlapping_pair<T: Ord + Copy>(
 ) -> bool {
     let mut members: Vec<usize> = (0..intervals.len()).collect();
     sweep(&mut members, &mut Vec::new(), |i| intervals[i], hit)
+}
+
+/// Runs ascending and apart: sorted unless already in order, and runs
+/// that overlap or abut joined in place — so an interval inside their
+/// union is inside one of them.
+fn joined(mut runs: Vec<(i64, i64)>) -> Vec<(i64, i64)> {
+    if !runs.is_sorted_by_key(|r| r.0) {
+        runs.sort_unstable_by_key(|r| r.0);
+    }
+    let mut kept: usize = 0;
+    for k in 0..runs.len() {
+        match kept.checked_sub(1) {
+            Some(last) if runs[k].0 <= runs[last].1.saturating_add(1) => {
+                runs[last].1 = runs[last].1.max(runs[k].1);
+            }
+            _ => {
+                runs[kept] = runs[k];
+                kept += 1;
+            }
+        }
+    }
+    runs.truncate(kept);
+    runs
+}
+
+/// Add one run to runs kept as [`joined`] leaves them.
+fn insert_run(runs: &mut Vec<(i64, i64)>, (lo, hi): (i64, i64)) {
+    // The runs that overlap or abut `lo..=hi` are `from..to`.
+    let from = runs.partition_point(|r| r.1.saturating_add(1) < lo);
+    let to = runs.partition_point(|r| r.0 <= hi.saturating_add(1));
+    if from == to {
+        runs.insert(from, (lo, hi));
+    } else {
+        let joined = (lo.min(runs[from].0), hi.max(runs[to - 1].1));
+        runs.splice(from..to, [joined]);
+    }
 }
 
 /// The keyed interval join, with its working memory, for a caller
@@ -111,15 +151,6 @@ impl PairJoin {
     }
 }
 
-/// One member of a [`CoverIndex`]: its raw bounding interval and its
-/// normal form, computed once.
-#[derive(Debug, Clone)]
-struct Member {
-    lo: i64,
-    hi: i64,
-    norm: Lmad,
-}
-
 /// The budget every coverage proof of the pipeline runs under, in
 /// accesses of the region to cover. One constant: `vpce-rmacheck`
 /// re-proves the elisions `polaris-be` planned, and a checker with a
@@ -132,108 +163,174 @@ pub const COVER_LIMIT: u64 = 1 << 21;
 /// coherence and the VPCE006 staleness pass — over a list that is
 /// normalised and sorted **once**, not once per question.
 ///
-/// Members are kept sorted by low end with a running maximum of high
-/// ends, so the members that can hold an offset (or a whole interval)
-/// are found by one binary search and a backward walk that stops as
-/// soon as nothing earlier reaches far enough.
+/// Members are [`Normal`]s kept sorted by the low end of their raw
+/// extent with a running maximum of high ends, so the members that can
+/// hold an offset (or a whole interval) are found by one binary search
+/// and a backward walk that stops as soon as nothing earlier reaches
+/// far enough. No answer depends on the members' order or on a member
+/// appearing twice.
 #[derive(Debug, Clone, Default)]
 pub struct CoverIndex {
-    /// Sorted by `lo`.
-    members: Vec<Member>,
-    /// `max_hi[i]` = the largest `hi` among `members[..=i]`.
+    /// Sorted by `extent().0`.
+    members: Vec<Normal>,
+    /// `max_hi[i]` = the largest high end among `members[..=i]`.
     max_hi: Vec<i64>,
+    /// The runs of every member within the overlap budget whose
+    /// elements lie inside its raw extent ([`Form::sweepable`]),
+    /// [`joined`]: built at the first question that needs them, kept
+    /// up by `push`.
+    runs: OnceCell<Vec<(i64, i64)>>,
 }
 
 impl CoverIndex {
     /// Index `have` (normalising each member once).
     pub fn new<'a>(have: impl IntoIterator<Item = &'a Lmad>) -> Self {
-        let mut members: Vec<Member> = have.into_iter().map(Member::of).collect();
-        members.sort_by_key(|m| m.lo);
-        let mut idx = CoverIndex {
-            members,
-            max_hi: Vec::new(),
-        };
-        idx.rebuild_max_hi(0);
+        CoverIndex::of_normals(have.into_iter().map(Normal::of))
+    }
+
+    /// Index regions already in normal form.
+    pub fn of_normals(have: impl IntoIterator<Item = Normal>) -> Self {
+        let mut idx = CoverIndex::default();
+        idx.extend(have);
         idx
     }
 
     /// Add one more region to the union.
-    pub fn push(&mut self, region: &Lmad) {
-        let m = Member::of(region);
-        let at = self.members.partition_point(|x| x.lo <= m.lo);
-        self.members.insert(at, m);
+    pub fn push(&mut self, region: Normal) {
+        if let Some(runs) = self.runs.get_mut().filter(|_| region.view().sweepable()) {
+            for run in region.view().runs() {
+                insert_run(runs, run);
+            }
+        }
+        let lo = region.extent().0;
+        let at = self.members.partition_point(|x| x.extent().0 <= lo);
+        self.members.insert(at, region);
         self.rebuild_max_hi(at);
+    }
+
+    /// Add many more regions to the union: one sort, not one insertion
+    /// each.
+    pub fn extend(&mut self, more: impl IntoIterator<Item = Normal>) {
+        self.members.extend(more);
+        self.members.sort_by_key(|m| m.extent().0);
+        self.rebuild_max_hi(0);
+        self.runs = OnceCell::new();
     }
 
     fn rebuild_max_hi(&mut self, from: usize) {
         self.max_hi.truncate(from);
         let mut running = self.max_hi.last().copied().unwrap_or(i64::MIN);
         for m in &self.members[from..] {
-            running = running.max(m.hi);
+            running = running.max(m.extent().1);
             self.max_hi.push(running);
         }
     }
 
     /// The members whose bounding interval contains `[lo, hi]`.
-    fn spanning(&self, lo: i64, hi: i64) -> impl Iterator<Item = &Member> {
-        let end = self.members.partition_point(|m| m.lo <= lo);
+    fn spanning(&self, lo: i64, hi: i64) -> impl Iterator<Item = &Normal> {
+        let end = self.members.partition_point(|m| m.extent().0 <= lo);
         (0..end)
             .rev()
             .take_while(move |&i| self.max_hi[i] >= hi)
             .map(|i| &self.members[i])
-            .filter(move |m| m.hi >= hi)
+            .filter(move |m| m.extent().1 >= hi)
+    }
+
+    /// [`CoverIndex::runs`], built if this is the first question.
+    fn small_runs(&self) -> &[(i64, i64)] {
+        self.runs.get_or_init(|| {
+            let small = self.members.iter().map(Normal::view).filter(|m| m.sweepable());
+            joined(small.flat_map(Form::runs).collect())
+        })
     }
 
     /// The furthest any member's run holding `o` reaches, `None` when
-    /// no member holds `o`: [`Lmad::run_end`] of the union. A run ends
-    /// with its member's bounding interval (they part only when the
-    /// region leaves `i64` and its normal form saturates).
+    /// no member holds `o`: [`Form::run_end`] of the union. A run
+    /// ends with its member's bounding interval (they part only when
+    /// the region leaves `i64` and its normal form saturates).
     fn run_end(&self, o: i64) -> Option<i64> {
-        self.spanning(o, o).filter_map(|m| Some(m.norm.run_end(o)?.min(m.hi))).max()
+        self.spanning(o, o).filter_map(|m| Some(m.view().run_end(o)?.min(m.extent().1))).max()
     }
 
     /// Is every element of `needed` provably inside the union of the
     /// indexed regions? A ladder, cheapest first, each rung sufficient:
     ///
     /// 1. some member has `needed`'s normal form;
-    /// 2. some single member contains all of it (run by run when it
+    /// 2. (at most 4096 accesses, within the budget) every run of
+    ///    `needed` lies inside one of the joined runs of the small
+    ///    members (`CoverIndex::runs`) — a binary search a run. Rung 4
+    ///    answers "is every element inside the union" exactly on such a
+    ///    `needed`, so this claims nothing rung 4 would not;
+    /// 3. some single member contains all of it (run by run when it
     ///    has at most 4096 accesses, else "contiguous member spans the
     ///    extent");
-    /// 3. every one of its runs is inside the union of the members.
+    /// 4. every one of its runs is inside the union of the members.
     ///
-    /// Rungs 2–3 walk `needed`'s runs and carry a cursor through each
-    /// on the members' [`Lmad::run_end`]s ([`Lmad::covered_by`]): whole
-    /// runs are skipped in one step and the walk stops at the first
-    /// uncovered element, so a failing proof costs what it takes to
-    /// find the hole, not the size of `needed`.
+    /// Rungs 3–4 walk `needed`'s runs and carry a cursor through each
+    /// on the members' `Form::run_end`s (`Form::covered_by`):
+    /// whole runs are skipped in one step and the walk stops at the
+    /// first uncovered element, so a failing proof costs what it takes
+    /// to find the hole, not the size of `needed`.
     ///
     /// `limit` is the caller's proof budget in *accesses of `needed`*
-    /// — what an element-by-element proof would have enumerated — and
-    /// it is kept to the letter: beyond it (or past `i64`) the answer
-    /// is `false` however cheap the walk would be, so coverage is
-    /// claimed on exactly the inputs it always was.
-    pub fn covered(&self, needed: &Lmad, limit: u64) -> bool {
+    /// as written (its raw form) — what an element-by-element proof
+    /// would have enumerated — and it is kept to the letter: beyond it
+    /// (or past `i64`) the answer is `false` however cheap the walk
+    /// would be, so coverage is claimed on exactly the inputs it always
+    /// was. The 4096 of rungs 2 and 3 reads the same raw form.
+    pub fn covered(&self, needed: &Normal, limit: u64) -> bool {
         if self.members.is_empty() {
             return false;
         }
-        let (lo, hi) = needed.extent();
-        let n = needed.normalized();
-        if self.spanning(lo, hi).any(|m| m.norm == n) {
-            return true;
-        }
         const SINGLE_MEMBER_LIMIT: u64 = 4096;
         let small = needed.enumerable(SINGLE_MEMBER_LIMIT);
+        let within = needed.enumerable(limit);
+        let by_runs = small && within;
+        let in_runs = |runs: &[(i64, i64)]| needed.view().runs().all(|run| inside(runs, run));
+        // Every rung is a sufficient condition, so their order is free:
+        // rung 2 goes first once the runs are built (an index asked
+        // many questions), rung 1 before building them.
+        if by_runs && self.runs.get().is_some_and(|runs| in_runs(runs)) {
+            return true;
+        }
+        let (lo, hi) = needed.extent();
+        let n = needed.form();
+        if self.spanning(lo, hi).any(|m| m.form() == n) {
+            return true;
+        }
+        if by_runs && self.runs.get().is_none() && in_runs(self.small_runs()) {
+            return true;
+        }
         let inside_one = self.spanning(lo, hi).any(|m| {
             if small {
-                n.covered_by(|o| m.norm.run_end(o))
+                needed.view().covered_by(|o| m.view().run_end(o))
             } else {
                 // A contiguous member spanning the extent holds
                 // everything in it (`spanning` established the span).
-                m.norm.is_contiguous_normalized()
+                m.form().is_contiguous_normalized()
             }
         });
-        inside_one || (needed.enumerable(limit) && n.covered_by(|o| self.run_end(o)))
+        inside_one || (within && needed.view().covered_by(|o| self.run_end(o)))
     }
+
+    /// [`CoverIndex::covered`] of one wire transfer's region
+    /// (`Normal::of_transfer(t)`): when it is small, within `limit`
+    /// and inside the small members' runs (rung 2), read off the
+    /// transfer with one binary search a run and no normal form built;
+    /// otherwise the whole ladder.
+    pub fn covered_transfer(&self, t: &RegionTransfer, limit: u64) -> bool {
+        let runs = transfer_runs(t).filter(|_| t.count <= limit);
+        if runs.is_some_and(|mut runs| runs.all(|run| inside(self.small_runs(), run))) {
+            return true;
+        }
+        self.covered(&Normal::of_transfer(t), limit)
+    }
+}
+
+/// Is the run `first..=last` inside one of `runs` ([`joined`])?
+fn inside(runs: &[(i64, i64)], (first, last): (i64, i64)) -> bool {
+    let at = runs.partition_point(|r| r.0 <= first);
+    at > 0 && runs[at - 1].1 >= last
 }
 
 #[cfg(test)]
@@ -247,14 +344,14 @@ impl CoverIndex {
         }
         let (lo, hi) = needed.extent();
         let n = needed.normalized();
-        if self.spanning(lo, hi).any(|m| m.norm == n) {
+        if self.spanning(lo, hi).any(|m| *m.form() == n) {
             return true;
         }
-        let holds = |m: &Member, o: i64| m.norm.run_end(o).is_some();
+        let holds = |m: &Normal, o: i64| m.view().run_end(o).is_some();
         let small = needed.offsets(4096);
         let inside_one = self.spanning(lo, hi).any(|m| match &small {
             Some(offs) => offs.iter().all(|&o| holds(m, o)),
-            None => m.norm.is_contiguous_normalized(),
+            None => m.form().is_contiguous_normalized(),
         });
         if inside_one {
             return true;
@@ -264,17 +361,6 @@ impl CoverIndex {
             _ => needed.offsets(limit),
         };
         all.is_some_and(|offs| offs.iter().all(|&o| self.spanning(o, o).any(|m| holds(m, o))))
-    }
-}
-
-impl Member {
-    fn of(region: &Lmad) -> Member {
-        let (lo, hi) = region.extent();
-        Member {
-            lo,
-            hi,
-            norm: region.normalized(),
-        }
     }
 }
 
@@ -418,7 +504,7 @@ mod tests {
     /// (b) of the oracle suite: the cover index ≡ the old ladder, at
     /// both proof budgets the workspace uses (the planner's 2²¹, the
     /// staleness pass's 2¹⁶) and at budgets small enough to trip, with
-    /// members pushed after construction.
+    /// members pushed after construction and after questions.
     #[test]
     fn cover_index_matches_the_old_ladder() {
         let limit = elem_of(vec![1u64 << 21, 1 << 16, 4096, 64, 8]);
@@ -433,22 +519,26 @@ mod tests {
             .run(&g, |(have, pushed, needed, limit)| {
                 let mut all = have.clone();
                 let mut idx = CoverIndex::new(have);
-                for p in pushed {
-                    idx.push(p);
-                    all.push(p.clone());
-                }
-                for n in needed {
-                    prop_assert_eq!(
-                        idx.covered(n, *limit),
-                        ladder_oracle(n, &all, *limit),
-                        "needed {} have {:?}",
-                        n,
-                        all
-                    );
+                // Asked before and after each push: a push lands in an
+                // index that has already answered.
+                for p in pushed.iter().map(Some).chain([None]) {
+                    for n in needed {
+                        prop_assert_eq!(
+                            idx.covered(&Normal::of(n), *limit),
+                            ladder_oracle(n, &all, *limit),
+                            "needed {} have {:?}",
+                            n,
+                            all
+                        );
+                    }
+                    if let Some(p) = p {
+                        idx.push(Normal::of(p));
+                        all.push(p.clone());
+                    }
                 }
                 // Every member is covered by the union it belongs to.
                 for h in &all {
-                    prop_assert!(idx.covered(h, *limit));
+                    prop_assert!(idx.covered(&Normal::of(h), *limit));
                 }
                 Ok(())
             });
@@ -476,7 +566,7 @@ mod tests {
             .run(&g, |(have, needed, limit)| {
                 let idx = CoverIndex::new(have);
                 for n in needed {
-                    prop_assert_eq!(idx.covered(n, *limit), ladder_oracle(n, have, *limit));
+                    prop_assert_eq!(idx.covered(&Normal::of(n), *limit), ladder_oracle(n, have, *limit));
                 }
                 Ok(())
             });
@@ -486,13 +576,14 @@ mod tests {
     fn cover_index_edges() {
         // Rung 1 decides at any size; the empty union covers nothing.
         let huge = Lmad::strided(3, 7, 1 << 40);
-        assert!(CoverIndex::new([&huge]).covered(&huge, 8));
-        assert!(!CoverIndex::default().covered(&Lmad::scalar(0), 1 << 16));
+        assert!(CoverIndex::new([&huge]).covered(&Normal::of(&huge), 8));
+        assert!(!CoverIndex::default().covered(&Normal::of(&Lmad::scalar(0)), 1 << 16));
         // A proof over budget is not a proof.
         let mut halves = CoverIndex::new([&Lmad::contiguous(0, 50)]);
-        assert!(!halves.covered(&Lmad::contiguous(0, 100), 100));
-        halves.push(&Lmad::contiguous(50, 50));
-        assert!(halves.covered(&Lmad::contiguous(0, 100), 100));
-        assert!(!halves.covered(&Lmad::contiguous(0, 100), 99));
+        let whole = Normal::of(&Lmad::contiguous(0, 100));
+        assert!(!halves.covered(&whole, 100));
+        halves.push(Normal::of(&Lmad::contiguous(50, 50)));
+        assert!(halves.covered(&whole, 100));
+        assert!(!halves.covered(&whole, 99));
     }
 }

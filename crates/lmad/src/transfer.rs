@@ -15,6 +15,7 @@
 //!   `δp/αp + 1`-independent *one* per (array, slave) pair.
 
 use crate::descriptor::Lmad;
+use crate::normal::{Form, Normal, OVERLAP_LIMIT};
 use crate::sweep;
 
 /// The three §5.6 communication granularities.
@@ -84,8 +85,17 @@ impl TransferPlan {
     /// `offset_limit` start offsets (a plan that large is a compiler
     /// bug, not a workload property).
     pub fn lower(region: &Lmad, granularity: Granularity, offset_limit: u64) -> TransferPlan {
-        let n = region.normalized();
-        let exact_elems = n.distinct_elements(offset_limit);
+        let form = region.normalized();
+        TransferPlan::lower_normal(Form::of(&form, region), granularity, offset_limit)
+    }
+
+    /// [`TransferPlan::lower`] of a region already in normal form
+    /// (lowering reads nothing but the normal form).
+    pub fn lower_normal(region: Form, granularity: Granularity, offset_limit: u64) -> TransferPlan {
+        let n = region.lmad();
+        let exact_elems = region
+            .distinct_elements_exact(offset_limit)
+            .unwrap_or_else(|| n.num_accesses().min(n.bounding_len()));
         let transfers = match granularity {
             Granularity::Coarse => {
                 let (lo, hi) = n.extent();
@@ -96,7 +106,7 @@ impl TransferPlan {
                 }]
             }
             Granularity::Fine | Granularity::Middle => {
-                let split = n.split();
+                let split = region.split();
                 let offsets = split
                     .offset_list(offset_limit)
                     .unwrap_or_else(|| {
@@ -163,10 +173,87 @@ impl TransferPlan {
 /// another's fresh values ("a race condition"), so collection must
 /// fall back to the fine grain.
 ///
-/// Takes each slave's *approximate* (bounding) collected region.
+/// Takes each slave's *approximate* (bounding) collected region, and
+/// asks whether any two of them meet ([`cross_rank_overlap`] with one
+/// region per rank).
 pub fn any_overlap(regions: &[Lmad]) -> bool {
-    let extents: Vec<(i64, i64)> = regions.iter().map(Lmad::extent).collect();
-    sweep::any_overlapping_pair(&extents, |i, j| regions[i].overlaps(&regions[j]))
+    let normals: Vec<Normal> = regions.iter().map(Normal::of).collect();
+    let tagged: Vec<(usize, Form)> = normals.iter().map(Normal::view).enumerate().collect();
+    cross_rank_overlap(&tagged, &[])
+}
+
+/// Do two footprints of *different* ranks meet? The footprints are
+/// `regions` (normal forms) and the regions of `transfers`
+/// (`Lmad::strided(offset, stride, count)` each — a slave's lowered
+/// collect), each paired with its rank. The verdict is the OR, over
+/// every cross-rank pair, of [`Lmad::overlaps`], decided in two passes:
+///
+/// * A footprint within the budget of [`Lmad::overlaps`] (its normal
+///   form at most 4096 accesses — the predicate `overlaps_exact` reads)
+///   is *listable*: two listable footprints always get an exact
+///   answer, and they share an element iff a stride-1 run of one meets
+///   a run of the other. So the runs of every listable footprint,
+///   tagged with its rank, go into one interval sweep, and a met pair
+///   of runs from two ranks is an overlap — no pair test, and no
+///   normal form built for a transfer. (A listable footprint whose raw
+///   descriptor reaches past `i64` has elements outside its raw
+///   extent, which rung 1 of the exact test reads; it goes to the
+///   second pass.)
+/// * A pair with a footprint the sweep did not take is asked one at a
+///   time, [`Form::overlaps`] on normal forms taken once,
+///   conservative fallback included, over the pairs whose raw extents
+///   meet.
+pub fn cross_rank_overlap(regions: &[(usize, Form)], transfers: &[(usize, RegionTransfer)]) -> bool {
+    // Every run of every footprint the sweep takes, and its rank.
+    let (mut runs, mut rank): (Vec<(i64, i64)>, Vec<usize>) = (Vec::new(), Vec::new());
+    let mut swept: Vec<bool> = Vec::with_capacity(regions.len() + transfers.len());
+    for &(r, n) in regions {
+        let take = n.sweepable();
+        if take {
+            runs.extend(n.runs().inspect(|_| rank.push(r)));
+        }
+        swept.push(take);
+    }
+    for &(r, t) in transfers {
+        let listed = transfer_runs(&t);
+        swept.push(listed.is_some());
+        if let Some(listed) = listed {
+            runs.extend(listed.inspect(|_| rank.push(r)));
+        }
+    }
+    if sweep::any_overlapping_pair(&runs, |i, j| rank[i] != rank[j]) {
+        return true;
+    }
+    if swept.iter().all(|&s| s) {
+        return false;
+    }
+    let lowered: Vec<Normal> = transfers.iter().map(|(_, t)| Normal::of_transfer(t)).collect();
+    let nr = regions.len();
+    let footprint = |k: usize| if k < nr { regions[k] } else { (transfers[k - nr].0, lowered[k - nr].view()) };
+    let extents: Vec<(i64, i64)> = (0..swept.len()).map(|k| footprint(k).1.extent()).collect();
+    sweep::any_overlapping_pair(&extents, |i, j| {
+        let ((ri, x), (rj, y)) = (footprint(i), footprint(j));
+        ri != rj && !(swept[i] && swept[j]) && x.overlaps(y)
+    })
+}
+
+/// The runs of `t`'s region when a sweep over runs can take it — its
+/// normal form (`Normal::of_transfer(t)`) is sweepable: at most 4096
+/// elements, all inside `i64` — read off the transfer: one run when it
+/// is contiguous, else one per element.
+pub(crate) fn transfer_runs(t: &RegionTransfer) -> Option<impl Iterator<Item = (i64, i64)>> {
+    let stride = i64::try_from(t.stride).ok().filter(|&s| s > 0 || t.count == 1)?;
+    let span = stride as i128 * (t.count as i128 - 1);
+    let fits = |x: i128| i64::try_from(x).is_ok();
+    if t.count == 0 || t.count > OVERLAP_LIMIT || !fits(span) || !fits(t.offset as i128 + span) {
+        return None;
+    }
+    let (offset, count) = (t.offset, t.count as i64);
+    let (step, runs, len) = if stride == 1 || count == 1 { (0, 1, count - 1) } else { (stride, count, 0) };
+    Some((0..runs).map(move |k| {
+        let first = offset + k * step;
+        (first, first + len)
+    }))
 }
 
 #[cfg(test)]

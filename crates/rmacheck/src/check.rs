@@ -32,31 +32,36 @@
 use std::convert::Infallible;
 
 use lmad::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
+use lmad::{Form, Normal};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::trace::{AccessKind, Event, Op, RmaTrace, SyncKind};
 
 /// One epoch of a trace as the scanner holds it. Traces have no
 /// accumulates.
-type Scan<'a> = EpochScan<Fp<'a>, Infallible>;
-type OpEffect<'a> = Effect<Fp<'a>, Infallible>;
+type Scan<'a, 'n> = EpochScan<Fp<'a, 'n>, Infallible>;
+type OpEffect<'a, 'n> = Effect<Fp<'a, 'n>, Infallible>;
 
-/// An operation and its region's extent, taken once: the scanner's
-/// join sorts on extents, and an [`lmad::Lmad`]'s is a walk over its
-/// dimensions. The exact test is [`lmad::Lmad::overlaps`].
+/// An operation and its region's normal form with its extent, taken
+/// once: the scanner's join sorts on extents and asks the exact test
+/// of every candidate pair, and both read the form held here. A region
+/// that already is its own normal form (every lowered transfer) is
+/// read in place; another is normalised once. The exact test is
+/// [`lmad::Form::overlaps`] — [`lmad::Lmad::overlaps`] of the two
+/// regions.
 #[derive(Clone, Copy)]
-struct Fp<'a> {
+struct Fp<'a, 'n> {
     op: &'a Op,
-    extent: (i64, i64),
+    form: Form<'n>,
 }
 
-impl Footprint for Fp<'_> {
+impl Footprint for Fp<'_, '_> {
     fn extent(&self) -> (i64, i64) {
-        self.extent
+        self.form.extent()
     }
 
     fn meets(&self, other: &Self) -> bool {
-        self.op.region.overlaps(&other.op.region)
+        self.form.overlaps(other.form)
     }
 }
 
@@ -195,13 +200,31 @@ fn is_fence(e: &Event) -> bool {
 /// Hand `visit` the scanner holding each fence-closed epoch, all
 /// ranks' operations in rank order (the ranks agree on the fence
 /// count: the alignment check passed). Each rank's events are walked
-/// once — split at its fences — not once per epoch, and one scanner
-/// serves every epoch.
-fn for_each_epoch<'a>(trace: &'a RmaTrace, mut visit: impl FnMut(usize, &mut Scan<'a>)) {
+/// once — split at its fences — not once per epoch, one scanner serves
+/// every epoch, and a region not already in normal form is normalised
+/// once, up front.
+fn for_each_epoch<'a>(trace: &'a RmaTrace, mut visit: impl FnMut(usize, &mut Scan<'a, '_>)) {
     let nepochs = trace
         .ranks
         .first()
         .map_or(0, |evs| evs.iter().filter(|e| is_fence(e)).count());
+    let rma = |evs: &'a [Event]| {
+        evs.iter().filter_map(|e| match e {
+            Event::Rma(op) => Some(op),
+            Event::Sync(_) => None,
+        })
+    };
+    // Each rank's regions that are not their own normal form, in event
+    // order: the walk below meets them in the same order.
+    let normalised: Vec<Vec<Normal>> = trace
+        .ranks
+        .iter()
+        .map(|evs| {
+            let raw = rma(evs).filter(|op| Form::of_normal(&op.region).is_none());
+            raw.map(|op| Normal::of(&op.region)).collect()
+        })
+        .collect();
+    let mut next_normalised: Vec<_> = normalised.iter().map(|forms| forms.iter()).collect();
     let mut epochs_of: Vec<_> = trace
         .ranks
         .iter()
@@ -211,17 +234,17 @@ fn for_each_epoch<'a>(trace: &'a RmaTrace, mut visit: impl FnMut(usize, &mut Sca
     for epoch in 0..nepochs {
         scan.begin(0);
         for (r, epochs) in epochs_of.iter_mut().enumerate() {
-            for e in epochs.next().unwrap_or_default() {
-                if let Event::Rma(op) = e {
-                    let access = match op.kind {
-                        AccessKind::Put => Access::Put,
-                        AccessKind::Get => Access::Get,
-                        AccessKind::LocalWrite => Access::LocalWrite,
-                        AccessKind::LocalRead => Access::LocalRead,
-                    };
-                    let extent = op.region.extent();
-                    scan.push(op.win, r, op.target, access, Fp { op, extent });
-                }
+            for op in rma(epochs.next().unwrap_or_default()) {
+                let access = match op.kind {
+                    AccessKind::Put => Access::Put,
+                    AccessKind::Get => Access::Get,
+                    AccessKind::LocalWrite => Access::LocalWrite,
+                    AccessKind::LocalRead => Access::LocalRead,
+                };
+                let form = Form::of_normal(&op.region)
+                    .or_else(|| next_normalised[r].next().map(Normal::view))
+                    .expect("a form for every region not in normal form");
+                scan.push(op.win, r, op.target, access, Fp { op, form });
             }
         }
         visit(epoch, &mut scan);

@@ -18,7 +18,7 @@
 //! elision in unanalysable corners but never greenlights an unsound
 //! one.
 
-use lmad::{CoverIndex, Lmad, COVER_LIMIT};
+use lmad::{CoverIndex, Lmad, Normal, COVER_LIMIT};
 use polaris_be::{PlanReport, PlanStep, RegionPlanInfo};
 use spmd_rt::ir::{ParRegion, SpmdProgram};
 
@@ -35,25 +35,16 @@ struct StaleRegion {
 }
 
 /// Regions of array `a` that reach the master copy in this parallel
-/// region: rank 0's own stores plus everything the collect plan
-/// actually transfers.
-fn master_updates(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> Vec<Lmad> {
-    let mut updates: Vec<Lmad> = Vec::new();
-    if let Some(w0) = info.rank_writes.first() {
-        updates.extend(w0.iter().filter(|(arr, _)| *arr == a).map(|(_, lm)| lm.clone()));
-    }
-    for ops in region.collect.per_rank.iter().skip(1) {
-        for op in ops {
-            if op.array == a {
-                updates.push(Lmad::strided(
-                    op.transfer.offset,
-                    op.transfer.stride as i64,
-                    op.transfer.count,
-                ));
-            }
-        }
-    }
-    updates
+/// region, indexed: rank 0's own stores plus everything the collect
+/// plan actually transfers.
+fn master_updates(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> CoverIndex {
+    let own = info.rank_writes.first().into_iter().flatten();
+    let collected = region.collect.per_rank.iter().skip(1).flatten();
+    CoverIndex::of_normals(
+        own.filter(|(arr, _)| *arr == a)
+            .map(|(_, lm)| Normal::of(lm))
+            .chain(collected.filter(|op| op.array == a).map(|op| Normal::of_transfer(&op.transfer))),
+    )
 }
 
 /// Slave-written regions of `a` that the collect plan does *not*
@@ -61,23 +52,21 @@ fn master_updates(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> Vec<Lm
 fn uncollected_writes(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> Vec<StaleRegion> {
     let mut stale = Vec::new();
     for (r, writes) in info.rank_writes.iter().enumerate().skip(1) {
-        let collected: Vec<Lmad> = region
-            .collect
-            .per_rank
-            .get(r)
-            .into_iter()
-            .flatten()
-            .filter(|op| op.array == a)
-            .map(|op| {
-                Lmad::strided(op.transfer.offset, op.transfer.stride as i64, op.transfer.count)
-            })
-            .collect();
-        let collected = CoverIndex::new(&collected);
+        let collected = CoverIndex::of_normals(
+            region
+                .collect
+                .per_rank
+                .get(r)
+                .into_iter()
+                .flatten()
+                .filter(|op| op.array == a)
+                .map(|op| Normal::of_transfer(&op.transfer)),
+        );
         for (arr, lm) in writes {
             if *arr != a {
                 continue;
             }
-            if !collected.covered(lm, COVER_LIMIT) {
+            if !collected.covered(&Normal::of(lm), COVER_LIMIT) {
                 stale.push(StaleRegion {
                     region: lm.clone(),
                     rank: r,
@@ -184,9 +173,9 @@ pub fn check_elisions(
                 written_arrays.sort_unstable();
                 written_arrays.dedup();
                 for a in written_arrays {
-                    let updates = CoverIndex::new(&master_updates(region, info, a));
+                    let updates = master_updates(region, info, a);
                     if let Some(regions) = stale.get_mut(a) {
-                        regions.retain(|s| !updates.covered(&s.region, COVER_LIMIT));
+                        regions.retain(|s| !updates.covered(&Normal::of(&s.region), COVER_LIMIT));
                         regions.extend(uncollected_writes(region, info, a));
                     }
                 }
