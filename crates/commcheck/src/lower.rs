@@ -59,8 +59,8 @@ fn lower_region(
                 continue;
             }
             Step::Sync(kind) => (Op::Sync(kind), "sync"),
-            Step::Rma { site, op, target, get } => {
-                let bytes = op.transfer.count as usize * ELEM_BYTES;
+            Step::Rma { site, transfer, target, get, .. } => {
+                let bytes = transfer.count as usize * ELEM_BYTES;
                 let op = match (get, policy.choose(bytes)) {
                     (true, _) => Op::Get { from: target, bytes },
                     (false, Protocol::Eager) => Op::EagerPut { to: target, bytes },
@@ -111,7 +111,7 @@ mod tests {
         let large = p.eager_max_bytes / ELEM_BYTES + 1; // forced rendezvous
         let op = |count: usize| CommOp {
             array: 0,
-            transfer: RegionTransfer { offset: 0, stride: 1, count: count as u64 },
+            descriptor: RegionTransfer { offset: 0, stride: 1, count: count as u64 }.into(),
         };
         let mut r = ParRegion::blank(2, 7);
         r.scatter.per_rank[1].push(op(small));

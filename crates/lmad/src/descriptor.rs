@@ -396,16 +396,6 @@ impl Lmad {
             }
         })
     }
-
-    /// The splitted LMADs of §5.4, Definition 2: `A_mapping` is the
-    /// lowest (fastest-varying) dimension, which maps onto a
-    /// communication primitive; `A_offsets` is everything else, which
-    /// enumerates the copies' start offsets.
-    ///
-    /// For a dimensionless LMAD the mapping is a single element.
-    pub fn split(&self) -> SplitLmad {
-        self.with_form(|f| f.split())
-    }
 }
 
 /// Rung 1 of every overlap test, asked of the raw descriptors before
@@ -413,31 +403,6 @@ impl Lmad {
 fn extents_apart(a: &Lmad, b: &Lmad) -> bool {
     let ((alo, ahi), (blo, bhi)) = (a.extent(), b.extent());
     ahi < blo || bhi < alo
-}
-
-/// The §5.4 decomposition: `A_offsets` enumerates start offsets,
-/// `A_mapping` describes the per-offset transfer shape.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SplitLmad {
-    /// The lowest dimension (`α_1`, `δ_1`): maps to one
-    /// contiguous/strided PUT/GET per offset.
-    pub mapping: Dim,
-    /// The remaining dimensions, whose enumeration gives "the set of
-    /// the offsets calculated from `A_offset`".
-    pub offsets: Lmad,
-}
-
-impl SplitLmad {
-    /// Number of communications at fine/middle grain — the paper's
-    /// `(δ2/α2) x ... x (δp/αp)` count (each factor is a dim count).
-    pub fn num_offsets(&self) -> u64 {
-        self.offsets.num_accesses()
-    }
-
-    /// Enumerate the start offsets.
-    pub fn offset_list(&self, limit: u64) -> Option<Vec<i64>> {
-        self.offsets.offsets(limit)
-    }
 }
 
 /// Floor division on i128 (Rust `/` truncates toward zero).
@@ -509,6 +474,7 @@ pub fn progressions_intersect(o1: i64, s1: i64, c1: u64, o2: i64, s2: i64, c2: u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::transfer::{Granularity, RegionTransfer, TransferPlan};
 
     /// The paper's Figure 4 access: `REAL A(14,*)`, loops I=1,2 /
     /// J=1,2 / K=1,10,3 over `A(K, J+2*(I-1))` (column-major):
@@ -652,17 +618,17 @@ mod tests {
             0,
             vec![Dim::new(3, 4), Dim::new(14, 2), Dim::new(24, 2)],
         );
-        let s = l.split();
-        assert_eq!(s.mapping, Dim::new(3, 4));
-        assert_eq!(s.num_offsets(), 4);
-        assert_eq!(s.offset_list(100).unwrap(), vec![0, 14, 24, 38]);
+        let s = TransferPlan::lower(&l, Granularity::Fine, 0);
+        assert_eq!(s.num_messages(), 4);
+        let shapes: Vec<(i64, u64, u64)> = s.transfers().map(|t| (t.offset, t.stride, t.count)).collect();
+        assert_eq!(shapes, vec![(0, 3, 4), (14, 3, 4), (24, 3, 4), (38, 3, 4)]);
     }
 
     #[test]
     fn split_scalar() {
-        let s = Lmad::scalar(7).split();
-        assert_eq!(s.mapping, Dim::new(1, 1));
-        assert_eq!(s.offset_list(10).unwrap(), vec![7]);
+        let s = TransferPlan::lower(&Lmad::scalar(7), Granularity::Fine, 0);
+        let one = RegionTransfer { offset: 7, stride: 1, count: 1 };
+        assert_eq!(s.transfers().collect::<Vec<_>>(), vec![one]);
     }
 
     #[test]

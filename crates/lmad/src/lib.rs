@@ -53,7 +53,7 @@ mod summary;
 pub mod sweep;
 mod transfer;
 
-pub use descriptor::{progressions_intersect, Dim, Lmad, SplitLmad};
+pub use descriptor::{progressions_intersect, Dim, Lmad};
 pub use normal::{Form, Normal};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
 pub use sweep::{CoverIndex, COVER_LIMIT};

@@ -14,7 +14,7 @@
 //! checker's transfers). [`Lmad::overlaps`] and friends are thin
 //! wrappers that build two and ask once.
 
-use crate::descriptor::{progressions_intersect, Dim, Lmad, SplitLmad};
+use crate::descriptor::{progressions_intersect, Lmad};
 use crate::transfer::RegionTransfer;
 
 /// The access budget of [`Lmad::overlaps`]: a pair is decided by the
@@ -240,22 +240,6 @@ impl<'a> Form<'a> {
         match self.overlaps_exact(other, OVERLAP_LIMIT) {
             Some(exact) => exact,
             None => self.may_overlap(other),
-        }
-    }
-
-    /// [`Lmad::split`] of the raw descriptor: the lowest dimension of
-    /// the normal form is `A_mapping`, the rest `A_offsets`.
-    pub fn split(self) -> SplitLmad {
-        let n = self.lmad;
-        match n.dims.split_first() {
-            None => SplitLmad {
-                mapping: Dim::new(1, 1),
-                offsets: Lmad::scalar(n.base),
-            },
-            Some((lowest, rest)) => SplitLmad {
-                mapping: *lowest,
-                offsets: Lmad::new(n.base, rest.to_vec()),
-            },
         }
     }
 

@@ -11,7 +11,7 @@ use crate::descriptor::{progressions_intersect, Dim, Lmad};
 use crate::normal::{Form, Normal};
 use crate::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
 use crate::sweep::{self, CoverIndex};
-use crate::transfer::{cross_rank_overlap, RegionTransfer};
+use crate::transfer::{cross_rank_overlap, Granularity, RegionTransfer, TransferPlan};
 use vpce_testkit::prelude::*;
 
 /// `Lmad::overlaps_exact` as it enumerated (rungs 3–4 by offset list).
@@ -246,6 +246,64 @@ fn overlaps_exact_matches_the_enumerating_proof() {
             prop_assert_eq!(b.overlaps(a), want, "flipped");
             Ok(())
         });
+}
+
+/// [`TransferPlan::lower`] as it listed: the split's start offsets
+/// through [`Lmad::offsets`] (sorted, repeats kept), each with the
+/// grain's `(stride, count)`; `None` past `limit` offsets or `i64`.
+fn lowered_by_listing(region: &Lmad, g: Granularity, limit: u64) -> Option<Vec<RegionTransfer>> {
+    let n = region.normalized();
+    let (mapping, rest) = n.dims.split_first().map_or((Dim::new(1, 1), &[][..]), |(m, r)| (*m, r));
+    let starts = || Lmad::new(n.base, rest.to_vec()).offsets(limit);
+    let (offsets, stride, count) = match g {
+        Granularity::Coarse => {
+            let (lo, hi) = n.extent();
+            (vec![lo], 1, (hi - lo + 1) as u64)
+        }
+        Granularity::Fine => (starts()?, mapping.stride as u64, mapping.count),
+        Granularity::Middle => (starts()?, 1, mapping.span() as u64 + 1),
+    };
+    Some(offsets.into_iter().map(|offset| RegionTransfer { offset, stride, count }).collect())
+}
+
+/// The lazy walk of a plan is the list it replaced, order and repeats
+/// included, at every grain; and the counts read off the descriptor
+/// are the list's. Wild descriptors (aliasing, stride-0 and count-1
+/// dims, no dims at all) plus three-dim ones whose two outer dims
+/// interleave, so that the sorted path is taken as often as the
+/// nested one.
+#[test]
+fn transfer_walk_is_the_sorted_offset_list() {
+    let interleaved = zip4(i64_in(-20, 60), zip2(i64_in(1, 3), u64_in(2, 5)), zip2(i64_in(4, 12), u64_in(2, 6)), zip2(i64_in(1, 30), u64_in(2, 6)))
+        .map(|(b, (s1, c1), (s2, c2), (s3, c3))| Lmad::new(b, vec![Dim::new(s1, c1), Dim::new(s2, c2), Dim::new(s3, c3)]));
+    let region = weighted(vec![(3, wild_lmad()), (1, interleaved)]);
+    let (sorted, nested) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    Check::new("lmad::transfer_walk_is_the_sorted_offset_list")
+        .cases(3000)
+        .run(&zip2(region, elem_of(Granularity::ALL.to_vec())), |(l, g)| {
+            let (lo, hi) = l.normalized().extent();
+            if *g == Granularity::Coarse && i64::try_from(hi as i128 - lo as i128 + 1).is_err() {
+                return Ok(()); // no one-message bound in `i64`
+            }
+            let Some(want) = lowered_by_listing(l, *g, 1 << 16) else {
+                return Ok(()); // too many offsets to list, or past `i64`
+            };
+            let p = TransferPlan::lower(l, *g, 0);
+            let got: Vec<RegionTransfer> = p.transfers().collect();
+            prop_assert_eq!(&got, &want, "{:?} of {}", g, l);
+            prop_assert_eq!(p.num_messages(), want.len());
+            prop_assert_eq!(p.total_elems(), want.iter().map(RegionTransfer::elems).sum::<u64>());
+            prop_assert_eq!(p.strided_messages(), want.iter().filter(|t| !t.is_contiguous()).count());
+            prop_assert!(p == p.clone());
+            let n = l.normalized();
+            let offsets = Lmad::new(0, n.dims.iter().skip(1).copied().collect());
+            if *g != Granularity::Coarse && offsets.dims.len() > 1 {
+                let c = if offsets.is_non_aliasing() { &nested } else { &sorted };
+                c.set(c.get() + 1);
+            }
+            Ok(())
+        });
+    assert!(sorted.get() > 200 && nested.get() > 200, "{} sorted, {} nested", sorted.get(), nested.get());
 }
 
 /// A comb around the 4096-access budget of [`Lmad::overlaps`]: `cols`

@@ -1,5 +1,6 @@
-//! Communication granularity (§5.6): lowering an access region to a
-//! list of PUT/GET-shaped transfers at fine, middle or coarse grain.
+//! Communication granularity (§5.6): lowering an access region to
+//! PUT/GET-shaped transfers at fine, middle or coarse grain, kept as a
+//! descriptor ([`TransferPlan`]) and listed only where they are issued.
 //!
 //! * **Fine** — exact regions: one transfer per `A_offsets` entry with
 //!   the `A_mapping` shape (strided PUT/GET when the mapping stride
@@ -14,7 +15,7 @@
 //!   bounding the whole descriptor, reducing the message count to
 //!   `δp/αp + 1`-independent *one* per (array, slave) pair.
 
-use crate::descriptor::Lmad;
+use crate::descriptor::{Dim, Lmad};
 use crate::normal::{Form, Normal, OVERLAP_LIMIT};
 use crate::sweep;
 
@@ -67,103 +68,121 @@ impl RegionTransfer {
     }
 }
 
-/// A lowered communication plan for one access region.
-#[derive(Debug, Clone, PartialEq)]
+/// A lowered communication plan for one access region, kept as the
+/// splitted LMAD of §5.4, Definition 2: `A_mapping`, the lowest
+/// (fastest-varying) dimension of the normal form, maps onto one
+/// PUT/GET, and `A_offsets`, the rest, enumerates the messages' start
+/// offsets. The plan holds `A_offsets` and one message shape — the
+/// mapping at fine grain, its bounding run at middle, the region's
+/// bounding run at coarse — so it is `O(dims)` whatever its message
+/// count; only [`TransferPlan::transfers`] lists the messages, for the
+/// walk that issues them.
+#[derive(Debug, Clone)]
 pub struct TransferPlan {
-    pub granularity: Granularity,
-    pub transfers: Vec<RegionTransfer>,
-    /// Elements the exact region actually needs (for redundancy
-    /// accounting).
-    pub exact_elems: u64,
+    /// Start offsets: strides positive and ascending, counts above one.
+    offsets: Lmad,
+    stride: u64,
+    count: u64,
 }
 
 impl TransferPlan {
-    /// Lower `region` at `granularity`.
-    ///
-    /// # Panics
-    /// Panics if fine/middle lowering would enumerate more than
-    /// `offset_limit` start offsets (a plan that large is a compiler
-    /// bug, not a workload property).
-    pub fn lower(region: &Lmad, granularity: Granularity, offset_limit: u64) -> TransferPlan {
+    /// Lower `region` at `granularity`. Lowering lists nothing, so no
+    /// budget is read: `_limit` is kept for callers that pass one.
+    pub fn lower(region: &Lmad, granularity: Granularity, _limit: u64) -> TransferPlan {
         let form = region.normalized();
-        TransferPlan::lower_normal(Form::of(&form, region), granularity, offset_limit)
+        TransferPlan::lower_normal(Form::of(&form, region), granularity)
     }
 
     /// [`TransferPlan::lower`] of a region already in normal form
     /// (lowering reads nothing but the normal form).
-    pub fn lower_normal(region: Form, granularity: Granularity, offset_limit: u64) -> TransferPlan {
+    pub fn lower_normal(region: Form, granularity: Granularity) -> TransferPlan {
         let n = region.lmad();
-        let exact_elems = region
-            .distinct_elements_exact(offset_limit)
-            .unwrap_or_else(|| n.num_accesses().min(n.bounding_len()));
-        let transfers = match granularity {
-            Granularity::Coarse => {
-                let (lo, hi) = n.extent();
-                vec![RegionTransfer {
-                    offset: lo,
-                    stride: 1,
-                    count: (hi - lo + 1) as u64,
-                }]
-            }
-            Granularity::Fine | Granularity::Middle => {
-                let split = region.split();
-                let offsets = split
-                    .offset_list(offset_limit)
-                    .unwrap_or_else(|| {
-                        panic!(
-                            "transfer plan would need more than {offset_limit} messages \
-                             for region {n}"
-                        )
-                    });
-                let (stride, count) = match granularity {
-                    Granularity::Fine => (split.mapping.stride as u64, split.mapping.count),
-                    Granularity::Middle => {
-                        // Stride forced to 1: bounding run of the
-                        // mapping dimension.
-                        (1, split.mapping.span() as u64 + 1)
-                    }
-                    Granularity::Coarse => unreachable!(),
-                };
-                offsets
-                    .into_iter()
-                    .map(|offset| RegionTransfer {
-                        offset,
-                        stride,
-                        count,
-                    })
-                    .collect()
-            }
-        };
-        TransferPlan {
-            granularity,
-            transfers,
-            exact_elems,
+        if granularity == Granularity::Coarse {
+            let (lo, hi) = n.extent();
+            return TransferPlan::from(RegionTransfer { offset: lo, stride: 1, count: (hi - lo + 1) as u64 });
         }
+        // A dimensionless region's mapping is a single element.
+        let (mapping, offsets) = n.dims.split_first().map_or((Dim::new(1, 1), &[][..]), |(m, rest)| (*m, rest));
+        let (stride, count) = match granularity {
+            Granularity::Fine => (mapping.stride as u64, mapping.count),
+            // Stride forced to 1: the bounding run of the mapping
+            // dimension.
+            _ => (1, mapping.span() as u64 + 1),
+        };
+        TransferPlan { offsets: Lmad::new(n.base, offsets.to_vec()), stride, count }
     }
 
-    /// Number of PUT/GET messages (communication setups).
+    /// The messages in ascending order of start offset, repeats
+    /// included (aliasing `A_offsets` dims start two messages at one
+    /// offset). When every offsets dim's stride exceeds the reach of
+    /// the dims inside it, the odometer — innermost dim fastest —
+    /// already ascends and is walked in place; otherwise the offsets
+    /// are listed and sorted, afresh on each call. Offsets past `i64`
+    /// wrap: a plan of an array's footprint has none.
+    pub fn transfers(&self) -> impl Iterator<Item = RegionTransfer> + '_ {
+        let (stride, count) = (self.stride, self.count);
+        let mut sorted = (!self.offsets.is_non_aliasing()).then(|| {
+            let mut all: Vec<i64> = self.odometer().collect();
+            all.sort_unstable();
+            all.into_iter()
+        });
+        let mut walk = self.odometer();
+        std::iter::from_fn(move || match &mut sorted {
+            Some(all) => all.next(),
+            None => walk.next(),
+        })
+        .map(move |offset| RegionTransfer { offset, stride, count })
+    }
+
+    /// Every start offset, innermost dim fastest.
+    fn odometer(&self) -> impl Iterator<Item = i64> + '_ {
+        let dims = &self.offsets.dims;
+        (0..self.offsets.num_accesses()).map(move |mut k| {
+            let mut offset = self.offsets.base;
+            for d in dims {
+                offset = offset.wrapping_add(((k % d.count) as i64).wrapping_mul(d.stride));
+                k /= d.count;
+            }
+            offset
+        })
+    }
+
+    /// Number of PUT/GET messages (communication setups): the paper's
+    /// `(δ2/α2) × … × (δp/αp)` at fine and middle grain, one at coarse.
     pub fn num_messages(&self) -> usize {
-        self.transfers.len()
+        self.offsets.num_accesses() as usize
     }
 
     /// Elements crossing the wire in total.
     pub fn total_elems(&self) -> u64 {
-        self.transfers.iter().map(RegionTransfer::elems).sum()
-    }
-
-    /// Wire elements divided by needed elements (1.0 = exact; the
-    /// paper's CFFT2INIT middle-grain case is 2.0: "50% of
-    /// communication was used to transfer redundant data").
-    pub fn redundancy(&self) -> f64 {
-        self.total_elems() as f64 / self.exact_elems.max(1) as f64
+        self.offsets.num_accesses().saturating_mul(self.count)
     }
 
     /// Number of strided (programmed-I/O) messages in the plan.
     pub fn strided_messages(&self) -> usize {
-        self.transfers
-            .iter()
-            .filter(|t| !t.is_contiguous())
-            .count()
+        let first = RegionTransfer { offset: self.offsets.base, stride: self.stride, count: self.count };
+        if first.is_contiguous() {
+            0
+        } else {
+            self.num_messages()
+        }
+    }
+}
+
+impl From<RegionTransfer> for TransferPlan {
+    /// The plan of one message.
+    fn from(t: RegionTransfer) -> TransferPlan {
+        TransferPlan { offsets: Lmad::scalar(t.offset), stride: t.stride, count: t.count }
+    }
+}
+
+impl PartialEq for TransferPlan {
+    /// Two plans are equal when they issue the same messages in the
+    /// same order, however their offsets are written.
+    fn eq(&self, other: &TransferPlan) -> bool {
+        (self.stride, self.count) == (other.stride, other.count)
+            && (self.offsets == other.offsets
+                || self.num_messages() == other.num_messages() && self.transfers().eq(other.transfers()))
     }
 }
 
@@ -259,7 +278,6 @@ pub(crate) fn transfer_runs(t: &RegionTransfer) -> Option<impl Iterator<Item = (
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::descriptor::Dim;
 
     /// A slave's stride-2 footprint (the CFFT2INIT shape): elements
     /// 0,2,4,...,14.
@@ -279,7 +297,6 @@ mod tests {
         assert_eq!(p.num_messages(), 1);
         assert_eq!(p.strided_messages(), 1);
         assert_eq!(p.total_elems(), 8);
-        assert_eq!(p.redundancy(), 1.0);
     }
 
     #[test]
@@ -290,7 +307,6 @@ mod tests {
         assert_eq!(p.num_messages(), 1);
         assert_eq!(p.strided_messages(), 0);
         assert_eq!(p.total_elems(), 15);
-        assert!((p.redundancy() - 15.0 / 8.0).abs() < 1e-12);
     }
 
     #[test]
@@ -300,7 +316,6 @@ mod tests {
         assert_eq!(p.strided_messages(), 0);
         // Extent: 0 ..= 3 + 16*5 = 83 -> 84 elements.
         assert_eq!(p.total_elems(), 84);
-        assert_eq!(p.exact_elems, 24);
     }
 
     #[test]
@@ -309,9 +324,8 @@ mod tests {
         assert_eq!(p.num_messages(), 6);
         assert_eq!(p.strided_messages(), 0, "unit-stride mapping is DMA");
         assert_eq!(p.total_elems(), 24);
-        assert_eq!(p.redundancy(), 1.0);
         assert_eq!(
-            p.transfers.iter().map(|t| t.offset).collect::<Vec<_>>(),
+            p.transfers().map(|t| t.offset).collect::<Vec<_>>(),
             vec![0, 16, 32, 48, 64, 80]
         );
     }
@@ -320,7 +334,12 @@ mod tests {
     fn middle_equals_fine_when_mapping_already_contiguous() {
         let f = TransferPlan::lower(&row_block(), Granularity::Fine, 1 << 20);
         let m = TransferPlan::lower(&row_block(), Granularity::Middle, 1 << 20);
-        assert_eq!(f.transfers, m.transfers);
+        assert!(f.transfers().eq(m.transfers()));
+        assert_eq!(f, m);
+        // Equality is of the messages, however the offsets are written.
+        let split = |dims| TransferPlan { offsets: Lmad::new(16, dims), stride: 1, count: 4 };
+        assert_eq!(split(vec![Dim::new(2, 2), Dim::new(4, 2)]), split(vec![Dim::new(2, 4)]));
+        assert_ne!(split(vec![Dim::new(2, 2), Dim::new(4, 2)]), split(vec![Dim::new(2, 3)]));
     }
 
     #[test]
@@ -344,7 +363,7 @@ mod tests {
             let p = TransferPlan::lower(&l, g, 16);
             assert_eq!(p.num_messages(), 1, "{g:?}");
             assert_eq!(p.total_elems(), 1, "{g:?}");
-            assert!(p.transfers[0].is_contiguous());
+            assert!(p.transfers().all(|t| t.is_contiguous()));
         }
     }
 
@@ -357,7 +376,7 @@ mod tests {
             for g in Granularity::ALL {
                 let p = TransferPlan::lower(&region, g, 1 << 20);
                 for &o in &offs {
-                    let covered = p.transfers.iter().any(|t| {
+                    let covered = p.transfers().any(|t| {
                         o >= t.offset
                             && o < t.end()
                             && (o - t.offset) as u64 % t.stride == 0
@@ -381,11 +400,16 @@ mod tests {
         assert!(!any_overlap(&[]));
     }
 
+    /// A plan is its descriptor whatever its message count: 1.21 M
+    /// messages are counted, not listed, and the walk is lazy.
     #[test]
-    #[should_panic(expected = "transfer plan would need more than")]
-    fn plan_size_guard() {
-        let l = Lmad::new(0, vec![Dim::new(1, 2), Dim::new(10, 1000)]);
-        TransferPlan::lower(&l, Granularity::Fine, 10);
+    fn a_plan_past_any_limit_is_a_descriptor() {
+        let l = Lmad::new(0, vec![Dim::new(1, 2), Dim::new(1100, 1100), Dim::new(1100 * 1100, 1100)]);
+        let p = TransferPlan::lower(&l, Granularity::Fine, 10);
+        assert_eq!(p.num_messages(), 1_210_000);
+        assert_eq!(p.total_elems(), 2_420_000);
+        let first: Vec<i64> = p.transfers().take(3).map(|t| t.offset).collect();
+        assert_eq!(first, vec![0, 1100, 2200]);
     }
 
     #[test]

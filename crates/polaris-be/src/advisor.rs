@@ -87,3 +87,18 @@ pub fn advise(
     let (winner, compiled, report) = best.expect("three candidates");
     Ok(SimulatedAdvice { winner, measured, compiled, report, priced })
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The benchmark's advisor row (`mm.f --nodes 16 --param N=160
+    /// --advise`): fine and middle lower MM alike, so two pricing runs.
+    #[test]
+    fn mm_advise_prices_two_programs() {
+        let analyzed = polaris_fe::compile(include_str!("../../../examples/fortran/mm.f"), &[("N", 160)])
+            .expect("mm.f compiles");
+        let advice = advise(&analyzed, &ClusterConfig::paper_n(16), &BackendOptions::new(16)).expect("prices");
+        assert_eq!(advice.priced, 2);
+    }
+}

@@ -6,17 +6,14 @@
 use std::collections::{HashMap, HashSet};
 
 use lmad::{
-    ArrayId, CoverIndex, Form, Granularity, Lmad, Normal, RegionTransfer, SummarySet,
-    TransferPlan, COVER_LIMIT,
+    ArrayId, CoverIndex, Form, Granularity, Lmad, Normal, RegionTransfer, SummarySet, TransferPlan,
+    COVER_LIMIT,
 };
 use polaris_fe::analysis::{ParallelLoop, Region, SeqRegion};
 use polaris_fe::analysis::{AnalyzedProgram, ReductionOp};
 use spmd_rt::ir::{CommOp, CommPlan, ParRegion, RedOp, Reduction, Schedule};
 
 use crate::{translate, BackendOptions};
-
-/// Message-count guard for transfer lowering.
-const PLAN_LIMIT: u64 = 1 << 20;
 
 /// What happened to one region's communication.
 #[derive(Debug, Clone, Default)]
@@ -236,25 +233,13 @@ impl<'a> Planner<'a> {
             }
         }
 
-        for ops in scatter_plan.iter().chain(collect_plan.iter()) {
-            for op in ops {
-                if !op.transfer.is_contiguous() {
-                    info.strided_msgs += 1;
-                }
-            }
-        }
-        info.scatter_msgs = scatter_plan.iter().map(Vec::len).sum();
-        info.collect_msgs = collect_plan.iter().map(Vec::len).sum();
-        info.scatter_elems = scatter_plan
-            .iter()
-            .flatten()
-            .map(|o| o.transfer.elems())
-            .sum();
-        info.collect_elems = collect_plan
-            .iter()
-            .flatten()
-            .map(|o| o.transfer.elems())
-            .sum();
+        let scatter = CommPlan { per_rank: scatter_plan };
+        let collect = CommPlan { per_rank: collect_plan };
+        info.strided_msgs = scatter.strided_messages() + collect.strided_messages();
+        info.scatter_msgs = scatter.num_messages();
+        info.collect_msgs = collect.num_messages();
+        info.scatter_elems = scatter.total_elems();
+        info.collect_elems = collect.total_elems();
         self.report.steps.push(PlanStep::Par(self.report.regions.len()));
         self.report.regions.push(info);
 
@@ -265,8 +250,8 @@ impl<'a> Planner<'a> {
             trips: pl.trips,
             sched,
             body: translate::translate_stmts(&pl.body, &self.analyzed.symbols),
-            scatter: CommPlan { per_rank: scatter_plan },
-            collect: CommPlan { per_rank: collect_plan },
+            scatter,
+            collect,
             pull_scatter: self.opts.pull_scatter,
             lock_reductions: self.opts.lock_reductions,
             scalars_in: pl.analysis.shared_scalars.iter().copied().collect(),
@@ -316,12 +301,13 @@ impl<'a> Planner<'a> {
         // Each rank's would-be collected regions at granularity `g`
         // (rank 0's are its exact writes — they reach the master copy
         // directly): its collect lowered at `g`, which the collect plan
-        // takes over unless the check falls back to fine grain.
+        // takes over unless the check falls back to fine grain. The
+        // check asks its question of every transfer.
         // `unsafe_approx_collect` skips the safety check entirely —
         // overlapping approximate collects are emitted as-is (the
         // deliberately-racy ablation for the RMA checker).
         let checked = g != Granularity::Fine && !self.opts.unsafe_approx_collect;
-        let mut collects: Vec<Vec<RegionTransfer>> = vec![Vec::new(); p];
+        let mut collects: Vec<Vec<TransferPlan>> = vec![Vec::new(); p];
         let mut collect_g = g;
         if checked {
             for (r, fp) in footprints.iter().enumerate().skip(1) {
@@ -332,7 +318,7 @@ impl<'a> Planner<'a> {
             let lowered: Vec<(usize, RegionTransfer)> = collects
                 .iter()
                 .enumerate()
-                .flat_map(|(r, ts)| ts.iter().map(move |&t| (r, t)))
+                .flat_map(|(r, ds)| ds.iter().flat_map(TransferPlan::transfers).map(move |t| (r, t)))
                 .collect();
             if cross_rank_overlap(&exact, &lowered) {
                 collect_g = Granularity::Fine;
@@ -362,14 +348,14 @@ impl<'a> Planner<'a> {
 
             let mut planned_collect: Vec<CommOp> = Vec::new();
             if !collect_dead {
-                let transfers = if checked && collect_g == g {
+                let descriptors = if checked && collect_g == g {
                     std::mem::take(&mut collects[r])
                 } else {
                     lower_collect(collect_exact, collect_g)
                 };
-                planned_collect.extend(transfers.into_iter().map(|transfer| CommOp {
+                planned_collect.extend(descriptors.into_iter().map(|descriptor| CommOp {
                     array: a.0,
-                    transfer,
+                    descriptor,
                 }));
             } else if !collect_exact.is_empty() {
                 self.report.elisions.collects_elided += 1;
@@ -399,32 +385,40 @@ impl<'a> Planner<'a> {
                     }
                     continue;
                 }
-                for t in TransferPlan::lower_normal(n.view(), g, PLAN_LIMIT).transfers {
-                    if track {
-                        scattered.push(Normal::of_transfer(&t));
-                    }
-                    planned_scatter.push(CommOp {
-                        array: a.0,
-                        transfer: t,
-                    });
+                let descriptor = TransferPlan::lower_normal(n.view(), g);
+                if track {
+                    scattered.extend(descriptor.transfers().map(|t| Normal::of_transfer(&t)));
                 }
+                planned_scatter.push(CommOp {
+                    array: a.0,
+                    descriptor,
+                });
             }
 
             // Coherence for approximate collection: every collected
-            // region must hold only elements this rank wrote or
+            // transfer must hold only elements this rank wrote or
             // mirrors. Anything else must be scattered first.
             if collect_g != Granularity::Fine {
                 let mut sources = fresh.cloned().unwrap_or_default();
                 sources.extend(collect_exact.iter().chain(&scattered).cloned());
                 for op in &planned_collect {
-                    if !sources.covered_transfer(&op.transfer, COVER_LIMIT) {
-                        // Scatter the approximate region itself.
-                        planned_scatter.push(CommOp {
+                    let mut uncovered = Vec::new();
+                    for t in op.descriptor.transfers() {
+                        if !sources.covered_transfer(&t, COVER_LIMIT) {
+                            sources.push(Normal::of_transfer(&t));
+                            uncovered.push(t);
+                        }
+                    }
+                    // Scatter the approximate regions themselves: the
+                    // whole op as one when none of it was covered.
+                    info.coverage_scatters += uncovered.len();
+                    if uncovered.len() == op.descriptor.num_messages() {
+                        planned_scatter.push(op.clone());
+                    } else {
+                        planned_scatter.extend(uncovered.into_iter().map(|t| CommOp {
                             array: a.0,
-                            transfer: op.transfer,
-                        });
-                        sources.push(Normal::of_transfer(&op.transfer));
-                        info.coverage_scatters += 1;
+                            descriptor: t.into(),
+                        }));
                     }
                 }
             }
@@ -512,7 +506,7 @@ fn dedup_regions(regions: Vec<&Lmad>, mut kept: impl FnMut(&Lmad)) -> Vec<Normal
 /// The transfers collecting `regions` at grain `g` — at coarse grain
 /// one bounding run for all of them (Figure 9(d): "one big approximate
 /// region … is transfered to each remote processor").
-fn lower_collect(regions: &[Normal], g: Granularity) -> Vec<RegionTransfer> {
+fn lower_collect(regions: &[Normal], g: Granularity) -> Vec<TransferPlan> {
     let merged: Vec<Normal>;
     let regions = if g == Granularity::Coarse {
         merged = merge_bounding(regions).into_iter().collect();
@@ -520,10 +514,7 @@ fn lower_collect(regions: &[Normal], g: Granularity) -> Vec<RegionTransfer> {
     } else {
         regions
     };
-    regions
-        .iter()
-        .flat_map(|n| TransferPlan::lower_normal(n.view(), g, PLAN_LIMIT).transfers)
-        .collect()
+    regions.iter().map(|n| TransferPlan::lower_normal(n.view(), g)).collect()
 }
 
 /// The single bounding contiguous region covering a region list
@@ -663,6 +654,74 @@ mod tests {
         let needed = Lmad::contiguous(0, 10);
         let have = vec![Lmad::new(0, vec![Dim::new(1, 5), Dim::new(6, 2)])];
         assert!(!covered(&needed, &have));
+    }
+
+    /// The wire counts of MM's plans at 16 ranks: per region, scatter
+    /// then collect, `(messages, elements, strided messages)`. Fine and
+    /// middle grain lower MM alike (every mapping is unit-stride). The
+    /// plan stores one op per footprint, so its op count does not grow
+    /// with N while its message count does.
+    #[test]
+    fn mm_plan_counts_are_pinned() {
+        type Counts = (usize, u64, usize);
+        let pinned: [(i64, [(Counts, Counts); 2]); 3] = [
+            (64, [((0, 0, 0), (1920, 7680, 0)), ((15, 61440, 0), (960, 3840, 0))]),
+            (128, [((0, 0, 0), (3840, 30720, 0)), ((15, 245760, 0), (1920, 15360, 0))]),
+            (256, [((0, 0, 0), (7680, 122880, 0)), ((15, 983040, 0), (3840, 61440, 0))]),
+        ];
+        let counts = |c: &CommPlan| (c.num_messages(), c.total_elems(), c.strided_messages());
+        let ops = |c: &CommPlan| c.per_rank.iter().map(Vec::len).sum::<usize>();
+        let mut stored = Vec::new();
+        for (n, want) in pinned {
+            let analyzed = polaris_fe::compile(include_str!("../../../examples/fortran/mm.f"), &[("N", n)])
+                .expect("mm.f compiles");
+            for g in [Granularity::Fine, Granularity::Middle] {
+                let compiled = crate::compile_backend(&analyzed, &BackendOptions::new(16).granularity(g));
+                let got: Vec<_> = compiled.program.regions().map(|r| (counts(&r.scatter), counts(&r.collect))).collect();
+                assert_eq!(got, want, "N={n} {g:?}");
+                stored.push(compiled.program.regions().map(|r| (ops(&r.scatter), ops(&r.collect))).collect::<Vec<_>>());
+            }
+        }
+        assert!(stored.iter().all(|s| *s == stored[0]), "{stored:?}");
+        assert_eq!(stored[0], vec![(0, 30), (15, 15)]);
+    }
+
+    /// A store over a cube at N = 1025 on two ranks: rank 1's band of
+    /// `I` is one message per `(J, K)` column piece, 1 050 625 of them —
+    /// counted, not listed (nothing here walks them), in one op. Coarse
+    /// grain falls back to fine: the bounding runs of the two bands
+    /// interleave.
+    #[test]
+    fn a_million_message_plan_is_one_op() {
+        let analyzed = polaris_fe::compile(include_str!("../../../examples/fortran/cube.f"), &[("N", 1025)])
+            .expect("cube.f compiles");
+        for g in [Granularity::Fine, Granularity::Coarse] {
+            let compiled = crate::compile_backend(&analyzed, &BackendOptions::new(2).granularity(g));
+            let region = compiled.program.regions().next().expect("one parallel loop");
+            assert_eq!(region.collect.num_messages(), 1025 * 1025, "{g:?}");
+            assert_eq!(region.collect.total_elems(), 1025 * 1025 * 512, "{g:?}");
+            assert_eq!(region.collect.per_rank.iter().map(Vec::len).sum::<usize>(), 1, "{g:?}");
+            assert_eq!(region.scatter.num_messages(), 0, "{g:?}");
+            let fell_back = !compiled.report.regions[0].collect_fallback_fine.is_empty();
+            assert_eq!(fell_back, g == Granularity::Coarse);
+        }
+    }
+
+    /// A stride-2 store (the CFFT2INIT shape) at middle grain: every
+    /// bounding run of rank 1's collect holds odd elements it neither
+    /// wrote nor mirrors, so coherence scatters each run first — the
+    /// collect op itself, stored once, not one op per message.
+    #[test]
+    fn an_uncovered_collect_is_scattered_as_one_op() {
+        let src = "      PROGRAM HALF\n      PARAMETER (N = 64)\n      REAL X(2*N+2,N)\n      INTEGER I, J\n      \
+                   DO J = 1, N\n        DO I = 1, N\n          X(2*I,J) = 1.0\n        ENDDO\n      ENDDO\n      END\n";
+        let analyzed = polaris_fe::compile(src, &[]).expect("compiles");
+        let compiled = crate::compile_backend(&analyzed, &BackendOptions::new(2).granularity(Granularity::Middle));
+        let region = compiled.program.regions().next().expect("one parallel loop");
+        assert_eq!(region.collect.num_messages(), 32);
+        assert_eq!(region.scatter, region.collect);
+        assert_eq!(region.scatter.per_rank[1].len(), 1);
+        assert_eq!(compiled.report.regions[0].coverage_scatters, 32);
     }
 
     /// MM at 16 ranks, N=160 — the advisor's middle and coarse plans of

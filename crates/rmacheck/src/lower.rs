@@ -45,10 +45,9 @@ fn lower_region(
     for step in protocol::steps(region, rank) {
         match step {
             Step::Sync(kind) => events.push(Event::Sync(kind)),
-            Step::Rma { site, op, target, get } => {
-                let t = &op.transfer;
+            Step::Rma { site, array, transfer: t, target, get } => {
                 events.push(Event::Rma(Op {
-                    win: op.array,
+                    win: array,
                     target,
                     kind: if get { AccessKind::Get } else { AccessKind::Put },
                     region: Lmad::strided(t.offset, t.stride as i64, t.count),

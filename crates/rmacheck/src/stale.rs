@@ -20,7 +20,7 @@
 
 use lmad::{CoverIndex, Lmad, Normal, COVER_LIMIT};
 use polaris_be::{PlanReport, PlanStep, RegionPlanInfo};
-use spmd_rt::ir::{ParRegion, SpmdProgram};
+use spmd_rt::ir::{CommOp, ParRegion, SpmdProgram};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::LintOptions;
@@ -34,16 +34,22 @@ struct StaleRegion {
     line: usize,
 }
 
+/// The regions of array `a`'s collect transfers in `ops`, one a
+/// transfer.
+fn collected<'a>(ops: impl IntoIterator<Item = &'a CommOp> + 'a, a: usize) -> impl Iterator<Item = Normal> + 'a {
+    let ops = ops.into_iter().filter(move |op| op.array == a);
+    ops.flat_map(|op| op.descriptor.transfers()).map(|t| Normal::of_transfer(&t))
+}
+
 /// Regions of array `a` that reach the master copy in this parallel
 /// region, indexed: rank 0's own stores plus everything the collect
 /// plan actually transfers.
 fn master_updates(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> CoverIndex {
     let own = info.rank_writes.first().into_iter().flatten();
-    let collected = region.collect.per_rank.iter().skip(1).flatten();
     CoverIndex::of_normals(
         own.filter(|(arr, _)| *arr == a)
             .map(|(_, lm)| Normal::of(lm))
-            .chain(collected.filter(|op| op.array == a).map(|op| Normal::of_transfer(&op.transfer))),
+            .chain(collected(region.collect.per_rank.iter().skip(1).flatten(), a)),
     )
 }
 
@@ -52,16 +58,7 @@ fn master_updates(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> CoverI
 fn uncollected_writes(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> Vec<StaleRegion> {
     let mut stale = Vec::new();
     for (r, writes) in info.rank_writes.iter().enumerate().skip(1) {
-        let collected = CoverIndex::of_normals(
-            region
-                .collect
-                .per_rank
-                .get(r)
-                .into_iter()
-                .flatten()
-                .filter(|op| op.array == a)
-                .map(|op| Normal::of_transfer(&op.transfer)),
-        );
+        let collected = CoverIndex::of_normals(collected(region.collect.per_rank.get(r).into_iter().flatten(), a));
         for (arr, lm) in writes {
             if *arr != a {
                 continue;
@@ -203,7 +200,7 @@ pub fn check_elisions(
 mod tests {
     use super::*;
     use lmad::RegionTransfer;
-    use spmd_rt::ir::{Block, CommOp, CommPlan, Schedule};
+    use spmd_rt::ir::{Block, CommPlan, Schedule};
 
     fn comm(per_rank: Vec<Vec<CommOp>>) -> CommPlan {
         CommPlan { per_rank }
@@ -212,11 +209,12 @@ mod tests {
     fn op(array: usize, offset: i64, count: u64) -> CommOp {
         CommOp {
             array,
-            transfer: RegionTransfer {
+            descriptor: RegionTransfer {
                 offset,
                 stride: 1,
                 count,
-            },
+            }
+            .into(),
         }
     }
 

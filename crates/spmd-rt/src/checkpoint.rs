@@ -154,11 +154,12 @@ mod tests {
                     } else {
                         vec![CommOp {
                             array,
-                            transfer: RegionTransfer {
+                            descriptor: RegionTransfer {
                                 offset: (r * chunk) as i64,
                                 stride: 1,
                                 count: chunk as u64,
-                            },
+                            }
+                            .into(),
                         }]
                     }
                 })

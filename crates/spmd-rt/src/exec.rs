@@ -646,9 +646,7 @@ async fn run_region(
                     st.store_real(red.scalar, combine(red.op, saved[i], v[0]));
                 }
             }
-            Step::Rma { op, target, get, .. } => {
-                transfer(mpi, &wins[op.array], target, &op.transfer, get)?
-            }
+            Step::Rma { array, transfer: t, target, get, .. } => transfer(mpi, &wins[array], target, &t, get)?,
             Step::Compute => {
                 // Reductions: save master's running value, seed local
                 // accumulator.
@@ -759,11 +757,12 @@ pub(crate) mod tests {
                     } else {
                         vec![CommOp {
                             array,
-                            transfer: RegionTransfer {
+                            descriptor: RegionTransfer {
                                 offset: (r * chunk) as i64,
                                 stride: 1,
                                 count: chunk as u64,
-                            },
+                            }
+                            .into(),
                         }]
                     }
                 })

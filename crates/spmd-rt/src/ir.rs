@@ -4,7 +4,7 @@
 //! intrinsically private (per-rank copies), and explicit communication
 //! via PUT/GET.
 
-use lmad::RegionTransfer;
+use lmad::{RegionTransfer, TransferPlan};
 
 /// Binary operators (arithmetic, relational, logical).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,16 +125,27 @@ impl Schedule {
     }
 }
 
-/// One planned transfer of a scatter or collect batch.
+/// One planned region of a scatter or collect batch: its messages as
+/// a split descriptor, expanded only by the walk that issues them
+/// ([`crate::protocol::steps`]). Two ops are equal when they issue the
+/// same messages ([`TransferPlan`]'s equality; it knows no grain).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CommOp {
     pub array: usize,
-    pub transfer: RegionTransfer,
+    pub descriptor: TransferPlan,
 }
 
-/// The communication plan of one region boundary: per-slave transfer
-/// lists (index 0 — the master's own chunk — is always empty: the
-/// master's data is already in place).
+impl CommOp {
+    /// The op's messages, each with its array.
+    pub fn transfers(&self) -> impl Iterator<Item = (usize, RegionTransfer)> + '_ {
+        self.descriptor.transfers().map(|t| (self.array, t))
+    }
+}
+
+/// The communication plan of one region boundary: per-slave op lists
+/// (index 0 — the master's own chunk — is always empty: the master's
+/// data is already in place). Two plans are equal when their ops are,
+/// op by op.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct CommPlan {
     pub per_rank: Vec<Vec<CommOp>>,
@@ -143,25 +154,21 @@ pub struct CommPlan {
 impl CommPlan {
     /// Total messages in the plan.
     pub fn num_messages(&self) -> usize {
-        self.per_rank.iter().map(Vec::len).sum()
+        self.ops().map(|op| op.descriptor.num_messages()).sum()
     }
 
     /// Total elements crossing the wire.
     pub fn total_elems(&self) -> u64 {
-        self.per_rank
-            .iter()
-            .flatten()
-            .map(|op| op.transfer.elems())
-            .sum()
+        self.ops().map(|op| op.descriptor.total_elems()).sum()
     }
 
     /// Messages that must use the strided (programmed-I/O) path.
     pub fn strided_messages(&self) -> usize {
-        self.per_rank
-            .iter()
-            .flatten()
-            .filter(|op| !op.transfer.is_contiguous())
-            .count()
+        self.ops().map(|op| op.descriptor.strided_messages()).sum()
+    }
+
+    fn ops(&self) -> impl Iterator<Item = &CommOp> {
+        self.per_rank.iter().flatten()
     }
 }
 
@@ -366,29 +373,11 @@ mod tests {
 
     #[test]
     fn comm_plan_statistics() {
-        let plan = CommPlan {
-            per_rank: vec![
-                vec![],
-                vec![
-                    CommOp {
-                        array: 0,
-                        transfer: RegionTransfer {
-                            offset: 0,
-                            stride: 1,
-                            count: 10,
-                        },
-                    },
-                    CommOp {
-                        array: 1,
-                        transfer: RegionTransfer {
-                            offset: 4,
-                            stride: 2,
-                            count: 5,
-                        },
-                    },
-                ],
-            ],
+        let op = |array, offset, stride, count| CommOp {
+            array,
+            descriptor: RegionTransfer { offset, stride, count }.into(),
         };
+        let plan = CommPlan { per_rank: vec![vec![], vec![op(0, 0, 1, 10), op(1, 4, 2, 5)]] };
         assert_eq!(plan.num_messages(), 2);
         assert_eq!(plan.total_elems(), 15);
         assert_eq!(plan.strided_messages(), 1);

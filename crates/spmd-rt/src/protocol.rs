@@ -29,6 +29,8 @@
 use std::iter::{once, repeat_n};
 use std::ops::Range;
 
+use lmad::RegionTransfer;
+
 use crate::ir::{CommOp, CommPlan, ParRegion};
 
 /// A global synchronisation: every live rank must arrive at the same
@@ -81,15 +83,15 @@ impl Phase {
 
 /// One step of one rank's walk through a region.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Step<'a> {
+pub enum Step {
     /// The rank-level fault draws, keyed by [`crash_key`]. A crash
     /// unwinds here, before the entry barrier; the rank never rejoins.
     CrashPoint,
     Sync(SyncKind),
-    /// A one-sided transfer the walking rank originates: `MPI_GET` from
-    /// `target` when `get`, else `MPI_PUT` to it. `site` is
-    /// [`Phase::Scatter`] or [`Phase::Collect`].
-    Rma { site: Phase, op: &'a CommOp, target: usize, get: bool },
+    /// A one-sided transfer of `array` the walking rank originates:
+    /// `MPI_GET` from `target` when `get`, else `MPI_PUT` to it. `site`
+    /// is [`Phase::Scatter`] or [`Phase::Collect`].
+    Rma { site: Phase, array: usize, transfer: RegionTransfer, target: usize, get: bool },
     /// This rank's share of the iterations.
     Compute,
     /// §3's lock-based reduction combine, bracketed by two barriers:
@@ -115,9 +117,11 @@ fn of(plan: &CommPlan, ranks: Range<usize>) -> impl Iterator<Item = (usize, &Vec
     plan.per_rank.iter().enumerate().skip(ranks.start).take(ranks.len())
 }
 
-/// `rank`'s walk through `region`. Borrows the plan: no transfer is
-/// copied, nothing is allocated.
-pub fn steps(region: &ParRegion, rank: usize) -> impl Iterator<Item = Step<'_>> {
+/// `rank`'s walk through `region`: the one place a plan's descriptors
+/// are expanded into messages ([`CommOp::transfers`]). Borrows the
+/// plan and allocates nothing, unless an op's start offsets must be
+/// sorted.
+pub fn steps(region: &ParRegion, rank: usize) -> impl Iterator<Item = Step> + '_ {
     use Step::{Compute, CrashPoint, End, LockAccumulate, LockCombine, LockSeed, Sync};
     let master = rank == 0;
     let pull = region.pull_scatter;
@@ -133,13 +137,18 @@ pub fn steps(region: &ParRegion, rank: usize) -> impl Iterator<Item = Step<'_>> 
     let pushed = if master { 0..usize::MAX } else { 0..0 };
     let scatter = of(&region.scatter, if pull { own.clone() } else { pushed }).flat_map(move |(r, ops)| {
         let target = if pull { 0 } else { r };
-        ops.iter()
-            .map(move |op| Step::Rma { site: Phase::Scatter, op, target, get: pull })
+        ops.iter().flat_map(CommOp::transfers).map(move |(array, transfer)| Step::Rma {
+            site: Phase::Scatter,
+            array,
+            transfer,
+            target,
+            get: pull,
+        })
     });
     // Slaves PUT their write-first/read-write regions back.
     let collect = of(&region.collect, own)
-        .flat_map(|(_, ops)| ops)
-        .map(|op| Step::Rma { site: Phase::Collect, op, target: 0, get: false });
+        .flat_map(|(_, ops)| ops.iter().flat_map(CommOp::transfers))
+        .map(|(array, transfer)| Step::Rma { site: Phase::Collect, array, transfer, target: 0, get: false });
     let reds = region.reductions.len();
     let lock = region.lock_reductions && reds > 0;
     let lock_bracket = [
@@ -175,11 +184,11 @@ mod tests {
 
     /// What a step looks like from outside: the MPI calls and phase
     /// spans it leaves on the rank's trace lane.
-    fn footprint(step: Step<'_>, region: &ParRegion, out: &mut Vec<String>) {
+    fn footprint(step: Step, region: &ParRegion, out: &mut Vec<String>) {
         match step {
             Step::Sync(kind) => out.push(kind.as_str().into()),
-            Step::Rma { op, get, .. } => {
-                let bytes = op.transfer.count as usize * ELEM_BYTES;
+            Step::Rma { transfer, get, .. } => {
+                let bytes = transfer.count as usize * ELEM_BYTES;
                 out.push(format!("{} {bytes}B", if get { "get" } else { "put" }));
             }
             Step::LockAccumulate => {
@@ -217,7 +226,7 @@ mod tests {
     fn the_live_machine_follows_the_walk() {
         let op = |count: u64| CommOp {
             array: 0,
-            transfer: RegionTransfer { offset: 8, stride: 1, count },
+            descriptor: RegionTransfer { offset: 8, stride: 1, count }.into(),
         };
         let sum = Reduction { scalar: 0, op: RedOp::Sum, identity: 0.0 };
         let mut shapes = Vec::new();

@@ -483,7 +483,7 @@ fn irregular_gather_parallelizes_conservatively_and_matches_reference() {
         let a_bytes: u64 = gather.scatter.per_rank[r]
             .iter()
             .filter(|op| op.array == 0)
-            .map(|op| op.transfer.elems())
+            .map(|op| op.descriptor.total_elems())
             .sum();
         assert!(a_bytes >= n as u64, "rank {r} must receive all of A");
     }
@@ -537,12 +537,12 @@ fn swim_full_three_time_levels_match_reference() {
     let scattered: u64 = calc3.scatter.per_rank[1]
         .iter()
         .filter(|op| op.array == uold)
-        .map(|op| op.transfer.elems())
+        .map(|op| op.descriptor.total_elems())
         .sum();
     let collected: u64 = calc3.collect.per_rank[1]
         .iter()
         .filter(|op| op.array == uold)
-        .map(|op| op.transfer.elems())
+        .map(|op| op.descriptor.total_elems())
         .sum();
     assert!(scattered > 0, "ReadWrite UOLD must be scattered");
     assert!(collected > 0, "ReadWrite UOLD must be collected");
