@@ -50,23 +50,25 @@ fn lower_region(
 ) -> bool {
     let line = region.line;
     for step in protocol::steps(region, rank) {
-        let (op, site) = match step {
+        match step {
             Step::CrashPoint => {
                 if inj.crash_hits(protocol::crash_key(rank, serial)) {
                     sk.push(rank, Op::Crash, line, "crash");
                     return false;
                 }
-                continue;
             }
-            Step::Sync(kind) => (Op::Sync(kind), "sync"),
-            Step::Rma { site, transfer, target, get, .. } => {
-                let bytes = transfer.count as usize * ELEM_BYTES;
-                let op = match (get, policy.choose(bytes)) {
-                    (true, _) => Op::Get { from: target, bytes },
-                    (false, Protocol::Eager) => Op::EagerPut { to: target, bytes },
-                    (false, Protocol::Rendezvous) => Op::RdvzPut { to: target, bytes },
-                };
-                (op, site.as_str())
+            Step::Sync(kind) => sk.push(rank, Op::Sync(kind), line, "sync"),
+            // One act per wire message of the planned op.
+            Step::Rma { site, op, target, get } => {
+                for (_, t) in op.transfers() {
+                    let bytes = t.count as usize * ELEM_BYTES;
+                    let act = match (get, policy.choose(bytes)) {
+                        (true, _) => Op::Get { from: target, bytes },
+                        (false, Protocol::Eager) => Op::EagerPut { to: target, bytes },
+                        (false, Protocol::Rendezvous) => Op::RdvzPut { to: target, bytes },
+                    };
+                    sk.push(rank, act, line, site.as_str());
+                }
             }
             // Local work and the lock/accumulate critical sections
             // (serialised by the exclusive lock) never block.
@@ -74,9 +76,8 @@ fn lower_region(
             | Step::LockSeed
             | Step::LockAccumulate
             | Step::LockCombine
-            | Step::End(_) => continue,
-        };
-        sk.push(rank, op, line, site);
+            | Step::End(_) => {}
+        }
     }
     true
 }

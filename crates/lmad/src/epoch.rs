@@ -65,6 +65,14 @@ pub trait Footprint {
     /// Do the two footprints share an element? Asked only of pairs
     /// whose extents intersect.
     fn meets(&self, other: &Self) -> bool;
+
+    /// Do two of the accesses this footprint stands for share an
+    /// element? One access never does; a footprint that stands for
+    /// several (a planned operation's wire messages) does when two of
+    /// them meet.
+    fn meets_itself(&self) -> bool {
+        false
+    }
 }
 
 /// One shard effect of an operation; `op` is what the caller handed
@@ -179,6 +187,17 @@ impl<O: Footprint + Copy, A: Copy + Eq> EpochScan<O, A> {
                 let (a, b) = (&eff[i], &eff[j]);
                 Some((a.conflict(b)?, a, b))
             })
+    }
+
+    /// Every effect that collides with itself, in push order: an
+    /// operation standing for several accesses two of which meet
+    /// ([`Footprint::meets_itself`]) — the pairs a visit to every
+    /// pair of those accesses would meet inside one operation.
+    pub fn self_conflicts(&self) -> impl Iterator<Item = (ConflictKind, &Effect<O, A>)> + '_ {
+        self.eff.iter().filter_map(|e| {
+            let kind = classify(e.role, e.role).filter(|_| !e.local)?;
+            e.op.meets_itself().then_some((kind, e))
+        })
     }
 }
 

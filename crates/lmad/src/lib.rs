@@ -54,7 +54,7 @@ pub mod sweep;
 mod transfer;
 
 pub use descriptor::{progressions_intersect, Dim, Lmad};
-pub use normal::{Form, Normal};
+pub use normal::{Form, Normal, OVERLAP_LIMIT};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
 pub use sweep::{CoverIndex, COVER_LIMIT};
 pub use transfer::{any_overlap, cross_rank_overlap, Granularity, RegionTransfer, TransferPlan};

@@ -14,7 +14,7 @@
 //! checker's transfers). [`Lmad::overlaps`] and friends are thin
 //! wrappers that build two and ask once.
 
-use crate::descriptor::{progressions_intersect, Lmad};
+use crate::descriptor::{progressions_intersect, Dim, Lmad};
 use crate::transfer::RegionTransfer;
 
 /// The access budget of [`Lmad::overlaps`]: a pair is decided by the
@@ -22,7 +22,7 @@ use crate::transfer::RegionTransfer;
 /// normal form has at most this many accesses. Two such sides always
 /// get an exact answer, which is what lets the §5.6 check decide them
 /// by a sweep over their runs ([`crate::cross_rank_overlap`]).
-pub(crate) const OVERLAP_LIMIT: u64 = 4096;
+pub const OVERLAP_LIMIT: u64 = 4096;
 
 /// A descriptor's normal form with what the budgets read of its raw
 /// form. Built only from a raw descriptor ([`Normal::of`]) or from a
@@ -204,6 +204,22 @@ impl<'a> Form<'a> {
         }
     }
 
+    /// Do two translates of one shape meet? When the two normal forms
+    /// have the same dimensions, which do not alias, and different
+    /// bases (the row bands of a block distribution), the answer in
+    /// `O(dims)` whatever their size; `None` for any other pair. They
+    /// meet iff the bases differ by `Σ d_k·stride_k` with
+    /// `|d_k| < count_k`, and since each stride passes the span of the
+    /// dims inside it, at most two digits fit at each level.
+    pub fn translates_meet(self, other: Form<'_>) -> Option<bool> {
+        let (a, b) = (self.lmad, other.lmad);
+        let fits = |l: &Lmad| l.enumerable(u64::MAX);
+        if a.dims != b.dims || !a.is_non_aliasing() || !fits(a) || !fits(b) {
+            return None;
+        }
+        Some(difference_holds(&a.dims, b.base as i128 - a.base as i128))
+    }
+
     /// [`Lmad::may_overlap`] of the two raw descriptors.
     pub fn may_overlap(self, other: Form<'_>) -> bool {
         let (alo, ahi) = self.extent;
@@ -254,6 +270,20 @@ impl<'a> Form<'a> {
             offs.len() as u64
         })
     }
+}
+
+/// Is `delta` = `Σ d_k·stride_k` for digits `|d_k| < count_k`? From
+/// the outermost dimension in: the dimensions inside reach at most
+/// their spans' sum either way, which bounds the outer digit.
+fn difference_holds(dims: &[Dim], delta: i128) -> bool {
+    let Some((outer, inside)) = dims.split_last() else {
+        return delta == 0;
+    };
+    let reach: i128 = inside.iter().map(|d| d.span() as i128).sum();
+    let (s, c) = (outer.stride as i128, outer.count as i128);
+    let lo = (delta - reach).div_euclid(s) + i128::from((delta - reach).rem_euclid(s) != 0);
+    let hi = (delta + reach).div_euclid(s);
+    (lo.max(1 - c)..=hi.min(c - 1)).any(|d| difference_holds(inside, delta - d * s))
 }
 
 fn gcd(a: u64, b: u64) -> u64 {

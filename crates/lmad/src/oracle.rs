@@ -306,6 +306,109 @@ fn transfer_walk_is_the_sorted_offset_list() {
     assert!(sorted.get() > 200 && nested.get() > 200, "{} sorted, {} nested", sorted.get(), nested.get());
 }
 
+/// The questions a plan answers on its descriptor, held to its listed
+/// messages ([`lowered_by_listing`]): the footprint is their union
+/// (repeats included); two of them meet (`messages_meet`) exactly when
+/// some pair does; `one_message_holds` is rungs 1 and 3 of a cover
+/// index with one member a message, past its budget; and where
+/// `meets_exactly` holds, a region's test against every message is
+/// decided exactly. `needed` is cut around a message, or is one.
+#[test]
+fn plan_questions_match_the_listed_messages() {
+    let interleaved = zip3(i64_in(-20, 60), zip2(i64_in(1, 3), u64_in(2, 9)), zip2(i64_in(1, 12), u64_in(2, 9)))
+        .map(|(b, (s1, c1), (s2, c2))| Lmad::new(b, vec![Dim::new(s1, c1), Dim::new(s2, c2), Dim::new(41, 3)]));
+    let region = weighted(vec![(2, wild_lmad()), (2, interleaved)]);
+    let cut = zip4(u64_in(0, 1 << 20), i64_in(-3, 3), i64_in(-3, 3), u64_in(0, 3));
+    let probe = weighted(vec![(3, wild_lmad()), (1, budget_edge_lmad(0))]);
+    let (met, held, exact) = (std::cell::Cell::new(0), std::cell::Cell::new(0), std::cell::Cell::new(0));
+    Check::new("lmad::plan_questions_match_the_listed_messages")
+        .cases(3000)
+        .run(&zip4(region, elem_of(Granularity::ALL.to_vec()), cut, probe), |(l, g, (pick, dlo, dhi, form), probe)| {
+            let (lo, hi) = l.normalized().extent();
+            if !fits(&l.normalized()) || lo < -(1 << 40) || hi > 1 << 40 {
+                return Ok(()); // cuts around a message would leave `i64`
+            }
+            let Some(msgs) = lowered_by_listing(l, *g, 400) else {
+                return Ok(()); // too many to list, or past `i64`
+            };
+            let p = TransferPlan::lower(l, *g, 0);
+            let fp = p.footprint();
+            if !fits(&fp) || msgs.is_empty() {
+                return Ok(());
+            }
+            let region = |t: &RegionTransfer| Lmad::strided(t.offset, t.stride as i64, t.count);
+            if let Some(mut all) = fp.offsets(1 << 14) {
+                let mut want: Vec<i64> = msgs.iter().flat_map(|t| region(t).offsets(1 << 14).unwrap()).collect();
+                want.sort_unstable();
+                all.sort_unstable();
+                prop_assert_eq!(all, want, "footprint of {:?} {}", g, l);
+            }
+            let meet = msgs.iter().enumerate().any(|(i, a)| {
+                msgs[i + 1..].iter().any(|b| {
+                    progressions_intersect(a.offset, a.stride as i64, a.count, b.offset, b.stride as i64, b.count)
+                })
+            });
+            prop_assert_eq!(p.messages_meet(), meet, "{:?} {}", g, l);
+            met.set(met.get() + u64::from(meet));
+
+            let m = msgs[(*pick % msgs.len() as u64) as usize];
+            let needed = if *form == 0 {
+                region(&m)
+            } else {
+                let (lo, hi) = (m.offset + dlo, m.end() - 1 + dhi);
+                Lmad::contiguous(lo, (hi - lo + 1).max(1) as u64)
+            };
+            let needed = Normal::of(&needed);
+            let (lo, hi) = needed.extent();
+            let one = msgs.iter().any(|t| {
+                let n = Normal::of_transfer(t);
+                let (mlo, mhi) = n.extent();
+                mlo <= lo && hi <= mhi && (n.form() == needed.form() || n.form().is_contiguous_normalized())
+            });
+            prop_assert_eq!(p.one_message_holds(&needed), one, "{} in {:?} {}", needed.form(), g, l);
+            held.set(held.get() + u64::from(one));
+
+            let probe = Normal::of(probe);
+            if fits(probe.form()) && p.meets_exactly(probe.view()) {
+                for t in &msgs {
+                    let n = Normal::of_transfer(t);
+                    let decided = probe.view().overlaps_exact(n.view(), 4096).is_some();
+                    prop_assert!(decided, "{} against {:?} of {:?} {}", probe.form(), t, g, l);
+                }
+                exact.set(exact.get() + 1);
+            }
+            Ok(())
+        });
+    assert!(met.get() > 300 && held.get() > 300 && exact.get() > 300, "{} met, {} held, {} exact", met.get(), held.get(), exact.get());
+}
+
+/// Two translates of one shape meet where the enumerating proof says
+/// they do; `translates_meet` answers exactly the non-aliasing pairs of
+/// equal dimensions, at any size.
+#[test]
+fn translates_meet_matches_the_enumerating_proof() {
+    let dims = vec_of(zip2(i64_in(1, 40), u64_in(2, 7)).map(|(s, c)| Dim::new(s, c)), 1, 3);
+    let (met, missed) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
+    Check::new("lmad::translates_meet_matches_the_enumerating_proof")
+        .cases(3000)
+        .run(&zip3(dims, i64_in(-50, 50), i64_in(-12, 12)), |(dims, base, delta)| {
+            let a = Lmad::new(*base, dims.clone()).normalized();
+            let b = Lmad::new(base + delta, a.dims.clone());
+            let (na, nb) = (Normal::of(&a), Normal::of(&b));
+            let got = na.view().translates_meet(nb.view());
+            if !a.is_non_aliasing() {
+                prop_assert_eq!(got, None);
+                return Ok(());
+            }
+            let want = overlaps_exact_enumerating(&a, &b, 1 << 16);
+            prop_assert_eq!(got, want, "{} and {}", a, b);
+            let c = if want == Some(true) { &met } else { &missed };
+            c.set(c.get() + 1);
+            Ok(())
+        });
+    assert!(met.get() > 150 && missed.get() > 300, "{} met, {} missed", met.get(), missed.get());
+}
+
 /// A comb around the 4096-access budget of [`Lmad::overlaps`]: `cols`
 /// columns of `w` elements at stride 2, `ld` apart, with `w × cols`
 /// just under, at or just over 4096. Every element has the parity of

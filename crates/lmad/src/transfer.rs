@@ -147,6 +147,92 @@ impl TransferPlan {
         })
     }
 
+    /// The messages as one descriptor: the message shape as the lowest
+    /// dimension under `A_offsets`. Its accesses are those of every
+    /// message of [`TransferPlan::transfers`], repeats included, so a
+    /// question about the messages' union — do they meet a footprint,
+    /// do they cover one — is asked of it once. At fine grain it is
+    /// the region's normal form.
+    pub fn footprint(&self) -> Lmad {
+        let mut dims = Vec::with_capacity(self.offsets.dims.len() + 1);
+        if self.count > 1 {
+            dims.push(Dim::new(self.stride as i64, self.count));
+        }
+        dims.extend_from_slice(&self.offsets.dims);
+        Lmad::new(self.offsets.base, dims)
+    }
+
+    /// Do two of the messages share an element (two repeats of one
+    /// message do)? When the footprint does not alias, every access is
+    /// to a distinct element and the answer is no, in `O(dims)`.
+    /// Otherwise one walk of the sorted messages: two messages of one
+    /// shape meet exactly when their starts lie in one residue class
+    /// of the stride at most a message's reach apart, so each is
+    /// compared with the last start of its class.
+    pub fn messages_meet(&self) -> bool {
+        if self.num_messages() < 2 || self.footprint().is_non_aliasing() {
+            return false;
+        }
+        // A message of one element (or of stride 0) reaches nothing
+        // past its start.
+        let (step, reach) = match i64::try_from(self.stride) {
+            Ok(s) if s > 0 && self.count > 1 => (s, s as i128 * (self.count as i128 - 1)),
+            _ => (1, 0),
+        };
+        let mut last = std::collections::HashMap::new();
+        self.transfers().any(|t| {
+            let prev = last.insert(t.offset.rem_euclid(step), t.offset);
+            prev.is_some_and(|p| t.offset as i128 - p as i128 <= reach)
+        })
+    }
+
+    /// Is [`Form::overlaps`] of `region` and each single message
+    /// decided by an exact rung, never by the conservative fallback?
+    /// Both sides of at most one dimension always are; past that, a
+    /// message is one progression without repeats, so the fallback is
+    /// reached only when `region` is past [`Lmad::overlaps`]' budget
+    /// and a message cannot be walked against it (more than 4096
+    /// elements, or `region` aliases).
+    pub fn meets_exactly(&self, region: Form<'_>) -> bool {
+        let r = region.lmad();
+        r.dims.len() <= 1
+            || region.listable()
+            || (r.is_non_aliasing() && self.count <= OVERLAP_LIMIT && self.footprint().enumerable(u64::MAX))
+    }
+
+    /// Does one message hold every element of `needed` — is it
+    /// contiguous and spans `needed`'s extent, or is its region
+    /// `needed`'s normal form? These are what a cover index whose
+    /// members are single messages proves past its proof budget
+    /// ([`crate::CoverIndex::covered`], rungs 3 and 1), decided on the
+    /// descriptor: only a message starting in `hi − reach ..= lo` spans
+    /// `lo..=hi`.
+    pub fn one_message_holds(&self, needed: &Normal) -> bool {
+        let (lo, hi) = needed.extent();
+        let contiguous = self.stride <= 1 || self.count <= 1;
+        if !contiguous {
+            let n = needed.form();
+            let shape = n.dims.first().map(|d| (d.stride as u64, d.count));
+            let end = n.base as i128 + self.stride as i128 * (self.count as i128 - 1);
+            return n.dims.len() == 1
+                && shape == Some((self.stride, self.count))
+                && n.base <= lo
+                && end >= hi as i128
+                && self.offsets.contains(n.base);
+        }
+        let reach = if self.stride == 0 { 0 } else { self.count as i128 - 1 };
+        let Ok(from) = i64::try_from(hi as i128 - reach) else {
+            return false;
+        };
+        if from > lo {
+            return false;
+        }
+        match Form::of_normal(&self.offsets).filter(|f| f.lmad().is_non_aliasing()) {
+            Some(starts) => starts.next_at_or_after(from).is_some_and(|o| o <= lo),
+            None => self.odometer().any(|o| (from..=lo).contains(&o)),
+        }
+    }
+
     /// Number of PUT/GET messages (communication setups): the paper's
     /// `(δ2/α2) × … × (δp/αp)` at fine and middle grain, one at coarse.
     pub fn num_messages(&self) -> usize {
@@ -185,6 +271,8 @@ impl PartialEq for TransferPlan {
                 || self.num_messages() == other.num_messages() && self.transfers().eq(other.transfers()))
     }
 }
+
+impl Eq for TransferPlan {}
 
 /// §5.6 safety check for coarse/middle data collection: when the
 /// approximate regions of different slaves overlap, contiguous

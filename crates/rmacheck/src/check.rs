@@ -24,6 +24,17 @@
 //! but never stays green on a real one. That direction is what the
 //! differential suite against the `mpi2` dynamic ledger relies on.
 //!
+//! A planned op is one operation of the scan, its footprint the union
+//! of its wire messages, and every answer is the one a scan of the
+//! messages themselves gives (`oracle` holds the two to the byte):
+//! two messages always meet or miss exactly (two progressions), so an
+//! exact answer on the unions is theirs, and the messages are walked
+//! only when the unions are past the exact test's budget or a compute
+//! footprint's test against one message could have fallen back to the
+//! interval test. Two messages of one op that meet are a same-origin
+//! overlap ([`EpochScan::self_conflicts`], one sorted walk of the op);
+//! an op past its window's end is reported message by message.
+//!
 //! Barriers and collectives inside an epoch do **not** split it: MPI-2
 //! orders RMA only at fences (ops are buffered until the epoch
 //! closes), so a barrier between two conflicting PUTs does not
@@ -32,7 +43,8 @@
 use std::convert::Infallible;
 
 use lmad::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
-use lmad::{Form, Normal};
+use lmad::sweep::any_overlapping_pair;
+use lmad::{Form, Lmad, Normal, OVERLAP_LIMIT};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::trace::{AccessKind, Event, Op, RmaTrace, SyncKind};
@@ -45,10 +57,11 @@ type OpEffect<'a, 'n> = Effect<Fp<'a, 'n>, Infallible>;
 /// An operation and its region's normal form with its extent, taken
 /// once: the scanner's join sorts on extents and asks the exact test
 /// of every candidate pair, and both read the form held here. A region
-/// that already is its own normal form (every lowered transfer) is
-/// read in place; another is normalised once. The exact test is
+/// that already is its own normal form (a fine-grain op's union) is
+/// read in place; another is normalised once. The test is
 /// [`lmad::Form::overlaps`] — [`lmad::Lmad::overlaps`] of the two
-/// regions.
+/// regions — for two single accesses, and the messages' answer
+/// ([`ops_meet`]) when one side is a planned op.
 #[derive(Clone, Copy)]
 struct Fp<'a, 'n> {
     op: &'a Op,
@@ -61,7 +74,63 @@ impl Footprint for Fp<'_, '_> {
     }
 
     fn meets(&self, other: &Self) -> bool {
-        self.form.overlaps(other.form)
+        if self.op.messages.is_none() && other.op.messages.is_none() {
+            return self.form.overlaps(other.form);
+        }
+        ops_meet(self, other)
+    }
+
+    fn meets_itself(&self) -> bool {
+        let meets = self.op.messages.as_ref().is_some_and(|p| p.messages_meet());
+        #[cfg(test)]
+        paths::count(paths::INTRA, meets);
+        meets
+    }
+}
+
+/// Does a message of `a` meet a message of `b` (a single access is its
+/// own one message), each pair asked [`Form::overlaps`]? A union of
+/// messages meets a footprint exactly when one of its messages does,
+/// and a test of two messages is always exact, so an exact answer on
+/// the unions is that answer: two translates of one shape, such as two
+/// row bands, in `O(dims)`, else the exact test within its budget. A
+/// `false` does not stand when a single access's test against one
+/// message could have taken the interval fallback, which answers
+/// `true` where the exact test says `false`; then, and when the unions
+/// are past the exact test's budget, the messages are walked.
+fn ops_meet(a: &Fp, b: &Fp) -> bool {
+    let per_message_exact = || match (&a.op.messages, &b.op.messages) {
+        (Some(p), None) => p.meets_exactly(b.form),
+        (None, Some(p)) => p.meets_exactly(a.form),
+        _ => true,
+    };
+    let exact = a.form.translates_meet(b.form).or_else(|| a.form.overlaps_exact(b.form, OVERLAP_LIMIT));
+    let decided = exact.filter(|&meet| meet || per_message_exact());
+    #[cfg(test)]
+    paths::count(if decided.is_some() { paths::EXACT } else { paths::WALKED }, true);
+    decided.unwrap_or_else(|| messages_meet(a, b))
+}
+
+/// [`ops_meet`] message by message: every pair of a message of `a` and
+/// one of `b` whose extents meet, asked [`Form::overlaps`].
+fn messages_meet(a: &Fp, b: &Fp) -> bool {
+    let listed = |fp: &Fp| -> Vec<Normal> {
+        let messages = fp.op.messages.iter().flat_map(|p| p.transfers());
+        messages.map(|t| Normal::of_transfer(&t)).collect()
+    };
+    let (la, lb) = (listed(a), listed(b));
+    let (fa, fb) = (message_forms(a, &la), message_forms(b, &lb));
+    let extents: Vec<(i64, i64)> = fa.iter().chain(&fb).map(|f| f.extent()).collect();
+    let n = fa.len();
+    any_overlapping_pair(&extents, |i, j| i < n && n <= j && fa[i].overlaps(fb[j - n]))
+}
+
+/// The forms of `fp`'s messages: `listed`'s for a planned op, its own
+/// for a single access.
+fn message_forms<'x>(fp: &Fp<'_, 'x>, listed: &'x [Normal]) -> Vec<Form<'x>> {
+    match fp.op.messages {
+        Some(_) => listed.iter().map(Normal::view).collect(),
+        None => vec![fp.form],
     }
 }
 
@@ -70,30 +139,42 @@ fn is_local(k: AccessKind) -> bool {
 }
 
 /// Flag every operation of `trace` whose footprint reaches outside
-/// its window, `lens[win]` elements long (VPCE007).
+/// its window, `lens[win]` elements long (VPCE007): one finding per
+/// wire message that does, so only a planned op whose union reaches
+/// outside walks its messages.
 pub fn check_bounds(trace: &RmaTrace, lens: &[usize], out: &mut LintReport) {
     for (r, evs) in trace.ranks.iter().enumerate() {
         for e in evs {
             let Event::Rma(op) = e else { continue };
-            let (lo, hi) = op.region.extent();
             let len = lens[op.win];
-            if lo >= 0 && usize::try_from(hi).is_ok_and(|hi| hi < len) {
+            let inside = |(lo, hi): (i64, i64)| lo >= 0 && usize::try_from(hi).is_ok_and(|hi| hi < len);
+            if inside(op.region.extent()) {
                 continue;
             }
-            out.push(Diagnostic {
-                code: Code::WindowBounds,
-                win: op.win,
-                win_name: trace.win_name(op.win).to_string(),
-                shard: op.target,
-                ranks: (r, r),
-                line: op.line,
-                site: op.site.as_str().into(),
-                detail: format!(
-                    "{} by rank {r} touches elements {lo}..={hi} of a window \
-                     of {len} elements",
-                    kind_name(op.kind)
-                ),
-            });
+            let extents: Vec<(i64, i64)> = match &op.messages {
+                Some(p) => p
+                    .transfers()
+                    .map(|t| Lmad::strided(t.offset, t.stride as i64, t.count).extent())
+                    .filter(|&e| !inside(e))
+                    .collect(),
+                None => vec![op.region.extent()],
+            };
+            for (lo, hi) in extents {
+                out.push(Diagnostic {
+                    code: Code::WindowBounds,
+                    win: op.win,
+                    win_name: trace.win_name(op.win).to_string(),
+                    shard: op.target,
+                    ranks: (r, r),
+                    line: op.line,
+                    site: op.site.as_str().into(),
+                    detail: format!(
+                        "{} by rank {r} touches elements {lo}..={hi} of a window \
+                         of {len} elements",
+                        kind_name(op.kind)
+                    ),
+                });
+            }
         }
     }
 }
@@ -189,6 +270,9 @@ pub fn check_trace(trace: &RmaTrace, out: &mut LintReport) {
     for_each_epoch(trace, |epoch, scan| {
         for (kind, a, b) in scan.conflicts() {
             out.push(conflict(trace, epoch, kind, a, b));
+        }
+        for (kind, a) in scan.self_conflicts() {
+            out.push(conflict(trace, epoch, kind, a, a));
         }
     });
 }
@@ -304,11 +388,41 @@ fn kind_name(k: AccessKind) -> &'static str {
     }
 }
 
+/// How the planned-op answers were reached on this thread, so a test
+/// can require every path taken.
+#[cfg(test)]
+pub(crate) mod paths {
+    use std::cell::Cell;
+
+    /// Op pairs decided on their unions.
+    pub const EXACT: usize = 0;
+    /// Op pairs decided by walking their messages.
+    pub const WALKED: usize = 1;
+    /// Planned ops two of whose messages meet.
+    pub const INTRA: usize = 2;
+
+    thread_local! {
+        static PATHS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
+    }
+
+    pub fn count(path: usize, taken: bool) {
+        PATHS.with(|p| {
+            let mut n = p.get();
+            n[path] += u64::from(taken);
+            p.set(n);
+        });
+    }
+
+    /// `[EXACT, WALKED, INTRA]` so far on this thread.
+    pub fn read() -> [u64; 3] {
+        PATHS.with(Cell::get)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::trace::Site;
-    use lmad::Lmad;
 
     fn op(kind: AccessKind, win: usize, target: usize, base: i64, count: u64) -> Op {
         Op {
@@ -316,6 +430,7 @@ mod tests {
             target,
             kind,
             region: Lmad::contiguous(base, count),
+            messages: None,
             line: 0,
             site: Site::Synthetic,
         }
@@ -332,28 +447,35 @@ mod tests {
         RmaTrace::new(2, vec!["A".into()])
     }
 
-    /// The work bound, on a deterministic counter: MM at `N = 160` on
-    /// 16 ranks, fine grain (`mm_lint`'s plan). In every epoch the
-    /// join hands the classifier at most one pair per effect — the
-    /// collect epoch's 2 448 effects were ≈ 3 million pair visits,
-    /// the scatter epoch's 4 832 ≈ 11.7 million.
+    /// The work bound, on deterministic counters: MM at `N = 160` on
+    /// 16 ranks, fine grain (`mm_lint`'s plan). A planned op is one
+    /// effect, so the collect epochs hold 62 and 63 effects — 2 448
+    /// and more while each of the plan's 7 215 wire messages was one.
+    /// The row bands interleave, so every pair of bands on the
+    /// master's shard is a candidate (240 and 120 pairs), and each is
+    /// decided as two translates of one shape: no exact test walks a
+    /// band's runs.
     #[test]
-    fn mm_epochs_hand_the_classifier_at_most_one_pair_per_effect() {
+    fn mm_epochs_are_one_effect_an_op_and_bands_meet_by_translation() {
         let source = include_str!("../../../examples/fortran/mm.f");
         let analyzed = polaris_fe::compile(source, &[("N", 160)]).expect("mm.f compiles");
         let compiled =
             polaris_be::compile_backend(&analyzed, &polaris_be::BackendOptions::new(16));
         let trace = crate::lower(&compiled.program, &compiled.report);
+        let events: usize = trace.ranks.iter().map(Vec::len).sum();
+        assert_eq!(events, 268);
         let mut sizes = Vec::new();
+        let (_, tests_before) = lmad::work::read();
         for_each_epoch(&trace, |_, scan| {
             let effects = scan.effects().len();
             if effects > 0 {
                 let candidates = scan.candidates().len();
-                assert!(candidates <= effects, "{candidates} pairs, {effects} effects");
-                sizes.push(effects);
+                assert_eq!(scan.conflicts().count(), 0);
+                sizes.push((effects, candidates));
             }
         });
-        assert_eq!(sizes.last(), Some(&2448), "the collect epoch: {sizes:?}");
+        assert_eq!(sizes, [(62, 240), (15, 0), (63, 120)]);
+        assert_eq!(lmad::work::read().1, tests_before, "an exact test walked runs");
     }
 
     #[test]

@@ -8,7 +8,11 @@
 //!
 //! 1. the lowered SPMD program and its communication plan are lowered
 //!    once more into per-rank event streams ([`trace::RmaTrace`]),
-//!    mirroring the runtime's emission order exactly ([`lower`]);
+//!    mirroring the runtime's emission order exactly ([`lower`]): one
+//!    event per planned op, whose footprint is the union of its wire
+//!    messages and which keeps its split descriptor, so a plan is read
+//!    as descriptors and its messages are walked only where an answer
+//!    needs them ([`check`]);
 //! 2. the epoch analysis ([`check`]) verifies that every footprint
 //!    stays inside its window's declared length (VPCE007),
 //!    synchronisation alignment (VPCE005), epoch closure (VPCE004) and
@@ -16,7 +20,8 @@
 //!    (VPCE001/002/003, warnings VPCE101/102) through [`lmad::epoch`],
 //!    the scanner the runtime ledger uses too;
 //! 3. the AVPG staleness pass ([`stale`]) re-derives the soundness of
-//!    every elided collect from the plan timeline (VPCE006).
+//!    every elided collect from the plan timeline (VPCE006), one cover
+//!    index member per collect op.
 //!
 //! The analysis **over-approximates**: descriptor pairs the algebra
 //! cannot decide exactly fall back to conservative interval tests, so
@@ -32,6 +37,8 @@
 pub mod check;
 pub mod diag;
 pub mod lower;
+#[cfg(test)]
+mod oracle;
 pub mod stale;
 pub mod trace;
 

@@ -5,13 +5,19 @@
 //! compute step, the backend's per-rank footprints — the local
 //! loads/stores that share the collect epoch with incoming PUTs.
 //!
+//! A planned op is one event, whatever its message count: its
+//! footprint is its split descriptor's union
+//! ([`lmad::TransferPlan::footprint`]) and the event keeps the
+//! descriptor, so the checker walks messages only where an answer
+//! needs them (`crate::check`). MM on 16 ranks at N = 160 is 268
+//! events, not one per each of its 7 215 wire messages.
+//!
 //! Master-only sequential sections emit no events: they run strictly
 //! between regions (barrier-ordered) with no epoch open, so they can
 //! never participate in an RMA conflict. Their interaction with the
 //! plan is checked separately by the AVPG staleness pass
 //! ([`crate::stale`]).
 
-use lmad::Lmad;
 use polaris_be::{PlanReport, RegionPlanInfo};
 use spmd_rt::ir::{ParRegion, SpmdProgram};
 use spmd_rt::protocol::{self, Phase, Step};
@@ -45,16 +51,15 @@ fn lower_region(
     for step in protocol::steps(region, rank) {
         match step {
             Step::Sync(kind) => events.push(Event::Sync(kind)),
-            Step::Rma { site, array, transfer: t, target, get } => {
-                events.push(Event::Rma(Op {
-                    win: array,
-                    target,
-                    kind: if get { AccessKind::Get } else { AccessKind::Put },
-                    region: Lmad::strided(t.offset, t.stride as i64, t.count),
-                    line,
-                    site: if site == Phase::Scatter { Site::Scatter } else { Site::Collect },
-                }))
-            }
+            Step::Rma { site, op, target, get } => events.push(Event::Rma(Op {
+                win: op.array,
+                target,
+                kind: if get { AccessKind::Get } else { AccessKind::Put },
+                region: op.descriptor.footprint(),
+                messages: Some(op.descriptor.clone()),
+                line,
+                site: if site == Phase::Scatter { Site::Scatter } else { Site::Collect },
+            })),
             // Every rank's local loads/stores hit its own shard while
             // the collect epoch is open (the interpreter holds the
             // window locks). These can collide with incoming collect
@@ -71,6 +76,7 @@ fn lower_region(
                             target: rank,
                             kind,
                             region: lm.clone(),
+                            messages: None,
                             line,
                             site: Site::Compute,
                         }));
@@ -93,6 +99,7 @@ fn lower_region(
 mod tests {
     use super::*;
     use crate::trace::SyncKind;
+    use lmad::Lmad;
     use spmd_rt::ir::Block;
 
     fn program(blocks: Vec<Block>) -> SpmdProgram {

@@ -2,8 +2,11 @@
 //! and synchronisation events, abstracted from the lowered SPMD
 //! program. Element footprints are [`Lmad`] descriptors, which the
 //! epoch scanner ([`lmad::epoch`]) intersects with [`Lmad::overlaps`].
+//! A planned op is one operation however many wire messages it
+//! issues: its footprint is the union of its messages, and it keeps
+//! the split descriptor they are read from.
 
-use lmad::Lmad;
+use lmad::{Lmad, TransferPlan};
 
 /// What one operation does to a window shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -43,7 +46,7 @@ impl Site {
     }
 }
 
-/// One RMA or epoch-local access.
+/// One RMA or epoch-local access, or a planned op's messages.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Op {
     /// Window index (= array index in the SPMD program).
@@ -52,8 +55,13 @@ pub struct Op {
     /// accesses this equals the issuing rank).
     pub target: usize,
     pub kind: AccessKind,
-    /// Element footprint on the shard.
+    /// Element footprint on the shard: for a planned op, the union of
+    /// its messages ([`TransferPlan::footprint`]).
     pub region: Lmad,
+    /// A planned op's messages, as its split descriptor (§5.4): the
+    /// operation is one wire message of that shape per `A_offsets`
+    /// entry, and `region` is their union. `None` for one access.
+    pub messages: Option<TransferPlan>,
     /// Source line of the originating loop (0 = unknown).
     pub line: usize,
     pub site: Site,

@@ -143,6 +143,7 @@ fn to_trace(plan: &Plan) -> RmaTrace {
                         AccessKind::Get
                     },
                     region: Lmad::strided(op.off as i64, op.stride as i64, op.count as u64),
+                    messages: None,
                     line: 0,
                     site: Site::Synthetic,
                 },

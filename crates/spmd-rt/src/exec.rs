@@ -646,7 +646,11 @@ async fn run_region(
                     st.store_real(red.scalar, combine(red.op, saved[i], v[0]));
                 }
             }
-            Step::Rma { array, transfer: t, target, get, .. } => transfer(mpi, &wins[array], target, &t, get)?,
+            Step::Rma { op, target, get, .. } => {
+                for (array, t) in op.transfers() {
+                    transfer(mpi, &wins[array], target, &t, get)?;
+                }
+            }
             Step::Compute => {
                 // Reductions: save master's running value, seed local
                 // accumulator.

@@ -17,10 +17,13 @@
 //! ```
 //!
 //! [`steps`] is that listing as a borrowing iterator; nothing else in
-//! the workspace spells the order out. `exec::run_region` interprets
-//! the walk against `Mpi`; `rmacheck::lower` projects it to RMA events,
-//! `commcheck::lower` to blockable ops; `vpce-recover` shares the crash
-//! key and the region numbering ([`SpmdProgram::numbered_regions`]).
+//! the workspace spells the order out. A scatter or collect step is one
+//! planned op, a split descriptor: `exec::run_region` interprets the
+//! walk against `Mpi` and `commcheck::lower` projects it to blockable
+//! ops, each expanding an op into its messages ([`CommOp::transfers`])
+//! where it issues them; `rmacheck::lower` projects it to RMA events,
+//! one per op; `vpce-recover` shares the crash key and the region
+//! numbering ([`SpmdProgram::numbered_regions`]).
 //! Master-only sequential sections sit strictly between regions with no
 //! epoch open and are no part of the protocol.
 //!
@@ -28,8 +31,6 @@
 
 use std::iter::{once, repeat_n};
 use std::ops::Range;
-
-use lmad::RegionTransfer;
 
 use crate::ir::{CommOp, CommPlan, ParRegion};
 
@@ -83,15 +84,16 @@ impl Phase {
 
 /// One step of one rank's walk through a region.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Step {
+pub enum Step<'a> {
     /// The rank-level fault draws, keyed by [`crash_key`]. A crash
     /// unwinds here, before the entry barrier; the rank never rejoins.
     CrashPoint,
     Sync(SyncKind),
-    /// A one-sided transfer of `array` the walking rank originates:
-    /// `MPI_GET` from `target` when `get`, else `MPI_PUT` to it. `site`
-    /// is [`Phase::Scatter`] or [`Phase::Collect`].
-    Rma { site: Phase, array: usize, transfer: RegionTransfer, target: usize, get: bool },
+    /// A planned op the walking rank originates, each of its messages
+    /// ([`CommOp::transfers`]) an `MPI_GET` from `target` when `get`,
+    /// else an `MPI_PUT` to it. `site` is [`Phase::Scatter`] or
+    /// [`Phase::Collect`].
+    Rma { site: Phase, op: &'a CommOp, target: usize, get: bool },
     /// This rank's share of the iterations.
     Compute,
     /// §3's lock-based reduction combine, bracketed by two barriers:
@@ -117,11 +119,9 @@ fn of(plan: &CommPlan, ranks: Range<usize>) -> impl Iterator<Item = (usize, &Vec
     plan.per_rank.iter().enumerate().skip(ranks.start).take(ranks.len())
 }
 
-/// `rank`'s walk through `region`: the one place a plan's descriptors
-/// are expanded into messages ([`CommOp::transfers`]). Borrows the
-/// plan and allocates nothing, unless an op's start offsets must be
-/// sorted.
-pub fn steps(region: &ParRegion, rank: usize) -> impl Iterator<Item = Step> + '_ {
+/// `rank`'s walk through `region`, one step per planned op. Borrows
+/// the plan and allocates nothing.
+pub fn steps(region: &ParRegion, rank: usize) -> impl Iterator<Item = Step<'_>> + '_ {
     use Step::{Compute, CrashPoint, End, LockAccumulate, LockCombine, LockSeed, Sync};
     let master = rank == 0;
     let pull = region.pull_scatter;
@@ -137,18 +137,12 @@ pub fn steps(region: &ParRegion, rank: usize) -> impl Iterator<Item = Step> + '_
     let pushed = if master { 0..usize::MAX } else { 0..0 };
     let scatter = of(&region.scatter, if pull { own.clone() } else { pushed }).flat_map(move |(r, ops)| {
         let target = if pull { 0 } else { r };
-        ops.iter().flat_map(CommOp::transfers).map(move |(array, transfer)| Step::Rma {
-            site: Phase::Scatter,
-            array,
-            transfer,
-            target,
-            get: pull,
-        })
+        ops.iter().map(move |op| Step::Rma { site: Phase::Scatter, op, target, get: pull })
     });
     // Slaves PUT their write-first/read-write regions back.
     let collect = of(&region.collect, own)
-        .flat_map(|(_, ops)| ops.iter().flat_map(CommOp::transfers))
-        .map(|(array, transfer)| Step::Rma { site: Phase::Collect, array, transfer, target: 0, get: false });
+        .flat_map(|(_, ops)| ops)
+        .map(|op| Step::Rma { site: Phase::Collect, op, target: 0, get: false });
     let reds = region.reductions.len();
     let lock = region.lock_reductions && reds > 0;
     let lock_bracket = [
@@ -187,9 +181,11 @@ mod tests {
     fn footprint(step: Step, region: &ParRegion, out: &mut Vec<String>) {
         match step {
             Step::Sync(kind) => out.push(kind.as_str().into()),
-            Step::Rma { transfer, get, .. } => {
-                let bytes = transfer.count as usize * ELEM_BYTES;
-                out.push(format!("{} {bytes}B", if get { "get" } else { "put" }));
+            Step::Rma { op, get, .. } => {
+                for (_, t) in op.transfers() {
+                    let bytes = t.count as usize * ELEM_BYTES;
+                    out.push(format!("{} {bytes}B", if get { "get" } else { "put" }));
+                }
             }
             Step::LockAccumulate => {
                 for _ in &region.reductions {

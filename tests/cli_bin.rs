@@ -347,6 +347,22 @@ fn lint_flags_a_footprint_past_its_window_with_vpce007() {
     assert!(text.ends_with("lint: OOB: 2 error(s), 0 warning(s)\n"), "{text}");
 }
 
+/// Past the staleness pass's proof budget (`lmad::COVER_LIMIT`, 2²¹
+/// elements) a slave's band is proved collected one index member at a
+/// time. With one member a wire message, rank 1's 85 × 170 × 170 band
+/// of the cube matched none of its 28 900 column pieces and was
+/// reported as an elided collect (VPCE006, exit 2); its collect op's
+/// union has the band's normal form.
+#[test]
+fn a_collected_band_past_the_proof_budget_is_not_called_elided() {
+    let cube = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/cube.f");
+    for g in ["fine", "coarse"] {
+        let out = vpcec(&[cube, "--nodes", "2", "--param", "N=170", "--grain", g, "--lint"], None);
+        assert_eq!(out.status.code(), Some(0), "{g}: {}", stdout(&out));
+        assert_eq!(stdout(&out), "lint: CUBE: clean (no RMA conflicts)\n");
+    }
+}
+
 #[test]
 fn zero_nodes_is_the_vpce505_usage_line_on_the_builtin_machines() {
     let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");

@@ -69,6 +69,27 @@ fn racy_fixture_is_flagged_with_stable_code() {
     );
 }
 
+/// A read through aliasing subscripts, `B(I,J,K) = A(I+J+K)`: rank
+/// 1's scatter of `A` at fine grain is N² column pieces of one band,
+/// nearly all overlapping one another. The bytes, human and JSON, are
+/// the ones the lint printed while it scanned every pair of wire
+/// messages (at N = 40, 312 285 pairs deduplicated to this one
+/// warning); it now walks the op's sorted messages once.
+#[test]
+fn aliasing_read_warns_once_with_the_message_by_message_bytes() {
+    let args = "--nodes 2 --param N=20 --grain fine";
+    let json = golden_case("alias.f", args, "alias_lint.json", 1);
+    assert!(json.contains("\"VPCE101\""));
+    let (exit, text) = lint(&format!("alias.f --lint {args}"));
+    assert_eq!(exit, 1);
+    assert_eq!(
+        text,
+        "warning[VPCE101] window A shard 1 rank 0 (loop at line 11) [scatter/scatter]: \
+         epoch 0: PUT by rank 0 overlaps PUT by rank 0 on shard 1 with no intervening fence\n\
+         lint: ALIAS: 0 error(s), 1 warning(s)\n"
+    );
+}
+
 /// Lint a fixture without a golden: exit code and human report.
 fn lint(argv: &str) -> (i32, String) {
     let argv: Vec<String> = argv.split_whitespace().map(String::from).collect();

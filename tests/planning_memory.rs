@@ -40,7 +40,8 @@ fn planning_bytes(n: i64, g: Granularity) -> i64 {
     during as i64
 }
 
-/// One test, both grains in sequence: the counter is process-wide.
+/// One test, both grains and both gates in sequence: the counter is
+/// process-wide.
 #[test]
 fn planning_and_lint_cost_nothing_in_n_squared() {
     let n = 64;
@@ -54,6 +55,39 @@ fn planning_and_lint_cost_nothing_in_n_squared() {
             g.name(),
             2 * n,
             4 * n,
+        );
+    }
+    lint_bytes_do_not_grow_with_n();
+}
+
+/// Bytes requested by `rmacheck::lint` alone, and the events of its
+/// trace, for MM at size `n` and grain `g`.
+fn lint_bytes(n: i64, g: Granularity) -> (i64, usize) {
+    let analyzed = compile_frontend(mm::SOURCE, &[("N", n)]).unwrap();
+    let compiled = compile_backend(&analyzed, &BackendOptions::new(RANKS).granularity(g));
+    let before = ALLOC.allocated_bytes();
+    let report = lint(&compiled.program, &compiled.report, &LintOptions::default());
+    let during = ALLOC.allocated_bytes() - before;
+    assert!(report.is_clean(), "{}", report.render_human());
+    let trace = rmacheck::lower(&compiled.program, &compiled.report);
+    (during as i64, trace.ranks.iter().map(Vec::len).sum())
+}
+
+/// The lint reads a plan op by op: MM on 16 ranks is 60 planned ops
+/// at every size, so the trace has the same events at N = 64, 128 and
+/// 256 and the lint requests the same bytes — `O(ops)`, no term in N
+/// at all, only the rounding of `Vec` growth (129 181 B at each size
+/// and grain when this gate was written). With one event per wire
+/// message the trace grew with N: 7 423 events at N = 160.
+fn lint_bytes_do_not_grow_with_n() {
+    for g in [Granularity::Fine, Granularity::Middle] {
+        let [(b1, e1), (b2, e2), (b4, e4)] = [64, 128, 256].map(|n| lint_bytes(n, g));
+        assert!(e1 == e2 && e2 == e4, "{} grain: events at N = 64, 128, 256: {e1}, {e2}, {e4}", g.name());
+        let spread = b1.max(b2).max(b4) - b1.min(b2).min(b4);
+        assert!(
+            spread <= b1 / 64,
+            "{} grain: lint bytes at N = 64, 128, 256: {b1}, {b2}, {b4} (gate: within 1/64)",
+            g.name(),
         );
     }
 }
