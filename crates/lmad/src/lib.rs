@@ -28,6 +28,10 @@
 //!   and **summary sets** per program section (§4.2);
 //! * the **splitted LMADs** of §5.4 (`A_offsets` × `A_mapping`) and the
 //!   fine / middle / coarse transfer plans of §5.6;
+//! * the **op questions** ([`OpForm`], [`CoverIndex`]): does a planned
+//!   op's messages meet a footprint, and do these regions and ops
+//!   cover one — asked once per op, of the union of its messages, and
+//!   answered as the messages one by one would be;
 //! * the **footprint join** ([`sweep`]): an interval sweep that hands
 //!   the exact tests only the pairs whose bounding intervals meet, and
 //!   a cover index for "is this region inside the union of those?";
@@ -57,7 +61,7 @@ pub use descriptor::{progressions_intersect, Dim, Lmad};
 pub use normal::{Form, Normal, OVERLAP_LIMIT};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
 pub use sweep::{CoverIndex, COVER_LIMIT};
-pub use transfer::{any_overlap, cross_rank_overlap, Granularity, RegionTransfer, TransferPlan};
+pub use transfer::{any_overlap, cross_rank_overlap, Granularity, OpForm, RegionTransfer, TransferPlan};
 
 /// Work counts of the exact tests on the calling thread, so a test can
 /// pin how much work a caller makes (`spmd-rt`'s `STREAMED` /
@@ -75,6 +79,12 @@ pub mod work {
         /// Exact pair tests ([`crate::Form::overlaps_exact`], which
         /// every overlap question of the crate ends in).
         pub static PAIR_TESTS: Cell<u64> = const { Cell::new(0) };
+        /// Op pairs [`crate::OpForm::meets`] decided on their unions.
+        pub static UNIONS: Cell<u64> = const { Cell::new(0) };
+        /// Op pairs it decided by walking their messages.
+        pub static WALKED: Cell<u64> = const { Cell::new(0) };
+        /// Ops two of whose messages meet ([`crate::OpForm::meets_itself`]).
+        pub static INTRA: Cell<u64> = const { Cell::new(0) };
     }
 
     pub(crate) fn count(c: &'static LocalKey<Cell<u64>>) {

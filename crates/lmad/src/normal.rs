@@ -15,13 +15,12 @@
 //! wrappers that build two and ask once.
 
 use crate::descriptor::{progressions_intersect, Dim, Lmad};
-use crate::transfer::RegionTransfer;
+use crate::transfer::{RegionTransfer, TransferPlan};
 
 /// The access budget of [`Lmad::overlaps`]: a pair is decided by the
 /// run walk (or, both sides aliasing, by listing both) when a side's
 /// normal form has at most this many accesses. Two such sides always
-/// get an exact answer, which is what lets the §5.6 check decide them
-/// by a sweep over their runs ([`crate::cross_rank_overlap`]).
+/// get an exact answer.
 pub const OVERLAP_LIMIT: u64 = 4096;
 
 /// A descriptor's normal form with what the budgets read of its raw
@@ -56,7 +55,18 @@ impl Normal {
     /// (`Lmad::strided(offset, stride, count)`), in normal form: a
     /// transfer of positive stride is its own, and is not normalised.
     pub fn of_transfer(t: &RegionTransfer) -> Normal {
-        let region = Lmad::strided(t.offset, t.stride as i64, t.count);
+        Normal::of_owned(Lmad::strided(t.offset, t.stride as i64, t.count))
+    }
+
+    /// The union of a plan's messages ([`TransferPlan::footprint`]) in
+    /// normal form: a footprint that is its own (every fine-grain
+    /// plan's) is not normalised.
+    pub fn of_plan(plan: &TransferPlan) -> Normal {
+        Normal::of_owned(plan.footprint())
+    }
+
+    /// `region`, kept as its own normal form when it is one.
+    fn of_owned(region: Lmad) -> Normal {
         if !region.is_normal() {
             return Normal::of(&region);
         }

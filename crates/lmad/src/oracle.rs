@@ -11,7 +11,7 @@ use crate::descriptor::{progressions_intersect, Dim, Lmad};
 use crate::normal::{Form, Normal};
 use crate::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
 use crate::sweep::{self, CoverIndex};
-use crate::transfer::{cross_rank_overlap, Granularity, RegionTransfer, TransferPlan};
+use crate::transfer::{cross_rank_overlap, Granularity, OpForm, RegionTransfer, TransferPlan};
 use vpce_testkit::prelude::*;
 
 /// `Lmad::overlaps_exact` as it enumerated (rungs 3–4 by offset list).
@@ -491,41 +491,127 @@ fn rank_transfers() -> Gen<Vec<(usize, RegionTransfer)>> {
     vec_of(t, 0, 10)
 }
 
+/// Planned ops for the §5.6 check, each with a rank in `0..4`: wild
+/// regions, budget-edge combs and row bands lowered at a grain. Kept
+/// by [`listed_op`] when their messages can be listed.
+fn rank_ops() -> Gen<Vec<(usize, Lmad, Granularity)>> {
+    let band = zip3(i64_in(0, 40), u64_in(1, 12), u64_in(1, 40))
+        .map(|(b, w, cols)| Lmad::new(b, vec![Dim::new(40, cols), Dim::new(1, w)]));
+    let region = weighted(vec![(3, wild_lmad()), (1, budget_edge_lmad(0)), (1, budget_edge_lmad(1)), (2, band)]);
+    vec_of(zip3(usize_in(0, 3), region, elem_of(Granularity::ALL.to_vec())), 0, 4)
+}
+
+/// `region` lowered at `g`, with its messages listed; `None` past 400
+/// messages or `i64` (no plan of an array's footprint is).
+fn listed_op(region: &Lmad, g: Granularity) -> Option<(TransferPlan, Vec<RegionTransfer>)> {
+    let (lo, hi) = region.normalized().extent();
+    if g == Granularity::Coarse && i64::try_from(hi as i128 - lo as i128 + 1).is_err() {
+        return None;
+    }
+    let listed = lowered_by_listing(region, g, 400)?;
+    Some((TransferPlan::lower(region, g, 0), listed))
+}
+
 /// The region a transfer covers, as the pairwise check built it.
 fn transfer_region(t: &RegionTransfer) -> Lmad {
     Lmad::strided(t.offset, t.stride as i64, t.count)
 }
 
-/// The run sweep ≡ the pairwise check, on every case.
+/// The §5.6 check on regions and ops ≡ the pairwise check on regions
+/// and the ops' listed messages, on every case; ops are asked as ops
+/// (one union, one descriptor) and as single-message plans.
 #[test]
 fn cross_rank_sweep_matches_the_pairwise_check() {
     let (met, missed) = (std::cell::Cell::new(0), std::cell::Cell::new(0));
-    let g = zip2(rank_lists(), weighted(vec![(2, just(Vec::new())), (1, rank_transfers())]));
+    let ops = zip2(weighted(vec![(2, just(Vec::new())), (1, rank_transfers())]), rank_ops());
+    let g = zip2(rank_lists(), ops);
     Check::new("lmad::cross_rank_sweep_matches_the_pairwise_check")
         .cases(1500)
-        .run(&g, |(ranks, transfers)| {
+        .run(&g, |(ranks, (transfers, lowered))| {
+            let mut plans: Vec<(usize, TransferPlan, Vec<RegionTransfer>)> =
+                transfers.iter().map(|&(r, t)| (r, TransferPlan::from(t), vec![t])).collect();
+            for (r, l, g) in lowered {
+                if let Some((p, listed)) = listed_op(l, *g) {
+                    plans.push((*r, p, listed));
+                }
+            }
             let normals: Vec<Vec<Normal>> =
                 ranks.iter().map(|rs| rs.iter().map(Normal::of).collect()).collect();
-            let tagged: Vec<(usize, Form)> = normals
-                .iter()
-                .enumerate()
-                .flat_map(|(r, ns)| ns.iter().map(move |n| (r, n.view())))
-                .collect();
+            let unions: Vec<Normal> = plans.iter().map(|(_, p, _)| Normal::of_plan(p)).collect();
+            let regions = normals.iter().enumerate().flat_map(|(r, ns)| ns.iter().map(move |n| (r, OpForm::new(n.view(), None))));
+            let ops = plans.iter().zip(&unions).map(|((r, p, _), u)| (*r, OpForm::new(u.view(), Some(p))));
+            let tagged: Vec<(usize, OpForm)> = regions.chain(ops).collect();
             let mut all = ranks.clone();
-            for (r, t) in transfers {
+            for (r, _, listed) in &plans {
                 if all.len() <= *r {
                     all.resize(r + 1, Vec::new());
                 }
-                all[*r].push(transfer_region(t));
+                all[*r].extend(listed.iter().map(transfer_region));
             }
             let want = cross_rank_overlap_pairwise(&all);
-            prop_assert_eq!(cross_rank_overlap(&tagged, transfers), want, "{:?} {:?}", ranks, transfers);
+            prop_assert_eq!(cross_rank_overlap(&tagged), want, "{:?} {:?} {:?}", ranks, transfers, lowered);
             let tally = if want { &met } else { &missed };
             tally.set(tally.get() + 1);
             Ok(())
         });
     let (met, missed) = (met.get(), missed.get());
     assert!(met > 200 && missed > 200, "{met} overlapping cases, {missed} clean");
+}
+
+/// An op is one member of a cover index, the union of its messages,
+/// and answers as a member per message does at the budgets the
+/// workspace uses: always within the budget, and past it wherever a
+/// message proves — the union may prove more there (rung 1 or 3 on
+/// the whole op), never less.
+#[test]
+fn op_members_cover_as_their_messages() {
+    let band = zip3(i64_in(0, 40), u64_in(1, 12), u64_in(1, 40))
+        .map(|(b, w, cols)| Lmad::new(b, vec![Dim::new(40, cols), Dim::new(1, w)]));
+    let region = weighted(vec![(2, wild_lmad()), (2, band), (1, budget_edge_lmad(0))]);
+    let op = zip2(region.clone(), elem_of(Granularity::ALL.to_vec()));
+    let cut = zip3(u64_in(0, 1 << 20), i64_in(-3, 3), i64_in(-3, 3));
+    // A drawn region, one cut around a message (`Some(None)`), or the
+    // union of an op (`None`: what coherence asks).
+    let needed = weighted(vec![(2, region.clone().map(|l| Some(Some(l)))), (2, just(Some(None))), (1, just(None))]);
+    let g = zip4(vec_of(region, 0, 2), vec_of(op, 1, 3), zip2(needed, cut), elem_of(vec![1u64 << 21, 1 << 16, 4096]));
+    let (held, past, more) = (std::cell::Cell::new(0), std::cell::Cell::new(0), std::cell::Cell::new(0));
+    Check::new("lmad::op_members_cover_as_their_messages")
+        .cases(1500)
+        .run(&g, |(have, ops, (needed, (pick, dlo, dhi)), limit)| {
+            let listed: Vec<(TransferPlan, Vec<RegionTransfer>)> =
+                ops.iter().filter_map(|(l, g)| listed_op(l, *g)).collect();
+            let messages: Vec<RegionTransfer> = listed.iter().flat_map(|(_, ts)| ts.iter().copied()).collect();
+            if messages.is_empty() {
+                return Ok(());
+            }
+            let pick = *pick as usize;
+            let needed = match needed {
+                Some(Some(l)) => l.clone(),
+                Some(None) => {
+                    let (lo, hi) = Normal::of_transfer(&messages[pick % messages.len()]).extent();
+                    let (lo, hi) = (lo.saturating_add(*dlo), hi.saturating_add(*dhi));
+                    Lmad::contiguous(lo, (hi as i128 - lo as i128 + 1).clamp(1, 1 << 40) as u64)
+                }
+                None => listed[pick % listed.len()].0.footprint(),
+            };
+            let mut by_op = CoverIndex::new(have);
+            by_op.extend_ops(listed.iter().map(|(p, _)| p));
+            let mut by_message = CoverIndex::new(have);
+            by_message.extend(messages.iter().map(Normal::of_transfer));
+            let needed = Normal::of(&needed);
+            let (got, want) = (by_op.covered(&needed, *limit), by_message.covered(&needed, *limit));
+            if needed.enumerable(*limit) {
+                prop_assert_eq!(got, want, "{} within {}", needed.form(), limit);
+            } else {
+                prop_assert!(got || !want, "{} past {}: a message proves it, the op does not", needed.form(), limit);
+                past.set(past.get() + 1);
+                more.set(more.get() + u64::from(got && !want));
+            }
+            held.set(held.get() + u64::from(want));
+            Ok(())
+        });
+    let (held, past, more) = (held.get(), past.get(), more.get());
+    assert!(held > 300 && past > 100 && more > 0, "{held} covered, {past} past the budget, {more} proved by a union only");
 }
 
 #[test]
@@ -556,35 +642,6 @@ fn covered_matches_the_enumerating_ladder() {
                 prop_assert_eq!(got, idx.covered_enumerating(needed, limit), "limit {}", limit);
                 if exact {
                     prop_assert_eq!(got, ladder_oracle(needed, have, limit), "ladder, {}", limit);
-                }
-            }
-            Ok(())
-        });
-}
-
-/// A transfer's coverage read off the transfer ≡ the ladder asked of
-/// its region, before and after the index has built its runs, with
-/// members pushed in between — on the planner's shapes (column pieces
-/// of a band) and wild ones.
-#[test]
-fn covered_transfer_is_the_ladder_on_its_region() {
-    let band = zip3(i64_in(0, 40), u64_in(1, 12), u64_in(1, 40))
-        .map(|(b, w, cols)| Lmad::new(b, vec![Dim::new(40, cols), Dim::new(1, w)]));
-    let member = weighted(vec![(2, wild_lmad()), (2, band)]);
-    let transfers = rank_transfers().map(|ts| ts.into_iter().map(|(_, t)| t).collect::<Vec<_>>());
-    let limit = elem_of(vec![1u64 << 21, 1 << 16, 4096, 12, 1]);
-    let g = zip4(vec_of(member, 0, 4), transfers, vec_of(wild_lmad(), 0, 2), limit);
-    Check::new("lmad::covered_transfer_is_the_ladder_on_its_region")
-        .cases(1500)
-        .run(&g, |(have, ts, pushed, limit)| {
-            let mut idx = CoverIndex::new(have);
-            for p in pushed.iter().map(Some).chain([None]) {
-                for t in ts {
-                    let want = idx.covered(&Normal::of_transfer(t), *limit);
-                    prop_assert_eq!(idx.covered_transfer(t, *limit), want, "{:?} in {:?}", t, have);
-                }
-                if let Some(p) = p {
-                    idx.push(Normal::of(p));
                 }
             }
             Ok(())

@@ -10,10 +10,10 @@
 //! run holding `o` reach?" ([`Form::run_end`]) and "what is your
 //! first element at or after `o`?" ([`Form::next_at_or_after`]) —
 //! have answers in `O(dims)` arithmetic. [`crate::CoverIndex::covered`],
-//! [`Form::overlaps_exact`], [`Lmad::contains_all`] and the §5.6
-//! run sweep ([`crate::cross_rank_overlap`]) are built from these three
-//! ([`Form::covered_by`] is the walk the two coverage questions
-//! share); none of them materialises, sorts or probes an offset list.
+//! [`Form::overlaps_exact`] and [`Lmad::contains_all`] are built from
+//! these three ([`Form::covered_by`] is the walk the two coverage
+//! questions share); none of them materialises, sorts or probes an
+//! offset list.
 //!
 //! Every method here is asked of a [`Form`] — a normal form computed
 //! once, when the caller built its [`crate::Normal`], or a descriptor

@@ -19,7 +19,7 @@ use std::cell::OnceCell;
 
 use crate::descriptor::Lmad;
 use crate::normal::{Form, Normal};
-use crate::transfer::{transfer_runs, RegionTransfer};
+use crate::transfer::TransferPlan;
 
 /// Sweep the `members` (indices into whatever `extent` describes) in
 /// order of their low ends, calling `hit(i, j)` with `i < j` for every
@@ -158,21 +158,26 @@ impl PairJoin {
 /// as a stale master copy (`VPCE006`) that is not there.
 pub const COVER_LIMIT: u64 = 1 << 21;
 
-/// "Is every element of `needed` inside the union of these regions?" —
-/// the coverage proof behind AVPG scatter elision, approximate-collect
-/// coherence and the VPCE006 staleness pass — over a list that is
-/// normalised and sorted **once**, not once per question.
+/// "Is every element of `needed` inside the union of these regions and
+/// ops?" — the coverage proof behind AVPG scatter elision,
+/// approximate-collect coherence and the VPCE006 staleness pass — over
+/// a list that is normalised and sorted **once**, not once per
+/// question.
 ///
 /// Members are [`Normal`]s kept sorted by the low end of their raw
 /// extent with a running maximum of high ends, so the members that can
 /// hold an offset (or a whole interval) are found by one binary search
 /// and a backward walk that stops as soon as nothing earlier reaches
-/// far enough. No answer depends on the members' order or on a member
-/// appearing twice.
+/// far enough. A planned op is one member, the union of its messages
+/// ([`CoverIndex::extend_ops`]), not one a message. No answer depends
+/// on the members' order or on a member appearing twice.
 #[derive(Debug, Clone, Default)]
 pub struct CoverIndex {
     /// Sorted by `extent().0`.
     members: Vec<Normal>,
+    /// The ops whose unions are members, kept for the proofs past the
+    /// budget ([`CoverIndex::covered`]).
+    ops: Vec<TransferPlan>,
     /// `max_hi[i]` = the largest high end among `members[..=i]`.
     max_hi: Vec<i64>,
     /// The runs of every member within the overlap budget whose
@@ -217,6 +222,15 @@ impl CoverIndex {
         self.runs = OnceCell::new();
     }
 
+    /// Add the messages of `ops` to the union: one member an op, the
+    /// union of its messages ([`Normal::of_plan`]).
+    pub fn extend_ops<'p>(&mut self, ops: impl IntoIterator<Item = &'p TransferPlan>) {
+        let start = self.ops.len();
+        self.ops.extend(ops.into_iter().cloned());
+        let unions: Vec<Normal> = self.ops[start..].iter().map(Normal::of_plan).collect();
+        self.extend(unions);
+    }
+
     fn rebuild_max_hi(&mut self, from: usize) {
         self.max_hi.truncate(from);
         let mut running = self.max_hi.last().copied().unwrap_or(i64::MIN);
@@ -253,7 +267,8 @@ impl CoverIndex {
     }
 
     /// Is every element of `needed` provably inside the union of the
-    /// indexed regions? A ladder, cheapest first, each rung sufficient:
+    /// indexed regions and ops? A ladder, cheapest first, each rung
+    /// sufficient:
     ///
     /// 1. some member has `needed`'s normal form;
     /// 2. (at most 4096 accesses, within the budget) every run of
@@ -278,6 +293,14 @@ impl CoverIndex {
     /// (or past `i64`) the answer is `false` however cheap the walk
     /// would be, so coverage is claimed on exactly the inputs it always
     /// was. The 4096 of rungs 2 and 3 reads the same raw form.
+    ///
+    /// An op is one member, so its answer is the one an index with a
+    /// member per message gives, for any `limit` of at least 4096:
+    /// within the budget rung 4 decides on the union of the elements
+    /// either way, and past it the rungs that read one member at a
+    /// time (1 and 3) are asked of each op's messages as well
+    /// ([`TransferPlan::one_message_holds`]). Past the budget the op's
+    /// union may prove by rung 1 or 3 what none of its messages would.
     pub fn covered(&self, needed: &Normal, limit: u64) -> bool {
         if self.members.is_empty() {
             return false;
@@ -310,20 +333,9 @@ impl CoverIndex {
                 m.form().is_contiguous_normalized()
             }
         });
-        inside_one || (within && needed.view().covered_by(|o| self.run_end(o)))
-    }
-
-    /// [`CoverIndex::covered`] of one wire transfer's region
-    /// (`Normal::of_transfer(t)`): when it is small, within `limit`
-    /// and inside the small members' runs (rung 2), read off the
-    /// transfer with one binary search a run and no normal form built;
-    /// otherwise the whole ladder.
-    pub fn covered_transfer(&self, t: &RegionTransfer, limit: u64) -> bool {
-        let runs = transfer_runs(t).filter(|_| t.count <= limit);
-        if runs.is_some_and(|mut runs| runs.all(|run| inside(self.small_runs(), run))) {
-            return true;
-        }
-        self.covered(&Normal::of_transfer(t), limit)
+        inside_one
+            || (within && needed.view().covered_by(|o| self.run_end(o)))
+            || self.ops.iter().any(|op| op.one_message_holds(needed))
     }
 }
 

@@ -274,6 +274,80 @@ impl PartialEq for TransferPlan {
 
 impl Eq for TransferPlan {}
 
+/// A footprint the op questions are asked of: a region — one access,
+/// its own one message — or a planned op, the union of its messages
+/// ([`TransferPlan::footprint`]) with the plan they are read from.
+/// Each is held as the [`Form`] its caller took once, so a question
+/// normalises nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct OpForm<'a> {
+    form: Form<'a>,
+    plan: Option<&'a TransferPlan>,
+}
+
+impl<'a> OpForm<'a> {
+    /// A region's `form`, or — with `plan` — the form of
+    /// `plan.footprint()`.
+    pub fn new(form: Form<'a>, plan: Option<&'a TransferPlan>) -> Self {
+        OpForm { form, plan }
+    }
+
+    /// The raw extent of the region or union.
+    pub fn extent(self) -> (i64, i64) {
+        self.form.extent()
+    }
+
+    /// Does a message of `self` meet a message of `other` (a region is
+    /// its own one message), each pair asked [`Form::overlaps`]? A
+    /// union of messages meets a footprint exactly when one of its
+    /// messages does, and two messages always meet or miss exactly, so
+    /// an exact answer on the unions is that answer: two translates of
+    /// one shape (two row bands) in `O(dims)`, else the exact test
+    /// within its budget. The messages are walked when the unions are
+    /// past that budget, and on a `false` where a region's test against
+    /// one message could have taken the interval fallback, which
+    /// answers `true` where the exact test says `false`.
+    pub fn meets(self, other: OpForm<'_>) -> bool {
+        if self.plan.is_none() && other.plan.is_none() {
+            return self.form.overlaps(other.form);
+        }
+        let per_message_exact = || match (self.plan, other.plan) {
+            (Some(p), None) => p.meets_exactly(other.form),
+            (None, Some(p)) => p.meets_exactly(self.form),
+            _ => true,
+        };
+        let exact = self.form.translates_meet(other.form).or_else(|| self.form.overlaps_exact(other.form, OVERLAP_LIMIT));
+        let decided = exact.filter(|&meet| meet || per_message_exact());
+        #[cfg(debug_assertions)]
+        crate::work::count(if decided.is_some() { &crate::work::UNIONS } else { &crate::work::WALKED });
+        decided.unwrap_or_else(|| self.meets_by_message(other))
+    }
+
+    /// [`OpForm::meets`] message by message: every pair of a message
+    /// of `self` and one of `other` whose extents meet, asked
+    /// [`Form::overlaps`].
+    fn meets_by_message(self, other: OpForm<'_>) -> bool {
+        let listed = |fp: OpForm| Some(fp.plan?.transfers().map(|t| Normal::of_transfer(&t)).collect::<Vec<_>>());
+        let (la, lb) = (listed(self), listed(other));
+        let fa: Vec<Form> = la.as_ref().map_or_else(|| vec![self.form], |l| l.iter().map(Normal::view).collect());
+        let fb: Vec<Form> = lb.as_ref().map_or_else(|| vec![other.form], |l| l.iter().map(Normal::view).collect());
+        let extents: Vec<(i64, i64)> = fa.iter().chain(&fb).map(|f| f.extent()).collect();
+        let n = fa.len();
+        sweep::any_overlapping_pair(&extents, |i, j| i < n && n <= j && fa[i].overlaps(fb[j - n]))
+    }
+
+    /// Do two of the messages meet ([`TransferPlan::messages_meet`])?
+    /// A region is one access and never does.
+    pub fn meets_itself(self) -> bool {
+        let meets = self.plan.is_some_and(TransferPlan::messages_meet);
+        #[cfg(debug_assertions)]
+        if meets {
+            crate::work::count(&crate::work::INTRA);
+        }
+        meets
+    }
+}
+
 /// §5.6 safety check for coarse/middle data collection: when the
 /// approximate regions of different slaves overlap, contiguous
 /// collection would let one slave's redundant bytes overwrite
@@ -285,82 +359,24 @@ impl Eq for TransferPlan {}
 /// region per rank).
 pub fn any_overlap(regions: &[Lmad]) -> bool {
     let normals: Vec<Normal> = regions.iter().map(Normal::of).collect();
-    let tagged: Vec<(usize, Form)> = normals.iter().map(Normal::view).enumerate().collect();
-    cross_rank_overlap(&tagged, &[])
+    let tagged: Vec<(usize, OpForm)> = normals.iter().map(|n| OpForm::new(n.view(), None)).enumerate().collect();
+    cross_rank_overlap(&tagged)
 }
 
-/// Do two footprints of *different* ranks meet? The footprints are
-/// `regions` (normal forms) and the regions of `transfers`
-/// (`Lmad::strided(offset, stride, count)` each — a slave's lowered
-/// collect), each paired with its rank. The verdict is the OR, over
-/// every cross-rank pair, of [`Lmad::overlaps`], decided in two passes:
-///
-/// * A footprint within the budget of [`Lmad::overlaps`] (its normal
-///   form at most 4096 accesses — the predicate `overlaps_exact` reads)
-///   is *listable*: two listable footprints always get an exact
-///   answer, and they share an element iff a stride-1 run of one meets
-///   a run of the other. So the runs of every listable footprint,
-///   tagged with its rank, go into one interval sweep, and a met pair
-///   of runs from two ranks is an overlap — no pair test, and no
-///   normal form built for a transfer. (A listable footprint whose raw
-///   descriptor reaches past `i64` has elements outside its raw
-///   extent, which rung 1 of the exact test reads; it goes to the
-///   second pass.)
-/// * A pair with a footprint the sweep did not take is asked one at a
-///   time, [`Form::overlaps`] on normal forms taken once,
-///   conservative fallback included, over the pairs whose raw extents
-///   meet.
-pub fn cross_rank_overlap(regions: &[(usize, Form)], transfers: &[(usize, RegionTransfer)]) -> bool {
-    // Every run of every footprint the sweep takes, and its rank.
-    let (mut runs, mut rank): (Vec<(i64, i64)>, Vec<usize>) = (Vec::new(), Vec::new());
-    let mut swept: Vec<bool> = Vec::with_capacity(regions.len() + transfers.len());
-    for &(r, n) in regions {
-        let take = n.sweepable();
-        if take {
-            runs.extend(n.runs().inspect(|_| rank.push(r)));
-        }
-        swept.push(take);
-    }
-    for &(r, t) in transfers {
-        let listed = transfer_runs(&t);
-        swept.push(listed.is_some());
-        if let Some(listed) = listed {
-            runs.extend(listed.inspect(|_| rank.push(r)));
-        }
-    }
-    if sweep::any_overlapping_pair(&runs, |i, j| rank[i] != rank[j]) {
-        return true;
-    }
-    if swept.iter().all(|&s| s) {
-        return false;
-    }
-    let lowered: Vec<Normal> = transfers.iter().map(|(_, t)| Normal::of_transfer(t)).collect();
-    let nr = regions.len();
-    let footprint = |k: usize| if k < nr { regions[k] } else { (transfers[k - nr].0, lowered[k - nr].view()) };
-    let extents: Vec<(i64, i64)> = (0..swept.len()).map(|k| footprint(k).1.extent()).collect();
+/// Do two footprints of *different* ranks meet? The footprints —
+/// regions, and ops read as the union of their messages — are each
+/// paired with a rank; the verdict is the OR, over every cross-rank
+/// pair of a region or message and a region or message, of
+/// [`Form::overlaps`]. One interval sweep over the footprints' extents
+/// offers the cross-rank pairs that can meet, and each is asked
+/// [`OpForm::meets`] once: MM's row bands, one op a rank, are decided
+/// as translates, not message by message.
+pub fn cross_rank_overlap(footprints: &[(usize, OpForm)]) -> bool {
+    let extents: Vec<(i64, i64)> = footprints.iter().map(|(_, f)| f.extent()).collect();
     sweep::any_overlapping_pair(&extents, |i, j| {
-        let ((ri, x), (rj, y)) = (footprint(i), footprint(j));
-        ri != rj && !(swept[i] && swept[j]) && x.overlaps(y)
+        let ((ri, a), (rj, b)) = (footprints[i], footprints[j]);
+        ri != rj && a.meets(b)
     })
-}
-
-/// The runs of `t`'s region when a sweep over runs can take it — its
-/// normal form (`Normal::of_transfer(t)`) is sweepable: at most 4096
-/// elements, all inside `i64` — read off the transfer: one run when it
-/// is contiguous, else one per element.
-pub(crate) fn transfer_runs(t: &RegionTransfer) -> Option<impl Iterator<Item = (i64, i64)>> {
-    let stride = i64::try_from(t.stride).ok().filter(|&s| s > 0 || t.count == 1)?;
-    let span = stride as i128 * (t.count as i128 - 1);
-    let fits = |x: i128| i64::try_from(x).is_ok();
-    if t.count == 0 || t.count > OVERLAP_LIMIT || !fits(span) || !fits(t.offset as i128 + span) {
-        return None;
-    }
-    let (offset, count) = (t.offset, t.count as i64);
-    let (step, runs, len) = if stride == 1 || count == 1 { (0, 1, count - 1) } else { (stride, count, 0) };
-    Some((0..runs).map(move |k| {
-        let first = offset + k * step;
-        (first, first + len)
-    }))
 }
 
 #[cfg(test)]

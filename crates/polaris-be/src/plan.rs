@@ -5,10 +5,7 @@
 
 use std::collections::{HashMap, HashSet};
 
-use lmad::{
-    ArrayId, CoverIndex, Form, Granularity, Lmad, Normal, RegionTransfer, SummarySet, TransferPlan,
-    COVER_LIMIT,
-};
+use lmad::{ArrayId, CoverIndex, Granularity, Lmad, Normal, OpForm, SummarySet, TransferPlan, COVER_LIMIT};
 use polaris_fe::analysis::{ParallelLoop, Region, SeqRegion};
 use polaris_fe::analysis::{AnalyzedProgram, ReductionOp};
 use spmd_rt::ir::{CommOp, CommPlan, ParRegion, RedOp, Reduction, Schedule};
@@ -298,32 +295,23 @@ impl<'a> Planner<'a> {
         let p = self.opts.nprocs;
 
         // ---- collection granularity: §5.6 overlap safety check ----
-        // Each rank's would-be collected regions at granularity `g`
-        // (rank 0's are its exact writes — they reach the master copy
-        // directly): its collect lowered at `g`, which the collect plan
-        // takes over unless the check falls back to fine grain. The
-        // check asks its question of every transfer.
+        // Each slave's collect lowered at an approximate grain `g`,
+        // which the collect plan takes over unless the check falls back
+        // to fine grain. Rank 0's would-be collected regions are its
+        // exact writes (they reach the master copy directly).
         // `unsafe_approx_collect` skips the safety check entirely —
         // overlapping approximate collects are emitted as-is (the
         // deliberately-racy ablation for the RMA checker).
-        let checked = g != Granularity::Fine && !self.opts.unsafe_approx_collect;
         let mut collects: Vec<Vec<TransferPlan>> = vec![Vec::new(); p];
+        if g != Granularity::Fine {
+            for r in 1..p {
+                collects[r] = lower_collect(&footprints[r].collect, g);
+            }
+        }
         let mut collect_g = g;
-        if checked {
-            for (r, fp) in footprints.iter().enumerate().skip(1) {
-                collects[r] = lower_collect(&fp.collect, g);
-            }
-            let exact: Vec<(usize, Form)> =
-                footprints[0].collect.iter().map(|n| (0, n.view())).collect();
-            let lowered: Vec<(usize, RegionTransfer)> = collects
-                .iter()
-                .enumerate()
-                .flat_map(|(r, ds)| ds.iter().flat_map(TransferPlan::transfers).map(move |t| (r, t)))
-                .collect();
-            if cross_rank_overlap(&exact, &lowered) {
-                collect_g = Granularity::Fine;
-                info.collect_fallback_fine.push(a);
-            }
+        if g != Granularity::Fine && !self.opts.unsafe_approx_collect && collects_meet(&footprints[0].collect, &collects) {
+            collect_g = Granularity::Fine;
+            info.collect_fallback_fine.push(a);
         }
 
         // Collect: may be elided entirely when the AVPG proves the
@@ -348,7 +336,7 @@ impl<'a> Planner<'a> {
 
             let mut planned_collect: Vec<CommOp> = Vec::new();
             if !collect_dead {
-                let descriptors = if checked && collect_g == g {
+                let descriptors = if collect_g != Granularity::Fine {
                     std::mem::take(&mut collects[r])
                 } else {
                     lower_collect(collect_exact, collect_g)
@@ -370,63 +358,71 @@ impl<'a> Planner<'a> {
             let fresh = self.fresh[r].get(&a);
             let fresh_cover = fresh.filter(|_| self.opts.use_avpg);
             let mut planned_scatter: Vec<CommOp> = Vec::new();
-            // What the rank holds after its scatter: read by the
-            // coherence proof below, and kept for later regions unless
-            // the region writes the array (the post-region update then
-            // replaces it with what the rank wrote).
-            let track = collect_g != Granularity::Fine || !written;
-            let mut scattered: Vec<Normal> = Vec::new();
+            // Regions elided because the rank holds them fresh: with
+            // the scattered ops, what the rank holds after its scatter.
+            let mut held: Vec<Normal> = Vec::new();
             for n in scatter_regions {
-                if fresh_cover.is_some_and(|held| held.covered(n, COVER_LIMIT)) {
+                if fresh_cover.is_some_and(|fresh| fresh.covered(n, COVER_LIMIT)) {
                     self.report.elisions.scatters_elided += 1;
                     self.report.elisions.elided_elems += n.distinct_elements(COVER_LIMIT);
-                    if track {
-                        scattered.push(n.clone()); // still held fresh
-                    }
+                    held.push(n.clone());
                     continue;
-                }
-                let descriptor = TransferPlan::lower_normal(n.view(), g);
-                if track {
-                    scattered.extend(descriptor.transfers().map(|t| Normal::of_transfer(&t)));
                 }
                 planned_scatter.push(CommOp {
                     array: a.0,
-                    descriptor,
+                    descriptor: TransferPlan::lower_normal(n.view(), g),
                 });
             }
+            let scattered = planned_scatter.len();
 
             // Coherence for approximate collection: every collected
-            // transfer must hold only elements this rank wrote or
-            // mirrors. Anything else must be scattered first.
+            // message must hold only elements this rank wrote or
+            // mirrors. Anything else must be scattered first. Each op
+            // is asked once, of the union of its messages; only an op
+            // not wholly covered walks them.
             if collect_g != Granularity::Fine {
                 let mut sources = fresh.cloned().unwrap_or_default();
-                sources.extend(collect_exact.iter().chain(&scattered).cloned());
+                hold(&mut sources, collect_exact.iter().chain(&held), &planned_scatter);
                 for op in &planned_collect {
+                    let wholly = sources.covered(&Normal::of_plan(&op.descriptor), COVER_LIMIT);
+                    #[cfg(test)]
+                    let wholly = wholly && !tests::per_message();
+                    if wholly {
+                        continue;
+                    }
+                    // A message scattered first can hold a later one
+                    // of the op only when two of its messages meet;
+                    // otherwise the scatter is held once, after the walk.
+                    let meet = op.descriptor.messages_meet();
                     let mut uncovered = Vec::new();
                     for t in op.descriptor.transfers() {
-                        if !sources.covered_transfer(&t, COVER_LIMIT) {
-                            sources.push(Normal::of_transfer(&t));
+                        let message = Normal::of_transfer(&t);
+                        if !sources.covered(&message, COVER_LIMIT) {
+                            if meet {
+                                sources.push(message);
+                            }
                             uncovered.push(t);
                         }
                     }
                     // Scatter the approximate regions themselves: the
                     // whole op as one when none of it was covered.
                     info.coverage_scatters += uncovered.len();
-                    if uncovered.len() == op.descriptor.num_messages() {
-                        planned_scatter.push(op.clone());
+                    let scatter: Vec<CommOp> = if uncovered.len() == op.descriptor.num_messages() {
+                        vec![op.clone()]
                     } else {
-                        planned_scatter.extend(uncovered.into_iter().map(|t| CommOp {
-                            array: a.0,
-                            descriptor: t.into(),
-                        }));
+                        uncovered.into_iter().map(|t| CommOp { array: a.0, descriptor: t.into() }).collect()
+                    };
+                    if !meet {
+                        hold(&mut sources, &[], &scatter);
                     }
+                    planned_scatter.extend(scatter);
                 }
             }
 
             // Record freshness gained by scattering (read-only arrays
             // keep it; a written array's is replaced after the region).
-            if !written && !scattered.is_empty() {
-                self.fresh[r].entry(a).or_default().extend(scattered);
+            if !written && (!held.is_empty() || scattered > 0) {
+                hold(self.fresh[r].entry(a).or_default(), &held, &planned_scatter[..scattered]);
             }
 
             scatter_plan[r].extend(planned_scatter);
@@ -529,15 +525,34 @@ fn merge_bounding(regions: &[Normal]) -> Option<Normal> {
     Some(Normal::of(&Lmad::contiguous(lo, (hi - lo + 1) as u64)))
 }
 
-/// Do two *different* ranks' footprints meet? `lmad`'s run sweep — or,
-/// in this crate's tests, the pair-at-a-time check it replaced, when a
-/// test asks for the reference plan (`tests::pairwise_reference`).
-fn cross_rank_overlap(regions: &[(usize, Form)], transfers: &[(usize, RegionTransfer)]) -> bool {
+/// §5.6: does a region rank 0 writes or a collect op of one slave
+/// (`collects[r]`) meet one of another rank? `lmad`'s check, one
+/// question an op — or, in this crate's tests, message by message,
+/// when a test asks for the reference plan
+/// (`tests::per_message_reference`).
+fn collects_meet(exact: &[Normal], collects: &[Vec<TransferPlan>]) -> bool {
     #[cfg(test)]
-    if tests::PAIRWISE.with(std::cell::Cell::get) {
-        return tests::cross_rank_overlap_pairwise(regions, transfers);
+    if tests::per_message() {
+        return tests::collects_meet_per_message(exact, collects);
     }
-    lmad::cross_rank_overlap(regions, transfers)
+    let ops: Vec<(usize, &TransferPlan, Normal)> =
+        (0..collects.len()).flat_map(|r| collects[r].iter().map(move |op| (r, op, Normal::of_plan(op)))).collect();
+    let exact = exact.iter().map(|n| (0, OpForm::new(n.view(), None)));
+    let ops = ops.iter().map(|(r, op, union)| (*r, OpForm::new(union.view(), Some(*op))));
+    lmad::cross_rank_overlap(&exact.chain(ops).collect::<Vec<_>>())
+}
+
+/// Add to `index` the `regions` and the messages of `ops`: one member
+/// a region and one an op — or, in this crate's tests' reference plan,
+/// one a message.
+fn hold<'a>(index: &mut CoverIndex, regions: impl IntoIterator<Item = &'a Normal>, ops: &[CommOp]) {
+    index.extend(regions.into_iter().cloned());
+    #[cfg(test)]
+    if tests::per_message() {
+        let messages = ops.iter().flat_map(|op| op.descriptor.transfers());
+        return index.extend(messages.map(|t| Normal::of_transfer(&t)));
+    }
+    index.extend_ops(ops.iter().map(|op| &op.descriptor));
 }
 
 #[cfg(test)]
@@ -547,35 +562,47 @@ mod tests {
     use std::cell::Cell;
 
     thread_local! {
-        /// Plan the §5.6 check pair by pair on this thread
-        /// ([`pairwise_reference`]).
-        pub(super) static PAIRWISE: Cell<bool> = const { Cell::new(false) };
+        /// Plan message by message on this thread
+        /// ([`per_message_reference`]).
+        static PER_MESSAGE: Cell<bool> = const { Cell::new(false) };
     }
 
-    /// The §5.6 check as it was before the run sweep: every cross-rank
-    /// pair whose raw extents meet, one exact test each
-    /// ([`Form::overlaps`] is what `Lmad::overlaps` asks), each
-    /// transfer's region normalised once.
-    pub(super) fn cross_rank_overlap_pairwise(
-        regions: &[(usize, Form)],
-        transfers: &[(usize, RegionTransfer)],
-    ) -> bool {
-        let lowered: Vec<(usize, Normal)> =
-            transfers.iter().map(|(r, t)| (*r, Normal::of(&Lmad::strided(t.offset, t.stride as i64, t.count)))).collect();
-        let all: Vec<(usize, Form)> =
-            regions.iter().copied().chain(lowered.iter().map(|(r, n)| (*r, n.view()))).collect();
+    /// Is this thread planning the reference plan?
+    pub(super) fn per_message() -> bool {
+        PER_MESSAGE.with(Cell::get)
+    }
+
+    /// The §5.6 check pair by pair, as it was before it asked ops:
+    /// every cross-rank pair of a region rank 0 writes or a collect
+    /// message whose raw extents meet, one exact test each
+    /// ([`lmad::Form::overlaps`] is what `Lmad::overlaps` asks).
+    pub(super) fn collects_meet_per_message(exact: &[Normal], collects: &[Vec<TransferPlan>]) -> bool {
+        let messages = collects.iter().enumerate().flat_map(|(r, plans)| {
+            plans.iter().flat_map(TransferPlan::transfers).map(move |t| (r, Normal::of_transfer(&t)))
+        });
+        let all: Vec<(usize, Normal)> = exact.iter().map(|n| (0, n.clone())).chain(messages).collect();
+        pairwise(&all)
+    }
+
+    /// Does a footprint meet one of another rank, each pair whose raw
+    /// extents meet asked [`lmad::Form::overlaps`]?
+    fn pairwise(all: &[(usize, Normal)]) -> bool {
         let extents: Vec<(i64, i64)> = all.iter().map(|(_, n)| n.extent()).collect();
         lmad::sweep::any_overlapping_pair(&extents, |i, j| {
-            let ((ri, x), (rj, y)) = (all[i], all[j]);
-            ri != rj && x.overlaps(y)
+            let ((ri, x), (rj, y)) = (&all[i], &all[j]);
+            ri != rj && x.view().overlaps(y.view())
         })
     }
 
-    /// `compile_backend` with the §5.6 check made by the reference.
-    fn pairwise_reference(analyzed: &AnalyzedProgram, opts: &BackendOptions) -> crate::CompiledProgram {
-        PAIRWISE.with(|on| on.set(true));
+    /// `compile_backend` asking the planner's three questions — the
+    /// §5.6 check, freshness and coherence — message by message: each
+    /// collect message a footprint of the check, each scattered
+    /// message a member of the rank's freshness, and each collect
+    /// message asked for coverage.
+    fn per_message_reference(analyzed: &AnalyzedProgram, opts: &BackendOptions) -> crate::CompiledProgram {
+        PER_MESSAGE.with(|on| on.set(true));
         let out = crate::compile_backend(analyzed, opts);
-        PAIRWISE.with(|on| on.set(false));
+        PER_MESSAGE.with(|on| on.set(false));
         out
     }
 
@@ -586,15 +613,11 @@ mod tests {
 
     /// The §5.6 check over per-rank lists of raw regions.
     fn overlap_of(per_rank: &[Vec<Lmad>]) -> bool {
-        let normals: Vec<Vec<Normal>> =
-            per_rank.iter().map(|rs| rs.iter().map(Normal::of).collect()).collect();
-        let tagged: Vec<(usize, Form)> = normals
-            .iter()
-            .enumerate()
-            .flat_map(|(r, ns)| ns.iter().map(move |n| (r, n.view())))
-            .collect();
-        let verdict = cross_rank_overlap(&tagged, &[]);
-        assert_eq!(verdict, cross_rank_overlap_pairwise(&tagged, &[]));
+        let normals: Vec<(usize, Normal)> =
+            per_rank.iter().enumerate().flat_map(|(r, rs)| rs.iter().map(move |l| (r, Normal::of(l)))).collect();
+        let tagged: Vec<(usize, OpForm)> = normals.iter().map(|(r, n)| (*r, OpForm::new(n.view(), None))).collect();
+        let verdict = lmad::cross_rank_overlap(&tagged);
+        assert_eq!(verdict, pairwise(&normals));
         verdict
     }
 
@@ -707,21 +730,106 @@ mod tests {
         }
     }
 
+    /// A stride-2 store over a matrix: the CFFT2INIT shape, in columns.
+    const HALF: &str = "      PROGRAM HALF\n      PARAMETER (N = 64)\n      REAL X(2*N+2,N)\n      INTEGER I, J\n      \
+                        DO J = 1, N\n        DO I = 1, N\n          X(2*I,J) = 1.0\n        ENDDO\n      ENDDO\n      END\n";
+
     /// A stride-2 store (the CFFT2INIT shape) at middle grain: every
     /// bounding run of rank 1's collect holds odd elements it neither
     /// wrote nor mirrors, so coherence scatters each run first — the
     /// collect op itself, stored once, not one op per message.
     #[test]
     fn an_uncovered_collect_is_scattered_as_one_op() {
-        let src = "      PROGRAM HALF\n      PARAMETER (N = 64)\n      REAL X(2*N+2,N)\n      INTEGER I, J\n      \
-                   DO J = 1, N\n        DO I = 1, N\n          X(2*I,J) = 1.0\n        ENDDO\n      ENDDO\n      END\n";
-        let analyzed = polaris_fe::compile(src, &[]).expect("compiles");
+        let analyzed = polaris_fe::compile(HALF, &[]).expect("compiles");
         let compiled = crate::compile_backend(&analyzed, &BackendOptions::new(2).granularity(Granularity::Middle));
         let region = compiled.program.regions().next().expect("one parallel loop");
         assert_eq!(region.collect.num_messages(), 32);
         assert_eq!(region.scatter, region.collect);
         assert_eq!(region.scatter.per_rank[1].len(), 1);
         assert_eq!(compiled.report.regions[0].coverage_scatters, 32);
+    }
+
+    /// Two regions over `X`: the first reads its odd rows in columns
+    /// `1..=N/2`, the second writes its even rows in every column.
+    const PART: &str = "      PROGRAM PART\n      PARAMETER (N = 16)\n      REAL X(2*N+2,N), Y(N,N)\n      INTEGER I, J\n      \
+                        DO J = 1, N/2\n        DO I = 1, N\n          Y(I,J) = X(2*I+1,J)\n        ENDDO\n      ENDDO\n      \
+                        DO J = 1, N\n        DO I = 1, N\n          X(2*I,J) = 1.0\n        ENDDO\n      ENDDO\n      END\n";
+
+    /// A collect op partly covered, the one case coherence walks its
+    /// messages for: on 2 ranks at middle grain, cyclically, rank 1's
+    /// collect of `X` in the second region is one op of 8 column runs,
+    /// and the 4 columns it was scattered in the first region hold the
+    /// odd rows between its even ones fresh. The other 4 are scattered
+    /// first, one op a message. In blocks, rank 1's columns of the two
+    /// regions are apart, and the whole op is scattered as one.
+    #[test]
+    fn a_partly_covered_collect_scatters_its_uncovered_messages() {
+        let analyzed = polaris_fe::compile(PART, &[]).expect("compiles");
+        for (sched, ops, messages, scattered) in [(Schedule::Cyclic, 4, 1, 4), (Schedule::Block, 1, 8, 8)] {
+            let opts = BackendOptions::new(2).granularity(Granularity::Middle).schedule(sched);
+            let compiled = crate::compile_backend(&analyzed, &opts);
+            let region = compiled.program.regions().nth(1).expect("two parallel loops");
+            let collect = &region.collect.per_rank[1];
+            assert_eq!(collect.len(), 1, "{sched:?}");
+            assert_eq!(collect[0].descriptor.num_messages(), 8, "{sched:?}");
+            let scatter = &region.scatter.per_rank[1];
+            assert_eq!(scatter.len(), ops, "{sched:?}");
+            assert!(scatter.iter().all(|op| op.descriptor.num_messages() == messages), "{sched:?}");
+            assert_eq!(compiled.report.regions[1].coverage_scatters, scattered, "{sched:?}");
+        }
+    }
+
+    /// The planner asks ops what the reference asks messages, and
+    /// plans the same: program, fallbacks, coverage scatters and
+    /// elisions are equal on every example and benchmark program — the
+    /// partly covered collect of [`PART`] and the uncovered ones of
+    /// [`HALF`] included — at 2, 3, 4 and 16
+    /// ranks, every grain, block and cyclic, with and without the AVPG.
+    #[test]
+    fn plans_equal_the_per_message_reference() {
+        use vpce_workloads::{cfft, irregular, mm, swim, swim_full};
+        let programs: [(&str, &str, &[i64]); 12] = [
+            ("mm", mm::SOURCE, &[16, 48]),
+            ("swim", swim::SOURCE, &[16, 33]),
+            ("swim_full", swim_full::SOURCE, &[16]),
+            ("cfft", cfft::SOURCE, &[0]),
+            ("irregular", irregular::SOURCE, &[32]),
+            ("saxpy", include_str!("../../../examples/fortran/saxpy.f"), &[40]),
+            ("racy", include_str!("../../../examples/fortran/racy.f"), &[0]),
+            ("deadlock", include_str!("../../../examples/fortran/deadlock.f"), &[0]),
+            ("alias", include_str!("../../../examples/fortran/alias.f"), &[8, 12]),
+            ("cube", include_str!("../../../examples/fortran/cube.f"), &[8, 20]),
+            ("part", PART, &[0]),
+            ("half", HALF, &[8, 24]),
+        ];
+        let (mut fallbacks, mut scatters, mut elided) = (0, 0, 0);
+        for (name, source, sizes) in programs {
+            for &n in sizes {
+                let params: Vec<(&str, i64)> = if n > 0 { vec![("N", n)] } else { Vec::new() };
+                let analyzed = polaris_fe::compile(source, &params).expect("program compiles");
+                for ranks in [2, 3, 4, 16] {
+                    for g in Granularity::ALL {
+                        for sched in [Schedule::Block, Schedule::Cyclic] {
+                            for avpg in [true, false] {
+                                let opts = BackendOptions::new(ranks).granularity(g).schedule(sched).avpg(avpg);
+                                let (got, want) = (crate::compile_backend(&analyzed, &opts), per_message_reference(&analyzed, &opts));
+                                let case = format!("{name} N={n} on {ranks} ranks, {opts:?}");
+                                assert_eq!(got.program, want.program, "{case}");
+                                assert_eq!(got.report.elisions, want.report.elisions, "{case}");
+                                for (a, b) in got.report.regions.iter().zip(&want.report.regions) {
+                                    assert_eq!(a.collect_fallback_fine, b.collect_fallback_fine, "{case}");
+                                    assert_eq!(a.coverage_scatters, b.coverage_scatters, "{case}");
+                                    fallbacks += a.collect_fallback_fine.len();
+                                    scatters += a.coverage_scatters;
+                                }
+                                elided += got.report.elisions.scatters_elided;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(fallbacks > 100 && scatters > 100 && elided > 100, "{fallbacks} fallbacks, {scatters} coverage scatters, {elided} elided scatters");
     }
 
     /// MM at 16 ranks, N=160 — the advisor's middle and coarse plans of
@@ -740,9 +848,9 @@ mod tests {
             let before = lmad::work::read();
             let swept = crate::compile_backend(&analyzed, &opts);
             #[cfg(debug_assertions)]
-            let (mid, reference) = (lmad::work::read(), pairwise_reference(&analyzed, &opts));
+            let (mid, reference) = (lmad::work::read(), per_message_reference(&analyzed, &opts));
             #[cfg(not(debug_assertions))]
-            let reference = pairwise_reference(&analyzed, &opts);
+            let reference = per_message_reference(&analyzed, &opts);
             #[cfg(debug_assertions)]
             {
                 let after = lmad::work::read();

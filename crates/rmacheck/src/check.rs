@@ -26,14 +26,12 @@
 //!
 //! A planned op is one operation of the scan, its footprint the union
 //! of its wire messages, and every answer is the one a scan of the
-//! messages themselves gives (`oracle` holds the two to the byte):
-//! two messages always meet or miss exactly (two progressions), so an
-//! exact answer on the unions is theirs, and the messages are walked
-//! only when the unions are past the exact test's budget or a compute
-//! footprint's test against one message could have fallen back to the
-//! interval test. Two messages of one op that meet are a same-origin
-//! overlap ([`EpochScan::self_conflicts`], one sorted walk of the op);
-//! an op past its window's end is reported message by message.
+//! messages themselves gives (`oracle` holds the two to the byte): the
+//! questions are `lmad`'s op questions ([`lmad::OpForm`]), which walk
+//! messages only where the unions cannot decide. Two messages of one
+//! op that meet are a same-origin overlap
+//! ([`EpochScan::self_conflicts`]); an op past its window's end is
+//! reported message by message.
 //!
 //! Barriers and collectives inside an epoch do **not** split it: MPI-2
 //! orders RMA only at fences (ops are buffered until the epoch
@@ -43,8 +41,7 @@
 use std::convert::Infallible;
 
 use lmad::epoch::{Access, ConflictKind, Effect, EpochScan, Footprint};
-use lmad::sweep::any_overlapping_pair;
-use lmad::{Form, Lmad, Normal, OVERLAP_LIMIT};
+use lmad::{Form, Lmad, Normal, OpForm};
 
 use crate::diag::{Code, Diagnostic, LintReport};
 use crate::trace::{AccessKind, Event, Op, RmaTrace, SyncKind};
@@ -58,14 +55,13 @@ type OpEffect<'a, 'n> = Effect<Fp<'a, 'n>, Infallible>;
 /// once: the scanner's join sorts on extents and asks the exact test
 /// of every candidate pair, and both read the form held here. A region
 /// that already is its own normal form (a fine-grain op's union) is
-/// read in place; another is normalised once. The test is
-/// [`lmad::Form::overlaps`] — [`lmad::Lmad::overlaps`] of the two
-/// regions — for two single accesses, and the messages' answer
-/// ([`ops_meet`]) when one side is a planned op.
+/// read in place; another is normalised once. A planned op keeps its
+/// messages' descriptor, and every question is [`OpForm`]'s: the
+/// answer the op's messages give, one by one.
 #[derive(Clone, Copy)]
 struct Fp<'a, 'n> {
     op: &'a Op,
-    form: Form<'n>,
+    form: OpForm<'n>,
 }
 
 impl Footprint for Fp<'_, '_> {
@@ -74,63 +70,11 @@ impl Footprint for Fp<'_, '_> {
     }
 
     fn meets(&self, other: &Self) -> bool {
-        if self.op.messages.is_none() && other.op.messages.is_none() {
-            return self.form.overlaps(other.form);
-        }
-        ops_meet(self, other)
+        self.form.meets(other.form)
     }
 
     fn meets_itself(&self) -> bool {
-        let meets = self.op.messages.as_ref().is_some_and(|p| p.messages_meet());
-        #[cfg(test)]
-        paths::count(paths::INTRA, meets);
-        meets
-    }
-}
-
-/// Does a message of `a` meet a message of `b` (a single access is its
-/// own one message), each pair asked [`Form::overlaps`]? A union of
-/// messages meets a footprint exactly when one of its messages does,
-/// and a test of two messages is always exact, so an exact answer on
-/// the unions is that answer: two translates of one shape, such as two
-/// row bands, in `O(dims)`, else the exact test within its budget. A
-/// `false` does not stand when a single access's test against one
-/// message could have taken the interval fallback, which answers
-/// `true` where the exact test says `false`; then, and when the unions
-/// are past the exact test's budget, the messages are walked.
-fn ops_meet(a: &Fp, b: &Fp) -> bool {
-    let per_message_exact = || match (&a.op.messages, &b.op.messages) {
-        (Some(p), None) => p.meets_exactly(b.form),
-        (None, Some(p)) => p.meets_exactly(a.form),
-        _ => true,
-    };
-    let exact = a.form.translates_meet(b.form).or_else(|| a.form.overlaps_exact(b.form, OVERLAP_LIMIT));
-    let decided = exact.filter(|&meet| meet || per_message_exact());
-    #[cfg(test)]
-    paths::count(if decided.is_some() { paths::EXACT } else { paths::WALKED }, true);
-    decided.unwrap_or_else(|| messages_meet(a, b))
-}
-
-/// [`ops_meet`] message by message: every pair of a message of `a` and
-/// one of `b` whose extents meet, asked [`Form::overlaps`].
-fn messages_meet(a: &Fp, b: &Fp) -> bool {
-    let listed = |fp: &Fp| -> Vec<Normal> {
-        let messages = fp.op.messages.iter().flat_map(|p| p.transfers());
-        messages.map(|t| Normal::of_transfer(&t)).collect()
-    };
-    let (la, lb) = (listed(a), listed(b));
-    let (fa, fb) = (message_forms(a, &la), message_forms(b, &lb));
-    let extents: Vec<(i64, i64)> = fa.iter().chain(&fb).map(|f| f.extent()).collect();
-    let n = fa.len();
-    any_overlapping_pair(&extents, |i, j| i < n && n <= j && fa[i].overlaps(fb[j - n]))
-}
-
-/// The forms of `fp`'s messages: `listed`'s for a planned op, its own
-/// for a single access.
-fn message_forms<'x>(fp: &Fp<'_, 'x>, listed: &'x [Normal]) -> Vec<Form<'x>> {
-    match fp.op.messages {
-        Some(_) => listed.iter().map(Normal::view).collect(),
-        None => vec![fp.form],
+        self.form.meets_itself()
     }
 }
 
@@ -328,7 +272,7 @@ fn for_each_epoch<'a>(trace: &'a RmaTrace, mut visit: impl FnMut(usize, &mut Sca
                 let form = Form::of_normal(&op.region)
                     .or_else(|| next_normalised[r].next().map(Normal::view))
                     .expect("a form for every region not in normal form");
-                scan.push(op.win, r, op.target, access, Fp { op, form });
+                scan.push(op.win, r, op.target, access, Fp { op, form: OpForm::new(form, op.messages.as_ref()) });
             }
         }
         visit(epoch, &mut scan);
@@ -388,37 +332,6 @@ fn kind_name(k: AccessKind) -> &'static str {
     }
 }
 
-/// How the planned-op answers were reached on this thread, so a test
-/// can require every path taken.
-#[cfg(test)]
-pub(crate) mod paths {
-    use std::cell::Cell;
-
-    /// Op pairs decided on their unions.
-    pub const EXACT: usize = 0;
-    /// Op pairs decided by walking their messages.
-    pub const WALKED: usize = 1;
-    /// Planned ops two of whose messages meet.
-    pub const INTRA: usize = 2;
-
-    thread_local! {
-        static PATHS: Cell<[u64; 3]> = const { Cell::new([0; 3]) };
-    }
-
-    pub fn count(path: usize, taken: bool) {
-        PATHS.with(|p| {
-            let mut n = p.get();
-            n[path] += u64::from(taken);
-            p.set(n);
-        });
-    }
-
-    /// `[EXACT, WALKED, INTRA]` so far on this thread.
-    pub fn read() -> [u64; 3] {
-        PATHS.with(Cell::get)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,6 +378,7 @@ mod tests {
         let events: usize = trace.ranks.iter().map(Vec::len).sum();
         assert_eq!(events, 268);
         let mut sizes = Vec::new();
+        #[cfg(debug_assertions)]
         let (_, tests_before) = lmad::work::read();
         for_each_epoch(&trace, |_, scan| {
             let effects = scan.effects().len();
@@ -475,6 +389,7 @@ mod tests {
             }
         });
         assert_eq!(sizes, [(62, 240), (15, 0), (63, 120)]);
+        #[cfg(debug_assertions)]
         assert_eq!(lmad::work::read().1, tests_before, "an exact test walked runs");
     }
 

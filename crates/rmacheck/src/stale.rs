@@ -34,43 +34,23 @@ struct StaleRegion {
     line: usize,
 }
 
-/// What reaches the master copy of one array in a parallel region:
-/// some rank's own stores and the messages of some collect ops,
-/// indexed one member a region and one an op (the union of its
-/// messages, [`lmad::TransferPlan::footprint`]).
-struct Updates<'a> {
-    index: CoverIndex,
-    ops: Vec<&'a CommOp>,
-}
-
-impl<'a> Updates<'a> {
-    /// `own` stores plus array `a`'s ops among `ops`.
-    fn new(own: impl Iterator<Item = &'a Lmad>, ops: impl IntoIterator<Item = &'a CommOp>, a: usize) -> Self {
-        let ops: Vec<&CommOp> = ops.into_iter().filter(|op| op.array == a).collect();
-        let members = ops.iter().map(|op| Normal::of(&op.descriptor.footprint()));
-        Updates { index: CoverIndex::of_normals(own.map(Normal::of).chain(members)), ops }
-    }
-
-    /// Is every element of `needed` proved to reach the master? Within
-    /// `COVER_LIMIT` the index's answer is exact; past it the index
-    /// proves from one member at a time (its rungs 1 and 3), and one
-    /// message of an op may hold `needed` where the op's union does not
-    /// show it by those rungs, so each op is asked that on its
-    /// descriptor ([`lmad::TransferPlan::one_message_holds`]).
-    fn cover(&self, needed: &Lmad) -> bool {
-        let needed = Normal::of(needed);
-        self.index.covered(&needed, COVER_LIMIT)
-            || self.ops.iter().any(|op| op.descriptor.one_message_holds(&needed))
-    }
+/// What reaches the master copy of array `a` in a parallel region:
+/// `own` stores, one cover-index member a region, and the messages of
+/// `a`'s collect ops among `ops`, one member an op
+/// ([`CoverIndex::extend_ops`]).
+fn updates<'a>(own: impl Iterator<Item = &'a Lmad>, ops: impl IntoIterator<Item = &'a CommOp>, a: usize) -> CoverIndex {
+    let mut index = CoverIndex::new(own);
+    index.extend_ops(ops.into_iter().filter(|op| op.array == a).map(|op| &op.descriptor));
+    index
 }
 
 /// Regions of array `a` that reach the master copy in this parallel
 /// region: rank 0's own stores plus everything the collect plan
 /// actually transfers.
-fn master_updates<'a>(region: &'a ParRegion, info: &'a RegionPlanInfo, a: usize) -> Updates<'a> {
+fn master_updates(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> CoverIndex {
     let own = info.rank_writes.first().into_iter().flatten();
     let own = own.filter(move |(arr, _)| *arr == a).map(|(_, lm)| lm);
-    Updates::new(own, region.collect.per_rank.iter().skip(1).flatten(), a)
+    updates(own, region.collect.per_rank.iter().skip(1).flatten(), a)
 }
 
 /// Slave-written regions of `a` that the collect plan does *not*
@@ -78,12 +58,12 @@ fn master_updates<'a>(region: &'a ParRegion, info: &'a RegionPlanInfo, a: usize)
 fn uncollected_writes(region: &ParRegion, info: &RegionPlanInfo, a: usize) -> Vec<StaleRegion> {
     let mut stale = Vec::new();
     for (r, writes) in info.rank_writes.iter().enumerate().skip(1) {
-        let collected = Updates::new(std::iter::empty(), region.collect.per_rank.get(r).into_iter().flatten(), a);
+        let collected = updates(std::iter::empty(), region.collect.per_rank.get(r).into_iter().flatten(), a);
         for (arr, lm) in writes {
             if *arr != a {
                 continue;
             }
-            if !collected.cover(lm) {
+            if !collected.covered(&Normal::of(lm), COVER_LIMIT) {
                 stale.push(StaleRegion {
                     region: lm.clone(),
                     rank: r,
@@ -192,7 +172,7 @@ pub fn check_elisions(
                 for a in written_arrays {
                     let updates = master_updates(region, info, a);
                     if let Some(regions) = stale.get_mut(a) {
-                        regions.retain(|s| !updates.cover(&s.region));
+                        regions.retain(|s| !updates.covered(&Normal::of(&s.region), COVER_LIMIT));
                         regions.extend(uncollected_writes(region, info, a));
                     }
                 }

@@ -40,7 +40,7 @@ fn planning_bytes(n: i64, g: Granularity) -> i64 {
     during as i64
 }
 
-/// One test, both grains and both gates in sequence: the counter is
+/// One test, every grain and every gate in sequence: the counter is
 /// process-wide.
 #[test]
 fn planning_and_lint_cost_nothing_in_n_squared() {
@@ -58,6 +58,36 @@ fn planning_and_lint_cost_nothing_in_n_squared() {
         );
     }
     lint_bytes_do_not_grow_with_n();
+    planning_bytes_do_not_grow_with_n();
+}
+
+/// Bytes requested by `compile_backend` alone for MM at size `n` and
+/// grain `g`.
+fn backend_bytes(n: i64, g: Granularity) -> u64 {
+    let analyzed = compile_frontend(mm::SOURCE, &[("N", n)]).unwrap();
+    let before = ALLOC.allocated_bytes();
+    let compiled = compile_backend(&analyzed, &BackendOptions::new(RANKS).granularity(g));
+    let during = ALLOC.allocated_bytes() - before;
+    drop(compiled);
+    during
+}
+
+/// The planner asks ops, not messages: MM on 16 ranks is a fixed
+/// number of ops at every size, so planning requests about the same
+/// bytes at N = 64, 256 and 1024 — each grain within 1.5× of its
+/// N = 64 bytes. While the §5.6 check, freshness and coherence asked
+/// every wire message, middle grain grew 27× over that range (616 811
+/// B at N = 64, 16 784 963 B at N = 1024); fine and coarse, which ask
+/// none of those questions of a message, stayed within 1.3×.
+fn planning_bytes_do_not_grow_with_n() {
+    for g in Granularity::ALL {
+        let [b1, b4, b16] = [64, 256, 1024].map(|n| backend_bytes(n, g));
+        assert!(
+            b4.max(b16) * 2 <= b1 * 3,
+            "{} grain: planning bytes at N = 64, 256, 1024: {b1}, {b4}, {b16} (gate: within 1.5x of N = 64)",
+            g.name(),
+        );
+    }
 }
 
 /// Bytes requested by `rmacheck::lint` alone, and the events of its
