@@ -96,7 +96,7 @@ mod tests {
             arrays: vec![("A".into(), 64)],
             scalars: Vec::new(),
             blocks: vec![Block::Parallel(region)],
-            sequential: Vec::new(),
+            sequential: Default::default(),
         };
         lower(&prog, &policy(), faults)
     }

@@ -469,7 +469,8 @@ pub(crate) fn run_on(source: &str, args: &CliArgs, cores: usize) -> Result<RunOu
     let (granularity, advised) = match args.granularity {
         Some(g) => (g, None),
         None => {
-            let advice = match crate::advise(&analyzed, &cluster, &base_opts(args)) {
+            let shared = crate::Translated::new(Cow::Borrowed(&analyzed));
+            let advice = match crate::advise(&shared, &cluster, &base_opts(args)) {
                 Ok(advice) => advice,
                 Err(e) => {
                     let _ = writeln!(out, "error: {e}");

@@ -56,7 +56,7 @@ pub mod cli;
 pub mod report;
 
 pub use cluster_sim::{ClusterConfig, CpuModel, NodeConfig, OpCounts};
-pub use polaris_be::{advise, SimulatedAdvice};
+pub use polaris_be::{advise, SimulatedAdvice, Translated};
 pub use report::{describe_backend, describe_comm, describe_frontend};
 pub use lmad::Granularity;
 pub use mpi2::{Mpi, RunOutcome, Universe};
@@ -94,7 +94,8 @@ pub fn advise_granularity(
     base: &BackendOptions,
 ) -> Result<(Granularity, Vec<(Granularity, f64)>), FrontError> {
     let analyzed = polaris_fe::compile(source, params)?;
-    let advice = advise(&analyzed, cluster, base).unwrap_or_else(|e| panic!("{e}"));
+    let shared = Translated::new(std::borrow::Cow::Borrowed(&analyzed));
+    let advice = advise(&shared, cluster, base).unwrap_or_else(|e| panic!("{e}"));
     Ok((advice.winner, advice.measured))
 }
 
@@ -269,7 +270,7 @@ mod tests {
                 {
                     let case = format!("{name} nodes={nodes} {machine} {sched:?}");
                     let base = BackendOptions::new(nodes).schedule(sched);
-                    let advice = advise(&analyzed, cluster, &base).unwrap();
+                    let advice = advise(&Translated::new(std::borrow::Cow::Borrowed(&analyzed)), cluster, &base).unwrap();
                     let every: Vec<_> = Granularity::ALL
                         .map(|g| {
                             let compiled = compile_backend(&analyzed, &base.clone().granularity(g));

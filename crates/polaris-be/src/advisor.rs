@@ -10,14 +10,18 @@
 //! will run on (an `Analytic`, fault-free, untraced run), keeping the
 //! grain with the least communication time. Both front doors call it:
 //! `vpcec` without `--grain`, and batch / serve admission for a job
-//! without `grain=`.
+//! without `grain=`. What no grain changes is built once: the three
+//! lowerings share one [`Translated`] and one set of per-rank
+//! footprints.
+
+use std::borrow::Cow;
 
 use cluster_sim::ClusterConfig;
 use lmad::Granularity;
-use polaris_fe::analysis::AnalyzedProgram;
 use spmd_rt::{ExecMode, FaultSpec, RunReport, SpmdProgram, VpceError};
 
-use crate::{compile_backend, BackendOptions, CompiledProgram};
+use crate::plan::RegionFootprints;
+use crate::{BackendOptions, CompiledProgram, PlanReport, Translated};
 
 /// What the advisor found — and what it built on the way, so that a
 /// caller who goes on to run the winner need not plan and simulate it
@@ -42,49 +46,59 @@ pub struct SimulatedAdvice {
     pub priced: usize,
 }
 
-/// Pick the cheapest §5.6 granularity for an analysed program by
-/// simulating each on `cluster`. A pricing run is a pure function of
-/// program and cluster, so a grain that lowers to the program of an
-/// earlier grain takes that grain's time instead of a run of its own.
-/// A simulation that fails — the program runs past a window's end, or
-/// divides by zero — is the error, typed.
+/// Pick the cheapest §5.6 granularity for a translated program by
+/// simulating each on `cluster`. Every grain is lowered from one set of
+/// per-rank footprints on `base`'s ranks and schedule: the earlier
+/// grains borrow it and the last takes it. A pricing run is a pure
+/// function of program and cluster, so a grain that lowers to the
+/// program of an earlier grain takes that grain's time instead of a
+/// run of its own ("the same program" is `==`, which does not walk a
+/// statement list the two share). A simulation that fails — the
+/// program runs past a window's end, or divides by zero — is the
+/// error, typed.
 pub fn advise(
-    analyzed: &AnalyzedProgram,
+    shared: &Translated<'_>,
     cluster: &ClusterConfig,
     base: &BackendOptions,
 ) -> Result<SimulatedAdvice, VpceError> {
     let mut measured = Vec::with_capacity(3);
-    let mut best: Option<(Granularity, CompiledProgram, RunReport)> = None;
+    let mut best: Option<(Granularity, (SpmdProgram, PlanReport), RunReport)> = None;
     // The distinct programs priced so far other than the best's.
     let mut others: Vec<(SpmdProgram, f64)> = Vec::new();
     let mut priced = 0;
+    let mut footprints: Vec<RegionFootprints> = shared.footprints(base).collect();
     for g in Granularity::ALL {
-        let compiled = compile_backend(analyzed, &base.clone().granularity(g));
+        let opts = base.clone().granularity(g);
+        let lowered = if Some(&g) == Granularity::ALL.last() {
+            shared.lower_from(&opts, std::mem::take(&mut footprints).into_iter().map(Cow::Owned))
+        } else {
+            shared.lower_from(&opts, footprints.iter().map(Cow::Borrowed))
+        };
         let seen = best
             .iter()
-            .map(|(_, c, rep)| (&c.program, rep.comm_time))
+            .map(|(_, (program, _), rep)| (program, rep.comm_time))
             .chain(others.iter().map(|(program, t)| (program, *t)))
-            .find(|(program, _)| **program == compiled.program);
+            .find(|(program, _)| **program == lowered.0);
         // A repeated program ties the grain it repeats, which came
         // first, so it cannot win.
         if let Some((_, t)) = seen {
             measured.push((g, t));
             continue;
         }
-        let rep =
-            spmd_rt::try_execute(&compiled.program, cluster, ExecMode::Analytic, FaultSpec::off())?;
+        let rep = spmd_rt::try_execute(&lowered.0, cluster, ExecMode::Analytic, FaultSpec::off())?;
         priced += 1;
         measured.push((g, rep.comm_time));
         // Strictly cheaper only: ties keep the earlier granularity.
         if best.as_ref().is_none_or(|(_, _, b)| rep.comm_time.total_cmp(&b.comm_time).is_lt()) {
-            if let Some((_, c, rep)) = best.replace((g, compiled, rep)) {
-                others.push((c.program, rep.comm_time));
+            if let Some((_, (program, _), rep)) = best.replace((g, lowered, rep)) {
+                others.push((program, rep.comm_time));
             }
         } else {
-            others.push((compiled.program, rep.comm_time));
+            others.push((lowered.0, rep.comm_time));
         }
     }
-    let (winner, compiled, report) = best.expect("three candidates");
+    let (winner, (program, plan), report) = best.expect("three candidates");
+    let compiled = CompiledProgram { program, avpg: shared.avpg.clone(), report: plan };
     Ok(SimulatedAdvice { winner, measured, compiled, report, priced })
 }
 
@@ -98,7 +112,36 @@ mod tests {
     fn mm_advise_prices_two_programs() {
         let analyzed = polaris_fe::compile(include_str!("../../../examples/fortran/mm.f"), &[("N", 160)])
             .expect("mm.f compiles");
-        let advice = advise(&analyzed, &ClusterConfig::paper_n(16), &BackendOptions::new(16)).expect("prices");
+        let shared = Translated::new(Cow::Borrowed(&analyzed));
+        let advice = advise(&shared, &ClusterConfig::paper_n(16), &BackendOptions::new(16)).expect("prices");
         assert_eq!(advice.priced, 2);
+    }
+
+    /// The same advice's planning work, in normalisations
+    /// (`lmad::work`, debug builds): the three grains plan from one set
+    /// of per-rank footprints, so one advice normalises them once where
+    /// three `compile_backend`s normalise them three times.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn mm_advise_normalises_its_footprints_once() {
+        let analyzed = polaris_fe::compile(include_str!("../../../examples/fortran/mm.f"), &[("N", 160)])
+            .expect("mm.f compiles");
+        let base = BackendOptions::new(16);
+        let normalised = || lmad::work::read().0;
+        let start = normalised();
+        for g in Granularity::ALL {
+            crate::compile_backend(&analyzed, &base.clone().granularity(g));
+        }
+        let three = normalised() - start;
+        let shared = Translated::new(Cow::Borrowed(&analyzed));
+        let start = normalised();
+        let footprints = shared.footprints(&base).count() as u64;
+        let once = normalised() - start;
+        let start = normalised();
+        advise(&shared, &ClusterConfig::paper_n(16), &base).expect("prices");
+        let advised = normalised() - start;
+        eprintln!("{footprints} footprint sets: {once} normalisations; three compiles {three}, one advice {advised}");
+        assert_eq!(advised, three - 2 * once);
+        assert_eq!((once, three, advised), (160, 555, 235));
     }
 }

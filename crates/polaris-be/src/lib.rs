@@ -24,6 +24,14 @@
 //!    fine / middle / coarse granularity, with the overlap safety
 //!    check forcing fine-grain collection when slaves' approximate
 //!    regions collide.
+//!
+//! The pass is two halves. [`Translated`] is what no grain changes:
+//! every region's statements translated once, and the AVPG; each
+//! parallel region's per-rank footprints depend on the ranks and the
+//! schedule, not the grain. The other half is the §5.6 lowering of one
+//! grain from them ([`Translated::lower`]). [`compile_backend`] builds
+//! both and lowers one grain, moving what it built into the result;
+//! the [`advise`]r builds them once and lowers all three grains.
 
 #![forbid(unsafe_code)]
 
@@ -32,13 +40,17 @@ pub mod avpg;
 pub mod plan;
 pub mod translate;
 
+use std::borrow::Cow;
+
 use lmad::Granularity;
 use polaris_fe::analysis::{AnalyzedProgram, Region};
-use spmd_rt::{Block, Schedule, SpmdProgram};
+use spmd_rt::{Block, Instrs, Schedule, SpmdProgram};
 
 pub use advisor::{advise, SimulatedAdvice};
 pub use avpg::{Avpg, NodeAttr};
 pub use plan::{ElisionReport, PlanReport, PlanStep, RegionPlanInfo};
+
+use plan::RegionFootprints;
 
 /// Backend configuration.
 #[derive(Debug, Clone)]
@@ -139,54 +151,101 @@ pub struct CompiledProgram {
     pub report: PlanReport,
 }
 
-/// Run the MPI-2 postpass.
-pub fn compile_backend(analyzed: &AnalyzedProgram, opts: &BackendOptions) -> CompiledProgram {
-    assert!(opts.nprocs >= 1, "need at least one rank");
-    let avpg = avpg::build_avpg(analyzed);
-    let mut planner = plan::Planner::new(analyzed, opts);
-    let mut blocks = Vec::new();
-    for (i, region) in analyzed.regions.iter().enumerate() {
-        match region {
-            Region::Seq(seq) => {
-                planner.note_seq_region(seq);
-                blocks.push(Block::MasterSeq(translate::translate_stmts(
-                    &seq.stmts,
-                    &analyzed.symbols,
-                )));
-            }
-            Region::Parallel(pl) => {
-                blocks.push(Block::Parallel(planner.plan_region(i, pl)));
+/// The grain-independent half of the postpass: an analysed program
+/// with every region's statements translated once (shared lists, so
+/// each lowering of it points at the same instructions) and its AVPG.
+/// It borrows the analysis, or owns it where it is kept for later
+/// lowerings (the scheduler memoises one per program text).
+#[derive(Debug)]
+pub struct Translated<'a> {
+    analyzed: Cow<'a, AnalyzedProgram>,
+    /// Per region, in program order: a sequential section's statements
+    /// or a parallel loop's body.
+    code: Vec<Instrs>,
+    /// The whole program as one sequential list.
+    sequential: Instrs,
+    avpg: Avpg,
+}
+
+impl<'a> Translated<'a> {
+    /// Translate `analyzed` and build its AVPG (§5.2).
+    pub fn new(analyzed: Cow<'a, AnalyzedProgram>) -> Self {
+        let symbols = &analyzed.symbols;
+        let code = analyzed
+            .regions
+            .iter()
+            .map(|region| match region {
+                Region::Seq(seq) => translate::translate_stmts(&seq.stmts, symbols).into(),
+                Region::Parallel(pl) => translate::translate_stmts(&pl.body, symbols).into(),
+            })
+            .collect();
+        let sequential = translate::translate_stmts(&analyzed.sequential_body(), symbols).into();
+        let avpg = avpg::build_avpg(&analyzed);
+        Translated { analyzed, code, sequential, avpg }
+    }
+
+    /// Every parallel region's per-rank footprints on `opts`' ranks and
+    /// schedule, in program order — built as they are drawn.
+    pub(crate) fn footprints<'s>(&'s self, opts: &'s BackendOptions) -> impl Iterator<Item = RegionFootprints> + 's {
+        self.analyzed.regions.iter().filter_map(move |region| match region {
+            Region::Parallel(pl) => Some(RegionFootprints::new(pl, opts)),
+            Region::Seq(_) => None,
+        })
+    }
+
+    /// Lower at `opts`' grain, each parallel region planned from its
+    /// footprints, built here and moved into the plan.
+    pub fn lower(&self, opts: &BackendOptions) -> (SpmdProgram, PlanReport) {
+        self.lower_from(opts, self.footprints(opts).map(Cow::Owned))
+    }
+
+    /// Lower at `opts`' grain from `footprints` — one per parallel
+    /// region in program order, built on `opts`' ranks and schedule:
+    /// borrowed where other grains plan from them too, owned where this
+    /// lowering is their last use.
+    pub(crate) fn lower_from<'f>(
+        &self,
+        opts: &BackendOptions,
+        footprints: impl IntoIterator<Item = Cow<'f, RegionFootprints>>,
+    ) -> (SpmdProgram, PlanReport) {
+        assert!(opts.nprocs >= 1, "need at least one rank");
+        let analyzed = &*self.analyzed;
+        let mut planner = plan::Planner::new(analyzed, opts);
+        let mut footprints = footprints.into_iter();
+        let mut blocks = Vec::with_capacity(analyzed.regions.len());
+        for (i, (region, code)) in analyzed.regions.iter().zip(&self.code).enumerate() {
+            match region {
+                Region::Seq(seq) => {
+                    planner.note_seq_region(seq);
+                    blocks.push(Block::MasterSeq(code.clone()));
+                }
+                Region::Parallel(pl) => {
+                    let fps = footprints.next().expect("footprints for every parallel region");
+                    blocks.push(Block::Parallel(planner.plan_region(i, pl, code.clone(), fps)));
+                }
             }
         }
+        let program = SpmdProgram {
+            name: analyzed.name.clone(),
+            nprocs: opts.nprocs,
+            arrays: analyzed.symbols.arrays.iter().map(|a| (a.name.clone(), a.len as usize)).collect(),
+            scalars: analyzed
+                .symbols
+                .scalars
+                .iter()
+                .map(|s| (s.name.clone(), s.ty == polaris_fe::sema::ScalarType::Integer))
+                .collect(),
+            blocks,
+            sequential: self.sequential.clone(),
+        };
+        (program, planner.into_report())
     }
-    let sequential = translate::translate_stmts(&analyzed.sequential_body(), &analyzed.symbols);
-    let program = SpmdProgram {
-        name: analyzed.name.clone(),
-        nprocs: opts.nprocs,
-        arrays: analyzed
-            .symbols
-            .arrays
-            .iter()
-            .map(|a| (a.name.clone(), a.len as usize))
-            .collect(),
-        scalars: analyzed
-            .symbols
-            .scalars
-            .iter()
-            .map(|s| {
-                (
-                    s.name.clone(),
-                    s.ty == polaris_fe::sema::ScalarType::Integer,
-                )
-            })
-            .collect(),
-        blocks,
-        sequential,
-    };
-    let report = planner.into_report();
-    CompiledProgram {
-        program,
-        avpg,
-        report,
-    }
+}
+
+/// Run the MPI-2 postpass at one grain: [`Translated::lower`], with the
+/// AVPG moved into the result.
+pub fn compile_backend(analyzed: &AnalyzedProgram, opts: &BackendOptions) -> CompiledProgram {
+    let shared = Translated::new(Cow::Borrowed(analyzed));
+    let (program, report) = shared.lower(opts);
+    CompiledProgram { program, avpg: shared.avpg, report }
 }

@@ -3,14 +3,15 @@
 //! elision (§5.2), and the fine/middle/coarse granularity lowering
 //! with its overlap safety check (§5.6).
 
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 
 use lmad::{ArrayId, CoverIndex, Granularity, Lmad, Normal, OpForm, SummarySet, TransferPlan, COVER_LIMIT};
 use polaris_fe::analysis::{ParallelLoop, Region, SeqRegion};
 use polaris_fe::analysis::{AnalyzedProgram, ReductionOp};
-use spmd_rt::ir::{CommOp, CommPlan, ParRegion, RedOp, Reduction, Schedule};
+use spmd_rt::ir::{CommOp, CommPlan, Instrs, ParRegion, RedOp, Reduction, Schedule};
 
-use crate::{translate, BackendOptions};
+use crate::BackendOptions;
 
 /// What happened to one region's communication.
 #[derive(Debug, Clone, Default)]
@@ -124,87 +125,32 @@ impl<'a> Planner<'a> {
         });
     }
 
-    /// Plan one parallel region (region index `idx` in program order).
-    pub fn plan_region(&mut self, idx: usize, pl: &ParallelLoop) -> ParRegion {
+    /// Plan one parallel region (region index `idx` in program order)
+    /// around its translated `body`, from its per-rank `footprints`:
+    /// borrowed when another grain plans from them too, moved when this
+    /// lowering is the last that does — what the report and the
+    /// freshness keep of them is then moved, not copied.
+    pub(crate) fn plan_region(
+        &mut self,
+        idx: usize,
+        pl: &ParallelLoop,
+        body: Instrs,
+        mut footprints: Cow<'_, RegionFootprints>,
+    ) -> ParRegion {
         let p = self.opts.nprocs;
-        let sched = self.opts.schedule_override.unwrap_or(if pl.analysis.triangular {
-            Schedule::Cyclic
-        } else {
-            Schedule::Block
-        });
+        assert_eq!(footprints.per_rank.len(), p, "footprints of another partition");
+        let sched = footprints.sched;
         let g = self.opts.granularity;
-
-        // ---- per-rank exact regions (splitted-LMAD scheme, §5.4) ----
-        let mut rank_summaries: Vec<SummarySet> = Vec::with_capacity(p);
-        for r in 0..p {
-            let (start, every, count) = sched.assignment(pl.trips, r, p);
-            let mut set = SummarySet::new();
-            if count > 0 {
-                for rf in &pl.analysis.refs {
-                    let lmad = if every == 1 {
-                        rf.footprint(start, count)
-                    } else {
-                        rf.footprint_cyclic(start, every, count)
-                    };
-                    if rf.is_write {
-                        set.add_write(rf.array, lmad);
-                    } else {
-                        set.add_read(rf.array, lmad);
-                    }
-                }
-            }
-            rank_summaries.push(set);
-        }
-
-        let arrays: Vec<ArrayId> = {
-            let mut v: Vec<ArrayId> = pl
-                .analysis
-                .reads
-                .iter()
-                .chain(&pl.analysis.writes)
-                .copied()
-                .collect();
-            v.sort();
-            v.dedup();
-            v
-        };
-
         let mut info = RegionPlanInfo {
             line: pl.line,
             sched_cyclic: sched == Schedule::Cyclic,
             ..RegionPlanInfo::default()
         };
-        // Record every rank's compute-phase footprints for the static
-        // RMA checker (local accesses share the collect epoch with the
-        // slaves' collect PUTs), and normalise each of them once for the
-        // planning below. Multiple textual references with the same
-        // footprint collapse to one access: as transfers, a repeat would
-        // double the wire traffic and race against itself inside the
-        // collect epoch.
-        let mut footprints: Vec<Vec<Footprints>> = Vec::with_capacity(p);
-        for summary in &rank_summaries {
-            let mut writes = Vec::new();
-            let mut reads = Vec::new();
-            let per_array = arrays
-                .iter()
-                .map(|&a| Footprints {
-                    collect: dedup_regions(summary.collect_regions(a), |lm| {
-                        writes.push((a.0, lm.clone()))
-                    }),
-                    scatter: dedup_regions(summary.scatter_regions(a), |lm| {
-                        reads.push((a.0, lm.clone()))
-                    }),
-                })
-                .collect();
-            info.rank_writes.push(writes);
-            info.rank_reads.push(reads);
-            footprints.push(per_array);
-        }
         let mut scatter_plan: Vec<Vec<CommOp>> = vec![Vec::new(); p];
         let mut collect_plan: Vec<Vec<CommOp>> = vec![Vec::new(); p];
 
-        for (k, &a) in arrays.iter().enumerate() {
-            let of_array: Vec<&Footprints> = footprints.iter().map(|fps| &fps[k]).collect();
+        for (k, &a) in footprints.arrays.iter().enumerate() {
+            let of_array: Vec<&Footprints> = footprints.per_rank.iter().map(|fps| &fps[k]).collect();
             let written = pl.analysis.writes.contains(&a);
             self.plan_array(
                 a,
@@ -222,13 +168,23 @@ impl<'a> Planner<'a> {
         // (Pure-read regions already recorded their scattered data
         // inside plan_array; written arrays reset to exactly what the
         // rank wrote — collected back under the overlap check.)
-        for (r, per_array) in footprints.iter_mut().enumerate() {
+        for r in 0..p {
             for a in &pl.analysis.writes {
-                let k = arrays.binary_search(a).expect("a written array is an array of the region");
-                let written = std::mem::take(&mut per_array[k].collect);
+                let k = footprints.arrays.binary_search(a).expect("a written array is an array of the region");
+                let written = match &mut footprints {
+                    Cow::Owned(f) => std::mem::take(&mut f.per_rank[r][k].collect),
+                    Cow::Borrowed(f) => f.per_rank[r][k].collect.clone(),
+                };
                 self.fresh[r].insert(*a, CoverIndex::of_normals(written));
             }
         }
+        // Every rank's compute-phase footprints, for the static RMA
+        // checker (local accesses share the collect epoch with the
+        // slaves' collect PUTs).
+        (info.rank_writes, info.rank_reads) = match footprints {
+            Cow::Owned(f) => (f.rank_writes, f.rank_reads),
+            Cow::Borrowed(f) => (f.rank_writes.clone(), f.rank_reads.clone()),
+        };
 
         let scatter = CommPlan { per_rank: scatter_plan };
         let collect = CommPlan { per_rank: collect_plan };
@@ -246,7 +202,7 @@ impl<'a> Planner<'a> {
             step: pl.step,
             trips: pl.trips,
             sched,
-            body: translate::translate_stmts(&pl.body, &self.analyzed.symbols),
+            body,
             scatter,
             collect,
             pull_scatter: self.opts.pull_scatter,
@@ -467,8 +423,85 @@ impl<'a> Planner<'a> {
     }
 }
 
+/// One parallel region's per-rank footprints on one partition — the
+/// §5.3 schedule and the splitted LMADs of §5.4: what every grain plans
+/// the region from, whatever it lowers them to. The advisor builds them
+/// once for its three lowerings.
+#[derive(Clone)]
+pub(crate) struct RegionFootprints {
+    sched: Schedule,
+    /// The arrays the region touches, sorted.
+    arrays: Vec<ArrayId>,
+    /// `per_rank[r][k]`: rank `r`'s footprints of `arrays[k]`.
+    per_rank: Vec<Vec<Footprints>>,
+    /// [`RegionPlanInfo::rank_writes`].
+    rank_writes: Vec<Vec<(usize, Lmad)>>,
+    /// [`RegionPlanInfo::rank_reads`].
+    rank_reads: Vec<Vec<(usize, Lmad)>>,
+}
+
+impl RegionFootprints {
+    /// The footprints of `pl` on `opts`' ranks under its schedule
+    /// (`opts`' override, else §5.3's pick), each normalised once.
+    /// Multiple textual references with the same footprint collapse to
+    /// one access: as transfers, a repeat would double the wire traffic
+    /// and race against itself inside the collect epoch.
+    pub fn new(pl: &ParallelLoop, opts: &BackendOptions) -> Self {
+        let p = opts.nprocs;
+        let sched = opts.schedule_override.unwrap_or(if pl.analysis.triangular {
+            Schedule::Cyclic
+        } else {
+            Schedule::Block
+        });
+        let mut arrays: Vec<ArrayId> = pl.analysis.reads.iter().chain(&pl.analysis.writes).copied().collect();
+        arrays.sort();
+        arrays.dedup();
+        let mut out = RegionFootprints {
+            sched,
+            per_rank: Vec::with_capacity(p),
+            rank_writes: Vec::with_capacity(p),
+            rank_reads: Vec::with_capacity(p),
+            arrays,
+        };
+        for r in 0..p {
+            // Rank `r`'s exact regions (splitted-LMAD scheme, §5.4).
+            let (start, every, count) = sched.assignment(pl.trips, r, p);
+            let mut summary = SummarySet::new();
+            if count > 0 {
+                for rf in &pl.analysis.refs {
+                    let lmad = if every == 1 {
+                        rf.footprint(start, count)
+                    } else {
+                        rf.footprint_cyclic(start, every, count)
+                    };
+                    if rf.is_write {
+                        summary.add_write(rf.array, lmad);
+                    } else {
+                        summary.add_read(rf.array, lmad);
+                    }
+                }
+            }
+            let mut writes = Vec::new();
+            let mut reads = Vec::new();
+            let per_array = out
+                .arrays
+                .iter()
+                .map(|&a| Footprints {
+                    collect: dedup_regions(summary.collect_regions(a), |lm| writes.push((a.0, lm.clone()))),
+                    scatter: dedup_regions(summary.scatter_regions(a), |lm| reads.push((a.0, lm.clone()))),
+                })
+                .collect();
+            out.rank_writes.push(writes);
+            out.rank_reads.push(reads);
+            out.per_rank.push(per_array);
+        }
+        out
+    }
+}
+
 /// One rank's footprints of one array in one region, each normalised
 /// once.
+#[derive(Clone)]
 struct Footprints {
     /// What the rank's stores touch (collected back).
     collect: Vec<Normal>,
@@ -787,23 +820,8 @@ mod tests {
     /// ranks, every grain, block and cyclic, with and without the AVPG.
     #[test]
     fn plans_equal_the_per_message_reference() {
-        use vpce_workloads::{cfft, irregular, mm, swim, swim_full};
-        let programs: [(&str, &str, &[i64]); 12] = [
-            ("mm", mm::SOURCE, &[16, 48]),
-            ("swim", swim::SOURCE, &[16, 33]),
-            ("swim_full", swim_full::SOURCE, &[16]),
-            ("cfft", cfft::SOURCE, &[0]),
-            ("irregular", irregular::SOURCE, &[32]),
-            ("saxpy", include_str!("../../../examples/fortran/saxpy.f"), &[40]),
-            ("racy", include_str!("../../../examples/fortran/racy.f"), &[0]),
-            ("deadlock", include_str!("../../../examples/fortran/deadlock.f"), &[0]),
-            ("alias", include_str!("../../../examples/fortran/alias.f"), &[8, 12]),
-            ("cube", include_str!("../../../examples/fortran/cube.f"), &[8, 20]),
-            ("part", PART, &[0]),
-            ("half", HALF, &[8, 24]),
-        ];
         let (mut fallbacks, mut scatters, mut elided) = (0, 0, 0);
-        for (name, source, sizes) in programs {
+        for (name, source, sizes) in programs() {
             for &n in sizes {
                 let params: Vec<(&str, i64)> = if n > 0 { vec![("N", n)] } else { Vec::new() };
                 let analyzed = polaris_fe::compile(source, &params).expect("program compiles");
@@ -830,6 +848,87 @@ mod tests {
             }
         }
         assert!(fallbacks > 100 && scatters > 100 && elided > 100, "{fallbacks} fallbacks, {scatters} coverage scatters, {elided} elided scatters");
+    }
+
+    /// Every example and benchmark program — the partly covered collect
+    /// of [`PART`] and the uncovered ones of [`HALF`] included — with
+    /// the sizes the planner's tests lower it at (`0`: as written).
+    fn programs() -> [(&'static str, &'static str, &'static [i64]); 12] {
+        use vpce_workloads::{cfft, irregular, mm, swim, swim_full};
+        [
+            ("mm", mm::SOURCE, &[16, 48]),
+            ("swim", swim::SOURCE, &[16, 33]),
+            ("swim_full", swim_full::SOURCE, &[16]),
+            ("cfft", cfft::SOURCE, &[0]),
+            ("irregular", irregular::SOURCE, &[32]),
+            ("saxpy", include_str!("../../../examples/fortran/saxpy.f"), &[40]),
+            ("racy", include_str!("../../../examples/fortran/racy.f"), &[0]),
+            ("deadlock", include_str!("../../../examples/fortran/deadlock.f"), &[0]),
+            ("alias", include_str!("../../../examples/fortran/alias.f"), &[8, 12]),
+            ("cube", include_str!("../../../examples/fortran/cube.f"), &[8, 20]),
+            ("part", PART, &[0]),
+            ("half", HALF, &[8, 24]),
+        ]
+    }
+
+    /// The top-level statement lists of a lowered program.
+    fn lists(program: &spmd_rt::SpmdProgram) -> Vec<&Instrs> {
+        let blocks = program.blocks.iter().map(|b| match b {
+            spmd_rt::Block::MasterSeq(code) => code,
+            spmd_rt::Block::Parallel(region) => &region.body,
+        });
+        blocks.chain([&program.sequential]).collect()
+    }
+
+    /// Lowering every grain from one shared half — one translation, one
+    /// set of footprints borrowed by two grains and moved into the
+    /// third — plans what a fresh `compile_backend` per grain plans,
+    /// program and report, on every example and benchmark program at
+    /// 1, 2, 3, 4 and 16 ranks, block and cyclic, with and without the
+    /// AVPG; and the advisor's winner points at the statements every
+    /// grain's lowering shares.
+    #[test]
+    fn grains_lowered_from_one_shared_half_equal_fresh_compiles() {
+        let mut shared_lists = 0;
+        for (name, source, sizes) in programs() {
+            for &n in sizes {
+                let params: Vec<(&str, i64)> = if n > 0 { vec![("N", n)] } else { Vec::new() };
+                let analyzed = polaris_fe::compile(source, &params).expect("program compiles");
+                let shared = crate::Translated::new(Cow::Borrowed(&analyzed));
+                for ranks in [1, 2, 3, 4, 16] {
+                    for sched in [Schedule::Block, Schedule::Cyclic] {
+                        for avpg in [true, false] {
+                            let base = BackendOptions::new(ranks).schedule(sched).avpg(avpg);
+                            let mut footprints: Vec<RegionFootprints> = shared.footprints(&base).collect();
+                            let mut lowered = Vec::new();
+                            for g in Granularity::ALL {
+                                let opts = base.clone().granularity(g);
+                                let (program, report) = if g == Granularity::Coarse {
+                                    shared.lower_from(&opts, std::mem::take(&mut footprints).into_iter().map(Cow::Owned))
+                                } else {
+                                    shared.lower_from(&opts, footprints.iter().map(Cow::Borrowed))
+                                };
+                                let fresh = crate::compile_backend(&analyzed, &opts);
+                                let case = format!("{name} N={n} on {ranks} ranks, {opts:?}");
+                                assert_eq!(program, fresh.program, "{case}");
+                                assert_eq!(format!("{report:?}"), format!("{:?}", fresh.report), "{case}");
+                                lowered.push(program);
+                            }
+                            let cluster = cluster_sim::ClusterConfig::paper_n(ranks);
+                            let advice = crate::advise(&shared, &cluster, &base).expect("prices");
+                            let winner = lists(&advice.compiled.program);
+                            for program in &lowered {
+                                for (a, b) in lists(program).into_iter().zip(&winner) {
+                                    assert!(Instrs::ptr_eq(a, b), "{name} N={n} on {ranks} ranks: a list copied");
+                                    shared_lists += 1;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(shared_lists > 1000, "{shared_lists} shared lists");
     }
 
     /// MM at 16 ranks, N=160 — the advisor's middle and coarse plans of

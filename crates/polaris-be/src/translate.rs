@@ -6,8 +6,13 @@ use polaris_fe::ast::{BinOp as FeBin, Expr as FeExpr, Intrinsic, Stmt, UnOp};
 use polaris_fe::sema::Symbols;
 use spmd_rt::ir::{BinOp, Expr, Instr, IntrinsicOp};
 
-/// Translate a statement list.
+/// Translate a top-level statement list ([`crate::Translated::new`]
+/// translates each of a program's once).
 pub fn translate_stmts(stmts: &[Stmt], symbols: &Symbols) -> Vec<Instr> {
+    translate_block(stmts, symbols)
+}
+
+fn translate_block(stmts: &[Stmt], symbols: &Symbols) -> Vec<Instr> {
     stmts.iter().filter_map(|s| translate_stmt(s, symbols)).collect()
 }
 
@@ -43,7 +48,7 @@ fn translate_stmt(s: &Stmt, symbols: &Symbols) -> Option<Instr> {
                 Some(FeExpr::IntLit(v)) => *v,
                 Some(other) => panic!("non-constant DO step survived sema: {other:?}"),
             },
-            body: translate_stmts(body, symbols),
+            body: translate_block(body, symbols),
         },
         Stmt::If {
             cond,
@@ -52,8 +57,8 @@ fn translate_stmt(s: &Stmt, symbols: &Symbols) -> Option<Instr> {
             ..
         } => Instr::If {
             cond: translate_expr(cond, symbols),
-            then_body: translate_stmts(then_body, symbols),
-            else_body: translate_stmts(else_body, symbols),
+            then_body: translate_block(then_body, symbols),
+            else_body: translate_block(else_body, symbols),
         },
         Stmt::Continue { .. } => return None,
         Stmt::Call { name, .. } => {

@@ -441,7 +441,7 @@ mod tests {
             step: 1,
             trips: n as u64,
             sched: Schedule::Block,
-            body: body.clone(),
+            body: body.clone().into(),
             scatter: CommPlan { per_rank: per_rank(0) },
             collect: CommPlan { per_rank: per_rank(1) },
             pull_scatter: false,
@@ -451,7 +451,7 @@ mod tests {
             reductions: vec![],
             line,
         };
-        let mut blocks = vec![Block::MasterSeq(init.clone())];
+        let mut blocks = vec![Block::MasterSeq(init.clone().into())];
         for k in 0..regions {
             blocks.push(Block::Parallel(region(10 + k)));
         }
@@ -474,7 +474,7 @@ mod tests {
             arrays: vec![("A".into(), n), ("C".into(), n)],
             scalars: vec![("I".into(), true)],
             blocks,
-            sequential,
+            sequential: sequential.into(),
         }
     }
 

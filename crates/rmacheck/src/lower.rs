@@ -109,7 +109,7 @@ mod tests {
             arrays: vec![("A".into(), 16)],
             scalars: Vec::new(),
             blocks,
-            sequential: Vec::new(),
+            sequential: Default::default(),
         }
     }
 
@@ -139,7 +139,7 @@ mod tests {
 
     #[test]
     fn master_seq_blocks_emit_nothing() {
-        let prog = program(vec![Block::MasterSeq(Vec::new())]);
+        let prog = program(vec![Block::MasterSeq(Default::default())]);
         let trace = lower(&prog, &PlanReport::default());
         assert!(trace.ranks.iter().all(Vec::is_empty));
     }

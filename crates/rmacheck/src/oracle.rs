@@ -219,7 +219,7 @@ fn build(plan: &GenPlan) -> (SpmdProgram, PlanReport) {
         report.steps.push(PlanStep::Par(i));
     }
     let arrays = plan.lens.iter().enumerate().map(|(a, len)| (format!("A{a}"), *len)).collect();
-    let prog = SpmdProgram { name: "gen".into(), nprocs: n, arrays, scalars: Vec::new(), blocks, sequential: Vec::new() };
+    let prog = SpmdProgram { name: "gen".into(), nprocs: n, arrays, scalars: Vec::new(), blocks, sequential: Default::default() };
     (prog, report)
 }
 

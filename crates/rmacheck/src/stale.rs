@@ -228,7 +228,7 @@ mod tests {
             step: 1,
             trips: 16,
             sched: Schedule::Block,
-            body: Vec::new(),
+            body: Default::default(),
             scatter: comm(vec![Vec::new(), Vec::new()]),
             collect: comm(vec![
                 Vec::new(),
@@ -272,7 +272,7 @@ mod tests {
             step: 1,
             trips: 16,
             sched: Schedule::Block,
-            body: Vec::new(),
+            body: Default::default(),
             scatter: comm(vec![Vec::new(), vec![op(0, 0, 16)]]),
             collect: comm(vec![Vec::new(), Vec::new()]),
             pull_scatter: false,
@@ -291,7 +291,7 @@ mod tests {
             arrays: vec![("A".into(), 16)],
             scalars: Vec::new(),
             blocks,
-            sequential: Vec::new(),
+            sequential: Default::default(),
         }
     }
 
@@ -356,7 +356,7 @@ mod tests {
     #[test]
     fn elided_collect_read_by_seq_section_flags_vpce006() {
         let (w, wi) = writing_region(false);
-        let prog = program(vec![Block::Parallel(w), Block::MasterSeq(Vec::new())]);
+        let prog = program(vec![Block::Parallel(w), Block::MasterSeq(Default::default())]);
         let report = PlanReport {
             regions: vec![wi],
             steps: vec![
@@ -389,7 +389,7 @@ mod tests {
     #[test]
     fn seq_write_does_not_clear_staleness() {
         let (w, wi) = writing_region(false);
-        let prog = program(vec![Block::Parallel(w), Block::MasterSeq(Vec::new())]);
+        let prog = program(vec![Block::Parallel(w), Block::MasterSeq(Default::default())]);
         let report = PlanReport {
             regions: vec![wi],
             steps: vec![

@@ -1,9 +1,9 @@
 //! Per-job compilation and execution.
 //!
 //! Admission compiles the job once ([`analyze`], the front end, shared
-//! by every job of one program text and parameters; [`compile`], the
-//! backend at the chosen granularity) and dry-runs it fault-free on its private
-//! partition. The dry run is not a second way to execute a program: it
+//! with its translation by every job of one program text and
+//! parameters; [`compile`], the backend at the chosen granularity) and
+//! dry-runs it fault-free on its private partition. The dry run is not a second way to execute a program: it
 //! is [`run_attempt`], attempt 0, of the job's fault- and recover-free
 //! copy ([`crate::Runner::prepare`] composes the two), and its one
 //! shared outcome ([`Prepared::clean`]) serves three masters. It
@@ -26,7 +26,7 @@ use std::rc::Rc;
 
 use cluster_sim::ClusterConfig;
 use lmad::Granularity;
-use polaris_be::BackendOptions;
+use polaris_be::{BackendOptions, Translated};
 use polaris_fe::AnalyzedProgram;
 use spmd_rt::{ExecMode, RunReport, SpmdProgram, VpceError};
 use vbus_sim::Mesh;
@@ -139,7 +139,7 @@ pub fn analyze(job: &JobSpec, source: &str) -> Result<AnalyzedProgram, VpceError
     polaris_fe::compile(source, &params).map_err(|e| reject(job, format!("front-end: {e}")))
 }
 
-/// Admission-time compile of the job's analyzed program onto its
+/// Admission-time compile of the job's translated program onto its
 /// resolved machine ([`resolve_machine`]). A job without `grain=` gets
 /// the grain [`polaris_be::advise`] picks by simulating every grain on
 /// the job's own partition. Any failure here — the machine cannot host
@@ -147,7 +147,7 @@ pub fn analyze(job: &JobSpec, source: &str) -> Result<AnalyzedProgram, VpceError
 /// [`VpceError::AdmissionRejected`]: the job never enters the queue.
 pub fn compile(
     job: &JobSpec,
-    analyzed: &AnalyzedProgram,
+    translated: &Translated<'_>,
     machine: &MachineSpec,
 ) -> Result<Plan, VpceError> {
     let shape = job_footprint(machine, job.ranks);
@@ -160,15 +160,15 @@ pub fn compile(
     let base = BackendOptions::new(job.ranks);
     // The advisor prices the grains on that cluster and hands back the
     // winner's plan.
-    let (granularity, compiled) = match job.granularity {
-        Some(g) => (g, polaris_be::compile_backend(analyzed, &base.granularity(g))),
+    let (granularity, program) = match job.granularity {
+        Some(g) => (g, translated.lower(&base.granularity(g)).0),
         None => {
-            let advice = polaris_be::advise(analyzed, &cluster, &base)
+            let advice = polaris_be::advise(translated, &cluster, &base)
                 .map_err(|e| reject(job, format!("advisor pricing run: {e}")))?;
-            (advice.winner, advice.compiled)
+            (advice.winner, advice.compiled.program)
         }
     };
-    Ok(Plan { program: compiled.program, shape, cluster, granularity })
+    Ok(Plan { program, shape, cluster, granularity })
 }
 
 /// Fault seed for attempt `k` of a job (attempt 0 is the jobfile's own

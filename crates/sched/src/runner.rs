@@ -13,7 +13,8 @@
 //! urgently. Hits hand out shared handles, never copies of the arrays.
 //! The front end's analysis depends on less — the program text and its
 //! `PARAMETER` overrides — so jobs that differ in ranks, grain, faults
-//! or machine share one [`AnalyzedProgram`].
+//! or machine share one [`polaris_fe::AnalyzedProgram`], translated once
+//! ([`Translated`]): every plan of it points at the same statements.
 //!
 //! There is one way to execute a job. The admission dry run is attempt
 //! 0 of the job's fault- and recover-free copy, through the same
@@ -26,11 +27,12 @@
 //! so the serial scheduler that follows finds each verdict in the
 //! table. [`Runner::prepare`] is the same pass over one job.
 
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{HashMap, HashSet};
 use std::rc::Rc;
 
-use polaris_fe::AnalyzedProgram;
+use polaris_be::Translated;
 use spmd_rt::{ExecMode, Snapshot, VpceError};
 use vpce_machine::MachineSpec;
 
@@ -64,7 +66,7 @@ pub struct Runner<'l> {
     loader: &'l SourceLoader<'l>,
     /// Threads [`Runner::prepare_all`] admits on.
     workers: usize,
-    analyzed: Memo<SourceKey, AnalyzedProgram>,
+    analyzed: Memo<SourceKey, Translated<'static>>,
     prepared: Memo<String, Prepared>,
     runs: Memo<Key, AttemptOutcome>,
     snaps: Memo<CkptKey, Snapshot>,
@@ -141,12 +143,12 @@ impl<'l> Runner<'l> {
     }
 
     /// The front end's analysis of the job's program under its
-    /// `PARAMETER` overrides, run once per (program text, overrides). A
-    /// refusal names the job that asked.
-    pub(crate) fn analyze(&self, spec: &JobSpec) -> Result<Rc<AnalyzedProgram>, VpceError> {
+    /// `PARAMETER` overrides, translated: both run once per (program
+    /// text, overrides). A refusal names the job that asked.
+    pub(crate) fn analyze(&self, spec: &JobSpec) -> Result<Rc<Translated<'static>>, VpceError> {
         let source = run::resolve_source(spec, self.loader)?;
         memoised(&self.analyzed, (source, spec.params.clone()), |(source, _)| {
-            run::analyze(spec, source)
+            run::analyze(spec, source).map(|analyzed| Translated::new(Cow::Owned(analyzed)))
         })
         .map_err(|e| refusal_of(spec, e))
     }
@@ -161,8 +163,9 @@ impl<'l> Runner<'l> {
     }
 
     /// Admit every distinct piece of work among `specs` at once; work
-    /// already memoised is skipped. The machine and the front end run
-    /// here, on the calling thread (analyses are shared `Rc`s), and a
+    /// already memoised is skipped. The machine, the front end and the
+    /// translation run here, on the calling thread (they are shared
+    /// `Rc`s), and a
     /// refusal from either goes straight into the table. Each compile
     /// goes to the next free worker, and so does each distinct dry run
     /// of a job [`spmd_rt::exec::workers`] carries on one thread. A
@@ -366,11 +369,21 @@ mod tests {
         }
     }
 
+    /// The top-level statement lists of a plan's program.
+    fn lists(program: &spmd_rt::SpmdProgram) -> Vec<&spmd_rt::Instrs> {
+        let blocks = program.blocks.iter().map(|b| match b {
+            spmd_rt::Block::MasterSeq(code) => code,
+            spmd_rt::Block::Parallel(region) => &region.body,
+        });
+        blocks.chain([&program.sequential]).collect()
+    }
+
     #[test]
     fn one_program_text_and_parameters_are_analyzed_once() {
         let r = Runner::new(ExecMode::Full);
         let base = mm("a");
         let pa = r.analyze(&base).unwrap();
+        let plan = r.prepare(&base).unwrap();
         let same: [(&str, fn(&mut JobSpec)); 4] = [
             ("ranks", |j| j.ranks = 4),
             ("grain", |j| j.granularity = Some(lmad::Granularity::Fine)),
@@ -380,8 +393,13 @@ mod tests {
         for (field, change) in same {
             let mut other = mm("b");
             change(&mut other);
-            r.prepare(&other).unwrap();
-            assert!(Rc::ptr_eq(&r.analyze(&other).unwrap(), &pa), "{field}: one analysis");
+            let other_plan = r.prepare(&other).unwrap();
+            assert!(Rc::ptr_eq(&r.analyze(&other).unwrap(), &pa), "{field}: one analysis, one translation");
+            let (mine, theirs) = (lists(&plan.plan.program), lists(&other_plan.plan.program));
+            assert_eq!(mine.len(), theirs.len(), "{field}");
+            for (a, b) in mine.into_iter().zip(theirs) {
+                assert!(spmd_rt::Instrs::ptr_eq(a, b), "{field}: the plans share their statements");
+            }
         }
         let mut bigger = mm("c");
         bigger.params[0].1 = 12;

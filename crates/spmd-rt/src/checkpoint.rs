@@ -188,7 +188,7 @@ mod tests {
             step: 1,
             trips: n as u64,
             sched: Schedule::Block,
-            body,
+            body: body.into(),
             // C is read-write in this region: scatter and collect it.
             scatter: CommPlan { per_rank: per_rank(1) },
             collect: CommPlan { per_rank: per_rank(1) },
@@ -216,7 +216,7 @@ mod tests {
             }],
         }];
         prog.blocks.push(Block::Parallel(region2));
-        prog.blocks.push(Block::MasterSeq(tail));
+        prog.blocks.push(Block::MasterSeq(tail.into()));
         prog
     }
 

@@ -815,7 +815,7 @@ pub(crate) mod tests {
             step: 1,
             trips: n as u64,
             sched: Schedule::Block,
-            body: body.clone(),
+            body: body.clone().into(),
             scatter: CommPlan { per_rank: per_rank(0) },
             collect: CommPlan { per_rank: per_rank(1) },
             pull_scatter: false,
@@ -841,8 +841,8 @@ pub(crate) mod tests {
             nprocs,
             arrays: vec![("A".into(), n), ("C".into(), n)],
             scalars: vec![("I".into(), true)],
-            blocks: vec![Block::MasterSeq(init), Block::Parallel(region)],
-            sequential,
+            blocks: vec![Block::MasterSeq(init.into()), Block::Parallel(region)],
+            sequential: sequential.into(),
         }
     }
 
@@ -1096,8 +1096,9 @@ pub(crate) mod tests {
             lo: Expr::IConst(1),
             hi: Expr::IConst(2),
             step: 1,
-            body: prog.sequential.clone(),
-        }];
+            body: prog.sequential.to_vec(),
+        }]
+        .into();
         assert!(run_sequential_until(&prog, ExecMode::Full, &AtomicBool::new(false)).is_ok());
         let stopped = run_sequential_until(&prog, ExecMode::Full, &stop);
         assert!(matches!(stopped, Err(VpceError::PeerFailure { .. })), "{stopped:?}");

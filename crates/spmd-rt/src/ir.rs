@@ -4,6 +4,10 @@
 //! intrinsically private (per-rank copies), and explicit communication
 //! via PUT/GET.
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use lmad::{RegionTransfer, TransferPlan};
 
 /// Binary operators (arithmetic, relational, logical).
@@ -84,6 +88,54 @@ pub enum Instr {
         then_body: Vec<Instr>,
         else_body: Vec<Instr>,
     },
+}
+
+/// A top-level statement list — a sequential section, a parallel
+/// loop's body, the whole sequential program — shared: the backend
+/// translates each once, and every lowering of one analysed program
+/// (one per grain the advisor prices) points at the same instructions.
+/// Two lists are equal when they are one allocation, or else statement
+/// by statement.
+#[derive(Clone)]
+pub struct Instrs(Arc<[Instr]>);
+
+impl Instrs {
+    /// Are `a` and `b` one allocation?
+    pub fn ptr_eq(a: &Instrs, b: &Instrs) -> bool {
+        Arc::ptr_eq(&a.0, &b.0)
+    }
+}
+
+impl Default for Instrs {
+    fn default() -> Self {
+        Instrs(Arc::from([]))
+    }
+}
+
+impl From<Vec<Instr>> for Instrs {
+    fn from(instrs: Vec<Instr>) -> Self {
+        Instrs(instrs.into())
+    }
+}
+
+impl Deref for Instrs {
+    type Target = [Instr];
+
+    fn deref(&self) -> &[Instr] {
+        &self.0
+    }
+}
+
+impl PartialEq for Instrs {
+    fn eq(&self, other: &Instrs) -> bool {
+        Instrs::ptr_eq(self, other) || self.0 == other.0
+    }
+}
+
+impl fmt::Debug for Instrs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.0.fmt(f)
+    }
 }
 
 /// Loop scheduling of §5.3: "cyclic assignment for triangular loops,
@@ -203,7 +255,7 @@ pub struct ParRegion {
     pub step: i64,
     pub trips: u64,
     pub sched: Schedule,
-    pub body: Vec<Instr>,
+    pub body: Instrs,
     /// Master → slave transfers at entry (ReadOnly/ReadWrite LMADs).
     pub scatter: CommPlan,
     /// Slave → master transfers at exit (WriteFirst/ReadWrite LMADs).
@@ -238,7 +290,7 @@ impl ParRegion {
             step: 1,
             trips: 8,
             sched: Schedule::Block,
-            body: Vec::new(),
+            body: Instrs::default(),
             scatter: no_comm(),
             collect: no_comm(),
             pull_scatter: false,
@@ -256,7 +308,7 @@ impl ParRegion {
 pub enum Block {
     /// Sequential section: the master executes, the slaves wait at the
     /// following barrier (§3's master/slave control flow).
-    MasterSeq(Vec<Instr>),
+    MasterSeq(Instrs),
     Parallel(ParRegion),
 }
 
@@ -273,7 +325,7 @@ pub struct SpmdProgram {
     pub blocks: Vec<Block>,
     /// The original sequential statement list (reference execution and
     /// the Table-1 baseline).
-    pub sequential: Vec<Instr>,
+    pub sequential: Instrs,
 }
 
 impl SpmdProgram {

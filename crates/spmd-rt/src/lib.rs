@@ -59,6 +59,6 @@ pub use exec::{
 };
 pub use vpce_faults::{FaultSpec, VpceError};
 pub use ir::{
-    Block, CommOp, CommPlan, Expr, Instr, IntrinsicOp, ParRegion, RedOp, Schedule, SpmdProgram,
+    Block, CommOp, CommPlan, Expr, Instr, Instrs, IntrinsicOp, ParRegion, RedOp, Schedule, SpmdProgram,
 };
 pub use value::Value;

@@ -1977,7 +1977,7 @@ mod tests {
             arrays: vec![("A".into(), 4)],
             scalars: vec![("M".into(), true), ("X".into(), false), ("K".into(), true)],
             blocks: Vec::new(),
-            sequential: body,
+            sequential: body.into(),
         }
     }
 
@@ -2173,7 +2173,7 @@ mod tests {
                 .to_vec(),
             scalars: ["I", "J", "K"].map(|s| (s.to_string(), true)).to_vec(),
             blocks: Vec::new(),
-            sequential: vec![over(0, vec![over(1, fill)]), over(0, vec![over(1, mm)])],
+            sequential: vec![over(0, vec![over(1, fill)]), over(0, vec![over(1, mm)])].into(),
         };
         let (streamed, fused, nested) = (STREAMED.get(), FUSED.get(), NESTED.get());
         let (_, arrays, _) = run_sequential(&p, ExecMode::Full).unwrap();
@@ -2297,7 +2297,7 @@ mod tests {
         }];
         let mut p = prog(Vec::new());
         p.blocks = vec![IrBlock::Parallel(ParRegion {
-            body,
+            body: body.into(),
             ..ParRegion::blank(1, 7)
         })];
         let cluster = ClusterConfig::paper_n(1);

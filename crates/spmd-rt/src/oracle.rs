@@ -251,7 +251,7 @@ mod tests {
             ],
             scalars: SCALARS.iter().map(|(n, i)| (n.to_string(), *i)).collect(),
             blocks: Vec::new(),
-            sequential,
+            sequential: sequential.into(),
         }
     }
 
@@ -993,7 +993,7 @@ mod tests {
             arrays: ["X", "P", "Q"].iter().zip(lens).map(|(n, len)| (n.to_string(), len)).collect(),
             scalars: SCALARS.iter().map(|(n, i)| (n.to_string(), *i)).collect(),
             blocks: Vec::new(),
-            sequential,
+            sequential: sequential.into(),
         }
     }
 

@@ -256,7 +256,7 @@ mod tests {
                 arrays: vec![("A".into(), 16)],
                 scalars: vec![("S".into(), false)],
                 blocks: vec![Block::Parallel(region.clone())],
-                sequential: Vec::new(),
+                sequential: Default::default(),
             };
             let tracer = Tracer::enabled();
             let run = try_execute_traced(

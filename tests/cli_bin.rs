@@ -363,6 +363,27 @@ fn a_collected_band_past_the_proof_budget_is_not_called_elided() {
     }
 }
 
+/// A stride-2 store over a cube, collected at middle grain: rank 1's
+/// collect op is one bounding run per column, which holds every even
+/// element it wrote. Past the proof budget (N=200: 4 000 000 accesses)
+/// the union of runs is neither the write's normal form nor one
+/// contiguous member, and the write was reported as an elided collect
+/// (VPCE006, exit 2) though N=120 was clean; the union holds the write
+/// column by column at any size.
+#[test]
+fn a_strided_store_collected_in_column_runs_past_the_proof_budget_is_clean() {
+    const HALF3: &str = "      PROGRAM HALF3\n      PARAMETER (N = 16)\n      REAL X(2*N+2,N,N)\n      INTEGER I, J, K\n      \
+                         DO K = 1, N\n        DO J = 1, N\n          DO I = 1, N\n            X(2*I,J,K) = 1.0\n          \
+                         ENDDO\n        ENDDO\n      ENDDO\n      END\n";
+    let src = Scratch::new("half3.f");
+    std::fs::write(&src.0, HALF3).unwrap();
+    for n in ["N=120", "N=200"] {
+        let out = vpcec(&[src.str(), "--nodes", "2", "--param", n, "--grain", "middle", "--lint"], None);
+        assert_eq!(out.status.code(), Some(0), "{n}: {}", stdout(&out));
+        assert_eq!(stdout(&out), "lint: HALF3: clean (no RMA conflicts)\n", "{n}");
+    }
+}
+
 #[test]
 fn zero_nodes_is_the_vpce505_usage_line_on_the_builtin_machines() {
     let mm = concat!(env!("CARGO_MANIFEST_DIR"), "/../../examples/fortran/mm.f");

@@ -3,6 +3,8 @@
 //! `table1`/`table2`/`hwclaims`/`ablation` binaries and are recorded
 //! in EXPERIMENTS.md).
 
+use std::borrow::Cow;
+
 use cluster_sim::ClusterConfig;
 use vpce::{compile, BackendOptions, ExecMode, Granularity, Schedule};
 use vpce_machine::MachineSpec;
@@ -188,10 +190,11 @@ fn the_batch_door_grain_is_the_advisors_on_every_builtin_machine() {
         let analyzed = polaris_fe::compile(src, &[params]).unwrap();
         let shape = run::job_footprint(&machine, ranks);
         let cluster = machine.lower_partition(shape, ranks).unwrap();
-        let advice = vpce::advise(&analyzed, &cluster, &BackendOptions::new(ranks)).unwrap();
+        let shared = vpce::Translated::new(Cow::Borrowed(&analyzed));
+        let advice = vpce::advise(&shared, &cluster, &BackendOptions::new(ranks)).unwrap();
         let mut job = JobSpec::new("j", JobSource::Inline(src.into()), ranks);
         job.params.push((params.0.into(), params.1));
-        let plan = run::compile(&job, &analyzed, &machine).unwrap();
+        let plan = run::compile(&job, &shared, &machine).unwrap();
         assert_eq!(plan.granularity, advice.winner, "{case}: {:?}", advice.measured);
         assert_eq!(plan.program, advice.compiled.program, "{case}");
         winners.push(advice.winner);

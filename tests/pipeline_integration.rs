@@ -725,7 +725,7 @@ fn mm_product_nest_has_a_nest_form_and_irregular_loops_do_not() {
                     lo: Expr::IConst(r.lo),
                     hi: Expr::IConst(r.lo + r.step * (r.trips as i64 - 1)),
                     step: r.step,
-                    body: r.body.clone(),
+                    body: r.body.to_vec(),
                 };
                 nests(&lower(&[whole], scalars), scalars, &mut ranks);
             }
