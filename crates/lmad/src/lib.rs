@@ -61,7 +61,7 @@ pub use descriptor::{progressions_intersect, Dim, Lmad};
 pub use normal::{Form, Normal, OVERLAP_LIMIT};
 pub use summary::{AccessClass, ArrayId, SummaryEntry, SummarySet};
 pub use sweep::{CoverIndex, COVER_LIMIT};
-pub use transfer::{any_overlap, cross_rank_overlap, Granularity, OpForm, RegionTransfer, TransferPlan};
+pub use transfer::{any_overlap, cross_rank_overlap, Granularity, OpForm, RegionTransfer, TransferPlan, Transfers};
 
 /// Work counts of the exact tests on the calling thread, so a test can
 /// pin how much work a caller makes (`spmd-rt`'s `STREAMED` /

@@ -292,6 +292,9 @@ fn transfer_walk_is_the_sorted_offset_list() {
             let got: Vec<RegionTransfer> = p.transfers().collect();
             prop_assert_eq!(&got, &want, "{:?} of {}", g, l);
             prop_assert_eq!(p.num_messages(), want.len());
+            if let (Some(first), Some(last)) = (want.first(), want.last()) {
+                prop_assert_eq!(p.starts(), (first.offset, last.offset));
+            }
             prop_assert_eq!(p.total_elems(), want.iter().map(RegionTransfer::elems).sum::<u64>());
             prop_assert_eq!(p.strided_messages(), want.iter().filter(|t| !t.is_contiguous()).count());
             prop_assert!(p == p.clone());

@@ -119,32 +119,30 @@ impl TransferPlan {
     /// already ascends and is walked in place; otherwise the offsets
     /// are listed and sorted, afresh on each call. Offsets past `i64`
     /// wrap: a plan of an array's footprint has none.
-    pub fn transfers(&self) -> impl Iterator<Item = RegionTransfer> + '_ {
-        let (stride, count) = (self.stride, self.count);
-        let mut sorted = (!self.offsets.is_non_aliasing()).then(|| {
+    pub fn transfers(&self) -> Transfers<'_> {
+        let sorted = (!self.offsets.is_non_aliasing()).then(|| {
             let mut all: Vec<i64> = self.odometer().collect();
             all.sort_unstable();
             all.into_iter()
         });
-        let mut walk = self.odometer();
-        std::iter::from_fn(move || match &mut sorted {
-            Some(all) => all.next(),
-            None => walk.next(),
-        })
-        .map(move |offset| RegionTransfer { offset, stride, count })
+        Transfers { sorted, walk: self.odometer(), stride: self.stride, count: self.count }
     }
 
     /// Every start offset, innermost dim fastest.
-    fn odometer(&self) -> impl Iterator<Item = i64> + '_ {
-        let dims = &self.offsets.dims;
-        (0..self.offsets.num_accesses()).map(move |mut k| {
-            let mut offset = self.offsets.base;
-            for d in dims {
-                offset = offset.wrapping_add(((k % d.count) as i64).wrapping_mul(d.stride));
-                k /= d.count;
-            }
-            offset
-        })
+    fn odometer(&self) -> Odometer<'_> {
+        let (stride, row) = self.offsets.dims.first().map_or((0, 1), |d| (d.stride, d.count));
+        Odometer { offsets: &self.offsets, stride, row, k: 0, n: self.offsets.num_accesses(), offset: 0, left_in_row: 0 }
+    }
+
+    /// The lowest and highest message start, saturating at the `i64`
+    /// range (widening only).
+    pub fn starts(&self) -> (i64, i64) {
+        self.offsets.extent()
+    }
+
+    /// Every message's `(stride, count)`: one shape, `A_mapping`'s.
+    pub fn shape(&self) -> (u64, u64) {
+        (self.stride, self.count)
     }
 
     /// The messages as one descriptor: the message shape as the lowest
@@ -252,6 +250,76 @@ impl TransferPlan {
         } else {
             self.num_messages()
         }
+    }
+}
+
+/// A plan's messages, in the order [`TransferPlan::transfers`] gives.
+#[derive(Debug, Clone)]
+pub struct Transfers<'a> {
+    /// The sorted starts of a plan whose offsets alias; `None` walks
+    /// the odometer.
+    sorted: Option<std::vec::IntoIter<i64>>,
+    walk: Odometer<'a>,
+    stride: u64,
+    count: u64,
+}
+
+impl Iterator for Transfers<'_> {
+    type Item = RegionTransfer;
+
+    fn next(&mut self) -> Option<RegionTransfer> {
+        let offset = match &mut self.sorted {
+            Some(all) => all.next(),
+            None => self.walk.next(),
+        }?;
+        Some(RegionTransfer { offset, stride: self.stride, count: self.count })
+    }
+}
+
+/// The start offsets of `A_offsets`, innermost dim fastest. Along the
+/// innermost dim a start is the last one plus its stride; only where
+/// that dim wraps is the offset decomposed afresh, so a message costs
+/// an addition, not a division per dim, and the walk allocates nothing.
+#[derive(Debug, Clone)]
+struct Odometer<'a> {
+    offsets: &'a Lmad,
+    /// The innermost dim's stride and count.
+    stride: i64,
+    row: u64,
+    /// Offsets given, of `n`.
+    k: u64,
+    n: u64,
+    offset: i64,
+    left_in_row: u64,
+}
+
+impl Odometer<'_> {
+    /// The `k`-th offset, decomposed.
+    fn at(&self, mut k: u64) -> i64 {
+        let mut offset = self.offsets.base;
+        for d in &self.offsets.dims {
+            offset = offset.wrapping_add(((k % d.count) as i64).wrapping_mul(d.stride));
+            k /= d.count;
+        }
+        offset
+    }
+}
+
+impl Iterator for Odometer<'_> {
+    type Item = i64;
+
+    fn next(&mut self) -> Option<i64> {
+        if self.k == self.n {
+            return None;
+        }
+        if self.left_in_row == 0 {
+            (self.offset, self.left_in_row) = (self.at(self.k), self.row);
+        } else {
+            self.offset = self.offset.wrapping_add(self.stride);
+        }
+        self.left_in_row -= 1;
+        self.k += 1;
+        Some(self.offset)
     }
 }
 

@@ -11,18 +11,21 @@
 //!   declared length, checks, costs and wire traffic with no storage,
 //!   for runs that simulate the communication without the data;
 //! * **`MPI_PUT`/`MPI_GET`/`MPI_ACCUMULATE`** — one operation family
-//!   over a constant-stride region, carried from issue to apply on one
-//!   descriptor `{ dir, off, stride, count, src }` (a contiguous
-//!   transfer is `stride == 1`; `src` says where the payload waits — an
-//!   eager slot, a pinned caller buffer, or the *sending* side's own
-//!   shard, the origin's for PUT and the target's for GET). The paper's
-//!   DMA-vs-PIO fork is a host **cost** decision fixed by the entry
-//!   point: the contiguous calls ([`Mpi::put`], [`Mpi::put_region`],
-//!   [`Mpi::get`], [`Mpi::accumulate`]) price as DMA — the host pays
-//!   only descriptor setup — and the strided calls
+//!   over constant-stride regions. A compiled program's planned op —
+//!   §5.4's splitted LMAD, an [`lmad::TransferPlan`] — is one call
+//!   ([`Mpi::put_series`], [`Mpi::get_series`]), like `MPI_Put` with a
+//!   derived datatype, and one pending series from issue to apply; its
+//!   wire messages are expanded where the fence books them. A message's
+//!   payload waits in an eager slot, the caller's buffer, or the
+//!   *sending* side's own shard (the origin's for PUT, the target's for
+//!   GET). The paper's DMA-vs-PIO fork is a host **cost** decision fixed
+//!   by the entry point: the contiguous calls ([`Mpi::put`],
+//!   [`Mpi::put_region`], [`Mpi::get`], [`Mpi::accumulate`]) price as
+//!   DMA — the host pays only descriptor setup — and the strided calls
 //!   ([`Mpi::put_strided`], [`Mpi::put_region_strided`],
 //!   [`Mpi::get_strided`]) as programmed I/O — the host copies element
-//!   by element into the driver buffer;
+//!   by element into the driver buffer; a series prices each message on
+//!   the path its shape picks;
 //! * **`MPI_WIN_FENCE`** ([`Mpi::win_fence`], [`Mpi::fence_all`]) —
 //!   closes the access epoch: "fences guarantee that all outstanding
 //!   writes to remote memory have been completed" (§3);
@@ -111,6 +114,8 @@ mod engine_tests;
 mod p2p;
 mod pool;
 mod rma;
+#[cfg(test)]
+mod series_tests;
 mod stats;
 mod sync;
 mod transport;

@@ -21,9 +21,9 @@ use vpce_trace::{
 };
 
 use crate::blocking::Blocking;
-use crate::conflict::{scan_epoch, ConflictRecord, ScanScratch};
+use crate::conflict::{ConflictRecord, EpochLedger, ScanScratch};
 use crate::pool::{BufferPool, PoolSnapshot};
-use crate::rma::{apply_memory, FenceOrder, PendingRma};
+use crate::rma::{apply_memory, FenceOrder, Message, PendingSeries};
 use crate::stats::RankStats;
 use crate::transport::{TransportPolicy, CTRL_BYTES, HDR_BYTES};
 use crate::window::{WinId, WindowRef, WindowTable};
@@ -424,9 +424,9 @@ where
 
 /// The fence leader's working memory. The leader is whichever rank
 /// arrives last, so it belongs to the universe, not to a rank: the
-/// order over all queues and the conflict scan's buffers, refilled at
-/// every fence and never shrunk — a fence the size of an earlier one
-/// allocates nothing per operation.
+/// merge's heap over all queues and the message-level conflict scan's
+/// buffers, refilled at every fence and never shrunk. A fence allocates
+/// per queue and per planned op, nothing per wire message.
 #[derive(Default)]
 pub(crate) struct FenceScratch {
     order: FenceOrder,
@@ -437,7 +437,7 @@ pub(crate) struct FenceScratch {
 /// rank: what the exit time was waiting on.
 #[derive(Debug, Clone, Copy)]
 struct FenceTrace {
-    /// Buffered one-sided ops the epoch completed.
+    /// Wire messages the epoch completed.
     ops: u64,
     /// Rank of the event that determined the fence exit.
     dom_rank: usize,
@@ -484,12 +484,12 @@ pub struct Mpi {
     /// Serial number of host-side NIC operations on this rank — the
     /// deterministic key fault draws for DMA/PIO retries hash on.
     nic_seq: u64,
-    /// This rank's buffered one-sided operations, in issue order. An
-    /// operation stays here from issue until a closing fence has
-    /// applied it: the queue travels into the fence with its rank, the
-    /// leader reads every rank's in place, and it comes back emptied of
-    /// what the fence completed, capacity kept.
-    pub(crate) queue: Vec<PendingRma>,
+    /// This rank's buffered one-sided operations, one series per call,
+    /// in issue order. An operation stays here from issue until a
+    /// closing fence has applied it: the queue travels into the fence
+    /// with its rank, the leader reads every rank's in place, and it
+    /// comes back emptied of what the fence completed, capacity kept.
+    pub(crate) queue: Vec<PendingSeries>,
     /// Open descriptor ring, `(window, descriptors)`: consecutive
     /// same-window one-sided ops ride one doorbell until the ring
     /// fills or the epoch closes.
@@ -771,47 +771,50 @@ impl Mpi {
         let entry = self.clock;
         let shared = Arc::clone(&self.shared);
         let arrival = (self.clock, std::mem::take(&mut self.queue));
-        let (exit, ft, queue): (f64, FenceTrace, Vec<PendingRma>) = self.shared.blocking.run(self.rank, arrival, move |arrivals| {
-            let (clocks, queues): (Vec<f64>, Vec<Vec<PendingRma>>) = arrivals.into_iter().unzip();
+        let (exit, ft, queue): (f64, FenceTrace, Vec<PendingSeries>) = self.shared.blocking.run(self.rank, arrival, move |arrivals| {
+            let (clocks, queues): (Vec<f64>, Vec<Vec<PendingSeries>>) = arrivals.into_iter().unzip();
             let mut scratch = shared.fence.lock();
             let FenceScratch { order, scan } = &mut *scratch;
-            order.build(&queues, filter);
-            // The ordered operations are exactly one access epoch per
-            // fenced window: scan them for undefined-outcome pairs.
-            scan_epoch(order.iter(&queues), scan, &mut shared.conflicts.lock());
+            // The admitted operations are exactly one access epoch per
+            // fenced window: the ledger records their undefined-outcome
+            // pairs.
+            let mut ledger = EpochLedger::open(&queues, filter, scan);
             let mut net = shared.net.lock();
             let table = shared.table.lock();
             // Default dominator: the rendezvous join — the slowest
             // rank's entry clock (what a fence with no traffic is).
             let (slowest, mut latest) = slowest(clocks);
             let mut ft = FenceTrace {
-                ops: order.len() as u64,
+                ops: 0,
                 dom_rank: slowest,
                 dom_t: latest,
                 net: None,
                 recovery: 0.0,
             };
-            for op in order.iter(&queues) {
-                let (start, end, rec) = schedule_wire_legs(&shared, &mut net, op)?;
+            for msg in order.merge(&queues, filter) {
+                ft.ops += 1;
+                ledger.see(&msg);
+                let (start, end, rec) = schedule_wire_legs(&shared, &mut net, &msg)?;
                 if end > latest {
                     // The fence's exit is now determined by this
                     // transfer: remember its issue point as the
                     // dependency edge for the critical-path walk.
                     latest = end;
-                    ft.dom_rank = op.origin;
-                    ft.dom_t = op.issue;
+                    ft.dom_rank = msg.origin;
+                    ft.dom_t = msg.sent.issue;
                     ft.net = Some((start, end));
                     ft.recovery = rec;
                 }
-                apply_memory(&table, &shared.pools, op);
-                if let Some(slot) = op.kind.eager_slot() {
+                apply_memory(&table, &shared.pools, &msg);
+                if let Some(slot) = msg.eager_slot() {
                     // The slot stays pinned through the retransmit
                     // window — a replay must find the staged payload.
-                    let hops = shared.cfg.net.topology.hops(op.origin, op.target);
+                    let hops = shared.cfg.net.topology.hops(msg.origin, msg.op.target);
                     let free_at = end + shared.cfg.net.link.ack_turnaround(hops);
-                    shared.pools[op.origin].lock().release(slot, free_at);
+                    shared.pools[msg.origin].lock().release(slot, free_at);
                 }
             }
+            ledger.close(&mut shared.conflicts.lock());
             let exit = latest + shared.cfg.node.nic.post_s;
             // Every rank gets its queue back without what this fence
             // completed: another window's operations stay where, and in
@@ -952,7 +955,7 @@ impl Mpi {
     }
 }
 
-/// Schedule the wire legs of one buffered operation on the link
+/// Schedule the wire legs of one buffered message on the link
 /// simulator; returns `(start, end, recovery)` of the whole exchange.
 ///
 /// Control legs first, origin → target then back: a GET always opens
@@ -964,32 +967,33 @@ impl Mpi {
 fn schedule_wire_legs(
     shared: &Shared,
     net: &mut NetSim,
-    op: &PendingRma,
+    msg: &Message,
 ) -> Result<(f64, f64, f64), VpceError> {
-    let rdvz = op.proto == Protocol::Rendezvous;
-    let (from, to) = op.flow();
-    let (mut start, mut at, mut rec) = (None, op.issue, 0.0);
-    if op.kind.is_get() || rdvz {
-        let req = net.try_p2p(op.origin, op.target, CTRL_BYTES, at)?;
+    let rdvz = msg.proto() == Protocol::Rendezvous;
+    let (from, to) = msg.flow();
+    let (origin, target) = (msg.origin, msg.op.target);
+    let (mut start, mut at, mut rec) = (None, msg.sent.issue, 0.0);
+    if msg.is_get() || rdvz {
+        let req = net.try_p2p(origin, target, CTRL_BYTES, at)?;
         (start, at, rec) = (Some(req.start), req.end, rec + req.recovery);
     }
     if rdvz {
-        let cts = net.try_p2p(op.target, op.origin, CTRL_BYTES, at)?;
+        let cts = net.try_p2p(target, origin, CTRL_BYTES, at)?;
         (at, rec) = (cts.end, rec + cts.recovery);
     }
     let header = if rdvz { 0 } else { HDR_BYTES };
-    let data = net.try_p2p(from, to, op.kind.wire_bytes() + header, at)?;
-    if rdvz && op.origin != op.target {
+    let data = net.try_p2p(from, to, msg.wire_bytes() + header, at)?;
+    if rdvz && origin != target {
         net.note_handshake(2 * CTRL_BYTES as u64);
         if shared.tracer.is_enabled() {
             shared.tracer.push(
-                Lane::Rank(op.origin),
+                Lane::Rank(origin),
                 start.expect("rendezvous opens with a control leg"),
                 at,
                 EventKind::RendezvousHandshake {
-                    origin: op.origin,
-                    target: op.target,
-                    bytes: op.kind.wire_bytes() as u64,
+                    origin,
+                    target,
+                    bytes: msg.wire_bytes() as u64,
                 },
             );
         }

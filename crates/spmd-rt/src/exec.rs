@@ -647,8 +647,11 @@ async fn run_region(
                 }
             }
             Step::Rma { op, target, get, .. } => {
-                for (array, t) in op.transfers() {
-                    transfer(mpi, &wins[array], target, &t, get)?;
+                let win = &wins[op.array];
+                if get {
+                    mpi.get_series(win, target, &op.descriptor)?;
+                } else {
+                    mpi.put_series(win, target, &op.descriptor)?;
                 }
             }
             Step::Compute => {
@@ -715,25 +718,6 @@ async fn run_region(
 /// The current values of the region's reduction scalars.
 fn reduction_values(region: &ParRegion, st: &State) -> Vec<f64> {
     region.reductions.iter().map(|r| st.real_of(r.scalar)).collect()
-}
-
-/// Issue one planned transfer — a GET from `target` or a PUT to it —
-/// on the contiguous (DMA) or the strided (programmed-I/O) path.
-fn transfer(
-    mpi: &mut Mpi,
-    win: &WindowRef,
-    target: usize,
-    t: &lmad::RegionTransfer,
-    get: bool,
-) -> Result<(), VpceError> {
-    debug_assert!(t.offset >= 0, "transfers are in-bounds by construction");
-    let (offset, stride, count) = (t.offset as usize, t.stride as usize, t.count as usize);
-    match (get, t.is_contiguous()) {
-        (true, true) => mpi.get(win, target, offset, count),
-        (true, false) => mpi.get_strided(win, target, offset, stride, count),
-        (false, true) => mpi.put_region(win, target, offset, count),
-        (false, false) => mpi.put_region_strided(win, target, offset, stride, count),
-    }
 }
 
 #[cfg(test)]

@@ -37,7 +37,7 @@
 //! master initially holds all program data objects"). Every rank's
 //! copy of every array is declared full-size, so a region occupies the
 //! same element offsets on master and slaves and scatter/collect
-//! transfers are offset-preserving (`mpi2::Mpi::put_region` et al.).
+//! transfers are offset-preserving (`mpi2::Mpi::put_series` et al.).
 
 #![forbid(unsafe_code)]
 

@@ -1215,7 +1215,7 @@ pub(crate) struct State<'p> {
     /// hoisted subtree and `Stream::scratch` more.
     walks: Vec<Walk>,
     strips: Vec<f64>,
-    /// Raised when nobody will read this executor's results: the walk
+    /// Set when nobody will read this executor's results: the walk
     /// then ends at its next loop trip or nest row ([`Self::stopping_at`]).
     stop: &'p AtomicBool,
 }
