@@ -12,7 +12,7 @@ use vpce_workloads::{mm, swim};
 /// A1 — AVPG redundant-communication elimination on the SWIM loop
 /// chain: comm time and traffic with and without the graph.
 #[derive(Debug, Clone)]
-pub struct A1Result {
+pub(crate) struct A1Result {
     pub with_avpg_comm: f64,
     pub without_avpg_comm: f64,
     pub with_msgs: usize,
@@ -23,7 +23,7 @@ pub struct A1Result {
     pub collects_elided: usize,
 }
 
-pub fn a1_avpg(n: i64, cluster: &ClusterConfig) -> A1Result {
+pub(crate) fn a1_avpg(n: i64, cluster: &ClusterConfig) -> A1Result {
     let p = cluster.num_nodes();
     let run = |avpg: bool| {
         let opts = BackendOptions::new(p)
@@ -52,12 +52,12 @@ pub fn a1_avpg(n: i64, cluster: &ClusterConfig) -> A1Result {
 /// driver/daemon message queue and direct user→driver copies, versus
 /// a conventional kernel stack on identical silicon.
 #[derive(Debug, Clone)]
-pub struct A2Result {
+pub(crate) struct A2Result {
     pub user_level_comm: f64,
     pub kernel_level_comm: f64,
 }
 
-pub fn a2_stack(n: i64) -> A2Result {
+pub(crate) fn a2_stack(n: i64) -> A2Result {
     let opts = BackendOptions::new(4).granularity(Granularity::Fine);
     let compiled = vpce::compile(mm::SOURCE, &[("N", n)], &opts).unwrap();
     let user = ClusterConfig::paper_n(4);
@@ -73,7 +73,7 @@ pub fn a2_stack(n: i64) -> A2Result {
 /// A3 — block vs cyclic partitioning on a triangular loop: total
 /// execution time (load balance) under each schedule.
 #[derive(Debug, Clone)]
-pub struct A3Result {
+pub(crate) struct A3Result {
     pub block_elapsed: f64,
     pub cyclic_elapsed: f64,
     /// What the §5.3 heuristic picked on its own.
@@ -83,7 +83,7 @@ pub struct A3Result {
 /// A triangular matrix product (`C = A·B` on the lower triangle):
 /// iteration `I` costs ~`I·N` flops, so block scheduling leaves the
 /// high-index ranks with most of the work while cyclic interleaves it.
-pub const TRIANGULAR_SOURCE: &str = r"
+pub(crate) const TRIANGULAR_SOURCE: &str = r"
       PROGRAM TRI
       PARAMETER (N = 256)
       REAL A(N,N), B(N,N), C(N,N)
@@ -105,7 +105,7 @@ pub const TRIANGULAR_SOURCE: &str = r"
       END
 ";
 
-pub fn a3_partitioning(n: i64, cluster: &ClusterConfig) -> A3Result {
+pub(crate) fn a3_partitioning(n: i64, cluster: &ClusterConfig) -> A3Result {
     let p = cluster.num_nodes();
     let run = |sched: Option<Schedule>| {
         let mut opts = BackendOptions::new(p).granularity(Granularity::Coarse);
@@ -140,7 +140,7 @@ pub fn a3_partitioning(n: i64, cluster: &ClusterConfig) -> A3Result {
 /// coarse collection stays legal. Returns (MM fallbacks, SWIM
 /// fallbacks). Correctness under both outcomes is covered by the
 /// integration tests.
-pub fn a4_overlap_check(n: i64) -> (usize, usize) {
+pub(crate) fn a4_overlap_check(n: i64) -> (usize, usize) {
     let fallbacks = |src: &str, params: (&str, i64)| -> usize {
         let opts = BackendOptions::new(4).granularity(Granularity::Coarse);
         let compiled = vpce::compile(src, &[params], &opts).unwrap();
@@ -163,14 +163,14 @@ pub fn a4_overlap_check(n: i64) -> (usize, usize) {
 /// slaves, which matters exactly when Table 2's fine grain floods the
 /// master with setups.
 #[derive(Debug, Clone)]
-pub struct A5Result {
+pub(crate) struct A5Result {
     pub push_comm: f64,
     pub pull_comm: f64,
     pub push_master_host: f64,
     pub pull_master_host: f64,
 }
 
-pub fn a5_push_vs_pull(n: i64, cluster: &ClusterConfig) -> A5Result {
+pub(crate) fn a5_push_vs_pull(n: i64, cluster: &ClusterConfig) -> A5Result {
     let p = cluster.num_nodes();
     let run = |pull: bool| {
         let opts = BackendOptions::new(p)

@@ -17,7 +17,7 @@ use vpce_workloads::{mm, swim};
 
 /// One (workload, schedule, seed) cell of the chaos matrix.
 #[derive(Debug, Clone, Default)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub workload: String,
     pub schedule: &'static str,
     pub seed: u64,
@@ -59,11 +59,11 @@ fn schedules() -> Vec<(&'static str, FaultSpec)> {
 }
 
 /// Seeds per (workload, schedule) pair in the committed matrix.
-pub const SEEDS: u64 = 5;
+pub(crate) const SEEDS: u64 = 5;
 
 /// Run the full matrix on `cluster` with `seeds` seeds per
 /// (workload, schedule) pair.
-pub fn sweep(cluster: &ClusterConfig, seeds: u64) -> Vec<Cell> {
+pub(crate) fn sweep(cluster: &ClusterConfig, seeds: u64) -> Vec<Cell> {
     let mut out = Vec::new();
     for (name, source, params) in workloads() {
         let opts = BackendOptions::new(cluster.num_nodes()).granularity(Granularity::Fine);
@@ -121,7 +121,7 @@ pub(crate) fn failures(cells: &[Cell]) -> Vec<String> {
 }
 
 /// Print the matrix and its outcome counts.
-pub fn print_sweep(title: &str, cells: &[Cell]) {
+pub(crate) fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Chaos matrix: self-healing under injected faults ({title}) ==");
     println!(
         "{:>10} {:>7} {:>5} {:>9} {:>10} {:>6} {:>6} {:>6} {:>7} {:>12}",
@@ -159,7 +159,7 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
 }
 
 /// The committed `BENCH_chaos.json` (at [`SEEDS`] seeds).
-pub fn json_doc(cells: &[Cell]) -> String {
+pub(crate) fn json_doc(cells: &[Cell]) -> String {
     json::document(Layout::Block(2), |o| {
         let mut rows = o.array("cells", Layout::Block(4));
         for c in cells {

@@ -11,7 +11,7 @@ use vpce_machine::MachineSpec;
 
 /// One row of the link-technology table (claim C1).
 #[derive(Debug, Clone)]
-pub struct LinkModeRow {
+pub(crate) struct LinkModeRow {
     pub mode: SignallingMode,
     pub period_ns: f64,
     pub bandwidth_mbps: f64,
@@ -21,7 +21,7 @@ pub struct LinkModeRow {
 /// C1 — "SKWP increases the bandwidth up to four times higher than
 /// conventional pipelining": the paper card's bandwidth in each
 /// signalling mode.
-pub fn c1_link_modes() -> Vec<LinkModeRow> {
+pub(crate) fn c1_link_modes() -> Vec<LinkModeRow> {
     let phy = LinkPhy::paper_card();
     let conv = phy.bandwidth_bps(SignallingMode::Conventional);
     [
@@ -41,7 +41,7 @@ pub fn c1_link_modes() -> Vec<LinkModeRow> {
 
 /// System-level C1: MM end-to-end communication time on SKWP vs
 /// conventionally pipelined links.
-pub fn c1_system_level(size: i64) -> (f64, f64) {
+pub(crate) fn c1_system_level(size: i64) -> (f64, f64) {
     use lmad::Granularity;
     use polaris_be::BackendOptions;
     use spmd_rt::ExecMode;
@@ -56,8 +56,7 @@ pub fn c1_system_level(size: i64) -> (f64, f64) {
 
 /// One point of a p2p sweep (claim C2).
 #[derive(Debug, Clone)]
-pub struct P2pPoint {
-    pub bytes: usize,
+pub(crate) struct P2pPoint {
     /// End-to-end one-way network time, seconds.
     pub latency_s: Time,
     /// Achieved bandwidth, MB/s.
@@ -74,7 +73,6 @@ fn p2p_sweep(cfg: &NetConfig, sizes: &[usize]) -> Vec<P2pPoint> {
             let mut sim = NetSim::new(cfg.clone());
             let t = sim.p2p(0, far, bytes, 0.0);
             P2pPoint {
-                bytes,
                 latency_s: t.end,
                 bandwidth_mbps: bytes as f64 / t.end / 1e6,
             }
@@ -86,13 +84,13 @@ fn p2p_sweep(cfg: &NetConfig, sizes: &[usize]) -> Vec<P2pPoint> {
 /// than the Fast Ethernet card" (and 4x the bandwidth): small-message
 /// latency and large-message bandwidth of an MPI ping on both cards.
 #[derive(Debug, Clone)]
-pub struct C2Row {
+pub(crate) struct C2Row {
     pub bytes: usize,
     pub vbus: P2pPoint,
     pub ethernet: P2pPoint,
 }
 
-pub fn c2_vbus_vs_ethernet(sizes: &[usize]) -> Vec<C2Row> {
+pub(crate) fn c2_vbus_vs_ethernet(sizes: &[usize]) -> Vec<C2Row> {
     let vb = p2p_sweep(&NetConfig::vbus_skwp(4), sizes);
     let fe = p2p_sweep(&NetConfig::fast_ethernet(4), sizes);
     // Add the NIC software stack on both sides (the paper's latency
@@ -122,7 +120,7 @@ pub fn c2_vbus_vs_ethernet(sizes: &[usize]) -> Vec<C2Row> {
 
 /// One point of the broadcast comparison (claim C3).
 #[derive(Debug, Clone)]
-pub struct BroadcastPoint {
+pub(crate) struct BroadcastPoint {
     pub bytes: usize,
     /// Hardware virtual-bus completion time.
     pub vbus_s: Time,
@@ -132,7 +130,7 @@ pub struct BroadcastPoint {
 
 /// C3 — the hardware virtual bus against a software binomial tree on
 /// the same `n_nodes` SKWP mesh, over a range of payload sizes.
-pub fn c3_broadcast(n_nodes: usize, sizes: &[usize]) -> Vec<BroadcastPoint> {
+pub(crate) fn c3_broadcast(n_nodes: usize, sizes: &[usize]) -> Vec<BroadcastPoint> {
     let cfg = NetConfig::vbus_skwp(n_nodes);
     sizes
         .iter()
@@ -178,14 +176,14 @@ fn tree_broadcast_time(cfg: &NetConfig, bytes: usize) -> Time {
 /// C4 — DMA (contiguous) vs PIO (strided) one-sided transfer host
 /// cost: the asymmetry behind §5.6.
 #[derive(Debug, Clone)]
-pub struct C4Row {
+pub(crate) struct C4Row {
     pub elems: usize,
     pub contiguous_host_s: f64,
     pub strided_host_s: f64,
     pub ratio: f64,
 }
 
-pub fn c4_dma_vs_pio(elem_counts: &[usize]) -> Vec<C4Row> {
+pub(crate) fn c4_dma_vs_pio(elem_counts: &[usize]) -> Vec<C4Row> {
     let cpu = CpuModel::pentium_ii_300();
     let nic = NicModel::vbus_card();
     elem_counts

@@ -2,33 +2,33 @@
 //!
 //! One module per experiment of `DESIGN.md` §4:
 //!
-//! * [`table1`] — MM speedups over matrix size × node count, and the
+//! * `table1` — MM speedups over matrix size × node count, and the
 //!   scaling sweep past the paper's four nodes;
-//! * [`table2`] — communication time at fine/middle/coarse granularity
+//! * `table2` — communication time at fine/middle/coarse granularity
 //!   for MM, SWIM and CFFT2INIT;
-//! * [`hwclaims`] — the §1/§2 hardware claims: SKWP vs conventional
+//! * `hwclaims` — the §1/§2 hardware claims: SKWP vs conventional
 //!   pipelining (C1), V-Bus card vs Fast Ethernet (C2), virtual-bus vs
 //!   software broadcast (C3), DMA vs PIO one-sided transfers (C4);
-//! * [`machine`] — the machines × workloads sweep: every built-in
+//! * `machine` — the machines × workloads sweep: every built-in
 //!   machine description (paper baseline, link ablations, the non-mesh
 //!   topology zoo) runs every example workload end to end, with the
 //!   fabric-independent-numerics invariant checked per cell;
-//! * [`ablation`] — AVPG elimination (A1), user-level vs kernel stack
+//! * `ablation` — AVPG elimination (A1), user-level vs kernel stack
 //!   (A2), block vs cyclic partitioning (A3), the §5.6 overlap safety
 //!   check (A4), and push vs pull scattering (A5);
-//! * [`chaos`] — the fault matrix: workloads under seeded fault
+//! * `chaos` — the fault matrix: workloads under seeded fault
 //!   schedules, recording the self-healing transport's counters and
 //!   the byte-identity invariant;
-//! * [`sched`] — the batch-scheduler sweep: seeded traffic storms over
+//! * `sched` — the batch-scheduler sweep: seeded traffic storms over
 //!   machine size × arrival rate × policy (fcfs vs backfill),
 //!   recording utilization, gang concurrency and wait percentiles;
-//! * [`transport`] — the eager/rendezvous crossover grid: message size
+//! * `transport` — the eager/rendezvous crossover grid: message size
 //!   × protocol mode (auto and both forced) × registered pool size,
 //!   recording the per-protocol ledgers and the achieved bandwidth;
-//! * [`serve`] — the `vpced` service benchmark: sustained submission
+//! * `serve` — the `vpced` service benchmark: sustained submission
 //!   ingest, time-to-recovery from a sealed journal, and the seeded
 //!   kill/restart matrix (amortised cost per kill point);
-//! * [`recover`] — the rollback-recovery sweep: checkpoint premium on
+//! * `recover` — the rollback-recovery sweep: checkpoint premium on
 //!   a crash-free run, time-to-recover and replay amplification across
 //!   seeded crash schedules, with byte-identity cross-checked on every
 //!   absorbed schedule.
@@ -46,17 +46,17 @@
 
 #![forbid(unsafe_code)]
 
-pub mod ablation;
-pub mod chaos;
-pub mod hwclaims;
-pub mod machine;
-pub mod recover;
-pub mod sched;
-pub mod serve;
-pub mod table1;
-pub mod table2;
+mod ablation;
+mod chaos;
+mod hwclaims;
+mod machine;
+mod recover;
+mod sched;
+mod serve;
+mod table1;
+mod table2;
 pub mod tables;
-pub mod transport;
+mod transport;
 
 /// Render a float with engineering-style precision for tables.
 pub fn fmt_secs(s: f64) -> String {

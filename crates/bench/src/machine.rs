@@ -15,7 +15,7 @@ use vpce_machine::MachineSpec;
 
 /// One cell of the sweep.
 #[derive(Debug, Clone)]
-pub struct MachinePoint {
+pub(crate) struct MachinePoint {
     pub machine: String,
     pub topology: String,
     pub workload: String,
@@ -28,7 +28,7 @@ pub struct MachinePoint {
 
 /// The default machine set: the paper baseline, its conventional-link
 /// and Fast-Ethernet ablations, and the non-mesh topology zoo.
-pub const MACHINES: &[&str] = &[
+pub(crate) const MACHINES: &[&str] = &[
     "paper",
     "conventional",
     "fast-ethernet",
@@ -40,7 +40,7 @@ pub const MACHINES: &[&str] = &[
 ];
 
 /// PCs per machine in the committed sweep.
-pub const NODES: usize = 8;
+pub(crate) const NODES: usize = 8;
 
 const WORKLOADS: &[(&str, &str, i64)] = &[
     ("mm", vpce_workloads::mm::SOURCE, 32),
@@ -50,7 +50,7 @@ const WORKLOADS: &[(&str, &str, i64)] = &[
 /// Run the sweep: every machine in `machines` × every example
 /// workload, on `nodes` PCs. Each workload compiles once; only the
 /// lowered cluster varies across machines.
-pub fn sweep(machines: &[&str], nodes: usize) -> Vec<MachinePoint> {
+pub(crate) fn sweep(machines: &[&str], nodes: usize) -> Vec<MachinePoint> {
     let mut out = Vec::new();
     for &(name, source, n) in WORKLOADS {
         let opts = BackendOptions::new(nodes).granularity(Granularity::Coarse);
@@ -111,7 +111,7 @@ pub(crate) fn failures(points: &[MachinePoint]) -> Vec<String> {
 }
 
 /// Print the paper-style table.
-pub fn print(points: &[MachinePoint]) {
+pub(crate) fn print(points: &[MachinePoint]) {
     println!(
         "{:>14} {:>9} {:>8} {:>6} {:>12} {:>12} {:>8} {:>6}",
         "machine", "topology", "workload", "nodes", "elapsed", "comm", "speedup", "ident"
@@ -132,7 +132,7 @@ pub fn print(points: &[MachinePoint]) {
 }
 
 /// The committed `BENCH_machine.json` (at [`NODES`] nodes).
-pub fn json_doc(points: &[MachinePoint]) -> String {
+pub(crate) fn json_doc(points: &[MachinePoint]) -> String {
     json::document(Layout::Block(2), |o| {
         let mut rows = o.array("points", Layout::Block(4));
         for p in points {

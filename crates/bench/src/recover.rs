@@ -25,7 +25,7 @@ use vpce_workloads::{mm, swim};
 
 /// One workload's row in the recovery sweep.
 #[derive(Debug, Clone)]
-pub struct RecoverRow {
+pub(crate) struct RecoverRow {
     pub workload: &'static str,
     /// Per-rank-per-region crash probability driven through the sweep.
     pub crash_rate: f64,
@@ -51,13 +51,13 @@ pub struct RecoverRow {
 
 /// The whole sweep: one row per workload.
 #[derive(Debug, Clone)]
-pub struct RecoverBench {
+pub(crate) struct RecoverBench {
     pub seeds: u64,
     pub rows: Vec<RecoverRow>,
 }
 
 /// Crash schedules per workload in the committed sweep.
-pub const SEEDS: u64 = 32;
+pub(crate) const SEEDS: u64 = 32;
 
 fn sweep(workload: &'static str, source: &str, n: i64, rate: f64, seeds: u64) -> RecoverRow {
     let opts = BackendOptions::new(4).granularity(Granularity::Fine);
@@ -136,7 +136,7 @@ fn sweep(workload: &'static str, source: &str, n: i64, rate: f64, seeds: u64) ->
 
 /// Run the sweep: `seeds` crash-only schedules per workload, at the
 /// hottest rate each workload still frequently survives.
-pub fn run(seeds: u64) -> RecoverBench {
+pub(crate) fn run(seeds: u64) -> RecoverBench {
     let rows = vec![
         sweep("mm", mm::SOURCE, 12, 0.5, seeds),
         sweep("swim", swim::SOURCE, 8, 0.2, seeds),
@@ -163,7 +163,7 @@ pub(crate) fn failures(b: &RecoverBench) -> Vec<String> {
 }
 
 /// Print the table.
-pub fn print(b: &RecoverBench) {
+pub(crate) fn print(b: &RecoverBench) {
     println!("\n== rollback recovery: {} seeds per workload ==", b.seeds);
     for r in &b.rows {
         println!(
@@ -188,7 +188,7 @@ pub fn print(b: &RecoverBench) {
 }
 
 /// The committed `BENCH_recovery.json` (at [`SEEDS`] seeds).
-pub fn json_doc(b: &RecoverBench) -> String {
+pub(crate) fn json_doc(b: &RecoverBench) -> String {
     json::document(Layout::Block(2), |o| {
         o.int("seeds", b.seeds);
         let mut rows = o.array("workloads", Layout::Block(4));

@@ -15,7 +15,7 @@ use vpce_sched::{
 
 /// One (machine, load, policy) cell of the scheduler sweep.
 #[derive(Debug, Clone)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub nodes: usize,
     pub mesh: String,
     pub load: &'static str,
@@ -38,7 +38,7 @@ pub struct Cell {
 /// The arrival-rate axis: mean inter-arrival gap of the storms, from
 /// saturating (every job queues) to sparse (the machine drains
 /// between arrivals).
-pub fn loads() -> Vec<(&'static str, f64)> {
+pub(crate) fn loads() -> Vec<(&'static str, f64)> {
     vec![("heavy", 5e-5), ("medium", 2e-4), ("light", 1e-3)]
 }
 
@@ -103,12 +103,12 @@ fn cell(rep: &BatchReport, load: &'static str, mean_gap_s: f64) -> Cell {
 }
 
 /// Batch seed and jobs per storm of the committed sweep.
-pub const SEED: u64 = 1;
-pub const JOBS_PER_STORM: usize = 6;
+pub(crate) const SEED: u64 = 1;
+pub(crate) const JOBS_PER_STORM: usize = 6;
 
 /// Run the sweep: machine sizes × loads × policies, `per_storm` jobs
 /// per storm (two storms per cell, plus the wide job).
-pub fn sweep(seed: u64, per_storm: usize) -> Vec<Cell> {
+pub(crate) fn sweep(seed: u64, per_storm: usize) -> Vec<Cell> {
     let loader = |p: &str| Err(format!("sweep jobs are self-contained: `{p}`"));
     let mut out = Vec::new();
     for &nodes in &[8usize, 16] {
@@ -141,7 +141,7 @@ pub(crate) fn failures(cells: &[Cell]) -> Vec<String> {
 }
 
 /// Print the grid and how many cells completed.
-pub fn print_sweep(title: &str, cells: &[Cell]) {
+pub(crate) fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Scheduler sweep: storm throughput by policy ({title}) ==");
     println!(
         "{:>5} {:>5} {:>7} {:>9} {:>5} {:>5} {:>5} {:>6} {:>10} {:>12} {:>12}",
@@ -172,7 +172,7 @@ pub fn print_sweep(title: &str, cells: &[Cell]) {
 }
 
 /// The committed `BENCH_sched.json` (at [`SEED`], [`JOBS_PER_STORM`]).
-pub fn json_doc(cells: &[Cell]) -> String {
+pub(crate) fn json_doc(cells: &[Cell]) -> String {
     json::document(Layout::Block(2), |o| {
         let mut rows = o.array("cells", Layout::Block(4));
         for c in cells {

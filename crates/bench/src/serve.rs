@@ -23,12 +23,12 @@ use vpce_diag::json::{self, Layout};
 use vpce_serve::{kill_matrix, Daemon, MemStorage, Runner};
 
 /// Submissions and kill points of the committed run.
-pub const JOBS: usize = 24;
-pub const KILL_POINTS: usize = 64;
+pub(crate) const JOBS: usize = 24;
+pub(crate) const KILL_POINTS: usize = 64;
 
 /// Headline numbers of one service benchmark run.
 #[derive(Debug, Clone)]
-pub struct ServeBench {
+pub(crate) struct ServeBench {
     pub jobs: usize,
     /// Input lines journaled (directives + submissions).
     pub inputs: usize,
@@ -41,7 +41,7 @@ pub struct ServeBench {
 
 /// The benchmark script: two tenants (one quota-throttled), `jobs`
 /// alternating 1-/2-rank submissions with staggered arrivals.
-pub fn storm_script(jobs: usize) -> Vec<String> {
+pub(crate) fn storm_script(jobs: usize) -> Vec<String> {
     let mut lines = vec![
         "nodes=16".to_string(),
         "seed=1".to_string(),
@@ -61,7 +61,7 @@ pub fn storm_script(jobs: usize) -> Vec<String> {
 
 /// Run the benchmark: ingest + drain a fresh daemon, recover from the
 /// sealed journal, then sweep `kill_points` seeded kills.
-pub fn run(jobs: usize, kill_points: usize) -> ServeBench {
+pub(crate) fn run(jobs: usize, kill_points: usize) -> ServeBench {
     let runner = Runner::new(ExecMode::Full);
     let script = storm_script(jobs);
 
@@ -110,7 +110,7 @@ pub(crate) fn failures(b: &ServeBench) -> Vec<String> {
 }
 
 /// Print the table.
-pub fn print(b: &ServeBench) {
+pub(crate) fn print(b: &ServeBench) {
     println!("\n== vpced service benchmark: {} jobs, {} inputs ==", b.jobs, b.inputs);
     println!("  journal           {:>10} bytes (sealed)", b.journal_bytes);
     println!(
@@ -120,7 +120,7 @@ pub fn print(b: &ServeBench) {
 }
 
 /// The committed `BENCH_serve.json` (at [`JOBS`], [`KILL_POINTS`]).
-pub fn json_doc(b: &ServeBench) -> String {
+pub(crate) fn json_doc(b: &ServeBench) -> String {
     json::document(Layout::Block(2), |o| {
         o.int("jobs", b.jobs)
             .int("inputs", b.inputs)

@@ -15,19 +15,19 @@ use vpce_machine::MachineSpec;
 
 /// The paper's Table 1 values, `paper[size][nodes]` with
 /// sizes = [256, 512, 1024] and nodes = [1, 2, 4].
-pub const PAPER: [[f64; 3]; 3] = [
+pub(crate) const PAPER: [[f64; 3]; 3] = [
     [0.96, 1.086, 1.75],
     [0.96, 1.53, 2.74],
     [0.96, 1.60, 3.033],
 ];
 
 /// Sizes and node counts of the sweep.
-pub const SIZES: [i64; 3] = [256, 512, 1024];
-pub const NODES: [usize; 3] = [1, 2, 4];
+pub(crate) const SIZES: [i64; 3] = [256, 512, 1024];
+pub(crate) const NODES: [usize; 3] = [1, 2, 4];
 
 /// One measured cell.
 #[derive(Debug, Clone, Copy)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub size: i64,
     pub nodes: usize,
     pub seq_time: f64,
@@ -45,7 +45,12 @@ pub struct Cell {
 /// Uses coarse granularity (the fewest-setup plan — what a user would
 /// pick for MM per §5.6) and analytic execution (identical virtual
 /// times to full execution; see `spmd-rt` docs).
-pub fn speedups(source: &str, sizes: &[i64], nodes: &[usize], machine: &MachineSpec) -> Vec<Cell> {
+pub(crate) fn speedups(
+    source: &str,
+    sizes: &[i64],
+    nodes: &[usize],
+    machine: &MachineSpec,
+) -> Vec<Cell> {
     let cluster_of = |n| {
         machine
             .lower(n)
@@ -79,7 +84,7 @@ pub fn speedups(source: &str, sizes: &[i64], nodes: &[usize], machine: &MachineS
 }
 
 /// Pretty-print one Table 1 sweep next to the paper's numbers.
-pub fn print_sweep(title: &str, cells: &[Cell]) {
+pub(crate) fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Table 1: MM speedups ({title}) ==");
     println!(
         "{:>10} {:>6} {:>10} {:>10} {:>9} {:>9} {:>9}",
@@ -139,7 +144,7 @@ pub(crate) fn print_scaling(title: &str, cells: &[Cell]) {
 
 /// One document of named sweeps: `BENCH_table1.json` (`nominal`,
 /// `prototype`) and `BENCH_scaling.json`.
-pub fn json_doc(sweeps: &[(&str, &[Cell])]) -> String {
+pub(crate) fn json_doc(sweeps: &[(&str, &[Cell])]) -> String {
     json::document(Layout::Block(2), |o| {
         for (name, cells) in sweeps {
             let mut rows = o.array(name, Layout::Block(4));

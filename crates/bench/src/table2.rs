@@ -20,7 +20,7 @@ use vpce_workloads::{cfft, mm, swim};
 /// The paper's Table 2 (seconds); `None` marks the entry the paper
 /// prints as "*" (SWIM at middle grain).
 #[derive(Debug, Clone, Copy)]
-pub struct PaperRow {
+pub(crate) struct PaperRow {
     pub name: &'static str,
     pub fine: Option<f64>,
     pub middle: Option<f64>,
@@ -29,7 +29,7 @@ pub struct PaperRow {
 
 /// Paper values as printed (the MM row's text and numbers disagree —
 /// see EXPERIMENTS.md).
-pub const PAPER: [PaperRow; 3] = [
+pub(crate) const PAPER: [PaperRow; 3] = [
     PaperRow {
         name: "MM(1024*1024)",
         fine: Some(0.72),
@@ -52,7 +52,7 @@ pub const PAPER: [PaperRow; 3] = [
 
 /// One measured cell.
 #[derive(Debug, Clone)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub workload: String,
     pub granularity: Granularity,
     /// Critical-path communication time, seconds.
@@ -69,7 +69,7 @@ pub struct Cell {
 
 /// Benchmark descriptor for the sweep.
 #[derive(Debug, Clone, Copy)]
-pub struct Bench {
+pub(crate) struct Bench {
     pub name: &'static str,
     pub source: &'static str,
     pub params: (&'static str, i64),
@@ -78,7 +78,7 @@ pub struct Bench {
 
 /// The paper's three benchmarks at their §6 sizes, plus the cyclic MM
 /// variant.
-pub fn paper_benches() -> Vec<Bench> {
+pub(crate) fn paper_benches() -> Vec<Bench> {
     vec![
         Bench {
             name: "MM(1024,block)",
@@ -108,7 +108,7 @@ pub fn paper_benches() -> Vec<Bench> {
 }
 
 /// Measure one (bench, granularity) cell on the given cluster.
-pub fn measure(bench: &Bench, g: Granularity, cluster: &ClusterConfig) -> Cell {
+pub(crate) fn measure(bench: &Bench, g: Granularity, cluster: &ClusterConfig) -> Cell {
     let nprocs = cluster.num_nodes();
     let mut opts = BackendOptions::new(nprocs).granularity(g);
     if let Some(s) = bench.schedule {
@@ -154,7 +154,7 @@ pub fn measure(bench: &Bench, g: Granularity, cluster: &ClusterConfig) -> Cell {
 }
 
 /// Measure the full Table-2 grid.
-pub fn sweep(cluster: &ClusterConfig) -> Vec<Cell> {
+pub(crate) fn sweep(cluster: &ClusterConfig) -> Vec<Cell> {
     let mut out = Vec::new();
     for b in paper_benches() {
         for g in Granularity::ALL {
@@ -165,7 +165,7 @@ pub fn sweep(cluster: &ClusterConfig) -> Vec<Cell> {
 }
 
 /// Print the grid.
-pub fn print_sweep(title: &str, cells: &[Cell]) {
+pub(crate) fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Table 2: communication time by granularity ({title}) ==");
     println!(
         "{:>18} {:>8} {:>10} {:>8} {:>8} {:>10} {:>7} {:>9}",
@@ -208,7 +208,7 @@ pub(crate) fn print_paper() {
 }
 
 /// The committed `BENCH_table2.json`.
-pub fn json_doc(cells: &[Cell]) -> String {
+pub(crate) fn json_doc(cells: &[Cell]) -> String {
     json::document(Layout::Block(2), |o| {
         let mut rows = o.array("cells", Layout::Block(4));
         for c in cells {

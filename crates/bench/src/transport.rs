@@ -24,14 +24,14 @@ const RANKS: usize = 4;
 const PUTS_PER_EPOCH: usize = 6;
 
 /// Payload sizes in bytes, bracketing the few-KB threshold.
-pub const SWEEP_BYTES: [usize; 5] = [64, 512, 4096, 65_536, 1 << 20];
+pub(crate) const SWEEP_BYTES: [usize; 5] = [64, 512, 4096, 65_536, 1 << 20];
 
 /// Registered-pool sizes swept (slots per rank).
-pub const POOL_SIZES: [usize; 2] = [4, 16];
+pub(crate) const POOL_SIZES: [usize; 2] = [4, 16];
 
 /// The protocol-mode axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Mode {
+pub(crate) enum Mode {
     /// The policy derived from the machine cost model decides.
     Auto,
     /// Every transfer forced eager (staged copy, no handshake).
@@ -41,7 +41,7 @@ pub enum Mode {
 }
 
 impl Mode {
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             Mode::Auto => "auto",
             Mode::Eager => "eager",
@@ -49,12 +49,12 @@ impl Mode {
         }
     }
 
-    pub const ALL: [Mode; 3] = [Mode::Auto, Mode::Eager, Mode::Rendezvous];
+    pub(crate) const ALL: [Mode; 3] = [Mode::Auto, Mode::Eager, Mode::Rendezvous];
 }
 
 /// One (size, mode, pool) cell of the sweep.
 #[derive(Debug, Clone)]
-pub struct Cell {
+pub(crate) struct Cell {
     pub bytes: usize,
     pub mode: &'static str,
     pub slots: usize,
@@ -133,10 +133,10 @@ fn run_cell(cfg: &ClusterConfig, mode: Mode, bytes: usize, slots: usize, epochs:
 }
 
 /// Fence epochs per cell in the committed grid.
-pub const EPOCHS: usize = 4;
+pub(crate) const EPOCHS: usize = 4;
 
 /// The full grid: size × mode × pool, `epochs` fence epochs per cell.
-pub fn sweep(cluster: &ClusterConfig, epochs: usize) -> Vec<Cell> {
+pub(crate) fn sweep(cluster: &ClusterConfig, epochs: usize) -> Vec<Cell> {
     let mut cells = Vec::new();
     for bytes in SWEEP_BYTES {
         for mode in Mode::ALL {
@@ -179,7 +179,7 @@ pub(crate) fn failures(cells: &[Cell]) -> Vec<String> {
 }
 
 /// Print the grid.
-pub fn print_sweep(title: &str, cells: &[Cell]) {
+pub(crate) fn print_sweep(title: &str, cells: &[Cell]) {
     println!("\n== Transport sweep: eager/rendezvous crossover ({title}) ==");
     println!(
         "{:>9} {:>11} {:>5} {:>10} {:>12} {:>6} {:>6} {:>5} {:>6} {:>6} {:>7}",
@@ -214,7 +214,7 @@ fn fmt_bytes(b: f64) -> String {
 }
 
 /// The committed `BENCH_transport.json` (at [`EPOCHS`] epochs).
-pub fn json_doc(cells: &[Cell]) -> String {
+pub(crate) fn json_doc(cells: &[Cell]) -> String {
     json::document(Layout::Block(2), |o| {
         let mut rows = o.array("cells", Layout::Block(4));
         for c in cells {

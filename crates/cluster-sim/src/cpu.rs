@@ -73,24 +73,6 @@ impl CpuModel {
             + ops.loop_iters as f64 * self.cyc_loop
     }
 
-    /// Seconds to copy `bytes` locally (loopback transfer, buffer
-    /// staging).
-    pub fn memcpy_time(&self, bytes: usize) -> f64 {
-        bytes as f64 / self.memcpy_bps
-    }
-
-    /// Sustained double-precision multiply-add rate implied by the
-    /// table, flop/s — a sanity metric for calibration (a 300 MHz P-II
-    /// lands in the tens of Mflop/s on compiled Fortran).
-    pub fn sustained_flops(&self) -> f64 {
-        // One fused iteration: load+load+mul+add+store+loop.
-        let cyc_per_madd = self.cyc_load * 2.0
-            + self.cyc_fmul
-            + self.cyc_fadd
-            + self.cyc_store
-            + self.cyc_loop;
-        2.0 * self.clock_hz / cyc_per_madd
-    }
 }
 
 /// Dynamic operation counts of a program region.
@@ -107,19 +89,6 @@ pub struct OpCounts {
 }
 
 impl OpCounts {
-    /// Counts for `n` fused multiply-add loop iterations (the MM inner
-    /// loop): two loads, a multiply, an add, a store, loop overhead.
-    pub fn madd_loop(n: u64) -> Self {
-        OpCounts {
-            fadd: n,
-            fmul: n,
-            loads: 2 * n,
-            stores: n,
-            loop_iters: n,
-            ..OpCounts::default()
-        }
-    }
-
     /// Element-wise sum of two count sets.
     pub fn add(&self, other: &OpCounts) -> OpCounts {
         OpCounts {
@@ -148,21 +117,31 @@ impl OpCounts {
             loop_iters: self.loop_iters * k,
         }
     }
-
-    /// Total floating-point operations.
-    pub fn flops(&self) -> u64 {
-        self.fadd + self.fmul + self.fdiv + self.transcendental
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Counts for `n` fused multiply-add loop iterations (the MM inner
+    /// loop): two loads, a multiply, an add, a store, loop overhead.
+    fn madd_loop(n: u64) -> OpCounts {
+        OpCounts {
+            fadd: n,
+            fmul: n,
+            loads: 2 * n,
+            stores: n,
+            loop_iters: n,
+            ..OpCounts::default()
+        }
+    }
+
     #[test]
     fn pii_sustained_flops_is_tens_of_mflops() {
+        // One fused multiply-add iteration is two flops; a 300 MHz
+        // P-II lands in the tens of Mflop/s on compiled Fortran.
         let cpu = CpuModel::pentium_ii_300();
-        let f = cpu.sustained_flops();
+        let f = 2.0 / cpu.time(&madd_loop(1));
         assert!(
             (20e6..80e6).contains(&f),
             "a 300MHz P-II should sustain tens of Mflop/s, got {f}"
@@ -172,24 +151,15 @@ mod tests {
     #[test]
     fn time_is_cycles_over_clock() {
         let cpu = CpuModel::pentium_ii_300();
-        let ops = OpCounts::madd_loop(1000);
+        let ops = madd_loop(1000);
         assert!((cpu.time(&ops) - cpu.cycles(&ops) / 300e6).abs() < 1e-18);
     }
 
     #[test]
-    fn madd_loop_counts() {
-        let ops = OpCounts::madd_loop(10);
-        assert_eq!(ops.flops(), 20);
-        assert_eq!(ops.loads, 20);
-        assert_eq!(ops.stores, 10);
-        assert_eq!(ops.loop_iters, 10);
-    }
-
-    #[test]
     fn scaled_and_add_compose() {
-        let a = OpCounts::madd_loop(3);
-        assert_eq!(a.scaled(4), OpCounts::madd_loop(12));
-        assert_eq!(a.add(&OpCounts::madd_loop(5)), OpCounts::madd_loop(8));
+        let a = madd_loop(3);
+        assert_eq!(a.scaled(4), madd_loop(12));
+        assert_eq!(a.add(&madd_loop(5)), madd_loop(8));
     }
 
     #[test]
@@ -198,13 +168,7 @@ mod tests {
         // run Table 1 normalises against. Should land in O(10-100 s).
         let cpu = CpuModel::pentium_ii_300();
         let n = 1024u64;
-        let t = cpu.time(&OpCounts::madd_loop(n * n * n));
+        let t = cpu.time(&madd_loop(n * n * n));
         assert!((10.0..200.0).contains(&t), "t={t}");
-    }
-
-    #[test]
-    fn memcpy_time_linear() {
-        let cpu = CpuModel::pentium_ii_300();
-        assert!((cpu.memcpy_time(180_000_000) - 1.0).abs() < 1e-12);
     }
 }

@@ -27,8 +27,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod cpu;
-pub mod nic;
+mod cpu;
+mod nic;
 
 use vbus_sim::NetConfig;
 
@@ -195,11 +195,6 @@ impl FailoverMap {
         self.spares_total - self.history.len()
     }
 
-    /// The physical node rank `r` currently occupies.
-    pub fn node_of(&self, r: usize) -> usize {
-        self.map[r]
-    }
-
     /// Move crashed rank `r` onto the next spare node. Returns the
     /// `(from, to)` pair, or `None` when the spare pool is exhausted
     /// (the caller then fails the recovery with VPCE403).
@@ -269,10 +264,10 @@ mod tests {
     fn failover_map_consumes_spares_in_order_and_keeps_history() {
         let mut fm = FailoverMap::new(4, 2);
         assert_eq!(fm.spares_left(), 2);
-        assert_eq!(fm.node_of(3), 3);
+        assert_eq!(fm.map[3], 3);
         // First failover: rank 3 moves to spare node 4.
         assert_eq!(fm.remap(3), Some((3, 4)));
-        assert_eq!(fm.node_of(3), 4);
+        assert_eq!(fm.map[3], 4);
         assert_eq!(fm.spares_left(), 1);
         // A rank can fail over twice; the pool keeps draining in order.
         assert_eq!(fm.remap(3), Some((4, 5)));
@@ -280,7 +275,7 @@ mod tests {
         assert_eq!(fm.remap(0), None, "exhausted pool refuses the remap");
         assert_eq!(fm.history, vec![(3, 3, 4), (3, 4, 5)]);
         // Untouched ranks keep their home nodes.
-        assert_eq!(fm.node_of(0), 0);
-        assert_eq!(fm.node_of(2), 2);
+        assert_eq!(fm.map[0], 0);
+        assert_eq!(fm.map[2], 2);
     }
 }

@@ -474,9 +474,9 @@ fn pool_epoch_hwm(sk: &Skeleton) -> Vec<(usize, usize)> {
 }
 
 /// The most ranks [`explore`] tracks: a state's crash mask is a `u32`.
-pub const MAX_RANKS: usize = 32;
+pub(crate) const MAX_RANKS: usize = 32;
 
-/// A skeleton of more than [`MAX_RANKS`] ranks, which [`explore`]
+/// A skeleton of more than `MAX_RANKS` ranks, which `explore`
 /// refuses (VPCE209).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RankLimit {
@@ -485,7 +485,7 @@ pub struct RankLimit {
 
 /// Explore `sk` exhaustively (up to `max_states`) and return the first
 /// (minimal) stall, if any.
-pub fn explore(
+pub(crate) fn explore(
     sk: &Skeleton,
     strict_pools: bool,
     max_states: usize,

@@ -33,8 +33,8 @@
 
 #![forbid(unsafe_code)]
 
-pub mod explore;
-pub mod lower;
+mod explore;
+mod lower;
 pub mod skeleton;
 
 use std::fmt::Write as _;

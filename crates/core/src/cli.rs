@@ -314,7 +314,7 @@ pub fn usage() -> String {
     )
 }
 
-/// Parse an argument vector (excluding argv[0]) through [`FLAGS`]: a
+/// Parse an argument vector (excluding `argv[0]`) through [`FLAGS`]: a
 /// repeated flag, a declared `CONFLICTS` pair and a flag outside the
 /// invocation's mode are refused, each in one line.
 pub fn parse_args(args: &[String]) -> Result<CliArgs, String> {

@@ -26,9 +26,6 @@ pub mod site {
     pub const NIC_STALL: u64 = 0x07;
     pub const RANK_SLOW: u64 = 0x08;
     pub const RANK_CRASH: u64 = 0x09;
-    /// Service-layer kill points: `vpce-serve` draws journal byte
-    /// offsets at which the daemon is murdered mid-write.
-    pub const SERVER_KILL: u64 = 0x0A;
 }
 
 const GOLDEN: u64 = 0x9E37_79B9_7F4A_7C15;

@@ -213,11 +213,6 @@ impl SummarySet {
         })
     }
 
-    /// Union of all regions of `a` regardless of class.
-    pub fn regions_of(&self, a: ArrayId) -> Vec<&Lmad> {
-        self.of(a).iter().map(|e| &e.lmad).collect()
-    }
-
     /// Regions of `a` that need scattering / collecting.
     pub fn scatter_regions(&self, a: ArrayId) -> Vec<&Lmad> {
         self.of(a)
@@ -368,7 +363,7 @@ mod tests {
         let region = Lmad::new(5, vec![Dim::new(1, 4), Dim::new(14, 3)]);
         let mut s = SummarySet::new();
         s.add_write(A, region.clone());
-        assert_eq!(s.regions_of(A), vec![&region]);
+        assert_eq!(s.collect_regions(A), vec![&region]);
         assert_eq!(s.arrays().collect::<Vec<_>>(), vec![A]);
     }
 }

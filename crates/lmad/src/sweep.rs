@@ -281,7 +281,7 @@ impl CoverIndex {
     ///    extent");
     /// 4. every one of its runs is inside the union of the members;
     /// 5. (past the budget, where rung 4 is not asked) some member holds
-    ///    it column by column ([`holds_columns`]): a middle-grain op's
+    ///    it column by column (`holds_columns`): a middle-grain op's
     ///    union of bounding runs holds a strided store of any size.
     ///
     /// Rungs 3–4 walk `needed`'s runs and carry a cursor through each

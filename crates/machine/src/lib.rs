@@ -13,9 +13,9 @@
 //!
 //! Three layers:
 //!
-//! * [`spec`] — the resolved description ([`MachineSpec`]) with its
+//! * `spec` — the resolved description ([`MachineSpec`]) with its
 //!   built-in presets and the stable `--machine-dump` renderer;
-//! * [`parse`] — the section/key parser over one row per key
+//! * [`mod@parse`] — the section/key parser over one row per key
 //!   ([`parse::SECTIONS`]), with include layering and stable
 //!   `VPCE5xx` diagnostics;
 //! * the lowering (here) — `MachineSpec → ClusterConfig` plus the
@@ -24,7 +24,7 @@
 #![forbid(unsafe_code)]
 
 pub mod parse;
-pub mod spec;
+mod spec;
 
 pub use parse::{parse, parse_layered, IncludeLoader};
 pub use spec::{LinkSpec, MachineSpec, Signalling, TopoKind, TopoSpec};
@@ -402,7 +402,8 @@ mod tests {
     #[test]
     fn calibration_skwp_gain_is_about_four() {
         let phy = MachineSpec::paper().link_phy();
-        let gain = phy.skwp_gain();
+        let gain = phy.bandwidth_bps(SignallingMode::Skwp)
+            / phy.bandwidth_bps(SignallingMode::Conventional);
         assert!((3.5..=4.5).contains(&gain), "skwp gain {gain}");
         // And the absolute numbers the paper quotes: 50 MB/s SKWP,
         // 12.5 MB/s conventional (4x Fast Ethernet).

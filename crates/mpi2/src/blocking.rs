@@ -200,7 +200,7 @@ pub(crate) struct Blocking {
 }
 
 impl Blocking {
-    pub fn new(n: usize) -> Self {
+    pub(crate) fn new(n: usize) -> Self {
         assert!(n > 0);
         Blocking {
             state: Mutex::new(State {
@@ -256,7 +256,7 @@ impl Blocking {
 
     /// Sleep until one of `ranks` (the ranks this thread carries, all of
     /// them pending) can be polled to some effect, or the run failed.
-    pub fn park(&self, ranks: &[usize]) {
+    pub(crate) fn park(&self, ranks: &[usize]) {
         let mut st = self.state.lock();
         while !st.failed && !ranks.iter().any(|&r| st.runnable(r)) {
             st = wait(&self.cv, st);
@@ -265,7 +265,7 @@ impl Blocking {
 
     /// `rank`'s SPMD closure returned: it will never wait again, and it
     /// will never wake anyone either.
-    pub fn finish(&self, rank: usize) -> Result<(), VpceError> {
+    pub(crate) fn finish(&self, rank: usize) -> Result<(), VpceError> {
         let mut st = self.state.lock();
         if st.epochs.values().any(|e| e.holder == Some(rank)) {
             return Err(VpceError::LockState {
@@ -279,7 +279,7 @@ impl Blocking {
     /// A rank died: wake every waiter, which then leaves with
     /// `PeerFailure` instead of sleeping forever. True for the run's
     /// first failure — the root cause; every later one can be its echo.
-    pub fn fail(&self) -> bool {
+    pub(crate) fn fail(&self) -> bool {
         let first = !std::mem::replace(&mut self.state.lock().failed, true);
         self.cv.notify_all();
         first
@@ -291,7 +291,12 @@ impl Blocking {
     ///
     /// All ranks must pass behaviourally identical leaders (the code is
     /// SPMD, so they do).
-    pub async fn run<T, R, F>(&self, rank: usize, input: T, leader: F) -> Result<R, VpceError>
+    pub(crate) async fn run<T, R, F>(
+        &self,
+        rank: usize,
+        input: T,
+        leader: F,
+    ) -> Result<R, VpceError>
     where
         T: Send + 'static,
         R: Send + 'static,
@@ -337,13 +342,18 @@ impl Blocking {
     }
 
     /// Enqueue a message (eager send: the sender does not wait).
-    pub fn post(&self, src: usize, dst: usize, tag: i32, msg: Message) {
+    pub(crate) fn post(&self, src: usize, dst: usize, tag: i32, msg: Message) {
         self.state.lock().queues.entry((src, dst, tag)).or_default().push_back(msg);
         self.cv.notify_all();
     }
 
     /// Dequeue the oldest `(src, dst, tag)` message, waiting for one.
-    pub async fn take(&self, src: usize, dst: usize, tag: i32) -> Result<Message, VpceError> {
+    pub(crate) async fn take(
+        &self,
+        src: usize,
+        dst: usize,
+        tag: i32,
+    ) -> Result<Message, VpceError> {
         let mut st = self.wait(dst, Reason::Recv { src, tag }).await?;
         Ok(st
             .queues
@@ -356,7 +366,12 @@ impl Blocking {
     /// waiting for the current holder to release it; which of several
     /// waiters is granted next is scheduling order. Returns the virtual time
     /// the previous epoch closed at.
-    pub async fn lock(&self, rank: usize, win: usize, target: usize) -> Result<f64, VpceError> {
+    pub(crate) async fn lock(
+        &self,
+        rank: usize,
+        win: usize,
+        target: usize,
+    ) -> Result<f64, VpceError> {
         if self.holds(rank, win, target) {
             return Err(VpceError::LockState {
                 msg: "window already locked by this rank".into(),
@@ -369,7 +384,7 @@ impl Blocking {
     }
 
     /// Close the epoch at virtual time `now`.
-    pub fn unlock(&self, rank: usize, win: usize, target: usize, now: f64) -> Result<(), VpceError> {
+    pub(crate) fn unlock(&self, rank: usize, win: usize, target: usize, now: f64) -> Result<(), VpceError> {
         let mut st = self.state.lock();
         let Some(epoch) = st.epochs.get_mut(&(win, target)).filter(|e| e.holder == Some(rank)) else {
             return Err(VpceError::LockState { msg: "unlock without lock".into() });
@@ -381,7 +396,7 @@ impl Blocking {
     }
 
     /// Whether `rank` is inside a lock epoch on `target`'s shard.
-    pub fn holds(&self, rank: usize, win: usize, target: usize) -> bool {
+    pub(crate) fn holds(&self, rank: usize, win: usize, target: usize) -> bool {
         self.state.lock().holder(win, target) == Some(rank)
     }
 }

@@ -190,7 +190,7 @@ pub(crate) struct EpochLedger<'s> {
 }
 
 impl<'s> EpochLedger<'s> {
-    pub fn open(queues: &[Vec<PendingSeries>], filter: Option<WinId>, scan: &'s mut ScanScratch) -> Self {
+    pub(crate) fn open(queues: &[Vec<PendingSeries>], filter: Option<WinId>, scan: &'s mut ScanScratch) -> Self {
         let ops = || {
             let by_origin = queues.iter().enumerate();
             by_origin.flat_map(|(origin, queue)| queue.iter().map(move |op| (origin, op))).filter(|(_, op)| op.admitted(filter))
@@ -208,7 +208,7 @@ impl<'s> EpochLedger<'s> {
     }
 
     /// The next message of the batch, in the fence's order.
-    pub fn see(&mut self, m: &Message) {
+    pub(crate) fn see(&mut self, m: &Message) {
         let walked = match &self.walk {
             Walk::Nothing => false,
             Walk::Everything => true,
@@ -221,7 +221,7 @@ impl<'s> EpochLedger<'s> {
     }
 
     /// Append the batch's colliding message pairs to `found`.
-    pub fn close(self, found: &mut Vec<ConflictRecord>) {
+    pub(crate) fn close(self, found: &mut Vec<ConflictRecord>) {
         found.extend(self.scan.conflicts().map(|(kind, a, b)| ConflictRecord {
             win: a.win,
             shard: a.shard,

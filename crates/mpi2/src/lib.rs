@@ -108,7 +108,7 @@
 #![forbid(unsafe_code)]
 
 mod blocking;
-pub mod conflict;
+mod conflict;
 #[cfg(test)]
 mod engine_tests;
 mod p2p;
@@ -123,7 +123,7 @@ mod universe;
 mod window;
 pub mod workers;
 
-pub mod coll;
+mod coll;
 
 pub use cluster_sim::Protocol;
 pub use conflict::{AccessSet, ConflictKind, ConflictRecord};

@@ -52,7 +52,7 @@ pub struct PoolSnapshot {
 }
 
 impl BufferPool {
-    pub fn new(slots: usize, slot_elems: usize) -> Self {
+    pub(crate) fn new(slots: usize, slot_elems: usize) -> Self {
         BufferPool {
             slots: vec![Vec::new(); slots],
             free: (0..slots).rev().collect(),
@@ -64,7 +64,7 @@ impl BufferPool {
 
     /// Move every in-flight slot whose pin window has passed back to
     /// the free list.
-    pub fn reclaim(&mut self, now: f64) {
+    pub(crate) fn reclaim(&mut self, now: f64) {
         let mut i = 0;
         while i < self.inflight.len() {
             if self.inflight[i].0 <= now {
@@ -81,7 +81,7 @@ impl BufferPool {
     /// until the earliest in-flight slot unpins. `None` means the pool
     /// is exhausted with nothing scheduled to free — the caller falls
     /// back to rendezvous.
-    pub fn acquire(&mut self, now: f64) -> Option<(usize, f64)> {
+    pub(crate) fn acquire(&mut self, now: f64) -> Option<(usize, f64)> {
         self.reclaim(now);
         if let Some(slot) = self.free.pop() {
             self.note_hwm();
@@ -109,19 +109,19 @@ impl BufferPool {
     }
 
     /// Return a drained slot to the pool, pinned until `free_at`.
-    pub fn release(&mut self, slot: usize, free_at: f64) {
+    pub(crate) fn release(&mut self, slot: usize, free_at: f64) {
         debug_assert!(slot < self.slots.len());
         self.inflight.push((free_at, slot));
     }
 
     /// The staged payload of a held slot.
-    pub fn slot_data(&self, slot: usize, len: usize) -> &[Elem] {
+    pub(crate) fn slot_data(&self, slot: usize, len: usize) -> &[Elem] {
         &self.slots[slot][..len]
     }
 
     /// The first `len` elements of a held slot, for the issue-time
     /// staging copy. The slot grows to `len` if it is shorter.
-    pub fn slot_mut(&mut self, slot: usize, len: usize) -> &mut [Elem] {
+    pub(crate) fn slot_mut(&mut self, slot: usize, len: usize) -> &mut [Elem] {
         assert!(
             len <= self.slot_elems,
             "{len} elements overflow a {}-element slot",
@@ -136,22 +136,22 @@ impl BufferPool {
 
     /// Slots currently out of the free list (held or pinned).
     #[cfg(test)]
-    pub fn in_use(&self) -> usize {
+    pub(crate) fn in_use(&self) -> usize {
         self.slots.len() - self.free.len()
     }
 
-    pub fn hwm(&self) -> usize {
+    pub(crate) fn hwm(&self) -> usize {
         self.hwm
     }
 
     #[cfg(test)]
-    pub fn slot_elems(&self) -> usize {
+    pub(crate) fn slot_elems(&self) -> usize {
         self.slot_elems
     }
 
     /// Final accounting: reclaim everything whose pin window ever
     /// expires, then report what never came back.
-    pub fn snapshot_final(&mut self) -> PoolSnapshot {
+    pub(crate) fn snapshot_final(&mut self) -> PoolSnapshot {
         self.reclaim(f64::MAX);
         PoolSnapshot {
             slots: self.slots.len(),

@@ -157,7 +157,7 @@ impl Default for Sents {
 
 impl Sents {
     /// Room for `n` records.
-    pub fn with_capacity(n: usize) -> Self {
+    pub(crate) fn with_capacity(n: usize) -> Self {
         if n > 1 {
             Sents::Many(Vec::with_capacity(n))
         } else {
@@ -165,7 +165,7 @@ impl Sents {
         }
     }
 
-    pub fn push(&mut self, sent: Sent) {
+    pub(crate) fn push(&mut self, sent: Sent) {
         match self {
             Sents::One(one @ None) => *one = Some(sent),
             Sents::One(Some(first)) => *self = Sents::Many(vec![*first, sent]),
@@ -173,19 +173,19 @@ impl Sents {
         }
     }
 
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             Sents::One(one) => usize::from(one.is_some()),
             Sents::Many(all) => all.len(),
         }
     }
 
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The `nth` record.
-    pub fn get(&self, nth: usize) -> Option<Sent> {
+    pub(crate) fn get(&self, nth: usize) -> Option<Sent> {
         match self {
             Sents::One(one) => one.filter(|_| nth == 0),
             Sents::Many(all) => all.get(nth).copied(),
@@ -193,7 +193,7 @@ impl Sents {
     }
 
     #[cfg(test)]
-    pub fn iter_mut(&mut self) -> impl Iterator<Item = &mut Sent> + '_ {
+    pub(crate) fn iter_mut(&mut self) -> impl Iterator<Item = &mut Sent> + '_ {
         match self {
             Sents::One(one) => one.as_mut_slice().iter_mut(),
             Sents::Many(all) => all.iter_mut(),
@@ -213,13 +213,13 @@ impl FromIterator<Sent> for Sents {
 impl PendingSeries {
     /// The messages `origin` issued, in issue order.
     #[cfg(test)]
-    pub fn messages(&self, origin: usize) -> impl Iterator<Item = Message<'_>> + '_ {
+    pub(crate) fn messages(&self, origin: usize) -> impl Iterator<Item = Message<'_>> + '_ {
         Run { origin, filter: None, ops: std::slice::from_ref(self).iter(), walk: None }
     }
 
     /// Is this op one the fence over window `filter` (all, for `None`)
     /// completes?
-    pub fn admitted(&self, filter: Option<WinId>) -> bool {
+    pub(crate) fn admitted(&self, filter: Option<WinId>) -> bool {
         filter.is_none_or(|win| self.win == win)
     }
 }
@@ -261,13 +261,13 @@ impl<'q> Message<'q> {
     }
 
     /// True when data flows target → origin.
-    pub fn is_get(&self) -> bool {
+    pub(crate) fn is_get(&self) -> bool {
         self.op.dir == RmaDir::Get
     }
 
     /// `(sending, receiving)` rank of the payload: origin → target,
     /// reversed for a GET.
-    pub fn flow(&self) -> (usize, usize) {
+    pub(crate) fn flow(&self) -> (usize, usize) {
         if self.is_get() {
             (self.op.target, self.origin)
         } else {
@@ -276,25 +276,25 @@ impl<'q> Message<'q> {
     }
 
     /// Which transport protocol the fence schedules this message under.
-    pub fn proto(&self) -> Protocol {
+    pub(crate) fn proto(&self) -> Protocol {
         message_proto(self.op.dir, self.op.proto, self.sent.slot)
     }
 
     /// Payload bytes crossing the wire (protocol headers excluded).
-    pub fn wire_bytes(&self) -> usize {
+    pub(crate) fn wire_bytes(&self) -> usize {
         self.count * crate::ELEM_BYTES
     }
 
     /// The registered eager slot holding this payload, if any — the
     /// fence releases it once the wire transfer has drained.
-    pub fn eager_slot(&self) -> Option<usize> {
+    pub(crate) fn eager_slot(&self) -> Option<usize> {
         self.sent.slot.map(|slot| slot as usize)
     }
 
     /// The deterministic scheduling order: issue time, then origin.
     /// Messages one origin issued at one time keep their issue order
     /// — their order in the origin's queue, see [`FenceOrder`].
-    pub fn sort_key(&self) -> (u64, usize) {
+    pub(crate) fn sort_key(&self) -> (u64, usize) {
         (f64_order_key(self.sent.issue), self.origin)
     }
 }
@@ -332,7 +332,7 @@ impl FenceOrder {
     /// The messages of `queues` — rank `r`'s at index `r` — on window
     /// `filter`, or all of them, in the fence's order, read where they
     /// were issued.
-    pub fn merge<'q>(
+    pub(crate) fn merge<'q>(
         &'q mut self,
         queues: &'q [Vec<PendingSeries>],
         filter: Option<WinId>,

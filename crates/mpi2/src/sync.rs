@@ -14,12 +14,12 @@ use std::sync::{Condvar, MutexGuard, PoisonError};
 pub(crate) struct Mutex<T>(std::sync::Mutex<T>);
 
 impl<T> Mutex<T> {
-    pub fn new(value: T) -> Self {
+    pub(crate) fn new(value: T) -> Self {
         Mutex(std::sync::Mutex::new(value))
     }
 
     /// Acquire the lock, ignoring poisoning.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
+    pub(crate) fn lock(&self) -> MutexGuard<'_, T> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
 }

@@ -66,7 +66,7 @@ impl Shared {
     /// Software+wire cost of one barrier on this machine: with V-Bus
     /// hardware a bus-arbitrated release, otherwise a software
     /// dissemination tree.
-    pub fn barrier_cost(&self) -> f64 {
+    pub(crate) fn barrier_cost(&self) -> f64 {
         let cfg = &self.cfg;
         let p = cfg.num_nodes();
         if p == 1 {
@@ -1062,7 +1062,10 @@ mod tests {
     fn compute_advances_only_local_clock() {
         let out = uni(2).run(|mpi| {
             if mpi.rank() == 0 {
-                mpi.compute(&OpCounts::madd_loop(1_000_000));
+                mpi.compute(&OpCounts {
+                    fmul: 1_000_000,
+                    ..OpCounts::default()
+                });
             }
             mpi.now()
         });

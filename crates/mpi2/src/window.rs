@@ -50,7 +50,7 @@ impl WindowTable {
     /// Register a window from one `(len, backed)` per rank: rank `r`'s
     /// shard declares `len` elements and, when backed, holds them
     /// zero-initialised.
-    pub fn create(&mut self, forms: &[(usize, bool)]) -> WinId {
+    pub(crate) fn create(&mut self, forms: &[(usize, bool)]) -> WinId {
         let mems = forms
             .iter()
             .map(|&(len, backed)| Arc::new(Mutex::new(if backed { vec![0.0; len] } else { Vec::new() })))
@@ -60,12 +60,12 @@ impl WindowTable {
     }
 
     /// The storage of rank `rank`'s shard.
-    pub fn mem(&self, win: WinId, rank: usize) -> &Mutex<Vec<Elem>> {
+    pub(crate) fn mem(&self, win: WinId, rank: usize) -> &Mutex<Vec<Elem>> {
         &self.windows[win.0].mems[rank]
     }
 
     /// The owner's handle to rank `rank`'s shard.
-    pub fn window_ref(&self, win: WinId, rank: usize) -> WindowRef {
+    pub(crate) fn window_ref(&self, win: WinId, rank: usize) -> WindowRef {
         let window = &self.windows[win.0];
         WindowRef {
             win,
@@ -79,7 +79,7 @@ impl WindowTable {
     /// `win` moves values: both shards must be backed. Otherwise it is
     /// checked, priced, scheduled and traced all the same, and copies
     /// nothing.
-    pub fn moves_values(&self, win: WinId, a: usize, b: usize) -> bool {
+    pub(crate) fn moves_values(&self, win: WinId, a: usize, b: usize) -> bool {
         let forms = &self.windows[win.0].forms;
         forms[a].1 && forms[b].1
     }

@@ -17,7 +17,7 @@ const WATCHDOG: Duration = Duration::from_secs(20);
 
 /// `run` on a helper thread; panics if it is still going when the
 /// watchdog expires or dies of an untyped panic.
-pub fn within_watchdog<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
+pub(super) fn within_watchdog<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'static) -> T {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(run());
@@ -30,7 +30,7 @@ pub fn within_watchdog<T: Send + 'static>(run: impl FnOnce() -> T + Send + 'stat
 }
 
 #[derive(Debug, Clone, PartialEq)]
-pub enum Op {
+pub(super) enum Op {
     Barrier,
     Send {
         to: usize,
@@ -68,7 +68,7 @@ pub enum Op {
 /// (locks and `put_now` use the first). The result is how many it got
 /// through (the windows' contents would not do: a script may end a rank
 /// while a peer still puts into it).
-pub async fn play(mpi: &mut Mpi, ops: &[Op]) -> Result<usize, VpceError> {
+pub(super) async fn play(mpi: &mut Mpi, ops: &[Op]) -> Result<usize, VpceError> {
     let wins = [mpi.win_create_async(4).await?, mpi.win_create_async(4).await?];
     let w = &wins[0];
     for (done, op) in ops.iter().enumerate() {
@@ -95,7 +95,7 @@ pub async fn play(mpi: &mut Mpi, ops: &[Op]) -> Result<usize, VpceError> {
 /// every rank, a matched send/recv pair, a whole lock epoch — plus
 /// stray single ops that unbalance them: all the ways to block, matched
 /// or not, and every lock misuse.
-pub fn script_gen() -> Gen<Vec<Vec<Op>>> {
+pub(super) fn script_gen() -> Gen<Vec<Vec<Op>>> {
     scripts(false)
 }
 
@@ -106,7 +106,7 @@ pub fn script_gen() -> Gen<Vec<Vec<Op>>> {
 /// barrier here: every rank's collectives are a prefix of one sequence,
 /// as MPI requires of a program (a stray receive, lock or early return
 /// still strands the peers at the next one).
-pub fn epoch_script_gen() -> Gen<Vec<Vec<Op>>> {
+pub(super) fn epoch_script_gen() -> Gen<Vec<Vec<Op>>> {
     scripts(true)
 }
 
@@ -169,7 +169,7 @@ fn scripts(epochs: bool) -> Gen<Vec<Vec<Op>>> {
 /// first is OS order (documented on `Mpi::win_lock`), so such a
 /// script's verdict may legitimately differ between executions — every
 /// one of them typed.
-pub fn contended(script: &[Vec<Op>]) -> bool {
+pub(super) fn contended(script: &[Vec<Op>]) -> bool {
     let wants = |ops: &[Op], target| ops.contains(&Op::Lock { target });
     (0..script.len()).any(|t| script.iter().filter(|ops| wants(ops, t)).count() > 1)
 }

@@ -51,35 +51,11 @@ impl Avpg {
             .copied()
             .unwrap_or(NodeAttr::Invalid)
     }
-
-    /// Is `array` used (read or written) anywhere after region `i`?
-    pub fn live_after(&self, region: usize, array: ArrayId) -> bool {
-        self.nodes[region + 1..]
-            .iter()
-            .any(|n| n.attrs.get(&array) == Some(&NodeAttr::Valid))
-    }
-
-    /// Count of (region, array) pairs per attribute — reporting.
-    pub fn attr_counts(&self) -> (usize, usize, usize) {
-        let mut v = 0;
-        let mut p = 0;
-        let mut i = 0;
-        for n in &self.nodes {
-            for a in n.attrs.values() {
-                match a {
-                    NodeAttr::Valid => v += 1,
-                    NodeAttr::Propagate => p += 1,
-                    NodeAttr::Invalid => i += 1,
-                }
-            }
-        }
-        (v, p, i)
-    }
 }
 
 /// Build the AVPG of an analysed program: a backward liveness sweep
 /// over the region sequence.
-pub fn build_avpg(analyzed: &AnalyzedProgram) -> Avpg {
+pub(crate) fn build_avpg(analyzed: &AnalyzedProgram) -> Avpg {
     let arrays: Vec<ArrayId> = (0..analyzed.symbols.arrays.len()).map(ArrayId).collect();
     let n = analyzed.regions.len();
     let mut nodes = vec![AvpgNode::default(); n];
@@ -156,26 +132,5 @@ mod tests {
         assert_eq!(g.attr(1, c), NodeAttr::Valid);
         assert_eq!(g.attr(2, c), NodeAttr::Valid);
         assert_eq!(g.attr(3, c), NodeAttr::Invalid);
-    }
-
-    #[test]
-    fn live_after_matches_attributes() {
-        let analyzed = compile(FIG7, &[]).unwrap();
-        let g = build_avpg(&analyzed);
-        let a = ArrayId(analyzed.symbols.array_id("A").unwrap());
-        let b = ArrayId(analyzed.symbols.array_id("B").unwrap());
-        assert!(g.live_after(0, a));
-        assert!(!g.live_after(0, b));
-        assert!(!g.live_after(3, a));
-    }
-
-    #[test]
-    fn attr_counts_sum_to_regions_times_arrays() {
-        let analyzed = compile(FIG7, &[]).unwrap();
-        let g = build_avpg(&analyzed);
-        let (v, p, i) = g.attr_counts();
-        assert_eq!(v + p + i, 4 * 3);
-        assert_eq!(v, 5, "A@0, B@0, C@1, C@2, A@3");
-        assert_eq!(p, 3, "A propagates at 1,2; C propagates at 0");
     }
 }

@@ -35,15 +35,16 @@
 
 #![forbid(unsafe_code)]
 
-pub mod advisor;
-pub mod avpg;
-pub mod plan;
-pub mod translate;
+mod advisor;
+mod avpg;
+mod plan;
+mod translate;
 
 use std::borrow::Cow;
 
 use lmad::Granularity;
 use polaris_fe::analysis::{AnalyzedProgram, Region};
+use spmd_rt::ir::{Expr, Instr};
 use spmd_rt::{Block, Instrs, Schedule, SpmdProgram};
 
 pub use advisor::{advise, SimulatedAdvice};
@@ -171,7 +172,7 @@ impl<'a> Translated<'a> {
     /// Translate `analyzed` and build its AVPG (§5.2).
     pub fn new(analyzed: Cow<'a, AnalyzedProgram>) -> Self {
         let symbols = &analyzed.symbols;
-        let code = analyzed
+        let code: Vec<Instrs> = analyzed
             .regions
             .iter()
             .map(|region| match region {
@@ -179,7 +180,23 @@ impl<'a> Translated<'a> {
                 Region::Parallel(pl) => translate::translate_stmts(&pl.body, symbols).into(),
             })
             .collect();
-        let sequential = translate::translate_stmts(&analyzed.sequential_body(), symbols).into();
+        // The sequential program from the translated regions: a
+        // section's statements as they are, a parallel loop as the
+        // `DO` it came from around its translated body.
+        let mut sequential = Vec::new();
+        for (region, code) in analyzed.regions.iter().zip(&code) {
+            match region {
+                Region::Seq(_) => sequential.extend_from_slice(code),
+                Region::Parallel(pl) => sequential.push(Instr::Loop {
+                    var: pl.var,
+                    lo: Expr::IConst(pl.lo),
+                    hi: Expr::IConst(pl.hi),
+                    step: pl.step,
+                    body: code.to_vec(),
+                }),
+            }
+        }
+        let sequential = sequential.into();
         let avpg = avpg::build_avpg(&analyzed);
         Translated { analyzed, code, sequential, avpg }
     }

@@ -80,7 +80,7 @@ pub struct PlanReport {
 /// proofs and grown in place.
 type Freshness = Vec<HashMap<ArrayId, CoverIndex>>;
 
-pub struct Planner<'a> {
+pub(crate) struct Planner<'a> {
     analyzed: &'a AnalyzedProgram,
     opts: &'a BackendOptions,
     fresh: Freshness,
@@ -88,7 +88,7 @@ pub struct Planner<'a> {
 }
 
 impl<'a> Planner<'a> {
-    pub fn new(analyzed: &'a AnalyzedProgram, opts: &'a BackendOptions) -> Self {
+    pub(crate) fn new(analyzed: &'a AnalyzedProgram, opts: &'a BackendOptions) -> Self {
         let mut windowed: Vec<ArrayId> = Vec::new();
         for region in &analyzed.regions {
             if let Region::Parallel(p) = region {
@@ -113,7 +113,7 @@ impl<'a> Planner<'a> {
 
     /// A sequential (master-only) region invalidates every slave copy
     /// of the arrays it writes.
-    pub fn note_seq_region(&mut self, seq: &SeqRegion) {
+    pub(crate) fn note_seq_region(&mut self, seq: &SeqRegion) {
         for a in &seq.writes {
             for rank_fresh in &mut self.fresh {
                 rank_fresh.remove(a);
@@ -418,7 +418,7 @@ impl<'a> Planner<'a> {
     }
 
     /// Spent planner → diagnostics.
-    pub fn into_report(self) -> PlanReport {
+    pub(crate) fn into_report(self) -> PlanReport {
         self.report
     }
 }
@@ -446,7 +446,7 @@ impl RegionFootprints {
     /// Multiple textual references with the same footprint collapse to
     /// one access: as transfers, a repeat would double the wire traffic
     /// and race against itself inside the collect epoch.
-    pub fn new(pl: &ParallelLoop, opts: &BackendOptions) -> Self {
+    pub(crate) fn new(pl: &ParallelLoop, opts: &BackendOptions) -> Self {
         let p = opts.nprocs;
         let sched = opts.schedule_override.unwrap_or(if pl.analysis.triangular {
             Schedule::Cyclic
@@ -592,6 +592,7 @@ fn hold<'a>(index: &mut CoverIndex, regions: impl IntoIterator<Item = &'a Normal
 mod tests {
     use super::*;
     use lmad::Dim;
+    use spmd_rt::ir::{Expr, Instr};
     use std::cell::Cell;
 
     thread_local! {
@@ -880,13 +881,38 @@ mod tests {
         blocks.chain([&program.sequential]).collect()
     }
 
+    /// `program.sequential` is its blocks in order: a master section's
+    /// statements as they are, a parallel region as one `DO` over its
+    /// iteration space whose body equals the region's.
+    fn assert_sequential_wraps_regions(program: &spmd_rt::SpmdProgram, case: &str) {
+        let mut rest = &program.sequential[..];
+        for block in &program.blocks {
+            match block {
+                spmd_rt::Block::MasterSeq(code) => {
+                    assert_eq!(&rest[..code.len()], &code[..], "{case}");
+                    rest = &rest[code.len()..];
+                }
+                spmd_rt::Block::Parallel(region) => {
+                    let Some((Instr::Loop { var, lo, step, body, .. }, tail)) = rest.split_first() else {
+                        panic!("{case}: no loop for a parallel region");
+                    };
+                    assert_eq!((*var, lo, *step), (region.var, &Expr::IConst(region.lo), region.step), "{case}");
+                    assert_eq!(&body[..], &region.body[..], "{case}");
+                    rest = tail;
+                }
+            }
+        }
+        assert!(rest.is_empty(), "{case}: statements outside every block");
+    }
+
     /// Lowering every grain from one shared half — one translation, one
     /// set of footprints borrowed by two grains and moved into the
     /// third — plans what a fresh `compile_backend` per grain plans,
     /// program and report, on every example and benchmark program at
     /// 1, 2, 3, 4 and 16 ranks, block and cyclic, with and without the
-    /// AVPG; and the advisor's winner points at the statements every
-    /// grain's lowering shares.
+    /// AVPG; the sequential program wraps each parallel region's body
+    /// in its loop; and the advisor's winner points at the statements
+    /// every grain's lowering shares.
     #[test]
     fn grains_lowered_from_one_shared_half_equal_fresh_compiles() {
         let mut shared_lists = 0;
@@ -912,6 +938,7 @@ mod tests {
                                 let case = format!("{name} N={n} on {ranks} ranks, {opts:?}");
                                 assert_eq!(program, fresh.program, "{case}");
                                 assert_eq!(format!("{report:?}"), format!("{:?}", fresh.report), "{case}");
+                                assert_sequential_wraps_regions(&program, &case);
                                 lowered.push(program);
                             }
                             let cluster = cluster_sim::ClusterConfig::paper_n(ranks);

@@ -8,7 +8,7 @@ use spmd_rt::ir::{BinOp, Expr, Instr, IntrinsicOp};
 
 /// Translate a top-level statement list ([`crate::Translated::new`]
 /// translates each of a program's once).
-pub fn translate_stmts(stmts: &[Stmt], symbols: &Symbols) -> Vec<Instr> {
+pub(crate) fn translate_stmts(stmts: &[Stmt], symbols: &Symbols) -> Vec<Instr> {
     translate_block(stmts, symbols)
 }
 
@@ -69,7 +69,7 @@ fn translate_stmt(s: &Stmt, symbols: &Symbols) -> Option<Instr> {
 
 /// Column-major linearisation: `Σ (sub_j - 1) * mult_j`, folding
 /// constants so `A(1,1)` compiles to index `0` outright.
-pub fn linearize(array: usize, subs: &[FeExpr], symbols: &Symbols) -> Expr {
+pub(crate) fn linearize(array: usize, subs: &[FeExpr], symbols: &Symbols) -> Expr {
     let info = &symbols.arrays[array];
     let mut acc: Option<Expr> = None;
     for (j, sub) in subs.iter().enumerate() {

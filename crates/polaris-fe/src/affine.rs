@@ -11,14 +11,14 @@ use crate::ast::{BinOp, Expr, SymRef, UnOp};
 
 /// `konst + Σ terms[v] · v` (terms with zero coefficient are absent).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct Affine {
+pub(crate) struct Affine {
     pub konst: i64,
     pub terms: BTreeMap<usize, i64>,
 }
 
 impl Affine {
     /// The constant form.
-    pub fn constant(c: i64) -> Self {
+    pub(crate) fn constant(c: i64) -> Self {
         Affine {
             konst: c,
             terms: BTreeMap::new(),
@@ -26,29 +26,29 @@ impl Affine {
     }
 
     /// The single-variable form `v`.
-    pub fn var(id: usize) -> Self {
+    pub(crate) fn var(id: usize) -> Self {
         let mut terms = BTreeMap::new();
         terms.insert(id, 1);
         Affine { konst: 0, terms }
     }
 
     /// Is this a bare constant?
-    pub fn as_const(&self) -> Option<i64> {
+    pub(crate) fn as_const(&self) -> Option<i64> {
         self.terms.is_empty().then_some(self.konst)
     }
 
     /// Coefficient of variable `id` (0 when absent).
-    pub fn coeff(&self, id: usize) -> i64 {
+    pub(crate) fn coeff(&self, id: usize) -> i64 {
         self.terms.get(&id).copied().unwrap_or(0)
     }
 
     /// Variables with non-zero coefficients.
-    pub fn vars(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn vars(&self) -> impl Iterator<Item = usize> + '_ {
         self.terms.keys().copied()
     }
 
     /// `self + other`.
-    pub fn add(&self, other: &Affine) -> Affine {
+    pub(crate) fn add(&self, other: &Affine) -> Affine {
         let mut out = self.clone();
         out.konst += other.konst;
         for (&v, &c) in &other.terms {
@@ -62,12 +62,12 @@ impl Affine {
     }
 
     /// `self - other`.
-    pub fn sub(&self, other: &Affine) -> Affine {
+    pub(crate) fn sub(&self, other: &Affine) -> Affine {
         self.add(&other.scale(-1))
     }
 
     /// `self * k`.
-    pub fn scale(&self, k: i64) -> Affine {
+    pub(crate) fn scale(&self, k: i64) -> Affine {
         if k == 0 {
             return Affine::constant(0);
         }
@@ -77,26 +77,10 @@ impl Affine {
         }
     }
 
-    /// Substitute variable `id` by another affine form.
-    pub fn substitute(&self, id: usize, with: &Affine) -> Affine {
-        let c = self.coeff(id);
-        if c == 0 {
-            return self.clone();
-        }
-        let mut rest = self.clone();
-        rest.terms.remove(&id);
-        rest.add(&with.scale(c))
-    }
-
-    /// Evaluate with the given variable environment.
-    pub fn eval(&self, env: impl Fn(usize) -> i64) -> i64 {
-        self.konst + self.terms.iter().map(|(&v, &c)| c * env(v)).sum::<i64>()
-    }
-
     /// Lower an integer-valued expression to affine form. Returns
     /// `None` for anything non-affine (products of variables, division,
     /// reals, array references, intrinsics).
-    pub fn from_expr(e: &Expr) -> Option<Affine> {
+    pub(crate) fn from_expr(e: &Expr) -> Option<Affine> {
         match e {
             Expr::IntLit(v) => Some(Affine::constant(*v)),
             Expr::Var(SymRef::Resolved(id)) => Some(Affine::var(*id)),
@@ -164,32 +148,6 @@ mod tests {
         let b = a.sub(&Affine::var(1));
         assert_eq!(b, Affine::var(0));
         assert!(!b.terms.contains_key(&1));
-    }
-
-    #[test]
-    fn substitution() {
-        // K := 3 + 2*I substituted into (5 + 4*K).
-        let f = Affine {
-            konst: 5,
-            terms: [(7usize, 4i64)].into_iter().collect(),
-        };
-        let k = Affine {
-            konst: 3,
-            terms: [(0usize, 2i64)].into_iter().collect(),
-        };
-        let g = f.substitute(7, &k);
-        assert_eq!(g.konst, 17);
-        assert_eq!(g.coeff(0), 8);
-        assert_eq!(g.coeff(7), 0);
-    }
-
-    #[test]
-    fn eval_matches_structure() {
-        let a = Affine {
-            konst: 10,
-            terms: [(0usize, 3i64), (1, -2)].into_iter().collect(),
-        };
-        assert_eq!(a.eval(|v| if v == 0 { 4 } else { 5 }), 10 + 12 - 10);
     }
 
     #[test]

@@ -160,35 +160,6 @@ impl AnalyzedProgram {
             .filter(|r| matches!(r, Region::Parallel(_)))
             .count()
     }
-
-    /// Reconstruct the full sequential statement list (for the
-    /// sequential reference execution).
-    pub fn sequential_body(&self) -> Vec<Stmt> {
-        let mut out = Vec::new();
-        for r in &self.regions {
-            match r {
-                Region::Seq(s) => out.extend(s.stmts.iter().cloned()),
-                Region::Parallel(p) => out.push(p.as_do_stmt()),
-            }
-        }
-        out
-    }
-}
-
-impl ParallelLoop {
-    /// Rebuild the original `DO` statement (for sequential execution).
-    pub fn as_do_stmt(&self) -> Stmt {
-        Stmt::Do {
-            header: crate::ast::DoHeader {
-                var: crate::ast::SymRef::Resolved(self.var),
-                lo: Expr::IntLit(self.lo),
-                hi: Expr::IntLit(self.hi),
-                step: Some(Expr::IntLit(self.step)),
-            },
-            body: self.body.clone(),
-            line: self.line,
-        }
-    }
 }
 
 /// Fortran trip count: `max(0, (hi - lo + step) / step)`.

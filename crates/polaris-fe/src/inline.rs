@@ -29,7 +29,7 @@ const MAX_DEPTH: usize = 16;
 
 /// Inline every `CALL` in the `PROGRAM` unit, consuming the
 /// subroutine units. Returns the self-contained main unit.
-pub fn inline_calls(units: Vec<Unit>) -> Result<Unit, FrontError> {
+pub(crate) fn inline_calls(units: Vec<Unit>) -> Result<Unit, FrontError> {
     let mut main = None;
     let mut subs: HashMap<String, Unit> = HashMap::new();
     for u in units {

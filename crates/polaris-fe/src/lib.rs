@@ -30,10 +30,10 @@
 
 #![forbid(unsafe_code)]
 
-pub mod affine;
+mod affine;
 pub mod analysis;
 pub mod ast;
-pub mod inline;
+mod inline;
 pub mod lexer;
 pub mod parser;
 pub mod printer;

@@ -1,64 +1,27 @@
-//! Pretty-printer: resolved or raw ASTs back to F77-mini source.
-//!
-//! Two uses: human-readable dumps of what the compiler actually
-//! analysed (post-inlining, post-induction-substitution), and the
+//! Pretty-printer: parsed ASTs back to F77-mini source, for the
 //! parse∘print round-trip property test that pins the parser and the
 //! printer to each other.
 
 use crate::ast::*;
-use crate::sema::Symbols;
 
-/// Render a statement list as F77-mini source. `symbols` supplies
-/// names for resolved references (pass `None` before sema).
-pub fn print_stmts(stmts: &[Stmt], symbols: Option<&Symbols>) -> String {
+/// Render a statement list as F77-mini source. A reference sema has
+/// resolved prints as `SYM<id>`.
+pub fn print_stmts(stmts: &[Stmt]) -> String {
     let mut out = String::new();
     for s in stmts {
-        print_stmt(s, symbols, 6, &mut out);
+        print_stmt(s, 6, &mut out);
     }
     out
 }
 
-/// Render a whole resolved program, reconstructing declarations from
-/// the symbol tables.
-pub fn print_program(program: &Program, symbols: &Symbols) -> String {
-    let mut out = format!("      PROGRAM {}\n", program.name);
-    for a in &symbols.arrays {
-        let dims: Vec<String> = a.dims.iter().map(|d| d.to_string()).collect();
-        let ty = match a.ty {
-            crate::sema::ScalarType::Integer => "INTEGER",
-            crate::sema::ScalarType::Real => "REAL",
-        };
-        out.push_str(&format!("      {ty} {}({})\n", a.name, dims.join(",")));
-    }
-    for s in &symbols.scalars {
-        let ty = match s.ty {
-            crate::sema::ScalarType::Integer => "INTEGER",
-            crate::sema::ScalarType::Real => "REAL",
-        };
-        out.push_str(&format!("      {ty} {}\n", s.name));
-    }
-    out.push_str(&print_stmts(&program.body, Some(symbols)));
-    out.push_str("      END\n");
-    out
-}
-
-fn sym_name(sym: &SymRef, symbols: Option<&Symbols>, is_array: bool) -> String {
+fn sym_name(sym: &SymRef) -> String {
     match sym {
         SymRef::Named(n) => n.clone(),
-        SymRef::Resolved(id) => match symbols {
-            Some(sy) => {
-                if is_array {
-                    sy.arrays[*id].name.clone()
-                } else {
-                    sy.scalars[*id].name.clone()
-                }
-            }
-            None => format!("SYM{id}"),
-        },
+        SymRef::Resolved(id) => format!("SYM{id}"),
     }
 }
 
-fn print_stmt(s: &Stmt, sy: Option<&Symbols>, indent: usize, out: &mut String) {
+fn print_stmt(s: &Stmt, indent: usize, out: &mut String) {
     let pad = " ".repeat(indent);
     match s {
         Stmt::Assign {
@@ -70,32 +33,32 @@ fn print_stmt(s: &Stmt, sy: Option<&Symbols>, indent: usize, out: &mut String) {
             if subscripts.is_empty() {
                 out.push_str(&format!(
                     "{pad}{} = {}\n",
-                    sym_name(target, sy, false),
-                    print_expr(value, sy)
+                    sym_name(target),
+                    print_expr(value)
                 ));
             } else {
-                let subs: Vec<String> = subscripts.iter().map(|e| print_expr(e, sy)).collect();
+                let subs: Vec<String> = subscripts.iter().map(print_expr).collect();
                 out.push_str(&format!(
                     "{pad}{}({}) = {}\n",
-                    sym_name(target, sy, true),
+                    sym_name(target),
                     subs.join(", "),
-                    print_expr(value, sy)
+                    print_expr(value)
                 ));
             }
         }
         Stmt::Do { header, body, .. } => {
             let step = match &header.step {
                 None => String::new(),
-                Some(e) => format!(", {}", print_expr(e, sy)),
+                Some(e) => format!(", {}", print_expr(e)),
             };
             out.push_str(&format!(
                 "{pad}DO {} = {}, {}{step}\n",
-                sym_name(&header.var, sy, false),
-                print_expr(&header.lo, sy),
-                print_expr(&header.hi, sy)
+                sym_name(&header.var),
+                print_expr(&header.lo),
+                print_expr(&header.hi)
             ));
             for b in body {
-                print_stmt(b, sy, indent + 2, out);
+                print_stmt(b, indent + 2, out);
             }
             out.push_str(&format!("{pad}ENDDO\n"));
         }
@@ -105,21 +68,21 @@ fn print_stmt(s: &Stmt, sy: Option<&Symbols>, indent: usize, out: &mut String) {
             else_body,
             ..
         } => {
-            out.push_str(&format!("{pad}IF ({}) THEN\n", print_expr(cond, sy)));
+            out.push_str(&format!("{pad}IF ({}) THEN\n", print_expr(cond)));
             for b in then_body {
-                print_stmt(b, sy, indent + 2, out);
+                print_stmt(b, indent + 2, out);
             }
             if !else_body.is_empty() {
                 out.push_str(&format!("{pad}ELSE\n"));
                 for b in else_body {
-                    print_stmt(b, sy, indent + 2, out);
+                    print_stmt(b, indent + 2, out);
                 }
             }
             out.push_str(&format!("{pad}ENDIF\n"));
         }
         Stmt::Continue { .. } => out.push_str(&format!("{pad}CONTINUE\n")),
         Stmt::Call { name, args, .. } => {
-            let a: Vec<String> = args.iter().map(|e| print_expr(e, sy)).collect();
+            let a: Vec<String> = args.iter().map(print_expr).collect();
             if a.is_empty() {
                 out.push_str(&format!("{pad}CALL {name}\n"));
             } else {
@@ -131,7 +94,7 @@ fn print_stmt(s: &Stmt, sy: Option<&Symbols>, indent: usize, out: &mut String) {
 
 /// Render an expression (fully parenthesised — unambiguous under
 /// re-parsing regardless of precedence).
-pub fn print_expr(e: &Expr, sy: Option<&Symbols>) -> String {
+fn print_expr(e: &Expr) -> String {
     match e {
         Expr::IntLit(v) => {
             if *v < 0 {
@@ -155,13 +118,13 @@ pub fn print_expr(e: &Expr, sy: Option<&Symbols>) -> String {
                 s
             }
         }
-        Expr::Var(sym) => sym_name(sym, sy, false),
+        Expr::Var(sym) => sym_name(sym),
         Expr::ArrayRef(sym, subs) => {
-            let s: Vec<String> = subs.iter().map(|x| print_expr(x, sy)).collect();
-            format!("{}({})", sym_name(sym, sy, true), s.join(", "))
+            let s: Vec<String> = subs.iter().map(print_expr).collect();
+            format!("{}({})", sym_name(sym), s.join(", "))
         }
-        Expr::Un(UnOp::Neg, a) => format!("(-{})", print_expr(a, sy)),
-        Expr::Un(UnOp::Not, a) => format!("(.NOT. {})", print_expr(a, sy)),
+        Expr::Un(UnOp::Neg, a) => format!("(-{})", print_expr(a)),
+        Expr::Un(UnOp::Not, a) => format!("(.NOT. {})", print_expr(a)),
         Expr::Bin(op, a, b) => {
             let o = match op {
                 BinOp::Add => "+",
@@ -178,7 +141,7 @@ pub fn print_expr(e: &Expr, sy: Option<&Symbols>) -> String {
                 BinOp::And => ".AND.",
                 BinOp::Or => ".OR.",
             };
-            format!("({} {o} {})", print_expr(a, sy), print_expr(b, sy))
+            format!("({} {o} {})", print_expr(a), print_expr(b))
         }
         Expr::Call(intr, args) => {
             let name = match intr {
@@ -193,7 +156,7 @@ pub fn print_expr(e: &Expr, sy: Option<&Symbols>) -> String {
                 Intrinsic::Real => "REAL",
                 Intrinsic::Int => "INT",
             };
-            let a: Vec<String> = args.iter().map(|x| print_expr(x, sy)).collect();
+            let a: Vec<String> = args.iter().map(print_expr).collect();
             format!("{name}({})", a.join(", "))
         }
     }
@@ -211,7 +174,7 @@ mod tests {
         )
         .unwrap())
         .unwrap();
-        let s = print_stmts(&unit.body, None);
+        let s = print_stmts(&unit.body);
         assert!(s.contains("DO I = 1, 4"));
         assert!(s.contains("IF ((I .LT. 3)) THEN"));
         assert!(s.contains("ELSE"));
@@ -222,29 +185,9 @@ mod tests {
     fn roundtrip_parses_to_the_same_ast() {
         let src = "PROGRAM T\nREAL A(4,4)\nDO I = 1, 4, 2\nA(I,1) = COS(1.5) + MOD(I, 2)\nCONTINUE\nENDDO\nEND\n";
         let unit = parse(&lex(src).unwrap()).unwrap();
-        let printed = format!(
-            "PROGRAM T\nREAL A(4,4)\n{}END\n",
-            print_stmts(&unit.body, None)
-        );
+        let printed = format!("PROGRAM T\nREAL A(4,4)\n{}END\n", print_stmts(&unit.body));
         let reparsed = parse(&lex(&printed).unwrap()).unwrap();
         // Compare modulo line numbers by re-printing.
-        assert_eq!(
-            print_stmts(&unit.body, None),
-            print_stmts(&reparsed.body, None)
-        );
-    }
-
-    #[test]
-    fn resolved_program_prints_with_real_names() {
-        let (p, sy) = crate::sema::resolve(
-            parse(&lex("PROGRAM T\nREAL W(8)\nDO I = 1, 8\nW(I) = REAL(I)\nENDDO\nEND\n").unwrap())
-                .unwrap(),
-            &[],
-        )
-        .unwrap();
-        let s = print_program(&p, &sy);
-        assert!(s.contains("REAL W(8)"), "{s}");
-        assert!(s.contains("W(I) = REAL(I)"), "{s}");
-        assert!(s.contains("INTEGER I"), "{s}");
+        assert_eq!(print_stmts(&unit.body), print_stmts(&reparsed.body));
     }
 }

@@ -73,11 +73,6 @@ pub enum ParamValue {
 }
 
 impl Symbols {
-    /// Find a scalar id by name.
-    pub fn scalar_id(&self, name: &str) -> Option<usize> {
-        self.scalars.iter().position(|s| s.name == name)
-    }
-
     /// Find an array id by name.
     pub fn array_id(&self, name: &str) -> Option<usize> {
         self.arrays.iter().position(|a| a.name == name)
@@ -555,6 +550,10 @@ mod tests {
         resolve(parse(&lex(src).unwrap()).unwrap(), &[]).unwrap_err()
     }
 
+    fn scalar_id(sy: &Symbols, name: &str) -> usize {
+        sy.scalars.iter().position(|s| s.name == name).unwrap()
+    }
+
     #[test]
     fn parameters_fold_into_array_bounds() {
         let (_, sy) = front(
@@ -602,8 +601,8 @@ mod tests {
     #[test]
     fn undeclared_scalars_get_implicit_types() {
         let (_, sy) = front("PROGRAM T\nX = 1\nI = 2\nEND\n", &[]);
-        let x = sy.scalar_id("X").unwrap();
-        let i = sy.scalar_id("I").unwrap();
+        let x = scalar_id(&sy, "X");
+        let i = scalar_id(&sy, "I");
         assert_eq!(sy.scalars[x].ty, ScalarType::Real);
         assert_eq!(sy.scalars[i].ty, ScalarType::Integer);
     }
@@ -672,7 +671,7 @@ mod tests {
         let (p, sy) = front("PROGRAM T\nDO I = 1, 4\nX = I\nENDDO\nEND\n", &[]);
         match &p.body[0] {
             Stmt::Do { header, .. } => {
-                assert_eq!(header.var, SymRef::Resolved(sy.scalar_id("I").unwrap()));
+                assert_eq!(header.var, SymRef::Resolved(scalar_id(&sy, "I")));
             }
             other => panic!("unexpected {other:?}"),
         }

@@ -258,14 +258,6 @@ fn sum_reduction_loop_parallel() {
 }
 
 #[test]
-fn sequential_body_roundtrips_all_statements() {
-    let a = compile(MM, &[]).unwrap();
-    let seq = a.sequential_body();
-    // Two top-level loops.
-    assert_eq!(seq.len(), 2);
-}
-
-#[test]
 fn region_read_write_sets() {
     let a = compile(MM, &[]).unwrap();
     let c_id = a.symbols.array_id("C").unwrap();

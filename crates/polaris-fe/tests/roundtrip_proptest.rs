@@ -100,11 +100,11 @@ fn print_parse_print_is_identity() {
     Check::new("polaris_fe::print_parse_print_is_identity")
         .cases(64)
         .run(&vec_of(arb_stmt(2), 1, 4), |stmts| {
-            let printed = print_stmts(stmts, None);
+            let printed = print_stmts(stmts);
             let src = format!("PROGRAM T\n{printed}END\n");
             let unit = parse(&lex(&src).unwrap())
                 .unwrap_or_else(|e| panic!("printed source failed to parse: {e}\n{src}"));
-            let reprinted = print_stmts(&unit.body, None);
+            let reprinted = print_stmts(&unit.body);
             prop_assert_eq!(printed, reprinted, "source:\n{}", src);
             Ok(())
         });

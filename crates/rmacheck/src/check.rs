@@ -86,7 +86,7 @@ fn is_local(k: AccessKind) -> bool {
 /// its window, `lens[win]` elements long (VPCE007): one finding per
 /// wire message that does, so only a planned op whose union reaches
 /// outside walks its messages.
-pub fn check_bounds(trace: &RmaTrace, lens: &[usize], out: &mut LintReport) {
+pub(crate) fn check_bounds(trace: &RmaTrace, lens: &[usize], out: &mut LintReport) {
     for (r, evs) in trace.ranks.iter().enumerate() {
         for e in evs {
             let Event::Rma(op) = e else { continue };
@@ -125,7 +125,7 @@ pub fn check_bounds(trace: &RmaTrace, lens: &[usize], out: &mut LintReport) {
 
 /// Run the three epoch checks over `trace`, appending findings to
 /// `out`.
-pub fn check_trace(trace: &RmaTrace, out: &mut LintReport) {
+pub(crate) fn check_trace(trace: &RmaTrace, out: &mut LintReport) {
     // ---- 1. sync alignment ----
     let sync_seqs: Vec<Vec<SyncKind>> = trace
         .ranks

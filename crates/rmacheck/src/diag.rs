@@ -84,7 +84,7 @@ pub type LintReport = vpce_diag::Report<Code>;
 
 /// A fresh, empty lint report for `program` with the linter's
 /// rendering style.
-pub fn new_report(program: impl Into<String>) -> LintReport {
+pub(crate) fn new_report(program: impl Into<String>) -> LintReport {
     LintReport::new("lint", "clean (no RMA conflicts)", program)
 }
 

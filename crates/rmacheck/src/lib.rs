@@ -12,14 +12,14 @@
 //!    event per planned op, whose footprint is the union of its wire
 //!    messages and which keeps its split descriptor, so a plan is read
 //!    as descriptors and its messages are walked only where an answer
-//!    needs them ([`check`]);
-//! 2. the epoch analysis ([`check`]) verifies that every footprint
+//!    needs them (`check`);
+//! 2. the epoch analysis (`check`) verifies that every footprint
 //!    stays inside its window's declared length (VPCE007),
 //!    synchronisation alignment (VPCE005), epoch closure (VPCE004) and
 //!    scans each fence-delimited epoch for undefined-outcome pairs
 //!    (VPCE001/002/003, warnings VPCE101/102) through [`lmad::epoch`],
 //!    the scanner the runtime ledger uses too;
-//! 3. the AVPG staleness pass ([`stale`]) re-derives the soundness of
+//! 3. the AVPG staleness pass (`stale`) re-derives the soundness of
 //!    every elided collect from the plan timeline (VPCE006), one cover
 //!    index member per collect op.
 //!
@@ -34,13 +34,13 @@
 
 #![forbid(unsafe_code)]
 
-pub mod check;
-pub mod diag;
-pub mod lower;
+mod check;
+mod diag;
+mod lower;
 #[cfg(test)]
 mod oracle;
-pub mod stale;
-pub mod trace;
+mod stale;
+mod trace;
 
 pub use diag::{Code, Diagnostic, LintReport, Severity};
 pub use lower::lower;

@@ -95,7 +95,7 @@ fn flag(out: &mut LintReport, prog: &SpmdProgram, a: usize, s: &StaleRegion, sit
 
 /// Walk the plan timeline and flag stale master regions that are
 /// consumed (or survive to program exit while outputs are live).
-pub fn check_elisions(
+pub(crate) fn check_elisions(
     prog: &SpmdProgram,
     report: &PlanReport,
     opts: &LintOptions,

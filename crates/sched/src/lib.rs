@@ -48,12 +48,12 @@
 
 #![forbid(unsafe_code)]
 
-pub mod job;
-pub mod partition;
-pub mod report;
+mod job;
+mod partition;
+mod report;
 pub mod run;
-pub mod runner;
-pub mod sched;
+mod runner;
+mod sched;
 
 pub use job::{
     decode_inline, encode_inline, BatchSpec, JobSource, JobSpec, JobfileCode, JobfileError,

@@ -364,7 +364,7 @@ fn write_job(o: &mut Object<'_>, r: &JobRecord) {
 }
 
 /// Nearest-rank percentile of an ascending-sorted slice (0 if empty).
-pub fn percentile(sorted: &[f64], p: f64) -> f64 {
+pub(crate) fn percentile(sorted: &[f64], p: f64) -> f64 {
     if sorted.is_empty() {
         return 0.0;
     }

@@ -101,7 +101,7 @@ pub struct Record {
 }
 
 /// Render a record as its journal line (trailing newline included).
-pub fn encode(seq: u64, kind: Kind, payload: &str) -> String {
+pub(crate) fn encode(seq: u64, kind: Kind, payload: &str) -> String {
     debug_assert!(!payload.contains('\n'), "payloads are single lines");
     let body = format!("{seq} {} {payload}", kind.tag());
     format!("{:08x} {body}\n", crc32(body.as_bytes()))

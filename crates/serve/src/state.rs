@@ -25,7 +25,7 @@ fn bad(detail: impl Into<String>) -> ServeError {
 /// is stamped onto every submitted job that carries none of its own,
 /// so a job's record — the runner's cache key — names the machine it
 /// runs on and replay needs no state beyond the lines themselves.
-pub fn apply(
+pub(crate) fn apply(
     sched: &mut Scheduler<'_>,
     machine: &mut Option<String>,
     line: &str,
@@ -98,7 +98,7 @@ fn apply_cancel(sched: &mut Scheduler<'_>, args: &str) -> Result<(), ServeError>
 }
 
 /// One-line status for a job (client `status` verb).
-pub fn status_line(sched: &Scheduler<'_>, name: &str) -> Result<String, ServeError> {
+pub(crate) fn status_line(sched: &Scheduler<'_>, name: &str) -> Result<String, ServeError> {
     let j = sched
         .job(name)
         .ok_or_else(|| ServeError::new(ServeCode::UnknownJob, format!("no job `{name}`")))?;

@@ -6,15 +6,9 @@ use cluster_sim::{CpuModel, OpCounts};
 
 use crate::ir::{BinOp, Expr, Instr, IntrinsicOp};
 
-/// Operation counts of evaluating `e` once. `int_scalars[slot]`
-/// marks INTEGER scalars so index arithmetic is priced as integer
-/// ALU work, not floating point.
-pub fn expr_ops(e: &Expr, int_scalars: &[bool]) -> OpCounts {
-    let mut ops = OpCounts::default();
-    collect_expr(e, int_scalars, &mut ops);
-    ops
-}
-
+/// Add the operation counts of evaluating `e` once to `ops`.
+/// `int_scalars[slot]` marks INTEGER scalars so index arithmetic is
+/// priced as integer ALU work, not floating point.
 fn collect_expr(e: &Expr, int_scalars: &[bool], ops: &mut OpCounts) {
     match e {
         Expr::IConst(_) | Expr::RConst(_) => {}
@@ -96,7 +90,7 @@ fn is_int(e: &Expr, int_scalars: &[bool]) -> bool {
 /// Operation counts of executing `i` once, *excluding* loop bodies
 /// (the interpreter charges bodies per executed iteration; the
 /// analytic path multiplies by trip counts itself).
-pub fn instr_ops_shallow(i: &Instr, int_scalars: &[bool]) -> OpCounts {
+pub(crate) fn instr_ops_shallow(i: &Instr, int_scalars: &[bool]) -> OpCounts {
     let mut ops = OpCounts::default();
     match i {
         Instr::StoreArray { index, value, .. } => {
@@ -160,6 +154,11 @@ mod tests {
         }
     }
 
+    /// Counts of evaluating `e` once, as a scalar assignment prices it.
+    fn expr_ops(value: Expr) -> OpCounts {
+        instr_ops_shallow(&Instr::StoreScalar { slot: 0, value }, &[])
+    }
+
     fn load(array: usize) -> Expr {
         Expr::Load {
             array,
@@ -200,7 +199,7 @@ mod tests {
                 Box::new(Expr::IConst(3)),
             )),
         );
-        let ops = expr_ops(&idx, &[]);
+        let ops = expr_ops(idx);
         assert_eq!(ops.int_ops, 2);
         assert_eq!(ops.fadd + ops.fmul, 0);
     }
@@ -208,6 +207,6 @@ mod tests {
     #[test]
     fn transcendental_counted() {
         let e = Expr::Intr(IntrinsicOp::Cos, vec![Expr::Scalar(0)]);
-        assert_eq!(expr_ops(&e, &[]).transcendental, 1);
+        assert_eq!(expr_ops(e).transcendental, 1);
     }
 }

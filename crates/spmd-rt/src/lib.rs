@@ -42,14 +42,14 @@
 #![forbid(unsafe_code)]
 
 pub mod checkpoint;
-pub mod cost;
+mod cost;
 pub mod exec;
 pub mod ir;
 pub mod lowered;
 #[cfg(test)]
 mod oracle;
 pub mod protocol;
-pub mod value;
+mod value;
 
 pub use checkpoint::Snapshot;
 pub use exec::{

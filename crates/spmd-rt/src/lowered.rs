@@ -4,7 +4,7 @@
 //! The tree IR ([`crate::ir`]) is what the compiler emits and what the
 //! cost model reads. It is not what runs. [`lower`] turns a statement
 //! list into this form once per execution, and the two walks below —
-//! [`State::run`] (`Full`) and [`State::price`] (`Analytic`) — are the
+//! `State::run` (`Full`) and `State::price` (`Analytic`) — are the
 //! only code that executes or prices loop bodies, for rank threads and
 //! for the sequential baseline alike.
 //!
@@ -28,7 +28,7 @@
 //! `c0 + Σ kᵢ·scalar[sᵢ]`. Affine nodes cannot fail, so no error moves.
 //!
 //! **Block-summed costs are exact.** Each [`Block`] carries the sum of
-//! its statements' shallow costs ([`instr_cycles`]: the tree's
+//! its statements' shallow costs (`instr_cycles`: the tree's
 //! operation counts priced by the P-II table) and a loop charges `trips × (2 + body)` on
 //! entry. Every entry of that table is a multiple of half a cycle
 //! (pinned by `cost::tests::cycle_table_entries_are_half_integers`), so
@@ -74,10 +74,10 @@
 //! trip order, so it gets the walk's bits. MM's `DO I / DO J / DO K`
 //! runs as `J`, `K`, then a column of `I`.
 //!
-//! **Errors are one word.** The per-trip walk returns [`Eval`], its
+//! **Errors are one word.** The per-trip walk returns `Eval`, its
 //! error boxed, so a value comes back in registers; streams have no
 //! error path at all, and what `Analytic` cannot price is refused
-//! before anything runs ([`check_priceable`]).
+//! before anything runs (`check_priceable`).
 
 use std::sync::atomic::AtomicBool;
 use std::sync::atomic::Ordering::Relaxed;
@@ -1255,7 +1255,7 @@ thread_local! {
 
 impl<'p> State<'p> {
     /// All of `prog`'s scalars zero.
-    pub fn new(prog: &'p SpmdProgram) -> State<'p> {
+    pub(crate) fn new(prog: &'p SpmdProgram) -> State<'p> {
         let scalars = &prog.scalars;
         State {
             scalars,
@@ -1274,12 +1274,12 @@ impl<'p> State<'p> {
 
     /// This executor, ending its walk with an error once `stop` is
     /// raised.
-    pub fn stopping_at(self, stop: &'p AtomicBool) -> State<'p> {
+    pub(crate) fn stopping_at(self, stop: &'p AtomicBool) -> State<'p> {
         State { stop, ..self }
     }
 
     /// The typed store: `v` converted to the slot's declared type.
-    pub fn store_real(&mut self, slot: usize, v: f64) {
+    pub(crate) fn store_real(&mut self, slot: usize, v: f64) {
         if self.scalars[slot].1 {
             self.ints[slot] = v as i64;
         } else {
@@ -1296,7 +1296,7 @@ impl<'p> State<'p> {
     }
 
     /// Numeric view of a slot (`Value::as_real`).
-    pub fn real_of(&self, slot: usize) -> f64 {
+    pub(crate) fn real_of(&self, slot: usize) -> f64 {
         if self.scalars[slot].1 {
             self.ints[slot] as f64
         } else {
@@ -1305,7 +1305,7 @@ impl<'p> State<'p> {
     }
 
     /// Every slot as a tagged [`Value`] (the API boundary).
-    pub fn values(&self) -> Vec<Value> {
+    pub(crate) fn values(&self) -> Vec<Value> {
         (0..self.scalars.len())
             .map(|s| {
                 if self.scalars[s].1 {
@@ -1318,7 +1318,7 @@ impl<'p> State<'p> {
     }
 
     /// Seed every slot from tagged values, through the typed store.
-    pub fn load_values(&mut self, values: &[Value]) {
+    pub(crate) fn load_values(&mut self, values: &[Value]) {
         for (slot, v) in values.iter().enumerate() {
             match *v {
                 Value::I(v) => self.store_int(slot, v),
@@ -1329,7 +1329,7 @@ impl<'p> State<'p> {
 
     /// `Full`: execute `block` once against `mem` (one slice per
     /// program array).
-    pub fn run(&mut self, block: &Block, mem: &mut [&mut [Elem]]) -> Eval<()> {
+    pub(crate) fn run(&mut self, block: &Block, mem: &mut [&mut [Elem]]) -> Eval<()> {
         self.cycles += block.cost;
         self.exec(&block.stmts, mem)
     }
@@ -1337,7 +1337,7 @@ impl<'p> State<'p> {
     /// `Full`: execute `n` trips of a loop, `var = first, first + step,
     /// …`. Charges all trips' bookkeeping and shallow body cost on
     /// entry.
-    pub fn run_trips(
+    pub(crate) fn run_trips(
         &mut self,
         l: &LoopBody,
         first: i64,
@@ -1833,7 +1833,7 @@ impl<'p> State<'p> {
     /// Conditionals are priced as condition + the dearer branch (a
     /// documented approximation; the evaluated benchmarks have no
     /// data-dependent branches in hot regions).
-    pub fn price(&mut self, block: &Block) -> Eval<f64> {
+    pub(crate) fn price(&mut self, block: &Block) -> Eval<f64> {
         let mut total = block.cost;
         for s in &block.stmts {
             match s {
@@ -1861,7 +1861,7 @@ impl<'p> State<'p> {
 
     /// `Analytic`: cost of `n` trips of a loop. When nothing inside is
     /// shaped by the loop variable, one trip prices them all.
-    pub fn price_trips(&mut self, l: &LoopBody, first: i64, step: i64, n: u64) -> Eval<f64> {
+    pub(crate) fn price_trips(&mut self, l: &LoopBody, first: i64, step: i64, n: u64) -> Eval<f64> {
         if n == 0 {
             return Ok(0.0);
         }

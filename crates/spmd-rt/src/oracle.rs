@@ -21,6 +21,21 @@ use crate::ir::*;
 use crate::lowered::division_by_zero;
 use crate::value::Value;
 
+/// A relational operator's truth value, `I(1)` or `I(0)`: both
+/// operands compare as REALs (Fortran implicit conversion).
+pub(crate) fn relational(op: BinOp, x: Value, y: Value) -> Value {
+    let (a, b) = (x.as_real(), y.as_real());
+    Value::I(match op {
+        BinOp::Lt => a < b,
+        BinOp::Le => a <= b,
+        BinOp::Gt => a > b,
+        BinOp::Ge => a >= b,
+        BinOp::Eq => a == b,
+        BinOp::Ne => a != b,
+        _ => unreachable!("{op:?} is not relational"),
+    } as i64)
+}
+
 pub(crate) struct Oracle {
     /// INTEGER-ness per scalar slot.
     int_scalars: Vec<bool>,
@@ -31,7 +46,7 @@ pub(crate) struct Oracle {
 
 impl Oracle {
     /// All of `prog`'s scalars zero.
-    pub fn new(prog: &SpmdProgram) -> Oracle {
+    pub(crate) fn new(prog: &SpmdProgram) -> Oracle {
         let int_scalars: Vec<bool> = prog.scalars.iter().map(|t| t.1).collect();
         let scalars = int_scalars
             .iter()
@@ -67,7 +82,7 @@ impl Oracle {
         };
     }
 
-    pub fn run_generic(&mut self, instrs: &[Instr], mem: &mut [Vec<Elem>]) -> Result<(), VpceError> {
+    pub(crate) fn run_generic(&mut self, instrs: &[Instr], mem: &mut [Vec<Elem>]) -> Result<(), VpceError> {
         for i in instrs {
             self.cycles += instr_cycles(i, &self.int_scalars);
             match i {
@@ -139,12 +154,9 @@ impl Oracle {
                     BinOp::Mul => x.mul(y),
                     BinOp::Div => x.div(y)?,
                     BinOp::Pow => x.pow(y)?,
-                    BinOp::Lt => x.lt(y),
-                    BinOp::Le => x.le(y),
-                    BinOp::Gt => x.gt(y),
-                    BinOp::Ge => x.ge(y),
-                    BinOp::Eq => x.eq_v(y),
-                    BinOp::Ne => x.ne_v(y),
+                    BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge | BinOp::Eq | BinOp::Ne => {
+                        relational(*op, x, y)
+                    }
                     BinOp::And => x.and(y),
                     BinOp::Or => x.or(y),
                 }

@@ -8,7 +8,7 @@
 //!
 //! * [`rng`] — SplitMix64-seeded xoshiro256++, the deterministic PRNG
 //!   behind every random draw in the suites (replaces `rand`);
-//! * [`gen`] + [`prop`] — property-based testing: generator
+//! * `gen` (in the [`prelude`]) + [`prop`] — property-based testing: generator
 //!   combinators over a recorded choice stream, automatic shrinking,
 //!   seed reporting (`VPCE_TESTKIT_SEED`), and regression-seed files
 //!   (replaces `proptest`);
@@ -33,7 +33,7 @@
 //! counterexample; `VPCE_TESTKIT_SEED=0x…` replays it exactly.
 
 pub mod alloc;
-pub mod gen;
+mod gen;
 pub mod prop;
 pub mod rng;
 

@@ -117,7 +117,7 @@ fn write_meta(records: &mut Array<'_>, pid: u64, tid: Option<u64>, key: &str, na
 /// Serialize `events` (already in deterministic `(lane, seq)` order —
 /// see `Tracer::events`) plus lane labels into a Chrome trace-event
 /// JSON document.
-pub fn to_chrome_json(events: &[Event], lanes: &[(Lane, String)]) -> String {
+pub(crate) fn to_chrome_json(events: &[Event], lanes: &[(Lane, String)]) -> String {
     json::document(Layout::Compact, |doc| {
         let mut records = doc.array("traceEvents", Layout::Block(0));
         write_meta(&mut records, RANKS_PID, None, "process_name", "ranks");

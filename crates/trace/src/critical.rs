@@ -3,7 +3,7 @@
 //! Walks the event dependency graph *backwards* from the run's end:
 //! start at the rank whose final clock equals the elapsed time, find
 //! the call span it was in, and — when that span was blocking — jump
-//! along its [`Dominator`] edge to the remote event that determined
+//! along its [`Dominator`](crate::Dominator) edge to the remote event that determined
 //! its exit (the origin of the latest transfer a fence drained, the
 //! slowest entrant of a barrier, the root of a broadcast, the sender
 //! of a receive). Every step classifies the interval it walked over:

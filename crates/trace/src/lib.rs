@@ -19,10 +19,10 @@
 //!
 //! On top of the stream sit three consumers:
 //!
-//! * [`chrome::to_chrome_json`] — a Chrome trace-event exporter (one
+//! * `chrome::to_chrome_json` — a Chrome trace-event exporter (one
 //!   lane per rank plus per-link lanes; load the file in
 //!   `chrome://tracing` or [Perfetto](https://ui.perfetto.dev));
-//! * [`summary::rollup`] — per-phase metric rollups (bytes moved DMA
+//! * `summary::rollup` — per-phase metric rollups (bytes moved DMA
 //!   vs. PIO, setup counts, fence-wait per rank);
 //! * [`critical::critical_path`] — a backwards walk over the event
 //!   dependency graph (message completions, fence joins, collective
@@ -54,10 +54,10 @@
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
-pub mod chrome;
+mod chrome;
 pub mod critical;
-pub mod event;
-pub mod summary;
+mod event;
+mod summary;
 
 pub use critical::{Breakdown, CritSegment, CriticalPath, TimeClass};
 pub use event::{CallInfo, CallOp, DataPath, Dominator, Event, EventKind, Lane, SetupParts};

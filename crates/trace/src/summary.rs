@@ -57,7 +57,7 @@ fn enclosing_phase(phases: &[(String, f64, f64)], t: f64) -> Option<&str> {
 }
 
 /// Fold the sorted event stream into per-phase aggregates.
-pub fn rollup(events: &[Event], n_ranks: usize) -> TraceSummary {
+pub(crate) fn rollup(events: &[Event], n_ranks: usize) -> TraceSummary {
     let mut summary = TraceSummary {
         fence_wait: vec![0.0; n_ranks],
         events: events.len(),

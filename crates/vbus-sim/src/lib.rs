@@ -39,9 +39,9 @@
 
 #![forbid(unsafe_code)]
 
-pub mod link;
-pub mod stats;
-pub mod topology;
+mod link;
+mod stats;
+mod topology;
 
 mod sim;
 

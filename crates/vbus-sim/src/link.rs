@@ -151,12 +151,6 @@ impl LinkPhy {
         bits_per_wave / 8.0 / period_s
     }
 
-    /// Bandwidth gain of SKWP over conventional pipelining — the
-    /// paper's "up to four times" claim.
-    pub fn skwp_gain(&self) -> f64 {
-        self.bandwidth_bps(SignallingMode::Skwp) / self.bandwidth_bps(SignallingMode::Conventional)
-    }
-
     /// Derive the scheduler-level [`LinkRate`] for this phy in a mode.
     ///
     /// The per-hop latency is one stage flight (the header wave must
@@ -208,7 +202,7 @@ impl LinkRate {
     }
 
     /// Seconds for the receiver's CRC verdict to reach the sender: the
-    /// ack worm re-crosses the path ([`ACK_BYTES`] payload, one header
+    /// ack worm re-crosses the path (`ACK_BYTES` payload, one header
     /// flight per hop). This is the detection latency of a corrupted
     /// packet — the NACK round trip before a retransmit can start.
     pub fn ack_turnaround(&self, hops: usize) -> f64 {
@@ -226,7 +220,7 @@ impl LinkRate {
 
 /// Payload bytes of the link-level acknowledgement packet: the packet
 /// serial being acked plus the CRC verdict.
-pub const ACK_BYTES: usize = 8;
+pub(crate) const ACK_BYTES: usize = 8;
 
 #[cfg(test)]
 mod tests {
@@ -235,7 +229,8 @@ mod tests {
     #[test]
     fn paper_card_skwp_gain_is_about_four() {
         let phy = LinkPhy::paper_card();
-        let gain = phy.skwp_gain();
+        let gain = phy.bandwidth_bps(SignallingMode::Skwp)
+            / phy.bandwidth_bps(SignallingMode::Conventional);
         assert!(
             (3.5..=4.5).contains(&gain),
             "SKWP gain should be ~4x (paper §2.1), got {gain}"

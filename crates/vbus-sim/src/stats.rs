@@ -55,60 +55,3 @@ pub struct NetStats {
     /// software multicast tree.
     pub bus_degraded: u64,
 }
-
-impl NetStats {
-    /// Total bytes moved over the network (p2p + broadcast payloads).
-    pub fn total_bytes(&self) -> u64 {
-        self.p2p_bytes + self.broadcast_bytes
-    }
-
-    /// Total messages of any kind.
-    pub fn total_messages(&self) -> u64 {
-        self.p2p_messages + self.broadcasts
-    }
-
-    /// Did any injected fault fire during the run? All-zero whenever
-    /// injection is off, which is what keeps fault-free reports
-    /// byte-identical to the pre-fault code.
-    pub fn faults_seen(&self) -> bool {
-        self.crc_failures != 0
-            || self.packets_dropped != 0
-            || self.link_stalls != 0
-            || self.retransmits != 0
-            || self.bus_fail_attempts != 0
-            || self.bus_degraded != 0
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn totals_combine_p2p_and_broadcast() {
-        let s = NetStats {
-            p2p_messages: 3,
-            p2p_bytes: 100,
-            broadcasts: 2,
-            broadcast_bytes: 50,
-            ..NetStats::default()
-        };
-        assert_eq!(s.total_bytes(), 150);
-        assert_eq!(s.total_messages(), 5);
-    }
-
-    #[test]
-    fn fault_free_stats_report_no_faults() {
-        assert!(!NetStats::default().faults_seen());
-        let s = NetStats {
-            retransmits: 1,
-            ..NetStats::default()
-        };
-        assert!(s.faults_seen());
-        let s = NetStats {
-            bus_degraded: 2,
-            ..NetStats::default()
-        };
-        assert!(s.faults_seen());
-    }
-}

@@ -12,7 +12,7 @@
 pub type NodeId = usize;
 
 /// A directed link identifier, `0..topology.num_links()`.
-pub type LinkId = usize;
+pub(crate) type LinkId = usize;
 
 /// The four mesh directions, used to index per-node outgoing links.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
