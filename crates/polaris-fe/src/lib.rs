@@ -36,7 +36,8 @@ pub mod ast;
 mod inline;
 pub mod lexer;
 pub mod parser;
-pub mod printer;
+#[cfg(test)]
+mod printer;
 pub mod sema;
 
 pub use analysis::{analyze, AnalyzedProgram, LoopAnalysis, Reduction, ReductionOp, RefAccess};

@@ -1,12 +1,12 @@
 //! Pretty-printer: parsed ASTs back to F77-mini source, for the
-//! parse∘print round-trip property test that pins the parser and the
-//! printer to each other.
+//! parse∘print round-trip property that pins the parser and the printer
+//! to each other. Test code only: nothing else prints source.
 
 use crate::ast::*;
 
 /// Render a statement list as F77-mini source. A reference sema has
 /// resolved prints as `SYM<id>`.
-pub fn print_stmts(stmts: &[Stmt]) -> String {
+pub(crate) fn print_stmts(stmts: &[Stmt]) -> String {
     let mut out = String::new();
     for s in stmts {
         print_stmt(s, 6, &mut out);
@@ -166,6 +166,7 @@ fn print_expr(e: &Expr) -> String {
 mod tests {
     use super::*;
     use crate::{lexer::lex, parser::parse};
+    use vpce_testkit::prelude::*;
 
     #[test]
     fn prints_readable_source() {
@@ -189,5 +190,103 @@ mod tests {
         let reparsed = parse(&lex(&printed).unwrap()).unwrap();
         // Compare modulo line numbers by re-printing.
         assert_eq!(print_stmts(&unit.body), print_stmts(&reparsed.body));
+    }
+
+    fn arb_name() -> Gen<String> {
+        // Avoid keywords and intrinsic names.
+        elem_of(
+            ["X", "Y", "ALPHA", "K2", "IVAR"]
+                .iter()
+                .map(|s| s.to_string())
+                .collect(),
+        )
+    }
+
+    fn arb_expr(depth: u32) -> Gen<Expr> {
+        let leaf = one_of(vec![
+            i64_in(0, 999).map(Expr::IntLit),
+            u32_in(0, 999).map(|v| Expr::RealLit(v as f64 / 8.0)),
+            arb_name().map(|n| Expr::Var(SymRef::Named(n))),
+        ]);
+        if depth == 0 {
+            return leaf;
+        }
+        let inner = arb_expr(depth - 1);
+        let inner2 = arb_expr(depth - 1);
+        let inner3 = arb_expr(depth - 1);
+        let inner4 = arb_expr(depth - 1);
+        one_of(vec![
+            leaf,
+            zip3(
+                elem_of(vec![
+                    BinOp::Add,
+                    BinOp::Sub,
+                    BinOp::Mul,
+                    BinOp::Div,
+                    BinOp::Pow,
+                ]),
+                inner,
+                inner2,
+            )
+            .map(|(op, a, b)| Expr::Bin(op, Box::new(a), Box::new(b))),
+            inner3.map(|a| Expr::Un(UnOp::Neg, Box::new(a))),
+            inner4.map(|a| Expr::Call(Intrinsic::Sqrt, vec![a])),
+        ])
+    }
+
+    fn arb_stmt(depth: u32) -> Gen<Stmt> {
+        let assign = zip2(arb_name(), arb_expr(2)).map(|(n, value)| Stmt::Assign {
+            target: SymRef::Named(n),
+            subscripts: Vec::new(),
+            value,
+            line: 0,
+        });
+        let array_assign = zip2(arb_expr(1), arb_expr(1)).map(|(sub, value)| Stmt::Assign {
+            target: SymRef::Named("ARR".to_string()),
+            subscripts: vec![sub],
+            value,
+            line: 0,
+        });
+        if depth == 0 {
+            return one_of(vec![assign, array_assign, just(Stmt::Continue { line: 0 })]);
+        }
+        let body = vec_of(arb_stmt(depth - 1), 1, 2);
+        let body2 = vec_of(arb_stmt(depth - 1), 0, 1);
+        let body3 = vec_of(arb_stmt(depth - 1), 1, 2);
+        one_of(vec![
+            assign,
+            array_assign,
+            zip3(arb_expr(1), arb_expr(1), body).map(|(lo, hi, body)| Stmt::Do {
+                header: DoHeader {
+                    var: SymRef::Named("I".to_string()),
+                    lo,
+                    hi,
+                    step: Some(Expr::IntLit(2)),
+                },
+                body,
+                line: 0,
+            }),
+            zip4(arb_expr(1), arb_expr(1), body3, body2).map(|(a, b, t, e)| Stmt::If {
+                cond: Expr::Bin(BinOp::Lt, Box::new(a), Box::new(b)),
+                then_body: t,
+                else_body: e,
+                line: 0,
+            }),
+        ])
+    }
+
+    #[test]
+    fn print_parse_print_is_identity() {
+        Check::new("polaris_fe::print_parse_print_is_identity")
+            .cases(64)
+            .run(&vec_of(arb_stmt(2), 1, 4), |stmts| {
+                let printed = print_stmts(stmts);
+                let src = format!("PROGRAM T\n{printed}END\n");
+                let unit = parse(&lex(&src).unwrap())
+                    .unwrap_or_else(|e| panic!("printed source failed to parse: {e}\n{src}"));
+                let reprinted = print_stmts(&unit.body);
+                prop_assert_eq!(printed, reprinted, "source:\n{}", src);
+                Ok(())
+            });
     }
 }
