@@ -80,7 +80,10 @@ impl FaultInjector {
     }
 
     /// Does a fault with probability `rate` fire at this (site, key,
-    /// salt)? Zero-rate short-circuits without hashing.
+    /// salt)? Zero-rate short-circuits without hashing — inlined, so
+    /// an unarmed site costs its caller one compare (the link simulator
+    /// asks three per wire leg).
+    #[inline]
     pub fn hits(&self, rate: f64, site: u64, key: u64, salt: u64) -> bool {
         rate > 0.0 && self.draw(site, key, salt) < rate
     }

@@ -177,6 +177,20 @@ impl FaultSpec {
             && self.rank_crash == 0.0
     }
 
+    /// True when a link-level fault (flit corruption, drop, stall) can
+    /// fire — the only draws keyed on the link simulator's per-pair
+    /// attempt counters.
+    pub fn link_armed(&self) -> bool {
+        [self.flit_corrupt, self.link_drop, self.link_stall].iter().any(|&rate| rate > 0.0)
+    }
+
+    /// True when a NIC-level fault (DMA or PIO error, host queue
+    /// stall) can fire; otherwise every transfer's host charge is its
+    /// fault-free one.
+    pub fn nic_armed(&self) -> bool {
+        [self.dma_err, self.pio_err, self.nic_stall].iter().any(|&rate| rate > 0.0)
+    }
+
     /// The named starting points a `--faults` spec may open with.
     const PRESETS: [(&'static str, fn() -> FaultSpec); 4] = [
         ("off", FaultSpec::off),
@@ -292,6 +306,19 @@ mod tests {
         assert!(!FaultSpec::heavy().is_off());
         assert!(!FaultSpec::crashy().is_off());
         assert!(FaultSpec::crashy().rank_crash > 0.0);
+    }
+
+    #[test]
+    fn link_and_nic_planes_arm_apart() {
+        let planes = |s: &FaultSpec| (s.link_armed(), s.nic_armed());
+        assert_eq!(planes(&FaultSpec::off()), (false, false));
+        assert_eq!(planes(&FaultSpec::light()), (true, true));
+        assert_eq!(planes(&FaultSpec::parse("stall=0.1").unwrap()), (true, false));
+        assert_eq!(planes(&FaultSpec::parse("dma=0.1").unwrap()), (false, true));
+        // A bus or rank fault arms the spec but neither plane.
+        let bus = FaultSpec::parse("bus=0.5,slow=0.5").unwrap();
+        assert!(!bus.is_off());
+        assert_eq!(planes(&bus), (false, false));
     }
 
     #[test]

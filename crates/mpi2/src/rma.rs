@@ -235,6 +235,9 @@ fn message_proto(dir: RmaDir, proto: Protocol, slot: Option<u32>) -> Protocol {
     }
 }
 
+/// The host charges of one op's messages, by `[eager][batched]`.
+type OpCharges = [[Option<HostCostBreakdown>; 2]; 2];
+
 /// One wire message of a pending series, as the fence reads it.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Message<'q> {
@@ -476,11 +479,14 @@ impl Mpi {
     /// descriptor-ring batching (consecutive same-window descriptors
     /// share a doorbell), the eager/rendezvous cost split, and the NIC
     /// fault plane (eager retries replay from the registered slot).
+    /// `charges` holds what this op's earlier messages of the same
+    /// protocol and batching paid, when that is all a charge depends on.
     fn charge_host_proto(
         &mut self,
         kind: TransferKind,
         proto: Protocol,
         win: WinId,
+        charges: &mut Option<OpCharges>,
     ) -> Result<HostCostBreakdown, VpceError> {
         let depth = self.shared.policy.ring_depth.max(1);
         let batched = matches!(self.ring, Some((w, n)) if w == win && n < depth);
@@ -496,7 +502,15 @@ impl Mpi {
             self.stats.doorbells += 1;
             self.stats.ring_batch_max = self.stats.ring_batch_max.max(1);
         }
-        let b = self.host_breakdown_checked(kind, Some((proto, batched)))?;
+        let known = charges.as_mut().map(|c| &mut c[usize::from(proto == Protocol::Eager)][usize::from(batched)]);
+        let b = match known {
+            Some(Some(b)) => {
+                self.nic_seq += 1;
+                *b
+            }
+            Some(slot) => *slot.insert(self.host_breakdown_checked(kind, Some((proto, batched)))?),
+            None => self.host_breakdown_checked(kind, Some((proto, batched)))?,
+        };
         self.clock += b.total();
         self.stats.comm_host += b.total();
         let wire = kind.wire_bytes() as u64;
@@ -645,6 +659,9 @@ impl Mpi {
             RmaDir::Get => CallOp::Get,
             RmaDir::Acc(_) => CallOp::Accumulate,
         };
+        // With the NIC fault plane off, a charge depends only on the
+        // op's one transfer kind, the protocol and the batching.
+        let mut charges = (!self.shared.faults.spec().nic_armed()).then(OpCharges::default);
         for (nth, t) in plan.transfers().enumerate() {
             let off = t.offset as usize;
             if !checked {
@@ -671,7 +688,7 @@ impl Mpi {
                     .then(|| self.stage(win, target, (off, stride, count), payload))
                     .flatten()
             };
-            let b = self.charge_host_proto(kind, message_proto(dir, proto, slot), win.id())?;
+            let b = self.charge_host_proto(kind, message_proto(dir, proto, slot), win.id(), &mut charges)?;
             if self.shared.tracer.is_enabled() {
                 let lane = Lane::Rank(self.rank);
                 let info = transfer_info(call, kind, &b);

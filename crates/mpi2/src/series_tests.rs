@@ -9,10 +9,12 @@
 //! local work on two windows, each epoch closed by `win_fence` on one
 //! window (the other's operations stay pending) or by `fence_all`, with
 //! the eager pool running dry part-way through a series, with plans
-//! past a window's end, and with NIC and link faults on. Equal means
-//! every rank's clock and ledger, the network counters, the conflict
-//! ledger, the windows' memory, every call's outcome and the trace
-//! bytes.
+//! past a window's end and ops longer than the descriptor ring, with
+//! faults off, link faults alone (the NIC plane off, so an op's host
+//! charges are worked out once) and NIC and link faults on, traced and
+//! untraced. Equal means every rank's clock and ledger, the network
+//! counters, the conflict ledger, the windows' memory, every call's
+//! outcome and, when traced, the trace bytes.
 
 use std::cell::Cell;
 use std::sync::Arc;
@@ -76,10 +78,33 @@ fn call() -> Gen<Call> {
     weighted(vec![(6, op), (1, acc), (1, u32_in(1, 40).map(Call::Work))])
 }
 
-fn script() -> Gen<(Vec<Epoch>, Option<u64>)> {
+/// The fault plane a case runs under, seeded.
+#[derive(Debug, Clone, Copy)]
+enum Faults {
+    Off,
+    /// Link faults with the NIC plane off.
+    Link(u64),
+    /// Every transport fault.
+    All(u64),
+}
+
+impl Faults {
+    fn spec(self) -> FaultSpec {
+        match self {
+            Faults::Off => FaultSpec::off(),
+            Faults::Link(seed) => FaultSpec { seed, dma_err: 0.0, pio_err: 0.0, nic_stall: 0.0, ..FaultSpec::heavy() },
+            Faults::All(seed) => FaultSpec { seed, ..FaultSpec::heavy() },
+        }
+    }
+}
+
+/// The epochs, the fault plane, and whether a tracer is attached.
+fn script() -> Gen<(Vec<Epoch>, Faults, bool)> {
     let fence = usize_in(0, 2).map(|f| f.checked_sub(1));
     let epoch = zip2(vec_of(vec_of(call(), 0, 5), RANKS, RANKS), fence);
-    zip2(vec_of(epoch, 1, 4), weighted(vec![(1, just(None)), (1, u64_in(0, 1 << 20).map(Some))]))
+    let seed = || u64_in(0, 1 << 20);
+    let faults = weighted(vec![(2, just(Faults::Off)), (1, seed().map(Faults::Link)), (1, seed().map(Faults::All))]);
+    zip3(vec_of(epoch, 1, 4), faults, bool_any())
 }
 
 /// Issue `plan` as one series, or message by message.
@@ -139,10 +164,9 @@ async fn play(mpi: &mut Mpi, script: &[Epoch], series: bool) -> Result<Vec<Strin
 /// Everything a run leaves behind, and the counters the coverage floor
 /// reads: `(verdict, eager fallbacks on a rank that also staged,
 /// retransmits, conflicts)`.
-fn run(script: &Arc<Vec<Epoch>>, faults: Option<u64>, series: bool) -> (String, bool, u64, usize) {
-    let tracer = Tracer::enabled();
-    let spec = faults.map_or_else(FaultSpec::off, |seed| FaultSpec { seed, ..FaultSpec::heavy() });
-    let uni = Universe::new(ClusterConfig::paper_n(RANKS)).with_tracer(tracer.clone()).with_faults(spec);
+fn run(script: &Arc<Vec<Epoch>>, faults: Faults, traced: bool, series: bool) -> (String, bool, u64, usize) {
+    let tracer = if traced { Tracer::enabled() } else { Tracer::disabled() };
+    let uni = Universe::new(ClusterConfig::paper_n(RANKS)).with_tracer(tracer.clone()).with_faults(faults.spec());
     let script = Arc::clone(script);
     let out = uni.run_on(1, async move |mpi: &mut Mpi| play(mpi, &script, series).await);
     match out {
@@ -169,14 +193,14 @@ fn run(script: &Arc<Vec<Epoch>>, faults: Option<u64>, series: bool) -> (String, 
 fn one_series_of_k_messages_is_k_series_of_one() {
     // Coverage floor: how many cases exercised each thing the series
     // path must get right.
-    let seen = [(); 6].map(|()| Cell::new(0u32));
+    let seen = [(); 10].map(|()| Cell::new(0u32));
     let count = |i: usize| seen[i].set(seen[i].get() + 1);
     Check::new("mpi2::one_series_of_k_messages_is_k_series_of_one")
         .cases(200)
-        .run(&script(), |(epochs, faults)| {
+        .run(&script(), |(epochs, faults, traced)| {
             let script = Arc::new(epochs.clone());
-            let (one, dry, retransmits, conflicts) = run(&script, *faults, true);
-            let (each, ..) = run(&script, *faults, false);
+            let (one, dry, retransmits, conflicts) = run(&script, *faults, *traced, true);
+            let (each, ..) = run(&script, *faults, *traced, false);
             prop_assert_eq!(&one, &each);
             let plans = epochs.iter().flat_map(|(calls, _)| calls.iter().flatten()).filter_map(|c| match c {
                 Call::Op { region, grain, .. } => Some(TransferPlan::lower(region, *grain, 0)),
@@ -188,6 +212,11 @@ fn one_series_of_k_messages_is_k_series_of_one() {
                 }
                 if plan.messages_meet() {
                     count(1);
+                }
+                // Past the ring's depth: one op holds batched and
+                // unbatched messages.
+                if plan.num_messages() > 8 {
+                    count(6);
                 }
             }
             if dry {
@@ -202,10 +231,19 @@ fn one_series_of_k_messages_is_k_series_of_one() {
             if one.contains("RmaBounds") {
                 count(5);
             }
+            match faults {
+                Faults::Off => count(7),
+                Faults::Link(_) => count(8),
+                Faults::All(_) => {}
+            }
+            if !traced {
+                count(9);
+            }
             Ok(())
         });
     let seen = seen.map(Cell::into_inner);
     // strided series, aliasing series, pool dry mid-series, faults,
-    // conflicts, a plan past a window's end
+    // conflicts, a plan past a window's end, an op past the ring's
+    // depth, faults off, link faults alone, untraced
     assert!(seen.iter().all(|&n| n >= 10), "coverage {seen:?}");
 }

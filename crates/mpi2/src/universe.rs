@@ -482,8 +482,9 @@ pub struct Mpi {
     pub(crate) size: usize,
     pub(crate) clock: f64,
     /// Serial number of host-side NIC operations on this rank — the
-    /// deterministic key fault draws for DMA/PIO retries hash on.
-    nic_seq: u64,
+    /// deterministic key fault draws for DMA/PIO retries hash on. A
+    /// charge an op reuses takes its serial all the same.
+    pub(crate) nic_seq: u64,
     /// This rank's buffered one-sided operations, one series per call,
     /// in issue order. An operation stays here from issue until a
     /// closing fence has applied it: the queue travels into the fence

@@ -149,6 +149,9 @@ pub struct Check {
     name: String,
     cases: u32,
     shrink_budget: u32,
+    /// Where the regression seeds live, when not
+    /// `testkit-regressions/` under the crate root.
+    regressions: Option<std::path::PathBuf>,
 }
 
 /// Convenience: run a property with default settings.
@@ -171,7 +174,17 @@ impl Check {
             name: name.into(),
             cases: 64,
             shrink_budget: 2048,
+            regressions: None,
         }
+    }
+
+    /// Keep this check's regression seeds in `dir` (the runner's own
+    /// tests, whose properties fail on purpose, write outside the
+    /// checkout).
+    #[cfg(test)]
+    fn regressions_in(mut self, dir: std::path::PathBuf) -> Self {
+        self.regressions = Some(dir);
+        self
     }
 
     /// Number of passing cases required (default 64).
@@ -389,17 +402,16 @@ impl Check {
     // -----------------------------------------------------------------
 
     fn regression_path(&self) -> Option<std::path::PathBuf> {
-        let root = std::env::var("CARGO_MANIFEST_DIR").ok()?;
+        let dir = match &self.regressions {
+            Some(dir) => dir.clone(),
+            None => std::path::Path::new(&std::env::var("CARGO_MANIFEST_DIR").ok()?).join("testkit-regressions"),
+        };
         let slug: String = self
             .name
             .chars()
             .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
             .collect();
-        Some(
-            std::path::Path::new(&root)
-                .join("testkit-regressions")
-                .join(format!("{slug}.seeds")),
-        )
+        Some(dir.join(format!("{slug}.seeds")))
     }
 
     fn load_regression_seeds(&self) -> Vec<u64> {
@@ -425,7 +437,8 @@ impl Check {
             return;
         };
         // Best-effort: a read-only checkout must not turn a genuine
-        // property failure into an I/O panic.
+        // property failure into an I/O panic. The directory is made
+        // here, where its first seed file is written, and nowhere else.
         if let Some(dir) = path.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
@@ -451,6 +464,33 @@ impl Check {
 mod tests {
     use super::*;
     use crate::gen;
+
+    /// A check whose seeds go to its own directory under the system
+    /// temp dir: these properties fail on purpose, and a seed file in
+    /// the checkout would make every later run replay it.
+    fn scratch(name: &str) -> Check {
+        let slug: String = name.chars().map(|c| if c.is_ascii_alphanumeric() { c } else { '_' }).collect();
+        let dir = std::env::temp_dir().join(format!("vpce-testkit-{}-{slug}", std::process::id()));
+        Check::new(name).regressions_in(dir)
+    }
+
+    /// Remove what `scratch(name)` may have written.
+    fn clean(name: &str) {
+        if let Some(dir) = scratch(name).regression_path().as_deref().and_then(std::path::Path::parent) {
+            let _ = std::fs::remove_dir_all(dir);
+        }
+    }
+
+    #[test]
+    fn failing_properties_keep_their_seeds_outside_the_checkout() {
+        let root = env!("CARGO_MANIFEST_DIR");
+        for name in ["tk::shrink_sum", "tk::panics", "tk::repro", "tk::repro_direct"] {
+            let path = scratch(name).regression_path().expect("a scratch check has a path");
+            assert!(!path.starts_with(root), "{} is inside {root}", path.display());
+        }
+        let default = Check::new("tk::default").regression_path().expect("cargo sets the manifest dir");
+        assert!(default.starts_with(root), "{}", default.display());
+    }
 
     #[test]
     fn passing_property_completes() {
@@ -478,7 +518,7 @@ mod tests {
         // Property: all vec sums < 50. Minimal counterexample is a
         // single element of exactly 50.
         let out = std::panic::catch_unwind(|| {
-            Check::new("tk::shrink_sum").cases(200).run(
+            scratch("tk::shrink_sum").cases(200).run(
                 &gen::vec_of(gen::i64_in(0, 60), 0, 12),
                 |v| {
                     let s: i64 = v.iter().sum();
@@ -493,24 +533,20 @@ mod tests {
         // failure boundary (it may stop at any partition of 50).
         assert!(msg.contains("error: sum 50"), "not minimal:\n{msg}");
         // Clean up the regression seed this intentional failure saved.
-        if let Some(p) = Check::new("tk::shrink_sum").regression_path() {
-            let _ = std::fs::remove_file(p);
-        }
+        clean("tk::shrink_sum");
     }
 
     #[test]
     fn panics_are_failures_and_shrunk() {
         let out = std::panic::catch_unwind(|| {
-            Check::new("tk::panics").cases(100).run(&gen::i64_in(0, 1000), |&x| {
+            scratch("tk::panics").cases(100).run(&gen::i64_in(0, 1000), |&x| {
                 assert!(x < 500, "boom at {x}");
                 Ok(())
             });
         });
         let msg = panic_message(out.expect_err("property must fail"));
         assert!(msg.contains("panic: boom at 500"), "{msg}");
-        if let Some(p) = Check::new("tk::panics").regression_path() {
-            let _ = std::fs::remove_file(p);
-        }
+        clean("tk::panics");
     }
 
     #[test]
@@ -519,7 +555,7 @@ mod tests {
         // identical shrunken counterexample — the acceptance criterion.
         let fail_run = || {
             let out = std::panic::catch_unwind(|| {
-                Check::new("tk::repro").cases(100).run(
+                scratch("tk::repro").cases(100).run(
                     &gen::vec_of(gen::i64_in(0, 9), 0, 8),
                     |v| {
                         prop_assert!(v.len() < 5, "len {}", v.len());
@@ -539,7 +575,7 @@ mod tests {
             .and_then(|r| r.get(..16))
             .expect("seed in message");
         let seed = u64::from_str_radix(seed_hex, 16).unwrap();
-        let check = Check::new("tk::repro_direct").cases(0);
+        let check = scratch("tk::repro_direct").cases(0);
         let out = std::panic::catch_unwind(AssertUnwindSafe(|| {
             check.run_case(
                 &gen::vec_of(gen::i64_in(0, 9), 0, 8),
@@ -554,11 +590,8 @@ mod tests {
         let direct = panic_message(out.expect_err("replayed seed must fail"));
         let tail = |m: &str| m.split("minimal counterexample").nth(1).unwrap().to_string();
         assert_eq!(tail(&a), tail(&direct), "replay must shrink identically");
-        for p in ["tk::repro", "tk::repro_direct"] {
-            if let Some(p) = Check::new(p).regression_path() {
-                let _ = std::fs::remove_file(p);
-            }
-        }
+        clean("tk::repro");
+        clean("tk::repro_direct");
     }
 
     #[test]

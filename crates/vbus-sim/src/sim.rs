@@ -166,18 +166,38 @@ pub struct NetSim {
     tracer: Tracer,
     /// Deterministic fault oracle (all-zero spec by default).
     injector: FaultInjector,
+    /// Whether a link-level fault rate (corruption, drop, stall) is
+    /// armed: only then does a leg read its pair's attempt counter.
+    link_faults: bool,
     /// Per-(src,dst) packet attempt counters, keyed `src·n + dst`: the
-    /// deterministic keys the fault draws hash, independent of
-    /// cross-pair interleaving. Holds only the pairs that have talked
-    /// (master↔slave traffic is `O(n)` of the `n²` possible).
+    /// deterministic keys the link fault draws hash, independent of
+    /// cross-pair interleaving. Kept only while `link_faults` — the
+    /// draws are their only reader — and then only for the pairs that
+    /// have talked (master↔slave traffic is `O(n)` of the `n²`
+    /// possible).
     pair_seq: HashMap<u64, u64, BuildHasherDefault<PairHasher>>,
+    /// Whether a point-to-point leg has been booked since construction
+    /// or the last [`reset`](Self::reset): the fault plane is fixed from
+    /// then on, so a count skipped while it was off is never read.
+    booked: bool,
     /// Bus-acquisition attempt counter (bus calls are leader-ordered).
     bus_seq: u64,
-    /// The route of the message being scheduled: one buffer, refilled
-    /// per message ([`Topology::route_into`]).
-    path: Vec<LinkId>,
+    /// The last two routes booked, most recent first. A message's legs
+    /// run between one pair of nodes (RTS and data one way, CTS the
+    /// other), and an op's messages all share that pair, so a leg
+    /// mostly finds its route here; [`Topology::route_into`] runs only
+    /// for a pair that is in neither. Two buffers, refilled in place:
+    /// bounded whatever the machine size.
+    routes: [Route; 2],
     /// Links whose trace lane has been named on the attached tracer.
     lane_named: Vec<bool>,
+}
+
+/// One stored route: the directed links from `pair.0` to `pair.1`.
+#[derive(Debug, Clone, Default)]
+struct Route {
+    pair: Option<(NodeId, NodeId)>,
+    links: Vec<LinkId>,
 }
 
 impl NetSim {
@@ -190,16 +210,29 @@ impl NetSim {
             stats: NetStats::default(),
             tracer: Tracer::disabled(),
             injector: FaultInjector::new(FaultSpec::off()),
+            link_faults: false,
             pair_seq: HashMap::default(),
+            booked: false,
             bus_seq: 0,
-            path: Vec::new(),
+            routes: Default::default(),
             lane_named: vec![false; n_links],
         }
     }
 
     /// Arm (or disarm, with [`FaultSpec::off`]) the fault-injection
     /// plane for this simulator.
+    ///
+    /// # Panics
+    /// Panics once a point-to-point leg has been booked (until
+    /// [`reset`](Self::reset)): the pair attempt counters are kept only
+    /// while a link fault rate is armed, so arming one mid-run would
+    /// draw from counts that were never made.
     pub fn set_faults(&mut self, spec: FaultSpec) {
+        assert!(
+            !self.booked,
+            "NetSim::set_faults after traffic was booked: arm the fault plane before the first message, or reset the simulator"
+        );
+        self.link_faults = spec.link_armed();
         self.injector = FaultInjector::new(spec);
     }
 
@@ -253,6 +286,7 @@ impl NetSim {
         self.link_busy.fill(0.0);
         self.stats = NetStats::default();
         self.pair_seq.clear();
+        self.booked = false;
         self.bus_seq = 0;
         self.lane_named.fill(false);
     }
@@ -297,8 +331,19 @@ impl NetSim {
                 recovery: 0.0,
             });
         }
-        self.cfg.topology.route_into(src, dst, &mut self.path);
-        let hops = self.path.len();
+        self.booked = true;
+        // The pair's route is one of the last two booked, or it
+        // replaces the older of them.
+        let pair = Some((src, dst));
+        if self.routes[0].pair != pair {
+            self.routes.swap(0, 1);
+            if self.routes[0].pair != pair {
+                self.cfg.topology.route_into(src, dst, &mut self.routes[0].links);
+                self.routes[0].pair = pair;
+            }
+        }
+        let path = &self.routes[0].links;
+        let hops = path.len();
         let head = self.cfg.link.per_hop_s * hops as f64;
         let body = self.cfg.link.transfer_time(bytes);
         let spec = self.injector.spec();
@@ -307,14 +352,16 @@ impl NetSim {
         let mut first_start: Option<Time> = None;
         let mut attempt: u32 = 1;
         loop {
-            let next = self.pair_seq.entry(pair_key).or_default();
-            let seq = *next;
-            *next += 1;
-            let start = self
-                .path
-                .iter()
-                .map(|&l| self.link_busy[l])
-                .fold(attempt_ready, f64::max);
+            // Unarmed, every draw below misses whatever its salt: no
+            // counter to keep.
+            let seq = if self.link_faults {
+                let next = self.pair_seq.entry(pair_key).or_default();
+                *next += 1;
+                *next - 1
+            } else {
+                0
+            };
+            let start = path.iter().map(|&l| self.link_busy[l]).fold(attempt_ready, f64::max);
             let first = *first_start.get_or_insert(start);
             let mut end = start + head + body;
             if self.injector.hits(spec.link_stall, site::LINK_STALL, pair_key, seq) {
@@ -324,7 +371,7 @@ impl NetSim {
                 self.stats.link_stalls += 1;
                 self.stats.stall_time += spec.stall_s;
             }
-            for &l in &self.path {
+            for &l in path {
                 self.link_busy[l] = end;
             }
             self.stats.horizon = self.stats.horizon.max(end);
@@ -333,7 +380,7 @@ impl NetSim {
                 // occupancy span per traversed link — failed attempts
                 // occupy the wire exactly like successful ones. A lane
                 // is named the first time its link carries anything.
-                for &l in &self.path {
+                for &l in path {
                     if !std::mem::replace(&mut self.lane_named[l], true) {
                         self.tracer.register_lane(Lane::Link(l), format!("link {l}"));
                     }
@@ -394,7 +441,7 @@ impl NetSim {
             self.stats.backoff_time += backoff;
             if self.tracer.is_enabled() {
                 self.tracer.push(
-                    Lane::Link(self.path[0]),
+                    Lane::Link(path[0]),
                     start,
                     detect,
                     EventKind::Retransmit {
@@ -405,7 +452,7 @@ impl NetSim {
                     },
                 );
                 self.tracer.push(
-                    Lane::Link(self.path[0]),
+                    Lane::Link(path[0]),
                     detect,
                     detect + backoff,
                     EventKind::BackoffWait {
@@ -586,6 +633,9 @@ impl NetSim {
 }
 
 #[cfg(test)]
+mod leg_tests;
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -728,9 +778,12 @@ mod tests {
 
     #[test]
     fn pair_counters_hold_only_the_pairs_that_talk() {
-        // 100 000 nodes: an n × n counter table would be 80 GB.
+        // 100 000 nodes: an n × n counter table would be 80 GB. A stall
+        // rate arms the link plane without a retransmit, so every leg is
+        // one attempt.
         let n = 100_000;
         let mut s = NetSim::new(NetConfig::vbus_skwp(n));
+        s.set_faults(FaultSpec { seed: 3, link_stall: 1e-9, ..FaultSpec::off() });
         for _ in 0..3 {
             s.p2p(0, n - 1, 64, 0.0);
         }
@@ -743,6 +796,26 @@ mod tests {
         assert!(s.pair_seq.is_empty(), "reset restarts the counters");
         s.p2p(0, n - 1, 64, 0.0);
         assert_eq!(seq(&s, 0, n - 1), Some(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "NetSim::set_faults after traffic was booked")]
+    fn faults_cannot_be_armed_after_traffic() {
+        let mut s = sim4();
+        s.p2p(0, 3, 64, 0.0);
+        s.set_faults(FaultSpec::light());
+    }
+
+    #[test]
+    fn faults_can_be_armed_after_a_loopback_a_broadcast_or_a_reset() {
+        let mut s = sim4();
+        s.p2p(2, 2, 64, 0.0);
+        s.vbus_broadcast(0, 64, 0.0);
+        s.set_faults(FaultSpec::light());
+        s.p2p(0, 3, 64, 0.0);
+        s.reset();
+        s.set_faults(FaultSpec::off());
+        s.p2p(0, 3, 64, 0.0);
     }
 
     #[test]
@@ -960,11 +1033,23 @@ mod tests {
     fn the_route_buffer_is_reused_from_leg_to_leg() {
         let mut s = sim4();
         s.p2p(0, 3, 64, 0.0);
-        let (ptr, cap) = (s.path.as_ptr(), s.path.capacity());
-        for (src, dst) in [(3, 0), (1, 2), (0, 1), (2, 2)] {
+        s.p2p(3, 0, 64, 0.0);
+        let buffers = |s: &NetSim| {
+            let mut b = s.routes.each_ref().map(|r| (r.links.as_ptr(), r.links.capacity()));
+            b.sort_unstable();
+            b
+        };
+        let before = buffers(&s);
+        for (src, dst) in [(0, 3), (3, 0), (0, 3), (1, 2), (0, 1), (2, 2)] {
             s.p2p(src, dst, 64, 0.0);
         }
-        assert_eq!((s.path.as_ptr(), s.path.capacity()), (ptr, cap));
-        assert_eq!(s.path, s.config().topology.route(0, 1), "loopback books no route");
+        assert_eq!(buffers(&s), before, "two buffers, refilled in place");
+        // Most recent first; loopback books no route.
+        let pairs = s.routes.each_ref().map(|r| r.pair);
+        assert_eq!(pairs, [Some((0, 1)), Some((1, 2))]);
+        for r in &s.routes {
+            let (src, dst) = r.pair.unwrap();
+            assert_eq!(r.links, s.config().topology.route(src, dst));
+        }
     }
 }
