@@ -73,7 +73,7 @@ impl std::fmt::Display for ShapeError {
 }
 
 /// Shape of the rectangular partition a gang scheduler should carve
-/// for a job of `ranks` processes.
+/// for a job of `ranks` processes, or `Err(ShapeError::ZeroRanks)`.
 ///
 /// Policy (documented here, pinned by tests): prefer the most-square
 /// *exact* factorization of `ranks` with aspect ratio at most
@@ -82,22 +82,14 @@ impl std::fmt::Display for ShapeError {
 /// *deliberately* to [`Mesh::near_square`], which wastes under one row
 /// of router positions but never produces a `1 x n` chain for
 /// `ranks >= 3`. The degenerate chain is thus unreachable either way.
-pub fn partition_shape(ranks: usize) -> Mesh {
-    try_partition_shape(ranks).unwrap_or_else(|e| panic!("{e}"))
-}
-
-/// Non-panicking [`partition_shape`]: `Err(ShapeError::ZeroRanks)`
-/// instead of the assert. Every positive rank count gets a shape on
-/// rectangular topologies; the `NoRectangular` variant is produced by
-/// topology-aware callers (the machine-description layer) for
-/// switch-based fabrics.
+/// Every positive rank count gets a shape on rectangular topologies;
+/// the `NoRectangular` variant is produced by topology-aware callers
+/// (the machine-description layer) for switch-based fabrics.
 pub fn try_partition_shape(ranks: usize) -> Result<Mesh, ShapeError> {
     if ranks == 0 {
         return Err(ShapeError::ZeroRanks);
     }
-    Ok(Mesh::try_exact_factor(ranks, MAX_PARTITION_ASPECT)
-        .expect("positive ranks and aspect")
-        .unwrap_or_else(|| Mesh::near_square(ranks)))
+    Ok(Mesh::exact_factor(ranks, MAX_PARTITION_ASPECT).unwrap_or_else(|| Mesh::near_square(ranks)))
 }
 
 /// Configuration of one PC in the cluster.
@@ -224,26 +216,20 @@ mod tests {
 
     #[test]
     fn partition_shapes_are_exact_or_deliberately_near_square() {
+        let shape = |ranks| try_partition_shape(ranks).unwrap();
+        assert_eq!(try_partition_shape(0), Err(ShapeError::ZeroRanks));
         // Exact aspect-bounded factorizations win…
-        assert_eq!(partition_shape(4), Mesh::new(2, 2));
-        assert_eq!(partition_shape(8), Mesh::new(4, 2));
-        assert_eq!(partition_shape(12), Mesh::new(4, 3));
-        assert_eq!(partition_shape(2), Mesh::new(2, 1));
+        assert_eq!(shape(1), Mesh::new(1, 1));
+        assert_eq!(shape(4), Mesh::new(2, 2));
+        assert_eq!(shape(8), Mesh::new(4, 2));
+        assert_eq!(shape(12), Mesh::new(4, 3));
+        assert_eq!(shape(2), Mesh::new(2, 1));
         // …awkward counts fall back to near-square, never a chain.
-        for ranks in [5, 7, 11, 13, 17] {
-            let m = partition_shape(ranks);
+        for ranks in [5, 7, 11, 13, 17, 22] {
+            let m = shape(ranks);
+            assert_eq!(m, Mesh::near_square(ranks), "ranks={ranks}");
             assert!(m.rows >= 2, "ranks={ranks} got a {}x{} chain", m.cols, m.rows);
             assert!(m.num_nodes() >= ranks);
-        }
-    }
-
-    #[test]
-    fn try_partition_shape_matches_panicking_variant_and_types_zero() {
-        assert_eq!(try_partition_shape(0), Err(ShapeError::ZeroRanks));
-        // Primes and awkward counts still produce the near-square
-        // fallback, identically to the panicking variant.
-        for ranks in [1, 2, 3, 4, 5, 7, 8, 11, 12, 13, 16, 17, 22] {
-            assert_eq!(try_partition_shape(ranks), Ok(partition_shape(ranks)), "ranks={ranks}");
         }
     }
 

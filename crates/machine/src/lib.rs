@@ -543,10 +543,7 @@ mod tests {
     #[test]
     fn partition_shapes_respect_the_fabric() {
         let paper = MachineSpec::paper();
-        assert_eq!(
-            paper.partition_shape(6).unwrap(),
-            cluster_sim::partition_shape(6)
-        );
+        assert_eq!(paper.partition_shape(6), cluster_sim::try_partition_shape(6));
         let xbar = MachineSpec::builtin("crossbar").unwrap();
         assert_eq!(
             xbar.partition_shape(6),

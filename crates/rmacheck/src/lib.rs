@@ -8,7 +8,7 @@
 //!
 //! 1. the lowered SPMD program and its communication plan are lowered
 //!    once more into per-rank event streams ([`trace::RmaTrace`]),
-//!    mirroring the runtime's emission order exactly ([`lower`]): one
+//!    mirroring the runtime's emission order exactly ([`lower()`]): one
 //!    event per planned op, whose footprint is the union of its wire
 //!    messages and which keeps its split descriptor, so a plan is read
 //!    as descriptors and its messages are walked only where an answer

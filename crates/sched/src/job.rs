@@ -202,7 +202,7 @@ pub struct JobSpec {
     pub tenant: String,
     pub source: JobSource,
     /// Requested ranks (the partition may reserve a few spare router
-    /// positions on top — see `cluster_sim::partition_shape`).
+    /// positions on top — see `cluster_sim::try_partition_shape`).
     pub ranks: usize,
     /// Higher runs first; ties broken by fair-share ratio, arrival
     /// time, then submission order.

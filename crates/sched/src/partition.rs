@@ -2,12 +2,13 @@
 //!
 //! The machine is an `n`-node near-square mesh (positions with id
 //! `>= n` are routers without a PC and are never allocatable). A job
-//! of `r` ranks asks for the rectangle `cluster_sim::partition_shape(r)`
-//! prescribes; the allocator scans anchors row-major (first fit),
-//! trying the prescribed orientation first and its transpose second —
-//! both deterministic, so placement is a pure function of the request
-//! sequence. Crashed nodes are *drained*: their cells never satisfy a
-//! fit again for the rest of the batch.
+//! of `r` ranks asks for the rectangle
+//! `cluster_sim::try_partition_shape(r)` prescribes; the allocator
+//! scans anchors row-major (first fit), trying the prescribed
+//! orientation first and its transpose second — both deterministic,
+//! so placement is a pure function of the request sequence. Crashed
+//! nodes are *drained*: their cells never satisfy a fit again for the
+//! rest of the batch.
 
 use vbus_sim::{Mesh, NodeId};
 

@@ -276,7 +276,7 @@ mod tests {
     use super::*;
     use crate::job::JobSpec;
     use crate::Runner;
-    use cluster_sim::partition_shape;
+    use cluster_sim::try_partition_shape;
 
     fn no_loader(p: &str) -> Result<String, String> {
         Err(format!("no loader for `{p}` in tests"))
@@ -424,7 +424,7 @@ mod tests {
             let job = mm_job("mm0", ranks);
             let bare = prepare(&job, ExecMode::Full).unwrap();
             let with = prepare_on(&job, ExecMode::Full, Some(&paper)).unwrap();
-            let shape = partition_shape(ranks);
+            let shape = try_partition_shape(ranks).unwrap();
             let mut reference = ClusterConfig::paper_n(ranks);
             reference.net.topology = vbus_sim::Topology::mesh_with(shape, ranks);
             let reference = format!("{reference:?}");

@@ -406,7 +406,8 @@ pub(crate) fn run_sequential(
     run_sequential_until(prog, mode, &AtomicBool::new(false))
 }
 
-/// [`run_sequential`], ended early once `stop` is raised.
+/// The sequential form executed from zeroed state, ended early once
+/// `stop` is raised: (cycles, arrays, scalars).
 fn run_sequential_until(
     prog: &SpmdProgram,
     mode: ExecMode,

@@ -2,7 +2,7 @@
 //!
 //! A [`Gen<T>`] is a function from a [`Source`] of u64 "choices" to a
 //! value. In random mode the source draws fresh choices from the
-//! [`Rng`](crate::rng::Rng) and records them; in replay mode it plays
+//! [`Rng`] and records them; in replay mode it plays
 //! back a prior recording (padding with zeros past the end). Shrinking
 //! never touches values directly — it edits the *choice stream* and
 //! re-runs the generator, so every combinator (map, one_of, vectors,

@@ -26,9 +26,11 @@
 //!
 //! Since the physical cards are unavailable (FPGA hardware gate), the
 //! crate models the network as a **deterministic link-schedule
-//! simulator**: every directed mesh link carries a `busy_until` virtual
-//! time; a wormhole message acquires its whole XY path at the maximum of
-//! those times, holds it for the transfer duration, and releases it.
+//! simulator**: every directed link of the topology carries a
+//! `busy_until` virtual time; a wormhole message acquires its whole
+//! route (dimension-ordered on the mesh, the tori and the hypercube) at
+//! the maximum of those times, holds it for the transfer duration, and
+//! releases it.
 //! All results are pure functions of the submitted message sequence —
 //! there is no dependence on wall-clock scheduling.
 //!
@@ -48,7 +50,7 @@ mod sim;
 pub use link::{LinkPhy, LinkRate, SignallingMode, ROUTER_DELAY_S};
 pub use sim::{BusOutcome, NetConfig, NetSim, Transfer, VBusConfig};
 pub use stats::NetStats;
-pub use topology::{FactorError, Mesh, NodeId, Topology};
+pub use topology::{Mesh, NodeId, Topology};
 
 /// Virtual time in seconds.
 ///

@@ -1,7 +1,7 @@
 //! The deterministic link-schedule simulator.
 //!
 //! Every directed link carries a `busy_until` virtual time. A wormhole
-//! point-to-point message acquires its entire XY path at
+//! point-to-point message acquires its entire route at
 //! `max(ready, busy_until of every path link)` — the worm's header
 //! cannot advance into a held channel, and once it advances the body
 //! flits occupy the whole path until the tail drains (a standard
@@ -33,8 +33,8 @@ pub struct VBusConfig {
     pub arbitration_s: f64,
     /// Router reconfiguration cost per node on the bus, seconds.
     pub per_node_config_s: f64,
-    /// Derating of link bandwidth when driven as a bus (the serpentine
-    /// spans many segments; the slowest segment clocks the bus).
+    /// Derating of link bandwidth when driven as a bus (the bus spans
+    /// many segments; the slowest segment clocks it).
     pub bandwidth_derate: f64,
 }
 
@@ -470,7 +470,7 @@ impl NetSim {
     /// Broadcast `bytes` from `src` to every node.
     ///
     /// With a [`VBusConfig`] present this uses the hardware virtual bus:
-    /// arbitration, router reconfiguration along the serpentine, a
+    /// arbitration, router reconfiguration along the bus, a
     /// single bus-rate transfer, and a *freeze* of every in-flight p2p
     /// message (their link reservations are pushed back by the bus
     /// occupancy). Without V-Bus hardware the caller (e.g. the MPI

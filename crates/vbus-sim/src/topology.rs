@@ -1,12 +1,15 @@
-//! Network topologies: the 2-D mesh the paper's cluster uses, plus a
-//! shared-segment topology used by the Fast-Ethernet reference model.
+//! Network topologies: the paper's 2-D mesh, the torus and hypercube
+//! §2.1 also names, an APENet-style 3-D torus, a crossbar switch, a
+//! two-level fat-tree, and the shared segment of the Fast-Ethernet
+//! reference model.
 //!
-//! The mesh uses deterministic dimension-ordered (XY) wormhole routing:
-//! a message first travels along the X dimension to the destination
-//! column, then along Y to the destination row. XY routing is minimal
-//! and deadlock-free on a mesh, which matches the wormhole router of
-//! the paper's network card (Kim et al., "A Wormhole Router with
-//! Embedded Broadcasting Virtual Bus for Mesh Computers").
+//! The grids (mesh, torus, 3-D torus) and the hypercube route one
+//! dimension at a time, lowest first — the deterministic,
+//! deadlock-free order of the wormhole router on the paper's network
+//! card (Kim et al., "A Wormhole Router with Embedded Broadcasting
+//! Virtual Bus for Mesh Computers"). The grids share one walk,
+//! [`walk`]: on a mesh XY routing (X to the destination column, then
+//! Y), on a torus the shorter way around each ring.
 
 /// Identifier of a node (PC) in the cluster, `0..n`.
 pub type NodeId = usize;
@@ -14,14 +17,12 @@ pub type NodeId = usize;
 /// A directed link identifier, `0..topology.num_links()`.
 pub(crate) type LinkId = usize;
 
-/// The four mesh directions, used to index per-node outgoing links.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Dir {
-    East = 0,
-    West = 1,
-    North = 2,
-    South = 3,
-}
+/// A 2-D grid cell's `[+, −]` link per dimension: east, west along X;
+/// south, north along Y. Trace lanes name links by id, so these stay.
+const PORTS_2D: [[LinkId; 2]; 2] = [[0, 1], [3, 2]];
+
+/// A 3-D torus cell's `[+, −]` link per dimension: ±x, ±y, ±z.
+const PORTS_3D: [[LinkId; 2]; 3] = [[0, 1], [2, 3], [4, 5]];
 
 /// A network topology: supplies routes (lists of directed links) between
 /// node pairs.
@@ -184,14 +185,13 @@ impl Topology {
     /// Number of directed links managed by the scheduler.
     pub fn num_links(&self) -> usize {
         match self {
-            // 4 outgoing directions per mesh position; edge links
-            // simply stay unused (always used on the torus).
+            // A grid cell owns 2·D links, one per port; a mesh's edge
+            // links simply stay unused.
             Topology::Mesh { mesh, .. } | Topology::Torus { mesh, .. } => mesh.num_nodes() * 4,
+            Topology::Torus3d { dims, .. } => dims.0 * dims.1 * dims.2 * 6,
             // One outgoing link per dimension per node.
             Topology::Hypercube { dims, nodes } => nodes * *dims as usize,
             Topology::SharedSegment { .. } => 1,
-            // Six outgoing directions per cell, all usable (wraparound).
-            Topology::Torus3d { dims, .. } => dims.0 * dims.1 * dims.2 * 6,
             // One uplink and one downlink per node port.
             Topology::Crossbar { nodes } => nodes * 2,
             // Node up/downlinks plus pod up/downlinks to the core.
@@ -216,27 +216,33 @@ impl Topology {
         if src == dst {
             return;
         }
-        match self {
-            Topology::Mesh { mesh, .. } => mesh.xy_route_into(src, dst, links),
-            Topology::Torus { mesh, .. } => mesh.torus_route_into(src, dst, links),
+        match *self {
+            Topology::Mesh { mesh, .. } => {
+                walk::<2, false>(mesh.shape(), PORTS_2D, src, dst, links)
+            }
+            Topology::Torus { mesh, .. } => {
+                walk::<2, true>(mesh.shape(), PORTS_2D, src, dst, links)
+            }
+            Topology::Torus3d { dims: (x, y, z), .. } => {
+                walk::<3, true>([x, y, z], PORTS_3D, src, dst, links)
+            }
             Topology::Hypercube { dims, .. } => {
                 // E-cube: correct differing bits from the lowest
-                // dimension up; deadlock-free like XY on the mesh.
+                // dimension up, the walk's order over bits.
                 let mut cur = src;
-                for d in 0..*dims {
+                for d in 0..dims {
                     if (cur ^ dst) & (1 << d) != 0 {
-                        links.push(cur * *dims as usize + d as usize);
+                        links.push(cur * dims as usize + d as usize);
                         cur ^= 1 << d;
                     }
                 }
             }
             Topology::SharedSegment { .. } => links.push(0),
-            Topology::Torus3d { dims, .. } => t3_route_into(*dims, src, dst, links),
             // Uplink of the source port, downlink of the destination
             // port, through the non-blocking switch.
             Topology::Crossbar { nodes } => links.extend([src, nodes + dst]),
             Topology::FatTree { pods, nodes } => {
-                let per_pod = nodes.div_ceil(*pods);
+                let per_pod = nodes.div_ceil(pods);
                 let (ps, pd) = (src / per_pod, dst / per_pod);
                 if ps == pd {
                     // Turn around at the pod's edge switch.
@@ -251,12 +257,12 @@ impl Topology {
 
     /// Number of router hops between `src` and `dst` (0 for loopback).
     pub fn hops(&self, src: NodeId, dst: NodeId) -> usize {
-        match self {
-            Topology::Mesh { mesh, .. } => mesh.distance(src, dst),
-            Topology::Torus { mesh, .. } => mesh.torus_distance(src, dst),
+        match *self {
+            Topology::Mesh { mesh, .. } => span::<2, false>(mesh.shape(), src, dst),
+            Topology::Torus { mesh, .. } => span::<2, true>(mesh.shape(), src, dst),
+            Topology::Torus3d { dims: (x, y, z), .. } => span::<3, true>([x, y, z], src, dst),
             Topology::Hypercube { .. } => (src ^ dst).count_ones() as usize,
             Topology::SharedSegment { .. } => usize::from(src != dst),
-            Topology::Torus3d { dims, .. } => t3_distance(*dims, src, dst),
             Topology::Crossbar { .. } => {
                 if src == dst {
                     0
@@ -268,7 +274,7 @@ impl Topology {
                 if src == dst {
                     return 0;
                 }
-                let per_pod = nodes.div_ceil(*pods);
+                let per_pod = nodes.div_ceil(pods);
                 if src / per_pod == dst / per_pod {
                     2
                 } else {
@@ -278,99 +284,25 @@ impl Topology {
         }
     }
 
-    /// Decode a directed link id back to its `(from, to)` router pair —
-    /// the provenance a fault diagnostic needs when a retransmit or a
-    /// stall is attributed to one physical channel. Returns `None` for
-    /// links with no single endpoint pair (the shared segment) and for
-    /// mesh edge links that leave the machine (never routed over).
-    pub fn endpoints(&self, link: LinkId) -> Option<(NodeId, NodeId)> {
-        match self {
-            Topology::Mesh { mesh, .. } => {
-                let (node, dx, dy, wraps) = mesh.decode_link(link)?;
-                let (x, y) = mesh.coords(node);
-                if wraps {
-                    return None; // off the edge: unused on a plain mesh
-                }
-                let nx = x.checked_add_signed(dx)?;
-                let ny = y.checked_add_signed(dy)?;
-                if nx >= mesh.cols || ny >= mesh.rows {
-                    return None;
-                }
-                Some((node, mesh.node_at(nx, ny)))
-            }
-            Topology::Torus { mesh, .. } => {
-                let (node, dx, dy, _) = mesh.decode_link(link)?;
-                let (x, y) = mesh.coords(node);
-                let nx = (x as isize + dx).rem_euclid(mesh.cols as isize) as usize;
-                let ny = (y as isize + dy).rem_euclid(mesh.rows as isize) as usize;
-                Some((node, mesh.node_at(nx, ny)))
-            }
-            Topology::Hypercube { dims, nodes } => {
-                let d = *dims as usize;
-                let node = link / d;
-                if node >= *nodes {
-                    return None;
-                }
-                Some((node, node ^ (1 << (link % d))))
-            }
-            Topology::SharedSegment { .. } => None,
-            Topology::Torus3d { dims, .. } => {
-                let cells = dims.0 * dims.1 * dims.2;
-                let cell = link / 6;
-                if cell >= cells {
-                    return None;
-                }
-                Some((cell, t3_neighbor(*dims, cell, link % 6)))
-            }
-            // Switch endpoints use phantom ids past the node range:
-            // the crossbar switch is node `n`; a fat-tree edge switch
-            // of pod `p` is `n + p` and the core switch is `n + pods`.
-            Topology::Crossbar { nodes } => {
-                if link < *nodes {
-                    Some((link, *nodes))
-                } else if link < nodes * 2 {
-                    Some((*nodes, link - nodes))
-                } else {
-                    None
-                }
-            }
-            Topology::FatTree { pods, nodes } => {
-                let per_pod = nodes.div_ceil(*pods);
-                if link < *nodes {
-                    Some((link, nodes + link / per_pod))
-                } else if link < nodes * 2 {
-                    let d = link - nodes;
-                    Some((nodes + d / per_pod, d))
-                } else if link < nodes * 2 + pods {
-                    Some((nodes + (link - 2 * nodes), nodes + pods))
-                } else if link < nodes * 2 + pods * 2 {
-                    Some((nodes + pods, nodes + (link - 2 * nodes - pods)))
-                } else {
-                    None
-                }
-            }
-        }
-    }
-
     /// Network diameter in hops.
     pub fn diameter(&self) -> usize {
-        match self {
-            Topology::Mesh { mesh, .. } => (mesh.cols - 1) + (mesh.rows - 1),
-            Topology::Torus { mesh, .. } => mesh.cols / 2 + mesh.rows / 2,
-            Topology::Hypercube { dims, .. } => *dims as usize,
+        match *self {
+            Topology::Mesh { mesh, .. } => reach::<2, false>(mesh.shape()),
+            Topology::Torus { mesh, .. } => reach::<2, true>(mesh.shape()),
+            Topology::Torus3d { dims: (x, y, z), .. } => reach::<3, true>([x, y, z]),
+            Topology::Hypercube { dims, .. } => dims as usize,
             Topology::SharedSegment { .. } => 1,
-            Topology::Torus3d { dims, .. } => dims.0 / 2 + dims.1 / 2 + dims.2 / 2,
             Topology::Crossbar { nodes } => {
-                if *nodes <= 1 {
+                if nodes <= 1 {
                     0
                 } else {
                     2
                 }
             }
             Topology::FatTree { pods, nodes } => {
-                if *nodes <= 1 {
+                if nodes <= 1 {
                     0
-                } else if *nodes <= nodes.div_ceil(*pods) {
+                } else if nodes <= nodes.div_ceil(pods) {
                     2
                 } else {
                     4
@@ -378,6 +310,91 @@ impl Topology {
             }
         }
     }
+}
+
+/// Steps along one dimension of `n` cells from coordinate `a` to `b`,
+/// and whether they go `+`. On a line the sign of `b − a` picks the
+/// direction; on a ring (`WRAP`) the shorter way wins and a tie goes
+/// `+`.
+#[inline]
+fn leg<const WRAP: bool>(n: usize, a: usize, b: usize) -> (usize, bool) {
+    if WRAP {
+        let fwd = (b + n - a) % n;
+        if fwd <= n - fwd {
+            (fwd, true)
+        } else {
+            (n - fwd, false)
+        }
+    } else {
+        (a.abs_diff(b), b >= a)
+    }
+}
+
+/// The coordinates of `cell` on a grid of `shape`: mixed radix,
+/// dimension 0 fastest.
+#[inline]
+fn coords<const D: usize>(shape: [usize; D], mut cell: usize) -> [usize; D] {
+    let mut c = [0; D];
+    for d in 0..D - 1 {
+        c[d] = cell % shape[d];
+        cell /= shape[d];
+    }
+    c[D - 1] = cell;
+    c
+}
+
+/// The dimension-ordered route from `src` to `dst` on a grid of
+/// `shape`, appended to `links`. Cell `c` owns links
+/// `c·2D .. c·2D + 2D`, and `ports[d]` names its `[+, −]` link along
+/// dimension `d`. Each dimension is finished, lowest first, before the
+/// next is entered. `D` and `WRAP` are compile-time: read at run time
+/// they make every route markedly slower.
+fn walk<const D: usize, const WRAP: bool>(
+    shape: [usize; D],
+    ports: [[LinkId; 2]; D],
+    src: NodeId,
+    dst: NodeId,
+    links: &mut Vec<LinkId>,
+) {
+    let (from, to) = (coords(shape, src), coords(shape, dst));
+    let (mut cell, mut stride) = (src, 1);
+    for d in 0..D {
+        let (n, mut x) = (shape[d], from[d]);
+        let (steps, plus) = leg::<WRAP>(n, x, to[d]);
+        let port = ports[d][usize::from(!plus)];
+        for _ in 0..steps {
+            links.push(cell * 2 * D + port);
+            // Only a ring steps past either end.
+            if plus {
+                x += 1;
+                cell += stride;
+                if WRAP && x == n {
+                    x = 0;
+                    cell -= n * stride;
+                }
+            } else {
+                if WRAP && x == 0 {
+                    x = n;
+                    cell += n * stride;
+                }
+                x -= 1;
+                cell -= stride;
+            }
+        }
+        stride *= n;
+    }
+}
+
+/// The length of [`walk`]'s route: its steps summed over dimensions.
+fn span<const D: usize, const WRAP: bool>(shape: [usize; D], src: NodeId, dst: NodeId) -> usize {
+    let (a, b) = (coords(shape, src), coords(shape, dst));
+    (0..D).map(|d| leg::<WRAP>(shape[d], a[d], b[d]).0).sum()
+}
+
+/// The longest [`walk`]: per dimension, end to end on a line, half way
+/// round on a ring.
+fn reach<const D: usize, const WRAP: bool>(shape: [usize; D]) -> usize {
+    shape.iter().map(|&n| if WRAP { n / 2 } else { n - 1 }).sum()
 }
 
 /// Near-cubic dimensions holding at least `n` cells: the 3-D analogue
@@ -390,97 +407,6 @@ fn near_cubic(n: usize) -> (usize, usize, usize) {
     let y = ((rest as f64).sqrt().ceil() as usize).max(1);
     let z = rest.div_ceil(y);
     (x, y, z)
-}
-
-/// `(x, y, z)` coordinates of a cell in a 3-D torus.
-fn t3_coords(dims: (usize, usize, usize), cell: usize) -> (usize, usize, usize) {
-    (cell % dims.0, (cell / dims.0) % dims.1, cell / (dims.0 * dims.1))
-}
-
-fn t3_cell(dims: (usize, usize, usize), x: usize, y: usize, z: usize) -> usize {
-    (z * dims.1 + y) * dims.0 + x
-}
-
-/// The six directed links of a cell: `cell * 6 + dir` with
-/// `dir = 0..6` meaning +x, -x, +y, -y, +z, -z.
-fn t3_neighbor(dims: (usize, usize, usize), cell: usize, dir: usize) -> usize {
-    let (x, y, z) = t3_coords(dims, cell);
-    let (nx, ny, nz) = match dir {
-        0 => ((x + 1) % dims.0, y, z),
-        1 => ((x + dims.0 - 1) % dims.0, y, z),
-        2 => (x, (y + 1) % dims.1, z),
-        3 => (x, (y + dims.1 - 1) % dims.1, z),
-        4 => (x, y, (z + 1) % dims.2),
-        _ => (x, y, (z + dims.2 - 1) % dims.2),
-    };
-    t3_cell(dims, nx, ny, nz)
-}
-
-/// Wraparound distance per dimension, summed.
-fn t3_distance(dims: (usize, usize, usize), a: usize, b: usize) -> usize {
-    let (ax, ay, az) = t3_coords(dims, a);
-    let (bx, by, bz) = t3_coords(dims, b);
-    let dx = ax.abs_diff(bx).min(dims.0 - ax.abs_diff(bx));
-    let dy = ay.abs_diff(by).min(dims.1 - ay.abs_diff(by));
-    let dz = az.abs_diff(bz).min(dims.2 - az.abs_diff(bz));
-    dx + dy + dz
-}
-
-/// Dimension-ordered 3-D torus route: per dimension, walk the shorter
-/// way around the ring (ties break toward increasing coordinates).
-fn t3_route_into(dims: (usize, usize, usize), src: usize, dst: usize, links: &mut Vec<usize>) {
-    let (mut x, mut y, mut z) = t3_coords(dims, src);
-    let (tx, ty, tz) = t3_coords(dims, dst);
-    // X dimension.
-    let fwd = (tx + dims.0 - x) % dims.0;
-    let go_plus = fwd <= dims.0 - fwd;
-    for _ in 0..fwd.min(dims.0 - fwd) {
-        let cell = t3_cell(dims, x, y, z);
-        if go_plus {
-            links.push(cell * 6);
-            x = (x + 1) % dims.0;
-        } else {
-            links.push(cell * 6 + 1);
-            x = (x + dims.0 - 1) % dims.0;
-        }
-    }
-    // Y dimension.
-    let fwd = (ty + dims.1 - y) % dims.1;
-    let go_plus = fwd <= dims.1 - fwd;
-    for _ in 0..fwd.min(dims.1 - fwd) {
-        let cell = t3_cell(dims, x, y, z);
-        if go_plus {
-            links.push(cell * 6 + 2);
-            y = (y + 1) % dims.1;
-        } else {
-            links.push(cell * 6 + 3);
-            y = (y + dims.1 - 1) % dims.1;
-        }
-    }
-    // Z dimension.
-    let fwd = (tz + dims.2 - z) % dims.2;
-    let go_plus = fwd <= dims.2 - fwd;
-    for _ in 0..fwd.min(dims.2 - fwd) {
-        let cell = t3_cell(dims, x, y, z);
-        if go_plus {
-            links.push(cell * 6 + 4);
-            z = (z + 1) % dims.2;
-        } else {
-            links.push(cell * 6 + 5);
-            z = (z + dims.2 - 1) % dims.2;
-        }
-    }
-}
-
-/// Why [`Mesh::try_exact_factor`] could not consider any shape at all
-/// (as opposed to declining every too-elongated factorization, which
-/// is the `Ok(None)` case).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FactorError {
-    /// Zero nodes were requested.
-    ZeroNodes,
-    /// The aspect bound was zero — no shape can satisfy it.
-    ZeroAspect,
 }
 
 /// A `cols x rows` 2-D mesh. Node `i` sits at
@@ -527,51 +453,22 @@ impl Mesh {
     /// The most nearly square *exact* factorization `cols x rows == n`
     /// with `cols >= rows` and aspect ratio `cols / rows <= max_aspect`.
     ///
-    /// Returns `None` when every exact factorization is too elongated
-    /// (e.g. any prime `n > max_aspect`): an over-stretched chain is a
-    /// degenerate mesh, and refusing it forces the caller to choose the
-    /// fallback ([`Mesh::near_square`] with spare routers) explicitly
-    /// rather than receive a `1 x n` wire by accident.
+    /// Returns `None` when nothing fits: `n = 0`, or every exact
+    /// factorization is too elongated (e.g. any prime `n > max_aspect`).
+    /// An over-stretched chain is a degenerate mesh, and refusing it
+    /// forces the caller to choose the fallback ([`Mesh::near_square`]
+    /// with spare routers) explicitly rather than receive a `1 x n`
+    /// wire by accident.
     pub fn exact_factor(n: usize, max_aspect: usize) -> Option<Self> {
-        match Self::try_exact_factor(n, max_aspect) {
-            Ok(shape) => shape,
-            Err(FactorError::ZeroNodes) => panic!("mesh must hold at least one node"),
-            Err(FactorError::ZeroAspect) => panic!("aspect bound must be at least 1"),
-        }
-    }
-
-    /// Non-panicking [`exact_factor`](Self::exact_factor): the argument
-    /// errors the panicking variant asserts on become `Err`, and
-    /// `Ok(None)` still means every exact factorization is too
-    /// elongated for the aspect bound.
-    pub fn try_exact_factor(n: usize, max_aspect: usize) -> Result<Option<Self>, FactorError> {
-        if n == 0 {
-            return Err(FactorError::ZeroNodes);
-        }
-        if max_aspect == 0 {
-            return Err(FactorError::ZeroAspect);
-        }
         // Largest divisor <= sqrt(n) gives the most-square pair.
-        let mut rows = (n as f64).sqrt().floor() as usize;
-        while rows >= 1 {
-            if n % rows == 0 {
-                let cols = n / rows;
-                return Ok((cols <= rows * max_aspect).then_some(Mesh { cols, rows }));
-            }
-            rows -= 1;
-        }
-        Ok(None)
+        let rows = (1..=n.isqrt()).rev().find(|r| n % r == 0)?;
+        let cols = n / rows;
+        (cols <= rows * max_aspect).then_some(Mesh { cols, rows })
     }
 
     /// Total node capacity of the mesh.
     pub fn num_nodes(&self) -> usize {
         self.cols * self.rows
-    }
-
-    /// `(x, y)` coordinates of a node.
-    pub fn coords(&self, node: NodeId) -> (usize, usize) {
-        debug_assert!(node < self.num_nodes());
-        (node % self.cols, node / self.cols)
     }
 
     /// Node at `(x, y)`.
@@ -580,149 +477,14 @@ impl Mesh {
         y * self.cols + x
     }
 
-    /// Manhattan distance in hops.
-    pub fn distance(&self, a: NodeId, b: NodeId) -> usize {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        ax.abs_diff(bx) + ay.abs_diff(by)
-    }
-
-    fn link(&self, node: NodeId, dir: Dir) -> LinkId {
-        node * 4 + dir as usize
-    }
-
-    /// Decode a link id to its owning node and unit step `(dx, dy)`.
-    /// `wraps` reports whether the step leaves the mesh rectangle
-    /// (usable only with torus wraparound).
-    fn decode_link(&self, link: LinkId) -> Option<(NodeId, isize, isize, bool)> {
-        let node = link / 4;
-        if node >= self.num_nodes() {
-            return None;
-        }
-        let (dx, dy): (isize, isize) = match link % 4 {
-            0 => (1, 0),  // east
-            1 => (-1, 0), // west
-            2 => (0, -1), // north
-            _ => (0, 1),  // south
-        };
-        let (x, y) = self.coords(node);
-        let wraps = (dx < 0 && x == 0)
-            || (dx > 0 && x + 1 == self.cols)
-            || (dy < 0 && y == 0)
-            || (dy > 0 && y + 1 == self.rows);
-        Some((node, dx, dy, wraps))
-    }
-
-    /// Directed links of the XY route from `src` to `dst`: X first
-    /// (east/west), then Y (north/south).
-    pub fn xy_route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
-        let mut links = Vec::with_capacity(self.distance(src, dst));
-        self.xy_route_into(src, dst, &mut links);
-        links
-    }
-
-    /// [`xy_route`](Self::xy_route), appended to `links`.
-    fn xy_route_into(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        let mut x = sx;
-        let y = sy;
-        while x < dx {
-            links.push(self.link(self.node_at(x, y), Dir::East));
-            x += 1;
-        }
-        while x > dx {
-            links.push(self.link(self.node_at(x, y), Dir::West));
-            x -= 1;
-        }
-        let mut y = sy;
-        while y < dy {
-            links.push(self.link(self.node_at(x, y), Dir::South));
-            y += 1;
-        }
-        while y > dy {
-            links.push(self.link(self.node_at(x, y), Dir::North));
-            y -= 1;
-        }
-    }
-
-    /// Wraparound (torus) distance: per dimension, the shorter way
-    /// around the ring.
-    pub fn torus_distance(&self, a: NodeId, b: NodeId) -> usize {
-        let (ax, ay) = self.coords(a);
-        let (bx, by) = self.coords(b);
-        let dx = ax.abs_diff(bx).min(self.cols - ax.abs_diff(bx));
-        let dy = ay.abs_diff(by).min(self.rows - ay.abs_diff(by));
-        dx + dy
-    }
-
-    /// Dimension-ordered torus route: per dimension, walk the shorter
-    /// direction (ties break toward increasing coordinates), wrapping
-    /// at the edges.
-    pub fn torus_route(&self, src: NodeId, dst: NodeId) -> Vec<LinkId> {
-        let mut links = Vec::with_capacity(self.torus_distance(src, dst));
-        self.torus_route_into(src, dst, &mut links);
-        links
-    }
-
-    /// [`torus_route`](Self::torus_route), appended to `links`.
-    fn torus_route_into(&self, src: NodeId, dst: NodeId, links: &mut Vec<LinkId>) {
-        let (sx, sy) = self.coords(src);
-        let (dx, dy) = self.coords(dst);
-        // X dimension.
-        let mut x = sx;
-        let fwd = (dx + self.cols - sx) % self.cols; // hops going east
-        let go_east = fwd <= self.cols - fwd;
-        let steps = fwd.min(self.cols - fwd);
-        for _ in 0..steps {
-            if go_east {
-                links.push(self.link(self.node_at(x, sy), Dir::East));
-                x = (x + 1) % self.cols;
-            } else {
-                links.push(self.link(self.node_at(x, sy), Dir::West));
-                x = (x + self.cols - 1) % self.cols;
-            }
-        }
-        // Y dimension.
-        let mut y = sy;
-        let fwd = (dy + self.rows - sy) % self.rows;
-        let go_south = fwd <= self.rows - fwd;
-        let steps = fwd.min(self.rows - fwd);
-        for _ in 0..steps {
-            if go_south {
-                links.push(self.link(self.node_at(x, y), Dir::South));
-                y = (y + 1) % self.rows;
-            } else {
-                links.push(self.link(self.node_at(x, y), Dir::North));
-                y = (y + self.rows - 1) % self.rows;
-            }
-        }
-    }
-
-    /// The links of a virtual bus spanning every router: a boustrophedon
-    /// (serpentine) walk across the mesh, which is how the embedded
-    /// broadcasting bus of the V-Bus router threads all nodes without
-    /// extra physical wires.
-    pub fn serpentine(&self) -> Vec<LinkId> {
-        let mut links = Vec::new();
-        for y in 0..self.rows {
-            if y % 2 == 0 {
-                for x in 0..self.cols.saturating_sub(1) {
-                    links.push(self.link(self.node_at(x, y), Dir::East));
-                }
-            } else {
-                for x in (1..self.cols).rev() {
-                    links.push(self.link(self.node_at(x, y), Dir::West));
-                }
-            }
-            if y + 1 < self.rows {
-                let x = if y % 2 == 0 { self.cols - 1 } else { 0 };
-                links.push(self.link(self.node_at(x, y), Dir::South));
-            }
-        }
-        links
+    /// `[cols, rows]`: the mesh as a grid, X fastest.
+    fn shape(&self) -> [usize; 2] {
+        [self.cols, self.rows]
     }
 }
+
+#[cfg(test)]
+mod route_tests;
 
 #[cfg(test)]
 mod tests {
@@ -766,6 +528,7 @@ mod tests {
         assert_eq!(Mesh::exact_factor(12, 4), Some(Mesh::new(4, 3)));
         assert_eq!(Mesh::exact_factor(8, 4), Some(Mesh::new(4, 2)));
         assert_eq!(Mesh::exact_factor(3, 4), Some(Mesh::new(3, 1)));
+        assert_eq!(Mesh::exact_factor(1, 1), Some(Mesh::new(1, 1)));
         // Primes above the aspect bound refuse rather than chain.
         assert_eq!(Mesh::exact_factor(7, 4), None);
         assert_eq!(Mesh::exact_factor(13, 4), None);
@@ -773,6 +536,9 @@ mod tests {
         // 2x11 is the squarest exact pair for 22; aspect 5.5 > 4.
         assert_eq!(Mesh::exact_factor(22, 4), None);
         assert_eq!(Mesh::exact_factor(22, 6), Some(Mesh::new(11, 2)));
+        // Nothing fits no nodes, or an aspect bound of zero.
+        assert_eq!(Mesh::exact_factor(0, 4), None);
+        assert_eq!(Mesh::exact_factor(4, 0), None);
     }
 
     #[test]
@@ -797,44 +563,63 @@ mod tests {
         }
     }
 
+    /// A `cols x rows` mesh with a PC at every position.
+    fn full_mesh(cols: usize, rows: usize) -> Topology {
+        Topology::mesh_with(Mesh::new(cols, rows), cols * rows)
+    }
+
     #[test]
     fn coords_roundtrip() {
-        let m = Mesh::new(4, 3);
-        for node in 0..m.num_nodes() {
-            let (x, y) = m.coords(node);
-            assert_eq!(m.node_at(x, y), node);
+        // From the origin, a route runs x hops east then y hops south
+        // to node_at(x, y); each cell is named once.
+        let (m, t) = (Mesh::new(4, 3), full_mesh(4, 3));
+        let mut seen = vec![false; m.num_nodes()];
+        for y in 0..m.rows {
+            for x in 0..m.cols {
+                let node = m.node_at(x, y);
+                assert!(!std::mem::replace(&mut seen[node], true), "({x},{y})");
+                let route = t.route(0, node);
+                assert_eq!(route.len(), x + y, "({x},{y})");
+                assert!(route[..x].iter().all(|l| l % 4 == 0), "east first: {route:?}");
+                assert!(route[x..].iter().all(|l| l % 4 == 3), "then south: {route:?}");
+            }
         }
     }
 
     #[test]
     fn xy_route_length_is_manhattan_distance() {
-        let m = Mesh::new(4, 4);
+        let (m, t) = (Mesh::new(4, 4), full_mesh(4, 4));
+        let xy = |n: NodeId| (n % m.cols, n / m.cols);
         for s in 0..16 {
             for d in 0..16 {
-                assert_eq!(m.xy_route(s, d).len(), m.distance(s, d), "{s}->{d}");
+                let ((sx, sy), (dx, dy)) = (xy(s), xy(d));
+                let manhattan = sx.abs_diff(dx) + sy.abs_diff(dy);
+                assert_eq!(t.hops(s, d), manhattan, "{s}->{d}");
+                assert_eq!(t.route(s, d).len(), manhattan, "{s}->{d}");
             }
         }
     }
 
     #[test]
     fn xy_route_loopback_is_empty() {
-        let m = Mesh::new(3, 3);
+        let t = full_mesh(3, 3);
         for n in 0..9 {
-            assert!(m.xy_route(n, n).is_empty());
+            assert!(t.route(n, n).is_empty());
+            assert_eq!(t.hops(n, n), 0);
         }
     }
 
     #[test]
     fn xy_routes_share_no_link_in_opposite_directions() {
         // A->B and B->A use disjoint directed links.
-        let m = Mesh::new(3, 3);
+        let t = full_mesh(3, 3);
         for s in 0..9 {
             for d in 0..9 {
                 if s == d {
                     continue;
                 }
-                let fwd = m.xy_route(s, d);
-                let bwd = m.xy_route(d, s);
+                let fwd = t.route(s, d);
+                let bwd = t.route(d, s);
                 for l in &fwd {
                     assert!(!bwd.contains(l), "{s}<->{d} share directed link {l}");
                 }
@@ -845,47 +630,33 @@ mod tests {
     #[test]
     fn paper_2x2_mesh_routes() {
         // Paper configuration: 4 nodes in a 2x2 mesh.
-        let m = Mesh::near_square(4);
-        assert_eq!(m.distance(0, 3), 2); // corner to corner: 2 hops
-        assert_eq!(m.distance(0, 1), 1);
-        assert_eq!(m.distance(0, 2), 1);
-        let route = m.xy_route(0, 3);
-        assert_eq!(route.len(), 2);
-    }
-
-    #[test]
-    fn serpentine_visits_every_node_once() {
-        for (c, r) in [(2, 2), (3, 3), (4, 2), (1, 5), (5, 1), (4, 3)] {
-            let m = Mesh::new(c, r);
-            // A serpentine over n nodes has n-1 links.
-            assert_eq!(m.serpentine().len(), m.num_nodes() - 1, "{c}x{r}");
-            // And no repeated links.
-            let mut links = m.serpentine();
-            links.sort_unstable();
-            links.dedup();
-            assert_eq!(links.len(), m.num_nodes() - 1, "{c}x{r} repeats a link");
-        }
+        let t = Topology::mesh_for(4);
+        assert_eq!(t.hops(0, 3), 2); // corner to corner: 2 hops
+        assert_eq!(t.hops(0, 1), 1);
+        assert_eq!(t.hops(0, 2), 1);
+        // East out of node 0, then south out of node 1.
+        assert_eq!(t.route(0, 3), vec![0, 7]);
     }
 
     #[test]
     fn torus_distance_uses_wraparound() {
-        let m = Mesh::new(4, 4);
+        let mesh = full_mesh(4, 4);
+        let torus = Topology::Torus { mesh: Mesh::new(4, 4), nodes: 16 };
         // Corner to corner: 6 hops on the mesh, 2 on the torus.
-        assert_eq!(m.distance(0, 15), 6);
-        assert_eq!(m.torus_distance(0, 15), 2);
-        assert_eq!(m.torus_distance(0, 3), 1, "wrap west beats 3 east");
+        assert_eq!(mesh.hops(0, 15), 6);
+        assert_eq!(torus.hops(0, 15), 2);
+        assert_eq!(torus.hops(0, 3), 1, "wrap west beats 3 east");
+        assert_eq!(torus.route(0, 3), vec![1], "west out of node 0");
+        // A tie (2 hops either way) goes east.
+        assert_eq!(torus.route(0, 2), vec![0, 4]);
     }
 
     #[test]
     fn torus_route_length_matches_torus_distance() {
-        let m = Mesh::new(4, 3);
+        let t = Topology::Torus { mesh: Mesh::new(4, 3), nodes: 12 };
         for s in 0..12 {
             for d in 0..12 {
-                assert_eq!(
-                    m.torus_route(s, d).len(),
-                    m.torus_distance(s, d),
-                    "{s}->{d}"
-                );
+                assert_eq!(t.route(s, d).len(), t.hops(s, d), "{s}->{d}");
             }
         }
     }
@@ -895,11 +666,11 @@ mod tests {
         // Walk the links and verify the path is connected: each link
         // id decodes to (node, dir); replay the walk.
         let m = Mesh::new(5, 4);
+        let t = Topology::Torus { mesh: m, nodes: 20 };
         for s in 0..20 {
             for d in 0..20 {
-                let mut x = m.coords(s).0;
-                let mut y = m.coords(s).1;
-                for l in m.torus_route(s, d) {
+                let (mut x, mut y) = (s % m.cols, s / m.cols);
+                for l in t.route(s, d) {
                     let node = l / 4;
                     assert_eq!(node, m.node_at(x, y), "{s}->{d} disconnected");
                     match l % 4 {
@@ -965,59 +736,6 @@ mod tests {
         assert_eq!(t.num_links(), 1);
         assert_eq!(t.route(2, 5), vec![0]);
         assert_eq!(t.route(3, 3), Vec::<LinkId>::new());
-    }
-
-    #[test]
-    fn endpoints_chain_along_every_route() {
-        // Walking a route link-by-link through endpoints() must trace a
-        // connected path from src to dst on every topology that has
-        // per-pair links.
-        for t in [
-            Topology::mesh_for(12),
-            Topology::torus_for(12),
-            Topology::hypercube_for(8),
-            Topology::torus3d_for(12),
-            Topology::torus3d_with((3, 2, 2), 11),
-            Topology::crossbar_for(9),
-            Topology::fattree_for(13),
-            Topology::fattree_with(3, 12),
-        ] {
-            let n = t.num_nodes();
-            for s in 0..n {
-                for d in 0..n {
-                    let mut cur = s;
-                    for l in t.route(s, d) {
-                        let (from, to) = t
-                            .endpoints(l)
-                            .unwrap_or_else(|| panic!("{t:?} link {l} undecodable"));
-                        assert_eq!(from, cur, "{s}->{d} disconnected at link {l}");
-                        cur = to;
-                    }
-                    assert_eq!(cur, d, "{s}->{d} route endpoint mismatch");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn endpoints_reject_edge_and_shared_links() {
-        // East link of the mesh's north-east corner leaves the machine.
-        let m = Topology::mesh_for(4);
-        let corner_east = 4; // node 1 = (1,0), dir east (= 1*4 + 0)
-        assert_eq!(m.endpoints(corner_east), None);
-        // The same id on the torus wraps around to node 0.
-        let t = Topology::torus_for(4);
-        assert_eq!(t.endpoints(corner_east), Some((1, 0)));
-        assert_eq!(Topology::shared_for(4).endpoints(0), None);
-        assert_eq!(m.endpoints(1_000), None);
-    }
-
-    #[test]
-    fn try_exact_factor_reports_argument_errors() {
-        assert_eq!(Mesh::try_exact_factor(0, 4), Err(FactorError::ZeroNodes));
-        assert_eq!(Mesh::try_exact_factor(4, 0), Err(FactorError::ZeroAspect));
-        assert_eq!(Mesh::try_exact_factor(12, 4), Ok(Some(Mesh::new(4, 3))));
-        assert_eq!(Mesh::try_exact_factor(7, 4), Ok(None));
     }
 
     #[test]
